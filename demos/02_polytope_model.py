@@ -28,7 +28,7 @@ print("\ncodim-3 dual:", sorted(D.vertices))
 print("  edges:", len(D.faces_of_dim(1)), " triangles:", len(D.faces_of_dim(2)))
 
 # every horospherical section is a combinatorial 5-cube
-H, _ = build_cusp_section(P6, "cusp:A")
+H = build_cusp_section(P6, "cusp:A")
 print("\nsection at the cusp opposite A:", sorted(H.facet_ids))
 octa = dual_complex(H, H.face({"1", "i"}))
 print("dual of a codim-2 face of the section is an octahedron:",

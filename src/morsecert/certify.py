@@ -40,19 +40,17 @@ from .states import (
     MoveSystem,
     State,
     R_TABLE,
-    bad_face_signature,
+    all_pairs_index,
     balanced_states_p5,
     balanced_states_p6,
     classify_bad_faces,
+    good_witness,
     inherited_state,
     is_compatible,
-    is_good_face,
     move_system_p5,
     move_system_p6,
     orbit,
 )
-
-VERSION = "1"
 
 
 def canonical_json(obj) -> str:
@@ -190,24 +188,16 @@ def euler_identity(P: Polytope, m: MoveSystem) -> EulerRecord:
     chi = sum(
         Fraction((-1) ** k * counts[k], 2 ** k) for k in range(P.dimension + 1)
     )
-    n_crit = 0
-    for F in enumerate_faces(P, P.dimension):
-        sig = bad_face_signature(m, F)
-        if sig and all(c == 2 for c in sig):
-            n_crit += 1
+    n_crit = sum(
+        1 for F in enumerate_faces(P, P.dimension)
+        if all_pairs_index(P, m, F) is not None
+    )
     crit = Fraction(n_crit, 2 ** P.dimension)
     return EulerRecord(tuple(counts), chi, n_crit, crit, chi == -crit)
 
 
 # ---------------------------------------------------------------------------
 # Verdict sweep
-
-
-def _good_witness(m: MoveSystem, F: FaceHandle) -> int:
-    counts: Dict[int, int] = {}
-    for fid in F.defining:
-        counts[m.block_of(fid)] = counts.get(m.block_of(fid), 0) + 1
-    return min(b for b, c in counts.items() if c == 1)
 
 
 def _classify_group(
@@ -345,7 +335,8 @@ def _verdict_sweep(
         for F in enumerate_faces(P, codim):
             ids = F.sorted_ids()
             ordering[ids] = len(ordering)
-            if is_good_face(m, F):
+            witness = good_witness(m, F)
+            if witness is not None:
                 rows.append(
                     VerdictRow(
                         face=ids,
@@ -355,7 +346,7 @@ def _verdict_sweep(
                         class_id="good",
                         representative_state=0,
                         state_indices=all_states,
-                        witness_move=_good_witness(m, F),
+                        witness_move=witness,
                     )
                 )
                 continue
@@ -413,7 +404,7 @@ def _cusp_rows_for(
     rows: List[CuspRow] = []
     evidence: Dict[str, dict] = {}
     failures: List[str] = []
-    section, _ = build_cusp_section(P, cusp_id)
+    section = build_cusp_section(P, cusp_id)
     memo: dict = {}
     payload_ids: dict = {}
     for idx, s in enumerate(states):

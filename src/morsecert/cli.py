@@ -108,15 +108,15 @@ def _cmd_certify(args) -> int:
     elif args.subject == "p5":
         cert = certify_p5(seed=args.seed, restarts=args.restarts, parallel=workers)
     else:
-        from .io import load_moves, load_polytope, load_state, _load_json
+        from .io import load_moves, load_polytope, load_state, load_json
 
         P = load_polytope(args.polytope)
         m = load_moves(args.moves, P)
         s = load_state(args.state, P)
         generic_inputs = {
-            "polytope": _load_json(args.polytope),
-            "moves": _load_json(args.moves),
-            "state": _load_json(args.state),
+            "polytope": load_json(args.polytope),
+            "moves": load_json(args.moves),
+            "state": load_json(args.state),
         }
         cert = certify_generic(
             P, m, s,

@@ -114,9 +114,6 @@ class SimplicialComplex:
     def n_simplices(self) -> int:
         return len(self.simplices())
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(s) - 1) for s in self.simplices())
-
     def is_connected(self) -> bool:
         """Connectivity of the 1-skeleton; the empty complex is not connected."""
         if self.is_empty:
@@ -599,33 +596,6 @@ def star_collapse_pairs(K: SimplicialComplex, v, link_sequence: Iterable,
     return pairs
 
 
-def join_collapse_pairs(
-    K: SimplicialComplex, L: SimplicialComplex, outcome: CollapseOutcome
-) -> list:
-    """Transport a collapse-to-point certificate of K onto join(K, L).
-
-    For each elementary pair (s, t) of K's sequence and each simplex of L
-    (largest first, including the empty one) the pair (s+l, t+l) is free in
-    turn; afterwards the remaining cone on K's terminal vertex collapses to
-    that vertex.  Label sets must be disjoint.
-    """
-    if set(K.vertices) & set(L.vertices):
-        raise InputError("join certificate needs disjoint label sets")
-    if not (outcome.success and len(outcome.core.vertices) == 1):
-        raise InputError("outcome must be a collapse of K to a point")
-    terminal = outcome.core.vertices[0]
-    lambdas = sorted(L.simplices(), key=lambda s: (-len(s),) + simplex_key(s))
-    lambdas.append(frozenset())
-    pairs = []
-    for face, cof in outcome.sequence:
-        for lam in lambdas:
-            pairs.append((face | lam, cof | lam))
-    # remaining: terminal * L, a cone on the terminal vertex
-    rest = sorted(L.simplices(), key=lambda s: (-len(s),) + simplex_key(s))
-    pairs.extend((lam, lam | {terminal}) for lam in rest)
-    return pairs
-
-
 def vertex_link(K: SimplicialComplex, v) -> SimplicialComplex:
     if v not in K.vertices:
         raise InputError(f"{v!r} is not a vertex")
@@ -685,66 +655,3 @@ def is_crosspolytope_boundary(K: SimplicialComplex, k: int):
     if set(K.maximal_faces) != transversals:
         return False, None
     return True, tuple(pairing)
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism testing (small complexes only)
-
-
-def _vertex_fingerprint(K: SimplicialComplex) -> dict:
-    counts: dict = {}
-    for s in K.simplices():
-        for v in s:
-            counts.setdefault(v, []).append(len(s))
-    return {v: tuple(sorted(c)) for v, c in counts.items()}
-
-
-def find_isomorphism(K: SimplicialComplex, L: SimplicialComplex) -> Optional[dict]:
-    """Backtracking isomorphism search; intended for small complexes."""
-    if len(K.vertices) != len(L.vertices):
-        return None
-    if sorted(len(f) for f in K.maximal_faces) != sorted(len(f) for f in L.maximal_faces):
-        return None
-    fk, fl = _vertex_fingerprint(K), _vertex_fingerprint(L)
-    if sorted(fk.values()) != sorted(fl.values()):
-        return None
-    l_simplices = L.simplices()
-    by_print: dict = {}
-    for w in L.vertices:
-        by_print.setdefault(fl[w], []).append(w)
-    order = sorted(K.vertices, key=lambda v: (len(by_print[fk[v]]), label_key(v)))
-    k_simplices = sorted(K.simplices(), key=simplex_key)
-
-    mapping: dict = {}
-    used: set = set()
-
-    def consistent(v, w) -> bool:
-        for s in k_simplices:
-            if v in s and all(x in mapping or x == v for x in s):
-                img = frozenset(mapping.get(x, w) for x in s)
-                if img not in l_simplices:
-                    return False
-        return True
-
-    def rec(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in by_print[fk[v]]:
-            if w in used:
-                continue
-            if consistent(v, w):
-                mapping[v] = w
-                used.add(w)
-                if rec(i + 1):
-                    return True
-                del mapping[v]
-                used.discard(w)
-        return False
-
-    if rec(0):
-        # final full check
-        img = {frozenset(mapping[v] for v in s) for s in K.simplices()}
-        if img == set(l_simplices):
-            return dict(mapping)
-    return None

@@ -27,7 +27,7 @@ from .polytopes import (
 from .states import IN, OUT, MoveSystem, State, balanced_states_p6, move_system_p6
 
 
-def _load_json(path) -> object:
+def load_json(path) -> object:
     path = Path(path)
     try:
         text = path.read_text()
@@ -131,15 +131,15 @@ def state_from_doc(doc, P: Polytope) -> State:
 
 
 def load_polytope(path) -> Polytope:
-    return polytope_from_doc(_load_json(path))
+    return polytope_from_doc(load_json(path))
 
 
 def load_moves(path, P: Polytope) -> MoveSystem:
-    return moves_from_doc(_load_json(path), P)
+    return moves_from_doc(load_json(path), P)
 
 
 def load_state(path, P: Polytope) -> State:
-    return state_from_doc(_load_json(path), P)
+    return state_from_doc(load_json(path), P)
 
 
 # -- dumps -------------------------------------------------------------------

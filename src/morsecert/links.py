@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import total_ordering
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .complexes import (
     CollapseOutcome,
@@ -26,12 +26,13 @@ from .complexes import (
 from .errors import InputError, InternalError
 from .polytopes import FaceHandle, Polytope, build_cusp_section, dual_complex, enumerate_faces
 from .states import (
-    IN,
     OUT,
     LegalityRecord,
     MoveSystem,
     State,
+    all_pairs_index,
     bad_face_signature,
+    good_witness,
     inherited_state,
     is_compatible,
     is_good_face,
@@ -72,10 +73,6 @@ def face_contains(k: int, f1: int, f2: int) -> bool:
     m1, b1 = face_parts(k, f1)
     m2, b2 = face_parts(k, f2)
     return (m1 & m2) == m2 and (b1 & m2) == b2
-
-
-def face_dim(k: int, fid: int) -> int:
-    return k - bin(fid >> k).count("1")
 
 
 @dataclass(frozen=True)
@@ -175,18 +172,6 @@ class CubeModel:
     @property
     def k(self) -> int:
         return self.lift.k
-
-    def status_at(self, w: int, position: int) -> str:
-        """Status of defining facet `position` at cube vertex w."""
-        flips = 0
-        my_block = self.moves.block_of(self.defining[position])
-        for j in range(self.k):
-            if w >> j & 1 and self.moves.block_of(self.defining[j]) == my_block:
-                flips ^= 1
-        base = OUT if self.base_status_out[position] else IN
-        if flips:
-            return IN if base == OUT else OUT
-        return base
 
     def vertex_state(self, w: int) -> State:
         """Full polytope state at the copy corresponding to cube vertex w."""
@@ -298,13 +283,9 @@ def coface_links_fast(P: Polytope, m: MoveSystem, s: State, F: FaceHandle):
     inh = inherited_state(P, m, s, F)
     out_ids = [v for v in D.vertices if not inh.is_in(v)]
     in_ids = frozenset(v for v in D.vertices if inh.is_in(v))
-    if out_ids:
-        asc = barycentric_subdivision(full_subcomplex(D, out_ids))
-    else:
-        asc = SimplicialComplex([])
+    asc = barycentric_subdivision(full_subcomplex(D, out_ids))
     sd = barycentric_subdivision(D)
-    meet_in = [v for v in sd.vertices if v & in_ids]
-    desc = full_subcomplex(sd, meet_in) if meet_in else SimplicialComplex([])
+    desc = full_subcomplex(sd, [v for v in sd.vertices if v & in_ids])
     return asc, desc
 
 
@@ -422,22 +403,30 @@ class CriticalLinkCertifier:
         got = self._cache.get(ell)
         if got is not None:
             return got
-        lift = synthetic_pairs_lift(ell)
-        asc, desc = face_links_oracle(lift)
-        le = lambda a, b: face_contains(lift.k, a, b)
-        asc_target = order_complex(pairs_core_elements(ell, "asc"), le)
-        desc_target = order_complex(pairs_core_elements(ell, "desc"), le)
-        for name, target, kind in (
-            ("ascending", asc_target, "asc"),
-            ("descending", desc_target, "desc"),
-        ):
-            fmap = crosspolytope_face_map(ell, kind)
-            check_sd_crosspolytope_witness(target, fmap, ell, name)
+        (asc, asc_target), (desc, desc_target) = canonical_pairs_links(ell)
         asc_out = try_collapse(asc, target=asc_target, seed=self.seed, restarts=self.restarts)
         desc_out = try_collapse(desc, target=desc_target, seed=self.seed, restarts=self.restarts)
         cert = CriticalCertificate(ell, asc_out, desc_out, asc_target, desc_target)
         self._cache[ell] = cert
         return cert
+
+
+def canonical_pairs_links(ell: int):
+    """Ascending and descending face links of the canonical all-pairs 2l-cube,
+    each paired with its target core: the subdivided cross-polytope boundary,
+    checked against the explicit face map.  Returns ((asc, asc_target),
+    (desc, desc_target))."""
+    lift = synthetic_pairs_lift(ell)
+    links = face_links_oracle(lift)
+    le = lambda a, b: face_contains(lift.k, a, b)
+    out = []
+    for K, name, kind in zip(links, ("ascending", "descending"), ("asc", "desc")):
+        target = order_complex(pairs_core_elements(ell, kind), le)
+        check_sd_crosspolytope_witness(
+            target, crosspolytope_face_map(ell, kind), ell, name
+        )
+        out.append((K, target))
+    return tuple(out)
 
 
 def check_sd_crosspolytope_witness(
@@ -448,10 +437,6 @@ def check_sd_crosspolytope_witness(
     verts = set(core.vertices)
     if verts != set(fmap):
         raise InternalError(f"{name} core has unexpected vertex set")
-    faces = set()
-    for i in range(ell):
-        faces.add(frozenset([f"u{i}+"]))
-        faces.add(frozenset([f"u{i}-"]))
     # all nonempty faces of the cross-polytope: at most one vertex per pair
     images = set(fmap.values())
     want = set()
@@ -511,17 +496,6 @@ def canonical_pairs_transform(model: CubeModel):
     return ell, tuple(perm), delta
 
 
-def apply_transform_to_face(k: int, perm: Sequence[int], delta: int, fid: int) -> int:
-    mask, bits = face_parts(k, fid)
-    pmask = pbits = 0
-    for p in range(k):
-        if mask >> p & 1:
-            pmask |= 1 << perm[p]
-        if bits >> p & 1:
-            pbits |= 1 << perm[p]
-    return face_int(k, pmask, pbits ^ (delta & pmask))
-
-
 # -- link classification ------------------------------------------------------
 
 
@@ -530,13 +504,12 @@ class LinkClassification:
     """Verdict for one (face, state) class with replayable evidence.
 
     branch: "good-face" | "inherited-totally-legal" | "critical-pairs" |
-    "unknown"; path is "fast" for the first two and "oracle" for the third.
+    "unknown".
     """
 
     verdict: str  # "Regular" | "Critical" | "Unknown"
     index: Optional[int]
     branch: str
-    path: str
     witness_move: Optional[int] = None
     legality: Optional[LegalityRecord] = None
     critical: Optional[CriticalCertificate] = field(default=None, repr=False)
@@ -567,50 +540,36 @@ def classify_link(
     polytope dimension, is Critical(l) via relative collapse of both face
     links onto subdivided cross-polytope cores.  Anything else is Unknown.
     """
-    if is_good_face(m, F):
-        counts: Dict[int, int] = {}
-        for fid in F.defining:
-            counts[m.block_of(fid)] = counts.get(m.block_of(fid), 0) + 1
-        witness = min(b for b, c in counts.items() if c == 1)
-        return LinkClassification(
-            "Regular", None, "good-face", "fast", witness_move=witness
-        )
+    witness = good_witness(m, F)
+    if witness is not None:
+        return LinkClassification("Regular", None, "good-face", witness_move=witness)
     inh = inherited_state(P, m, s, F)
     rec = legality(
         P, F, inh, seed=seed, restarts=restarts, collapse_cache=collapse_cache
     )
     if rec.totally_legal:
         return LinkClassification(
-            "Regular", None, "inherited-totally-legal", "fast", legality=rec
+            "Regular", None, "inherited-totally-legal", legality=rec
         )
-    sig = bad_face_signature(m, F)
-    if (
-        sig
-        and all(c == 2 for c in sig)
-        and F.codim == 2 * len(sig) == P.dimension
-    ):
+    ell = all_pairs_index(P, m, F)
+    if ell is not None:
         if certifier is None:
             certifier = CriticalLinkCertifier(seed=seed, restarts=restarts)
-        model = build_cube_model(P, m, s, F)
-        ell, perm, delta = canonical_pairs_transform(model)
+        transform = canonical_pairs_transform(build_cube_model(P, m, s, F))
         cert = certifier.certificate(ell)
         if cert.asc_outcome.success and cert.desc_outcome.success:
             return LinkClassification(
-                "Critical",
-                ell,
-                "critical-pairs",
-                "oracle",
-                critical=cert,
-                transform=(ell, perm, delta),
+                "Critical", ell, "critical-pairs",
+                critical=cert, transform=transform,
             )
         return LinkClassification(
-            "Unknown", None, "unknown", "oracle",
+            "Unknown", None, "unknown",
             note="collapse search failed on the canonical all-pairs cube",
         )
     return LinkClassification(
-        "Unknown", None, "unknown", "fast",
+        "Unknown", None, "unknown",
         legality=rec,
-        note=f"bad face, not totally legal, signature {sig}",
+        note=f"bad face, not totally legal, signature {bad_face_signature(m, F)}",
     )
 
 
@@ -672,30 +631,24 @@ def certify_boundary_cube(
     cond = check_cusp_condition(P, s, cusp_id, m)
     if not cond.ok:
         raise InputError(f"cusp condition fails at {cusp_id}")
-    H = section if section is not None else build_cusp_section(P, cusp_id)[0]
+    H = section if section is not None else build_cusp_section(P, cusp_id)
     mH = m.restrict(H.facet_ids)
     sH = s.restrict(H.facet_ids)
+    memo = {} if classify_memo is None else classify_memo
     rows = []
     all_regular = True
     for codim in range(0, H.dimension + 1):
         for F in enumerate_faces(H, codim):
-            if classify_memo is None:
-                lc = classify_link(
+            if is_good_face(mH, F):
+                key = (F.sorted_ids(), None)
+            else:
+                key = (F.sorted_ids(), inherited_state(H, mH, sH, F).serial())
+            lc = memo.get(key)
+            if lc is None:
+                lc = memo[key] = classify_link(
                     H, mH, sH, F,
                     collapse_cache=collapse_cache, seed=seed, restarts=restarts,
                 )
-            else:
-                if is_good_face(mH, F):
-                    key = (F.sorted_ids(), None)
-                else:
-                    key = (F.sorted_ids(), inherited_state(H, mH, sH, F).serial())
-                lc = classify_memo.get(key)
-                if lc is None:
-                    lc = classify_link(
-                        H, mH, sH, F,
-                        collapse_cache=collapse_cache, seed=seed, restarts=restarts,
-                    )
-                    classify_memo[key] = lc
             rows.append((F.sorted_ids(), lc))
             if not lc.is_regular:
                 all_regular = False

@@ -115,7 +115,6 @@ class Polytope:
         facets: Sequence[Facet],
         adjacency: Iterable[FrozenSet[str]],
         ideal_vertices: Sequence[IdealVertex] = (),
-        moves_hint=None,
         name: str = "",
     ):
         self.dimension = dimension
@@ -146,7 +145,6 @@ class Polytope:
             unknown = iv.incident - set(self.facet_ids)
             if unknown:
                 raise InputError(f"ideal vertex {iv.id!r} lists unknown facets")
-        self.moves_hint = moves_hint
         self._dual_cache: dict = {}
         self._face_cache: dict = {}
 
@@ -430,12 +428,11 @@ def build_p5(p6: Optional[Polytope] = None) -> Polytope:
     return Polytope(5, facets, pairs, ideal, name="P5")
 
 
-def build_cusp_section(P: Polytope, cusp_id: str):
+def build_cusp_section(P: Polytope, cusp_id: str) -> Polytope:
     """Horospherical section at an ideal vertex: a combinatorial cube.
 
-    Returns (H, correspondence); H's facets keep the ids of the incident
-    facets of the cusp, so the correspondence is the identity on ids.  The
-    induced adjacency must split the facets into dimension-1 opposite pairs,
+    H's facets keep the ids of the incident facets of the cusp.  The induced
+    adjacency must split the facets into dimension-1 opposite pairs,
     two facets being adjacent iff they lie in different pairs.
     """
     if not P.ideal_vertices:
@@ -473,9 +470,7 @@ def build_cusp_section(P: Polytope, cusp_id: str):
                     "pair structure"
                 )
     facets = [Facet(a, a, None) for a in ids]
-    H = Polytope(dim, facets, pairs, name=f"{P.name}/{cusp_id}")
-    correspondence = {a: a for a in ids}
-    return H, correspondence
+    return Polytope(dim, facets, pairs, name=f"{P.name}/{cusp_id}")
 
 
 # ---------------------------------------------------------------------------

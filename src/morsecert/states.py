@@ -235,28 +235,42 @@ def move_system_p5(P5: Polytope) -> MoveSystem:
 # Good and bad faces
 
 
-def is_good_face(m: MoveSystem, F: FaceHandle) -> bool:
-    """Good iff some move contains exactly one defining facet; P itself is bad."""
-    if not F.defining:
-        return False
+def _move_counts(m: MoveSystem, F: FaceHandle) -> Dict[int, int]:
+    """Number of defining facets of F in each move that meets them."""
     counts: Dict[int, int] = {}
     for fid in F.defining:
         b = m.block_of(fid)
         counts[b] = counts.get(b, 0) + 1
-    return any(c == 1 for c in counts.values())
+    return counts
+
+
+def good_witness(m: MoveSystem, F: FaceHandle) -> Optional[int]:
+    """Smallest move meeting F's defining facets exactly once.
+
+    None when no move does: F is a bad face (P itself included).
+    """
+    return min((b for b, c in _move_counts(m, F).items() if c == 1), default=None)
+
+
+def is_good_face(m: MoveSystem, F: FaceHandle) -> bool:
+    """Good iff some move contains exactly one defining facet; P itself is bad."""
+    return good_witness(m, F) is not None
 
 
 def bad_face_signature(m: MoveSystem, F: FaceHandle) -> Optional[Tuple[int, ...]]:
-    """Sorted per-move counts for a bad proper face; None when the face is good."""
-    if not F.defining:
-        return ()
-    counts: Dict[int, int] = {}
-    for fid in F.defining:
-        b = m.block_of(fid)
-        counts[b] = counts.get(b, 0) + 1
-    if any(c == 1 for c in counts.values()):
+    """Sorted per-move counts for a bad face; None when the face is good."""
+    if good_witness(m, F) is not None:
         return None
-    return tuple(sorted(counts.values()))
+    return tuple(sorted(_move_counts(m, F).values()))
+
+
+def all_pairs_index(P: Polytope, m: MoveSystem, F: FaceHandle) -> Optional[int]:
+    """l when F is a bad face of codimension 2l = dim P met by each of its
+    moves in exactly two defining facets (an all-pairs top vertex); else None."""
+    sig = bad_face_signature(m, F)
+    if sig and set(sig) == {2} and F.codim == P.dimension:
+        return len(sig)
+    return None
 
 
 def classify_bad_faces(P: Polytope, m: MoveSystem):
@@ -329,22 +343,19 @@ def legality(
         raise InputError("state universe does not match the dual complex vertices")
     out_ids = tuple(sorted(s_on_f.out_facets))
     in_ids = tuple(sorted(s_on_f.in_facets))
-    sigma_out = full_subcomplex(D, out_ids) if out_ids else SimplicialComplex([])
-    sigma_in = full_subcomplex(D, in_ids) if in_ids else SimplicialComplex([])
+    sigma_out = full_subcomplex(D, out_ids)
+    sigma_in = full_subcomplex(D, in_ids)
     legal = sigma_out.is_connected() and sigma_in.is_connected()
     max_b = max(D.dim, 0)
     betti_out = betti_mod2(sigma_out, max_b)
     betti_in = betti_mod2(sigma_in, max_b)
+    cache = {} if collapse_cache is None else collapse_cache
 
     def collapse(K: SimplicialComplex) -> CollapseOutcome:
-        if collapse_cache is None:
-            return try_collapse(K, seed=seed, restarts=restarts)
         key = (K.maximal_faces, None, seed, restarts)
-        got = collapse_cache.get(key)
-        if got is None:
-            got = try_collapse(K, seed=seed, restarts=restarts)
-            collapse_cache[key] = got
-        return got
+        if key not in cache:
+            cache[key] = try_collapse(K, seed=seed, restarts=restarts)
+        return cache[key]
 
     collapse_out = collapse(sigma_out) if not sigma_out.is_empty else None
     collapse_in = collapse(sigma_in) if not sigma_in.is_empty else None

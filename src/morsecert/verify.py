@@ -8,24 +8,17 @@ is a small multiple of replay cost.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Dict, List, Tuple
 
-from .complexes import SimplicialComplex, betti_mod2, full_subcomplex, replay_collapse
+from .complexes import betti_mod2, full_subcomplex, replay_collapse
 from .errors import InputError
+from .io import load_json, moves_from_doc, polytope_from_doc, state_from_doc
 from .links import (
     build_cube_model,
+    canonical_pairs_links,
     canonical_pairs_transform,
     check_cusp_condition,
-    check_sd_crosspolytope_witness,
-    crosspolytope_face_map,
-    face_contains,
-    face_links_oracle,
-    pairs_core_elements,
-    synthetic_pairs_lift,
 )
-from .complexes import order_complex
 from .polytopes import (
     FaceHandle,
     Polytope,
@@ -35,11 +28,13 @@ from .polytopes import (
     dual_complex,
     enumerate_faces,
 )
+from .report import REPORT_VERSION
 from .states import (
-    bad_face_signature,
+    all_pairs_index,
     balanced_states_p5,
     balanced_states_p6,
     classify_bad_faces,
+    good_witness,
     inherited_state,
     is_good_face,
     move_system_p5,
@@ -80,8 +75,6 @@ class _Verifier:
             m = move_system_p5(P)
             states = balanced_states_p5(P)
         elif subject == "generic":
-            from .io import moves_from_doc, polytope_from_doc, state_from_doc
-
             inputs = self.doc.get("inputs")
             if not inputs:
                 raise InputError("generic report carries no embedded inputs")
@@ -137,7 +130,7 @@ class _Verifier:
         cusp = host["cusp"]
         H = self._sections.get(cusp)
         if H is None:
-            H = build_cusp_section(self.P, cusp)[0]
+            H = build_cusp_section(self.P, cusp)
             self._sections[cusp] = H
         return H
 
@@ -166,9 +159,7 @@ class _Verifier:
             (out_ids, "out_sequence", "betti_out"),
             (in_ids, "in_sequence", "betti_in"),
         ):
-            sigma = (
-                full_subcomplex(D, ids) if ids else SimplicialComplex([])
-            )
+            sigma = full_subcomplex(D, ids)
             if list(betti_mod2(sigma, max(D.dim, 0))) != ev[betti_key]:
                 self.fail(f"evidence {eid}: Betti numbers do not match")
                 ok = False
@@ -193,22 +184,11 @@ class _Verifier:
             self.fail(f"shared evidence {sid} missing or wrong kind")
             ok = False
         else:
-            ell = sp["ell"]
-            lift = synthetic_pairs_lift(ell)
-            asc, desc = face_links_oracle(lift)
-            le = lambda a, b: face_contains(lift.k, a, b)
-            for name, K, seq_key, kind in (
-                ("ascending", asc, "asc_sequence", "asc"),
-                ("descending", desc, "desc_sequence", "desc"),
+            for (K, target), name, seq_key in zip(
+                canonical_pairs_links(sp["ell"]),
+                ("ascending", "descending"),
+                ("asc_sequence", "desc_sequence"),
             ):
-                target = order_complex(pairs_core_elements(ell, kind), le)
-                fmap = crosspolytope_face_map(ell, kind)
-                try:
-                    check_sd_crosspolytope_witness(target, fmap, ell, name)
-                except Exception as exc:
-                    self.fail(f"shared {sid}: witness check failed: {exc}")
-                    ok = False
-                    continue
                 try:
                     core = replay_collapse(K, _seq_from_json(sp[seq_key], True))
                 except InputError as exc:
@@ -243,8 +223,12 @@ class _Verifier:
             F = FaceHandle(frozenset(face))
             branch = row["branch"]
             if branch == "good-face":
-                if not is_good_face(m, F):
+                witness = good_witness(m, F)
+                if witness is None:
                     self.fail(f"face {face} claimed good but is not")
+                elif row["witness_move"] != witness:
+                    self.fail(f"good face {face}: witness move "
+                              f"{row['witness_move']!r} != {witness}")
                 elif row["verdict"] != "Regular":
                     self.fail(f"good face {face} must be Regular")
             elif branch == "inherited-totally-legal":
@@ -262,18 +246,17 @@ class _Verifier:
                 if sorted(ev.get("out_vertices", [])) != sorted(inh.out_facets):
                     self.fail(f"face {face}: evidence split != inherited state")
             elif branch == "critical-pairs":
-                sig = bad_face_signature(m, F)
-                if not (sig and all(c == 2 for c in sig)
-                        and F.codim == 2 * len(sig) == P.dimension):
+                ell = all_pairs_index(P, m, F)
+                if ell is None:
                     self.fail(f"face {face} is not an all-pairs top vertex")
                     continue
                 ev = doc["evidence"].get(row["evidence"])
                 if ev is None:
                     self.fail(f"face {face}: missing critical evidence")
                     continue
-                if ev["ell"] != len(sig):
+                if ev["ell"] != ell:
                     self.fail(f"face {face}: evidence index {ev['ell']} does "
-                              f"not match the {len(sig)}-pair signature")
+                              f"not match the {ell}-pair signature")
                     continue
                 if row["verdict"] != f"Critical({ev['ell']})":
                     self.fail(f"face {face}: verdict/index mismatch")
@@ -362,7 +345,7 @@ class _Verifier:
                     )
 
     def run(self) -> Tuple[bool, List[str]]:
-        if self.doc.get("version") != "1":
+        if self.doc.get("version") != REPORT_VERSION:
             self.fail(f"unsupported report version {self.doc.get('version')!r}")
             return False, self.messages
         try:
@@ -379,16 +362,20 @@ class _Verifier:
 
 
 def verify_document(doc: dict) -> Tuple[bool, List[str]]:
-    """Re-validate a structured report; returns (ok, failure messages)."""
-    return _Verifier(doc).run()
+    """Re-validate a structured report; returns (ok, failure messages).
+
+    A document that is not an object, or whose fields have the wrong shape
+    for the checks, raises InputError.
+    """
+    if not isinstance(doc, dict):
+        raise InputError("report must be a JSON object")
+    try:
+        return _Verifier(doc).run()
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise InputError(f"malformed report: {type(exc).__name__}: {exc}") from exc
 
 
 def verify_report_file(path) -> Tuple[bool, List[str]]:
-    p = Path(path)
-    try:
-        doc = json.loads(p.read_text())
-    except OSError as exc:
-        raise InputError(f"{p}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return verify_document(doc)
+    return verify_document(load_json(path))

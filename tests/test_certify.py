@@ -182,26 +182,61 @@ def test_verify_detects_tampered_sequence(cert_p5):
     assert any("replay" in m or "reach a point" in m for m in msgs)
 
 
-def test_verify_detects_tampered_verdict(cert_p5):
+DROP = object()
+
+
+def _set(obj, key, value=DROP):
+    if value is DROP:
+        del obj[key]
+    else:
+        obj[key] = value
+
+
+def _row(doc, branch):
+    return next(r for r in doc["verdicts"]["rows"] if r["branch"] == branch)
+
+
+def _shift_witness(doc):
+    row = _row(doc, "good-face")
+    _set(row, "witness_move", (row["witness_move"] + 1) % len(doc["moves"]))
+
+
+# (name, edit of the p5 report, exit codes allowed); an edit either changes
+# the document in place or returns the document to write instead
+REPORT_EDITS = [
+    # malformed: an input error, never a traceback
+    ("no-verdicts", lambda d: _set(d, "verdicts"), {2}),
+    ("no-cusps", lambda d: _set(d, "cusps"), {2}),
+    ("face-int", lambda d: _set(d["verdicts"]["rows"][0], "face", 7), {2}),
+    ("evidence-list", lambda d: _set(d, "evidence", []), {2}),
+    ("polytope-null", lambda d: _set(d, "polytope", None), {2}),
+    ("class-no-colon",
+     lambda d: _set(_row(d, "inherited-totally-legal"), "class", "legal"), {2}),
+    ("verdict-state-999",
+     lambda d: _set(_row(d, "inherited-totally-legal")["states"], 0, 999), {2}),
+    ("cusp-state-999", lambda d: _set(d["cusps"]["rows"][0], "state", 999), {2}),
+    ("evidence-no-host", lambda d: _set(next(iter(d["evidence"].values())), "host"), {2}),
+    ("top-level-list", lambda d: [d], {2}),
+    # well formed but false: rejected
+    ("wrong-witness", _shift_witness, {1}),
+    ("null-witness", lambda d: _set(_row(d, "good-face"), "witness_move", None), {1}),
+    ("version-0", lambda d: _set(d, "version", "0"), {1}),
+    # a good row moved onto the polytope itself, which is a bad face
+    ("good-row-on-polytope", lambda d: _set(_row(d, "good-face"), "face", []), {1}),
+    ("missing-row", lambda d: _set(d["verdicts"]["rows"], -1), {1}),
+    ("pass-false", lambda d: _set(d, "pass", False), {1}),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, codes", [e[1:] for e in REPORT_EDITS], ids=[e[0] for e in REPORT_EDITS]
+)
+def test_verify_rejects_edited_report(cert_p5, tmp_path, edit, codes):
     doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
-    row = next(r for r in doc["verdicts"]["rows"] if r["branch"] == "good-face")
-    row["face"] = doc["verdicts"]["rows"][0]["face"][:1]  # nonsense face
-    ok, _ = verify_document(doc)
-    assert not ok
-
-
-def test_verify_detects_missing_coverage(cert_p5):
-    doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
-    doc["verdicts"]["rows"] = doc["verdicts"]["rows"][:-1]
-    ok, msgs = verify_document(doc)
-    assert not ok
-
-
-def test_verify_rejects_failing_report(cert_p5):
-    doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
-    doc["pass"] = False
-    ok, msgs = verify_document(doc)
-    assert not ok
+    replaced = edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc if replaced is None else replaced))
+    assert main(["verify", str(path)]) in codes
 
 
 # -- io --------------------------------------------------------------------------

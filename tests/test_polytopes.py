@@ -139,9 +139,8 @@ def test_p5_matches_induced_subgraph(P6, P5):
 
 
 def test_cusp_section_a(P6):
-    H, corr = build_cusp_section(P6, "cusp:A")
+    H = build_cusp_section(P6, "cusp:A")
     assert sorted(H.facet_ids) == sorted(list(UNIT_LABELS) + ["B", "C"])
-    assert corr == {f: f for f in H.facet_ids}
     # opposite pairs are {q, -q} and {B, C}
     for q in ("1", "i", "j", "k"):
         assert not H.adjacent(q, "-" + q)
@@ -150,22 +149,22 @@ def test_cusp_section_a(P6):
 
 
 def test_cusp_section_facet_one(P6):
-    H, _ = build_cusp_section(P6, "cusp:1")
+    H = build_cusp_section(P6, "cusp:1")
     assert "-1+i+j+k" in H.facet_ids and "-1-i-j-k" in H.facet_ids
     assert not H.adjacent("-1+i+j+k", "-1-i-j-k")  # an opposite pair
 
 
 def test_all_cusp_sections_are_cubes(P6, P5):
     for iv in P6.ideal_vertices:
-        H, _ = build_cusp_section(P6, iv.id)
+        H = build_cusp_section(P6, iv.id)
         assert H.dimension == 5 and len(H.facet_ids) == 10
     for iv in P5.ideal_vertices:
-        H, _ = build_cusp_section(P5, iv.id)
+        H = build_cusp_section(P5, iv.id)
         assert H.dimension == 4 and len(H.facet_ids) == 8
 
 
 def test_cusp_section_codim2_dual_is_octahedron(P6):
-    H, _ = build_cusp_section(P6, "cusp:A")
+    H = build_cusp_section(P6, "cusp:A")
     F = H.face({"1", "i"})  # one facet from each of two pairs
     D = dual_complex(H, F)
     ok, _ = is_crosspolytope_boundary(D, 3)
@@ -173,7 +172,7 @@ def test_cusp_section_codim2_dual_is_octahedron(P6):
 
 
 def test_cusp_section_full_dual_is_crosspolytope(P6):
-    H, _ = build_cusp_section(P6, "cusp:A")
+    H = build_cusp_section(P6, "cusp:A")
     D = dual_complex(H, FaceHandle(frozenset()))
     ok, _ = is_crosspolytope_boundary(D, 5)
     assert ok
