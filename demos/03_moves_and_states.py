@@ -31,8 +31,7 @@ print("orbit size:", len(orbit(s, m)), "(= all balanced states)")
 
 # the whole polytope is a bad face; its state must be totally legal
 rec = legality(P, FaceHandle(frozenset()), s)
-print("\nwhole-polytope state: legal =", rec.legal,
-      ", totally legal =", rec.totally_legal)
+print("\nwhole-polytope state: totally legal =", rec.totally_legal)
 print("collapse certificate lengths:",
       len(rec.collapse_out.sequence), "and", len(rec.collapse_in.sequence))
 

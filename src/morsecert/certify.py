@@ -73,27 +73,66 @@ def _simplex_json(s) -> list:
     return sorted(items)
 
 
-def legality_evidence_payload(host: dict, face_ids: Tuple[str, ...], rec) -> dict:
+# Evidence headers: the fields of an evidence item that the claim citing it
+# determines.  An item is its header plus its sequences, and its id is the
+# hash of its content; the verifier rebuilds each header from the claim.
+
+
+def legality_header(
+    host: dict, face_ids: Sequence[str], out_vertices: Iterable[str],
+    in_vertices: Iterable[str],
+) -> dict:
     return {
         "kind": "legality",
         "host": host,
         "face": list(face_ids),
-        "out_vertices": list(rec.out_vertices),
-        "in_vertices": list(rec.in_vertices),
-        "betti_out": list(rec.betti_out),
-        "betti_in": list(rec.betti_in),
-        "out_sequence": _sequence_json(rec.collapse_out.sequence),
-        "in_sequence": _sequence_json(rec.collapse_in.sequence),
+        "out_vertices": sorted(out_vertices),
+        "in_vertices": sorted(in_vertices),
     }
+
+
+def critical_header(
+    face_ids: Sequence[str], ell: int, shared: str, perm: Sequence[int], delta: int
+) -> dict:
+    return {
+        "kind": "critical",
+        "face": list(face_ids),
+        "ell": ell,
+        "shared": shared,
+        "perm": list(perm),
+        "delta": delta,
+    }
+
+
+def shared_header(ell: int) -> dict:
+    return {"kind": "critical-shared", "ell": ell}
+
+
+# The sequences an evidence item of each kind carries after its header.
+SEQUENCE_KEYS = {
+    "legality": ("out_sequence", "in_sequence"),
+    "critical": (),
+    "critical-shared": ("asc_sequence", "desc_sequence"),
+}
+
+
+def _with_sequences(header: dict, *sequences) -> dict:
+    keys = SEQUENCE_KEYS[header["kind"]]
+    return {**header, **{k: _sequence_json(s) for k, s in zip(keys, sequences)}}
+
+
+def legality_evidence_payload(host: dict, face_ids: Tuple[str, ...], rec) -> dict:
+    return _with_sequences(
+        legality_header(host, face_ids, rec.out_vertices, rec.in_vertices),
+        rec.collapse_out.sequence,
+        rec.collapse_in.sequence,
+    )
 
 
 def critical_shared_payload(cert) -> dict:
-    return {
-        "kind": "critical-shared",
-        "ell": cert.ell,
-        "asc_sequence": _sequence_json(cert.asc_outcome.sequence),
-        "desc_sequence": _sequence_json(cert.desc_outcome.sequence),
-    }
+    return _with_sequences(
+        shared_header(cert.ell), cert.asc_outcome.sequence, cert.desc_outcome.sequence
+    )
 
 
 @dataclass(frozen=True)
@@ -248,14 +287,7 @@ def _classify_group(
         for idx in members:
             canonical_pairs_transform(build_cube_model(P, m, states[idx], F))
         ell, perm, delta = lc.transform
-        payload = {
-            "kind": "critical",
-            "face": list(face_ids),
-            "ell": ell,
-            "shared": sid,
-            "perm": list(perm),
-            "delta": delta,
-        }
+        payload = critical_header(face_ids, ell, sid, perm, delta)
         eid = _eid(payload)
         row = VerdictRow(
             face=face_ids,

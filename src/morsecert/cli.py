@@ -8,7 +8,6 @@ error, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import traceback
 
@@ -37,26 +36,13 @@ def _add_common(parser: argparse.ArgumentParser):
         "--output", type=str, default=None, help="write the report to a file"
     )
     parser.add_argument(
-        "--parallel", type=int, default=None,
-        help="worker processes (default 1; MORSECERT_WORKERS overrides)",
+        "--parallel", type=int, default=1, help="worker processes (default 1)"
     )
     parser.add_argument(
         "--timings", action="store_true",
         help="embed wall-clock timings in structured reports "
              "(off by default so reports are byte-reproducible)",
     )
-
-
-def _workers(args) -> int:
-    if args.parallel is not None:
-        return max(1, args.parallel)
-    env = os.environ.get("MORSECERT_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InputError(f"MORSECERT_WORKERS={env!r} is not an integer")
-    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,11 +88,14 @@ def _emit(cert, args) -> None:
 
 
 def _cmd_certify(args) -> int:
-    workers = _workers(args)
     if args.subject == "p6":
-        cert = certify_p6(seed=args.seed, restarts=args.restarts, parallel=workers)
+        cert = certify_p6(
+            seed=args.seed, restarts=args.restarts, parallel=args.parallel
+        )
     elif args.subject == "p5":
-        cert = certify_p5(seed=args.seed, restarts=args.restarts, parallel=workers)
+        cert = certify_p5(
+            seed=args.seed, restarts=args.restarts, parallel=args.parallel
+        )
     else:
         from .io import load_moves, load_polytope, load_state, load_json
 
@@ -123,7 +112,7 @@ def _cmd_certify(args) -> int:
             mode=args.mode,
             seed=args.seed,
             restarts=args.restarts,
-            parallel=workers,
+            parallel=args.parallel,
             generic_inputs=generic_inputs,
         )
     _emit(cert, args)

@@ -16,7 +16,6 @@ from . import labels as lb
 from .complexes import (
     CollapseOutcome,
     SimplicialComplex,
-    betti_mod2,
     full_subcomplex,
     try_collapse,
 )
@@ -307,16 +306,13 @@ def inherited_state(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> Stat
 
 @dataclass(frozen=True)
 class LegalityRecord:
-    """Outcome of the legality checks for one (face, state-on-face) pair.
+    """Vertex split and collapse certificates for one (face, state-on-face) pair.
 
     `totally_legal` is True only when both collapse searches succeeded; None
     means "not certified" (the search is sound but not complete).
     """
 
-    legal: bool
     totally_legal: Optional[bool]
-    betti_out: Tuple[int, ...]
-    betti_in: Tuple[int, ...]
     collapse_out: Optional[CollapseOutcome]
     collapse_in: Optional[CollapseOutcome]
     out_vertices: Tuple[str, ...]
@@ -332,11 +328,12 @@ def legality(
     restarts: int = 64,
     collapse_cache: Optional[dict] = None,
 ) -> LegalityRecord:
-    """Connectivity and certified collapsibility of the two state subcomplexes.
+    """Certified collapsibility of the two state subcomplexes.
 
-    Builds the dual complex of F, splits it by the given state, and reports:
-    legal (both parts nonempty and connected), totally legal (both collapse to
-    a point, with replayable certificates), and mod-2 Betti numbers for audit.
+    Builds the dual complex of F and splits it by the given state.  The pair
+    is totally legal when both parts collapse to a point; the collapse
+    sequences are the replayable certificate.  A collapsible complex is
+    contractible, so no homology is computed.
     """
     D = dual_complex(P, F)
     if set(s_on_f.universe) != set(D.vertices):
@@ -345,10 +342,6 @@ def legality(
     in_ids = tuple(sorted(s_on_f.in_facets))
     sigma_out = full_subcomplex(D, out_ids)
     sigma_in = full_subcomplex(D, in_ids)
-    legal = sigma_out.is_connected() and sigma_in.is_connected()
-    max_b = max(D.dim, 0)
-    betti_out = betti_mod2(sigma_out, max_b)
-    betti_in = betti_mod2(sigma_in, max_b)
     cache = {} if collapse_cache is None else collapse_cache
 
     def collapse(K: SimplicialComplex) -> CollapseOutcome:
@@ -369,10 +362,7 @@ def legality(
     else:
         totally = None
     return LegalityRecord(
-        legal=legal,
         totally_legal=totally,
-        betti_out=betti_out,
-        betti_in=betti_in,
         collapse_out=collapse_out,
         collapse_in=collapse_in,
         out_vertices=out_ids,

@@ -10,8 +10,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .complexes import betti_mod2, full_subcomplex, replay_collapse
-from .errors import InputError
+from .certify import (
+    SEQUENCE_KEYS,
+    _eid,
+    critical_header,
+    euler_identity,
+    legality_header,
+    shared_header,
+)
+from .complexes import full_subcomplex, replay_collapse
+from .errors import InputError, InternalError
 from .io import load_json, moves_from_doc, polytope_from_doc, state_from_doc
 from .links import (
     build_cube_model,
@@ -30,6 +38,7 @@ from .polytopes import (
 )
 from .report import REPORT_VERSION
 from .states import (
+    State,
     all_pairs_index,
     balanced_states_p5,
     balanced_states_p6,
@@ -42,22 +51,16 @@ from .states import (
     orbit,
 )
 
-
-def _seq_from_json(seq, as_int: bool) -> list:
-    out = []
-    for face, cof in seq:
-        conv = (lambda v: v) if not as_int else int
-        out.append((frozenset(map(conv, face)), frozenset(map(conv, cof))))
-    return out
+# A header value standing for a citation: the cited id is read from the item
+# and bound by the caller with the same rule.
+CITED = object()
 
 
 class _Verifier:
     def __init__(self, doc: dict):
         self.doc = doc
         self.messages: List[str] = []
-        self._legality_ok: Dict[str, bool] = {}
-        self._shared_ok: Dict[str, bool] = {}
-        self._sections: Dict[str, Polytope] = {}
+        self._evidence_ok: Dict[Tuple[str, str], bool] = {}
 
     def fail(self, msg: str):
         self.messages.append(msg)
@@ -110,8 +113,6 @@ class _Verifier:
         }
         if got != want:
             self.fail("bad-face table mismatch")
-        from .certify import euler_identity
-
         e = euler_identity(P, m)
         ed = doc["euler"]
         if (
@@ -122,87 +123,70 @@ class _Verifier:
         ):
             self.fail("consistency identity mismatch")
 
-    # -- evidence replay -----------------------------------------------------
+    # -- evidence binding and replay ---------------------------------------
 
-    def _host_polytope(self, host: dict) -> Polytope:
-        if host["type"] == "ambient":
-            return self.P
-        cusp = host["cusp"]
-        H = self._sections.get(cusp)
-        if H is None:
-            H = build_cusp_section(self.P, cusp)
-            self._sections[cusp] = H
-        return H
+    def _evidence(self, section: str, eid, header: dict, where: str, targets=None):
+        """Bind the evidence item `eid` to the claim at `where` that cites it.
 
-    def replay_legality(self, eid: str) -> bool:
-        ok = self._legality_ok.get(eid)
-        if ok is not None:
-            return ok
-        ev = self.doc["evidence"].get(eid)
-        ok = False
-        if ev is None or ev.get("kind") != "legality":
-            self.fail(f"evidence {eid} missing or wrong kind")
-        else:
-            ok = self._replay_legality_payload(eid, ev)
-        self._legality_ok[eid] = ok
-        return ok
-
-    def _replay_legality_payload(self, eid: str, ev: dict) -> bool:
-        host = self._host_polytope(ev["host"])
-        D = dual_complex(host, FaceHandle(frozenset(ev["face"])))
-        out_ids, in_ids = ev["out_vertices"], ev["in_vertices"]
-        if sorted(out_ids + in_ids) != list(D.vertices):
-            self.fail(f"evidence {eid}: vertex split does not match the dual")
-            return False
-        ok = True
-        for ids, seq_key, betti_key in (
-            (out_ids, "out_sequence", "betti_out"),
-            (in_ids, "in_sequence", "betti_in"),
-        ):
-            sigma = full_subcomplex(D, ids)
-            if list(betti_mod2(sigma, max(D.dim, 0))) != ev[betti_key]:
-                self.fail(f"evidence {eid}: Betti numbers do not match")
-                ok = False
-            try:
-                core = replay_collapse(sigma, _seq_from_json(ev[seq_key], False))
-            except InputError as exc:
-                self.fail(f"evidence {eid}: {seq_key} does not replay: {exc}")
-                ok = False
-                continue
-            if len(core.vertices) != 1:
-                self.fail(f"evidence {eid}: {seq_key} does not reach a point")
-                ok = False
-        return ok
-
-    def replay_critical_shared(self, sid: str) -> bool:
-        ok = self._shared_ok.get(sid)
-        if ok is not None:
-            return ok
-        sp = self.doc["shared_evidence"].get(sid)
-        ok = True
-        if sp is None or sp.get("kind") != "critical-shared":
-            self.fail(f"shared evidence {sid} missing or wrong kind")
-            ok = False
-        else:
-            for (K, target), name, seq_key in zip(
-                canonical_pairs_links(sp["ell"]),
-                ("ascending", "descending"),
-                ("asc_sequence", "desc_sequence"),
-            ):
+        The item must be exactly `header`, which the caller rebuilt from the
+        claim, plus the sequences of its kind; a header field set to CITED is
+        itself a citation, which the caller binds in turn.  `eid` must be the
+        hash of the item's content.  Once per section and id, each sequence
+        is then replayed on the complex that `targets()` builds for it and
+        must reach its core there (None: a point).  Returns the item when all
+        of this holds, else None.
+        """
+        where = f"{where}: evidence {eid}"
+        ev = self.doc[section].get(eid)
+        if ev is None:
+            self.fail(f"{where} is missing")
+            return None
+        seq_keys = SEQUENCE_KEYS[header["kind"]]
+        wrong = [k for k, v in header.items() if v is not CITED and ev[k] != v]
+        sequences = [ev[k] for k in seq_keys]
+        if len(ev) != len(header) + len(seq_keys):
+            wrong.append("keys")
+        if wrong:
+            self.fail(f"{where} does not match the claim ({', '.join(wrong)})")
+            return None
+        ok = self._evidence_ok.get((section, eid))
+        if ok is None:
+            ok = _eid(ev) == eid
+            if not ok:
+                self.fail(f"{where}: id is not the hash of the content")
+            built = targets() if targets else ()
+            for key, seq, (K, core) in zip(seq_keys, sequences, built):
                 try:
-                    core = replay_collapse(K, _seq_from_json(sp[seq_key], True))
+                    got = replay_collapse(K, seq)
                 except InputError as exc:
-                    self.fail(f"shared {sid}: {name} sequence invalid: {exc}")
+                    self.fail(f"{where}: {key} does not replay: {exc}")
                     ok = False
                     continue
-                if core != target:
-                    self.fail(
-                        f"shared {sid}: {name} core is not the subdivided "
-                        "cross-polytope boundary"
-                    )
+                if len(got.vertices) != 1 if core is None else got != core:
+                    target = "a point" if core is None else "its core"
+                    self.fail(f"{where}: {key} does not reach {target}")
                     ok = False
-        self._shared_ok[sid] = ok
-        return ok
+            self._evidence_ok[section, eid] = ok
+        elif not ok:
+            self.fail(f"{where} failed")
+        return ev if ok else None
+
+    def _legality(self, eid, host: dict, H: Polytope, F: FaceHandle, split: State,
+                  where: str):
+        """Bind legality item `eid` to the claim that both parts of F's dual
+        complex in H, split by `split`, collapse to a point."""
+
+        def parts():
+            D = dual_complex(H, F)
+            return [
+                (full_subcomplex(D, sorted(ids)), None)
+                for ids in (split.out_facets, split.in_facets)
+            ]
+
+        header = legality_header(
+            host, F.sorted_ids(), split.out_facets, split.in_facets
+        )
+        self._evidence("evidence", eid, header, where, parts)
 
     # -- verdict table ---------------------------------------------------------
 
@@ -222,6 +206,7 @@ class _Verifier:
                 continue
             F = FaceHandle(frozenset(face))
             branch = row["branch"]
+            where = f"face {face}"
             if branch == "good-face":
                 witness = good_witness(m, F)
                 if witness is None:
@@ -232,6 +217,8 @@ class _Verifier:
                 elif row["verdict"] != "Regular":
                     self.fail(f"good face {face} must be Regular")
             elif branch == "inherited-totally-legal":
+                if row["verdict"] != "Regular":
+                    self.fail(f"face {face}: totally legal class must be Regular")
                 serial = row["class"].split(":", 1)[1]
                 for idx in row["states"]:
                     if inherited_state(P, m, states[idx], F).serial() != serial:
@@ -239,40 +226,10 @@ class _Verifier:
                             f"face {face}: state {idx} not in inherited class"
                         )
                         break
-                if not self.replay_legality(row["evidence"]):
-                    self.fail(f"face {face}: legality evidence failed")
-                ev = doc["evidence"].get(row["evidence"], {})
-                inh = inherited_state(P, m, states[row["states"][0]], F)
-                if sorted(ev.get("out_vertices", [])) != sorted(inh.out_facets):
-                    self.fail(f"face {face}: evidence split != inherited state")
+                split = inherited_state(P, m, states[row["states"][0]], F)
+                self._legality(row["evidence"], {"type": "ambient"}, P, F, split, where)
             elif branch == "critical-pairs":
-                ell = all_pairs_index(P, m, F)
-                if ell is None:
-                    self.fail(f"face {face} is not an all-pairs top vertex")
-                    continue
-                ev = doc["evidence"].get(row["evidence"])
-                if ev is None:
-                    self.fail(f"face {face}: missing critical evidence")
-                    continue
-                if ev["ell"] != ell:
-                    self.fail(f"face {face}: evidence index {ev['ell']} does "
-                              f"not match the {ell}-pair signature")
-                    continue
-                if row["verdict"] != f"Critical({ev['ell']})":
-                    self.fail(f"face {face}: verdict/index mismatch")
-                if not self.replay_critical_shared(ev["shared"]):
-                    self.fail(f"face {face}: shared certificates failed")
-                for idx in row["states"]:
-                    try:
-                        canonical_pairs_transform(
-                            build_cube_model(P, m, states[idx], F)
-                        )
-                    except Exception as exc:
-                        self.fail(
-                            f"face {face}: state {idx} does not match the "
-                            f"canonical cube: {exc}"
-                        )
-                        break
+                self._check_critical(row, F, where)
             else:
                 self.fail(f"face {face}: unverifiable branch {branch!r}")
         if set(coverage) != want_faces:
@@ -282,6 +239,45 @@ class _Verifier:
             if sorted(idxs) != list(range(n_states)):
                 self.fail(f"face {face}: states covered {len(idxs)} != {n_states}")
                 break
+
+    def _check_critical(self, row: dict, F: FaceHandle, where: str):
+        P, m, states = self.P, self.m, self.states
+        eid = row["evidence"]
+        ell = all_pairs_index(P, m, F)
+        if ell is None:
+            self.fail(f"{where}: evidence {eid}: not an all-pairs top vertex")
+            return
+        if row["verdict"] != f"Critical({ell})":
+            self.fail(f"{where}: evidence {eid}: verdict {row['verdict']!r} "
+                      f"does not match the {ell}-pair signature")
+        rep = row["representative_state"]
+        if rep not in row["states"]:
+            self.fail(f"{where}: evidence {eid}: representative state {rep!r} "
+                      "is not one of the row's states")
+            return
+        transforms = {}
+        for idx in row["states"]:
+            try:
+                transforms[idx] = canonical_pairs_transform(
+                    build_cube_model(P, m, states[idx], F)
+                )
+            except (InputError, InternalError) as exc:
+                self.fail(f"{where}: evidence {eid}: state {idx} does not match "
+                          f"the canonical cube: {exc}")
+                return
+        _, perm, delta = transforms[rep]
+        if row["transform"] != {"perm": list(perm), "delta": delta}:
+            self.fail(f"{where}: evidence {eid}: row transform does not match "
+                      f"the transform of state {rep}")
+        ev = self._evidence(
+            "evidence", eid, critical_header(F.sorted_ids(), ell, CITED, perm, delta),
+            where,
+        )
+        if ev is not None:
+            self._evidence(
+                "shared_evidence", ev["shared"], shared_header(ell), where,
+                lambda: canonical_pairs_links(ell),
+            )
 
     # -- cusps -------------------------------------------------------------------
 
@@ -306,11 +302,11 @@ class _Verifier:
             if not row["all_regular"]:
                 self.fail(f"cusp {cusp} state {idx}: not all Regular")
                 continue
-            H = self._host_polytope({"type": "cusp", "cusp": cusp})
             gd = goodness.get(cusp)
             if gd is None:
+                H = build_cusp_section(P, cusp)
                 mH = m.restrict(H.facet_ids)
-                gd = {"moves": mH, "good": {}, "n": 0}
+                gd = {"section": H, "moves": mH, "good": {}, "n": 0}
                 for codim in range(0, H.dimension + 1):
                     for F in enumerate_faces(H, codim):
                         gd["good"][F.sorted_ids()] = is_good_face(mH, F)
@@ -323,26 +319,16 @@ class _Verifier:
                 continue
             if row["n_faces"] != gd["n"] or row["n_good"] != gd["n"] - len(non_good):
                 self.fail(f"cusp {cusp} state {idx}: face counts mismatch")
-            mH = gd["moves"]
+            H, mH = gd["section"], gd["moves"]
             sH = states[idx].restrict(H.facet_ids)
+            host = {"type": "cusp", "cusp": cusp}
             for face, (branch, eid) in sorted(checked.items()):
-                if branch != "inherited-totally-legal" or eid is None:
-                    self.fail(
-                        f"cusp {cusp} state {idx}: face {face} branch {branch}"
-                    )
+                where = f"cusp {cusp} state {idx}: face {face}"
+                if branch != "inherited-totally-legal":
+                    self.fail(f"{where}: evidence {eid}: branch {branch}")
                     continue
-                if not self.replay_legality(eid):
-                    self.fail(f"cusp {cusp} state {idx}: evidence {eid} failed")
-                    continue
-                ev = doc["evidence"][eid]
-                inh = inherited_state(H, mH, sH, FaceHandle(frozenset(face)))
-                if sorted(ev["out_vertices"]) != sorted(inh.out_facets) or list(
-                    ev["face"]
-                ) != list(face):
-                    self.fail(
-                        f"cusp {cusp} state {idx}: face {face} evidence does "
-                        "not match the inherited state"
-                    )
+                F = FaceHandle(frozenset(face))
+                self._legality(eid, host, H, F, inherited_state(H, mH, sH, F), where)
 
     def run(self) -> Tuple[bool, List[str]]:
         if self.doc.get("version") != REPORT_VERSION:

@@ -2,8 +2,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morsecert.certify import (
+    _eid,
     certify_generic,
     certify_p5,
     euler_identity,
@@ -201,6 +203,49 @@ def _shift_witness(doc):
     _set(row, "witness_move", (row["witness_move"] + 1) % len(doc["moves"]))
 
 
+def _face_and_out(ev):
+    return tuple(ev["face"]), tuple(ev["out_vertices"])
+
+
+def _cusp_items(doc):
+    """(face, Out part) -> cusp -> id of that cusp's legality item."""
+    found = {}
+    for eid, ev in sorted(doc["evidence"].items()):
+        if ev["kind"] == "legality" and ev["host"]["type"] == "cusp":
+            found.setdefault(_face_and_out(ev), {})[ev["host"]["cusp"]] = eid
+    return found
+
+
+def _ambient_row_to_cusp_item(doc):
+    """Point an ambient row at a cusp's item with the same face and Out part."""
+    items, cusp_items = doc["evidence"], _cusp_items(doc)
+    for row in doc["verdicts"]["rows"]:
+        if row["branch"] == "inherited-totally-legal":
+            hosts = cusp_items.get(_face_and_out(items[row["evidence"]]))
+            if hosts:
+                row["evidence"] = hosts[min(hosts)]
+                return
+    raise AssertionError("no cusp item has the face and Out part of an ambient one")
+
+
+def _cusp_entry_to_other_cusp_item(doc):
+    """Point a cusp entry at another cusp's item with the same face and Out part."""
+    items, cusp_items = doc["evidence"], _cusp_items(doc)
+    for row in doc["cusps"]["rows"]:
+        for entry in row["checked"]:
+            hosts = cusp_items[_face_and_out(items[entry[2]])]
+            others = sorted(c for c in hosts if c != row["cusp"])
+            if others:
+                entry[2] = hosts[others[0]]
+                return
+    raise AssertionError("no two cusp items share a face and Out part")
+
+
+def _add_key(doc):
+    ev = next(ev for ev in doc["evidence"].values() if ev["kind"] == "legality")
+    ev["note"] = "edited"
+
+
 # (name, edit of the p5 report, exit codes allowed); an edit either changes
 # the document in place or returns the document to write instead
 REPORT_EDITS = [
@@ -225,6 +270,12 @@ REPORT_EDITS = [
     ("good-row-on-polytope", lambda d: _set(_row(d, "good-face"), "face", []), {1}),
     ("missing-row", lambda d: _set(d["verdicts"]["rows"], -1), {1}),
     ("pass-false", lambda d: _set(d, "pass", False), {1}),
+    # evidence bound to another host, or edited without a new id
+    ("ambient-row-cites-cusp-item", _ambient_row_to_cusp_item, {1}),
+    ("cusp-entry-cites-other-cusp", _cusp_entry_to_other_cusp_item, {1}),
+    ("evidence-extra-key", _add_key, {1}),
+    ("legal-row-not-regular",
+     lambda d: _set(_row(d, "inherited-totally-legal"), "verdict", "Critical(2)"), {1}),
 ]
 
 
@@ -237,6 +288,122 @@ def test_verify_rejects_edited_report(cert_p5, tmp_path, edit, codes):
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc if replaced is None else replaced))
     assert main(["verify", str(path)]) in codes
+
+
+@pytest.fixture(scope="module")
+def p5_report(cert_p5, tmp_path_factory):
+    text = document_to_json(certificate_to_document(cert_p5))
+    return text, tmp_path_factory.mktemp("tamper") / "report.json"
+
+
+def _scalar_paths(value, path=()):
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return [path]
+    return [p for k, child in children for p in _scalar_paths(child, path + (k,))]
+
+
+def _changed(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    return f"{value}x"
+
+
+MUTATIONS = (
+    "scalar", "drop-step", "duplicate-step", "swap-steps",
+    "drop-key", "add-key", "repoint",
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_verify_rejects_any_tampered_evidence(p5_report, data):
+    """One mutation of one evidence item or one claim->evidence reference;
+    the verifier must reject it (1) or call it malformed (2)."""
+    text, path = p5_report
+    doc = json.loads(text)
+    items = doc["evidence"]
+    mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    if mutation == "repoint":
+        refs = [(row, "evidence") for row in doc["verdicts"]["rows"] if row["evidence"]]
+        refs += [(entry, 2) for row in doc["cusps"]["rows"] for entry in row["checked"]]
+        holder, key = data.draw(st.sampled_from(refs), label="reference")
+        others = sorted(set(items) - {holder[key]}) + ["e" + "0" * 16]
+        holder[key] = data.draw(st.sampled_from(others), label="new id")
+    elif mutation.endswith(("-step", "-steps")):
+        seqs = [
+            ev[key] for _, ev in sorted(items.items())
+            for key in ("out_sequence", "in_sequence") if len(ev[key]) >= 2
+        ]
+        seq = data.draw(st.sampled_from(seqs), label="sequence")
+        i = data.draw(st.integers(0, len(seq) - 1), label="step")
+        if mutation == "drop-step":
+            del seq[i]
+        elif mutation == "duplicate-step":
+            seq.insert(i, seq[i])
+        else:
+            j = data.draw(st.sampled_from([k for k in range(len(seq)) if k != i]))
+            seq[i], seq[j] = seq[j], seq[i]
+    else:
+        ev = items[data.draw(st.sampled_from(sorted(items)), label="item")]
+        if mutation == "scalar":
+            *parent, last = data.draw(st.sampled_from(_scalar_paths(ev)), label="field")
+            holder = ev
+            for key in parent:
+                holder = holder[key]
+            holder[last] = _changed(holder[last])
+        elif mutation == "drop-key":
+            del ev[data.draw(st.sampled_from(sorted(ev)), label="key")]
+        else:
+            ev["note"] = 0
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) in (1, 2)
+
+
+def _cite_as_shared(doc, row, eid):
+    """Point the critical item of `row` at a hollow shared item stored under
+    `eid`, re-hash the critical item and repoint the rows that cite it."""
+    old = row["evidence"]
+    ev = doc["evidence"].pop(old)
+    doc["shared_evidence"][eid] = {
+        "kind": "critical-shared", "ell": ev["ell"],
+        "asc_sequence": [], "desc_sequence": [],
+    }
+    ev["shared"] = eid
+    doc["evidence"][_eid(ev)] = ev
+    for r in doc["verdicts"]["rows"]:
+        if r.get("evidence") == old:
+            r["evidence"] = _eid(ev)
+
+
+def test_verify_binds_critical_transforms(cert_p6):
+    doc = json.loads(document_to_json(certificate_to_document(cert_p6)))
+    first, second, third = [
+        r for r in doc["verdicts"]["rows"] if r["branch"] == "critical-pairs"
+    ][:3]
+    assert first["face"] != third["face"]
+    perm = first["transform"]["perm"]
+    first["transform"]["perm"] = perm[1:] + perm[:1]
+    ev = doc["evidence"][second["evidence"]]
+    ev["perm"] = ev["perm"][::-1]
+    ev["delta"] ^= 1
+    ev["face"] = first["face"]
+    # an id that passed as a critical item must still be bound and replayed
+    # when it is cited as a shared item
+    _cite_as_shared(doc, third, first["evidence"])
+    ok, msgs = verify_document(doc)
+    assert not ok
+    assert any(first["evidence"] in m and "transform" in m for m in msgs)
+    for field in ("face", "perm", "delta"):
+        assert any(second["evidence"] in m and field in m for m in msgs), field
+    forged = f"face {tuple(third['face'])}: evidence {first['evidence']}"
+    assert any(m.startswith(forged) and "hash" in m for m in msgs)
+    assert any(m.startswith(forged) and "reach its core" in m for m in msgs)
 
 
 # -- io --------------------------------------------------------------------------
