@@ -4,7 +4,8 @@ A certificate covers every clique face of the polytope crossed with every
 state of the orbit.  Rows are deduplicated by (face, inherited state) with
 multiplicities recorded, so coverage accounting stays exact; evidence blobs
 are content-addressed, which also deduplicates identical certificates across
-states and cusps.  All randomness comes from the root seed, so reports are
+states.  Cusp boundary cubes are certified by the cone apexes of their parts,
+recorded inline.  All randomness comes from the root seed, so reports are
 reproducible byte for byte.
 """
 
@@ -19,6 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .links import (
+    CheckedFace,
     CriticalLinkCertifier,
     build_cube_model,
     canonical_pairs_transform,
@@ -159,7 +161,7 @@ class CuspRow:
     all_regular: bool
     n_faces: int
     n_good: int
-    checked_faces: Tuple[Tuple[Tuple[str, ...], str, Optional[str]], ...]
+    checked_faces: Tuple[CheckedFace, ...]
 
 
 @dataclass(frozen=True)
@@ -212,6 +214,17 @@ class Certificate:
         return f"{tag}: CERTIFICATION FAILED ({first})"
 
 
+def verdict_allowed(mode: str, dimension: int, verdict: str) -> bool:
+    """The verdict rule of a mode: a fibration has only Regular links; a
+    perfect Morse function may also have Critical(dim/2) links, dim even."""
+    if verdict == "Regular":
+        return True
+    return (
+        mode == "perfect" and dimension % 2 == 0
+        and verdict == f"Critical({dimension // 2})"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Euler identity
 
@@ -237,6 +250,16 @@ def euler_identity(P: Polytope, m: MoveSystem) -> EulerRecord:
 
 # ---------------------------------------------------------------------------
 # Verdict sweep
+
+
+def _shared_item(certifier: CriticalLinkCertifier, cert) -> Tuple[str, dict]:
+    """The id and content of the shared item for `cert`, built once per
+    certifier and ℓ: every critical row of that ℓ cites the same item."""
+    got = certifier.serialised.get(cert.ell)
+    if got is None:
+        sp = critical_shared_payload(cert)
+        got = certifier.serialised[cert.ell] = (_eid(sp), sp)
+    return got
 
 
 def _classify_group(
@@ -281,8 +304,7 @@ def _classify_group(
         )
         return row, {eid: payload}, {}, None
     if lc.verdict == "Critical":
-        sp = critical_shared_payload(lc.critical)
-        sid = _eid(sp)
+        sid, sp = _shared_item(certifier, lc.critical)
         # validate the canonical transform for every covered state
         for idx in members:
             canonical_pairs_transform(build_cube_model(P, m, states[idx], F))
@@ -329,16 +351,6 @@ def _worker_classify(task):
     return _classify_group(
         P, m, states, face_ids, codim, serial, members,
         certifier=_WORKER_CTX["certifier"],
-        collapse_cache=_WORKER_CTX["cache"],
-        seed=seed,
-        restarts=restarts,
-    )
-
-
-def _worker_cusp(cusp_id):
-    P, m, states, seed, restarts = _WORKER_CTX["args"]
-    return _cusp_rows_for(
-        P, m, states, cusp_id,
         collapse_cache=_WORKER_CTX["cache"],
         seed=seed,
         restarts=restarts,
@@ -422,108 +434,32 @@ def _verdict_sweep(
 # Cusp suite
 
 
-def _cusp_rows_for(
-    P: Polytope,
-    m: MoveSystem,
-    states: Sequence[State],
-    cusp_id: str,
-    *,
-    collapse_cache: dict,
-    seed: int,
-    restarts: int,
-):
-    """All per-state rows for one cusp; returns (rows, evidence, failures)."""
-    rows: List[CuspRow] = []
-    evidence: Dict[str, dict] = {}
-    failures: List[str] = []
-    section = build_cusp_section(P, cusp_id)
-    memo: dict = {}
-    payload_ids: dict = {}
-    for idx, s in enumerate(states):
-        cond = check_cusp_condition(P, s, cusp_id, m)
-        if not cond.ok:
-            failures.append(f"cusp condition fails at {cusp_id} state {idx}")
-            rows.append(CuspRow(cusp_id, idx, False, None, None, False, 0, 0, ()))
-            continue
-        bc = certify_boundary_cube(
-            P, m, s, cusp_id,
-            collapse_cache=collapse_cache,
-            classify_memo=memo,
-            section=section,
-            seed=seed,
-            restarts=restarts,
-        )
-        checked = []
-        n_good = 0
-        for face_ids, lc in bc.verdicts:
-            if lc.branch == "good-face":
-                n_good += 1
-                continue
-            eid = None
-            if lc.branch == "inherited-totally-legal":
-                key = id(lc)
-                eid = payload_ids.get(key)
-                if eid is None:
-                    payload = legality_evidence_payload(
-                        {"type": "cusp", "cusp": cusp_id}, face_ids, lc.legality
-                    )
-                    eid = _eid(payload)
-                    evidence[eid] = payload
-                    payload_ids[key] = eid
-            else:
-                failures.append(
-                    f"boundary cube at {cusp_id} state {idx}: face {face_ids} "
-                    f"verdict {lc.verdict}"
-                )
-            checked.append((face_ids, lc.branch, eid))
-        if not bc.all_regular:
-            failures.append(
-                f"boundary cube at {cusp_id} state {idx} is not all Regular"
-            )
-        rows.append(
-            CuspRow(
-                cusp_id, idx, True, cond.move_index, cond.pair,
-                bc.all_regular, len(bc.verdicts), n_good, tuple(checked),
-            )
-        )
-    return tuple(rows), evidence, tuple(failures)
-
-
 def _cusp_suite(
-    P: Polytope,
-    m: MoveSystem,
-    states: Sequence[State],
-    *,
-    collapse_cache: dict,
-    seed: int,
-    restarts: int,
-    failures: List[str],
-    evidence: Dict[str, dict],
-    parallel: int = 1,
-):
-    cusp_ids = [iv.id for iv in P.ideal_vertices]
-    if parallel > 1 and cusp_ids:
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork")
-        with ctx.Pool(
-            parallel, initializer=_worker_init,
-            initargs=(P, m, states, seed, restarts),
-        ) as pool:
-            results = pool.map(_worker_cusp, cusp_ids, chunksize=1)
-    else:
-        results = [
-            _cusp_rows_for(
-                P, m, states, cid,
-                collapse_cache=collapse_cache, seed=seed, restarts=restarts,
-            )
-            for cid in cusp_ids
-        ]
+    P: Polytope, m: MoveSystem, states: Sequence[State], failures: List[str]
+) -> Tuple[CuspRow, ...]:
+    """One row per (cusp, state), cusps in the polytope's order."""
     rows: List[CuspRow] = []
-    for cusp_rows, ev, fails in results:
-        rows.extend(cusp_rows)
-        evidence.update(ev)
-        failures.extend(fails)
+    for iv in P.ideal_vertices:
+        section = build_cusp_section(P, iv.id)
+        for idx, s in enumerate(states):
+            cond = check_cusp_condition(P, s, iv.id, m)
+            if not cond.ok:
+                failures.append(f"cusp condition fails at {iv.id} state {idx}")
+                rows.append(CuspRow(iv.id, idx, False, None, None, False, 0, 0, ()))
+                continue
+            bc = certify_boundary_cube(P, m, s, iv.id, section=section)
+            for face_ids, apexes in bc.checked:
+                if None in apexes:
+                    failures.append(
+                        f"boundary cube at {iv.id} state {idx}: face {face_ids} "
+                        f"not certified, a part is not a cone (apexes {apexes})"
+                    )
+            rows.append(
+                CuspRow(
+                    iv.id, idx, True, cond.move_index, cond.pair, bc.all_regular,
+                    bc.n_faces, bc.n_faces - len(bc.checked), bc.checked,
+                )
+            )
     return tuple(rows)
 
 
@@ -561,9 +497,9 @@ def run_pipeline(
 ) -> Certificate:
     """Full face-by-state classification, cusp suite and consistency identity.
 
-    With parallel > 1 the independent (face, class) groups and the per-cusp
-    batches fan out to a process pool; results merge in canonical key order,
-    so reports are identical to a sequential run.
+    With parallel > 1 the independent (face, class) groups fan out to a
+    process pool; results merge in canonical key order, so reports are
+    identical to a sequential run.
     """
     if mode not in ("perfect", "fibration"):
         raise InputError(f"unknown mode {mode!r}")
@@ -640,15 +576,7 @@ def run_pipeline(
     timings["coverage"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cusp_rows = _cusp_suite(
-        P, m, states,
-        collapse_cache=collapse_cache,
-        seed=seed,
-        restarts=restarts,
-        failures=failures,
-        evidence=evidence,
-        parallel=parallel,
-    )
+    cusp_rows = _cusp_suite(P, m, states, failures)
     timings["cusps"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -660,14 +588,10 @@ def run_pipeline(
         )
     timings["euler"] = time.perf_counter() - t0
 
-    half = P.dimension // 2
     for row in rows:
-        if row.verdict in ("Regular", "Unknown"):
-            continue  # Unknown rows were already recorded as failures
-        if mode == "fibration":
-            failures.append(f"non-Regular verdict at {row.face} in fibration mode")
-        elif row.verdict != f"Critical({half})" or P.dimension % 2 != 0:
-            failures.append(f"verdict {row.verdict} at {row.face} not allowed")
+        # Unknown rows were already recorded as failures
+        if row.verdict != "Unknown" and not verdict_allowed(mode, P.dimension, row.verdict):
+            failures.append(f"verdict {row.verdict} at {row.face} not allowed in {mode} mode")
 
     timings["total"] = time.perf_counter() - t_total
     passed = not failures

@@ -37,6 +37,7 @@ from .states import (
     is_compatible,
     is_good_face,
     legality,
+    state_parts,
 )
 
 
@@ -398,6 +399,9 @@ class CriticalLinkCertifier:
         self.seed = seed
         self.restarts = restarts
         self._cache: Dict[int, CriticalCertificate] = {}
+        # per-ℓ serialised form of the certificate, filled by the caller
+        # that serialises it
+        self.serialised: Dict[int, object] = {}
 
     def certificate(self, ell: int) -> CriticalCertificate:
         got = self._cache.get(ell)
@@ -602,12 +606,27 @@ def check_cusp_condition(
     return CuspConditionResult(False, None, None)
 
 
+# A bad face of a boundary cube with the cone apexes of its Out and In parts
+CheckedFace = Tuple[Tuple[str, ...], Tuple[Optional[str], Optional[str]]]
+
+
 @dataclass(frozen=True)
 class BoundaryCubeCertificate:
+    """Cone apexes certifying the bad faces of a horospherical cube.
+
+    `checked` lists each bad face with the smallest cone apex of its Out and
+    In parts (None: the part is empty or not a cone); the cube is all
+    Regular when every part has an apex.
+    """
+
     cusp_id: str
     condition: CuspConditionResult
-    all_regular: bool
-    verdicts: Tuple[Tuple[Tuple[str, ...], LinkClassification], ...]
+    n_faces: int
+    checked: Tuple[CheckedFace, ...]
+
+    @property
+    def all_regular(self) -> bool:
+        return all(None not in apexes for _, apexes in self.checked)
 
 
 def certify_boundary_cube(
@@ -616,17 +635,16 @@ def certify_boundary_cube(
     s: State,
     cusp_id: str,
     *,
-    collapse_cache: Optional[dict] = None,
-    classify_memo: Optional[dict] = None,
     section: Optional[Polytope] = None,
-    seed: int = 0,
-    restarts: int = 64,
 ) -> BoundaryCubeCertificate:
-    """Classify every face of the horospherical cube with restricted moves
-    and state; the certificate requires every verdict to be Regular.
+    """Certify every face of the horospherical cube with restricted moves and
+    state.  A good face is Regular; a bad face is Regular when both parts of
+    its dual split by the inherited state are cones.
 
-    `classify_memo` may be shared across the states of one cusp: goodness is
-    state independent, and bad faces are keyed by their inherited state.
+    The section is a combinatorial cube, so the dual of each of its faces is
+    a join of 0-spheres and each part a join of points and 0-spheres: a part
+    collapses to a point exactly when it is a cone, and its apex is the
+    whole certificate.
     """
     cond = check_cusp_condition(P, s, cusp_id, m)
     if not cond.ok:
@@ -634,22 +652,14 @@ def certify_boundary_cube(
     H = section if section is not None else build_cusp_section(P, cusp_id)
     mH = m.restrict(H.facet_ids)
     sH = s.restrict(H.facet_ids)
-    memo = {} if classify_memo is None else classify_memo
-    rows = []
-    all_regular = True
+    checked = []
+    n_faces = 0
     for codim in range(0, H.dimension + 1):
         for F in enumerate_faces(H, codim):
+            n_faces += 1
             if is_good_face(mH, F):
-                key = (F.sorted_ids(), None)
-            else:
-                key = (F.sorted_ids(), inherited_state(H, mH, sH, F).serial())
-            lc = memo.get(key)
-            if lc is None:
-                lc = memo[key] = classify_link(
-                    H, mH, sH, F,
-                    collapse_cache=collapse_cache, seed=seed, restarts=restarts,
-                )
-            rows.append((F.sorted_ids(), lc))
-            if not lc.is_regular:
-                all_regular = False
-    return BoundaryCubeCertificate(cusp_id, cond, all_regular, tuple(rows))
+                continue
+            parts = state_parts(H, F, inherited_state(H, mH, sH, F))
+            apexes = tuple((K.star_vertex_apexes() or [None])[0] for K in parts)
+            checked.append((F.sorted_ids(), apexes))
+    return BoundaryCubeCertificate(cusp_id, cond, n_faces, tuple(checked))

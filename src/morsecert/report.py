@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from .certify import Certificate, CuspRow, EulerRecord, VerdictRow
 
-REPORT_VERSION = "2"
+REPORT_VERSION = "3"
 
 
 def _frac(x: Fraction) -> list:
@@ -49,9 +49,7 @@ def _cusp_row_doc(row: CuspRow) -> dict:
         "all_regular": row.all_regular,
         "n_faces": row.n_faces,
         "n_good": row.n_good,
-        "checked": [
-            [list(face), branch, eid] for face, branch, eid in row.checked_faces
-        ],
+        "checked": [[list(face), list(apexes)] for face, apexes in row.checked_faces],
     }
 
 

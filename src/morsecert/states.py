@@ -304,6 +304,17 @@ def inherited_state(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> Stat
     return State(ids, in_set)
 
 
+def state_parts(
+    P: Polytope, F: FaceHandle, s_on_f: State
+) -> Tuple[SimplicialComplex, SimplicialComplex]:
+    """The Out and In parts of F's dual complex: its full subcomplexes on
+    the facets that the state on F labels Out and In."""
+    D = dual_complex(P, F)
+    if set(s_on_f.universe) != set(D.vertices):
+        raise InputError("state universe does not match the dual complex vertices")
+    return full_subcomplex(D, s_on_f.out_facets), full_subcomplex(D, s_on_f.in_facets)
+
+
 @dataclass(frozen=True)
 class LegalityRecord:
     """Vertex split and collapse certificates for one (face, state-on-face) pair.
@@ -335,13 +346,7 @@ def legality(
     sequences are the replayable certificate.  A collapsible complex is
     contractible, so no homology is computed.
     """
-    D = dual_complex(P, F)
-    if set(s_on_f.universe) != set(D.vertices):
-        raise InputError("state universe does not match the dual complex vertices")
-    out_ids = tuple(sorted(s_on_f.out_facets))
-    in_ids = tuple(sorted(s_on_f.in_facets))
-    sigma_out = full_subcomplex(D, out_ids)
-    sigma_in = full_subcomplex(D, in_ids)
+    sigma_out, sigma_in = state_parts(P, F, s_on_f)
     cache = {} if collapse_cache is None else collapse_cache
 
     def collapse(K: SimplicialComplex) -> CollapseOutcome:
@@ -365,6 +370,6 @@ def legality(
         totally_legal=totally,
         collapse_out=collapse_out,
         collapse_in=collapse_in,
-        out_vertices=out_ids,
-        in_vertices=in_ids,
+        out_vertices=tuple(sorted(s_on_f.out_facets)),
+        in_vertices=tuple(sorted(s_on_f.in_facets)),
     )

@@ -2,7 +2,8 @@
 
 Every combinatorial table is recomputed from the deterministic constructions
 and compared, and every collapse sequence and isomorphism witness is replayed
-step by step.  Nothing here invokes a collapse search, so verification cost
+step by step; a cusp's cone apexes are replayed as the cone collapses they
+determine.  Nothing here invokes a collapse search, so verification cost
 is a small multiple of replay cost.
 """
 
@@ -17,8 +18,9 @@ from .certify import (
     euler_identity,
     legality_header,
     shared_header,
+    verdict_allowed,
 )
-from .complexes import full_subcomplex, replay_collapse
+from .complexes import cone_collapse_pairs, replay_collapse
 from .errors import InputError, InternalError
 from .io import load_json, moves_from_doc, polytope_from_doc, state_from_doc
 from .links import (
@@ -29,11 +31,9 @@ from .links import (
 )
 from .polytopes import (
     FaceHandle,
-    Polytope,
     build_cusp_section,
     build_p5,
     build_p6,
-    dual_complex,
     enumerate_faces,
 )
 from .report import REPORT_VERSION
@@ -49,11 +49,21 @@ from .states import (
     move_system_p5,
     move_system_p6,
     orbit,
+    state_parts,
 )
 
 # A header value standing for a citation: the cited id is read from the item
 # and bound by the caller with the same rule.
 CITED = object()
+
+# The row fields that only some branches use; every other branch must leave
+# them null.
+BRANCH_FIELDS = {
+    "good-face": ("witness_move",),
+    "inherited-totally-legal": ("evidence",),
+    "critical-pairs": ("evidence", "transform"),
+}
+ROW_FIELDS = ("witness_move", "evidence", "transform")
 
 
 class _Verifier:
@@ -61,6 +71,7 @@ class _Verifier:
         self.doc = doc
         self.messages: List[str] = []
         self._evidence_ok: Dict[Tuple[str, str], bool] = {}
+        self._cones_ok: Dict[tuple, bool] = {}
 
     def fail(self, msg: str):
         self.messages.append(msg)
@@ -68,15 +79,18 @@ class _Verifier:
     # -- context ------------------------------------------------------------
 
     def build_context(self):
-        subject = self.doc.get("subject")
+        subject, mode = self.doc.get("subject"), self.doc.get("mode")
+        modes = ("perfect", "fibration")
         if subject == "P6_perfect_morse":
             P = build_p6()
             m = move_system_p6()
             states = balanced_states_p6(P)
+            modes = ("perfect",)
         elif subject == "P5_fibration":
             P = build_p5()
             m = move_system_p5(P)
             states = balanced_states_p5(P)
+            modes = ("fibration",)
         elif subject == "generic":
             inputs = self.doc.get("inputs")
             if not inputs:
@@ -87,7 +101,10 @@ class _Verifier:
             states = orbit(s0, m)
         else:
             raise InputError(f"unknown subject {subject!r}")
-        self.P, self.m, self.states = P, m, states
+        if mode not in modes:
+            self.fail(f"mode {mode!r}: subject {subject} must be certified in "
+                      f"{' or '.join(modes)} mode")
+        self.P, self.m, self.states, self.mode = P, m, states, mode
 
     # -- cheap table recomputation -------------------------------------------
 
@@ -171,22 +188,16 @@ class _Verifier:
             self.fail(f"{where} failed")
         return ev if ok else None
 
-    def _legality(self, eid, host: dict, H: Polytope, F: FaceHandle, split: State,
-                  where: str):
+    def _legality(self, eid, F: FaceHandle, split: State, where: str):
         """Bind legality item `eid` to the claim that both parts of F's dual
-        complex in H, split by `split`, collapse to a point."""
-
-        def parts():
-            D = dual_complex(H, F)
-            return [
-                (full_subcomplex(D, sorted(ids)), None)
-                for ids in (split.out_facets, split.in_facets)
-            ]
-
+        complex, split by `split`, collapse to a point."""
         header = legality_header(
-            host, F.sorted_ids(), split.out_facets, split.in_facets
+            {"type": "ambient"}, F.sorted_ids(), split.out_facets, split.in_facets
         )
-        self._evidence("evidence", eid, header, where, parts)
+        self._evidence(
+            "evidence", eid, header, where,
+            lambda: [(K, None) for K in state_parts(self.P, F, split)],
+        )
 
     # -- verdict table ---------------------------------------------------------
 
@@ -207,6 +218,13 @@ class _Verifier:
             F = FaceHandle(frozenset(face))
             branch = row["branch"]
             where = f"face {face}"
+            stray = [k for k in ROW_FIELDS
+                     if k not in BRANCH_FIELDS.get(branch, ()) and row[k] is not None]
+            if stray:
+                self.fail(f"{where}: {branch} row carries {', '.join(stray)}")
+            if not verdict_allowed(self.mode, P.dimension, row["verdict"]):
+                self.fail(f"{where}: verdict {row['verdict']!r} is not allowed "
+                          f"in {self.mode!r} mode")
             if branch == "good-face":
                 witness = good_witness(m, F)
                 if witness is None:
@@ -227,7 +245,7 @@ class _Verifier:
                         )
                         break
                 split = inherited_state(P, m, states[row["states"][0]], F)
-                self._legality(row["evidence"], {"type": "ambient"}, P, F, split, where)
+                self._legality(row["evidence"], F, split, where)
             elif branch == "critical-pairs":
                 self._check_critical(row, F, where)
             else:
@@ -312,7 +330,7 @@ class _Verifier:
                         gd["good"][F.sorted_ids()] = is_good_face(mH, F)
                         gd["n"] += 1
                 goodness[cusp] = gd
-            checked = {tuple(face): (branch, eid) for face, branch, eid in row["checked"]}
+            checked = {tuple(face): apexes for face, apexes in row["checked"]}
             non_good = {f for f, g in gd["good"].items() if not g}
             if set(checked) != non_good:
                 self.fail(f"cusp {cusp} state {idx}: checked faces != bad faces")
@@ -321,14 +339,34 @@ class _Verifier:
                 self.fail(f"cusp {cusp} state {idx}: face counts mismatch")
             H, mH = gd["section"], gd["moves"]
             sH = states[idx].restrict(H.facet_ids)
-            host = {"type": "cusp", "cusp": cusp}
-            for face, (branch, eid) in sorted(checked.items()):
-                where = f"cusp {cusp} state {idx}: face {face}"
-                if branch != "inherited-totally-legal":
-                    self.fail(f"{where}: evidence {eid}: branch {branch}")
-                    continue
+            for face, (out_apex, in_apex) in sorted(checked.items()):
                 F = FaceHandle(frozenset(face))
-                self._legality(eid, host, H, F, inherited_state(H, mH, sH, F), where)
+                self._cones(cusp, H, F, inherited_state(H, mH, sH, F),
+                            (out_apex, in_apex),
+                            f"cusp {cusp} state {idx}: face {face}")
+
+    def _cones(self, cusp: str, H, F: FaceHandle, split: State, apexes, where: str):
+        """Both parts of F's dual complex in the section H, split by `split`,
+        collapse to a point as cones on `apexes`: the cone collapses are
+        rebuilt and replayed once per (cusp, face, split, apexes)."""
+        key = (cusp, F.sorted_ids(), split.serial(), apexes)
+        ok = self._cones_ok.get(key)
+        if ok is not None:
+            if not ok:
+                self.fail(f"{where}: apexes {apexes} failed")
+            return
+        ok = True
+        for side, K, apex in zip(("Out", "In"), state_parts(H, F, split), apexes):
+            try:
+                core = replay_collapse(K, cone_collapse_pairs(K, apex))
+            except InputError as exc:
+                self.fail(f"{where}: {side} apex {apex!r}: {exc}")
+                ok = False
+                continue
+            if len(core.vertices) != 1:
+                self.fail(f"{where}: {side} apex {apex!r}: does not reach a point")
+                ok = False
+        self._cones_ok[key] = ok
 
     def run(self) -> Tuple[bool, List[str]]:
         if self.doc.get("version") != REPORT_VERSION:

@@ -22,7 +22,14 @@ from morsecert.io import (
     state_from_doc,
     write_json,
 )
+from morsecert.polytopes import FaceHandle, build_cusp_section, build_p5
 from morsecert.report import certificate_to_document, document_to_json, emit_report
+from morsecert.states import (
+    balanced_states_p5,
+    inherited_state,
+    move_system_p5,
+    state_parts,
+)
 from morsecert.verify import verify_document
 
 
@@ -203,42 +210,36 @@ def _shift_witness(doc):
     _set(row, "witness_move", (row["witness_move"] + 1) % len(doc["moves"]))
 
 
-def _face_and_out(ev):
-    return tuple(ev["face"]), tuple(ev["out_vertices"])
-
-
-def _cusp_items(doc):
-    """(face, Out part) -> cusp -> id of that cusp's legality item."""
-    found = {}
-    for eid, ev in sorted(doc["evidence"].items()):
-        if ev["kind"] == "legality" and ev["host"]["type"] == "cusp":
-            found.setdefault(_face_and_out(ev), {})[ev["host"]["cusp"]] = eid
-    return found
-
-
-def _ambient_row_to_cusp_item(doc):
-    """Point an ambient row at a cusp's item with the same face and Out part."""
-    items, cusp_items = doc["evidence"], _cusp_items(doc)
-    for row in doc["verdicts"]["rows"]:
-        if row["branch"] == "inherited-totally-legal":
-            hosts = cusp_items.get(_face_and_out(items[row["evidence"]]))
-            if hosts:
-                row["evidence"] = hosts[min(hosts)]
-                return
-    raise AssertionError("no cusp item has the face and Out part of an ambient one")
-
-
-def _cusp_entry_to_other_cusp_item(doc):
-    """Point a cusp entry at another cusp's item with the same face and Out part."""
-    items, cusp_items = doc["evidence"], _cusp_items(doc)
+def _cusp_entry_parts(doc):
+    """(cusp entry, its Out and In parts) for every checked face of the p5
+    report, the parts rebuilt from the section and the inherited state."""
+    P = build_p5()
+    m = move_system_p5(P)
+    states = balanced_states_p5(P)
     for row in doc["cusps"]["rows"]:
+        H = build_cusp_section(P, row["cusp"])
+        mH = m.restrict(H.facet_ids)
+        sH = states[row["state"]].restrict(H.facet_ids)
         for entry in row["checked"]:
-            hosts = cusp_items[_face_and_out(items[entry[2]])]
-            others = sorted(c for c in hosts if c != row["cusp"])
-            if others:
-                entry[2] = hosts[others[0]]
+            F = FaceHandle(frozenset(entry[0]))
+            yield entry, state_parts(H, F, inherited_state(H, mH, sH, F))
+
+
+def _wrong_apex(doc):
+    """Set an Out apex to a vertex of the Out part that some maximal face
+    misses, so the part is no cone on it."""
+    for entry, (out, _) in _cusp_entry_parts(doc):
+        for v in out.vertices:
+            if any(v not in f for f in out.maximal_faces):
+                entry[1][0] = v
                 return
-    raise AssertionError("no two cusp items share a face and Out part")
+    raise AssertionError("every Out part is a simplex")
+
+
+def _apex_not_a_vertex(doc):
+    """Set an Out apex to one of the face's own defining facets."""
+    entry = next(e for r in doc["cusps"]["rows"] for e in r["checked"] if e[0])
+    entry[1][0] = entry[0][0]
 
 
 def _add_key(doc):
@@ -270,10 +271,15 @@ REPORT_EDITS = [
     ("good-row-on-polytope", lambda d: _set(_row(d, "good-face"), "face", []), {1}),
     ("missing-row", lambda d: _set(d["verdicts"]["rows"], -1), {1}),
     ("pass-false", lambda d: _set(d, "pass", False), {1}),
-    # evidence bound to another host, or edited without a new id
-    ("ambient-row-cites-cusp-item", _ambient_row_to_cusp_item, {1}),
-    ("cusp-entry-cites-other-cusp", _cusp_entry_to_other_cusp_item, {1}),
+    # cusp apexes that are no cone apex of their part
+    ("cusp-entry-wrong-apex", _wrong_apex, {1}),
+    ("cusp-entry-apex-not-a-vertex", _apex_not_a_vertex, {1}),
+    # evidence edited without a new id, or cited by a row that needs none
     ("evidence-extra-key", _add_key, {1}),
+    ("good-row-cites-evidence",
+     lambda d: _set(_row(d, "good-face"), "evidence",
+                    _row(d, "inherited-totally-legal")["evidence"]), {1}),
+    ("mode-perfect", lambda d: _set(d, "mode", "perfect"), {1}),
     ("legal-row-not-regular",
      lambda d: _set(_row(d, "inherited-totally-legal"), "verdict", "Critical(2)"), {1}),
 ]
@@ -316,25 +322,32 @@ def _changed(value):
 
 MUTATIONS = (
     "scalar", "drop-step", "duplicate-step", "swap-steps",
-    "drop-key", "add-key", "repoint",
+    "drop-key", "add-key", "repoint", "apex",
 )
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_verify_rejects_any_tampered_evidence(p5_report, data):
-    """One mutation of one evidence item or one claim->evidence reference;
-    the verifier must reject it (1) or call it malformed (2)."""
+    """One mutation of one evidence item, one claim->evidence reference or
+    one cusp apex; the verifier must reject it (1) or call it malformed (2)."""
     text, path = p5_report
     doc = json.loads(text)
     items = doc["evidence"]
     mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
     if mutation == "repoint":
-        refs = [(row, "evidence") for row in doc["verdicts"]["rows"] if row["evidence"]]
-        refs += [(entry, 2) for row in doc["cusps"]["rows"] for entry in row["checked"]]
-        holder, key = data.draw(st.sampled_from(refs), label="reference")
-        others = sorted(set(items) - {holder[key]}) + ["e" + "0" * 16]
-        holder[key] = data.draw(st.sampled_from(others), label="new id")
+        rows = [row for row in doc["verdicts"]["rows"] if row["evidence"]]
+        row = data.draw(st.sampled_from(rows), label="row")
+        others = sorted(set(items) - {row["evidence"]}) + ["e" + "0" * 16]
+        row["evidence"] = data.draw(st.sampled_from(others), label="new id")
+    elif mutation == "apex":
+        entries = [entry for row in doc["cusps"]["rows"] for entry in row["checked"]]
+        face, apexes = data.draw(st.sampled_from(entries), label="entry")
+        side = data.draw(st.integers(0, 1), label="side")
+        # no cone apex of the part: none, a label that is no vertex, the
+        # other part's apex (the parts are disjoint) or a defining facet
+        wrong = [None, _changed(apexes[side]), apexes[1 - side]] + face
+        apexes[side] = data.draw(st.sampled_from(wrong), label="new apex")
     elif mutation.endswith(("-step", "-steps")):
         seqs = [
             ev[key] for _, ev in sorted(items.items())
@@ -396,8 +409,12 @@ def test_verify_binds_critical_transforms(cert_p6):
     # an id that passed as a critical item must still be bound and replayed
     # when it is cited as a shared item
     _cite_as_shared(doc, third, first["evidence"])
+    # a fibration allows no Critical row, and P6 is certified as perfect
+    doc["mode"] = "fibration"
     ok, msgs = verify_document(doc)
     assert not ok
+    assert any("'fibration'" in m and "Critical(3)" in m for m in msgs)
+    assert any(m.startswith("mode 'fibration'") for m in msgs)
     assert any(first["evidence"] in m and "transform" in m for m in msgs)
     for field in ("face", "perm", "delta"):
         assert any(second["evidence"] in m and field in m for m in msgs), field

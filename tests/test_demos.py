@@ -12,7 +12,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "demo",
-    ["01_simplicial_collapse", "02_polytope_model", "03_moves_and_states"],
+    [
+        "01_simplicial_collapse",
+        "02_polytope_model",
+        "03_moves_and_states",
+        "05_full_certification",
+    ],
 )
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

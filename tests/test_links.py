@@ -5,6 +5,7 @@ import pytest
 from morsecert.complexes import (
     barycentric_subdivision,
     betti_mod2,
+    cone_collapse_pairs,
     full_subcomplex,
     replay_collapse,
 )
@@ -25,8 +26,19 @@ from morsecert.links import (
     pairs_core_elements,
     synthetic_pairs_lift,
 )
-from morsecert.polytopes import FaceHandle, dual_complex, enumerate_faces
-from morsecert.states import classify_bad_faces, inherited_state
+from morsecert.polytopes import (
+    FaceHandle,
+    build_cusp_section,
+    dual_complex,
+    enumerate_faces,
+)
+from morsecert.states import (
+    classify_bad_faces,
+    inherited_state,
+    is_good_face,
+    legality,
+    state_parts,
+)
 
 
 def find_state(states, *, facet_in=(), facet_out=()):
@@ -262,23 +274,50 @@ def test_cusp_condition_witnesses(P6, M6, BAL6):
 
 def test_certify_boundary_cube(P6, M6, BAL6):
     s = BAL6[0]
-    cache, memo = {}, {}
-    bc = certify_boundary_cube(
-        P6, M6, s, "cusp:1+i+j+k", collapse_cache=cache, classify_memo=memo
-    )
+    bc = certify_boundary_cube(P6, M6, s, "cusp:1+i+j+k")
     assert bc.all_regular
     assert bc.condition.pair is not None
-    f1, f2 = bc.condition.pair
-    n_faces = sum(len(enumerate_faces_cached(bc, c)) for c in range(6))
+    assert bc.n_faces == 3 ** 5  # all faces of the 5-cube, itself included
+    H = build_cusp_section(P6, "cusp:1+i+j+k")
+    mH = M6.restrict(H.facet_ids)
+    bad = [F.sorted_ids() for c in range(6) for F in enumerate_faces(H, c)
+           if not is_good_face(mH, F)]
+    assert [face for face, _ in bc.checked] == bad
     # faces inside a witness facet are good
-    for face_ids, lc in bc.verdicts:
-        if f1 in face_ids:
-            assert lc.branch == "good-face"
-    assert len(bc.verdicts) == 3 ** 5  # all faces of the 5-cube, itself included
+    f1, _ = bc.condition.pair
+    assert not any(f1 in face for face in bad)
+    sH = s.restrict(H.facet_ids)
+    for face, apexes in bc.checked:
+        F = FaceHandle(frozenset(face))
+        for K, apex in zip(state_parts(H, F, inherited_state(H, mH, sH, F)), apexes):
+            assert apex == K.star_vertex_apexes()[0]
+            assert replay_collapse(K, cone_collapse_pairs(K, apex)).vertices == (apex,)
 
 
-def enumerate_faces_cached(bc, codim):
-    return [f for f, _ in bc.verdicts if len(f) == codim]
+def _cusp_apexes_match_legality(P, m, states, cusp_ids):
+    """Apexes on both parts exist exactly where the searched collapse
+    certifies total legality, for every state and bad face of each cusp."""
+    cache = {}
+    n = 0
+    for cusp in cusp_ids:
+        H = build_cusp_section(P, cusp)
+        mH = m.restrict(H.facet_ids)
+        for s in states:
+            bc = certify_boundary_cube(P, m, s, cusp, section=H)
+            sH = s.restrict(H.facet_ids)
+            for face, apexes in bc.checked:
+                F = FaceHandle(frozenset(face))
+                rec = legality(H, F, inherited_state(H, mH, sH, F), collapse_cache=cache)
+                assert (None not in apexes) == bool(rec.totally_legal), (cusp, face)
+                n += 1
+    return n
+
+
+def test_cusp_apexes_match_searched_legality(P5, M5, BAL5, P6, M6, BAL6):
+    assert _cusp_apexes_match_legality(
+        P5, M5, BAL5, [iv.id for iv in P5.ideal_vertices]
+    ) == 1088 // 2
+    assert _cusp_apexes_match_legality(P6, M6, BAL6, ["cusp:A"]) > 0
 
 
 def test_face_contains():
