@@ -277,7 +277,7 @@ def _classify_group(
     restarts: int,
 ):
     """Classify one (face, inherited-class) group; returns (row, evidence,
-    shared_evidence, failure-or-None)."""
+    id of the cited shared item or None, failure-or-None)."""
     from .links import classify_link
 
     F = FaceHandle(frozenset(face_ids))
@@ -302,9 +302,9 @@ def _classify_group(
             state_indices=members,
             evidence_id=eid,
         )
-        return row, {eid: payload}, {}, None
+        return row, {eid: payload}, None, None
     if lc.verdict == "Critical":
-        sid, sp = _shared_item(certifier, lc.critical)
+        sid, _ = _shared_item(certifier, lc.critical)
         # validate the canonical transform for every covered state
         for idx in members:
             canonical_pairs_transform(build_cube_model(P, m, states[idx], F))
@@ -322,7 +322,7 @@ def _classify_group(
             evidence_id=eid,
             transform={"perm": list(perm), "delta": delta},
         )
-        return row, {eid: payload}, {sid: sp}, None
+        return row, {eid: payload}, sid, None
     row = VerdictRow(
         face=face_ids,
         codim=codim,
@@ -333,15 +333,15 @@ def _classify_group(
         state_indices=members,
     )
     failure = f"Unknown verdict at face {face_ids} class {serial!r}: {lc.note}"
-    return row, {}, {}, failure
+    return row, {}, None, failure
 
 
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(P, m, states, seed, restarts):
+def _worker_init(P, m, states, certifier, seed, restarts):
     _WORKER_CTX["args"] = (P, m, states, seed, restarts)
-    _WORKER_CTX["certifier"] = CriticalLinkCertifier(seed=seed, restarts=restarts)
+    _WORKER_CTX["certifier"] = certifier
     _WORKER_CTX["cache"] = {}
 
 
@@ -400,13 +400,20 @@ def _verdict_sweep(
             for serial in sorted(groups):
                 tasks.append((ids, codim, serial, tuple(groups[serial])))
 
+    # the shared critical certificates and their items, built before any
+    # fork so that workers inherit them and return only their ids
+    ells = {all_pairs_index(P, m, FaceHandle(frozenset(task[0]))) for task in tasks}
+    for ell in sorted(ells - {None}):
+        _shared_item(certifier, certifier.certificate(ell))
+    shared_items = dict(certifier.serialised.values())
+
     if parallel > 1 and tasks:
         import multiprocessing as mp
 
         ctx = mp.get_context("fork")
         with ctx.Pool(
             parallel, initializer=_worker_init,
-            initargs=(P, m, states, seed, restarts),
+            initargs=(P, m, states, certifier, seed, restarts),
         ) as pool:
             results = pool.map(_worker_classify, tasks, chunksize=8)
     else:
@@ -420,10 +427,11 @@ def _verdict_sweep(
             )
             for task in tasks
         ]
-    for row, ev, sh, failure in results:
+    for row, ev, sid, failure in results:
         rows.append(row)
         evidence.update(ev)
-        shared.update(sh)
+        if sid is not None:
+            shared[sid] = shared_items[sid]
         if failure:
             failures.append(failure)
     rows.sort(key=lambda r: (ordering[r.face], r.class_id))

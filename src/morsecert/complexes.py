@@ -112,7 +112,10 @@ class SimplicialComplex:
         return any(s <= f for f in self.maximal_faces)
 
     def n_simplices(self) -> int:
-        return len(self.simplices())
+        got = self._cache.get("n_simplices")
+        if got is None:
+            got = self._cache["n_simplices"] = len(self.simplices())
+        return got
 
     def is_connected(self) -> bool:
         """Connectivity of the 1-skeleton; the empty complex is not connected."""
@@ -235,31 +238,31 @@ def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(flags, _trusted=True)
 
 
-def order_complex(elements: Iterable, less_equal) -> SimplicialComplex:
+def order_complex(elements: Iterable, less_equal=None, *, covers=None) -> SimplicialComplex:
     """Order complex of a finite poset: simplices are the chains.
 
-    `less_equal(x, y)` must be a partial order on the elements.  Maximal
-    chains are enumerated by walking cover relations from minimal elements.
+    The order is given either by `less_equal(x, y)`, a partial order on the
+    elements, or by `covers(x)`, the elements covering x.  Maximal chains are
+    enumerated by walking cover relations from minimal elements.
     """
     elems = sorted(set(elements), key=label_key)
     if not elems:
         return EMPTY_COMPLEX
-    above = {
-        x: [y for y in elems if y != x and less_equal(x, y)] for x in elems
-    }
-    covers = {}
-    for x, ups in above.items():
-        covers[x] = [
-            y for y in ups
-            if not any(z != y and less_equal(z, y) for z in ups)
-        ]
-    minimal = [
-        x for x in elems if not any(y != x and less_equal(y, x) for y in elems)
-    ]
+    if covers is None:
+        above = {
+            x: [y for y in elems if y != x and less_equal(x, y)] for x in elems
+        }
+        up = {
+            x: [y for y in ups if not any(z != y and less_equal(z, y) for z in ups)]
+            for x, ups in above.items()
+        }
+    else:
+        up = {x: list(covers(x)) for x in elems}
+    covered = {y for ys in up.values() for y in ys}
     flags: list = []
 
     def walk(chain: list, x):
-        nxt = covers[x]
+        nxt = up[x]
         if not nxt:
             flags.append(frozenset(chain))
             return
@@ -268,8 +271,9 @@ def order_complex(elements: Iterable, less_equal) -> SimplicialComplex:
             walk(chain, y)
             chain.pop()
 
-    for x in minimal:
-        walk([x], x)
+    for x in elems:
+        if x not in covered:  # a minimal element
+            walk([x], x)
     return SimplicialComplex(flags, _trusted=True)
 
 
@@ -362,37 +366,78 @@ class CollapseOutcome:
 
 
 class _Table:
-    """Mutable collapse state: all simplices with live codim-1 coface counts."""
+    """Mutable collapse state on simplex ranks.
+
+    Every simplex of K is numbered by its position in `simplex_key` order.
+    Vertices are indexed in `label_key` order, so that is the order of
+    (size, sorted vertex-index tuple).  `facets[r]` is a tuple of ranks.
+    `count[r]` is the number of live codim-1 cofaces of rank r and `total[r]`
+    the sum of their ranks, so a free face's coface is its `total`.
+    """
 
     def __init__(self, K: SimplicialComplex):
-        self.alive: set = set(K.simplices())
-        self.cofaces: dict = {s: [] for s in self.alive}
-        for s in self.alive:
-            if len(s) >= 2:
-                for v in s:
-                    self.cofaces[s - {v}].append(s)
-        self.live_count = {s: len(c) for s, c in self.cofaces.items()}
+        self.labels = K.vertices
+        self.index = index = {v: i for i, v in enumerate(self.labels)}
+        simplices = set()
+        for f in K.maximal_faces:
+            t = tuple(sorted(map(index.__getitem__, f)))
+            for size in range(1, len(t) + 1):
+                simplices.update(combinations(t, size))
+        self.tuples = tuples = sorted(simplices)
+        tuples.sort(key=len)
+        self.n = n = K._cache["n_simplices"] = len(tuples)
+        self.rank = dict(zip(tuples, range(n)))
+        rank = self.rank.__getitem__
+        nv = len(self.labels)
+        self.facets = facets = [()] * nv + [
+            tuple(map(rank, combinations(t, len(t) - 1))) for t in tuples[nv:]
+        ]
+        count, total = [0] * n, [0] * n
+        for r in range(nv, n):
+            for f in facets[r]:
+                count[f] += 1
+                total[f] += r
+        self.initial = (count, total)
+        self.reset()
 
-    def remove_pair(self, face: frozenset, coface: frozenset):
+    def reset(self):
+        """Every simplex alive again."""
+        self.alive = bytearray(b"\x01") * self.n
+        self.count, self.total = map(list, self.initial)
+        self.n_alive = self.n
+
+    def rank_of(self, simplex: Iterable) -> Optional[int]:
+        """Rank of a simplex given by its labels; None when K lacks it."""
+        indices = set(map(self.index.get, simplex))
+        if None in indices:
+            return None
+        return self.rank.get(tuple(sorted(indices)))
+
+    def simplex(self, r: int) -> frozenset:
+        return frozenset(map(self.labels.__getitem__, self.tuples[r]))
+
+    def remove_pair(self, face: int, coface: int):
         for s in (coface, face):
-            self.alive.discard(s)
-            if len(s) >= 2:
-                for v in s:
-                    sub = s - {v}
-                    if sub in self.live_count:
-                        self.live_count[sub] -= 1
+            self.alive[s] = 0
+            for f in self.facets[s]:
+                self.count[f] -= 1
+                self.total[f] -= s
+        self.n_alive -= 2
 
-    def unique_live_coface(self, face: frozenset):
-        found = None
-        for c in self.cofaces[face]:
-            if c in self.alive:
-                if found is not None:
-                    return None
-                found = c
-        return found
+    def restore_pair(self, face: int, coface: int):
+        for s in (coface, face):
+            self.alive[s] = 1
+            for f in self.facets[s]:
+                self.count[f] += 1
+                self.total[f] += s
+        self.n_alive += 2
+
+    def labelled(self, pairs: Iterable) -> tuple:
+        return tuple((self.simplex(r), self.simplex(c)) for r, c in pairs)
 
     def remaining_complex(self) -> SimplicialComplex:
-        maximal = [s for s in self.alive if self.live_count[s] == 0]
+        alive, count = self.alive, self.count
+        maximal = [self.simplex(r) for r in range(self.n) if alive[r] and not count[r]]
         return SimplicialComplex(maximal, _trusted=True)
 
 
@@ -406,78 +451,71 @@ def _derive_seed(seed: int, attempt: int) -> int:
 def replay_collapse(K: SimplicialComplex, sequence: Iterable) -> SimplicialComplex:
     """Replay elementary collapses, checking freeness at each step."""
     table = _Table(K)
+    alive, count, facets = table.alive, table.count, table.facets
     for step, (face, cof) in enumerate(sequence):
-        face, cof = frozenset(face), frozenset(cof)
-        if face not in table.alive or cof not in table.alive:
+        r, c = table.rank_of(face), table.rank_of(cof)
+        if r is None or c is None or not (alive[r] and alive[c]):
             raise InputError(f"step {step}: face no longer present")
-        if not (face < cof and len(cof) == len(face) + 1):
+        if r not in facets[c]:
             raise InputError(f"step {step}: not a codimension-1 pair")
-        if table.live_count[face] != 1:
+        if count[r] != 1:
             raise InputError(f"step {step}: face is not free")
-        table.remove_pair(face, cof)
+        table.remove_pair(r, c)
     return table.remaining_complex()
 
 
-def _greedy_pass(table: _Table, protected: frozenset, keyfun) -> list:
-    """Collapse greedily, always taking the candidate of smallest key."""
+def _greedy_pass(table: _Table, protected: bytearray, order=None) -> list:
+    """Collapse greedily, always taking the free face that comes first in
+    `order`, a permutation of the ranks (None: rank order, which is
+    `simplex_key` order).  Returns the removed (face, coface) rank pairs."""
+    if order is None:
+        order = pos = range(table.n)
+    else:
+        pos = [0] * table.n
+        for p, r in enumerate(order):
+            pos[r] = p
+    alive, count, total, facets = table.alive, table.count, table.total, table.facets
+    heap = [pos[r] for r in range(table.n) if count[r] == 1 and not protected[r]]
+    heapq.heapify(heap)
     sequence = []
-    heap = []
-    for s in table.alive:
-        if table.live_count[s] == 1 and s not in protected:
-            heapq.heappush(heap, (keyfun(s), s))
     while heap:
-        _, face = heapq.heappop(heap)
-        if face not in table.alive or face in protected:
+        face = order[heapq.heappop(heap)]
+        if not alive[face] or count[face] != 1:
             continue
-        if table.live_count[face] != 1:
+        cof = total[face]
+        if protected[cof]:
             continue
-        cof = table.unique_live_coface(face)
-        if cof is None or cof in protected:
-            continue
-        affected = set()
-        for s in (cof, face):
-            if len(s) >= 2:
-                for v in s:
-                    affected.add(s - {v})
         table.remove_pair(face, cof)
         sequence.append((face, cof))
-        for sub in affected:
-            if sub in table.alive and sub not in protected and table.live_count[sub] == 1:
-                heapq.heappush(heap, (keyfun(sub), sub))
+        for s in facets[cof] + facets[face]:
+            if alive[s] and count[s] == 1 and not protected[s]:
+                heapq.heappush(heap, pos[s])
     return sequence
 
 
-def _is_done(table: _Table, target_faces: Optional[frozenset]) -> bool:
-    if target_faces is None:
-        return len(table.alive) == 1
-    return table.alive == target_faces
-
-
-def _backtrack(K: SimplicialComplex, protected: frozenset,
-               target_faces: Optional[frozenset], node_budget: int) -> Optional[list]:
+def _backtrack(table: _Table, protected: bytearray, done: int,
+               node_budget: int) -> Optional[list]:
     """Exhaustive search over collapse sequences for small complexes."""
-    table = _Table(K)
+    alive, count = table.alive, table.count
     seen_dead: set = set()
     nodes = 0
 
     def rec(seq: list) -> Optional[list]:
         nonlocal nodes
-        if _is_done(table, target_faces):
+        if table.n_alive == done:
             return list(seq)
         nodes += 1
         if nodes > node_budget:
             return None
-        state = frozenset(table.alive)
+        state = bytes(alive)
         if state in seen_dead:
             return None
-        candidates = sorted(
-            (s for s in table.alive
-             if s not in protected and table.live_count[s] == 1),
-            key=simplex_key,
-        )
+        candidates = [
+            r for r in range(table.n) if alive[r] and count[r] == 1 and not protected[r]
+        ]
         for face in candidates:
-            cof = table.unique_live_coface(face)
-            if cof is None or cof in protected:
+            cof = table.total[face]
+            if protected[cof]:
                 continue
             table.remove_pair(face, cof)
             seq.append((face, cof))
@@ -485,14 +523,7 @@ def _backtrack(K: SimplicialComplex, protected: frozenset,
             if got is not None:
                 return got
             seq.pop()
-            # undo removal
-            for s in (cof, face):
-                table.alive.add(s)
-                if len(s) >= 2:
-                    for v in s:
-                        sub = s - {v}
-                        if sub in table.live_count:
-                            table.live_count[sub] += 1
+            table.restore_pair(face, cof)
         seen_dead.add(state)
         return None
 
@@ -517,55 +548,46 @@ def try_collapse(
     """
     if K.is_empty:
         return CollapseOutcome(False, (), K, "empty")
+    table = _Table(K)
+    protected = bytearray(table.n)
+    done = 1  # live simplices left by a successful search
     if target is not None:
         missing = [f for f in target.maximal_faces if not K.has_face(f)]
         if missing:
             raise InputError("target is not a subcomplex")
-        target_faces = frozenset(target.simplices())
-    else:
-        target_faces = None
-    protected = frozenset(target_faces) if target_faces is not None else frozenset()
+        for s in target.simplices():
+            protected[table.rank_of(s)] = 1
+        done = len(target.simplices())
 
-    def finish(seq, table, strategy):
-        return CollapseOutcome(True, tuple(seq), table.remaining_complex(), strategy)
+    def finish(seq, strategy):
+        return CollapseOutcome(True, table.labelled(seq), table.remaining_complex(), strategy)
 
     # stage 1: deterministic lexicographic greedy
-    table = _Table(K)
-    seq = _greedy_pass(table, protected, simplex_key)
-    if _is_done(table, target_faces):
-        return finish(seq, table, "greedy-lex")
-    best_fail = (len(table.alive), tuple(seq), table)
+    seq = _greedy_pass(table, protected)
+    if table.n_alive == done:
+        return finish(seq, "greedy-lex")
+    best_fail = (table.n_alive, seq, table.remaining_complex())
 
-    # stage 2: seeded random-restart greedy
+    # stage 2: seeded random-restart greedy, priorities drawn per rank
     for attempt in range(restarts):
-        rng = random.Random(_derive_seed(seed, attempt))
-        priorities: dict = {}
-
-        def keyfun(s, rng=rng, priorities=priorities):
-            p = priorities.get(s)
-            if p is None:
-                p = rng.random()
-                priorities[s] = p
-            return (p,)
-
-        table = _Table(K)
-        seq = _greedy_pass(table, protected, keyfun)
-        if _is_done(table, target_faces):
-            return finish(seq, table, f"greedy-restart-{attempt}")
-        if len(table.alive) < best_fail[0]:
-            best_fail = (len(table.alive), tuple(seq), table)
+        order = list(range(table.n))
+        random.Random(_derive_seed(seed, attempt)).shuffle(order)
+        table.reset()
+        seq = _greedy_pass(table, protected, order)
+        if table.n_alive == done:
+            return finish(seq, f"greedy-restart-{attempt}")
+        if table.n_alive < best_fail[0]:
+            best_fail = (table.n_alive, seq, table.remaining_complex())
 
     # stage 3: exhaustive backtracking for small complexes
-    if K.n_simplices() <= backtrack_threshold:
-        got = _backtrack(K, protected, target_faces, backtrack_nodes)
+    if table.n <= backtrack_threshold:
+        table.reset()
+        got = _backtrack(table, protected, done, backtrack_nodes)
         if got is not None:
-            table = _Table(K)
-            for face, cof in got:
-                table.remove_pair(face, cof)
-            return finish(got, table, "backtrack")
+            return finish(got, "backtrack")
 
-    _, seq, table = best_fail
-    return CollapseOutcome(False, tuple(seq), table.remaining_complex(), "failed")
+    _, seq, core = best_fail
+    return CollapseOutcome(False, table.labelled(seq), core, "failed")
 
 
 def cone_collapse_pairs(K: SimplicialComplex, apex) -> list:

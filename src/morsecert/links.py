@@ -24,7 +24,7 @@ from .complexes import (
     try_collapse,
 )
 from .errors import InputError, InternalError
-from .polytopes import FaceHandle, Polytope, build_cusp_section, dual_complex, enumerate_faces
+from .polytopes import FaceHandle, Polytope, build_cusp_section, dual_complex
 from .states import (
     OUT,
     LegalityRecord,
@@ -32,10 +32,10 @@ from .states import (
     State,
     all_pairs_index,
     bad_face_signature,
+    bad_faces,
     good_witness,
     inherited_state,
     is_compatible,
-    is_good_face,
     legality,
     state_parts,
 )
@@ -256,19 +256,29 @@ def face_links_oracle(model: CubeModel | CubeLift):
     barycentric subdivision of the cube's boundary.
 
     A proper face's barycentre is ascending iff its lift value exceeds the
-    top barycentre's, i.e. iff the face misses every minimum vertex.
+    top barycentre's, i.e. iff the face misses every minimum vertex.  The
+    ascending faces form a down-set of the face lattice and the descending
+    faces an up-set, so inside either set a face is covered exactly by the
+    faces that free one of its fixed coordinates.
     """
     lift = model.lift if isinstance(model, CubeModel) else model
     if lift.k < 1:
         raise InputError("cube dimension must be >= 1")
-    asc, desc = [], []
+    k = lift.k
+    asc, desc = set(), set()
     for fid in lift.proper_faces():
-        if lift.lift_of_face(fid).base > 0:
-            asc.append(fid)
-        else:
-            desc.append(fid)
-    le = lambda a, b: face_contains(lift.k, a, b)
-    return order_complex(asc, le), order_complex(desc, le)
+        (asc if lift.lift_of_face(fid).base > 0 else desc).add(fid)
+
+    def covers_in(elems: set):
+        def covers(fid: int) -> List[int]:
+            mask, bits = face_parts(k, fid)
+            freed = [((mask ^ (1 << j)) << k) | (bits & ~(1 << j))
+                     for j in range(k) if mask >> j & 1]
+            return [f for f in freed if f in elems]
+        return covers
+
+    return (order_complex(asc, covers=covers_in(asc)),
+            order_complex(desc, covers=covers_in(desc)))
 
 
 def coface_links_fast(P: Polytope, m: MoveSystem, s: State, F: FaceHandle):
@@ -652,14 +662,10 @@ def certify_boundary_cube(
     H = section if section is not None else build_cusp_section(P, cusp_id)
     mH = m.restrict(H.facet_ids)
     sH = s.restrict(H.facet_ids)
+    n_faces, bad = bad_faces(H, mH)
     checked = []
-    n_faces = 0
-    for codim in range(0, H.dimension + 1):
-        for F in enumerate_faces(H, codim):
-            n_faces += 1
-            if is_good_face(mH, F):
-                continue
-            parts = state_parts(H, F, inherited_state(H, mH, sH, F))
-            apexes = tuple((K.star_vertex_apexes() or [None])[0] for K in parts)
-            checked.append((F.sorted_ids(), apexes))
+    for F in bad:
+        parts = state_parts(H, F, inherited_state(H, mH, sH, F))
+        apexes = tuple((K.star_vertex_apexes() or [None])[0] for K in parts)
+        checked.append((F.sorted_ids(), apexes))
     return BoundaryCubeCertificate(cusp_id, cond, n_faces, tuple(checked))

@@ -147,6 +147,7 @@ class Polytope:
                 raise InputError(f"ideal vertex {iv.id!r} lists unknown facets")
         self._dual_cache: dict = {}
         self._face_cache: dict = {}
+        self._bad_cache: dict = {}  # per move system, filled by states.bad_faces
 
     def __repr__(self):
         return (

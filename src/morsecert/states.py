@@ -20,7 +20,7 @@ from .complexes import (
     try_collapse,
 )
 from .errors import InputError, StructuralError
-from .polytopes import FaceHandle, Polytope, dual_complex
+from .polytopes import FaceHandle, Polytope, dual_complex, enumerate_faces
 
 IN, OUT = "I", "O"
 
@@ -272,16 +272,23 @@ def all_pairs_index(P: Polytope, m: MoveSystem, F: FaceHandle) -> Optional[int]:
     return None
 
 
+def bad_faces(P: Polytope, m: MoveSystem) -> Tuple[int, Tuple[FaceHandle, ...]]:
+    """The number of faces of P, P itself included, and the bad ones among
+    them in canonical order; computed once per move system and kept on P."""
+    got = P._bad_cache.get(m)
+    if got is None:
+        faces = [F for codim in range(P.dimension + 1) for F in enumerate_faces(P, codim)]
+        bad = tuple(F for F in faces if good_witness(m, F) is None)
+        got = P._bad_cache[m] = (len(faces), bad)
+    return got
+
+
 def classify_bad_faces(P: Polytope, m: MoveSystem):
     """All proper bad faces grouped by signature, canonical order throughout."""
-    from .polytopes import enumerate_faces
-
     out: Dict[Tuple[int, ...], list] = {}
-    for codim in range(1, P.dimension + 1):
-        for F in enumerate_faces(P, codim):
-            sig = bad_face_signature(m, F)
-            if sig is not None:
-                out.setdefault(sig, []).append(F)
+    for F in bad_faces(P, m)[1]:
+        if F.codim:
+            out.setdefault(bad_face_signature(m, F), []).append(F)
     return {sig: tuple(faces) for sig, faces in sorted(out.items())}
 
 

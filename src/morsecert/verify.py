@@ -42,10 +42,10 @@ from .states import (
     all_pairs_index,
     balanced_states_p5,
     balanced_states_p6,
+    bad_faces,
     classify_bad_faces,
     good_witness,
     inherited_state,
-    is_good_face,
     move_system_p5,
     move_system_p6,
     orbit,
@@ -306,7 +306,7 @@ class _Verifier:
         got = {(r["cusp"], r["state"]) for r in rows}
         if want != got:
             self.fail("cusp table does not cover every (cusp, state) pair")
-        goodness: Dict[str, dict] = {}
+        sections: Dict[str, tuple] = {}
         for row in rows:
             cusp, idx = row["cusp"], row["state"]
             cond = check_cusp_condition(P, states[idx], cusp, m)
@@ -320,24 +320,19 @@ class _Verifier:
             if not row["all_regular"]:
                 self.fail(f"cusp {cusp} state {idx}: not all Regular")
                 continue
-            gd = goodness.get(cusp)
-            if gd is None:
+            section = sections.get(cusp)
+            if section is None:
                 H = build_cusp_section(P, cusp)
                 mH = m.restrict(H.facet_ids)
-                gd = {"section": H, "moves": mH, "good": {}, "n": 0}
-                for codim in range(0, H.dimension + 1):
-                    for F in enumerate_faces(H, codim):
-                        gd["good"][F.sorted_ids()] = is_good_face(mH, F)
-                        gd["n"] += 1
-                goodness[cusp] = gd
+                n_faces, bad = bad_faces(H, mH)
+                section = sections[cusp] = (H, mH, n_faces, {F.sorted_ids() for F in bad})
+            H, mH, n_faces, non_good = section
             checked = {tuple(face): apexes for face, apexes in row["checked"]}
-            non_good = {f for f, g in gd["good"].items() if not g}
             if set(checked) != non_good:
                 self.fail(f"cusp {cusp} state {idx}: checked faces != bad faces")
                 continue
-            if row["n_faces"] != gd["n"] or row["n_good"] != gd["n"] - len(non_good):
+            if row["n_faces"] != n_faces or row["n_good"] != n_faces - len(non_good):
                 self.fail(f"cusp {cusp} state {idx}: face counts mismatch")
-            H, mH = gd["section"], gd["moves"]
             sH = states[idx].restrict(H.facet_ids)
             for face, (out_apex, in_apex) in sorted(checked.items()):
                 F = FaceHandle(frozenset(face))

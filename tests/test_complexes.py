@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import morsecert
 from morsecert.complexes import (
     EMPTY_COMPLEX,
     simplex_key,
@@ -154,10 +160,38 @@ def test_collapse_deterministic():
     assert a.sequence == b.sequence and a.strategy == b.strategy
 
 
-def test_replay_rejects_invalid_sequence():
+@pytest.mark.parametrize("steps, message", [
+    pytest.param([("z", "az")], "step 0: face no longer present", id="unknown-label"),
+    pytest.param([("ab", "abc"), ("ab", "abc")], "step 1: face no longer present",
+                 id="face-removed"),
+    pytest.param([("a", "abc")], "step 0: not a codimension-1 pair", id="not-codim-1"),
+    pytest.param([("a", "ab")], "step 0: face is not free", id="not-free"),
+])
+def test_replay_rejects_invalid_sequence(steps, message):
     K = from_maximal_faces([{"a", "b", "c"}])
-    with pytest.raises(InputError):
-        replay_collapse(K, [(frozenset("a"), frozenset("abc"))])
+    with pytest.raises(InputError, match=message):
+        replay_collapse(K, [(frozenset(f), frozenset(c)) for f, c in steps])
+
+
+def test_restart_passes_do_not_depend_on_hash_seed():
+    # string labels: a set of them iterates in an order that follows
+    # PYTHONHASHSEED, so restart priorities must not be drawn in set order
+    script = (
+        "from morsecert.complexes import from_maximal_faces, try_collapse\n"
+        "faces = [(0, 1, 3), (0, 2, 8), (0, 6, 8), (1, 2, 7), (1, 6), (2, 4, 6), (5, 7)]\n"
+        "K = from_maximal_faces([{f'v{i}' for i in f} for f in faces])\n"
+        "out = try_collapse(K, restarts=8, backtrack_threshold=0)\n"
+        "print(out.strategy, [(sorted(f), sorted(c)) for f, c in out.sequence])\n"
+    )
+    src = str(Path(morsecert.__file__).resolve().parents[1])
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        runs.append(subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True, timeout=120,
+        ).stdout)
+    assert runs[0] == runs[1]
 
 
 def test_cone_collapse_pairs_explicit():
@@ -315,3 +349,41 @@ def test_relative_collapse_preserves_betti(K, pick):
     if out.success:
         d = max(K.dim, 0)
         assert betti_mod2(K, d) == betti_mod2(target, d)
+
+
+def greedy_lex_reference(K, target=None):
+    """Frozenset greedy-lex collapse: repeatedly remove the `simplex_key`-
+    smallest free face outside `target` whose coface is outside `target`.
+    Returns the sequence and the simplices left."""
+    alive = set(K.simplices())
+    keep = target.simplices() if target is not None else frozenset()
+    sequence = []
+    while True:
+        for face in sorted(alive - keep, key=simplex_key):
+            cofaces = [c for c in alive if len(c) == len(face) + 1 and face < c]
+            if len(cofaces) == 1 and cofaces[0] not in keep:
+                alive -= {face, cofaces[0]}
+                sequence.append((face, cofaces[0]))
+                break
+        else:
+            return tuple(sequence), alive
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes(), st.integers(0, 10), st.booleans())
+def test_greedy_lex_matches_frozenset_reference(K, pick, relative):
+    # the rank order of the kernel is `simplex_key` order, so its greedy-lex
+    # pass takes the same steps as the frozenset reference
+    target = None
+    if relative:
+        faces = sorted(K.simplices(), key=simplex_key)
+        target = from_maximal_faces([faces[pick % len(faces)]])
+    sequence, alive = greedy_lex_reference(K, target)
+    out = try_collapse(K, target=target, restarts=0)
+    if len(alive) == (1 if target is None else len(target.simplices())):
+        assert (out.success, out.strategy, out.sequence) == (True, "greedy-lex", sequence)
+    else:
+        assert out.strategy in ("backtrack", "failed")
+        if out.strategy == "failed":
+            assert out.sequence == sequence
+            assert out.core == from_maximal_faces(alive)

@@ -7,6 +7,7 @@ from morsecert.complexes import (
     betti_mod2,
     cone_collapse_pairs,
     full_subcomplex,
+    order_complex,
     replay_collapse,
 )
 from morsecert.errors import InputError
@@ -145,6 +146,28 @@ def test_face_links_all_pairs_6cube(P6, M6, BAL6):
     asc, desc = face_links_oracle(model)
     assert betti_mod2(asc, 2) == (1, 0, 1)
     assert betti_mod2(desc, 2) == (1, 0, 1)
+
+
+def _order_complex_oracle(lift):
+    """Both face links built with the literal containment test."""
+    le = lambda a, b: face_contains(lift.k, a, b)
+    faces = lift.proper_faces()
+    asc = [f for f in faces if lift.lift_of_face(f).base > 0]
+    desc = [f for f in faces if lift.lift_of_face(f).base == 0]
+    return order_complex(asc, le), order_complex(desc, le)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_face_links_cube_covers_match_containment(ell):
+    lift = synthetic_pairs_lift(ell)
+    assert face_links_oracle(lift) == _order_complex_oracle(lift)
+
+
+def test_face_links_cube_covers_match_containment_on_bad_faces(P6, M6, BAL6):
+    for sig, faces in classify_bad_faces(P6, M6).items():
+        if sig != (2, 2, 2):  # the canonical 6-cube is covered above
+            lift = build_cube_model(P6, M6, BAL6[0], faces[0]).lift
+            assert face_links_oracle(lift) == _order_complex_oracle(lift), sig
 
 
 def test_coface_links_fast_full_polytope(P6, M6, BAL6):
