@@ -32,8 +32,9 @@ print("orbit size:", len(orbit(s, m)), "(= all balanced states)")
 # the whole polytope is a bad face; its state must be totally legal
 rec = legality(P, FaceHandle(frozenset()), s)
 print("\nwhole-polytope state: totally legal =", rec.totally_legal)
-print("collapse certificate lengths:",
-      len(rec.collapse_out.sequence), "and", len(rec.collapse_in.sequence))
+print("dismantling orders (dominated vertex, dominator):",
+      len(rec.out_sequence), "and", len(rec.in_sequence), "steps, first",
+      rec.out_sequence[0])
 
 # bad faces come in exactly four shapes
 bad = classify_bad_faces(P, m)

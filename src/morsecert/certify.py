@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .complexes import sequence_json
 from .errors import InputError
 from .links import (
     CheckedFace,
@@ -63,18 +64,6 @@ def _eid(payload: dict) -> str:
     return "e" + hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
 
 
-def _sequence_json(seq: Iterable) -> list:
-    out = []
-    for face, cof in seq:
-        out.append([_simplex_json(face), _simplex_json(cof)])
-    return out
-
-
-def _simplex_json(s) -> list:
-    items = [_simplex_json(v) if isinstance(v, frozenset) else v for v in s]
-    return sorted(items)
-
-
 # Evidence headers: the fields of an evidence item that the claim citing it
 # determines.  An item is its header plus its sequences, and its id is the
 # hash of its content; the verifier rebuilds each header from the claim.
@@ -118,23 +107,22 @@ SEQUENCE_KEYS = {
 }
 
 
-def _with_sequences(header: dict, *sequences) -> dict:
-    keys = SEQUENCE_KEYS[header["kind"]]
-    return {**header, **{k: _sequence_json(s) for k, s in zip(keys, sequences)}}
-
-
 def legality_evidence_payload(host: dict, face_ids: Tuple[str, ...], rec) -> dict:
-    return _with_sequences(
-        legality_header(host, face_ids, rec.out_vertices, rec.in_vertices),
-        rec.collapse_out.sequence,
-        rec.collapse_in.sequence,
-    )
+    """A legality item: its header and the certificates of both parts, which
+    `states.part_certificate` already gives in report form."""
+    return {
+        **legality_header(host, face_ids, rec.out_vertices, rec.in_vertices),
+        "out_sequence": rec.out_sequence,
+        "in_sequence": rec.in_sequence,
+    }
 
 
 def critical_shared_payload(cert) -> dict:
-    return _with_sequences(
-        shared_header(cert.ell), cert.asc_outcome.sequence, cert.desc_outcome.sequence
-    )
+    return {
+        **shared_header(cert.ell),
+        "asc_sequence": sequence_json(cert.asc_outcome.sequence),
+        "desc_sequence": sequence_json(cert.desc_outcome.sequence),
+    }
 
 
 @dataclass(frozen=True)
@@ -272,7 +260,6 @@ def _classify_group(
     members: Tuple[int, ...],
     *,
     certifier: CriticalLinkCertifier,
-    collapse_cache: dict,
     seed: int,
     restarts: int,
 ):
@@ -285,7 +272,6 @@ def _classify_group(
     lc = classify_link(
         P, m, states[rep], F,
         certifier=certifier,
-        collapse_cache=collapse_cache,
         seed=seed,
         restarts=restarts,
     )
@@ -342,7 +328,6 @@ _WORKER_CTX: dict = {}
 def _worker_init(P, m, states, certifier, seed, restarts):
     _WORKER_CTX["args"] = (P, m, states, seed, restarts)
     _WORKER_CTX["certifier"] = certifier
-    _WORKER_CTX["cache"] = {}
 
 
 def _worker_classify(task):
@@ -351,7 +336,6 @@ def _worker_classify(task):
     return _classify_group(
         P, m, states, face_ids, codim, serial, members,
         certifier=_WORKER_CTX["certifier"],
-        collapse_cache=_WORKER_CTX["cache"],
         seed=seed,
         restarts=restarts,
     )
@@ -363,7 +347,6 @@ def _verdict_sweep(
     states: Sequence[State],
     *,
     certifier: CriticalLinkCertifier,
-    collapse_cache: dict,
     seed: int,
     restarts: int,
     failures: List[str],
@@ -421,7 +404,6 @@ def _verdict_sweep(
             _classify_group(
                 P, m, states, *task,
                 certifier=certifier,
-                collapse_cache=collapse_cache,
                 seed=seed,
                 restarts=restarts,
             )
@@ -554,12 +536,10 @@ def run_pipeline(
     timings["bad_faces"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    collapse_cache: dict = {}
     certifier = CriticalLinkCertifier(seed=seed, restarts=restarts)
     rows, evidence, shared = _verdict_sweep(
         P, m, states,
         certifier=certifier,
-        collapse_cache=collapse_cache,
         seed=seed,
         restarts=restarts,
         failures=failures,

@@ -365,6 +365,12 @@ class CollapseOutcome:
         return True
 
 
+def sequence_json(sequence: Iterable) -> list:
+    """Elementary collapse steps in report form: [face, coface] label lists,
+    each sorted (the labels of one complex share a type)."""
+    return [[sorted(f), sorted(c)] for f, c in sequence]
+
+
 class _Table:
     """Mutable collapse state on simplex ranks.
 

@@ -30,8 +30,8 @@ from .states import IN, OUT, MoveSystem, State, balanced_states_p6, move_system_
 def load_json(path) -> object:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -39,6 +39,8 @@ def load_json(path) -> object:
         raise InputError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: nested too deeply: {exc}") from exc
 
 
 def polytope_from_doc(doc: dict) -> Polytope:

@@ -33,11 +33,11 @@ from .states import (
     all_pairs_index,
     bad_face_signature,
     bad_faces,
+    cone_apex,
     good_witness,
     inherited_state,
     is_compatible,
     legality,
-    state_parts,
 )
 
 
@@ -530,10 +530,6 @@ class LinkClassification:
     transform: Optional[Tuple[int, Tuple[int, ...], int]] = None
     note: str = ""
 
-    @property
-    def is_regular(self) -> bool:
-        return self.verdict == "Regular"
-
 
 def classify_link(
     P: Polytope,
@@ -542,7 +538,6 @@ def classify_link(
     F: FaceHandle,
     *,
     certifier: Optional[CriticalLinkCertifier] = None,
-    collapse_cache: Optional[dict] = None,
     seed: int = 0,
     restarts: int = 64,
 ) -> LinkClassification:
@@ -558,9 +553,7 @@ def classify_link(
     if witness is not None:
         return LinkClassification("Regular", None, "good-face", witness_move=witness)
     inh = inherited_state(P, m, s, F)
-    rec = legality(
-        P, F, inh, seed=seed, restarts=restarts, collapse_cache=collapse_cache
-    )
+    rec = legality(P, F, inh, seed=seed, restarts=restarts)
     if rec.totally_legal:
         return LinkClassification(
             "Regular", None, "inherited-totally-legal", legality=rec
@@ -624,9 +617,9 @@ CheckedFace = Tuple[Tuple[str, ...], Tuple[Optional[str], Optional[str]]]
 class BoundaryCubeCertificate:
     """Cone apexes certifying the bad faces of a horospherical cube.
 
-    `checked` lists each bad face with the smallest cone apex of its Out and
-    In parts (None: the part is empty or not a cone); the cube is all
-    Regular when every part has an apex.
+    `checked` lists each bad face with the first cone apex, in sorted order,
+    of its Out and In parts (None: the part is empty or not a cone); the
+    cube is all Regular when every part has an apex.
     """
 
     cusp_id: str
@@ -653,8 +646,8 @@ def certify_boundary_cube(
 
     The section is a combinatorial cube, so the dual of each of its faces is
     a join of 0-spheres and each part a join of points and 0-spheres: a part
-    collapses to a point exactly when it is a cone, and its apex is the
-    whole certificate.
+    collapses to a point exactly when it is a cone, and its apex, a vertex
+    that dominates every other one, is the whole certificate.
     """
     cond = check_cusp_condition(P, s, cusp_id, m)
     if not cond.ok:
@@ -665,7 +658,7 @@ def certify_boundary_cube(
     n_faces, bad = bad_faces(H, mH)
     checked = []
     for F in bad:
-        parts = state_parts(H, F, inherited_state(H, mH, sH, F))
-        apexes = tuple((K.star_vertex_apexes() or [None])[0] for K in parts)
+        split = inherited_state(H, mH, sH, F)
+        apexes = (cone_apex(H, split.out_facets), cone_apex(H, split.in_facets))
         checked.append((F.sorted_ids(), apexes))
     return BoundaryCubeCertificate(cusp_id, cond, n_faces, tuple(checked))

@@ -224,6 +224,21 @@ def enumerate_faces(P: Polytope, codim: int) -> Tuple[FaceHandle, ...]:
     return out
 
 
+def _dual_mask(P: Polytope, F: FaceHandle) -> int:
+    """Bit mask, over P's facet indices, of the facets adjacent to every
+    defining facet of F."""
+    allowed = (1 << len(P.facet_ids)) - 1
+    for fid in F.defining:
+        allowed &= P._nbr_mask[P.index[fid]]
+    return allowed
+
+
+def dual_vertices(P: Polytope, F: FaceHandle) -> Tuple[str, ...]:
+    """The vertices of F's dual complex in sorted order, without building it."""
+    allowed = _dual_mask(P, F)
+    return tuple(sorted(fid for i, fid in enumerate(P.facet_ids) if allowed >> i & 1))
+
+
 def dual_complex(P: Polytope, F: FaceHandle) -> SimplicialComplex:
     """Clique complex on the facets adjacent to every defining facet of F.
 
@@ -234,11 +249,8 @@ def dual_complex(P: Polytope, F: FaceHandle) -> SimplicialComplex:
     if cached is not None:
         return cached
     n = len(P.facet_ids)
-    allowed = (1 << n) - 1
-    for fid in F.defining:
-        allowed &= P._nbr_mask[P.index[fid]]
-    members = [i for i in range(n) if allowed >> i & 1]
-    if not members:
+    allowed = _dual_mask(P, F)
+    if not allowed:
         return SimplicialComplex([])
     # maximal cliques of the induced subgraph (Bron-Kerbosch with pivot)
     masks = P._nbr_mask

@@ -3,8 +3,8 @@
 A move system is a partition of the facets; crossing a facet flips the status
 of its whole block.  States label facets In or Out; the two full subcomplexes
 of the dual complex they span drive every legality question.  "Totally legal"
-is certified by explicit collapse sequences, never asserted from a failed
-search.
+is certified by dismantling orders or explicit collapse sequences, never
+asserted from a failed search.
 """
 
 from __future__ import annotations
@@ -14,13 +14,20 @@ from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from . import labels as lb
 from .complexes import (
-    CollapseOutcome,
     SimplicialComplex,
     full_subcomplex,
+    replay_collapse,
+    sequence_json,
     try_collapse,
 )
 from .errors import InputError, StructuralError
-from .polytopes import FaceHandle, Polytope, dual_complex, enumerate_faces
+from .polytopes import (
+    FaceHandle,
+    Polytope,
+    dual_complex,
+    dual_vertices,
+    enumerate_faces,
+)
 
 IN, OUT = "I", "O"
 
@@ -302,9 +309,8 @@ def inherited_state(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> Stat
     A facet sharing a move with some defining facet gets Out regardless of s;
     all other facets keep their ambient status.  For F = P this is s itself.
     """
-    D = dual_complex(P, F)
     blocked = {m.block_of(fid) for fid in F.defining}
-    ids = tuple(sorted(D.vertices))
+    ids = dual_vertices(P, F)
     in_set = frozenset(
         fid for fid in ids if m.block_of(fid) not in blocked and s.is_in(fid)
     )
@@ -322,17 +328,116 @@ def state_parts(
     return full_subcomplex(D, s_on_f.out_facets), full_subcomplex(D, s_on_f.in_facets)
 
 
+# A part is the clique complex of the facet graph on its vertices.  In such a
+# flag complex, v is dominated by w when N[v] ⊆ N[w] (closed neighbourhoods);
+# then link(v) is a cone on w and deleting v is a collapse (a strong collapse,
+# Barmak & Minian, DCG 2012).  A dismantling order [[v, w], ...] deletes
+# dominated vertices down to one, so the part collapses to a point.  A part
+# with none falls back to searched elementary collapses [[face, coface], ...];
+# the shape of a step tells the two forms apart.
+
+
+def _masks(P: Polytope, vertices) -> Tuple[Dict[str, int], int]:
+    """N[v] for each vertex, and the vertex set, as masks over P's facets."""
+    N = {v: P._nbr_mask[P.index[v]] | 1 << P.index[v] for v in vertices}
+    return N, sum(1 << P.index[v] for v in N)
+
+
+def dismantling_order(P: Polytope, vertices: Iterable[str]) -> Optional[list]:
+    """Delete the first live vertex, in sorted order, that another live vertex
+    dominates, naming the first dominator in sorted order, until one vertex
+    is left.  Returns the steps, or None when the part is empty or gets
+    stuck."""
+    live_order = sorted(vertices)
+    N, live = _masks(P, live_order)
+    steps = []
+    while len(live_order) > 1:
+        step = next(([v, w] for v in live_order for w in live_order
+                     if w != v and not N[v] & live & ~N[w]), None)
+        if step is None:
+            return None
+        steps.append(step)
+        live_order.remove(step[0])
+        live ^= 1 << P.index[step[0]]
+    return steps if live_order else None
+
+
+def cone_apex(P: Polytope, vertices: Iterable[str]) -> Optional[str]:
+    """The first vertex, in sorted order, that dominates every other vertex
+    of the part (a cone apex); None when there is none."""
+    order = sorted(vertices)
+    N, live = _masks(P, order)
+    return next((w for w in order if not live & ~N[w]), None)
+
+
+def part_certificate(
+    P: Polytope, F: FaceHandle, vertices: Sequence[str], *, seed: int, restarts: int
+) -> Optional[list]:
+    """Certificate that the part of F's dual complex on `vertices` collapses
+    to a point: its dismantling order, else a collapse searched on the part
+    built as a complex; None when neither is found."""
+    steps = dismantling_order(P, vertices)
+    if steps is None and vertices:
+        out = try_collapse(full_subcomplex(dual_complex(P, F), vertices),
+                           seed=seed, restarts=restarts)
+        if out.success:
+            steps = sequence_json(out.sequence)
+    return steps
+
+
+def _step_shape(step) -> Optional[str]:
+    is_label = lambda x: not isinstance(x, (list, tuple, dict))
+    if isinstance(step, (list, tuple)) and len(step) == 2:
+        if all(map(is_label, step)):
+            return "dismantling"
+        if all(isinstance(x, (list, tuple)) and all(map(is_label, x)) for x in step):
+            return "elementary"
+    return None
+
+
+def certificate_problem(
+    P: Polytope, F: FaceHandle, vertices: Iterable[str], steps
+) -> Optional[str]:
+    """What is wrong with `steps` as a certificate that the part of F's dual
+    complex on `vertices` collapses to a point; None when nothing is.  A
+    dismantling order is checked on P's adjacency masks; only elementary
+    steps are replayed, on the part built as a complex."""
+    shapes = [_step_shape(step) for step in steps]
+    for i, shape in enumerate(shapes):
+        if shape is None:
+            return f"step {i}: neither a vertex pair nor an elementary pair"
+        if shape != shapes[0]:
+            return f"step {i}: mixes {shape} and {shapes[0]} steps"
+    if shapes[:1] == ["elementary"]:
+        try:
+            core = replay_collapse(full_subcomplex(dual_complex(P, F), vertices), steps)
+        except InputError as exc:
+            return f"does not replay: {exc}"
+        return None if len(core.vertices) == 1 else "does not reach a point"
+    alive = set(vertices)
+    N, live = _masks(P, alive)
+    for i, (v, w) in enumerate(steps):
+        if v == w:
+            return f"step {i}: {v!r} cannot dominate itself"
+        for x in (v, w):
+            if x not in alive:
+                return f"step {i}: {x!r} is not a live vertex of the part"
+        if N[v] & live & ~N[w]:
+            return f"step {i}: {w!r} does not dominate {v!r}"
+        alive.remove(v)
+        live ^= 1 << P.index[v]
+    return None if len(alive) == 1 else "does not reach a point"
+
+
 @dataclass(frozen=True)
 class LegalityRecord:
-    """Vertex split and collapse certificates for one (face, state-on-face) pair.
-
-    `totally_legal` is True only when both collapse searches succeeded; None
-    means "not certified" (the search is sound but not complete).
-    """
+    """Vertex split and the certificate of each part (`part_certificate`;
+    None: not found).  `totally_legal` is True only when both parts have one;
+    None means "not certified" (the search is sound but not complete)."""
 
     totally_legal: Optional[bool]
-    collapse_out: Optional[CollapseOutcome]
-    collapse_in: Optional[CollapseOutcome]
+    out_sequence: Optional[list]
+    in_sequence: Optional[list]
     out_vertices: Tuple[str, ...]
     in_vertices: Tuple[str, ...]
 
@@ -344,39 +449,17 @@ def legality(
     *,
     seed: int = 0,
     restarts: int = 64,
-    collapse_cache: Optional[dict] = None,
 ) -> LegalityRecord:
     """Certified collapsibility of the two state subcomplexes.
 
-    Builds the dual complex of F and splits it by the given state.  The pair
-    is totally legal when both parts collapse to a point; the collapse
-    sequences are the replayable certificate.  A collapsible complex is
+    The pair is totally legal when both parts of F's dual complex, split by
+    the given state, collapse to a point.  A collapsible complex is
     contractible, so no homology is computed.
     """
-    sigma_out, sigma_in = state_parts(P, F, s_on_f)
-    cache = {} if collapse_cache is None else collapse_cache
-
-    def collapse(K: SimplicialComplex) -> CollapseOutcome:
-        key = (K.maximal_faces, None, seed, restarts)
-        if key not in cache:
-            cache[key] = try_collapse(K, seed=seed, restarts=restarts)
-        return cache[key]
-
-    collapse_out = collapse(sigma_out) if not sigma_out.is_empty else None
-    collapse_in = collapse(sigma_in) if not sigma_in.is_empty else None
-    if (
-        collapse_out is not None
-        and collapse_in is not None
-        and collapse_out.success
-        and collapse_in.success
-    ):
-        totally: Optional[bool] = True
-    else:
-        totally = None
-    return LegalityRecord(
-        totally_legal=totally,
-        collapse_out=collapse_out,
-        collapse_in=collapse_in,
-        out_vertices=tuple(sorted(s_on_f.out_facets)),
-        in_vertices=tuple(sorted(s_on_f.in_facets)),
-    )
+    if set(s_on_f.universe) != set(dual_vertices(P, F)):
+        raise InputError("state universe does not match the dual complex vertices")
+    out_v, in_v = sorted(s_on_f.out_facets), sorted(s_on_f.in_facets)
+    out_seq, in_seq = (part_certificate(P, F, part, seed=seed, restarts=restarts)
+                       for part in (out_v, in_v))
+    totally = True if out_seq is not None and in_seq is not None else None
+    return LegalityRecord(totally, out_seq, in_seq, tuple(out_v), tuple(in_v))

@@ -1,14 +1,16 @@
 """Standalone re-validation of structured reports, with zero search.
 
 Every combinatorial table is recomputed from the deterministic constructions
-and compared, and every collapse sequence and isomorphism witness is replayed
-step by step; a cusp's cone apexes are replayed as the cone collapses they
-determine.  Nothing here invokes a collapse search, so verification cost
-is a small multiple of replay cost.
+and compared.  Every dismantling order, and a cusp's cone apexes as the
+one-round orders they determine, is checked step by step on adjacency masks;
+every elementary collapse sequence and isomorphism witness is replayed.
+Nothing here invokes a collapse search, so verification cost is a small
+multiple of replay cost.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Tuple
 
 from .certify import (
@@ -20,7 +22,7 @@ from .certify import (
     shared_header,
     verdict_allowed,
 )
-from .complexes import cone_collapse_pairs, replay_collapse
+from .complexes import replay_collapse
 from .errors import InputError, InternalError
 from .io import load_json, moves_from_doc, polytope_from_doc, state_from_doc
 from .links import (
@@ -43,13 +45,13 @@ from .states import (
     balanced_states_p5,
     balanced_states_p6,
     bad_faces,
+    certificate_problem,
     classify_bad_faces,
     good_witness,
     inherited_state,
     move_system_p5,
     move_system_p6,
     orbit,
-    state_parts,
 )
 
 # A header value standing for a citation: the cited id is read from the item
@@ -71,7 +73,6 @@ class _Verifier:
         self.doc = doc
         self.messages: List[str] = []
         self._evidence_ok: Dict[Tuple[str, str], bool] = {}
-        self._cones_ok: Dict[tuple, bool] = {}
 
     def fail(self, msg: str):
         self.messages.append(msg)
@@ -142,16 +143,16 @@ class _Verifier:
 
     # -- evidence binding and replay ---------------------------------------
 
-    def _evidence(self, section: str, eid, header: dict, where: str, targets=None):
+    def _evidence(self, section: str, eid, header: dict, where: str, check=None):
         """Bind the evidence item `eid` to the claim at `where` that cites it.
 
         The item must be exactly `header`, which the caller rebuilt from the
         claim, plus the sequences of its kind; a header field set to CITED is
         itself a citation, which the caller binds in turn.  `eid` must be the
-        hash of the item's content.  Once per section and id, each sequence
-        is then replayed on the complex that `targets()` builds for it and
-        must reach its core there (None: a point).  Returns the item when all
-        of this holds, else None.
+        hash of the item's content.  Once per section and id, `check(item)`
+        then checks its sequences against what the claim built, yielding each
+        key with what is wrong with its sequence, or None.  Returns the item
+        when all of this holds, else None.
         """
         where = f"{where}: evidence {eid}"
         ev = self.doc[section].get(eid)
@@ -160,7 +161,6 @@ class _Verifier:
             return None
         seq_keys = SEQUENCE_KEYS[header["kind"]]
         wrong = [k for k, v in header.items() if v is not CITED and ev[k] != v]
-        sequences = [ev[k] for k in seq_keys]
         if len(ev) != len(header) + len(seq_keys):
             wrong.append("keys")
         if wrong:
@@ -171,17 +171,9 @@ class _Verifier:
             ok = _eid(ev) == eid
             if not ok:
                 self.fail(f"{where}: id is not the hash of the content")
-            built = targets() if targets else ()
-            for key, seq, (K, core) in zip(seq_keys, sequences, built):
-                try:
-                    got = replay_collapse(K, seq)
-                except InputError as exc:
-                    self.fail(f"{where}: {key} does not replay: {exc}")
-                    ok = False
-                    continue
-                if len(got.vertices) != 1 if core is None else got != core:
-                    target = "a point" if core is None else "its core"
-                    self.fail(f"{where}: {key} does not reach {target}")
+            for key, problem in check(ev) if check else ():
+                if problem is not None:
+                    self.fail(f"{where}: {key} {problem}")
                     ok = False
             self._evidence_ok[section, eid] = ok
         elif not ok:
@@ -194,10 +186,11 @@ class _Verifier:
         header = legality_header(
             {"type": "ambient"}, F.sorted_ids(), split.out_facets, split.in_facets
         )
-        self._evidence(
-            "evidence", eid, header, where,
-            lambda: [(K, None) for K in state_parts(self.P, F, split)],
-        )
+        self._evidence("evidence", eid, header, where, lambda ev: [
+            (key, certificate_problem(self.P, F, part, ev[key]))
+            for key, part in (("out_sequence", split.out_facets),
+                              ("in_sequence", split.in_facets))
+        ])
 
     # -- verdict table ---------------------------------------------------------
 
@@ -294,8 +287,20 @@ class _Verifier:
         if ev is not None:
             self._evidence(
                 "shared_evidence", ev["shared"], shared_header(ell), where,
-                lambda: canonical_pairs_links(ell),
+                lambda shared: self._core_problems(ell, shared),
             )
+
+    def _core_problems(self, ell: int, ev: dict):
+        """Replay the shared item's sequences on the face links of the
+        canonical all-pairs cube; each must reach its cross-polytope core."""
+        links = canonical_pairs_links(ell)
+        for key, (K, core) in zip(SEQUENCE_KEYS["critical-shared"], links):
+            try:
+                got = replay_collapse(K, ev[key])
+            except InputError as exc:
+                yield key, f"does not replay: {exc}"
+                continue
+            yield key, None if got == core else "does not reach its core"
 
     # -- cusps -------------------------------------------------------------------
 
@@ -327,41 +332,39 @@ class _Verifier:
                 n_faces, bad = bad_faces(H, mH)
                 section = sections[cusp] = (H, mH, n_faces, {F.sorted_ids() for F in bad})
             H, mH, n_faces, non_good = section
-            checked = {tuple(face): apexes for face, apexes in row["checked"]}
-            if set(checked) != non_good:
-                self.fail(f"cusp {cusp} state {idx}: checked faces != bad faces")
+            where = f"cusp {cusp} state {idx}"
+            checked = [(tuple(face), apexes) for face, apexes in row["checked"]]
+            faces = [face for face, _ in checked]
+            twice = [face for face, n in Counter(faces).items() if n > 1]
+            if twice:
+                self.fail(f"{where}: face {twice[0]} is checked twice")
+                continue
+            if set(faces) != non_good:
+                self.fail(f"{where}: checked faces != bad faces")
                 continue
             if row["n_faces"] != n_faces or row["n_good"] != n_faces - len(non_good):
-                self.fail(f"cusp {cusp} state {idx}: face counts mismatch")
+                self.fail(f"{where}: face counts mismatch")
             sH = states[idx].restrict(H.facet_ids)
-            for face, (out_apex, in_apex) in sorted(checked.items()):
+            for face, (out_apex, in_apex) in checked:
                 F = FaceHandle(frozenset(face))
-                self._cones(cusp, H, F, inherited_state(H, mH, sH, F),
-                            (out_apex, in_apex),
-                            f"cusp {cusp} state {idx}: face {face}")
+                split = inherited_state(H, mH, sH, F)
+                for side, part, apex in (("Out", split.out_facets, out_apex),
+                                         ("In", split.in_facets, in_apex)):
+                    # a cone apex stands for a one-round dismantling order
+                    order = [[v, apex] for v in sorted(part) if v != apex]
+                    problem = certificate_problem(H, F, part, order)
+                    if problem is not None:
+                        self.fail(f"{where}: face {face}: {side} apex {apex!r}: "
+                                  f"{problem}")
 
-    def _cones(self, cusp: str, H, F: FaceHandle, split: State, apexes, where: str):
-        """Both parts of F's dual complex in the section H, split by `split`,
-        collapse to a point as cones on `apexes`: the cone collapses are
-        rebuilt and replayed once per (cusp, face, split, apexes)."""
-        key = (cusp, F.sorted_ids(), split.serial(), apexes)
-        ok = self._cones_ok.get(key)
-        if ok is not None:
-            if not ok:
-                self.fail(f"{where}: apexes {apexes} failed")
-            return
-        ok = True
-        for side, K, apex in zip(("Out", "In"), state_parts(H, F, split), apexes):
-            try:
-                core = replay_collapse(K, cone_collapse_pairs(K, apex))
-            except InputError as exc:
-                self.fail(f"{where}: {side} apex {apex!r}: {exc}")
-                ok = False
-                continue
-            if len(core.vertices) != 1:
-                self.fail(f"{where}: {side} apex {apex!r}: does not reach a point")
-                ok = False
-        self._cones_ok[key] = ok
+    def check_bound(self):
+        """Every evidence item must be bound to some claim that cites it."""
+        for section in ("evidence", "shared_evidence"):
+            unbound = sorted(set(self.doc[section]) - {
+                eid for sec, eid in self._evidence_ok if sec == section
+            })
+            if unbound:
+                self.fail(f"{section} items bound to no claim: {', '.join(unbound)}")
 
     def run(self) -> Tuple[bool, List[str]]:
         if self.doc.get("version") != REPORT_VERSION:
@@ -375,6 +378,7 @@ class _Verifier:
         self.check_tables()
         self.check_verdicts()
         self.check_cusps()
+        self.check_bound()
         if self.doc.get("pass") is not True:
             self.fail("report does not claim a passing certification")
         return not self.messages, self.messages

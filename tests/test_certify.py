@@ -242,6 +242,12 @@ def _apex_not_a_vertex(doc):
     entry[1][0] = entry[0][0]
 
 
+def _face_twice(doc):
+    """List a cusp row's first face again, ahead of it, with no apexes."""
+    row = next(r for r in doc["cusps"]["rows"] if r["checked"])
+    row["checked"].insert(0, [row["checked"][0][0], ["NOT-A-VERTEX", None]])
+
+
 def _add_key(doc):
     ev = next(ev for ev in doc["evidence"].values() if ev["kind"] == "legality")
     ev["note"] = "edited"
@@ -274,8 +280,12 @@ REPORT_EDITS = [
     # cusp apexes that are no cone apex of their part
     ("cusp-entry-wrong-apex", _wrong_apex, {1}),
     ("cusp-entry-apex-not-a-vertex", _apex_not_a_vertex, {1}),
+    ("cusp-entry-face-twice", _face_twice, {1}),
     # evidence edited without a new id, or cited by a row that needs none
     ("evidence-extra-key", _add_key, {1}),
+    ("orphan-evidence-item",
+     lambda d: _set(d["evidence"], "e" + "f" * 16,
+                    {"kind": "legality", "junk": [1, 2, 3]}), {1}),
     ("good-row-cites-evidence",
      lambda d: _set(_row(d, "good-face"), "evidence",
                     _row(d, "inherited-totally-legal")["evidence"]), {1}),
@@ -469,6 +479,28 @@ def test_moves_doc_partition_check():
     P = polytope_from_doc(pol)
     with pytest.raises(InputError, match="partition"):
         moves_from_doc([["a", "b"]], P)
+
+
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 200000 + b"]" * 200000],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_cli_undecodable_input_is_an_input_error(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["verify", str(bad)]) == 2
+    pol, moves, state = square_inputs()
+    files = {"polytope": pol, "moves": moves, "state": state}
+    for name, doc in files.items():
+        write_json(tmp_path / f"{name}.json", doc)
+    for name in files:
+        argv = ["certify", "generic"]
+        for other in files:
+            path = bad if other == name else tmp_path / f"{other}.json"
+            argv += [f"--{other}", str(path)]
+        assert main(argv) == 2, name
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and str(bad) in err
 
 
 def test_parse_error_is_position_annotated(tmp_path):

@@ -9,6 +9,7 @@ from morsecert.complexes import (
     full_subcomplex,
     order_complex,
     replay_collapse,
+    try_collapse,
 )
 from morsecert.errors import InputError
 from morsecert.links import (
@@ -37,7 +38,6 @@ from morsecert.states import (
     classify_bad_faces,
     inherited_state,
     is_good_face,
-    legality,
     state_parts,
 )
 
@@ -247,17 +247,13 @@ def test_critical_certifier_and_transform(P6, M6, BAL6):
 def test_classify_link_verdicts(P6, M6, BAL6):
     s = BAL6[0]
     cert = CriticalLinkCertifier(seed=0, restarts=4)
-    cache = {}
     good = classify_link(P6, M6, s, P6.face({"A", "1+i+j+k"}), certifier=cert)
     assert good.verdict == "Regular" and good.branch == "good-face"
     ridge = classify_link(
-        P6, M6, s, P6.face({"1+i+j+k", "-1+i+j+k"}),
-        certifier=cert, collapse_cache=cache,
+        P6, M6, s, P6.face({"1+i+j+k", "-1+i+j+k"}), certifier=cert
     )
     assert ridge.verdict == "Regular" and ridge.branch == "inherited-totally-legal"
-    whole = classify_link(
-        P6, M6, s, FaceHandle(frozenset()), certifier=cert, collapse_cache=cache
-    )
+    whole = classify_link(P6, M6, s, FaceHandle(frozenset()), certifier=cert)
     assert whole.verdict == "Regular" and whole.branch == "inherited-totally-legal"
     bad = classify_bad_faces(P6, M6)
     crit = classify_link(P6, M6, s, bad[(2, 2, 2)][0], certifier=cert)
@@ -318,9 +314,16 @@ def test_certify_boundary_cube(P6, M6, BAL6):
 
 
 def _cusp_apexes_match_legality(P, m, states, cusp_ids):
-    """Apexes on both parts exist exactly where the searched collapse
-    certifies total legality, for every state and bad face of each cusp."""
-    cache = {}
+    """Apexes on both parts exist exactly where a collapse search on both
+    parts, built as complexes, certifies total legality, for every state and
+    bad face of each cusp."""
+    searched = {}
+
+    def collapses(K):
+        if K not in searched:
+            searched[K] = not K.is_empty and try_collapse(K).success
+        return searched[K]
+
     n = 0
     for cusp in cusp_ids:
         H = build_cusp_section(P, cusp)
@@ -330,8 +333,9 @@ def _cusp_apexes_match_legality(P, m, states, cusp_ids):
             sH = s.restrict(H.facet_ids)
             for face, apexes in bc.checked:
                 F = FaceHandle(frozenset(face))
-                rec = legality(H, F, inherited_state(H, mH, sH, F), collapse_cache=cache)
-                assert (None not in apexes) == bool(rec.totally_legal), (cusp, face)
+                parts = state_parts(H, F, inherited_state(H, mH, sH, F))
+                legal = all(map(collapses, parts))
+                assert (None not in apexes) == legal, (cusp, face)
                 n += 1
     return n
 

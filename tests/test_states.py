@@ -145,7 +145,9 @@ def test_legality_reference_state(P6, BAL6):
     s = reference_state(P6)
     rec = legality(P6, FaceHandle(frozenset()), s)
     assert rec.totally_legal
-    assert rec.collapse_out.success and rec.collapse_in.success
+    # both parts dismantle: one vertex pair per deleted vertex
+    assert len(rec.out_sequence) == len(rec.out_vertices) - 1
+    assert len(rec.in_sequence) == len(rec.in_vertices) - 1
 
 
 def test_legality_degenerate_states(P6):
