@@ -2,7 +2,9 @@
 
 A codimension-6 bad vertex is dual to a 6-cube that splits into three
 monochromatic squares.  Its face links are 2-spheres; the engine certifies
-the index by collapsing both links onto subdivided cross-polytope cores.
+the index by shrinking both links onto subdivided cross-polytope cores with
+dismantling orders: each step deletes a poset element dominated, in the
+comparability graph, by a live one (a beat point), and no search is run.
 """
 
 from morsecert import (
@@ -42,10 +44,11 @@ certifier = CriticalLinkCertifier(seed=0, restarts=8)
 lc = classify_link(P, m, s, V, certifier=certifier)
 print("verdict:", lc.verdict, "of index", lc.index, "via", lc.branch)
 shared = lc.critical
-print("collapse certificates:",
-      len(shared.asc_outcome.sequence), "ascending steps,",
-      len(shared.desc_outcome.sequence), "descending steps,",
+print("dismantling orders:",
+      len(shared.asc_sequence), "ascending steps,",
+      len(shared.desc_sequence), "descending steps,",
       "cores are subdivided cross-polytope boundaries")
+print("first ascending step [v, w]:", shared.asc_sequence[0])
 
 # good faces and legal bad faces are Regular
 good = classify_link(P, m, s, P.face({"A", "1+i+j+k"}), certifier=certifier)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .complexes import sequence_json
 from .errors import InputError
 from .links import (
     CheckedFace,
@@ -118,10 +117,12 @@ def legality_evidence_payload(host: dict, face_ids: Tuple[str, ...], rec) -> dic
 
 
 def critical_shared_payload(cert) -> dict:
+    """The shared item: its header and the certificates of both face links,
+    which `links.CriticalLinkCertifier` already gives in report form."""
     return {
         **shared_header(cert.ell),
-        "asc_sequence": sequence_json(cert.asc_outcome.sequence),
-        "desc_sequence": sequence_json(cert.desc_outcome.sequence),
+        "asc_sequence": cert.asc_sequence,
+        "desc_sequence": cert.desc_sequence,
     }
 
 
@@ -291,8 +292,9 @@ def _classify_group(
         return row, {eid: payload}, None, None
     if lc.verdict == "Critical":
         sid, _ = _shared_item(certifier, lc.critical)
-        # validate the canonical transform for every covered state
-        for idx in members:
+        # validate the canonical transform for every other covered state;
+        # classify_link validated the representative's
+        for idx in members[1:]:
             canonical_pairs_transform(build_cube_model(P, m, states[idx], F))
         ell, perm, delta = lc.transform
         payload = critical_header(face_ids, ell, sid, perm, delta)

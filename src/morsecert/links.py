@@ -16,17 +16,18 @@ from functools import total_ordering
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .complexes import (
-    CollapseOutcome,
     SimplicialComplex,
     barycentric_subdivision,
     full_subcomplex,
     order_complex,
+    sequence_json,
     try_collapse,
 )
 from .errors import InputError, InternalError
 from .polytopes import FaceHandle, Polytope, build_cusp_section, dual_complex
 from .states import (
     OUT,
+    FlagGraph,
     LegalityRecord,
     MoveSystem,
     State,
@@ -34,6 +35,7 @@ from .states import (
     bad_face_signature,
     bad_faces,
     cone_apex,
+    dismantling_steps,
     good_witness,
     inherited_state,
     is_compatible,
@@ -207,14 +209,14 @@ def build_cube_model(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> Cub
         for _, ps in sorted(blocks_by_move.items(), key=lambda kv: min(kv[1]))
     )
     base_out = tuple(s.status(fid) == OUT for fid in defining)
+    # the positions of each position's move: crossing any of them flips it
+    block_mask = [0] * k
+    for block in blocks:
+        for pos in block:
+            block_mask[pos] = sum(1 << p for p in block)
 
     def status_out_at(w: int, pos: int) -> bool:
-        flips = 0
-        my_block = m.block_of(defining[pos])
-        for j in range(k):
-            if w >> j & 1 and m.block_of(defining[j]) == my_block:
-                flips ^= 1
-        return base_out[pos] ^ bool(flips)
+        return base_out[pos] ^ (w & block_mask[pos]).bit_count() & 1
 
     n = 1 << k
     lift = [None] * n
@@ -251,9 +253,9 @@ def build_cube_model(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> Cub
 # -- face links (the literal oracle) ----------------------------------------
 
 
-def face_links_oracle(model: CubeModel | CubeLift):
-    """Ascending and descending face links as full subcomplexes of the
-    barycentric subdivision of the cube's boundary.
+def face_link_posets(lift: CubeLift):
+    """The ascending and descending proper faces of the cube, each with its
+    cover function: ((asc, covers), (desc, covers)).
 
     A proper face's barycentre is ascending iff its lift value exceeds the
     top barycentre's, i.e. iff the face misses every minimum vertex.  The
@@ -261,7 +263,6 @@ def face_links_oracle(model: CubeModel | CubeLift):
     faces an up-set, so inside either set a face is covered exactly by the
     faces that free one of its fixed coordinates.
     """
-    lift = model.lift if isinstance(model, CubeModel) else model
     if lift.k < 1:
         raise InputError("cube dimension must be >= 1")
     k = lift.k
@@ -277,8 +278,42 @@ def face_links_oracle(model: CubeModel | CubeLift):
             return [f for f in freed if f in elems]
         return covers
 
-    return (order_complex(asc, covers=covers_in(asc)),
-            order_complex(desc, covers=covers_in(desc)))
+    return (asc, covers_in(asc)), (desc, covers_in(desc))
+
+
+def face_links_oracle(model: CubeModel | CubeLift):
+    """Ascending and descending face links as full subcomplexes of the
+    barycentric subdivision of the cube's boundary: the order complexes of
+    the two `face_link_posets`."""
+    lift = model.lift if isinstance(model, CubeModel) else model
+    return tuple(order_complex(elems, covers=covers)
+                 for elems, covers in face_link_posets(lift))
+
+
+def comparability_graph(elements, covers) -> FlagGraph:
+    """The comparability graph of a finite poset given by its cover
+    function, whose clique complex is the poset's order complex."""
+    labels = tuple(sorted(elements))
+    pos = {x: i for i, x in enumerate(labels)}
+    up: Dict[int, int] = {}  # the elements above x, as a mask
+
+    def above(x) -> int:
+        got = up.get(x)
+        if got is None:
+            got = 0
+            for y in covers(x):
+                got |= 1 << pos[y] | above(y)
+            up[x] = got
+        return got
+
+    N = [1 << i | above(x) for i, x in enumerate(labels)]
+    for i, x in enumerate(labels):
+        m = up[x]
+        while m:
+            low = m & -m
+            N[low.bit_length() - 1] |= 1 << i
+            m ^= low
+    return FlagGraph(pos, N)
 
 
 def coface_links_fast(P: Polytope, m: MoveSystem, s: State, F: FaceHandle):
@@ -387,23 +422,29 @@ def crosspolytope_face_map(ell: int, kind: str) -> Dict[int, FrozenSet[str]]:
 
 @dataclass(frozen=True)
 class CriticalCertificate:
-    """Shared collapse certificates for the canonical all-pairs 2l-cube."""
+    """Shared certificates that the ascending and descending face links of
+    the canonical all-pairs 2l-cube shrink to their cross-polytope cores, in
+    report form: dismantling orders, or searched elementary collapses for a
+    link with none; None where neither was found."""
 
     ell: int
-    asc_outcome: CollapseOutcome
-    desc_outcome: CollapseOutcome
-    asc_target: SimplicialComplex
-    desc_target: SimplicialComplex
+    asc_sequence: Optional[list]
+    desc_sequence: Optional[list]
 
     @property
-    def index(self) -> int:
-        return self.ell
+    def success(self) -> bool:
+        return self.asc_sequence is not None and self.desc_sequence is not None
 
 
 class CriticalLinkCertifier:
-    """Builds and caches, per pair count l, the relative collapses of the
-    ascending and descending face links of the canonical all-pairs cube onto
-    subdivided cross-polytope boundary cores."""
+    """Builds and caches, per pair count l, the certificates that the
+    ascending and descending face links of the canonical all-pairs cube
+    shrink to subdivided cross-polytope boundary cores.
+
+    Each is a dismantling order on the link poset's comparability graph that
+    deletes only non-core elements and ends exactly at the core; a link with
+    none falls back to a collapse search on the link built as a complex.
+    """
 
     def __init__(self, *, seed: int = 0, restarts: int = 64):
         self.seed = seed
@@ -417,30 +458,50 @@ class CriticalLinkCertifier:
         got = self._cache.get(ell)
         if got is not None:
             return got
-        (asc, asc_target), (desc, desc_target) = canonical_pairs_links(ell)
-        asc_out = try_collapse(asc, target=asc_target, seed=self.seed, restarts=self.restarts)
-        desc_out = try_collapse(desc, target=desc_target, seed=self.seed, restarts=self.restarts)
-        cert = CriticalCertificate(ell, asc_out, desc_out, asc_target, desc_target)
-        self._cache[ell] = cert
+        sequences = [dismantling_steps(G, core) for G, core in canonical_pairs_graphs(ell)]
+        if None in sequences:
+            for i, (K, core) in enumerate(canonical_pairs_links(ell)):
+                if sequences[i] is None:
+                    out = try_collapse(K, target=core, seed=self.seed,
+                                       restarts=self.restarts)
+                    sequences[i] = sequence_json(out.sequence) if out.success else None
+        cert = self._cache[ell] = CriticalCertificate(ell, *sequences)
         return cert
 
 
+LINK_KINDS = ("asc", "desc")
+
+
+def canonical_pairs_core(ell: int, kind: str) -> SimplicialComplex:
+    """Order complex of the core of the canonical all-pairs 2l-cube's `kind`
+    face link, checked to be the subdivided cross-polytope boundary against
+    the explicit face map."""
+    k = 2 * ell
+    core = order_complex(pairs_core_elements(ell, kind),
+                         lambda a, b: face_contains(k, a, b))
+    name = {"asc": "ascending", "desc": "descending"}[kind]
+    check_sd_crosspolytope_witness(core, crosspolytope_face_map(ell, kind), ell, name)
+    return core
+
+
+def canonical_pairs_graphs(ell: int):
+    """The comparability graphs of the ascending and descending face-link
+    posets of the canonical all-pairs 2l-cube, each paired with its core's
+    elements: ((asc_graph, asc_core), (desc_graph, desc_core))."""
+    posets = face_link_posets(synthetic_pairs_lift(ell))
+    return tuple(
+        (comparability_graph(*poset), canonical_pairs_core(ell, kind).vertices)
+        for poset, kind in zip(posets, LINK_KINDS)
+    )
+
+
 def canonical_pairs_links(ell: int):
-    """Ascending and descending face links of the canonical all-pairs 2l-cube,
-    each paired with its target core: the subdivided cross-polytope boundary,
-    checked against the explicit face map.  Returns ((asc, asc_target),
-    (desc, desc_target))."""
-    lift = synthetic_pairs_lift(ell)
-    links = face_links_oracle(lift)
-    le = lambda a, b: face_contains(lift.k, a, b)
-    out = []
-    for K, name, kind in zip(links, ("ascending", "descending"), ("asc", "desc")):
-        target = order_complex(pairs_core_elements(ell, kind), le)
-        check_sd_crosspolytope_witness(
-            target, crosspolytope_face_map(ell, kind), ell, name
-        )
-        out.append((K, target))
-    return tuple(out)
+    """The same face links built as complexes, each paired with its core
+    complex, for elementary collapses: ((asc, asc_core), (desc, desc_core))."""
+    links = face_links_oracle(synthetic_pairs_lift(ell))
+    return tuple(
+        (K, canonical_pairs_core(ell, kind)) for K, kind in zip(links, LINK_KINDS)
+    )
 
 
 def check_sd_crosspolytope_witness(
@@ -546,8 +607,8 @@ def classify_link(
     Fast paths: a good face is Regular; a bad face whose inherited state is
     certified totally legal is Regular.  A bad face whose defining facets are
     partitioned into pairs by the moves, with codimension 2l equal to the
-    polytope dimension, is Critical(l) via relative collapse of both face
-    links onto subdivided cross-polytope cores.  Anything else is Unknown.
+    polytope dimension, is Critical(l): both face links shrink onto
+    subdivided cross-polytope cores.  Anything else is Unknown.
     """
     witness = good_witness(m, F)
     if witness is not None:
@@ -564,14 +625,15 @@ def classify_link(
             certifier = CriticalLinkCertifier(seed=seed, restarts=restarts)
         transform = canonical_pairs_transform(build_cube_model(P, m, s, F))
         cert = certifier.certificate(ell)
-        if cert.asc_outcome.success and cert.desc_outcome.success:
+        if cert.success:
             return LinkClassification(
                 "Critical", ell, "critical-pairs",
                 critical=cert, transform=transform,
             )
         return LinkClassification(
             "Unknown", None, "unknown",
-            note="collapse search failed on the canonical all-pairs cube",
+            note="no dismantling order or collapse found on the canonical "
+                 "all-pairs cube",
         )
     return LinkClassification(
         "Unknown", None, "unknown",

@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from .certify import Certificate, CuspRow, EulerRecord, VerdictRow
 
-REPORT_VERSION = "4"
+REPORT_VERSION = "5"
 
 
 def _frac(x: Fraction) -> list:

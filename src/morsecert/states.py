@@ -10,7 +10,7 @@ asserted from a failed search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import labels as lb
 from .complexes import (
@@ -328,46 +328,112 @@ def state_parts(
     return full_subcomplex(D, s_on_f.out_facets), full_subcomplex(D, s_on_f.in_facets)
 
 
-# A part is the clique complex of the facet graph on its vertices.  In such a
-# flag complex, v is dominated by w when N[v] ⊆ N[w] (closed neighbourhoods);
-# then link(v) is a cone on w and deleting v is a collapse (a strong collapse,
+# A part is the clique complex of the facet graph on its vertices, and a face
+# link the clique complex of its poset's comparability graph.  In such a flag
+# complex, v is dominated by w when N[v] ⊆ N[w] (closed neighbourhoods); then
+# link(v) is a cone on w and deleting v is a collapse (a strong collapse,
 # Barmak & Minian, DCG 2012).  A dismantling order [[v, w], ...] deletes
-# dominated vertices down to one, so the part collapses to a point.  A part
-# with none falls back to searched elementary collapses [[face, coface], ...];
-# the shape of a step tells the two forms apart.
+# dominated vertices down to one vertex, or down to a given core.  A complex
+# with no such order falls back to searched elementary collapses
+# [[face, coface], ...]; the shape of a step tells the two forms apart.
 
 
-def _masks(P: Polytope, vertices) -> Tuple[Dict[str, int], int]:
-    """N[v] for each vertex, and the vertex set, as masks over P's facets."""
-    N = {v: P._nbr_mask[P.index[v]] | 1 << P.index[v] for v in vertices}
-    return N, sum(1 << P.index[v] for v in N)
+class FlagGraph(NamedTuple):
+    """The graph of a flag complex on bit positions: `index` maps each vertex
+    label to its position, and N[p] is the neighbourhood of the vertex at
+    position p as a mask over positions, which may leave out p itself and
+    cover positions that are no vertex of the graph.  The labels of one graph
+    share a type."""
+
+    index: Dict
+    N: Sequence[int]
+
+
+def part_graph(P: Polytope, vertices: Iterable[str]) -> FlagGraph:
+    """The facet graph of P on `vertices`, on P's facet indices."""
+    return FlagGraph({v: P.index[v] for v in vertices}, P._nbr_mask)
+
+
+def dismantle(N: Sequence[int], keep: int = 0) -> Optional[List[Tuple[int, int]]]:
+    """Dismantle the graph on positions 0..n-1 whose closed neighbourhoods
+    are N: delete the first vertex, by position and outside `keep`, that a
+    live vertex dominates, naming the first such dominator by position, until
+    only `keep` is left, or one vertex when `keep` is 0.  Returns the (v, w)
+    position pairs, or None when the graph is empty or the order gets stuck.
+
+    Only v's live neighbours can dominate v, and deleting v changes what
+    dominates x only when x is a neighbour of v.  So each vertex keeps its
+    first dominator, which goes stale when a neighbour is deleted and is
+    recomputed only when the scan for the next vertex reaches it.
+    """
+    live = (1 << len(N)) - 1
+    if not live:
+        return None
+    dom: List[Optional[int]] = [None] * len(N)
+    dominated, stale = 0, live & ~keep
+    steps = []
+    while (live != keep) if keep else live & (live - 1):
+        todo = dominated | stale
+        while todo:
+            low = todo & -todo
+            v = low.bit_length() - 1
+            if stale & low:
+                stale ^= low
+                closed, dom[v] = N[v] & live, None
+                candidates = closed ^ low
+                while candidates:
+                    bit = candidates & -candidates
+                    w = bit.bit_length() - 1
+                    if not closed & ~N[w]:
+                        dom[v] = w
+                        break
+                    candidates ^= bit
+                if dom[v] is None:
+                    dominated &= ~low
+                    todo ^= low
+                    continue
+                dominated |= low
+            break
+        else:
+            return None
+        steps.append((v, dom[v]))
+        live ^= low
+        dominated ^= low
+        stale = (stale | N[v]) & live & ~keep
+    return steps
+
+
+def dismantling_steps(G: FlagGraph, core: Iterable = ()) -> Optional[list]:
+    """`dismantle` on G with its vertices in sorted order, down to `core`;
+    the steps as labels [[v, w], ...], or None."""
+    order = sorted(G.index.items())
+    rank = {1 << p: 1 << i for i, (_, p) in enumerate(order)}
+    live = sum(rank)
+    N = []
+    for _, p in order:
+        m, closed = G.N[p] & live, rank[1 << p]
+        while m:
+            low = m & -m
+            closed |= rank[low]
+            m ^= low
+        N.append(closed)
+    got = dismantle(N, sum(rank[1 << G.index[x]] for x in core))
+    return None if got is None else [[order[v][0], order[w][0]] for v, w in got]
 
 
 def dismantling_order(P: Polytope, vertices: Iterable[str]) -> Optional[list]:
-    """Delete the first live vertex, in sorted order, that another live vertex
-    dominates, naming the first dominator in sorted order, until one vertex
-    is left.  Returns the steps, or None when the part is empty or gets
-    stuck."""
-    live_order = sorted(vertices)
-    N, live = _masks(P, live_order)
-    steps = []
-    while len(live_order) > 1:
-        step = next(([v, w] for v in live_order for w in live_order
-                     if w != v and not N[v] & live & ~N[w]), None)
-        if step is None:
-            return None
-        steps.append(step)
-        live_order.remove(step[0])
-        live ^= 1 << P.index[step[0]]
-    return steps if live_order else None
+    """The dismantling order of the part of P's facet graph on `vertices`
+    down to one vertex; None when the part is empty or gets stuck."""
+    return dismantling_steps(part_graph(P, vertices))
 
 
 def cone_apex(P: Polytope, vertices: Iterable[str]) -> Optional[str]:
     """The first vertex, in sorted order, that dominates every other vertex
     of the part (a cone apex); None when there is none."""
     order = sorted(vertices)
-    N, live = _masks(P, order)
-    return next((w for w in order if not live & ~N[w]), None)
+    part = sum(1 << P.index[v] for v in order)
+    return next((w for w in order
+                 if not part & ~(P._nbr_mask[P.index[w]] | 1 << P.index[w])), None)
 
 
 def part_certificate(
@@ -395,6 +461,49 @@ def _step_shape(step) -> Optional[str]:
     return None
 
 
+def sequence_form(steps) -> Tuple[Optional[str], Optional[str]]:
+    """("dismantling" or "elementary", None) by the shape of every step, an
+    empty sequence counting as a dismantling order; (None, what is wrong)
+    when a step has neither shape or the shapes are mixed."""
+    first = None
+    for i, step in enumerate(steps):
+        shape = _step_shape(step)
+        if shape is None:
+            return None, f"step {i}: neither a vertex pair nor an elementary pair"
+        if first is not None and shape != first:
+            return None, f"step {i}: mixes {shape} and {first} steps"
+        first = shape
+    return first or "dismantling", None
+
+
+def dismantling_problem(
+    G: FlagGraph, steps, core: Iterable = (), *, what: str = "part"
+) -> Optional[str]:
+    """What is wrong with the vertex pairs `steps` as a dismantling order of
+    the flag complex of G, the `what` a message names, down to `core` (down
+    to one vertex when `core` is empty); None when nothing is.  A label must
+    be a vertex of G of the same type as G's labels."""
+    index, N = G
+    kind = type(next(iter(index), None))
+    keep = sum(1 << index[x] for x in core)
+    live = sum(1 << p for p in index.values())
+    for i, (v, w) in enumerate(steps):
+        if v == w:
+            return f"step {i}: {v!r} cannot dominate itself"
+        pv, pw = index.get(v), index.get(w)
+        for x, p in ((v, pv), (w, pw)):
+            if p is None or type(x) is not kind or not live >> p & 1:
+                return f"step {i}: {x!r} is not a live vertex of the {what}"
+        if keep >> pv & 1:
+            return f"step {i}: {v!r} is a core vertex"
+        if (N[pv] | 1 << pv) & live & ~(N[pw] | 1 << pw):
+            return f"step {i}: {w!r} does not dominate {v!r}"
+        live ^= 1 << pv
+    if keep:
+        return None if live == keep else "does not reach its core"
+    return None if live and not live & (live - 1) else "does not reach a point"
+
+
 def certificate_problem(
     P: Polytope, F: FaceHandle, vertices: Iterable[str], steps
 ) -> Optional[str]:
@@ -402,31 +511,14 @@ def certificate_problem(
     complex on `vertices` collapses to a point; None when nothing is.  A
     dismantling order is checked on P's adjacency masks; only elementary
     steps are replayed, on the part built as a complex."""
-    shapes = [_step_shape(step) for step in steps]
-    for i, shape in enumerate(shapes):
-        if shape is None:
-            return f"step {i}: neither a vertex pair nor an elementary pair"
-        if shape != shapes[0]:
-            return f"step {i}: mixes {shape} and {shapes[0]} steps"
-    if shapes[:1] == ["elementary"]:
+    form, problem = sequence_form(steps)
+    if form == "elementary":
         try:
             core = replay_collapse(full_subcomplex(dual_complex(P, F), vertices), steps)
         except InputError as exc:
             return f"does not replay: {exc}"
         return None if len(core.vertices) == 1 else "does not reach a point"
-    alive = set(vertices)
-    N, live = _masks(P, alive)
-    for i, (v, w) in enumerate(steps):
-        if v == w:
-            return f"step {i}: {v!r} cannot dominate itself"
-        for x in (v, w):
-            if x not in alive:
-                return f"step {i}: {x!r} is not a live vertex of the part"
-        if N[v] & live & ~N[w]:
-            return f"step {i}: {w!r} does not dominate {v!r}"
-        alive.remove(v)
-        live ^= 1 << P.index[v]
-    return None if len(alive) == 1 else "does not reach a point"
+    return problem or dismantling_problem(part_graph(P, vertices), steps)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,11 @@
 
 Every combinatorial table is recomputed from the deterministic constructions
 and compared.  Every dismantling order, and a cusp's cone apexes as the
-one-round orders they determine, is checked step by step on adjacency masks;
-every elementary collapse sequence and isomorphism witness is replayed.
+one-round orders they determine, is checked step by step on adjacency masks:
+the facet graph for a legality part, the comparability graph of the face
+poset for a shared critical link.  Every elementary collapse sequence, a
+fallback that the built-in subjects never use, and every isomorphism witness
+is replayed.
 Nothing here invokes a collapse search, so verification cost is a small
 multiple of replay cost.
 """
@@ -27,6 +30,7 @@ from .errors import InputError, InternalError
 from .io import load_json, moves_from_doc, polytope_from_doc, state_from_doc
 from .links import (
     build_cube_model,
+    canonical_pairs_graphs,
     canonical_pairs_links,
     canonical_pairs_transform,
     check_cusp_condition,
@@ -47,11 +51,13 @@ from .states import (
     bad_faces,
     certificate_problem,
     classify_bad_faces,
+    dismantling_problem,
     good_witness,
     inherited_state,
     move_system_p5,
     move_system_p6,
     orbit,
+    sequence_form,
 )
 
 # A header value standing for a citation: the cited id is read from the item
@@ -291,16 +297,27 @@ class _Verifier:
             )
 
     def _core_problems(self, ell: int, ev: dict):
-        """Replay the shared item's sequences on the face links of the
-        canonical all-pairs cube; each must reach its cross-polytope core."""
-        links = canonical_pairs_links(ell)
-        for key, (K, core) in zip(SEQUENCE_KEYS["critical-shared"], links):
-            try:
-                got = replay_collapse(K, ev[key])
-            except InputError as exc:
-                yield key, f"does not replay: {exc}"
-                continue
-            yield key, None if got == core else "does not reach its core"
+        """Check the shared item's sequences against the face links of the
+        canonical all-pairs cube; each must end exactly at its
+        cross-polytope core.  A dismantling order is checked on the link
+        poset's comparability graph; only elementary steps are replayed, on
+        the link built as a complex."""
+        links = None
+        graphs = canonical_pairs_graphs(ell)
+        for i, (key, (G, core)) in enumerate(zip(SEQUENCE_KEYS["critical-shared"], graphs)):
+            steps = ev[key]
+            form, problem = sequence_form(steps)
+            if form == "dismantling":
+                problem = dismantling_problem(G, steps, core, what="link")
+            elif form == "elementary":
+                links = links or canonical_pairs_links(ell)
+                K, target = links[i]
+                try:
+                    got = replay_collapse(K, steps)
+                    problem = None if got == target else "does not reach its core"
+                except InputError as exc:
+                    problem = f"does not replay: {exc}"
+            yield key, problem
 
     # -- cusps -------------------------------------------------------------------
 

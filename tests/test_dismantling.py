@@ -1,7 +1,9 @@
 """Dismantling orders: the finder, the checker and its elementary fallback,
 the kernel oracle that expands each order into elementary collapses, and
 tampered reports whose ids are re-hashed, so that only the dismantling check
-can catch them."""
+can catch them.  Both kinds of order are covered: legality parts, reduced
+to one vertex, and the shared critical item's face links, reduced to their
+cross-polytope cores."""
 
 import json
 import sys
@@ -9,17 +11,28 @@ import sys
 import pytest
 
 from morsecert import complexes
-from morsecert.certify import _eid, certify_p5
+from morsecert.certify import _eid, certify_generic, certify_p5, certify_p6
 from morsecert.cli import main
 from morsecert.complexes import (
     cone_collapse_pairs,
     from_maximal_faces,
     full_subcomplex,
-    remove_open_star,
+    order_complex,
     replay_collapse,
+    sequence_json,
     star_collapse_pairs,
     try_collapse,
     vertex_link,
+)
+from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
+from morsecert.links import (
+    CriticalLinkCertifier,
+    canonical_pairs_graphs,
+    canonical_pairs_links,
+    face_contains,
+    face_links_oracle,
+    pairs_core_elements,
+    synthetic_pairs_lift,
 )
 from morsecert.polytopes import Facet, FaceHandle, Polytope, dual_complex
 from morsecert.report import certificate_to_document, document_to_json
@@ -29,6 +42,7 @@ from morsecert.states import (
     cone_apex,
     dismantling_order,
     legality,
+    sequence_form,
 )
 from morsecert.verify import verify_document
 
@@ -50,11 +64,15 @@ def _items(evidence):
 
 def _expand(K, order):
     """Elementary collapses of K that delete each dominated vertex v of the
-    order by collapsing its star onto its link, a cone on its dominator w."""
+    order by collapsing its star onto its link, a cone on its dominator w.
+    What is left of K is its full subcomplex on the live vertices."""
+    live = set(K.vertices)
     sequence = []
     for v, w in order:
-        sequence += star_collapse_pairs(K, v, cone_collapse_pairs(vertex_link(K, v), w), w)
-        K = remove_open_star(K, v)
+        live.remove(v)
+        link = vertex_link(K, v)
+        link = full_subcomplex(link, live.intersection(link.vertices))
+        sequence += star_collapse_pairs(K, v, cone_collapse_pairs(link, w), w)
     return sequence
 
 
@@ -70,6 +88,22 @@ def test_dismantling_orders_expand_to_elementary_collapses(request, subject):
         assert len(core.vertices) == 1, (eid, side)
         n_steps += len(order)
     assert n_steps == {"p5": 480, "p6": 4176}[subject]
+
+
+@pytest.mark.parametrize("kind", ["asc", "desc"])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_shared_orders_expand_to_elementary_collapses(ell, kind):
+    """The kernel replays each shared order, expanded into elementary
+    collapses, from the face link built as a complex to exactly the
+    order complex of the core."""
+    cert = CriticalLinkCertifier().certificate(ell)
+    order = {"asc": cert.asc_sequence, "desc": cert.desc_sequence}[kind]
+    lift = synthetic_pairs_lift(ell)
+    K = face_links_oracle(lift)[kind == "desc"]
+    core = pairs_core_elements(ell, kind)
+    assert len(K.vertices) - len(order) == len(core)
+    want = order_complex(core, lambda a, b: face_contains(lift.k, a, b))
+    assert replay_collapse(K, _expand(K, order)) == want
 
 
 def _report(cert):
@@ -212,9 +246,8 @@ def test_elementary_fallback_item_verifies(P5, cert_p5):
     assert ok, msgs
 
 
-def test_p5_runs_no_search_and_builds_no_part(monkeypatch):
-    """p5 has no critical item, so certify and verify use only dismantling
-    orders and cone apexes: no collapse search, no replay, no part built."""
+def _forbid(monkeypatch, functions):
+    """Make every morsecert name bound to one of `functions` raise."""
     import morsecert.cli  # noqa: F401  (loads every module that imports them)
 
     def stub(name):
@@ -222,14 +255,169 @@ def test_p5_runs_no_search_and_builds_no_part(monkeypatch):
             raise AssertionError(f"{name} was called")
         return raising
 
-    for name in ("try_collapse", "replay_collapse", "full_subcomplex"):
-        original = getattr(complexes, name)
+    for original in functions:
         for modname, mod in list(sys.modules.items()):
             if modname == "morsecert" or modname.startswith("morsecert."):
                 for key, value in list(vars(mod).items()):
                     if value is original:
-                        monkeypatch.setattr(mod, key, stub(name))
+                        monkeypatch.setattr(mod, key, stub(original.__name__))
+
+
+def test_p5_runs_no_search_and_builds_no_part(monkeypatch):
+    """p5 has no critical item, so certify and verify use only dismantling
+    orders and cone apexes: no collapse search, no replay, no part built."""
+    _forbid(monkeypatch, (complexes.try_collapse, complexes.replay_collapse,
+                          complexes.full_subcomplex))
     cert = certify_p5()
     assert cert.passed, cert.failures
     ok, msgs = verify_document(_report(cert))
     assert ok, msgs
+
+
+def test_p6_runs_no_search_and_builds_no_link(monkeypatch):
+    """p6's shared critical item is a pair of dismantling orders, so certify
+    and verify run no collapse search and no replay, and build neither a
+    part nor a face link as a complex."""
+    _forbid(monkeypatch, (complexes.try_collapse, complexes.replay_collapse,
+                          complexes.full_subcomplex, face_links_oracle))
+    cert = certify_p6()
+    assert cert.passed, cert.failures
+    ok, msgs = verify_document(_report(cert))
+    assert ok, msgs
+
+
+# -- the shared critical item ------------------------------------------------
+
+
+def _rehash_shared(doc, edit):
+    """Edit the one shared item, store it under the hash of its new content,
+    and repoint the critical items that cite it, re-hashed in turn, and the
+    rows that cite those; returns the shared item's new id."""
+    (sid, ev), = doc["shared_evidence"].items()
+    del doc["shared_evidence"][sid]
+    edit(ev)
+    new = _eid(ev)
+    doc["shared_evidence"][new] = ev
+    for eid, item in list(doc["evidence"].items()):
+        if item.get("shared") == sid:
+            _rehash(doc, eid, lambda item: item.update(shared=new))
+    return new
+
+
+def _graph_non_dominator(G, v):
+    """The first vertex of G other than v that does not dominate v while
+    every vertex is live."""
+    closed = lambda x: G.N[G.index[x]] | 1 << G.index[x]
+    return next(u for u in sorted(G.index) if u != v and closed(v) & ~closed(u))
+
+
+# (tamper, key, message): each edits the order under `key`, and the verifier
+# must name the re-hashed item, the key and the message
+SHARED_TAMPERS = [
+    ("drop-step", "desc_sequence", "step 180: 3888 does not dominate 2848"),
+    ("duplicate-step", "asc_sequence", "step 1: 449 is not a live vertex of the link"),
+    ("swap-steps", "desc_sequence", "step 0: 195 does not dominate 130"),
+    ("non-dominator", "asc_sequence", "step 0: 194 does not dominate 449"),
+    ("outside-poset", "desc_sequence", "step 0: 0 is not a live vertex of the link"),
+    ("core-deleted", "asc_sequence", "step 360: 193 is a core vertex"),
+    ("string-label", "desc_sequence", "step 0: '1344' is not a live vertex of the link"),
+    ("bool-label", "asc_sequence", "step 0: True is not a live vertex of the link"),
+    ("float-label", "desc_sequence", "step 0: 1344.0 is not a live vertex of the link"),
+    ("nested-label", "asc_sequence", "step 0: neither a vertex pair nor an elementary pair"),
+    ("mixed-shapes", "desc_sequence", "step 1: mixes dismantling and elementary steps"),
+]
+
+
+@pytest.mark.parametrize(
+    "tamper, key, message", SHARED_TAMPERS, ids=[t[0] for t in SHARED_TAMPERS]
+)
+def test_rehashed_shared_tampers_are_rejected(cert_p6, tmp_path, capsys, tamper, key,
+                                              message):
+    doc = _report(cert_p6)
+    (ev,) = doc["shared_evidence"].values()
+    G, core = canonical_pairs_graphs(ev["ell"])[key == "desc_sequence"]
+    v, w = ev[key][0]
+
+    def edit(ev):
+        order = ev[key]
+        if tamper == "drop-step":
+            del order[len(order) // 2]
+        elif tamper == "duplicate-step":
+            order.insert(1, order[0])
+        elif tamper == "swap-steps":
+            order[0], order[-1] = order[-1], order[0]
+        elif tamper == "core-deleted":
+            order.append([core[0], core[-1]])
+        else:
+            order[0] = {
+                "non-dominator": [v, _graph_non_dominator(G, v)],
+                "outside-poset": [0, w],  # the cube is no proper face
+                "string-label": [str(v), w],
+                "bool-label": [True, w],
+                "float-label": [float(v), w],
+                "nested-label": [[v], w],
+                "mixed-shapes": [[v], [v, w]],
+            }[tamper]
+
+    new = _rehash_shared(doc, edit)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert any(new in line and f"{key} {message}" in line for line in out.splitlines()), out
+
+
+def test_certifier_falls_back_to_elementary_collapses(monkeypatch):
+    """A face link with no dismantling order onto its core gets a searched
+    elementary collapse in its place; the other keeps its order."""
+    import morsecert.links as links
+
+    orders = links.dismantling_steps
+    monkeypatch.setattr(links, "dismantling_steps",
+                        lambda G, core: None if len(G.index) == 48 else orders(G, core))
+    cert = CriticalLinkCertifier().certificate(2)
+    assert cert.success
+    assert sequence_form(cert.asc_sequence) == ("dismantling", None)
+    assert sequence_form(cert.desc_sequence) == ("elementary", None)
+    K, core = canonical_pairs_links(2)[1]
+    assert replay_collapse(K, cert.desc_sequence) == core
+
+
+def _squares_inputs():
+    """Generic inputs whose all-pairs vertices have ℓ = 2: the product of
+    two squares, each move a pair of adjacent facets."""
+    facets = ("abcd", "efgh")
+    adjacency = [[sq[i], sq[(i + 1) % 4]] for sq in facets for i in range(4)]
+    adjacency += [[x, y] for x in facets[0] for y in facets[1]]
+    polytope = {"name": "two-squares", "dimension": 4,
+                "facets": [{"id": f} for f in "abcdefgh"], "adjacency": adjacency}
+    moves = [["a", "b"], ["c", "d"], ["e", "f"], ["g", "h"]]
+    state = {f: "I" if f in "abef" else "O" for f in "abcdefgh"}
+    return polytope, moves, state
+
+
+def test_elementary_shared_item_verifies():
+    """The elementary fallback of the shared item is replayed on the face
+    links built as complexes.  The report fails for reasons of its own (its
+    whole polytope is an Unknown face), so the check is that swapping in
+    searched collapses adds no failure and a broken one is named."""
+    pol, moves, state = _squares_inputs()
+    P = polytope_from_doc(pol)
+    cert = certify_generic(P, moves_from_doc(moves, P), state_from_doc(state, P),
+                           generic_inputs={"polytope": pol, "moves": moves,
+                                           "state": state})
+    doc = _report(cert)
+    _, want = verify_document(doc)
+    assert [ev["ell"] for ev in doc["shared_evidence"].values()] == [2]
+    searched = {}
+    for key, (K, core) in zip(("asc_sequence", "desc_sequence"), canonical_pairs_links(2)):
+        out = try_collapse(K, target=core)
+        assert out.success
+        searched[key] = sequence_json(out.sequence)
+    new = _rehash_shared(doc, lambda ev: ev.update(searched))
+    ok, msgs = verify_document(doc)
+    assert msgs == want and not any(new in m for m in msgs), msgs
+    new = _rehash_shared(doc, lambda ev: ev["desc_sequence"].pop())
+    ok, msgs = verify_document(doc)
+    assert any(new in m and "desc_sequence does not reach its core" in m for m in msgs), msgs

@@ -16,6 +16,7 @@ from morsecert.links import (
     CriticalLinkCertifier,
     LiftValue,
     build_cube_model,
+    canonical_pairs_graphs,
     canonical_pairs_transform,
     certify_boundary_cube,
     check_cusp_condition,
@@ -36,6 +37,7 @@ from morsecert.polytopes import (
 )
 from morsecert.states import (
     classify_bad_faces,
+    dismantling_problem,
     inherited_state,
     is_good_face,
     state_parts,
@@ -230,12 +232,14 @@ def test_critical_certifier_and_transform(P6, M6, BAL6):
     bad = classify_bad_faces(P6, M6)
     cert = CriticalLinkCertifier(seed=0, restarts=4)
     shared = cert.certificate(3)
-    assert shared.asc_outcome.success and shared.desc_outcome.success
-    # replay both collapses from scratch
-    lift = synthetic_pairs_lift(3)
-    asc, desc = face_links_oracle(lift)
-    assert replay_collapse(asc, shared.asc_outcome.sequence) == shared.asc_target
-    assert replay_collapse(desc, shared.desc_outcome.sequence) == shared.desc_target
+    assert shared.success
+    # both are dismantling orders ending exactly at the 26-element cores
+    orders = (shared.asc_sequence, shared.desc_sequence)
+    assert tuple(map(len, orders)) == (360, 316)
+    for (G, core), order in zip(canonical_pairs_graphs(3), orders):
+        assert len(core) == 26 and len(G.index) == len(order) + 26
+        assert dismantling_problem(G, order, core) is None
+        assert dismantling_problem(G, order[:-1], core) == "does not reach its core"
     # every bad vertex in every state matches the canonical cube
     for F in bad[(2, 2, 2)]:
         for s in BAL6[:4]:
