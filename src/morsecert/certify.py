@@ -15,6 +15,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -22,16 +23,15 @@ from .errors import InputError
 from .links import (
     CheckedFace,
     CriticalLinkCertifier,
-    build_cube_model,
-    canonical_pairs_transform,
     certify_boundary_cube,
     check_cusp_condition,
+    critical_transform,
+    cusp_table,
 )
 from .polytopes import (
     FaceHandle,
     FVectorReport,
     Polytope,
-    build_cusp_section,
     build_p5,
     build_p6,
     enumerate_faces,
@@ -46,12 +46,14 @@ from .states import (
     balanced_states_p5,
     balanced_states_p6,
     classify_bad_faces,
+    face_masks,
+    facet_mask,
     good_witness,
-    inherited_state,
     is_compatible,
     move_system_p5,
     move_system_p6,
     orbit,
+    split_state,
 )
 
 
@@ -276,52 +278,28 @@ def _classify_group(
         seed=seed,
         restarts=restarts,
     )
+    row = partial(VerdictRow, face=face_ids, codim=codim,
+                  representative_state=rep, state_indices=members)
     if lc.verdict == "Regular" and lc.branch == "inherited-totally-legal":
         payload = legality_evidence_payload({"type": "ambient"}, face_ids, lc.legality)
         eid = _eid(payload)
-        row = VerdictRow(
-            face=face_ids,
-            codim=codim,
-            branch=lc.branch,
-            verdict="Regular",
-            class_id="legal:" + serial,
-            representative_state=rep,
-            state_indices=members,
-            evidence_id=eid,
-        )
-        return row, {eid: payload}, None, None
+        return (row(branch=lc.branch, verdict="Regular", class_id="legal:" + serial,
+                    evidence_id=eid), {eid: payload}, None, None)
     if lc.verdict == "Critical":
         sid, _ = _shared_item(certifier, lc.critical)
         # validate the canonical transform for every other covered state;
         # classify_link validated the representative's
         for idx in members[1:]:
-            canonical_pairs_transform(build_cube_model(P, m, states[idx], F))
+            critical_transform(P, m, states[idx], F, certifier.transforms)
         ell, perm, delta = lc.transform
         payload = critical_header(face_ids, ell, sid, perm, delta)
         eid = _eid(payload)
-        row = VerdictRow(
-            face=face_ids,
-            codim=codim,
-            branch=lc.branch,
-            verdict=f"Critical({lc.index})",
-            class_id="critical",
-            representative_state=rep,
-            state_indices=members,
-            evidence_id=eid,
-            transform={"perm": list(perm), "delta": delta},
-        )
-        return row, {eid: payload}, sid, None
-    row = VerdictRow(
-        face=face_ids,
-        codim=codim,
-        branch="unknown",
-        verdict="Unknown",
-        class_id="unknown:" + serial,
-        representative_state=rep,
-        state_indices=members,
-    )
+        return (row(branch=lc.branch, verdict=f"Critical({lc.index})", class_id="critical",
+                    evidence_id=eid, transform={"perm": list(perm), "delta": delta}),
+                {eid: payload}, sid, None)
     failure = f"Unknown verdict at face {face_ids} class {serial!r}: {lc.note}"
-    return row, {}, None, failure
+    return (row(branch="unknown", verdict="Unknown", class_id="unknown:" + serial),
+            {}, None, failure)
 
 
 _WORKER_CTX: dict = {}
@@ -358,6 +336,7 @@ def _verdict_sweep(
     evidence: Dict[str, dict] = {}
     shared: Dict[str, dict] = {}
     all_states = tuple(range(len(states)))
+    in_masks = [facet_mask(P, s.in_facets) for s in states]
     tasks = []  # bad-face groups, in canonical order
     ordering = {}  # face -> position, to interleave good rows deterministically
     for codim in range(0, P.dimension + 1):
@@ -379,11 +358,13 @@ def _verdict_sweep(
                     )
                 )
                 continue
-            groups: Dict[str, List[int]] = {}
-            for idx, s in enumerate(states):
-                groups.setdefault(inherited_state(P, m, s, F).serial(), []).append(idx)
-            for serial in sorted(groups):
-                tasks.append((ids, codim, serial, tuple(groups[serial])))
+            # one class per inherited In part
+            dual, free = face_masks(P, m, F)
+            groups: Dict[int, List[int]] = {}
+            for idx, s_in in enumerate(in_masks):
+                groups.setdefault(free & s_in, []).append(idx)
+            tasks += sorted((ids, codim, split_state(P, dual, inn).serial(), tuple(ms))
+                            for inn, ms in groups.items())
 
     # the shared critical certificates and their items, built before any
     # fork so that workers inherit them and return only their ids
@@ -432,14 +413,14 @@ def _cusp_suite(
     """One row per (cusp, state), cusps in the polytope's order."""
     rows: List[CuspRow] = []
     for iv in P.ideal_vertices:
-        section = build_cusp_section(P, iv.id)
+        table = cusp_table(P, m, iv.id)
         for idx, s in enumerate(states):
             cond = check_cusp_condition(P, s, iv.id, m)
             if not cond.ok:
                 failures.append(f"cusp condition fails at {iv.id} state {idx}")
                 rows.append(CuspRow(iv.id, idx, False, None, None, False, 0, 0, ()))
                 continue
-            bc = certify_boundary_cube(P, m, s, iv.id, section=section)
+            bc = certify_boundary_cube(P, m, s, iv.id, table=table)
             for face_ids, apexes in bc.checked:
                 if None in apexes:
                     failures.append(
@@ -554,9 +535,7 @@ def run_pipeline(
     per_face: Dict[Tuple[str, ...], list] = {}
     for row in rows:
         per_face.setdefault(row.face, []).extend(row.state_indices)
-    n_faces = sum(
-        len(enumerate_faces(P, c)) for c in range(0, P.dimension + 1)
-    )
+    n_faces = sum(len(enumerate_faces(P, c)) for c in range(0, P.dimension + 1))
     if len(per_face) != n_faces:
         failures.append("verdict table does not cover every face")
     for face, idxs in per_face.items():

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import total_ordering
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .complexes import (
     SimplicialComplex,
@@ -36,6 +36,8 @@ from .states import (
     bad_faces,
     cone_apex,
     dismantling_steps,
+    face_masks,
+    facet_mask,
     good_witness,
     inherited_state,
     is_compatible,
@@ -450,6 +452,8 @@ class CriticalLinkCertifier:
         self.seed = seed
         self.restarts = restarts
         self._cache: Dict[int, CriticalCertificate] = {}
+        # this run's `critical_transform` memo
+        self.transforms: dict = {}
         # per-ℓ serialised form of the certificate, filled by the caller
         # that serialises it
         self.serialised: Dict[int, object] = {}
@@ -571,6 +575,24 @@ def canonical_pairs_transform(model: CubeModel):
     return ell, tuple(perm), delta
 
 
+def critical_transform(P: Polytope, m: MoveSystem, s: State, F: FaceHandle, memo: dict):
+    """`canonical_pairs_transform` of F's cube model at s, kept in `memo`,
+    which the caller's run owns, under all it depends on: which of F's
+    sorted defining facets share a move, and s's statuses on them.  A
+    transform that fails raises and is not kept.  Each state's
+    `is_compatible` result is kept under the state."""
+    ok, witness = memo[s] = memo.get(s) or is_compatible(P, m, s)
+    if not ok:
+        raise InputError(f"state is not compatible: witness pair {witness!r}")
+    defining = sorted(F.defining)
+    moves = [m.block_of(fid) for fid in defining]
+    key = (tuple(map(moves.index, moves)), tuple(s.status(f) == OUT for f in defining))
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = canonical_pairs_transform(build_cube_model(P, m, s, F))
+    return got
+
+
 # -- link classification ------------------------------------------------------
 
 
@@ -623,7 +645,7 @@ def classify_link(
     if ell is not None:
         if certifier is None:
             certifier = CriticalLinkCertifier(seed=seed, restarts=restarts)
-        transform = canonical_pairs_transform(build_cube_model(P, m, s, F))
+        transform = critical_transform(P, m, s, F, certifier.transforms)
         cert = certifier.certificate(ell)
         if cert.success:
             return LinkClassification(
@@ -671,6 +693,23 @@ def check_cusp_condition(
     return CuspConditionResult(False, None, None)
 
 
+class CuspTable(NamedTuple):
+    """What certifying a cusp's horospherical cube needs of the cusp alone,
+    built once for all states: the section, its number of faces, and its bad
+    faces in canonical order, each id tuple mapped to its `face_masks`."""
+
+    section: Polytope
+    n_faces: int
+    bad: Dict[Tuple[str, ...], Tuple[int, int]]
+
+
+def cusp_table(P: Polytope, m: MoveSystem, cusp_id: str) -> CuspTable:
+    H = build_cusp_section(P, cusp_id)
+    mH = m.restrict(H.facet_ids)
+    n_faces, bad = bad_faces(H, mH)
+    return CuspTable(H, n_faces, {F.sorted_ids(): face_masks(H, mH, F) for F in bad})
+
+
 # A bad face of a boundary cube with the cone apexes of its Out and In parts
 CheckedFace = Tuple[Tuple[str, ...], Tuple[Optional[str], Optional[str]]]
 
@@ -700,27 +739,23 @@ def certify_boundary_cube(
     s: State,
     cusp_id: str,
     *,
-    section: Optional[Polytope] = None,
+    table: Optional[CuspTable] = None,
 ) -> BoundaryCubeCertificate:
-    """Certify every face of the horospherical cube with restricted moves and
-    state.  A good face is Regular; a bad face is Regular when both parts of
-    its dual split by the inherited state are cones.
+    """Certify every face of the horospherical cube, given or built by
+    `cusp_table`, with restricted moves and state.  A good face is Regular;
+    a bad face is Regular when both parts of its dual split by the inherited
+    state are cones.
 
     The section is a combinatorial cube, so the dual of each of its faces is
     a join of 0-spheres and each part a join of points and 0-spheres: a part
     collapses to a point exactly when it is a cone, and its apex, a vertex
     that dominates every other one, is the whole certificate.
     """
+    table = table if table is not None else cusp_table(P, m, cusp_id)
     cond = check_cusp_condition(P, s, cusp_id, m)
     if not cond.ok:
         raise InputError(f"cusp condition fails at {cusp_id}")
-    H = section if section is not None else build_cusp_section(P, cusp_id)
-    mH = m.restrict(H.facet_ids)
-    sH = s.restrict(H.facet_ids)
-    n_faces, bad = bad_faces(H, mH)
-    checked = []
-    for F in bad:
-        split = inherited_state(H, mH, sH, F)
-        apexes = (cone_apex(H, split.out_facets), cone_apex(H, split.in_facets))
-        checked.append((F.sorted_ids(), apexes))
-    return BoundaryCubeCertificate(cusp_id, cond, n_faces, tuple(checked))
+    H, s_in = table.section, facet_mask(table.section, s.in_facets)
+    checked = tuple((ids, (cone_apex(H, dual & ~(free & s_in)), cone_apex(H, free & s_in)))
+                    for ids, (dual, free) in table.bad.items())
+    return BoundaryCubeCertificate(cusp_id, cond, table.n_faces, checked)

@@ -233,10 +233,9 @@ def _dual_mask(P: Polytope, F: FaceHandle) -> int:
     return allowed
 
 
-def dual_vertices(P: Polytope, F: FaceHandle) -> Tuple[str, ...]:
-    """The vertices of F's dual complex in sorted order, without building it."""
-    allowed = _dual_mask(P, F)
-    return tuple(sorted(fid for i, fid in enumerate(P.facet_ids) if allowed >> i & 1))
+def mask_ids(P: Polytope, mask: int) -> Tuple[str, ...]:
+    """The facets in `mask`, a mask over P's facet indices, in sorted order."""
+    return tuple(sorted(fid for i, fid in enumerate(P.facet_ids) if mask >> i & 1))
 
 
 def dual_complex(P: Polytope, F: FaceHandle) -> SimplicialComplex:

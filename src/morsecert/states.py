@@ -24,9 +24,10 @@ from .errors import InputError, StructuralError
 from .polytopes import (
     FaceHandle,
     Polytope,
+    _dual_mask,
     dual_complex,
-    dual_vertices,
     enumerate_faces,
+    mask_ids,
 )
 
 IN, OUT = "I", "O"
@@ -95,13 +96,6 @@ class State:
 
     def serial(self) -> str:
         return "".join(IN if f in self.in_facets else OUT for f in self.universe)
-
-    def restrict(self, facet_ids: Sequence[str]) -> "State":
-        ids = tuple(sorted(facet_ids))
-        unknown = set(ids) - set(self.universe)
-        if unknown:
-            raise InputError(f"cannot restrict to unknown facets {sorted(unknown)!r}")
-        return State(ids, frozenset(f for f in ids if f in self.in_facets))
 
 
 def state_from_in_set(P: Polytope, in_facets: Iterable[str]) -> State:
@@ -303,18 +297,33 @@ def classify_bad_faces(P: Polytope, m: MoveSystem):
 # Inherited states and legality
 
 
+def facet_mask(P: Polytope, ids: Iterable[str]) -> int:
+    """The bit mask, over P's facet indices, of the facets of P among `ids`."""
+    return sum(1 << P.index[f] for f in ids if f in P.index)
+
+
+def face_masks(P: Polytope, m: MoveSystem, F: FaceHandle) -> Tuple[int, int]:
+    """(dual, free): F's dual vertices as a facet mask, and those whose move
+    meets no defining facet of F.  A state with In facets s_in inherits the
+    split in = free & s_in, out = dual & ~in on F."""
+    blocked = {m.block_of(fid) for fid in F.defining}
+    dual = _dual_mask(P, F)
+    return dual, dual & ~facet_mask(P, (f for b in blocked for f in m.blocks[b]))
+
+
+def split_state(P: Polytope, dual: int, inn: int) -> State:
+    return State(mask_ids(P, dual), frozenset(mask_ids(P, inn)))
+
+
 def inherited_state(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> State:
     """State induced on the facets of F (vertices of its dual complex).
 
     A facet sharing a move with some defining facet gets Out regardless of s;
     all other facets keep their ambient status.  For F = P this is s itself.
+    s may be a state of a polytope P is a section of.
     """
-    blocked = {m.block_of(fid) for fid in F.defining}
-    ids = dual_vertices(P, F)
-    in_set = frozenset(
-        fid for fid in ids if m.block_of(fid) not in blocked and s.is_in(fid)
-    )
-    return State(ids, in_set)
+    dual, free = face_masks(P, m, F)
+    return split_state(P, dual, free & facet_mask(P, s.in_facets))
 
 
 def state_parts(
@@ -427,13 +436,19 @@ def dismantling_order(P: Polytope, vertices: Iterable[str]) -> Optional[list]:
     return dismantling_steps(part_graph(P, vertices))
 
 
-def cone_apex(P: Polytope, vertices: Iterable[str]) -> Optional[str]:
-    """The first vertex, in sorted order, that dominates every other vertex
-    of the part (a cone apex); None when there is none."""
-    order = sorted(vertices)
-    part = sum(1 << P.index[v] for v in order)
-    return next((w for w in order
-                 if not part & ~(P._nbr_mask[P.index[w]] | 1 << P.index[w])), None)
+def is_cone_apex(P: Polytope, part: int, apex) -> bool:
+    """Whether `apex` is a facet in `part`, a facet mask, adjacent to every
+    other one: exactly when the one-round order [[v, apex], ...] over the
+    part's other facets dismantles it (`dismantling_problem`)."""
+    w = P.index.get(apex)
+    return (w is not None and type(apex) is type(P.facet_ids[w])
+            and bool(part >> w & 1) and not part & ~(P._nbr_mask[w] | 1 << w))
+
+
+def cone_apex(P: Polytope, part: int) -> Optional[str]:
+    """The `is_cone_apex` of `part` of lowest index; None when it has none."""
+    return next((f for i, f in enumerate(P.facet_ids)
+                 if part >> i & 1 and is_cone_apex(P, part, f)), None)
 
 
 def part_certificate(
@@ -548,7 +563,7 @@ def legality(
     the given state, collapse to a point.  A collapsible complex is
     contractible, so no homology is computed.
     """
-    if set(s_on_f.universe) != set(dual_vertices(P, F)):
+    if set(s_on_f.universe) != set(mask_ids(P, _dual_mask(P, F))):
         raise InputError("state universe does not match the dual complex vertices")
     out_v, in_v = sorted(s_on_f.out_facets), sorted(s_on_f.in_facets)
     out_seq, in_seq = (part_certificate(P, F, part, seed=seed, restarts=restarts)

@@ -1,10 +1,11 @@
 """Standalone re-validation of structured reports, with zero search.
 
 Every combinatorial table is recomputed from the deterministic constructions
-and compared.  Every dismantling order, and a cusp's cone apexes as the
-one-round orders they determine, is checked step by step on adjacency masks:
-the facet graph for a legality part, the comparability graph of the face
-poset for a shared critical link.  Every elementary collapse sequence, a
+and compared.  Every dismantling order is checked step by step on adjacency
+masks: the facet graph for a legality part, the comparability graph of the
+face poset for a shared critical link.  A cusp's cone apex stands for a
+one-round order, which holds exactly when the apex is in the part and the
+part in its closed neighbourhood.  Every elementary collapse sequence, a
 fallback that the built-in subjects never use, and every isomorphism witness
 is replayed.
 Nothing here invokes a collapse search, so verification cost is a small
@@ -29,15 +30,14 @@ from .complexes import replay_collapse
 from .errors import InputError, InternalError
 from .io import load_json, moves_from_doc, polytope_from_doc, state_from_doc
 from .links import (
-    build_cube_model,
     canonical_pairs_graphs,
     canonical_pairs_links,
-    canonical_pairs_transform,
     check_cusp_condition,
+    critical_transform,
+    cusp_table,
 )
 from .polytopes import (
     FaceHandle,
-    build_cusp_section,
     build_p5,
     build_p6,
     enumerate_faces,
@@ -48,16 +48,18 @@ from .states import (
     all_pairs_index,
     balanced_states_p5,
     balanced_states_p6,
-    bad_faces,
     certificate_problem,
     classify_bad_faces,
     dismantling_problem,
+    face_masks,
+    facet_mask,
     good_witness,
-    inherited_state,
+    is_cone_apex,
     move_system_p5,
     move_system_p6,
     orbit,
     sequence_form,
+    split_state,
 )
 
 # A header value standing for a citation: the cited id is read from the item
@@ -79,6 +81,8 @@ class _Verifier:
         self.doc = doc
         self.messages: List[str] = []
         self._evidence_ok: Dict[Tuple[str, str], bool] = {}
+        # this run's `critical_transform` memo
+        self._transforms: dict = {}
 
     def fail(self, msg: str):
         self.messages.append(msg)
@@ -146,6 +150,10 @@ class _Verifier:
             or e.passed != ed["pass"]
         ):
             self.fail("consistency identity mismatch")
+        if not e.passed:
+            self.fail(f"consistency identity fails: chi {e.chi_per_copy} per copy, "
+                      f"{e.critical_count} critical vertices "
+                      f"(-{e.critical_per_copy} per copy)")
 
     # -- evidence binding and replay ---------------------------------------
 
@@ -203,11 +211,10 @@ class _Verifier:
     def check_verdicts(self):
         doc, P, m, states = self.doc, self.P, self.m, self.states
         rows = doc["verdicts"]["rows"]
+        in_masks = [facet_mask(P, s.in_facets) for s in states]
         coverage: Dict[Tuple[str, ...], list] = {}
-        want_faces = set()
-        for codim in range(0, P.dimension + 1):
-            for F in enumerate_faces(P, codim):
-                want_faces.add(F.sorted_ids())
+        want_faces = {F.sorted_ids() for codim in range(0, P.dimension + 1)
+                      for F in enumerate_faces(P, codim)}
         for row in rows:
             face = tuple(row["face"])
             coverage.setdefault(face, []).extend(row["states"])
@@ -236,14 +243,16 @@ class _Verifier:
             elif branch == "inherited-totally-legal":
                 if row["verdict"] != "Regular":
                     self.fail(f"face {face}: totally legal class must be Regular")
-                serial = row["class"].split(":", 1)[1]
+                dual, free = face_masks(P, m, F)
+                inn = free & in_masks[row["states"][0]]
+                split = split_state(P, dual, inn)
+                in_class = split.serial() == row["class"].split(":", 1)[1]
                 for idx in row["states"]:
-                    if inherited_state(P, m, states[idx], F).serial() != serial:
+                    if not in_class or free & in_masks[idx] != inn:
                         self.fail(
                             f"face {face}: state {idx} not in inherited class"
                         )
                         break
-                split = inherited_state(P, m, states[row["states"][0]], F)
                 self._legality(row["evidence"], F, split, where)
             elif branch == "critical-pairs":
                 self._check_critical(row, F, where)
@@ -275,8 +284,8 @@ class _Verifier:
         transforms = {}
         for idx in row["states"]:
             try:
-                transforms[idx] = canonical_pairs_transform(
-                    build_cube_model(P, m, states[idx], F)
+                transforms[idx] = critical_transform(
+                    P, m, states[idx], F, self._transforms
                 )
             except (InputError, InternalError) as exc:
                 self.fail(f"{where}: evidence {eid}: state {idx} does not match "
@@ -328,27 +337,22 @@ class _Verifier:
         got = {(r["cusp"], r["state"]) for r in rows}
         if want != got:
             self.fail("cusp table does not cover every (cusp, state) pair")
-        sections: Dict[str, tuple] = {}
+        tables: Dict[str, tuple] = {}
         for row in rows:
             cusp, idx = row["cusp"], row["state"]
+            if cusp not in tables:
+                tables[cusp] = cusp_table(P, m, cusp)
+            H, n_faces, bad = tables[cusp]
             cond = check_cusp_condition(P, states[idx], cusp, m)
             if not cond.ok:
                 self.fail(f"cusp {cusp} state {idx}: condition does not hold")
                 continue
-            if not row["ok"] or row["move"] != cond.move_index or tuple(
-                row["pair"]
-            ) != cond.pair:
+            witness = (cond.move_index, cond.pair)
+            if not row["ok"] or (row["move"], tuple(row["pair"])) != witness:
                 self.fail(f"cusp {cusp} state {idx}: recorded witness mismatch")
             if not row["all_regular"]:
                 self.fail(f"cusp {cusp} state {idx}: not all Regular")
                 continue
-            section = sections.get(cusp)
-            if section is None:
-                H = build_cusp_section(P, cusp)
-                mH = m.restrict(H.facet_ids)
-                n_faces, bad = bad_faces(H, mH)
-                section = sections[cusp] = (H, mH, n_faces, {F.sorted_ids() for F in bad})
-            H, mH, n_faces, non_good = section
             where = f"cusp {cusp} state {idx}"
             checked = [(tuple(face), apexes) for face, apexes in row["checked"]]
             faces = [face for face, _ in checked]
@@ -356,23 +360,20 @@ class _Verifier:
             if twice:
                 self.fail(f"{where}: face {twice[0]} is checked twice")
                 continue
-            if set(faces) != non_good:
+            if set(faces) != set(bad):
                 self.fail(f"{where}: checked faces != bad faces")
                 continue
-            if row["n_faces"] != n_faces or row["n_good"] != n_faces - len(non_good):
+            if row["n_faces"] != n_faces or row["n_good"] != n_faces - len(bad):
                 self.fail(f"{where}: face counts mismatch")
-            sH = states[idx].restrict(H.facet_ids)
+            s_in = facet_mask(H, states[idx].in_facets)
             for face, (out_apex, in_apex) in checked:
-                F = FaceHandle(frozenset(face))
-                split = inherited_state(H, mH, sH, F)
-                for side, part, apex in (("Out", split.out_facets, out_apex),
-                                         ("In", split.in_facets, in_apex)):
-                    # a cone apex stands for a one-round dismantling order
-                    order = [[v, apex] for v in sorted(part) if v != apex]
-                    problem = certificate_problem(H, F, part, order)
-                    if problem is not None:
-                        self.fail(f"{where}: face {face}: {side} apex {apex!r}: "
-                                  f"{problem}")
+                dual, free = bad[face]
+                inn = free & s_in
+                for side, part, apex in (("Out", dual & ~inn, out_apex),
+                                         ("In", inn, in_apex)):
+                    if not is_cone_apex(H, part, apex):
+                        self.fail(f"{where}: face {face}: {side} apex {apex!r} "
+                                  "is no cone apex of the part")
 
     def check_bound(self):
         """Every evidence item must be bound to some claim that cites it."""

@@ -8,6 +8,7 @@ from morsecert.certify import (
     _eid,
     certify_generic,
     certify_p5,
+    certify_p6,
     euler_identity,
 )
 from morsecert.cli import main
@@ -127,6 +128,14 @@ def test_parallel_matches_serial():
     assert certificate_to_document(serial) == certificate_to_document(parallel)
 
 
+def test_parallel_matches_serial_p6(cert_p6):
+    """p6 has critical rows, whose transforms the workers validate with the
+    memo of the certifier they inherit."""
+    parallel = certify_p6(parallel=2)
+    assert document_to_json(certificate_to_document(cert_p6)) == document_to_json(
+        certificate_to_document(parallel))
+
+
 # -- reports ---------------------------------------------------------------------
 
 
@@ -219,10 +228,10 @@ def _cusp_entry_parts(doc):
     for row in doc["cusps"]["rows"]:
         H = build_cusp_section(P, row["cusp"])
         mH = m.restrict(H.facet_ids)
-        sH = states[row["state"]].restrict(H.facet_ids)
+        s = states[row["state"]]
         for entry in row["checked"]:
             F = FaceHandle(frozenset(entry[0]))
-            yield entry, state_parts(H, F, inherited_state(H, mH, sH, F))
+            yield entry, state_parts(H, F, inherited_state(H, mH, s, F))
 
 
 def _wrong_apex(doc):
@@ -560,6 +569,26 @@ def test_cli_generic_and_exit_codes(tmp_path, capsys):
     assert "'a'" in err and "'c'" in err
     # unreadable report: exit code 2
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
+
+
+def test_verify_requires_the_consistency_identity(tmp_path, capsys):
+    """The generic square with moves [a,b] [c,d] has chi 0 per copy against
+    -1/2 from its two all-pairs vertices; a report edited to claim a pass
+    must still be rejected for the identity."""
+    pol, _, state = square_inputs()
+    moves = [["a", "b"], ["c", "d"]]
+    P = polytope_from_doc(pol)
+    cert = certify_generic(
+        P, moves_from_doc(moves, P), state_from_doc(state, P), mode="perfect",
+        generic_inputs={"polytope": pol, "moves": moves, "state": state},
+    )
+    doc = certificate_to_document(cert)
+    assert doc["euler"]["pass"] is False
+    doc["pass"], doc["failures"] = True, []
+    write_json(tmp_path / "r.json", doc)
+    assert main(["verify", str(tmp_path / "r.json")]) == 1
+    out = capsys.readouterr().out
+    assert "consistency identity fails: chi 0 per copy, 2 critical vertices" in out
 
 
 def test_cli_parallel_flag(tmp_path):

@@ -27,8 +27,10 @@ from morsecert.complexes import (
 from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
 from morsecert.links import (
     CriticalLinkCertifier,
+    build_cube_model,
     canonical_pairs_graphs,
     canonical_pairs_links,
+    canonical_pairs_transform,
     face_contains,
     face_links_oracle,
     pairs_core_elements,
@@ -38,9 +40,12 @@ from morsecert.polytopes import Facet, FaceHandle, Polytope, dual_complex
 from morsecert.report import certificate_to_document, document_to_json
 from morsecert.states import (
     State,
+    all_pairs_index,
+    bad_faces,
     certificate_problem,
     cone_apex,
     dismantling_order,
+    facet_mask,
     legality,
     sequence_form,
 )
@@ -215,7 +220,7 @@ def test_fallback_for_a_part_that_does_not_dismantle():
     # the facet graph's clique complex is K itself plus the isolated x
     assert full_subcomplex(dual_complex(P, whole), K.vertices) == K
     assert dismantling_order(P, K.vertices) is None
-    assert cone_apex(P, K.vertices) is None
+    assert cone_apex(P, facet_mask(P, K.vertices)) is None
     searched = try_collapse(K, restarts=0)
     assert searched.success and len(searched.sequence) == 36
     state = State(tuple(sorted(P.facet_ids)), frozenset(K.vertices))
@@ -246,9 +251,19 @@ def test_elementary_fallback_item_verifies(P5, cert_p5):
     assert ok, msgs
 
 
+def _rebind(monkeypatch, original, replacement):
+    """Bind every morsecert name bound to `original` to `replacement`."""
+    import morsecert.cli  # noqa: F401  (loads every module that imports it)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname == "morsecert" or modname.startswith("morsecert."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, replacement)
+
+
 def _forbid(monkeypatch, functions):
     """Make every morsecert name bound to one of `functions` raise."""
-    import morsecert.cli  # noqa: F401  (loads every module that imports them)
 
     def stub(name):
         def raising(*args, **kwargs):
@@ -256,11 +271,20 @@ def _forbid(monkeypatch, functions):
         return raising
 
     for original in functions:
-        for modname, mod in list(sys.modules.items()):
-            if modname == "morsecert" or modname.startswith("morsecert."):
-                for key, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, key, stub(original.__name__))
+        _rebind(monkeypatch, original, stub(original.__name__))
+
+
+def _count(monkeypatch, original) -> list:
+    """Record the arguments of every call of `original` made through a
+    morsecert name; returns the list of them."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    _rebind(monkeypatch, original, counting)
+    return calls
 
 
 def test_p5_runs_no_search_and_builds_no_part(monkeypatch):
@@ -284,6 +308,57 @@ def test_p6_runs_no_search_and_builds_no_link(monkeypatch):
     assert cert.passed, cert.failures
     ok, msgs = verify_document(_report(cert))
     assert ok, msgs
+
+
+def _transform_key(model):
+    """What a critical transform depends on: which cube positions share a
+    move, and the base statuses."""
+    return model.lift.blocks, model.base_status_out
+
+
+def test_critical_transforms_built_once_per_key_and_run(monkeypatch, P6, M6, BAL6):
+    """Certify and verify each build one cube model per distinct transform
+    key, and a second verify builds them again: the memo belongs to the run,
+    not to the module."""
+    keys = {
+        _transform_key(build_cube_model(P6, M6, s, F))
+        for F in bad_faces(P6, M6)[1] if all_pairs_index(P6, M6, F) is not None
+        for s in BAL6
+    }
+    assert len(keys) == 48
+    calls = _count(monkeypatch, build_cube_model)
+    cert = certify_p6()
+    assert cert.passed, cert.failures
+    assert len(calls) == 48
+    assert {_transform_key(build_cube_model(*args)) for args in calls} == keys
+    doc = _report(cert)
+    for _ in range(2):
+        del calls[:]
+        ok, msgs = verify_document(doc)
+        assert ok, msgs
+        assert len(calls) == 48
+
+
+def test_row_transform_of_another_state_is_rejected(P6, M6, BAL6, cert_p6):
+    """A critical row's transform edited to that of one of its other states,
+    or its representative moved to that state, no longer binds."""
+    doc = _report(cert_p6)
+    row = next(r for r in doc["verdicts"]["rows"] if r["branch"] == "critical-pairs")
+    F = FaceHandle(frozenset(row["face"]))
+
+    def transform(idx):
+        _, perm, delta = canonical_pairs_transform(build_cube_model(P6, M6, BAL6[idx], F))
+        return {"perm": list(perm), "delta": delta}
+
+    assert row["transform"] == transform(row["representative_state"])
+    other = next(i for i in row["states"] if transform(i) != row["transform"])
+    for edit in ({"transform": transform(other)}, {"representative_state": other}):
+        tampered = json.loads(json.dumps(doc))
+        target = next(r for r in tampered["verdicts"]["rows"] if r["face"] == row["face"])
+        target.update(edit)
+        ok, msgs = verify_document(tampered)
+        assert not ok
+        assert any("row transform does not match" in msg for msg in msgs), edit
 
 
 # -- the shared critical item ------------------------------------------------

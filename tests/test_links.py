@@ -19,6 +19,7 @@ from morsecert.links import (
     canonical_pairs_graphs,
     canonical_pairs_transform,
     certify_boundary_cube,
+    cusp_table,
     check_cusp_condition,
     classify_link,
     coface_links_fast,
@@ -309,10 +310,9 @@ def test_certify_boundary_cube(P6, M6, BAL6):
     # faces inside a witness facet are good
     f1, _ = bc.condition.pair
     assert not any(f1 in face for face in bad)
-    sH = s.restrict(H.facet_ids)
     for face, apexes in bc.checked:
         F = FaceHandle(frozenset(face))
-        for K, apex in zip(state_parts(H, F, inherited_state(H, mH, sH, F)), apexes):
+        for K, apex in zip(state_parts(H, F, inherited_state(H, mH, s, F)), apexes):
             assert apex == K.star_vertex_apexes()[0]
             assert replay_collapse(K, cone_collapse_pairs(K, apex)).vertices == (apex,)
 
@@ -330,14 +330,14 @@ def _cusp_apexes_match_legality(P, m, states, cusp_ids):
 
     n = 0
     for cusp in cusp_ids:
-        H = build_cusp_section(P, cusp)
+        table = cusp_table(P, m, cusp)
+        H = table.section
         mH = m.restrict(H.facet_ids)
         for s in states:
-            bc = certify_boundary_cube(P, m, s, cusp, section=H)
-            sH = s.restrict(H.facet_ids)
+            bc = certify_boundary_cube(P, m, s, cusp, table=table)
             for face, apexes in bc.checked:
                 F = FaceHandle(frozenset(face))
-                parts = state_parts(H, F, inherited_state(H, mH, sH, F))
+                parts = state_parts(H, F, inherited_state(H, mH, s, F))
                 legal = all(map(collapses, parts))
                 assert (None not in apexes) == legal, (cusp, face)
                 n += 1
