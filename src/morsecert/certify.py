@@ -24,7 +24,6 @@ from .links import (
     CheckedFace,
     CriticalLinkCertifier,
     certify_boundary_cube,
-    check_cusp_condition,
     critical_transform,
     cusp_table,
 )
@@ -53,7 +52,6 @@ from .states import (
     move_system_p5,
     move_system_p6,
     orbit,
-    split_state,
 )
 
 
@@ -83,19 +81,6 @@ def legality_header(
     }
 
 
-def critical_header(
-    face_ids: Sequence[str], ell: int, shared: str, perm: Sequence[int], delta: int
-) -> dict:
-    return {
-        "kind": "critical",
-        "face": list(face_ids),
-        "ell": ell,
-        "shared": shared,
-        "perm": list(perm),
-        "delta": delta,
-    }
-
-
 def shared_header(ell: int) -> dict:
     return {"kind": "critical-shared", "ell": ell}
 
@@ -103,7 +88,6 @@ def shared_header(ell: int) -> dict:
 # The sequences an evidence item of each kind carries after its header.
 SEQUENCE_KEYS = {
     "legality": ("out_sequence", "in_sequence"),
-    "critical": (),
     "critical-shared": ("asc_sequence", "desc_sequence"),
 }
 
@@ -131,12 +115,9 @@ def critical_shared_payload(cert) -> dict:
 @dataclass(frozen=True)
 class VerdictRow:
     face: Tuple[str, ...]
-    codim: int
     branch: str
     verdict: str
-    class_id: str
-    representative_state: int
-    state_indices: Tuple[int, ...]
+    state_indices: Tuple[int, ...]  # ascending; the first is the representative
     witness_move: Optional[int] = None
     evidence_id: Optional[str] = None
     transform: Optional[dict] = None
@@ -157,7 +138,6 @@ class CuspRow:
 
 @dataclass(frozen=True)
 class EulerRecord:
-    clique_counts: Tuple[int, ...]
     chi_per_copy: Fraction
     critical_count: int
     critical_per_copy: Fraction
@@ -170,15 +150,8 @@ class Certificate:
     mode: str
     passed: bool
     seed: int
-    restarts: int
-    inputs_digest: str
-    polytope_name: str
-    dimension: int
-    facet_ids: Tuple[str, ...]
-    moves_blocks: Tuple[Tuple[str, ...], ...]
-    orbit_serials: Tuple[str, ...]
     f_vector: FVectorReport
-    bad_faces: Dict[Tuple[int, ...], Tuple[Tuple[str, ...], ...]]
+    bad_faces: Dict[Tuple[int, ...], Tuple[FaceHandle, ...]]
     bad_faces_passed: Optional[bool]
     verdict_rows: Tuple[VerdictRow, ...]
     evidence: Dict[str, dict]
@@ -187,7 +160,12 @@ class Certificate:
     euler: EulerRecord
     failures: Tuple[str, ...]
     timings: Dict[str, float]
+    tables: dict  # `report_tables`: polytope, moves, orbit and the rest
     generic_inputs: Optional[dict] = None
+
+    @property
+    def orbit_serials(self) -> Tuple[str, ...]:
+        return tuple(self.tables["orbit"])
 
     def summary_line(self) -> str:
         tag = {"P6_perfect_morse": "P6", "P5_fibration": "P5"}.get(
@@ -195,7 +173,7 @@ class Certificate:
         )
         if self.passed:
             if self.mode == "perfect":
-                idx = self.dimension // 2
+                idx = self.tables["polytope"]["dimension"] // 2
                 return (
                     f"{tag}: PERFECT MORSE CERTIFIED "
                     f"(all links Regular or Critical({idx}))"
@@ -236,7 +214,35 @@ def euler_identity(P: Polytope, m: MoveSystem) -> EulerRecord:
         if all_pairs_index(P, m, F) is not None
     )
     crit = Fraction(n_crit, 2 ** P.dimension)
-    return EulerRecord(tuple(counts), chi, n_crit, crit, chi == -crit)
+    return EulerRecord(chi, n_crit, crit, chi == -crit)
+
+
+def report_tables(
+    P: Polytope, m: MoveSystem, states: Sequence[State], fv: FVectorReport,
+    bad: Dict[Tuple[int, ...], Tuple[FaceHandle, ...]], euler: EulerRecord,
+    inputs_digest: str,
+) -> dict:
+    """The deterministic sections of a report, in report order, from what the
+    caller already computed.  The pipeline's certificate carries them to the
+    report, and the verifier compares a report's sections with this function
+    applied to its own recomputation, so each section has this one writer."""
+    chi = euler.chi_per_copy
+    return {
+        "inputs_digest": inputs_digest,
+        "polytope": {"name": P.name, "dimension": P.dimension, "facets": list(P.facet_ids)},
+        "moves": [sorted(b) for b in m.blocks],
+        "orbit": [s.serial() for s in states],
+        "f_vector": {"clique_counts": list(fv.clique_counts), "degrees": list(fv.degrees)},
+        "bad_faces": {"signatures": {
+            ",".join(map(str, sig)): [list(F.sorted_ids()) for F in faces]
+            for sig, faces in sorted(bad.items())
+        }},
+        "euler": {
+            "chi_per_copy": [chi.numerator, chi.denominator],
+            "critical_count": euler.critical_count,
+            "pass": euler.passed,
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -258,67 +264,47 @@ def _classify_group(
     m: MoveSystem,
     states: Sequence[State],
     face_ids: Tuple[str, ...],
-    codim: int,
-    serial: str,
     members: Tuple[int, ...],
     *,
     certifier: CriticalLinkCertifier,
     seed: int,
-    restarts: int,
 ):
-    """Classify one (face, inherited-class) group; returns (row, evidence,
-    id of the cited shared item or None, failure-or-None)."""
+    """Classify one (face, inherited-class) group, represented by its first
+    state; returns (row, evidence, id of the cited shared item or None,
+    failure-or-None)."""
     from .links import classify_link
 
     F = FaceHandle(frozenset(face_ids))
-    rep = members[0]
-    lc = classify_link(
-        P, m, states[rep], F,
-        certifier=certifier,
-        seed=seed,
-        restarts=restarts,
-    )
-    row = partial(VerdictRow, face=face_ids, codim=codim,
-                  representative_state=rep, state_indices=members)
+    lc = classify_link(P, m, states[members[0]], F, certifier=certifier, seed=seed)
+    row = partial(VerdictRow, face=face_ids, state_indices=members, branch=lc.branch)
     if lc.verdict == "Regular" and lc.branch == "inherited-totally-legal":
         payload = legality_evidence_payload({"type": "ambient"}, face_ids, lc.legality)
         eid = _eid(payload)
-        return (row(branch=lc.branch, verdict="Regular", class_id="legal:" + serial,
-                    evidence_id=eid), {eid: payload}, None, None)
+        return row(verdict="Regular", evidence_id=eid), {eid: payload}, None, None
     if lc.verdict == "Critical":
         sid, _ = _shared_item(certifier, lc.critical)
         # validate the canonical transform for every other covered state;
         # classify_link validated the representative's
         for idx in members[1:]:
             critical_transform(P, m, states[idx], F, certifier.transforms)
-        ell, perm, delta = lc.transform
-        payload = critical_header(face_ids, ell, sid, perm, delta)
-        eid = _eid(payload)
-        return (row(branch=lc.branch, verdict=f"Critical({lc.index})", class_id="critical",
-                    evidence_id=eid, transform={"perm": list(perm), "delta": delta}),
-                {eid: payload}, sid, None)
-    failure = f"Unknown verdict at face {face_ids} class {serial!r}: {lc.note}"
-    return (row(branch="unknown", verdict="Unknown", class_id="unknown:" + serial),
-            {}, None, failure)
+        _, perm, delta = lc.transform
+        return (row(verdict=f"Critical({lc.index})", evidence_id=sid,
+                    transform={"perm": list(perm), "delta": delta}), {}, sid, None)
+    failure = f"Unknown verdict at face {face_ids} states {list(members)}: {lc.note}"
+    return row(verdict="Unknown"), {}, None, failure
 
 
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(P, m, states, certifier, seed, restarts):
-    _WORKER_CTX["args"] = (P, m, states, seed, restarts)
+def _worker_init(P, m, states, certifier, seed):
+    _WORKER_CTX["args"] = (P, m, states, seed)
     _WORKER_CTX["certifier"] = certifier
 
 
 def _worker_classify(task):
-    face_ids, codim, serial, members = task
-    P, m, states, seed, restarts = _WORKER_CTX["args"]
-    return _classify_group(
-        P, m, states, face_ids, codim, serial, members,
-        certifier=_WORKER_CTX["certifier"],
-        seed=seed,
-        restarts=restarts,
-    )
+    P, m, states, seed = _WORKER_CTX["args"]
+    return _classify_group(P, m, states, *task, certifier=_WORKER_CTX["certifier"], seed=seed)
 
 
 def _verdict_sweep(
@@ -328,7 +314,6 @@ def _verdict_sweep(
     *,
     certifier: CriticalLinkCertifier,
     seed: int,
-    restarts: int,
     failures: List[str],
     parallel: int = 1,
 ):
@@ -345,26 +330,15 @@ def _verdict_sweep(
             ordering[ids] = len(ordering)
             witness = good_witness(m, F)
             if witness is not None:
-                rows.append(
-                    VerdictRow(
-                        face=ids,
-                        codim=codim,
-                        branch="good-face",
-                        verdict="Regular",
-                        class_id="good",
-                        representative_state=0,
-                        state_indices=all_states,
-                        witness_move=witness,
-                    )
-                )
+                rows.append(VerdictRow(ids, "good-face", "Regular", all_states,
+                                       witness_move=witness))
                 continue
             # one class per inherited In part
-            dual, free = face_masks(P, m, F)
+            _, free = face_masks(P, m, F)
             groups: Dict[int, List[int]] = {}
             for idx, s_in in enumerate(in_masks):
                 groups.setdefault(free & s_in, []).append(idx)
-            tasks += sorted((ids, codim, split_state(P, dual, inn).serial(), tuple(ms))
-                            for inn, ms in groups.items())
+            tasks += sorted((ids, tuple(ms)) for ms in groups.values())
 
     # the shared critical certificates and their items, built before any
     # fork so that workers inherit them and return only their ids
@@ -379,19 +353,12 @@ def _verdict_sweep(
         ctx = mp.get_context("fork")
         with ctx.Pool(
             parallel, initializer=_worker_init,
-            initargs=(P, m, states, certifier, seed, restarts),
+            initargs=(P, m, states, certifier, seed),
         ) as pool:
             results = pool.map(_worker_classify, tasks, chunksize=8)
     else:
-        results = [
-            _classify_group(
-                P, m, states, *task,
-                certifier=certifier,
-                seed=seed,
-                restarts=restarts,
-            )
-            for task in tasks
-        ]
+        results = [_classify_group(P, m, states, *task, certifier=certifier, seed=seed)
+                   for task in tasks]
     for row, ev, sid, failure in results:
         rows.append(row)
         evidence.update(ev)
@@ -399,7 +366,7 @@ def _verdict_sweep(
             shared[sid] = shared_items[sid]
         if failure:
             failures.append(failure)
-    rows.sort(key=lambda r: (ordering[r.face], r.class_id))
+    rows.sort(key=lambda r: (ordering[r.face], r.state_indices))
     return tuple(rows), evidence, shared
 
 
@@ -415,12 +382,12 @@ def _cusp_suite(
     for iv in P.ideal_vertices:
         table = cusp_table(P, m, iv.id)
         for idx, s in enumerate(states):
-            cond = check_cusp_condition(P, s, iv.id, m)
+            bc = certify_boundary_cube(P, m, s, iv.id, table=table)
+            cond = bc.condition
             if not cond.ok:
                 failures.append(f"cusp condition fails at {iv.id} state {idx}")
                 rows.append(CuspRow(iv.id, idx, False, None, None, False, 0, 0, ()))
                 continue
-            bc = certify_boundary_cube(P, m, s, iv.id, table=table)
             for face_ids, apexes in bc.checked:
                 if None in apexes:
                     failures.append(
@@ -459,7 +426,6 @@ def run_pipeline(
     subject: str,
     mode: str,
     seed: int = 0,
-    restarts: int = 64,
     f_expect: Optional[dict] = None,
     f_degree: Optional[int] = None,
     signature_expect: Optional[set] = None,
@@ -502,29 +468,25 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     bad = classify_bad_faces(P, m)
-    bad_ids = {
-        sig: tuple(F.sorted_ids() for F in faces) for sig, faces in bad.items()
-    }
     bad_passed: Optional[bool] = None
     if signature_expect is not None:
-        bad_passed = set(bad_ids) == signature_expect
+        bad_passed = set(bad) == signature_expect
         if not bad_passed:
             failures.append(
-                f"bad-face signatures {sorted(bad_ids)} != expected "
+                f"bad-face signatures {sorted(bad)} != expected "
                 f"{sorted(signature_expect)}"
             )
-        if any(sum(sig) == 5 for sig in bad_ids):
+        if any(sum(sig) == 5 for sig in bad):
             bad_passed = False
             failures.append("found a codimension-5 bad face")
     timings["bad_faces"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    certifier = CriticalLinkCertifier(seed=seed, restarts=restarts)
+    certifier = CriticalLinkCertifier(seed=seed)
     rows, evidence, shared = _verdict_sweep(
         P, m, states,
         certifier=certifier,
         seed=seed,
-        restarts=restarts,
         failures=failures,
         parallel=parallel,
     )
@@ -569,15 +531,8 @@ def run_pipeline(
         mode=mode,
         passed=passed,
         seed=seed,
-        restarts=restarts,
-        inputs_digest=inputs_digest,
-        polytope_name=P.name,
-        dimension=P.dimension,
-        facet_ids=tuple(P.facet_ids),
-        moves_blocks=tuple(tuple(sorted(b)) for b in m.blocks),
-        orbit_serials=tuple(s.serial() for s in states),
         f_vector=fv,
-        bad_faces=bad_ids,
+        bad_faces=bad,
         bad_faces_passed=bad_passed,
         verdict_rows=rows,
         evidence=evidence,
@@ -586,11 +541,12 @@ def run_pipeline(
         euler=euler,
         failures=tuple(failures),
         timings=timings,
+        tables=report_tables(P, m, states, fv, bad, euler, inputs_digest),
         generic_inputs=generic_inputs,
     )
 
 
-def certify_p6(*, seed: int = 0, restarts: int = 64, parallel: int = 1) -> Certificate:
+def certify_p6(*, seed: int = 0, parallel: int = 1) -> Certificate:
     """Certify the 27-facet 6-polytope: every link Regular or Critical(3)."""
     P = build_p6()
     m = move_system_p6()
@@ -600,7 +556,6 @@ def certify_p6(*, seed: int = 0, restarts: int = 64, parallel: int = 1) -> Certi
         subject="P6_perfect_morse",
         mode="perfect",
         seed=seed,
-        restarts=restarts,
         f_expect={1: 27, 2: 216, 6: 72, 7: 0},
         f_degree=16,
         signature_expect={(2,), (3,), (2, 2), (2, 2, 2)},
@@ -610,7 +565,7 @@ def certify_p6(*, seed: int = 0, restarts: int = 64, parallel: int = 1) -> Certi
     )
 
 
-def certify_p5(*, seed: int = 0, restarts: int = 64, parallel: int = 1) -> Certificate:
+def certify_p5(*, seed: int = 0, parallel: int = 1) -> Certificate:
     """Certify the 16-facet 5-polytope: a fibration, all links Regular."""
     P = build_p5()
     m = move_system_p5(P)
@@ -620,7 +575,6 @@ def certify_p5(*, seed: int = 0, restarts: int = 64, parallel: int = 1) -> Certi
         subject="P5_fibration",
         mode="fibration",
         seed=seed,
-        restarts=restarts,
         f_expect={1: 16, 5: 16, 6: 0},
         expected_orbit=16,
         inputs_digest=_inputs_digest("p5"),
@@ -635,7 +589,6 @@ def certify_generic(
     *,
     mode: str = "perfect",
     seed: int = 0,
-    restarts: int = 64,
     generic_inputs: Optional[dict] = None,
     parallel: int = 1,
 ) -> Certificate:
@@ -652,7 +605,6 @@ def certify_generic(
         subject="generic",
         mode=mode,
         seed=seed,
-        restarts=restarts,
         inputs_digest=digest,
         generic_inputs=generic_inputs,
         parallel=parallel,

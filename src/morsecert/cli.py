@@ -25,10 +25,6 @@ EXIT_INTERNAL = 3
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0, help="root random seed")
     parser.add_argument(
-        "--restarts", type=int, default=64,
-        help="random-restart budget for collapse searches",
-    )
-    parser.add_argument(
         "--format", choices=("text", "structured"), default="text",
         help="report format (structured = canonical JSON)",
     )
@@ -89,13 +85,9 @@ def _emit(cert, args) -> None:
 
 def _cmd_certify(args) -> int:
     if args.subject == "p6":
-        cert = certify_p6(
-            seed=args.seed, restarts=args.restarts, parallel=args.parallel
-        )
+        cert = certify_p6(seed=args.seed, parallel=args.parallel)
     elif args.subject == "p5":
-        cert = certify_p5(
-            seed=args.seed, restarts=args.restarts, parallel=args.parallel
-        )
+        cert = certify_p5(seed=args.seed, parallel=args.parallel)
     else:
         from .io import load_moves, load_polytope, load_state, load_json
 
@@ -111,7 +103,6 @@ def _cmd_certify(args) -> int:
             P, m, s,
             mode=args.mode,
             seed=args.seed,
-            restarts=args.restarts,
             parallel=args.parallel,
             generic_inputs=generic_inputs,
         )

@@ -448,9 +448,8 @@ class CriticalLinkCertifier:
     none falls back to a collapse search on the link built as a complex.
     """
 
-    def __init__(self, *, seed: int = 0, restarts: int = 64):
+    def __init__(self, *, seed: int = 0):
         self.seed = seed
-        self.restarts = restarts
         self._cache: Dict[int, CriticalCertificate] = {}
         # this run's `critical_transform` memo
         self.transforms: dict = {}
@@ -466,8 +465,7 @@ class CriticalLinkCertifier:
         if None in sequences:
             for i, (K, core) in enumerate(canonical_pairs_links(ell)):
                 if sequences[i] is None:
-                    out = try_collapse(K, target=core, seed=self.seed,
-                                       restarts=self.restarts)
+                    out = try_collapse(K, target=core, seed=self.seed)
                     sequences[i] = sequence_json(out.sequence) if out.success else None
         cert = self._cache[ell] = CriticalCertificate(ell, *sequences)
         return cert
@@ -622,7 +620,6 @@ def classify_link(
     *,
     certifier: Optional[CriticalLinkCertifier] = None,
     seed: int = 0,
-    restarts: int = 64,
 ) -> LinkClassification:
     """Classify the links at the barycentre of the cube dual to F.
 
@@ -636,7 +633,7 @@ def classify_link(
     if witness is not None:
         return LinkClassification("Regular", None, "good-face", witness_move=witness)
     inh = inherited_state(P, m, s, F)
-    rec = legality(P, F, inh, seed=seed, restarts=restarts)
+    rec = legality(P, F, inh, seed=seed)
     if rec.totally_legal:
         return LinkClassification(
             "Regular", None, "inherited-totally-legal", legality=rec
@@ -644,7 +641,7 @@ def classify_link(
     ell = all_pairs_index(P, m, F)
     if ell is not None:
         if certifier is None:
-            certifier = CriticalLinkCertifier(seed=seed, restarts=restarts)
+            certifier = CriticalLinkCertifier(seed=seed)
         transform = critical_transform(P, m, s, F, certifier.transforms)
         cert = certifier.certificate(ell)
         if cert.success:
@@ -720,7 +717,8 @@ class BoundaryCubeCertificate:
 
     `checked` lists each bad face with the first cone apex, in sorted order,
     of its Out and In parts (None: the part is empty or not a cone); the
-    cube is all Regular when every part has an apex.
+    cube is all Regular when the cusp condition holds and every part has an
+    apex.  A cube whose condition fails is not certified: nothing is checked.
     """
 
     cusp_id: str
@@ -730,7 +728,7 @@ class BoundaryCubeCertificate:
 
     @property
     def all_regular(self) -> bool:
-        return all(None not in apexes for _, apexes in self.checked)
+        return self.condition.ok and all(None not in apexes for _, apexes in self.checked)
 
 
 def certify_boundary_cube(
@@ -754,7 +752,7 @@ def certify_boundary_cube(
     table = table if table is not None else cusp_table(P, m, cusp_id)
     cond = check_cusp_condition(P, s, cusp_id, m)
     if not cond.ok:
-        raise InputError(f"cusp condition fails at {cusp_id}")
+        return BoundaryCubeCertificate(cusp_id, cond, table.n_faces, ())
     H, s_in = table.section, facet_mask(table.section, s.in_facets)
     checked = tuple((ids, (cone_apex(H, dual & ~(free & s_in)), cone_apex(H, free & s_in)))
                     for ids, (dual, free) in table.bad.items())

@@ -10,28 +10,28 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from fractions import Fraction
-from .certify import Certificate, CuspRow, EulerRecord, VerdictRow
+from .certify import Certificate, CuspRow, VerdictRow
 
-REPORT_VERSION = "5"
+REPORT_VERSION = "6"
 
-
-def _frac(x: Fraction) -> list:
-    return [x.numerator, x.denominator]
-
-
-def _sig_key(sig) -> str:
-    return ",".join(str(c) for c in sig)
+# The keys of a report, of a verdict row and of a cusp row; the verifier
+# requires exactly these (and `inputs` on a generic report).
+REPORT_KEYS = frozenset({
+    "version", "subject", "mode", "pass", "seeds", "inputs_digest", "polytope",
+    "moves", "orbit", "f_vector", "bad_faces", "euler", "verdicts", "evidence",
+    "shared_evidence", "cusps", "failures", "timings",
+})
+ROW_KEYS = frozenset({"face", "branch", "verdict", "states", "witness_move", "evidence",
+                      "transform"})
+CUSP_ROW_KEYS = frozenset({"cusp", "state", "ok", "move", "pair", "all_regular", "n_faces",
+                           "n_good", "checked"})
 
 
 def _verdict_row_doc(row: VerdictRow) -> dict:
     return {
         "face": list(row.face),
-        "codim": row.codim,
         "branch": row.branch,
         "verdict": row.verdict,
-        "class": row.class_id,
-        "representative_state": row.representative_state,
         "states": list(row.state_indices),
         "witness_move": row.witness_move,
         "evidence": row.evidence_id,
@@ -53,55 +53,23 @@ def _cusp_row_doc(row: CuspRow) -> dict:
     }
 
 
-def _euler_doc(e: EulerRecord) -> dict:
-    return {
-        "clique_counts": list(e.clique_counts),
-        "chi_per_copy": _frac(e.chi_per_copy),
-        "critical_count": e.critical_count,
-        "critical_per_copy": _frac(e.critical_per_copy),
-        "pass": e.passed,
-    }
-
-
 def certificate_to_document(cert: Certificate, *, include_timings: bool = False) -> dict:
+    """The structured report: the claim and its provenance, the tables of
+    `certify.report_tables` that the verifier recomputes, and the verdict
+    and cusp rows with the evidence they cite, which it replays."""
     doc = {
         "version": REPORT_VERSION,
         "subject": cert.subject,
         "mode": cert.mode,
         "pass": cert.passed,
-        "inputs_digest": cert.inputs_digest,
-        "seeds": {"root": cert.seed, "restarts": cert.restarts},
-        "polytope": {
-            "name": cert.polytope_name,
-            "dimension": cert.dimension,
-            "facets": list(cert.facet_ids),
-        },
-        "moves": [list(b) for b in cert.moves_blocks],
-        "orbit": list(cert.orbit_serials),
-        "f_vector": {
-            "clique_counts": list(cert.f_vector.clique_counts),
-            "degrees": list(cert.f_vector.degrees),
-            "checks": list(cert.f_vector.checks),
-            "pass": cert.f_vector.passed,
-        },
-        "bad_faces": {
-            "signatures": {
-                _sig_key(sig): [list(f) for f in faces]
-                for sig, faces in sorted(cert.bad_faces.items())
-            },
-            "pass": cert.bad_faces_passed,
-        },
-        "verdicts": {
-            "rows": [_verdict_row_doc(r) for r in cert.verdict_rows],
-            "n_faces": len({r.face for r in cert.verdict_rows}),
-            "n_states": len(cert.orbit_serials),
-        },
+        "seeds": {"root": cert.seed},
+        **cert.tables,
+        "verdicts": {"rows": [_verdict_row_doc(r) for r in cert.verdict_rows]},
         "evidence": {k: cert.evidence[k] for k in sorted(cert.evidence)},
         "shared_evidence": {
             k: cert.shared_evidence[k] for k in sorted(cert.shared_evidence)
         },
         "cusps": {"rows": [_cusp_row_doc(r) for r in cert.cusp_rows]},
-        "euler": _euler_doc(cert.euler),
         "failures": list(cert.failures),
         "timings": (
             {k: round(v, 6) for k, v in sorted(cert.timings.items())}
@@ -126,8 +94,9 @@ def render_text(cert: Certificate) -> str:
     add(cert.summary_line())
     add("")
     add("-- structure --")
-    add(f"polytope: {cert.polytope_name}, dimension {cert.dimension}, "
-        f"{len(cert.facet_ids)} facets")
+    polytope, moves = cert.tables["polytope"], cert.tables["moves"]
+    add(f"polytope: {polytope['name']}, dimension {polytope['dimension']}, "
+        f"{len(polytope['facets'])} facets")
     add(f"clique counts by size: {list(cert.f_vector.clique_counts)}")
     degs = set(cert.f_vector.degrees)
     add(f"facet degrees: {sorted(degs)}")
@@ -135,14 +104,13 @@ def render_text(cert: Certificate) -> str:
         add("  " + line)
     add("")
     add("-- moves and orbit --")
-    add(f"moves: {len(cert.moves_blocks)} blocks, sizes "
-        f"{[len(b) for b in cert.moves_blocks]}")
+    add(f"moves: {len(moves)} blocks, sizes {[len(b) for b in moves]}")
     add(f"orbit size: {len(cert.orbit_serials)}")
     add("")
     add("-- bad faces --")
     if cert.bad_faces:
         for sig, faces in sorted(cert.bad_faces.items()):
-            add(f"  signature ({_sig_key(sig)}): {len(faces)} faces")
+            add(f"  signature ({','.join(map(str, sig))}): {len(faces)} faces")
     else:
         add("  none")
     if cert.bad_faces_passed is not None:

@@ -452,15 +452,14 @@ def cone_apex(P: Polytope, part: int) -> Optional[str]:
 
 
 def part_certificate(
-    P: Polytope, F: FaceHandle, vertices: Sequence[str], *, seed: int, restarts: int
+    P: Polytope, F: FaceHandle, vertices: Sequence[str], *, seed: int
 ) -> Optional[list]:
     """Certificate that the part of F's dual complex on `vertices` collapses
     to a point: its dismantling order, else a collapse searched on the part
     built as a complex; None when neither is found."""
     steps = dismantling_order(P, vertices)
     if steps is None and vertices:
-        out = try_collapse(full_subcomplex(dual_complex(P, F), vertices),
-                           seed=seed, restarts=restarts)
+        out = try_collapse(full_subcomplex(dual_complex(P, F), vertices), seed=seed)
         if out.success:
             steps = sequence_json(out.sequence)
     return steps
@@ -555,7 +554,6 @@ def legality(
     s_on_f: State,
     *,
     seed: int = 0,
-    restarts: int = 64,
 ) -> LegalityRecord:
     """Certified collapsibility of the two state subcomplexes.
 
@@ -566,7 +564,6 @@ def legality(
     if set(s_on_f.universe) != set(mask_ids(P, _dual_mask(P, F))):
         raise InputError("state universe does not match the dual complex vertices")
     out_v, in_v = sorted(s_on_f.out_facets), sorted(s_on_f.in_facets)
-    out_seq, in_seq = (part_certificate(P, F, part, seed=seed, restarts=restarts)
-                       for part in (out_v, in_v))
+    out_seq, in_seq = (part_certificate(P, F, part, seed=seed) for part in (out_v, in_v))
     totally = True if out_seq is not None and in_seq is not None else None
     return LegalityRecord(totally, out_seq, in_seq, tuple(out_v), tuple(in_v))

@@ -1,33 +1,35 @@
 """Standalone re-validation of structured reports, with zero search.
 
-Every combinatorial table is recomputed from the deterministic constructions
-and compared.  Every dismantling order is checked step by step on adjacency
-masks: the facet graph for a legality part, the comparability graph of the
-face poset for a shared critical link.  A cusp's cone apex stands for a
-one-round order, which holds exactly when the apex is in the part and the
-part in its closed neighbourhood.  Every elementary collapse sequence, a
-fallback that the built-in subjects never use, and every isomorphism witness
-is replayed.
+Every deterministic table is recomputed and compared with what its one
+writer, `certify.report_tables`, makes of the recomputation.  Every
+dismantling order is checked step by step on adjacency masks: the facet
+graph for a legality part, the comparability graph of the face poset for a
+shared critical link.  A cusp's cone apex stands for a one-round order,
+which holds exactly when the apex is in the part and the part in its closed
+neighbourhood.  Every elementary collapse sequence, a fallback that the
+built-in subjects never use, and every isomorphism witness is replayed.
 Nothing here invokes a collapse search, so verification cost is a small
 multiple of replay cost.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from typing import Dict, List, Tuple
 
 from .certify import (
     SEQUENCE_KEYS,
     _eid,
-    critical_header,
+    _inputs_digest,
     euler_identity,
     legality_header,
+    report_tables,
     shared_header,
     verdict_allowed,
 )
 from .complexes import replay_collapse
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, StructuralError
 from .io import load_json, moves_from_doc, polytope_from_doc, state_from_doc
 from .links import (
     canonical_pairs_graphs,
@@ -41,8 +43,9 @@ from .polytopes import (
     build_p5,
     build_p6,
     enumerate_faces,
+    f_vector_check,
 )
-from .report import REPORT_VERSION
+from .report import CUSP_ROW_KEYS, REPORT_KEYS, REPORT_VERSION, ROW_KEYS
 from .states import (
     State,
     all_pairs_index,
@@ -61,10 +64,6 @@ from .states import (
     sequence_form,
     split_state,
 )
-
-# A header value standing for a citation: the cited id is read from the item
-# and bound by the caller with the same rule.
-CITED = object()
 
 # The row fields that only some branches use; every other branch must leave
 # them null.
@@ -87,23 +86,35 @@ class _Verifier:
     def fail(self, msg: str):
         self.messages.append(msg)
 
+    def _keys(self, obj: dict, keys: frozenset, where: str):
+        """`obj` must carry exactly `keys`: a missing key makes the report
+        malformed, an unknown one is rejected."""
+        if obj.keys() == keys:
+            return
+        missing = sorted(keys - obj.keys())
+        if missing:
+            raise InputError(f"{where}: missing key {', '.join(missing)}")
+        unknown = sorted(obj.keys() - keys)
+        if unknown:
+            self.fail(f"{where}: unknown key {', '.join(map(repr, unknown))}")
+
     # -- context ------------------------------------------------------------
 
     def build_context(self):
         subject, mode = self.doc.get("subject"), self.doc.get("mode")
-        modes = ("perfect", "fibration")
+        modes, inputs = ("perfect", "fibration"), None
         if subject == "P6_perfect_morse":
             P = build_p6()
             m = move_system_p6()
             states = balanced_states_p6(P)
-            modes = ("perfect",)
+            modes, tag = ("perfect",), "p6"
         elif subject == "P5_fibration":
             P = build_p5()
             m = move_system_p5(P)
             states = balanced_states_p5(P)
-            modes = ("fibration",)
+            modes, tag = ("fibration",), "p5"
         elif subject == "generic":
-            inputs = self.doc.get("inputs")
+            inputs, tag = self.doc.get("inputs"), "generic"
             if not inputs:
                 raise InputError("generic report carries no embedded inputs")
             P = polytope_from_doc(inputs["polytope"])
@@ -116,40 +127,23 @@ class _Verifier:
             self.fail(f"mode {mode!r}: subject {subject} must be certified in "
                       f"{' or '.join(modes)} mode")
         self.P, self.m, self.states, self.mode = P, m, states, mode
+        self.digest = _inputs_digest(tag, inputs)
 
     # -- cheap table recomputation -------------------------------------------
 
     def check_tables(self):
-        doc, P, m = self.doc, self.P, self.m
-        if list(doc["polytope"]["facets"]) != list(P.facet_ids):
-            self.fail("facet list mismatch")
-        if [sorted(b) for b in self.m.blocks] != doc["moves"]:
-            self.fail("move blocks mismatch")
-        if [s.serial() for s in self.states] != doc["orbit"]:
-            self.fail("orbit serialisation mismatch")
-        counts = [P.clique_count(k) for k in range(1, P.dimension + 2)]
-        if counts != doc["f_vector"]["clique_counts"]:
-            self.fail("clique counts mismatch")
-        bad = classify_bad_faces(P, m)
-        got = {
-            ",".join(map(str, sig)): [sorted(F.defining) for F in faces]
-            for sig, faces in bad.items()
-        }
-        want = {
-            k: [list(f) for f in v]
-            for k, v in doc["bad_faces"]["signatures"].items()
-        }
-        if got != want:
-            self.fail("bad-face table mismatch")
+        P, m = self.P, self.m
+        try:
+            fv = f_vector_check(P)
+        except StructuralError as exc:
+            raise InputError(f"polytope: {exc}") from exc
         e = euler_identity(P, m)
-        ed = doc["euler"]
-        if (
-            [e.chi_per_copy.numerator, e.chi_per_copy.denominator]
-            != ed["chi_per_copy"]
-            or e.critical_count != ed["critical_count"]
-            or e.passed != ed["pass"]
-        ):
-            self.fail("consistency identity mismatch")
+        tables = report_tables(P, m, self.states, fv, classify_bad_faces(P, m), e, self.digest)
+        for key, want in tables.items():
+            if type(self.doc[key]) is not type(want):
+                raise InputError(f"{key} is not a {type(want).__name__}")
+            if self.doc[key] != want:
+                self.fail(f"{key} does not match its recomputation")
         if not e.passed:
             self.fail(f"consistency identity fails: chi {e.chi_per_copy} per copy, "
                       f"{e.critical_count} critical vertices "
@@ -161,9 +155,8 @@ class _Verifier:
         """Bind the evidence item `eid` to the claim at `where` that cites it.
 
         The item must be exactly `header`, which the caller rebuilt from the
-        claim, plus the sequences of its kind; a header field set to CITED is
-        itself a citation, which the caller binds in turn.  `eid` must be the
-        hash of the item's content.  Once per section and id, `check(item)`
+        claim, plus the sequences of its kind, and `eid` must be the hash of
+        the item's content.  Once per section and id, `check(item)`
         then checks its sequences against what the claim built, yielding each
         key with what is wrong with its sequence, or None.  Returns the item
         when all of this holds, else None.
@@ -174,7 +167,7 @@ class _Verifier:
             self.fail(f"{where} is missing")
             return None
         seq_keys = SEQUENCE_KEYS[header["kind"]]
-        wrong = [k for k, v in header.items() if v is not CITED and ev[k] != v]
+        wrong = [k for k, v in header.items() if ev[k] != v]
         if len(ev) != len(header) + len(seq_keys):
             wrong.append("keys")
         if wrong:
@@ -210,6 +203,7 @@ class _Verifier:
 
     def check_verdicts(self):
         doc, P, m, states = self.doc, self.P, self.m, self.states
+        self._keys(doc["verdicts"], frozenset({"rows"}), "verdicts")
         rows = doc["verdicts"]["rows"]
         in_masks = [facet_mask(P, s.in_facets) for s in states]
         coverage: Dict[Tuple[str, ...], list] = {}
@@ -217,13 +211,18 @@ class _Verifier:
                       for F in enumerate_faces(P, codim)}
         for row in rows:
             face = tuple(row["face"])
-            coverage.setdefault(face, []).extend(row["states"])
+            where = f"face {face}"
+            self._keys(row, ROW_KEYS, where)
+            idxs = row["states"]
+            coverage.setdefault(face, []).extend(idxs)
+            # the first state represents the row
+            if not all(map(operator.lt, idxs, idxs[1:])):
+                self.fail(f"{where}: states {idxs} are not strictly ascending")
             if face not in want_faces:
                 self.fail(f"verdict row for unknown face {face}")
                 continue
             F = FaceHandle(frozenset(face))
             branch = row["branch"]
-            where = f"face {face}"
             stray = [k for k in ROW_FIELDS
                      if k not in BRANCH_FIELDS.get(branch, ()) and row[k] is not None]
             if stray:
@@ -244,16 +243,13 @@ class _Verifier:
                 if row["verdict"] != "Regular":
                     self.fail(f"face {face}: totally legal class must be Regular")
                 dual, free = face_masks(P, m, F)
-                inn = free & in_masks[row["states"][0]]
-                split = split_state(P, dual, inn)
-                in_class = split.serial() == row["class"].split(":", 1)[1]
-                for idx in row["states"]:
-                    if not in_class or free & in_masks[idx] != inn:
-                        self.fail(
-                            f"face {face}: state {idx} not in inherited class"
-                        )
+                inn = free & in_masks[idxs[0]]
+                for idx in idxs:
+                    if free & in_masks[idx] != inn:
+                        self.fail(f"face {face}: state {idx} not in the inherited "
+                                  f"class of state {idxs[0]}")
                         break
-                self._legality(row["evidence"], F, split, where)
+                self._legality(row["evidence"], F, split_state(P, dual, inn), where)
             elif branch == "critical-pairs":
                 self._check_critical(row, F, where)
             else:
@@ -267,6 +263,9 @@ class _Verifier:
                 break
 
     def _check_critical(self, row: dict, F: FaceHandle, where: str):
+        """Bind a critical row to the shared item it cites, for its ℓ, and
+        its transform to that of its first state; every other state's
+        transform must exist."""
         P, m, states = self.P, self.m, self.states
         eid = row["evidence"]
         ell = all_pairs_index(P, m, F)
@@ -276,11 +275,7 @@ class _Verifier:
         if row["verdict"] != f"Critical({ell})":
             self.fail(f"{where}: evidence {eid}: verdict {row['verdict']!r} "
                       f"does not match the {ell}-pair signature")
-        rep = row["representative_state"]
-        if rep not in row["states"]:
-            self.fail(f"{where}: evidence {eid}: representative state {rep!r} "
-                      "is not one of the row's states")
-            return
+        rep = row["states"][0]
         transforms = {}
         for idx in row["states"]:
             try:
@@ -295,15 +290,8 @@ class _Verifier:
         if row["transform"] != {"perm": list(perm), "delta": delta}:
             self.fail(f"{where}: evidence {eid}: row transform does not match "
                       f"the transform of state {rep}")
-        ev = self._evidence(
-            "evidence", eid, critical_header(F.sorted_ids(), ell, CITED, perm, delta),
-            where,
-        )
-        if ev is not None:
-            self._evidence(
-                "shared_evidence", ev["shared"], shared_header(ell), where,
-                lambda shared: self._core_problems(ell, shared),
-            )
+        self._evidence("shared_evidence", eid, shared_header(ell), where,
+                       lambda ev: self._core_problems(ell, ev))
 
     def _core_problems(self, ell: int, ev: dict):
         """Check the shared item's sequences against the face links of the
@@ -332,6 +320,7 @@ class _Verifier:
 
     def check_cusps(self):
         doc, P, m, states = self.doc, self.P, self.m, self.states
+        self._keys(doc["cusps"], frozenset({"rows"}), "cusps")
         rows = doc["cusps"]["rows"]
         want = {(iv.id, idx) for iv in P.ideal_vertices for idx in range(len(states))}
         got = {(r["cusp"], r["state"]) for r in rows}
@@ -340,20 +329,21 @@ class _Verifier:
         tables: Dict[str, tuple] = {}
         for row in rows:
             cusp, idx = row["cusp"], row["state"]
+            where = f"cusp {cusp} state {idx}"
+            self._keys(row, CUSP_ROW_KEYS, where)
             if cusp not in tables:
                 tables[cusp] = cusp_table(P, m, cusp)
             H, n_faces, bad = tables[cusp]
             cond = check_cusp_condition(P, states[idx], cusp, m)
             if not cond.ok:
-                self.fail(f"cusp {cusp} state {idx}: condition does not hold")
+                self.fail(f"{where}: condition does not hold")
                 continue
             witness = (cond.move_index, cond.pair)
             if not row["ok"] or (row["move"], tuple(row["pair"])) != witness:
-                self.fail(f"cusp {cusp} state {idx}: recorded witness mismatch")
+                self.fail(f"{where}: recorded witness mismatch")
             if not row["all_regular"]:
-                self.fail(f"cusp {cusp} state {idx}: not all Regular")
+                self.fail(f"{where}: not all Regular")
                 continue
-            where = f"cusp {cusp} state {idx}"
             checked = [(tuple(face), apexes) for face, apexes in row["checked"]]
             faces = [face for face, _ in checked]
             twice = [face for face, n in Counter(faces).items() if n > 1]
@@ -388,6 +378,9 @@ class _Verifier:
         if self.doc.get("version") != REPORT_VERSION:
             self.fail(f"unsupported report version {self.doc.get('version')!r}")
             return False, self.messages
+        # only a generic report embeds inputs; build_context rejects one without
+        generic = self.doc.get("subject") == "generic" and "inputs" in self.doc
+        self._keys(self.doc, REPORT_KEYS | {"inputs"} if generic else REPORT_KEYS, "report")
         try:
             self.build_context()
         except InputError as exc:
@@ -397,8 +390,10 @@ class _Verifier:
         self.check_verdicts()
         self.check_cusps()
         self.check_bound()
-        if self.doc.get("pass") is not True:
+        if self.doc["pass"] is not True:
             self.fail("report does not claim a passing certification")
+        if self.doc["failures"] != []:
+            self.fail("report lists failures")
         return not self.messages, self.messages
 
 

@@ -42,7 +42,7 @@ def BAL5(P5):
 
 @pytest.fixture(scope="session")
 def cert_p6():
-    # spec defaults: seed 0, 64 restarts
+    # spec default: seed 0
     return certify_p6()
 
 

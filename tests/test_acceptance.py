@@ -54,10 +54,12 @@ def test_criterion_1_p6_perfect_morse(cert_p6):
     for r in cert_p6.verdict_rows:
         per_face.setdefault(r.face, []).extend(r.state_indices)
     assert all(sorted(v) == list(range(32)) for v in per_face.values())
-    # every non-good verdict carries replayable evidence
+    # every non-good verdict carries replayable evidence; a critical row
+    # cites the shared item directly
     for r in cert_p6.verdict_rows:
         if r.branch != "good-face":
-            assert r.evidence_id in cert_p6.evidence
+            shared = r.branch == "critical-pairs"
+            assert r.evidence_id in (cert_p6.shared_evidence if shared else cert_p6.evidence)
     runtime = cert_p6.timings["total"]
     assert runtime < 300, f"pipeline took {runtime:.0f}s, budget 300s"
     print(f"\nPASS criterion 1: P6 perfect Morse certified "

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morsecert.certify import (
-    _eid,
     certify_generic,
     certify_p5,
     certify_p6,
@@ -123,8 +122,8 @@ def test_certify_generic_incompatible_state():
 
 
 def test_parallel_matches_serial():
-    serial = certify_p5(restarts=8)
-    parallel = certify_p5(restarts=8, parallel=2)
+    serial = certify_p5()
+    parallel = certify_p5(parallel=2)
     assert certificate_to_document(serial) == certificate_to_document(parallel)
 
 
@@ -168,8 +167,8 @@ def test_structured_report_fields(cert_p6):
 
 
 def test_structured_report_deterministic():
-    a = document_to_json(certificate_to_document(certify_p5(restarts=8)))
-    b = document_to_json(certificate_to_document(certify_p5(restarts=8)))
+    a = document_to_json(certificate_to_document(certify_p5()))
+    b = document_to_json(certificate_to_document(certify_p5()))
     assert a == b
 
 
@@ -262,8 +261,16 @@ def _add_key(doc):
     ev["note"] = "edited"
 
 
-# (name, edit of the p5 report, exit codes allowed); an edit either changes
-# the document in place or returns the document to write instead
+def _reorder_critical_states(doc):
+    """Swap a critical row's last two states; its first state, which the
+    row's transform matches, stays in place."""
+    states = _row(doc, "critical-pairs")["states"]
+    states[-2:] = states[:-3:-1]
+
+
+# (name, edit of the report, exit codes allowed[, subject]), the subject p5
+# unless named; an edit either changes the document in place or returns the
+# document to write instead
 REPORT_EDITS = [
     # malformed: an input error, never a traceback
     ("no-verdicts", lambda d: _set(d, "verdicts"), {2}),
@@ -271,8 +278,8 @@ REPORT_EDITS = [
     ("face-int", lambda d: _set(d["verdicts"]["rows"][0], "face", 7), {2}),
     ("evidence-list", lambda d: _set(d, "evidence", []), {2}),
     ("polytope-null", lambda d: _set(d, "polytope", None), {2}),
-    ("class-no-colon",
-     lambda d: _set(_row(d, "inherited-totally-legal"), "class", "legal"), {2}),
+    ("legal-row-no-states",
+     lambda d: _set(_row(d, "inherited-totally-legal"), "states", []), {2}),
     ("verdict-state-999",
      lambda d: _set(_row(d, "inherited-totally-legal")["states"], 0, 999), {2}),
     ("cusp-state-999", lambda d: _set(d["cusps"]["rows"][0], "state", 999), {2}),
@@ -301,14 +308,31 @@ REPORT_EDITS = [
     ("mode-perfect", lambda d: _set(d, "mode", "perfect"), {1}),
     ("legal-row-not-regular",
      lambda d: _set(_row(d, "inherited-totally-legal"), "verdict", "Critical(2)"), {1}),
+    # recomputed tables: each section has one writer, which the verifier reruns
+    ("inputs-digest", lambda d: _set(d, "inputs_digest", "0" * 64), {1}),
+    ("polytope-name", lambda d: _set(d["polytope"], "name", "P6"), {1}),
+    ("polytope-dimension", lambda d: _set(d["polytope"], "dimension", 4), {1}),
+    ("f-vector-degree",
+     lambda d: _set(d["f_vector"]["degrees"], 0, d["f_vector"]["degrees"][0] + 1), {1}),
+    # a pass lists no failures, and every object carries exactly its keys
+    ("failures-under-pass", lambda d: _set(d, "failures", ["none"]), {1}),
+    ("unknown-key-report", lambda d: _set(d, "note", 0), {1}),
+    ("unknown-key-verdicts", lambda d: _set(d["verdicts"], "n_faces", 0), {1}),
+    ("unknown-key-row", lambda d: _set(_row(d, "good-face"), "codim", 1), {1}),
+    ("unknown-key-cusp-row", lambda d: _set(d["cusps"]["rows"][0], "note", 0), {1}),
+    # the first state represents a row, so the states must ascend
+    ("critical-states-reordered", _reorder_critical_states, {1}, "p6"),
 ]
 
 
 @pytest.mark.parametrize(
-    "edit, codes", [e[1:] for e in REPORT_EDITS], ids=[e[0] for e in REPORT_EDITS]
+    "edit, codes, subject",
+    [(e[1], e[2], e[3] if len(e) > 3 else "p5") for e in REPORT_EDITS],
+    ids=[e[0] for e in REPORT_EDITS],
 )
-def test_verify_rejects_edited_report(cert_p5, tmp_path, edit, codes):
-    doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
+def test_verify_rejects_edited_report(request, tmp_path, edit, codes, subject):
+    cert = request.getfixturevalue(f"cert_{subject}")
+    doc = json.loads(document_to_json(certificate_to_document(cert)))
     replaced = edit(doc)
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc if replaced is None else replaced))
@@ -398,19 +422,12 @@ def test_verify_rejects_any_tampered_evidence(p5_report, data):
 
 
 def _cite_as_shared(doc, row, eid):
-    """Point the critical item of `row` at a hollow shared item stored under
-    `eid`, re-hash the critical item and repoint the rows that cite it."""
-    old = row["evidence"]
-    ev = doc["evidence"].pop(old)
+    """Point critical `row` at a hollow shared item stored under `eid`."""
     doc["shared_evidence"][eid] = {
-        "kind": "critical-shared", "ell": ev["ell"],
+        "kind": "critical-shared", "ell": doc["shared_evidence"][row["evidence"]]["ell"],
         "asc_sequence": [], "desc_sequence": [],
     }
-    ev["shared"] = eid
-    doc["evidence"][_eid(ev)] = ev
-    for r in doc["verdicts"]["rows"]:
-        if r.get("evidence") == old:
-            r["evidence"] = _eid(ev)
+    row["evidence"] = eid
 
 
 def test_verify_binds_critical_transforms(cert_p6):
@@ -418,26 +435,25 @@ def test_verify_binds_critical_transforms(cert_p6):
     first, second, third = [
         r for r in doc["verdicts"]["rows"] if r["branch"] == "critical-pairs"
     ][:3]
-    assert first["face"] != third["face"]
+    legal = _row(doc, "inherited-totally-legal")["evidence"]
+    assert len({tuple(r["face"]) for r in (first, second, third)}) == 3
     perm = first["transform"]["perm"]
     first["transform"]["perm"] = perm[1:] + perm[:1]
-    ev = doc["evidence"][second["evidence"]]
-    ev["perm"] = ev["perm"][::-1]
-    ev["delta"] ^= 1
-    ev["face"] = first["face"]
-    # an id that passed as a critical item must still be bound and replayed
+    second["transform"]["delta"] ^= 1
+    # an id that passed as a legality item must still be bound and replayed
     # when it is cited as a shared item
-    _cite_as_shared(doc, third, first["evidence"])
+    _cite_as_shared(doc, third, legal)
     # a fibration allows no Critical row, and P6 is certified as perfect
     doc["mode"] = "fibration"
     ok, msgs = verify_document(doc)
     assert not ok
     assert any("'fibration'" in m and "Critical(3)" in m for m in msgs)
     assert any(m.startswith("mode 'fibration'") for m in msgs)
-    assert any(first["evidence"] in m and "transform" in m for m in msgs)
-    for field in ("face", "perm", "delta"):
-        assert any(second["evidence"] in m and field in m for m in msgs), field
-    forged = f"face {tuple(third['face'])}: evidence {first['evidence']}"
+    for row in (first, second):
+        cited = f"face {tuple(row['face'])}: evidence {row['evidence']}"
+        assert any(m.startswith(cited) and "row transform does not match" in m
+                   for m in msgs), row["face"]
+    forged = f"face {tuple(third['face'])}: evidence {legal}"
     assert any(m.startswith(forged) and "hash" in m for m in msgs)
     assert any(m.startswith(forged) and "reach its core" in m for m in msgs)
 
@@ -529,8 +545,7 @@ def test_cli_info():
 def test_cli_certify_verify_roundtrip(tmp_path, capsys):
     report = tmp_path / "p5.json"
     code = main([
-        "certify", "p5", "--restarts", "8",
-        "--format", "structured", "--output", str(report),
+        "certify", "p5", "--format", "structured", "--output", str(report),
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -591,12 +606,28 @@ def test_verify_requires_the_consistency_identity(tmp_path, capsys):
     assert "consistency identity fails: chi 0 per copy, 2 critical vertices" in out
 
 
+def test_verify_embedded_polytope_census_failure_is_an_input_error(tmp_path, capsys):
+    """A generic report whose embedded square gains a diagonal has a clique
+    of size 3, which no polytope of dimension 2 has: `verify` recomputes the
+    face census and calls the report malformed, with no traceback."""
+    pol, moves, state = square_inputs()
+    P = polytope_from_doc(pol)
+    cert = certify_generic(
+        P, moves_from_doc(moves, P), state_from_doc(state, P), mode="fibration",
+        generic_inputs={"polytope": pol, "moves": moves, "state": state},
+    )
+    doc = certificate_to_document(cert)
+    doc["inputs"]["polytope"]["adjacency"].append(["a", "c"])
+    write_json(tmp_path / "r.json", doc)
+    assert main(["verify", str(tmp_path / "r.json")]) == 2
+    assert "no cliques of size 3" in capsys.readouterr().err
+
+
 def test_cli_parallel_flag(tmp_path):
     r1 = tmp_path / "a.json"
     r2 = tmp_path / "b.json"
-    assert main(["certify", "p5", "--restarts", "8",
-                 "--format", "structured", "--output", str(r1)]) == 0
-    assert main(["certify", "p5", "--restarts", "8", "--parallel", "2",
+    assert main(["certify", "p5", "--format", "structured", "--output", str(r1)]) == 0
+    assert main(["certify", "p5", "--parallel", "2",
                  "--format", "structured", "--output", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
 
@@ -607,7 +638,7 @@ def test_verify_detects_wrong_critical_index(cert_p6):
         r["evidence"] for r in doc["verdicts"]["rows"]
         if r["branch"] == "critical-pairs"
     )
-    doc["evidence"][eid]["ell"] = 2
+    doc["shared_evidence"][eid]["ell"] = 2
     ok, msgs = verify_document(doc)
     assert not ok
     assert any("does not match" in m or "mismatch" in m for m in msgs)

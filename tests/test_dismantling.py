@@ -339,9 +339,20 @@ def test_critical_transforms_built_once_per_key_and_run(monkeypatch, P6, M6, BAL
         assert len(calls) == 48
 
 
+def test_cusp_condition_checked_once_per_cusp_and_state(monkeypatch):
+    """The cusp suite evaluates each cusp condition once per state: 10 cusps
+    by 16 states on p5."""
+    from morsecert.links import check_cusp_condition
+
+    calls = _count(monkeypatch, check_cusp_condition)
+    assert certify_p5().passed
+    assert len(calls) == 160
+
+
 def test_row_transform_of_another_state_is_rejected(P6, M6, BAL6, cert_p6):
     """A critical row's transform edited to that of one of its other states,
-    or its representative moved to that state, no longer binds."""
+    or that state moved to the front, where the representative stands, no
+    longer binds."""
     doc = _report(cert_p6)
     row = next(r for r in doc["verdicts"]["rows"] if r["branch"] == "critical-pairs")
     F = FaceHandle(frozenset(row["face"]))
@@ -350,9 +361,10 @@ def test_row_transform_of_another_state_is_rejected(P6, M6, BAL6, cert_p6):
         _, perm, delta = canonical_pairs_transform(build_cube_model(P6, M6, BAL6[idx], F))
         return {"perm": list(perm), "delta": delta}
 
-    assert row["transform"] == transform(row["representative_state"])
+    assert row["transform"] == transform(row["states"][0])
     other = next(i for i in row["states"] if transform(i) != row["transform"])
-    for edit in ({"transform": transform(other)}, {"representative_state": other}):
+    moved = [other] + [i for i in row["states"] if i != other]
+    for edit in ({"transform": transform(other)}, {"states": moved}):
         tampered = json.loads(json.dumps(doc))
         target = next(r for r in tampered["verdicts"]["rows"] if r["face"] == row["face"])
         target.update(edit)
@@ -366,16 +378,15 @@ def test_row_transform_of_another_state_is_rejected(P6, M6, BAL6, cert_p6):
 
 def _rehash_shared(doc, edit):
     """Edit the one shared item, store it under the hash of its new content,
-    and repoint the critical items that cite it, re-hashed in turn, and the
-    rows that cite those; returns the shared item's new id."""
+    and repoint the critical rows that cite it; returns its new id."""
     (sid, ev), = doc["shared_evidence"].items()
     del doc["shared_evidence"][sid]
     edit(ev)
     new = _eid(ev)
     doc["shared_evidence"][new] = ev
-    for eid, item in list(doc["evidence"].items()):
-        if item.get("shared") == sid:
-            _rehash(doc, eid, lambda item: item.update(shared=new))
+    for row in doc["verdicts"]["rows"]:
+        if row["evidence"] == sid:
+            row["evidence"] = new
     return new
 
 

@@ -231,7 +231,7 @@ def test_synthetic_pairs_lift():
 
 def test_critical_certifier_and_transform(P6, M6, BAL6):
     bad = classify_bad_faces(P6, M6)
-    cert = CriticalLinkCertifier(seed=0, restarts=4)
+    cert = CriticalLinkCertifier(seed=0)
     shared = cert.certificate(3)
     assert shared.success
     # both are dismantling orders ending exactly at the 26-element cores
@@ -251,7 +251,7 @@ def test_critical_certifier_and_transform(P6, M6, BAL6):
 
 def test_classify_link_verdicts(P6, M6, BAL6):
     s = BAL6[0]
-    cert = CriticalLinkCertifier(seed=0, restarts=4)
+    cert = CriticalLinkCertifier(seed=0)
     good = classify_link(P6, M6, s, P6.face({"A", "1+i+j+k"}), certifier=cert)
     assert good.verdict == "Regular" and good.branch == "good-face"
     ridge = classify_link(
@@ -270,7 +270,7 @@ def test_classification_independent_of_base_vertex(P6, M6, BAL6):
     # same classification
     bad = classify_bad_faces(P6, M6)
     F = bad[(2, 2, 2)][0]
-    cert = CriticalLinkCertifier(seed=0, restarts=4)
+    cert = CriticalLinkCertifier(seed=0)
     s = BAL6[0]
     model = build_cube_model(P6, M6, s, F)
     for w in (0b000001, 0b010101, 0b111111):
