@@ -1,12 +1,12 @@
 """End-to-end certification pipelines with replayable evidence tables.
 
 A certificate covers every clique face of the polytope crossed with every
-state of the orbit.  Rows are deduplicated by (face, inherited state) with
-multiplicities recorded, so coverage accounting stays exact; evidence blobs
-are content-addressed, which also deduplicates identical certificates across
-states.  Cusp boundary cubes are certified by the cone apexes of their parts,
-recorded inline.  All randomness comes from the root seed, so reports are
-reproducible byte for byte.
+state of the orbit, in the rows of `verdict_plan`: one per good face and one
+per (bad face, inherited In class); evidence blobs are content-addressed,
+which also deduplicates identical certificates across states.  Cusp
+boundary cubes are certified by the cone apexes of their parts, recorded
+inline by `cusp_row`.  All randomness comes from the root seed, so reports
+are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
-from functools import partial
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import InputError
+from .errors import InputError, StructuralError
 from .links import (
     CheckedFace,
     CriticalLinkCertifier,
+    CuspTable,
     certify_boundary_cube,
     critical_transform,
     cusp_table,
@@ -259,39 +259,88 @@ def _shared_item(certifier: CriticalLinkCertifier, cert) -> Tuple[str, dict]:
     return got
 
 
+class PlannedRow(NamedTuple):
+    """A verdict row as `verdict_plan` fixes it: its face, the states it
+    covers, and what its branch rests on, the `good_witness` of a good face
+    or the (dual, in) masks of a bad face's inherited-In class."""
+
+    F: FaceHandle
+    face: Tuple[str, ...]
+    states: Tuple[int, ...]
+    witness: Optional[int] = None
+    masks: Optional[Tuple[int, int]] = None
+
+
+def verdict_plan(P: Polytope, m: MoveSystem, states: Sequence[State]) -> Iterator[PlannedRow]:
+    """The verdict rows in report order: every face in canonical order, a
+    good face as one row over all states, a bad face as one row per
+    inherited-In class, classes in order of their states.  The pipeline
+    fills this plan, and the verifier requires a report's rows to be it."""
+    all_states = tuple(range(len(states)))
+    in_masks = [facet_mask(P, s.in_facets) for s in states]
+    for codim in range(0, P.dimension + 1):
+        for F in enumerate_faces(P, codim):
+            ids = F.sorted_ids()
+            witness = good_witness(m, F)
+            if witness is not None:
+                yield PlannedRow(F, ids, all_states, witness=witness)
+                continue
+            dual, free = face_masks(P, m, F)
+            classes: Dict[int, List[int]] = {}
+            for idx, s_in in enumerate(in_masks):
+                classes.setdefault(free & s_in, []).append(idx)
+            for inn, members in classes.items():
+                yield PlannedRow(F, ids, tuple(members), masks=(dual, inn))
+
+
+# One writer per branch of verdict row, from the plan: the pipeline writes
+# its rows with them, and the verifier compares each row with them.
+
+
+def good_row(p: PlannedRow) -> VerdictRow:
+    return VerdictRow(p.face, "good-face", "Regular", p.states, witness_move=p.witness)
+
+
+def legal_row(p: PlannedRow, eid: str) -> VerdictRow:
+    return VerdictRow(p.face, "inherited-totally-legal", "Regular", p.states, evidence_id=eid)
+
+
+def critical_row(p: PlannedRow, ell: int, sid: str, transform) -> VerdictRow:
+    """A critical row cites the shared item `sid` and carries the canonical
+    transform of its first state."""
+    _, perm, delta = transform
+    return VerdictRow(p.face, "critical-pairs", f"Critical({ell})", p.states,
+                      evidence_id=sid, transform={"perm": list(perm), "delta": delta})
+
+
 def _classify_group(
     P: Polytope,
     m: MoveSystem,
     states: Sequence[State],
-    face_ids: Tuple[str, ...],
-    members: Tuple[int, ...],
+    p: PlannedRow,
     *,
     certifier: CriticalLinkCertifier,
     seed: int,
 ):
-    """Classify one (face, inherited-class) group, represented by its first
+    """Classify the planned row of a bad face, represented by its first
     state; returns (row, evidence, id of the cited shared item or None,
     failure-or-None)."""
     from .links import classify_link
 
-    F = FaceHandle(frozenset(face_ids))
-    lc = classify_link(P, m, states[members[0]], F, certifier=certifier, seed=seed)
-    row = partial(VerdictRow, face=face_ids, state_indices=members, branch=lc.branch)
+    lc = classify_link(P, m, states[p.states[0]], p.F, certifier=certifier, seed=seed)
     if lc.verdict == "Regular" and lc.branch == "inherited-totally-legal":
-        payload = legality_evidence_payload({"type": "ambient"}, face_ids, lc.legality)
+        payload = legality_evidence_payload({"type": "ambient"}, p.face, lc.legality)
         eid = _eid(payload)
-        return row(verdict="Regular", evidence_id=eid), {eid: payload}, None, None
+        return legal_row(p, eid), {eid: payload}, None, None
     if lc.verdict == "Critical":
         sid, _ = _shared_item(certifier, lc.critical)
         # validate the canonical transform for every other covered state;
         # classify_link validated the representative's
-        for idx in members[1:]:
-            critical_transform(P, m, states[idx], F, certifier.transforms)
-        _, perm, delta = lc.transform
-        return (row(verdict=f"Critical({lc.index})", evidence_id=sid,
-                    transform={"perm": list(perm), "delta": delta}), {}, sid, None)
-    failure = f"Unknown verdict at face {face_ids} states {list(members)}: {lc.note}"
-    return row(verdict="Unknown"), {}, None, failure
+        for idx in p.states[1:]:
+            critical_transform(P, m, states[idx], p.F, certifier.transforms)
+        return critical_row(p, lc.index, sid, lc.transform), {}, sid, None
+    failure = f"Unknown verdict at face {p.face} states {list(p.states)}: {lc.note}"
+    return VerdictRow(p.face, lc.branch, "Unknown", p.states), {}, None, failure
 
 
 _WORKER_CTX: dict = {}
@@ -304,7 +353,7 @@ def _worker_init(P, m, states, certifier, seed):
 
 def _worker_classify(task):
     P, m, states, seed = _WORKER_CTX["args"]
-    return _classify_group(P, m, states, *task, certifier=_WORKER_CTX["certifier"], seed=seed)
+    return _classify_group(P, m, states, task, certifier=_WORKER_CTX["certifier"], seed=seed)
 
 
 def _verdict_sweep(
@@ -317,32 +366,17 @@ def _verdict_sweep(
     failures: List[str],
     parallel: int = 1,
 ):
+    """Fill `verdict_plan` in order: a good face's row directly, a bad
+    face's rows by classifying them."""
     rows: List[VerdictRow] = []
     evidence: Dict[str, dict] = {}
     shared: Dict[str, dict] = {}
-    all_states = tuple(range(len(states)))
-    in_masks = [facet_mask(P, s.in_facets) for s in states]
-    tasks = []  # bad-face groups, in canonical order
-    ordering = {}  # face -> position, to interleave good rows deterministically
-    for codim in range(0, P.dimension + 1):
-        for F in enumerate_faces(P, codim):
-            ids = F.sorted_ids()
-            ordering[ids] = len(ordering)
-            witness = good_witness(m, F)
-            if witness is not None:
-                rows.append(VerdictRow(ids, "good-face", "Regular", all_states,
-                                       witness_move=witness))
-                continue
-            # one class per inherited In part
-            _, free = face_masks(P, m, F)
-            groups: Dict[int, List[int]] = {}
-            for idx, s_in in enumerate(in_masks):
-                groups.setdefault(free & s_in, []).append(idx)
-            tasks += sorted((ids, tuple(ms)) for ms in groups.values())
+    plan = list(verdict_plan(P, m, states))
+    tasks = [p for p in plan if p.witness is None]
 
     # the shared critical certificates and their items, built before any
     # fork so that workers inherit them and return only their ids
-    ells = {all_pairs_index(P, m, FaceHandle(frozenset(task[0]))) for task in tasks}
+    ells = {all_pairs_index(P, m, p.F) for p in tasks}
     for ell in sorted(ells - {None}):
         _shared_item(certifier, certifier.certificate(ell))
     shared_items = dict(certifier.serialised.values())
@@ -357,21 +391,35 @@ def _verdict_sweep(
         ) as pool:
             results = pool.map(_worker_classify, tasks, chunksize=8)
     else:
-        results = [_classify_group(P, m, states, *task, certifier=certifier, seed=seed)
-                   for task in tasks]
-    for row, ev, sid, failure in results:
+        results = [_classify_group(P, m, states, p, certifier=certifier, seed=seed)
+                   for p in tasks]
+    results = iter(results)
+    for p in plan:
+        if p.witness is not None:
+            rows.append(good_row(p))
+            continue
+        row, ev, sid, failure = next(results)
         rows.append(row)
         evidence.update(ev)
         if sid is not None:
             shared[sid] = shared_items[sid]
         if failure:
             failures.append(failure)
-    rows.sort(key=lambda r: (ordering[r.face], r.state_indices))
     return tuple(rows), evidence, shared
 
 
 # ---------------------------------------------------------------------------
 # Cusp suite
+
+
+def cusp_row(P: Polytope, m: MoveSystem, s: State, idx: int, table: CuspTable) -> CuspRow:
+    """The row of state `s`, number `idx`, at the cusp of `table`: the
+    pipeline writes each cusp row with it, and the verifier compares each
+    cusp row with it."""
+    bc = certify_boundary_cube(P, m, s, table.cusp_id, table=table)
+    cond = bc.condition
+    return CuspRow(table.cusp_id, idx, cond.ok, cond.move_index, cond.pair, bc.all_regular,
+                   bc.n_faces, bc.n_faces - len(bc.checked), bc.checked)
 
 
 def _cusp_suite(
@@ -382,24 +430,16 @@ def _cusp_suite(
     for iv in P.ideal_vertices:
         table = cusp_table(P, m, iv.id)
         for idx, s in enumerate(states):
-            bc = certify_boundary_cube(P, m, s, iv.id, table=table)
-            cond = bc.condition
-            if not cond.ok:
+            row = cusp_row(P, m, s, idx, table)
+            rows.append(row)
+            if not row.ok:
                 failures.append(f"cusp condition fails at {iv.id} state {idx}")
-                rows.append(CuspRow(iv.id, idx, False, None, None, False, 0, 0, ()))
-                continue
-            for face_ids, apexes in bc.checked:
+            for face_ids, apexes in row.checked_faces:
                 if None in apexes:
                     failures.append(
                         f"boundary cube at {iv.id} state {idx}: face {face_ids} "
                         f"not certified, a part is not a cone (apexes {apexes})"
                     )
-            rows.append(
-                CuspRow(
-                    iv.id, idx, True, cond.move_index, cond.pair, bc.all_regular,
-                    bc.n_faces, bc.n_faces - len(bc.checked), bc.checked,
-                )
-            )
     return tuple(rows)
 
 
@@ -600,12 +640,16 @@ def certify_generic(
         )
     states = orbit(initial_state, m)
     digest = _inputs_digest("generic", generic_inputs)
-    return run_pipeline(
-        P, m, states,
-        subject="generic",
-        mode=mode,
-        seed=seed,
-        inputs_digest=digest,
-        generic_inputs=generic_inputs,
-        parallel=parallel,
-    )
+    try:
+        return run_pipeline(
+            P, m, states,
+            subject="generic",
+            mode=mode,
+            seed=seed,
+            inputs_digest=digest,
+            generic_inputs=generic_inputs,
+            parallel=parallel,
+        )
+    except StructuralError as exc:
+        # user data that breaks the face census or a cusp's cube structure
+        raise InputError(str(exc)) from exc

@@ -692,9 +692,11 @@ def check_cusp_condition(
 
 class CuspTable(NamedTuple):
     """What certifying a cusp's horospherical cube needs of the cusp alone,
-    built once for all states: the section, its number of faces, and its bad
-    faces in canonical order, each id tuple mapped to its `face_masks`."""
+    built once for all states: its id, the section, its number of faces, and
+    its bad faces in canonical order, each id tuple mapped to its
+    `face_masks`."""
 
+    cusp_id: str
     section: Polytope
     n_faces: int
     bad: Dict[Tuple[str, ...], Tuple[int, int]]
@@ -704,7 +706,8 @@ def cusp_table(P: Polytope, m: MoveSystem, cusp_id: str) -> CuspTable:
     H = build_cusp_section(P, cusp_id)
     mH = m.restrict(H.facet_ids)
     n_faces, bad = bad_faces(H, mH)
-    return CuspTable(H, n_faces, {F.sorted_ids(): face_masks(H, mH, F) for F in bad})
+    return CuspTable(cusp_id, H, n_faces,
+                     {F.sorted_ids(): face_masks(H, mH, F) for F in bad})
 
 
 # A bad face of a boundary cube with the cone apexes of its Out and In parts

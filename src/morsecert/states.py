@@ -436,19 +436,19 @@ def dismantling_order(P: Polytope, vertices: Iterable[str]) -> Optional[list]:
     return dismantling_steps(part_graph(P, vertices))
 
 
-def is_cone_apex(P: Polytope, part: int, apex) -> bool:
-    """Whether `apex` is a facet in `part`, a facet mask, adjacent to every
-    other one: exactly when the one-round order [[v, apex], ...] over the
-    part's other facets dismantles it (`dismantling_problem`)."""
-    w = P.index.get(apex)
-    return (w is not None and type(apex) is type(P.facet_ids[w])
-            and bool(part >> w & 1) and not part & ~(P._nbr_mask[w] | 1 << w))
-
-
 def cone_apex(P: Polytope, part: int) -> Optional[str]:
-    """The `is_cone_apex` of `part` of lowest index; None when it has none."""
-    return next((f for i, f in enumerate(P.facet_ids)
-                 if part >> i & 1 and is_cone_apex(P, part, f)), None)
+    """The facet of lowest index in `part`, a facet mask, adjacent to every
+    other one (apex ∈ part and part ⊆ N[apex]); None when it has none.  An
+    apex is exactly a facet whose one-round order [[v, apex], ...] over the
+    part's other facets dismantles it (`dismantling_problem`)."""
+    rest = part
+    while rest:
+        low = rest & -rest
+        w = low.bit_length() - 1
+        if not part & ~(P._nbr_mask[w] | low):
+            return P.facet_ids[w]
+        rest ^= low
+    return None
 
 
 def part_certificate(

@@ -1,12 +1,14 @@
 """Standalone re-validation of structured reports, with zero search.
 
-Every deterministic table is recomputed and compared with what its one
-writer, `certify.report_tables`, makes of the recomputation.  Every
-dismantling order is checked step by step on adjacency masks: the facet
-graph for a legality part, the comparability graph of the face poset for a
-shared critical link.  A cusp's cone apex stands for a one-round order,
-which holds exactly when the apex is in the part and the part in its closed
-neighbourhood.  Every elementary collapse sequence, a fallback that the
+Every table and every row is recomputed and compared whole with what its
+one writer makes of the recomputation: `certify.report_tables` for the
+tables; `certify.verdict_plan`, in order, and the branch writers that
+`report._verdict_row_doc` renders for the verdict rows; `certify.cusp_row`
+for the cusp rows, one per (cusp, state) in order, whose cone apexes are
+`states.cone_apex`'s first apex of each part.  Every dismantling order that
+a row cites is checked step by step on adjacency masks: the facet graph for
+a legality part, the comparability graph of the face poset for a shared
+critical link.  Every elementary collapse sequence, a fallback that the
 built-in subjects never use, and every isomorphism witness is replayed.
 Nothing here invokes a collapse search, so verification cost is a small
 multiple of replay cost.
@@ -14,19 +16,25 @@ multiple of replay cost.
 
 from __future__ import annotations
 
-import operator
-from collections import Counter
-from typing import Dict, List, Tuple
+from itertools import zip_longest
+from typing import Dict, List, Optional, Tuple
 
 from .certify import (
     SEQUENCE_KEYS,
+    PlannedRow,
+    VerdictRow,
     _eid,
     _inputs_digest,
+    critical_row,
+    cusp_row,
     euler_identity,
+    good_row,
+    legal_row,
     legality_header,
     report_tables,
     shared_header,
     verdict_allowed,
+    verdict_plan,
 )
 from .complexes import replay_collapse
 from .errors import InputError, InternalError, StructuralError
@@ -34,18 +42,18 @@ from .io import load_json, moves_from_doc, polytope_from_doc, state_from_doc
 from .links import (
     canonical_pairs_graphs,
     canonical_pairs_links,
-    check_cusp_condition,
     critical_transform,
     cusp_table,
 )
-from .polytopes import (
-    FaceHandle,
-    build_p5,
-    build_p6,
-    enumerate_faces,
-    f_vector_check,
+from .polytopes import FaceHandle, build_p5, build_p6, f_vector_check
+from .report import (
+    CUSP_ROW_KEYS,
+    REPORT_KEYS,
+    REPORT_VERSION,
+    ROW_KEYS,
+    _cusp_row_doc,
+    _verdict_row_doc,
 )
-from .report import CUSP_ROW_KEYS, REPORT_KEYS, REPORT_VERSION, ROW_KEYS
 from .states import (
     State,
     all_pairs_index,
@@ -54,25 +62,12 @@ from .states import (
     certificate_problem,
     classify_bad_faces,
     dismantling_problem,
-    face_masks,
-    facet_mask,
-    good_witness,
-    is_cone_apex,
     move_system_p5,
     move_system_p6,
     orbit,
     sequence_form,
     split_state,
 )
-
-# The row fields that only some branches use; every other branch must leave
-# them null.
-BRANCH_FIELDS = {
-    "good-face": ("witness_move",),
-    "inherited-totally-legal": ("evidence",),
-    "critical-pairs": ("evidence", "transform"),
-}
-ROW_FIELDS = ("witness_move", "evidence", "transform")
 
 
 class _Verifier:
@@ -133,12 +128,9 @@ class _Verifier:
 
     def check_tables(self):
         P, m = self.P, self.m
-        try:
-            fv = f_vector_check(P)
-        except StructuralError as exc:
-            raise InputError(f"polytope: {exc}") from exc
         e = euler_identity(P, m)
-        tables = report_tables(P, m, self.states, fv, classify_bad_faces(P, m), e, self.digest)
+        tables = report_tables(P, m, self.states, f_vector_check(P), classify_bad_faces(P, m),
+                               e, self.digest)
         for key, want in tables.items():
             if type(self.doc[key]) is not type(want):
                 raise InputError(f"{key} is not a {type(want).__name__}")
@@ -199,99 +191,79 @@ class _Verifier:
                               ("in_sequence", split.in_facets))
         ])
 
+    # -- rows ------------------------------------------------------------------
+
+    def _plan_order(self, table: str, got: list, want: list, name):
+        """Fail, naming the first row whose key in `got` is not the plan's in `want`."""
+        for i, (g, w) in enumerate(zip_longest(got, want)):
+            if g != w:
+                g, w = ("no row" if k is None else name(*k) for k in (g, w))
+                self.fail(f"{table} row {i}: {g} where the plan has {w}")
+                return
+
+    def _same_row(self, row: dict, want: dict, where: str):
+        """`row` must equal `want`; a failure names the fields that differ."""
+        wrong = [k for k, v in want.items() if row[k] != v]
+        if wrong:
+            self.fail(f"{where}: row {', '.join(wrong)} does not match its recomputation")
+
     # -- verdict table ---------------------------------------------------------
 
     def check_verdicts(self):
-        doc, P, m, states = self.doc, self.P, self.m, self.states
+        doc, P = self.doc, self.P
         self._keys(doc["verdicts"], frozenset({"rows"}), "verdicts")
         rows = doc["verdicts"]["rows"]
-        in_masks = [facet_mask(P, s.in_facets) for s in states]
-        coverage: Dict[Tuple[str, ...], list] = {}
-        want_faces = {F.sorted_ids() for codim in range(0, P.dimension + 1)
-                      for F in enumerate_faces(P, codim)}
-        for row in rows:
-            face = tuple(row["face"])
-            where = f"face {face}"
+        plan = {(p.face, p.states): p for p in verdict_plan(P, self.m, self.states)}
+        got = [(tuple(row["face"]), tuple(row["states"])) for row in rows]
+        self._plan_order("verdict", got, list(plan),
+                         lambda face, idxs: f"face {face} states {list(idxs)}")
+        for row, key in zip(rows, got):
+            where = f"face {key[0]}"
             self._keys(row, ROW_KEYS, where)
-            idxs = row["states"]
-            coverage.setdefault(face, []).extend(idxs)
-            # the first state represents the row
-            if not all(map(operator.lt, idxs, idxs[1:])):
-                self.fail(f"{where}: states {idxs} are not strictly ascending")
-            if face not in want_faces:
-                self.fail(f"verdict row for unknown face {face}")
+            p = plan.get(key)
+            if p is None:
                 continue
-            F = FaceHandle(frozenset(face))
-            branch = row["branch"]
-            stray = [k for k in ROW_FIELDS
-                     if k not in BRANCH_FIELDS.get(branch, ()) and row[k] is not None]
-            if stray:
-                self.fail(f"{where}: {branch} row carries {', '.join(stray)}")
             if not verdict_allowed(self.mode, P.dimension, row["verdict"]):
                 self.fail(f"{where}: verdict {row['verdict']!r} is not allowed "
                           f"in {self.mode!r} mode")
-            if branch == "good-face":
-                witness = good_witness(m, F)
-                if witness is None:
-                    self.fail(f"face {face} claimed good but is not")
-                elif row["witness_move"] != witness:
-                    self.fail(f"good face {face}: witness move "
-                              f"{row['witness_move']!r} != {witness}")
-                elif row["verdict"] != "Regular":
-                    self.fail(f"good face {face} must be Regular")
-            elif branch == "inherited-totally-legal":
-                if row["verdict"] != "Regular":
-                    self.fail(f"face {face}: totally legal class must be Regular")
-                dual, free = face_masks(P, m, F)
-                inn = free & in_masks[idxs[0]]
-                for idx in idxs:
-                    if free & in_masks[idx] != inn:
-                        self.fail(f"face {face}: state {idx} not in the inherited "
-                                  f"class of state {idxs[0]}")
-                        break
-                self._legality(row["evidence"], F, split_state(P, dual, inn), where)
-            elif branch == "critical-pairs":
-                self._check_critical(row, F, where)
-            else:
-                self.fail(f"face {face}: unverifiable branch {branch!r}")
-        if set(coverage) != want_faces:
-            self.fail("verdict table does not cover every face")
-        n_states = len(states)
-        for face, idxs in coverage.items():
-            if sorted(idxs) != list(range(n_states)):
-                self.fail(f"face {face}: states covered {len(idxs)} != {n_states}")
-                break
+            want = self._claimed_row(p, row, where)
+            if want is not None:
+                cited = f": evidence {row['evidence']}" if row["evidence"] else ""
+                self._same_row(row, _verdict_row_doc(want), where + cited)
 
-    def _check_critical(self, row: dict, F: FaceHandle, where: str):
-        """Bind a critical row to the shared item it cites, for its ℓ, and
-        its transform to that of its first state; every other state's
-        transform must exist."""
+    def _claimed_row(self, p: PlannedRow, row: dict, where: str) -> Optional[VerdictRow]:
+        """The row of planned row `p` for the branch `row` claims, with the
+        evidence it cites bound; None when no such row exists."""
+        branch, eid = row["branch"], row["evidence"]
+        if p.witness is not None:
+            return good_row(p)
+        if branch == "inherited-totally-legal":
+            self._legality(eid, p.F, split_state(self.P, *p.masks), where)
+            return legal_row(p, eid)
+        if branch == "critical-pairs":
+            return self._critical_row(p, eid, where)
+        self.fail(f"{where}: bad face, unverifiable branch {branch!r}")
+        return None
+
+    def _critical_row(self, p: PlannedRow, eid, where: str) -> Optional[VerdictRow]:
+        """The critical row citing `eid` for p's ℓ, with its first state's
+        transform; every state's transform is validated, the shared item bound."""
         P, m, states = self.P, self.m, self.states
-        eid = row["evidence"]
-        ell = all_pairs_index(P, m, F)
+        ell = all_pairs_index(P, m, p.F)
         if ell is None:
             self.fail(f"{where}: evidence {eid}: not an all-pairs top vertex")
-            return
-        if row["verdict"] != f"Critical({ell})":
-            self.fail(f"{where}: evidence {eid}: verdict {row['verdict']!r} "
-                      f"does not match the {ell}-pair signature")
-        rep = row["states"][0]
-        transforms = {}
-        for idx in row["states"]:
+            return None
+        transforms = []
+        for idx in p.states:
             try:
-                transforms[idx] = critical_transform(
-                    P, m, states[idx], F, self._transforms
-                )
+                transforms.append(critical_transform(P, m, states[idx], p.F, self._transforms))
             except (InputError, InternalError) as exc:
                 self.fail(f"{where}: evidence {eid}: state {idx} does not match "
                           f"the canonical cube: {exc}")
-                return
-        _, perm, delta = transforms[rep]
-        if row["transform"] != {"perm": list(perm), "delta": delta}:
-            self.fail(f"{where}: evidence {eid}: row transform does not match "
-                      f"the transform of state {rep}")
+                return None
         self._evidence("shared_evidence", eid, shared_header(ell), where,
                        lambda ev: self._core_problems(ell, ev))
+        return critical_row(p, ell, eid, transforms[0])
 
     def _core_problems(self, ell: int, ev: dict):
         """Check the shared item's sequences against the face links of the
@@ -322,48 +294,21 @@ class _Verifier:
         doc, P, m, states = self.doc, self.P, self.m, self.states
         self._keys(doc["cusps"], frozenset({"rows"}), "cusps")
         rows = doc["cusps"]["rows"]
-        want = {(iv.id, idx) for iv in P.ideal_vertices for idx in range(len(states))}
-        got = {(r["cusp"], r["state"]) for r in rows}
-        if want != got:
-            self.fail("cusp table does not cover every (cusp, state) pair")
-        tables: Dict[str, tuple] = {}
-        for row in rows:
-            cusp, idx = row["cusp"], row["state"]
+        want = [(iv.id, idx) for iv in P.ideal_vertices for idx in range(len(states))]
+        got = [(row["cusp"], row["state"]) for row in rows]
+        self._plan_order("cusp", got, want, lambda cusp, idx: f"cusp {cusp} state {idx}")
+        wanted, tables = set(want), {}
+        for row, (cusp, idx) in zip(rows, got):
             where = f"cusp {cusp} state {idx}"
             self._keys(row, CUSP_ROW_KEYS, where)
+            if (cusp, idx) not in wanted:
+                continue
             if cusp not in tables:
                 tables[cusp] = cusp_table(P, m, cusp)
-            H, n_faces, bad = tables[cusp]
-            cond = check_cusp_condition(P, states[idx], cusp, m)
-            if not cond.ok:
-                self.fail(f"{where}: condition does not hold")
-                continue
-            witness = (cond.move_index, cond.pair)
-            if not row["ok"] or (row["move"], tuple(row["pair"])) != witness:
-                self.fail(f"{where}: recorded witness mismatch")
-            if not row["all_regular"]:
-                self.fail(f"{where}: not all Regular")
-                continue
-            checked = [(tuple(face), apexes) for face, apexes in row["checked"]]
-            faces = [face for face, _ in checked]
-            twice = [face for face, n in Counter(faces).items() if n > 1]
-            if twice:
-                self.fail(f"{where}: face {twice[0]} is checked twice")
-                continue
-            if set(faces) != set(bad):
-                self.fail(f"{where}: checked faces != bad faces")
-                continue
-            if row["n_faces"] != n_faces or row["n_good"] != n_faces - len(bad):
-                self.fail(f"{where}: face counts mismatch")
-            s_in = facet_mask(H, states[idx].in_facets)
-            for face, (out_apex, in_apex) in checked:
-                dual, free = bad[face]
-                inn = free & s_in
-                for side, part, apex in (("Out", dual & ~inn, out_apex),
-                                         ("In", inn, in_apex)):
-                    if not is_cone_apex(H, part, apex):
-                        self.fail(f"{where}: face {face}: {side} apex {apex!r} "
-                                  "is no cone apex of the part")
+            expect = cusp_row(P, m, states[idx], idx, tables[cusp])
+            self._same_row(row, _cusp_row_doc(expect), where)
+            if not expect.all_regular:
+                self.fail(f"{where}: boundary cube is not all Regular")
 
     def check_bound(self):
         """Every evidence item must be bound to some claim that cites it."""
@@ -400,8 +345,9 @@ class _Verifier:
 def verify_document(doc: dict) -> Tuple[bool, List[str]]:
     """Re-validate a structured report; returns (ok, failure messages).
 
-    A document that is not an object, or whose fields have the wrong shape
-    for the checks, raises InputError.
+    A document that is not an object, whose fields have the wrong shape for
+    the checks, or whose embedded generic inputs break a structural rule,
+    raises InputError.
     """
     if not isinstance(doc, dict):
         raise InputError("report must be a JSON object")
@@ -409,6 +355,12 @@ def verify_document(doc: dict) -> Tuple[bool, List[str]]:
         return _Verifier(doc).run()
     except InputError:
         raise
+    except StructuralError as exc:
+        # on a generic report's embedded inputs a structural rule is the
+        # caller's data; on P5 and P6 it is a transcription bug
+        if doc.get("subject") != "generic":
+            raise
+        raise InputError(f"embedded inputs: {exc}") from exc
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise InputError(f"malformed report: {type(exc).__name__}: {exc}") from exc
 

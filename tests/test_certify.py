@@ -268,6 +268,34 @@ def _reorder_critical_states(doc):
     states[-2:] = states[:-3:-1]
 
 
+def _swap(rows, i, j):
+    rows[i], rows[j] = rows[j], rows[i]
+
+
+def _split_legal_class(doc):
+    """Split a legal class of several states into two rows that cite the
+    same item."""
+    rows = doc["verdicts"]["rows"]
+    i, row = next((i, r) for i, r in enumerate(rows)
+                  if r["branch"] == "inherited-totally-legal" and len(r["states"]) > 1)
+    rows.insert(i + 1, dict(row, states=row["states"][1:]))
+    row["states"] = row["states"][:1]
+
+
+def _second_apex(doc):
+    """Name a part's second cone apex, a vertex in every maximal face of the
+    part, where the entry holds the first."""
+    for entry, parts in _cusp_entry_parts(doc):
+        for side, part in enumerate(parts):
+            apexes = sorted(v for v in part.vertices
+                            if all(v in f for f in part.maximal_faces))
+            if len(apexes) > 1:
+                assert entry[1][side] == apexes[0]
+                entry[1][side] = apexes[1]
+                return
+    raise AssertionError("no part has two cone apexes")
+
+
 # (name, edit of the report, exit codes allowed[, subject]), the subject p5
 # unless named; an edit either changes the document in place or returns the
 # document to write instead
@@ -278,11 +306,6 @@ REPORT_EDITS = [
     ("face-int", lambda d: _set(d["verdicts"]["rows"][0], "face", 7), {2}),
     ("evidence-list", lambda d: _set(d, "evidence", []), {2}),
     ("polytope-null", lambda d: _set(d, "polytope", None), {2}),
-    ("legal-row-no-states",
-     lambda d: _set(_row(d, "inherited-totally-legal"), "states", []), {2}),
-    ("verdict-state-999",
-     lambda d: _set(_row(d, "inherited-totally-legal")["states"], 0, 999), {2}),
-    ("cusp-state-999", lambda d: _set(d["cusps"]["rows"][0], "state", 999), {2}),
     ("evidence-no-host", lambda d: _set(next(iter(d["evidence"].values())), "host"), {2}),
     ("top-level-list", lambda d: [d], {2}),
     # well formed but false: rejected
@@ -322,6 +345,20 @@ REPORT_EDITS = [
     ("unknown-key-cusp-row", lambda d: _set(d["cusps"]["rows"][0], "note", 0), {1}),
     # the first state represents a row, so the states must ascend
     ("critical-states-reordered", _reorder_critical_states, {1}, "p6"),
+    # well-formed rows that are not the planned rows: the verdict and cusp
+    # rows must be the plan's, in its order, and equal their writers' rows
+    ("legal-row-no-states",
+     lambda d: _set(_row(d, "inherited-totally-legal"), "states", []), {1}),
+    ("verdict-state-999",
+     lambda d: _set(_row(d, "inherited-totally-legal")["states"], 0, 999), {1}),
+    ("cusp-state-999", lambda d: _set(d["cusps"]["rows"][0], "state", 999), {1}),
+    ("legal-class-split", _split_legal_class, {1}),
+    ("verdict-rows-swapped", lambda d: _swap(d["verdicts"]["rows"], 0, 1), {1}),
+    ("cusp-rows-reversed", lambda d: d["cusps"]["rows"].reverse(), {1}),
+    ("cusp-checked-reversed",
+     lambda d: next(r for r in d["cusps"]["rows"] if len(r["checked"]) > 1)["checked"].reverse(),
+     {1}),
+    ("cusp-second-apex", _second_apex, {1}),
 ]
 
 
@@ -621,6 +658,45 @@ def test_verify_embedded_polytope_census_failure_is_an_input_error(tmp_path, cap
     write_json(tmp_path / "r.json", doc)
     assert main(["verify", str(tmp_path / "r.json")]) == 2
     assert "no cliques of size 3" in capsys.readouterr().err
+
+
+def test_generic_structural_failures_are_input_errors(tmp_path, capsys):
+    """A triangle breaks the face census, and a square's cusp with three
+    incident facets the cube structure of its section.  On generic inputs
+    both are input errors naming the census line or the cusp, in `certify`
+    and in `verify` of a report that embeds them, never internal errors."""
+    pol, moves, state = square_inputs()
+    cusped = dict(pol, ideal_vertices=[{"label": "x", "incident": ["a", "b", "c"]}])
+    triangle = {"name": "triangle", "dimension": 2, "facets": [{"id": f} for f in "abc"],
+                "adjacency": [["a", "b"], ["b", "c"], ["a", "c"]]}
+    cases = [
+        ((triangle, [["a"], ["b"], ["c"]], {"a": "I", "b": "O", "c": "O"}),
+         "no cliques of size 3"),
+        ((cusped, moves, state), "cusp cusp:x: 3 incident facets"),
+    ]
+    for docs, named in cases:
+        paths = [tmp_path / f"{key}.json" for key in ("p", "m", "s")]
+        for path, doc in zip(paths, docs):
+            write_json(path, doc)
+        capsys.readouterr()
+        assert main(["certify", "generic", "--polytope", str(paths[0]),
+                     "--moves", str(paths[1]), "--state", str(paths[2])]) == 2
+        assert named in capsys.readouterr().err
+    P = polytope_from_doc(pol)
+    cert = certify_generic(
+        P, moves_from_doc(moves, P), state_from_doc(state, P), mode="fibration",
+        generic_inputs={"polytope": pol, "moves": moves, "state": state},
+    )
+    doc = certificate_to_document(cert)
+    doc["inputs"]["polytope"] = cusped
+    doc["cusps"]["rows"] = [
+        {"cusp": "cusp:x", "state": idx, "ok": True, "move": 0, "pair": ["a", "c"],
+         "all_regular": True, "n_faces": 1, "n_good": 1, "checked": []}
+        for idx in range(len(doc["orbit"]))
+    ]
+    write_json(tmp_path / "r.json", doc)
+    assert main(["verify", str(tmp_path / "r.json")]) in (1, 2)
+    assert "cusp cusp:x: 3 incident facets" in capsys.readouterr().err
 
 
 def test_cli_parallel_flag(tmp_path):

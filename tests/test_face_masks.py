@@ -4,15 +4,18 @@ against the one-round dismantling order it stands for."""
 
 import pytest
 
+from itertools import groupby
+
+from morsecert.certify import verdict_plan
 from morsecert.links import certify_boundary_cube, cusp_table
-from morsecert.polytopes import FaceHandle, mask_ids
+from morsecert.polytopes import FaceHandle, enumerate_faces, mask_ids
 from morsecert.states import (
     bad_faces,
     dismantling_problem,
     face_masks,
     facet_mask,
+    good_witness,
     inherited_state,
-    is_cone_apex,
     part_graph,
     split_state,
 )
@@ -45,12 +48,41 @@ def _check_splits(P, m, states, faces_and_masks):
     return n
 
 
+def _check_plan(P, m, states):
+    """Walk `verdict_plan`: each face once, in `enumerate_faces` order; a
+    good face as one row over all states carrying its `good_witness`; a bad
+    face's states partitioned as the serials of their inherited states
+    partition them, each row's masks splitting as those states do."""
+    faces = [F for codim in range(P.dimension + 1) for F in enumerate_faces(P, codim)]
+    plan = list(verdict_plan(P, m, states))
+    runs = [(F, list(rows)) for F, rows in groupby(plan, key=lambda p: p.F)]
+    assert [F for F, _ in runs] == faces
+    for F, rows in runs:
+        assert all(p.face == F.sorted_ids() for p in rows)
+        witness = good_witness(m, F)
+        if witness is not None:
+            assert [(p.states, p.witness) for p in rows] == [
+                (tuple(range(len(states))), witness)]
+            continue
+        classes = {}
+        for idx, s in enumerate(states):
+            classes.setdefault(inherited_state(P, m, s, F).serial(), []).append(idx)
+        assert [p.states for p in rows] == [tuple(c) for c in classes.values()], F
+        for p in rows:
+            assert p.witness is None
+            split = split_state(P, *p.masks).serial()
+            assert all(inherited_state(P, m, states[i], F).serial() == split
+                       for i in p.states), F
+    return len(plan)
+
+
 @pytest.mark.parametrize("subject", ["5", "6"])
 def test_mask_splits_match_inherited_states(request, subject):
     P, m, states = (request.getfixturevalue(name + subject) for name in ("P", "M", "BAL"))
     bad = bad_faces(P, m)[1]
     assert _check_splits(P, m, states, ((F, face_masks(P, m, F)) for F in bad)) == (
         len(bad) * len(states))
+    assert _check_plan(P, m, states) >= len(bad)
 
 
 def _cusp_splits(P, m, states, cusp):
@@ -66,10 +98,9 @@ def test_cusp_table_splits_match_inherited_states(P5, M5, BAL5, P6, M6, BAL6):
 
 
 def test_apex_rule_matches_one_round_orders(P5, M5, BAL5):
-    """On every p5 cusp, state, section bad face and part, every facet of the
-    section is accepted as an apex exactly when the one-round order it
-    stands for dismantles the part on the section's graph; the apex that
-    certify picks is the first accepted one."""
+    """On every p5 cusp, state, section bad face and part, the apex that
+    certify picks with `cone_apex` is the first facet of the section whose
+    one-round order dismantles the part on the section's graph."""
     n = 0
     for iv in P5.ideal_vertices:
         table = cusp_table(P5, M5, iv.id)
@@ -85,9 +116,7 @@ def test_apex_rule_matches_one_round_orders(P5, M5, BAL5):
                     for v in H.facet_ids:
                         order = [[u, v] for u in labels if u != v]
                         ok = dismantling_problem(part_graph(H, labels), order) is None
-                        assert is_cone_apex(H, part, v) == ok, (iv.id, face, v)
                         accepted += [v] if ok else []
                         n += v in labels
                     assert apex == min(accepted, default=None)
-                    assert not is_cone_apex(H, part, None)
     assert n > 0
