@@ -6,7 +6,6 @@ polytopes are perfect (every link collapsible or collapsing to a sphere).
 from .complexes import (
     CollapseOutcome,
     SimplicialComplex,
-    barycentric_subdivision,
     betti_mod2,
     cone,
     from_maximal_faces,
@@ -39,7 +38,6 @@ from .states import (
     classify_bad_faces,
     inherited_state,
     is_compatible,
-    is_good_face,
     legality,
     move_system_p5,
     move_system_p6,
@@ -53,7 +51,6 @@ from .links import (
     certify_boundary_cube,
     check_cusp_condition,
     classify_link,
-    coface_links_fast,
     coface_membership_oracle,
     face_links_oracle,
 )
@@ -70,19 +67,18 @@ from .verify import verify_document, verify_report_file
 __version__ = "0.1.0"
 
 __all__ = [
-    "CollapseOutcome", "SimplicialComplex", "barycentric_subdivision",
-    "betti_mod2", "cone", "from_maximal_faces", "full_subcomplex",
-    "is_crosspolytope_boundary", "join", "order_complex", "replay_collapse",
-    "try_collapse", "InputError", "InternalError", "StructuralError",
-    "FaceHandle", "Polytope", "adjacency_from_lorentz", "build_cusp_section",
-    "build_p5", "build_p6", "dual_complex", "enumerate_faces",
-    "f_vector_check", "symmetries_p6", "MoveSystem", "State", "act",
-    "balanced_states_p5", "balanced_states_p6", "classify_bad_faces",
-    "inherited_state", "is_compatible", "is_good_face", "legality",
+    "CollapseOutcome", "SimplicialComplex", "betti_mod2", "cone",
+    "from_maximal_faces", "full_subcomplex", "is_crosspolytope_boundary",
+    "join", "order_complex", "replay_collapse", "try_collapse", "InputError",
+    "InternalError", "StructuralError", "FaceHandle", "Polytope",
+    "adjacency_from_lorentz", "build_cusp_section", "build_p5", "build_p6",
+    "dual_complex", "enumerate_faces", "f_vector_check", "symmetries_p6",
+    "MoveSystem", "State", "act", "balanced_states_p5", "balanced_states_p6",
+    "classify_bad_faces", "inherited_state", "is_compatible", "legality",
     "move_system_p5", "move_system_p6", "orbit", "CubeModel", "LiftValue",
     "LinkClassification", "build_cube_model", "certify_boundary_cube",
-    "check_cusp_condition", "classify_link", "coface_links_fast",
-    "coface_membership_oracle", "face_links_oracle", "Certificate",
-    "certify_generic", "certify_p5", "certify_p6", "euler_identity",
-    "emit_report", "verify_document", "verify_report_file",
+    "check_cusp_condition", "classify_link", "coface_membership_oracle",
+    "face_links_oracle", "Certificate", "certify_generic", "certify_p5",
+    "certify_p6", "euler_identity", "emit_report", "verify_document",
+    "verify_report_file",
 ]

@@ -46,8 +46,8 @@ from .states import (
     balanced_states_p6,
     classify_bad_faces,
     face_masks,
+    face_table,
     facet_mask,
-    good_witness,
     is_compatible,
     move_system_p5,
     move_system_p6,
@@ -205,14 +205,10 @@ def euler_identity(P: Polytope, m: MoveSystem) -> EulerRecord:
     chi = sum_k (-1)^k N_k / 2^k with N_k the number of codim-k clique faces;
     the identity asserts chi == -(number of all-pairs vertices) / 2^dim.
     """
-    counts = [1] + [P.clique_count(k) for k in range(1, P.dimension + 1)]
     chi = sum(
-        Fraction((-1) ** k * counts[k], 2 ** k) for k in range(P.dimension + 1)
+        Fraction((-1) ** k * P.clique_count(k), 2 ** k) for k in range(P.dimension + 1)
     )
-    n_crit = sum(
-        1 for F in enumerate_faces(P, P.dimension)
-        if all_pairs_index(P, m, F) is not None
-    )
+    n_crit = sum(1 for F in face_table(P, m).bad if all_pairs_index(P, m, F) is not None)
     crit = Fraction(n_crit, 2 ** P.dimension)
     return EulerRecord(chi, n_crit, crit, chi == -crit)
 
@@ -278,19 +274,18 @@ def verdict_plan(P: Polytope, m: MoveSystem, states: Sequence[State]) -> Iterato
     fills this plan, and the verifier requires a report's rows to be it."""
     all_states = tuple(range(len(states)))
     in_masks = [facet_mask(P, s.in_facets) for s in states]
-    for codim in range(0, P.dimension + 1):
-        for F in enumerate_faces(P, codim):
-            ids = F.sorted_ids()
-            witness = good_witness(m, F)
-            if witness is not None:
-                yield PlannedRow(F, ids, all_states, witness=witness)
-                continue
-            dual, free = face_masks(P, m, F)
-            classes: Dict[int, List[int]] = {}
-            for idx, s_in in enumerate(in_masks):
-                classes.setdefault(free & s_in, []).append(idx)
-            for inn, members in classes.items():
-                yield PlannedRow(F, ids, tuple(members), masks=(dual, inn))
+    faces = (F for codim in range(P.dimension + 1) for F in enumerate_faces(P, codim))
+    for F, witness in zip(faces, face_table(P, m).witnesses):
+        ids = F.sorted_ids()
+        if witness is not None:
+            yield PlannedRow(F, ids, all_states, witness=witness)
+            continue
+        dual, free = face_masks(P, m, F)
+        classes: Dict[int, List[int]] = {}
+        for idx, s_in in enumerate(in_masks):
+            classes.setdefault(free & s_in, []).append(idx)
+        for inn, members in classes.items():
+            yield PlannedRow(F, ids, tuple(members), masks=(dual, inn))
 
 
 # One writer per branch of verdict row, from the plan: the pipeline writes
@@ -537,7 +532,7 @@ def run_pipeline(
     per_face: Dict[Tuple[str, ...], list] = {}
     for row in rows:
         per_face.setdefault(row.face, []).extend(row.state_indices)
-    n_faces = sum(len(enumerate_faces(P, c)) for c in range(0, P.dimension + 1))
+    n_faces = len(face_table(P, m).masks)
     if len(per_face) != n_faces:
         failures.append("verdict table does not cover every face")
     for face, idxs in per_face.items():

@@ -117,25 +117,6 @@ class SimplicialComplex:
             got = self._cache["n_simplices"] = len(self.simplices())
         return got
 
-    def is_connected(self) -> bool:
-        """Connectivity of the 1-skeleton; the empty complex is not connected."""
-        if self.is_empty:
-            return False
-        adj = {v: set() for v in self.vertices}
-        for f in self.maximal_faces:
-            fl = sorted(f, key=label_key)
-            for a, b in combinations(fl, 2):
-                adj[a].add(b)
-                adj[b].add(a)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
-
     def star_vertex_apexes(self) -> list:
         """Vertices contained in every maximal face (cone apexes)."""
         if self.is_empty:
@@ -216,26 +197,6 @@ def relabel(K: SimplicialComplex, mapping: Mapping) -> SimplicialComplex:
     return SimplicialComplex(
         [frozenset(mapping[v] for v in f) for f in K.maximal_faces], _trusted=True
     )
-
-
-def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
-    """Subdivision whose vertices are the nonempty faces of K.
-
-    Simplices are chains of faces under strict inclusion; each output vertex
-    label is the originating face (a frozenset of input labels).
-    """
-    flags: list = []
-
-    def extend(chain: list, top: frozenset):
-        if len(top) == 1:
-            flags.append(frozenset(chain))
-            return
-        for v in top:
-            extend(chain + [top - {v}], top - {v})
-
-    for f in K.maximal_faces:
-        extend([f], f)
-    return SimplicialComplex(flags, _trusted=True)
 
 
 def order_complex(elements: Iterable, less_equal=None, *, covers=None) -> SimplicialComplex:

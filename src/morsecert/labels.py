@@ -2,34 +2,23 @@
 
 Facets carry string labels: the eight units "1", "-1", "i", ..., "-k", the
 sixteen sign patterns "1+i+j+k", ..., "-1-i-j-k" (standing for the half
-quaternions (±1±i±j±k)/2), and the three extra symbols "A", "B", "C".  All
-arithmetic is exact over Fraction, so every derived relation is integral
-truth, not floating point.
+quaternions (±1±i±j±k)/2), and the three extra symbols "A", "B", "C".  These
+24 labels are the Hurwitz units.  Every quaternion here is kept in doubled
+coordinates, so a unit is an integer vector: "1" is (2, 0, 0, 0) and a sign
+label its ±1 vector.  A product of two doubled Hurwitz integers has even
+coordinates, and is halved only after that is checked, so all arithmetic is
+exact on integers and every derived relation is integral truth.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Tuple
+from typing import Dict, Tuple
 
 from .errors import InputError
 
-Quat = Tuple[Fraction, Fraction, Fraction, Fraction]
-
-HALF = Fraction(1, 2)
+Quat = Tuple[int, int, int, int]  # doubled coordinates: 2 * (a + bi + cj + dk)
 
 UNIT_LABELS = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-
-_UNIT_QUATS = {
-    "1": (1, 0, 0, 0),
-    "-1": (-1, 0, 0, 0),
-    "i": (0, 1, 0, 0),
-    "-i": (0, -1, 0, 0),
-    "j": (0, 0, 1, 0),
-    "-j": (0, 0, -1, 0),
-    "k": (0, 0, 0, 1),
-    "-k": (0, 0, 0, -1),
-}
 
 
 def sign_label(signs: Tuple[int, int, int, int]) -> str:
@@ -52,7 +41,6 @@ def _all_sign_labels() -> tuple:
 SIGN_LABELS = _all_sign_labels()
 T24_LABELS = UNIT_LABELS + SIGN_LABELS
 SPECIAL_LABELS = ("A", "B", "C")
-ALL_LABELS = T24_LABELS + SPECIAL_LABELS
 
 
 def label_signs(label: str) -> Tuple[int, int, int, int]:
@@ -68,36 +56,58 @@ def label_signs(label: str) -> Tuple[int, int, int, int]:
     return tuple(signs)
 
 
+def _doubled_unit(label: str) -> Quat:
+    q = [0, 0, 0, 0]
+    q["1ijk".index(label[-1])] = -2 if label.startswith("-") else 2
+    return tuple(q)
+
+
+# The 24 doubled labels, both ways round.
+_QUATS: Dict[str, Quat] = {
+    **{u: _doubled_unit(u) for u in UNIT_LABELS},
+    **{t: label_signs(t) for t in SIGN_LABELS},
+}
+_LABELS: Dict[Quat, str] = {q: lbl for lbl, q in _QUATS.items()}
+
+
 def label_quat(label: str) -> Quat:
-    """Quaternion of a T24 label; units are integral, sign labels are halves."""
-    if label in _UNIT_QUATS:
-        return tuple(Fraction(x) for x in _UNIT_QUATS[label])
-    return tuple(HALF * s for s in label_signs(label))
+    """Doubled quaternion of a T24 label: units are (±2, 0, 0, 0) and its
+    permutations, sign labels their ±1 vectors."""
+    try:
+        return _QUATS[label]
+    except KeyError:
+        raise InputError(f"not a T24 label: {label!r}") from None
 
 
 def quat_label(q: Quat) -> str:
-    for lbl in T24_LABELS:
-        if label_quat(lbl) == tuple(q):
-            return lbl
-    raise InputError(f"quaternion {q!r} is not a T24 element")
+    try:
+        return _LABELS[tuple(q)]
+    except KeyError:
+        raise InputError(f"quaternion {q!r} is not a T24 element") from None
 
 
 def quat_mul(p: Quat, q: Quat) -> Quat:
+    """The doubled product of two doubled quaternions: their Hamilton
+    product, which must have even coordinates, halved."""
     a1, b1, c1, d1 = p
     a2, b2, c2, d2 = q
-    return (
+    raw = (
         a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
         a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
         a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
         a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
     )
+    if any(x & 1 for x in raw):
+        raise InputError(f"product of {p!r} and {q!r} is not a Hurwitz integer")
+    return tuple(x >> 1 for x in raw)
 
 
 def quat_conj(q: Quat) -> Quat:
     return (q[0], -q[1], -q[2], -q[3])
 
 
-def euclid4(p: Quat, q: Quat) -> Fraction:
+def euclid4(p: Quat, q: Quat) -> int:
+    """Four times the Euclidean product of the quaternions `p` and `q` stand for."""
     return sum(a * b for a, b in zip(p, q))
 
 
@@ -130,13 +140,8 @@ def base_unit(label: str) -> str:
     t = label_quat(label)
     found = None
     for bp in BASE_POINT_LABELS:
-        q = quat_mul(t, quat_conj(label_quat(bp)))
-        lbl = None
-        for u in UNIT_LABELS:
-            if label_quat(u) == q:
-                lbl = u
-                break
-        if lbl is not None:
+        lbl = _LABELS.get(quat_mul(t, quat_conj(label_quat(bp))))
+        if lbl in UNIT_LABELS:
             if found is not None:
                 raise InputError(f"{label!r} factors over two base points")
             found = lbl

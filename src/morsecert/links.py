@@ -17,14 +17,12 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .complexes import (
     SimplicialComplex,
-    barycentric_subdivision,
-    full_subcomplex,
     order_complex,
     sequence_json,
     try_collapse,
 )
 from .errors import InputError, InternalError
-from .polytopes import FaceHandle, Polytope, build_cusp_section, dual_complex
+from .polytopes import FaceHandle, Polytope, build_cusp_section
 from .states import (
     OUT,
     FlagGraph,
@@ -178,18 +176,6 @@ class CubeModel:
     def k(self) -> int:
         return self.lift.k
 
-    def vertex_state(self, w: int) -> State:
-        """Full polytope state at the copy corresponding to cube vertex w."""
-        s = self.base_state
-        in_set = set(s.in_facets)
-        for j in range(self.k):
-            if w >> j & 1:
-                in_set ^= self.moves.block(self.defining[j])
-        return State(s.universe, frozenset(in_set))
-
-    def vertex_states(self) -> Dict[int, State]:
-        return {w: self.vertex_state(w) for w in range(1 << self.k)}
-
 
 def build_cube_model(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> CubeModel:
     """Vertex states by move-flipping, edge orientations from statuses, lift
@@ -316,25 +302,6 @@ def comparability_graph(elements, covers) -> FlagGraph:
             N[low.bit_length() - 1] |= 1 << i
             m ^= low
     return FlagGraph(pos, N)
-
-
-def coface_links_fast(P: Polytope, m: MoveSystem, s: State, F: FaceHandle):
-    """Ascending and descending coface links from the inherited state.
-
-    Ascending: barycentric subdivision of the Out part of the dual complex.
-    Descending: full subcomplex of the subdivided dual spanned by barycentres
-    of simplices meeting at least one In vertex.
-    """
-    D = dual_complex(P, F)
-    if D.is_empty:
-        return SimplicialComplex([]), SimplicialComplex([])
-    inh = inherited_state(P, m, s, F)
-    out_ids = [v for v in D.vertices if not inh.is_in(v)]
-    in_ids = frozenset(v for v in D.vertices if inh.is_in(v))
-    asc = barycentric_subdivision(full_subcomplex(D, out_ids))
-    sd = barycentric_subdivision(D)
-    desc = full_subcomplex(sd, [v for v in sd.vertices if v & in_ids])
-    return asc, desc
 
 
 def coface_membership_oracle(
@@ -671,35 +638,42 @@ class CuspConditionResult:
     pair: Optional[Tuple[str, str]]
 
 
-def check_cusp_condition(
-    P: Polytope, s: State, cusp_id: str, m: MoveSystem
-) -> CuspConditionResult:
-    """First move (canonical order) meeting the cusp's incident facets in
-    exactly two facets that are non-adjacent and of opposite status."""
+def cusp_pairs(P: Polytope, m: MoveSystem, cusp_id: str) -> Tuple[Tuple[int, str, str], ...]:
+    """The moves, in canonical order, that meet the cusp's incident facets in
+    exactly two facets that are non-adjacent, each with that pair (a, b)."""
     iv = P.ideal_vertex(cusp_id)
+    out = []
     for bi, block in enumerate(m.blocks):
         hit = sorted(block & iv.incident)
-        if len(hit) != 2:
-            continue
-        a, b = hit
-        if P.adjacent(a, b):
-            continue
-        if s.is_in(a) == s.is_in(b):
-            continue
-        return CuspConditionResult(True, bi, (a, b))
+        if len(hit) == 2 and not P.adjacent(*hit):
+            out.append((bi, *hit))
+    return tuple(out)
+
+
+def check_cusp_condition(
+    P: Polytope, s: State, cusp_id: str, m: MoveSystem, *, table: Optional[CuspTable] = None
+) -> CuspConditionResult:
+    """First move (canonical order) meeting the cusp's incident facets in
+    exactly two facets that are non-adjacent and of opposite status; the
+    pairs are the given table's, or `cusp_pairs`."""
+    pairs = table.pairs if table is not None else cusp_pairs(P, m, cusp_id)
+    for bi, a, b in pairs:
+        if s.is_in(a) != s.is_in(b):
+            return CuspConditionResult(True, bi, (a, b))
     return CuspConditionResult(False, None, None)
 
 
 class CuspTable(NamedTuple):
     """What certifying a cusp's horospherical cube needs of the cusp alone,
-    built once for all states: its id, the section, its number of faces, and
+    built once for all states: its id, the section, its number of faces,
     its bad faces in canonical order, each id tuple mapped to its
-    `face_masks`."""
+    `face_masks`, and its `cusp_pairs`."""
 
     cusp_id: str
     section: Polytope
     n_faces: int
     bad: Dict[Tuple[str, ...], Tuple[int, int]]
+    pairs: Tuple[Tuple[int, str, str], ...]
 
 
 def cusp_table(P: Polytope, m: MoveSystem, cusp_id: str) -> CuspTable:
@@ -707,7 +681,8 @@ def cusp_table(P: Polytope, m: MoveSystem, cusp_id: str) -> CuspTable:
     mH = m.restrict(H.facet_ids)
     n_faces, bad = bad_faces(H, mH)
     return CuspTable(cusp_id, H, n_faces,
-                     {F.sorted_ids(): face_masks(H, mH, F) for F in bad})
+                     {F.sorted_ids(): face_masks(H, mH, F) for F in bad},
+                     cusp_pairs(P, m, cusp_id))
 
 
 # A bad face of a boundary cube with the cone apexes of its Out and In parts
@@ -753,7 +728,7 @@ def certify_boundary_cube(
     that dominates every other one, is the whole certificate.
     """
     table = table if table is not None else cusp_table(P, m, cusp_id)
-    cond = check_cusp_condition(P, s, cusp_id, m)
+    cond = check_cusp_condition(P, s, cusp_id, m, table=table)
     if not cond.ok:
         return BoundaryCubeCertificate(cusp_id, cond, table.n_faces, ())
     H, s_in = table.section, facet_mask(table.section, s.in_facets)

@@ -3,14 +3,16 @@
 The 6-polytope with 27 facets is built from a hard-coded table of integer
 Lorentzian normal vectors and cross-validated against an independent labelling
 rule; any disagreement aborts, since transcription errors are the dominant
-risk.  Faces are realised as cliques of the facet adjacency graph (the flag
-property is asserted by `f_vector_check`, not assumed silently).
+risk.  Faces are realised as cliques of the facet adjacency graph, listed
+once per polytope by its clique census (the flag property is asserted by
+`f_vector_check`, not assumed silently).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from . import labels as lb
 from .complexes import SimplicialComplex
@@ -146,8 +148,9 @@ class Polytope:
             if unknown:
                 raise InputError(f"ideal vertex {iv.id!r} lists unknown facets")
         self._dual_cache: dict = {}
+        self._census: Optional[Tuple[Tuple[int, ...], ...]] = None  # filled by `cliques`
         self._face_cache: dict = {}
-        self._bad_cache: dict = {}  # per move system, filled by states.bad_faces
+        self._face_tables: dict = {}  # per move system, filled by states.face_table
 
     def __repr__(self):
         return (
@@ -184,27 +187,49 @@ class Polytope:
                 return iv
         raise InputError(f"unknown ideal vertex {iv_id!r}")
 
-    # -- clique machinery ---------------------------------------------------
+    # -- clique census ------------------------------------------------------
 
-    def _cliques_of_size(self, k: int):
+    def _clique_levels(self) -> Iterator[Tuple[int, ...]]:
+        """The cliques of the facet graph of each size 0, 1, 2, ... in turn,
+        as facet masks in canonical order.  Each clique of one size is
+        extended by each facet after its last one, in sorted-id order, that
+        is adjacent to all of its facets; extending the cliques of one size
+        in canonical order gives the next size in canonical order."""
         n = len(self.facet_ids)
-        if k == 0:
-            yield ()
-            return
-        masks = self._nbr_mask
+        order = sorted(range(n), key=self.facet_ids.__getitem__)
+        rank = {i: r for r, i in enumerate(order)}
+        # per rank: its neighbours of higher rank, as a mask over ranks
+        later = [sum(1 << rank[j] for j in range(n) if self._nbr_mask[i] >> j & 1 and rank[j] > r)
+                 for r, i in enumerate(order)]
+        level = [(0, (1 << n) - 1)]  # (clique, the ranks that extend it)
+        while True:
+            yield tuple(mask for mask, _ in level)
+            nxt = []
+            for mask, cand in level:
+                while cand:
+                    low = cand & -cand
+                    r = low.bit_length() - 1
+                    nxt.append((mask | 1 << order[r], cand & later[r]))
+                    cand ^= low
+            level = nxt
 
-        def extend(clique: tuple, allowed: int, start: int):
-            if len(clique) == k:
-                yield clique
-                return
-            for i in range(start, n):
-                if allowed >> i & 1:
-                    yield from extend(clique + (i,), allowed & masks[i], i + 1)
+    def _build_census(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(islice(self._clique_levels(), self.dimension + 2))
 
-        yield from extend((), (1 << n) - 1, 0)
+    def cliques(self, k: int) -> Tuple[int, ...]:
+        """The cliques of size k as facet masks, in canonical order.  Sizes
+        up to dimension + 1 come from the census, built once per polytope;
+        a larger size is counted by extending past it."""
+        if k < 0:
+            return ()
+        if self._census is None:
+            self._census = self._build_census()
+        if k < len(self._census):
+            return self._census[k]
+        return next(islice(self._clique_levels(), k, None))
 
     def clique_count(self, k: int) -> int:
-        return sum(1 for _ in self._cliques_of_size(k))
+        return len(self.cliques(k))
 
 
 def enumerate_faces(P: Polytope, codim: int) -> Tuple[FaceHandle, ...]:
@@ -212,16 +237,9 @@ def enumerate_faces(P: Polytope, codim: int) -> Tuple[FaceHandle, ...]:
     if codim < 0 or codim > P.dimension:
         raise InputError(f"codim must be in 0..{P.dimension}")
     cached = P._face_cache.get(codim)
-    if cached is not None:
-        return cached
-    handles = [
-        FaceHandle(frozenset(P.facet_ids[i] for i in c))
-        for c in P._cliques_of_size(codim)
-    ]
-    handles.sort(key=lambda h: h.sorted_ids())
-    out = tuple(handles)
-    P._face_cache[codim] = out
-    return out
+    if cached is None:
+        cached = P._face_cache[codim] = tuple(face_of_mask(P, f) for f in P.cliques(codim))
+    return cached
 
 
 def _dual_mask(P: Polytope, F: FaceHandle) -> int:
@@ -233,9 +251,21 @@ def _dual_mask(P: Polytope, F: FaceHandle) -> int:
     return allowed
 
 
+def _facets_of(P: Polytope, mask: int) -> Iterator[str]:
+    while mask:
+        low = mask & -mask
+        yield P.facet_ids[low.bit_length() - 1]
+        mask ^= low
+
+
 def mask_ids(P: Polytope, mask: int) -> Tuple[str, ...]:
     """The facets in `mask`, a mask over P's facet indices, in sorted order."""
-    return tuple(sorted(fid for i, fid in enumerate(P.facet_ids) if mask >> i & 1))
+    return tuple(sorted(_facets_of(P, mask)))
+
+
+def face_of_mask(P: Polytope, mask: int) -> FaceHandle:
+    """The face of P defined by the facets in `mask`."""
+    return FaceHandle(frozenset(_facets_of(P, mask)))
 
 
 def dual_complex(P: Polytope, F: FaceHandle) -> SimplicialComplex:

@@ -14,21 +14,13 @@ from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequen
 
 from . import labels as lb
 from .complexes import (
-    SimplicialComplex,
     full_subcomplex,
     replay_collapse,
     sequence_json,
     try_collapse,
 )
 from .errors import InputError, StructuralError
-from .polytopes import (
-    FaceHandle,
-    Polytope,
-    _dual_mask,
-    dual_complex,
-    enumerate_faces,
-    mask_ids,
-)
+from .polytopes import FaceHandle, Polytope, _dual_mask, dual_complex, face_of_mask, mask_ids
 
 IN, OUT = "I", "O"
 
@@ -252,11 +244,6 @@ def good_witness(m: MoveSystem, F: FaceHandle) -> Optional[int]:
     return min((b for b, c in _move_counts(m, F).items() if c == 1), default=None)
 
 
-def is_good_face(m: MoveSystem, F: FaceHandle) -> bool:
-    """Good iff some move contains exactly one defining facet; P itself is bad."""
-    return good_witness(m, F) is not None
-
-
 def bad_face_signature(m: MoveSystem, F: FaceHandle) -> Optional[Tuple[int, ...]]:
     """Sorted per-move counts for a bad face; None when the face is good."""
     if good_witness(m, F) is not None:
@@ -264,10 +251,43 @@ def bad_face_signature(m: MoveSystem, F: FaceHandle) -> Optional[Tuple[int, ...]
     return tuple(sorted(_move_counts(m, F).values()))
 
 
+class FaceTable(NamedTuple):
+    """Every face of a polytope under a move system, the polytope itself
+    first, in canonical order: `masks` and `witnesses` hold each face's
+    facet mask and its `good_witness`, and `bad` maps each bad face, in the
+    same order, to its `bad_face_signature`."""
+
+    masks: Tuple[int, ...]
+    witnesses: Tuple[Optional[int], ...]
+    bad: Dict[FaceHandle, Tuple[int, ...]]
+
+
+def face_table(P: Polytope, m: MoveSystem) -> FaceTable:
+    """The face table of P under m, from P's clique census and m's block
+    masks: a face's witness is the first move whose block meets its mask in
+    exactly one bit.  Computed once per move system and kept on P."""
+    got = P._face_tables.get(m)
+    if got is None:
+        blocks = [facet_mask(P, b) for b in m.blocks]
+        masks = tuple(f for k in range(P.dimension + 1) for f in P.cliques(k))
+        witnesses, bad = [], {}
+        for f in masks:
+            for i, b in enumerate(blocks):
+                hit = f & b
+                if hit and not hit & (hit - 1):
+                    witnesses.append(i)
+                    break
+            else:
+                witnesses.append(None)
+                bad[face_of_mask(P, f)] = tuple(sorted((f & b).bit_count() for b in blocks if f & b))
+        got = P._face_tables[m] = FaceTable(masks, tuple(witnesses), bad)
+    return got
+
+
 def all_pairs_index(P: Polytope, m: MoveSystem, F: FaceHandle) -> Optional[int]:
     """l when F is a bad face of codimension 2l = dim P met by each of its
     moves in exactly two defining facets (an all-pairs top vertex); else None."""
-    sig = bad_face_signature(m, F)
+    sig = face_table(P, m).bad.get(F)
     if sig and set(sig) == {2} and F.codim == P.dimension:
         return len(sig)
     return None
@@ -275,21 +295,17 @@ def all_pairs_index(P: Polytope, m: MoveSystem, F: FaceHandle) -> Optional[int]:
 
 def bad_faces(P: Polytope, m: MoveSystem) -> Tuple[int, Tuple[FaceHandle, ...]]:
     """The number of faces of P, P itself included, and the bad ones among
-    them in canonical order; computed once per move system and kept on P."""
-    got = P._bad_cache.get(m)
-    if got is None:
-        faces = [F for codim in range(P.dimension + 1) for F in enumerate_faces(P, codim)]
-        bad = tuple(F for F in faces if good_witness(m, F) is None)
-        got = P._bad_cache[m] = (len(faces), bad)
-    return got
+    them in canonical order, from the face table."""
+    table = face_table(P, m)
+    return len(table.masks), tuple(table.bad)
 
 
 def classify_bad_faces(P: Polytope, m: MoveSystem):
     """All proper bad faces grouped by signature, canonical order throughout."""
     out: Dict[Tuple[int, ...], list] = {}
-    for F in bad_faces(P, m)[1]:
+    for F, sig in face_table(P, m).bad.items():
         if F.codim:
-            out.setdefault(bad_face_signature(m, F), []).append(F)
+            out.setdefault(sig, []).append(F)
     return {sig: tuple(faces) for sig, faces in sorted(out.items())}
 
 
@@ -324,17 +340,6 @@ def inherited_state(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> Stat
     """
     dual, free = face_masks(P, m, F)
     return split_state(P, dual, free & facet_mask(P, s.in_facets))
-
-
-def state_parts(
-    P: Polytope, F: FaceHandle, s_on_f: State
-) -> Tuple[SimplicialComplex, SimplicialComplex]:
-    """The Out and In parts of F's dual complex: its full subcomplexes on
-    the facets that the state on F labels Out and In."""
-    D = dual_complex(P, F)
-    if set(s_on_f.universe) != set(D.vertices):
-        raise InputError("state universe does not match the dual complex vertices")
-    return full_subcomplex(D, s_on_f.out_facets), full_subcomplex(D, s_on_f.in_facets)
 
 
 # A part is the clique complex of the facet graph on its vertices, and a face

@@ -1,0 +1,174 @@
+"""Reference implementations that only tests use: literal constructions that
+the engine's fast paths are checked against, kept out of the package."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+from typing import Dict, Tuple
+
+from morsecert.complexes import SimplicialComplex, full_subcomplex, label_key
+from morsecert.errors import InputError
+from morsecert.labels import BASE_POINT_LABELS, UNIT_LABELS, label_signs
+from morsecert.polytopes import FaceHandle, Polytope, dual_complex
+from morsecert.states import MoveSystem, State, good_witness, inherited_state
+
+
+# -- complexes -----------------------------------------------------------------
+
+
+def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
+    """Subdivision whose vertices are the nonempty faces of K.
+
+    Simplices are chains of faces under strict inclusion; each output vertex
+    label is the originating face (a frozenset of input labels).
+    """
+    flags: list = []
+
+    def extend(chain: list, top: frozenset):
+        if len(top) == 1:
+            flags.append(frozenset(chain))
+            return
+        for v in top:
+            extend(chain + [top - {v}], top - {v})
+
+    for f in K.maximal_faces:
+        extend([f], f)
+    return SimplicialComplex(flags, _trusted=True)
+
+
+def is_connected(K: SimplicialComplex) -> bool:
+    """Connectivity of the 1-skeleton; the empty complex is not connected."""
+    if K.is_empty:
+        return False
+    adj = {v: set() for v in K.vertices}
+    for f in K.maximal_faces:
+        for a, b in combinations(sorted(f, key=label_key), 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    seen = {K.vertices[0]}
+    stack = [K.vertices[0]]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(K.vertices)
+
+
+# -- faces, states and links -----------------------------------------------------
+
+
+def cliques_recursive(P: Polytope, k: int):
+    """The cliques of size k of P's facet graph, as tuples of facet indices,
+    by depth-first extension: independent of the census."""
+    n = len(P.facet_ids)
+
+    def extend(clique: tuple, allowed: int, start: int):
+        if len(clique) == k:
+            yield clique
+            return
+        for i in range(start, n):
+            if allowed >> i & 1:
+                yield from extend(clique + (i,), allowed & P._nbr_mask[i], i + 1)
+
+    yield from extend((), (1 << n) - 1, 0)
+
+
+def cliques_brute_force(P: Polytope, k: int):
+    """The cliques of size k as sorted id tuples, over all k-subsets of the
+    facets, on `Polytope.adjacent`."""
+    return sorted(
+        c for c in combinations(sorted(P.facet_ids), k)
+        if all(P.adjacent(a, b) for a, b in combinations(c, 2))
+    )
+
+
+def is_good_face(m: MoveSystem, F: FaceHandle) -> bool:
+    """Good iff some move contains exactly one defining facet; P itself is bad."""
+    return good_witness(m, F) is not None
+
+
+def state_parts(P: Polytope, F: FaceHandle, s_on_f: State):
+    """The Out and In parts of F's dual complex: its full subcomplexes on
+    the facets that the state on F labels Out and In."""
+    D = dual_complex(P, F)
+    if set(s_on_f.universe) != set(D.vertices):
+        raise InputError("state universe does not match the dual complex vertices")
+    return full_subcomplex(D, s_on_f.out_facets), full_subcomplex(D, s_on_f.in_facets)
+
+
+def vertex_state(model, w: int) -> State:
+    """Full polytope state at the copy of a cube model's vertex w: the base
+    state with the move of each crossed defining facet flipped."""
+    s = model.base_state
+    in_set = set(s.in_facets)
+    for j in range(model.k):
+        if w >> j & 1:
+            in_set ^= model.moves.block(model.defining[j])
+    return State(s.universe, frozenset(in_set))
+
+
+def vertex_states(model) -> Dict[int, State]:
+    return {w: vertex_state(model, w) for w in range(1 << model.k)}
+
+
+def coface_links_fast(P: Polytope, m: MoveSystem, s: State, F: FaceHandle):
+    """Ascending and descending coface links from the inherited state.
+
+    Ascending: barycentric subdivision of the Out part of the dual complex.
+    Descending: full subcomplex of the subdivided dual spanned by barycentres
+    of simplices meeting at least one In vertex.
+    """
+    D = dual_complex(P, F)
+    if D.is_empty:
+        return SimplicialComplex([]), SimplicialComplex([])
+    inh = inherited_state(P, m, s, F)
+    out_ids = [v for v in D.vertices if not inh.is_in(v)]
+    in_ids = frozenset(v for v in D.vertices if inh.is_in(v))
+    asc = barycentric_subdivision(full_subcomplex(D, out_ids))
+    sd = barycentric_subdivision(D)
+    desc = full_subcomplex(sd, [v for v in sd.vertices if v & in_ids])
+    return asc, desc
+
+
+# -- quaternion labels over Fraction -----------------------------------------------
+
+FQuat = Tuple[Fraction, Fraction, Fraction, Fraction]
+
+_UNIT_AXES = {"1": 0, "i": 1, "j": 2, "k": 3}
+
+
+def fraction_quat(label: str) -> FQuat:
+    """The quaternion a T24 label stands for: a unit, or a sign label's
+    (±1±i±j±k)/2."""
+    if label in UNIT_LABELS:
+        sign = -1 if label.startswith("-") else 1
+        axis = _UNIT_AXES[label.lstrip("-")]
+        return tuple(Fraction(sign if p == axis else 0) for p in range(4))
+    return tuple(Fraction(s, 2) for s in label_signs(label))
+
+
+def fraction_mul(p: FQuat, q: FQuat) -> FQuat:
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def fraction_base_unit(label: str) -> str:
+    """The unit q with label = q * base point, over Fraction."""
+    t = fraction_quat(label)
+    units = {fraction_quat(u): u for u in UNIT_LABELS}
+    found = []
+    for bp in BASE_POINT_LABELS:
+        b = fraction_quat(bp)
+        q = fraction_mul(t, (b[0], -b[1], -b[2], -b[3]))
+        if q in units:
+            found.append(units[q])
+    assert len(found) == 1, (label, found)
+    return found[0]

@@ -28,9 +28,10 @@ from morsecert.states import (
     balanced_states_p5,
     inherited_state,
     move_system_p5,
-    state_parts,
 )
 from morsecert.verify import verify_document
+
+from oracles import state_parts
 
 
 def square_inputs():

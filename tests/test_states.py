@@ -11,10 +11,11 @@ from morsecert.states import (
     classify_bad_faces,
     inherited_state,
     is_compatible,
-    is_good_face,
     legality,
     orbit,
 )
+
+from oracles import is_good_face
 
 REFERENCE_OUT = {
     "1", "1-i+j-k", "1+i+j-k",
