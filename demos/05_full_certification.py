@@ -13,7 +13,7 @@ from morsecert.report import certificate_to_document, document_to_json
 
 cert = certify_p6()
 print(cert.summary_line())
-print("verdict classes:", dict(Counter(r.verdict for r in cert.verdict_rows)))
+print("verdict classes:", dict(Counter(r["verdict"] for r in cert.verdict_rows)))
 print("evidence blobs:", len(cert.evidence), "+", len(cert.shared_evidence),
       "shared collapse certificates")
 print("consistency identity: chi per copy =", cert.euler.chi_per_copy,

@@ -20,7 +20,6 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 
 from .errors import InputError, StructuralError
 from .links import (
-    CheckedFace,
     CriticalLinkCertifier,
     CuspTable,
     certify_boundary_cube,
@@ -113,30 +112,6 @@ def critical_shared_payload(cert) -> dict:
 
 
 @dataclass(frozen=True)
-class VerdictRow:
-    face: Tuple[str, ...]
-    branch: str
-    verdict: str
-    state_indices: Tuple[int, ...]  # ascending; the first is the representative
-    witness_move: Optional[int] = None
-    evidence_id: Optional[str] = None
-    transform: Optional[dict] = None
-
-
-@dataclass(frozen=True)
-class CuspRow:
-    cusp_id: str
-    state_index: int
-    ok: bool
-    move_index: Optional[int]
-    pair: Optional[Tuple[str, str]]
-    all_regular: bool
-    n_faces: int
-    n_good: int
-    checked_faces: Tuple[CheckedFace, ...]
-
-
-@dataclass(frozen=True)
 class EulerRecord:
     chi_per_copy: Fraction
     critical_count: int
@@ -153,10 +128,10 @@ class Certificate:
     f_vector: FVectorReport
     bad_faces: Dict[Tuple[int, ...], Tuple[FaceHandle, ...]]
     bad_faces_passed: Optional[bool]
-    verdict_rows: Tuple[VerdictRow, ...]
+    verdict_rows: Tuple[dict, ...]  # report rows, by `verdict_row`
     evidence: Dict[str, dict]
     shared_evidence: Dict[str, dict]
-    cusp_rows: Tuple[CuspRow, ...]
+    cusp_rows: Tuple[dict, ...]  # report rows, by `cusp_row`
     euler: EulerRecord
     failures: Tuple[str, ...]
     timings: Dict[str, float]
@@ -289,23 +264,30 @@ def verdict_plan(P: Polytope, m: MoveSystem, states: Sequence[State]) -> Iterato
 
 
 # One writer per branch of verdict row, from the plan: the pipeline writes
-# its rows with them, and the verifier compares each row with them.
+# its rows with them, and the verifier compares each row with them.  A row
+# is the report's row itself; `states` ascend, the first the representative.
 
 
-def good_row(p: PlannedRow) -> VerdictRow:
-    return VerdictRow(p.face, "good-face", "Regular", p.states, witness_move=p.witness)
+def verdict_row(p: PlannedRow, branch: str, verdict: str, *, witness_move: Optional[int] = None,
+                evidence: Optional[str] = None, transform: Optional[dict] = None) -> dict:
+    return {"face": list(p.face), "branch": branch, "verdict": verdict, "states": list(p.states),
+            "witness_move": witness_move, "evidence": evidence, "transform": transform}
 
 
-def legal_row(p: PlannedRow, eid: str) -> VerdictRow:
-    return VerdictRow(p.face, "inherited-totally-legal", "Regular", p.states, evidence_id=eid)
+def good_row(p: PlannedRow) -> dict:
+    return verdict_row(p, "good-face", "Regular", witness_move=p.witness)
 
 
-def critical_row(p: PlannedRow, ell: int, sid: str, transform) -> VerdictRow:
+def legal_row(p: PlannedRow, eid: str) -> dict:
+    return verdict_row(p, "inherited-totally-legal", "Regular", evidence=eid)
+
+
+def critical_row(p: PlannedRow, ell: int, sid: str, transform) -> dict:
     """A critical row cites the shared item `sid` and carries the canonical
     transform of its first state."""
     _, perm, delta = transform
-    return VerdictRow(p.face, "critical-pairs", f"Critical({ell})", p.states,
-                      evidence_id=sid, transform={"perm": list(perm), "delta": delta})
+    return verdict_row(p, "critical-pairs", f"Critical({ell})", evidence=sid,
+                       transform={"perm": list(perm), "delta": delta})
 
 
 def _classify_group(
@@ -335,7 +317,7 @@ def _classify_group(
             critical_transform(P, m, states[idx], p.F, certifier.transforms)
         return critical_row(p, lc.index, sid, lc.transform), {}, sid, None
     failure = f"Unknown verdict at face {p.face} states {list(p.states)}: {lc.note}"
-    return VerdictRow(p.face, lc.branch, "Unknown", p.states), {}, None, failure
+    return verdict_row(p, lc.branch, "Unknown"), {}, None, failure
 
 
 _WORKER_CTX: dict = {}
@@ -363,7 +345,7 @@ def _verdict_sweep(
 ):
     """Fill `verdict_plan` in order: a good face's row directly, a bad
     face's rows by classifying them."""
-    rows: List[VerdictRow] = []
+    rows: List[dict] = []
     evidence: Dict[str, dict] = {}
     shared: Dict[str, dict] = {}
     plan = list(verdict_plan(P, m, states))
@@ -407,33 +389,35 @@ def _verdict_sweep(
 # Cusp suite
 
 
-def cusp_row(P: Polytope, m: MoveSystem, s: State, idx: int, table: CuspTable) -> CuspRow:
+def cusp_row(P: Polytope, m: MoveSystem, s: State, idx: int, table: CuspTable) -> dict:
     """The row of state `s`, number `idx`, at the cusp of `table`: the
     pipeline writes each cusp row with it, and the verifier compares each
     cusp row with it."""
     bc = certify_boundary_cube(P, m, s, table.cusp_id, table=table)
     cond = bc.condition
-    return CuspRow(table.cusp_id, idx, cond.ok, cond.move_index, cond.pair, bc.all_regular,
-                   bc.n_faces, bc.n_faces - len(bc.checked), bc.checked)
+    return {"cusp": table.cusp_id, "state": idx, "ok": cond.ok, "move": cond.move_index,
+            "pair": list(cond.pair) if cond.pair else None, "all_regular": bc.all_regular,
+            "n_faces": bc.n_faces, "n_good": bc.n_faces - len(bc.checked),
+            "checked": [[list(face), list(apexes)] for face, apexes in bc.checked]}
 
 
 def _cusp_suite(
     P: Polytope, m: MoveSystem, states: Sequence[State], failures: List[str]
-) -> Tuple[CuspRow, ...]:
+) -> Tuple[dict, ...]:
     """One row per (cusp, state), cusps in the polytope's order."""
-    rows: List[CuspRow] = []
+    rows: List[dict] = []
     for iv in P.ideal_vertices:
         table = cusp_table(P, m, iv.id)
         for idx, s in enumerate(states):
             row = cusp_row(P, m, s, idx, table)
             rows.append(row)
-            if not row.ok:
+            if not row["ok"]:
                 failures.append(f"cusp condition fails at {iv.id} state {idx}")
-            for face_ids, apexes in row.checked_faces:
+            for face_ids, apexes in row["checked"]:
                 if None in apexes:
                     failures.append(
-                        f"boundary cube at {iv.id} state {idx}: face {face_ids} "
-                        f"not certified, a part is not a cone (apexes {apexes})"
+                        f"boundary cube at {iv.id} state {idx}: face {tuple(face_ids)} "
+                        f"not certified, a part is not a cone (apexes {tuple(apexes)})"
                     )
     return tuple(rows)
 
@@ -531,7 +515,7 @@ def run_pipeline(
     t0 = time.perf_counter()
     per_face: Dict[Tuple[str, ...], list] = {}
     for row in rows:
-        per_face.setdefault(row.face, []).extend(row.state_indices)
+        per_face.setdefault(tuple(row["face"]), []).extend(row["states"])
     n_faces = len(face_table(P, m).masks)
     if len(per_face) != n_faces:
         failures.append("verdict table does not cover every face")
@@ -556,8 +540,9 @@ def run_pipeline(
 
     for row in rows:
         # Unknown rows were already recorded as failures
-        if row.verdict != "Unknown" and not verdict_allowed(mode, P.dimension, row.verdict):
-            failures.append(f"verdict {row.verdict} at {row.face} not allowed in {mode} mode")
+        verdict = row["verdict"]
+        if verdict != "Unknown" and not verdict_allowed(mode, P.dimension, verdict):
+            failures.append(f"verdict {verdict} at {tuple(row['face'])} not allowed in {mode} mode")
 
     timings["total"] = time.perf_counter() - t_total
     passed = not failures

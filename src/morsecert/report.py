@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from .certify import Certificate, CuspRow, VerdictRow
+from .certify import Certificate
 
 REPORT_VERSION = "6"
 
@@ -27,32 +27,6 @@ CUSP_ROW_KEYS = frozenset({"cusp", "state", "ok", "move", "pair", "all_regular",
                            "n_good", "checked"})
 
 
-def _verdict_row_doc(row: VerdictRow) -> dict:
-    return {
-        "face": list(row.face),
-        "branch": row.branch,
-        "verdict": row.verdict,
-        "states": list(row.state_indices),
-        "witness_move": row.witness_move,
-        "evidence": row.evidence_id,
-        "transform": row.transform,
-    }
-
-
-def _cusp_row_doc(row: CuspRow) -> dict:
-    return {
-        "cusp": row.cusp_id,
-        "state": row.state_index,
-        "ok": row.ok,
-        "move": row.move_index,
-        "pair": list(row.pair) if row.pair else None,
-        "all_regular": row.all_regular,
-        "n_faces": row.n_faces,
-        "n_good": row.n_good,
-        "checked": [[list(face), list(apexes)] for face, apexes in row.checked_faces],
-    }
-
-
 def certificate_to_document(cert: Certificate, *, include_timings: bool = False) -> dict:
     """The structured report: the claim and its provenance, the tables of
     `certify.report_tables` that the verifier recomputes, and the verdict
@@ -64,12 +38,12 @@ def certificate_to_document(cert: Certificate, *, include_timings: bool = False)
         "pass": cert.passed,
         "seeds": {"root": cert.seed},
         **cert.tables,
-        "verdicts": {"rows": [_verdict_row_doc(r) for r in cert.verdict_rows]},
+        "verdicts": {"rows": list(cert.verdict_rows)},
         "evidence": {k: cert.evidence[k] for k in sorted(cert.evidence)},
         "shared_evidence": {
             k: cert.shared_evidence[k] for k in sorted(cert.shared_evidence)
         },
-        "cusps": {"rows": [_cusp_row_doc(r) for r in cert.cusp_rows]},
+        "cusps": {"rows": list(cert.cusp_rows)},
         "failures": list(cert.failures),
         "timings": (
             {k: round(v, 6) for k, v in sorted(cert.timings.items())}
@@ -117,21 +91,21 @@ def render_text(cert: Certificate) -> str:
         add(f"  signature set check: {'PASS' if cert.bad_faces_passed else 'FAIL'}")
     add("")
     add("-- verdicts --")
-    n_faces = len({r.face for r in cert.verdict_rows})
+    n_faces = len({tuple(r["face"]) for r in cert.verdict_rows})
     n_states = len(cert.orbit_serials)
     add(f"coverage: {n_faces} faces x {n_states} states = {n_faces * n_states} "
         f"pairs in {len(cert.verdict_rows)} classes")
-    hist = Counter(r.verdict for r in cert.verdict_rows)
+    hist = Counter(r["verdict"] for r in cert.verdict_rows)
     for verdict in sorted(hist):
         add(f"  {verdict}: {hist[verdict]} classes")
-    branches = Counter(r.branch for r in cert.verdict_rows)
+    branches = Counter(r["branch"] for r in cert.verdict_rows)
     for branch in sorted(branches):
         add(f"  via {branch}: {branches[branch]}")
     add("")
     add("-- cusps --")
     if cert.cusp_rows:
-        ok = sum(1 for r in cert.cusp_rows if r.ok)
-        reg = sum(1 for r in cert.cusp_rows if r.all_regular)
+        ok = sum(1 for r in cert.cusp_rows if r["ok"])
+        reg = sum(1 for r in cert.cusp_rows if r["all_regular"])
         add(f"condition holds: {ok}/{len(cert.cusp_rows)} (cusp, state) pairs")
         add(f"boundary cubes all Regular: {reg}/{len(cert.cusp_rows)}")
     else:

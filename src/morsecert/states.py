@@ -115,8 +115,17 @@ def orbit(s: State, m: MoveSystem) -> Tuple[State, ...]:
 
 
 def is_compatible(P: Polytope, m: MoveSystem, s: State):
-    """Adjacent same-move facets must share status; returns (ok, witness)."""
+    """Adjacent same-move facets must share status; returns (ok, witness),
+    the first pair (a, b) that does not, blocks in order, each sorted.  A
+    block is tested on masks, and walked only to name its pair."""
+    s_in = facet_mask(P, s.in_facets)
     for block in m.blocks:
+        bm = facet_mask(P, block)
+        inn, out = bm & s_in, bm & ~s_in
+        while inn and not P._nbr_mask[(inn & -inn).bit_length() - 1] & out:
+            inn &= inn - 1
+        if not inn:
+            continue
         bl = sorted(block)
         for i, a in enumerate(bl):
             for b in bl[i + 1:]:

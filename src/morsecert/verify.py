@@ -2,10 +2,10 @@
 
 Every table and every row is recomputed and compared whole with what its
 one writer makes of the recomputation: `certify.report_tables` for the
-tables; `certify.verdict_plan`, in order, and the branch writers that
-`report._verdict_row_doc` renders for the verdict rows; `certify.cusp_row`
-for the cusp rows, one per (cusp, state) in order, whose cone apexes are
-`states.cone_apex`'s first apex of each part.  Every dismantling order that
+tables; `certify.verdict_plan`, in order, and its branch's row writer for
+each verdict row; `certify.cusp_row` for the cusp rows, one per (cusp,
+state) in order, whose cone apexes are `states.cone_apex`'s first apex of
+each part.  Every dismantling order that
 a row cites is checked step by step on adjacency masks: the facet graph for
 a legality part, the comparability graph of the face poset for a shared
 critical link.  Every elementary collapse sequence, a fallback that the
@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Tuple
 from .certify import (
     SEQUENCE_KEYS,
     PlannedRow,
-    VerdictRow,
     _eid,
     _inputs_digest,
     critical_row,
@@ -46,14 +45,7 @@ from .links import (
     cusp_table,
 )
 from .polytopes import FaceHandle, build_p5, build_p6, f_vector_check
-from .report import (
-    CUSP_ROW_KEYS,
-    REPORT_KEYS,
-    REPORT_VERSION,
-    ROW_KEYS,
-    _cusp_row_doc,
-    _verdict_row_doc,
-)
+from .report import CUSP_ROW_KEYS, REPORT_KEYS, REPORT_VERSION, ROW_KEYS
 from .states import (
     State,
     all_pairs_index,
@@ -229,9 +221,9 @@ class _Verifier:
             want = self._claimed_row(p, row, where)
             if want is not None:
                 cited = f": evidence {row['evidence']}" if row["evidence"] else ""
-                self._same_row(row, _verdict_row_doc(want), where + cited)
+                self._same_row(row, want, where + cited)
 
-    def _claimed_row(self, p: PlannedRow, row: dict, where: str) -> Optional[VerdictRow]:
+    def _claimed_row(self, p: PlannedRow, row: dict, where: str) -> Optional[dict]:
         """The row of planned row `p` for the branch `row` claims, with the
         evidence it cites bound; None when no such row exists."""
         branch, eid = row["branch"], row["evidence"]
@@ -245,7 +237,7 @@ class _Verifier:
         self.fail(f"{where}: bad face, unverifiable branch {branch!r}")
         return None
 
-    def _critical_row(self, p: PlannedRow, eid, where: str) -> Optional[VerdictRow]:
+    def _critical_row(self, p: PlannedRow, eid, where: str) -> Optional[dict]:
         """The critical row citing `eid` for p's ℓ, with its first state's
         transform; every state's transform is validated, the shared item bound."""
         P, m, states = self.P, self.m, self.states
@@ -306,8 +298,8 @@ class _Verifier:
             if cusp not in tables:
                 tables[cusp] = cusp_table(P, m, cusp)
             expect = cusp_row(P, m, states[idx], idx, tables[cusp])
-            self._same_row(row, _cusp_row_doc(expect), where)
-            if not expect.all_regular:
+            self._same_row(row, expect, where)
+            if not expect["all_regular"]:
                 self.fail(f"{where}: boundary cube is not all Regular")
 
     def check_bound(self):

@@ -89,6 +89,17 @@ def is_good_face(m: MoveSystem, F: FaceHandle) -> bool:
     return good_witness(m, F) is not None
 
 
+def compatibility_by_labels(P: Polytope, m: MoveSystem, s: State):
+    """`states.is_compatible` as a walk over every same-move pair by label."""
+    for block in m.blocks:
+        bl = sorted(block)
+        for i, a in enumerate(bl):
+            for b in bl[i + 1:]:
+                if P.adjacent(a, b) and s.is_in(a) != s.is_in(b):
+                    return False, (a, b)
+    return True, None
+
+
 def state_parts(P: Polytope, F: FaceHandle, s_on_f: State):
     """The Out and In parts of F's dual complex: its full subcomplexes on
     the facets that the state on F labels Out and In."""

@@ -43,23 +43,23 @@ def test_criterion_1_p6_perfect_morse(cert_p6):
     t0 = time.perf_counter()
     assert cert_p6.passed, cert_p6.failures
     assert len(cert_p6.orbit_serials) == 32
-    verdicts = {r.verdict for r in cert_p6.verdict_rows}
+    verdicts = {r["verdict"] for r in cert_p6.verdict_rows}
     assert verdicts == {"Regular", "Critical(3)"}
-    assert not any(r.verdict == "Unknown" for r in cert_p6.verdict_rows)
+    assert not any(r["verdict"] == "Unknown" for r in cert_p6.verdict_rows)
     # full coverage: 2764 faces (including the 72 vertices) x 32 states
-    faces = {r.face for r in cert_p6.verdict_rows}
+    faces = {tuple(r["face"]) for r in cert_p6.verdict_rows}
     assert len(faces) == 2764
     assert len([f for f in faces if len(f) == 6]) == 72
     per_face = {}
     for r in cert_p6.verdict_rows:
-        per_face.setdefault(r.face, []).extend(r.state_indices)
+        per_face.setdefault(tuple(r["face"]), []).extend(r["states"])
     assert all(sorted(v) == list(range(32)) for v in per_face.values())
     # every non-good verdict carries replayable evidence; a critical row
     # cites the shared item directly
     for r in cert_p6.verdict_rows:
-        if r.branch != "good-face":
-            shared = r.branch == "critical-pairs"
-            assert r.evidence_id in (cert_p6.shared_evidence if shared else cert_p6.evidence)
+        if r["branch"] != "good-face":
+            shared = r["branch"] == "critical-pairs"
+            assert r["evidence"] in (cert_p6.shared_evidence if shared else cert_p6.evidence)
     runtime = cert_p6.timings["total"]
     assert runtime < 300, f"pipeline took {runtime:.0f}s, budget 300s"
     print(f"\nPASS criterion 1: P6 perfect Morse certified "
@@ -70,7 +70,7 @@ def test_criterion_2_p5_fibration(cert_p5):
     """Zero Critical verdicts across the full 16-state orbit."""
     assert cert_p5.passed, cert_p5.failures
     assert len(cert_p5.orbit_serials) == 16
-    assert all(r.verdict == "Regular" for r in cert_p5.verdict_rows)
+    assert all(r["verdict"] == "Regular" for r in cert_p5.verdict_rows)
     runtime = cert_p5.timings["total"]
     assert runtime < 60, f"pipeline took {runtime:.0f}s, budget 60s"
     print(f"\nPASS criterion 2: P5 fibration certified ({runtime:.1f}s)")
@@ -139,9 +139,9 @@ def test_criterion_5_oracle_equivalence(P6, M6, BAL6):
 def test_criterion_6_cusp_suite(cert_p6):
     rows = cert_p6.cusp_rows
     assert len(rows) == 27 * 32
-    assert all(r.ok for r in rows)
-    assert all(r.all_regular for r in rows)
-    assert all(r.n_faces == 3 ** 5 for r in rows)
+    assert all(r["ok"] for r in rows)
+    assert all(r["all_regular"] for r in rows)
+    assert all(r["n_faces"] == 3 ** 5 for r in rows)
     print("\nPASS criterion 6: all 27 cusps x 32 states satisfy the "
           "two-facet condition; all boundary 5-cubes certify Regular")
 

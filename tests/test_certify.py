@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -23,7 +24,12 @@ from morsecert.io import (
     write_json,
 )
 from morsecert.polytopes import FaceHandle, build_cusp_section, build_p5
-from morsecert.report import certificate_to_document, document_to_json, emit_report
+from morsecert.report import (
+    REPORT_VERSION,
+    certificate_to_document,
+    document_to_json,
+    emit_report,
+)
 from morsecert.states import (
     balanced_states_p5,
     inherited_state,
@@ -80,20 +86,20 @@ def test_certify_p5_properties(cert_p5):
     assert cert_p5.passed
     assert cert_p5.subject == "P5_fibration"
     assert len(cert_p5.orbit_serials) == 16
-    assert all(r.verdict == "Regular" for r in cert_p5.verdict_rows)
+    assert all(r["verdict"] == "Regular" for r in cert_p5.verdict_rows)
     assert len(cert_p5.cusp_rows) == 160
-    assert all(r.ok and r.all_regular for r in cert_p5.cusp_rows)
+    assert all(r["ok"] and r["all_regular"] for r in cert_p5.cusp_rows)
 
 
 def test_certify_p6_properties(cert_p6):
     assert cert_p6.passed
     assert cert_p6.subject == "P6_perfect_morse"
     assert len(cert_p6.orbit_serials) == 32
-    verdicts = {r.verdict for r in cert_p6.verdict_rows}
+    verdicts = {r["verdict"] for r in cert_p6.verdict_rows}
     assert verdicts == {"Regular", "Critical(3)"}
-    crit = [r for r in cert_p6.verdict_rows if r.verdict == "Critical(3)"]
+    crit = [r for r in cert_p6.verdict_rows if r["verdict"] == "Critical(3)"]
     assert len(crit) == 8
-    assert all(len(r.state_indices) == 32 for r in crit)
+    assert all(len(r["states"]) == 32 for r in crit)
 
 
 def test_certify_generic_sparse_square(tmp_path):
@@ -171,6 +177,25 @@ def test_structured_report_deterministic():
     a = document_to_json(certificate_to_document(certify_p5()))
     b = document_to_json(certificate_to_document(certify_p5()))
     assert a == b
+
+
+# SHA-256 and byte count of the seed-0 structured reports of each report
+# version: a change to the report's bytes must come with a new version
+REPORT_BYTES = {
+    "6": {
+        "P6_perfect_morse": (
+            "d23e4d8f5612775169c82d35fcbcb0f5b954071a7c8344a990eb11799904034d", 1_346_998),
+        "P5_fibration": (
+            "ab8ff8bf7ebbfa9746dad88213babeee8950a739ba6f3a60ac921bc17b0ab4a2", 160_095),
+    },
+}
+
+
+def test_report_bytes_pinned_to_version(cert_p5, cert_p6):
+    for cert in (cert_p5, cert_p6):
+        text = emit_report(cert, "structured").encode()
+        assert (hashlib.sha256(text).hexdigest(), len(text)) == \
+            REPORT_BYTES[REPORT_VERSION][cert.subject]
 
 
 def test_report_json_roundtrip(cert_p5):
@@ -375,6 +400,47 @@ def test_verify_rejects_edited_report(request, tmp_path, edit, codes, subject):
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc if replaced is None else replaced))
     assert main(["verify", str(path)]) in codes
+
+
+# (edit of the p5 report, what `verify` must say of it)
+NAMED_REJECTIONS = [
+    (lambda d: _set(_row(d, "inherited-totally-legal"), "evidence", "e" + "0" * 16),
+     ": evidence e0000000000000000 is missing"),
+    (lambda d: _set(_row(d, "inherited-totally-legal"), "branch", "critical-pairs"),
+     "not an all-pairs top vertex"),
+    (lambda d: _set(d, "subject", "nope"), "unknown subject 'nope'"),
+]
+
+
+@pytest.mark.parametrize("edit, message", NAMED_REJECTIONS,
+                         ids=["absent-evidence", "legal-row-as-critical", "unknown-subject"])
+def test_verify_names_what_it_rejects(cert_p5, tmp_path, capsys, edit, message):
+    doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
+    edit(doc)
+    write_json(tmp_path / "r.json", doc)
+    assert main(["verify", str(tmp_path / "r.json")]) == 1
+    assert message in capsys.readouterr().out
+
+
+def test_verify_rejects_a_boundary_cube_that_is_not_all_regular(tmp_path, capsys):
+    """Ideal vertex x of the square on facets a and c, which share a move:
+    they never differ in status, so the cusp condition fails in every state
+    and no boundary cube is all Regular.  A report edited to pass is
+    rejected at the cusp."""
+    pol, moves, _ = square_inputs()
+    pol["ideal_vertices"] = [{"label": "x", "incident": ["a", "c"]}]
+    state = {"a": "I", "b": "O", "c": "I", "d": "O"}
+    P = polytope_from_doc(pol)
+    cert = certify_generic(
+        P, moves_from_doc(moves, P), state_from_doc(state, P), mode="fibration",
+        generic_inputs={"polytope": pol, "moves": moves, "state": state},
+    )
+    assert "cusp condition fails at cusp:x state 0" in cert.failures
+    doc = certificate_to_document(cert)
+    doc["pass"], doc["failures"] = True, []
+    write_json(tmp_path / "r.json", doc)
+    assert main(["verify", str(tmp_path / "r.json")]) == 1
+    assert "cusp cusp:x state 0: boundary cube is not all Regular" in capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")
@@ -739,7 +805,7 @@ def test_certify_generic_honest_failure(tmp_path):
     assert not cert.passed
     assert cert.euler.chi_per_copy == 0 and cert.euler.critical_count == 2
     assert any("identity" in f for f in cert.failures)
-    crit = [r for r in cert.verdict_rows if r.verdict == "Critical(1)"]
+    crit = [r for r in cert.verdict_rows if r["verdict"] == "Critical(1)"]
     assert len(crit) == 2  # the two monochromatic vertices
     # a failing certificate is not verifiable
     ok, _ = verify_document(certificate_to_document(cert))

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from morsecert.errors import InputError
+from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
 from morsecert.polytopes import FaceHandle, enumerate_faces
 from morsecert.states import (
     State,
@@ -15,7 +16,7 @@ from morsecert.states import (
     orbit,
 )
 
-from oracles import is_good_face
+from oracles import compatibility_by_labels, is_good_face
 
 REFERENCE_OUT = {
     "1", "1-i+j-k", "1+i+j-k",
@@ -72,6 +73,27 @@ def test_compatibility_witness(P6, M6):
     assert set(witness) == {"1+i+j+k", "-1+i+j+k"}
     all_out = State(s.universe, frozenset())
     assert is_compatible(P6, M6, all_out)[0]
+
+
+def test_compatibility_masks_match_label_walk(P6, M6, BAL6, P5, M5, BAL5):
+    """The mask test gives the label walk's result, witness included, on
+    every balanced state, on each with one facet flipped, and on the
+    square whose same-move pair a, c is made adjacent."""
+    for P, m, states in ((P6, M6, BAL6), (P5, M5, BAL5)):
+        for s in states:
+            assert is_compatible(P, m, s) == compatibility_by_labels(P, m, s) == (True, None)
+            for f in P.facet_ids:
+                flipped = State(s.universe, s.in_facets ^ {f})
+                assert is_compatible(P, m, flipped) == compatibility_by_labels(P, m, flipped)
+    square = {"name": "sq", "dimension": 2, "facets": [{"id": f} for f in "abcd"],
+              "adjacency": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"], ["a", "c"]]}
+    P = polytope_from_doc(square)
+    m = moves_from_doc([["a", "c"], ["b", "d"]], P)
+    for statuses in ("IIOO", "OIIO", "IOOI", "IIII"):
+        s = state_from_doc(dict(zip("abcd", statuses)), P)
+        assert is_compatible(P, m, s) == compatibility_by_labels(P, m, s)
+    s = state_from_doc(dict(zip("abcd", "IIOO")), P)
+    assert is_compatible(P, m, s) == (False, ("a", "c"))
 
 
 def test_balanced_same_move_status_iff_adjacent(P6, M6, BAL6):
