@@ -55,7 +55,8 @@ from .states import (
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    # only trees reach here: payloads the writers build, or parsed JSON
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def _eid(payload: dict) -> str:

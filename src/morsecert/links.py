@@ -181,8 +181,11 @@ def build_cube_model(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> Cub
     """Vertex states by move-flipping, edge orientations from statuses, lift
     values by integrating orientations and normalising the minimum to zero.
 
-    Requires a compatible state; an inconsistent edge orientation cocycle is
-    impossible for compatible states and raises InternalError.
+    The lift is integrated in one increasing scan, each vertex w from w
+    minus its lowest bit, and then every edge is checked against its
+    orientation.  Requires a compatible state; an inconsistent edge
+    orientation cocycle is impossible for compatible states and raises
+    InternalError.
     """
     ok, witness = is_compatible(P, m, s)
     if not ok:
@@ -203,26 +206,22 @@ def build_cube_model(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> Cub
         for pos in block:
             block_mask[pos] = sum(1 << p for p in block)
 
-    def status_out_at(w: int, pos: int) -> bool:
-        return base_out[pos] ^ (w & block_mask[pos]).bit_count() & 1
-
+    # The edge from w to w | 1 << pos (bit pos clear in w) points up iff the
+    # facet's status at w is Out, and the lift rises by 1 along it.  That
+    # status is base_out[pos] flipped once per crossing in w of pos's move;
+    # rise[status] is the lift's change along the edge.
+    rise = (-1, 1)
     n = 1 << k
-    lift = [None] * n
-    lift[0] = 0
-    queue = [0]
-    while queue:
-        w = queue.pop()
-        for pos in range(k):
-            v = w ^ (1 << pos)
-            low = w if not w >> pos & 1 else v
-            # the edge points from low to high iff the facet's status at the
-            # low end is Out; the lift rises by 1 along the orientation
-            step = 1 if status_out_at(low, pos) else -1
-            val = lift[w] + step if w == low else lift[w] - step
-            if lift[v] is None:
-                lift[v] = val
-                queue.append(v)
-            elif lift[v] != val:
+    lift = [0] * n
+    for w in range(1, n):
+        low = w & -w
+        pos, v = low.bit_length() - 1, w ^ low
+        lift[w] = lift[v] + rise[base_out[pos] ^ (v & block_mask[pos]).bit_count() & 1]
+    for pos in range(k):
+        bit, flip, out = 1 << pos, block_mask[pos], base_out[pos]
+        for w in range(n):
+            if not w & bit and (lift[w | bit] - lift[w]
+                                != rise[out ^ (w & flip).bit_count() & 1]):
                 raise InternalError(
                     "edge orientation cocycle violated for a compatible state"
                 )
@@ -506,9 +505,10 @@ def check_sd_crosspolytope_witness(
                 raise InternalError(f"{name} face map does not reverse a chain")
 
 
-def canonical_pairs_transform(model: CubeModel):
+def canonical_pairs_transform(model: CubeModel, synth: CubeLift):
     """Position permutation and translation mapping an all-pairs cube model
-    onto the canonical synthetic one; validated over every vertex.
+    onto the canonical one, `synth`, the `synthetic_pairs_lift` of its pair
+    count; validated over every vertex.
 
     Returns (ell, perm, delta) with perm[p] = canonical position of original
     position p and delta a vertex translation in canonical coordinates.
@@ -533,7 +533,6 @@ def canonical_pairs_transform(model: CubeModel):
                 out |= 1 << perm[p]
         return out ^ delta
 
-    synth = synthetic_pairs_lift(ell)
     for w in range(1 << k):
         if model.lift.vertex_lift[w] != synth.vertex_lift[apply_vertex(w)]:
             raise InternalError("all-pairs cube does not match the canonical lift")
@@ -545,7 +544,8 @@ def critical_transform(P: Polytope, m: MoveSystem, s: State, F: FaceHandle, memo
     which the caller's run owns, under all it depends on: which of F's
     sorted defining facets share a move, and s's statuses on them.  A
     transform that fails raises and is not kept.  Each state's
-    `is_compatible` result is kept under the state."""
+    `is_compatible` result is kept under the state, and each pair count's
+    `synthetic_pairs_lift` under the count."""
     ok, witness = memo[s] = memo.get(s) or is_compatible(P, m, s)
     if not ok:
         raise InputError(f"state is not compatible: witness pair {witness!r}")
@@ -554,7 +554,12 @@ def critical_transform(P: Polytope, m: MoveSystem, s: State, F: FaceHandle, memo
     key = (tuple(map(moves.index, moves)), tuple(s.status(f) == OUT for f in defining))
     got = memo.get(key)
     if got is None:
-        got = memo[key] = canonical_pairs_transform(build_cube_model(P, m, s, F))
+        model = build_cube_model(P, m, s, F)
+        ell = len(model.lift.blocks)
+        synth = memo.get(ell)
+        if synth is None:
+            synth = memo[ell] = synthetic_pairs_lift(ell)
+        got = memo[key] = canonical_pairs_transform(model, synth)
     return got
 
 

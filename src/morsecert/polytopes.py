@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from . import labels as lb
 from .complexes import SimplicialComplex
@@ -87,6 +89,17 @@ class IdealVertex:
     incident: FrozenSet[str]
 
 
+class RankedGraph(NamedTuple):
+    """A polytope's facet graph with its facets numbered by rank in sorted-id
+    order: `ids[r]` is the facet of rank r, `rank` maps each facet id to its
+    rank, and N[r] is the closed neighbourhood of rank r as a mask over
+    ranks."""
+
+    ids: Tuple[str, ...]
+    rank: Dict[str, int]
+    N: Tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class FaceHandle:
     """A face of the polytope, identified by its set of defining facets.
@@ -149,6 +162,7 @@ class Polytope:
                 raise InputError(f"ideal vertex {iv.id!r} lists unknown facets")
         self._dual_cache: dict = {}
         self._census: Optional[Tuple[Tuple[int, ...], ...]] = None  # filled by `cliques`
+        self._ranked: Optional[RankedGraph] = None  # filled by `ranked_graph`
         self._face_cache: dict = {}
         self._face_tables: dict = {}  # per move system, filled by states.face_table
 
@@ -159,7 +173,10 @@ class Polytope:
         )
 
     def adjacent(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self.adjacency_pairs
+        """Whether facets a and b are adjacent; False when either is no
+        facet of this polytope."""
+        i, j = self.index.get(a), self.index.get(b)
+        return i is not None and j is not None and bool(self._nbr_mask[i] >> j & 1)
 
     def neighbors(self, a: str) -> Tuple[str, ...]:
         m = self._nbr_mask[self.index[a]]
@@ -187,6 +204,16 @@ class Polytope:
                 return iv
         raise InputError(f"unknown ideal vertex {iv_id!r}")
 
+    def ranked_graph(self) -> RankedGraph:
+        """The facet graph in sorted-id rank order, built once per polytope."""
+        if self._ranked is None:
+            ids = tuple(sorted(self.facet_ids))
+            rank = {f: r for r, f in enumerate(ids)}
+            N = tuple(sum(1 << rank[g] for g in self.neighbors(f)) | 1 << r
+                      for r, f in enumerate(ids))
+            self._ranked = RankedGraph(ids, rank, N)
+        return self._ranked
+
     # -- clique census ------------------------------------------------------
 
     def _clique_levels(self) -> Iterator[Tuple[int, ...]]:
@@ -195,12 +222,11 @@ class Polytope:
         extended by each facet after its last one, in sorted-id order, that
         is adjacent to all of its facets; extending the cliques of one size
         in canonical order gives the next size in canonical order."""
-        n = len(self.facet_ids)
-        order = sorted(range(n), key=self.facet_ids.__getitem__)
-        rank = {i: r for r, i in enumerate(order)}
+        ids, _, N = self.ranked_graph()
+        n = len(ids)
+        order = [self.index[f] for f in ids]
         # per rank: its neighbours of higher rank, as a mask over ranks
-        later = [sum(1 << rank[j] for j in range(n) if self._nbr_mask[i] >> j & 1 and rank[j] > r)
-                 for r, i in enumerate(order)]
+        later = [N[r] >> (r + 1) << (r + 1) for r in range(n)]
         level = [(0, (1 << n) - 1)]  # (clique, the ranks that extend it)
         while True:
             yield tuple(mask for mask, _ in level)

@@ -57,8 +57,10 @@ def certificate_to_document(cert: Certificate, *, include_timings: bool = False)
 
 
 def document_to_json(doc: dict) -> str:
-    # compact and canonical: fixed key order from document assembly
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=True) + "\n"
+    # compact and canonical: fixed key order from document assembly; the
+    # document is a tree the writers build, so no cycle check is needed
+    return json.dumps(doc, separators=(",", ":"), ensure_ascii=True,
+                      check_circular=False) + "\n"
 
 
 def render_text(cert: Certificate) -> str:

@@ -363,33 +363,42 @@ def inherited_state(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> Stat
 
 class FlagGraph(NamedTuple):
     """The graph of a flag complex on bit positions: `index` maps each vertex
-    label to its position, and N[p] is the neighbourhood of the vertex at
-    position p as a mask over positions, which may leave out p itself and
-    cover positions that are no vertex of the graph.  The labels of one graph
-    share a type."""
+    label to its position, positions following the labels' sorted order, and
+    N[p] is the closed neighbourhood of the vertex at position p as a mask
+    over positions, which may cover positions that are no vertex of the
+    graph.  The labels of one graph share a type."""
 
     index: Dict
     N: Sequence[int]
 
 
 def part_graph(P: Polytope, vertices: Iterable[str]) -> FlagGraph:
-    """The facet graph of P on `vertices`, on P's facet indices."""
-    return FlagGraph({v: P.index[v] for v in vertices}, P._nbr_mask)
+    """The facet graph of P on `vertices`, on the ranks of P's
+    `ranked_graph`."""
+    _, rank, N = P.ranked_graph()
+    return FlagGraph({v: rank[v] for v in vertices}, N)
 
 
-def dismantle(N: Sequence[int], keep: int = 0) -> Optional[List[Tuple[int, int]]]:
-    """Dismantle the graph on positions 0..n-1 whose closed neighbourhoods
-    are N: delete the first vertex, by position and outside `keep`, that a
-    live vertex dominates, naming the first such dominator by position, until
-    only `keep` is left, or one vertex when `keep` is 0.  Returns the (v, w)
+def dismantle(
+    N: Sequence[int], keep: int = 0, live: Optional[int] = None
+) -> Optional[List[Tuple[int, int]]]:
+    """Dismantle the graph on the positions in `live` (default: all of
+    0..n-1) whose closed neighbourhoods are N, a symmetric relation: delete
+    the first vertex, by position and outside `keep`, that a live vertex
+    dominates, naming the first such dominator by position, until only
+    `keep` is left, or one vertex when `keep` is 0.  Returns the (v, w)
     position pairs, or None when the graph is empty or the order gets stuck.
 
     Only v's live neighbours can dominate v, and deleting v changes what
     dominates x only when x is a neighbour of v.  So each vertex keeps its
     first dominator, which goes stale when a neighbour is deleted and is
-    recomputed only when the scan for the next vertex reaches it.
+    recomputed only when the scan for the next vertex reaches it.  As N is
+    symmetric, the vertices dominating v are the intersection of N[u] over
+    v's live closed neighbourhood: the lowest one is probed alone, then the
+    others are intersected until only v would be left.
     """
-    live = (1 << len(N)) - 1
+    if live is None:
+        live = (1 << len(N)) - 1
     if not live:
         return None
     dom: List[Optional[int]] = [None] * len(N)
@@ -402,19 +411,22 @@ def dismantle(N: Sequence[int], keep: int = 0) -> Optional[List[Tuple[int, int]]
             v = low.bit_length() - 1
             if stale & low:
                 stale ^= low
-                closed, dom[v] = N[v] & live, None
-                candidates = closed ^ low
-                while candidates:
-                    bit = candidates & -candidates
-                    w = bit.bit_length() - 1
-                    if not closed & ~N[w]:
-                        dom[v] = w
-                        break
-                    candidates ^= bit
-                if dom[v] is None:
-                    dominated &= ~low
-                    todo ^= low
-                    continue
+                closed = N[v] & live
+                rest = closed ^ low
+                first = rest & -rest
+                if rest and not closed & ~N[first.bit_length() - 1]:
+                    dom[v] = first.bit_length() - 1
+                else:
+                    common = rest ^ first
+                    while common and rest:
+                        bit = rest & -rest
+                        common &= N[bit.bit_length() - 1]
+                        rest ^= bit
+                    if not common:
+                        dominated &= ~low
+                        todo ^= low
+                        continue
+                    dom[v] = (common & -common).bit_length() - 1
                 dominated |= low
             break
         else:
@@ -427,27 +439,23 @@ def dismantle(N: Sequence[int], keep: int = 0) -> Optional[List[Tuple[int, int]]
 
 
 def dismantling_steps(G: FlagGraph, core: Iterable = ()) -> Optional[list]:
-    """`dismantle` on G with its vertices in sorted order, down to `core`;
-    the steps as labels [[v, w], ...], or None."""
-    order = sorted(G.index.items())
-    rank = {1 << p: 1 << i for i, (_, p) in enumerate(order)}
-    live = sum(rank)
-    N = []
-    for _, p in order:
-        m, closed = G.N[p] & live, rank[1 << p]
-        while m:
-            low = m & -m
-            closed |= rank[low]
-            m ^= low
-        N.append(closed)
-    got = dismantle(N, sum(rank[1 << G.index[x]] for x in core))
-    return None if got is None else [[order[v][0], order[w][0]] for v, w in got]
+    """`dismantle` on G's vertices, down to `core`; the steps as labels
+    [[v, w], ...], or None."""
+    live = sum(1 << p for p in G.index.values())
+    got = dismantle(G.N, sum(1 << G.index[x] for x in core), live)
+    if got is None:
+        return None
+    label = {p: x for x, p in G.index.items()}
+    return [[label[v], label[w]] for v, w in got]
 
 
 def dismantling_order(P: Polytope, vertices: Iterable[str]) -> Optional[list]:
     """The dismantling order of the part of P's facet graph on `vertices`
-    down to one vertex; None when the part is empty or gets stuck."""
-    return dismantling_steps(part_graph(P, vertices))
+    down to one vertex; None when the part is empty or gets stuck.  The part
+    is dismantled in place, as the live ranks of P's `ranked_graph`."""
+    ids, rank, N = P.ranked_graph()
+    got = dismantle(N, live=sum(1 << rank[v] for v in vertices))
+    return None if got is None else [[ids[v], ids[w]] for v, w in got]
 
 
 def cone_apex(P: Polytope, part: int) -> Optional[str]:

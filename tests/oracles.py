@@ -143,6 +143,46 @@ def coface_links_fast(P: Polytope, m: MoveSystem, s: State, F: FaceHandle):
     return asc, desc
 
 
+def dismantle_by_scan(N, keep: int = 0):
+    """`states.dismantle` on all positions 0..n-1, finding each stale
+    vertex's first dominator by testing its live neighbours one by one."""
+    live = (1 << len(N)) - 1
+    if not live:
+        return None
+    dom = [None] * len(N)
+    dominated, stale = 0, live & ~keep
+    steps = []
+    while (live != keep) if keep else live & (live - 1):
+        todo = dominated | stale
+        while todo:
+            low = todo & -todo
+            v = low.bit_length() - 1
+            if stale & low:
+                stale ^= low
+                closed, dom[v] = N[v] & live, None
+                candidates = closed ^ low
+                while candidates:
+                    bit = candidates & -candidates
+                    w = bit.bit_length() - 1
+                    if not closed & ~N[w]:
+                        dom[v] = w
+                        break
+                    candidates ^= bit
+                if dom[v] is None:
+                    dominated &= ~low
+                    todo ^= low
+                    continue
+                dominated |= low
+            break
+        else:
+            return None
+        steps.append((v, dom[v]))
+        live ^= low
+        dominated ^= low
+        stale = (stale | N[v]) & live & ~keep
+    return steps
+
+
 # -- quaternion labels over Fraction -----------------------------------------------
 
 FQuat = Tuple[Fraction, Fraction, Fraction, Fraction]

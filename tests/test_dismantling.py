@@ -387,7 +387,8 @@ def test_row_transform_of_another_state_is_rejected(P6, M6, BAL6, cert_p6):
     F = FaceHandle(frozenset(row["face"]))
 
     def transform(idx):
-        _, perm, delta = canonical_pairs_transform(build_cube_model(P6, M6, BAL6[idx], F))
+        _, perm, delta = canonical_pairs_transform(build_cube_model(P6, M6, BAL6[idx], F),
+                                                   synthetic_pairs_lift(3))
         return {"perm": list(perm), "delta": delta}
 
     assert row["transform"] == transform(row["states"][0])
@@ -498,6 +499,25 @@ def test_certifier_falls_back_to_elementary_collapses(monkeypatch):
     assert sequence_form(cert.desc_sequence) == ("elementary", None)
     K, core = canonical_pairs_links(2)[1]
     assert replay_collapse(K, cert.desc_sequence) == core
+
+
+def test_ell_4_certificate_verifies():
+    """For l = 4, beyond the polytopes built here, the certifier finds
+    dismantling orders of both face links onto their cores; the verifier
+    accepts them and names a descending order cut short by one step."""
+    from morsecert.certify import critical_shared_payload
+    from morsecert.verify import _Verifier
+
+    cert = CriticalLinkCertifier().certificate(4)
+    for steps in (cert.asc_sequence, cert.desc_sequence):
+        assert sequence_form(steps) == ("dismantling", None)
+    assert (len(cert.asc_sequence), len(cert.desc_sequence)) == (4080, 2320)
+    ev = critical_shared_payload(cert)
+    assert dict(_Verifier({})._core_problems(4, ev)) == {
+        "asc_sequence": None, "desc_sequence": None}
+    ev["desc_sequence"] = ev["desc_sequence"][:-1]
+    assert dict(_Verifier({})._core_problems(4, ev)) == {
+        "asc_sequence": None, "desc_sequence": "does not reach its core"}
 
 
 def _squares_inputs():

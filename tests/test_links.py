@@ -103,6 +103,21 @@ def test_incompatible_state_rejected(P6, M6, BAL6):
         build_cube_model(P6, M6, bad, P6.face({"1+i+j+k", "-1+i+j+k"}))
 
 
+def test_violated_cocycle_raises(monkeypatch, P6, M6, BAL6):
+    """Past the compatibility check, a state whose two same-move defining
+    facets differ makes the square's orientations inconsistent: every edge
+    is checked, and the model is refused."""
+    import morsecert.links as links
+    from morsecert.errors import InternalError
+    from morsecert.states import State
+
+    s = BAL6[0]
+    bad = State(s.universe, s.in_facets ^ frozenset({"-1+i+j+k"}))
+    monkeypatch.setattr(links, "is_compatible", lambda P, m, s: (True, None))
+    with pytest.raises(InternalError, match="cocycle"):
+        build_cube_model(P6, M6, bad, P6.face({"1+i+j+k", "-1+i+j+k"}))
+
+
 def test_sum_decomposition_exhaustive(P6, M6, BAL6):
     # lift of any vertex equals the sum of its per-block contributions
     for s in (BAL6[0], BAL6[17]):
@@ -250,7 +265,7 @@ def test_critical_certifier_and_transform(P6, M6, BAL6):
     for F in bad[(2, 2, 2)]:
         for s in BAL6[:4]:
             model = build_cube_model(P6, M6, s, F)
-            ell, perm, delta = canonical_pairs_transform(model)
+            ell, perm, delta = canonical_pairs_transform(model, synthetic_pairs_lift(3))
             assert ell == 3 and sorted(perm) == list(range(6))
 
 

@@ -138,6 +138,19 @@ def test_p5_matches_induced_subgraph(P6, P5):
                 assert P5.adjacent(a, b) == P6.adjacent(a, b)
 
 
+def test_adjacent_agrees_with_adjacency_pairs(P6, P5):
+    """`adjacent` answers from the neighbour masks what the pair set says,
+    for every pair of facets, and False for an id the polytope lacks."""
+    for P in (P6, P5):
+        for a in P.facet_ids:
+            for b in P.facet_ids:
+                assert P.adjacent(a, b) == (frozenset((a, b)) in P.adjacency_pairs)
+            assert not P.adjacent(a, "no-such-facet")
+            assert not P.adjacent("no-such-facet", a)
+    gone = next(f for f in P6.facet_ids if f not in P5.index)
+    assert not P5.adjacent(gone, P5.facet_ids[0])
+
+
 def test_cusp_section_a(P6):
     H = build_cusp_section(P6, "cusp:A")
     assert sorted(H.facet_ids) == sorted(list(UNIT_LABELS) + ["B", "C"])
