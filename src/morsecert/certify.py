@@ -23,6 +23,7 @@ from .links import (
     CriticalLinkCertifier,
     CuspTable,
     certify_boundary_cube,
+    classify_link,
     critical_transform,
     cusp_table,
 )
@@ -46,11 +47,11 @@ from .states import (
     classify_bad_faces,
     face_masks,
     face_table,
-    facet_mask,
     is_compatible,
     move_system_p5,
     move_system_p6,
     orbit,
+    split_legality,
 )
 
 
@@ -234,7 +235,7 @@ def _shared_item(certifier: CriticalLinkCertifier, cert) -> Tuple[str, dict]:
 class PlannedRow(NamedTuple):
     """A verdict row as `verdict_plan` fixes it: its face, the states it
     covers, and what its branch rests on, the `good_witness` of a good face
-    or the (dual, in) masks of a bad face's inherited-In class."""
+    or the (dual, in) rank masks of a bad face's inherited-In class."""
 
     F: FaceHandle
     face: Tuple[str, ...]
@@ -249,7 +250,7 @@ def verdict_plan(P: Polytope, m: MoveSystem, states: Sequence[State]) -> Iterato
     inherited-In class, classes in order of their states.  The pipeline
     fills this plan, and the verifier requires a report's rows to be it."""
     all_states = tuple(range(len(states)))
-    in_masks = [facet_mask(P, s.in_facets) for s in states]
+    in_masks = [P.ranked_graph().mask(s.in_facets) for s in states]
     faces = (F for codim in range(P.dimension + 1) for F in enumerate_faces(P, codim))
     for F, witness in zip(faces, face_table(P, m).witnesses):
         ids = F.sorted_ids()
@@ -300,16 +301,16 @@ def _classify_group(
     certifier: CriticalLinkCertifier,
     seed: int,
 ):
-    """Classify the planned row of a bad face, represented by its first
-    state; returns (row, evidence, id of the cited shared item or None,
-    failure-or-None)."""
-    from .links import classify_link
-
-    lc = classify_link(P, m, states[p.states[0]], p.F, certifier=certifier, seed=seed)
-    if lc.verdict == "Regular" and lc.branch == "inherited-totally-legal":
-        payload = legality_evidence_payload({"type": "ambient"}, p.face, lc.legality)
+    """Classify the planned row of a bad face: totally legal when both
+    parts of its masks' split are certified, else by `classify_link` at its
+    first state; returns (row, evidence, id of the cited shared item or
+    None, failure-or-None)."""
+    rec = split_legality(P, p.F, *p.masks, seed=seed)
+    if rec.totally_legal:
+        payload = legality_evidence_payload({"type": "ambient"}, p.face, rec)
         eid = _eid(payload)
         return legal_row(p, eid), {eid: payload}, None, None
+    lc = classify_link(P, m, states[p.states[0]], p.F, certifier=certifier, seed=seed)
     if lc.verdict == "Critical":
         sid, _ = _shared_item(certifier, lc.critical)
         # validate the canonical transform for every other covered state;
@@ -399,7 +400,7 @@ def cusp_row(P: Polytope, m: MoveSystem, s: State, idx: int, table: CuspTable) -
     return {"cusp": table.cusp_id, "state": idx, "ok": cond.ok, "move": cond.move_index,
             "pair": list(cond.pair) if cond.pair else None, "all_regular": bc.all_regular,
             "n_faces": bc.n_faces, "n_good": bc.n_faces - len(bc.checked),
-            "checked": [[list(face), list(apexes)] for face, apexes in bc.checked]}
+            "checked": list(bc.checked)}
 
 
 def _cusp_suite(

@@ -22,7 +22,7 @@ from .complexes import (
     try_collapse,
 )
 from .errors import InputError, InternalError
-from .polytopes import FaceHandle, Polytope, build_cusp_section
+from .polytopes import FaceHandle, Polytope, cusp_incidence
 from .states import (
     OUT,
     FlagGraph,
@@ -31,11 +31,10 @@ from .states import (
     State,
     all_pairs_index,
     bad_face_signature,
-    bad_faces,
     cone_apex,
     dismantling_steps,
     face_masks,
-    facet_mask,
+    face_table,
     good_witness,
     inherited_state,
     is_compatible,
@@ -663,35 +662,35 @@ def check_cusp_condition(
     pairs are the given table's, or `cusp_pairs`."""
     pairs = table.pairs if table is not None else cusp_pairs(P, m, cusp_id)
     for bi, a, b in pairs:
-        if s.is_in(a) != s.is_in(b):
+        if (a in s.in_facets) != (b in s.in_facets):
             return CuspConditionResult(True, bi, (a, b))
     return CuspConditionResult(False, None, None)
 
 
 class CuspTable(NamedTuple):
     """What certifying a cusp's horospherical cube needs of the cusp alone,
-    built once for all states: its id, the section, its number of faces,
-    its bad faces in canonical order, each id tuple mapped to its
-    `face_masks`, and its `cusp_pairs`."""
+    built once for all states: its id, its section's number of faces and
+    bad faces in canonical order, each as (sorted ids, `face_masks` over P's
+    ranks cut to the incident facets), its `cusp_pairs`, and the apex
+    entries made so far, under (bad face position, In part)."""
 
     cusp_id: str
-    section: Polytope
     n_faces: int
-    bad: Dict[Tuple[str, ...], Tuple[int, int]]
+    bad: Tuple[Tuple[Tuple[str, ...], int, int], ...]
     pairs: Tuple[Tuple[int, str, str], ...]
+    apexes: dict
 
 
 def cusp_table(P: Polytope, m: MoveSystem, cusp_id: str) -> CuspTable:
-    H = build_cusp_section(P, cusp_id)
-    mH = m.restrict(H.facet_ids)
-    n_faces, bad = bad_faces(H, mH)
-    return CuspTable(cusp_id, H, n_faces,
-                     {F.sorted_ids(): face_masks(H, mH, F) for F in bad},
-                     cusp_pairs(P, m, cusp_id))
-
-
-# A bad face of a boundary cube with the cone apexes of its Out and In parts
-CheckedFace = Tuple[Tuple[str, ...], Tuple[Optional[str], Optional[str]]]
+    """The section, a cube by `cusp_incidence`, spans P's faces inside the
+    cusp's incident facets, each good or bad as in P.  A face picks at most
+    one facet of each opposite pair: a d-cube has 3^d faces, itself
+    included."""
+    inc = cusp_incidence(P, cusp_id)
+    incident = P.ideal_vertex(cusp_id).incident
+    bad = tuple((F.sorted_ids(), *(x & inc for x in face_masks(P, m, F)))
+                for F in face_table(P, m).bad if F.defining <= incident)
+    return CuspTable(cusp_id, 3 ** (P.dimension - 1), bad, cusp_pairs(P, m, cusp_id), {})
 
 
 @dataclass(frozen=True)
@@ -699,15 +698,17 @@ class BoundaryCubeCertificate:
     """Cone apexes certifying the bad faces of a horospherical cube.
 
     `checked` lists each bad face with the first cone apex, in sorted order,
-    of its Out and In parts (None: the part is empty or not a cone); the
-    cube is all Regular when the cusp condition holds and every part has an
-    apex.  A cube whose condition fails is not certified: nothing is checked.
+    of its Out and In parts (None: the part is empty or not a cone), in
+    report form [face ids, [out apex, in apex]] that the rows of one table
+    share; the cube is all Regular when the cusp condition holds and every
+    part has an apex.  A cube whose condition fails is not certified:
+    nothing is checked.
     """
 
     cusp_id: str
     condition: CuspConditionResult
     n_faces: int
-    checked: Tuple[CheckedFace, ...]
+    checked: Tuple[list, ...]
 
     @property
     def all_regular(self) -> bool:
@@ -730,13 +731,19 @@ def certify_boundary_cube(
     The section is a combinatorial cube, so the dual of each of its faces is
     a join of 0-spheres and each part a join of points and 0-spheres: a part
     collapses to a point exactly when it is a cone, and its apex, a vertex
-    that dominates every other one, is the whole certificate.
+    that dominates every other one, is the whole certificate.  The parts of
+    a bad face depend on s only through its In part, so each entry is made
+    once per (bad face, In part) and kept in the table.
     """
     table = table if table is not None else cusp_table(P, m, cusp_id)
     cond = check_cusp_condition(P, s, cusp_id, m, table=table)
     if not cond.ok:
         return BoundaryCubeCertificate(cusp_id, cond, table.n_faces, ())
-    H, s_in = table.section, facet_mask(table.section, s.in_facets)
-    checked = tuple((ids, (cone_apex(H, dual & ~(free & s_in)), cone_apex(H, free & s_in)))
-                    for ids, (dual, free) in table.bad.items())
-    return BoundaryCubeCertificate(cusp_id, cond, table.n_faces, checked)
+    s_in, memo, checked = P.ranked_graph().mask(s.in_facets), table.apexes, []
+    for i, (ids, dual, free) in enumerate(table.bad):
+        inn = free & s_in
+        entry = memo.get((i, inn))
+        if entry is None:
+            entry = memo[i, inn] = [list(ids), [cone_apex(P, dual & ~inn), cone_apex(P, inn)]]
+        checked.append(entry)
+    return BoundaryCubeCertificate(cusp_id, cond, table.n_faces, tuple(checked))

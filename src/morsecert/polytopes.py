@@ -99,6 +99,19 @@ class RankedGraph(NamedTuple):
     rank: Dict[str, int]
     N: Tuple[int, ...]
 
+    def mask(self, facets: Iterable[str]) -> int:
+        """The rank mask of `facets`, facets of the polytope."""
+        return sum(1 << self.rank[f] for f in facets)
+
+    def labels(self, mask: int) -> Tuple[str, ...]:
+        """The facets of a rank mask, in sorted order."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.ids[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class FaceHandle:
@@ -268,12 +281,14 @@ def enumerate_faces(P: Polytope, codim: int) -> Tuple[FaceHandle, ...]:
     return cached
 
 
-def _dual_mask(P: Polytope, F: FaceHandle) -> int:
-    """Bit mask, over P's facet indices, of the facets adjacent to every
-    defining facet of F."""
-    allowed = (1 << len(P.facet_ids)) - 1
+def dual_mask(P: Polytope, F: FaceHandle) -> int:
+    """Mask, over the ranks of P's `ranked_graph`, of the facets adjacent to
+    every defining facet of F."""
+    _, rank, N = P.ranked_graph()
+    allowed = (1 << len(N)) - 1
     for fid in F.defining:
-        allowed &= P._nbr_mask[P.index[fid]]
+        r = rank[fid]
+        allowed &= N[r] ^ 1 << r
     return allowed
 
 
@@ -282,11 +297,6 @@ def _facets_of(P: Polytope, mask: int) -> Iterator[str]:
         low = mask & -mask
         yield P.facet_ids[low.bit_length() - 1]
         mask ^= low
-
-
-def mask_ids(P: Polytope, mask: int) -> Tuple[str, ...]:
-    """The facets in `mask`, a mask over P's facet indices, in sorted order."""
-    return tuple(sorted(_facets_of(P, mask)))
 
 
 def face_of_mask(P: Polytope, mask: int) -> FaceHandle:
@@ -303,12 +313,12 @@ def dual_complex(P: Polytope, F: FaceHandle) -> SimplicialComplex:
     cached = P._dual_cache.get(F.defining)
     if cached is not None:
         return cached
-    n = len(P.facet_ids)
-    allowed = _dual_mask(P, F)
+    allowed = dual_mask(P, F)
     if not allowed:
         return SimplicialComplex([])
     # maximal cliques of the induced subgraph (Bron-Kerbosch with pivot)
-    masks = P._nbr_mask
+    G = P.ranked_graph()
+    masks = [x ^ 1 << r for r, x in enumerate(G.N)]
     maximal = []
 
     def bk(r: int, p: int, x: int):
@@ -335,10 +345,7 @@ def dual_complex(P: Polytope, F: FaceHandle) -> SimplicialComplex:
             x |= 1 << v
 
     bk(0, allowed, 0)
-    faces = [
-        frozenset(P.facet_ids[i] for i in range(n) if m >> i & 1) for m in maximal
-    ]
-    out = SimplicialComplex(faces, _trusted=True)
+    out = SimplicialComplex([frozenset(G.labels(m)) for m in maximal], _trusted=True)
     P._dual_cache[F.defining] = out
     return out
 
@@ -496,49 +503,42 @@ def build_p5(p6: Optional[Polytope] = None) -> Polytope:
     return Polytope(5, facets, pairs, ideal, name="P5")
 
 
-def build_cusp_section(P: Polytope, cusp_id: str) -> Polytope:
-    """Horospherical section at an ideal vertex: a combinatorial cube.
-
-    H's facets keep the ids of the incident facets of the cusp.  The induced
-    adjacency must split the facets into dimension-1 opposite pairs,
-    two facets being adjacent iff they lie in different pairs.
-    """
+def cusp_incidence(P: Polytope, cusp_id: str) -> int:
+    """The rank mask of a cusp's incident facets, checked to be a cube's:
+    2(dim P - 1) facets, each adjacent to all others but one, its opposite;
+    non-adjacency is symmetric, so opposition is an involution."""
     if not P.ideal_vertices:
         raise InputError("polytope carries no ideal vertex data")
-    iv = P.ideal_vertex(cusp_id)
-    ids = sorted(iv.incident)
+    ids, _, N = G = P.ranked_graph()
+    inc = G.mask(P.ideal_vertex(cusp_id).incident)
     dim = P.dimension - 1
-    if len(ids) != 2 * dim:
+    if inc.bit_count() != 2 * dim:
         raise StructuralError(
-            f"cusp {cusp_id}: {len(ids)} incident facets, expected {2 * dim}"
+            f"cusp {cusp_id}: {inc.bit_count()} incident facets, expected {2 * dim}"
         )
-    opposite = {}
-    for a in ids:
-        non = [b for b in ids if b != a and not P.adjacent(a, b)]
-        if len(non) != 1:
+    for r, a in enumerate(ids):
+        non = (inc & ~N[r]).bit_count()
+        if inc >> r & 1 and non != 1:
             raise StructuralError(
-                f"cusp {cusp_id}: facet {a} has {len(non)} non-neighbours in the "
+                f"cusp {cusp_id}: facet {a} has {non} non-neighbours in the "
                 "section, expected exactly 1 (cube structure)"
             )
-        opposite[a] = non[0]
-    for a in ids:
-        if opposite[opposite[a]] != a:
-            raise StructuralError(f"cusp {cusp_id}: opposition is not an involution")
+    return inc
+
+
+def build_cusp_section(P: Polytope, cusp_id: str) -> Polytope:
+    """Horospherical section at an ideal vertex: a combinatorial cube, its
+    facets the incident facets of the cusp, with their ids, checked by
+    `cusp_incidence`."""
+    ids = P.ranked_graph().labels(cusp_incidence(P, cusp_id))
     pairs = {
         frozenset((a, b))
         for i, a in enumerate(ids)
         for b in ids[i + 1:]
         if P.adjacent(a, b)
     }
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            if (frozenset((a, b)) in pairs) != (opposite[a] != b):
-                raise StructuralError(
-                    f"cusp {cusp_id}: adjacency of ({a}, {b}) inconsistent with "
-                    "pair structure"
-                )
     facets = [Facet(a, a, None) for a in ids]
-    return Polytope(dim, facets, pairs, name=f"{P.name}/{cusp_id}")
+    return Polytope(P.dimension - 1, facets, pairs, name=f"{P.name}/{cusp_id}")
 
 
 # ---------------------------------------------------------------------------

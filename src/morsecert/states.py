@@ -20,7 +20,7 @@ from .complexes import (
     try_collapse,
 )
 from .errors import InputError, StructuralError
-from .polytopes import FaceHandle, Polytope, _dual_mask, dual_complex, face_of_mask, mask_ids
+from .polytopes import FaceHandle, Polytope, dual_complex, dual_mask, face_of_mask
 
 IN, OUT = "I", "O"
 
@@ -70,21 +70,23 @@ class State:
     in_facets: FrozenSet[str]
 
     def __post_init__(self):
-        extra = self.in_facets - set(self.universe)
+        members = frozenset(self.universe)
+        extra = self.in_facets - members
         if extra:
             raise InputError(f"status given for unknown facets: {sorted(extra)!r}")
+        object.__setattr__(self, "_members", members)
 
     @property
     def out_facets(self) -> FrozenSet[str]:
         return frozenset(self.universe) - self.in_facets
 
     def status(self, facet_id: str) -> str:
-        if facet_id not in self.universe:
-            raise InputError(f"facet {facet_id!r} not in state universe")
-        return IN if facet_id in self.in_facets else OUT
+        return IN if self.is_in(facet_id) else OUT
 
     def is_in(self, facet_id: str) -> bool:
-        return self.status(facet_id) == IN
+        if facet_id not in self._members:
+            raise InputError(f"facet {facet_id!r} not in state universe")
+        return facet_id in self.in_facets
 
     def serial(self) -> str:
         return "".join(IN if f in self.in_facets else OUT for f in self.universe)
@@ -302,13 +304,6 @@ def all_pairs_index(P: Polytope, m: MoveSystem, F: FaceHandle) -> Optional[int]:
     return None
 
 
-def bad_faces(P: Polytope, m: MoveSystem) -> Tuple[int, Tuple[FaceHandle, ...]]:
-    """The number of faces of P, P itself included, and the bad ones among
-    them in canonical order, from the face table."""
-    table = face_table(P, m)
-    return len(table.masks), tuple(table.bad)
-
-
 def classify_bad_faces(P: Polytope, m: MoveSystem):
     """All proper bad faces grouped by signature, canonical order throughout."""
     out: Dict[Tuple[int, ...], list] = {}
@@ -328,16 +323,19 @@ def facet_mask(P: Polytope, ids: Iterable[str]) -> int:
 
 
 def face_masks(P: Polytope, m: MoveSystem, F: FaceHandle) -> Tuple[int, int]:
-    """(dual, free): F's dual vertices as a facet mask, and those whose move
-    meets no defining facet of F.  A state with In facets s_in inherits the
-    split in = free & s_in, out = dual & ~in on F."""
+    """(dual, free): F's dual vertices as a mask over the ranks of P's
+    `ranked_graph`, and those whose move meets no defining facet of F.  A
+    state with In facets s_in, as ranks, inherits the split in = free & s_in,
+    out = dual & ~in on F."""
+    G, dual = P.ranked_graph(), dual_mask(P, F)
     blocked = {m.block_of(fid) for fid in F.defining}
-    dual = _dual_mask(P, F)
-    return dual, dual & ~facet_mask(P, (f for b in blocked for f in m.blocks[b]))
+    return dual, dual & ~G.mask(f for b in blocked for f in m.blocks[b] if f in G.rank)
 
 
 def split_state(P: Polytope, dual: int, inn: int) -> State:
-    return State(mask_ids(P, dual), frozenset(mask_ids(P, inn)))
+    """The state on the facets of rank mask `dual` whose In facets are `inn`."""
+    G = P.ranked_graph()
+    return State(G.labels(dual), frozenset(G.labels(inn)))
 
 
 def inherited_state(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> State:
@@ -348,7 +346,8 @@ def inherited_state(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> Stat
     s may be a state of a polytope P is a section of.
     """
     dual, free = face_masks(P, m, F)
-    return split_state(P, dual, free & facet_mask(P, s.in_facets))
+    G = P.ranked_graph()
+    return split_state(P, dual, free & G.mask(f for f in s.in_facets if f in G.rank))
 
 
 # A part is the clique complex of the facet graph on its vertices, and a face
@@ -370,13 +369,6 @@ class FlagGraph(NamedTuple):
 
     index: Dict
     N: Sequence[int]
-
-
-def part_graph(P: Polytope, vertices: Iterable[str]) -> FlagGraph:
-    """The facet graph of P on `vertices`, on the ranks of P's
-    `ranked_graph`."""
-    _, rank, N = P.ranked_graph()
-    return FlagGraph({v: rank[v] for v in vertices}, N)
 
 
 def dismantle(
@@ -449,39 +441,39 @@ def dismantling_steps(G: FlagGraph, core: Iterable = ()) -> Optional[list]:
     return [[label[v], label[w]] for v, w in got]
 
 
-def dismantling_order(P: Polytope, vertices: Iterable[str]) -> Optional[list]:
-    """The dismantling order of the part of P's facet graph on `vertices`
-    down to one vertex; None when the part is empty or gets stuck.  The part
-    is dismantled in place, as the live ranks of P's `ranked_graph`."""
-    ids, rank, N = P.ranked_graph()
-    got = dismantle(N, live=sum(1 << rank[v] for v in vertices))
+def dismantling_order(P: Polytope, part: int) -> Optional[list]:
+    """The dismantling order of the part of P's facet graph on the ranks in
+    `part`, a mask over P's `ranked_graph`, down to one vertex; None when
+    the part is empty or gets stuck.  The part is dismantled in place."""
+    ids, _, N = P.ranked_graph()
+    got = dismantle(N, live=part)
     return None if got is None else [[ids[v], ids[w]] for v, w in got]
 
 
 def cone_apex(P: Polytope, part: int) -> Optional[str]:
-    """The facet of lowest index in `part`, a facet mask, adjacent to every
+    """The facet of lowest rank in `part`, a rank mask, adjacent to every
     other one (apex ∈ part and part ⊆ N[apex]); None when it has none.  An
     apex is exactly a facet whose one-round order [[v, apex], ...] over the
     part's other facets dismantles it (`dismantling_problem`)."""
+    ids, _, N = P.ranked_graph()
     rest = part
     while rest:
         low = rest & -rest
         w = low.bit_length() - 1
-        if not part & ~(P._nbr_mask[w] | low):
-            return P.facet_ids[w]
+        if not part & ~N[w]:
+            return ids[w]
         rest ^= low
     return None
 
 
-def part_certificate(
-    P: Polytope, F: FaceHandle, vertices: Sequence[str], *, seed: int
-) -> Optional[list]:
-    """Certificate that the part of F's dual complex on `vertices` collapses
-    to a point: its dismantling order, else a collapse searched on the part
-    built as a complex; None when neither is found."""
-    steps = dismantling_order(P, vertices)
-    if steps is None and vertices:
-        out = try_collapse(full_subcomplex(dual_complex(P, F), vertices), seed=seed)
+def part_certificate(P: Polytope, F: FaceHandle, part: int, *, seed: int) -> Optional[list]:
+    """Certificate that the part of F's dual complex on the rank mask `part`
+    collapses to a point: its dismantling order, else a collapse searched on
+    the part built as a complex; None when neither is found."""
+    steps = dismantling_order(P, part)
+    if steps is None and part:
+        K = full_subcomplex(dual_complex(P, F), P.ranked_graph().labels(part))
+        out = try_collapse(K, seed=seed)
         if out.success:
             steps = sequence_json(out.sequence)
     return steps
@@ -513,16 +505,19 @@ def sequence_form(steps) -> Tuple[Optional[str], Optional[str]]:
 
 
 def dismantling_problem(
-    G: FlagGraph, steps, core: Iterable = (), *, what: str = "part"
+    G: FlagGraph, steps, core: Iterable = (), *, what: str = "part",
+    live: Optional[int] = None,
 ) -> Optional[str]:
     """What is wrong with the vertex pairs `steps` as a dismantling order of
-    the flag complex of G, the `what` a message names, down to `core` (down
-    to one vertex when `core` is empty); None when nothing is.  A label must
-    be a vertex of G of the same type as G's labels."""
+    the flag complex of G on the positions in `live` (default: all of G's
+    vertices), the `what` a message names, down to `core` (down to one
+    vertex when `core` is empty); None when nothing is.  A label must be a
+    live vertex of the same type as G's labels."""
     index, N = G
     kind = type(next(iter(index), None))
     keep = sum(1 << index[x] for x in core)
-    live = sum(1 << p for p in index.values())
+    if live is None:
+        live = sum(1 << p for p in index.values())
     for i, (v, w) in enumerate(steps):
         if v == w:
             return f"step {i}: {v!r} cannot dominate itself"
@@ -540,21 +535,20 @@ def dismantling_problem(
     return None if live and not live & (live - 1) else "does not reach a point"
 
 
-def certificate_problem(
-    P: Polytope, F: FaceHandle, vertices: Iterable[str], steps
-) -> Optional[str]:
+def certificate_problem(P: Polytope, F: FaceHandle, part: int, steps) -> Optional[str]:
     """What is wrong with `steps` as a certificate that the part of F's dual
-    complex on `vertices` collapses to a point; None when nothing is.  A
-    dismantling order is checked on P's adjacency masks; only elementary
-    steps are replayed, on the part built as a complex."""
+    complex on the rank mask `part` collapses to a point; None when nothing
+    is.  A dismantling order is checked in place on P's `ranked_graph`; only
+    elementary steps are replayed, on the part built as a complex."""
     form, problem = sequence_form(steps)
+    G = P.ranked_graph()
     if form == "elementary":
         try:
-            core = replay_collapse(full_subcomplex(dual_complex(P, F), vertices), steps)
+            core = replay_collapse(full_subcomplex(dual_complex(P, F), G.labels(part)), steps)
         except InputError as exc:
             return f"does not replay: {exc}"
         return None if len(core.vertices) == 1 else "does not reach a point"
-    return problem or dismantling_problem(part_graph(P, vertices), steps)
+    return problem or dismantling_problem(FlagGraph(G.rank, G.N), steps, live=part)
 
 
 @dataclass(frozen=True)
@@ -570,22 +564,23 @@ class LegalityRecord:
     in_vertices: Tuple[str, ...]
 
 
-def legality(
-    P: Polytope,
-    F: FaceHandle,
-    s_on_f: State,
-    *,
-    seed: int = 0,
+def split_legality(
+    P: Polytope, F: FaceHandle, dual: int, inn: int, *, seed: int = 0
 ) -> LegalityRecord:
-    """Certified collapsibility of the two state subcomplexes.
-
-    The pair is totally legal when both parts of F's dual complex, split by
-    the given state, collapse to a point.  A collapsible complex is
-    contractible, so no homology is computed.
-    """
-    if set(s_on_f.universe) != set(mask_ids(P, _dual_mask(P, F))):
-        raise InputError("state universe does not match the dual complex vertices")
-    out_v, in_v = sorted(s_on_f.out_facets), sorted(s_on_f.in_facets)
-    out_seq, in_seq = (part_certificate(P, F, part, seed=seed) for part in (out_v, in_v))
+    """Certified collapsibility of the parts of F's dual complex, the rank
+    mask `dual`, split into Out and In = `inn`.  The pair is totally legal
+    when both parts collapse to a point; a collapsible complex is
+    contractible, so no homology is computed."""
+    G, out = P.ranked_graph(), dual & ~inn
+    out_seq, in_seq = (part_certificate(P, F, part, seed=seed) for part in (out, inn))
     totally = True if out_seq is not None and in_seq is not None else None
-    return LegalityRecord(totally, out_seq, in_seq, tuple(out_v), tuple(in_v))
+    return LegalityRecord(totally, out_seq, in_seq, G.labels(out), G.labels(inn))
+
+
+def legality(P: Polytope, F: FaceHandle, s_on_f: State, *, seed: int = 0) -> LegalityRecord:
+    """`split_legality` of the split of F's dual complex by a state on its
+    vertices."""
+    G, dual = P.ranked_graph(), dual_mask(P, F)
+    if set(s_on_f.universe) != set(G.labels(dual)):
+        raise InputError("state universe does not match the dual complex vertices")
+    return split_legality(P, F, dual, G.mask(s_on_f.in_facets), seed=seed)

@@ -47,7 +47,6 @@ from .links import (
 from .polytopes import FaceHandle, build_p5, build_p6, f_vector_check
 from .report import CUSP_ROW_KEYS, REPORT_KEYS, REPORT_VERSION, ROW_KEYS
 from .states import (
-    State,
     all_pairs_index,
     balanced_states_p5,
     balanced_states_p6,
@@ -58,7 +57,6 @@ from .states import (
     move_system_p6,
     orbit,
     sequence_form,
-    split_state,
 )
 
 
@@ -171,16 +169,15 @@ class _Verifier:
             self.fail(f"{where} failed")
         return ev if ok else None
 
-    def _legality(self, eid, F: FaceHandle, split: State, where: str):
+    def _legality(self, eid, F: FaceHandle, dual: int, inn: int, where: str):
         """Bind legality item `eid` to the claim that both parts of F's dual
-        complex, split by `split`, collapse to a point."""
-        header = legality_header(
-            {"type": "ambient"}, F.sorted_ids(), split.out_facets, split.in_facets
-        )
+        complex, the rank mask `dual` split into Out and In = `inn`,
+        collapse to a point."""
+        labels, out = self.P.ranked_graph().labels, dual & ~inn
+        header = legality_header({"type": "ambient"}, F.sorted_ids(), labels(out), labels(inn))
         self._evidence("evidence", eid, header, where, lambda ev: [
             (key, certificate_problem(self.P, F, part, ev[key]))
-            for key, part in (("out_sequence", split.out_facets),
-                              ("in_sequence", split.in_facets))
+            for key, part in (("out_sequence", out), ("in_sequence", inn))
         ])
 
     # -- rows ------------------------------------------------------------------
@@ -230,7 +227,7 @@ class _Verifier:
         if p.witness is not None:
             return good_row(p)
         if branch == "inherited-totally-legal":
-            self._legality(eid, p.F, split_state(self.P, *p.masks), where)
+            self._legality(eid, p.F, *p.masks, where)
             return legal_row(p, eid)
         if branch == "critical-pairs":
             return self._critical_row(p, eid, where)

@@ -10,8 +10,17 @@ from typing import Dict, Tuple
 from morsecert.complexes import SimplicialComplex, full_subcomplex, label_key
 from morsecert.errors import InputError
 from morsecert.labels import BASE_POINT_LABELS, UNIT_LABELS, label_signs
-from morsecert.polytopes import FaceHandle, Polytope, dual_complex
-from morsecert.states import MoveSystem, State, good_witness, inherited_state
+from morsecert.polytopes import FaceHandle, Polytope, build_cusp_section, dual_complex
+from morsecert.states import (
+    FlagGraph,
+    MoveSystem,
+    State,
+    cone_apex,
+    face_masks,
+    face_table,
+    good_witness,
+    inherited_state,
+)
 
 
 # -- complexes -----------------------------------------------------------------
@@ -73,6 +82,11 @@ def cliques_recursive(P: Polytope, k: int):
                 yield from extend(clique + (i,), allowed & P._nbr_mask[i], i + 1)
 
     yield from extend((), (1 << n) - 1, 0)
+
+
+def mask_ids(P: Polytope, mask: int):
+    """The facets in `mask`, a mask over P's facet indices, in sorted order."""
+    return tuple(sorted(f for i, f in enumerate(P.facet_ids) if mask >> i & 1))
 
 
 def cliques_brute_force(P: Polytope, k: int):
@@ -141,6 +155,36 @@ def coface_links_fast(P: Polytope, m: MoveSystem, s: State, F: FaceHandle):
     sd = barycentric_subdivision(D)
     desc = full_subcomplex(sd, [v for v in sd.vertices if v & in_ids])
     return asc, desc
+
+
+def part_graph(P: Polytope, vertices) -> FlagGraph:
+    """The facet graph of P on `vertices`, on the ranks of P's
+    `ranked_graph`."""
+    _, rank, N = P.ranked_graph()
+    return FlagGraph({v: rank[v] for v in vertices}, N)
+
+
+# -- cusp sections -------------------------------------------------------------
+
+
+def section_cusp_table(P: Polytope, m: MoveSystem, cusp_id: str):
+    """A cusp's table through its section polytope: (H, its number of
+    faces, each bad face's sorted ids mapped to its `face_masks` on H), the
+    bad faces in H's canonical order under the moves restricted to H."""
+    H = build_cusp_section(P, cusp_id)
+    mH = m.restrict(H.facet_ids)
+    table = face_table(H, mH)
+    return H, len(table.masks), {F.sorted_ids(): face_masks(H, mH, F) for F in table.bad}
+
+
+def section_checked(table, s: State) -> list:
+    """The checked entries [face, [out apex, in apex]] of state s on a
+    `section_cusp_table`: the first cone apex on H of each part of each bad
+    face's split by the In facets s has on H."""
+    H, _, bad = table
+    s_in = H.ranked_graph().mask(f for f in s.in_facets if f in H.index)
+    return [[list(ids), [cone_apex(H, dual & ~(free & s_in)), cone_apex(H, free & s_in)]]
+            for ids, (dual, free) in bad.items()]
 
 
 def dismantle_by_scan(N, keep: int = 0):

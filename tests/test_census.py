@@ -23,7 +23,6 @@ from morsecert.polytopes import (
     build_cusp_section,
     f_vector_check,
     face_of_mask,
-    mask_ids,
 )
 from morsecert.states import bad_face_signature, face_table, good_witness
 
@@ -33,6 +32,7 @@ from oracles import (
     fraction_base_unit,
     fraction_mul,
     fraction_quat,
+    mask_ids,
 )
 
 

@@ -41,11 +41,10 @@ from morsecert.report import certificate_to_document, document_to_json
 from morsecert.states import (
     State,
     all_pairs_index,
-    bad_faces,
     certificate_problem,
     cone_apex,
     dismantling_order,
-    facet_mask,
+    face_table,
     legality,
     sequence_form,
 )
@@ -219,8 +218,9 @@ def test_fallback_for_a_part_that_does_not_dismantle():
     whole = FaceHandle(frozenset())
     # the facet graph's clique complex is K itself plus the isolated x
     assert full_subcomplex(dual_complex(P, whole), K.vertices) == K
-    assert dismantling_order(P, K.vertices) is None
-    assert cone_apex(P, facet_mask(P, K.vertices)) is None
+    part = P.ranked_graph().mask(K.vertices)
+    assert dismantling_order(P, part) is None
+    assert cone_apex(P, part) is None
     searched = try_collapse(K, restarts=0)
     assert searched.success and len(searched.sequence) == 36
     state = State(tuple(sorted(P.facet_ids)), frozenset(K.vertices))
@@ -229,11 +229,11 @@ def test_fallback_for_a_part_that_does_not_dismantle():
     assert rec.out_sequence == []  # the one-vertex part {x}
     assert len(rec.in_sequence) == 36
     assert all(isinstance(f, list) and isinstance(c, list) for f, c in rec.in_sequence)
-    assert certificate_problem(P, whole, K.vertices, rec.in_sequence) is None
-    assert certificate_problem(P, whole, K.vertices, rec.in_sequence[:-1]) == (
+    assert certificate_problem(P, whole, part, rec.in_sequence) is None
+    assert certificate_problem(P, whole, part, rec.in_sequence[:-1]) == (
         "does not reach a point")
     mixed = rec.in_sequence[:1] + [["0", "3"]]
-    assert certificate_problem(P, whole, K.vertices, mixed) == (
+    assert certificate_problem(P, whole, part, mixed) == (
         "step 1: mixes dismantling and elementary steps")
 
 
@@ -322,7 +322,7 @@ def test_critical_transforms_built_once_per_key_and_run(monkeypatch, P6, M6, BAL
     not to the module."""
     keys = {
         _transform_key(build_cube_model(P6, M6, s, F))
-        for F in bad_faces(P6, M6)[1] if all_pairs_index(P6, M6, F) is not None
+        for F in face_table(P6, M6).bad if all_pairs_index(P6, M6, F) is not None
         for s in BAL6
     }
     assert len(keys) == 48
@@ -350,11 +350,11 @@ def test_cusp_condition_checked_once_per_cusp_and_state(monkeypatch):
 
 
 def test_structure_built_once_per_polytope_and_side(monkeypatch):
-    """A p6 certify and a verify of its report each build one clique census
-    per polytope, P6 and its 27 cusp sections, and list faces as handles
-    only on P6, once per codimension: the cusp tables read their bad faces
-    from the sections' face tables."""
-    from morsecert.polytopes import enumerate_faces
+    """A p6 certify and a verify of its report each build exactly one clique
+    census, P6's, build no cusp section, and list faces as handles only on
+    P6, once per codimension: the cusp tables read their faces from P6's
+    face table."""
+    from morsecert.polytopes import build_cusp_section, enumerate_faces
 
     built = []
     census = Polytope._build_census
@@ -365,17 +365,18 @@ def test_structure_built_once_per_polytope_and_side(monkeypatch):
 
     monkeypatch.setattr(Polytope, "_build_census", counting)
     listed = _count(monkeypatch, enumerate_faces)
+    sections = _count(monkeypatch, build_cusp_section)
     cert = certify_p6()
     assert cert.passed, cert.failures
-    sides = [(list(built), list(listed))]
+    sides = [(list(built), list(listed), list(sections))]
     del built[:], listed[:]
     ok, msgs = verify_document(_report(cert))
     assert ok, msgs
-    sides.append((built, listed))
-    for polytopes, calls in sides:
-        assert len(polytopes) == len({id(P) for P in polytopes}) == 1 + 27
-        assert [P.name for P in polytopes[:1]] == ["P6"]
+    sides.append((built, listed, sections))
+    for polytopes, calls, cut in sides:
+        assert [P.name for P in polytopes] == ["P6"]
         assert [(P.name, codim) for P, codim in calls] == [("P6", c) for c in range(7)]
+        assert cut == []
 
 
 def test_row_transform_of_another_state_is_rejected(P6, M6, BAL6, cert_p6):

@@ -1,24 +1,38 @@
 """The face-mask kernel against the definitions it replaces: inherited splits
-on P's adjacency masks, cusp tables, and the cone-apex rule on vertex sets
-against the one-round dismantling order it stands for."""
+on P's rank masks, cusp tables against their section polytopes, legality
+of the plan's masks against legality of inherited states, and the
+cone-apex rule on vertex sets against the one-round dismantling order it
+stands for."""
+
+import dataclasses
 
 import pytest
 
 from itertools import groupby
 
-from morsecert.certify import verdict_plan
+from morsecert.certify import cusp_row, verdict_plan
+from morsecert.errors import StructuralError
 from morsecert.links import certify_boundary_cube, cusp_table
-from morsecert.polytopes import FaceHandle, enumerate_faces, mask_ids
+from morsecert.polytopes import (
+    Facet,
+    FaceHandle,
+    IdealVertex,
+    Polytope,
+    build_cusp_section,
+    enumerate_faces,
+)
 from morsecert.states import (
-    bad_faces,
+    MoveSystem,
     dismantling_problem,
     face_masks,
-    facet_mask,
+    face_table,
     good_witness,
     inherited_state,
-    part_graph,
+    legality,
+    split_legality,
     split_state,
 )
+from oracles import part_graph, section_checked, section_cusp_table
 
 
 def _reference_split(P, m, s, F):
@@ -35,14 +49,14 @@ def _reference_split(P, m, s, F):
 def _check_splits(P, m, states, faces_and_masks):
     """Compare the mask split of every face and state with the reference
     and with `inherited_state`; returns the number of pairs compared."""
-    n = 0
+    n, G = 0, P.ranked_graph()
     for F, (dual, free) in faces_and_masks:
         for s in states:
-            inn = free & facet_mask(P, s.in_facets)
+            inn = free & G.mask(f for f in s.in_facets if f in G.rank)
             out_ref, in_ref = _reference_split(P, m, s, F)
             inh = inherited_state(P, m, s, F)
-            assert set(mask_ids(P, dual & ~inn)) == out_ref == inh.out_facets, F
-            assert set(mask_ids(P, inn)) == in_ref == inh.in_facets, F
+            assert set(G.labels(dual & ~inn)) == out_ref == inh.out_facets, F
+            assert set(G.labels(inn)) == in_ref == inh.in_facets, F
             assert split_state(P, dual, inn).serial() == inh.serial(), F
             n += 1
     return n
@@ -79,16 +93,15 @@ def _check_plan(P, m, states):
 @pytest.mark.parametrize("subject", ["5", "6"])
 def test_mask_splits_match_inherited_states(request, subject):
     P, m, states = (request.getfixturevalue(name + subject) for name in ("P", "M", "BAL"))
-    bad = bad_faces(P, m)[1]
+    bad = tuple(face_table(P, m).bad)
     assert _check_splits(P, m, states, ((F, face_masks(P, m, F)) for F in bad)) == (
         len(bad) * len(states))
     assert _check_plan(P, m, states) >= len(bad)
 
 
 def _cusp_splits(P, m, states, cusp):
-    table = cusp_table(P, m, cusp)
-    H = table.section
-    faces = [(FaceHandle(frozenset(ids)), masks) for ids, masks in table.bad.items()]
+    H, _, bad = section_cusp_table(P, m, cusp)
+    faces = [(FaceHandle(frozenset(ids)), masks) for ids, masks in bad.items()]
     return _check_splits(H, m.restrict(H.facet_ids), states, faces)
 
 
@@ -104,14 +117,15 @@ def test_apex_rule_matches_one_round_orders(P5, M5, BAL5):
     n = 0
     for iv in P5.ideal_vertices:
         table = cusp_table(P5, M5, iv.id)
-        H = table.section
+        H, _, bad = section_cusp_table(P5, M5, iv.id)
+        G = H.ranked_graph()
         for s in BAL5:
             bc = certify_boundary_cube(P5, M5, s, iv.id, table=table)
-            s_in = facet_mask(H, s.in_facets)
+            s_in = G.mask(f for f in s.in_facets if f in G.rank)
             for face, apexes in bc.checked:
-                dual, free = table.bad[face]
+                dual, free = bad[tuple(face)]
                 for part, apex in zip((dual & ~(free & s_in), free & s_in), apexes):
-                    labels = mask_ids(H, part)
+                    labels = G.labels(part)
                     accepted = []
                     for v in H.facet_ids:
                         order = [[u, v] for u in labels if u != v]
@@ -120,3 +134,64 @@ def test_apex_rule_matches_one_round_orders(P5, M5, BAL5):
                         n += v in labels
                     assert apex == min(accepted, default=None)
     assert n > 0
+
+
+def test_cusp_tables_match_section_oracle(P5, M5, BAL5, P6, M6, BAL6):
+    """On every cusp and state of P5 and P6, the table read off P's face
+    table on rank masks has the section's number of faces and its bad faces
+    in order, and every row checks what the section polytope checks, cone
+    apexes included."""
+    n = 0
+    for P, m, states in ((P5, M5, BAL5), (P6, M6, BAL6)):
+        for iv in P.ideal_vertices:
+            table = cusp_table(P, m, iv.id)
+            oracle = section_cusp_table(P, m, iv.id)
+            assert table.n_faces == oracle[1], iv.id
+            assert [ids for ids, _, _ in table.bad] == list(oracle[2]), iv.id
+            for idx, s in enumerate(states):
+                row = cusp_row(P, m, s, idx, table)
+                assert row["n_faces"] == oracle[1]
+                assert row["checked"] == (section_checked(oracle, s) if row["ok"] else [])
+                n += 1
+    assert n == 10 * 16 + 27 * 32
+
+
+def test_non_cube_sections_raise_alike():
+    """A square's cusp with three incident facets, and a cusp one of whose
+    incident facets has two non-neighbours among them: the cusp table and
+    the section polytope refuse both with the same error."""
+    square = Polytope(2, [Facet(f, f) for f in "abcd"],
+                      [frozenset(p) for p in ("ab", "bc", "cd", "da")],
+                      [IdealVertex("cusp:x", "x", frozenset("abc"))])
+    path = Polytope(3, [Facet(f, f) for f in "abcde"],
+                    [frozenset(p) for p in ("ab", "bc", "cd", "ae", "be", "ce", "de")],
+                    [IdealVertex("cusp:x", "x", frozenset("abcd"))])
+    cases = ((square, "cusp cusp:x: 3 incident facets, expected 2"),
+             (path, "cusp cusp:x: facet a has 2 non-neighbours in the section"))
+    for P, message in cases:
+        m = MoveSystem(tuple(frozenset(f) for f in P.facet_ids))
+        with pytest.raises(StructuralError) as by_table:
+            cusp_table(P, m, "cusp:x")
+        with pytest.raises(StructuralError) as by_section:
+            build_cusp_section(P, "cusp:x")
+        assert type(by_table.value) is type(by_section.value)
+        assert str(by_table.value) == str(by_section.value)
+        assert str(by_table.value).startswith(message)
+
+
+@pytest.mark.parametrize("subject", ["5", "6"])
+def test_plan_mask_legality_matches_state_legality(request, subject):
+    """For every bad-face class of the verdict plan, the legality of its
+    masks' split equals, field for field, the legality of the state its
+    first state inherits on the face."""
+    P, m, states = (request.getfixturevalue(name + subject) for name in ("P", "M", "BAL"))
+    n = 0
+    for p in verdict_plan(P, m, states):
+        if p.masks is None:
+            continue
+        got = split_legality(P, p.F, *p.masks)
+        want = legality(P, p.F, inherited_state(P, m, states[p.states[0]], p.F))
+        for f in dataclasses.fields(want):
+            assert getattr(got, f.name) == getattr(want, f.name), (p.face, f.name)
+        n += 1
+    assert n == {"5": 80, "6": 536}[subject]

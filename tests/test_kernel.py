@@ -10,14 +10,12 @@ import pytest
 
 from morsecert.certify import verdict_plan
 from morsecert.links import canonical_pairs_graphs
-from morsecert.polytopes import mask_ids
 from morsecert.states import (
     dismantle,
     dismantling_order,
     dismantling_steps,
-    part_graph,
 )
-from oracles import dismantle_by_scan
+from oracles import dismantle_by_scan, part_graph
 
 
 def _relabelled(G):
@@ -37,12 +35,12 @@ def test_kernel_matches_scan_on_every_plan_part(request, subject):
         if p.masks is not None:
             dual, inn = p.masks
             for part in (dual & ~inn, inn):
-                parts.setdefault(part, mask_ids(P, part))
-    for vertices in parts.values():
+                parts.setdefault(part, P.ranked_graph().labels(part))
+    for part, vertices in parts.items():
         order, N = _relabelled(part_graph(P, vertices))
         want = dismantle_by_scan(N)
         want = None if want is None else [[order[v], order[w]] for v, w in want]
-        assert dismantling_order(P, vertices) == want, vertices
+        assert dismantling_order(P, part) == want, vertices
         assert dismantling_steps(part_graph(P, vertices)) == want, vertices
         # every nonempty part of these plans dismantles
         assert (want is None) == (not vertices), vertices

@@ -44,6 +44,7 @@ from oracles import (
     barycentric_subdivision,
     coface_links_fast,
     is_good_face,
+    section_cusp_table,
     state_parts,
     vertex_state,
     vertex_states,
@@ -326,7 +327,7 @@ def test_certify_boundary_cube(P6, M6, BAL6):
     mH = M6.restrict(H.facet_ids)
     bad = [F.sorted_ids() for c in range(6) for F in enumerate_faces(H, c)
            if not is_good_face(mH, F)]
-    assert [face for face, _ in bc.checked] == bad
+    assert [tuple(face) for face, _ in bc.checked] == bad
     # faces inside a witness facet are good
     f1, _ = bc.condition.pair
     assert not any(f1 in face for face in bad)
@@ -351,7 +352,7 @@ def _cusp_apexes_match_legality(P, m, states, cusp_ids):
     n = 0
     for cusp in cusp_ids:
         table = cusp_table(P, m, cusp)
-        H = table.section
+        H = section_cusp_table(P, m, cusp)[0]
         mH = m.restrict(H.facet_ids)
         for s in states:
             bc = certify_boundary_cube(P, m, s, cusp, table=table)
