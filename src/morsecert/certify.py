@@ -249,11 +249,11 @@ def verdict_plan(P: Polytope, m: MoveSystem, states: Sequence[State]) -> Iterato
     good face as one row over all states, a bad face as one row per
     inherited-In class, classes in order of their states.  The pipeline
     fills this plan, and the verifier requires a report's rows to be it."""
-    all_states = tuple(range(len(states)))
-    in_masks = [P.ranked_graph().mask(s.in_facets) for s in states]
+    all_states, G, table = tuple(range(len(states))), P.ranked_graph(), face_table(P, m)
+    in_masks = [G.mask(s.in_facets) for s in states]
     faces = (F for codim in range(P.dimension + 1) for F in enumerate_faces(P, codim))
-    for F, witness in zip(faces, face_table(P, m).witnesses):
-        ids = F.sorted_ids()
+    for F, f, witness in zip(faces, table.masks, table.witnesses):
+        ids = G.labels(f)
         if witness is not None:
             yield PlannedRow(F, ids, all_states, witness=witness)
             continue

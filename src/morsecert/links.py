@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import total_ordering
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from itertools import product
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .complexes import (
-    SimplicialComplex,
+    full_subcomplex,
     order_complex,
     sequence_json,
     try_collapse,
@@ -52,9 +53,6 @@ class LiftValue:
 
     def __lt__(self, other: "LiftValue") -> bool:
         return (self.base, self.depth) < (other.base, other.depth)
-
-    def __add__(self, other: "LiftValue") -> "LiftValue":
-        return LiftValue(self.base + other.base, self.depth + other.depth)
 
 
 # -- face encoding ----------------------------------------------------------
@@ -333,6 +331,15 @@ def synthetic_pairs_lift(ell: int) -> CubeLift:
     return CubeLift(k, blocks, vertex_lift)
 
 
+def _pair_values(i: int, kind: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """The two values, as (fixed mask, fixed bits), that an element of the
+    `kind` core may fix coordinate pair i to: the two minima of the pair's
+    square (both bits equal) for "desc", its two maxima for "asc"."""
+    a, b = 2 * i, 2 * i + 1
+    m = (1 << a) | (1 << b)
+    return ((m, 0), (m, m)) if kind == "desc" else ((m, 1 << a), (m, 1 << b))
+
+
 def pairs_core_elements(ell: int, kind: str) -> List[int]:
     """Vertex set of the canonical core sphere inside the face link.
 
@@ -340,51 +347,9 @@ def pairs_core_elements(ell: int, kind: str) -> List[int]:
     the two minima) or fixed unequal (ascending, the two maxima), or left
     free; the all-free face (the cube itself) is excluded.
     """
-    k = 2 * ell
-    options = []
-    for i in range(ell):
-        a, b = 2 * i, 2 * i + 1
-        m = (1 << a) | (1 << b)
-        if kind == "desc":
-            options.append(((m, 0), (m, m), (0, 0)))
-        else:
-            options.append(((m, 1 << a), (m, 1 << b), (0, 0)))
-    out: List[int] = []
-
-    def build(i: int, mask: int, bits: int):
-        if i == ell:
-            if mask:
-                out.append(face_int(k, mask, bits))
-            return
-        for om, ob in options[i]:
-            build(i + 1, mask | om, bits | ob)
-
-    build(0, 0, 0)
-    return out
-
-
-def crosspolytope_face_map(ell: int, kind: str) -> Dict[int, FrozenSet[str]]:
-    """Order-reversing bijection from core elements to the nonempty faces of
-    the l-dimensional cross-polytope boundary (vertices u{i}+ / u{i}-).
-
-    A free pair contributes nothing; a fixed pair contributes its vertex.
-    Bigger core elements (more free pairs) map to smaller cross-polytope
-    faces, so chains map to flags of the subdivided boundary.
-    """
-    k = 2 * ell
-    out: Dict[int, FrozenSet[str]] = {}
-    for fid in pairs_core_elements(ell, kind):
-        mask, bits = face_parts(k, fid)
-        verts = []
-        for i in range(ell):
-            a, b = 2 * i, 2 * i + 1
-            m = (1 << a) | (1 << b)
-            if mask & m:
-                two = bits & m
-                sign = "+" if two in (0, 1 << a) else "-"
-                verts.append(f"u{i}{sign}")
-        out[fid] = frozenset(verts)
-    return out
+    options = [(*_pair_values(i, kind), (0, 0)) for i in range(ell)]
+    return [face_int(2 * ell, sum(m for m, _ in c), sum(b for _, b in c))
+            for c in product(*options) if any(m for m, _ in c)]
 
 
 @dataclass(frozen=True)
@@ -439,69 +404,68 @@ class CriticalLinkCertifier:
 LINK_KINDS = ("asc", "desc")
 
 
-def canonical_pairs_core(ell: int, kind: str) -> SimplicialComplex:
-    """Order complex of the core of the canonical all-pairs 2l-cube's `kind`
-    face link, checked to be the subdivided cross-polytope boundary against
-    the explicit face map."""
-    k = 2 * ell
-    core = order_complex(pairs_core_elements(ell, kind),
-                         lambda a, b: face_contains(k, a, b))
-    name = {"asc": "ascending", "desc": "descending"}[kind]
-    check_sd_crosspolytope_witness(core, crosspolytope_face_map(ell, kind), ell, name)
-    return core
-
-
 def canonical_pairs_graphs(ell: int):
     """The comparability graphs of the ascending and descending face-link
     posets of the canonical all-pairs 2l-cube, each paired with its core's
-    elements: ((asc_graph, asc_core), (desc_graph, desc_core))."""
+    elements in sorted order, checked by `check_sd_crosspolytope_witness`:
+    ((asc_graph, asc_core), (desc_graph, desc_core))."""
     posets = face_link_posets(synthetic_pairs_lift(ell))
-    return tuple(
-        (comparability_graph(*poset), canonical_pairs_core(ell, kind).vertices)
-        for poset, kind in zip(posets, LINK_KINDS)
-    )
+    out = []
+    for poset, kind in zip(posets, LINK_KINDS):
+        G, core = comparability_graph(*poset), tuple(sorted(pairs_core_elements(ell, kind)))
+        check_sd_crosspolytope_witness(G, core, ell, kind)
+        out.append((G, core))
+    return tuple(out)
 
 
 def canonical_pairs_links(ell: int):
-    """The same face links built as complexes, each paired with its core
-    complex, for elementary collapses: ((asc, asc_core), (desc, desc_core))."""
+    """The same face links built as complexes, each paired with its core's
+    full subcomplex, for elementary collapses: ((asc, asc_core), (desc,
+    desc_core))."""
     links = face_links_oracle(synthetic_pairs_lift(ell))
-    return tuple(
-        (K, canonical_pairs_core(ell, kind)) for K, kind in zip(links, LINK_KINDS)
-    )
+    return tuple((K, full_subcomplex(K, core))
+                 for K, (_, core) in zip(links, canonical_pairs_graphs(ell)))
 
 
-def check_sd_crosspolytope_witness(
-    core: SimplicialComplex, fmap: Dict[int, FrozenSet[str]], ell: int, name: str
-):
-    """Validate that `core` is the subdivided cross-polytope boundary via the
-    explicit order-reversing face map (the isomorphism witness)."""
-    verts = set(core.vertices)
-    if verts != set(fmap):
-        raise InternalError(f"{name} core has unexpected vertex set")
-    # all nonempty faces of the cross-polytope: at most one vertex per pair
-    images = set(fmap.values())
-    want = set()
+def check_sd_crosspolytope_witness(G: FlagGraph, core, ell: int, kind: str):
+    """Check on G, the comparability graph of the canonical all-pairs
+    2l-cube's `kind` face-link poset, that its full subgraph on `core` is
+    the comparability graph of the nonempty faces of the boundary of the
+    l-dimensional cross-polytope; raise InternalError otherwise.
 
-    def build(i: int, acc: frozenset):
-        if i == ell:
-            if acc:
-                want.add(acc)
-            return
-        build(i + 1, acc)
-        build(i + 1, acc | {f"u{i}+"})
-        build(i + 1, acc | {f"u{i}-"})
-
-    build(0, frozenset())
-    if images != want:
-        raise InternalError(f"{name} face map is not onto the cross-polytope faces")
-    if len(fmap) != len(images):
-        raise InternalError(f"{name} face map is not injective")
-    for chain in core.maximal_faces:
-        elems = sorted(chain, key=lambda f: len(fmap[f]), reverse=True)
-        for a, b in zip(elems, elems[1:]):
-            if not fmap[b] < fmap[a]:
-                raise InternalError(f"{name} face map does not reverse a chain")
+    Each core element must be an element of the poset, a proper face that
+    fixes some pair, and fix each coordinate pair to one of its two `kind`
+    values, a vertex of the cross-polytope, or leave it free; each of the
+    3^l - 1 choices that fix some pair, a nonempty face, must occur exactly
+    once; and two core
+    elements must be adjacent in G exactly when one of their cube faces
+    contains the other.  A cube face contains another exactly when it fixes
+    part of what the other fixes, so this is comparability of their
+    cross-polytope faces.  A flag complex is determined by its graph, and
+    the subdivided boundary is the order complex of those faces, so the
+    flag complex on the core, where the dismantling ends, is that
+    subdivision."""
+    k, name = 2 * ell, {"asc": "ascending", "desc": "descending"}[kind]
+    values = [(*_pair_values(i, kind), (0, 0)) for i in range(ell)]
+    choices = set()
+    for x in core:
+        if x not in G.index:
+            raise InternalError(f"{name} core element {x!r} is not in the link")
+        mask, bits = face_parts(k, x)
+        choice = tuple((mask & 3 << 2 * i, bits & 3 << 2 * i) for i in range(ell))
+        if any(c not in allowed for c, allowed in zip(choice, values)):
+            raise InternalError(f"{name} core element {x} fixes a coordinate pair "
+                                f"to no {kind} value")
+        choices.add(choice)
+    if len(core) != 3 ** ell - 1 or len(choices) != len(core):
+        raise InternalError(f"{name} core is not one element per nonempty "
+                            "cross-polytope face")
+    for i, x in enumerate(core):
+        for y in core[i + 1:]:
+            if bool(G.N[G.index[x]] >> G.index[y] & 1) != (
+                    face_contains(k, x, y) or face_contains(k, y, x)):
+                raise InternalError(f"{name} core: adjacency of {x} and {y} in the link "
+                                    "is not comparability of their faces")
 
 
 def canonical_pairs_transform(model: CubeModel, synth: CubeLift):

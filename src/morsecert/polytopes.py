@@ -134,7 +134,9 @@ class Polytope:
     """Combinatorial right-angled polytope: facets plus adjacency relation.
 
     Immutable by convention.  Ideal vertices are stored as incidence data and
-    are never faces.
+    are never faces.  The facets are numbered once, by rank in sorted-id
+    order (`ranked_graph`), and every facet mask of the polytope is over
+    these ranks.
     """
 
     def __init__(
@@ -151,23 +153,21 @@ class Polytope:
         self.facet_ids = tuple(f.id for f in self.facets)
         if len(set(self.facet_ids)) != len(self.facet_ids):
             raise InputError("duplicate facet ids")
-        self.index = {fid: i for i, fid in enumerate(self.facet_ids)}
+        ids = tuple(sorted(self.facet_ids))
+        rank = {f: r for r, f in enumerate(ids)}
+        N = [1 << r for r in range(len(ids))]
         pairs = set()
         for pair in adjacency:
             a, b = sorted(pair)
             if a == b:
                 raise InputError(f"adjacency must be irreflexive: {a!r}")
-            if a not in self.index or b not in self.index:
+            if a not in rank or b not in rank:
                 raise InputError(f"adjacency names unknown facet in {(a, b)!r}")
             pairs.add(frozenset((a, b)))
+            N[rank[a]] |= 1 << rank[b]
+            N[rank[b]] |= 1 << rank[a]
         self.adjacency_pairs = frozenset(pairs)
-        masks = [0] * len(self.facets)
-        for pair in pairs:
-            a, b = sorted(pair)
-            ia, ib = self.index[a], self.index[b]
-            masks[ia] |= 1 << ib
-            masks[ib] |= 1 << ia
-        self._nbr_mask = tuple(masks)
+        self._ranked = RankedGraph(ids, rank, tuple(N))
         self.ideal_vertices = tuple(ideal_vertices)
         for iv in self.ideal_vertices:
             unknown = iv.incident - set(self.facet_ids)
@@ -175,7 +175,6 @@ class Polytope:
                 raise InputError(f"ideal vertex {iv.id!r} lists unknown facets")
         self._dual_cache: dict = {}
         self._census: Optional[Tuple[Tuple[int, ...], ...]] = None  # filled by `cliques`
-        self._ranked: Optional[RankedGraph] = None  # filled by `ranked_graph`
         self._face_cache: dict = {}
         self._face_tables: dict = {}  # per move system, filled by states.face_table
 
@@ -188,15 +187,17 @@ class Polytope:
     def adjacent(self, a: str, b: str) -> bool:
         """Whether facets a and b are adjacent; False when either is no
         facet of this polytope."""
-        i, j = self.index.get(a), self.index.get(b)
-        return i is not None and j is not None and bool(self._nbr_mask[i] >> j & 1)
+        G = self._ranked
+        i, j = G.rank.get(a), G.rank.get(b)
+        return i is not None and j is not None and i != j and bool(G.N[i] >> j & 1)
 
     def neighbors(self, a: str) -> Tuple[str, ...]:
-        m = self._nbr_mask[self.index[a]]
-        return tuple(self.facet_ids[i] for i in range(len(self.facet_ids)) if m >> i & 1)
+        """The facets adjacent to a, in sorted order."""
+        r = self._ranked.rank[a]
+        return self._ranked.labels(self._ranked.N[r] ^ 1 << r)
 
     def degree(self, a: str) -> int:
-        return bin(self._nbr_mask[self.index[a]]).count("1")
+        return self._ranked.N[self._ranked.rank[a]].bit_count() - 1
 
     def face(self, defining: Iterable[str]) -> FaceHandle:
         ids = frozenset(defining)
@@ -218,26 +219,19 @@ class Polytope:
         raise InputError(f"unknown ideal vertex {iv_id!r}")
 
     def ranked_graph(self) -> RankedGraph:
-        """The facet graph in sorted-id rank order, built once per polytope."""
-        if self._ranked is None:
-            ids = tuple(sorted(self.facet_ids))
-            rank = {f: r for r, f in enumerate(ids)}
-            N = tuple(sum(1 << rank[g] for g in self.neighbors(f)) | 1 << r
-                      for r, f in enumerate(ids))
-            self._ranked = RankedGraph(ids, rank, N)
+        """The facet graph in sorted-id rank order, built with the polytope."""
         return self._ranked
 
     # -- clique census ------------------------------------------------------
 
     def _clique_levels(self) -> Iterator[Tuple[int, ...]]:
         """The cliques of the facet graph of each size 0, 1, 2, ... in turn,
-        as facet masks in canonical order.  Each clique of one size is
-        extended by each facet after its last one, in sorted-id order, that
-        is adjacent to all of its facets; extending the cliques of one size
-        in canonical order gives the next size in canonical order."""
-        ids, _, N = self.ranked_graph()
+        as rank masks in canonical order.  Each clique of one size is
+        extended by each facet of higher rank that is adjacent to all of
+        its facets; extending the cliques of one size in canonical order
+        gives the next size in canonical order."""
+        ids, _, N = self._ranked
         n = len(ids)
-        order = [self.index[f] for f in ids]
         # per rank: its neighbours of higher rank, as a mask over ranks
         later = [N[r] >> (r + 1) << (r + 1) for r in range(n)]
         level = [(0, (1 << n) - 1)]  # (clique, the ranks that extend it)
@@ -248,7 +242,7 @@ class Polytope:
                 while cand:
                     low = cand & -cand
                     r = low.bit_length() - 1
-                    nxt.append((mask | 1 << order[r], cand & later[r]))
+                    nxt.append((mask | low, cand & later[r]))
                     cand ^= low
             level = nxt
 
@@ -256,7 +250,7 @@ class Polytope:
         return tuple(islice(self._clique_levels(), self.dimension + 2))
 
     def cliques(self, k: int) -> Tuple[int, ...]:
-        """The cliques of size k as facet masks, in canonical order.  Sizes
+        """The cliques of size k as rank masks, in canonical order.  Sizes
         up to dimension + 1 come from the census, built once per polytope;
         a larger size is counted by extending past it."""
         if k < 0:
@@ -292,16 +286,9 @@ def dual_mask(P: Polytope, F: FaceHandle) -> int:
     return allowed
 
 
-def _facets_of(P: Polytope, mask: int) -> Iterator[str]:
-    while mask:
-        low = mask & -mask
-        yield P.facet_ids[low.bit_length() - 1]
-        mask ^= low
-
-
 def face_of_mask(P: Polytope, mask: int) -> FaceHandle:
-    """The face of P defined by the facets in `mask`."""
-    return FaceHandle(frozenset(_facets_of(P, mask)))
+    """The face of P defined by the facets in `mask`, a rank mask."""
+    return FaceHandle(frozenset(P.ranked_graph().labels(mask)))
 
 
 def dual_complex(P: Polytope, F: FaceHandle) -> SimplicialComplex:

@@ -120,11 +120,11 @@ def is_compatible(P: Polytope, m: MoveSystem, s: State):
     """Adjacent same-move facets must share status; returns (ok, witness),
     the first pair (a, b) that does not, blocks in order, each sorted.  A
     block is tested on masks, and walked only to name its pair."""
-    s_in = facet_mask(P, s.in_facets)
+    N, s_in = P.ranked_graph().N, facet_mask(P, s.in_facets)
     for block in m.blocks:
         bm = facet_mask(P, block)
         inn, out = bm & s_in, bm & ~s_in
-        while inn and not P._nbr_mask[(inn & -inn).bit_length() - 1] & out:
+        while inn and not N[(inn & -inn).bit_length() - 1] & out:
             inn &= inn - 1
         if not inn:
             continue
@@ -222,7 +222,7 @@ def balanced_states_p5(P5: Polytope) -> Tuple[State, ...]:
         for pos, q in enumerate(MOVE_ORDER):
             plus, minus = r_class_triples(q)
             chosen = plus if bits >> pos & 1 else minus
-            in_set.update(t for t in chosen if t in P5.index)
+            in_set.update(t for t in chosen if t in P5.ranked_graph().rank)
         states.append(state_from_in_set(P5, in_set))
     out = tuple(sorted(states, key=State.serial))
     if len(set(out)) != 16:
@@ -265,7 +265,7 @@ def bad_face_signature(m: MoveSystem, F: FaceHandle) -> Optional[Tuple[int, ...]
 class FaceTable(NamedTuple):
     """Every face of a polytope under a move system, the polytope itself
     first, in canonical order: `masks` and `witnesses` hold each face's
-    facet mask and its `good_witness`, and `bad` maps each bad face, in the
+    rank mask and its `good_witness`, and `bad` maps each bad face, in the
     same order, to its `bad_face_signature`."""
 
     masks: Tuple[int, ...]
@@ -318,8 +318,9 @@ def classify_bad_faces(P: Polytope, m: MoveSystem):
 
 
 def facet_mask(P: Polytope, ids: Iterable[str]) -> int:
-    """The bit mask, over P's facet indices, of the facets of P among `ids`."""
-    return sum(1 << P.index[f] for f in ids if f in P.index)
+    """The rank mask of the facets of P among `ids`."""
+    G = P.ranked_graph()
+    return G.mask(f for f in ids if f in G.rank)
 
 
 def face_masks(P: Polytope, m: MoveSystem, F: FaceHandle) -> Tuple[int, int]:
@@ -327,9 +328,9 @@ def face_masks(P: Polytope, m: MoveSystem, F: FaceHandle) -> Tuple[int, int]:
     `ranked_graph`, and those whose move meets no defining facet of F.  A
     state with In facets s_in, as ranks, inherits the split in = free & s_in,
     out = dual & ~in on F."""
-    G, dual = P.ranked_graph(), dual_mask(P, F)
     blocked = {m.block_of(fid) for fid in F.defining}
-    return dual, dual & ~G.mask(f for b in blocked for f in m.blocks[b] if f in G.rank)
+    dual = dual_mask(P, F)
+    return dual, dual & ~facet_mask(P, (f for b in blocked for f in m.blocks[b]))
 
 
 def split_state(P: Polytope, dual: int, inn: int) -> State:
@@ -346,8 +347,7 @@ def inherited_state(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> Stat
     s may be a state of a polytope P is a section of.
     """
     dual, free = face_masks(P, m, F)
-    G = P.ranked_graph()
-    return split_state(P, dual, free & G.mask(f for f in s.in_facets if f in G.rank))
+    return split_state(P, dual, free & facet_mask(P, s.in_facets))
 
 
 # A part is the clique complex of the facet graph on its vertices, and a face

@@ -2,16 +2,19 @@
 
 Every table and every row is recomputed and compared whole with what its
 one writer makes of the recomputation: `certify.report_tables` for the
-tables; `certify.verdict_plan`, in order, and its branch's row writer for
-each verdict row; `certify.cusp_row` for the cusp rows, one per (cusp,
-state) in order, whose cone apexes are `states.cone_apex`'s first apex of
-each part.  Every dismantling order that
+tables, by their canonical JSON, so that a value of another type (1 for
+true, 81.0 for 81) differs; `certify.verdict_plan`, in order, and its
+branch's row writer for each verdict row; `certify.cusp_row` for the cusp
+rows, one per (cusp, state) in order, whose cone apexes are
+`states.cone_apex`'s first apex of each part.  Every dismantling order that
 a row cites is checked step by step on adjacency masks: the facet graph for
 a legality part, the comparability graph of the face poset for a shared
-critical link.  Every elementary collapse sequence, a fallback that the
-built-in subjects never use, and every isomorphism witness is replayed.
-Nothing here invokes a collapse search, so verification cost is a small
-multiple of replay cost.
+critical link, whose core is checked on that graph to be the subdivided
+cross-polytope boundary.  Every elementary collapse sequence, a fallback
+that the built-in subjects never use, is replayed.  Nothing here invokes a
+collapse search, so verification cost is a small multiple of replay cost.
+Only `timings` and `seeds` back no claim: the verifier requires their keys
+and checks nothing in them, and the seed steers only the elementary search.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .certify import (
     PlannedRow,
     _eid,
     _inputs_digest,
+    canonical_json,
     critical_row,
     cusp_row,
     euler_identity,
@@ -124,7 +128,7 @@ class _Verifier:
         for key, want in tables.items():
             if type(self.doc[key]) is not type(want):
                 raise InputError(f"{key} is not a {type(want).__name__}")
-            if self.doc[key] != want:
+            if canonical_json(self.doc[key]) != canonical_json(want):
                 self.fail(f"{key} does not match its recomputation")
         if not e.passed:
             self.fail(f"consistency identity fails: chi {e.chi_per_copy} per copy, "

@@ -70,8 +70,12 @@ def is_connected(K: SimplicialComplex) -> bool:
 
 def cliques_recursive(P: Polytope, k: int):
     """The cliques of size k of P's facet graph, as tuples of facet indices,
-    by depth-first extension: independent of the census."""
-    n = len(P.facet_ids)
+    by depth-first extension over neighbour masks built from the adjacency
+    pairs: independent of the census and of the ranked graph."""
+    ids = P.facet_ids
+    n = len(ids)
+    nbr = [sum(1 << j for j, g in enumerate(ids) if frozenset((f, g)) in P.adjacency_pairs)
+           for f in ids]
 
     def extend(clique: tuple, allowed: int, start: int):
         if len(clique) == k:
@@ -79,14 +83,15 @@ def cliques_recursive(P: Polytope, k: int):
             return
         for i in range(start, n):
             if allowed >> i & 1:
-                yield from extend(clique + (i,), allowed & P._nbr_mask[i], i + 1)
+                yield from extend(clique + (i,), allowed & nbr[i], i + 1)
 
     yield from extend((), (1 << n) - 1, 0)
 
 
 def mask_ids(P: Polytope, mask: int):
-    """The facets in `mask`, a mask over P's facet indices, in sorted order."""
-    return tuple(sorted(f for i, f in enumerate(P.facet_ids) if mask >> i & 1))
+    """The facets in `mask`, a mask over the ranks of P's facets in sorted
+    order, in sorted order."""
+    return tuple(f for r, f in enumerate(sorted(P.facet_ids)) if mask >> r & 1)
 
 
 def cliques_brute_force(P: Polytope, k: int):
@@ -182,7 +187,7 @@ def section_checked(table, s: State) -> list:
     `section_cusp_table`: the first cone apex on H of each part of each bad
     face's split by the In facets s has on H."""
     H, _, bad = table
-    s_in = H.ranked_graph().mask(f for f in s.in_facets if f in H.index)
+    s_in = H.ranked_graph().mask(f for f in s.in_facets if f in H.facet_ids)
     return [[list(ids), [cone_apex(H, dual & ~(free & s_in)), cone_apex(H, free & s_in)]]
             for ids, (dual, free) in bad.items()]
 

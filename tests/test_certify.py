@@ -363,6 +363,16 @@ REPORT_EDITS = [
     ("polytope-dimension", lambda d: _set(d["polytope"], "dimension", 4), {1}),
     ("f-vector-degree",
      lambda d: _set(d["f_vector"]["degrees"], 0, d["f_vector"]["degrees"][0] + 1), {1}),
+    # values of another type: the tables are compared by canonical JSON
+    ("polytope-dimension-float",
+     lambda d: _set(d["polytope"], "dimension", float(d["polytope"]["dimension"])), {1}, "p6"),
+    ("euler-pass-int", lambda d: _set(d["euler"], "pass", 1), {1}, "p6"),
+    ("f-vector-degree-float",
+     lambda d: _set(d["f_vector"]["degrees"], 0, float(d["f_vector"]["degrees"][0])), {1},
+     "p6"),
+    ("euler-critical-count-float",
+     lambda d: _set(d["euler"], "critical_count", float(d["euler"]["critical_count"])), {1},
+     "p6"),
     # a pass lists no failures, and every object carries exactly its keys
     ("failures-under-pass", lambda d: _set(d, "failures", ["none"]), {1}),
     ("unknown-key-report", lambda d: _set(d, "note", 0), {1}),
@@ -400,6 +410,14 @@ def test_verify_rejects_edited_report(request, tmp_path, edit, codes, subject):
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc if replaced is None else replaced))
     assert main(["verify", str(path)]) in codes
+
+
+def test_seeds_back_no_claim(cert_p5):
+    """`seeds` and `timings` are the only fields that back no claim: the
+    seed steers only the elementary search, which p5 never runs."""
+    doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
+    doc["seeds"]["root"] += 12345
+    assert verify_document(doc) == (True, [])
 
 
 # (edit of the p5 report, what `verify` must say of it)

@@ -502,10 +502,26 @@ def test_certifier_falls_back_to_elementary_collapses(monkeypatch):
     assert replay_collapse(K, cert.desc_sequence) == core
 
 
+def test_builtin_subjects_build_no_complex(monkeypatch):
+    """Certify and verify of p5 and p6 build no simplicial complex: their
+    parts and face links are dismantled on graphs, and the critical cores
+    are checked on the comparability graph."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a simplicial complex was built")
+
+    monkeypatch.setattr(complexes.SimplicialComplex, "__init__", refuse)
+    for certify in (certify_p5, certify_p6):
+        cert = certify()
+        assert cert.passed, cert.failures
+        ok, msgs = verify_document(_report(cert))
+        assert ok, msgs
+
+
 def test_ell_4_certificate_verifies():
     """For l = 4, beyond the polytopes built here, the certifier finds
-    dismantling orders of both face links onto their cores; the verifier
-    accepts them and names a descending order cut short by one step."""
+    dismantling orders of both face links onto their cores, each core
+    checked on its graph; the verifier accepts them and names a descending
+    order cut short by one step."""
     from morsecert.certify import critical_shared_payload
     from morsecert.verify import _Verifier
 

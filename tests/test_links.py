@@ -10,7 +10,7 @@ from morsecert.complexes import (
     replay_collapse,
     try_collapse,
 )
-from morsecert.errors import InputError
+from morsecert.errors import InputError, InternalError
 from morsecert.links import (
     CriticalLinkCertifier,
     LiftValue,
@@ -18,6 +18,7 @@ from morsecert.links import (
     canonical_pairs_graphs,
     canonical_pairs_transform,
     certify_boundary_cube,
+    check_sd_crosspolytope_witness,
     cusp_table,
     check_cusp_condition,
     classify_link,
@@ -35,6 +36,7 @@ from morsecert.polytopes import (
     enumerate_faces,
 )
 from morsecert.states import (
+    FlagGraph,
     classify_bad_faces,
     dismantling_problem,
     inherited_state,
@@ -63,7 +65,6 @@ def find_state(states, *, facet_in=(), facet_out=()):
 def test_lift_value_ordering():
     assert LiftValue(0, 3) < LiftValue(1, 0)
     assert LiftValue(0, 2) < LiftValue(0, 3)
-    assert LiftValue(1, 1) + LiftValue(0, 2) == LiftValue(1, 3)
 
 
 def test_monochromatic_square_model(P6, M6, BAL6):
@@ -248,6 +249,56 @@ def test_synthetic_pairs_lift():
     elems = pairs_core_elements(2, "desc")
     assert len(elems) == 8  # subdivided 4-cycle
     assert len(pairs_core_elements(3, "asc")) == 26
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_canonical_cores_pass_the_graph_witness(ell):
+    """Each core is 3^l - 1 elements whose comparability graph is that of
+    the cross-polytope's nonempty faces; at l = 1 it has no edge."""
+    for (G, core), kind in zip(canonical_pairs_graphs(ell), ("asc", "desc")):
+        assert len(core) == 3 ** ell - 1
+        check_sd_crosspolytope_witness(G, core, ell, kind)
+
+
+def _core_edges(G, core):
+    return [(x, y) for i, x in enumerate(core) for y in core[i + 1:]
+            if G.N[G.index[x]] >> G.index[y] & 1]
+
+
+def _without(G, edges):
+    """G with `edges` removed from both ends' neighbourhoods."""
+    N = list(G.N)
+    for x, y in edges:
+        N[G.index[x]] &= ~(1 << G.index[y])
+        N[G.index[y]] &= ~(1 << G.index[x])
+    return FlagGraph(G.index, N)
+
+
+# (name, (G, core) -> the degraded (G, core), what the check must say)
+DEGRADED_CORES = [
+    ("one-edge-removed", lambda G, core: (_without(G, _core_edges(G, core)[:1]), core),
+     "is not comparability of their faces"),
+    ("antichain", lambda G, core: (_without(G, _core_edges(G, core)), core),
+     "is not comparability of their faces"),
+    ("element-dropped", lambda G, core: (G, core[1:]),
+     "not one element per nonempty cross-polytope face"),
+    ("non-core-face", lambda G, core: (G, (min(set(G.index) - set(core)),) + core[1:]),
+     "fixes a coordinate pair to no"),
+]
+
+
+@pytest.mark.parametrize("kind", ["asc", "desc"])
+@pytest.mark.parametrize("ell", [2, 3])
+@pytest.mark.parametrize("degrade, message", [d[1:] for d in DEGRADED_CORES],
+                         ids=[d[0] for d in DEGRADED_CORES])
+def test_degraded_cores_are_rejected(ell, kind, degrade, message):
+    """The witness is two-sided: a core graph missing one comparability
+    edge or all of them, a core list missing an element, and one with a
+    non-core face in place of an element all fail the check."""
+    G, core = canonical_pairs_graphs(ell)[kind == "desc"]
+    assert _core_edges(G, core)
+    with pytest.raises(InternalError, match=message):
+        check_sd_crosspolytope_witness(*degrade(G, core), ell, kind)
 
 
 def test_critical_certifier_and_transform(P6, M6, BAL6):

@@ -147,7 +147,7 @@ def test_adjacent_agrees_with_adjacency_pairs(P6, P5):
                 assert P.adjacent(a, b) == (frozenset((a, b)) in P.adjacency_pairs)
             assert not P.adjacent(a, "no-such-facet")
             assert not P.adjacent("no-such-facet", a)
-    gone = next(f for f in P6.facet_ids if f not in P5.index)
+    gone = next(f for f in P6.facet_ids if f not in P5.facet_ids)
     assert not P5.adjacent(gone, P5.facet_ids[0])
 
 
