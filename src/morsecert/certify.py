@@ -16,7 +16,7 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError, StructuralError
 from .links import (
@@ -33,7 +33,6 @@ from .polytopes import (
     Polytope,
     build_p5,
     build_p6,
-    enumerate_faces,
     f_vector_check,
     TABLE_G6,
 )
@@ -67,19 +66,12 @@ def _eid(payload: dict) -> str:
 # Evidence headers: the fields of an evidence item that the claim citing it
 # determines.  An item is its header plus its sequences, and its id is the
 # hash of its content; the verifier rebuilds each header from the claim.
+# A legality item names no face and no part: the claim citing it gives both,
+# so one item serves every claim whose parts its sequences certify.
 
 
-def legality_header(
-    host: dict, face_ids: Sequence[str], out_vertices: Iterable[str],
-    in_vertices: Iterable[str],
-) -> dict:
-    return {
-        "kind": "legality",
-        "host": host,
-        "face": list(face_ids),
-        "out_vertices": sorted(out_vertices),
-        "in_vertices": sorted(in_vertices),
-    }
+def legality_header(host: dict) -> dict:
+    return {"kind": "legality", "host": host}
 
 
 def shared_header(ell: int) -> dict:
@@ -93,11 +85,11 @@ SEQUENCE_KEYS = {
 }
 
 
-def legality_evidence_payload(host: dict, face_ids: Tuple[str, ...], rec) -> dict:
+def legality_evidence_payload(host: dict, rec) -> dict:
     """A legality item: its header and the certificates of both parts, which
     `states.part_certificate` already gives in report form."""
     return {
-        **legality_header(host, face_ids, rec.out_vertices, rec.in_vertices),
+        **legality_header(host),
         "out_sequence": rec.out_sequence,
         "in_sequence": rec.in_sequence,
     }
@@ -233,11 +225,12 @@ def _shared_item(certifier: CriticalLinkCertifier, cert) -> Tuple[str, dict]:
 
 
 class PlannedRow(NamedTuple):
-    """A verdict row as `verdict_plan` fixes it: its face, the states it
-    covers, and what its branch rests on, the `good_witness` of a good face
-    or the (dual, in) rank masks of a bad face's inherited-In class."""
+    """A verdict row as `verdict_plan` fixes it: its face's sorted ids, the
+    states it covers, and what its branch rests on, the `good_witness` of a
+    good face or, for a bad face, its handle `F` and the (dual, in) rank
+    masks of its inherited-In class."""
 
-    F: FaceHandle
+    F: Optional[FaceHandle]
     face: Tuple[str, ...]
     states: Tuple[int, ...]
     witness: Optional[int] = None
@@ -248,15 +241,17 @@ def verdict_plan(P: Polytope, m: MoveSystem, states: Sequence[State]) -> Iterato
     """The verdict rows in report order: every face in canonical order, a
     good face as one row over all states, a bad face as one row per
     inherited-In class, classes in order of their states.  The pipeline
-    fills this plan, and the verifier requires a report's rows to be it."""
+    fills this plan, and the verifier requires a report's rows to be it.
+    Only a bad face gets a handle, the face table's, in the same order."""
     all_states, G, table = tuple(range(len(states))), P.ranked_graph(), face_table(P, m)
     in_masks = [G.mask(s.in_facets) for s in states]
-    faces = (F for codim in range(P.dimension + 1) for F in enumerate_faces(P, codim))
-    for F, f, witness in zip(faces, table.masks, table.witnesses):
+    bad = iter(table.bad)
+    for f, witness in zip(table.masks, table.witnesses):
         ids = G.labels(f)
         if witness is not None:
-            yield PlannedRow(F, ids, all_states, witness=witness)
+            yield PlannedRow(None, ids, all_states, witness=witness)
             continue
+        F = next(bad)
         dual, free = face_masks(P, m, F)
         classes: Dict[int, List[int]] = {}
         for idx, s_in in enumerate(in_masks):
@@ -267,28 +262,27 @@ def verdict_plan(P: Polytope, m: MoveSystem, states: Sequence[State]) -> Iterato
 
 # One writer per branch of verdict row, from the plan: the pipeline writes
 # its rows with them, and the verifier compares each row with them.  A row
-# is the report's row itself; `states` ascend, the first the representative.
+# is the report's row itself, and carries only the witness of its branch;
+# `states` ascend, the first the representative.
 
 
-def verdict_row(p: PlannedRow, branch: str, verdict: str, *, witness_move: Optional[int] = None,
-                evidence: Optional[str] = None, transform: Optional[dict] = None) -> dict:
-    return {"face": list(p.face), "branch": branch, "verdict": verdict, "states": list(p.states),
-            "witness_move": witness_move, "evidence": evidence, "transform": transform}
+def verdict_row(p: PlannedRow, verdict: str, **witness) -> dict:
+    return {"face": list(p.face), "verdict": verdict, "states": list(p.states), **witness}
 
 
 def good_row(p: PlannedRow) -> dict:
-    return verdict_row(p, "good-face", "Regular", witness_move=p.witness)
+    return verdict_row(p, "Regular", witness_move=p.witness)
 
 
 def legal_row(p: PlannedRow, eid: str) -> dict:
-    return verdict_row(p, "inherited-totally-legal", "Regular", evidence=eid)
+    return verdict_row(p, "Regular", evidence=eid)
 
 
 def critical_row(p: PlannedRow, ell: int, sid: str, transform) -> dict:
     """A critical row cites the shared item `sid` and carries the canonical
     transform of its first state."""
     _, perm, delta = transform
-    return verdict_row(p, "critical-pairs", f"Critical({ell})", evidence=sid,
+    return verdict_row(p, f"Critical({ell})", evidence=sid,
                        transform={"perm": list(perm), "delta": delta})
 
 
@@ -307,7 +301,7 @@ def _classify_group(
     None, failure-or-None)."""
     rec = split_legality(P, p.F, *p.masks, seed=seed)
     if rec.totally_legal:
-        payload = legality_evidence_payload({"type": "ambient"}, p.face, rec)
+        payload = legality_evidence_payload({"type": "ambient"}, rec)
         eid = _eid(payload)
         return legal_row(p, eid), {eid: payload}, None, None
     lc = classify_link(P, m, states[p.states[0]], p.F, certifier=certifier, seed=seed)
@@ -319,7 +313,7 @@ def _classify_group(
             critical_transform(P, m, states[idx], p.F, certifier.transforms)
         return critical_row(p, lc.index, sid, lc.transform), {}, sid, None
     failure = f"Unknown verdict at face {p.face} states {list(p.states)}: {lc.note}"
-    return verdict_row(p, lc.branch, "Unknown"), {}, None, failure
+    return verdict_row(p, "Unknown"), {}, None, failure
 
 
 _WORKER_CTX: dict = {}
@@ -391,31 +385,30 @@ def _verdict_sweep(
 # Cusp suite
 
 
-def cusp_row(P: Polytope, m: MoveSystem, s: State, idx: int, table: CuspTable) -> dict:
-    """The row of state `s`, number `idx`, at the cusp of `table`: the
-    pipeline writes each cusp row with it, and the verifier compares each
-    cusp row with it."""
+def cusp_row(P: Polytope, m: MoveSystem, s: State, table: CuspTable) -> dict:
+    """The row of state `s` at the cusp of `table`: whether the cusp
+    condition holds, whether the boundary cube is all Regular, and the
+    [out apex, in apex] pair of each bad face of the table, in its order.
+    The row names neither its cusp nor its state: its position does."""
     bc = certify_boundary_cube(P, m, s, table.cusp_id, table=table)
-    cond = bc.condition
-    return {"cusp": table.cusp_id, "state": idx, "ok": cond.ok, "move": cond.move_index,
-            "pair": list(cond.pair) if cond.pair else None, "all_regular": bc.all_regular,
-            "n_faces": bc.n_faces, "n_good": bc.n_faces - len(bc.checked),
+    return {"ok": bc.condition is not None, "all_regular": bc.all_regular,
             "checked": list(bc.checked)}
 
 
 def _cusp_suite(
     P: Polytope, m: MoveSystem, states: Sequence[State], failures: List[str]
 ) -> Tuple[dict, ...]:
-    """One row per (cusp, state), cusps in the polytope's order."""
+    """One row per (cusp, state), cusps in the polytope's order, states in
+    the orbit's."""
     rows: List[dict] = []
     for iv in P.ideal_vertices:
         table = cusp_table(P, m, iv.id)
         for idx, s in enumerate(states):
-            row = cusp_row(P, m, s, idx, table)
+            row = cusp_row(P, m, s, table)
             rows.append(row)
             if not row["ok"]:
                 failures.append(f"cusp condition fails at {iv.id} state {idx}")
-            for face_ids, apexes in row["checked"]:
+            for (face_ids, _, _), apexes in zip(table.bad, row["checked"]):
                 if None in apexes:
                     failures.append(
                         f"boundary cube at {iv.id} state {idx}: face {tuple(face_ids)} "

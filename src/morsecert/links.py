@@ -599,84 +599,74 @@ def classify_link(
 # -- cusp checks --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CuspConditionResult:
-    ok: bool
-    move_index: Optional[int]
-    pair: Optional[Tuple[str, str]]
-
-
-def cusp_pairs(P: Polytope, m: MoveSystem, cusp_id: str) -> Tuple[Tuple[int, str, str], ...]:
-    """The moves, in canonical order, that meet the cusp's incident facets in
-    exactly two facets that are non-adjacent, each with that pair (a, b)."""
+def cusp_pairs(P: Polytope, m: MoveSystem, cusp_id: str) -> Tuple[Tuple[str, str], ...]:
+    """The facet pairs (a, b), moves in canonical order, in which a move
+    meets the cusp's incident facets in exactly two facets that are
+    non-adjacent."""
     iv = P.ideal_vertex(cusp_id)
     out = []
-    for bi, block in enumerate(m.blocks):
+    for block in m.blocks:
         hit = sorted(block & iv.incident)
         if len(hit) == 2 and not P.adjacent(*hit):
-            out.append((bi, *hit))
+            out.append(tuple(hit))
     return tuple(out)
 
 
 def check_cusp_condition(
     P: Polytope, s: State, cusp_id: str, m: MoveSystem, *, table: Optional[CuspTable] = None
-) -> CuspConditionResult:
-    """First move (canonical order) meeting the cusp's incident facets in
-    exactly two facets that are non-adjacent and of opposite status; the
-    pairs are the given table's, or `cusp_pairs`."""
+) -> Optional[Tuple[str, str]]:
+    """The first of the cusp's pairs, the given table's or `cusp_pairs`, whose
+    two facets have opposite status in s; None when the condition fails."""
     pairs = table.pairs if table is not None else cusp_pairs(P, m, cusp_id)
-    for bi, a, b in pairs:
+    for a, b in pairs:
         if (a in s.in_facets) != (b in s.in_facets):
-            return CuspConditionResult(True, bi, (a, b))
-    return CuspConditionResult(False, None, None)
+            return a, b
+    return None
 
 
 class CuspTable(NamedTuple):
     """What certifying a cusp's horospherical cube needs of the cusp alone,
-    built once for all states: its id, its section's number of faces and
-    bad faces in canonical order, each as (sorted ids, `face_masks` over P's
-    ranks cut to the incident facets), its `cusp_pairs`, and the apex
-    entries made so far, under (bad face position, In part)."""
+    built once for all states: its id, its section's bad faces in canonical
+    order, each as (sorted ids, `face_masks` over P's ranks cut to the
+    incident facets), its `cusp_pairs`, and the apex pairs made so far,
+    under (bad face position, In part)."""
 
     cusp_id: str
-    n_faces: int
     bad: Tuple[Tuple[Tuple[str, ...], int, int], ...]
-    pairs: Tuple[Tuple[int, str, str], ...]
+    pairs: Tuple[Tuple[str, str], ...]
     apexes: dict
 
 
 def cusp_table(P: Polytope, m: MoveSystem, cusp_id: str) -> CuspTable:
     """The section, a cube by `cusp_incidence`, spans P's faces inside the
-    cusp's incident facets, each good or bad as in P.  A face picks at most
-    one facet of each opposite pair: a d-cube has 3^d faces, itself
-    included."""
+    cusp's incident facets, each good or bad as in P."""
     inc = cusp_incidence(P, cusp_id)
     incident = P.ideal_vertex(cusp_id).incident
     bad = tuple((F.sorted_ids(), *(x & inc for x in face_masks(P, m, F)))
                 for F in face_table(P, m).bad if F.defining <= incident)
-    return CuspTable(cusp_id, 3 ** (P.dimension - 1), bad, cusp_pairs(P, m, cusp_id), {})
+    return CuspTable(cusp_id, bad, cusp_pairs(P, m, cusp_id), {})
 
 
 @dataclass(frozen=True)
 class BoundaryCubeCertificate:
     """Cone apexes certifying the bad faces of a horospherical cube.
 
-    `checked` lists each bad face with the first cone apex, in sorted order,
-    of its Out and In parts (None: the part is empty or not a cone), in
-    report form [face ids, [out apex, in apex]] that the rows of one table
-    share; the cube is all Regular when the cusp condition holds and every
-    part has an apex.  A cube whose condition fails is not certified:
-    nothing is checked.
+    `condition` is the cusp condition's witness pair, None when it fails;
+    `checked` lists, per bad face of the cusp's table in its order, the
+    first cone apex, in sorted order, of its Out and In parts (None: the
+    part is empty or not a cone), in report form [out apex, in apex] that
+    the rows of one table share; the cube is all Regular when the cusp
+    condition holds and every part has an apex.  A cube whose condition
+    fails is not certified: nothing is checked.
     """
 
     cusp_id: str
-    condition: CuspConditionResult
-    n_faces: int
+    condition: Optional[Tuple[str, str]]
     checked: Tuple[list, ...]
 
     @property
     def all_regular(self) -> bool:
-        return self.condition.ok and all(None not in apexes for _, apexes in self.checked)
+        return self.condition is not None and all(None not in pair for pair in self.checked)
 
 
 def certify_boundary_cube(
@@ -696,18 +686,18 @@ def certify_boundary_cube(
     a join of 0-spheres and each part a join of points and 0-spheres: a part
     collapses to a point exactly when it is a cone, and its apex, a vertex
     that dominates every other one, is the whole certificate.  The parts of
-    a bad face depend on s only through its In part, so each entry is made
+    a bad face depend on s only through its In part, so each pair is made
     once per (bad face, In part) and kept in the table.
     """
     table = table if table is not None else cusp_table(P, m, cusp_id)
     cond = check_cusp_condition(P, s, cusp_id, m, table=table)
-    if not cond.ok:
-        return BoundaryCubeCertificate(cusp_id, cond, table.n_faces, ())
+    if cond is None:
+        return BoundaryCubeCertificate(cusp_id, cond, ())
     s_in, memo, checked = P.ranked_graph().mask(s.in_facets), table.apexes, []
-    for i, (ids, dual, free) in enumerate(table.bad):
+    for i, (_, dual, free) in enumerate(table.bad):
         inn = free & s_in
-        entry = memo.get((i, inn))
-        if entry is None:
-            entry = memo[i, inn] = [list(ids), [cone_apex(P, dual & ~inn), cone_apex(P, inn)]]
-        checked.append(entry)
-    return BoundaryCubeCertificate(cusp_id, cond, table.n_faces, tuple(checked))
+        pair = memo.get((i, inn))
+        if pair is None:
+            pair = memo[i, inn] = [cone_apex(P, dual & ~inn), cone_apex(P, inn)]
+        checked.append(pair)
+    return BoundaryCubeCertificate(cusp_id, cond, tuple(checked))

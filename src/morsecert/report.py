@@ -12,19 +12,28 @@ import json
 from collections import Counter
 from .certify import Certificate
 
-REPORT_VERSION = "6"
+REPORT_VERSION = "7"
 
-# The keys of a report, of a verdict row and of a cusp row; the verifier
-# requires exactly these (and `inputs` on a generic report).
+# The keys of a report and of a cusp row; the verifier requires exactly
+# these (and `inputs` on a generic report).  A verdict row carries exactly
+# the keys of its branch's writer in `certify`, and its branch shows in its
+# witness key: `witness_move` for a good face, `evidence` for a legal class,
+# `evidence` and `transform` for a critical row; an Unknown row has none.
 REPORT_KEYS = frozenset({
     "version", "subject", "mode", "pass", "seeds", "inputs_digest", "polytope",
     "moves", "orbit", "f_vector", "bad_faces", "euler", "verdicts", "evidence",
     "shared_evidence", "cusps", "failures", "timings",
 })
-ROW_KEYS = frozenset({"face", "branch", "verdict", "states", "witness_move", "evidence",
-                      "transform"})
-CUSP_ROW_KEYS = frozenset({"cusp", "state", "ok", "move", "pair", "all_regular", "n_faces",
-                           "n_good", "checked"})
+CUSP_ROW_KEYS = frozenset({"ok", "all_regular", "checked"})
+
+
+def row_branch(row: dict) -> str:
+    """The branch of a verdict row, by its witness key."""
+    if "witness_move" in row:
+        return "good-face"
+    if "transform" in row:
+        return "critical-pairs"
+    return "inherited-totally-legal" if "evidence" in row else "unknown"
 
 
 def certificate_to_document(cert: Certificate, *, include_timings: bool = False) -> dict:
@@ -100,7 +109,7 @@ def render_text(cert: Certificate) -> str:
     hist = Counter(r["verdict"] for r in cert.verdict_rows)
     for verdict in sorted(hist):
         add(f"  {verdict}: {hist[verdict]} classes")
-    branches = Counter(r["branch"] for r in cert.verdict_rows)
+    branches = Counter(map(row_branch, cert.verdict_rows))
     for branch in sorted(branches):
         add(f"  via {branch}: {branches[branch]}")
     add("")

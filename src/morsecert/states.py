@@ -553,15 +553,13 @@ def certificate_problem(P: Polytope, F: FaceHandle, part: int, steps) -> Optiona
 
 @dataclass(frozen=True)
 class LegalityRecord:
-    """Vertex split and the certificate of each part (`part_certificate`;
-    None: not found).  `totally_legal` is True only when both parts have one;
+    """The certificate of each part of a split (`part_certificate`; None:
+    not found).  `totally_legal` is True only when both parts have one;
     None means "not certified" (the search is sound but not complete)."""
 
     totally_legal: Optional[bool]
     out_sequence: Optional[list]
     in_sequence: Optional[list]
-    out_vertices: Tuple[str, ...]
-    in_vertices: Tuple[str, ...]
 
 
 def split_legality(
@@ -571,10 +569,9 @@ def split_legality(
     mask `dual`, split into Out and In = `inn`.  The pair is totally legal
     when both parts collapse to a point; a collapsible complex is
     contractible, so no homology is computed."""
-    G, out = P.ranked_graph(), dual & ~inn
-    out_seq, in_seq = (part_certificate(P, F, part, seed=seed) for part in (out, inn))
+    out_seq, in_seq = (part_certificate(P, F, part, seed=seed) for part in (dual & ~inn, inn))
     totally = True if out_seq is not None and in_seq is not None else None
-    return LegalityRecord(totally, out_seq, in_seq, G.labels(out), G.labels(inn))
+    return LegalityRecord(totally, out_seq, in_seq)
 
 
 def legality(P: Polytope, F: FaceHandle, s_on_f: State, *, seed: int = 0) -> LegalityRecord:

@@ -1,20 +1,22 @@
 """Standalone re-validation of structured reports, with zero search.
 
-Every table and every row is recomputed and compared whole with what its
-one writer makes of the recomputation: `certify.report_tables` for the
-tables, by their canonical JSON, so that a value of another type (1 for
-true, 81.0 for 81) differs; `certify.verdict_plan`, in order, and its
-branch's row writer for each verdict row; `certify.cusp_row` for the cusp
-rows, one per (cusp, state) in order, whose cone apexes are
-`states.cone_apex`'s first apex of each part.  Every dismantling order that
-a row cites is checked step by step on adjacency masks: the facet graph for
-a legality part, the comparability graph of the face poset for a shared
-critical link, whose core is checked on that graph to be the subdivided
-cross-polytope boundary.  Every elementary collapse sequence, a fallback
-that the built-in subjects never use, is replayed.  Nothing here invokes a
-collapse search, so verification cost is a small multiple of replay cost.
-Only `timings` and `seeds` back no claim: the verifier requires their keys
-and checks nothing in them, and the seed steers only the elementary search.
+Every table and every verdict row is recomputed and compared whole, values
+and types (1 is not true, 81.0 is not 81), with what its one writer makes
+of the recomputation: `certify.report_tables` for the tables, by their
+canonical JSON; `certify.verdict_plan`, in order, and the row writer of the
+branch that the plan and the row's verdict pick for each verdict row.  The
+cusp rows are bound by position, one per (cusp, state) in order; each
+holds the cusp condition's outcome and one [out apex, in apex] pair per bad
+face of the cusp's table, and each apex is checked to dominate its part.
+Every dismantling order that a row cites is checked step by step on
+adjacency masks: the facet graph for a legality part, the comparability
+graph of the face poset for a shared critical link, whose core is checked
+on that graph to be the subdivided cross-polytope boundary.  Every
+elementary collapse sequence, a fallback that the built-in subjects never
+use, is replayed.  Nothing here invokes a collapse search, so verification
+cost is a small multiple of replay cost.  Only `timings` and `seeds` back no
+claim: the verifier requires their keys and checks nothing in them, and the
+seed steers only the elementary search.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .certify import (
     _inputs_digest,
     canonical_json,
     critical_row,
-    cusp_row,
     euler_identity,
     good_row,
     legal_row,
@@ -45,11 +46,12 @@ from .io import load_json, moves_from_doc, polytope_from_doc, state_from_doc
 from .links import (
     canonical_pairs_graphs,
     canonical_pairs_links,
+    check_cusp_condition,
     critical_transform,
     cusp_table,
 )
-from .polytopes import FaceHandle, build_p5, build_p6, f_vector_check
-from .report import CUSP_ROW_KEYS, REPORT_KEYS, REPORT_VERSION, ROW_KEYS
+from .polytopes import build_p5, build_p6, f_vector_check
+from .report import CUSP_ROW_KEYS, REPORT_KEYS, REPORT_VERSION
 from .states import (
     all_pairs_index,
     balanced_states_p5,
@@ -64,11 +66,28 @@ from .states import (
 )
 
 
+def _same(got, want) -> bool:
+    """`got` equals `want` with the same types throughout, so that true is
+    not 1 and 81.0 is not 81; the lists of `want` hold no lists or objects,
+    so a list is compared whole and then its elements' types at once."""
+    if type(got) is not type(want):
+        return False
+    if type(want) is dict:
+        return got.keys() == want.keys() and all(_same(got[k], v) for k, v in want.items())
+    if type(want) is list:
+        return got == want and list(map(type, got)) == list(map(type, want))
+    return got == want
+
+
 class _Verifier:
     def __init__(self, doc: dict):
         self.doc = doc
         self.messages: List[str] = []
-        self._evidence_ok: Dict[Tuple[str, str], bool] = {}
+        # whether each bound item's id is its hash, under (section, id)
+        self._bound: Dict[Tuple[str, str], bool] = {}
+        # whether an item's sequences certify what a claim citing it needs,
+        # under (section, id, what the claim needs)
+        self._checked: Dict[tuple, bool] = {}
         # this run's `critical_transform` memo
         self._transforms: dict = {}
 
@@ -137,66 +156,77 @@ class _Verifier:
 
     # -- evidence binding and replay ---------------------------------------
 
-    def _evidence(self, section: str, eid, header: dict, where: str, check=None):
+    def _evidence(self, section: str, eid, header: dict, where: str, needs, check):
         """Bind the evidence item `eid` to the claim at `where` that cites it.
 
         The item must be exactly `header`, which the caller rebuilt from the
-        claim, plus the sequences of its kind, and `eid` must be the hash of
-        the item's content.  Once per section and id, `check(item)`
-        then checks its sequences against what the claim built, yielding each
-        key with what is wrong with its sequence, or None.  Returns the item
-        when all of this holds, else None.
+        claim, plus the sequences of its kind.  Once per section and id,
+        `eid` must be the hash of the item's content.  Once per section, id
+        and `needs`, what the claim needs its sequences to certify,
+        `check(item)` yields each sequence key with what is wrong with its
+        sequence, or None; a later claim with the same needs that cites a
+        failed item fails, naming its id.
         """
         where = f"{where}: evidence {eid}"
         ev = self.doc[section].get(eid)
         if ev is None:
             self.fail(f"{where} is missing")
-            return None
+            return
         seq_keys = SEQUENCE_KEYS[header["kind"]]
-        wrong = [k for k, v in header.items() if ev[k] != v]
+        wrong = [k for k, v in header.items() if not _same(ev[k], v)]
         if len(ev) != len(header) + len(seq_keys):
             wrong.append("keys")
         if wrong:
             self.fail(f"{where} does not match the claim ({', '.join(wrong)})")
-            return None
-        ok = self._evidence_ok.get((section, eid))
-        if ok is None:
-            ok = _eid(ev) == eid
-            if not ok:
+            return
+        if (section, eid) not in self._bound:
+            self._bound[section, eid] = _eid(ev) == eid
+            if not self._bound[section, eid]:
                 self.fail(f"{where}: id is not the hash of the content")
-            for key, problem in check(ev) if check else ():
+        ok = self._checked.get((section, eid, needs))
+        if ok is None:
+            ok = True
+            for key, problem in check(ev):
                 if problem is not None:
                     self.fail(f"{where}: {key} {problem}")
                     ok = False
-            self._evidence_ok[section, eid] = ok
+            self._checked[section, eid, needs] = ok
         elif not ok:
             self.fail(f"{where} failed")
-        return ev if ok else None
 
-    def _legality(self, eid, F: FaceHandle, dual: int, inn: int, where: str):
-        """Bind legality item `eid` to the claim that both parts of F's dual
-        complex, the rank mask `dual` split into Out and In = `inn`,
-        collapse to a point."""
-        labels, out = self.P.ranked_graph().labels, dual & ~inn
-        header = legality_header({"type": "ambient"}, F.sorted_ids(), labels(out), labels(inn))
-        self._evidence("evidence", eid, header, where, lambda ev: [
-            (key, certificate_problem(self.P, F, part, ev[key]))
-            for key, part in (("out_sequence", out), ("in_sequence", inn))
-        ])
+    def _legality(self, eid, p: PlannedRow, where: str):
+        """Bind legality item `eid` to the claim of planned row `p` that both
+        parts of its face's dual complex, the rank mask `dual` split into Out
+        and In = `inn`, collapse to a point.  The item names no part, so
+        several claims may cite it: its sequences are checked once for each
+        (Out, In) pair of parts that cites it."""
+        dual, inn = p.masks
+        out = dual & ~inn
+        self._evidence("evidence", eid, legality_header({"type": "ambient"}), where, (out, inn),
+                       lambda ev: [(key, certificate_problem(self.P, p.F, part, ev[key]))
+                                   for key, part in (("out_sequence", out), ("in_sequence", inn))])
 
     # -- rows ------------------------------------------------------------------
 
-    def _plan_order(self, table: str, got: list, want: list, name):
-        """Fail, naming the first row whose key in `got` is not the plan's in `want`."""
+    def _plan_order(self, got: list, want: list):
+        """Fail, naming the first verdict row whose (face, states) in `got`
+        is not the plan's in `want`."""
         for i, (g, w) in enumerate(zip_longest(got, want)):
             if g != w:
-                g, w = ("no row" if k is None else name(*k) for k in (g, w))
-                self.fail(f"{table} row {i}: {g} where the plan has {w}")
+                g, w = ("no row" if k is None else f"face {k[0]} states {list(k[1])}"
+                        for k in (g, w))
+                self.fail(f"verdict row {i}: {g} where the plan has {w}")
                 return
 
     def _same_row(self, row: dict, want: dict, where: str):
-        """`row` must equal `want`; a failure names the fields that differ."""
-        wrong = [k for k, v in want.items() if row[k] != v]
+        """`row` must carry exactly `want`'s keys and equal it, types
+        included; a failure names the unknown keys and the keys that differ."""
+        if _same(row, want):
+            return
+        unknown = sorted(row.keys() - want.keys())
+        if unknown:
+            self.fail(f"{where}: unknown key {', '.join(map(repr, unknown))}")
+        wrong = [k for k in want if k not in row or not _same(row[k], want[k])]
         if wrong:
             self.fail(f"{where}: row {', '.join(wrong)} does not match its recomputation")
 
@@ -208,34 +238,34 @@ class _Verifier:
         rows = doc["verdicts"]["rows"]
         plan = {(p.face, p.states): p for p in verdict_plan(P, self.m, self.states)}
         got = [(tuple(row["face"]), tuple(row["states"])) for row in rows]
-        self._plan_order("verdict", got, list(plan),
-                         lambda face, idxs: f"face {face} states {list(idxs)}")
+        self._plan_order(got, list(plan))
         for row, key in zip(rows, got):
             where = f"face {key[0]}"
-            self._keys(row, ROW_KEYS, where)
             p = plan.get(key)
             if p is None:
                 continue
-            if not verdict_allowed(self.mode, P.dimension, row["verdict"]):
-                self.fail(f"{where}: verdict {row['verdict']!r} is not allowed "
-                          f"in {self.mode!r} mode")
+            verdict = row["verdict"]
+            if not verdict_allowed(self.mode, P.dimension, verdict):
+                self.fail(f"{where}: verdict {verdict!r} is not allowed in {self.mode!r} mode")
             want = self._claimed_row(p, row, where)
             if want is not None:
-                cited = f": evidence {row['evidence']}" if row["evidence"] else ""
+                cited = f": evidence {row['evidence']}" if "evidence" in row else ""
                 self._same_row(row, want, where + cited)
 
     def _claimed_row(self, p: PlannedRow, row: dict, where: str) -> Optional[dict]:
-        """The row of planned row `p` for the branch `row` claims, with the
-        evidence it cites bound; None when no such row exists."""
-        branch, eid = row["branch"], row["evidence"]
+        """The row of planned row `p` for the branch that the plan and
+        `row`'s verdict pick, with the evidence `row` cites bound: a good
+        face's; for a bad face, a legal row when the verdict is Regular, a
+        critical row when it is Critical.  None when no such row exists."""
         if p.witness is not None:
             return good_row(p)
-        if branch == "inherited-totally-legal":
-            self._legality(eid, p.F, *p.masks, where)
-            return legal_row(p, eid)
-        if branch == "critical-pairs":
-            return self._critical_row(p, eid, where)
-        self.fail(f"{where}: bad face, unverifiable branch {branch!r}")
+        verdict = row["verdict"]
+        if verdict == "Regular":
+            self._legality(row["evidence"], p, where)
+            return legal_row(p, row["evidence"])
+        if type(verdict) is str and verdict.startswith("Critical("):
+            return self._critical_row(p, row["evidence"], where)
+        self.fail(f"{where}: bad face, unverifiable verdict {verdict!r}")
         return None
 
     def _critical_row(self, p: PlannedRow, eid, where: str) -> Optional[dict]:
@@ -254,7 +284,7 @@ class _Verifier:
                 self.fail(f"{where}: evidence {eid}: state {idx} does not match "
                           f"the canonical cube: {exc}")
                 return None
-        self._evidence("shared_evidence", eid, shared_header(ell), where,
+        self._evidence("shared_evidence", eid, shared_header(ell), where, ell,
                        lambda ev: self._core_problems(ell, ev))
         return critical_row(p, ell, eid, transforms[0])
 
@@ -284,30 +314,67 @@ class _Verifier:
     # -- cusps -------------------------------------------------------------------
 
     def check_cusps(self):
+        """One row per (cusp, state), cusps in the polytope's order and
+        states in the orbit's, bound by position.  A row's `ok` must be the
+        cusp condition's outcome, and its `checked` must hold one
+        [out apex, in apex] pair per bad face of the cusp's table where the
+        condition holds, none where it fails; each apex must be a vertex of
+        its part that dominates the part.  Any such apex proves the part a
+        cone.  `all_regular` must be whether all of this holds, and it must."""
         doc, P, m, states = self.doc, self.P, self.m, self.states
         self._keys(doc["cusps"], frozenset({"rows"}), "cusps")
         rows = doc["cusps"]["rows"]
-        want = [(iv.id, idx) for iv in P.ideal_vertices for idx in range(len(states))]
-        got = [(row["cusp"], row["state"]) for row in rows]
-        self._plan_order("cusp", got, want, lambda cusp, idx: f"cusp {cusp} state {idx}")
-        wanted, tables = set(want), {}
-        for row, (cusp, idx) in zip(rows, got):
-            where = f"cusp {cusp} state {idx}"
-            self._keys(row, CUSP_ROW_KEYS, where)
-            if (cusp, idx) not in wanted:
+        if len(rows) != len(P.ideal_vertices) * len(states):
+            self.fail(f"cusps: {len(rows)} rows, want one per (cusp, state): "
+                      f"{len(P.ideal_vertices)} x {len(states)}")
+        in_masks = [P.ranked_graph().mask(s.in_facets) for s in states]
+        rows = iter(rows)
+        for iv in P.ideal_vertices:
+            table = cusp_table(P, m, iv.id)
+            for (idx, s), row in zip(enumerate(states), rows):
+                where = f"cusp {iv.id} state {idx}"
+                self._keys(row, CUSP_ROW_KEYS, where)
+                ok = check_cusp_condition(P, s, iv.id, m, table=table) is not None
+                proved = self._apexes(row["checked"], table.bad if ok else (), in_masks[idx],
+                                      where)
+                regular = ok and proved
+                for key, value in (("ok", ok), ("all_regular", regular)):
+                    if not _same(row[key], value):
+                        self.fail(f"{where}: row {key} does not match its recomputation")
+                if not regular:
+                    self.fail(f"{where}: boundary cube is not all Regular")
+
+    def _apexes(self, checked, bad, s_in: int, where: str) -> bool:
+        """Whether `checked` holds one pair [out apex, in apex] per bad face
+        of a cusp table in `bad`, each apex a facet of the part the face's
+        split by the In mask `s_in` gives it that is adjacent to every other
+        one: apex ∈ part and part ⊆ N[apex], the rule `cone_apex` scans
+        with.  A failure names the face and the apex."""
+        if type(checked) is not list or len(checked) != len(bad):
+            self.fail(f"{where}: checked does not hold one apex pair per bad face "
+                      f"({len(bad)})")
+            return False
+        _, rank, N = self.P.ranked_graph()
+        good = True
+        for (ids, dual, free), pair in zip(bad, checked):
+            if type(pair) is not list or len(pair) != 2:
+                self.fail(f"{where}: face {ids}: {pair!r} is not an apex pair")
+                good = False
                 continue
-            if cusp not in tables:
-                tables[cusp] = cusp_table(P, m, cusp)
-            expect = cusp_row(P, m, states[idx], idx, tables[cusp])
-            self._same_row(row, expect, where)
-            if not expect["all_regular"]:
-                self.fail(f"{where}: boundary cube is not all Regular")
+            inn = free & s_in
+            for side, part, apex in (("out", dual & ~inn, pair[0]), ("in", inn, pair[1])):
+                r = rank.get(apex) if type(apex) is str else None
+                if r is None or not part >> r & 1 or part & ~N[r]:
+                    self.fail(f"{where}: face {ids}: {side} apex {apex!r} is no cone apex "
+                              f"of its part")
+                    good = False
+        return good
 
     def check_bound(self):
         """Every evidence item must be bound to some claim that cites it."""
         for section in ("evidence", "shared_evidence"):
             unbound = sorted(set(self.doc[section]) - {
-                eid for sec, eid in self._evidence_ok if sec == section
+                eid for sec, eid in self._bound if sec == section
             })
             if unbound:
                 self.fail(f"{section} items bound to no claim: {', '.join(unbound)}")

@@ -183,13 +183,13 @@ def section_cusp_table(P: Polytope, m: MoveSystem, cusp_id: str):
 
 
 def section_checked(table, s: State) -> list:
-    """The checked entries [face, [out apex, in apex]] of state s on a
-    `section_cusp_table`: the first cone apex on H of each part of each bad
-    face's split by the In facets s has on H."""
+    """The checked apex pairs [out apex, in apex] of state s on a
+    `section_cusp_table`, one per bad face in order: the first cone apex on
+    H of each part of the face's split by the In facets s has on H."""
     H, _, bad = table
     s_in = H.ranked_graph().mask(f for f in s.in_facets if f in H.facet_ids)
-    return [[list(ids), [cone_apex(H, dual & ~(free & s_in)), cone_apex(H, free & s_in)]]
-            for ids, (dual, free) in bad.items()]
+    return [[cone_apex(H, dual & ~(free & s_in)), cone_apex(H, free & s_in)]
+            for dual, free in bad.values()]
 
 
 def dismantle_by_scan(N, keep: int = 0):

@@ -23,12 +23,14 @@ from morsecert.io import (
     state_from_doc,
     write_json,
 )
+from morsecert.links import cusp_table
 from morsecert.polytopes import FaceHandle, build_cusp_section, build_p5
 from morsecert.report import (
     REPORT_VERSION,
     certificate_to_document,
     document_to_json,
     emit_report,
+    row_branch,
 )
 from morsecert.states import (
     balanced_states_p5,
@@ -160,6 +162,33 @@ def test_text_report_sections(cert_p6):
     assert "result: CERTIFIED" in text
 
 
+# SHA-256 of the text reports of seed 0 up to their timings, and their
+# verdict sections, whose "via" counts are read off each row's witness key
+TEXT_REPORTS = {
+    "p5": ("996e80a3bd90e3d89b2fa2793133bb5d6c771ff1b78ab73157131787fb5df325",
+           "coverage: 393 faces x 16 states = 6288 pairs in 464 classes\n"
+           "  Regular: 464 classes\n"
+           "  via good-face: 384\n"
+           "  via inherited-totally-legal: 80\n"),
+    "p6": ("7a9b484b5961aa805c3b67c724e3ac593b87bad089fc8680d52b12051950ace5",
+           "coverage: 2764 faces x 32 states = 88448 pairs in 3235 classes\n"
+           "  Critical(3): 8 classes\n"
+           "  Regular: 3227 classes\n"
+           "  via critical-pairs: 8\n"
+           "  via good-face: 2699\n"
+           "  via inherited-totally-legal: 528\n"),
+}
+
+
+@pytest.mark.parametrize("subject", ["p5", "p6"])
+def test_text_report_pinned(request, subject):
+    text = emit_report(request.getfixturevalue(f"cert_{subject}"), "text")
+    head = text.split("-- timings")[0]
+    digest, verdicts = TEXT_REPORTS[subject]
+    assert head.split("-- verdicts --\n")[1].split("\n-- cusps")[0] == verdicts
+    assert hashlib.sha256(head.encode()).hexdigest() == digest
+
+
 def test_structured_report_fields(cert_p6):
     doc = certificate_to_document(cert_p6)
     for key in (
@@ -182,6 +211,12 @@ def test_structured_report_deterministic():
 # SHA-256 and byte count of the seed-0 structured reports of each report
 # version: a change to the report's bytes must come with a new version
 REPORT_BYTES = {
+    "7": {
+        "P6_perfect_morse": (
+            "9f9fee6a38e9d479528b99f0f6f46819269688f3e3e433177a5253332ebb027d", 842_490),
+        "P5_fibration": (
+            "2d14ace0266bbfc3b0ffd24ef0c401d8ad3f276e5956032e64265b505f65486d", 97_235),
+    },
     "6": {
         "P6_perfect_morse": (
             "d23e4d8f5612775169c82d35fcbcb0f5b954071a7c8344a990eb11799904034d", 1_346_998),
@@ -218,7 +253,7 @@ def test_verify_detects_tampered_sequence(cert_p5):
     doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
     for eid, ev in doc["evidence"].items():
         if ev["kind"] == "legality" and ev["out_sequence"]:
-            ev["out_sequence"] = ev["out_sequence"][1:]  # drop a step
+            ev["out_sequence"] = ev["out_sequence"][:-1]  # drop the last step
             break
     ok, msgs = verify_document(doc)
     assert not ok
@@ -235,8 +270,10 @@ def _set(obj, key, value=DROP):
         obj[key] = value
 
 
-def _row(doc, branch):
-    return next(r for r in doc["verdicts"]["rows"] if r["branch"] == branch)
+def _row(doc, branch, where=lambda row: True):
+    """The first verdict row of `branch`, by its witness key, for which
+    `where` holds."""
+    return next(r for r in doc["verdicts"]["rows"] if row_branch(r) == branch and where(r))
 
 
 def _shift_witness(doc):
@@ -245,41 +282,43 @@ def _shift_witness(doc):
 
 
 def _cusp_entry_parts(doc):
-    """(cusp entry, its Out and In parts) for every checked face of the p5
-    report, the parts rebuilt from the section and the inherited state."""
+    """(face ids, apex pair, the face's Out and In parts) for every checked
+    face of the p5 report, each row the (cusp, state) of its position and
+    each pair the bad face of its position in the cusp's table, the parts
+    rebuilt from the section and the inherited state."""
     P = build_p5()
     m = move_system_p5(P)
     states = balanced_states_p5(P)
-    for row in doc["cusps"]["rows"]:
-        H = build_cusp_section(P, row["cusp"])
+    rows = iter(doc["cusps"]["rows"])
+    for iv in P.ideal_vertices:
+        H = build_cusp_section(P, iv.id)
         mH = m.restrict(H.facet_ids)
-        s = states[row["state"]]
-        for entry in row["checked"]:
-            F = FaceHandle(frozenset(entry[0]))
-            yield entry, state_parts(H, F, inherited_state(H, mH, s, F))
+        faces = [ids for ids, _, _ in cusp_table(P, m, iv.id).bad]
+        for s, row in zip(states, rows):
+            for ids, pair in zip(faces, row["checked"]):
+                F = FaceHandle(frozenset(ids))
+                yield ids, pair, state_parts(H, F, inherited_state(H, mH, s, F))
 
 
 def _wrong_apex(doc):
     """Set an Out apex to a vertex of the Out part that some maximal face
     misses, so the part is no cone on it."""
-    for entry, (out, _) in _cusp_entry_parts(doc):
+    for _, pair, (out, _) in _cusp_entry_parts(doc):
         for v in out.vertices:
             if any(v not in f for f in out.maximal_faces):
-                entry[1][0] = v
+                pair[0] = v
                 return
     raise AssertionError("every Out part is a simplex")
 
 
 def _apex_not_a_vertex(doc):
     """Set an Out apex to one of the face's own defining facets."""
-    entry = next(e for r in doc["cusps"]["rows"] for e in r["checked"] if e[0])
-    entry[1][0] = entry[0][0]
+    ids, pair, _ = next(e for e in _cusp_entry_parts(doc) if e[0])
+    pair[0] = ids[0]
 
 
-def _face_twice(doc):
-    """List a cusp row's first face again, ahead of it, with no apexes."""
-    row = next(r for r in doc["cusps"]["rows"] if r["checked"])
-    row["checked"].insert(0, [row["checked"][0][0], ["NOT-A-VERTEX", None]])
+def _checked_of_some_row(doc):
+    return next(r for r in doc["cusps"]["rows"] if r["checked"])["checked"]
 
 
 def _add_key(doc):
@@ -303,23 +342,34 @@ def _split_legal_class(doc):
     same item."""
     rows = doc["verdicts"]["rows"]
     i, row = next((i, r) for i, r in enumerate(rows)
-                  if r["branch"] == "inherited-totally-legal" and len(r["states"]) > 1)
+                  if row_branch(r) == "inherited-totally-legal" and len(r["states"]) > 1)
     rows.insert(i + 1, dict(row, states=row["states"][1:]))
     row["states"] = row["states"][:1]
 
 
 def _second_apex(doc):
     """Name a part's second cone apex, a vertex in every maximal face of the
-    part, where the entry holds the first."""
-    for entry, parts in _cusp_entry_parts(doc):
+    part, where the pair holds the first."""
+    for _, pair, parts in _cusp_entry_parts(doc):
         for side, part in enumerate(parts):
             apexes = sorted(v for v in part.vertices
                             if all(v in f for f in part.maximal_faces))
             if len(apexes) > 1:
-                assert entry[1][side] == apexes[0]
-                entry[1][side] = apexes[1]
+                assert pair[side] == apexes[0]
+                pair[side] = apexes[1]
                 return
     raise AssertionError("no part has two cone apexes")
+
+
+def _replace_in_states(row, old, new):
+    row["states"][row["states"].index(old)] = new
+
+
+def _as_critical(doc):
+    """Claim a legal row Critical(2), with a transform as a critical row
+    carries one."""
+    row = _row(doc, "inherited-totally-legal")
+    row.update(verdict="Critical(2)", transform={"perm": [1, 0, 3, 2], "delta": 0})
 
 
 # (name, edit of the report, exit codes allowed[, subject]), the subject p5
@@ -342,10 +392,12 @@ REPORT_EDITS = [
     ("good-row-on-polytope", lambda d: _set(_row(d, "good-face"), "face", []), {1}),
     ("missing-row", lambda d: _set(d["verdicts"]["rows"], -1), {1}),
     ("pass-false", lambda d: _set(d, "pass", False), {1}),
-    # cusp apexes that are no cone apex of their part
+    # cusp apexes that are no cone apex of their part, and apex lists that
+    # do not hold one pair per bad face of the cusp's table
     ("cusp-entry-wrong-apex", _wrong_apex, {1}),
     ("cusp-entry-apex-not-a-vertex", _apex_not_a_vertex, {1}),
-    ("cusp-entry-face-twice", _face_twice, {1}),
+    ("cusp-checked-extra-pair", lambda d: _checked_of_some_row(d).insert(0, ["a", None]), {1}),
+    ("cusp-checked-missing-pair", lambda d: _set(_checked_of_some_row(d), -1), {1}),
     # evidence edited without a new id, or cited by a row that needs none
     ("evidence-extra-key", _add_key, {1}),
     ("orphan-evidence-item",
@@ -373,6 +425,17 @@ REPORT_EDITS = [
     ("euler-critical-count-float",
      lambda d: _set(d["euler"], "critical_count", float(d["euler"]["critical_count"])), {1},
      "p6"),
+    # and in the rows, which are compared value and type
+    ("good-row-witness-true",
+     lambda d: _set(_row(d, "good-face", lambda r: r["witness_move"] == 1), "witness_move", True),
+     {1}),
+    ("legal-row-state-true",
+     lambda d: _replace_in_states(_row(d, "inherited-totally-legal", lambda r: 1 in r["states"]),
+                                  1, True), {1}),
+    ("cusp-ok-int", lambda d: _set(d["cusps"]["rows"][0], "ok", 1), {1}),
+    ("critical-delta-float",
+     lambda d: _set(_row(d, "critical-pairs")["transform"], "delta",
+                    float(_row(d, "critical-pairs")["transform"]["delta"])), {1}, "p6"),
     # a pass lists no failures, and every object carries exactly its keys
     ("failures-under-pass", lambda d: _set(d, "failures", ["none"]), {1}),
     ("unknown-key-report", lambda d: _set(d, "note", 0), {1}),
@@ -387,14 +450,16 @@ REPORT_EDITS = [
      lambda d: _set(_row(d, "inherited-totally-legal"), "states", []), {1}),
     ("verdict-state-999",
      lambda d: _set(_row(d, "inherited-totally-legal")["states"], 0, 999), {1}),
-    ("cusp-state-999", lambda d: _set(d["cusps"]["rows"][0], "state", 999), {1}),
+    ("cusp-rows-one-short", lambda d: _set(d["cusps"]["rows"], -1), {1}),
+    ("cusp-rows-one-extra", lambda d: d["cusps"]["rows"].append(d["cusps"]["rows"][-1]), {1}),
     ("legal-class-split", _split_legal_class, {1}),
     ("verdict-rows-swapped", lambda d: _swap(d["verdicts"]["rows"], 0, 1), {1}),
     ("cusp-rows-reversed", lambda d: d["cusps"]["rows"].reverse(), {1}),
+    # (a list whose reversal differs: the pairs of a row repeat)
     ("cusp-checked-reversed",
-     lambda d: next(r for r in d["cusps"]["rows"] if len(r["checked"]) > 1)["checked"].reverse(),
+     lambda d: next(r for r in d["cusps"]["rows"]
+                    if r["checked"] != r["checked"][::-1])["checked"].reverse(),
      {1}),
-    ("cusp-second-apex", _second_apex, {1}),
 ]
 
 
@@ -412,6 +477,15 @@ def test_verify_rejects_edited_report(request, tmp_path, edit, codes, subject):
     assert main(["verify", str(path)]) in codes
 
 
+def test_a_second_cone_apex_verifies(cert_p5):
+    """Any apex that dominates its part proves the part a cone, so a pair
+    naming a part's second cone apex, where certify names the first,
+    verifies."""
+    doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
+    _second_apex(doc)
+    assert verify_document(doc) == (True, [])
+
+
 def test_seeds_back_no_claim(cert_p5):
     """`seeds` and `timings` are the only fields that back no claim: the
     seed steers only the elementary search, which p5 never runs."""
@@ -424,8 +498,7 @@ def test_seeds_back_no_claim(cert_p5):
 NAMED_REJECTIONS = [
     (lambda d: _set(_row(d, "inherited-totally-legal"), "evidence", "e" + "0" * 16),
      ": evidence e0000000000000000 is missing"),
-    (lambda d: _set(_row(d, "inherited-totally-legal"), "branch", "critical-pairs"),
-     "not an all-pairs top vertex"),
+    (_as_critical, "not an all-pairs top vertex"),
     (lambda d: _set(d, "subject", "nope"), "unknown subject 'nope'"),
 ]
 
@@ -493,7 +566,7 @@ MUTATIONS = (
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_verify_rejects_any_tampered_evidence(p5_report, data):
+def test_verify_rejects_any_tampered_evidence(P5, M5, p5_report, data):
     """One mutation of one evidence item, one claim->evidence reference or
     one cusp apex; the verifier must reject it (1) or call it malformed (2)."""
     text, path = p5_report
@@ -501,13 +574,17 @@ def test_verify_rejects_any_tampered_evidence(p5_report, data):
     items = doc["evidence"]
     mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
     if mutation == "repoint":
-        rows = [row for row in doc["verdicts"]["rows"] if row["evidence"]]
+        rows = [row for row in doc["verdicts"]["rows"] if "evidence" in row]
         row = data.draw(st.sampled_from(rows), label="row")
         others = sorted(set(items) - {row["evidence"]}) + ["e" + "0" * 16]
         row["evidence"] = data.draw(st.sampled_from(others), label="new id")
     elif mutation == "apex":
-        entries = [entry for row in doc["cusps"]["rows"] for entry in row["checked"]]
-        face, apexes = data.draw(st.sampled_from(entries), label="entry")
+        rows = doc["cusps"]["rows"]
+        i = data.draw(st.sampled_from([i for i, row in enumerate(rows) if row["checked"]]),
+                      label="row")
+        table = cusp_table(P5, M5, P5.ideal_vertices[i // len(doc["orbit"])].id)
+        j = data.draw(st.integers(0, len(rows[i]["checked"]) - 1), label="face")
+        apexes, face = rows[i]["checked"][j], list(table.bad[j][0])
         side = data.draw(st.integers(0, 1), label="side")
         # no cone apex of the part: none, a label that is no vertex, the
         # other part's apex (the parts are disjoint) or a defining facet
@@ -555,7 +632,7 @@ def _cite_as_shared(doc, row, eid):
 def test_verify_binds_critical_transforms(cert_p6):
     doc = json.loads(document_to_json(certificate_to_document(cert_p6)))
     first, second, third = [
-        r for r in doc["verdicts"]["rows"] if r["branch"] == "critical-pairs"
+        r for r in doc["verdicts"]["rows"] if row_branch(r) == "critical-pairs"
     ][:3]
     legal = _row(doc, "inherited-totally-legal")["evidence"]
     assert len({tuple(r["face"]) for r in (first, second, third)}) == 3
@@ -774,11 +851,8 @@ def test_generic_structural_failures_are_input_errors(tmp_path, capsys):
     )
     doc = certificate_to_document(cert)
     doc["inputs"]["polytope"] = cusped
-    doc["cusps"]["rows"] = [
-        {"cusp": "cusp:x", "state": idx, "ok": True, "move": 0, "pair": ["a", "c"],
-         "all_regular": True, "n_faces": 1, "n_good": 1, "checked": []}
-        for idx in range(len(doc["orbit"]))
-    ]
+    doc["cusps"]["rows"] = [{"ok": True, "all_regular": True, "checked": []}
+                            for _ in doc["orbit"]]
     write_json(tmp_path / "r.json", doc)
     assert main(["verify", str(tmp_path / "r.json")]) in (1, 2)
     assert "cusp cusp:x: 3 incident facets" in capsys.readouterr().err
@@ -795,10 +869,7 @@ def test_cli_parallel_flag(tmp_path):
 
 def test_verify_detects_wrong_critical_index(cert_p6):
     doc = json.loads(document_to_json(certificate_to_document(cert_p6)))
-    eid = next(
-        r["evidence"] for r in doc["verdicts"]["rows"]
-        if r["branch"] == "critical-pairs"
-    )
+    eid = _row(doc, "critical-pairs")["evidence"]
     doc["shared_evidence"][eid]["ell"] = 2
     ok, msgs = verify_document(doc)
     assert not ok

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from morsecert import complexes
-from morsecert.certify import _eid, certify_generic, certify_p5, certify_p6
+from morsecert.certify import _eid, certify_generic, certify_p5, certify_p6, verdict_plan
 from morsecert.cli import main
 from morsecert.complexes import (
     cone_collapse_pairs,
@@ -37,15 +37,19 @@ from morsecert.links import (
     synthetic_pairs_lift,
 )
 from morsecert.polytopes import Facet, FaceHandle, Polytope, dual_complex
-from morsecert.report import certificate_to_document, document_to_json
+from morsecert.report import certificate_to_document, document_to_json, row_branch
 from morsecert.states import (
     State,
     all_pairs_index,
+    balanced_states_p5,
+    balanced_states_p6,
     certificate_problem,
     cone_apex,
     dismantling_order,
     face_table,
     legality,
+    move_system_p5,
+    move_system_p6,
     sequence_form,
 )
 from morsecert.verify import verify_document
@@ -57,13 +61,23 @@ STUCK_FACES = [
 ]
 
 
-def _items(evidence):
-    """(id, face, side, vertices, order) for both parts of every legality item."""
-    for eid, ev in sorted(evidence.items()):
-        if ev["kind"] == "legality":
-            for side in ("out", "in"):
-                yield (eid, FaceHandle(frozenset(ev["face"])), side,
-                       ev[f"{side}_vertices"], ev[f"{side}_sequence"])
+def _items(P, doc):
+    """(id, face, side, vertices, order) for both parts of every legality item
+    of P's report `doc`, once per item: the face and the parts are those of
+    the first verdict row that cites it, as the verdict plan splits them."""
+    if P.name == "P6":
+        m, states = move_system_p6(), balanced_states_p6(P)
+    else:
+        m, states = move_system_p5(P), balanced_states_p5(P)
+    labels, seen = P.ranked_graph().labels, set()
+    for p, row in zip(verdict_plan(P, m, states), doc["verdicts"]["rows"]):
+        eid = row.get("evidence")
+        if eid not in doc["evidence"] or eid in seen:
+            continue
+        seen.add(eid)
+        dual, inn = p.masks
+        for side, part in (("out", dual & ~inn), ("in", inn)):
+            yield eid, p.F, side, labels(part), doc["evidence"][eid][f"{side}_sequence"]
 
 
 def _expand(K, order):
@@ -85,7 +99,7 @@ def test_dismantling_orders_expand_to_elementary_collapses(request, subject):
     P = request.getfixturevalue(subject.upper())
     cert = request.getfixturevalue(f"cert_{subject}")
     n_steps = 0
-    for eid, F, side, vertices, order in _items(cert.evidence):
+    for eid, F, side, vertices, order in _items(P, _report(cert)):
         assert all(isinstance(v, str) and isinstance(w, str) for v, w in order), eid
         K = full_subcomplex(dual_complex(P, F), vertices)
         core = replay_collapse(K, _expand(K, order))
@@ -122,7 +136,7 @@ def _rehash(doc, eid, edit):
     new = _eid(ev)
     doc["evidence"][new] = ev
     for row in doc["verdicts"]["rows"]:
-        if row["evidence"] == eid:
+        if row.get("evidence") == eid:
             row["evidence"] = new
     return new
 
@@ -131,7 +145,7 @@ def _non_dominator(P, doc):
     """(id, step index, vertex) where the vertex is live at that step of an
     out_sequence but does not dominate the step's deleted vertex."""
     closed = lambda v: {v} | set(P.neighbors(v))
-    for eid, _, side, vertices, order in _items(doc["evidence"]):
+    for eid, _, side, vertices, order in _items(P, doc):
         live = set(vertices)
         for i, (v, w) in enumerate(order if side == "out" else ()):
             for u in sorted(live - {v, w}):
@@ -141,9 +155,9 @@ def _non_dominator(P, doc):
     raise AssertionError("every live vertex dominates")
 
 
-def _first_item(doc, min_steps=1):
+def _first_item(P, doc, min_steps=1):
     return next(
-        eid for eid, _, side, _, order in _items(doc["evidence"])
+        eid for eid, _, side, _, order in _items(P, doc)
         if side == "out" and len(order) >= min_steps
     )
 
@@ -169,15 +183,16 @@ def test_rehashed_tampers_are_rejected(P5, cert_p5, tmp_path, capsys, tamper, me
         v = doc["evidence"][eid]["out_sequence"][i][0]
         new = _rehash(doc, eid, _set_step(i, [v, u]))
     elif tamper == "drop-last-step":
-        new = _rehash(doc, _first_item(doc), lambda ev: ev["out_sequence"].pop())
+        new = _rehash(doc, _first_item(P5, doc), lambda ev: ev["out_sequence"].pop())
     elif tamper == "vertex-outside-part":
-        eid = next(eid for eid, _, side, _, order in _items(doc["evidence"])
-                   if side == "out" and order and doc["evidence"][eid]["in_vertices"])
+        parts = {(eid, side): vertices for eid, _, side, vertices, _ in _items(P5, doc)}
+        eid = next(eid for eid, _, side, _, order in _items(P5, doc)
+                   if side == "out" and order and parts[eid, "in"])
         v = doc["evidence"][eid]["out_sequence"][0][0]
-        stranger = doc["evidence"][eid]["in_vertices"][0]
+        stranger = parts[eid, "in"][0]
         new = _rehash(doc, eid, _set_step(0, [v, stranger]))
     else:
-        eid = _first_item(doc, min_steps=2)
+        eid = _first_item(P5, doc, min_steps=2)
         v, w = doc["evidence"][eid]["out_sequence"][1]
         step = {"elementary-step": [[v], [v, w]], "self-dominator": [v, v],
                 "no-pair": [v]}[tamper]
@@ -190,18 +205,36 @@ def test_rehashed_tampers_are_rejected(P5, cert_p5, tmp_path, capsys, tamper, me
     assert any(new in line and message in line for line in out.splitlines()), out
 
 
-def test_unbound_and_repeated_entries_are_named(cert_p5):
+def test_unbound_and_repeated_entries_are_named(P5, cert_p5):
+    """An item that no claim cites is named by its id, and a cusp row with
+    an apex pair more than its table has bad faces by its cusp and state,
+    which the row's position gives."""
     doc = _report(cert_p5)
     orphan = "e" + "f" * 16
     doc["evidence"][orphan] = {"kind": "legality", "junk": [1, 2, 3]}
-    row = next(r for r in doc["cusps"]["rows"] if r["checked"])
-    face = row["checked"][0][0]
-    row["checked"].insert(0, [face, ["NOT-A-VERTEX", None]])
+    rows = doc["cusps"]["rows"]
+    i = next(i for i, r in enumerate(rows) if r["checked"])
+    rows[i]["checked"].insert(0, rows[i]["checked"][0])
     ok, msgs = verify_document(doc)
     assert not ok
     assert any(orphan in m and "bound to no claim" in m for m in msgs), msgs
-    twice = f"cusp {row['cusp']} state {row['state']}: row checked does not match"
+    cusp, idx = P5.ideal_vertices[i // 16].id, i % 16
+    twice = f"cusp {cusp} state {idx}: checked does not hold one apex pair per bad face"
     assert any(m.startswith(twice) for m in msgs), msgs
+
+
+def test_legal_row_citing_another_rows_item_is_named(P5, cert_p5):
+    """A legality item names no face and no part, so one item may serve
+    several rows; a row pointed at another row's item, whose sequences
+    dismantle other parts, is rejected, naming the item's id."""
+    doc = _report(cert_p5)
+    legal = [r for r in doc["verdicts"]["rows"] if row_branch(r) == "inherited-totally-legal"]
+    row, other = next((a, b) for a in legal for b in legal if a["evidence"] != b["evidence"])
+    row["evidence"] = other["evidence"]
+    ok, msgs = verify_document(doc)
+    assert not ok
+    cited = f"face {tuple(row['face'])}: evidence {other['evidence']}: "
+    assert any(m.startswith(cited) and "_sequence" in m for m in msgs), msgs
 
 
 def _stuck_polytope():
@@ -240,7 +273,7 @@ def test_fallback_for_a_part_that_does_not_dismantle():
 def test_elementary_fallback_item_verifies(P5, cert_p5):
     doc = _report(cert_p5)
     eid, F, _, vertices, _ = next(
-        item for item in _items(doc["evidence"])
+        item for item in _items(P5, doc)
         if item[2] == "out" and len(item[3]) >= 3
     )
     K = full_subcomplex(dual_complex(P5, F), vertices)
@@ -351,9 +384,9 @@ def test_cusp_condition_checked_once_per_cusp_and_state(monkeypatch):
 
 def test_structure_built_once_per_polytope_and_side(monkeypatch):
     """A p6 certify and a verify of its report each build exactly one clique
-    census, P6's, build no cusp section, and list faces as handles only on
-    P6, once per codimension: the cusp tables read their faces from P6's
-    face table."""
+    census, P6's, build no cusp section, and list no faces as handles: the
+    verdict plan and the cusp tables read their faces from P6's face table,
+    which holds a handle for each bad face only."""
     from morsecert.polytopes import build_cusp_section, enumerate_faces
 
     built = []
@@ -375,7 +408,7 @@ def test_structure_built_once_per_polytope_and_side(monkeypatch):
     sides.append((built, listed, sections))
     for polytopes, calls, cut in sides:
         assert [P.name for P in polytopes] == ["P6"]
-        assert [(P.name, codim) for P, codim in calls] == [("P6", c) for c in range(7)]
+        assert calls == []
         assert cut == []
 
 
@@ -384,7 +417,7 @@ def test_row_transform_of_another_state_is_rejected(P6, M6, BAL6, cert_p6):
     or that state moved to the front, where the representative stands, no
     longer binds."""
     doc = _report(cert_p6)
-    row = next(r for r in doc["verdicts"]["rows"] if r["branch"] == "critical-pairs")
+    row = next(r for r in doc["verdicts"]["rows"] if row_branch(r) == "critical-pairs")
     F = FaceHandle(frozenset(row["face"]))
 
     def transform(idx):
@@ -417,7 +450,7 @@ def _rehash_shared(doc, edit):
     new = _eid(ev)
     doc["shared_evidence"][new] = ev
     for row in doc["verdicts"]["rows"]:
-        if row["evidence"] == sid:
+        if row.get("evidence") == sid:
             row["evidence"] = new
     return new
 

@@ -64,20 +64,21 @@ def _check_splits(P, m, states, faces_and_masks):
 
 def _check_plan(P, m, states):
     """Walk `verdict_plan`: each face once, in `enumerate_faces` order; a
-    good face as one row over all states carrying its `good_witness`; a bad
-    face's states partitioned as the serials of their inherited states
-    partition them, each row's masks splitting as those states do."""
+    good face as one row over all states carrying its `good_witness` and no
+    handle; a bad face, with its handle, as rows that partition its states
+    as the serials of their inherited states partition them, each row's
+    masks splitting as those states do."""
     faces = [F for codim in range(P.dimension + 1) for F in enumerate_faces(P, codim)]
     plan = list(verdict_plan(P, m, states))
-    runs = [(F, list(rows)) for F, rows in groupby(plan, key=lambda p: p.F)]
-    assert [F for F, _ in runs] == faces
-    for F, rows in runs:
-        assert all(p.face == F.sorted_ids() for p in rows)
+    runs = [(face, list(rows)) for face, rows in groupby(plan, key=lambda p: p.face)]
+    assert [face for face, _ in runs] == [F.sorted_ids() for F in faces]
+    for F, (_, rows) in zip(faces, runs):
         witness = good_witness(m, F)
         if witness is not None:
-            assert [(p.states, p.witness) for p in rows] == [
-                (tuple(range(len(states))), witness)]
+            assert [(p.F, p.states, p.witness) for p in rows] == [
+                (None, tuple(range(len(states))), witness)]
             continue
+        assert all(p.F == F for p in rows)
         classes = {}
         for idx, s in enumerate(states):
             classes.setdefault(inherited_state(P, m, s, F).serial(), []).append(idx)
@@ -122,8 +123,8 @@ def test_apex_rule_matches_one_round_orders(P5, M5, BAL5):
         for s in BAL5:
             bc = certify_boundary_cube(P5, M5, s, iv.id, table=table)
             s_in = G.mask(f for f in s.in_facets if f in G.rank)
-            for face, apexes in bc.checked:
-                dual, free = bad[tuple(face)]
+            for (face, _, _), apexes in zip(table.bad, bc.checked):
+                dual, free = bad[face]
                 for part, apex in zip((dual & ~(free & s_in), free & s_in), apexes):
                     labels = G.labels(part)
                     accepted = []
@@ -137,20 +138,19 @@ def test_apex_rule_matches_one_round_orders(P5, M5, BAL5):
 
 
 def test_cusp_tables_match_section_oracle(P5, M5, BAL5, P6, M6, BAL6):
-    """On every cusp and state of P5 and P6, the table read off P's face
-    table on rank masks has the section's number of faces and its bad faces
-    in order, and every row checks what the section polytope checks, cone
-    apexes included."""
+    """On every cusp and state of P5 and P6, the section is a cube, with
+    its 3^d faces, and the table read off P's face table on rank masks has
+    the section's bad faces in order; every row checks what the section
+    polytope checks, cone apexes included."""
     n = 0
     for P, m, states in ((P5, M5, BAL5), (P6, M6, BAL6)):
         for iv in P.ideal_vertices:
             table = cusp_table(P, m, iv.id)
             oracle = section_cusp_table(P, m, iv.id)
-            assert table.n_faces == oracle[1], iv.id
+            assert oracle[1] == 3 ** (P.dimension - 1), iv.id
             assert [ids for ids, _, _ in table.bad] == list(oracle[2]), iv.id
-            for idx, s in enumerate(states):
-                row = cusp_row(P, m, s, idx, table)
-                assert row["n_faces"] == oracle[1]
+            for s in states:
+                row = cusp_row(P, m, s, table)
                 assert row["checked"] == (section_checked(oracle, s) if row["ok"] else [])
                 n += 1
     assert n == 10 * 16 + 27 * 32

@@ -1,0 +1,198 @@
+"""A mutation sweep of the seed-0 reports: every field of a report must be
+bound to a claim, so every edit of it must be rejected.
+
+The sweep takes one instance, chosen with a fixed seed, of every path
+pattern of the report: a path with its list positions generalised, a
+verdict row's position to the row's branch, and all evidence ids taken as
+one id.  On p5 it sweeps every pattern; on p6, whose verify costs ten
+times more, the patterns of the critical rows and the shared item, which
+p5 has none of.  It applies each edit that the instance's
+value allows: an int to a bool, a float or a str, a bool to an int, a
+value to null and null to a value, an int off by one, a key dropped, and a
+list element dropped, duplicated or swapped with another; a mutant equal
+to its parent, by canonical JSON, is skipped.  `verify` must reject every
+mutant (exit 1) or call it malformed (exit 2), and never fail with an
+internal error (exit 3).  Only `seeds` and `timings` back no claim, so
+their mutants may verify.  A swap of two apex pairs of a cusp row can name,
+for a part, another of its cone apexes; such a mutant is a valid proof and
+verifies, and the sweep recognises it by checking every apex of the row on
+the section polytope and counts it apart.
+"""
+
+import json
+import random
+
+from morsecert.certify import canonical_json
+from morsecert.errors import InputError
+from morsecert.links import cusp_table
+from morsecert.polytopes import FaceHandle, build_cusp_section
+from morsecert.report import certificate_to_document, document_to_json, row_branch
+from morsecert.states import inherited_state
+from morsecert.verify import verify_document
+
+from oracles import state_parts
+
+NO_CLAIM = ("seeds", "timings")
+SWEEP_SEED = 20141
+
+
+def _nodes(value, path=()):
+    """(path, value) of every node below `value`, depth first."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,), child
+        yield from _nodes(child, path + (key,))
+
+
+def _pattern(doc, path):
+    """`path` with list positions as "*", a verdict row's position as its
+    branch, and evidence ids as one id."""
+    out = ["*" if isinstance(k, int) else
+           "<id>" if i == 1 and path[0] in ("evidence", "shared_evidence") else k
+           for i, k in enumerate(path)]
+    if path[:2] == ("verdicts", "rows") and len(path) > 2:
+        out[2] = row_branch(doc["verdicts"]["rows"][path[2]])
+    return tuple(out)
+
+
+def _replacements(value):
+    """The values an edit puts in place of `value`."""
+    if value is None:
+        return [0]
+    if isinstance(value, bool):
+        return [int(value), not value, None]
+    if isinstance(value, int):
+        return [bool(value), float(value), str(value), value + 1, value - 1, None]
+    return [None]
+
+
+def _list_edits(value):
+    """Copies of the list `value` with one element dropped, duplicated, or
+    swapped with the next one."""
+    if not value:
+        return []
+    edits = [value[1:], value[:1] + value]
+    if len(value) > 1:
+        edits.append([value[1], value[0]] + value[2:])
+    return edits
+
+
+def _mutants(doc, rng, swept):
+    """(path, description, edit) of every mutant of the sweep of the
+    patterns for which `swept` holds; `edit(doc)` applies the mutant and
+    returns a function that undoes it."""
+    instances = {}
+    for path, value in _nodes(doc):
+        instances.setdefault(_pattern(doc, path), []).append(path)
+    for pattern in sorted(filter(swept, instances), key=repr):
+        path = rng.choice(instances[pattern])
+        *parent, key = path
+        holder = doc
+        for k in parent:
+            holder = holder[k]
+        value = holder[key]
+        news = _replacements(value) + (_list_edits(value) if isinstance(value, list) else [])
+        for new in news:
+            if canonical_json(new) != canonical_json(value):
+                yield path, f"{value!r:.40} -> {new!r:.40}", _setter(holder, key, new)
+        if isinstance(holder, dict):
+            yield path, "drop key", _dropper(holder, key)
+
+
+def _setter(holder, key, new):
+    def edit(_):
+        old = holder[key]
+        holder[key] = new
+        return lambda: holder.__setitem__(key, old)
+    return edit
+
+
+def _dropper(holder, key):
+    def edit(_):
+        order = list(holder)
+        old = holder.pop(key)
+
+        def undo():
+            holder[key] = old
+            for k in order:  # the key order, which the report's bytes fix
+                holder[k] = holder.pop(k)
+        return undo
+    return edit
+
+
+def _exit_code(doc) -> int:
+    try:
+        ok, _ = verify_document(doc)
+    except InputError:
+        return 2
+    except Exception:
+        return 3
+    return 0 if ok else 1
+
+
+def _apexes_are_cone_apexes(P, m, states, doc, i) -> bool:
+    """Whether every apex of cusp row `i` is a cone apex of its part, on
+    the section polytope of the row's cusp and the state of its position."""
+    iv, s = P.ideal_vertices[i // len(states)], states[i % len(states)]
+    H = build_cusp_section(P, iv.id)
+    mH = m.restrict(H.facet_ids)
+    faces = [ids for ids, _, _ in cusp_table(P, m, iv.id).bad]
+    for ids, pair in zip(faces, doc["cusps"]["rows"][i]["checked"]):
+        F = FaceHandle(frozenset(ids))
+        for K, apex in zip(state_parts(H, F, inherited_state(H, mH, s, F)), pair):
+            if apex not in K.star_vertex_apexes():
+                return False
+    return True
+
+
+def _sweep(cert, P, m, states, swept=lambda pattern: True):
+    """Run the sweep on `cert`'s report; returns the number of mutants and
+    the accepted ones outside NO_CLAIM, those naming another cone apex, and
+    those that ended in an internal error, each as (path, edit)."""
+    doc = json.loads(document_to_json(certificate_to_document(cert)))
+    before = document_to_json(doc)
+    accepted, other_apex, crashed, n = [], [], [], 0
+    for path, what, edit in _mutants(doc, random.Random(SWEEP_SEED), swept):
+        undo = edit(doc)
+        code = _exit_code(doc)
+        if code == 0 and path[0] not in NO_CLAIM:
+            if path[:2] == ("cusps", "rows") and _apexes_are_cone_apexes(
+                    P, m, states, doc, path[2]):
+                other_apex.append((path, what))
+            else:
+                accepted.append((path, what))
+        if code == 3:
+            crashed.append((path, what))
+        undo()
+        n += 1
+    assert document_to_json(doc) == before
+    return n, accepted, other_apex, crashed
+
+
+def test_every_field_of_the_p5_report_is_bound(cert_p5, P5, M5, BAL5):
+    n, accepted, other_apex, crashed = _sweep(cert_p5, P5, M5, BAL5)
+    assert (accepted, crashed) == ([], []), (accepted[:10], crashed[:10])
+    assert n > 200, n
+    # the recognizer itself: the certified apexes pass, an apex of the
+    # other part, which the parts do not share, fails
+    doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
+    i, row = next((i, r) for i, r in enumerate(doc["cusps"]["rows"]) if r["checked"])
+    assert _apexes_are_cone_apexes(P5, M5, BAL5, doc, i)
+    row["checked"][0][0] = row["checked"][0][1]
+    assert not _apexes_are_cone_apexes(P5, M5, BAL5, doc, i)
+    print(f"\np5: {n} mutants, none accepted outside {NO_CLAIM}, "
+          f"{len(other_apex)} naming another cone apex")
+
+
+def test_every_critical_field_of_the_p6_report_is_bound(cert_p6, P6, M6, BAL6):
+    n, accepted, other_apex, crashed = _sweep(
+        cert_p6, P6, M6, BAL6,
+        lambda pattern: pattern[0] == "shared_evidence" or pattern[2:3] == ("critical-pairs",))
+    assert (accepted, other_apex, crashed) == ([], [], []), (accepted, crashed)
+    assert n > 40, n
+    print(f"\np6: {n} mutants of the critical rows and the shared item, none accepted")

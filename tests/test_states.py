@@ -168,9 +168,10 @@ def test_legality_reference_state(P6, BAL6):
     s = reference_state(P6)
     rec = legality(P6, FaceHandle(frozenset()), s)
     assert rec.totally_legal
-    # both parts dismantle: one vertex pair per deleted vertex
-    assert len(rec.out_sequence) == len(rec.out_vertices) - 1
-    assert len(rec.in_sequence) == len(rec.in_vertices) - 1
+    # both parts dismantle: one vertex pair per deleted vertex; on the
+    # polytope itself the parts are the state's Out and In facets
+    assert len(rec.out_sequence) == len(s.out_facets) - 1
+    assert len(rec.in_sequence) == len(s.in_facets) - 1
 
 
 def test_legality_degenerate_states(P6):
