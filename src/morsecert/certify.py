@@ -87,7 +87,7 @@ SEQUENCE_KEYS = {
 
 def legality_evidence_payload(host: dict, rec) -> dict:
     """A legality item: its header and the certificates of both parts, which
-    `states.part_certificate` already gives in report form."""
+    `states.flag_certificate` already gives in report form."""
     return {
         **legality_header(host),
         "out_sequence": rec.out_sequence,
@@ -299,7 +299,7 @@ def _classify_group(
     parts of its masks' split are certified, else by `classify_link` at its
     first state; returns (row, evidence, id of the cited shared item or
     None, failure-or-None)."""
-    rec = split_legality(P, p.F, *p.masks, seed=seed)
+    rec = split_legality(P, *p.masks, seed=seed)
     if rec.totally_legal:
         payload = legality_evidence_payload({"type": "ambient"}, rec)
         eid = _eid(payload)

@@ -50,7 +50,7 @@ def polytope_from_doc(doc: dict) -> Polytope:
         if key not in doc:
             raise InputError(f"polytope document missing field {key!r}")
     dimension = doc["dimension"]
-    if not isinstance(dimension, int) or dimension < 1:
+    if type(dimension) is not int or dimension < 1:
         raise InputError("dimension must be a positive integer")
     facets = []
     vectors = []
@@ -60,7 +60,9 @@ def polytope_from_doc(doc: dict) -> Polytope:
         fid = entry["id"]
         vec = entry.get("vector")
         if vec is not None:
-            vec = tuple(int(x) for x in vec)
+            vec = tuple(vec)
+            if any(type(x) is not int for x in vec):
+                raise InputError(f"facet #{pos}: vector coordinates must be integers")
         facets.append(Facet(fid, entry.get("label", fid), vec))
         vectors.append(vec)
     ids = [f.id for f in facets]
@@ -132,16 +134,28 @@ def state_from_doc(doc, P: Polytope) -> State:
     return State(tuple(sorted(P.facet_ids)), in_set)
 
 
+def _load(path, from_doc, *args):
+    """`from_doc` of the JSON document at `path`; a document of the wrong
+    shape is an input error naming the file, as one that does not parse is."""
+    doc = load_json(path)
+    try:
+        return from_doc(doc, *args)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    except (TypeError, ValueError, AttributeError, KeyError) as exc:
+        raise InputError(f"{path}: malformed document: {type(exc).__name__}: {exc}") from exc
+
+
 def load_polytope(path) -> Polytope:
-    return polytope_from_doc(load_json(path))
+    return _load(path, polytope_from_doc)
 
 
 def load_moves(path, P: Polytope) -> MoveSystem:
-    return moves_from_doc(load_json(path), P)
+    return _load(path, moves_from_doc, P)
 
 
 def load_state(path, P: Polytope) -> State:
-    return state_from_doc(load_json(path), P)
+    return _load(path, state_from_doc, P)
 
 
 # -- dumps -------------------------------------------------------------------

@@ -16,26 +16,20 @@ from functools import total_ordering
 from itertools import product
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .complexes import (
-    full_subcomplex,
-    order_complex,
-    sequence_json,
-    try_collapse,
-)
+from .complexes import order_complex, try_collapse  # try_collapse: pinned by perfbench
 from .errors import InputError, InternalError
-from .polytopes import FaceHandle, Polytope, cusp_incidence
+from .polytopes import FaceHandle, Polytope, RankedGraph, cusp_incidence
 from .states import (
     OUT,
-    FlagGraph,
     LegalityRecord,
     MoveSystem,
     State,
     all_pairs_index,
     bad_face_signature,
     cone_apex,
-    dismantling_steps,
     face_masks,
     face_table,
+    flag_certificate,
     good_witness,
     inherited_state,
     is_compatible,
@@ -274,9 +268,9 @@ def face_links_oracle(model: CubeModel | CubeLift):
                  for elems, covers in face_link_posets(lift))
 
 
-def comparability_graph(elements, covers) -> FlagGraph:
-    """The comparability graph of a finite poset given by its cover
-    function, whose clique complex is the poset's order complex."""
+def comparability_graph(elements, covers) -> RankedGraph:
+    """The comparability graph, ranked by sorted element, of a finite poset
+    given by its cover function; its clique complex is the order complex."""
     labels = tuple(sorted(elements))
     pos = {x: i for i, x in enumerate(labels)}
     up: Dict[int, int] = {}  # the elements above x, as a mask
@@ -297,7 +291,7 @@ def comparability_graph(elements, covers) -> FlagGraph:
             low = m & -m
             N[low.bit_length() - 1] |= 1 << i
             m ^= low
-    return FlagGraph(pos, N)
+    return RankedGraph(labels, pos, tuple(N))
 
 
 def coface_membership_oracle(
@@ -356,8 +350,7 @@ def pairs_core_elements(ell: int, kind: str) -> List[int]:
 class CriticalCertificate:
     """Shared certificates that the ascending and descending face links of
     the canonical all-pairs 2l-cube shrink to their cross-polytope cores, in
-    report form: dismantling orders, or searched elementary collapses for a
-    link with none; None where neither was found."""
+    report form: their `flag_certificate`s, None where none was found."""
 
     ell: int
     asc_sequence: Optional[list]
@@ -373,9 +366,9 @@ class CriticalLinkCertifier:
     ascending and descending face links of the canonical all-pairs cube
     shrink to subdivided cross-polytope boundary cores.
 
-    Each is a dismantling order on the link poset's comparability graph that
-    deletes only non-core elements and ends exactly at the core; a link with
-    none falls back to a collapse search on the link built as a complex.
+    Each is the `flag_certificate` of the link poset's comparability graph
+    down to the core: a dismantling order that deletes only non-core
+    elements and ends exactly at the core, or its elementary fallback.
     """
 
     def __init__(self, *, seed: int = 0):
@@ -389,16 +382,11 @@ class CriticalLinkCertifier:
 
     def certificate(self, ell: int) -> CriticalCertificate:
         got = self._cache.get(ell)
-        if got is not None:
-            return got
-        sequences = [dismantling_steps(G, core) for G, core in canonical_pairs_graphs(ell)]
-        if None in sequences:
-            for i, (K, core) in enumerate(canonical_pairs_links(ell)):
-                if sequences[i] is None:
-                    out = try_collapse(K, target=core, seed=self.seed)
-                    sequences[i] = sequence_json(out.sequence) if out.success else None
-        cert = self._cache[ell] = CriticalCertificate(ell, *sequences)
-        return cert
+        if got is None:
+            got = self._cache[ell] = CriticalCertificate(ell, *(
+                flag_certificate(G, (1 << len(G.ids)) - 1, G.mask(core), seed=self.seed)
+                for G, core in canonical_pairs_graphs(ell)))
+        return got
 
 
 LINK_KINDS = ("asc", "desc")
@@ -418,16 +406,7 @@ def canonical_pairs_graphs(ell: int):
     return tuple(out)
 
 
-def canonical_pairs_links(ell: int):
-    """The same face links built as complexes, each paired with its core's
-    full subcomplex, for elementary collapses: ((asc, asc_core), (desc,
-    desc_core))."""
-    links = face_links_oracle(synthetic_pairs_lift(ell))
-    return tuple((K, full_subcomplex(K, core))
-                 for K, (_, core) in zip(links, canonical_pairs_graphs(ell)))
-
-
-def check_sd_crosspolytope_witness(G: FlagGraph, core, ell: int, kind: str):
+def check_sd_crosspolytope_witness(G: RankedGraph, core, ell: int, kind: str):
     """Check on G, the comparability graph of the canonical all-pairs
     2l-cube's `kind` face-link poset, that its full subgraph on `core` is
     the comparability graph of the nonempty faces of the boundary of the
@@ -449,7 +428,7 @@ def check_sd_crosspolytope_witness(G: FlagGraph, core, ell: int, kind: str):
     values = [(*_pair_values(i, kind), (0, 0)) for i in range(ell)]
     choices = set()
     for x in core:
-        if x not in G.index:
+        if x not in G.rank:
             raise InternalError(f"{name} core element {x!r} is not in the link")
         mask, bits = face_parts(k, x)
         choice = tuple((mask & 3 << 2 * i, bits & 3 << 2 * i) for i in range(ell))
@@ -462,7 +441,7 @@ def check_sd_crosspolytope_witness(G: FlagGraph, core, ell: int, kind: str):
                             "cross-polytope face")
     for i, x in enumerate(core):
         for y in core[i + 1:]:
-            if bool(G.N[G.index[x]] >> G.index[y] & 1) != (
+            if bool(G.N[G.rank[x]] >> G.rank[y] & 1) != (
                     face_contains(k, x, y) or face_contains(k, y, x)):
                 raise InternalError(f"{name} core: adjacency of {x} and {y} in the link "
                                     "is not comparability of their faces")

@@ -90,21 +90,22 @@ class IdealVertex:
 
 
 class RankedGraph(NamedTuple):
-    """A polytope's facet graph with its facets numbered by rank in sorted-id
-    order: `ids[r]` is the facet of rank r, `rank` maps each facet id to its
-    rank, and N[r] is the closed neighbourhood of rank r as a mask over
-    ranks."""
+    """A graph ranked by sorted label: `ids[r]` is the vertex of rank r,
+    `rank` maps each vertex to its rank, and N[r] is the closed
+    neighbourhood of rank r as a mask over ranks; a subgraph is a mask of
+    live ranks.  A polytope's facet graph, on its facet ids, or a poset's
+    comparability graph; the labels of one graph share a type."""
 
-    ids: Tuple[str, ...]
-    rank: Dict[str, int]
+    ids: Tuple
+    rank: Dict
     N: Tuple[int, ...]
 
-    def mask(self, facets: Iterable[str]) -> int:
-        """The rank mask of `facets`, facets of the polytope."""
-        return sum(1 << self.rank[f] for f in facets)
+    def mask(self, vertices: Iterable) -> int:
+        """The rank mask of `vertices`, vertices of the graph."""
+        return sum(1 << self.rank[v] for v in vertices)
 
-    def labels(self, mask: int) -> Tuple[str, ...]:
-        """The facets of a rank mask, in sorted order."""
+    def labels(self, mask: int) -> Tuple:
+        """The vertices of a rank mask, in sorted order."""
         out = []
         while mask:
             low = mask & -mask
@@ -291,20 +292,10 @@ def face_of_mask(P: Polytope, mask: int) -> FaceHandle:
     return FaceHandle(frozenset(P.ranked_graph().labels(mask)))
 
 
-def dual_complex(P: Polytope, F: FaceHandle) -> SimplicialComplex:
-    """Clique complex on the facets adjacent to every defining facet of F.
-
-    For F = P (empty handle) this is the full dual boundary complex; vertex
-    labels are the originating facet ids.
-    """
-    cached = P._dual_cache.get(F.defining)
-    if cached is not None:
-        return cached
-    allowed = dual_mask(P, F)
-    if not allowed:
-        return SimplicialComplex([])
-    # maximal cliques of the induced subgraph (Bron-Kerbosch with pivot)
-    G = P.ranked_graph()
+def clique_complex(G: RankedGraph, live: int) -> SimplicialComplex:
+    """The clique complex of G's full subgraph on the ranks in `live`, from
+    its maximal cliques (Bron-Kerbosch with pivot), on G's labels; empty
+    when `live` is."""
     masks = [x ^ 1 << r for r, x in enumerate(G.N)]
     maximal = []
 
@@ -312,17 +303,13 @@ def dual_complex(P: Polytope, F: FaceHandle) -> SimplicialComplex:
         if p == 0 and x == 0:
             maximal.append(r)
             return
-        pivot_pool = p | x
-        pivot = (pivot_pool & -pivot_pool).bit_length() - 1
-        best, best_mask = -1, 0
-        pool = pivot_pool
+        best, best_mask, pool = -1, 0, p | x
         while pool:
             v = (pool & -pool).bit_length() - 1
             pool &= pool - 1
             deg = bin(p & masks[v]).count("1")
             if deg > best:
                 best, best_mask = deg, masks[v]
-                pivot = v
         cand = p & ~best_mask
         while cand:
             v = (cand & -cand).bit_length() - 1
@@ -331,10 +318,19 @@ def dual_complex(P: Polytope, F: FaceHandle) -> SimplicialComplex:
             p &= ~(1 << v)
             x |= 1 << v
 
-    bk(0, allowed, 0)
-    out = SimplicialComplex([frozenset(G.labels(m)) for m in maximal], _trusted=True)
-    P._dual_cache[F.defining] = out
-    return out
+    if live:
+        bk(0, live, 0)
+    return SimplicialComplex([frozenset(G.labels(m)) for m in maximal], _trusted=True)
+
+
+def dual_complex(P: Polytope, F: FaceHandle) -> SimplicialComplex:
+    """`clique_complex` on the facets adjacent to every defining facet of F,
+    kept on P: for F = P (empty handle) the full dual boundary complex.
+    Vertex labels are the originating facet ids."""
+    got = P._dual_cache.get(F.defining)
+    if got is None:
+        got = P._dual_cache[F.defining] = clique_complex(P.ranked_graph(), dual_mask(P, F))
+    return got
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,11 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import labels as lb
-from .complexes import (
-    full_subcomplex,
-    replay_collapse,
-    sequence_json,
-    try_collapse,
-)
+from .complexes import replay_collapse, sequence_json, try_collapse
 from .errors import InputError, StructuralError
-from .polytopes import FaceHandle, Polytope, dual_complex, dual_mask, face_of_mask
+from .polytopes import (
+    FaceHandle, Polytope, RankedGraph, clique_complex, dual_mask, face_of_mask,
+)
 
 IN, OUT = "I", "O"
 
@@ -350,25 +347,15 @@ def inherited_state(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> Stat
     return split_state(P, dual, free & facet_mask(P, s.in_facets))
 
 
-# A part is the clique complex of the facet graph on its vertices, and a face
-# link the clique complex of its poset's comparability graph.  In such a flag
-# complex, v is dominated by w when N[v] ⊆ N[w] (closed neighbourhoods); then
-# link(v) is a cone on w and deleting v is a collapse (a strong collapse,
-# Barmak & Minian, DCG 2012).  A dismantling order [[v, w], ...] deletes
-# dominated vertices down to one vertex, or down to a given core.  A complex
-# with no such order falls back to searched elementary collapses
-# [[face, coface], ...]; the shape of a step tells the two forms apart.
-
-
-class FlagGraph(NamedTuple):
-    """The graph of a flag complex on bit positions: `index` maps each vertex
-    label to its position, positions following the labels' sorted order, and
-    N[p] is the closed neighbourhood of the vertex at position p as a mask
-    over positions, which may cover positions that are no vertex of the
-    graph.  The labels of one graph share a type."""
-
-    index: Dict
-    N: Sequence[int]
+# Every certificate is about a flag complex: the clique complex of a
+# `RankedGraph` G on a `live` rank mask, a part on its polytope's facet
+# graph, a face link on its poset's comparability graph.  There v is
+# dominated by w when N[v] ⊆ N[w] (closed neighbourhoods); then link(v) is a
+# cone on w and deleting v is a collapse (a strong collapse, Barmak & Minian,
+# DCG 2012).  A dismantling order [[v, w], ...] deletes dominated vertices
+# down to the full subcomplex on a `keep` mask, or to one vertex when `keep`
+# is 0; a complex with none falls back to searched elementary collapses
+# [[face, coface], ...], and the shape of a step tells the two forms apart.
 
 
 def dismantle(
@@ -430,24 +417,20 @@ def dismantle(
     return steps
 
 
-def dismantling_steps(G: FlagGraph, core: Iterable = ()) -> Optional[list]:
-    """`dismantle` on G's vertices, down to `core`; the steps as labels
-    [[v, w], ...], or None."""
-    live = sum(1 << p for p in G.index.values())
-    got = dismantle(G.N, sum(1 << G.index[x] for x in core), live)
-    if got is None:
-        return None
-    label = {p: x for x, p in G.index.items()}
-    return [[label[v], label[w]] for v, w in got]
-
-
-def dismantling_order(P: Polytope, part: int) -> Optional[list]:
-    """The dismantling order of the part of P's facet graph on the ranks in
-    `part`, a mask over P's `ranked_graph`, down to one vertex; None when
-    the part is empty or gets stuck.  The part is dismantled in place."""
-    ids, _, N = P.ranked_graph()
-    got = dismantle(N, live=part)
-    return None if got is None else [[ids[v], ids[w]] for v, w in got]
+def flag_certificate(G: RankedGraph, live: int, keep: int = 0, *, seed: int) -> Optional[list]:
+    """Certificate that the flag complex of G on `live` shrinks to its full
+    subcomplex on `keep`, or to a point when `keep` is 0: the `dismantle`
+    order as labels [[v, w], ...], else a collapse searched, with `seed`, on
+    the complex built by `clique_complex`; None when neither is found."""
+    got = dismantle(G.N, keep, live)
+    if got is not None:
+        return [[G.ids[v], G.ids[w]] for v, w in got]
+    if live:
+        out = try_collapse(clique_complex(G, live), clique_complex(G, keep) if keep else None,
+                           seed=seed)
+        if out.success:
+            return sequence_json(out.sequence)
+    return None
 
 
 def cone_apex(P: Polytope, part: int) -> Optional[str]:
@@ -464,19 +447,6 @@ def cone_apex(P: Polytope, part: int) -> Optional[str]:
             return ids[w]
         rest ^= low
     return None
-
-
-def part_certificate(P: Polytope, F: FaceHandle, part: int, *, seed: int) -> Optional[list]:
-    """Certificate that the part of F's dual complex on the rank mask `part`
-    collapses to a point: its dismantling order, else a collapse searched on
-    the part built as a complex; None when neither is found."""
-    steps = dismantling_order(P, part)
-    if steps is None and part:
-        K = full_subcomplex(dual_complex(P, F), P.ranked_graph().labels(part))
-        out = try_collapse(K, seed=seed)
-        if out.success:
-            steps = sequence_json(out.sequence)
-    return steps
 
 
 def _step_shape(step) -> Optional[str]:
@@ -504,30 +474,23 @@ def sequence_form(steps) -> Tuple[Optional[str], Optional[str]]:
     return first or "dismantling", None
 
 
-def dismantling_problem(
-    G: FlagGraph, steps, core: Iterable = (), *, what: str = "part",
-    live: Optional[int] = None,
-) -> Optional[str]:
+def dismantling_problem(G: RankedGraph, steps, live: int, keep: int = 0, *,
+                        what: str) -> Optional[str]:
     """What is wrong with the vertex pairs `steps` as a dismantling order of
-    the flag complex of G on the positions in `live` (default: all of G's
-    vertices), the `what` a message names, down to `core` (down to one
-    vertex when `core` is empty); None when nothing is.  A label must be a
-    live vertex of the same type as G's labels."""
-    index, N = G
-    kind = type(next(iter(index), None))
-    keep = sum(1 << index[x] for x in core)
-    if live is None:
-        live = sum(1 << p for p in index.values())
+    the flag complex of G on `live`, the `what` a message names, down to
+    `keep` (to one vertex when `keep` is 0); None when nothing is.  A label
+    must be a live vertex of the same type as G's labels."""
+    kind, rank, N = type(next(iter(G.ids), None)), G.rank, G.N
     for i, (v, w) in enumerate(steps):
         if v == w:
             return f"step {i}: {v!r} cannot dominate itself"
-        pv, pw = index.get(v), index.get(w)
+        pv, pw = rank.get(v), rank.get(w)
         for x, p in ((v, pv), (w, pw)):
             if p is None or type(x) is not kind or not live >> p & 1:
                 return f"step {i}: {x!r} is not a live vertex of the {what}"
         if keep >> pv & 1:
             return f"step {i}: {v!r} is a core vertex"
-        if (N[pv] | 1 << pv) & live & ~(N[pw] | 1 << pw):
+        if N[pv] & live & ~N[pw]:
             return f"step {i}: {w!r} does not dominate {v!r}"
         live ^= 1 << pv
     if keep:
@@ -535,41 +498,42 @@ def dismantling_problem(
     return None if live and not live & (live - 1) else "does not reach a point"
 
 
-def certificate_problem(P: Polytope, F: FaceHandle, part: int, steps) -> Optional[str]:
-    """What is wrong with `steps` as a certificate that the part of F's dual
-    complex on the rank mask `part` collapses to a point; None when nothing
-    is.  A dismantling order is checked in place on P's `ranked_graph`; only
-    elementary steps are replayed, on the part built as a complex."""
+def certificate_problem(G: RankedGraph, steps, live: int, keep: int = 0, *,
+                        what: str) -> Optional[str]:
+    """What is wrong with `steps` as a `flag_certificate` of G on `live`
+    down to `keep`; None when nothing is.  A dismantling order is checked in
+    place by `dismantling_problem`; only elementary steps are replayed, on
+    the complex built by `clique_complex`."""
     form, problem = sequence_form(steps)
-    G = P.ranked_graph()
-    if form == "elementary":
-        try:
-            core = replay_collapse(full_subcomplex(dual_complex(P, F), G.labels(part)), steps)
-        except InputError as exc:
-            return f"does not replay: {exc}"
-        return None if len(core.vertices) == 1 else "does not reach a point"
-    return problem or dismantling_problem(FlagGraph(G.rank, G.N), steps, live=part)
+    if form != "elementary":
+        return problem or dismantling_problem(G, steps, live, keep, what=what)
+    try:
+        got = replay_collapse(clique_complex(G, live), steps)
+    except InputError as exc:
+        return f"does not replay: {exc}"
+    if keep:
+        return None if got == clique_complex(G, keep) else "does not reach its core"
+    return None if len(got.vertices) == 1 else "does not reach a point"
 
 
 @dataclass(frozen=True)
 class LegalityRecord:
-    """The certificate of each part of a split (`part_certificate`; None:
-    not found).  `totally_legal` is True only when both parts have one;
-    None means "not certified" (the search is sound but not complete)."""
+    """The `flag_certificate` of each part of a split (None: not found).
+    `totally_legal` is True only when both parts have one; None means "not
+    certified" (the search is sound but not complete)."""
 
     totally_legal: Optional[bool]
     out_sequence: Optional[list]
     in_sequence: Optional[list]
 
 
-def split_legality(
-    P: Polytope, F: FaceHandle, dual: int, inn: int, *, seed: int = 0
-) -> LegalityRecord:
-    """Certified collapsibility of the parts of F's dual complex, the rank
-    mask `dual`, split into Out and In = `inn`.  The pair is totally legal
-    when both parts collapse to a point; a collapsible complex is
-    contractible, so no homology is computed."""
-    out_seq, in_seq = (part_certificate(P, F, part, seed=seed) for part in (dual & ~inn, inn))
+def split_legality(P: Polytope, dual: int, inn: int, *, seed: int = 0) -> LegalityRecord:
+    """Certified collapsibility of the parts of a face's dual complex, the
+    rank mask `dual` over P's `ranked_graph`, split into Out and In = `inn`.
+    The pair is totally legal when both parts collapse to a point; a
+    collapsible complex is contractible, so no homology is computed."""
+    G = P.ranked_graph()
+    out_seq, in_seq = (flag_certificate(G, part, seed=seed) for part in (dual & ~inn, inn))
     totally = True if out_seq is not None and in_seq is not None else None
     return LegalityRecord(totally, out_seq, in_seq)
 
@@ -580,4 +544,4 @@ def legality(P: Polytope, F: FaceHandle, s_on_f: State, *, seed: int = 0) -> Leg
     G, dual = P.ranked_graph(), dual_mask(P, F)
     if set(s_on_f.universe) != set(G.labels(dual)):
         raise InputError("state universe does not match the dual complex vertices")
-    return split_legality(P, F, dual, G.mask(s_on_f.in_facets), seed=seed)
+    return split_legality(P, dual, G.mask(s_on_f.in_facets), seed=seed)

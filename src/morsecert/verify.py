@@ -8,15 +8,16 @@ branch that the plan and the row's verdict pick for each verdict row.  The
 cusp rows are bound by position, one per (cusp, state) in order; each
 holds the cusp condition's outcome and one [out apex, in apex] pair per bad
 face of the cusp's table, and each apex is checked to dominate its part.
-Every dismantling order that a row cites is checked step by step on
-adjacency masks: the facet graph for a legality part, the comparability
-graph of the face poset for a shared critical link, whose core is checked
-on that graph to be the subdivided cross-polytope boundary.  Every
-elementary collapse sequence, a fallback that the built-in subjects never
-use, is replayed.  Nothing here invokes a collapse search, so verification
-cost is a small multiple of replay cost.  Only `timings` and `seeds` back no
-claim: the verifier requires their keys and checks nothing in them, and the
-seed steers only the elementary search.
+Every certificate that a row cites is checked by one rule,
+`states.certificate_problem`, on a graph and a live mask: a legality part on
+the facet graph, a shared critical link on the face poset's comparability
+graph down to its core, which is checked on that graph to be the subdivided
+cross-polytope boundary.  A dismantling order is checked step by step on
+adjacency masks; an elementary sequence, a fallback that the built-in
+subjects never use, is replayed on the clique complex.  Nothing here invokes
+a collapse search, so verification cost is a small multiple of replay cost.
+Only `timings` and `seeds` back no claim: the verifier requires their keys
+and checks nothing in them, and the seed steers only the elementary search.
 """
 
 from __future__ import annotations
@@ -40,12 +41,11 @@ from .certify import (
     verdict_allowed,
     verdict_plan,
 )
-from .complexes import replay_collapse
+from .complexes import replay_collapse  # not called here: pinned by perfbench
 from .errors import InputError, InternalError, StructuralError
 from .io import load_json, moves_from_doc, polytope_from_doc, state_from_doc
 from .links import (
     canonical_pairs_graphs,
-    canonical_pairs_links,
     check_cusp_condition,
     critical_transform,
     cusp_table,
@@ -58,11 +58,9 @@ from .states import (
     balanced_states_p6,
     certificate_problem,
     classify_bad_faces,
-    dismantling_problem,
     move_system_p5,
     move_system_p6,
     orbit,
-    sequence_form,
 )
 
 
@@ -200,10 +198,10 @@ class _Verifier:
         and In = `inn`, collapse to a point.  The item names no part, so
         several claims may cite it: its sequences are checked once for each
         (Out, In) pair of parts that cites it."""
-        dual, inn = p.masks
+        G, (dual, inn) = self.P.ranked_graph(), p.masks
         out = dual & ~inn
         self._evidence("evidence", eid, legality_header({"type": "ambient"}), where, (out, inn),
-                       lambda ev: [(key, certificate_problem(self.P, p.F, part, ev[key]))
+                       lambda ev: [(key, certificate_problem(G, ev[key], part, what="part"))
                                    for key, part in (("out_sequence", out), ("in_sequence", inn))])
 
     # -- rows ------------------------------------------------------------------
@@ -289,27 +287,13 @@ class _Verifier:
         return critical_row(p, ell, eid, transforms[0])
 
     def _core_problems(self, ell: int, ev: dict):
-        """Check the shared item's sequences against the face links of the
-        canonical all-pairs cube; each must end exactly at its
-        cross-polytope core.  A dismantling order is checked on the link
-        poset's comparability graph; only elementary steps are replayed, on
-        the link built as a complex."""
-        links = None
-        graphs = canonical_pairs_graphs(ell)
-        for i, (key, (G, core)) in enumerate(zip(SEQUENCE_KEYS["critical-shared"], graphs)):
-            steps = ev[key]
-            form, problem = sequence_form(steps)
-            if form == "dismantling":
-                problem = dismantling_problem(G, steps, core, what="link")
-            elif form == "elementary":
-                links = links or canonical_pairs_links(ell)
-                K, target = links[i]
-                try:
-                    got = replay_collapse(K, steps)
-                    problem = None if got == target else "does not reach its core"
-                except InputError as exc:
-                    problem = f"does not replay: {exc}"
-            yield key, problem
+        """Check the shared item's sequences on the comparability graphs of
+        the face links of the canonical all-pairs cube: each must end
+        exactly at its cross-polytope core."""
+        return [(key, certificate_problem(G, ev[key], (1 << len(G.ids)) - 1, G.mask(core),
+                                          what="link"))
+                for key, (G, core) in zip(SEQUENCE_KEYS["critical-shared"],
+                                          canonical_pairs_graphs(ell))]
 
     # -- cusps -------------------------------------------------------------------
 

@@ -10,9 +10,10 @@ from typing import Dict, Tuple
 from morsecert.complexes import SimplicialComplex, full_subcomplex, label_key
 from morsecert.errors import InputError
 from morsecert.labels import BASE_POINT_LABELS, UNIT_LABELS, label_signs
-from morsecert.polytopes import FaceHandle, Polytope, build_cusp_section, dual_complex
+from morsecert.polytopes import (
+    FaceHandle, Polytope, RankedGraph, build_cusp_section, dual_complex,
+)
 from morsecert.states import (
-    FlagGraph,
     MoveSystem,
     State,
     cone_apex,
@@ -162,11 +163,13 @@ def coface_links_fast(P: Polytope, m: MoveSystem, s: State, F: FaceHandle):
     return asc, desc
 
 
-def part_graph(P: Polytope, vertices) -> FlagGraph:
-    """The facet graph of P on `vertices`, on the ranks of P's
-    `ranked_graph`."""
-    _, rank, N = P.ranked_graph()
-    return FlagGraph({v: rank[v] for v in vertices}, N)
+def part_graph(P: Polytope, vertices) -> RankedGraph:
+    """The facet graph of P on `vertices` alone, ranked on its own: the part
+    relabelled, where P's `ranked_graph` holds it in place."""
+    ids = tuple(sorted(vertices))
+    rank = {v: r for r, v in enumerate(ids)}
+    N = tuple(sum(1 << rank[u] for u in ids if u == v or P.adjacent(u, v)) for v in ids)
+    return RankedGraph(ids, rank, N)
 
 
 # -- cusp sections -------------------------------------------------------------

@@ -705,14 +705,45 @@ def test_moves_doc_partition_check():
         moves_from_doc([["a", "b"]], P)
 
 
+def _p6_shape(which, path, value):
+    """The p6 input document `which` as JSON bytes, with the entry at `path`
+    set to `value`: well-formed JSON of the wrong shape."""
+    doc = entry = dict(zip(("polytope", "moves", "state"), p6_input_documents()))[which]
+    *head, last = path
+    for key in head:
+        entry = entry[key]
+    entry[last] = value
+    return json.dumps(doc).encode()
+
+
+# (id, file, path, value): one entry of a p6 input file given the wrong shape
+SHAPE_ERRORS = [
+    ("facet-int", "polytope", ("facets", 0), 5),
+    ("coordinate-str", "polytope", ("facets", 0, "vector", 0), "a"),
+    ("facets-int", "polytope", ("facets",), 5),
+    ("adjacency-entry-int", "polytope", ("adjacency", 0), 5),
+    ("ideal-vertex-int", "polytope", ("ideal_vertices", 0), 5),
+    ("incident-int", "polytope", ("ideal_vertices", 0, "incident"), 5),
+    ("block-holds-list", "moves", (0, 0), ["A"]),
+    ("facet-id-list", "polytope", ("facets", 0, "id"), ["A"]),
+    ("dimension-true", "polytope", ("dimension",), True),
+]
+
+
 @pytest.mark.parametrize(
-    "content", [b"\xff\xfe{}", b"[" * 200000 + b"]" * 200000],
-    ids=["not-utf8", "nested-too-deep"],
+    "content, verify_code",
+    [(lambda: b"\xff\xfe{}", 2), (lambda: b"[" * 200000 + b"]" * 200000, 2)]
+    # given to verify, an input object is a report of no version, a list no report
+    + [(lambda e=e: _p6_shape(*e[1:]), 2 if e[1] == "moves" else 1) for e in SHAPE_ERRORS],
+    ids=["not-utf8", "nested-too-deep"] + [e[0] for e in SHAPE_ERRORS],
 )
-def test_cli_undecodable_input_is_an_input_error(tmp_path, capsys, content):
+def test_cli_undecodable_input_is_an_input_error(tmp_path, capsys, content, verify_code):
+    """A file that does not decode, or that decodes to a document of the
+    wrong shape, is an input error naming the file, whichever input it is
+    given as."""
     bad = tmp_path / "bad.json"
-    bad.write_bytes(content)
-    assert main(["verify", str(bad)]) == 2
+    bad.write_bytes(content())
+    assert main(["verify", str(bad)]) == verify_code
     pol, moves, state = square_inputs()
     files = {"polytope": pol, "moves": moves, "state": state}
     for name, doc in files.items():

@@ -1,10 +1,13 @@
-"""Dismantling orders: the finder, the checker and its elementary fallback,
+"""Certificates of flag complexes: the one finder `flag_certificate`, the
+one checker `certificate_problem` and their elementary fallback, the
+clique complexes the fallback builds against independent constructions,
 the kernel oracle that expands each order into elementary collapses, and
 tampered reports whose ids are re-hashed, so that only the dismantling check
-can catch them.  Both kinds of order are covered: legality parts, reduced
-to one vertex, and the shared critical item's face links, reduced to their
-cross-polytope cores."""
+can catch them.  Both kinds of certificate are covered: legality parts,
+reduced to one vertex, and the shared critical item's face links, reduced
+to their cross-polytope cores."""
 
+import hashlib
 import json
 import sys
 
@@ -29,14 +32,13 @@ from morsecert.links import (
     CriticalLinkCertifier,
     build_cube_model,
     canonical_pairs_graphs,
-    canonical_pairs_links,
     canonical_pairs_transform,
     face_contains,
     face_links_oracle,
     pairs_core_elements,
     synthetic_pairs_lift,
 )
-from morsecert.polytopes import Facet, FaceHandle, Polytope, dual_complex
+from morsecert.polytopes import Facet, FaceHandle, Polytope, clique_complex, dual_complex
 from morsecert.report import certificate_to_document, document_to_json, row_branch
 from morsecert.states import (
     State,
@@ -45,7 +47,7 @@ from morsecert.states import (
     balanced_states_p6,
     certificate_problem,
     cone_apex,
-    dismantling_order,
+    dismantle,
     face_table,
     legality,
     move_system_p5,
@@ -246,13 +248,45 @@ def _stuck_polytope():
     return K, Polytope(4, facets, edges, name="stuck")
 
 
+def _fingerprint(steps):
+    """(length, SHA-256 of the compact JSON) of a sequence."""
+    return len(steps), hashlib.sha256(json.dumps(steps, separators=(",", ":")).encode()).hexdigest()
+
+
+# The elementary fallbacks that the search finds at seed 0, pinned: the
+# `stuck` part's, and the descending l = 2 face link's when its dismantling
+# order is refused.
+STUCK_FALLBACK = (36, "12dbc3fdd0f909b57f6f2a0be08eb0cfc85e7a7ef9de758a94612b8c4eccbd52")
+DESC_2_FALLBACK = (280, "d93d04440d0d094a0f7ec1f95bb0d46cf78aacac9025df31b439be2fb4eebe98")
+
+
+def _oracle_link(ell, kind):
+    """The `kind` face link of the canonical all-pairs 2l-cube as the order
+    complex that `face_links_oracle` walks, and its full subcomplex on the
+    core."""
+    K = face_links_oracle(synthetic_pairs_lift(ell))[kind == "desc"]
+    return K, full_subcomplex(K, pairs_core_elements(ell, kind))
+
+
+@pytest.mark.parametrize("kind", ["asc", "desc"])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_clique_complex_matches_the_order_complex_walk(ell, kind):
+    """The fallback's one builder, on a face link's comparability graph,
+    gives the link as `face_links_oracle` walks it, and on the core mask
+    that link's full subcomplex on the core."""
+    G, core = canonical_pairs_graphs(ell)[kind == "desc"]
+    K, K_core = _oracle_link(ell, kind)
+    assert clique_complex(G, (1 << len(G.ids)) - 1) == K
+    assert clique_complex(G, G.mask(core)) == K_core
+
+
 def test_fallback_for_a_part_that_does_not_dismantle():
     K, P = _stuck_polytope()
-    whole = FaceHandle(frozenset())
+    whole, G = FaceHandle(frozenset()), P.ranked_graph()
+    part = G.mask(K.vertices)
     # the facet graph's clique complex is K itself plus the isolated x
-    assert full_subcomplex(dual_complex(P, whole), K.vertices) == K
-    part = P.ranked_graph().mask(K.vertices)
-    assert dismantling_order(P, part) is None
+    assert full_subcomplex(dual_complex(P, whole), K.vertices) == K == clique_complex(G, part)
+    assert dismantle(G.N, live=part) is None
     assert cone_apex(P, part) is None
     searched = try_collapse(K, restarts=0)
     assert searched.success and len(searched.sequence) == 36
@@ -260,14 +294,13 @@ def test_fallback_for_a_part_that_does_not_dismantle():
     rec = legality(P, whole, state)
     assert rec.totally_legal
     assert rec.out_sequence == []  # the one-vertex part {x}
-    assert len(rec.in_sequence) == 36
+    assert _fingerprint(rec.in_sequence) == STUCK_FALLBACK
     assert all(isinstance(f, list) and isinstance(c, list) for f, c in rec.in_sequence)
-    assert certificate_problem(P, whole, part, rec.in_sequence) is None
-    assert certificate_problem(P, whole, part, rec.in_sequence[:-1]) == (
-        "does not reach a point")
+    problem = lambda steps: certificate_problem(G, steps, part, what="part")
+    assert problem(rec.in_sequence) is None
+    assert problem(rec.in_sequence[:-1]) == "does not reach a point"
     mixed = rec.in_sequence[:1] + [["0", "3"]]
-    assert certificate_problem(P, whole, part, mixed) == (
-        "step 1: mixes dismantling and elementary steps")
+    assert problem(mixed) == "step 1: mixes dismantling and elementary steps"
 
 
 def test_elementary_fallback_item_verifies(P5, cert_p5):
@@ -458,8 +491,8 @@ def _rehash_shared(doc, edit):
 def _graph_non_dominator(G, v):
     """The first vertex of G other than v that does not dominate v while
     every vertex is live."""
-    closed = lambda x: G.N[G.index[x]] | 1 << G.index[x]
-    return next(u for u in sorted(G.index) if u != v and closed(v) & ~closed(u))
+    closed = lambda x: G.N[G.rank[x]]
+    return next(u for u in G.ids if u != v and closed(v) & ~closed(u))
 
 
 # (tamper, key, message): each edits the order under `key`, and the verifier
@@ -521,17 +554,19 @@ def test_rehashed_shared_tampers_are_rejected(cert_p6, tmp_path, capsys, tamper,
 
 def test_certifier_falls_back_to_elementary_collapses(monkeypatch):
     """A face link with no dismantling order onto its core gets a searched
-    elementary collapse in its place; the other keeps its order."""
-    import morsecert.links as links
+    elementary collapse in its place, which replays on the link built
+    independently, as an order complex; the other keeps its order."""
+    import morsecert.states as states
 
-    orders = links.dismantling_steps
-    monkeypatch.setattr(links, "dismantling_steps",
-                        lambda G, core: None if len(G.index) == 48 else orders(G, core))
+    orders = states.dismantle
+    monkeypatch.setattr(states, "dismantle", lambda N, keep=0, live=None: (
+        None if len(N) == 48 else orders(N, keep, live)))
     cert = CriticalLinkCertifier().certificate(2)
     assert cert.success
     assert sequence_form(cert.asc_sequence) == ("dismantling", None)
     assert sequence_form(cert.desc_sequence) == ("elementary", None)
-    K, core = canonical_pairs_links(2)[1]
+    assert _fingerprint(cert.desc_sequence) == DESC_2_FALLBACK
+    K, core = _oracle_link(2, "desc")
     assert replay_collapse(K, cert.desc_sequence) == core
 
 
@@ -597,7 +632,8 @@ def test_elementary_shared_item_verifies():
     _, want = verify_document(doc)
     assert [ev["ell"] for ev in doc["shared_evidence"].values()] == [2]
     searched = {}
-    for key, (K, core) in zip(("asc_sequence", "desc_sequence"), canonical_pairs_links(2)):
+    for key, kind in (("asc_sequence", "asc"), ("desc_sequence", "desc")):
+        K, core = _oracle_link(2, kind)
         out = try_collapse(K, target=core)
         assert out.success
         searched[key] = sequence_json(out.sequence)

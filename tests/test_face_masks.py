@@ -32,7 +32,7 @@ from morsecert.states import (
     split_legality,
     split_state,
 )
-from oracles import part_graph, section_checked, section_cusp_table
+from oracles import section_checked, section_cusp_table
 
 
 def _reference_split(P, m, s, F):
@@ -130,7 +130,7 @@ def test_apex_rule_matches_one_round_orders(P5, M5, BAL5):
                     accepted = []
                     for v in H.facet_ids:
                         order = [[u, v] for u in labels if u != v]
-                        ok = dismantling_problem(part_graph(H, labels), order) is None
+                        ok = dismantling_problem(G, order, part, what="part") is None
                         accepted += [v] if ok else []
                         n += v in labels
                     assert apex == min(accepted, default=None)
@@ -189,7 +189,7 @@ def test_plan_mask_legality_matches_state_legality(request, subject):
     for p in verdict_plan(P, m, states):
         if p.masks is None:
             continue
-        got = split_legality(P, p.F, *p.masks)
+        got = split_legality(P, *p.masks)
         want = legality(P, p.F, inherited_state(P, m, states[p.states[0]], p.F))
         for f in dataclasses.fields(want):
             assert getattr(got, f.name) == getattr(want, f.name), (p.face, f.name)

@@ -1,8 +1,9 @@
 """The dominator kernel `states.dismantle` against the scan it replaced
 (`oracles.dismantle_by_scan`): identical (v, w) orders, None included, on
 every part the verdict plans of p5 and p6 dismantle, on the canonical face
-links with their cores, and on seeded random graphs.  A part dismantled in
-place, as live ranks of its polytope's graph, equals the part relabelled."""
+links with their cores, and on seeded random graphs.  A part certified in
+place by `flag_certificate`, as live ranks of its polytope's graph, gets
+the order of the part relabelled as a graph of its own."""
 
 import random
 
@@ -10,21 +11,8 @@ import pytest
 
 from morsecert.certify import verdict_plan
 from morsecert.links import canonical_pairs_graphs
-from morsecert.states import (
-    dismantle,
-    dismantling_order,
-    dismantling_steps,
-)
+from morsecert.states import dismantle, flag_certificate
 from oracles import dismantle_by_scan, part_graph
-
-
-def _relabelled(G):
-    """G's vertices in sorted order and their closed neighbourhoods as masks
-    over that order, the form `dismantle_by_scan` takes."""
-    order = sorted(G.index)
-    pos = [G.index[x] for x in order]
-    N = [sum(1 << j for j, q in enumerate(pos) if p == q or G.N[p] >> q & 1) for p in pos]
-    return order, N
 
 
 @pytest.mark.parametrize("subject", ["5", "6"])
@@ -37,11 +25,11 @@ def test_kernel_matches_scan_on_every_plan_part(request, subject):
             for part in (dual & ~inn, inn):
                 parts.setdefault(part, P.ranked_graph().labels(part))
     for part, vertices in parts.items():
-        order, N = _relabelled(part_graph(P, vertices))
-        want = dismantle_by_scan(N)
-        want = None if want is None else [[order[v], order[w]] for v, w in want]
-        assert dismantling_order(P, part) == want, vertices
-        assert dismantling_steps(part_graph(P, vertices)) == want, vertices
+        G = part_graph(P, vertices)
+        want = dismantle_by_scan(list(G.N))
+        want = None if want is None else [[G.ids[v], G.ids[w]] for v, w in want]
+        assert flag_certificate(P.ranked_graph(), part, seed=0) == want, vertices
+        assert flag_certificate(G, (1 << len(G.ids)) - 1, seed=0) == want, vertices
         # every nonempty part of these plans dismantles
         assert (want is None) == (not vertices), vertices
 
@@ -49,10 +37,10 @@ def test_kernel_matches_scan_on_every_plan_part(request, subject):
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_kernel_matches_scan_on_canonical_links(ell):
     for G, core in canonical_pairs_graphs(ell):
-        order, N = _relabelled(G)
-        # positions already follow the sorted labels, as `FlagGraph` requires
-        assert list(G.index) == order and N == list(G.N)
-        keep = sum(1 << G.index[x] for x in core)
+        # ranks follow the sorted labels, as `RankedGraph` requires
+        assert list(G.ids) == sorted(G.ids)
+        assert [G.rank[x] for x in G.ids] == list(range(len(G.ids)))
+        N, keep = list(G.N), G.mask(core)
         to_core, to_point = dismantle(N, keep), dismantle(N)
         assert to_core == dismantle_by_scan(N, keep) and to_core is not None
         # the link is a homotopy sphere, so no order reaches a point

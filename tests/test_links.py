@@ -31,12 +31,12 @@ from morsecert.links import (
 )
 from morsecert.polytopes import (
     FaceHandle,
+    RankedGraph,
     build_cusp_section,
     dual_complex,
     enumerate_faces,
 )
 from morsecert.states import (
-    FlagGraph,
     classify_bad_faces,
     dismantling_problem,
     inherited_state,
@@ -262,16 +262,16 @@ def test_canonical_cores_pass_the_graph_witness(ell):
 
 def _core_edges(G, core):
     return [(x, y) for i, x in enumerate(core) for y in core[i + 1:]
-            if G.N[G.index[x]] >> G.index[y] & 1]
+            if G.N[G.rank[x]] >> G.rank[y] & 1]
 
 
 def _without(G, edges):
     """G with `edges` removed from both ends' neighbourhoods."""
     N = list(G.N)
     for x, y in edges:
-        N[G.index[x]] &= ~(1 << G.index[y])
-        N[G.index[y]] &= ~(1 << G.index[x])
-    return FlagGraph(G.index, N)
+        N[G.rank[x]] &= ~(1 << G.rank[y])
+        N[G.rank[y]] &= ~(1 << G.rank[x])
+    return RankedGraph(G.ids, G.rank, tuple(N))
 
 
 # (name, (G, core) -> the degraded (G, core), what the check must say)
@@ -282,7 +282,7 @@ DEGRADED_CORES = [
      "is not comparability of their faces"),
     ("element-dropped", lambda G, core: (G, core[1:]),
      "not one element per nonempty cross-polytope face"),
-    ("non-core-face", lambda G, core: (G, (min(set(G.index) - set(core)),) + core[1:]),
+    ("non-core-face", lambda G, core: (G, (min(set(G.ids) - set(core)),) + core[1:]),
      "fixes a coordinate pair to no"),
 ]
 
@@ -310,9 +310,11 @@ def test_critical_certifier_and_transform(P6, M6, BAL6):
     orders = (shared.asc_sequence, shared.desc_sequence)
     assert tuple(map(len, orders)) == (360, 316)
     for (G, core), order in zip(canonical_pairs_graphs(3), orders):
-        assert len(core) == 26 and len(G.index) == len(order) + 26
-        assert dismantling_problem(G, order, core) is None
-        assert dismantling_problem(G, order[:-1], core) == "does not reach its core"
+        assert len(core) == 26 and len(G.ids) == len(order) + 26
+        live, keep = (1 << len(G.ids)) - 1, G.mask(core)
+        assert dismantling_problem(G, order, live, keep, what="link") is None
+        assert dismantling_problem(G, order[:-1], live, keep, what="link") == (
+            "does not reach its core")
     # every bad vertex in every state matches the canonical cube
     for F in bad[(2, 2, 2)]:
         for s in BAL6[:4]:
