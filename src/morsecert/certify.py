@@ -31,8 +31,6 @@ from .polytopes import (
     FaceHandle,
     FVectorReport,
     Polytope,
-    build_p5,
-    build_p6,
     f_vector_check,
     TABLE_G6,
 )
@@ -41,14 +39,11 @@ from .states import (
     State,
     R_TABLE,
     all_pairs_index,
-    balanced_states_p5,
-    balanced_states_p6,
+    builtin_subject,
     classify_bad_faces,
     face_masks,
     face_table,
     is_compatible,
-    move_system_p5,
-    move_system_p6,
     orbit,
     split_legality,
 )
@@ -297,14 +292,15 @@ def _classify_group(
 ):
     """Classify the planned row of a bad face: totally legal when both
     parts of its masks' split are certified, else by `classify_link` at its
-    first state; returns (row, evidence, id of the cited shared item or
-    None, failure-or-None)."""
+    first state, whose inherited state is that split, so its record is
+    passed on; returns (row, evidence, id of the cited shared item or None,
+    failure-or-None)."""
     rec = split_legality(P, *p.masks, seed=seed)
     if rec.totally_legal:
         payload = legality_evidence_payload({"type": "ambient"}, rec)
         eid = _eid(payload)
         return legal_row(p, eid), {eid: payload}, None, None
-    lc = classify_link(P, m, states[p.states[0]], p.F, certifier=certifier, seed=seed)
+    lc = classify_link(P, m, states[p.states[0]], p.F, certifier=certifier, seed=seed, rec=rec)
     if lc.verdict == "Critical":
         sid, _ = _shared_item(certifier, lc.critical)
         # validate the canonical transform for every other covered state;
@@ -563,11 +559,8 @@ def run_pipeline(
 
 def certify_p6(*, seed: int = 0, parallel: int = 1) -> Certificate:
     """Certify the 27-facet 6-polytope: every link Regular or Critical(3)."""
-    P = build_p6()
-    m = move_system_p6()
-    states = balanced_states_p6(P)
     return run_pipeline(
-        P, m, states,
+        *builtin_subject("p6"),
         subject="P6_perfect_morse",
         mode="perfect",
         seed=seed,
@@ -582,11 +575,8 @@ def certify_p6(*, seed: int = 0, parallel: int = 1) -> Certificate:
 
 def certify_p5(*, seed: int = 0, parallel: int = 1) -> Certificate:
     """Certify the 16-facet 5-polytope: a fibration, all links Regular."""
-    P = build_p5()
-    m = move_system_p5(P)
-    states = balanced_states_p5(P)
     return run_pipeline(
-        P, m, states,
+        *builtin_subject("p5"),
         subject="P5_fibration",
         mode="fibration",
         seed=seed,

@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from functools import cache
 
 from .certify import certify_generic, certify_p5, certify_p6
 from .errors import InputError, InternalError, StructuralError
 from .report import emit_report
+from .states import builtin_subject
 from .verify import verify_report_file
 
 EXIT_OK = 0
@@ -41,7 +43,9 @@ def _add_common(parser: argparse.ArgumentParser):
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="morsecert",
         description="Machine-checked certificates for combinatorial "
@@ -123,17 +127,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    from .polytopes import build_p5, build_p6
-    from .states import balanced_states_p5, balanced_states_p6, move_system_p5, move_system_p6
-
-    if args.subject == "p6":
-        P = build_p6()
-        m = move_system_p6()
-        n_states = len(balanced_states_p6(P))
-    else:
-        P = build_p5()
-        m = move_system_p5(P)
-        n_states = len(balanced_states_p5(P))
+    P, m, states = builtin_subject(args.subject)
     print(f"{P.name}: dimension {P.dimension}, {len(P.facets)} facets, "
           f"{len(P.ideal_vertices)} ideal vertices")
     counts = [P.clique_count(k) for k in range(1, P.dimension + 2)]
@@ -141,7 +135,7 @@ def _cmd_info(args) -> int:
     degs = sorted({P.degree(f) for f in P.facet_ids})
     print(f"facet degrees: {degs}")
     print(f"moves: sizes {[len(b) for b in m.blocks]}")
-    print(f"balanced states: {n_states}")
+    print(f"balanced states: {len(states)}")
     for iv in P.ideal_vertices[:3]:
         print(f"  ideal vertex {iv.id}: {len(iv.incident)} incident facets")
     if len(P.ideal_vertices) > 3:

@@ -12,7 +12,7 @@ iff fixed(f2) is a sub-assignment of fixed(f1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import total_ordering
+from functools import cache, total_ordering
 from itertools import product
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -392,11 +392,13 @@ class CriticalLinkCertifier:
 LINK_KINDS = ("asc", "desc")
 
 
+@cache
 def canonical_pairs_graphs(ell: int):
     """The comparability graphs of the ascending and descending face-link
     posets of the canonical all-pairs 2l-cube, each paired with its core's
     elements in sorted order, checked by `check_sd_crosspolytope_witness`:
-    ((asc_graph, asc_core), (desc_graph, desc_core))."""
+    ((asc_graph, asc_core), (desc_graph, desc_core)).  They depend on l
+    alone, so each l's are built and checked once per process."""
     posets = face_link_posets(synthetic_pairs_lift(ell))
     out = []
     for poset, kind in zip(posets, LINK_KINDS):
@@ -534,11 +536,13 @@ def classify_link(
     *,
     certifier: Optional[CriticalLinkCertifier] = None,
     seed: int = 0,
+    rec: Optional[LegalityRecord] = None,
 ) -> LinkClassification:
     """Classify the links at the barycentre of the cube dual to F.
 
     Fast paths: a good face is Regular; a bad face whose inherited state is
-    certified totally legal is Regular.  A bad face whose defining facets are
+    certified totally legal is Regular, by `rec` when the caller already
+    made that state's `legality` record.  A bad face whose defining facets are
     partitioned into pairs by the moves, with codimension 2l equal to the
     polytope dimension, is Critical(l): both face links shrink onto
     subdivided cross-polytope cores.  Anything else is Unknown.
@@ -546,8 +550,8 @@ def classify_link(
     witness = good_witness(m, F)
     if witness is not None:
         return LinkClassification("Regular", None, "good-face", witness_move=witness)
-    inh = inherited_state(P, m, s, F)
-    rec = legality(P, F, inh, seed=seed)
+    if rec is None:
+        rec = legality(P, F, inherited_state(P, m, s, F), seed=seed)
     if rec.totally_legal:
         return LinkClassification(
             "Regular", None, "inherited-totally-legal", legality=rec

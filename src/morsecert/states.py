@@ -10,13 +10,15 @@ asserted from a failed search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import labels as lb
 from .complexes import replay_collapse, sequence_json, try_collapse
 from .errors import InputError, StructuralError
 from .polytopes import (
-    FaceHandle, Polytope, RankedGraph, clique_complex, dual_mask, face_of_mask,
+    FaceHandle, Polytope, RankedGraph, build_p5, build_p6, clique_complex, dual_mask,
+    face_of_mask,
 )
 
 IN, OUT = "I", "O"
@@ -229,6 +231,21 @@ def balanced_states_p5(P5: Polytope) -> Tuple[State, ...]:
 
 def move_system_p5(P5: Polytope) -> MoveSystem:
     return move_system_p6().restrict(P5.facet_ids)
+
+
+@cache
+def builtin_subject(tag: str) -> Tuple[Polytope, MoveSystem, Tuple[State, ...]]:
+    """The built-in subject "p6" or "p5": its polytope, move system and
+    balanced states, built once per process from the code's own tables, P5
+    from the kept P6.  No report or generic input reaches them; `build_p6`
+    and the other constructors still return fresh objects."""
+    if tag == "p6":
+        P = build_p6()
+        return P, move_system_p6(), balanced_states_p6(P)
+    if tag != "p5":
+        raise InputError(f"no built-in subject {tag!r}")
+    P = build_p5(builtin_subject("p6")[0])
+    return P, move_system_p5(P), balanced_states_p5(P)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ subjects never use, is replayed on the clique complex.  Nothing here invokes
 a collapse search, so verification cost is a small multiple of replay cost.
 Only `timings` and `seeds` back no claim: the verifier requires their keys
 and checks nothing in them, and the seed steers only the elementary search.
+A built-in subject and the canonical link graphs are built once per process
+and shared by every report verified in it: nothing a report carries reaches
+them, and a generic report's embedded inputs are rebuilt for each report.
 """
 
 from __future__ import annotations
@@ -50,16 +53,13 @@ from .links import (
     critical_transform,
     cusp_table,
 )
-from .polytopes import build_p5, build_p6, f_vector_check
+from .polytopes import f_vector_check
 from .report import CUSP_ROW_KEYS, REPORT_KEYS, REPORT_VERSION
 from .states import (
     all_pairs_index,
-    balanced_states_p5,
-    balanced_states_p6,
+    builtin_subject,
     certificate_problem,
     classify_bad_faces,
-    move_system_p5,
-    move_system_p6,
     orbit,
 )
 
@@ -110,15 +110,9 @@ class _Verifier:
         subject, mode = self.doc.get("subject"), self.doc.get("mode")
         modes, inputs = ("perfect", "fibration"), None
         if subject == "P6_perfect_morse":
-            P = build_p6()
-            m = move_system_p6()
-            states = balanced_states_p6(P)
-            modes, tag = ("perfect",), "p6"
+            (P, m, states), modes, tag = builtin_subject("p6"), ("perfect",), "p6"
         elif subject == "P5_fibration":
-            P = build_p5()
-            m = move_system_p5(P)
-            states = balanced_states_p5(P)
-            modes, tag = ("fibration",), "p5"
+            (P, m, states), modes, tag = builtin_subject("p5"), ("fibration",), "p5"
         elif subject == "generic":
             inputs, tag = self.doc.get("inputs"), "generic"
             if not inputs:

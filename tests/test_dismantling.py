@@ -45,6 +45,7 @@ from morsecert.states import (
     all_pairs_index,
     balanced_states_p5,
     balanced_states_p6,
+    builtin_subject,
     certificate_problem,
     cone_apex,
     dismantle,
@@ -415,11 +416,12 @@ def test_cusp_condition_checked_once_per_cusp_and_state(monkeypatch):
     assert len(calls) == 160
 
 
-def test_structure_built_once_per_polytope_and_side(monkeypatch):
-    """A p6 certify and a verify of its report each build exactly one clique
-    census, P6's, build no cusp section, and list no faces as handles: the
-    verdict plan and the cusp tables read their faces from P6's face table,
-    which holds a handle for each bad face only."""
+def test_structure_built_once_per_process(monkeypatch):
+    """From a cleared subject cache, a p6 certify builds exactly one clique
+    census, P6's; the verify of its report and a second certify build none,
+    as they share the kept P6.  None of them builds a cusp section or lists
+    faces as handles: the verdict plan and the cusp tables read their faces
+    from P6's face table, which holds a handle for each bad face only."""
     from morsecert.polytopes import build_cusp_section, enumerate_faces
 
     built = []
@@ -432,17 +434,42 @@ def test_structure_built_once_per_polytope_and_side(monkeypatch):
     monkeypatch.setattr(Polytope, "_build_census", counting)
     listed = _count(monkeypatch, enumerate_faces)
     sections = _count(monkeypatch, build_cusp_section)
+    builtin_subject.cache_clear()
     cert = certify_p6()
     assert cert.passed, cert.failures
-    sides = [(list(built), list(listed), list(sections))]
-    del built[:], listed[:]
+    assert [P.name for P in built] == ["P6"]
+    assert built[0] is builtin_subject("p6")[0]
+    del built[:]
     ok, msgs = verify_document(_report(cert))
     assert ok, msgs
-    sides.append((built, listed, sections))
-    for polytopes, calls, cut in sides:
-        assert [P.name for P in polytopes] == ["P6"]
-        assert calls == []
-        assert cut == []
+    assert certify_p6().passed
+    assert built == []
+    assert listed == []
+    assert sections == []
+
+
+def test_second_cli_certify_builds_no_subject_and_no_parser(monkeypatch, tmp_path):
+    """A second `certify p5` in one process reuses the subjects and the
+    parser that the first one left: it calls neither `build_p6` nor
+    `build_p5`, and constructs no argument parser."""
+    import argparse
+
+    from morsecert.polytopes import build_p5, build_p6
+
+    argv = ["certify", "p5", "--format", "structured", "--output", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    calls = [_count(monkeypatch, f) for f in (build_p6, build_p5)]
+    parsers = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        parsers.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(argv) == 0
+    assert calls == [[], []]
+    assert parsers == []
 
 
 def test_row_transform_of_another_state_is_rejected(P6, M6, BAL6, cert_p6):
@@ -643,3 +670,14 @@ def test_elementary_shared_item_verifies():
     new = _rehash_shared(doc, lambda ev: ev["desc_sequence"].pop())
     ok, msgs = verify_document(doc)
     assert any(new in m and "desc_sequence does not reach its core" in m for m in msgs), msgs
+
+
+def test_each_bad_row_gets_one_legality_check(monkeypatch):
+    """A p6 certify checks the legality of each bad row's split once: a row
+    that is not totally legal is classified with the record already made."""
+    from morsecert.states import split_legality
+
+    rows = [p for p in verdict_plan(*builtin_subject("p6")) if p.witness is None]
+    calls = _count(monkeypatch, split_legality)
+    assert certify_p6().passed
+    assert len(calls) == len(rows) == 536
