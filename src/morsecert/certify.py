@@ -5,8 +5,9 @@ state of the orbit, in the rows of `verdict_plan`: one per good face and one
 per (bad face, inherited In class); evidence blobs are content-addressed,
 which also deduplicates identical certificates across states.  Cusp
 boundary cubes are certified by the cone apexes of their parts, recorded
-inline by `cusp_row`.  All randomness comes from the root seed, so reports
-are reproducible byte for byte.
+inline in rows that `cusp_row`, their one writer, makes and the verifier
+compares whole.  All randomness comes from the root seed, so reports are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from .errors import InputError, StructuralError
 from .links import (
     CriticalLinkCertifier,
-    CuspTable,
     certify_boundary_cube,
     classify_link,
     critical_transform,
@@ -65,8 +65,8 @@ def _eid(payload: dict) -> str:
 # so one item serves every claim whose parts its sequences certify.
 
 
-def legality_header(host: dict) -> dict:
-    return {"kind": "legality", "host": host}
+def legality_header() -> dict:
+    return {"kind": "legality", "host": {"type": "ambient"}}
 
 
 def shared_header(ell: int) -> dict:
@@ -80,11 +80,11 @@ SEQUENCE_KEYS = {
 }
 
 
-def legality_evidence_payload(host: dict, rec) -> dict:
+def legality_evidence_payload(rec) -> dict:
     """A legality item: its header and the certificates of both parts, which
     `states.flag_certificate` already gives in report form."""
     return {
-        **legality_header(host),
+        **legality_header(),
         "out_sequence": rec.out_sequence,
         "in_sequence": rec.in_sequence,
     }
@@ -297,7 +297,7 @@ def _classify_group(
     failure-or-None)."""
     rec = split_legality(P, *p.masks, seed=seed)
     if rec.totally_legal:
-        payload = legality_evidence_payload({"type": "ambient"}, rec)
+        payload = legality_evidence_payload(rec)
         eid = _eid(payload)
         return legal_row(p, eid), {eid: payload}, None, None
     lc = classify_link(P, m, states[p.states[0]], p.F, certifier=certifier, seed=seed, rec=rec)
@@ -381,14 +381,15 @@ def _verdict_sweep(
 # Cusp suite
 
 
-def cusp_row(P: Polytope, m: MoveSystem, s: State, table: CuspTable) -> dict:
-    """The row of state `s` at the cusp of `table`: whether the cusp
-    condition holds, whether the boundary cube is all Regular, and the
-    [out apex, in apex] pair of each bad face of the table, in its order.
-    The row names neither its cusp nor its state: its position does."""
-    bc = certify_boundary_cube(P, m, s, table.cusp_id, table=table)
-    return {"ok": bc.condition is not None, "all_regular": bc.all_regular,
-            "checked": list(bc.checked)}
+def cusp_row(ok: bool, checked: list) -> dict:
+    """The one writer of a cusp row, for certify and verify alike: `ok`,
+    whether the cusp condition holds; `checked`, the [out apex, in apex]
+    pair of each bad face of the cusp's table, in its order, none where the
+    condition fails; and `all_regular`, derived: the condition holds and
+    every part has an apex.  The row names neither its cusp nor its state:
+    its position does."""
+    return {"ok": ok, "all_regular": ok and all(None not in pair for pair in checked),
+            "checked": checked}
 
 
 def _cusp_suite(
@@ -397,10 +398,11 @@ def _cusp_suite(
     """One row per (cusp, state), cusps in the polytope's order, states in
     the orbit's."""
     rows: List[dict] = []
+    in_masks = [P.ranked_graph().mask(s.in_facets) for s in states]
     for iv in P.ideal_vertices:
         table = cusp_table(P, m, iv.id)
-        for idx, s in enumerate(states):
-            row = cusp_row(P, m, s, table)
+        for idx, s_in in enumerate(in_masks):
+            row = cusp_row(*certify_boundary_cube(P, s_in, table))
             rows.append(row)
             if not row["ok"]:
                 failures.append(f"cusp condition fails at {iv.id} state {idx}")

@@ -79,8 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(cert, args) -> None:
     text = emit_report(cert, args.format, include_timings=args.timings)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write report to {args.output}: {exc.strerror}") from exc
         print(f"report written to {args.output}")
         print(cert.summary_line())
     else:

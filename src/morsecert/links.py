@@ -582,41 +582,18 @@ def classify_link(
 # -- cusp checks --------------------------------------------------------------
 
 
-def cusp_pairs(P: Polytope, m: MoveSystem, cusp_id: str) -> Tuple[Tuple[str, str], ...]:
-    """The facet pairs (a, b), moves in canonical order, in which a move
-    meets the cusp's incident facets in exactly two facets that are
-    non-adjacent."""
-    iv = P.ideal_vertex(cusp_id)
-    out = []
-    for block in m.blocks:
-        hit = sorted(block & iv.incident)
-        if len(hit) == 2 and not P.adjacent(*hit):
-            out.append(tuple(hit))
-    return tuple(out)
-
-
-def check_cusp_condition(
-    P: Polytope, s: State, cusp_id: str, m: MoveSystem, *, table: Optional[CuspTable] = None
-) -> Optional[Tuple[str, str]]:
-    """The first of the cusp's pairs, the given table's or `cusp_pairs`, whose
-    two facets have opposite status in s; None when the condition fails."""
-    pairs = table.pairs if table is not None else cusp_pairs(P, m, cusp_id)
-    for a, b in pairs:
-        if (a in s.in_facets) != (b in s.in_facets):
-            return a, b
-    return None
-
-
 class CuspTable(NamedTuple):
     """What certifying a cusp's horospherical cube needs of the cusp alone,
-    built once for all states: its id, its section's bad faces in canonical
-    order, each as (sorted ids, `face_masks` over P's ranks cut to the
-    incident facets), its `cusp_pairs`, and the apex pairs made so far,
-    under (bad face position, In part)."""
+    built once for all states: its section's bad faces in canonical order,
+    each as (sorted ids, `face_masks` over P's ranks cut to the incident
+    facets); its pairs, moves in canonical order, each a move's two
+    non-adjacent incident facets as (sorted ids, rank mask); and the apex
+    pairs made so far, under (bad face position, In part).  A cusp row has
+    one writer, `certify.cusp_row`, and the verifier compares each row
+    whole with it."""
 
-    cusp_id: str
     bad: Tuple[Tuple[Tuple[str, ...], int, int], ...]
-    pairs: Tuple[Tuple[str, str], ...]
+    pairs: Tuple[Tuple[Tuple[str, str], int], ...]
     apexes: dict
 
 
@@ -627,60 +604,47 @@ def cusp_table(P: Polytope, m: MoveSystem, cusp_id: str) -> CuspTable:
     incident = P.ideal_vertex(cusp_id).incident
     bad = tuple((F.sorted_ids(), *(x & inc for x in face_masks(P, m, F)))
                 for F in face_table(P, m).bad if F.defining <= incident)
-    return CuspTable(cusp_id, bad, cusp_pairs(P, m, cusp_id), {})
+    pairs = []
+    for block in m.blocks:
+        hit = sorted(block & incident)
+        if len(hit) == 2 and not P.adjacent(*hit):
+            pairs.append((tuple(hit), P.ranked_graph().mask(hit)))
+    return CuspTable(bad, tuple(pairs), {})
 
 
-@dataclass(frozen=True)
-class BoundaryCubeCertificate:
-    """Cone apexes certifying the bad faces of a horospherical cube.
-
-    `condition` is the cusp condition's witness pair, None when it fails;
-    `checked` lists, per bad face of the cusp's table in its order, the
-    first cone apex, in sorted order, of its Out and In parts (None: the
-    part is empty or not a cone), in report form [out apex, in apex] that
-    the rows of one table share; the cube is all Regular when the cusp
-    condition holds and every part has an apex.  A cube whose condition
-    fails is not certified: nothing is checked.
-    """
-
-    cusp_id: str
-    condition: Optional[Tuple[str, str]]
-    checked: Tuple[list, ...]
-
-    @property
-    def all_regular(self) -> bool:
-        return self.condition is not None and all(None not in pair for pair in self.checked)
+def check_cusp_condition(table: CuspTable, s_in: int) -> Optional[Tuple[str, str]]:
+    """The first of the table's pairs whose two facets have opposite status
+    in the state of In rank mask `s_in`; None when the cusp condition fails."""
+    for pair, mask in table.pairs:
+        if s_in & mask not in (0, mask):
+            return pair
+    return None
 
 
-def certify_boundary_cube(
-    P: Polytope,
-    m: MoveSystem,
-    s: State,
-    cusp_id: str,
-    *,
-    table: Optional[CuspTable] = None,
-) -> BoundaryCubeCertificate:
-    """Certify every face of the horospherical cube, given or built by
-    `cusp_table`, with restricted moves and state.  A good face is Regular;
-    a bad face is Regular when both parts of its dual split by the inherited
-    state are cones.
+def certify_boundary_cube(P: Polytope, s_in: int, table: CuspTable) -> Tuple[bool, list]:
+    """(ok, checked) for the horospherical cube of `table` in the state of
+    In rank mask `s_in`: whether the cusp condition holds and, where it
+    does, the [out apex, in apex] pair of each bad face of the table, in its
+    order, each the first cone apex of its part or None.  A good face is
+    Regular; a bad face is Regular when both parts of its dual split by the
+    inherited state are cones.  A cube whose condition fails is not
+    certified: nothing is checked.
 
     The section is a combinatorial cube, so the dual of each of its faces is
     a join of 0-spheres and each part a join of points and 0-spheres: a part
     collapses to a point exactly when it is a cone, and its apex, a vertex
     that dominates every other one, is the whole certificate.  The parts of
     a bad face depend on s only through its In part, so each pair is made
-    once per (bad face, In part) and kept in the table.
+    once per (bad face, In part) and kept in the table, which the rows of one
+    table share.
     """
-    table = table if table is not None else cusp_table(P, m, cusp_id)
-    cond = check_cusp_condition(P, s, cusp_id, m, table=table)
-    if cond is None:
-        return BoundaryCubeCertificate(cusp_id, cond, ())
-    s_in, memo, checked = P.ranked_graph().mask(s.in_facets), table.apexes, []
+    if check_cusp_condition(table, s_in) is None:
+        return False, []
+    memo, checked = table.apexes, []
     for i, (_, dual, free) in enumerate(table.bad):
         inn = free & s_in
         pair = memo.get((i, inn))
         if pair is None:
             pair = memo[i, inn] = [cone_apex(P, dual & ~inn), cone_apex(P, inn)]
         checked.append(pair)
-    return BoundaryCubeCertificate(cusp_id, cond, tuple(checked))
+    return True, checked

@@ -14,17 +14,17 @@ from .certify import Certificate
 
 REPORT_VERSION = "7"
 
-# The keys of a report and of a cusp row; the verifier requires exactly
-# these (and `inputs` on a generic report).  A verdict row carries exactly
-# the keys of its branch's writer in `certify`, and its branch shows in its
-# witness key: `witness_move` for a good face, `evidence` for a legal class,
-# `evidence` and `transform` for a critical row; an Unknown row has none.
+# The keys of a report; the verifier requires exactly these (and `inputs`
+# on a generic report).  A cusp row carries exactly the keys of
+# `certify.cusp_row`, and a verdict row exactly those of its branch's writer
+# in `certify`; its branch shows in its witness key: `witness_move` for a
+# good face, `evidence` for a legal class, `evidence` and `transform` for a
+# critical row; an Unknown row has none.
 REPORT_KEYS = frozenset({
     "version", "subject", "mode", "pass", "seeds", "inputs_digest", "polytope",
     "moves", "orbit", "f_vector", "bad_faces", "euler", "verdicts", "evidence",
     "shared_evidence", "cusps", "failures", "timings",
 })
-CUSP_ROW_KEYS = frozenset({"ok", "all_regular", "checked"})
 
 
 def row_branch(row: dict) -> str:

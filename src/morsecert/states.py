@@ -69,11 +69,9 @@ class State:
     in_facets: FrozenSet[str]
 
     def __post_init__(self):
-        members = frozenset(self.universe)
-        extra = self.in_facets - members
+        extra = self.in_facets.difference(self.universe)
         if extra:
             raise InputError(f"status given for unknown facets: {sorted(extra)!r}")
-        object.__setattr__(self, "_members", members)
 
     @property
     def out_facets(self) -> FrozenSet[str]:
@@ -83,7 +81,7 @@ class State:
         return IN if self.is_in(facet_id) else OUT
 
     def is_in(self, facet_id: str) -> bool:
-        if facet_id not in self._members:
+        if facet_id not in self.universe:
             raise InputError(f"facet {facet_id!r} not in state universe")
         return facet_id in self.in_facets
 

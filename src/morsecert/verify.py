@@ -4,10 +4,9 @@ Every table and every verdict row is recomputed and compared whole, values
 and types (1 is not true, 81.0 is not 81), with what its one writer makes
 of the recomputation: `certify.report_tables` for the tables, by their
 canonical JSON; `certify.verdict_plan`, in order, and the row writer of the
-branch that the plan and the row's verdict pick for each verdict row.  The
-cusp rows are bound by position, one per (cusp, state) in order; each
-holds the cusp condition's outcome and one [out apex, in apex] pair per bad
-face of the cusp's table, and each apex is checked to dominate its part.
+branch that the plan and the row's verdict pick for each verdict row; and
+`certify.cusp_row` for each cusp row, bound by position, one per (cusp,
+state) in order, once each apex it gives is checked to dominate its part.
 Every certificate that a row cites is checked by one rule,
 `states.certificate_problem`, on a graph and a live mask: a legality part on
 the facet graph, a shared critical link on the face poset's comparability
@@ -35,6 +34,7 @@ from .certify import (
     _inputs_digest,
     canonical_json,
     critical_row,
+    cusp_row,
     euler_identity,
     good_row,
     legal_row,
@@ -54,7 +54,7 @@ from .links import (
     cusp_table,
 )
 from .polytopes import f_vector_check
-from .report import CUSP_ROW_KEYS, REPORT_KEYS, REPORT_VERSION
+from .report import REPORT_KEYS, REPORT_VERSION
 from .states import (
     all_pairs_index,
     builtin_subject,
@@ -66,8 +66,11 @@ from .states import (
 
 def _same(got, want) -> bool:
     """`got` equals `want` with the same types throughout, so that true is
-    not 1 and 81.0 is not 81; the lists of `want` hold no lists or objects,
-    so a list is compared whole and then its elements' types at once."""
+    not 1 and 81.0 is not 81.  A value is the same as itself, as a cusp
+    row's `checked` is; other lists of `want` hold no lists or objects, so a
+    list is compared whole and then its elements' types at once."""
+    if got is want:
+        return True
     if type(got) is not type(want):
         return False
     if type(want) is dict:
@@ -194,7 +197,7 @@ class _Verifier:
         (Out, In) pair of parts that cites it."""
         G, (dual, inn) = self.P.ranked_graph(), p.masks
         out = dual & ~inn
-        self._evidence("evidence", eid, legality_header({"type": "ambient"}), where, (out, inn),
+        self._evidence("evidence", eid, legality_header(), where, (out, inn),
                        lambda ev: [(key, certificate_problem(G, ev[key], part, what="part"))
                                    for key, part in (("out_sequence", out), ("in_sequence", inn))])
 
@@ -293,12 +296,12 @@ class _Verifier:
 
     def check_cusps(self):
         """One row per (cusp, state), cusps in the polytope's order and
-        states in the orbit's, bound by position.  A row's `ok` must be the
-        cusp condition's outcome, and its `checked` must hold one
-        [out apex, in apex] pair per bad face of the cusp's table where the
-        condition holds, none where it fails; each apex must be a vertex of
-        its part that dominates the part.  Any such apex proves the part a
-        cone.  `all_regular` must be whether all of this holds, and it must."""
+        states in the orbit's, bound by position.  Its `checked` must hold
+        one [out apex, in apex] pair per bad face of the cusp's table where
+        the recomputed cusp condition holds, none where it fails, each apex
+        a vertex of its part that dominates the part, which proves the part
+        a cone.  The row must then be `cusp_row`'s of the recomputed
+        condition and its `checked`, and its boundary cube all Regular."""
         doc, P, m, states = self.doc, self.P, self.m, self.states
         self._keys(doc["cusps"], frozenset({"rows"}), "cusps")
         rows = doc["cusps"]["rows"]
@@ -309,17 +312,13 @@ class _Verifier:
         rows = iter(rows)
         for iv in P.ideal_vertices:
             table = cusp_table(P, m, iv.id)
-            for (idx, s), row in zip(enumerate(states), rows):
+            for (idx, s_in), row in zip(enumerate(in_masks), rows):
                 where = f"cusp {iv.id} state {idx}"
-                self._keys(row, CUSP_ROW_KEYS, where)
-                ok = check_cusp_condition(P, s, iv.id, m, table=table) is not None
-                proved = self._apexes(row["checked"], table.bad if ok else (), in_masks[idx],
-                                      where)
-                regular = ok and proved
-                for key, value in (("ok", ok), ("all_regular", regular)):
-                    if not _same(row[key], value):
-                        self.fail(f"{where}: row {key} does not match its recomputation")
-                if not regular:
+                ok = check_cusp_condition(table, s_in) is not None
+                proved = self._apexes(row["checked"], table.bad if ok else (), s_in, where)
+                if proved:
+                    self._same_row(row, cusp_row(ok, row["checked"]), where)
+                if not (ok and proved):
                     self.fail(f"{where}: boundary cube is not all Regular")
 
     def _apexes(self, checked, bad, s_in: int, where: str) -> bool:

@@ -783,6 +783,16 @@ def test_cli_certify_verify_roundtrip(tmp_path, capsys):
     assert main(["verify", str(report)]) == 0
 
 
+@pytest.mark.parametrize("name", ["missing/p5.json", "."], ids=["missing-directory", "directory"])
+def test_cli_unwritable_output_is_an_input_error(tmp_path, capsys, name):
+    """A report path that cannot be written, in a missing directory or a
+    directory itself, is an input error naming the path."""
+    path = tmp_path / name
+    assert main(["certify", "p5", "--output", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and str(path) in err
+
+
 def test_cli_generic_and_exit_codes(tmp_path, capsys):
     pol, moves, state = square_inputs()
     write_json(tmp_path / "p.json", pol)

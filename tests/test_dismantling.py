@@ -33,6 +33,8 @@ from morsecert.links import (
     build_cube_model,
     canonical_pairs_graphs,
     canonical_pairs_transform,
+    certify_boundary_cube,
+    classify_link,
     face_contains,
     face_links_oracle,
     pairs_core_elements,
@@ -50,10 +52,12 @@ from morsecert.states import (
     cone_apex,
     dismantle,
     face_table,
+    flag_certificate,
     legality,
     move_system_p5,
     move_system_p6,
     sequence_form,
+    split_legality,
 )
 from morsecert.verify import verify_document
 
@@ -329,16 +333,16 @@ def _rebind(monkeypatch, original, replacement):
                     monkeypatch.setattr(mod, key, replacement)
 
 
+def _raising(name):
+    def raising(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return raising
+
+
 def _forbid(monkeypatch, functions):
     """Make every morsecert name bound to one of `functions` raise."""
-
-    def stub(name):
-        def raising(*args, **kwargs):
-            raise AssertionError(f"{name} was called")
-        return raising
-
     for original in functions:
-        _rebind(monkeypatch, original, stub(original.__name__))
+        _rebind(monkeypatch, original, _raising(original.__name__))
 
 
 def _count(monkeypatch, original) -> list:
@@ -377,6 +381,20 @@ def test_p6_runs_no_search_and_builds_no_link(monkeypatch):
     assert ok, msgs
 
 
+def test_verify_runs_no_finder(monkeypatch, cert_p6, cert_p5):
+    """The verifier checks the certificates a report gives and finds none
+    again: no dismantling order, cone apex, legality record, boundary cube,
+    critical certificate, link classification or collapse search."""
+    docs = [_report(cert) for cert in (cert_p6, cert_p5)]
+    _forbid(monkeypatch, (dismantle, cone_apex, flag_certificate, split_legality,
+                          certify_boundary_cube, classify_link, try_collapse))
+    monkeypatch.setattr(CriticalLinkCertifier, "certificate",
+                        _raising("CriticalLinkCertifier.certificate"))
+    for doc in docs:
+        ok, msgs = verify_document(doc)
+        assert ok, msgs
+
+
 def _transform_key(model):
     """What a critical transform depends on: which cube positions share a
     move, and the base statuses."""
@@ -407,13 +425,16 @@ def test_critical_transforms_built_once_per_key_and_run(monkeypatch, P6, M6, BAL
 
 
 def test_cusp_condition_checked_once_per_cusp_and_state(monkeypatch):
-    """The cusp suite evaluates each cusp condition once per state: 10 cusps
-    by 16 states on p5."""
+    """The cusp suite evaluates each cusp condition and certifies each
+    boundary cube once per state: 10 cusps by 16 states on p5.  It builds
+    each state's In mask once, so every cusp gets the same 16 mask objects."""
     from morsecert.links import check_cusp_condition
 
     calls = _count(monkeypatch, check_cusp_condition)
+    cubes = _count(monkeypatch, certify_boundary_cube)
     assert certify_p5().passed
-    assert len(calls) == 160
+    assert len(calls) == len(cubes) == 160
+    assert len({id(s_in) for _, s_in, _ in cubes}) == 16
 
 
 def test_structure_built_once_per_process(monkeypatch):

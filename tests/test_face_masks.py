@@ -121,9 +121,9 @@ def test_apex_rule_matches_one_round_orders(P5, M5, BAL5):
         H, _, bad = section_cusp_table(P5, M5, iv.id)
         G = H.ranked_graph()
         for s in BAL5:
-            bc = certify_boundary_cube(P5, M5, s, iv.id, table=table)
+            _, checked = certify_boundary_cube(P5, P5.ranked_graph().mask(s.in_facets), table)
             s_in = G.mask(f for f in s.in_facets if f in G.rank)
-            for (face, _, _), apexes in zip(table.bad, bc.checked):
+            for (face, _, _), apexes in zip(table.bad, checked):
                 dual, free = bad[face]
                 for part, apex in zip((dual & ~(free & s_in), free & s_in), apexes):
                     labels = G.labels(part)
@@ -150,7 +150,8 @@ def test_cusp_tables_match_section_oracle(P5, M5, BAL5, P6, M6, BAL6):
             assert oracle[1] == 3 ** (P.dimension - 1), iv.id
             assert [ids for ids, _, _ in table.bad] == list(oracle[2]), iv.id
             for s in states:
-                row = cusp_row(P, m, s, table)
+                row = cusp_row(*certify_boundary_cube(P, P.ranked_graph().mask(s.in_facets),
+                                                      table))
                 assert row["checked"] == (section_checked(oracle, s) if row["ok"] else [])
                 n += 1
     assert n == 10 * 16 + 27 * 32

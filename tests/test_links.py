@@ -361,32 +361,32 @@ def test_classification_independent_of_base_vertex(P6, M6, BAL6):
 
 
 def test_cusp_condition_witnesses(P6, M6, BAL6):
-    s = BAL6[0]
-    got = check_cusp_condition(P6, s, "cusp:1+i+j+k", M6)
+    s_in = P6.ranked_graph().mask(BAL6[0].in_facets)
+    got = check_cusp_condition(cusp_table(P6, M6, "cusp:1+i+j+k"), s_in)
     assert set(got) == {"-1-i+j-k", "-j"}
-    got = check_cusp_condition(P6, s, "cusp:1", M6)
+    got = check_cusp_condition(cusp_table(P6, M6, "cusp:1"), s_in)
     assert set(got) == {"-1+i+j+k", "-1-i-j-k"}
-    got = check_cusp_condition(P6, s, "cusp:A", M6)
+    got = check_cusp_condition(cusp_table(P6, M6, "cusp:A"), s_in)
     assert got == ("-1", "1")
 
 
 def test_certify_boundary_cube(P6, M6, BAL6):
     s = BAL6[0]
+    s_in = P6.ranked_graph().mask(s.in_facets)
     table = cusp_table(P6, M6, "cusp:1+i+j+k")
-    bc = certify_boundary_cube(P6, M6, s, "cusp:1+i+j+k", table=table)
-    assert bc.all_regular
-    assert bc.condition is not None
+    ok, checked = certify_boundary_cube(P6, s_in, table)
+    assert ok and all(None not in pair for pair in checked)
     H = build_cusp_section(P6, "cusp:1+i+j+k")
     mH = M6.restrict(H.facet_ids)
     faces = [F for c in range(6) for F in enumerate_faces(H, c)]
     assert len(faces) == 3 ** 5  # all faces of the 5-cube, itself included
     bad = [F.sorted_ids() for F in faces if not is_good_face(mH, F)]
     assert [ids for ids, _, _ in table.bad] == bad
-    assert len(bc.checked) == len(bad)
+    assert len(checked) == len(bad)
     # faces inside a witness facet are good
-    f1, _ = bc.condition
+    f1, _ = check_cusp_condition(table, s_in)
     assert not any(f1 in face for face in bad)
-    for face, apexes in zip(bad, bc.checked):
+    for face, apexes in zip(bad, checked):
         F = FaceHandle(frozenset(face))
         for K, apex in zip(state_parts(H, F, inherited_state(H, mH, s, F)), apexes):
             assert apex == K.star_vertex_apexes()[0]
@@ -410,8 +410,8 @@ def _cusp_apexes_match_legality(P, m, states, cusp_ids):
         H = section_cusp_table(P, m, cusp)[0]
         mH = m.restrict(H.facet_ids)
         for s in states:
-            bc = certify_boundary_cube(P, m, s, cusp, table=table)
-            for (face, _, _), apexes in zip(table.bad, bc.checked):
+            _, checked = certify_boundary_cube(P, P.ranked_graph().mask(s.in_facets), table)
+            for (face, _, _), apexes in zip(table.bad, checked):
                 F = FaceHandle(frozenset(face))
                 parts = state_parts(H, F, inherited_state(H, mH, s, F))
                 legal = all(map(collapses, parts))

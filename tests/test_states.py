@@ -198,3 +198,14 @@ def test_state_serialisation_roundtrip(P6, BAL6):
         frozenset(f for f, ch in zip(s.universe, serial) if ch == "I"),
     )
     assert rebuilt == s
+
+
+def test_state_holds_only_its_universe_and_in_facets(BAL6):
+    """A state keeps no set of its universe; `is_in` and construction still
+    check facets against the universe."""
+    s = BAL6[0]
+    assert vars(s).keys() == {"universe", "in_facets"}
+    with pytest.raises(InputError, match="not in state universe"):
+        s.is_in("Z")
+    with pytest.raises(InputError, match="unknown facets: \\['Z'\\]"):
+        State(s.universe, s.in_facets | {"Z"})
