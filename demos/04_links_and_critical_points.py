@@ -40,7 +40,7 @@ print("blocks pair up the coordinates:", model.lift.blocks)
 asc, desc = face_links_oracle(model)
 print("face links are 2-spheres:", betti_mod2(asc, 2), betti_mod2(desc, 2))
 
-certifier = CriticalLinkCertifier(seed=0)
+certifier = CriticalLinkCertifier()
 lc = classify_link(P, m, s, V, certifier=certifier)
 print("verdict:", lc.verdict, "of index", lc.index, "via", lc.branch)
 shared = lc.critical

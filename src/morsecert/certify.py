@@ -6,8 +6,8 @@ per (bad face, inherited In class); evidence blobs are content-addressed,
 which also deduplicates identical certificates across states.  Cusp
 boundary cubes are certified by the cone apexes of their parts, recorded
 inline in rows that `cusp_row`, their one writer, makes and the verifier
-compares whole.  All randomness comes from the root seed, so reports are
-reproducible byte for byte.
+compares whole.  Every certificate is found by a deterministic rule, so
+reports are reproducible byte for byte; the root seed is only recorded.
 """
 
 from __future__ import annotations
@@ -288,19 +288,18 @@ def _classify_group(
     p: PlannedRow,
     *,
     certifier: CriticalLinkCertifier,
-    seed: int,
 ):
     """Classify the planned row of a bad face: totally legal when both
     parts of its masks' split are certified, else by `classify_link` at its
     first state, whose inherited state is that split, so its record is
     passed on; returns (row, evidence, id of the cited shared item or None,
     failure-or-None)."""
-    rec = split_legality(P, *p.masks, seed=seed)
+    rec = split_legality(P, *p.masks)
     if rec.totally_legal:
         payload = legality_evidence_payload(rec)
         eid = _eid(payload)
         return legal_row(p, eid), {eid: payload}, None, None
-    lc = classify_link(P, m, states[p.states[0]], p.F, certifier=certifier, seed=seed, rec=rec)
+    lc = classify_link(P, m, states[p.states[0]], p.F, certifier=certifier, rec=rec)
     if lc.verdict == "Critical":
         sid, _ = _shared_item(certifier, lc.critical)
         # validate the canonical transform for every other covered state;
@@ -315,14 +314,13 @@ def _classify_group(
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(P, m, states, certifier, seed):
-    _WORKER_CTX["args"] = (P, m, states, seed)
+def _worker_init(P, m, states, certifier):
+    _WORKER_CTX["args"] = (P, m, states)
     _WORKER_CTX["certifier"] = certifier
 
 
 def _worker_classify(task):
-    P, m, states, seed = _WORKER_CTX["args"]
-    return _classify_group(P, m, states, task, certifier=_WORKER_CTX["certifier"], seed=seed)
+    return _classify_group(*_WORKER_CTX["args"], task, certifier=_WORKER_CTX["certifier"])
 
 
 def _verdict_sweep(
@@ -331,7 +329,6 @@ def _verdict_sweep(
     states: Sequence[State],
     *,
     certifier: CriticalLinkCertifier,
-    seed: int,
     failures: List[str],
     parallel: int = 1,
 ):
@@ -356,12 +353,11 @@ def _verdict_sweep(
         ctx = mp.get_context("fork")
         with ctx.Pool(
             parallel, initializer=_worker_init,
-            initargs=(P, m, states, certifier, seed),
+            initargs=(P, m, states, certifier),
         ) as pool:
             results = pool.map(_worker_classify, tasks, chunksize=8)
     else:
-        results = [_classify_group(P, m, states, p, certifier=certifier, seed=seed)
-                   for p in tasks]
+        results = [_classify_group(P, m, states, p, certifier=certifier) for p in tasks]
     results = iter(results)
     for p in plan:
         if p.witness is not None:
@@ -494,11 +490,10 @@ def run_pipeline(
     timings["bad_faces"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    certifier = CriticalLinkCertifier(seed=seed)
+    certifier = CriticalLinkCertifier()
     rows, evidence, shared = _verdict_sweep(
         P, m, states,
         certifier=certifier,
-        seed=seed,
         failures=failures,
         parallel=parallel,
     )

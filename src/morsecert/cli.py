@@ -25,7 +25,10 @@ EXIT_INTERNAL = 3
 
 
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=0, help="root random seed")
+    parser.add_argument(
+        "--seed", type=int, default=0,
+        help="recorded in the report's seeds.root; it steers nothing",
+    )
     parser.add_argument(
         "--format", choices=("text", "structured"), default="text",
         help="report format (structured = canonical JSON)",

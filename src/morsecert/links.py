@@ -368,11 +368,10 @@ class CriticalLinkCertifier:
 
     Each is the `flag_certificate` of the link poset's comparability graph
     down to the core: a dismantling order that deletes only non-core
-    elements and ends exactly at the core, or its elementary fallback.
+    elements and ends exactly at the core, or None where there is none.
     """
 
-    def __init__(self, *, seed: int = 0):
-        self.seed = seed
+    def __init__(self):
         self._cache: Dict[int, CriticalCertificate] = {}
         # this run's `critical_transform` memo
         self.transforms: dict = {}
@@ -384,7 +383,7 @@ class CriticalLinkCertifier:
         got = self._cache.get(ell)
         if got is None:
             got = self._cache[ell] = CriticalCertificate(ell, *(
-                flag_certificate(G, (1 << len(G.ids)) - 1, G.mask(core), seed=self.seed)
+                flag_certificate(G, (1 << len(G.ids)) - 1, G.mask(core))
                 for G, core in canonical_pairs_graphs(ell)))
         return got
 
@@ -535,7 +534,6 @@ def classify_link(
     F: FaceHandle,
     *,
     certifier: Optional[CriticalLinkCertifier] = None,
-    seed: int = 0,
     rec: Optional[LegalityRecord] = None,
 ) -> LinkClassification:
     """Classify the links at the barycentre of the cube dual to F.
@@ -551,7 +549,7 @@ def classify_link(
     if witness is not None:
         return LinkClassification("Regular", None, "good-face", witness_move=witness)
     if rec is None:
-        rec = legality(P, F, inherited_state(P, m, s, F), seed=seed)
+        rec = legality(P, F, inherited_state(P, m, s, F))
     if rec.totally_legal:
         return LinkClassification(
             "Regular", None, "inherited-totally-legal", legality=rec
@@ -559,7 +557,7 @@ def classify_link(
     ell = all_pairs_index(P, m, F)
     if ell is not None:
         if certifier is None:
-            certifier = CriticalLinkCertifier(seed=seed)
+            certifier = CriticalLinkCertifier()
         transform = critical_transform(P, m, s, F, certifier.transforms)
         cert = certifier.certificate(ell)
         if cert.success:
@@ -569,8 +567,7 @@ def classify_link(
             )
         return LinkClassification(
             "Unknown", None, "unknown",
-            note="no dismantling order or collapse found on the canonical "
-                 "all-pairs cube",
+            note="no dismantling order found on the canonical all-pairs cube",
         )
     return LinkClassification(
         "Unknown", None, "unknown",

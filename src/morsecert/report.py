@@ -2,7 +2,7 @@
 document (stable key order, exact integers, rationals as [num, den] pairs).
 
 Timing values are stripped from the structured form by default so that two
-runs with the same seed produce byte-identical reports; pass
+runs produce byte-identical reports; pass
 include_timings=True to embed wall-clock data.
 """
 

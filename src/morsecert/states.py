@@ -3,8 +3,7 @@
 A move system is a partition of the facets; crossing a facet flips the status
 of its whole block.  States label facets In or Out; the two full subcomplexes
 of the dual complex they span drive every legality question.  "Totally legal"
-is certified by dismantling orders or explicit collapse sequences, never
-asserted from a failed search.
+is certified by dismantling orders, never asserted from a failed one.
 """
 
 from __future__ import annotations
@@ -14,11 +13,10 @@ from functools import cache
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import labels as lb
-from .complexes import replay_collapse, sequence_json, try_collapse
+from .complexes import try_collapse  # not called here: pinned by perfbench
 from .errors import InputError, StructuralError
 from .polytopes import (
-    FaceHandle, Polytope, RankedGraph, build_p5, build_p6, clique_complex, dual_mask,
-    face_of_mask,
+    FaceHandle, Polytope, RankedGraph, build_p5, build_p6, dual_mask, face_of_mask,
 )
 
 IN, OUT = "I", "O"
@@ -369,8 +367,8 @@ def inherited_state(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> Stat
 # cone on w and deleting v is a collapse (a strong collapse, Barmak & Minian,
 # DCG 2012).  A dismantling order [[v, w], ...] deletes dominated vertices
 # down to the full subcomplex on a `keep` mask, or to one vertex when `keep`
-# is 0; a complex with none falls back to searched elementary collapses
-# [[face, coface], ...], and the shape of a step tells the two forms apart.
+# is 0.  It is the one form of certificate: a complex with no such order
+# (strong collapsibility is stricter than collapsibility) is not certified.
 
 
 def dismantle(
@@ -432,27 +430,19 @@ def dismantle(
     return steps
 
 
-def flag_certificate(G: RankedGraph, live: int, keep: int = 0, *, seed: int) -> Optional[list]:
+def flag_certificate(G: RankedGraph, live: int, keep: int = 0) -> Optional[list]:
     """Certificate that the flag complex of G on `live` shrinks to its full
     subcomplex on `keep`, or to a point when `keep` is 0: the `dismantle`
-    order as labels [[v, w], ...], else a collapse searched, with `seed`, on
-    the complex built by `clique_complex`; None when neither is found."""
+    order as labels [[v, w], ...]; None when it gets stuck."""
     got = dismantle(G.N, keep, live)
-    if got is not None:
-        return [[G.ids[v], G.ids[w]] for v, w in got]
-    if live:
-        out = try_collapse(clique_complex(G, live), clique_complex(G, keep) if keep else None,
-                           seed=seed)
-        if out.success:
-            return sequence_json(out.sequence)
-    return None
+    return None if got is None else [[G.ids[v], G.ids[w]] for v, w in got]
 
 
 def cone_apex(P: Polytope, part: int) -> Optional[str]:
     """The facet of lowest rank in `part`, a rank mask, adjacent to every
     other one (apex ∈ part and part ⊆ N[apex]); None when it has none.  An
     apex is exactly a facet whose one-round order [[v, apex], ...] over the
-    part's other facets dismantles it (`dismantling_problem`)."""
+    part's other facets dismantles it (`certificate_problem`)."""
     ids, _, N = P.ranked_graph()
     rest = part
     while rest:
@@ -464,39 +454,19 @@ def cone_apex(P: Polytope, part: int) -> Optional[str]:
     return None
 
 
-def _step_shape(step) -> Optional[str]:
-    is_label = lambda x: not isinstance(x, (list, tuple, dict))
-    if isinstance(step, (list, tuple)) and len(step) == 2:
-        if all(map(is_label, step)):
-            return "dismantling"
-        if all(isinstance(x, (list, tuple)) and all(map(is_label, x)) for x in step):
-            return "elementary"
-    return None
-
-
-def sequence_form(steps) -> Tuple[Optional[str], Optional[str]]:
-    """("dismantling" or "elementary", None) by the shape of every step, an
-    empty sequence counting as a dismantling order; (None, what is wrong)
-    when a step has neither shape or the shapes are mixed."""
-    first = None
-    for i, step in enumerate(steps):
-        shape = _step_shape(step)
-        if shape is None:
-            return None, f"step {i}: neither a vertex pair nor an elementary pair"
-        if first is not None and shape != first:
-            return None, f"step {i}: mixes {shape} and {first} steps"
-        first = shape
-    return first or "dismantling", None
-
-
-def dismantling_problem(G: RankedGraph, steps, live: int, keep: int = 0, *,
+def certificate_problem(G: RankedGraph, steps, live: int, keep: int = 0, *,
                         what: str) -> Optional[str]:
-    """What is wrong with the vertex pairs `steps` as a dismantling order of
-    the flag complex of G on `live`, the `what` a message names, down to
-    `keep` (to one vertex when `keep` is 0); None when nothing is.  A label
-    must be a live vertex of the same type as G's labels."""
+    """What is wrong with `steps` as a `flag_certificate` of G on `live`,
+    the `what` a message names: a dismantling order down to `keep`, or to
+    one vertex when `keep` is 0, checked in place on G's masks; None when
+    nothing is.  A step must be a pair of labels, and a label a live vertex
+    of the same type as G's labels."""
     kind, rank, N = type(next(iter(G.ids), None)), G.rank, G.N
-    for i, (v, w) in enumerate(steps):
+    for i, step in enumerate(steps):
+        pair = type(step) is list and len(step) == 2
+        if not pair or any(isinstance(x, (list, dict)) for x in step):
+            return f"step {i}: not a pair of labels"
+        v, w = step
         if v == w:
             return f"step {i}: {v!r} cannot dominate itself"
         pv, pw = rank.get(v), rank.get(w)
@@ -513,50 +483,32 @@ def dismantling_problem(G: RankedGraph, steps, live: int, keep: int = 0, *,
     return None if live and not live & (live - 1) else "does not reach a point"
 
 
-def certificate_problem(G: RankedGraph, steps, live: int, keep: int = 0, *,
-                        what: str) -> Optional[str]:
-    """What is wrong with `steps` as a `flag_certificate` of G on `live`
-    down to `keep`; None when nothing is.  A dismantling order is checked in
-    place by `dismantling_problem`; only elementary steps are replayed, on
-    the complex built by `clique_complex`."""
-    form, problem = sequence_form(steps)
-    if form != "elementary":
-        return problem or dismantling_problem(G, steps, live, keep, what=what)
-    try:
-        got = replay_collapse(clique_complex(G, live), steps)
-    except InputError as exc:
-        return f"does not replay: {exc}"
-    if keep:
-        return None if got == clique_complex(G, keep) else "does not reach its core"
-    return None if len(got.vertices) == 1 else "does not reach a point"
-
-
 @dataclass(frozen=True)
 class LegalityRecord:
     """The `flag_certificate` of each part of a split (None: not found).
     `totally_legal` is True only when both parts have one; None means "not
-    certified" (the search is sound but not complete)."""
+    certified": a part with no dismantling order may still be collapsible."""
 
     totally_legal: Optional[bool]
     out_sequence: Optional[list]
     in_sequence: Optional[list]
 
 
-def split_legality(P: Polytope, dual: int, inn: int, *, seed: int = 0) -> LegalityRecord:
+def split_legality(P: Polytope, dual: int, inn: int) -> LegalityRecord:
     """Certified collapsibility of the parts of a face's dual complex, the
     rank mask `dual` over P's `ranked_graph`, split into Out and In = `inn`.
     The pair is totally legal when both parts collapse to a point; a
     collapsible complex is contractible, so no homology is computed."""
     G = P.ranked_graph()
-    out_seq, in_seq = (flag_certificate(G, part, seed=seed) for part in (dual & ~inn, inn))
+    out_seq, in_seq = (flag_certificate(G, part) for part in (dual & ~inn, inn))
     totally = True if out_seq is not None and in_seq is not None else None
     return LegalityRecord(totally, out_seq, in_seq)
 
 
-def legality(P: Polytope, F: FaceHandle, s_on_f: State, *, seed: int = 0) -> LegalityRecord:
+def legality(P: Polytope, F: FaceHandle, s_on_f: State) -> LegalityRecord:
     """`split_legality` of the split of F's dual complex by a state on its
     vertices."""
     G, dual = P.ranked_graph(), dual_mask(P, F)
     if set(s_on_f.universe) != set(G.labels(dual)):
         raise InputError("state universe does not match the dual complex vertices")
-    return split_legality(P, dual, G.mask(s_on_f.in_facets), seed=seed)
+    return split_legality(P, dual, G.mask(s_on_f.in_facets))

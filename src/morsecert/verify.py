@@ -7,16 +7,15 @@ canonical JSON; `certify.verdict_plan`, in order, and the row writer of the
 branch that the plan and the row's verdict pick for each verdict row; and
 `certify.cusp_row` for each cusp row, bound by position, one per (cusp,
 state) in order, once each apex it gives is checked to dominate its part.
-Every certificate that a row cites is checked by one rule,
-`states.certificate_problem`, on a graph and a live mask: a legality part on
-the facet graph, a shared critical link on the face poset's comparability
-graph down to its core, which is checked on that graph to be the subdivided
-cross-polytope boundary.  A dismantling order is checked step by step on
-adjacency masks; an elementary sequence, a fallback that the built-in
-subjects never use, is replayed on the clique complex.  Nothing here invokes
-a collapse search, so verification cost is a small multiple of replay cost.
-Only `timings` and `seeds` back no claim: the verifier requires their keys
-and checks nothing in them, and the seed steers only the elementary search.
+Every certificate that a row cites is a dismantling order, checked by one
+rule, `states.certificate_problem`, step by step on a graph's adjacency
+masks and a live mask: a legality part on the facet graph, a shared
+critical link on the face poset's comparability graph down to its core,
+which is checked on that graph to be the subdivided cross-polytope
+boundary.  A step of any other shape is rejected.  Nothing here searches or
+builds a complex, so verification costs a small multiple of reading the
+report.  Only `timings` and `seeds` back no claim: the verifier requires
+their keys and checks nothing in them, and the seed steers nothing.
 A built-in subject and the canonical link graphs are built once per process
 and shared by every report verified in it: nothing a report carries reaches
 them, and a generic report's embedded inputs are rebuilt for each report.

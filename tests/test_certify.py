@@ -488,8 +488,13 @@ def test_a_second_cone_apex_verifies(cert_p5):
 
 def test_seeds_back_no_claim(cert_p5):
     """`seeds` and `timings` are the only fields that back no claim: the
-    seed steers only the elementary search, which p5 never runs."""
-    doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
+    seed steers nothing, so the p5 reports of seeds 0 and 12345 differ in
+    `seeds.root` alone, and an edited `seeds.root` still verifies."""
+    report = document_to_json(certificate_to_document(cert_p5))
+    other = document_to_json(certificate_to_document(certify_p5(seed=12345)))
+    assert other != report
+    assert other.replace('"seeds":{"root":12345}', '"seeds":{"root":0}') == report
+    doc = json.loads(report)
     doc["seeds"]["root"] += 12345
     assert verify_document(doc) == (True, [])
 

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
         "01_simplicial_collapse",
         "02_polytope_model",
         "03_moves_and_states",
+        "04_links_and_critical_points",
         "05_full_certification",
     ],
 )

@@ -1,13 +1,13 @@
-"""Certificates of flag complexes: the one finder `flag_certificate`, the
-one checker `certificate_problem` and their elementary fallback, the
-clique complexes the fallback builds against independent constructions,
-the kernel oracle that expands each order into elementary collapses, and
-tampered reports whose ids are re-hashed, so that only the dismantling check
-can catch them.  Both kinds of certificate are covered: legality parts,
-reduced to one vertex, and the shared critical item's face links, reduced
-to their cross-polytope cores."""
+"""Certificates of flag complexes: the one finder `flag_certificate` and
+the one checker `certificate_problem` of dismantling orders, a part and a
+face link with no order left not certified, elementary sequences rejected,
+the clique complexes against independent constructions, the kernel oracle
+that expands each order into elementary collapses, and tampered reports
+whose ids are re-hashed, so that only the dismantling check can catch them.
+Both kinds of certificate are covered: legality parts, reduced to one
+vertex, and the shared critical item's face links, reduced to their
+cross-polytope cores."""
 
-import hashlib
 import json
 import sys
 
@@ -48,7 +48,6 @@ from morsecert.states import (
     balanced_states_p5,
     balanced_states_p6,
     builtin_subject,
-    certificate_problem,
     cone_apex,
     dismantle,
     face_table,
@@ -56,10 +55,11 @@ from morsecert.states import (
     legality,
     move_system_p5,
     move_system_p6,
-    sequence_form,
     split_legality,
 )
 from morsecert.verify import verify_document
+
+from test_certify import square_inputs
 
 # A flag complex with no dominated vertex that greedy-lex search collapses.
 STUCK_FACES = [
@@ -179,9 +179,10 @@ def _set_step(i, value):
     ("non-dominator", "does not dominate"),
     ("drop-last-step", "does not reach a point"),
     ("vertex-outside-part", "is not a live vertex of the part"),
-    ("elementary-step", "mixes elementary and dismantling steps"),
+    ("elementary-step", "not a pair of labels"),
     ("self-dominator", "cannot dominate itself"),
-    ("no-pair", "neither a vertex pair nor an elementary pair"),
+    ("no-pair", "not a pair of labels"),
+    ("three-labels", "not a pair of labels"),
 ])
 def test_rehashed_tampers_are_rejected(P5, cert_p5, tmp_path, capsys, tamper, message):
     doc = _report(cert_p5)
@@ -202,7 +203,7 @@ def test_rehashed_tampers_are_rejected(P5, cert_p5, tmp_path, capsys, tamper, me
         eid = _first_item(P5, doc, min_steps=2)
         v, w = doc["evidence"][eid]["out_sequence"][1]
         step = {"elementary-step": [[v], [v, w]], "self-dominator": [v, v],
-                "no-pair": [v]}[tamper]
+                "no-pair": [v], "three-labels": [v, w, v]}[tamper]
         new = _rehash(doc, eid, _set_step(1, step))
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(doc))
@@ -253,18 +254,6 @@ def _stuck_polytope():
     return K, Polytope(4, facets, edges, name="stuck")
 
 
-def _fingerprint(steps):
-    """(length, SHA-256 of the compact JSON) of a sequence."""
-    return len(steps), hashlib.sha256(json.dumps(steps, separators=(",", ":")).encode()).hexdigest()
-
-
-# The elementary fallbacks that the search finds at seed 0, pinned: the
-# `stuck` part's, and the descending l = 2 face link's when its dismantling
-# order is refused.
-STUCK_FALLBACK = (36, "12dbc3fdd0f909b57f6f2a0be08eb0cfc85e7a7ef9de758a94612b8c4eccbd52")
-DESC_2_FALLBACK = (280, "d93d04440d0d094a0f7ec1f95bb0d46cf78aacac9025df31b439be2fb4eebe98")
-
-
 def _oracle_link(ell, kind):
     """The `kind` face link of the canonical all-pairs 2l-cube as the order
     complex that `face_links_oracle` walks, and its full subcomplex on the
@@ -276,16 +265,30 @@ def _oracle_link(ell, kind):
 @pytest.mark.parametrize("kind", ["asc", "desc"])
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_clique_complex_matches_the_order_complex_walk(ell, kind):
-    """The fallback's one builder, on a face link's comparability graph,
-    gives the link as `face_links_oracle` walks it, and on the core mask
-    that link's full subcomplex on the core."""
+    """`clique_complex`, the builder behind `dual_complex`, on a face link's
+    comparability graph gives the link as `face_links_oracle` walks it, and
+    on the core mask that link's full subcomplex on the core."""
     G, core = canonical_pairs_graphs(ell)[kind == "desc"]
     K, K_core = _oracle_link(ell, kind)
     assert clique_complex(G, (1 << len(G.ids)) - 1) == K
     assert clique_complex(G, G.mask(core)) == K_core
 
 
+def _stuck_inputs():
+    """Generic inputs on the `stuck` polytope: one move holding every facet,
+    and the state whose In facets are the flag complex of STUCK_FACES, so
+    that the whole polytope's In part is that complex."""
+    K, P = _stuck_polytope()
+    polytope = {"name": "stuck", "dimension": 4, "facets": [{"id": f} for f in P.facet_ids],
+                "adjacency": sorted(sorted(e) for e in K.simplices() if len(e) == 2)}
+    state = {f: "I" if f in K.vertices else "O" for f in P.facet_ids}
+    return polytope, [sorted(P.facet_ids)], state
+
+
 def test_fallback_for_a_part_that_does_not_dismantle():
+    """A part with no dismantling order is not certified, though a searched
+    collapse exists: its face's row is Unknown, and the report neither
+    passes nor verifies."""
     K, P = _stuck_polytope()
     whole, G = FaceHandle(frozenset()), P.ranked_graph()
     part = G.mask(K.vertices)
@@ -293,22 +296,34 @@ def test_fallback_for_a_part_that_does_not_dismantle():
     assert full_subcomplex(dual_complex(P, whole), K.vertices) == K == clique_complex(G, part)
     assert dismantle(G.N, live=part) is None
     assert cone_apex(P, part) is None
-    searched = try_collapse(K, restarts=0)
-    assert searched.success and len(searched.sequence) == 36
+    assert try_collapse(K, restarts=0).success
     state = State(tuple(sorted(P.facet_ids)), frozenset(K.vertices))
     rec = legality(P, whole, state)
-    assert rec.totally_legal
+    assert rec.totally_legal is None
     assert rec.out_sequence == []  # the one-vertex part {x}
-    assert _fingerprint(rec.in_sequence) == STUCK_FALLBACK
-    assert all(isinstance(f, list) and isinstance(c, list) for f, c in rec.in_sequence)
-    problem = lambda steps: certificate_problem(G, steps, part, what="part")
-    assert problem(rec.in_sequence) is None
-    assert problem(rec.in_sequence[:-1]) == "does not reach a point"
-    mixed = rec.in_sequence[:1] + [["0", "3"]]
-    assert problem(mixed) == "step 1: mixes dismantling and elementary steps"
+    assert rec.in_sequence is None
+    cert = _certify_inputs(*_stuck_inputs())
+    assert not cert.passed
+    assert cert.verdict_rows[0] == {"face": [], "verdict": "Unknown", "states": [0]}
+    assert cert.failures[0].startswith("Unknown verdict at face () states [0]: bad face, "
+                                       "not totally legal")
+    ok, msgs = verify_document(_report(cert))
+    assert not ok
+    assert "face (): bad face, unverifiable verdict 'Unknown'" in msgs
 
 
-def test_elementary_fallback_item_verifies(P5, cert_p5):
+def _certify_inputs(polytope, moves, state):
+    """`certify_generic` of input documents, embedded in the certificate."""
+    P = polytope_from_doc(polytope)
+    return certify_generic(P, moves_from_doc(moves, P), state_from_doc(state, P),
+                           generic_inputs={"polytope": polytope, "moves": moves,
+                                           "state": state})
+
+
+def test_elementary_fallback_item_verifies(P5, cert_p5, tmp_path, capsys):
+    """An elementary collapse sequence in place of a dismantling order is
+    rejected, naming the item, although it collapses the part: a dismantling
+    order is the one form of certificate."""
     doc = _report(cert_p5)
     eid, F, _, vertices, _ = next(
         item for item in _items(P5, doc)
@@ -316,10 +331,15 @@ def test_elementary_fallback_item_verifies(P5, cert_p5):
     )
     K = full_subcomplex(dual_complex(P5, F), vertices)
     searched = try_collapse(K)
+    assert searched.success
     elementary = [[sorted(f), sorted(c)] for f, c in searched.sequence]
-    _rehash(doc, eid, lambda ev: ev.update(out_sequence=elementary))
-    ok, msgs = verify_document(doc)
-    assert ok, msgs
+    new = _rehash(doc, eid, lambda ev: ev.update(out_sequence=elementary))
+    path = tmp_path / "elementary.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert f"evidence {new}: out_sequence step 0: not a pair of labels" in out, out
 
 
 def _rebind(monkeypatch, original, replacement):
@@ -555,8 +575,8 @@ SHARED_TAMPERS = [
     ("string-label", "desc_sequence", "step 0: '1344' is not a live vertex of the link"),
     ("bool-label", "asc_sequence", "step 0: True is not a live vertex of the link"),
     ("float-label", "desc_sequence", "step 0: 1344.0 is not a live vertex of the link"),
-    ("nested-label", "asc_sequence", "step 0: neither a vertex pair nor an elementary pair"),
-    ("mixed-shapes", "desc_sequence", "step 1: mixes dismantling and elementary steps"),
+    ("nested-label", "asc_sequence", "step 0: not a pair of labels"),
+    ("mixed-shapes", "desc_sequence", "step 0: not a pair of labels"),
 ]
 
 
@@ -601,27 +621,41 @@ def test_rehashed_shared_tampers_are_rejected(cert_p6, tmp_path, capsys, tamper,
 
 
 def test_certifier_falls_back_to_elementary_collapses(monkeypatch):
-    """A face link with no dismantling order onto its core gets a searched
-    elementary collapse in its place, which replays on the link built
-    independently, as an order complex; the other keeps its order."""
+    """A face link with no dismantling order onto its core gets no
+    certificate and no searched collapse in its place: the shared
+    certificate fails, and an all-pairs face whose link it is comes out
+    Unknown, not Critical."""
     import morsecert.states as states
 
+    pol, moves, state = _squares_inputs()
+    P = polytope_from_doc(pol)
+    m, s = moves_from_doc(moves, P), state_from_doc(state, P)
+    F = next(F for F in face_table(P, m).bad if all_pairs_index(P, m, F) == 2)
+    assert classify_link(P, m, s, F).verdict == "Critical"
     orders = states.dismantle
     monkeypatch.setattr(states, "dismantle", lambda N, keep=0, live=None: (
         None if len(N) == 48 else orders(N, keep, live)))
     cert = CriticalLinkCertifier().certificate(2)
-    assert cert.success
-    assert sequence_form(cert.asc_sequence) == ("dismantling", None)
-    assert sequence_form(cert.desc_sequence) == ("elementary", None)
-    assert _fingerprint(cert.desc_sequence) == DESC_2_FALLBACK
-    K, core = _oracle_link(2, "desc")
-    assert replay_collapse(K, cert.desc_sequence) == core
+    assert not cert.success
+    assert cert.asc_sequence is not None and cert.desc_sequence is None
+    lc = classify_link(P, m, s, F)
+    assert (lc.verdict, lc.critical) == ("Unknown", None)
+    assert lc.note == "no dismantling order found on the canonical all-pairs cube"
+
+
+def _generic_inputs():
+    """The sparse square, a fibration; the square with adjacent moves, whose
+    perfect-Morse identity honestly fails; and the product of two squares,
+    whose all-pairs vertices have ℓ = 2."""
+    pol, _, state = square_inputs()
+    return [square_inputs(), (pol, [["a", "b"], ["c", "d"]], state), _squares_inputs()]
 
 
 def test_builtin_subjects_build_no_complex(monkeypatch):
-    """Certify and verify of p5 and p6 build no simplicial complex: their
-    parts and face links are dismantled on graphs, and the critical cores
-    are checked on the comparability graph."""
+    """Certify and verify of p5, p6 and the generic inputs build no
+    simplicial complex: their parts and face links are dismantled on
+    graphs, and the critical cores are checked on the comparability graph.
+    A generic part with no dismantling order would not be searched either."""
     def refuse(self, *args, **kwargs):
         raise AssertionError("a simplicial complex was built")
 
@@ -631,6 +665,12 @@ def test_builtin_subjects_build_no_complex(monkeypatch):
         assert cert.passed, cert.failures
         ok, msgs = verify_document(_report(cert))
         assert ok, msgs
+    passed = []
+    for inputs in _generic_inputs():
+        cert = _certify_inputs(*inputs)
+        passed.append(cert.passed)
+        assert verify_document(_report(cert))[0] == cert.passed
+    assert passed == [True, False, False]
 
 
 def test_ell_4_certificate_verifies():
@@ -642,8 +682,6 @@ def test_ell_4_certificate_verifies():
     from morsecert.verify import _Verifier
 
     cert = CriticalLinkCertifier().certificate(4)
-    for steps in (cert.asc_sequence, cert.desc_sequence):
-        assert sequence_form(steps) == ("dismantling", None)
     assert (len(cert.asc_sequence), len(cert.desc_sequence)) == (4080, 2320)
     ev = critical_shared_payload(cert)
     assert dict(_Verifier({})._core_problems(4, ev)) == {
@@ -667,30 +705,24 @@ def _squares_inputs():
 
 
 def test_elementary_shared_item_verifies():
-    """The elementary fallback of the shared item is replayed on the face
-    links built as complexes.  The report fails for reasons of its own (its
-    whole polytope is an Unknown face), so the check is that swapping in
-    searched collapses adds no failure and a broken one is named."""
-    pol, moves, state = _squares_inputs()
-    P = polytope_from_doc(pol)
-    cert = certify_generic(P, moves_from_doc(moves, P), state_from_doc(state, P),
-                           generic_inputs={"polytope": pol, "moves": moves,
-                                           "state": state})
-    doc = _report(cert)
-    _, want = verify_document(doc)
+    """Searched elementary collapses of the face links in place of the
+    shared item's dismantling orders are rejected, naming the item, though
+    they replay on the links.  The report fails for reasons of its own (its
+    whole polytope is an Unknown face), so the check is on the item's
+    messages."""
+    doc = _report(_certify_inputs(*_squares_inputs()))
     assert [ev["ell"] for ev in doc["shared_evidence"].values()] == [2]
     searched = {}
     for key, kind in (("asc_sequence", "asc"), ("desc_sequence", "desc")):
         K, core = _oracle_link(2, kind)
         out = try_collapse(K, target=core)
-        assert out.success
+        assert out.success and replay_collapse(K, out.sequence) == core
         searched[key] = sequence_json(out.sequence)
     new = _rehash_shared(doc, lambda ev: ev.update(searched))
     ok, msgs = verify_document(doc)
-    assert msgs == want and not any(new in m for m in msgs), msgs
-    new = _rehash_shared(doc, lambda ev: ev["desc_sequence"].pop())
-    ok, msgs = verify_document(doc)
-    assert any(new in m and "desc_sequence does not reach its core" in m for m in msgs), msgs
+    assert not ok
+    for key in searched:
+        assert any(new in m and f"{key} step 0: not a pair of labels" in m for m in msgs), msgs
 
 
 def test_each_bad_row_gets_one_legality_check(monkeypatch):

@@ -23,7 +23,7 @@ from morsecert.polytopes import (
 )
 from morsecert.states import (
     MoveSystem,
-    dismantling_problem,
+    certificate_problem,
     face_masks,
     face_table,
     good_witness,
@@ -130,7 +130,7 @@ def test_apex_rule_matches_one_round_orders(P5, M5, BAL5):
                     accepted = []
                     for v in H.facet_ids:
                         order = [[u, v] for u in labels if u != v]
-                        ok = dismantling_problem(G, order, part, what="part") is None
+                        ok = certificate_problem(G, order, part, what="part") is None
                         accepted += [v] if ok else []
                         n += v in labels
                     assert apex == min(accepted, default=None)

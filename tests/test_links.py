@@ -37,8 +37,8 @@ from morsecert.polytopes import (
     enumerate_faces,
 )
 from morsecert.states import (
+    certificate_problem,
     classify_bad_faces,
-    dismantling_problem,
     inherited_state,
 )
 
@@ -303,7 +303,7 @@ def test_degraded_cores_are_rejected(ell, kind, degrade, message):
 
 def test_critical_certifier_and_transform(P6, M6, BAL6):
     bad = classify_bad_faces(P6, M6)
-    cert = CriticalLinkCertifier(seed=0)
+    cert = CriticalLinkCertifier()
     shared = cert.certificate(3)
     assert shared.success
     # both are dismantling orders ending exactly at the 26-element cores
@@ -312,8 +312,8 @@ def test_critical_certifier_and_transform(P6, M6, BAL6):
     for (G, core), order in zip(canonical_pairs_graphs(3), orders):
         assert len(core) == 26 and len(G.ids) == len(order) + 26
         live, keep = (1 << len(G.ids)) - 1, G.mask(core)
-        assert dismantling_problem(G, order, live, keep, what="link") is None
-        assert dismantling_problem(G, order[:-1], live, keep, what="link") == (
+        assert certificate_problem(G, order, live, keep, what="link") is None
+        assert certificate_problem(G, order[:-1], live, keep, what="link") == (
             "does not reach its core")
     # every bad vertex in every state matches the canonical cube
     for F in bad[(2, 2, 2)]:
@@ -325,7 +325,7 @@ def test_critical_certifier_and_transform(P6, M6, BAL6):
 
 def test_classify_link_verdicts(P6, M6, BAL6):
     s = BAL6[0]
-    cert = CriticalLinkCertifier(seed=0)
+    cert = CriticalLinkCertifier()
     good = classify_link(P6, M6, s, P6.face({"A", "1+i+j+k"}), certifier=cert)
     assert good.verdict == "Regular" and good.branch == "good-face"
     ridge = classify_link(
@@ -344,7 +344,7 @@ def test_classification_independent_of_base_vertex(P6, M6, BAL6):
     # same classification
     bad = classify_bad_faces(P6, M6)
     F = bad[(2, 2, 2)][0]
-    cert = CriticalLinkCertifier(seed=0)
+    cert = CriticalLinkCertifier()
     s = BAL6[0]
     model = build_cube_model(P6, M6, s, F)
     for w in (0b000001, 0b010101, 0b111111):

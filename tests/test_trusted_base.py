@@ -1,0 +1,101 @@
+"""The verifier's trusted base: every function and method of the package
+that `morsecert verify` runs on the seed-0 p5 and p6 reports, traced with
+`sys.setprofile` from cleared subject and link-graph caches, so that the
+trace includes building what the verifier recomputes.  The set is pinned:
+a verifier that calls a function outside it fails here, and one that stops
+calling a function in it fails too, so the list stays exact.  A change that
+adds to it updates the list and says why.  Nested functions, lambdas and
+comprehensions count as part of the function that defines them."""
+
+import inspect
+import sys
+
+from morsecert.cli import build_parser, main
+from morsecert.links import canonical_pairs_graphs
+from morsecert.report import certificate_to_document, document_to_json
+from morsecert.states import builtin_subject
+
+# The pinned set, by module: qualified names, space-separated.
+TRUSTED = {
+    "certify": """
+        _eid _inputs_digest canonical_json critical_row cusp_row euler_identity
+        good_row legal_row legality_header report_tables shared_header
+        verdict_allowed verdict_plan verdict_row""",
+    "cli": "_cmd_verify main",
+    "io": "load_json",
+    "labels": """
+        base_unit euclid4 label_quat label_signs minus_count quat_conj quat_mul
+        t24_adjacent""",
+    "links": """
+        CubeLift.lift_of_face CubeLift.proper_faces _pair_values build_cube_model
+        canonical_pairs_graphs canonical_pairs_transform check_cusp_condition
+        check_sd_crosspolytope_witness comparability_graph critical_transform
+        cusp_table face_contains face_int face_link_posets face_parts
+        pairs_core_elements synthetic_pairs_lift""",
+    "polytopes": """
+        FaceHandle.codim FaceHandle.sorted_ids Polytope.__init__
+        Polytope._build_census Polytope._clique_levels Polytope.adjacent
+        Polytope.clique_count Polytope.cliques Polytope.degree Polytope.ideal_vertex
+        Polytope.neighbors Polytope.ranked_graph RankedGraph.labels RankedGraph.mask
+        _validate_p6 adjacency_from_lorentz build_p5 build_p6 cusp_incidence
+        dual_mask f_vector_check face_of_mask lorentz_product""",
+    "states": """
+        MoveSystem.__post_init__ MoveSystem.block_of MoveSystem.restrict
+        State.__post_init__ State.is_in State.serial State.status all_pairs_index
+        balanced_states_p5 balanced_states_p6 builtin_subject certificate_problem
+        classify_bad_faces face_masks face_table facet_mask is_compatible
+        move_system_p5 move_system_p6 r_class_triples state_from_in_set
+        unit_class_table""",
+    "verify": """
+        _Verifier.__init__ _Verifier._apexes _Verifier._claimed_row
+        _Verifier._core_problems _Verifier._critical_row _Verifier._evidence
+        _Verifier._keys _Verifier._legality _Verifier._plan_order
+        _Verifier._same_row _Verifier.build_context _Verifier.check_bound
+        _Verifier.check_cusps _Verifier.check_tables _Verifier.check_verdicts
+        _Verifier.run _same verify_document verify_report_file""",
+}
+
+
+def _functions() -> dict:
+    """"module.qualname" of every function and method defined in the
+    package, under its code object."""
+    names = {}
+    for modname, mod in list(sys.modules.items()):
+        if not modname.startswith("morsecert."):
+            continue
+        stem = modname.split(".", 1)[1]
+        for obj in vars(mod).values():
+            members = vars(obj).values() if inspect.isclass(obj) else (obj,)
+            for fn in members:
+                fn = getattr(fn, "fget", fn)  # a property's getter
+                fn = inspect.unwrap(fn) if callable(fn) else fn  # under `functools.cache`
+                if inspect.isfunction(fn) and fn.__code__.co_filename == mod.__file__:
+                    names[fn.__code__] = f"{stem}.{fn.__qualname__}"
+    return names
+
+
+def test_verify_runs_the_trusted_base(cert_p5, cert_p6, tmp_path):
+    paths = []
+    for name, cert in (("p5", cert_p5), ("p6", cert_p6)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(document_to_json(certificate_to_document(cert)))
+    build_parser()  # kept per process: built here so the trace holds no parser
+    builtin_subject.cache_clear()
+    canonical_pairs_graphs.cache_clear()
+    names, ran = _functions(), set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            ran.add(names[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        codes = [main(["verify", str(path)]) for path in paths]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0, 0]
+    assert not {"states.sequence_form", "states._step_shape"} & ran
+    assert not [name for name in ran if name.startswith("complexes.")]
+    want = {f"{mod}.{name}" for mod, names in TRUSTED.items() for name in names.split()}
+    assert sorted(ran - want) == [] and sorted(want - ran) == []
+    assert len(want) == 106
