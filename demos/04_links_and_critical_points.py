@@ -17,7 +17,7 @@ from morsecert import (
     move_system_p6,
 )
 from morsecert.links import CriticalLinkCertifier
-from morsecert.states import classify_bad_faces
+from morsecert.states import classify_bad_faces, face_masks, face_table, split_legality
 
 P = build_p6()
 m = move_system_p6()
@@ -42,7 +42,7 @@ print("face links are 2-spheres:", betti_mod2(asc, 2), betti_mod2(desc, 2))
 
 certifier = CriticalLinkCertifier()
 lc = classify_link(P, m, s, V, certifier=certifier)
-print("verdict:", lc.verdict, "of index", lc.index, "via", lc.branch)
+print("verdict:", lc.verdict, "of index", lc.index)
 shared = lc.critical
 print("dismantling orders:",
       len(shared.asc_sequence), "ascending steps,",
@@ -50,8 +50,15 @@ print("dismantling orders:",
       "cores are subdivided cross-polytope boundaries")
 print("first ascending step [v, w]:", shared.asc_sequence[0])
 
-# good faces and legal bad faces are Regular
-good = classify_link(P, m, s, P.face({"A", "1+i+j+k"}), certifier=certifier)
-print("\na good face:", good.verdict, "via", good.branch)
-ridge = classify_link(P, m, s, F, certifier=certifier)
-print("a bad ridge:", ridge.verdict, "via", ridge.branch)
+# good faces and legal bad faces are Regular before any link is classified:
+# the face table names a good face's move, and a bad face's class is
+# totally legal when both parts of its inherited split dismantle
+G, table = P.ranked_graph(), face_table(P, m)
+good = G.mask({"A", "1+i+j+k"})
+print("\na good face: Regular, move", table.witnesses[table.masks.index(good)],
+      "meets it in exactly one facet")
+dual, free = face_masks(P, m, F)
+rec = split_legality(P, dual, free & G.mask(s.in_facets))
+print("a bad ridge:", "Regular" if rec.totally_legal else "not certified",
+      "with dismantling orders of", len(rec.out_sequence), "and",
+      len(rec.in_sequence), "steps")

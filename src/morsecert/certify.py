@@ -43,7 +43,7 @@ from .states import (
     classify_bad_faces,
     face_masks,
     face_table,
-    is_compatible,
+    generic_orbit,
     orbit,
     split_legality,
 )
@@ -221,9 +221,9 @@ def _shared_item(certifier: CriticalLinkCertifier, cert) -> Tuple[str, dict]:
 
 class PlannedRow(NamedTuple):
     """A verdict row as `verdict_plan` fixes it: its face's sorted ids, the
-    states it covers, and what its branch rests on, the `good_witness` of a
-    good face or, for a bad face, its handle `F` and the (dual, in) rank
-    masks of its inherited-In class."""
+    states it covers, and what its branch rests on, the face table's good
+    witness of a good face or, for a bad face, its handle `F` and the
+    (dual, in) rank masks of its inherited-In class."""
 
     F: Optional[FaceHandle]
     face: Tuple[str, ...]
@@ -290,16 +290,15 @@ def _classify_group(
     certifier: CriticalLinkCertifier,
 ):
     """Classify the planned row of a bad face: totally legal when both
-    parts of its masks' split are certified, else by `classify_link` at its
-    first state, whose inherited state is that split, so its record is
-    passed on; returns (row, evidence, id of the cited shared item or None,
-    failure-or-None)."""
+    parts of its masks' split are certified, else Critical or Unknown by
+    `classify_link` at its first state; returns (row, evidence, id of the
+    cited shared item or None, failure-or-None)."""
     rec = split_legality(P, *p.masks)
     if rec.totally_legal:
         payload = legality_evidence_payload(rec)
         eid = _eid(payload)
         return legal_row(p, eid), {eid: payload}, None, None
-    lc = classify_link(P, m, states[p.states[0]], p.F, certifier=certifier, rec=rec)
+    lc = classify_link(P, m, states[p.states[0]], p.F, certifier=certifier)
     if lc.verdict == "Critical":
         sid, _ = _shared_item(certifier, lc.critical)
         # validate the canonical transform for every other covered state;
@@ -443,6 +442,8 @@ def run_pipeline(
     parallel: int = 1,
 ) -> Certificate:
     """Full face-by-state classification, cusp suite and consistency identity.
+    `states` are compatible: `builtin_subject` or `generic_orbit` checked
+    them when the subject was built.
 
     With parallel > 1 the independent (face, class) groups fan out to a
     process pool; results merge in canonical key order, so reports are
@@ -461,12 +462,6 @@ def run_pipeline(
     timings["f_vector"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    for idx, s in enumerate(states):
-        ok, witness = is_compatible(P, m, s)
-        if not ok:
-            raise InputError(
-                f"state {idx} is incompatible: adjacent same-move pair {witness!r}"
-            )
     orb = orbit(states[0], m)
     if set(orb) != set(states):
         failures.append("supplied states are not the orbit of the first state")
@@ -594,13 +589,9 @@ def certify_generic(
     generic_inputs: Optional[dict] = None,
     parallel: int = 1,
 ) -> Certificate:
-    """Pipeline over the orbit closure of a user-supplied initial state."""
-    ok, witness = is_compatible(P, m, initial_state)
-    if not ok:
-        raise InputError(
-            f"initial state is incompatible: adjacent same-move pair {witness!r}"
-        )
-    states = orbit(initial_state, m)
+    """Pipeline over the orbit closure of a user-supplied initial state,
+    which `generic_orbit` checks compatible first."""
+    states = generic_orbit(P, m, initial_state)
     digest = _inputs_digest("generic", generic_inputs)
     try:
         return run_pipeline(

@@ -99,22 +99,17 @@ def _cmd_certify(args) -> int:
     elif args.subject == "p5":
         cert = certify_p5(seed=args.seed, parallel=args.parallel)
     else:
-        from .io import load_moves, load_polytope, load_state, load_json
+        from .io import load_document, moves_from_doc, polytope_from_doc, state_from_doc
 
-        P = load_polytope(args.polytope)
-        m = load_moves(args.moves, P)
-        s = load_state(args.state, P)
-        generic_inputs = {
-            "polytope": load_json(args.polytope),
-            "moves": load_json(args.moves),
-            "state": load_json(args.state),
-        }
+        pol, P = load_document(args.polytope, polytope_from_doc)
+        moves, m = load_document(args.moves, moves_from_doc, P)
+        state, s = load_document(args.state, state_from_doc, P)
         cert = certify_generic(
             P, m, s,
             mode=args.mode,
             seed=args.seed,
             parallel=args.parallel,
-            generic_inputs=generic_inputs,
+            generic_inputs={"polytope": pol, "moves": moves, "state": state},
         )
     _emit(cert, args)
     return EXIT_OK if cert.passed else EXIT_FAILED

@@ -134,28 +134,18 @@ def state_from_doc(doc, P: Polytope) -> State:
     return State(tuple(sorted(P.facet_ids)), in_set)
 
 
-def _load(path, from_doc, *args):
-    """`from_doc` of the JSON document at `path`; a document of the wrong
-    shape is an input error naming the file, as one that does not parse is."""
+def load_document(path, from_doc, *args):
+    """The JSON document at `path`, read once, and `from_doc` of it: a
+    generic report embeds the very document it certified.  A document of the
+    wrong shape is an input error naming the file, as one that does not
+    parse is."""
     doc = load_json(path)
     try:
-        return from_doc(doc, *args)
+        return doc, from_doc(doc, *args)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
     except (TypeError, ValueError, AttributeError, KeyError) as exc:
         raise InputError(f"{path}: malformed document: {type(exc).__name__}: {exc}") from exc
-
-
-def load_polytope(path) -> Polytope:
-    return _load(path, polytope_from_doc)
-
-
-def load_moves(path, P: Polytope) -> MoveSystem:
-    return _load(path, moves_from_doc, P)
-
-
-def load_state(path, P: Polytope) -> State:
-    return _load(path, state_from_doc, P)
 
 
 # -- dumps -------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Dual-cube models of the lifted circle-valued function, link computations,
-and the per-face verdicts (Regular / Critical / Unknown).
+the critical question and the cusp checks.
+
+`classify_link` answers only what the verdict sweep asks it once the plan
+has decided good faces and the sweep totally legal classes: is a bad face's
+class Critical(l) by the canonical all-pairs cube, or Unknown.
 
 The increment at a barycentre is kept symbolic: a lift value is a pair
 (base, depth) ordered lexicographically, valid for every sufficiently small
@@ -20,20 +24,14 @@ from .complexes import order_complex, try_collapse  # try_collapse: pinned by pe
 from .errors import InputError, InternalError
 from .polytopes import FaceHandle, Polytope, RankedGraph, cusp_incidence
 from .states import (
-    OUT,
-    LegalityRecord,
     MoveSystem,
     State,
     all_pairs_index,
-    bad_face_signature,
     cone_apex,
     face_masks,
     face_table,
     flag_certificate,
-    good_witness,
-    inherited_state,
     is_compatible,
-    legality,
 )
 
 
@@ -190,7 +188,7 @@ def build_cube_model(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> Cub
         tuple(sorted(ps))
         for _, ps in sorted(blocks_by_move.items(), key=lambda kv: min(kv[1]))
     )
-    base_out = tuple(s.status(fid) == OUT for fid in defining)
+    base_out = tuple(fid not in s.in_facets for fid in defining)
     # the positions of each position's move: crossing any of them flips it
     block_mask = [0] * k
     for block in blocks:
@@ -486,15 +484,12 @@ def critical_transform(P: Polytope, m: MoveSystem, s: State, F: FaceHandle, memo
     """`canonical_pairs_transform` of F's cube model at s, kept in `memo`,
     which the caller's run owns, under all it depends on: which of F's
     sorted defining facets share a move, and s's statuses on them.  A
-    transform that fails raises and is not kept.  Each state's
-    `is_compatible` result is kept under the state, and each pair count's
-    `synthetic_pairs_lift` under the count."""
-    ok, witness = memo[s] = memo.get(s) or is_compatible(P, m, s)
-    if not ok:
-        raise InputError(f"state is not compatible: witness pair {witness!r}")
+    transform that fails raises and is not kept.  Each pair count's
+    `synthetic_pairs_lift` is kept under the count.  s is a state of a
+    subject, checked compatible where the subject was built."""
     defining = sorted(F.defining)
     moves = [m.block_of(fid) for fid in defining]
-    key = (tuple(map(moves.index, moves)), tuple(s.status(f) == OUT for f in defining))
+    key = (tuple(map(moves.index, moves)), tuple(f not in s.in_facets for f in defining))
     got = memo.get(key)
     if got is None:
         model = build_cube_model(P, m, s, F)
@@ -511,17 +506,12 @@ def critical_transform(P: Polytope, m: MoveSystem, s: State, F: FaceHandle, memo
 
 @dataclass(frozen=True)
 class LinkClassification:
-    """Verdict for one (face, state) class with replayable evidence.
+    """The answer for one (bad face, state) class that is not certified
+    totally legal: Critical with its shared certificate and the canonical
+    transform of the state, or Unknown with a note."""
 
-    branch: "good-face" | "inherited-totally-legal" | "critical-pairs" |
-    "unknown".
-    """
-
-    verdict: str  # "Regular" | "Critical" | "Unknown"
+    verdict: str  # "Critical" | "Unknown"
     index: Optional[int]
-    branch: str
-    witness_move: Optional[int] = None
-    legality: Optional[LegalityRecord] = None
     critical: Optional[CriticalCertificate] = field(default=None, repr=False)
     transform: Optional[Tuple[int, Tuple[int, ...], int]] = None
     note: str = ""
@@ -533,47 +523,30 @@ def classify_link(
     s: State,
     F: FaceHandle,
     *,
-    certifier: Optional[CriticalLinkCertifier] = None,
-    rec: Optional[LegalityRecord] = None,
+    certifier: CriticalLinkCertifier,
 ) -> LinkClassification:
-    """Classify the links at the barycentre of the cube dual to F.
-
-    Fast paths: a good face is Regular; a bad face whose inherited state is
-    certified totally legal is Regular, by `rec` when the caller already
-    made that state's `legality` record.  A bad face whose defining facets are
-    partitioned into pairs by the moves, with codimension 2l equal to the
-    polytope dimension, is Critical(l): both face links shrink onto
-    subdivided cross-polytope cores.  Anything else is Unknown.
+    """Classify the links at the barycentre of the cube dual to F, a bad
+    face whose split by s is not certified totally legal (the verdict plan
+    and `certify._classify_group` decide good faces and legal classes).  A
+    face whose defining facets are partitioned into pairs by the moves, with
+    codimension 2l equal to the polytope dimension, is Critical(l): both
+    face links shrink onto subdivided cross-polytope cores of the canonical
+    cube.  Anything else is Unknown.
     """
-    witness = good_witness(m, F)
-    if witness is not None:
-        return LinkClassification("Regular", None, "good-face", witness_move=witness)
-    if rec is None:
-        rec = legality(P, F, inherited_state(P, m, s, F))
-    if rec.totally_legal:
-        return LinkClassification(
-            "Regular", None, "inherited-totally-legal", legality=rec
-        )
     ell = all_pairs_index(P, m, F)
-    if ell is not None:
-        if certifier is None:
-            certifier = CriticalLinkCertifier()
-        transform = critical_transform(P, m, s, F, certifier.transforms)
-        cert = certifier.certificate(ell)
-        if cert.success:
-            return LinkClassification(
-                "Critical", ell, "critical-pairs",
-                critical=cert, transform=transform,
-            )
+    if ell is None:
         return LinkClassification(
-            "Unknown", None, "unknown",
+            "Unknown", None,
+            note=f"bad face, not totally legal, signature {face_table(P, m).bad[F]}",
+        )
+    transform = critical_transform(P, m, s, F, certifier.transforms)
+    cert = certifier.certificate(ell)
+    if not cert.success:
+        return LinkClassification(
+            "Unknown", None,
             note="no dismantling order found on the canonical all-pairs cube",
         )
-    return LinkClassification(
-        "Unknown", None, "unknown",
-        legality=rec,
-        note=f"bad face, not totally legal, signature {bad_face_signature(m, F)}",
-    )
+    return LinkClassification("Critical", ell, critical=cert, transform=transform)
 
 
 # -- cusp checks --------------------------------------------------------------

@@ -4,6 +4,9 @@ A move system is a partition of the facets; crossing a facet flips the status
 of its whole block.  States label facets In or Out; the two full subcomplexes
 of the dual complex they span drive every legality question.  "Totally legal"
 is certified by dismantling orders, never asserted from a failed one.
+Every subject's states are checked compatible where the subject is built:
+a built-in one's in `builtin_subject`, once per process, a generic one's in
+`generic_orbit`, which certify and verify both call.
 """
 
 from __future__ import annotations
@@ -126,9 +129,20 @@ def is_compatible(P: Polytope, m: MoveSystem, s: State):
         bl = sorted(block)
         for i, a in enumerate(bl):
             for b in bl[i + 1:]:
-                if P.adjacent(a, b) and s.is_in(a) != s.is_in(b):
+                if P.adjacent(a, b) and (a in s.in_facets) != (b in s.in_facets):
                     return False, (a, b)
     return True, None
+
+
+def generic_orbit(P: Polytope, m: MoveSystem, s0: State) -> Tuple[State, ...]:
+    """The orbit of a supplied initial state, checked compatible first: the
+    one place a generic subject's states are checked, for certify and verify
+    alike.  A move flips both facets of an adjacent same-move pair, so the
+    whole orbit of a compatible state is compatible."""
+    ok, witness = is_compatible(P, m, s0)
+    if not ok:
+        raise InputError(f"initial state is incompatible: adjacent same-move pair {witness!r}")
+    return orbit(s0, m)
 
 
 # ---------------------------------------------------------------------------
@@ -234,49 +248,36 @@ def builtin_subject(tag: str) -> Tuple[Polytope, MoveSystem, Tuple[State, ...]]:
     """The built-in subject "p6" or "p5": its polytope, move system and
     balanced states, built once per process from the code's own tables, P5
     from the kept P6.  No report or generic input reaches them; `build_p6`
-    and the other constructors still return fresh objects."""
+    and the other constructors still return fresh objects.  Each state is
+    checked compatible here, once per process; on P6 and P5 an incompatible
+    one is a transcription bug."""
     if tag == "p6":
         P = build_p6()
-        return P, move_system_p6(), balanced_states_p6(P)
-    if tag != "p5":
+        m, states = move_system_p6(), balanced_states_p6(P)
+    elif tag == "p5":
+        P = build_p5(builtin_subject("p6")[0])
+        m, states = move_system_p5(P), balanced_states_p5(P)
+    else:
         raise InputError(f"no built-in subject {tag!r}")
-    P = build_p5(builtin_subject("p6")[0])
-    return P, move_system_p5(P), balanced_states_p5(P)
+    for idx, s in enumerate(states):
+        ok, witness = is_compatible(P, m, s)
+        if not ok:
+            raise StructuralError(f"{tag} state {idx} is incompatible: "
+                                  f"adjacent same-move pair {witness!r}")
+    return P, m, states
 
 
 # ---------------------------------------------------------------------------
 # Good and bad faces
 
 
-def _move_counts(m: MoveSystem, F: FaceHandle) -> Dict[int, int]:
-    """Number of defining facets of F in each move that meets them."""
-    counts: Dict[int, int] = {}
-    for fid in F.defining:
-        b = m.block_of(fid)
-        counts[b] = counts.get(b, 0) + 1
-    return counts
-
-
-def good_witness(m: MoveSystem, F: FaceHandle) -> Optional[int]:
-    """Smallest move meeting F's defining facets exactly once.
-
-    None when no move does: F is a bad face (P itself included).
-    """
-    return min((b for b, c in _move_counts(m, F).items() if c == 1), default=None)
-
-
-def bad_face_signature(m: MoveSystem, F: FaceHandle) -> Optional[Tuple[int, ...]]:
-    """Sorted per-move counts for a bad face; None when the face is good."""
-    if good_witness(m, F) is not None:
-        return None
-    return tuple(sorted(_move_counts(m, F).values()))
-
-
 class FaceTable(NamedTuple):
     """Every face of a polytope under a move system, the polytope itself
-    first, in canonical order: `masks` and `witnesses` hold each face's
-    rank mask and its `good_witness`, and `bad` maps each bad face, in the
-    same order, to its `bad_face_signature`."""
+    first, in canonical order: `masks` holds each face's rank mask and
+    `witnesses` its good witness, the smallest move meeting its defining
+    facets exactly once, None for a bad face (P itself included); `bad`
+    maps each bad face, in the same order, to its signature, its sorted
+    per-move counts of defining facets."""
 
     masks: Tuple[int, ...]
     witnesses: Tuple[Optional[int], ...]
@@ -349,6 +350,8 @@ def split_state(P: Polytope, dual: int, inn: int) -> State:
     return State(G.labels(dual), frozenset(G.labels(inn)))
 
 
+# kept for perfbench's tracer, which wraps it by name; the pipeline and the
+# verifier split on `face_masks` instead
 def inherited_state(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> State:
     """State induced on the facets of F (vertices of its dual complex).
 
@@ -505,6 +508,8 @@ def split_legality(P: Polytope, dual: int, inn: int) -> LegalityRecord:
     return LegalityRecord(totally, out_seq, in_seq)
 
 
+# kept for perfbench's tracer, which wraps it by name; the pipeline and the
+# verifier call `split_legality` on masks instead
 def legality(P: Polytope, F: FaceHandle, s_on_f: State) -> LegalityRecord:
     """`split_legality` of the split of F's dual complex by a state on its
     vertices."""

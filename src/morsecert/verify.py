@@ -19,6 +19,9 @@ their keys and checks nothing in them, and the seed steers nothing.
 A built-in subject and the canonical link graphs are built once per process
 and shared by every report verified in it: nothing a report carries reaches
 them, and a generic report's embedded inputs are rebuilt for each report.
+A generic subject is built by `states.generic_orbit`, as certify builds it,
+so an embedded initial state that is not compatible is rejected first,
+naming the adjacent same-move pair, before any row is read.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from .states import (
     builtin_subject,
     certificate_problem,
     classify_bad_faces,
-    orbit,
+    generic_orbit,
 )
 
 
@@ -122,7 +125,8 @@ class _Verifier:
             P = polytope_from_doc(inputs["polytope"])
             m = moves_from_doc(inputs["moves"], P)
             s0 = state_from_doc(inputs["state"], P)
-            states = orbit(s0, m)
+            f_vector_check(P)  # inputs that break the census are malformed, whatever the state
+            states = generic_orbit(P, m, s0)
         else:
             raise InputError(f"unknown subject {subject!r}")
         if mode not in modes:

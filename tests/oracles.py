@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from morsecert.complexes import SimplicialComplex, full_subcomplex, label_key
 from morsecert.errors import InputError
@@ -19,7 +19,6 @@ from morsecert.states import (
     cone_apex,
     face_masks,
     face_table,
-    good_witness,
     inherited_state,
 )
 
@@ -102,6 +101,32 @@ def cliques_brute_force(P: Polytope, k: int):
         c for c in combinations(sorted(P.facet_ids), k)
         if all(P.adjacent(a, b) for a, b in combinations(c, 2))
     )
+
+
+def _move_counts(m: MoveSystem, F: FaceHandle) -> Dict[int, int]:
+    """Number of defining facets of F in each move that meets them."""
+    counts: Dict[int, int] = {}
+    for fid in F.defining:
+        b = m.block_of(fid)
+        counts[b] = counts.get(b, 0) + 1
+    return counts
+
+
+def good_witness(m: MoveSystem, F: FaceHandle) -> Optional[int]:
+    """Smallest move meeting F's defining facets exactly once, on facet
+    ids: the reference for the face table's witnesses.
+
+    None when no move does: F is a bad face (P itself included).
+    """
+    return min((b for b, c in _move_counts(m, F).items() if c == 1), default=None)
+
+
+def bad_face_signature(m: MoveSystem, F: FaceHandle) -> Optional[Tuple[int, ...]]:
+    """Sorted per-move counts for a bad face, on facet ids: the reference
+    for the face table's signatures; None when the face is good."""
+    if good_witness(m, F) is not None:
+        return None
+    return tuple(sorted(_move_counts(m, F).values()))
 
 
 def is_good_face(m: MoveSystem, F: FaceHandle) -> bool:

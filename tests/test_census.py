@@ -24,14 +24,16 @@ from morsecert.polytopes import (
     f_vector_check,
     face_of_mask,
 )
-from morsecert.states import bad_face_signature, face_table, good_witness
+from morsecert.states import face_table
 
 from oracles import (
+    bad_face_signature,
     cliques_brute_force,
     cliques_recursive,
     fraction_base_unit,
     fraction_mul,
     fraction_quat,
+    good_witness,
     mask_ids,
 )
 

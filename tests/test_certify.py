@@ -14,9 +14,7 @@ from morsecert.certify import (
 from morsecert.cli import main
 from morsecert.errors import InputError
 from morsecert.io import (
-    load_moves,
-    load_polytope,
-    load_state,
+    load_document,
     moves_from_doc,
     p6_input_documents,
     polytope_from_doc,
@@ -52,6 +50,22 @@ def square_inputs():
     }
     moves = [["a", "c"], ["b", "d"]]
     state = {"a": "I", "b": "I", "c": "O", "d": "O"}
+    return polytope, moves, state
+
+
+def cube_inputs(z1="I"):
+    """The 3-cube, opposite facets not adjacent, with the moves {x0, x1} and
+    {y0, y1, z0, z1}.  Its state is compatible with z1 In; with z1 Out the
+    adjacent same-move facets y0 and z1 differ."""
+    ids = ["x0", "x1", "y0", "y1", "z0", "z1"]
+    polytope = {
+        "name": "cube",
+        "dimension": 3,
+        "facets": [{"id": f} for f in ids],
+        "adjacency": [[a, b] for i, a in enumerate(ids) for b in ids[i + 1:] if a[0] != b[0]],
+    }
+    moves = [["x0", "x1"], ["y0", "y1", "z0", "z1"]]
+    state = {"x0": "I", "x1": "O", "y0": "I", "y1": "I", "z0": "I", "z1": z1}
     return polytope, moves, state
 
 
@@ -128,6 +142,42 @@ def test_certify_generic_incompatible_state():
     s = state_from_doc({"a": "I", "b": "I", "c": "O", "d": "O"}, P)
     with pytest.raises(InputError, match="incompatible"):
         certify_generic(P, m, s)
+
+
+def _input_files(tmp_path, inputs) -> list:
+    """`certify generic` arguments naming `inputs` written to files."""
+    argv = []
+    for key, doc in zip(("polytope", "moves", "state"), inputs):
+        write_json(tmp_path / f"{key}.json", doc)
+        argv += [f"--{key}", str(tmp_path / f"{key}.json")]
+    return argv
+
+
+def test_verify_rejects_an_incompatible_embedded_state(tmp_path, capsys, monkeypatch):
+    """A generic report whose embedded state is not compatible is rejected
+    by `verify`, naming the pair, as `certify generic` refuses the same
+    files.  The forged report is made with the check bypassed on the
+    certify side only.  The compatible twin certifies and verifies in both
+    modes."""
+    import morsecert.certify as certify
+    from morsecert.states import orbit
+
+    files = _input_files(tmp_path, cube_inputs("O"))
+    report = str(tmp_path / "report.json")
+    with monkeypatch.context() as mp:
+        mp.setattr(certify, "generic_orbit", lambda P, m, s0: orbit(s0, m))
+        assert main(["certify", "generic", *files, "--format", "structured",
+                     "--output", report]) == 0
+    capsys.readouterr()
+    assert main(["verify", report]) == 1
+    assert "adjacent same-move pair ('y0', 'z1')" in capsys.readouterr().out
+    assert main(["certify", "generic", *files]) == 2
+    assert "adjacent same-move pair ('y0', 'z1')" in capsys.readouterr().err
+    twin = _input_files(tmp_path, cube_inputs("I"))
+    for mode in ("fibration", "perfect"):
+        assert main(["certify", "generic", *twin, "--mode", mode, "--format", "structured",
+                     "--output", report]) == 0
+        assert main(["verify", report]) == 0
 
 
 def test_parallel_matches_serial():
@@ -670,13 +720,14 @@ def test_polytope_file_roundtrip(tmp_path, P6):
     write_json(tmp_path / "p.json", pol)
     write_json(tmp_path / "m.json", moves)
     write_json(tmp_path / "s.json", state)
-    P = load_polytope(tmp_path / "p.json")
+    doc, P = load_document(tmp_path / "p.json", polytope_from_doc)
+    assert doc == pol
     assert P.facet_ids == P6.facet_ids
     assert P.adjacency_pairs == P6.adjacency_pairs
     assert len(P.ideal_vertices) == 27
-    m = load_moves(tmp_path / "m.json", P)
+    m = load_document(tmp_path / "m.json", moves_from_doc, P)[1]
     assert tuple(len(b) for b in m.blocks) == (6, 6, 6, 6, 3)
-    s = load_state(tmp_path / "s.json", P)
+    s = load_document(tmp_path / "s.json", state_from_doc, P)[1]
     assert len(s.universe) == 27
 
 
@@ -767,7 +818,7 @@ def test_parse_error_is_position_annotated(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dimension": 2,,}')
     with pytest.raises(InputError, match=r":1:\d+:"):
-        load_polytope(bad)
+        load_document(bad, polytope_from_doc)
 
 
 # -- cli -------------------------------------------------------------------------

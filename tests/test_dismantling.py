@@ -631,14 +631,14 @@ def test_certifier_falls_back_to_elementary_collapses(monkeypatch):
     P = polytope_from_doc(pol)
     m, s = moves_from_doc(moves, P), state_from_doc(state, P)
     F = next(F for F in face_table(P, m).bad if all_pairs_index(P, m, F) == 2)
-    assert classify_link(P, m, s, F).verdict == "Critical"
+    assert classify_link(P, m, s, F, certifier=CriticalLinkCertifier()).verdict == "Critical"
     orders = states.dismantle
     monkeypatch.setattr(states, "dismantle", lambda N, keep=0, live=None: (
         None if len(N) == 48 else orders(N, keep, live)))
     cert = CriticalLinkCertifier().certificate(2)
     assert not cert.success
     assert cert.asc_sequence is not None and cert.desc_sequence is None
-    lc = classify_link(P, m, s, F)
+    lc = classify_link(P, m, s, F, certifier=CriticalLinkCertifier())
     assert (lc.verdict, lc.critical) == ("Unknown", None)
     assert lc.note == "no dismantling order found on the canonical all-pairs cube"
 

@@ -26,13 +26,12 @@ from morsecert.states import (
     certificate_problem,
     face_masks,
     face_table,
-    good_witness,
     inherited_state,
     legality,
     split_legality,
     split_state,
 )
-from oracles import section_checked, section_cusp_table
+from oracles import good_witness, section_checked, section_cusp_table
 
 
 def _reference_split(P, m, s, F):

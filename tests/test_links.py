@@ -10,6 +10,7 @@ from morsecert.complexes import (
     replay_collapse,
     try_collapse,
 )
+from morsecert.certify import _classify_group, good_row, verdict_plan
 from morsecert.errors import InputError, InternalError
 from morsecert.links import (
     CriticalLinkCertifier,
@@ -36,6 +37,7 @@ from morsecert.polytopes import (
     dual_complex,
     enumerate_faces,
 )
+from morsecert.report import row_branch
 from morsecert.states import (
     certificate_problem,
     classify_bad_faces,
@@ -323,20 +325,32 @@ def test_critical_certifier_and_transform(P6, M6, BAL6):
             assert ell == 3 and sorted(perm) == list(range(6))
 
 
+def _planned(P, m, states, face, idx):
+    """The planned verdict row of `face` that covers state `idx`."""
+    return next(p for p in verdict_plan(P, m, states)
+                if p.face == tuple(sorted(face)) and idx in p.states)
+
+
 def test_classify_link_verdicts(P6, M6, BAL6):
-    s = BAL6[0]
+    """The plan decides a good face, `_classify_group` a totally legal
+    class, and `classify_link` only what is left: Critical by the canonical
+    cube, or Unknown for a bad face that is no all-pairs top vertex."""
     cert = CriticalLinkCertifier()
-    good = classify_link(P6, M6, s, P6.face({"A", "1+i+j+k"}), certifier=cert)
-    assert good.verdict == "Regular" and good.branch == "good-face"
-    ridge = classify_link(
-        P6, M6, s, P6.face({"1+i+j+k", "-1+i+j+k"}), certifier=cert
-    )
-    assert ridge.verdict == "Regular" and ridge.branch == "inherited-totally-legal"
-    whole = classify_link(P6, M6, s, FaceHandle(frozenset()), certifier=cert)
-    assert whole.verdict == "Regular" and whole.branch == "inherited-totally-legal"
+    good = _planned(P6, M6, BAL6, {"A", "1+i+j+k"}, 0)
+    assert good.witness is not None and good.F is None
+    assert good_row(good)["verdict"] == "Regular" and row_branch(good_row(good)) == "good-face"
+    ridge = {"1+i+j+k", "-1+i+j+k"}
+    for face in (ridge, ()):
+        row, ev, sid, failure = _classify_group(
+            P6, M6, BAL6, _planned(P6, M6, BAL6, face, 0), certifier=cert)
+        assert row["verdict"] == "Regular" and row_branch(row) == "inherited-totally-legal"
+        assert list(ev) == [row["evidence"]] and (sid, failure) == (None, None)
     bad = classify_bad_faces(P6, M6)
-    crit = classify_link(P6, M6, s, bad[(2, 2, 2)][0], certifier=cert)
+    crit = classify_link(P6, M6, BAL6[0], bad[(2, 2, 2)][0], certifier=cert)
     assert crit.verdict == "Critical" and crit.index == 3
+    lc = classify_link(P6, M6, BAL6[0], P6.face(ridge), certifier=cert)
+    assert (lc.verdict, lc.index) == ("Unknown", None)
+    assert lc.note == "bad face, not totally legal, signature (2,)"
 
 
 def test_classification_independent_of_base_vertex(P6, M6, BAL6):
@@ -355,8 +369,10 @@ def test_classification_independent_of_base_vertex(P6, M6, BAL6):
     model = build_cube_model(P6, M6, s, ridge)
     verdicts = set()
     for w in range(4):
-        lc = classify_link(P6, M6, vertex_state(model, w), ridge, certifier=cert)
-        verdicts.add((lc.verdict, lc.branch))
+        idx = BAL6.index(vertex_state(model, w))
+        p = _planned(P6, M6, BAL6, ridge.defining, idx)
+        row = _classify_group(P6, M6, BAL6, p, certifier=cert)[0]
+        verdicts.add((row["verdict"], row_branch(row)))
     assert verdicts == {("Regular", "inherited-totally-legal")}
 
 

@@ -6,7 +6,8 @@ pattern of the report: a path with its list positions generalised, a
 verdict row's position to the row's branch, and all evidence ids taken as
 one id.  On p5 it sweeps every pattern; on p6, whose verify costs ten
 times more, the patterns of the critical rows and the shared item, which
-p5 has none of.  It applies each edit that the instance's
+p5 has none of; on the generic report of the compatible 3-cube every
+pattern, its embedded inputs included.  It applies each edit that the instance's
 value allows: an int to a bool, a float or a str, a bool to an int, a
 value to null and null to a value, an int off by one, a key dropped, and a
 list element dropped, duplicated or swapped with another; a mutant equal
@@ -22,15 +23,17 @@ the section polytope and counts it apart.
 import json
 import random
 
-from morsecert.certify import canonical_json
+from morsecert.certify import canonical_json, certify_generic
 from morsecert.errors import InputError
+from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
 from morsecert.links import cusp_table
 from morsecert.polytopes import FaceHandle, build_cusp_section
 from morsecert.report import certificate_to_document, document_to_json, row_branch
-from morsecert.states import inherited_state
+from morsecert.states import inherited_state, orbit
 from morsecert.verify import verify_document
 
 from oracles import state_parts
+from test_certify import cube_inputs
 
 NO_CLAIM = ("seeds", "timings")
 SWEEP_SEED = 20141
@@ -187,6 +190,24 @@ def test_every_field_of_the_p5_report_is_bound(cert_p5, P5, M5, BAL5):
     assert not _apexes_are_cone_apexes(P5, M5, BAL5, doc, i)
     print(f"\np5: {n} mutants, none accepted outside {NO_CLAIM}, "
           f"{len(other_apex)} naming another cone apex")
+
+
+def test_every_field_of_a_generic_report_is_bound():
+    """The generic verify path: every pattern of the compatible 3-cube's
+    report, its embedded inputs included, is bound."""
+    pol, moves, state = cube_inputs()
+    P = polytope_from_doc(pol)
+    m, s0 = moves_from_doc(moves, P), state_from_doc(state, P)
+    cert = certify_generic(P, m, s0, generic_inputs={"polytope": pol, "moves": moves,
+                                                     "state": state})
+    assert cert.passed, cert.failures
+    n, accepted, other_apex, crashed = _sweep(cert, P, m, orbit(s0, m))
+    assert (accepted, other_apex, crashed) == ([], [], []), (accepted[:10], crashed[:10])
+    doc = json.loads(document_to_json(certificate_to_document(cert)))
+    on_inputs = sum(1 for _ in _mutants(doc, random.Random(SWEEP_SEED),
+                                        lambda pattern: pattern[0] == "inputs"))
+    assert on_inputs > 20 and n > 100, (on_inputs, n)
+    print(f"\ngeneric: {n} mutants, none accepted outside {NO_CLAIM}")
 
 
 def test_every_critical_field_of_the_p6_report_is_bound(cert_p6, P6, M6, BAL6):

@@ -8,7 +8,6 @@ from morsecert.polytopes import FaceHandle, enumerate_faces
 from morsecert.states import (
     State,
     act,
-    bad_face_signature,
     classify_bad_faces,
     inherited_state,
     is_compatible,
@@ -16,7 +15,7 @@ from morsecert.states import (
     orbit,
 )
 
-from oracles import compatibility_by_labels, is_good_face
+from oracles import bad_face_signature, compatibility_by_labels, is_good_face
 
 REFERENCE_OUT = {
     "1", "1-i+j-k", "1+i+j-k",

@@ -46,6 +46,30 @@ def test_builtin_subject_is_built_once(tag):
     assert all(a is b for a, b in zip(first, builtin_subject(tag), strict=True))
 
 
+def test_builtin_subject_checks_its_states(monkeypatch):
+    """A built-in balanced state that is not compatible is a transcription
+    bug: `builtin_subject` refuses it, naming the subject, the state and the
+    adjacent same-move pair."""
+    import morsecert.states
+    from morsecert.errors import StructuralError
+    from morsecert.states import State, is_compatible
+
+    P, m, states = _fresh("p5")
+    s = states[3]
+    bad = State(s.universe, s.in_facets - {min(s.in_facets)})
+    ok, pair = is_compatible(P, m, bad)
+    assert not ok
+    monkeypatch.setattr(morsecert.states, "balanced_states_p5",
+                        lambda P: states[:3] + (bad,) + states[4:])
+    builtin_subject.cache_clear()
+    try:
+        with pytest.raises(StructuralError) as info:
+            builtin_subject("p5")
+    finally:
+        builtin_subject.cache_clear()
+    assert str(info.value) == f"p5 state 3 is incompatible: adjacent same-move pair {pair!r}"
+
+
 def test_p5_is_built_from_the_kept_p6(monkeypatch):
     import morsecert.states
 

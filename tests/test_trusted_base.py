@@ -41,7 +41,7 @@ TRUSTED = {
         dual_mask f_vector_check face_of_mask lorentz_product""",
     "states": """
         MoveSystem.__post_init__ MoveSystem.block_of MoveSystem.restrict
-        State.__post_init__ State.is_in State.serial State.status all_pairs_index
+        State.__post_init__ State.serial all_pairs_index
         balanced_states_p5 balanced_states_p6 builtin_subject certificate_problem
         classify_bad_faces face_masks face_table facet_mask is_compatible
         move_system_p5 move_system_p6 r_class_triples state_from_in_set
@@ -98,4 +98,4 @@ def test_verify_runs_the_trusted_base(cert_p5, cert_p6, tmp_path):
     assert not [name for name in ran if name.startswith("complexes.")]
     want = {f"{mod}.{name}" for mod, names in TRUSTED.items() for name in names.split()}
     assert sorted(ran - want) == [] and sorted(want - ran) == []
-    assert len(want) == 106
+    assert len(want) == 104
