@@ -2,8 +2,9 @@
 
 A certificate covers every clique face of the polytope crossed with every
 state of the orbit, in the rows of `verdict_plan`: one per good face and one
-per (bad face, inherited In class); evidence blobs are content-addressed,
-which also deduplicates identical certificates across states.  Cusp
+per (bad face, inherited In class), each written by `verdict_row`; a bad
+face's row cites its legality item or the shared item of its ℓ.  Evidence
+blobs are content-addressed, which also deduplicates them across states.  Cusp
 boundary cubes are certified by the cone apexes of their parts, recorded
 inline in rows that `cusp_row`, their one writer, makes and the verifier
 compares whole.  Every certificate is found by a deterministic rule, so
@@ -24,7 +25,6 @@ from .links import (
     CriticalLinkCertifier,
     certify_boundary_cube,
     classify_link,
-    critical_transform,
     cusp_table,
 )
 from .polytopes import (
@@ -209,16 +209,6 @@ def report_tables(
 # Verdict sweep
 
 
-def _shared_item(certifier: CriticalLinkCertifier, cert) -> Tuple[str, dict]:
-    """The id and content of the shared item for `cert`, built once per
-    certifier and ℓ: every critical row of that ℓ cites the same item."""
-    got = certifier.serialised.get(cert.ell)
-    if got is None:
-        sp = critical_shared_payload(cert)
-        got = certifier.serialised[cert.ell] = (_eid(sp), sp)
-    return got
-
-
 class PlannedRow(NamedTuple):
     """A verdict row as `verdict_plan` fixes it: its face's sorted ids, the
     states it covers, and what its branch rests on, the face table's good
@@ -255,10 +245,11 @@ def verdict_plan(P: Polytope, m: MoveSystem, states: Sequence[State]) -> Iterato
             yield PlannedRow(F, ids, tuple(members), masks=(dual, inn))
 
 
-# One writer per branch of verdict row, from the plan: the pipeline writes
-# its rows with them, and the verifier compares each row with them.  A row
-# is the report's row itself, and carries only the witness of its branch;
-# `states` ascend, the first the representative.
+# The one writer of a verdict row, from the plan: the pipeline writes its
+# rows with it, and the verifier compares each row with it.  A row carries
+# only the witness of its branch: a good face's `witness_move`; for a bad
+# face, the `evidence` id it cites, a legality item when Regular and the
+# shared item of its ℓ when Critical(ℓ), none when Unknown.  `states` ascend.
 
 
 def verdict_row(p: PlannedRow, verdict: str, **witness) -> dict:
@@ -269,18 +260,6 @@ def good_row(p: PlannedRow) -> dict:
     return verdict_row(p, "Regular", witness_move=p.witness)
 
 
-def legal_row(p: PlannedRow, eid: str) -> dict:
-    return verdict_row(p, "Regular", evidence=eid)
-
-
-def critical_row(p: PlannedRow, ell: int, sid: str, transform) -> dict:
-    """A critical row cites the shared item `sid` and carries the canonical
-    transform of its first state."""
-    _, perm, delta = transform
-    return verdict_row(p, f"Critical({ell})", evidence=sid,
-                       transform={"perm": list(perm), "delta": delta})
-
-
 def _classify_group(
     P: Polytope,
     m: MoveSystem,
@@ -288,38 +267,34 @@ def _classify_group(
     p: PlannedRow,
     *,
     certifier: CriticalLinkCertifier,
+    shared_ids: Dict[int, str],
 ):
     """Classify the planned row of a bad face: totally legal when both
     parts of its masks' split are certified, else Critical or Unknown by
-    `classify_link` at its first state; returns (row, evidence, id of the
-    cited shared item or None, failure-or-None)."""
+    `classify_link` on its states, a Critical(ℓ) row citing `shared_ids[ℓ]`;
+    returns (row, evidence, failure-or-None)."""
     rec = split_legality(P, *p.masks)
     if rec.totally_legal:
         payload = legality_evidence_payload(rec)
         eid = _eid(payload)
-        return legal_row(p, eid), {eid: payload}, None, None
-    lc = classify_link(P, m, states[p.states[0]], p.F, certifier=certifier)
+        return verdict_row(p, "Regular", evidence=eid), {eid: payload}, None
+    lc = classify_link(P, m, [states[i] for i in p.states], p.F, certifier=certifier)
     if lc.verdict == "Critical":
-        sid, _ = _shared_item(certifier, lc.critical)
-        # validate the canonical transform for every other covered state;
-        # classify_link validated the representative's
-        for idx in p.states[1:]:
-            critical_transform(P, m, states[idx], p.F, certifier.transforms)
-        return critical_row(p, lc.index, sid, lc.transform), {}, sid, None
+        return verdict_row(p, f"Critical({lc.index})", evidence=shared_ids[lc.index]), {}, None
     failure = f"Unknown verdict at face {p.face} states {list(p.states)}: {lc.note}"
-    return verdict_row(p, "Unknown"), {}, None, failure
+    return verdict_row(p, "Unknown"), {}, failure
 
 
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(P, m, states, certifier):
+def _worker_init(P, m, states, certifier, shared_ids):
     _WORKER_CTX["args"] = (P, m, states)
-    _WORKER_CTX["certifier"] = certifier
+    _WORKER_CTX["kwargs"] = {"certifier": certifier, "shared_ids": shared_ids}
 
 
 def _worker_classify(task):
-    return _classify_group(*_WORKER_CTX["args"], task, certifier=_WORKER_CTX["certifier"])
+    return _classify_group(*_WORKER_CTX["args"], task, **_WORKER_CTX["kwargs"])
 
 
 def _verdict_sweep(
@@ -335,16 +310,17 @@ def _verdict_sweep(
     face's rows by classifying them."""
     rows: List[dict] = []
     evidence: Dict[str, dict] = {}
-    shared: Dict[str, dict] = {}
     plan = list(verdict_plan(P, m, states))
     tasks = [p for p in plan if p.witness is None]
 
-    # the shared critical certificates and their items, built before any
-    # fork so that workers inherit them and return only their ids
-    ells = {all_pairs_index(P, m, p.F) for p in tasks}
-    for ell in sorted(ells - {None}):
-        _shared_item(certifier, certifier.certificate(ell))
-    shared_items = dict(certifier.serialised.values())
+    # one shared item per ℓ, built before any fork so that workers inherit
+    # the certificates and cite each item by its id in `shared_ids`
+    shared_items: Dict[str, dict] = {}
+    shared_ids: Dict[int, str] = {}
+    for ell in sorted({all_pairs_index(P, m, p.F) for p in tasks} - {None}):
+        payload = critical_shared_payload(certifier.certificate(ell))
+        shared_ids[ell] = _eid(payload)
+        shared_items[shared_ids[ell]] = payload
 
     if parallel > 1 and tasks:
         import multiprocessing as mp
@@ -352,23 +328,24 @@ def _verdict_sweep(
         ctx = mp.get_context("fork")
         with ctx.Pool(
             parallel, initializer=_worker_init,
-            initargs=(P, m, states, certifier),
+            initargs=(P, m, states, certifier, shared_ids),
         ) as pool:
             results = pool.map(_worker_classify, tasks, chunksize=8)
     else:
-        results = [_classify_group(P, m, states, p, certifier=certifier) for p in tasks]
+        results = [_classify_group(P, m, states, p, certifier=certifier, shared_ids=shared_ids)
+                   for p in tasks]
     results = iter(results)
     for p in plan:
         if p.witness is not None:
             rows.append(good_row(p))
             continue
-        row, ev, sid, failure = next(results)
+        row, ev, failure = next(results)
         rows.append(row)
         evidence.update(ev)
-        if sid is not None:
-            shared[sid] = shared_items[sid]
         if failure:
             failures.append(failure)
+    cited = {row.get("evidence") for row in rows}
+    shared = {sid: item for sid, item in shared_items.items() if sid in cited}
     return tuple(rows), evidence, shared
 
 

@@ -41,6 +41,8 @@ def load_json(path) -> object:
         ) from exc
     except RecursionError as exc:
         raise InputError(f"{path}: nested too deeply: {exc}") from exc
+    except ValueError as exc:  # e.g. an integer literal past the digit limit
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def polytope_from_doc(doc: dict) -> Polytope:

@@ -3,7 +3,8 @@ the critical question and the cusp checks.
 
 `classify_link` answers only what the verdict sweep asks it once the plan
 has decided good faces and the sweep totally legal classes: is a bad face's
-class Critical(l) by the canonical all-pairs cube, or Unknown.
+class Critical(l) by the canonical all-pairs cube, every state of the class
+validated by its `critical_transform`, or Unknown.
 
 The increment at a barycentre is kept symbolic: a lift value is a pair
 (base, depth) ordered lexicographically, valid for every sufficiently small
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, total_ordering
 from itertools import product
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .complexes import order_complex, try_collapse  # try_collapse: pinned by perfbench
 from .errors import InputError, InternalError
@@ -373,9 +374,6 @@ class CriticalLinkCertifier:
         self._cache: Dict[int, CriticalCertificate] = {}
         # this run's `critical_transform` memo
         self.transforms: dict = {}
-        # per-ℓ serialised form of the certificate, filled by the caller
-        # that serialises it
-        self.serialised: Dict[int, object] = {}
 
     def certificate(self, ell: int) -> CriticalCertificate:
         got = self._cache.get(ell)
@@ -507,31 +505,30 @@ def critical_transform(P: Polytope, m: MoveSystem, s: State, F: FaceHandle, memo
 @dataclass(frozen=True)
 class LinkClassification:
     """The answer for one (bad face, state) class that is not certified
-    totally legal: Critical with its shared certificate and the canonical
-    transform of the state, or Unknown with a note."""
+    totally legal: Critical of index ℓ, whose row cites the shared item of
+    ℓ, or Unknown with a note."""
 
     verdict: str  # "Critical" | "Unknown"
     index: Optional[int]
-    critical: Optional[CriticalCertificate] = field(default=None, repr=False)
-    transform: Optional[Tuple[int, Tuple[int, ...], int]] = None
     note: str = ""
 
 
 def classify_link(
     P: Polytope,
     m: MoveSystem,
-    s: State,
+    states: Sequence[State],
     F: FaceHandle,
     *,
     certifier: CriticalLinkCertifier,
 ) -> LinkClassification:
     """Classify the links at the barycentre of the cube dual to F, a bad
-    face whose split by s is not certified totally legal (the verdict plan
-    and `certify._classify_group` decide good faces and legal classes).  A
-    face whose defining facets are partitioned into pairs by the moves, with
-    codimension 2l equal to the polytope dimension, is Critical(l): both
-    face links shrink onto subdivided cross-polytope cores of the canonical
-    cube.  Anything else is Unknown.
+    face whose split by `states`, a row's states, is not certified totally
+    legal (the verdict plan and `certify._classify_group` decide good faces
+    and legal classes).  A face whose defining facets are partitioned into
+    pairs by the moves, with codimension 2l equal to the polytope dimension,
+    is Critical(l): each state's cube model maps onto the canonical cube by
+    its `critical_transform`, and both face links of that cube shrink onto
+    subdivided cross-polytope cores.  Anything else is Unknown.
     """
     ell = all_pairs_index(P, m, F)
     if ell is None:
@@ -539,14 +536,14 @@ def classify_link(
             "Unknown", None,
             note=f"bad face, not totally legal, signature {face_table(P, m).bad[F]}",
         )
-    transform = critical_transform(P, m, s, F, certifier.transforms)
-    cert = certifier.certificate(ell)
-    if not cert.success:
+    for s in states:
+        critical_transform(P, m, s, F, certifier.transforms)
+    if not certifier.certificate(ell).success:
         return LinkClassification(
             "Unknown", None,
             note="no dismantling order found on the canonical all-pairs cube",
         )
-    return LinkClassification("Critical", ell, critical=cert, transform=transform)
+    return LinkClassification("Critical", ell)
 
 
 # -- cusp checks --------------------------------------------------------------

@@ -2,8 +2,9 @@
 document (stable key order, exact integers, rationals as [num, den] pairs).
 
 Timing values are stripped from the structured form by default so that two
-runs produce byte-identical reports; pass
-include_timings=True to embed wall-clock data.
+runs produce byte-identical reports; pass include_timings=True to embed
+wall-clock data.  Text reports name each verdict row's branch by
+`row_branch`, from its witness key and verdict.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ import json
 from collections import Counter
 from .certify import Certificate
 
-REPORT_VERSION = "7"
+REPORT_VERSION = "8"
 
 # The keys of a report; the verifier requires exactly these (and `inputs`
 # on a generic report).  A cusp row carries exactly the keys of
-# `certify.cusp_row`, and a verdict row exactly those of its branch's writer
-# in `certify`; its branch shows in its witness key: `witness_move` for a
-# good face, `evidence` for a legal class, `evidence` and `transform` for a
-# critical row; an Unknown row has none.
+# `certify.cusp_row`, and a verdict row exactly those `certify.verdict_row`
+# writes for its branch: `witness_move` for a good face, `evidence` for a
+# bad face's Regular or Critical row, none for an Unknown row.
 REPORT_KEYS = frozenset({
     "version", "subject", "mode", "pass", "seeds", "inputs_digest", "polytope",
     "moves", "orbit", "f_vector", "bad_faces", "euler", "verdicts", "evidence",
@@ -28,12 +28,13 @@ REPORT_KEYS = frozenset({
 
 
 def row_branch(row: dict) -> str:
-    """The branch of a verdict row, by its witness key."""
+    """The branch of a verdict row, by its witness key and, for a bad
+    face's row citing evidence, its verdict."""
     if "witness_move" in row:
         return "good-face"
-    if "transform" in row:
-        return "critical-pairs"
-    return "inherited-totally-legal" if "evidence" in row else "unknown"
+    if "evidence" not in row:
+        return "unknown"
+    return "critical-pairs" if row["verdict"].startswith("Critical(") else "inherited-totally-legal"
 
 
 def certificate_to_document(cert: Certificate, *, include_timings: bool = False) -> dict:

@@ -78,14 +78,6 @@ class State:
     def out_facets(self) -> FrozenSet[str]:
         return frozenset(self.universe) - self.in_facets
 
-    def status(self, facet_id: str) -> str:
-        return IN if self.is_in(facet_id) else OUT
-
-    def is_in(self, facet_id: str) -> bool:
-        if facet_id not in self.universe:
-            raise InputError(f"facet {facet_id!r} not in state universe")
-        return facet_id in self.in_facets
-
     def serial(self) -> str:
         return "".join(IN if f in self.in_facets else OUT for f in self.universe)
 

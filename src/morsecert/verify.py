@@ -3,8 +3,9 @@
 Every table and every verdict row is recomputed and compared whole, values
 and types (1 is not true, 81.0 is not 81), with what its one writer makes
 of the recomputation: `certify.report_tables` for the tables, by their
-canonical JSON; `certify.verdict_plan`, in order, and the row writer of the
-branch that the plan and the row's verdict pick for each verdict row; and
+canonical JSON; `certify.verdict_plan`, in order, and `certify.verdict_row`
+for the branch that the plan and the row's verdict pick, a critical row once
+every state's canonical transform, which no row carries, is rebuilt; and
 `certify.cusp_row` for each cusp row, bound by position, one per (cusp,
 state) in order, once each apex it gives is checked to dominate its part.
 Every certificate that a row cites is a dismantling order, checked by one
@@ -35,16 +36,15 @@ from .certify import (
     _eid,
     _inputs_digest,
     canonical_json,
-    critical_row,
     cusp_row,
     euler_identity,
     good_row,
-    legal_row,
     legality_header,
     report_tables,
     shared_header,
     verdict_allowed,
     verdict_plan,
+    verdict_row,
 )
 from .complexes import replay_collapse  # not called here: pinned by perfbench
 from .errors import InputError, InternalError, StructuralError
@@ -157,8 +157,9 @@ class _Verifier:
     def _evidence(self, section: str, eid, header: dict, where: str, needs, check):
         """Bind the evidence item `eid` to the claim at `where` that cites it.
 
-        The item must be exactly `header`, which the caller rebuilt from the
-        claim, plus the sequences of its kind.  Once per section and id,
+        The item must carry exactly the keys of `header`, which the caller
+        rebuilt from the claim, and the sequences of its kind, a missing key
+        making the report malformed, and equal `header`.  Once per section and id,
         `eid` must be the hash of the item's content.  Once per section, id
         and `needs`, what the claim needs its sequences to certify,
         `check(item)` yields each sequence key with what is wrong with its
@@ -170,10 +171,8 @@ class _Verifier:
         if ev is None:
             self.fail(f"{where} is missing")
             return
-        seq_keys = SEQUENCE_KEYS[header["kind"]]
+        self._keys(ev, frozenset(header).union(SEQUENCE_KEYS[header["kind"]]), where)
         wrong = [k for k, v in header.items() if not _same(ev[k], v)]
-        if len(ev) != len(header) + len(seq_keys):
-            wrong.append("keys")
         if wrong:
             self.fail(f"{where} does not match the claim ({', '.join(wrong)})")
             return
@@ -260,31 +259,30 @@ class _Verifier:
         verdict = row["verdict"]
         if verdict == "Regular":
             self._legality(row["evidence"], p, where)
-            return legal_row(p, row["evidence"])
+            return verdict_row(p, verdict, evidence=row["evidence"])
         if type(verdict) is str and verdict.startswith("Critical("):
             return self._critical_row(p, row["evidence"], where)
         self.fail(f"{where}: bad face, unverifiable verdict {verdict!r}")
         return None
 
     def _critical_row(self, p: PlannedRow, eid, where: str) -> Optional[dict]:
-        """The critical row citing `eid` for p's ℓ, with its first state's
-        transform; every state's transform is validated, the shared item bound."""
+        """The critical row citing `eid`, the shared item of p's ℓ, once
+        every state's transform is validated and the item bound."""
         P, m, states = self.P, self.m, self.states
         ell = all_pairs_index(P, m, p.F)
         if ell is None:
             self.fail(f"{where}: evidence {eid}: not an all-pairs top vertex")
             return None
-        transforms = []
         for idx in p.states:
             try:
-                transforms.append(critical_transform(P, m, states[idx], p.F, self._transforms))
+                critical_transform(P, m, states[idx], p.F, self._transforms)
             except (InputError, InternalError) as exc:
                 self.fail(f"{where}: evidence {eid}: state {idx} does not match "
                           f"the canonical cube: {exc}")
                 return None
         self._evidence("shared_evidence", eid, shared_header(ell), where, ell,
                        lambda ev: self._core_problems(ell, ev))
-        return critical_row(p, ell, eid, transforms[0])
+        return verdict_row(p, f"Critical({ell})", evidence=eid)
 
     def _core_problems(self, ell: int, ev: dict):
         """Check the shared item's sequences on the comparability graphs of

@@ -140,7 +140,7 @@ def compatibility_by_labels(P: Polytope, m: MoveSystem, s: State):
         bl = sorted(block)
         for i, a in enumerate(bl):
             for b in bl[i + 1:]:
-                if P.adjacent(a, b) and s.is_in(a) != s.is_in(b):
+                if P.adjacent(a, b) and (a in s.in_facets) != (b in s.in_facets):
                     return False, (a, b)
     return True, None
 
@@ -180,8 +180,8 @@ def coface_links_fast(P: Polytope, m: MoveSystem, s: State, F: FaceHandle):
     if D.is_empty:
         return SimplicialComplex([]), SimplicialComplex([])
     inh = inherited_state(P, m, s, F)
-    out_ids = [v for v in D.vertices if not inh.is_in(v)]
-    in_ids = frozenset(v for v in D.vertices if inh.is_in(v))
+    out_ids = [v for v in D.vertices if v not in inh.in_facets]
+    in_ids = frozenset(v for v in D.vertices if v in inh.in_facets)
     asc = barycentric_subdivision(full_subcomplex(D, out_ids))
     sd = barycentric_subdivision(D)
     desc = full_subcomplex(sd, [v for v in sd.vertices if v & in_ids])

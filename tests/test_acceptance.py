@@ -54,11 +54,12 @@ def test_criterion_1_p6_perfect_morse(cert_p6):
     for r in cert_p6.verdict_rows:
         per_face.setdefault(tuple(r["face"]), []).extend(r["states"])
     assert all(sorted(v) == list(range(32)) for v in per_face.values())
-    # every non-good verdict carries replayable evidence; a critical row,
-    # the one with a transform, cites the shared item directly
+    # every bad-face row cites replayable evidence and carries nothing else:
+    # a critical row the shared item of its ℓ, a Regular row a legality item
     for r in cert_p6.verdict_rows:
         if "witness_move" not in r:
-            shared = "transform" in r
+            assert r.keys() == {"face", "verdict", "states", "evidence"}
+            shared = r["verdict"].startswith("Critical(")
             assert r["evidence"] in (cert_p6.shared_evidence if shared else cert_p6.evidence)
     runtime = cert_p6.timings["total"]
     assert runtime < 300, f"pipeline took {runtime:.0f}s, budget 300s"
@@ -122,10 +123,10 @@ def test_criterion_5_oracle_equivalence(P6, M6, BAL6):
                         fast_asc = not all(lift.monochromatic_factor_mins(fid))
                         assert oracle_asc == fast_asc, (F, fid)
                         n_faces_checked += 1
-                inh = inherited_state(P6, M6, s, F)
+                out = inherited_state(P6, M6, s, F).out_facets
                 for g in D.vertices:
                     F2 = FaceHandle(F.defining | {g})
-                    want_asc = not inh.is_in(g)
+                    want_asc = g in out
                     got = coface_membership_oracle(P6, M6, s, F, F2)
                     assert got == want_asc, (F, g)
                     n_cofacets += 1

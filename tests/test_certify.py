@@ -261,6 +261,12 @@ def test_structured_report_deterministic():
 # SHA-256 and byte count of the seed-0 structured reports of each report
 # version: a change to the report's bytes must come with a new version
 REPORT_BYTES = {
+    "8": {
+        "P6_perfect_morse": (
+            "1559912f5c0cf83cbd9885d18b79f30ccf432a26d7d5411c4c459e9bf4ae6135", 842_129),
+        "P5_fibration": (
+            "0c52e12a2b22d9a797a527ca103ab43082ca8f6195454e9e251deff3b5c9edbd", 97_235),
+    },
     "7": {
         "P6_perfect_morse": (
             "9f9fee6a38e9d479528b99f0f6f46819269688f3e3e433177a5253332ebb027d", 842_490),
@@ -377,8 +383,8 @@ def _add_key(doc):
 
 
 def _reorder_critical_states(doc):
-    """Swap a critical row's last two states; its first state, which the
-    row's transform matches, stays in place."""
+    """Swap a critical row's last two states; its first state stays in
+    place."""
     states = _row(doc, "critical-pairs")["states"]
     states[-2:] = states[:-3:-1]
 
@@ -416,10 +422,8 @@ def _replace_in_states(row, old, new):
 
 
 def _as_critical(doc):
-    """Claim a legal row Critical(2), with a transform as a critical row
-    carries one."""
-    row = _row(doc, "inherited-totally-legal")
-    row.update(verdict="Critical(2)", transform={"perm": [1, 0, 3, 2], "delta": 0})
+    """Claim a legal row Critical(2), citing its legality item."""
+    _row(doc, "inherited-totally-legal")["verdict"] = "Critical(2)"
 
 
 # (name, edit of the report, exit codes allowed[, subject]), the subject p5
@@ -483,9 +487,6 @@ REPORT_EDITS = [
      lambda d: _replace_in_states(_row(d, "inherited-totally-legal", lambda r: 1 in r["states"]),
                                   1, True), {1}),
     ("cusp-ok-int", lambda d: _set(d["cusps"]["rows"][0], "ok", 1), {1}),
-    ("critical-delta-float",
-     lambda d: _set(_row(d, "critical-pairs")["transform"], "delta",
-                    float(_row(d, "critical-pairs")["transform"]["delta"])), {1}, "p6"),
     # a pass lists no failures, and every object carries exactly its keys
     ("failures-under-pass", lambda d: _set(d, "failures", ["none"]), {1}),
     ("unknown-key-report", lambda d: _set(d, "note", 0), {1}),
@@ -555,17 +556,32 @@ NAMED_REJECTIONS = [
      ": evidence e0000000000000000 is missing"),
     (_as_critical, "not an all-pairs top vertex"),
     (lambda d: _set(d, "subject", "nope"), "unknown subject 'nope'"),
+    (_add_key, "unknown key 'note'"),
 ]
 
 
 @pytest.mark.parametrize("edit, message", NAMED_REJECTIONS,
-                         ids=["absent-evidence", "legal-row-as-critical", "unknown-subject"])
+                         ids=["absent-evidence", "legal-row-as-critical", "unknown-subject",
+                              "evidence-unknown-key"])
 def test_verify_names_what_it_rejects(cert_p5, tmp_path, capsys, edit, message):
     doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
     edit(doc)
     write_json(tmp_path / "r.json", doc)
     assert main(["verify", str(tmp_path / "r.json")]) == 1
     assert message in capsys.readouterr().out
+
+
+def test_verify_names_the_item_of_a_renamed_sequence_key(cert_p5, tmp_path, capsys):
+    """An evidence item with a sequence key renamed is malformed, and the
+    message names the face citing it, the item's id and the missing key."""
+    doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
+    row = _row(doc, "inherited-totally-legal")
+    item = doc["evidence"][row["evidence"]]
+    item["in_sequenc"] = item.pop("in_sequence")
+    write_json(tmp_path / "r.json", doc)
+    assert main(["verify", str(tmp_path / "r.json")]) == 2
+    where = f"face {tuple(row['face'])}: evidence {row['evidence']}"
+    assert f"{where}: missing key in_sequence" in capsys.readouterr().err
 
 
 def test_verify_rejects_a_boundary_cube_that_is_not_all_regular(tmp_path, capsys):
@@ -685,29 +701,22 @@ def _cite_as_shared(doc, row, eid):
 
 
 def test_verify_binds_critical_transforms(cert_p6):
+    """A critical row cites the shared item of its ℓ, which the verifier
+    binds and replays whatever the id: a legality item cited in its place
+    fails.  P6 is certified as perfect, and a fibration has no Critical
+    row."""
     doc = json.loads(document_to_json(certificate_to_document(cert_p6)))
-    first, second, third = [
-        r for r in doc["verdicts"]["rows"] if row_branch(r) == "critical-pairs"
-    ][:3]
+    row = _row(doc, "critical-pairs")
     legal = _row(doc, "inherited-totally-legal")["evidence"]
-    assert len({tuple(r["face"]) for r in (first, second, third)}) == 3
-    perm = first["transform"]["perm"]
-    first["transform"]["perm"] = perm[1:] + perm[:1]
-    second["transform"]["delta"] ^= 1
     # an id that passed as a legality item must still be bound and replayed
     # when it is cited as a shared item
-    _cite_as_shared(doc, third, legal)
-    # a fibration allows no Critical row, and P6 is certified as perfect
+    _cite_as_shared(doc, row, legal)
     doc["mode"] = "fibration"
     ok, msgs = verify_document(doc)
     assert not ok
     assert any("'fibration'" in m and "Critical(3)" in m for m in msgs)
     assert any(m.startswith("mode 'fibration'") for m in msgs)
-    for row in (first, second):
-        cited = f"face {tuple(row['face'])}: evidence {row['evidence']}"
-        assert any(m.startswith(cited) and "row transform does not match" in m
-                   for m in msgs), row["face"]
-    forged = f"face {tuple(third['face'])}: evidence {legal}"
+    forged = f"face {tuple(row['face'])}: evidence {legal}"
     assert any(m.startswith(forged) and "hash" in m for m in msgs)
     assert any(m.startswith(forged) and "reach its core" in m for m in msgs)
 
@@ -788,10 +797,12 @@ SHAPE_ERRORS = [
 
 @pytest.mark.parametrize(
     "content, verify_code",
-    [(lambda: b"\xff\xfe{}", 2), (lambda: b"[" * 200000 + b"]" * 200000, 2)]
+    [(lambda: b"\xff\xfe{}", 2), (lambda: b"[" * 200000 + b"]" * 200000, 2),
+     # past the interpreter's digit limit for integer literals
+     (lambda: b'{"version": "8", "seeds": {"root": ' + b"7" * 5000 + b"}}", 2)]
     # given to verify, an input object is a report of no version, a list no report
     + [(lambda e=e: _p6_shape(*e[1:]), 2 if e[1] == "moves" else 1) for e in SHAPE_ERRORS],
-    ids=["not-utf8", "nested-too-deep"] + [e[0] for e in SHAPE_ERRORS],
+    ids=["not-utf8", "nested-too-deep", "integer-too-long"] + [e[0] for e in SHAPE_ERRORS],
 )
 def test_cli_undecodable_input_is_an_input_error(tmp_path, capsys, content, verify_code):
     """A file that does not decode, or that decodes to a document of the

@@ -55,6 +55,7 @@ from morsecert.states import (
     legality,
     move_system_p5,
     move_system_p6,
+    orbit,
     split_legality,
 )
 from morsecert.verify import verify_document
@@ -514,29 +515,25 @@ def test_second_cli_certify_builds_no_subject_and_no_parser(monkeypatch, tmp_pat
 
 
 def test_row_transform_of_another_state_is_rejected(P6, M6, BAL6, cert_p6):
-    """A critical row's transform edited to that of one of its other states,
-    or that state moved to the front, where the representative stands, no
-    longer binds."""
+    """A critical row carries no transform, and its states must ascend: a
+    state whose canonical transform differs from the first state's, moved
+    to the front, no longer binds."""
     doc = _report(cert_p6)
     row = next(r for r in doc["verdicts"]["rows"] if row_branch(r) == "critical-pairs")
+    assert "transform" not in row
     F = FaceHandle(frozenset(row["face"]))
 
     def transform(idx):
-        _, perm, delta = canonical_pairs_transform(build_cube_model(P6, M6, BAL6[idx], F),
-                                                   synthetic_pairs_lift(3))
-        return {"perm": list(perm), "delta": delta}
+        return canonical_pairs_transform(build_cube_model(P6, M6, BAL6[idx], F),
+                                         synthetic_pairs_lift(3))
 
-    assert row["transform"] == transform(row["states"][0])
-    other = next(i for i in row["states"] if transform(i) != row["transform"])
-    moved = [other] + [i for i in row["states"] if i != other]
-    for edit, message in (({"transform": transform(other)}, "row transform does not match"),
-                          ({"states": moved}, f"face {tuple(row['face'])}")):
-        tampered = json.loads(json.dumps(doc))
-        target = next(r for r in tampered["verdicts"]["rows"] if r["face"] == row["face"])
-        target.update(edit)
-        ok, msgs = verify_document(tampered)
-        assert not ok
-        assert any(message in msg for msg in msgs), edit
+    other = next(i for i in row["states"] if transform(i) != transform(row["states"][0]))
+    tampered = json.loads(json.dumps(doc))
+    target = next(r for r in tampered["verdicts"]["rows"] if r["face"] == row["face"])
+    target["states"] = [other] + [i for i in row["states"] if i != other]
+    ok, msgs = verify_document(tampered)
+    assert not ok
+    assert any(f"face {tuple(row['face'])}" in msg for msg in msgs)
 
 
 # -- the shared critical item ------------------------------------------------
@@ -631,15 +628,19 @@ def test_certifier_falls_back_to_elementary_collapses(monkeypatch):
     P = polytope_from_doc(pol)
     m, s = moves_from_doc(moves, P), state_from_doc(state, P)
     F = next(F for F in face_table(P, m).bad if all_pairs_index(P, m, F) == 2)
-    assert classify_link(P, m, s, F, certifier=CriticalLinkCertifier()).verdict == "Critical"
+    # the states of F's planned row
+    orb = orbit(s, m)
+    row_states = [orb[i] for i in next(p for p in verdict_plan(P, m, orb) if p.F == F).states]
+    assert classify_link(P, m, row_states, F, certifier=CriticalLinkCertifier()).verdict == \
+        "Critical"
     orders = states.dismantle
     monkeypatch.setattr(states, "dismantle", lambda N, keep=0, live=None: (
         None if len(N) == 48 else orders(N, keep, live)))
     cert = CriticalLinkCertifier().certificate(2)
     assert not cert.success
     assert cert.asc_sequence is not None and cert.desc_sequence is None
-    lc = classify_link(P, m, s, F, certifier=CriticalLinkCertifier())
-    assert (lc.verdict, lc.critical) == ("Unknown", None)
+    lc = classify_link(P, m, row_states, F, certifier=CriticalLinkCertifier())
+    assert (lc.verdict, lc.index) == ("Unknown", None)
     assert lc.note == "no dismantling order found on the canonical all-pairs cube"
 
 

@@ -41,7 +41,7 @@ def _reference_split(P, m, s, F):
     blocked = {m.block_of(f) for f in F.defining}
     dual = {v for v in P.facet_ids
             if v not in F.defining and all(P.adjacent(v, f) for f in F.defining)}
-    inn = {v for v in dual if m.block_of(v) not in blocked and s.is_in(v)}
+    inn = {v for v in dual if m.block_of(v) not in blocked and v in s.in_facets}
     return dual - inn, inn
 
 

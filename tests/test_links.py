@@ -57,8 +57,8 @@ from oracles import (
 
 def find_state(states, *, facet_in=(), facet_out=()):
     for s in states:
-        if all(s.is_in(f) for f in facet_in) and all(
-            not s.is_in(f) for f in facet_out
+        if all(f in s.in_facets for f in facet_in) and all(
+            f not in s.in_facets for f in facet_out
         ):
             return s
     raise AssertionError("no such balanced state")
@@ -201,11 +201,11 @@ def test_coface_links_fast_full_polytope(P6, M6, BAL6):
     s = BAL6[0]
     asc, desc = coface_links_fast(P6, M6, s, FaceHandle(frozenset()))
     D = dual_complex(P6, FaceHandle(frozenset()))
-    sigma_out = full_subcomplex(D, [f for f in D.vertices if not s.is_in(f)])
+    sigma_out = full_subcomplex(D, [f for f in D.vertices if f not in s.in_facets])
     assert asc == barycentric_subdivision(sigma_out)
     # descending contains every barycentre of a simplex meeting the In part
     for v in desc.vertices:
-        assert any(s.is_in(x) for x in v)
+        assert any(x in s.in_facets for x in v)
 
 
 def test_coface_links_codim4(P6, M6, BAL6):
@@ -214,8 +214,8 @@ def test_coface_links_codim4(P6, M6, BAL6):
     inh = inherited_state(P6, M6, s, F)
     segment = {"k", "1-i+j+k"}
     point = "-1+i+j-k"
-    assert len({inh.status(x) for x in segment}) == 1
-    assert inh.status(point) != inh.status("k")
+    assert len({x in inh.in_facets for x in segment}) == 1
+    assert (point in inh.in_facets) != ("k" in inh.in_facets)
     asc, desc = coface_links_fast(P6, M6, s, F)
     for link in (asc, desc):
         assert not link.is_empty
@@ -239,7 +239,7 @@ def test_coface_membership_oracle_rules(P6, M6, BAL6):
         inh = inherited_state(P6, M6, s, F)
         g = rng.choice(list(D.vertices))
         F2 = FaceHandle(F.defining | {g})
-        want = not inh.is_in(g)  # Out status means the cofacet ascends
+        want = g in inh.out_facets  # Out status means the cofacet ascends
         assert coface_membership_oracle(P6, M6, s, F, F2) == want
 
 
@@ -335,20 +335,23 @@ def test_classify_link_verdicts(P6, M6, BAL6):
     """The plan decides a good face, `_classify_group` a totally legal
     class, and `classify_link` only what is left: Critical by the canonical
     cube, or Unknown for a bad face that is no all-pairs top vertex."""
-    cert = CriticalLinkCertifier()
+    cert, ids = CriticalLinkCertifier(), {}
     good = _planned(P6, M6, BAL6, {"A", "1+i+j+k"}, 0)
     assert good.witness is not None and good.F is None
     assert good_row(good)["verdict"] == "Regular" and row_branch(good_row(good)) == "good-face"
     ridge = {"1+i+j+k", "-1+i+j+k"}
     for face in (ridge, ()):
-        row, ev, sid, failure = _classify_group(
-            P6, M6, BAL6, _planned(P6, M6, BAL6, face, 0), certifier=cert)
+        row, ev, failure = _classify_group(
+            P6, M6, BAL6, _planned(P6, M6, BAL6, face, 0), certifier=cert, shared_ids=ids)
         assert row["verdict"] == "Regular" and row_branch(row) == "inherited-totally-legal"
-        assert list(ev) == [row["evidence"]] and (sid, failure) == (None, None)
+        assert list(ev) == [row["evidence"]] and failure is None
     bad = classify_bad_faces(P6, M6)
-    crit = classify_link(P6, M6, BAL6[0], bad[(2, 2, 2)][0], certifier=cert)
+    # classify_link takes the states of the planned row
+    vertex, legal = (_planned(P6, M6, BAL6, face, 0)
+                     for face in (bad[(2, 2, 2)][0].defining, ridge))
+    crit = classify_link(P6, M6, [BAL6[i] for i in vertex.states], vertex.F, certifier=cert)
     assert crit.verdict == "Critical" and crit.index == 3
-    lc = classify_link(P6, M6, BAL6[0], P6.face(ridge), certifier=cert)
+    lc = classify_link(P6, M6, [BAL6[i] for i in legal.states], legal.F, certifier=cert)
     assert (lc.verdict, lc.index) == ("Unknown", None)
     assert lc.note == "bad face, not totally legal, signature (2,)"
 
@@ -363,7 +366,7 @@ def test_classification_independent_of_base_vertex(P6, M6, BAL6):
     model = build_cube_model(P6, M6, s, F)
     for w in (0b000001, 0b010101, 0b111111):
         translated = vertex_state(model, w)
-        lc = classify_link(P6, M6, translated, F, certifier=cert)
+        lc = classify_link(P6, M6, [translated], F, certifier=cert)
         assert lc.verdict == "Critical" and lc.index == 3
     ridge = bad[(2,)][0]
     model = build_cube_model(P6, M6, s, ridge)
@@ -371,7 +374,7 @@ def test_classification_independent_of_base_vertex(P6, M6, BAL6):
     for w in range(4):
         idx = BAL6.index(vertex_state(model, w))
         p = _planned(P6, M6, BAL6, ridge.defining, idx)
-        row = _classify_group(P6, M6, BAL6, p, certifier=cert)[0]
+        row = _classify_group(P6, M6, BAL6, p, certifier=cert, shared_ids={})[0]
         verdicts.add((row["verdict"], row_branch(row)))
     assert verdicts == {("Regular", "inherited-totally-legal")}
 

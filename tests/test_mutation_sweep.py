@@ -9,9 +9,10 @@ times more, the patterns of the critical rows and the shared item, which
 p5 has none of; on the generic report of the compatible 3-cube every
 pattern, its embedded inputs included.  It applies each edit that the instance's
 value allows: an int to a bool, a float or a str, a bool to an int, a
-value to null and null to a value, an int off by one, a key dropped, and a
-list element dropped, duplicated or swapped with another; a mutant equal
-to its parent, by canonical JSON, is skipped.  `verify` must reject every
+value to null and null to a value, an int off by one, a key dropped or
+renamed (its last character cut), and a list element dropped, duplicated
+or swapped with another; a mutant equal to its parent, by canonical JSON,
+is skipped.  `verify` must reject every
 mutant (exit 1) or call it malformed (exit 2), and never fail with an
 internal error (exit 3).  Only `seeds` and `timings` back no claim, so
 their mutants may verify.  A swap of two apex pairs of a cusp row can name,
@@ -104,7 +105,9 @@ def _mutants(doc, rng, swept):
             if canonical_json(new) != canonical_json(value):
                 yield path, f"{value!r:.40} -> {new!r:.40}", _setter(holder, key, new)
         if isinstance(holder, dict):
-            yield path, "drop key", _dropper(holder, key)
+            yield path, "drop key", _rekeyed(holder, key, None)
+            if key[:-1] not in holder:
+                yield path, f"rename key to {key[:-1]!r}", _rekeyed(holder, key, key[:-1])
 
 
 def _setter(holder, key, new):
@@ -115,16 +118,16 @@ def _setter(holder, key, new):
     return edit
 
 
-def _dropper(holder, key):
+def _rekeyed(holder, key, new):
+    """An edit of dict `holder` that renames `key` to `new` in its place,
+    or drops it where `new` is None."""
     def edit(_):
-        order = list(holder)
-        old = holder.pop(key)
-
-        def undo():
-            holder[key] = old
-            for k in order:  # the key order, which the report's bytes fix
-                holder[k] = holder.pop(k)
-        return undo
+        old = dict(holder)
+        holder.clear()
+        holder.update((new if k == key else k, v) for k, v in old.items()
+                      if k != key or new is not None)
+        # the undo keeps the key order, which the report's bytes fix
+        return lambda: (holder.clear(), holder.update(old))
     return edit
 
 

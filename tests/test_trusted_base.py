@@ -18,9 +18,9 @@ from morsecert.states import builtin_subject
 # The pinned set, by module: qualified names, space-separated.
 TRUSTED = {
     "certify": """
-        _eid _inputs_digest canonical_json critical_row cusp_row euler_identity
-        good_row legal_row legality_header report_tables shared_header
-        verdict_allowed verdict_plan verdict_row""",
+        _eid _inputs_digest canonical_json cusp_row euler_identity good_row
+        legality_header report_tables shared_header verdict_allowed verdict_plan
+        verdict_row""",
     "cli": "_cmd_verify main",
     "io": "load_json",
     "labels": """
@@ -98,4 +98,4 @@ def test_verify_runs_the_trusted_base(cert_p5, cert_p6, tmp_path):
     assert not [name for name in ran if name.startswith("complexes.")]
     want = {f"{mod}.{name}" for mod, names in TRUSTED.items() for name in names.split()}
     assert sorted(ran - want) == [] and sorted(want - ran) == []
-    assert len(want) == 104
+    assert len(want) == 102
