@@ -40,10 +40,11 @@ print("blocks pair up the coordinates:", model.lift.blocks)
 asc, desc = face_links_oracle(model)
 print("face links are 2-spheres:", betti_mod2(asc, 2), betti_mod2(desc, 2))
 
-# the vertex's one verdict row covers every state: each state's cube maps
-# onto the canonical one, and the row cites the shared certificate of its ℓ
+# the vertex's one verdict row covers every state: by the all-pairs lemma
+# its cube lift is the canonical one at every compatible state, so the face
+# alone decides the row, which cites the shared certificate of its ℓ
 certifier = CriticalLinkCertifier()
-lc = classify_link(P, m, balanced_states_p6(P), V, certifier=certifier)
+lc = classify_link(P, m, V, certifier=certifier)
 print("verdict:", lc.verdict, "of index", lc.index)
 shared = certifier.certificate(lc.index)
 print("dismantling orders:",

@@ -3,7 +3,9 @@
 A certificate covers every clique face of the polytope crossed with every
 state of the orbit, in the rows of `verdict_plan`: one per good face and one
 per (bad face, inherited In class), each written by `verdict_row`; a bad
-face's row cites its legality item or the shared item of its ℓ.  Evidence
+face's row cites its legality item or the shared item of its ℓ.  A
+Critical(ℓ) row is decided by its face alone, as a good row is, by the
+all-pairs lemma (README), so no cube is built.  Evidence
 blobs are content-addressed, which also deduplicates them across states.  Cusp
 boundary cubes are certified by the cone apexes of their parts, recorded
 inline in rows that `cusp_row`, their one writer, makes and the verifier
@@ -263,7 +265,6 @@ def good_row(p: PlannedRow) -> dict:
 def _classify_group(
     P: Polytope,
     m: MoveSystem,
-    states: Sequence[State],
     p: PlannedRow,
     *,
     certifier: CriticalLinkCertifier,
@@ -271,14 +272,14 @@ def _classify_group(
 ):
     """Classify the planned row of a bad face: totally legal when both
     parts of its masks' split are certified, else Critical or Unknown by
-    `classify_link` on its states, a Critical(ℓ) row citing `shared_ids[ℓ]`;
+    `classify_link` on its face, a Critical(ℓ) row citing `shared_ids[ℓ]`;
     returns (row, evidence, failure-or-None)."""
     rec = split_legality(P, *p.masks)
     if rec.totally_legal:
         payload = legality_evidence_payload(rec)
         eid = _eid(payload)
         return verdict_row(p, "Regular", evidence=eid), {eid: payload}, None
-    lc = classify_link(P, m, [states[i] for i in p.states], p.F, certifier=certifier)
+    lc = classify_link(P, m, p.F, certifier=certifier)
     if lc.verdict == "Critical":
         return verdict_row(p, f"Critical({lc.index})", evidence=shared_ids[lc.index]), {}, None
     failure = f"Unknown verdict at face {p.face} states {list(p.states)}: {lc.note}"
@@ -288,8 +289,8 @@ def _classify_group(
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(P, m, states, certifier, shared_ids):
-    _WORKER_CTX["args"] = (P, m, states)
+def _worker_init(P, m, certifier, shared_ids):
+    _WORKER_CTX["args"] = (P, m)
     _WORKER_CTX["kwargs"] = {"certifier": certifier, "shared_ids": shared_ids}
 
 
@@ -328,11 +329,11 @@ def _verdict_sweep(
         ctx = mp.get_context("fork")
         with ctx.Pool(
             parallel, initializer=_worker_init,
-            initargs=(P, m, states, certifier, shared_ids),
+            initargs=(P, m, certifier, shared_ids),
         ) as pool:
             results = pool.map(_worker_classify, tasks, chunksize=8)
     else:
-        results = [_classify_group(P, m, states, p, certifier=certifier, shared_ids=shared_ids)
+        results = [_classify_group(P, m, p, certifier=certifier, shared_ids=shared_ids)
                    for p in tasks]
     results = iter(results)
     for p in plan:
@@ -419,8 +420,8 @@ def run_pipeline(
     parallel: int = 1,
 ) -> Certificate:
     """Full face-by-state classification, cusp suite and consistency identity.
-    `states` are compatible: `builtin_subject` or `generic_orbit` checked
-    them when the subject was built.
+    `states` are compatible, as the all-pairs lemma needs: `builtin_subject`
+    or `generic_orbit` checked them when the subject was built.
 
     With parallel > 1 the independent (face, class) groups fan out to a
     process pool; results merge in canonical key order, so reports are

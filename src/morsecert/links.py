@@ -2,9 +2,9 @@
 the critical question and the cusp checks.
 
 `classify_link` answers only what the verdict sweep asks it once the plan
-has decided good faces and the sweep totally legal classes: is a bad face's
-class Critical(l) by the canonical all-pairs cube, every state of the class
-validated by its `critical_transform`, or Unknown.
+has decided good faces and the sweep totally legal classes: is a bad face
+Critical(l), an all-pairs top vertex whose cube lift is the canonical one
+at every compatible state by the all-pairs lemma (README), or Unknown.
 
 The increment at a barycentre is kept symbolic: a lift value is a pair
 (base, depth) ordered lexicographically, valid for every sufficiently small
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, total_ordering
 from itertools import product
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .complexes import order_complex, try_collapse  # try_collapse: pinned by perfbench
 from .errors import InputError, InternalError
@@ -372,8 +372,6 @@ class CriticalLinkCertifier:
 
     def __init__(self):
         self._cache: Dict[int, CriticalCertificate] = {}
-        # this run's `critical_transform` memo
-        self.transforms: dict = {}
 
     def certificate(self, ell: int) -> CriticalCertificate:
         got = self._cache.get(ell)
@@ -444,6 +442,7 @@ def check_sd_crosspolytope_witness(G: RankedGraph, core, ell: int, kind: str):
                                     "is not comparability of their faces")
 
 
+# the reference that the all-pairs lemma is tested against; perfbench wraps it by name
 def canonical_pairs_transform(model: CubeModel, synth: CubeLift):
     """Position permutation and translation mapping an all-pairs cube model
     onto the canonical one, `synth`, the `synthetic_pairs_lift` of its pair
@@ -478,35 +477,14 @@ def canonical_pairs_transform(model: CubeModel, synth: CubeLift):
     return ell, tuple(perm), delta
 
 
-def critical_transform(P: Polytope, m: MoveSystem, s: State, F: FaceHandle, memo: dict):
-    """`canonical_pairs_transform` of F's cube model at s, kept in `memo`,
-    which the caller's run owns, under all it depends on: which of F's
-    sorted defining facets share a move, and s's statuses on them.  A
-    transform that fails raises and is not kept.  Each pair count's
-    `synthetic_pairs_lift` is kept under the count.  s is a state of a
-    subject, checked compatible where the subject was built."""
-    defining = sorted(F.defining)
-    moves = [m.block_of(fid) for fid in defining]
-    key = (tuple(map(moves.index, moves)), tuple(f not in s.in_facets for f in defining))
-    got = memo.get(key)
-    if got is None:
-        model = build_cube_model(P, m, s, F)
-        ell = len(model.lift.blocks)
-        synth = memo.get(ell)
-        if synth is None:
-            synth = memo[ell] = synthetic_pairs_lift(ell)
-        got = memo[key] = canonical_pairs_transform(model, synth)
-    return got
-
-
 # -- link classification ------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class LinkClassification:
-    """The answer for one (bad face, state) class that is not certified
-    totally legal: Critical of index ℓ, whose row cites the shared item of
-    ℓ, or Unknown with a note."""
+    """The answer for a bad face with a class that is not certified totally
+    legal: Critical of index ℓ, whose rows cite the shared item of ℓ, or
+    Unknown with a note."""
 
     verdict: str  # "Critical" | "Unknown"
     index: Optional[int]
@@ -516,18 +494,17 @@ class LinkClassification:
 def classify_link(
     P: Polytope,
     m: MoveSystem,
-    states: Sequence[State],
     F: FaceHandle,
     *,
     certifier: CriticalLinkCertifier,
 ) -> LinkClassification:
     """Classify the links at the barycentre of the cube dual to F, a bad
-    face whose split by `states`, a row's states, is not certified totally
-    legal (the verdict plan and `certify._classify_group` decide good faces
-    and legal classes).  A face whose defining facets are partitioned into
-    pairs by the moves, with codimension 2l equal to the polytope dimension,
-    is Critical(l): each state's cube model maps onto the canonical cube by
-    its `critical_transform`, and both face links of that cube shrink onto
+    face with a class that is not certified totally legal (the verdict plan
+    and `certify._classify_group` decide good faces and legal classes).  A
+    face whose defining facets are partitioned into pairs by the moves,
+    with codimension 2l equal to the polytope dimension, is Critical(l):
+    by the all-pairs lemma its cube lift at every compatible state is the
+    canonical cube's, and both face links of that cube shrink onto
     subdivided cross-polytope cores.  Anything else is Unknown.
     """
     ell = all_pairs_index(P, m, F)
@@ -536,8 +513,6 @@ def classify_link(
             "Unknown", None,
             note=f"bad face, not totally legal, signature {face_table(P, m).bad[F]}",
         )
-    for s in states:
-        critical_transform(P, m, s, F, certifier.transforms)
     if not certifier.certificate(ell).success:
         return LinkClassification(
             "Unknown", None,

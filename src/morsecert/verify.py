@@ -5,7 +5,7 @@ and types (1 is not true, 81.0 is not 81), with what its one writer makes
 of the recomputation: `certify.report_tables` for the tables, by their
 canonical JSON; `certify.verdict_plan`, in order, and `certify.verdict_row`
 for the branch that the plan and the row's verdict pick, a critical row once
-every state's canonical transform, which no row carries, is rebuilt; and
+its face is an all-pairs top vertex (the all-pairs lemma, README); and
 `certify.cusp_row` for each cusp row, bound by position, one per (cusp,
 state) in order, once each apex it gives is checked to dominate its part.
 Every certificate that a row cites is a dismantling order, checked by one
@@ -28,7 +28,7 @@ naming the adjacent same-move pair, before any row is read.
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
 from .certify import (
     SEQUENCE_KEYS,
@@ -47,12 +47,11 @@ from .certify import (
     verdict_row,
 )
 from .complexes import replay_collapse  # not called here: pinned by perfbench
-from .errors import InputError, InternalError, StructuralError
+from .errors import InputError, StructuralError
 from .io import load_json, moves_from_doc, polytope_from_doc, state_from_doc
 from .links import (
     canonical_pairs_graphs,
     check_cusp_condition,
-    critical_transform,
     cusp_table,
 )
 from .polytopes import f_vector_check
@@ -91,22 +90,24 @@ class _Verifier:
         # whether an item's sequences certify what a claim citing it needs,
         # under (section, id, what the claim needs)
         self._checked: Dict[tuple, bool] = {}
-        # this run's `critical_transform` memo
-        self._transforms: dict = {}
 
     def fail(self, msg: str):
         self.messages.append(msg)
 
-    def _keys(self, obj: dict, keys: frozenset, where: str):
-        """`obj` must carry exactly `keys`: a missing key makes the report
-        malformed, an unknown one is rejected."""
-        if obj.keys() == keys:
+    def _keys(self, obj, keys: AbstractSet[str], where: str, *, exact: bool = True):
+        """`obj`, the report object at `where`, must carry `keys`, and when
+        `exact` only them: one that is not an object, or that lacks a key,
+        makes the report malformed, naming `where` and the key; an unknown
+        key is rejected."""
+        if type(obj) is not dict:
+            raise InputError(f"{where}: not an object")
+        if obj.keys() == keys or not exact and obj.keys() >= keys:
             return
         missing = sorted(keys - obj.keys())
         if missing:
             raise InputError(f"{where}: missing key {', '.join(missing)}")
-        unknown = sorted(obj.keys() - keys)
-        if unknown:
+        if exact:
+            unknown = sorted(obj.keys() - keys)
             self.fail(f"{where}: unknown key {', '.join(map(repr, unknown))}")
 
     # -- context ------------------------------------------------------------
@@ -157,11 +158,11 @@ class _Verifier:
     def _evidence(self, section: str, eid, header: dict, where: str, needs, check):
         """Bind the evidence item `eid` to the claim at `where` that cites it.
 
-        The item must carry exactly the keys of `header`, which the caller
-        rebuilt from the claim, and the sequences of its kind, a missing key
-        making the report malformed, and equal `header`.  Once per section and id,
-        `eid` must be the hash of the item's content.  Once per section, id
-        and `needs`, what the claim needs its sequences to certify,
+        Once per section and id, the item must carry exactly the keys of
+        `header`, which the caller rebuilt from the claim, and the sequences
+        of its kind, a missing key making the report malformed, and `eid`
+        must be the hash of its content.  It must equal `header`.  Once per
+        section, id and `needs`, what the claim needs its sequences to certify,
         `check(item)` yields each sequence key with what is wrong with its
         sequence, or None; a later claim with the same needs that cites a
         failed item fails, naming its id.
@@ -171,15 +172,15 @@ class _Verifier:
         if ev is None:
             self.fail(f"{where} is missing")
             return
-        self._keys(ev, frozenset(header).union(SEQUENCE_KEYS[header["kind"]]), where)
+        if (section, eid) not in self._bound:
+            self._keys(ev, frozenset(header).union(SEQUENCE_KEYS[header["kind"]]), where)
+            self._bound[section, eid] = _eid(ev) == eid
+            if not self._bound[section, eid]:
+                self.fail(f"{where}: id is not the hash of the content")
         wrong = [k for k, v in header.items() if not _same(ev[k], v)]
         if wrong:
             self.fail(f"{where} does not match the claim ({', '.join(wrong)})")
             return
-        if (section, eid) not in self._bound:
-            self._bound[section, eid] = _eid(ev) == eid
-            if not self._bound[section, eid]:
-                self.fail(f"{where}: id is not the hash of the content")
         ok = self._checked.get((section, eid, needs))
         if ok is None:
             ok = True
@@ -234,9 +235,11 @@ class _Verifier:
         self._keys(doc["verdicts"], frozenset({"rows"}), "verdicts")
         rows = doc["verdicts"]["rows"]
         plan = {(p.face, p.states): p for p in verdict_plan(P, self.m, self.states)}
+        for i, row in enumerate(rows):
+            self._keys(row, {"face", "states", "verdict"}, f"verdict row {i}", exact=False)
         got = [(tuple(row["face"]), tuple(row["states"])) for row in rows]
         self._plan_order(got, list(plan))
-        for row, key in zip(rows, got):
+        for i, (row, key) in enumerate(zip(rows, got)):
             where = f"face {key[0]}"
             p = plan.get(key)
             if p is None:
@@ -244,42 +247,38 @@ class _Verifier:
             verdict = row["verdict"]
             if not verdict_allowed(self.mode, P.dimension, verdict):
                 self.fail(f"{where}: verdict {verdict!r} is not allowed in {self.mode!r} mode")
-            want = self._claimed_row(p, row, where)
+            want = self._claimed_row(p, row, f"verdict row {i}", where)
             if want is not None:
                 cited = f": evidence {row['evidence']}" if "evidence" in row else ""
                 self._same_row(row, want, where + cited)
 
-    def _claimed_row(self, p: PlannedRow, row: dict, where: str) -> Optional[dict]:
-        """The row of planned row `p` for the branch that the plan and
-        `row`'s verdict pick, with the evidence `row` cites bound: a good
-        face's; for a bad face, a legal row when the verdict is Regular, a
-        critical row when it is Critical.  None when no such row exists."""
+    def _claimed_row(self, p: PlannedRow, row: dict, at: str, where: str) -> Optional[dict]:
+        """The row of planned row `p` for the branch that the plan and the
+        verdict of `row`, at position `at`, pick, with the evidence `row`
+        cites bound: a good face's; for a bad face, a legal row if Regular, a
+        critical row if Critical.  None when no such row exists."""
         if p.witness is not None:
             return good_row(p)
         verdict = row["verdict"]
-        if verdict == "Regular":
-            self._legality(row["evidence"], p, where)
-            return verdict_row(p, verdict, evidence=row["evidence"])
-        if type(verdict) is str and verdict.startswith("Critical("):
-            return self._critical_row(p, row["evidence"], where)
-        self.fail(f"{where}: bad face, unverifiable verdict {verdict!r}")
-        return None
+        critical = type(verdict) is str and verdict.startswith("Critical(")
+        if verdict != "Regular" and not critical:
+            self.fail(f"{where}: bad face, unverifiable verdict {verdict!r}")
+            return None
+        self._keys(row, {"evidence"}, at, exact=False)
+        eid = row["evidence"]
+        if critical:
+            return self._critical_row(p, eid, where)
+        self._legality(eid, p, where)
+        return verdict_row(p, verdict, evidence=eid)
 
     def _critical_row(self, p: PlannedRow, eid, where: str) -> Optional[dict]:
-        """The critical row citing `eid`, the shared item of p's ℓ, once
-        every state's transform is validated and the item bound."""
-        P, m, states = self.P, self.m, self.states
-        ell = all_pairs_index(P, m, p.F)
+        """The critical row citing `eid`, the shared item of p's ℓ, once the
+        item is bound: by the all-pairs lemma the face alone decides the
+        row, as a good face's witness does."""
+        ell = all_pairs_index(self.P, self.m, p.F)
         if ell is None:
             self.fail(f"{where}: evidence {eid}: not an all-pairs top vertex")
             return None
-        for idx in p.states:
-            try:
-                critical_transform(P, m, states[idx], p.F, self._transforms)
-            except (InputError, InternalError) as exc:
-                self.fail(f"{where}: evidence {eid}: state {idx} does not match "
-                          f"the canonical cube: {exc}")
-                return None
         self._evidence("shared_evidence", eid, shared_header(ell), where, ell,
                        lambda ev: self._core_problems(ell, ev))
         return verdict_row(p, f"Critical({ell})", evidence=eid)
@@ -316,6 +315,7 @@ class _Verifier:
             for (idx, s_in), row in zip(enumerate(in_masks), rows):
                 where = f"cusp {iv.id} state {idx}"
                 ok = check_cusp_condition(table, s_in) is not None
+                self._keys(row, {"checked"}, where, exact=False)
                 proved = self._apexes(row["checked"], table.bad if ok else (), s_in, where)
                 if proved:
                     self._same_row(row, cusp_row(ok, row["checked"]), where)

@@ -584,6 +584,47 @@ def test_verify_names_the_item_of_a_renamed_sequence_key(cert_p5, tmp_path, caps
     assert f"{where}: missing key in_sequence" in capsys.readouterr().err
 
 
+def _rename_key(row, key):
+    """Rename `key` of `row` by cutting its last character."""
+    row[key[:-1]] = row.pop(key)
+
+
+def _legal_row_index(doc):
+    return next(i for i, r in enumerate(doc["verdicts"]["rows"])
+                if row_branch(r) == "inherited-totally-legal")
+
+
+# (edit of the p5 report, the input error that names where it is): a row
+# that lacks a key, or is no object, is malformed, and the message names its
+# position, a verdict row by index and a cusp row by cusp and state
+ROW_KEY_EDITS = [
+    (lambda d: _rename_key(d["verdicts"]["rows"][3], "states"),
+     "verdict row 3: missing key states"),
+    (lambda d: _rename_key(d["verdicts"]["rows"][3], "face"), "verdict row 3: missing key face"),
+    (lambda d: _rename_key(d["verdicts"]["rows"][3], "verdict"),
+     "verdict row 3: missing key verdict"),
+    (lambda d: _rename_key(d["verdicts"]["rows"][_legal_row_index(d)], "evidence"),
+     "verdict row {legal}: missing key evidence"),
+    (lambda d: _set(d["verdicts"]["rows"], 3, [0]), "verdict row 3: not an object"),
+    (lambda d: _rename_key(d["cusps"]["rows"][5], "checked"),
+     "cusp {cusp} state 5: missing key checked"),
+    (lambda d: _set(d["cusps"]["rows"], 5, None), "cusp {cusp} state 5: not an object"),
+]
+
+
+@pytest.mark.parametrize("edit, message", ROW_KEY_EDITS,
+                         ids=["verdict-states", "verdict-face", "verdict-verdict",
+                              "legal-evidence", "verdict-row-list", "cusp-checked",
+                              "cusp-row-null"])
+def test_verify_names_a_row_that_lacks_a_key(cert_p5, P5, tmp_path, capsys, edit, message):
+    doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
+    message = message.format(legal=_legal_row_index(doc), cusp=P5.ideal_vertices[0].id)
+    edit(doc)
+    write_json(tmp_path / "r.json", doc)
+    assert main(["verify", str(tmp_path / "r.json")]) == 2
+    assert f"input error: {message}\n" in capsys.readouterr().err
+
+
 def test_verify_rejects_a_boundary_cube_that_is_not_all_regular(tmp_path, capsys):
     """Ideal vertex x of the square on facets a and c, which share a move:
     they never differ in status, so the cusp condition fails in every state

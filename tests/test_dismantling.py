@@ -55,7 +55,6 @@ from morsecert.states import (
     legality,
     move_system_p5,
     move_system_p6,
-    orbit,
     split_legality,
 )
 from morsecert.verify import verify_document
@@ -405,10 +404,12 @@ def test_p6_runs_no_search_and_builds_no_link(monkeypatch):
 def test_verify_runs_no_finder(monkeypatch, cert_p6, cert_p5):
     """The verifier checks the certificates a report gives and finds none
     again: no dismantling order, cone apex, legality record, boundary cube,
-    critical certificate, link classification or collapse search."""
+    critical certificate, link classification, cube model, canonical
+    transform or collapse search."""
     docs = [_report(cert) for cert in (cert_p6, cert_p5)]
     _forbid(monkeypatch, (dismantle, cone_apex, flag_certificate, split_legality,
-                          certify_boundary_cube, classify_link, try_collapse))
+                          certify_boundary_cube, classify_link, build_cube_model,
+                          canonical_pairs_transform, try_collapse))
     monkeypatch.setattr(CriticalLinkCertifier, "certificate",
                         _raising("CriticalLinkCertifier.certificate"))
     for doc in docs:
@@ -416,33 +417,19 @@ def test_verify_runs_no_finder(monkeypatch, cert_p6, cert_p5):
         assert ok, msgs
 
 
-def _transform_key(model):
-    """What a critical transform depends on: which cube positions share a
-    move, and the base statuses."""
-    return model.lift.blocks, model.base_status_out
-
-
-def test_critical_transforms_built_once_per_key_and_run(monkeypatch, P6, M6, BAL6):
-    """Certify and verify each build one cube model per distinct transform
-    key, and a second verify builds them again: the memo belongs to the run,
-    not to the module."""
-    keys = {
-        _transform_key(build_cube_model(P6, M6, s, F))
-        for F in face_table(P6, M6).bad if all_pairs_index(P6, M6, F) is not None
-        for s in BAL6
-    }
-    assert len(keys) == 48
-    calls = _count(monkeypatch, build_cube_model)
+def test_critical_rows_build_no_cube_model(monkeypatch):
+    """By the all-pairs lemma a critical row is decided by its face alone:
+    one p6 certify and two verifies of its report call neither
+    `build_cube_model` nor `canonical_pairs_transform`."""
+    calls = [_count(monkeypatch, f) for f in (build_cube_model, canonical_pairs_transform)]
     cert = certify_p6()
     assert cert.passed, cert.failures
-    assert len(calls) == 48
-    assert {_transform_key(build_cube_model(*args)) for args in calls} == keys
+    assert calls == [[], []]
     doc = _report(cert)
     for _ in range(2):
-        del calls[:]
         ok, msgs = verify_document(doc)
         assert ok, msgs
-        assert len(calls) == 48
+        assert calls == [[], []]
 
 
 def test_cusp_condition_checked_once_per_cusp_and_state(monkeypatch):
@@ -617,6 +604,17 @@ def test_rehashed_shared_tampers_are_rejected(cert_p6, tmp_path, capsys, tamper,
     assert any(new in line and f"{key} {message}" in line for line in out.splitlines()), out
 
 
+def test_shared_item_key_failure_is_named_once(cert_p6):
+    """An unknown key in the shared item, re-hashed and cited by all 8
+    critical rows, is named once for the item, as its hash is checked once,
+    not once per citing row."""
+    doc = _report(cert_p6)
+    new = _rehash_shared(doc, lambda ev: ev.update(note=0))
+    ok, msgs = verify_document(doc)
+    assert not ok
+    assert len(msgs) == 1 and msgs[0].endswith(f"evidence {new}: unknown key 'note'"), msgs
+
+
 def test_certifier_falls_back_to_elementary_collapses(monkeypatch):
     """A face link with no dismantling order onto its core gets no
     certificate and no searched collapse in its place: the shared
@@ -624,22 +622,18 @@ def test_certifier_falls_back_to_elementary_collapses(monkeypatch):
     Unknown, not Critical."""
     import morsecert.states as states
 
-    pol, moves, state = _squares_inputs()
+    pol, moves, _ = _squares_inputs()
     P = polytope_from_doc(pol)
-    m, s = moves_from_doc(moves, P), state_from_doc(state, P)
+    m = moves_from_doc(moves, P)
     F = next(F for F in face_table(P, m).bad if all_pairs_index(P, m, F) == 2)
-    # the states of F's planned row
-    orb = orbit(s, m)
-    row_states = [orb[i] for i in next(p for p in verdict_plan(P, m, orb) if p.F == F).states]
-    assert classify_link(P, m, row_states, F, certifier=CriticalLinkCertifier()).verdict == \
-        "Critical"
+    assert classify_link(P, m, F, certifier=CriticalLinkCertifier()).verdict == "Critical"
     orders = states.dismantle
     monkeypatch.setattr(states, "dismantle", lambda N, keep=0, live=None: (
         None if len(N) == 48 else orders(N, keep, live)))
     cert = CriticalLinkCertifier().certificate(2)
     assert not cert.success
     assert cert.asc_sequence is not None and cert.desc_sequence is None
-    lc = classify_link(P, m, row_states, F, certifier=CriticalLinkCertifier())
+    lc = classify_link(P, m, F, certifier=CriticalLinkCertifier())
     assert (lc.verdict, lc.index) == ("Unknown", None)
     assert lc.note == "no dismantling order found on the canonical all-pairs cube"
 

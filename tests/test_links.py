@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -12,6 +13,7 @@ from morsecert.complexes import (
 )
 from morsecert.certify import _classify_group, good_row, verdict_plan
 from morsecert.errors import InputError, InternalError
+from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
 from morsecert.links import (
     CriticalLinkCertifier,
     LiftValue,
@@ -39,9 +41,13 @@ from morsecert.polytopes import (
 )
 from morsecert.report import row_branch
 from morsecert.states import (
+    State,
+    all_pairs_index,
     certificate_problem,
     classify_bad_faces,
+    face_table,
     inherited_state,
+    orbit,
 )
 
 from oracles import (
@@ -53,6 +59,7 @@ from oracles import (
     vertex_state,
     vertex_states,
 )
+from test_dismantling import _squares_inputs
 
 
 def find_state(states, *, facet_in=(), facet_out=()):
@@ -303,8 +310,7 @@ def test_degraded_cores_are_rejected(ell, kind, degrade, message):
         check_sd_crosspolytope_witness(*degrade(G, core), ell, kind)
 
 
-def test_critical_certifier_and_transform(P6, M6, BAL6):
-    bad = classify_bad_faces(P6, M6)
+def test_critical_certifier_and_transform():
     cert = CriticalLinkCertifier()
     shared = cert.certificate(3)
     assert shared.success
@@ -317,12 +323,94 @@ def test_critical_certifier_and_transform(P6, M6, BAL6):
         assert certificate_problem(G, order, live, keep, what="link") is None
         assert certificate_problem(G, order[:-1], live, keep, what="link") == (
             "does not reach its core")
-    # every bad vertex in every state matches the canonical cube
-    for F in bad[(2, 2, 2)]:
-        for s in BAL6[:4]:
-            model = build_cube_model(P6, M6, s, F)
-            ell, perm, delta = canonical_pairs_transform(model, synthetic_pairs_lift(3))
-            assert ell == 3 and sorted(perm) == list(range(6))
+    # every bad vertex matches the canonical cube: the all-pairs lemma tests
+
+
+def _lemma_transform(F, m, s):
+    """The (ℓ, perm, delta) that the all-pairs lemma gives F at state s:
+    pair i, the pairs ordered by first sorted position, goes to coordinates
+    2i and 2i + 1, and bit 2i of delta is set exactly when pair i is In."""
+    defining = sorted(F.defining)
+    pairs = sorted({tuple(sorted(m.block(f) & F.defining)) for f in defining},
+                   key=lambda pair: defining.index(pair[0]))
+    perm = [0] * len(defining)
+    delta = 0
+    for i, (a, b) in enumerate(pairs):
+        perm[defining.index(a)], perm[defining.index(b)] = 2 * i, 2 * i + 1
+        if a in s.in_facets:
+            delta |= 1 << 2 * i
+    return len(pairs), tuple(perm), delta
+
+
+def _check_lemma(P, m, s, F):
+    ell = all_pairs_index(P, m, F)
+    model = build_cube_model(P, m, s, F)
+    assert canonical_pairs_transform(model, synthetic_pairs_lift(ell)) == \
+        _lemma_transform(F, m, s)
+
+
+def _matchings(ids):
+    """Every perfect matching of `ids` into pairs."""
+    if not ids:
+        yield []
+        return
+    for i in range(1, len(ids)):
+        for rest in _matchings(ids[1:i] + ids[i + 1:]):
+            yield [(ids[0], ids[i])] + rest
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_all_pairs_lemma_on_the_clique_polytope(ell):
+    """The all-pairs lemma on the top face of the clique polytope of 2ℓ
+    facets: for every perfect matching of the facets into moves and every
+    state with each pair In or Out, the cube lift is the canonical one by
+    the lemma's map, 1,680 cases at ℓ = 4.  A state that splits a pair is
+    not compatible, and `build_cube_model` refuses it."""
+    ids = [f"f{i}" for i in range(2 * ell)]
+    P = polytope_from_doc({"name": "clique", "dimension": 2 * ell,
+                           "facets": [{"id": f} for f in ids],
+                           "adjacency": [list(pair) for pair in combinations(ids, 2)]})
+    F = FaceHandle(frozenset(ids))
+    cases = 0
+    for matching in _matchings(ids):
+        m = moves_from_doc([list(pair) for pair in matching], P)
+        assert all_pairs_index(P, m, F) == ell
+        for ins in product((False, True), repeat=ell):
+            s = State(tuple(ids), frozenset(f for pair, i in zip(matching, ins) if i
+                                            for f in pair))
+            _check_lemma(P, m, s, F)
+            cases += 1
+        split = State(tuple(ids), frozenset({matching[0][0]}))
+        with pytest.raises(InputError, match="not compatible"):
+            build_cube_model(P, m, split, F)
+    assert cases == {1: 2, 2: 12, 3: 120, 4: 1680}[ell]
+
+
+def test_all_pairs_lemma_on_p6(P6, M6, BAL6):
+    """The lemma on every (all-pairs top vertex, state) pair of p6, 8 x 32,
+    the states reached from the first by crossing a vertex's facets among
+    them."""
+    faces = [F for F in face_table(P6, M6).bad if all_pairs_index(P6, M6, F) is not None]
+    assert len(faces) == 8
+    for F in faces:
+        model = build_cube_model(P6, M6, BAL6[0], F)
+        for w in (0b000001, 0b010101, 0b111111):
+            assert vertex_state(model, w) in BAL6
+        for s in BAL6:
+            _check_lemma(P6, M6, s, F)
+
+
+def test_all_pairs_lemma_on_two_squares():
+    """The lemma on every (all-pairs top vertex, state) pair of the product
+    of two squares, whose all-pairs vertices have ℓ = 2."""
+    pol, moves, state = _squares_inputs()
+    P = polytope_from_doc(pol)
+    m, s0 = moves_from_doc(moves, P), state_from_doc(state, P)
+    faces = [F for F in face_table(P, m).bad if all_pairs_index(P, m, F) == 2]
+    assert faces
+    for F in faces:
+        for s in orbit(s0, m):
+            _check_lemma(P, m, s, F)
 
 
 def _planned(P, m, states, face, idx):
@@ -333,8 +421,9 @@ def _planned(P, m, states, face, idx):
 
 def test_classify_link_verdicts(P6, M6, BAL6):
     """The plan decides a good face, `_classify_group` a totally legal
-    class, and `classify_link` only what is left: Critical by the canonical
-    cube, or Unknown for a bad face that is no all-pairs top vertex."""
+    class, and `classify_link` only what is left, from the face alone:
+    Critical for an all-pairs top vertex, by the all-pairs lemma, or
+    Unknown for a bad face that is no all-pairs top vertex."""
     cert, ids = CriticalLinkCertifier(), {}
     good = _planned(P6, M6, BAL6, {"A", "1+i+j+k"}, 0)
     assert good.witness is not None and good.F is None
@@ -342,39 +431,30 @@ def test_classify_link_verdicts(P6, M6, BAL6):
     ridge = {"1+i+j+k", "-1+i+j+k"}
     for face in (ridge, ()):
         row, ev, failure = _classify_group(
-            P6, M6, BAL6, _planned(P6, M6, BAL6, face, 0), certifier=cert, shared_ids=ids)
+            P6, M6, _planned(P6, M6, BAL6, face, 0), certifier=cert, shared_ids=ids)
         assert row["verdict"] == "Regular" and row_branch(row) == "inherited-totally-legal"
         assert list(ev) == [row["evidence"]] and failure is None
     bad = classify_bad_faces(P6, M6)
-    # classify_link takes the states of the planned row
-    vertex, legal = (_planned(P6, M6, BAL6, face, 0)
-                     for face in (bad[(2, 2, 2)][0].defining, ridge))
-    crit = classify_link(P6, M6, [BAL6[i] for i in vertex.states], vertex.F, certifier=cert)
+    crit = classify_link(P6, M6, bad[(2, 2, 2)][0], certifier=cert)
     assert crit.verdict == "Critical" and crit.index == 3
-    lc = classify_link(P6, M6, [BAL6[i] for i in legal.states], legal.F, certifier=cert)
+    lc = classify_link(P6, M6, bad[(2,)][0], certifier=cert)
     assert (lc.verdict, lc.index) == ("Unknown", None)
     assert lc.note == "bad face, not totally legal, signature (2,)"
 
 
 def test_classification_independent_of_base_vertex(P6, M6, BAL6):
-    # building the model from any translate of the base state gives the
-    # same classification
+    # the classes of a bad ridge reached from any translate of the base
+    # state classify alike; an all-pairs vertex's translates are in the
+    # all-pairs lemma's test, since `classify_link` takes no state
     bad = classify_bad_faces(P6, M6)
-    F = bad[(2, 2, 2)][0]
     cert = CriticalLinkCertifier()
-    s = BAL6[0]
-    model = build_cube_model(P6, M6, s, F)
-    for w in (0b000001, 0b010101, 0b111111):
-        translated = vertex_state(model, w)
-        lc = classify_link(P6, M6, [translated], F, certifier=cert)
-        assert lc.verdict == "Critical" and lc.index == 3
     ridge = bad[(2,)][0]
-    model = build_cube_model(P6, M6, s, ridge)
+    model = build_cube_model(P6, M6, BAL6[0], ridge)
     verdicts = set()
     for w in range(4):
         idx = BAL6.index(vertex_state(model, w))
         p = _planned(P6, M6, BAL6, ridge.defining, idx)
-        row = _classify_group(P6, M6, BAL6, p, certifier=cert, shared_ids={})[0]
+        row = _classify_group(P6, M6, p, certifier=cert, shared_ids={})[0]
         verdicts.add((row["verdict"], row_branch(row)))
     assert verdicts == {("Regular", "inherited-totally-legal")}
 

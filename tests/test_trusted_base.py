@@ -27,9 +27,9 @@ TRUSTED = {
         base_unit euclid4 label_quat label_signs minus_count quat_conj quat_mul
         t24_adjacent""",
     "links": """
-        CubeLift.lift_of_face CubeLift.proper_faces _pair_values build_cube_model
-        canonical_pairs_graphs canonical_pairs_transform check_cusp_condition
-        check_sd_crosspolytope_witness comparability_graph critical_transform
+        CubeLift.lift_of_face CubeLift.proper_faces _pair_values
+        canonical_pairs_graphs check_cusp_condition
+        check_sd_crosspolytope_witness comparability_graph
         cusp_table face_contains face_int face_link_posets face_parts
         pairs_core_elements synthetic_pairs_lift""",
     "polytopes": """
@@ -98,4 +98,4 @@ def test_verify_runs_the_trusted_base(cert_p5, cert_p6, tmp_path):
     assert not [name for name in ran if name.startswith("complexes.")]
     want = {f"{mod}.{name}" for mod, names in TRUSTED.items() for name in names.split()}
     assert sorted(ran - want) == [] and sorted(want - ran) == []
-    assert len(want) == 102
+    assert len(want) == 99
