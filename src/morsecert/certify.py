@@ -118,7 +118,6 @@ class Certificate:
     seed: int
     f_vector: FVectorReport
     bad_faces: Dict[Tuple[int, ...], Tuple[FaceHandle, ...]]
-    bad_faces_passed: Optional[bool]
     verdict_rows: Tuple[dict, ...]  # report rows, by `verdict_row`
     evidence: Dict[str, dict]
     shared_evidence: Dict[str, dict]
@@ -411,17 +410,14 @@ def run_pipeline(
     subject: str,
     mode: str,
     seed: int = 0,
-    f_expect: Optional[dict] = None,
-    f_degree: Optional[int] = None,
-    signature_expect: Optional[set] = None,
-    expected_orbit: Optional[int] = None,
     inputs_digest: str = "",
     generic_inputs: Optional[dict] = None,
     parallel: int = 1,
 ) -> Certificate:
     """Full face-by-state classification, cusp suite and consistency identity.
-    `states` are compatible, as the all-pairs lemma needs: `builtin_subject`
-    or `generic_orbit` checked them when the subject was built.
+    `states` are compatible, as the all-pairs lemma needs, and a built-in
+    subject's census is the paper's: `builtin_subject` or `generic_orbit`
+    checked both when the subject was built.
 
     With parallel > 1 the independent (face, class) groups fan out to a
     process pool; results merge in canonical key order, so reports are
@@ -436,30 +432,17 @@ def run_pipeline(
     t0 = time.perf_counter()
     if not m.covers(P.facet_ids):
         raise InputError("move system does not partition the facet set")
-    fv = f_vector_check(P, f_expect, f_degree)
+    fv = f_vector_check(P)
     timings["f_vector"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     orb = orbit(states[0], m)
     if set(orb) != set(states):
         failures.append("supplied states are not the orbit of the first state")
-    if expected_orbit is not None and len(orb) != expected_orbit:
-        failures.append(f"orbit size {len(orb)} != expected {expected_orbit}")
     timings["orbit"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     bad = classify_bad_faces(P, m)
-    bad_passed: Optional[bool] = None
-    if signature_expect is not None:
-        bad_passed = set(bad) == signature_expect
-        if not bad_passed:
-            failures.append(
-                f"bad-face signatures {sorted(bad)} != expected "
-                f"{sorted(signature_expect)}"
-            )
-        if any(sum(sig) == 5 for sig in bad):
-            bad_passed = False
-            failures.append("found a codimension-5 bad face")
     timings["bad_faces"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -514,7 +497,6 @@ def run_pipeline(
         seed=seed,
         f_vector=fv,
         bad_faces=bad,
-        bad_faces_passed=bad_passed,
         verdict_rows=rows,
         evidence=evidence,
         shared_evidence=shared,
@@ -529,32 +511,14 @@ def run_pipeline(
 
 def certify_p6(*, seed: int = 0, parallel: int = 1) -> Certificate:
     """Certify the 27-facet 6-polytope: every link Regular or Critical(3)."""
-    return run_pipeline(
-        *builtin_subject("p6"),
-        subject="P6_perfect_morse",
-        mode="perfect",
-        seed=seed,
-        f_expect={1: 27, 2: 216, 6: 72, 7: 0},
-        f_degree=16,
-        signature_expect={(2,), (3,), (2, 2), (2, 2, 2)},
-        expected_orbit=32,
-        inputs_digest=_inputs_digest("p6"),
-        parallel=parallel,
-    )
+    return run_pipeline(*builtin_subject("p6"), subject="P6_perfect_morse", mode="perfect",
+                        seed=seed, inputs_digest=_inputs_digest("p6"), parallel=parallel)
 
 
 def certify_p5(*, seed: int = 0, parallel: int = 1) -> Certificate:
     """Certify the 16-facet 5-polytope: a fibration, all links Regular."""
-    return run_pipeline(
-        *builtin_subject("p5"),
-        subject="P5_fibration",
-        mode="fibration",
-        seed=seed,
-        f_expect={1: 16, 5: 16, 6: 0},
-        expected_orbit=16,
-        inputs_digest=_inputs_digest("p5"),
-        parallel=parallel,
-    )
+    return run_pipeline(*builtin_subject("p5"), subject="P5_fibration", mode="fibration",
+                        seed=seed, inputs_digest=_inputs_digest("p5"), parallel=parallel)
 
 
 def certify_generic(

@@ -337,8 +337,6 @@ def dual_complex(P: Polytope, F: FaceHandle) -> SimplicialComplex:
 class FVectorReport:
     clique_counts: Tuple[int, ...]  # counts of cliques of size 1..len
     degrees: Tuple[int, ...]
-    checks: Tuple[str, ...]
-    passed: bool
 
 
 def f_vector_check(
@@ -346,34 +344,21 @@ def f_vector_check(
     expected_counts: Optional[Mapping[int, int]] = None,
     expected_degree: Optional[int] = None,
 ) -> FVectorReport:
-    """Census of clique counts by size, checked against declared expectations.
-
-    Always asserts there is no clique of size dimension+1 (the clique model
-    of faces would otherwise be broken) and aborts on failure.
-    """
+    """Census of clique counts by size and of facet degrees, checked against
+    declared expectations; a failure raises StructuralError naming each
+    broken line.  Always checks there is no clique of size dimension+1 (the
+    clique model of faces would otherwise be broken)."""
     counts = tuple(P.clique_count(k) for k in range(1, P.dimension + 2))
     degrees = tuple(P.degree(f) for f in P.facet_ids)
-    checks = []
-    failed = []
-
-    def check(cond: bool, text: str):
-        checks.append(("PASS " if cond else "FAIL ") + text)
-        if not cond:
-            failed.append(text)
-
-    check(counts[P.dimension] == 0,
-          f"no cliques of size {P.dimension + 1} (got {counts[P.dimension]})")
-    if expected_counts:
-        for size, want in sorted(expected_counts.items()):
-            got = counts[size - 1] if size - 1 < len(counts) else P.clique_count(size)
-            check(got == want, f"cliques of size {size}: {got} == {want}")
-    if expected_degree is not None:
-        check(all(d == expected_degree for d in degrees),
-              f"uniform facet degree {expected_degree}")
-    report = FVectorReport(counts, degrees, tuple(checks), not failed)
+    failed = [f"no cliques of size {len(counts)} (got {counts[-1]})"] if counts[-1] else []
+    for size, want in sorted((expected_counts or {}).items()):
+        if P.clique_count(size) != want:
+            failed.append(f"cliques of size {size}: {P.clique_count(size)} != {want}")
+    if expected_degree is not None and any(d != expected_degree for d in degrees):
+        failed.append(f"uniform facet degree {expected_degree}")
     if failed:
         raise StructuralError("face census failed: " + "; ".join(failed))
-    return report
+    return FVectorReport(counts, degrees)
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,6 @@ def render_text(cert: Certificate) -> str:
     add(f"clique counts by size: {list(cert.f_vector.clique_counts)}")
     degs = set(cert.f_vector.degrees)
     add(f"facet degrees: {sorted(degs)}")
-    for line in cert.f_vector.checks:
-        add("  " + line)
     add("")
     add("-- moves and orbit --")
     add(f"moves: {len(moves)} blocks, sizes {[len(b) for b in moves]}")
@@ -99,8 +97,6 @@ def render_text(cert: Certificate) -> str:
             add(f"  signature ({','.join(map(str, sig))}): {len(faces)} faces")
     else:
         add("  none")
-    if cert.bad_faces_passed is not None:
-        add(f"  signature set check: {'PASS' if cert.bad_faces_passed else 'FAIL'}")
     add("")
     add("-- verdicts --")
     n_faces = len({tuple(r["face"]) for r in cert.verdict_rows})

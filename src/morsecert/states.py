@@ -6,7 +6,8 @@ of the dual complex they span drive every legality question.  "Totally legal"
 is certified by dismantling orders, never asserted from a failed one.
 Every subject's states are checked compatible where the subject is built:
 a built-in one's in `builtin_subject`, once per process, a generic one's in
-`generic_orbit`, which certify and verify both call.
+`generic_orbit`, which certify and verify both call.  A built-in subject's
+face census is audited there too, against the paper's numbers in `CENSUS`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from . import labels as lb
 from .complexes import try_collapse  # not called here: pinned by perfbench
 from .errors import InputError, StructuralError
 from .polytopes import (
-    FaceHandle, Polytope, RankedGraph, build_p5, build_p6, dual_mask, face_of_mask,
+    FaceHandle, Polytope, RankedGraph, build_p5, build_p6, dual_mask, f_vector_check,
+    face_of_mask,
 )
 
 IN, OUT = "I", "O"
@@ -235,14 +237,23 @@ def move_system_p5(P5: Polytope) -> MoveSystem:
     return move_system_p6().restrict(P5.facet_ids)
 
 
+# The paper's census of each built-in subject: clique counts by size, the
+# uniform facet degree and the bad-face signatures (None: not declared).
+CENSUS = {
+    "p6": ({1: 27, 2: 216, 6: 72}, 16, {(2,), (3,), (2, 2), (2, 2, 2)}),
+    "p5": ({1: 16, 5: 16}, None, None),
+}
+
+
 @cache
 def builtin_subject(tag: str) -> Tuple[Polytope, MoveSystem, Tuple[State, ...]]:
     """The built-in subject "p6" or "p5": its polytope, move system and
     balanced states, built once per process from the code's own tables, P5
     from the kept P6.  No report or generic input reaches them; `build_p6`
     and the other constructors still return fresh objects.  Each state is
-    checked compatible here, once per process; on P6 and P5 an incompatible
-    one is a transcription bug."""
+    checked compatible here, and the face census against `CENSUS`, once per
+    process; on P6 and P5 a failure of either is a transcription bug, a
+    StructuralError naming the subject."""
     if tag == "p6":
         P = build_p6()
         m, states = move_system_p6(), balanced_states_p6(P)
@@ -256,6 +267,14 @@ def builtin_subject(tag: str) -> Tuple[Polytope, MoveSystem, Tuple[State, ...]]:
         if not ok:
             raise StructuralError(f"{tag} state {idx} is incompatible: "
                                   f"adjacent same-move pair {witness!r}")
+    counts, degree, signatures = CENSUS[tag]
+    try:
+        f_vector_check(P, counts, degree)
+    except StructuralError as exc:
+        raise StructuralError(f"{tag} {exc}") from None
+    if signatures is not None and set(classify_bad_faces(P, m)) != signatures:
+        raise StructuralError(f"{tag} bad-face signatures {list(classify_bad_faces(P, m))} "
+                              f"!= expected {sorted(signatures)}")
     return P, m, states
 
 
@@ -454,8 +473,10 @@ def certificate_problem(G: RankedGraph, steps, live: int, keep: int = 0, *,
     """What is wrong with `steps` as a `flag_certificate` of G on `live`,
     the `what` a message names: a dismantling order down to `keep`, or to
     one vertex when `keep` is 0, checked in place on G's masks; None when
-    nothing is.  A step must be a pair of labels, and a label a live vertex
-    of the same type as G's labels."""
+    nothing is.  `steps` must be a list, a step a pair of labels, and a
+    label a live vertex of the same type as G's labels."""
+    if type(steps) is not list:
+        return "not a list of steps"
     kind, rank, N = type(next(iter(G.ids), None)), G.rank, G.N
     for i, step in enumerate(steps):
         pair = type(step) is list and len(step) == 2

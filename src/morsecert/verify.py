@@ -17,8 +17,9 @@ boundary.  A step of any other shape is rejected.  Nothing here searches or
 builds a complex, so verification costs a small multiple of reading the
 report.  Only `timings` and `seeds` back no claim: the verifier requires
 their keys and checks nothing in them, and the seed steers nothing.
-A built-in subject and the canonical link graphs are built once per process
-and shared by every report verified in it: nothing a report carries reaches
+A built-in subject, its census audited where `states.builtin_subject`
+builds it, and the canonical link graphs are built once per process and
+shared by every report verified in it: nothing a report carries reaches
 them, and a generic report's embedded inputs are rebuilt for each report.
 A generic subject is built by `states.generic_orbit`, as certify builds it,
 so an embedded initial state that is not compatible is rejected first,
@@ -232,7 +233,6 @@ class _Verifier:
 
     def check_verdicts(self):
         doc, P = self.doc, self.P
-        self._keys(doc["verdicts"], frozenset({"rows"}), "verdicts")
         rows = doc["verdicts"]["rows"]
         plan = {(p.face, p.states): p for p in verdict_plan(P, self.m, self.states)}
         for i, row in enumerate(rows):
@@ -303,7 +303,6 @@ class _Verifier:
         a cone.  The row must then be `cusp_row`'s of the recomputed
         condition and its `checked`, and its boundary cube all Regular."""
         doc, P, m, states = self.doc, self.P, self.m, self.states
-        self._keys(doc["cusps"], frozenset({"rows"}), "cusps")
         rows = doc["cusps"]["rows"]
         if len(rows) != len(P.ideal_vertices) * len(states):
             self.fail(f"cusps: {len(rows)} rows, want one per (cusp, state): "
@@ -364,6 +363,13 @@ class _Verifier:
         # only a generic report embeds inputs; build_context rejects one without
         generic = self.doc.get("subject") == "generic" and "inputs" in self.doc
         self._keys(self.doc, REPORT_KEYS | {"inputs"} if generic else REPORT_KEYS, "report")
+        # a section of the wrong type is malformed, named by its key
+        for key in ("evidence", "shared_evidence"):
+            self._keys(self.doc[key], frozenset(), key, exact=False)
+        for key in ("verdicts", "cusps"):
+            self._keys(self.doc[key], frozenset({"rows"}), key)
+            if type(self.doc[key]["rows"]) is not list:
+                raise InputError(f"{key}.rows: not a list")
         try:
             self.build_context()
         except InputError as exc:

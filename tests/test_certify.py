@@ -215,12 +215,12 @@ def test_text_report_sections(cert_p6):
 # SHA-256 of the text reports of seed 0 up to their timings, and their
 # verdict sections, whose "via" counts are read off each row's witness key
 TEXT_REPORTS = {
-    "p5": ("996e80a3bd90e3d89b2fa2793133bb5d6c771ff1b78ab73157131787fb5df325",
+    "p5": ("11cc41422117e1a30230e9299627444dd83a0930769b482ecd4e0ac95fba3fac",
            "coverage: 393 faces x 16 states = 6288 pairs in 464 classes\n"
            "  Regular: 464 classes\n"
            "  via good-face: 384\n"
            "  via inherited-totally-legal: 80\n"),
-    "p6": ("7a9b484b5961aa805c3b67c724e3ac593b87bad089fc8680d52b12051950ace5",
+    "p6": ("3dd3c08bdbd03337b28ed9d77168cf3da6d3737c8ff55873aa42381cced5ae61",
            "coverage: 2764 faces x 32 states = 88448 pairs in 3235 classes\n"
            "  Critical(3): 8 classes\n"
            "  Regular: 3227 classes\n"
@@ -584,6 +584,21 @@ def test_verify_names_the_item_of_a_renamed_sequence_key(cert_p5, tmp_path, caps
     assert f"{where}: missing key in_sequence" in capsys.readouterr().err
 
 
+def test_verify_names_the_item_of_a_sequence_that_is_not_a_list(cert_p5, tmp_path, capsys):
+    """An evidence item whose sequence is null is rejected, and the message
+    names the face citing it, the item's id and the key, after the item's
+    failed hash."""
+    doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
+    row = _row(doc, "inherited-totally-legal")
+    doc["evidence"][row["evidence"]]["out_sequence"] = None
+    write_json(tmp_path / "r.json", doc)
+    assert main(["verify", str(tmp_path / "r.json")]) == 1
+    where = f"face {tuple(row['face'])}: evidence {row['evidence']}"
+    out = capsys.readouterr().out
+    assert f"FAIL: {where}: id is not the hash of the content\n" in out
+    assert f"FAIL: {where}: out_sequence not a list of steps\n" in out
+
+
 def _rename_key(row, key):
     """Rename `key` of `row` by cutting its last character."""
     row[key[:-1]] = row.pop(key)
@@ -596,7 +611,8 @@ def _legal_row_index(doc):
 
 # (edit of the p5 report, the input error that names where it is): a row
 # that lacks a key, or is no object, is malformed, and the message names its
-# position, a verdict row by index and a cusp row by cusp and state
+# position, a verdict row by index and a cusp row by cusp and state; so is a
+# section of the wrong type, named by its key
 ROW_KEY_EDITS = [
     (lambda d: _rename_key(d["verdicts"]["rows"][3], "states"),
      "verdict row 3: missing key states"),
@@ -609,13 +625,22 @@ ROW_KEY_EDITS = [
     (lambda d: _rename_key(d["cusps"]["rows"][5], "checked"),
      "cusp {cusp} state 5: missing key checked"),
     (lambda d: _set(d["cusps"]["rows"], 5, None), "cusp {cusp} state 5: not an object"),
+    (lambda d: _set(d, "shared_evidence", []), "shared_evidence: not an object"),
+    (lambda d: _set(d, "shared_evidence", ""), "shared_evidence: not an object"),
+    (lambda d: _set(d, "shared_evidence", 0), "shared_evidence: not an object"),
+    (lambda d: _set(d, "shared_evidence", None), "shared_evidence: not an object"),
+    (lambda d: _set(d, "evidence", []), "evidence: not an object"),
+    (lambda d: _set(d["cusps"], "rows", 5), "cusps.rows: not a list"),
+    (lambda d: _set(d["verdicts"], "rows", None), "verdicts.rows: not a list"),
 ]
 
 
 @pytest.mark.parametrize("edit, message", ROW_KEY_EDITS,
                          ids=["verdict-states", "verdict-face", "verdict-verdict",
                               "legal-evidence", "verdict-row-list", "cusp-checked",
-                              "cusp-row-null"])
+                              "cusp-row-null", "shared-evidence-list", "shared-evidence-str",
+                              "shared-evidence-int", "shared-evidence-null", "evidence-list",
+                              "cusp-rows-int", "verdict-rows-null"])
 def test_verify_names_a_row_that_lacks_a_key(cert_p5, P5, tmp_path, capsys, edit, message):
     doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
     message = message.format(legal=_legal_row_index(doc), cusp=P5.ideal_vertices[0].id)

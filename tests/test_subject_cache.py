@@ -70,6 +70,37 @@ def test_builtin_subject_checks_its_states(monkeypatch):
     assert str(info.value) == f"p5 state 3 is incompatible: adjacent same-move pair {pair!r}"
 
 
+@pytest.mark.parametrize("census, named", [
+    (({1: 27, 2: 215, 6: 72}, 16, {(2,), (3,), (2, 2), (2, 2, 2)}),
+     "p6 face census failed: cliques of size 2: 216 != 215"),
+    (({1: 27, 2: 216, 6: 72}, 16, {(2,), (3,), (2, 2)}),
+     "p6 bad-face signatures [(2,), (2, 2), (2, 2, 2), (3,)] != expected "
+     "[(2,), (2, 2), (3,)]"),
+], ids=["clique-count", "signatures"])
+def test_builtin_subject_audits_its_census(monkeypatch, cert_p6, tmp_path, capsys,
+                                           census, named):
+    """A built-in census that the built subject breaks is a transcription
+    bug: `builtin_subject` refuses it, naming the subject and the broken
+    line, and certify, verify of a good report and info all exit 3."""
+    import morsecert.states
+    from morsecert.errors import StructuralError
+
+    report = tmp_path / "p6.json"
+    report.write_text(document_to_json(certificate_to_document(cert_p6)))
+    monkeypatch.setitem(morsecert.states.CENSUS, "p6", census)
+    builtin_subject.cache_clear()
+    try:
+        with pytest.raises(StructuralError) as info:
+            builtin_subject("p6")
+        codes = [main(argv) for argv in (["certify", "p6"], ["verify", str(report)],
+                                         ["info", "p6"])]
+    finally:
+        builtin_subject.cache_clear()
+    assert str(info.value) == named
+    assert codes == [3, 3, 3]
+    assert capsys.readouterr().err == f"internal error: {named}\n" * 3
+
+
 def test_p5_is_built_from_the_kept_p6(monkeypatch):
     import morsecert.states
 
