@@ -75,13 +75,6 @@ def shared_header(ell: int) -> dict:
     return {"kind": "critical-shared", "ell": ell}
 
 
-# The sequences an evidence item of each kind carries after its header.
-SEQUENCE_KEYS = {
-    "legality": ("out_sequence", "in_sequence"),
-    "critical-shared": ("asc_sequence", "desc_sequence"),
-}
-
-
 def legality_evidence_payload(rec) -> dict:
     """A legality item: its header and the certificates of both parts, which
     `states.flag_certificate` already gives in report form."""

@@ -1,13 +1,12 @@
 """File formats for user-supplied certification inputs (JSON documents).
 
-Polytope: {"name"?, "dimension", "facets": [{"id", "label"?, "vector"?}],
-           "adjacency"?: [[id, id]], "ideal_vertices"?: [{"label", "incident"}]}
-When every facet carries a 7-coordinate vector the adjacency is derived from
+Their shapes are `schema.POLYTOPE`, `schema.MOVES` and `schema.STATE`, which
+`load_document` parses before a reader here builds from the document.  When
+every facet carries a 7-coordinate vector the adjacency is derived from
 zero Lorentzian products; an explicit adjacency list, if also present, must
-agree.  Without vectors the explicit list is required.
-
-Moves: a list of blocks, each a list of facet ids (a partition).
-State: an object mapping every facet id to "I" or "O".
+agree.  Without vectors the explicit list is required.  The moves are a
+partition of the facet ids into nonempty blocks, and the state maps every
+facet id to "I" or "O".
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from .polytopes import (
     adjacency_from_lorentz,
     build_p6,
 )
+from .schema import MOVES, POLYTOPE, STATE, parse
 from .states import IN, OUT, MoveSystem, State, balanced_states_p6, move_system_p6
 
 
@@ -45,84 +45,44 @@ def load_json(path) -> object:
         raise InputError(f"{path}: {exc}") from exc
 
 
+# The readers take a document that its schema parsed: `load_document`'s,
+# or the report's for the inputs a generic report embeds.
+
+
 def polytope_from_doc(doc: dict) -> Polytope:
-    if not isinstance(doc, dict):
-        raise InputError("polytope document must be an object")
-    for key in ("dimension", "facets"):
-        if key not in doc:
-            raise InputError(f"polytope document missing field {key!r}")
-    dimension = doc["dimension"]
-    if type(dimension) is not int or dimension < 1:
+    if doc["dimension"] < 1:
         raise InputError("dimension must be a positive integer")
-    facets = []
-    vectors = []
-    for pos, entry in enumerate(doc["facets"]):
-        if "id" not in entry:
-            raise InputError(f"facet #{pos} has no id")
-        fid = entry["id"]
-        vec = entry.get("vector")
-        if vec is not None:
-            vec = tuple(vec)
-            if any(type(x) is not int for x in vec):
-                raise InputError(f"facet #{pos}: vector coordinates must be integers")
-        facets.append(Facet(fid, entry.get("label", fid), vec))
-        vectors.append(vec)
-    ids = [f.id for f in facets]
-    have_vectors = all(v is not None for v in vectors)
-    derived = None
-    if have_vectors:
-        pairs_idx = adjacency_from_lorentz(vectors)
-        derived = {frozenset((ids[i], ids[j])) for i, j in map(sorted, pairs_idx)}
-    explicit = None
-    if "adjacency" in doc:
-        explicit = set()
-        for pos, pair in enumerate(doc["adjacency"]):
-            if len(pair) != 2:
-                raise InputError(f"adjacency entry #{pos} is not a pair")
-            explicit.add(frozenset(pair))
-    if derived is not None and explicit is not None and derived != explicit:
-        only_d = sorted(map(sorted, derived - explicit))
-        only_e = sorted(map(sorted, explicit - derived))
-        raise InputError(
-            "explicit adjacency disagrees with Lorentzian vectors "
-            f"(vector-only: {only_d[:3]}, list-only: {only_e[:3]})"
-        )
-    adjacency = derived if derived is not None else explicit
-    if adjacency is None:
-        raise InputError("polytope document needs vectors or an adjacency list")
-    ideal = []
-    for pos, entry in enumerate(doc.get("ideal_vertices", [])):
-        if "label" not in entry or "incident" not in entry:
-            raise InputError(f"ideal vertex #{pos} needs label and incident fields")
-        ideal.append(
-            IdealVertex(
-                f"cusp:{entry['label']}",
-                entry["label"],
-                frozenset(entry["incident"]),
+    facets = [Facet(e["id"], e.get("label", e["id"]),
+                    tuple(e["vector"]) if "vector" in e else None) for e in doc["facets"]]
+    adjacency = set(map(frozenset, doc["adjacency"])) if "adjacency" in doc else None
+    if all(f.vector is not None for f in facets):
+        derived = {frozenset((facets[i].id, facets[j].id))
+                   for i, j in adjacency_from_lorentz([f.vector for f in facets])}
+        if adjacency is not None and derived != adjacency:
+            only_d = sorted(map(sorted, derived - adjacency))
+            only_e = sorted(map(sorted, adjacency - derived))
+            raise InputError(
+                "explicit adjacency disagrees with Lorentzian vectors "
+                f"(vector-only: {only_d[:3]}, list-only: {only_e[:3]})"
             )
-        )
+        adjacency = derived
+    elif adjacency is None:
+        raise InputError("polytope document needs vectors or an adjacency list")
+    ideal = [IdealVertex(f"cusp:{entry['label']}", entry["label"], frozenset(entry["incident"]))
+             for entry in doc.get("ideal_vertices", [])]
     return Polytope(
-        dimension, facets, adjacency, ideal, name=doc.get("name", "generic")
+        doc["dimension"], facets, adjacency, ideal, name=doc.get("name", "generic")
     )
 
 
-def moves_from_doc(doc, P: Polytope) -> MoveSystem:
-    if not isinstance(doc, list):
-        raise InputError("moves document must be a list of blocks")
-    blocks = []
-    for pos, block in enumerate(doc):
-        if not isinstance(block, list) or not block:
-            raise InputError(f"move #{pos} must be a nonempty list of facet ids")
-        blocks.append(frozenset(block))
-    m = MoveSystem(tuple(blocks))
+def moves_from_doc(doc: list, P: Polytope) -> MoveSystem:
+    m = MoveSystem(tuple(map(frozenset, doc)))  # which rejects an empty block
     if not m.covers(P.facet_ids):
         raise InputError("moves do not partition the facet set")
     return m
 
 
-def state_from_doc(doc, P: Polytope) -> State:
-    if not isinstance(doc, dict):
-        raise InputError("state document must map facet ids to 'I'/'O'")
+def state_from_doc(doc: dict, P: Polytope) -> State:
     missing = set(P.facet_ids) - set(doc)
     extra = set(doc) - set(P.facet_ids)
     if missing:
@@ -137,17 +97,20 @@ def state_from_doc(doc, P: Polytope) -> State:
 
 
 def load_document(path, from_doc, *args):
-    """The JSON document at `path`, read once, and `from_doc` of it: a
-    generic report embeds the very document it certified.  A document of the
-    wrong shape is an input error naming the file, as one that does not
-    parse is."""
+    """The JSON document at `path`, read once and parsed against the schema
+    of `from_doc`, and `from_doc` of it: a generic report embeds the very
+    document it certified.  A document of the wrong shape is an input error
+    naming the file and the JSON path, as one that does not parse is."""
     doc = load_json(path)
     try:
-        return doc, from_doc(doc, *args)
+        return doc, from_doc(parse(_SCHEMAS[from_doc], doc), *args)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
     except (TypeError, ValueError, AttributeError, KeyError) as exc:
         raise InputError(f"{path}: malformed document: {type(exc).__name__}: {exc}") from exc
+
+
+_SCHEMAS = {polytope_from_doc: POLYTOPE, moves_from_doc: MOVES, state_from_doc: STATE}
 
 
 # -- dumps -------------------------------------------------------------------

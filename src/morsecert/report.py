@@ -13,18 +13,8 @@ import json
 from collections import Counter
 from .certify import Certificate
 
+# The format's shape is `schema.REPORT`.
 REPORT_VERSION = "8"
-
-# The keys of a report; the verifier requires exactly these (and `inputs`
-# on a generic report).  A cusp row carries exactly the keys of
-# `certify.cusp_row`, and a verdict row exactly those `certify.verdict_row`
-# writes for its branch: `witness_move` for a good face, `evidence` for a
-# bad face's Regular or Critical row, none for an Unknown row.
-REPORT_KEYS = frozenset({
-    "version", "subject", "mode", "pass", "seeds", "inputs_digest", "polytope",
-    "moves", "orbit", "f_vector", "bad_faces", "euler", "verdicts", "evidence",
-    "shared_evidence", "cusps", "failures", "timings",
-})
 
 
 def row_branch(row: dict) -> str:

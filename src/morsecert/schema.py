@@ -1,0 +1,176 @@
+"""The JSON documents morsecert reads, as one schema, and their one parse.
+
+`REPORT` is the report; `POLYTOPE`, `MOVES` and `STATE` are the generic
+inputs, which a generic report embeds.  `parse` checks a document against
+its schema once, before anything reads it, and raises InputError naming the
+first value that breaks it by its JSON path, as in `verdicts.rows[3].face:
+expected a list of strs, got int`.  Code after it reads values of fixed
+JSON kinds (an int is never a bool), so `==` compares them exactly; which
+optional key a claim needs, and every value, is the reader's to check.
+"""
+
+from __future__ import annotations
+
+from itertools import chain
+
+from .errors import InputError
+
+_KINDS = {int: "int", float: "float", str: "str", bool: "bool", type(None): "null",
+          list: "list", dict: "object"}
+
+
+class _Mismatch(Exception):
+    """A value that breaks its schema, at the keys in `path`, innermost first."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.path: list = []
+
+
+def _expected(noun: str, value) -> _Mismatch:
+    a = "an" if noun[0] in "aeiou" else "a"
+    return _Mismatch(f"expected {a} {noun}, got {_KINDS.get(type(value), type(value).__name__)}")
+
+
+def _plural(noun: str) -> str:
+    head, _, tail = noun.partition(" ")
+    return f"{head}s {tail}".rstrip()
+
+
+class _Kind:
+    noun = "object"
+
+    def parse_items(self, values):
+        """Parse each element of the list `values`."""
+        try:
+            for i, value in enumerate(values):
+                self.parse(value)
+        except _Mismatch as exc:
+            exc.path.append(i)
+            raise
+
+
+class Leaf(_Kind):
+    """A value of one of `types`, checked by type alone."""
+
+    def __init__(self, noun: str, *types):
+        self.noun, self.types = noun, frozenset(types)
+
+    def parse(self, value):
+        if type(value) not in self.types:
+            raise _expected(self.noun, value)
+
+    def parse_items(self, values):
+        if not self.types.issuperset(map(type, values)):  # else name the first
+            super().parse_items(values)
+
+
+class ListOf(_Kind):
+    form = "list"
+
+    def __init__(self, item: _Kind):
+        self.item, self.noun = item, f"{self.form} of {_plural(item.noun)}"
+
+    def parse(self, value):
+        if type(value) is not list:
+            raise _expected(self.noun, value)
+        self.item.parse_items(value)
+
+
+class Pair(ListOf):
+    """A list of two values of a leaf kind."""
+
+    form = "pair"
+
+    def parse(self, value):
+        if type(value) is list and len(value) != 2:
+            raise _expected(self.noun, value)
+        super().parse(value)
+
+    def parse_items(self, values):
+        if not (_LIST.issuperset(map(type, values)) and _TWO.issuperset(map(len, values))
+                and self.item.types.issuperset(map(type, chain.from_iterable(values)))):
+            super().parse_items(values)
+
+
+class Obj(_Kind):
+    """An object with exactly the keys of `required` and any of `optional`,
+    or, when `each` is given, keyed by any str, each value of kind `each`."""
+
+    def __init__(self, required: dict = {}, optional: dict = {}, each: _Kind = None):
+        self.fields, self.each = {**required, **optional}, each
+        self.required, self.keys = frozenset(required), frozenset(self.fields)
+
+    def parse(self, value):
+        if type(value) is not dict:
+            raise _expected("object", value)
+        keys = value.keys()
+        if not (self.each or keys == self.required or self.required <= keys <= self.keys):
+            missing, unknown = sorted(self.required - keys), sorted(keys - self.keys)
+            raise _Mismatch(f"missing key {', '.join(missing)}" if missing else
+                            f"unknown key {', '.join(map(repr, unknown))}")
+        try:
+            for key, item in value.items():
+                (self.each or self.fields[key]).parse(item)
+        except _Mismatch as exc:
+            exc.path.append(key)
+            raise
+
+
+_LIST, _TWO = frozenset({list}), frozenset({2})
+
+
+def parse(schema: _Kind, doc, root: str = ""):
+    """`doc`, once it is checked against `schema`.  A value that breaks it
+    raises InputError naming its JSON path, or `root` for `doc` itself."""
+    try:
+        schema.parse(doc)
+    except _Mismatch as exc:
+        path = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in reversed(exc.path))
+        where = path.removeprefix(".") or root
+        raise InputError(f"{where}: {exc}" if where else str(exc)) from None
+    return doc
+
+
+INT, STR, BOOL, ANY = (Leaf("int", int), Leaf("str", str), Leaf("bool", bool),
+                       Leaf("value", *_KINDS))
+INTS, STRS = ListOf(INT), ListOf(STR)
+
+POLYTOPE = Obj(
+    {"dimension": INT, "facets": ListOf(Obj({"id": STR}, {"label": STR, "vector": INTS}))},
+    {"name": STR, "adjacency": ListOf(Pair(STR)),
+     "ideal_vertices": ListOf(Obj({"label": STR, "incident": STRS}))},
+)
+MOVES, STATE = ListOf(STRS), Obj(each=STR)
+
+# Dismantling orders, lists of [v, w] steps, name facet ids in a legality
+# item and the int vertices of a canonical link graph in a shared item.
+FACET_ORDER, LINK_ORDER = ListOf(Pair(STR)), ListOf(Pair(INT))
+EVIDENCE_ITEMS = {
+    "legality": Obj({"kind": STR, "host": Obj({"type": STR}),
+                     "out_sequence": FACET_ORDER, "in_sequence": FACET_ORDER}),
+    "critical-shared": Obj({"kind": STR, "ell": INT,
+                            "asc_sequence": LINK_ORDER, "desc_sequence": LINK_ORDER}),
+}
+# The sequences an evidence item of each kind carries after its header.
+SEQUENCE_KEYS = {kind: tuple(k for k, v in item.fields.items() if v in (FACET_ORDER, LINK_ORDER))
+                 for kind, item in EVIDENCE_ITEMS.items()}
+
+# The tables the verifier compares whole by canonical JSON are typed only at
+# their top level; a verdict row carries the witness of its branch, none
+# when Unknown; a cusp apex is null where its part is no cone.
+OBJ_TABLE, LIST_TABLE = Leaf("object", dict), Leaf("list", list)
+REPORT = Obj({
+    "version": STR, "subject": STR, "mode": STR, "pass": BOOL, "seeds": ANY, "inputs_digest": STR,
+    "polytope": OBJ_TABLE, "moves": LIST_TABLE, "orbit": LIST_TABLE, "f_vector": OBJ_TABLE,
+    "bad_faces": OBJ_TABLE, "euler": OBJ_TABLE,
+    "verdicts": Obj({"rows": ListOf(Obj({"face": STRS, "verdict": STR, "states": INTS},
+                                        {"evidence": STR, "witness_move": INT}))}),
+    "evidence": Obj(each=EVIDENCE_ITEMS["legality"]),
+    "shared_evidence": Obj(each=EVIDENCE_ITEMS["critical-shared"]),
+    "cusps": Obj({"rows": ListOf(Obj({"ok": BOOL, "all_regular": BOOL, "checked": ListOf(
+        Pair(Leaf("str or null", str, type(None))))}))}),
+    "failures": STRS, "timings": ANY,
+}, {"inputs": Obj({"polytope": POLYTOPE, "moves": MOVES, "state": STATE})})
+# The keys of every report; a generic report also embeds its `inputs`.
+REPORT_KEYS = REPORT.required

@@ -35,9 +35,9 @@ class MoveSystem:
 
     def __post_init__(self):
         seen: set = set()
-        for b in self.blocks:
+        for i, b in enumerate(self.blocks):
             if not b:
-                raise InputError("empty move block")
+                raise InputError(f"move block {i} is empty")
             if seen & b:
                 raise InputError("move blocks are not disjoint")
             seen |= b
@@ -473,21 +473,15 @@ def certificate_problem(G: RankedGraph, steps, live: int, keep: int = 0, *,
     """What is wrong with `steps` as a `flag_certificate` of G on `live`,
     the `what` a message names: a dismantling order down to `keep`, or to
     one vertex when `keep` is 0, checked in place on G's masks; None when
-    nothing is.  `steps` must be a list, a step a pair of labels, and a
-    label a live vertex of the same type as G's labels."""
-    if type(steps) is not list:
-        return "not a list of steps"
-    kind, rank, N = type(next(iter(G.ids), None)), G.rank, G.N
-    for i, step in enumerate(steps):
-        pair = type(step) is list and len(step) == 2
-        if not pair or any(isinstance(x, (list, dict)) for x in step):
-            return f"step {i}: not a pair of labels"
-        v, w = step
+    nothing is.  `steps` is a list of [v, w] pairs of labels of the kind of
+    G's labels, as `schema.REPORT` parses a report's orders."""
+    rank, N = G.rank, G.N
+    for i, (v, w) in enumerate(steps):
         if v == w:
             return f"step {i}: {v!r} cannot dominate itself"
         pv, pw = rank.get(v), rank.get(w)
         for x, p in ((v, pv), (w, pw)):
-            if p is None or type(x) is not kind or not live >> p & 1:
+            if p is None or not live >> p & 1:
                 return f"step {i}: {x!r} is not a live vertex of the {what}"
         if keep >> pv & 1:
             return f"step {i}: {v!r} is a core vertex"

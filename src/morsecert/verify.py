@@ -1,8 +1,10 @@
 """Standalone re-validation of structured reports, with zero search.
 
-Every table and every verdict row is recomputed and compared whole, values
-and types (1 is not true, 81.0 is not 81), with what its one writer makes
-of the recomputation: `certify.report_tables` for the tables, by their
+A report is parsed against `schema.REPORT` once: a document of the wrong
+shape is malformed, named by its JSON path, and every check after the parse
+reads values whose JSON kinds the schema fixes.  Every table and every
+verdict row is recomputed and compared whole with what its one writer
+makes of the recomputation: `certify.report_tables` for the tables, by their
 canonical JSON; `certify.verdict_plan`, in order, and `certify.verdict_row`
 for the branch that the plan and the row's verdict pick, a critical row once
 its face is an all-pairs top vertex (the all-pairs lemma, README); and
@@ -13,10 +15,10 @@ rule, `states.certificate_problem`, step by step on a graph's adjacency
 masks and a live mask: a legality part on the facet graph, a shared
 critical link on the face poset's comparability graph down to its core,
 which is checked on that graph to be the subdivided cross-polytope
-boundary.  A step of any other shape is rejected.  Nothing here searches or
-builds a complex, so verification costs a small multiple of reading the
-report.  Only `timings` and `seeds` back no claim: the verifier requires
-their keys and checks nothing in them, and the seed steers nothing.
+boundary.  Nothing here searches or builds a complex, so verification
+costs a small multiple of reading the report.  Only `timings` and `seeds`
+back no claim: the schema requires their keys, nothing checks what is in
+them, and the seed steers nothing.
 A built-in subject, its census audited where `states.builtin_subject`
 builds it, and the canonical link graphs are built once per process and
 shared by every report verified in it: nothing a report carries reaches
@@ -29,10 +31,9 @@ naming the adjacent same-move pair, before any row is read.
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import AbstractSet, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .certify import (
-    SEQUENCE_KEYS,
     PlannedRow,
     _eid,
     _inputs_digest,
@@ -56,7 +57,8 @@ from .links import (
     cusp_table,
 )
 from .polytopes import f_vector_check
-from .report import REPORT_KEYS, REPORT_VERSION
+from .report import REPORT_VERSION
+from .schema import REPORT, SEQUENCE_KEYS, parse
 from .states import (
     all_pairs_index,
     builtin_subject,
@@ -64,22 +66,6 @@ from .states import (
     classify_bad_faces,
     generic_orbit,
 )
-
-
-def _same(got, want) -> bool:
-    """`got` equals `want` with the same types throughout, so that true is
-    not 1 and 81.0 is not 81.  A value is the same as itself, as a cusp
-    row's `checked` is; other lists of `want` hold no lists or objects, so a
-    list is compared whole and then its elements' types at once."""
-    if got is want:
-        return True
-    if type(got) is not type(want):
-        return False
-    if type(want) is dict:
-        return got.keys() == want.keys() and all(_same(got[k], v) for k, v in want.items())
-    if type(want) is list:
-        return got == want and list(map(type, got)) == list(map(type, want))
-    return got == want
 
 
 class _Verifier:
@@ -95,34 +81,20 @@ class _Verifier:
     def fail(self, msg: str):
         self.messages.append(msg)
 
-    def _keys(self, obj, keys: AbstractSet[str], where: str, *, exact: bool = True):
-        """`obj`, the report object at `where`, must carry `keys`, and when
-        `exact` only them: one that is not an object, or that lacks a key,
-        makes the report malformed, naming `where` and the key; an unknown
-        key is rejected."""
-        if type(obj) is not dict:
-            raise InputError(f"{where}: not an object")
-        if obj.keys() == keys or not exact and obj.keys() >= keys:
-            return
-        missing = sorted(keys - obj.keys())
-        if missing:
-            raise InputError(f"{where}: missing key {', '.join(missing)}")
-        if exact:
-            unknown = sorted(obj.keys() - keys)
-            self.fail(f"{where}: unknown key {', '.join(map(repr, unknown))}")
-
     # -- context ------------------------------------------------------------
 
     def build_context(self):
-        subject, mode = self.doc.get("subject"), self.doc.get("mode")
-        modes, inputs = ("perfect", "fibration"), None
+        # a built-in subject's report embeds no inputs: any it carries
+        # change the digest it is compared with
+        subject, mode, inputs = self.doc["subject"], self.doc["mode"], self.doc.get("inputs")
+        modes = ("perfect", "fibration")
         if subject == "P6_perfect_morse":
             (P, m, states), modes, tag = builtin_subject("p6"), ("perfect",), "p6"
         elif subject == "P5_fibration":
             (P, m, states), modes, tag = builtin_subject("p5"), ("fibration",), "p5"
         elif subject == "generic":
-            inputs, tag = self.doc.get("inputs"), "generic"
-            if not inputs:
+            tag = "generic"
+            if inputs is None:
                 raise InputError("generic report carries no embedded inputs")
             P = polytope_from_doc(inputs["polytope"])
             m = moves_from_doc(inputs["moves"], P)
@@ -145,8 +117,6 @@ class _Verifier:
         tables = report_tables(P, m, self.states, f_vector_check(P), classify_bad_faces(P, m),
                                e, self.digest)
         for key, want in tables.items():
-            if type(self.doc[key]) is not type(want):
-                raise InputError(f"{key} is not a {type(want).__name__}")
             if canonical_json(self.doc[key]) != canonical_json(want):
                 self.fail(f"{key} does not match its recomputation")
         if not e.passed:
@@ -159,14 +129,13 @@ class _Verifier:
     def _evidence(self, section: str, eid, header: dict, where: str, needs, check):
         """Bind the evidence item `eid` to the claim at `where` that cites it.
 
-        Once per section and id, the item must carry exactly the keys of
-        `header`, which the caller rebuilt from the claim, and the sequences
-        of its kind, a missing key making the report malformed, and `eid`
-        must be the hash of its content.  It must equal `header`.  Once per
-        section, id and `needs`, what the claim needs its sequences to certify,
-        `check(item)` yields each sequence key with what is wrong with its
-        sequence, or None; a later claim with the same needs that cites a
-        failed item fails, naming its id.
+        Once per section and id, `eid` must be the hash of the item's
+        content.  The item must equal `header`, which the caller rebuilt
+        from the claim, on its keys.  Once per section, id and `needs`, what
+        the claim needs its sequences to certify, `check(item)` yields each
+        sequence key with what is wrong with its sequence, or None; a later
+        claim with the same needs that cites a failed item fails, naming
+        its id.
         """
         where = f"{where}: evidence {eid}"
         ev = self.doc[section].get(eid)
@@ -174,11 +143,10 @@ class _Verifier:
             self.fail(f"{where} is missing")
             return
         if (section, eid) not in self._bound:
-            self._keys(ev, frozenset(header).union(SEQUENCE_KEYS[header["kind"]]), where)
             self._bound[section, eid] = _eid(ev) == eid
             if not self._bound[section, eid]:
                 self.fail(f"{where}: id is not the hash of the content")
-        wrong = [k for k, v in header.items() if not _same(ev[k], v)]
+        wrong = [k for k, v in header.items() if ev[k] != v]
         if wrong:
             self.fail(f"{where} does not match the claim ({', '.join(wrong)})")
             return
@@ -218,15 +186,10 @@ class _Verifier:
                 return
 
     def _same_row(self, row: dict, want: dict, where: str):
-        """`row` must carry exactly `want`'s keys and equal it, types
-        included; a failure names the unknown keys and the keys that differ."""
-        if _same(row, want):
-            return
-        unknown = sorted(row.keys() - want.keys())
-        if unknown:
-            self.fail(f"{where}: unknown key {', '.join(map(repr, unknown))}")
-        wrong = [k for k in want if k not in row or not _same(row[k], want[k])]
-        if wrong:
+        """`row` must equal `want`; a failure names the keys that differ,
+        a key that one of them lacks included (no row value is null)."""
+        if row != want:
+            wrong = sorted(k for k in row.keys() | want.keys() if row.get(k) != want.get(k))
             self.fail(f"{where}: row {', '.join(wrong)} does not match its recomputation")
 
     # -- verdict table ---------------------------------------------------------
@@ -235,11 +198,9 @@ class _Verifier:
         doc, P = self.doc, self.P
         rows = doc["verdicts"]["rows"]
         plan = {(p.face, p.states): p for p in verdict_plan(P, self.m, self.states)}
-        for i, row in enumerate(rows):
-            self._keys(row, {"face", "states", "verdict"}, f"verdict row {i}", exact=False)
         got = [(tuple(row["face"]), tuple(row["states"])) for row in rows]
         self._plan_order(got, list(plan))
-        for i, (row, key) in enumerate(zip(rows, got)):
+        for row, key in zip(rows, got):
             where = f"face {key[0]}"
             p = plan.get(key)
             if p is None:
@@ -247,25 +208,26 @@ class _Verifier:
             verdict = row["verdict"]
             if not verdict_allowed(self.mode, P.dimension, verdict):
                 self.fail(f"{where}: verdict {verdict!r} is not allowed in {self.mode!r} mode")
-            want = self._claimed_row(p, row, f"verdict row {i}", where)
+            want = self._claimed_row(p, row, where)
             if want is not None:
                 cited = f": evidence {row['evidence']}" if "evidence" in row else ""
                 self._same_row(row, want, where + cited)
 
-    def _claimed_row(self, p: PlannedRow, row: dict, at: str, where: str) -> Optional[dict]:
+    def _claimed_row(self, p: PlannedRow, row: dict, where: str) -> Optional[dict]:
         """The row of planned row `p` for the branch that the plan and the
-        verdict of `row`, at position `at`, pick, with the evidence `row`
-        cites bound: a good face's; for a bad face, a legal row if Regular, a
-        critical row if Critical.  None when no such row exists."""
+        verdict of `row` pick, with the evidence `row` cites bound, if any: a
+        good face's; for a bad face, a legal row if Regular, a critical row
+        if Critical.  None when no such row exists."""
         if p.witness is not None:
             return good_row(p)
-        verdict = row["verdict"]
-        critical = type(verdict) is str and verdict.startswith("Critical(")
+        verdict, eid = row["verdict"], row.get("evidence")
+        critical = verdict.startswith("Critical(")
         if verdict != "Regular" and not critical:
             self.fail(f"{where}: bad face, unverifiable verdict {verdict!r}")
             return None
-        self._keys(row, {"evidence"}, at, exact=False)
-        eid = row["evidence"]
+        if eid is None:
+            self.fail(f"{where}: bad face, {verdict} row cites no evidence")
+            return None
         if critical:
             return self._critical_row(p, eid, where)
         self._legality(eid, p, where)
@@ -314,7 +276,6 @@ class _Verifier:
             for (idx, s_in), row in zip(enumerate(in_masks), rows):
                 where = f"cusp {iv.id} state {idx}"
                 ok = check_cusp_condition(table, s_in) is not None
-                self._keys(row, {"checked"}, where, exact=False)
                 proved = self._apexes(row["checked"], table.bad if ok else (), s_in, where)
                 if proved:
                     self._same_row(row, cusp_row(ok, row["checked"]), where)
@@ -327,20 +288,16 @@ class _Verifier:
         split by the In mask `s_in` gives it that is adjacent to every other
         one: apex ∈ part and part ⊆ N[apex], the rule `cone_apex` scans
         with.  A failure names the face and the apex."""
-        if type(checked) is not list or len(checked) != len(bad):
+        if len(checked) != len(bad):
             self.fail(f"{where}: checked does not hold one apex pair per bad face "
                       f"({len(bad)})")
             return False
         _, rank, N = self.P.ranked_graph()
         good = True
         for (ids, dual, free), pair in zip(bad, checked):
-            if type(pair) is not list or len(pair) != 2:
-                self.fail(f"{where}: face {ids}: {pair!r} is not an apex pair")
-                good = False
-                continue
             inn = free & s_in
             for side, part, apex in (("out", dual & ~inn, pair[0]), ("in", inn, pair[1])):
-                r = rank.get(apex) if type(apex) is str else None
+                r = rank.get(apex)
                 if r is None or not part >> r & 1 or part & ~N[r]:
                     self.fail(f"{where}: face {ids}: {side} apex {apex!r} is no cone apex "
                               f"of its part")
@@ -357,19 +314,12 @@ class _Verifier:
                 self.fail(f"{section} items bound to no claim: {', '.join(unbound)}")
 
     def run(self) -> Tuple[bool, List[str]]:
-        if self.doc.get("version") != REPORT_VERSION:
+        # the version first: a document of another version, or an input
+        # document, is not a report of this format
+        if type(self.doc) is dict and self.doc.get("version") != REPORT_VERSION:
             self.fail(f"unsupported report version {self.doc.get('version')!r}")
             return False, self.messages
-        # only a generic report embeds inputs; build_context rejects one without
-        generic = self.doc.get("subject") == "generic" and "inputs" in self.doc
-        self._keys(self.doc, REPORT_KEYS | {"inputs"} if generic else REPORT_KEYS, "report")
-        # a section of the wrong type is malformed, named by its key
-        for key in ("evidence", "shared_evidence"):
-            self._keys(self.doc[key], frozenset(), key, exact=False)
-        for key in ("verdicts", "cusps"):
-            self._keys(self.doc[key], frozenset({"rows"}), key)
-            if type(self.doc[key]["rows"]) is not list:
-                raise InputError(f"{key}.rows: not a list")
+        parse(REPORT, self.doc, "report")
         try:
             self.build_context()
         except InputError as exc:
@@ -379,9 +329,9 @@ class _Verifier:
         self.check_verdicts()
         self.check_cusps()
         self.check_bound()
-        if self.doc["pass"] is not True:
+        if not self.doc["pass"]:
             self.fail("report does not claim a passing certification")
-        if self.doc["failures"] != []:
+        if self.doc["failures"]:
             self.fail("report lists failures")
         return not self.messages, self.messages
 
@@ -389,12 +339,10 @@ class _Verifier:
 def verify_document(doc: dict) -> Tuple[bool, List[str]]:
     """Re-validate a structured report; returns (ok, failure messages).
 
-    A document that is not an object, whose fields have the wrong shape for
-    the checks, or whose embedded generic inputs break a structural rule,
-    raises InputError.
+    A document that breaks the report schema, named by its JSON path, or
+    whose embedded generic inputs break a structural rule, raises
+    InputError.
     """
-    if not isinstance(doc, dict):
-        raise InputError("report must be a JSON object")
     try:
         return _Verifier(doc).run()
     except InputError:

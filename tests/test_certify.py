@@ -440,7 +440,7 @@ REPORT_EDITS = [
     ("top-level-list", lambda d: [d], {2}),
     # well formed but false: rejected
     ("wrong-witness", _shift_witness, {1}),
-    ("null-witness", lambda d: _set(_row(d, "good-face"), "witness_move", None), {1}),
+    ("null-witness", lambda d: _set(_row(d, "good-face"), "witness_move", None), {2}),
     ("version-0", lambda d: _set(d, "version", "0"), {1}),
     # a good row moved onto the polytope itself, which is a bad face
     ("good-row-on-polytope", lambda d: _set(_row(d, "good-face"), "face", []), {1}),
@@ -453,10 +453,10 @@ REPORT_EDITS = [
     ("cusp-checked-extra-pair", lambda d: _checked_of_some_row(d).insert(0, ["a", None]), {1}),
     ("cusp-checked-missing-pair", lambda d: _set(_checked_of_some_row(d), -1), {1}),
     # evidence edited without a new id, or cited by a row that needs none
-    ("evidence-extra-key", _add_key, {1}),
+    ("evidence-extra-key", _add_key, {2}),
     ("orphan-evidence-item",
-     lambda d: _set(d["evidence"], "e" + "f" * 16,
-                    {"kind": "legality", "junk": [1, 2, 3]}), {1}),
+     lambda d: _set(d["evidence"], "e" + "f" * 16, dict(next(iter(d["evidence"].values())))),
+     {1}),
     ("good-row-cites-evidence",
      lambda d: _set(_row(d, "good-face"), "evidence",
                     _row(d, "inherited-totally-legal")["evidence"]), {1}),
@@ -479,20 +479,21 @@ REPORT_EDITS = [
     ("euler-critical-count-float",
      lambda d: _set(d["euler"], "critical_count", float(d["euler"]["critical_count"])), {1},
      "p6"),
-    # and in the rows, which are compared value and type
+    # and in the rows, whose every value the schema types: of another type
+    # they are malformed
     ("good-row-witness-true",
      lambda d: _set(_row(d, "good-face", lambda r: r["witness_move"] == 1), "witness_move", True),
-     {1}),
+     {2}),
     ("legal-row-state-true",
      lambda d: _replace_in_states(_row(d, "inherited-totally-legal", lambda r: 1 in r["states"]),
-                                  1, True), {1}),
-    ("cusp-ok-int", lambda d: _set(d["cusps"]["rows"][0], "ok", 1), {1}),
+                                  1, True), {2}),
+    ("cusp-ok-int", lambda d: _set(d["cusps"]["rows"][0], "ok", 1), {2}),
     # a pass lists no failures, and every object carries exactly its keys
     ("failures-under-pass", lambda d: _set(d, "failures", ["none"]), {1}),
-    ("unknown-key-report", lambda d: _set(d, "note", 0), {1}),
-    ("unknown-key-verdicts", lambda d: _set(d["verdicts"], "n_faces", 0), {1}),
-    ("unknown-key-row", lambda d: _set(_row(d, "good-face"), "codim", 1), {1}),
-    ("unknown-key-cusp-row", lambda d: _set(d["cusps"]["rows"][0], "note", 0), {1}),
+    ("unknown-key-report", lambda d: _set(d, "note", 0), {2}),
+    ("unknown-key-verdicts", lambda d: _set(d["verdicts"], "n_faces", 0), {2}),
+    ("unknown-key-row", lambda d: _set(_row(d, "good-face"), "codim", 1), {2}),
+    ("unknown-key-cusp-row", lambda d: _set(d["cusps"]["rows"][0], "note", 0), {2}),
     # the first state represents a row, so the states must ascend
     ("critical-states-reordered", _reorder_critical_states, {1}, "p6"),
     # well-formed rows that are not the planned rows: the verdict and cusp
@@ -550,53 +551,57 @@ def test_seeds_back_no_claim(cert_p5):
     assert verify_document(doc) == (True, [])
 
 
-# (edit of the p5 report, what `verify` must say of it)
+# (edit of the p5 report, what `verify` must say of it, its exit code): a
+# well-formed report that proves no claim is rejected (1), and one of the
+# wrong shape is malformed (2), named by its JSON path
 NAMED_REJECTIONS = [
     (lambda d: _set(_row(d, "inherited-totally-legal"), "evidence", "e" + "0" * 16),
-     ": evidence e0000000000000000 is missing"),
-    (_as_critical, "not an all-pairs top vertex"),
-    (lambda d: _set(d, "subject", "nope"), "unknown subject 'nope'"),
-    (_add_key, "unknown key 'note'"),
+     ": evidence e0000000000000000 is missing", 1),
+    (_as_critical, "not an all-pairs top vertex", 1),
+    (lambda d: _set(d, "subject", "nope"), "unknown subject 'nope'", 1),
+    (_add_key, "input error: evidence.{item}: unknown key 'note'\n", 2),
+    # the schema lets a row omit `evidence`; the plan says a bad face needs it
+    (lambda d: _set(_row(d, "inherited-totally-legal"), "evidence"),
+     "bad face, Regular row cites no evidence", 1),
 ]
 
 
-@pytest.mark.parametrize("edit, message", NAMED_REJECTIONS,
+@pytest.mark.parametrize("edit, message, code", NAMED_REJECTIONS,
                          ids=["absent-evidence", "legal-row-as-critical", "unknown-subject",
-                              "evidence-unknown-key"])
-def test_verify_names_what_it_rejects(cert_p5, tmp_path, capsys, edit, message):
+                              "evidence-unknown-key", "legal-row-no-evidence"])
+def test_verify_names_what_it_rejects(cert_p5, tmp_path, capsys, edit, message, code):
     doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
+    message = message.format(item=next(iter(doc["evidence"])))
     edit(doc)
     write_json(tmp_path / "r.json", doc)
-    assert main(["verify", str(tmp_path / "r.json")]) == 1
-    assert message in capsys.readouterr().out
+    assert main(["verify", str(tmp_path / "r.json")]) == code
+    out, err = capsys.readouterr()
+    assert message in (out if code == 1 else err)
 
 
 def test_verify_names_the_item_of_a_renamed_sequence_key(cert_p5, tmp_path, capsys):
     """An evidence item with a sequence key renamed is malformed, and the
-    message names the face citing it, the item's id and the missing key."""
+    message names the item's id and the missing key by their path."""
     doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
     row = _row(doc, "inherited-totally-legal")
     item = doc["evidence"][row["evidence"]]
     item["in_sequenc"] = item.pop("in_sequence")
     write_json(tmp_path / "r.json", doc)
     assert main(["verify", str(tmp_path / "r.json")]) == 2
-    where = f"face {tuple(row['face'])}: evidence {row['evidence']}"
-    assert f"{where}: missing key in_sequence" in capsys.readouterr().err
+    assert (f"input error: evidence.{row['evidence']}: missing key in_sequence\n"
+            in capsys.readouterr().err)
 
 
 def test_verify_names_the_item_of_a_sequence_that_is_not_a_list(cert_p5, tmp_path, capsys):
-    """An evidence item whose sequence is null is rejected, and the message
-    names the face citing it, the item's id and the key, after the item's
-    failed hash."""
+    """An evidence item whose sequence is null is malformed, and the message
+    names the item's id and the key by their path."""
     doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
     row = _row(doc, "inherited-totally-legal")
     doc["evidence"][row["evidence"]]["out_sequence"] = None
     write_json(tmp_path / "r.json", doc)
-    assert main(["verify", str(tmp_path / "r.json")]) == 1
-    where = f"face {tuple(row['face'])}: evidence {row['evidence']}"
-    out = capsys.readouterr().out
-    assert f"FAIL: {where}: id is not the hash of the content\n" in out
-    assert f"FAIL: {where}: out_sequence not a list of steps\n" in out
+    assert main(["verify", str(tmp_path / "r.json")]) == 2
+    assert (f"input error: evidence.{row['evidence']}.out_sequence: expected a list of pairs "
+            f"of strs, got null\n" in capsys.readouterr().err)
 
 
 def _rename_key(row, key):
@@ -610,28 +615,39 @@ def _legal_row_index(doc):
 
 
 # (edit of the p5 report, the input error that names where it is): a row
-# that lacks a key, or is no object, is malformed, and the message names its
-# position, a verdict row by index and a cusp row by cusp and state; so is a
-# section of the wrong type, named by its key
+# that lacks a key, carries an unknown one, holds a value of the wrong kind
+# or is no object is malformed, and the message names its JSON path, which
+# gives a row's position; so is a section of the wrong type
 ROW_KEY_EDITS = [
     (lambda d: _rename_key(d["verdicts"]["rows"][3], "states"),
-     "verdict row 3: missing key states"),
-    (lambda d: _rename_key(d["verdicts"]["rows"][3], "face"), "verdict row 3: missing key face"),
+     "verdicts.rows[3]: missing key states"),
+    (lambda d: _rename_key(d["verdicts"]["rows"][3], "face"),
+     "verdicts.rows[3]: missing key face"),
     (lambda d: _rename_key(d["verdicts"]["rows"][3], "verdict"),
-     "verdict row 3: missing key verdict"),
+     "verdicts.rows[3]: missing key verdict"),
     (lambda d: _rename_key(d["verdicts"]["rows"][_legal_row_index(d)], "evidence"),
-     "verdict row {legal}: missing key evidence"),
-    (lambda d: _set(d["verdicts"]["rows"], 3, [0]), "verdict row 3: not an object"),
+     "verdicts.rows[{legal}]: unknown key 'evidenc'"),
+    (lambda d: _set(d["verdicts"]["rows"], 3, [0]),
+     "verdicts.rows[3]: expected an object, got list"),
     (lambda d: _rename_key(d["cusps"]["rows"][5], "checked"),
-     "cusp {cusp} state 5: missing key checked"),
-    (lambda d: _set(d["cusps"]["rows"], 5, None), "cusp {cusp} state 5: not an object"),
-    (lambda d: _set(d, "shared_evidence", []), "shared_evidence: not an object"),
-    (lambda d: _set(d, "shared_evidence", ""), "shared_evidence: not an object"),
-    (lambda d: _set(d, "shared_evidence", 0), "shared_evidence: not an object"),
-    (lambda d: _set(d, "shared_evidence", None), "shared_evidence: not an object"),
-    (lambda d: _set(d, "evidence", []), "evidence: not an object"),
-    (lambda d: _set(d["cusps"], "rows", 5), "cusps.rows: not a list"),
-    (lambda d: _set(d["verdicts"], "rows", None), "verdicts.rows: not a list"),
+     "cusps.rows[5]: missing key checked"),
+    (lambda d: _set(d["cusps"]["rows"], 5, None), "cusps.rows[5]: expected an object, got null"),
+    (lambda d: _set(d, "shared_evidence", []), "shared_evidence: expected an object, got list"),
+    (lambda d: _set(d, "shared_evidence", ""), "shared_evidence: expected an object, got str"),
+    (lambda d: _set(d, "shared_evidence", 0), "shared_evidence: expected an object, got int"),
+    (lambda d: _set(d, "shared_evidence", None), "shared_evidence: expected an object, got null"),
+    (lambda d: _set(d, "evidence", []), "evidence: expected an object, got list"),
+    (lambda d: _set(d["cusps"], "rows", 5), "cusps.rows: expected a list of objects, got int"),
+    (lambda d: _set(d["verdicts"], "rows", None),
+     "verdicts.rows: expected a list of objects, got null"),
+    (lambda d: _set(d["verdicts"]["rows"][3], "face", 5),
+     "verdicts.rows[3].face: expected a list of strs, got int"),
+    (lambda d: _set(d["verdicts"]["rows"][3], "states", None),
+     "verdicts.rows[3].states: expected a list of ints, got null"),
+    (lambda d: _set(d["verdicts"]["rows"][_legal_row_index(d)], "evidence", [1]),
+     "verdicts.rows[{legal}].evidence: expected a str, got list"),
+    (lambda d: _set(d["verdicts"]["rows"][3], "verdict", 5),
+     "verdicts.rows[3].verdict: expected a str, got int"),
 ]
 
 
@@ -640,10 +656,11 @@ ROW_KEY_EDITS = [
                               "legal-evidence", "verdict-row-list", "cusp-checked",
                               "cusp-row-null", "shared-evidence-list", "shared-evidence-str",
                               "shared-evidence-int", "shared-evidence-null", "evidence-list",
-                              "cusp-rows-int", "verdict-rows-null"])
-def test_verify_names_a_row_that_lacks_a_key(cert_p5, P5, tmp_path, capsys, edit, message):
+                              "cusp-rows-int", "verdict-rows-null", "verdict-face-int",
+                              "verdict-states-null", "legal-evidence-list", "verdict-int"])
+def test_verify_names_a_row_that_lacks_a_key(cert_p5, tmp_path, capsys, edit, message):
     doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
-    message = message.format(legal=_legal_row_index(doc), cusp=P5.ideal_vertices[0].id)
+    message = message.format(legal=_legal_row_index(doc))
     edit(doc)
     write_json(tmp_path / "r.json", doc)
     assert main(["verify", str(tmp_path / "r.json")]) == 2
@@ -858,22 +875,26 @@ SHAPE_ERRORS = [
     ("block-holds-list", "moves", (0, 0), ["A"]),
     ("facet-id-list", "polytope", ("facets", 0, "id"), ["A"]),
     ("dimension-true", "polytope", ("dimension",), True),
+    ("adjacency-entry-null", "polytope", ("adjacency", 0), None),
+    ("facet-id-null", "polytope", ("facets", 0, "id"), None),
 ]
 
 
 @pytest.mark.parametrize(
-    "content, verify_code",
-    [(lambda: b"\xff\xfe{}", 2), (lambda: b"[" * 200000 + b"]" * 200000, 2),
+    "content, verify_code, json_path",
+    [(lambda: b"\xff\xfe{}", 2, None), (lambda: b"[" * 200000 + b"]" * 200000, 2, None),
      # past the interpreter's digit limit for integer literals
-     (lambda: b'{"version": "8", "seeds": {"root": ' + b"7" * 5000 + b"}}", 2)]
+     (lambda: b'{"version": "8", "seeds": {"root": ' + b"7" * 5000 + b"}}", 2, None)]
     # given to verify, an input object is a report of no version, a list no report
-    + [(lambda e=e: _p6_shape(*e[1:]), 2 if e[1] == "moves" else 1) for e in SHAPE_ERRORS],
+    + [(lambda e=e: _p6_shape(*e[1:]), 2 if e[1] == "moves" else 1, e[2]) for e in SHAPE_ERRORS],
     ids=["not-utf8", "nested-too-deep", "integer-too-long"] + [e[0] for e in SHAPE_ERRORS],
 )
-def test_cli_undecodable_input_is_an_input_error(tmp_path, capsys, content, verify_code):
+def test_cli_undecodable_input_is_an_input_error(tmp_path, capsys, content, verify_code,
+                                                 json_path):
     """A file that does not decode, or that decodes to a document of the
     wrong shape, is an input error naming the file, whichever input it is
-    given as."""
+    given as; given as its own input, a document of the wrong shape is named
+    by the JSON path of the value that breaks the input's schema."""
     bad = tmp_path / "bad.json"
     bad.write_bytes(content())
     assert main(["verify", str(bad)]) == verify_code
@@ -889,6 +910,10 @@ def test_cli_undecodable_input_is_an_input_error(tmp_path, capsys, content, veri
         assert main(argv) == 2, name
     err = capsys.readouterr().err
     assert "Traceback" not in err and str(bad) in err
+    assert "malformed document:" not in err
+    if json_path is not None:
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in json_path)
+        assert f"{bad}: {where.lstrip('.')}: expected " in err, err
 
 
 def test_parse_error_is_position_annotated(tmp_path):

@@ -27,6 +27,7 @@ from morsecert.complexes import (
     try_collapse,
     vertex_link,
 )
+from morsecert.errors import InputError
 from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
 from morsecert.links import (
     CriticalLinkCertifier,
@@ -175,14 +176,19 @@ def _set_step(i, value):
     return edit
 
 
+# (tamper, message): a step that breaks the schema, its message a path from
+# the sequence key, is malformed (2); any other tamper is rejected (1)
 @pytest.mark.parametrize("tamper, message", [
     ("non-dominator", "does not dominate"),
     ("drop-last-step", "does not reach a point"),
     ("vertex-outside-part", "is not a live vertex of the part"),
-    ("elementary-step", "not a pair of labels"),
+    pytest.param("elementary-step", "out_sequence[1][0]: expected a str, got list",
+                 id="elementary-step-malformed"),
     ("self-dominator", "cannot dominate itself"),
-    ("no-pair", "not a pair of labels"),
-    ("three-labels", "not a pair of labels"),
+    pytest.param("no-pair", "out_sequence[1]: expected a pair of strs, got list",
+                 id="no-pair-malformed"),
+    pytest.param("three-labels", "out_sequence[1]: expected a pair of strs, got list",
+                 id="three-labels-malformed"),
 ])
 def test_rehashed_tampers_are_rejected(P5, cert_p5, tmp_path, capsys, tamper, message):
     doc = _report(cert_p5)
@@ -208,9 +214,13 @@ def test_rehashed_tampers_are_rejected(P5, cert_p5, tmp_path, capsys, tamper, me
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["verify", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert any(new in line and message in line for line in out.splitlines()), out
+    code = main(["verify", str(path)])
+    out, err = capsys.readouterr()
+    if message.startswith("out_sequence"):
+        assert code == 2 and f"input error: evidence.{new}.{message}\n" in err, err
+    else:
+        assert code == 1
+        assert any(new in line and message in line for line in out.splitlines()), out
 
 
 def test_unbound_and_repeated_entries_are_named(P5, cert_p5):
@@ -219,7 +229,7 @@ def test_unbound_and_repeated_entries_are_named(P5, cert_p5):
     which the row's position gives."""
     doc = _report(cert_p5)
     orphan = "e" + "f" * 16
-    doc["evidence"][orphan] = {"kind": "legality", "junk": [1, 2, 3]}
+    doc["evidence"][orphan] = dict(next(iter(doc["evidence"].values())))
     rows = doc["cusps"]["rows"]
     i = next(i for i, r in enumerate(rows) if r["checked"])
     rows[i]["checked"].insert(0, rows[i]["checked"][0])
@@ -322,8 +332,8 @@ def _certify_inputs(polytope, moves, state):
 
 def test_elementary_fallback_item_verifies(P5, cert_p5, tmp_path, capsys):
     """An elementary collapse sequence in place of a dismantling order is
-    rejected, naming the item, although it collapses the part: a dismantling
-    order is the one form of certificate."""
+    malformed, named by the path to its first step, although it collapses
+    the part: a dismantling order is the one form of certificate."""
     doc = _report(cert_p5)
     eid, F, _, vertices, _ = next(
         item for item in _items(P5, doc)
@@ -337,9 +347,9 @@ def test_elementary_fallback_item_verifies(P5, cert_p5, tmp_path, capsys):
     path = tmp_path / "elementary.json"
     path.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["verify", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert f"evidence {new}: out_sequence step 0: not a pair of labels" in out, out
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"evidence.{new}.out_sequence[0][0]: expected a str, got list" in err, err
 
 
 def _rebind(monkeypatch, original, replacement):
@@ -540,7 +550,8 @@ def _graph_non_dominator(G, v):
 
 
 # (tamper, key, message): each edits the order under `key`, and the verifier
-# must name the re-hashed item, the key and the message
+# must name the re-hashed item, the key and the message; a label that is no
+# int breaks the schema, its message a path from the key's step
 SHARED_TAMPERS = [
     ("drop-step", "desc_sequence", "step 180: 3888 does not dominate 2848"),
     ("duplicate-step", "asc_sequence", "step 1: 449 is not a live vertex of the link"),
@@ -548,11 +559,11 @@ SHARED_TAMPERS = [
     ("non-dominator", "asc_sequence", "step 0: 194 does not dominate 449"),
     ("outside-poset", "desc_sequence", "step 0: 0 is not a live vertex of the link"),
     ("core-deleted", "asc_sequence", "step 360: 193 is a core vertex"),
-    ("string-label", "desc_sequence", "step 0: '1344' is not a live vertex of the link"),
-    ("bool-label", "asc_sequence", "step 0: True is not a live vertex of the link"),
-    ("float-label", "desc_sequence", "step 0: 1344.0 is not a live vertex of the link"),
-    ("nested-label", "asc_sequence", "step 0: not a pair of labels"),
-    ("mixed-shapes", "desc_sequence", "step 0: not a pair of labels"),
+    ("string-label", "desc_sequence", "[0][0]: expected an int, got str"),
+    ("bool-label", "asc_sequence", "[0][0]: expected an int, got bool"),
+    ("float-label", "desc_sequence", "[0][0]: expected an int, got float"),
+    ("nested-label", "asc_sequence", "[0][0]: expected an int, got list"),
+    ("mixed-shapes", "desc_sequence", "[0][0]: expected an int, got list"),
 ]
 
 
@@ -591,20 +602,24 @@ def test_rehashed_shared_tampers_are_rejected(cert_p6, tmp_path, capsys, tamper,
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["verify", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert any(new in line and f"{key} {message}" in line for line in out.splitlines()), out
+    code = main(["verify", str(path)])
+    out, err = capsys.readouterr()
+    if message.startswith("["):
+        assert code == 2 and f"input error: shared_evidence.{new}.{key}{message}\n" in err, err
+    else:
+        assert code == 1
+        assert any(new in line and f"{key} {message}" in line for line in out.splitlines()), out
 
 
 def test_shared_item_key_failure_is_named_once(cert_p6):
     """An unknown key in the shared item, re-hashed and cited by all 8
-    critical rows, is named once for the item, as its hash is checked once,
-    not once per citing row."""
+    critical rows, makes the report malformed, named once, by the item's
+    path, not once per citing row."""
     doc = _report(cert_p6)
     new = _rehash_shared(doc, lambda ev: ev.update(note=0))
-    ok, msgs = verify_document(doc)
-    assert not ok
-    assert len(msgs) == 1 and msgs[0].endswith(f"evidence {new}: unknown key 'note'"), msgs
+    with pytest.raises(InputError) as exc:
+        verify_document(doc)
+    assert str(exc.value) == f"shared_evidence.{new}: unknown key 'note'"
 
 
 def test_certifier_falls_back_to_elementary_collapses(monkeypatch):
@@ -692,24 +707,21 @@ def _squares_inputs():
 
 
 def test_elementary_shared_item_verifies():
-    """Searched elementary collapses of the face links in place of the
-    shared item's dismantling orders are rejected, naming the item, though
-    they replay on the links.  The report fails for reasons of its own (its
-    whole polytope is an Unknown face), so the check is on the item's
-    messages."""
-    doc = _report(_certify_inputs(*_squares_inputs()))
-    assert [ev["ell"] for ev in doc["shared_evidence"].values()] == [2]
-    searched = {}
+    """Searched elementary collapses of the face links in place of either of
+    the shared item's dismantling orders are malformed, named by the path
+    to the item's first step under that key, though they replay on the
+    links."""
+    cert = _certify_inputs(*_squares_inputs())
+    assert [ev["ell"] for ev in _report(cert)["shared_evidence"].values()] == [2]
     for key, kind in (("asc_sequence", "asc"), ("desc_sequence", "desc")):
         K, core = _oracle_link(2, kind)
         out = try_collapse(K, target=core)
         assert out.success and replay_collapse(K, out.sequence) == core
-        searched[key] = sequence_json(out.sequence)
-    new = _rehash_shared(doc, lambda ev: ev.update(searched))
-    ok, msgs = verify_document(doc)
-    assert not ok
-    for key in searched:
-        assert any(new in m and f"{key} step 0: not a pair of labels" in m for m in msgs), msgs
+        doc = _report(cert)
+        new = _rehash_shared(doc, lambda ev: ev.update({key: sequence_json(out.sequence)}))
+        with pytest.raises(InputError) as exc:
+            verify_document(doc)
+        assert str(exc.value) == f"shared_evidence.{new}.{key}[0][0]: expected an int, got list"
 
 
 def test_each_bad_row_gets_one_legality_check(monkeypatch):

@@ -9,12 +9,14 @@ times more, the patterns of the critical rows and the shared item, which
 p5 has none of; on the generic report of the compatible 3-cube every
 pattern, its embedded inputs included.  It applies each edit that the instance's
 value allows: an int to a bool, a float or a str, a bool to an int, a
-value to null and null to a value, an int off by one, a key dropped or
-renamed (its last character cut), and a list element dropped, duplicated
-or swapped with another; a mutant equal to its parent, by canonical JSON,
-is skipped.  `verify` must reject every
-mutant (exit 1) or call it malformed (exit 2), and never fail with an
-internal error (exit 3).  Only `seeds` and `timings` back no claim, so
+value to null and null to a value, an int off by one, a change of JSON kind
+(an int, a str or an object to a list, a list to an int, an object or a
+str), a key dropped or renamed (its last character cut), and a list element
+dropped, duplicated or swapped with another; a mutant equal to its parent,
+by canonical JSON, is skipped.  `verify` must reject every mutant (exit 1)
+or call it malformed (exit 2), naming it by its JSON path and not by the
+last-guard "malformed report:" message, and never fail with an internal
+error (exit 3).  Only `seeds` and `timings` back no claim, so
 their mutants may verify.  A swap of two apex pairs of a cusp row can name,
 for a part, another of its cone apexes; such a mutant is a valid proof and
 verifies, and the sweep recognises it by checking every apex of the row on
@@ -71,8 +73,12 @@ def _replacements(value):
     if isinstance(value, bool):
         return [int(value), not value, None]
     if isinstance(value, int):
-        return [bool(value), float(value), str(value), value + 1, value - 1, None]
-    return [None]
+        return [bool(value), float(value), str(value), value + 1, value - 1, None, [value]]
+    if isinstance(value, str):
+        return [None, [value]]
+    if isinstance(value, list):
+        return [None, len(value), {str(i): v for i, v in enumerate(value)}, json.dumps(value)]
+    return [None, list(value.values())]
 
 
 def _list_edits(value):
@@ -132,10 +138,12 @@ def _rekeyed(holder, key, new):
 
 
 def _exit_code(doc) -> int:
+    """`verify`'s exit code for `doc`, and 3 for a malformed report that
+    only the last-guard catch-all names."""
     try:
         ok, _ = verify_document(doc)
-    except InputError:
-        return 2
+    except InputError as exc:
+        return 3 if str(exc).startswith("malformed report:") else 2
     except Exception:
         return 3
     return 0 if ok else 1
