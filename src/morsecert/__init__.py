@@ -54,14 +54,8 @@ from .links import (
     coface_membership_oracle,
     face_links_oracle,
 )
-from .certify import (
-    Certificate,
-    certify_generic,
-    certify_p5,
-    certify_p6,
-    euler_identity,
-)
-from .report import emit_report
+from .certify import certify_generic, certify_p5, certify_p6
+from .report import Certificate, emit_report, euler_identity
 from .verify import verify_document, verify_report_file
 
 __version__ = "0.1.0"

@@ -50,8 +50,9 @@ def load_json(path) -> object:
 
 
 def polytope_from_doc(doc: dict) -> Polytope:
-    if doc["dimension"] < 1:
-        raise InputError("dimension must be a positive integer")
+    if not 1 <= doc["dimension"] <= len(doc["facets"]):
+        raise InputError(f"dimension {doc['dimension']} must be a positive integer "
+                         f"at most the facet count, {len(doc['facets'])}")
     facets = [Facet(e["id"], e.get("label", e["id"]),
                     tuple(e["vector"]) if "vector" in e else None) for e in doc["facets"]]
     adjacency = set(map(frozenset, doc["adjacency"])) if "adjacency" in doc else None

@@ -531,7 +531,7 @@ class CuspTable(NamedTuple):
     facets); its pairs, moves in canonical order, each a move's two
     non-adjacent incident facets as (sorted ids, rank mask); and the apex
     pairs made so far, under (bad face position, In part).  A cusp row has
-    one writer, `certify.cusp_row`, and the verifier compares each row
+    one writer, `report.cusp_row`, and the verifier compares each row
     whole with it."""
 
     bad: Tuple[Tuple[Tuple[str, ...], int, int], ...]

@@ -159,7 +159,7 @@ class Polytope:
         N = [1 << r for r in range(len(ids))]
         pairs = set()
         for pair in adjacency:
-            a, b = sorted(pair)
+            a, b = min(pair), max(pair)  # one facet, when a pair repeats it
             if a == b:
                 raise InputError(f"adjacency must be irreflexive: {a!r}")
             if a not in rank or b not in rank:
@@ -170,10 +170,14 @@ class Polytope:
         self.adjacency_pairs = frozenset(pairs)
         self._ranked = RankedGraph(ids, rank, tuple(N))
         self.ideal_vertices = tuple(ideal_vertices)
+        seen = set()
         for iv in self.ideal_vertices:
             unknown = iv.incident - set(self.facet_ids)
             if unknown:
                 raise InputError(f"ideal vertex {iv.id!r} lists unknown facets")
+            if iv.id in seen:
+                raise InputError(f"duplicate ideal vertex id {iv.id!r}")
+            seen.add(iv.id)
         self._dual_cache: dict = {}
         self._census: Optional[Tuple[Tuple[int, ...], ...]] = None  # filled by `cliques`
         self._face_cache: dict = {}
@@ -420,12 +424,8 @@ def build_p6() -> Polytope:
         frozenset((labels_[i], labels_[j])) for i, j in map(sorted, pairs_idx)
     }
     facets = [Facet(lbl, lbl, vec) for lbl, vec in TABLE_G6]
-    prelim = Polytope(6, facets, pairs, name="P6")
-    ideal = []
-    for lbl in labels_:
-        closed = {lbl} | set(prelim.neighbors(lbl))
-        inc = frozenset(set(labels_) - closed)
-        ideal.append(IdealVertex(f"cusp:{lbl}", lbl, inc))
+    ideal = [IdealVertex(f"cusp:{lbl}", lbl, frozenset(
+        x for x in labels_ if x != lbl and frozenset((lbl, x)) not in pairs)) for lbl in labels_]
     P = Polytope(6, facets, pairs, ideal, name="P6")
     _validate_p6(P)
     return P

@@ -1,20 +1,250 @@
-"""Rendering of certificates: human-readable text and a canonical structured
-document (stable key order, exact integers, rationals as [num, den] pairs).
+"""The report format, whose shape is `schema.REPORT`: all that the prover
+(`certify`) and the checker (`verify`) agree on, each importing it and not
+the other.  The verdict plan and the one writer of each row, the evidence
+headers and ids, the tables with the consistency identity, each mode's
+verdict rule, the built-in subjects and the `Certificate` certify fills.
 
-Timing values are stripped from the structured form by default so that two
-runs produce byte-identical reports; pass include_timings=True to embed
-wall-clock data.  Text reports name each verdict row's branch by
-`row_branch`, from its witness key and verdict.
+Rendering: text, and a canonical structured document (stable key order,
+exact integers, rationals as [num, den] pairs) without timings unless
+include_timings=True, so that two runs are byte-identical.  Text reports
+name each verdict row's branch by `row_branch`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
-from .certify import Certificate
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-# The format's shape is `schema.REPORT`.
+from .polytopes import FaceHandle, FVectorReport, Polytope, TABLE_G6
+from .states import MoveSystem, R_TABLE, State, all_pairs_index, face_masks, face_table
+
 REPORT_VERSION = "8"
+
+# The built-in subjects under their report names: the `states.builtin_subject`
+# key, which also tags the inputs digest and the summary line, and the one
+# mode each is certified in.
+BUILTIN_SUBJECTS = {"P6_perfect_morse": ("p6", "perfect"), "P5_fibration": ("p5", "fibration")}
+
+
+def canonical_json(obj) -> str:
+    # only trees reach here: payloads the writers build, or parsed JSON
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
+def _eid(payload: dict) -> str:
+    return "e" + hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
+
+
+def _inputs_digest(tag: str, extra: Optional[dict] = None) -> str:
+    data = {
+        "tag": tag,
+        "table": [[lbl, list(vec)] for lbl, vec in TABLE_G6],
+        "r_table": [[r, list(row)] for r, row in R_TABLE],
+    }
+    if extra is not None:
+        data["inputs"] = extra
+    return hashlib.sha256(canonical_json(data).encode()).hexdigest()
+
+
+# Evidence headers: the fields of an evidence item that the claim citing it
+# determines.  An item is its header plus its sequences, and its id is the
+# hash of its content; the verifier rebuilds each header from the claim.
+# A legality item names no face and no part: the claim citing it gives both,
+# so one item serves every claim whose parts its sequences certify.
+
+
+def legality_header() -> dict:
+    return {"kind": "legality", "host": {"type": "ambient"}}
+
+
+def shared_header(ell: int) -> dict:
+    return {"kind": "critical-shared", "ell": ell}
+
+
+# ---------------------------------------------------------------------------
+# Euler identity
+
+
+@dataclass(frozen=True)
+class EulerRecord:
+    chi_per_copy: Fraction
+    critical_count: int
+    critical_per_copy: Fraction
+    passed: bool
+
+    def failure(self) -> str:
+        """The one message of an identity that fails."""
+        return (f"consistency identity fails: chi {self.chi_per_copy} per copy, "
+                f"{self.critical_count} critical vertices "
+                f"(-{self.critical_per_copy} per copy)")
+
+
+def euler_identity(P: Polytope, m: MoveSystem) -> EulerRecord:
+    """Two independent censuses: alternating clique-count sum versus the
+    all-pairs bad vertices, each per copy of the polytope.
+
+    chi = sum_k (-1)^k N_k / 2^k with N_k the number of codim-k clique faces;
+    the identity asserts chi == -(number of all-pairs vertices) / 2^dim.
+    """
+    chi = sum(
+        Fraction((-1) ** k * P.clique_count(k), 2 ** k) for k in range(P.dimension + 1)
+    )
+    n_crit = sum(1 for F in face_table(P, m).bad if all_pairs_index(P, m, F) is not None)
+    crit = Fraction(n_crit, 2 ** P.dimension)
+    return EulerRecord(chi, n_crit, crit, chi == -crit)
+
+
+# ---------------------------------------------------------------------------
+# The certificate and its tables
+
+
+@dataclass
+class Certificate:
+    subject: str
+    mode: str
+    passed: bool
+    seed: int
+    f_vector: FVectorReport
+    bad_faces: Dict[Tuple[int, ...], Tuple[FaceHandle, ...]]
+    verdict_rows: Tuple[dict, ...]  # report rows, by `verdict_row`
+    evidence: Dict[str, dict]
+    shared_evidence: Dict[str, dict]
+    cusp_rows: Tuple[dict, ...]  # report rows, by `cusp_row`
+    euler: EulerRecord
+    failures: Tuple[str, ...]
+    timings: Dict[str, float]
+    tables: dict  # `report_tables`: polytope, moves, orbit and the rest
+    generic_inputs: Optional[dict] = None
+
+    @property
+    def orbit_serials(self) -> Tuple[str, ...]:
+        return tuple(self.tables["orbit"])
+
+    def summary_line(self) -> str:
+        tag = BUILTIN_SUBJECTS.get(self.subject, ("generic",))[0].upper()
+        if self.passed:
+            if self.mode == "perfect":
+                idx = self.tables["polytope"]["dimension"] // 2
+                return (
+                    f"{tag}: PERFECT MORSE CERTIFIED "
+                    f"(all links Regular or Critical({idx}))"
+                )
+            return f"{tag}: FIBRATION CERTIFIED (all links Regular)"
+        first = self.failures[0] if self.failures else "unspecified failure"
+        return f"{tag}: CERTIFICATION FAILED ({first})"
+
+
+def verdict_allowed(mode: str, dimension: int, verdict: str) -> bool:
+    """The verdict rule of a mode: a fibration has only Regular links; a
+    perfect Morse function may also have Critical(dim/2) links, dim even."""
+    if verdict == "Regular":
+        return True
+    return (
+        mode == "perfect" and dimension % 2 == 0
+        and verdict == f"Critical({dimension // 2})"
+    )
+
+
+def report_tables(
+    P: Polytope, m: MoveSystem, states: Sequence[State], fv: FVectorReport,
+    bad: Dict[Tuple[int, ...], Tuple[FaceHandle, ...]], euler: EulerRecord,
+    inputs_digest: str,
+) -> dict:
+    """The deterministic sections of a report, in report order, from what the
+    caller already computed.  The pipeline's certificate carries them to the
+    report, and the verifier compares a report's sections with this function
+    applied to its own recomputation, so each section has this one writer."""
+    chi = euler.chi_per_copy
+    return {
+        "inputs_digest": inputs_digest,
+        "polytope": {"name": P.name, "dimension": P.dimension, "facets": list(P.facet_ids)},
+        "moves": [sorted(b) for b in m.blocks],
+        "orbit": [s.serial() for s in states],
+        "f_vector": {"clique_counts": list(fv.clique_counts), "degrees": list(fv.degrees)},
+        "bad_faces": {"signatures": {
+            ",".join(map(str, sig)): [list(F.sorted_ids()) for F in faces]
+            for sig, faces in sorted(bad.items())
+        }},
+        "euler": {
+            "chi_per_copy": [chi.numerator, chi.denominator],
+            "critical_count": euler.critical_count,
+            "pass": euler.passed,
+        },
+    }
+
+
+# ---------------------------------------------------------------------------
+# Rows: the plan and the one writer of each row
+
+
+class PlannedRow(NamedTuple):
+    """A verdict row as `verdict_plan` fixes it: its face's sorted ids, the
+    states it covers, and what its branch rests on, the face table's good
+    witness of a good face or, for a bad face, its handle `F` and the
+    (dual, in) rank masks of its inherited-In class."""
+
+    F: Optional[FaceHandle]
+    face: Tuple[str, ...]
+    states: Tuple[int, ...]
+    witness: Optional[int] = None
+    masks: Optional[Tuple[int, int]] = None
+
+
+def verdict_plan(P: Polytope, m: MoveSystem, states: Sequence[State]) -> Iterator[PlannedRow]:
+    """The verdict rows in report order: every face in canonical order, a
+    good face as one row over all states, a bad face as one row per
+    inherited-In class, classes in order of their states.  The pipeline
+    fills this plan, and the verifier requires a report's rows to be it.
+    Only a bad face gets a handle, the face table's, in the same order."""
+    all_states, G, table = tuple(range(len(states))), P.ranked_graph(), face_table(P, m)
+    in_masks = [G.mask(s.in_facets) for s in states]
+    bad = iter(table.bad)
+    for f, witness in zip(table.masks, table.witnesses):
+        ids = G.labels(f)
+        if witness is not None:
+            yield PlannedRow(None, ids, all_states, witness=witness)
+            continue
+        F = next(bad)
+        dual, free = face_masks(P, m, F)
+        classes: Dict[int, List[int]] = {}
+        for idx, s_in in enumerate(in_masks):
+            classes.setdefault(free & s_in, []).append(idx)
+        for inn, members in classes.items():
+            yield PlannedRow(F, ids, tuple(members), masks=(dual, inn))
+
+
+# The one writer of a verdict row, from the plan: the pipeline writes its
+# rows with it, and the verifier compares each row with it.  A row carries
+# only the witness of its branch: a good face's `witness_move`; for a bad
+# face, the `evidence` id it cites, a legality item when Regular and the
+# shared item of its ℓ when Critical(ℓ), none when Unknown.  `states` ascend.
+
+
+def verdict_row(p: PlannedRow, verdict: str, **witness) -> dict:
+    return {"face": list(p.face), "verdict": verdict, "states": list(p.states), **witness}
+
+
+def good_row(p: PlannedRow) -> dict:
+    return verdict_row(p, "Regular", witness_move=p.witness)
+
+
+def cusp_row(ok: bool, checked: list) -> dict:
+    """The one writer of a cusp row, for certify and verify alike: `ok`,
+    whether the cusp condition holds; `checked`, the [out apex, in apex]
+    pair of each bad face of the cusp's table, in its order, none where the
+    condition fails; and `all_regular`, derived: the condition holds and
+    every part has an apex.  The row names neither its cusp nor its state:
+    its position does."""
+    return {"ok": ok, "all_regular": ok and all(None not in pair for pair in checked),
+            "checked": checked}
+
+
+# ---------------------------------------------------------------------------
+# Rendering
 
 
 def row_branch(row: dict) -> str:
@@ -29,8 +259,8 @@ def row_branch(row: dict) -> str:
 
 def certificate_to_document(cert: Certificate, *, include_timings: bool = False) -> dict:
     """The structured report: the claim and its provenance, the tables of
-    `certify.report_tables` that the verifier recomputes, and the verdict
-    and cusp rows with the evidence they cite, which it replays."""
+    `report_tables` that the verifier recomputes, and the verdict and cusp
+    rows with the evidence they cite, which it replays."""
     doc = {
         "version": REPORT_VERSION,
         "subject": cert.subject,

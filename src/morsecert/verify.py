@@ -1,14 +1,17 @@
 """Standalone re-validation of structured reports, with zero search.
 
+The checker imports nothing from `certify`, the prover: both read the
+format of `report`, which holds every writer and table they agree on.
+
 A report is parsed against `schema.REPORT` once: a document of the wrong
 shape is malformed, named by its JSON path, and every check after the parse
 reads values whose JSON kinds the schema fixes.  Every table and every
 verdict row is recomputed and compared whole with what its one writer
-makes of the recomputation: `certify.report_tables` for the tables, by their
-canonical JSON; `certify.verdict_plan`, in order, and `certify.verdict_row`
+makes of the recomputation: `report.report_tables` for the tables, by their
+canonical JSON; `report.verdict_plan`, in order, and `report.verdict_row`
 for the branch that the plan and the row's verdict pick, a critical row once
 its face is an all-pairs top vertex (the all-pairs lemma, README); and
-`certify.cusp_row` for each cusp row, bound by position, one per (cusp,
+`report.cusp_row` for each cusp row, bound by position, one per (cusp,
 state) in order, once each apex it gives is checked to dominate its part.
 Every certificate that a row cites is a dismantling order, checked by one
 rule, `states.certificate_problem`, step by step on a graph's adjacency
@@ -33,21 +36,6 @@ from __future__ import annotations
 from itertools import zip_longest
 from typing import Dict, List, Optional, Tuple
 
-from .certify import (
-    PlannedRow,
-    _eid,
-    _inputs_digest,
-    canonical_json,
-    cusp_row,
-    euler_identity,
-    good_row,
-    legality_header,
-    report_tables,
-    shared_header,
-    verdict_allowed,
-    verdict_plan,
-    verdict_row,
-)
 from .complexes import replay_collapse  # not called here: pinned by perfbench
 from .errors import InputError, StructuralError
 from .io import load_json, moves_from_doc, polytope_from_doc, state_from_doc
@@ -57,7 +45,11 @@ from .links import (
     cusp_table,
 )
 from .polytopes import f_vector_check
-from .report import REPORT_VERSION
+from .report import (
+    BUILTIN_SUBJECTS, REPORT_VERSION, PlannedRow, _eid, _inputs_digest, canonical_json,
+    cusp_row, euler_identity, good_row, legality_header, report_tables, shared_header,
+    verdict_allowed, verdict_plan, verdict_row,
+)
 from .schema import REPORT, SEQUENCE_KEYS, parse
 from .states import (
     all_pairs_index,
@@ -88,10 +80,9 @@ class _Verifier:
         # change the digest it is compared with
         subject, mode, inputs = self.doc["subject"], self.doc["mode"], self.doc.get("inputs")
         modes = ("perfect", "fibration")
-        if subject == "P6_perfect_morse":
-            (P, m, states), modes, tag = builtin_subject("p6"), ("perfect",), "p6"
-        elif subject == "P5_fibration":
-            (P, m, states), modes, tag = builtin_subject("p5"), ("fibration",), "p5"
+        if subject in BUILTIN_SUBJECTS:
+            tag, mode_of = BUILTIN_SUBJECTS[subject]
+            (P, m, states), modes = builtin_subject(tag), (mode_of,)
         elif subject == "generic":
             tag = "generic"
             if inputs is None:
@@ -120,9 +111,7 @@ class _Verifier:
             if canonical_json(self.doc[key]) != canonical_json(want):
                 self.fail(f"{key} does not match its recomputation")
         if not e.passed:
-            self.fail(f"consistency identity fails: chi {e.chi_per_copy} per copy, "
-                      f"{e.critical_count} critical vertices "
-                      f"(-{e.critical_per_copy} per copy)")
+            self.fail(e.failure())
 
     # -- evidence binding and replay ---------------------------------------
 

@@ -9,7 +9,7 @@ regression.  Each test prints a PASS line for the record.
 import json
 import time
 
-from morsecert.certify import certify_generic, euler_identity
+from morsecert.certify import certify_generic
 from morsecert.complexes import (
     cone_collapse_pairs,
     full_subcomplex,
@@ -26,7 +26,7 @@ from morsecert.io import (
 )
 from morsecert.links import build_cube_model, coface_membership_oracle, cusp_table
 from morsecert.polytopes import FaceHandle, dual_complex, enumerate_faces
-from morsecert.report import certificate_to_document, document_to_json
+from morsecert.report import certificate_to_document, document_to_json, euler_identity
 from morsecert.states import inherited_state
 from morsecert.verify import verify_document
 

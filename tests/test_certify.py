@@ -1,16 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morsecert.certify import (
-    certify_generic,
-    certify_p5,
-    certify_p6,
-    euler_identity,
-)
+from morsecert.certify import certify_generic, certify_p5, certify_p6
 from morsecert.cli import main
 from morsecert.errors import InputError
 from morsecert.io import (
@@ -25,9 +24,11 @@ from morsecert.links import cusp_table
 from morsecert.polytopes import FaceHandle, build_cusp_section, build_p5
 from morsecert.report import (
     REPORT_VERSION,
+    _inputs_digest,
     certificate_to_document,
     document_to_json,
     emit_report,
+    euler_identity,
     row_branch,
 )
 from morsecert.states import (
@@ -1055,6 +1056,58 @@ def test_generic_structural_failures_are_input_errors(tmp_path, capsys):
     write_json(tmp_path / "r.json", doc)
     assert main(["verify", str(tmp_path / "r.json")]) in (1, 2)
     assert "cusp cusp:x: 3 incident facets" in capsys.readouterr().err
+
+
+# (id, change to the square's polytope document, the message naming it): a
+# polytope document that describes no polytope, though its schema holds
+NOT_A_POLYTOPE = [
+    # the second x is no cube section, but a lookup by id finds the first
+    ("repeated-ideal-label", {"ideal_vertices": [{"label": "x", "incident": ["a", "c"]},
+                                                 {"label": "x", "incident": ["a", "b"]}]},
+     "duplicate ideal vertex id 'cusp:x'"),
+    # the census and the identity loop up to the dimension, which no cusp
+    # section's size bounds here
+    ("dimension-past-facets", {"dimension": 10 ** 6, "ideal_vertices": []},
+     "dimension 1000000 must be a positive integer at most the facet count, 4"),
+    ("self-adjacent-pair", {"adjacency": square_inputs()[0]["adjacency"] + [["a", "a"]]},
+     "adjacency must be irreflexive: 'a'"),
+]
+
+
+@pytest.mark.parametrize("change, message", [e[1:] for e in NOT_A_POLYTOPE],
+                         ids=[e[0] for e in NOT_A_POLYTOPE])
+def test_a_polytope_document_that_describes_no_polytope_is_rejected(tmp_path, change,
+                                                                     message):
+    """`certify generic` of such a document, and `verify` of a report that
+    embeds it, each end at once, naming what is wrong, and never accept.
+    The report is the square's with one cusp x on a and c, given the changed
+    document, x's cusp rows once per ideal vertex it lists and the digest of
+    its inputs: a verifier that looked each cusp up by id would pass it."""
+    pol, moves, state = square_inputs()
+    pol["ideal_vertices"] = [{"label": "x", "incident": ["a", "c"]}]
+    P = polytope_from_doc(pol)
+    doc = certificate_to_document(certify_generic(
+        P, moves_from_doc(moves, P), state_from_doc(state, P),
+        generic_inputs={"polytope": pol, "moves": moves, "state": state}))
+    assert doc["pass"]
+    doc["inputs"]["polytope"] = dict(pol, **change)
+    doc["cusps"]["rows"] *= len(doc["inputs"]["polytope"]["ideal_vertices"])
+    doc["inputs_digest"] = _inputs_digest("generic", doc["inputs"])
+    paths = {key: tmp_path / f"{key}.json" for key in ("polytope", "moves", "state", "r")}
+    for key, value in (*doc["inputs"].items(), ("r", doc)):
+        write_json(paths[key], value)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for argv, codes in (
+        (["certify", "generic"] + [a for key in ("polytope", "moves", "state")
+                                   for a in (f"--{key}", str(paths[key]))], (2,)),
+        (["verify", str(paths["r"])], (1, 2)),
+    ):
+        proc = subprocess.run([sys.executable, "-m", "morsecert", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode in codes, (argv[0], proc.stdout, proc.stderr)
+        assert message in proc.stdout + proc.stderr, (argv[0], proc.stdout, proc.stderr)
+        assert "Traceback" not in proc.stderr
 
 
 def test_cli_parallel_flag(tmp_path):

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from morsecert import complexes
-from morsecert.certify import _eid, certify_generic, certify_p5, certify_p6, verdict_plan
+from morsecert.certify import certify_generic, certify_p5, certify_p6
 from morsecert.cli import main
 from morsecert.complexes import (
     cone_collapse_pairs,
@@ -42,7 +42,13 @@ from morsecert.links import (
     synthetic_pairs_lift,
 )
 from morsecert.polytopes import Facet, FaceHandle, Polytope, clique_complex, dual_complex
-from morsecert.report import certificate_to_document, document_to_json, row_branch
+from morsecert.report import (
+    _eid,
+    certificate_to_document,
+    document_to_json,
+    row_branch,
+    verdict_plan,
+)
 from morsecert.states import (
     State,
     all_pairs_index,

@@ -10,7 +10,7 @@ import pytest
 
 from itertools import groupby
 
-from morsecert.certify import cusp_row, verdict_plan
+from morsecert.report import cusp_row, verdict_plan
 from morsecert.errors import StructuralError
 from morsecert.links import certify_boundary_cube, cusp_table
 from morsecert.polytopes import (

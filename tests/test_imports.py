@@ -5,7 +5,11 @@ every module that imports them, and
 the imports of `try_collapse` in `states` and `links` and of
 `replay_collapse` in `verify`.  Each carries a comment saying so.  A name
 counts as used when the module reads it, lists it in `__all__`, or names it
-in a string annotation."""
+in a string annotation.
+
+The checker and the prover are peers over the report format: following the
+package's imports, wherever in a module they stand, `verify` reaches
+neither `certify` nor `cli`, and `report` does not reach `certify`."""
 
 import ast
 from pathlib import Path
@@ -66,3 +70,37 @@ def test_every_import_is_used():
     # equality: an unused import fails, and so does a pinned one that is
     # used again or gone, so that the list stays exact
     assert set(found) == PINNED, found
+
+
+def _package_imports(stem: str) -> set:
+    """The modules of the package that module `stem` imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("morsecert."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("morsecert."))
+    return found
+
+
+def _closure(stem: str) -> set:
+    """The modules of the package that module `stem` reaches by imports."""
+    reached, todo = set(), [stem]
+    while todo:
+        for dep in _package_imports(todo.pop()) - reached:
+            reached.add(dep)
+            todo.append(dep)
+    return reached
+
+
+def test_the_closure_follows_imports():
+    assert {"report", "states", "polytopes", "schema", "io"} <= _closure("verify")
+    assert {"certify", "verify", "report"} <= _closure("cli")
+
+
+def test_the_checker_reaches_no_prover():
+    assert not {"certify", "cli"} & _closure("verify")
+    assert "certify" not in _closure("report")

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from morsecert.certify import verdict_plan
+from morsecert.report import verdict_plan
 from morsecert.links import canonical_pairs_graphs
 from morsecert.states import dismantle, flag_certificate
 from oracles import dismantle_by_scan, part_graph

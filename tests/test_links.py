@@ -11,7 +11,7 @@ from morsecert.complexes import (
     replay_collapse,
     try_collapse,
 )
-from morsecert.certify import _classify_group, good_row, verdict_plan
+from morsecert.certify import _classify_group
 from morsecert.errors import InputError, InternalError
 from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
 from morsecert.links import (
@@ -39,7 +39,7 @@ from morsecert.polytopes import (
     dual_complex,
     enumerate_faces,
 )
-from morsecert.report import row_branch
+from morsecert.report import good_row, row_branch, verdict_plan
 from morsecert.states import (
     State,
     all_pairs_index,

@@ -26,12 +26,17 @@ the section polytope and counts it apart.
 import json
 import random
 
-from morsecert.certify import canonical_json, certify_generic
+from morsecert.certify import certify_generic
 from morsecert.errors import InputError
 from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
 from morsecert.links import cusp_table
 from morsecert.polytopes import FaceHandle, build_cusp_section
-from morsecert.report import certificate_to_document, document_to_json, row_branch
+from morsecert.report import (
+    canonical_json,
+    certificate_to_document,
+    document_to_json,
+    row_branch,
+)
 from morsecert.states import inherited_state, orbit
 from morsecert.verify import verify_document
 

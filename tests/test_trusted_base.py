@@ -5,9 +5,15 @@ trace includes building what the verifier recomputes.  The set is pinned:
 a verifier that calls a function outside it fails here, and one that stops
 calling a function in it fails too, so the list stays exact.  A change that
 adds to it updates the list and says why.  Nested functions, lambdas and
-comprehensions count as part of the function that defines them."""
+comprehensions count as part of the function that defines them.
 
+The reject path is pinned too: `verify` of three malformed copies of the p5
+report, each stopped by the schema parse, runs only trusted functions and
+the few of `schema` that name a mismatch (`REJECTED`)."""
+
+import copy
 import inspect
+import json
 import sys
 
 from morsecert.cli import build_parser, main
@@ -17,10 +23,6 @@ from morsecert.states import builtin_subject
 
 # The pinned set, by module: qualified names, space-separated.
 TRUSTED = {
-    "certify": """
-        _eid _inputs_digest canonical_json cusp_row euler_identity good_row
-        legality_header report_tables shared_header verdict_allowed verdict_plan
-        verdict_row""",
     "cli": "_cmd_verify main",
     "io": "load_json",
     "labels": """
@@ -46,6 +48,10 @@ TRUSTED = {
         classify_bad_faces face_masks face_table facet_mask is_compatible
         move_system_p5 move_system_p6 r_class_triples state_from_in_set
         unit_class_table""",
+    "report": """
+        _eid _inputs_digest canonical_json cusp_row euler_identity good_row
+        legality_header report_tables shared_header verdict_allowed verdict_plan
+        verdict_row""",
     "schema": """
         Leaf.parse Leaf.parse_items ListOf.parse Obj.parse Pair.parse_items
         _Kind.parse_items parse""",
@@ -57,6 +63,13 @@ TRUSTED = {
         _Verifier.check_tables _Verifier.check_verdicts _Verifier.run
         verify_document verify_report_file""",
 }
+
+# What the reject path runs beyond the trusted set, qualified names by module.
+REJECTED = {"schema": "Pair.parse _Mismatch.__init__ _expected"}
+
+
+def _names(pinned: dict) -> set:
+    return {f"{mod}.{name}" for mod, names in pinned.items() for name in names.split()}
 
 
 def _functions() -> dict:
@@ -77,11 +90,9 @@ def _functions() -> dict:
     return names
 
 
-def test_verify_runs_the_trusted_base(cert_p5, cert_p6, tmp_path):
-    paths = []
-    for name, cert in (("p5", cert_p5), ("p6", cert_p6)):
-        paths.append(tmp_path / f"{name}.json")
-        paths[-1].write_text(document_to_json(certificate_to_document(cert)))
+def _trace(paths) -> tuple:
+    """The exit codes of `morsecert verify` of each path, and the functions
+    of the package that the runs called, from cleared caches."""
     build_parser()  # kept per process: built here so the trace holds no parser
     builtin_subject.cache_clear()
     canonical_pairs_graphs.cache_clear()
@@ -96,9 +107,47 @@ def test_verify_runs_the_trusted_base(cert_p5, cert_p6, tmp_path):
         codes = [main(["verify", str(path)]) for path in paths]
     finally:
         sys.setprofile(None)
+    return codes, ran
+
+
+def test_verify_runs_the_trusted_base(cert_p5, cert_p6, tmp_path):
+    paths = []
+    for name, cert in (("p5", cert_p5), ("p6", cert_p6)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(document_to_json(certificate_to_document(cert)))
+    codes, ran = _trace(paths)
     assert codes == [0, 0]
     assert not {"states.sequence_form", "states._step_shape"} & ran
     assert not [name for name in ran if name.startswith("complexes.")]
-    want = {f"{mod}.{name}" for mod, names in TRUSTED.items() for name in names.split()}
+    want = _names(TRUSTED)
     assert sorted(ran - want) == [] and sorted(want - ran) == []
     assert len(want) == 104
+
+
+def _wrong_kind(doc):
+    doc["verdicts"]["rows"][3]["face"] = 5
+
+
+def _missing_key(doc):
+    del doc["verdicts"]["rows"][0]["states"]
+
+
+def _three_element_pair(doc):
+    doc["cusps"]["rows"][0]["checked"][0].append(None)
+
+
+def test_verify_rejects_with_the_trusted_base(cert_p5, tmp_path, capsys):
+    doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
+    paths = []
+    for edit in (_wrong_kind, _missing_key, _three_element_pair):
+        bad = copy.deepcopy(doc)
+        edit(bad)
+        paths.append(tmp_path / f"{edit.__name__}.json")
+        paths[-1].write_text(json.dumps(bad))
+    codes, ran = _trace(paths)
+    assert codes == [2, 2, 2]
+    err = capsys.readouterr().err
+    for where in ("verdicts.rows[3].face: expected", "verdicts.rows[0]: missing key states",
+                  "cusps.rows[0].checked[0]: expected"):
+        assert where in err
+    assert sorted(ran - _names(TRUSTED)) == sorted(_names(REJECTED))
