@@ -29,9 +29,9 @@ from .links import (
 )
 from .polytopes import Polytope, f_vector_check
 from .report import (
-    BUILTIN_SUBJECTS, Certificate, PlannedRow, _eid, _inputs_digest, cusp_row, euler_identity,
-    good_row, legality_header, report_tables, shared_header, verdict_allowed, verdict_plan,
-    verdict_row,
+    BUILTIN_SUBJECTS, MODES, Certificate, PlannedRow, _eid, _inputs_digest, cusp_row,
+    euler_identity, good_row, legality_header, report_tables, shared_header, verdict_allowed,
+    verdict_plan, verdict_row,
 )
 from .states import (
     MoveSystem,
@@ -210,7 +210,7 @@ def run_pipeline(
     process pool; results merge in canonical key order, so reports are
     identical to a sequential run.
     """
-    if mode not in ("perfect", "fibration"):
+    if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
     failures: List[str] = []
     timings: Dict[str, float] = {}

@@ -14,7 +14,7 @@ from functools import cache
 
 from .certify import certify_generic, certify_p5, certify_p6
 from .errors import InputError, InternalError, StructuralError
-from .report import emit_report
+from .report import MODES, emit_report
 from .states import builtin_subject
 from .verify import verify_report_file
 
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--moves", required=True, help="moves JSON file")
     g.add_argument("--state", required=True, help="initial state JSON file")
     g.add_argument(
-        "--mode", choices=("fibration", "perfect"), default="perfect",
+        "--mode", choices=MODES, default="perfect",
         help="pass criterion: all-Regular, or Regular plus Critical",
     )
     _add_common(g)

@@ -24,6 +24,8 @@ from .states import MoveSystem, R_TABLE, State, all_pairs_index, face_masks, fac
 
 REPORT_VERSION = "8"
 
+MODES = ("perfect", "fibration")  # each with its verdict rule, `verdict_allowed`
+
 # The built-in subjects under their report names: the `states.builtin_subject`
 # key, which also tags the inputs digest and the summary line, and the one
 # mode each is certified in.

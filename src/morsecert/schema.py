@@ -1,8 +1,8 @@
 """The JSON documents morsecert reads, as one schema, and their one parse.
 
 `REPORT` is the report; `POLYTOPE`, `MOVES` and `STATE` are the generic
-inputs, which a generic report embeds.  `parse` checks a document against
-its schema once, before anything reads it, and raises InputError naming the
+inputs.  `parse` checks a document once, before anything reads it, a list's
+elements all at once, field by field, and raises InputError naming the
 first value that breaks it by its JSON path, as in `verdicts.rows[3].face:
 expected a list of strs, got int`.  Code after it reads values of fixed
 JSON kinds (an int is never a bool), so `==` compares them exactly; which
@@ -40,14 +40,24 @@ def _plural(noun: str) -> str:
 class _Kind:
     noun = "object"
 
-    def parse_items(self, values):
-        """Parse each element of the list `values`."""
+    def parse_items(self, values, keys=None):
+        """Parse each element of the list `values`, whose keys are `keys`,
+        by default their positions.  Each kind's `_at_once` checks them all
+        at once; where it cannot, or finds a mismatch, `_walk` names it."""
         try:
-            for i, value in enumerate(values):
+            if self._at_once(values):
+                return
+        except _Mismatch:
+            pass
+        self._walk(values, keys)
+
+    def _walk(self, values, keys):
+        for i, value in enumerate(values):
+            try:
                 self.parse(value)
-        except _Mismatch as exc:
-            exc.path.append(i)
-            raise
+            except _Mismatch as exc:
+                exc.path.append(i if keys is None else keys[i])
+                raise
 
 
 class Leaf(_Kind):
@@ -60,13 +70,12 @@ class Leaf(_Kind):
         if type(value) not in self.types:
             raise _expected(self.noun, value)
 
-    def parse_items(self, values):
-        if not self.types.issuperset(map(type, values)):  # else name the first
-            super().parse_items(values)
+    def _at_once(self, values) -> bool:
+        return self.types.issuperset(map(type, values))
 
 
 class ListOf(_Kind):
-    form = "list"
+    form, size = "list", None
 
     def __init__(self, item: _Kind):
         self.item, self.noun = item, f"{self.form} of {_plural(item.noun)}"
@@ -74,23 +83,22 @@ class ListOf(_Kind):
     def parse(self, value):
         if type(value) is not list:
             raise _expected(self.noun, value)
+        if self.size is not None and len(value) != self.size:
+            raise _Mismatch(f"expected a {self.noun}, got a list of {len(value)}")
         self.item.parse_items(value)
+
+    def _at_once(self, values) -> bool:
+        if not (_LIST.issuperset(map(type, values))
+                and (self.size is None or {self.size}.issuperset(map(len, values)))):
+            return False
+        self.item.parse_items(list(chain.from_iterable(values)))
+        return True
 
 
 class Pair(ListOf):
-    """A list of two values of a leaf kind."""
+    """A list of two values (`size`)."""
 
-    form = "pair"
-
-    def parse(self, value):
-        if type(value) is list and len(value) != 2:
-            raise _expected(self.noun, value)
-        super().parse(value)
-
-    def parse_items(self, values):
-        if not (_LIST.issuperset(map(type, values)) and _TWO.issuperset(map(len, values))
-                and self.item.types.issuperset(map(type, chain.from_iterable(values)))):
-            super().parse_items(values)
+    form, size = "pair", 2
 
 
 class Obj(_Kind):
@@ -101,23 +109,37 @@ class Obj(_Kind):
         self.fields, self.each = {**required, **optional}, each
         self.required, self.keys = frozenset(required), frozenset(self.fields)
 
-    def parse(self, value):
-        if type(value) is not dict:
-            raise _expected("object", value)
-        keys = value.keys()
-        if not (self.each or keys == self.required or self.required <= keys <= self.keys):
+    def _check_keys(self, keys):
+        if not (keys == self.required or self.required <= keys <= self.keys):
             missing, unknown = sorted(self.required - keys), sorted(keys - self.keys)
             raise _Mismatch(f"missing key {', '.join(missing)}" if missing else
                             f"unknown key {', '.join(map(repr, unknown))}")
+
+    def parse(self, value):
+        if type(value) is not dict:
+            raise _expected("object", value)
+        if self.each:
+            return self.each.parse_items(list(value.values()), list(value))
+        self._check_keys(value.keys())
         try:
             for key, item in value.items():
-                (self.each or self.fields[key]).parse(item)
+                self.fields[key].parse(item)
         except _Mismatch as exc:
             exc.path.append(key)
             raise
 
+    def _at_once(self, values) -> bool:
+        """Each distinct key set once, then each field across the objects."""
+        if self.each or not _DICT.issuperset(map(type, values)):
+            return False
+        for keys in {tuple(d) for d in values}:
+            self._check_keys(set(keys))
+        for key, kind in self.fields.items():
+            kind.parse_items([d[key] for d in values if key in d])
+        return True
 
-_LIST, _TWO = frozenset({list}), frozenset({2})
+
+_LIST, _DICT = frozenset({list}), frozenset({dict})
 
 
 def parse(schema: _Kind, doc, root: str = ""):
@@ -172,5 +194,3 @@ REPORT = Obj({
         Pair(Leaf("str or null", str, type(None))))}))}),
     "failures": STRS, "timings": ANY,
 }, {"inputs": Obj({"polytope": POLYTOPE, "moves": MOVES, "state": STATE})})
-# The keys of every report; a generic report also embeds its `inputs`.
-REPORT_KEYS = REPORT.required

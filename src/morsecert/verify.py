@@ -8,27 +8,30 @@ shape is malformed, named by its JSON path, and every check after the parse
 reads values whose JSON kinds the schema fixes.  Every table and every
 verdict row is recomputed and compared whole with what its one writer
 makes of the recomputation: `report.report_tables` for the tables, by their
-canonical JSON; `report.verdict_plan`, in order, and `report.verdict_row`
-for the branch that the plan and the row's verdict pick, a critical row once
-its face is an all-pairs top vertex (the all-pairs lemma, README); and
-`report.cusp_row` for each cusp row, bound by position, one per (cusp,
-state) in order, once each apex it gives is checked to dominate its part.
+canonical JSON; `report.verdict_plan`, in one pass beside the rows, and
+`report.verdict_row` for the branch the plan and the row's verdict pick,
+a critical row once its face is an all-pairs top vertex (the all-pairs
+lemma, README); and `report.cusp_row` for each cusp row, bound by position,
+one per (cusp, state) in order, once each apex it gives is checked to
+dominate its part.
 Every certificate that a row cites is a dismantling order, checked by one
 rule, `states.certificate_problem`, step by step on a graph's adjacency
 masks and a live mask: a legality part on the facet graph, a shared
 critical link on the face poset's comparability graph down to its core,
 which is checked on that graph to be the subdivided cross-polytope
-boundary.  Nothing here searches or builds a complex, so verification
-costs a small multiple of reading the report.  Only `timings` and `seeds`
+boundary.  Nothing here searches or builds a complex, and failure text is
+made only on a failure: warm and in-process on a 2-core VM, verifying the
+seed-0 p6 report, `json.loads` included, takes about 32 ms against about
+27 ms for `certify_p6()`, 1.2 times as long.  Only `timings` and `seeds`
 back no claim: the schema requires their keys, nothing checks what is in
 them, and the seed steers nothing.
 A built-in subject, its census audited where `states.builtin_subject`
 builds it, and the canonical link graphs are built once per process and
 shared by every report verified in it: nothing a report carries reaches
 them, and a generic report's embedded inputs are rebuilt for each report.
-A generic subject is built by `states.generic_orbit`, as certify builds it,
-so an embedded initial state that is not compatible is rejected first,
-naming the adjacent same-move pair, before any row is read.
+A generic subject is built by `states.generic_orbit`, as certify builds it:
+embedded inputs that break a rule, an initial state that is not compatible
+included, are an input error before any row is read, as they are to certify.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .links import (
 )
 from .polytopes import f_vector_check
 from .report import (
-    BUILTIN_SUBJECTS, REPORT_VERSION, PlannedRow, _eid, _inputs_digest, canonical_json,
+    BUILTIN_SUBJECTS, MODES, REPORT_VERSION, PlannedRow, _eid, _inputs_digest, canonical_json,
     cusp_row, euler_identity, good_row, legality_header, report_tables, shared_header,
     verdict_allowed, verdict_plan, verdict_row,
 )
@@ -75,30 +78,34 @@ class _Verifier:
 
     # -- context ------------------------------------------------------------
 
-    def build_context(self):
+    def build_context(self) -> bool:
+        """Build the report's subject; False, the report rejected, if it names
+        none.  Embedded inputs that break a rule are an input error."""
         # a built-in subject's report embeds no inputs: any it carries
         # change the digest it is compared with
         subject, mode, inputs = self.doc["subject"], self.doc["mode"], self.doc.get("inputs")
-        modes = ("perfect", "fibration")
+        tag, *modes = BUILTIN_SUBJECTS.get(subject, ("generic", *MODES))  # modes it allows
         if subject in BUILTIN_SUBJECTS:
-            tag, mode_of = BUILTIN_SUBJECTS[subject]
-            (P, m, states), modes = builtin_subject(tag), (mode_of,)
-        elif subject == "generic":
-            tag = "generic"
-            if inputs is None:
-                raise InputError("generic report carries no embedded inputs")
-            P = polytope_from_doc(inputs["polytope"])
-            m = moves_from_doc(inputs["moves"], P)
-            s0 = state_from_doc(inputs["state"], P)
-            f_vector_check(P)  # inputs that break the census are malformed, whatever the state
-            states = generic_orbit(P, m, s0)
+            P, m, states = builtin_subject(tag)
+        elif subject == "generic" and inputs is not None:
+            try:
+                P = polytope_from_doc(inputs["polytope"])
+                m = moves_from_doc(inputs["moves"], P)
+                s0 = state_from_doc(inputs["state"], P)
+                f_vector_check(P)  # inputs that break the census are malformed, whatever the state
+                states = generic_orbit(P, m, s0)
+            except InputError as exc:
+                raise InputError(f"embedded inputs: {exc}") from exc
         else:
-            raise InputError(f"unknown subject {subject!r}")
+            self.fail("generic report carries no embedded inputs" if subject == "generic"
+                      else f"unknown subject {subject!r}")
+            return False
         if mode not in modes:
             self.fail(f"mode {mode!r}: subject {subject} must be certified in "
                       f"{' or '.join(modes)} mode")
         self.P, self.m, self.states, self.mode = P, m, states, mode
         self.digest = _inputs_digest(tag, inputs)
+        return True
 
     # -- cheap table recomputation -------------------------------------------
 
@@ -115,8 +122,9 @@ class _Verifier:
 
     # -- evidence binding and replay ---------------------------------------
 
-    def _evidence(self, section: str, eid, header: dict, where: str, needs, check):
-        """Bind the evidence item `eid` to the claim at `where` that cites it.
+    def _evidence(self, section: str, eid, header: dict, face, needs, check):
+        """Bind the evidence item `eid` to the claim of the row of `face`
+        that cites it.
 
         Once per section and id, `eid` must be the hash of the item's
         content.  The item must equal `header`, which the caller rebuilt
@@ -126,31 +134,33 @@ class _Verifier:
         claim with the same needs that cites a failed item fails, naming
         its id.
         """
-        where = f"{where}: evidence {eid}"
+        def fail(what: str):  # names the row and the item only on a failure
+            self.fail(f"face {face}: evidence {eid}{what}")
+
         ev = self.doc[section].get(eid)
         if ev is None:
-            self.fail(f"{where} is missing")
+            fail(" is missing")
             return
         if (section, eid) not in self._bound:
             self._bound[section, eid] = _eid(ev) == eid
             if not self._bound[section, eid]:
-                self.fail(f"{where}: id is not the hash of the content")
+                fail(": id is not the hash of the content")
         wrong = [k for k, v in header.items() if ev[k] != v]
         if wrong:
-            self.fail(f"{where} does not match the claim ({', '.join(wrong)})")
+            fail(f" does not match the claim ({', '.join(wrong)})")
             return
         ok = self._checked.get((section, eid, needs))
         if ok is None:
             ok = True
             for key, problem in check(ev):
                 if problem is not None:
-                    self.fail(f"{where}: {key} {problem}")
+                    fail(f": {key} {problem}")
                     ok = False
             self._checked[section, eid, needs] = ok
         elif not ok:
-            self.fail(f"{where} failed")
+            fail(" failed")
 
-    def _legality(self, eid, p: PlannedRow, where: str):
+    def _legality(self, eid, p: PlannedRow):
         """Bind legality item `eid` to the claim of planned row `p` that both
         parts of its face's dual complex, the rank mask `dual` split into Out
         and In = `inn`, collapse to a point.  The item names no part, so
@@ -158,51 +168,47 @@ class _Verifier:
         (Out, In) pair of parts that cites it."""
         G, (dual, inn) = self.P.ranked_graph(), p.masks
         out = dual & ~inn
-        self._evidence("evidence", eid, legality_header(), where, (out, inn),
+        self._evidence("evidence", eid, legality_header(), p.face, (out, inn),
                        lambda ev: [(key, certificate_problem(G, ev[key], part, what="part"))
                                    for key, part in (("out_sequence", out), ("in_sequence", inn))])
 
     # -- rows ------------------------------------------------------------------
 
-    def _plan_order(self, got: list, want: list):
-        """Fail, naming the first verdict row whose (face, states) in `got`
-        is not the plan's in `want`."""
-        for i, (g, w) in enumerate(zip_longest(got, want)):
-            if g != w:
-                g, w = ("no row" if k is None else f"face {k[0]} states {list(k[1])}"
-                        for k in (g, w))
-                self.fail(f"verdict row {i}: {g} where the plan has {w}")
-                return
-
     def _same_row(self, row: dict, want: dict, where: str):
-        """`row` must equal `want`; a failure names the keys that differ,
+        """Fail, naming the keys in which `row` and `want`, unequal, differ,
         a key that one of them lacks included (no row value is null)."""
-        if row != want:
-            wrong = sorted(k for k in row.keys() | want.keys() if row.get(k) != want.get(k))
-            self.fail(f"{where}: row {', '.join(wrong)} does not match its recomputation")
+        wrong = sorted(k for k in row.keys() | want.keys() if row.get(k) != want.get(k))
+        self.fail(f"{where}: row {', '.join(wrong)} does not match its recomputation")
 
     # -- verdict table ---------------------------------------------------------
 
     def check_verdicts(self):
-        doc, P = self.doc, self.P
-        rows = doc["verdicts"]["rows"]
-        plan = {(p.face, p.states): p for p in verdict_plan(P, self.m, self.states)}
-        got = [(tuple(row["face"]), tuple(row["states"])) for row in rows]
-        self._plan_order(got, list(plan))
-        for row, key in zip(rows, got):
-            where = f"face {key[0]}"
-            p = plan.get(key)
-            if p is None:
+        """One pass over the plan and the rows: each row must be the planned
+        row of its position, for the branch the plan and its verdict pick.
+        Of the rows out of place, the first is named and none is checked."""
+        mode, dim, departed = self.mode, self.P.dimension, False
+        plan = verdict_plan(self.P, self.m, self.states)
+        for i, (row, p) in enumerate(zip_longest(self.doc["verdicts"]["rows"], plan)):
+            if p is not None and p.witness is not None and row == good_row(p):
+                continue
+            got = None if row is None else (tuple(row["face"]), tuple(row["states"]))
+            planned = None if p is None else (p.face, p.states)
+            if got != planned:
+                if not departed:
+                    g, w = ("no row" if k is None else f"face {k[0]} states {list(k[1])}"
+                            for k in (got, planned))
+                    self.fail(f"verdict row {i}: {g} where the plan has {w}")
+                departed = True
                 continue
             verdict = row["verdict"]
-            if not verdict_allowed(self.mode, P.dimension, verdict):
-                self.fail(f"{where}: verdict {verdict!r} is not allowed in {self.mode!r} mode")
-            want = self._claimed_row(p, row, where)
-            if want is not None:
-                cited = f": evidence {row['evidence']}" if "evidence" in row else ""
-                self._same_row(row, want, where + cited)
+            if not verdict_allowed(mode, dim, verdict):
+                self.fail(f"face {p.face}: verdict {verdict!r} is not allowed in {mode!r} mode")
+            want = self._claimed_row(p, row)
+            if want is not None and row != want:
+                self._same_row(row, want, f"face {p.face}" + (
+                    f": evidence {row['evidence']}" if "evidence" in row else ""))
 
-    def _claimed_row(self, p: PlannedRow, row: dict, where: str) -> Optional[dict]:
+    def _claimed_row(self, p: PlannedRow, row: dict) -> Optional[dict]:
         """The row of planned row `p` for the branch that the plan and the
         verdict of `row` pick, with the evidence `row` cites bound, if any: a
         good face's; for a bad face, a legal row if Regular, a critical row
@@ -212,25 +218,25 @@ class _Verifier:
         verdict, eid = row["verdict"], row.get("evidence")
         critical = verdict.startswith("Critical(")
         if verdict != "Regular" and not critical:
-            self.fail(f"{where}: bad face, unverifiable verdict {verdict!r}")
+            self.fail(f"face {p.face}: bad face, unverifiable verdict {verdict!r}")
             return None
         if eid is None:
-            self.fail(f"{where}: bad face, {verdict} row cites no evidence")
+            self.fail(f"face {p.face}: bad face, {verdict} row cites no evidence")
             return None
         if critical:
-            return self._critical_row(p, eid, where)
-        self._legality(eid, p, where)
+            return self._critical_row(p, eid)
+        self._legality(eid, p)
         return verdict_row(p, verdict, evidence=eid)
 
-    def _critical_row(self, p: PlannedRow, eid, where: str) -> Optional[dict]:
+    def _critical_row(self, p: PlannedRow, eid) -> Optional[dict]:
         """The critical row citing `eid`, the shared item of p's ℓ, once the
         item is bound: by the all-pairs lemma the face alone decides the
         row, as a good face's witness does."""
         ell = all_pairs_index(self.P, self.m, p.F)
         if ell is None:
-            self.fail(f"{where}: evidence {eid}: not an all-pairs top vertex")
+            self.fail(f"face {p.face}: evidence {eid}: not an all-pairs top vertex")
             return None
-        self._evidence("shared_evidence", eid, shared_header(ell), where, ell,
+        self._evidence("shared_evidence", eid, shared_header(ell), p.face, ell,
                        lambda ev: self._core_problems(ell, ev))
         return verdict_row(p, f"Critical({ell})", evidence=eid)
 
@@ -251,38 +257,45 @@ class _Verifier:
         one [out apex, in apex] pair per bad face of the cusp's table where
         the recomputed cusp condition holds, none where it fails, each apex
         a vertex of its part that dominates the part, which proves the part
-        a cone.  The row must then be `cusp_row`'s of the recomputed
-        condition and its `checked`, and its boundary cube all Regular."""
-        doc, P, m, states = self.doc, self.P, self.m, self.states
-        rows = doc["cusps"]["rows"]
+        a cone: apex ∈ part and part ⊆ N[apex], the rule `cone_apex` scans
+        with.  The row must then be `cusp_row`'s of the recomputed condition
+        and its `checked`, and its boundary cube all Regular."""
+        P, m, states, rows = self.P, self.m, self.states, self.doc["cusps"]["rows"]
         if len(rows) != len(P.ideal_vertices) * len(states):
             self.fail(f"cusps: {len(rows)} rows, want one per (cusp, state): "
                       f"{len(P.ideal_vertices)} x {len(states)}")
-        in_masks = [P.ranked_graph().mask(s.in_facets) for s in states]
+        G = P.ranked_graph()
+        in_masks, rank, N = [G.mask(s.in_facets) for s in states], G.rank, G.N
         rows = iter(rows)
         for iv in P.ideal_vertices:
             table = cusp_table(P, m, iv.id)
             for (idx, s_in), row in zip(enumerate(in_masks), rows):
-                where = f"cusp {iv.id} state {idx}"
                 ok = check_cusp_condition(table, s_in) is not None
-                proved = self._apexes(row["checked"], table.bad if ok else (), s_in, where)
-                if proved:
-                    self._same_row(row, cusp_row(ok, row["checked"]), where)
+                checked, bad = row["checked"], table.bad if ok else ()
+                proved = len(checked) == len(bad)
+                for (_, dual, free), (out_apex, in_apex) in zip(bad, checked):
+                    inn = free & s_in
+                    r, q = rank.get(out_apex), rank.get(in_apex)
+                    if (r is None or q is None or not (dual & ~inn) >> r & 1
+                            or dual & ~inn & ~N[r] or not inn >> q & 1 or inn & ~N[q]):
+                        proved = False
+                        break
+                if not proved:
+                    self._apexes(checked, bad, s_in, f"cusp {iv.id} state {idx}")
+                elif row != cusp_row(ok, checked):
+                    self._same_row(row, cusp_row(ok, checked), f"cusp {iv.id} state {idx}")
                 if not (ok and proved):
-                    self.fail(f"{where}: boundary cube is not all Regular")
+                    self.fail(f"cusp {iv.id} state {idx}: boundary cube is not all Regular")
 
-    def _apexes(self, checked, bad, s_in: int, where: str) -> bool:
-        """Whether `checked` holds one pair [out apex, in apex] per bad face
-        of a cusp table in `bad`, each apex a facet of the part the face's
-        split by the In mask `s_in` gives it that is adjacent to every other
-        one: apex ∈ part and part ⊆ N[apex], the rule `cone_apex` scans
-        with.  A failure names the face and the apex."""
+    def _apexes(self, checked, bad, s_in: int, where: str):
+        """Name what is wrong with `checked` as one [out apex, in apex] pair
+        of cone apexes per bad face in `bad`, of the parts of each face's
+        split by the In mask `s_in`: the count, or each apex and its face."""
         if len(checked) != len(bad):
             self.fail(f"{where}: checked does not hold one apex pair per bad face "
                       f"({len(bad)})")
-            return False
+            return
         _, rank, N = self.P.ranked_graph()
-        good = True
         for (ids, dual, free), pair in zip(bad, checked):
             inn = free & s_in
             for side, part, apex in (("out", dual & ~inn, pair[0]), ("in", inn, pair[1])):
@@ -290,8 +303,6 @@ class _Verifier:
                 if r is None or not part >> r & 1 or part & ~N[r]:
                     self.fail(f"{where}: face {ids}: {side} apex {apex!r} is no cone apex "
                               f"of its part")
-                    good = False
-        return good
 
     def check_bound(self):
         """Every evidence item must be bound to some claim that cites it."""
@@ -309,10 +320,7 @@ class _Verifier:
             self.fail(f"unsupported report version {self.doc.get('version')!r}")
             return False, self.messages
         parse(REPORT, self.doc, "report")
-        try:
-            self.build_context()
-        except InputError as exc:
-            self.fail(str(exc))
+        if not self.build_context():
             return False, self.messages
         self.check_tables()
         self.check_verdicts()

@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Optional, Tuple
 
+from morsecert import schema
 from morsecert.complexes import SimplicialComplex, full_subcomplex, label_key
 from morsecert.errors import InputError
 from morsecert.labels import BASE_POINT_LABELS, UNIT_LABELS, label_signs
@@ -258,6 +259,52 @@ def dismantle_by_scan(N, keep: int = 0):
         dominated ^= low
         stale = (stale | N[v]) & live & ~keep
     return steps
+
+
+# -- the schema ----------------------------------------------------------------------
+
+
+def schema_walk(kind, value, root: str = "") -> Optional[str]:
+    """The message with which `schema.parse(kind, value, root)` rejects
+    `value`, or None where it parses: the first value that breaks `kind`,
+    in document order, found by checking every value on its own, as the
+    schema's checks of whole lists at once must agree."""
+    found = _first_mismatch(kind, value)
+    if found is None:
+        return None
+    path, message = found
+    where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)
+    where = where.removeprefix(".") or root
+    return f"{where}: {message}" if where else message
+
+
+def _first_mismatch(kind, value):
+    """(the path under `value`, the message) of its first value that breaks
+    `kind`, or None."""
+    if isinstance(kind, schema.Leaf):
+        return None if type(value) in kind.types else ((), str(schema._expected(kind.noun, value)))
+    noun = kind.noun if isinstance(kind, schema.ListOf) else "object"
+    if type(value) is not (list if isinstance(kind, schema.ListOf) else dict):
+        return (), str(schema._expected(noun, value))
+    if isinstance(kind, schema.Pair) and len(value) != 2:
+        return (), f"expected a {noun}, got a list of {len(value)}"
+    if isinstance(kind, schema.ListOf):
+        children = [(i, kind.item, item) for i, item in enumerate(value)]
+    elif kind.each is not None:
+        children = [(key, kind.each, item) for key, item in value.items()]
+    else:
+        missing = sorted(kind.required - value.keys())
+        unknown = sorted(value.keys() - kind.fields.keys())
+        if missing:
+            return (), f"missing key {', '.join(missing)}"
+        if unknown:
+            return (), f"unknown key {', '.join(map(repr, unknown))}"
+        children = [(key, kind.fields[key], item) for key, item in value.items()]
+    for key, child, item in children:
+        found = _first_mismatch(child, item)
+        if found is not None:
+            return (key, *found[0]), found[1]
+    return None
 
 
 # -- quaternion labels over Fraction -----------------------------------------------

@@ -155,9 +155,9 @@ def _input_files(tmp_path, inputs) -> list:
 
 
 def test_verify_rejects_an_incompatible_embedded_state(tmp_path, capsys, monkeypatch):
-    """A generic report whose embedded state is not compatible is rejected
-    by `verify`, naming the pair, as `certify generic` refuses the same
-    files.  The forged report is made with the check bypassed on the
+    """A generic report whose embedded state is not compatible is an input
+    error to `verify`, naming the pair, as `certify generic` refuses the
+    same files.  The forged report is made with the check bypassed on the
     certify side only.  The compatible twin certifies and verifies in both
     modes."""
     import morsecert.certify as certify
@@ -170,8 +170,9 @@ def test_verify_rejects_an_incompatible_embedded_state(tmp_path, capsys, monkeyp
         assert main(["certify", "generic", *files, "--format", "structured",
                      "--output", report]) == 0
     capsys.readouterr()
-    assert main(["verify", report]) == 1
-    assert "adjacent same-move pair ('y0', 'z1')" in capsys.readouterr().out
+    assert main(["verify", report]) == 2
+    assert ("input error: embedded inputs: initial state is incompatible: adjacent same-move "
+            "pair ('y0', 'z1')") in capsys.readouterr().err
     assert main(["certify", "generic", *files]) == 2
     assert "adjacent same-move pair ('y0', 'z1')" in capsys.readouterr().err
     twin = _input_files(tmp_path, cube_inputs("I"))
@@ -1079,7 +1080,8 @@ NOT_A_POLYTOPE = [
 def test_a_polytope_document_that_describes_no_polytope_is_rejected(tmp_path, change,
                                                                      message):
     """`certify generic` of such a document, and `verify` of a report that
-    embeds it, each end at once, naming what is wrong, and never accept.
+    embeds it, each end at once with an input error (exit 2) naming what is
+    wrong, `verify` as one of the embedded inputs, and never accept.
     The report is the square's with one cusp x on a and c, given the changed
     document, x's cusp rows once per ideal vertex it lists and the digest of
     its inputs: a verifier that looked each cusp up by id would pass it."""
@@ -1098,15 +1100,15 @@ def test_a_polytope_document_that_describes_no_polytope_is_rejected(tmp_path, ch
         write_json(paths[key], value)
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    for argv, codes in (
+    for argv, named in (
         (["certify", "generic"] + [a for key in ("polytope", "moves", "state")
-                                   for a in (f"--{key}", str(paths[key]))], (2,)),
-        (["verify", str(paths["r"])], (1, 2)),
+                                   for a in (f"--{key}", str(paths[key]))], message),
+        (["verify", str(paths["r"])], f"input error: embedded inputs: {message}"),
     ):
         proc = subprocess.run([sys.executable, "-m", "morsecert", *argv], env=env,
                               capture_output=True, text=True, timeout=60)
-        assert proc.returncode in codes, (argv[0], proc.stdout, proc.stderr)
-        assert message in proc.stdout + proc.stderr, (argv[0], proc.stdout, proc.stderr)
+        assert proc.returncode == 2, (argv[0], proc.stdout, proc.stderr)
+        assert named in proc.stderr, (argv[0], proc.stdout, proc.stderr)
         assert "Traceback" not in proc.stderr
 
 

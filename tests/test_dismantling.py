@@ -191,9 +191,9 @@ def _set_step(i, value):
     pytest.param("elementary-step", "out_sequence[1][0]: expected a str, got list",
                  id="elementary-step-malformed"),
     ("self-dominator", "cannot dominate itself"),
-    pytest.param("no-pair", "out_sequence[1]: expected a pair of strs, got list",
+    pytest.param("no-pair", "out_sequence[1]: expected a pair of strs, got a list of 1",
                  id="no-pair-malformed"),
-    pytest.param("three-labels", "out_sequence[1]: expected a pair of strs, got list",
+    pytest.param("three-labels", "out_sequence[1]: expected a pair of strs, got a list of 3",
                  id="three-labels-malformed"),
 ])
 def test_rehashed_tampers_are_rejected(P5, cert_p5, tmp_path, capsys, tamper, message):

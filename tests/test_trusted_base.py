@@ -53,19 +53,19 @@ TRUSTED = {
         legality_header report_tables shared_header verdict_allowed verdict_plan
         verdict_row""",
     "schema": """
-        Leaf.parse Leaf.parse_items ListOf.parse Obj.parse Pair.parse_items
-        _Kind.parse_items parse""",
+        Leaf._at_once Leaf.parse ListOf._at_once ListOf.parse Obj._at_once
+        Obj._check_keys Obj.parse _Kind.parse_items parse""",
     "verify": """
-        _Verifier.__init__ _Verifier._apexes _Verifier._claimed_row
-        _Verifier._core_problems _Verifier._critical_row _Verifier._evidence
-        _Verifier._legality _Verifier._plan_order _Verifier._same_row
+        _Verifier.__init__ _Verifier._claimed_row _Verifier._core_problems
+        _Verifier._critical_row _Verifier._evidence _Verifier._legality
         _Verifier.build_context _Verifier.check_bound _Verifier.check_cusps
         _Verifier.check_tables _Verifier.check_verdicts _Verifier.run
         verify_document verify_report_file""",
 }
 
-# What the reject path runs beyond the trusted set, qualified names by module.
-REJECTED = {"schema": "Pair.parse _Mismatch.__init__ _expected"}
+# What the reject path runs beyond the trusted set, qualified names by module:
+# the per-value walk that names a mismatch, and the naming itself.
+REJECTED = {"schema": "_Kind._walk _Mismatch.__init__ _expected"}
 
 
 def _names(pinned: dict) -> set:
@@ -121,7 +121,7 @@ def test_verify_runs_the_trusted_base(cert_p5, cert_p6, tmp_path):
     assert not [name for name in ran if name.startswith("complexes.")]
     want = _names(TRUSTED)
     assert sorted(ran - want) == [] and sorted(want - ran) == []
-    assert len(want) == 104
+    assert len(want) == 103
 
 
 def _wrong_kind(doc):
