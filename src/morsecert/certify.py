@@ -13,6 +13,9 @@ boundary cubes are certified by the cone apexes of their parts, recorded
 inline in rows that `report.cusp_row`, their one writer, makes and the
 verifier compares whole.  Every certificate is found by a deterministic rule,
 so reports are reproducible byte for byte; the root seed is only recorded.
+What depends on the subject alone, the plan and the cusp tables, is kept on
+its polytope; every certificate is found again by every run, each legality
+part and each cusp's (bad face, In part) once per run.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .states import (
     all_pairs_index,
     builtin_subject,
     classify_bad_faces,
-    face_table,
     generic_orbit,
     orbit,
     split_legality,
@@ -77,12 +79,14 @@ def _classify_group(
     *,
     certifier: CriticalLinkCertifier,
     shared_ids: Dict[int, str],
+    parts: Optional[dict] = None,
 ):
     """Classify the planned row of a bad face: totally legal when both
     parts of its masks' split are certified, else Critical or Unknown by
     `classify_link` on its face, a Critical(ℓ) row citing `shared_ids[ℓ]`;
-    returns (row, evidence, failure-or-None)."""
-    rec = split_legality(P, *p.masks)
+    returns (row, evidence, failure-or-None).  `parts` keeps the run's
+    part certificates (`split_legality`)."""
+    rec = split_legality(P, *p.masks, parts)
     if rec.totally_legal:
         payload = legality_evidence_payload(rec)
         eid = _eid(payload)
@@ -97,9 +101,9 @@ def _classify_group(
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(P, m, certifier, shared_ids):
+def _worker_init(P, m, certifier, shared_ids, parts):
     _WORKER_CTX["args"] = (P, m)
-    _WORKER_CTX["kwargs"] = {"certifier": certifier, "shared_ids": shared_ids}
+    _WORKER_CTX["kwargs"] = {"certifier": certifier, "shared_ids": shared_ids, "parts": parts}
 
 
 def _worker_classify(task):
@@ -109,18 +113,19 @@ def _worker_classify(task):
 def _verdict_sweep(
     P: Polytope,
     m: MoveSystem,
-    states: Sequence[State],
+    plan: Sequence[PlannedRow],
     *,
     certifier: CriticalLinkCertifier,
     failures: List[str],
     parallel: int = 1,
 ):
-    """Fill `verdict_plan` in order: a good face's row directly, a bad
-    face's rows by classifying them."""
+    """Fill `plan`, the `verdict_plan`, in order: a good face's row
+    directly, a bad face's rows by classifying them, each part of a split
+    dismantled once."""
     rows: List[dict] = []
     evidence: Dict[str, dict] = {}
-    plan = list(verdict_plan(P, m, states))
     tasks = [p for p in plan if p.witness is None]
+    parts: Dict[int, Optional[list]] = {}  # part mask -> its certificate, for this run
 
     # one shared item per ℓ, built before any fork so that workers inherit
     # the certificates and cite each item by its id in `shared_ids`
@@ -137,12 +142,12 @@ def _verdict_sweep(
         ctx = mp.get_context("fork")
         with ctx.Pool(
             parallel, initializer=_worker_init,
-            initargs=(P, m, certifier, shared_ids),
+            initargs=(P, m, certifier, shared_ids, parts),
         ) as pool:
             results = pool.map(_worker_classify, tasks, chunksize=8)
     else:
-        results = [_classify_group(P, m, p, certifier=certifier, shared_ids=shared_ids)
-                   for p in tasks]
+        results = [_classify_group(P, m, p, certifier=certifier, shared_ids=shared_ids,
+                                   parts=parts) for p in tasks]
     results = iter(results)
     for p in plan:
         if p.witness is not None:
@@ -166,13 +171,14 @@ def _cusp_suite(
     P: Polytope, m: MoveSystem, states: Sequence[State], failures: List[str]
 ) -> Tuple[dict, ...]:
     """One row per (cusp, state), cusps in the polytope's order, states in
-    the orbit's."""
+    the orbit's; each cusp's apex pairs are found once per (bad face, In
+    part) in this run."""
     rows: List[dict] = []
     in_masks = [P.ranked_graph().mask(s.in_facets) for s in states]
     for iv in P.ideal_vertices:
-        table = cusp_table(P, m, iv.id)
+        table, found = cusp_table(P, m, iv.id), {}
         for idx, s_in in enumerate(in_masks):
-            row = cusp_row(*certify_boundary_cube(P, s_in, table))
+            row = cusp_row(*certify_boundary_cube(P, s_in, table, found=found))
             rows.append(row)
             if not row["ok"]:
                 failures.append(f"cusp condition fails at {iv.id} state {idx}")
@@ -232,29 +238,21 @@ def run_pipeline(
     bad = classify_bad_faces(P, m)
     timings["bad_faces"] = time.perf_counter() - t0
 
+    # coverage: the plan, checked to cover every face x state exactly once
+    # where it is built, once per subject
+    t0 = time.perf_counter()
+    plan = verdict_plan(P, m, states)
+    timings["coverage"] = time.perf_counter() - t0
+
     t0 = time.perf_counter()
     certifier = CriticalLinkCertifier()
     rows, evidence, shared = _verdict_sweep(
-        P, m, states,
+        P, m, plan,
         certifier=certifier,
         failures=failures,
         parallel=parallel,
     )
     timings["verdicts"] = time.perf_counter() - t0
-
-    # coverage: every face x state exactly once
-    t0 = time.perf_counter()
-    per_face: Dict[Tuple[str, ...], list] = {}
-    for row in rows:
-        per_face.setdefault(tuple(row["face"]), []).extend(row["states"])
-    n_faces = len(face_table(P, m).masks)
-    if len(per_face) != n_faces:
-        failures.append("verdict table does not cover every face")
-    for face, idxs in per_face.items():
-        if sorted(idxs) != list(range(len(states))):
-            failures.append(f"verdict table does not cover all states at {face}")
-            break
-    timings["coverage"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     cusp_rows = _cusp_suite(P, m, states, failures)

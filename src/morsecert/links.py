@@ -526,32 +526,35 @@ def classify_link(
 
 class CuspTable(NamedTuple):
     """What certifying a cusp's horospherical cube needs of the cusp alone,
-    built once for all states: its section's bad faces in canonical order,
-    each as (sorted ids, `face_masks` over P's ranks cut to the incident
-    facets); its pairs, moves in canonical order, each a move's two
-    non-adjacent incident facets as (sorted ids, rank mask); and the apex
-    pairs made so far, under (bad face position, In part).  A cusp row has
-    one writer, `report.cusp_row`, and the verifier compares each row
-    whole with it."""
+    for all states: its section's bad faces in canonical order, each as
+    (sorted ids, `face_masks` over P's ranks cut to the incident facets);
+    and its pairs, moves in canonical order, each a move's two non-adjacent
+    incident facets as (sorted ids, rank mask).  Kept on P and shared by
+    every run, so it holds nothing a run finds: the apexes are found per
+    run.  A cusp row has one writer, `report.cusp_row`, and the verifier
+    compares each row whole with it."""
 
     bad: Tuple[Tuple[Tuple[str, ...], int, int], ...]
     pairs: Tuple[Tuple[Tuple[str, str], int], ...]
-    apexes: dict
 
 
 def cusp_table(P: Polytope, m: MoveSystem, cusp_id: str) -> CuspTable:
     """The section, a cube by `cusp_incidence`, spans P's faces inside the
-    cusp's incident facets, each good or bad as in P."""
-    inc = cusp_incidence(P, cusp_id)
-    incident = P.ideal_vertex(cusp_id).incident
-    bad = tuple((F.sorted_ids(), *(x & inc for x in face_masks(P, m, F)))
-                for F in face_table(P, m).bad if F.defining <= incident)
-    pairs = []
-    for block in m.blocks:
-        hit = sorted(block & incident)
-        if len(hit) == 2 and not P.adjacent(*hit):
-            pairs.append((tuple(hit), P.ranked_graph().mask(hit)))
-    return CuspTable(bad, tuple(pairs), {})
+    cusp's incident facets, each good or bad as in P.  Built once per move
+    system and cusp and kept on P, as its face table is."""
+    got = P._cusp_tables.get((m, cusp_id))
+    if got is None:
+        inc = cusp_incidence(P, cusp_id)
+        incident = P.ideal_vertex(cusp_id).incident
+        bad = tuple((F.sorted_ids(), *(x & inc for x in face_masks(P, m, F)))
+                    for F in face_table(P, m).bad if F.defining <= incident)
+        pairs = []
+        for block in m.blocks:
+            hit = sorted(block & incident)
+            if len(hit) == 2 and not P.adjacent(*hit):
+                pairs.append((tuple(hit), P.ranked_graph().mask(hit)))
+        got = P._cusp_tables[m, cusp_id] = CuspTable(bad, tuple(pairs))
+    return got
 
 
 def check_cusp_condition(table: CuspTable, s_in: int) -> Optional[Tuple[str, str]]:
@@ -563,7 +566,8 @@ def check_cusp_condition(table: CuspTable, s_in: int) -> Optional[Tuple[str, str
     return None
 
 
-def certify_boundary_cube(P: Polytope, s_in: int, table: CuspTable) -> Tuple[bool, list]:
+def certify_boundary_cube(P: Polytope, s_in: int, table: CuspTable,
+                          *, found: Optional[dict] = None) -> Tuple[bool, list]:
     """(ok, checked) for the horospherical cube of `table` in the state of
     In rank mask `s_in`: whether the cusp condition holds and, where it
     does, the [out apex, in apex] pair of each bad face of the table, in its
@@ -576,13 +580,13 @@ def certify_boundary_cube(P: Polytope, s_in: int, table: CuspTable) -> Tuple[boo
     a join of 0-spheres and each part a join of points and 0-spheres: a part
     collapses to a point exactly when it is a cone, and its apex, a vertex
     that dominates every other one, is the whole certificate.  The parts of
-    a bad face depend on s only through its In part, so each pair is made
-    once per (bad face, In part) and kept in the table, which the rows of one
-    table share.
+    a bad face depend on s only through its In part, so a run passes one
+    dict `found` per table to its calls, and each pair is made once per
+    (bad face, In part) and kept there, shared by the rows of the table.
     """
     if check_cusp_condition(table, s_in) is None:
         return False, []
-    memo, checked = table.apexes, []
+    memo, checked = {} if found is None else found, []
     for i, (_, dual, free) in enumerate(table.bad):
         inn = free & s_in
         pair = memo.get((i, inn))

@@ -182,6 +182,9 @@ class Polytope:
         self._census: Optional[Tuple[Tuple[int, ...], ...]] = None  # filled by `cliques`
         self._face_cache: dict = {}
         self._face_tables: dict = {}  # per move system, filled by states.face_table
+        self._verdict_plans: dict = {}  # per move system and orbit, by report.verdict_plan
+        self._face_masks: dict = {}  # per move system and face, by states.face_masks
+        self._cusp_tables: dict = {}  # per move system and cusp, by links.cusp_table
 
     def __repr__(self):
         return (

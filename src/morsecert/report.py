@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from .errors import InternalError
 from .polytopes import FaceHandle, FVectorReport, Polytope, TABLE_G6
 from .states import MoveSystem, R_TABLE, State, all_pairs_index, face_masks, face_table
 
@@ -196,19 +197,43 @@ class PlannedRow(NamedTuple):
     masks: Optional[Tuple[int, int]] = None
 
 
-def verdict_plan(P: Polytope, m: MoveSystem, states: Sequence[State]) -> Iterator[PlannedRow]:
+def verdict_plan(P: Polytope, m: MoveSystem,
+                 states: Sequence[State]) -> Tuple[PlannedRow, ...]:
     """The verdict rows in report order: every face in canonical order, a
     good face as one row over all states, a bad face as one row per
     inherited-In class, classes in order of their states.  The pipeline
     fills this plan, and the verifier requires a report's rows to be it.
-    Only a bad face gets a handle, the face table's, in the same order."""
+    Only a bad face gets a handle, the face table's, in the same order.
+
+    Built once per move system and orbit and kept on P, as its face table
+    is, once checked to cover each face x state exactly once: a plan that
+    does not is a bug, an InternalError naming the face."""
+    key = (m, tuple(states))
+    plan = P._verdict_plans.get(key)
+    if plan is None:
+        plan, covered, everyone = tuple(_plan_rows(P, m, states)), {}, tuple(range(len(states)))
+        for p in plan:
+            covered[p.face] = covered.get(p.face, ()) + p.states
+        for face, got in covered.items():
+            if got != everyone and tuple(sorted(got)) != everyone:
+                raise InternalError(f"verdict plan does not cover each state once at face {face}")
+        if len(covered) != len(face_table(P, m).masks):
+            raise InternalError("verdict plan does not cover every face")
+        P._verdict_plans[key] = plan
+    return plan
+
+
+def _plan_rows(P: Polytope, m: MoveSystem, states: Sequence[State]) -> Iterator[PlannedRow]:
+    """The rows of `verdict_plan`, before their coverage is checked."""
     all_states, G, table = tuple(range(len(states))), P.ranked_graph(), face_table(P, m)
     in_masks = [G.mask(s.in_facets) for s in states]
-    bad = iter(table.bad)
+    bad, names = iter(table.bad), {0: ()}  # each face's sorted ids, under its mask
     for f, witness in zip(table.masks, table.witnesses):
-        ids = G.labels(f)
+        # a face without its top facet is a face of one size less, listed earlier
+        top = f.bit_length() - 1
+        ids = names[f] = names[f ^ 1 << top] + (G.ids[top],) if f else ()
         if witness is not None:
-            yield PlannedRow(None, ids, all_states, witness=witness)
+            yield PlannedRow(None, ids, all_states, witness)
             continue
         F = next(bad)
         dual, free = face_masks(P, m, F)
@@ -216,7 +241,7 @@ def verdict_plan(P: Polytope, m: MoveSystem, states: Sequence[State]) -> Iterato
         for idx, s_in in enumerate(in_masks):
             classes.setdefault(free & s_in, []).append(idx)
         for inn, members in classes.items():
-            yield PlannedRow(F, ids, tuple(members), masks=(dual, inn))
+            yield PlannedRow(F, ids, tuple(members), None, (dual, inn))
 
 
 # The one writer of a verdict row, from the plan: the pipeline writes its

@@ -349,10 +349,14 @@ def face_masks(P: Polytope, m: MoveSystem, F: FaceHandle) -> Tuple[int, int]:
     """(dual, free): F's dual vertices as a mask over the ranks of P's
     `ranked_graph`, and those whose move meets no defining facet of F.  A
     state with In facets s_in, as ranks, inherits the split in = free & s_in,
-    out = dual & ~in on F."""
-    blocked = {m.block_of(fid) for fid in F.defining}
-    dual = dual_mask(P, F)
-    return dual, dual & ~facet_mask(P, (f for b in blocked for f in m.blocks[b]))
+    out = dual & ~in on F.  Kept on P, for the plan and the cusp tables."""
+    got = P._face_masks.get((m, F))
+    if got is None:
+        blocked = {m.block_of(fid) for fid in F.defining}
+        dual = dual_mask(P, F)
+        got = P._face_masks[m, F] = (
+            dual, dual & ~facet_mask(P, (f for b in blocked for f in m.blocks[b])))
+    return got
 
 
 def split_state(P: Polytope, dual: int, inn: int) -> State:
@@ -504,13 +508,19 @@ class LegalityRecord:
     in_sequence: Optional[list]
 
 
-def split_legality(P: Polytope, dual: int, inn: int) -> LegalityRecord:
+def split_legality(P: Polytope, dual: int, inn: int,
+                   found: Optional[dict] = None) -> LegalityRecord:
     """Certified collapsibility of the parts of a face's dual complex, the
     rank mask `dual` over P's `ranked_graph`, split into Out and In = `inn`.
     The pair is totally legal when both parts collapse to a point; a
-    collapsible complex is contractible, so no homology is computed."""
-    G = P.ranked_graph()
-    out_seq, in_seq = (flag_certificate(G, part) for part in (dual & ~inn, inn))
+    collapsible complex is contractible, so no homology is computed.  A run
+    passes one dict `found` to its calls, which keeps each part's
+    certificate under its mask, so each part is dismantled once per run."""
+    G, found = P.ranked_graph(), {} if found is None else found
+    for part in (dual & ~inn, inn):
+        if part not in found:
+            found[part] = flag_certificate(G, part)
+    out_seq, in_seq = found[dual & ~inn], found[inn]
     totally = True if out_seq is not None and in_seq is not None else None
     return LegalityRecord(totally, out_seq, in_seq)
 

@@ -8,7 +8,8 @@ shape is malformed, named by its JSON path, and every check after the parse
 reads values whose JSON kinds the schema fixes.  Every table and every
 verdict row is recomputed and compared whole with what its one writer
 makes of the recomputation: `report.report_tables` for the tables, by their
-canonical JSON; `report.verdict_plan`, in one pass beside the rows, and
+canonical JSON; `report.verdict_plan`, checked where it is built to cover
+each face x state once, in one pass beside the rows, and
 `report.verdict_row` for the branch the plan and the row's verdict pick,
 a critical row once its face is an all-pairs top vertex (the all-pairs
 lemma, README); and `report.cusp_row` for each cusp row, bound by position,
@@ -21,14 +22,16 @@ critical link on the face poset's comparability graph down to its core,
 which is checked on that graph to be the subdivided cross-polytope
 boundary.  Nothing here searches or builds a complex, and failure text is
 made only on a failure: warm and in-process on a 2-core VM, verifying the
-seed-0 p6 report, `json.loads` included, takes about 32 ms against about
-27 ms for `certify_p6()`, 1.2 times as long.  Only `timings` and `seeds`
+seed-0 p6 report, `json.loads` included, takes about 27 ms against about
+18 ms for `certify_p6()`, 1.5 times as long (the prover gains more from
+the kept plan and cusp tables).  Only `timings` and `seeds`
 back no claim: the schema requires their keys, nothing checks what is in
 them, and the seed steers nothing.
 A built-in subject, its census audited where `states.builtin_subject`
-builds it, and the canonical link graphs are built once per process and
-shared by every report verified in it: nothing a report carries reaches
-them, and a generic report's embedded inputs are rebuilt for each report.
+builds it, the verdict plan and cusp tables its polytope keeps, and the
+canonical link graphs are built once per process and shared by every
+report verified in it: nothing a report carries reaches them, and a
+generic report's embedded inputs are rebuilt for each report.
 A generic subject is built by `states.generic_orbit`, as certify builds it:
 embedded inputs that break a rule, an initial state that is not compatible
 included, are an input error before any row is read, as they are to certify.

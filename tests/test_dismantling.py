@@ -448,6 +448,23 @@ def test_critical_rows_build_no_cube_model(monkeypatch):
         assert calls == [[], []]
 
 
+def test_each_legality_part_is_dismantled_once_per_run(monkeypatch):
+    """The 536 bad rows of p6 split into 1,072 parts, 865 of them distinct:
+    each `certify_p6()` dismantles every distinct part once, plus the two
+    link certificates of the critical item, and the next run does it all
+    again."""
+    from morsecert import states
+
+    plan = [p for p in verdict_plan(*builtin_subject("p6")) if p.witness is None]
+    parts = [part for p in plan for part in (p.masks[0] & ~p.masks[1], p.masks[1])]
+    assert (len(plan), len(parts), len(set(parts))) == (536, 1072, 865)
+    calls = _count(monkeypatch, states.dismantle)
+    for _ in range(2):
+        assert certify_p6().passed
+        assert len(calls) == 867
+        calls.clear()
+
+
 def test_cusp_condition_checked_once_per_cusp_and_state(monkeypatch):
     """The cusp suite evaluates each cusp condition and certifies each
     boundary cube once per state: 10 cusps by 16 states on p5.  It builds

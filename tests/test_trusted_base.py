@@ -49,7 +49,7 @@ TRUSTED = {
         move_system_p5 move_system_p6 r_class_triples state_from_in_set
         unit_class_table""",
     "report": """
-        _eid _inputs_digest canonical_json cusp_row euler_identity good_row
+        _eid _inputs_digest _plan_rows canonical_json cusp_row euler_identity good_row
         legality_header report_tables shared_header verdict_allowed verdict_plan
         verdict_row""",
     "schema": """
@@ -121,7 +121,7 @@ def test_verify_runs_the_trusted_base(cert_p5, cert_p6, tmp_path):
     assert not [name for name in ran if name.startswith("complexes.")]
     want = _names(TRUSTED)
     assert sorted(ran - want) == [] and sorted(want - ran) == []
-    assert len(want) == 103
+    assert len(want) == 104
 
 
 def _wrong_kind(doc):
