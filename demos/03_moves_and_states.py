@@ -4,7 +4,7 @@ from morsecert import (
     act,
     balanced_states_p6,
     build_p6,
-    classify_bad_faces,
+    builtin_subject,
     inherited_state,
     is_compatible,
     legality,
@@ -36,8 +36,9 @@ print("dismantling orders (dominated vertex, dominator):",
       len(rec.out_sequence), "and", len(rec.in_sequence), "steps, first",
       rec.out_sequence[0])
 
-# bad faces come in exactly four shapes
-bad = classify_bad_faces(P, m)
+# bad faces come in exactly four shapes; the built-in subject, a polytope
+# with its moves and states, keeps them by signature
+bad = builtin_subject("p6").bad_faces
 print("\nbad faces by signature:", {sig: len(fs) for sig, fs in bad.items()})
 
 # a bad ridge forces status Out on same-move facets of its dual

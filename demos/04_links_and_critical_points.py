@@ -17,11 +17,12 @@ from morsecert import (
     move_system_p6,
 )
 from morsecert.links import CriticalLinkCertifier
-from morsecert.states import classify_bad_faces, face_masks, face_table, split_legality
+from morsecert.states import face_masks, generic_subject, split_legality
 
 P = build_p6()
 m = move_system_p6()
 s = balanced_states_p6(P)[0]
+S = generic_subject(P, m, s)  # the orbit of s: all 32 balanced states, checked
 
 # a monochromatic square: checkerboard lift, barycentre value (0, 2)
 F = P.face({"1+i+j+k", "-1+i+j+k"})
@@ -32,7 +33,7 @@ print("ascending face link:", len(asc.vertices), "isolated points;",
       "descending collapses to S^0")
 
 # one of the eight all-pairs vertices
-bad = classify_bad_faces(P, m)
+bad = S.bad_faces
 V = bad[(2, 2, 2)][0]
 print("\nbad vertex:", sorted(V.defining))
 model = build_cube_model(P, m, s, V)
@@ -44,7 +45,7 @@ print("face links are 2-spheres:", betti_mod2(asc, 2), betti_mod2(desc, 2))
 # its cube lift is the canonical one at every compatible state, so the face
 # alone decides the row, which cites the shared certificate of its ℓ
 certifier = CriticalLinkCertifier()
-lc = classify_link(P, m, V, certifier=certifier)
+lc = classify_link(S, V, certifier=certifier)
 print("verdict:", lc.verdict, "of index", lc.index)
 shared = certifier.certificate(lc.index)
 print("dismantling orders:",
@@ -56,7 +57,7 @@ print("first ascending step [v, w]:", shared.asc_sequence[0])
 # good faces and legal bad faces are Regular before any link is classified:
 # the face table names a good face's move, and a bad face's class is
 # totally legal when both parts of its inherited split dismantle
-G, table = P.ranked_graph(), face_table(P, m)
+G, table = P.ranked_graph(), S.table
 good = G.mask({"A", "1+i+j+k"})
 print("\na good face: Regular, move", table.witnesses[table.masks.index(good)],
       "meets it in exactly one facet")

@@ -32,10 +32,12 @@ from .polytopes import (
 from .states import (
     MoveSystem,
     State,
+    Subject,
     act,
     balanced_states_p5,
     balanced_states_p6,
-    classify_bad_faces,
+    builtin_subject,
+    generic_subject,
     inherited_state,
     is_compatible,
     legality,
@@ -67,8 +69,8 @@ __all__ = [
     "InternalError", "StructuralError", "FaceHandle", "Polytope",
     "adjacency_from_lorentz", "build_cusp_section", "build_p5", "build_p6",
     "dual_complex", "enumerate_faces", "f_vector_check", "symmetries_p6",
-    "MoveSystem", "State", "act", "balanced_states_p5", "balanced_states_p6",
-    "classify_bad_faces", "inherited_state", "is_compatible", "legality",
+    "MoveSystem", "State", "Subject", "act", "balanced_states_p5", "balanced_states_p6",
+    "builtin_subject", "generic_subject", "inherited_state", "is_compatible", "legality",
     "move_system_p5", "move_system_p6", "orbit", "CubeModel", "LiftValue",
     "LinkClassification", "build_cube_model", "certify_boundary_cube",
     "check_cusp_condition", "classify_link", "coface_membership_oracle",

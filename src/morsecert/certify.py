@@ -3,7 +3,7 @@ format of `report`, which the verifier checks and which imports nothing
 from here.
 
 A certificate covers every clique face of the polytope crossed with every
-state of the orbit, in the rows of `report.verdict_plan`: one per good face
+state of the orbit, in the rows of its `states.Subject`'s plan: one per good face
 and one per (bad face, inherited In class), each written by
 `report.verdict_row`; a bad face's row cites its legality item or the
 shared item of its ℓ.  A Critical(ℓ) row is decided by its face alone, as a
@@ -13,37 +13,32 @@ boundary cubes are certified by the cone apexes of their parts, recorded
 inline in rows that `report.cusp_row`, their one writer, makes and the
 verifier compares whole.  Every certificate is found by a deterministic rule,
 so reports are reproducible byte for byte; the root seed is only recorded.
-What depends on the subject alone, the plan and the cusp tables, is kept on
-its polytope; every certificate is found again by every run, each legality
-part and each cusp's (bad face, In part) once per run.
+What depends on the subject alone, the plan and the cusp tables among it,
+is kept on the `Subject`, which was checked where it was built; every
+certificate is found again by every run, each legality part and each
+cusp's (bad face, In part) once per run.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .errors import InputError, StructuralError
-from .links import (
-    CriticalLinkCertifier,
-    certify_boundary_cube,
-    classify_link,
-    cusp_table,
-)
-from .polytopes import Polytope, f_vector_check
+from .errors import InputError
+from .links import CriticalLinkCertifier, certify_boundary_cube, classify_link
+from .polytopes import Polytope
 from .report import (
-    BUILTIN_SUBJECTS, MODES, Certificate, PlannedRow, _eid, _inputs_digest, cusp_row,
-    euler_identity, good_row, legality_header, report_tables, shared_header, verdict_allowed,
-    verdict_plan, verdict_row,
+    BUILTIN_SUBJECTS, MODES, Certificate, _eid, _inputs_digest, cusp_row, euler_identity,
+    good_row, legality_header, report_tables, shared_header, verdict_allowed, verdict_row,
 )
 from .states import (
     MoveSystem,
+    PlannedRow,
     State,
+    Subject,
     all_pairs_index,
     builtin_subject,
-    classify_bad_faces,
-    generic_orbit,
-    orbit,
+    generic_subject,
     split_legality,
 )
 
@@ -73,8 +68,7 @@ def critical_shared_payload(cert) -> dict:
 
 
 def _classify_group(
-    P: Polytope,
-    m: MoveSystem,
+    S: Subject,
     p: PlannedRow,
     *,
     certifier: CriticalLinkCertifier,
@@ -86,12 +80,12 @@ def _classify_group(
     `classify_link` on its face, a Critical(ℓ) row citing `shared_ids[ℓ]`;
     returns (row, evidence, failure-or-None).  `parts` keeps the run's
     part certificates (`split_legality`)."""
-    rec = split_legality(P, *p.masks, parts)
+    rec = split_legality(S.P, *p.masks, parts)
     if rec.totally_legal:
         payload = legality_evidence_payload(rec)
         eid = _eid(payload)
         return verdict_row(p, "Regular", evidence=eid), {eid: payload}, None
-    lc = classify_link(P, m, p.F, certifier=certifier)
+    lc = classify_link(S, p.F, certifier=certifier)
     if lc.verdict == "Critical":
         return verdict_row(p, f"Critical({lc.index})", evidence=shared_ids[lc.index]), {}, None
     failure = f"Unknown verdict at face {p.face} states {list(p.states)}: {lc.note}"
@@ -101,8 +95,8 @@ def _classify_group(
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(P, m, certifier, shared_ids, parts):
-    _WORKER_CTX["args"] = (P, m)
+def _worker_init(S, certifier, shared_ids, parts):
+    _WORKER_CTX["args"] = (S,)
     _WORKER_CTX["kwargs"] = {"certifier": certifier, "shared_ids": shared_ids, "parts": parts}
 
 
@@ -111,27 +105,24 @@ def _worker_classify(task):
 
 
 def _verdict_sweep(
-    P: Polytope,
-    m: MoveSystem,
-    plan: Sequence[PlannedRow],
+    S: Subject,
     *,
     certifier: CriticalLinkCertifier,
     failures: List[str],
     parallel: int = 1,
 ):
-    """Fill `plan`, the `verdict_plan`, in order: a good face's row
-    directly, a bad face's rows by classifying them, each part of a split
-    dismantled once."""
+    """Fill the plan of S in order: a good face's row directly, a bad
+    face's rows by classifying them, each part of a split dismantled once."""
     rows: List[dict] = []
     evidence: Dict[str, dict] = {}
-    tasks = [p for p in plan if p.witness is None]
+    tasks = [p for p in S.plan if p.witness is None]
     parts: Dict[int, Optional[list]] = {}  # part mask -> its certificate, for this run
 
     # one shared item per ℓ, built before any fork so that workers inherit
     # the certificates and cite each item by its id in `shared_ids`
     shared_items: Dict[str, dict] = {}
     shared_ids: Dict[int, str] = {}
-    for ell in sorted({all_pairs_index(P, m, p.F) for p in tasks} - {None}):
+    for ell in sorted({all_pairs_index(S, p.F) for p in tasks} - {None}):
         payload = critical_shared_payload(certifier.certificate(ell))
         shared_ids[ell] = _eid(payload)
         shared_items[shared_ids[ell]] = payload
@@ -142,14 +133,14 @@ def _verdict_sweep(
         ctx = mp.get_context("fork")
         with ctx.Pool(
             parallel, initializer=_worker_init,
-            initargs=(P, m, certifier, shared_ids, parts),
+            initargs=(S, certifier, shared_ids, parts),
         ) as pool:
             results = pool.map(_worker_classify, tasks, chunksize=8)
     else:
-        results = [_classify_group(P, m, p, certifier=certifier, shared_ids=shared_ids,
+        results = [_classify_group(S, p, certifier=certifier, shared_ids=shared_ids,
                                    parts=parts) for p in tasks]
     results = iter(results)
-    for p in plan:
+    for p in S.plan:
         if p.witness is not None:
             rows.append(good_row(p))
             continue
@@ -167,18 +158,15 @@ def _verdict_sweep(
 # Cusp suite
 
 
-def _cusp_suite(
-    P: Polytope, m: MoveSystem, states: Sequence[State], failures: List[str]
-) -> Tuple[dict, ...]:
+def _cusp_suite(S: Subject, failures: List[str]) -> Tuple[dict, ...]:
     """One row per (cusp, state), cusps in the polytope's order, states in
     the orbit's; each cusp's apex pairs are found once per (bad face, In
     part) in this run."""
     rows: List[dict] = []
-    in_masks = [P.ranked_graph().mask(s.in_facets) for s in states]
-    for iv in P.ideal_vertices:
-        table, found = cusp_table(P, m, iv.id), {}
-        for idx, s_in in enumerate(in_masks):
-            row = cusp_row(*certify_boundary_cube(P, s_in, table, found=found))
+    for iv, table in zip(S.P.ideal_vertices, S.cusps):
+        found: dict = {}
+        for idx, s_in in enumerate(S.in_masks):
+            row = cusp_row(*certify_boundary_cube(S.P, s_in, table, found=found))
             rows.append(row)
             if not row["ok"]:
                 failures.append(f"cusp condition fails at {iv.id} state {idx}")
@@ -196,9 +184,7 @@ def _cusp_suite(
 
 
 def run_pipeline(
-    P: Polytope,
-    m: MoveSystem,
-    states: Sequence[State],
+    S: Subject,
     *,
     subject: str,
     mode: str,
@@ -207,10 +193,11 @@ def run_pipeline(
     generic_inputs: Optional[dict] = None,
     parallel: int = 1,
 ) -> Certificate:
-    """Full face-by-state classification, cusp suite and consistency identity.
-    `states` are compatible, as the all-pairs lemma needs, and a built-in
-    subject's census is the paper's: `builtin_subject` or `generic_orbit`
-    checked both when the subject was built.
+    """Full face-by-state classification, cusp suite and consistency identity
+    on S, whose states are compatible, as the all-pairs lemma needs, and
+    whose census, orbit and cusp sections were checked where it was built.
+    The f_vector, orbit, bad_faces and coverage stages read S; coverage
+    builds its plan on first use.
 
     With parallel > 1 the independent (face, class) groups fan out to a
     process pool; results merge in canonical key order, so reports are
@@ -221,45 +208,24 @@ def run_pipeline(
     failures: List[str] = []
     timings: Dict[str, float] = {}
     t_total = time.perf_counter()
-
-    t0 = time.perf_counter()
-    if not m.covers(P.facet_ids):
-        raise InputError("move system does not partition the facet set")
-    fv = f_vector_check(P)
-    timings["f_vector"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    orb = orbit(states[0], m)
-    if set(orb) != set(states):
-        failures.append("supplied states are not the orbit of the first state")
-    timings["orbit"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    bad = classify_bad_faces(P, m)
-    timings["bad_faces"] = time.perf_counter() - t0
-
-    # coverage: the plan, checked to cover every face x state exactly once
-    # where it is built, once per subject
-    t0 = time.perf_counter()
-    plan = verdict_plan(P, m, states)
-    timings["coverage"] = time.perf_counter() - t0
+    for stage, part in (("f_vector", "f_vector"), ("orbit", "states"),
+                        ("bad_faces", "bad_faces"), ("coverage", "plan")):
+        t0 = time.perf_counter()
+        getattr(S, part)
+        timings[stage] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     certifier = CriticalLinkCertifier()
     rows, evidence, shared = _verdict_sweep(
-        P, m, plan,
-        certifier=certifier,
-        failures=failures,
-        parallel=parallel,
-    )
+        S, certifier=certifier, failures=failures, parallel=parallel)
     timings["verdicts"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cusp_rows = _cusp_suite(P, m, states, failures)
+    cusp_rows = _cusp_suite(S, failures)
     timings["cusps"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    euler = euler_identity(P, m)
+    euler = euler_identity(S)
     if not euler.passed:
         failures.append(euler.failure())
     timings["euler"] = time.perf_counter() - t0
@@ -267,7 +233,7 @@ def run_pipeline(
     for row in rows:
         # Unknown rows were already recorded as failures
         verdict = row["verdict"]
-        if verdict != "Unknown" and not verdict_allowed(mode, P.dimension, verdict):
+        if verdict != "Unknown" and not verdict_allowed(mode, S.P.dimension, verdict):
             failures.append(f"verdict {verdict} at {tuple(row['face'])} not allowed in {mode} mode")
 
     timings["total"] = time.perf_counter() - t_total
@@ -277,8 +243,8 @@ def run_pipeline(
         mode=mode,
         passed=passed,
         seed=seed,
-        f_vector=fv,
-        bad_faces=bad,
+        f_vector=S.f_vector,
+        bad_faces=S.bad_faces,
         verdict_rows=rows,
         evidence=evidence,
         shared_evidence=shared,
@@ -286,7 +252,7 @@ def run_pipeline(
         euler=euler,
         failures=tuple(failures),
         timings=timings,
-        tables=report_tables(P, m, states, fv, bad, euler, inputs_digest),
+        tables=report_tables(S, euler, inputs_digest),
         generic_inputs=generic_inputs,
     )
 
@@ -296,7 +262,7 @@ def _certify_builtin(key: str, seed: int, parallel: int) -> Certificate:
     `key`, under its report name and in its mode."""
     subject, mode = next((name, mode) for name, (k, mode) in BUILTIN_SUBJECTS.items()
                          if k == key)
-    return run_pipeline(*builtin_subject(key), subject=subject, mode=mode, seed=seed,
+    return run_pipeline(builtin_subject(key), subject=subject, mode=mode, seed=seed,
                         inputs_digest=_inputs_digest(key), parallel=parallel)
 
 
@@ -320,20 +286,14 @@ def certify_generic(
     generic_inputs: Optional[dict] = None,
     parallel: int = 1,
 ) -> Certificate:
-    """Pipeline over the orbit closure of a user-supplied initial state,
-    which `generic_orbit` checks compatible first."""
-    states = generic_orbit(P, m, initial_state)
-    digest = _inputs_digest("generic", generic_inputs)
-    try:
-        return run_pipeline(
-            P, m, states,
-            subject="generic",
-            mode=mode,
-            seed=seed,
-            inputs_digest=digest,
-            generic_inputs=generic_inputs,
-            parallel=parallel,
-        )
-    except StructuralError as exc:
-        # user data that breaks the face census or a cusp's cube structure
-        raise InputError(str(exc)) from exc
+    """Pipeline over the orbit closure of a user-supplied initial state, on
+    the subject that `generic_subject` builds and checks."""
+    return run_pipeline(
+        generic_subject(P, m, initial_state),
+        subject="generic",
+        mode=mode,
+        seed=seed,
+        inputs_digest=_inputs_digest("generic", generic_inputs),
+        generic_inputs=generic_inputs,
+        parallel=parallel,
+    )

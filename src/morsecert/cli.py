@@ -41,7 +41,7 @@ def _add_common(parser: argparse.ArgumentParser):
     )
     parser.add_argument(
         "--timings", action="store_true",
-        help="embed wall-clock timings in structured reports "
+        help="add wall-clock timings to the report, text or structured "
              "(off by default so reports are byte-reproducible)",
     )
 
@@ -128,15 +128,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    P, m, states = builtin_subject(args.subject)
+    S = builtin_subject(args.subject)
+    P = S.P
     print(f"{P.name}: dimension {P.dimension}, {len(P.facets)} facets, "
           f"{len(P.ideal_vertices)} ideal vertices")
     counts = [P.clique_count(k) for k in range(1, P.dimension + 2)]
     print(f"clique counts by size 1..{P.dimension + 1}: {counts}")
     degs = sorted({P.degree(f) for f in P.facet_ids})
     print(f"facet degrees: {degs}")
-    print(f"moves: sizes {[len(b) for b in m.blocks]}")
-    print(f"balanced states: {len(states)}")
+    print(f"moves: sizes {[len(b) for b in S.m.blocks]}")
+    print(f"balanced states: {len(S.states)}")
     for iv in P.ideal_vertices[:3]:
         print(f"  ideal vertex {iv.id}: {len(iv.incident)} incident facets")
     if len(P.ideal_vertices) > 3:

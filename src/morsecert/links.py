@@ -19,18 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, total_ordering
 from itertools import product
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .complexes import order_complex, try_collapse  # try_collapse: pinned by perfbench
 from .errors import InputError, InternalError
-from .polytopes import FaceHandle, Polytope, RankedGraph, cusp_incidence
+from .polytopes import FaceHandle, Polytope, RankedGraph
 from .states import (
+    CuspTable,
     MoveSystem,
     State,
+    Subject,
     all_pairs_index,
     cone_apex,
-    face_masks,
-    face_table,
     flag_certificate,
     is_compatible,
 )
@@ -492,14 +492,13 @@ class LinkClassification:
 
 
 def classify_link(
-    P: Polytope,
-    m: MoveSystem,
+    S: Subject,
     F: FaceHandle,
     *,
     certifier: CriticalLinkCertifier,
 ) -> LinkClassification:
     """Classify the links at the barycentre of the cube dual to F, a bad
-    face with a class that is not certified totally legal (the verdict plan
+    face of S with a class that is not certified totally legal (the plan
     and `certify._classify_group` decide good faces and legal classes).  A
     face whose defining facets are partitioned into pairs by the moves,
     with codimension 2l equal to the polytope dimension, is Critical(l):
@@ -507,11 +506,11 @@ def classify_link(
     canonical cube's, and both face links of that cube shrink onto
     subdivided cross-polytope cores.  Anything else is Unknown.
     """
-    ell = all_pairs_index(P, m, F)
+    ell = all_pairs_index(S, F)
     if ell is None:
         return LinkClassification(
             "Unknown", None,
-            note=f"bad face, not totally legal, signature {face_table(P, m).bad[F]}",
+            note=f"bad face, not totally legal, signature {S.table.bad[F]}",
         )
     if not certifier.certificate(ell).success:
         return LinkClassification(
@@ -522,39 +521,6 @@ def classify_link(
 
 
 # -- cusp checks --------------------------------------------------------------
-
-
-class CuspTable(NamedTuple):
-    """What certifying a cusp's horospherical cube needs of the cusp alone,
-    for all states: its section's bad faces in canonical order, each as
-    (sorted ids, `face_masks` over P's ranks cut to the incident facets);
-    and its pairs, moves in canonical order, each a move's two non-adjacent
-    incident facets as (sorted ids, rank mask).  Kept on P and shared by
-    every run, so it holds nothing a run finds: the apexes are found per
-    run.  A cusp row has one writer, `report.cusp_row`, and the verifier
-    compares each row whole with it."""
-
-    bad: Tuple[Tuple[Tuple[str, ...], int, int], ...]
-    pairs: Tuple[Tuple[Tuple[str, str], int], ...]
-
-
-def cusp_table(P: Polytope, m: MoveSystem, cusp_id: str) -> CuspTable:
-    """The section, a cube by `cusp_incidence`, spans P's faces inside the
-    cusp's incident facets, each good or bad as in P.  Built once per move
-    system and cusp and kept on P, as its face table is."""
-    got = P._cusp_tables.get((m, cusp_id))
-    if got is None:
-        inc = cusp_incidence(P, cusp_id)
-        incident = P.ideal_vertex(cusp_id).incident
-        bad = tuple((F.sorted_ids(), *(x & inc for x in face_masks(P, m, F)))
-                    for F in face_table(P, m).bad if F.defining <= incident)
-        pairs = []
-        for block in m.blocks:
-            hit = sorted(block & incident)
-            if len(hit) == 2 and not P.adjacent(*hit):
-                pairs.append((tuple(hit), P.ranked_graph().mask(hit)))
-        got = P._cusp_tables[m, cusp_id] = CuspTable(bad, tuple(pairs))
-    return got
 
 
 def check_cusp_condition(table: CuspTable, s_in: int) -> Optional[Tuple[str, str]]:

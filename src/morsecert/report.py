@@ -1,11 +1,12 @@
 """The report format, whose shape is `schema.REPORT`: all that the prover
 (`certify`) and the checker (`verify`) agree on, each importing it and not
-the other.  The verdict plan and the one writer of each row, the evidence
-headers and ids, the tables with the consistency identity, each mode's
-verdict rule, the built-in subjects and the `Certificate` certify fills.
+the other.  The one writer of each row of a `states.Subject`'s verdict
+plan, the evidence headers and ids, the tables with the consistency
+identity, each mode's verdict rule, the built-in subjects and the
+`Certificate` certify fills.
 
-Rendering: text, and a canonical structured document (stable key order,
-exact integers, rationals as [num, den] pairs) without timings unless
+Rendering: text and a canonical structured document (stable key order,
+exact integers, rationals as [num, den] pairs), both without timings unless
 include_timings=True, so that two runs are byte-identical.  Text reports
 name each verdict row's branch by `row_branch`.
 """
@@ -17,11 +18,10 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from .errors import InternalError
-from .polytopes import FaceHandle, FVectorReport, Polytope, TABLE_G6
-from .states import MoveSystem, R_TABLE, State, all_pairs_index, face_masks, face_table
+from .polytopes import FaceHandle, FVectorReport, TABLE_G6
+from .states import R_TABLE, PlannedRow, Subject, all_pairs_index
 
 REPORT_VERSION = "8"
 
@@ -86,17 +86,18 @@ class EulerRecord:
                 f"(-{self.critical_per_copy} per copy)")
 
 
-def euler_identity(P: Polytope, m: MoveSystem) -> EulerRecord:
+def euler_identity(S: Subject) -> EulerRecord:
     """Two independent censuses: alternating clique-count sum versus the
     all-pairs bad vertices, each per copy of the polytope.
 
     chi = sum_k (-1)^k N_k / 2^k with N_k the number of codim-k clique faces;
     the identity asserts chi == -(number of all-pairs vertices) / 2^dim.
     """
+    P = S.P
     chi = sum(
         Fraction((-1) ** k * P.clique_count(k), 2 ** k) for k in range(P.dimension + 1)
     )
-    n_crit = sum(1 for F in face_table(P, m).bad if all_pairs_index(P, m, F) is not None)
+    n_crit = sum(1 for F in S.table.bad if all_pairs_index(S, F) is not None)
     crit = Fraction(n_crit, 2 ** P.dimension)
     return EulerRecord(chi, n_crit, crit, chi == -crit)
 
@@ -152,25 +153,22 @@ def verdict_allowed(mode: str, dimension: int, verdict: str) -> bool:
     )
 
 
-def report_tables(
-    P: Polytope, m: MoveSystem, states: Sequence[State], fv: FVectorReport,
-    bad: Dict[Tuple[int, ...], Tuple[FaceHandle, ...]], euler: EulerRecord,
-    inputs_digest: str,
-) -> dict:
-    """The deterministic sections of a report, in report order, from what the
-    caller already computed.  The pipeline's certificate carries them to the
-    report, and the verifier compares a report's sections with this function
-    applied to its own recomputation, so each section has this one writer."""
-    chi = euler.chi_per_copy
+def report_tables(S: Subject, euler: EulerRecord, inputs_digest: str) -> dict:
+    """The deterministic sections of a report, in report order, from the
+    subject and what the caller already computed.  The pipeline's
+    certificate carries them to the report, and the verifier compares a
+    report's sections with this function applied to its own subject, so
+    each section has this one writer."""
+    P, fv, chi = S.P, S.f_vector, euler.chi_per_copy
     return {
         "inputs_digest": inputs_digest,
         "polytope": {"name": P.name, "dimension": P.dimension, "facets": list(P.facet_ids)},
-        "moves": [sorted(b) for b in m.blocks],
-        "orbit": [s.serial() for s in states],
+        "moves": [sorted(b) for b in S.m.blocks],
+        "orbit": [s.serial() for s in S.states],
         "f_vector": {"clique_counts": list(fv.clique_counts), "degrees": list(fv.degrees)},
         "bad_faces": {"signatures": {
             ",".join(map(str, sig)): [list(F.sorted_ids()) for F in faces]
-            for sig, faces in sorted(bad.items())
+            for sig, faces in S.bad_faces.items()
         }},
         "euler": {
             "chi_per_copy": [chi.numerator, chi.denominator],
@@ -181,70 +179,10 @@ def report_tables(
 
 
 # ---------------------------------------------------------------------------
-# Rows: the plan and the one writer of each row
+# The one writer of each row
 
 
-class PlannedRow(NamedTuple):
-    """A verdict row as `verdict_plan` fixes it: its face's sorted ids, the
-    states it covers, and what its branch rests on, the face table's good
-    witness of a good face or, for a bad face, its handle `F` and the
-    (dual, in) rank masks of its inherited-In class."""
-
-    F: Optional[FaceHandle]
-    face: Tuple[str, ...]
-    states: Tuple[int, ...]
-    witness: Optional[int] = None
-    masks: Optional[Tuple[int, int]] = None
-
-
-def verdict_plan(P: Polytope, m: MoveSystem,
-                 states: Sequence[State]) -> Tuple[PlannedRow, ...]:
-    """The verdict rows in report order: every face in canonical order, a
-    good face as one row over all states, a bad face as one row per
-    inherited-In class, classes in order of their states.  The pipeline
-    fills this plan, and the verifier requires a report's rows to be it.
-    Only a bad face gets a handle, the face table's, in the same order.
-
-    Built once per move system and orbit and kept on P, as its face table
-    is, once checked to cover each face x state exactly once: a plan that
-    does not is a bug, an InternalError naming the face."""
-    key = (m, tuple(states))
-    plan = P._verdict_plans.get(key)
-    if plan is None:
-        plan, covered, everyone = tuple(_plan_rows(P, m, states)), {}, tuple(range(len(states)))
-        for p in plan:
-            covered[p.face] = covered.get(p.face, ()) + p.states
-        for face, got in covered.items():
-            if got != everyone and tuple(sorted(got)) != everyone:
-                raise InternalError(f"verdict plan does not cover each state once at face {face}")
-        if len(covered) != len(face_table(P, m).masks):
-            raise InternalError("verdict plan does not cover every face")
-        P._verdict_plans[key] = plan
-    return plan
-
-
-def _plan_rows(P: Polytope, m: MoveSystem, states: Sequence[State]) -> Iterator[PlannedRow]:
-    """The rows of `verdict_plan`, before their coverage is checked."""
-    all_states, G, table = tuple(range(len(states))), P.ranked_graph(), face_table(P, m)
-    in_masks = [G.mask(s.in_facets) for s in states]
-    bad, names = iter(table.bad), {0: ()}  # each face's sorted ids, under its mask
-    for f, witness in zip(table.masks, table.witnesses):
-        # a face without its top facet is a face of one size less, listed earlier
-        top = f.bit_length() - 1
-        ids = names[f] = names[f ^ 1 << top] + (G.ids[top],) if f else ()
-        if witness is not None:
-            yield PlannedRow(None, ids, all_states, witness)
-            continue
-        F = next(bad)
-        dual, free = face_masks(P, m, F)
-        classes: Dict[int, List[int]] = {}
-        for idx, s_in in enumerate(in_masks):
-            classes.setdefault(free & s_in, []).append(idx)
-        for inn, members in classes.items():
-            yield PlannedRow(F, ids, tuple(members), None, (dual, inn))
-
-
-# The one writer of a verdict row, from the plan: the pipeline writes its
+# The one writer of a verdict row, from `Subject.plan`: the pipeline writes its
 # rows with it, and the verifier compares each row with it.  A row carries
 # only the witness of its branch: a good face's `witness_move`; for a bad
 # face, the `evidence` id it cites, a legality item when Regular and the
@@ -320,7 +258,7 @@ def document_to_json(doc: dict) -> str:
                       check_circular=False) + "\n"
 
 
-def render_text(cert: Certificate) -> str:
+def render_text(cert: Certificate, *, include_timings: bool = False) -> str:
     lines = []
     add = lines.append
     add(f"subject: {cert.subject}")
@@ -377,7 +315,7 @@ def render_text(cert: Certificate) -> str:
         add("-- failures --")
         for f in cert.failures:
             add("  " + f)
-    if cert.timings:
+    if include_timings:
         add("")
         add("-- timings (seconds) --")
         for k, v in sorted(cert.timings.items()):
@@ -392,7 +330,7 @@ def emit_report(
 ) -> str:
     """Render a certificate; `format` is "text" or "structured" (JSON)."""
     if format == "text":
-        return render_text(cert)
+        return render_text(cert, include_timings=include_timings)
     if format == "structured":
         return document_to_json(
             certificate_to_document(cert, include_timings=include_timings)

@@ -1,27 +1,30 @@
-"""Moves, states, legality, inheritance and good/bad face classification.
+"""Moves, states, legality, inheritance, good/bad face classification and
+the subject they make.
 
 A move system is a partition of the facets; crossing a facet flips the status
 of its whole block.  States label facets In or Out; the two full subcomplexes
 of the dual complex they span drive every legality question.  "Totally legal"
 is certified by dismantling orders, never asserted from a failed one.
-Every subject's states are checked compatible where the subject is built:
-a built-in one's in `builtin_subject`, once per process, a generic one's in
-`generic_orbit`, which certify and verify both call.  A built-in subject's
-face census is audited there too, against the paper's numbers in `CENSUS`.
+A `Subject` holds a polytope, its move system and the orbit of its states,
+with every table that depends on them alone, the verdict plan and the cusp
+tables included.  Its invariants are checked where it is built, once: a
+built-in one's by `builtin_subject`, once per process, against the paper's
+census in `CENSUS`; a generic one's by `generic_subject`, for certify and
+verify alike.  Neither the prover nor the checker checks them again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import labels as lb
 from .complexes import try_collapse  # not called here: pinned by perfbench
-from .errors import InputError, StructuralError
+from .errors import InputError, InternalError, StructuralError
 from .polytopes import (
-    FaceHandle, Polytope, RankedGraph, build_p5, build_p6, dual_mask, f_vector_check,
-    face_of_mask,
+    FaceHandle, FVectorReport, Polytope, RankedGraph, build_p5, build_p6, cusp_incidence,
+    dual_mask, f_vector_check, face_of_mask,
 )
 
 IN, OUT = "I", "O"
@@ -128,17 +131,6 @@ def is_compatible(P: Polytope, m: MoveSystem, s: State):
     return True, None
 
 
-def generic_orbit(P: Polytope, m: MoveSystem, s0: State) -> Tuple[State, ...]:
-    """The orbit of a supplied initial state, checked compatible first: the
-    one place a generic subject's states are checked, for certify and verify
-    alike.  A move flips both facets of an adjacent same-move pair, so the
-    whole orbit of a compatible state is compatible."""
-    ok, witness = is_compatible(P, m, s0)
-    if not ok:
-        raise InputError(f"initial state is incompatible: adjacent same-move pair {witness!r}")
-    return orbit(s0, m)
-
-
 # ---------------------------------------------------------------------------
 # The concrete move system of the 27-facet polytope
 
@@ -237,47 +229,6 @@ def move_system_p5(P5: Polytope) -> MoveSystem:
     return move_system_p6().restrict(P5.facet_ids)
 
 
-# The paper's census of each built-in subject: clique counts by size, the
-# uniform facet degree and the bad-face signatures (None: not declared).
-CENSUS = {
-    "p6": ({1: 27, 2: 216, 6: 72}, 16, {(2,), (3,), (2, 2), (2, 2, 2)}),
-    "p5": ({1: 16, 5: 16}, None, None),
-}
-
-
-@cache
-def builtin_subject(tag: str) -> Tuple[Polytope, MoveSystem, Tuple[State, ...]]:
-    """The built-in subject "p6" or "p5": its polytope, move system and
-    balanced states, built once per process from the code's own tables, P5
-    from the kept P6.  No report or generic input reaches them; `build_p6`
-    and the other constructors still return fresh objects.  Each state is
-    checked compatible here, and the face census against `CENSUS`, once per
-    process; on P6 and P5 a failure of either is a transcription bug, a
-    StructuralError naming the subject."""
-    if tag == "p6":
-        P = build_p6()
-        m, states = move_system_p6(), balanced_states_p6(P)
-    elif tag == "p5":
-        P = build_p5(builtin_subject("p6")[0])
-        m, states = move_system_p5(P), balanced_states_p5(P)
-    else:
-        raise InputError(f"no built-in subject {tag!r}")
-    for idx, s in enumerate(states):
-        ok, witness = is_compatible(P, m, s)
-        if not ok:
-            raise StructuralError(f"{tag} state {idx} is incompatible: "
-                                  f"adjacent same-move pair {witness!r}")
-    counts, degree, signatures = CENSUS[tag]
-    try:
-        f_vector_check(P, counts, degree)
-    except StructuralError as exc:
-        raise StructuralError(f"{tag} {exc}") from None
-    if signatures is not None and set(classify_bad_faces(P, m)) != signatures:
-        raise StructuralError(f"{tag} bad-face signatures {list(classify_bad_faces(P, m))} "
-                              f"!= expected {sorted(signatures)}")
-    return P, m, states
-
-
 # ---------------------------------------------------------------------------
 # Good and bad faces
 
@@ -298,41 +249,30 @@ class FaceTable(NamedTuple):
 def face_table(P: Polytope, m: MoveSystem) -> FaceTable:
     """The face table of P under m, from P's clique census and m's block
     masks: a face's witness is the first move whose block meets its mask in
-    exactly one bit.  Computed once per move system and kept on P."""
-    got = P._face_tables.get(m)
-    if got is None:
-        blocks = [facet_mask(P, b) for b in m.blocks]
-        masks = tuple(f for k in range(P.dimension + 1) for f in P.cliques(k))
-        witnesses, bad = [], {}
-        for f in masks:
-            for i, b in enumerate(blocks):
-                hit = f & b
-                if hit and not hit & (hit - 1):
-                    witnesses.append(i)
-                    break
-            else:
-                witnesses.append(None)
-                bad[face_of_mask(P, f)] = tuple(sorted((f & b).bit_count() for b in blocks if f & b))
-        got = P._face_tables[m] = FaceTable(masks, tuple(witnesses), bad)
-    return got
+    exactly one bit.  A `Subject` keeps its own."""
+    blocks = [facet_mask(P, b) for b in m.blocks]
+    masks = tuple(f for k in range(P.dimension + 1) for f in P.cliques(k))
+    witnesses, bad = [], {}
+    for f in masks:
+        for i, b in enumerate(blocks):
+            hit = f & b
+            if hit and not hit & (hit - 1):
+                witnesses.append(i)
+                break
+        else:
+            witnesses.append(None)
+            bad[face_of_mask(P, f)] = tuple(sorted((f & b).bit_count() for b in blocks if f & b))
+    return FaceTable(masks, tuple(witnesses), bad)
 
 
-def all_pairs_index(P: Polytope, m: MoveSystem, F: FaceHandle) -> Optional[int]:
-    """l when F is a bad face of codimension 2l = dim P met by each of its
-    moves in exactly two defining facets (an all-pairs top vertex); else None."""
-    sig = face_table(P, m).bad.get(F)
-    if sig and set(sig) == {2} and F.codim == P.dimension:
+def all_pairs_index(S: Subject, F: FaceHandle) -> Optional[int]:
+    """l when F is a bad face of S of codimension 2l = dim P met by each of
+    its moves in exactly two defining facets (an all-pairs top vertex); else
+    None."""
+    sig = S.table.bad.get(F)
+    if sig and set(sig) == {2} and F.codim == S.P.dimension:
         return len(sig)
     return None
-
-
-def classify_bad_faces(P: Polytope, m: MoveSystem):
-    """All proper bad faces grouped by signature, canonical order throughout."""
-    out: Dict[Tuple[int, ...], list] = {}
-    for F, sig in face_table(P, m).bad.items():
-        if F.codim:
-            out.setdefault(sig, []).append(F)
-    return {sig: tuple(faces) for sig, faces in sorted(out.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +289,10 @@ def face_masks(P: Polytope, m: MoveSystem, F: FaceHandle) -> Tuple[int, int]:
     """(dual, free): F's dual vertices as a mask over the ranks of P's
     `ranked_graph`, and those whose move meets no defining facet of F.  A
     state with In facets s_in, as ranks, inherits the split in = free & s_in,
-    out = dual & ~in on F.  Kept on P, for the plan and the cusp tables."""
-    got = P._face_masks.get((m, F))
-    if got is None:
-        blocked = {m.block_of(fid) for fid in F.defining}
-        dual = dual_mask(P, F)
-        got = P._face_masks[m, F] = (
-            dual, dual & ~facet_mask(P, (f for b in blocked for f in m.blocks[b])))
-    return got
+    out = dual & ~in on F."""
+    blocked = {m.block_of(fid) for fid in F.defining}
+    dual = dual_mask(P, F)
+    return dual, dual & ~facet_mask(P, (f for b in blocked for f in m.blocks[b]))
 
 
 def split_state(P: Polytope, dual: int, inn: int) -> State:
@@ -378,6 +314,188 @@ def inherited_state(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> Stat
     return split_state(P, dual, free & facet_mask(P, s.in_facets))
 
 
+# ---------------------------------------------------------------------------
+# The subject: a polytope, its moves and an orbit, with its tables
+
+
+class PlannedRow(NamedTuple):
+    """A verdict row as the plan fixes it: its face's sorted ids, the
+    states it covers, and what its branch rests on, the face table's good
+    witness of a good face or, for a bad face, its handle `F` and the
+    (dual, in) rank masks of its inherited-In class."""
+
+    F: Optional[FaceHandle]
+    face: Tuple[str, ...]
+    states: Tuple[int, ...]
+    witness: Optional[int] = None
+    masks: Optional[Tuple[int, int]] = None
+
+
+class CuspTable(NamedTuple):
+    """What certifying a cusp's horospherical cube needs of the cusp alone,
+    for all states: its section's bad faces in canonical order, each as
+    (sorted ids, `face_masks` over P's ranks cut to the incident facets);
+    and its pairs, moves in canonical order, each a move's two non-adjacent
+    incident facets as (sorted ids, rank mask).  It holds nothing a run
+    finds: the apexes are found per run.  A cusp row has one writer,
+    `report.cusp_row`, and the verifier compares each row whole with it."""
+
+    bad: Tuple[Tuple[Tuple[str, ...], int, int], ...]
+    pairs: Tuple[Tuple[Tuple[str, str], int], ...]
+
+
+def cusp_table(P: Polytope, m: MoveSystem, table: FaceTable, cusp_id: str) -> CuspTable:
+    """The section, a cube by `cusp_incidence`, spans P's faces inside the
+    cusp's incident facets, each good or bad as in P's face `table` under m."""
+    inc = cusp_incidence(P, cusp_id)
+    incident = P.ideal_vertex(cusp_id).incident
+    bad = tuple((F.sorted_ids(), *(x & inc for x in face_masks(P, m, F)))
+                for F in table.bad if F.defining <= incident)
+    pairs = []
+    for block in m.blocks:
+        hit = sorted(block & incident)
+        if len(hit) == 2 and not P.adjacent(*hit):
+            pairs.append((tuple(hit), P.ranked_graph().mask(hit)))
+    return CuspTable(bad, tuple(pairs))
+
+
+class Subject:
+    """A polytope P, its move system m and `states`, the orbit of a
+    compatible state in canonical order, with all that depends on them
+    alone: the face `table`, the proper `bad_faces` by signature in
+    canonical order, the face census `f_vector`, each state's In rank mask
+    (`in_masks`), the verdict `plan` and each cusp's table (`cusps`), in
+    P's order.  The plan and the cusp tables are built on first use and
+    kept.  Only `builtin_subject` and `generic_subject` build one, and they
+    check its invariants; the prover and the checker read it and check
+    nothing again."""
+
+    def __init__(self, P: Polytope, m: MoveSystem, states: Sequence[State],
+                 f_vector: FVectorReport):
+        self.P, self.m, self.states, self.f_vector = P, m, tuple(states), f_vector
+        self.table = face_table(P, m)
+        bad: Dict[Tuple[int, ...], list] = {}
+        for F, sig in self.table.bad.items():
+            if F.codim:
+                bad.setdefault(sig, []).append(F)
+        self.bad_faces = {sig: tuple(faces) for sig, faces in sorted(bad.items())}
+        self.in_masks = tuple(P.ranked_graph().mask(s.in_facets) for s in self.states)
+
+    @cached_property
+    def plan(self) -> Tuple[PlannedRow, ...]:
+        """The verdict rows in report order: every face in canonical order, a
+        good face as one row over all states, a bad face as one row per
+        inherited-In class, classes in order of their states.  The pipeline
+        fills this plan, and the verifier requires a report's rows to be it.
+        Only a bad face gets a handle, the face table's, in the same order.
+        It is checked to cover each face x state exactly once: a plan that
+        does not is a bug, an InternalError naming the face."""
+        plan, covered, everyone = tuple(_plan_rows(self)), {}, tuple(range(len(self.states)))
+        for p in plan:
+            covered[p.face] = covered.get(p.face, ()) + p.states
+        for face, got in covered.items():
+            if got != everyone and tuple(sorted(got)) != everyone:
+                raise InternalError(f"verdict plan does not cover each state once at face {face}")
+        if len(covered) != len(self.table.masks):
+            raise InternalError("verdict plan does not cover every face")
+        return plan
+
+    @cached_property
+    def cusps(self) -> Tuple[CuspTable, ...]:
+        """Each cusp's `cusp_table`, in P's order."""
+        return tuple(cusp_table(self.P, self.m, self.table, iv.id)
+                     for iv in self.P.ideal_vertices)
+
+
+def _plan_rows(S: Subject) -> Iterator[PlannedRow]:
+    """The rows of `Subject.plan`, before their coverage is checked."""
+    G, table = S.P.ranked_graph(), S.table
+    all_states = tuple(range(len(S.states)))
+    bad, names = iter(table.bad), {0: ()}  # each face's sorted ids, under its mask
+    for f, witness in zip(table.masks, table.witnesses):
+        # a face without its top facet is a face of one size less, listed earlier
+        top = f.bit_length() - 1
+        ids = names[f] = names[f ^ 1 << top] + (G.ids[top],) if f else ()
+        if witness is not None:
+            yield PlannedRow(None, ids, all_states, witness)
+            continue
+        F = next(bad)
+        dual, free = face_masks(S.P, S.m, F)
+        classes: Dict[int, List[int]] = {}
+        for idx, s_in in enumerate(S.in_masks):
+            classes.setdefault(free & s_in, []).append(idx)
+        for inn, members in classes.items():
+            yield PlannedRow(F, ids, tuple(members), None, (dual, inn))
+
+
+# The paper's census of each built-in subject: clique counts by size, the
+# uniform facet degree and the bad-face signatures (None: not declared).
+CENSUS = {
+    "p6": ({1: 27, 2: 216, 6: 72}, 16, {(2,), (3,), (2, 2), (2, 2, 2)}),
+    "p5": ({1: 16, 5: 16}, None, None),
+}
+
+
+@cache
+def builtin_subject(tag: str) -> Subject:
+    """The built-in subject "p6" or "p5", built once per process from the
+    code's own tables, P5 from the kept P6's polytope, which does not build
+    P6's plan or cusp tables.  No report or generic input reaches them;
+    `build_p6` and the other constructors still return fresh objects.  Each
+    state is checked compatible here, the states to be the orbit of the
+    first, and the face census against `CENSUS`, once per process; on P6
+    and P5 a failure is a transcription bug, a StructuralError naming the
+    subject."""
+    if tag == "p6":
+        P = build_p6()
+        m, states = move_system_p6(), balanced_states_p6(P)
+    elif tag == "p5":
+        P = build_p5(builtin_subject("p6").P)
+        m, states = move_system_p5(P), balanced_states_p5(P)
+    else:
+        raise InputError(f"no built-in subject {tag!r}")
+    for idx, s in enumerate(states):
+        ok, witness = is_compatible(P, m, s)
+        if not ok:
+            raise StructuralError(f"{tag} state {idx} is incompatible: "
+                                  f"adjacent same-move pair {witness!r}")
+    if orbit(states[0], m) != states:
+        raise StructuralError(f"{tag} states are not the orbit of the first")
+    counts, degree, signatures = CENSUS[tag]
+    try:
+        fv = f_vector_check(P, counts, degree)
+    except StructuralError as exc:
+        raise StructuralError(f"{tag} {exc}") from None
+    S = Subject(P, m, states, fv)
+    if signatures is not None and set(S.bad_faces) != signatures:
+        raise StructuralError(f"{tag} bad-face signatures {list(S.bad_faces)} "
+                              f"!= expected {sorted(signatures)}")
+    return S
+
+
+def generic_subject(P: Polytope, m: MoveSystem, s0: State) -> Subject:
+    """The subject of user-supplied inputs, the orbit of the initial state
+    s0, for certify and verify alike.  m must partition P's facets, s0
+    must be compatible, P must pass the face census, and each cusp's
+    section must be a cube; a move flips both facets of an adjacent
+    same-move pair, so the whole orbit of a compatible state is compatible.
+    A rule the data breaks is an InputError naming it."""
+    if not m.covers(P.facet_ids):
+        raise InputError("move system does not partition the facet set")
+    ok, witness = is_compatible(P, m, s0)
+    if not ok:
+        raise InputError(f"initial state is incompatible: adjacent same-move pair {witness!r}")
+    try:
+        S = Subject(P, m, orbit(s0, m), f_vector_check(P))
+        S.cusps  # each cusp's section is checked to be a cube where it is built
+    except StructuralError as exc:
+        raise InputError(str(exc)) from exc
+    return S
+
+
+# ---------------------------------------------------------------------------
+# Certificates
+#
 # Every certificate is about a flag complex: the clique complex of a
 # `RankedGraph` G on a `live` rank mask, a part on its polytope's facet
 # graph, a face link on its poset's comparability graph.  There v is

@@ -8,8 +8,8 @@ shape is malformed, named by its JSON path, and every check after the parse
 reads values whose JSON kinds the schema fixes.  Every table and every
 verdict row is recomputed and compared whole with what its one writer
 makes of the recomputation: `report.report_tables` for the tables, by their
-canonical JSON; `report.verdict_plan`, checked where it is built to cover
-each face x state once, in one pass beside the rows, and
+canonical JSON; the subject's plan (`states.Subject.plan`), checked where it
+is built to cover each face x state once, in one pass beside the rows, and
 `report.verdict_row` for the branch the plan and the row's verdict pick,
 a critical row once its face is an all-pairs top vertex (the all-pairs
 lemma, README); and `report.cusp_row` for each cusp row, bound by position,
@@ -27,14 +27,14 @@ seed-0 p6 report, `json.loads` included, takes about 27 ms against about
 the kept plan and cusp tables).  Only `timings` and `seeds`
 back no claim: the schema requires their keys, nothing checks what is in
 them, and the seed steers nothing.
-A built-in subject, its census audited where `states.builtin_subject`
-builds it, the verdict plan and cusp tables its polytope keeps, and the
-canonical link graphs are built once per process and shared by every
-report verified in it: nothing a report carries reaches them, and a
-generic report's embedded inputs are rebuilt for each report.
-A generic subject is built by `states.generic_orbit`, as certify builds it:
-embedded inputs that break a rule, an initial state that is not compatible
-included, are an input error before any row is read, as they are to certify.
+A built-in subject (`states.builtin_subject`), with its audited census, its
+plan and its cusp tables, and the canonical link graphs are built once per
+process and shared by every report verified in it: nothing a report carries
+reaches them.  A generic report's subject is built from its embedded inputs
+for each report by `states.generic_subject`, as certify builds it: inputs
+that break a rule, an initial state that is not compatible or a cusp whose
+section is no cube included, are an input error before any row is read, as
+they are to certify.
 """
 
 from __future__ import annotations
@@ -43,26 +43,21 @@ from itertools import zip_longest
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import replay_collapse  # not called here: pinned by perfbench
-from .errors import InputError, StructuralError
+from .errors import InputError
 from .io import load_json, moves_from_doc, polytope_from_doc, state_from_doc
-from .links import (
-    canonical_pairs_graphs,
-    check_cusp_condition,
-    cusp_table,
-)
-from .polytopes import f_vector_check
+from .links import canonical_pairs_graphs, check_cusp_condition
 from .report import (
-    BUILTIN_SUBJECTS, MODES, REPORT_VERSION, PlannedRow, _eid, _inputs_digest, canonical_json,
-    cusp_row, euler_identity, good_row, legality_header, report_tables, shared_header,
-    verdict_allowed, verdict_plan, verdict_row,
+    BUILTIN_SUBJECTS, MODES, REPORT_VERSION, _eid, _inputs_digest, canonical_json, cusp_row,
+    euler_identity, good_row, legality_header, report_tables, shared_header, verdict_allowed,
+    verdict_row,
 )
 from .schema import REPORT, SEQUENCE_KEYS, parse
 from .states import (
+    PlannedRow,
     all_pairs_index,
     builtin_subject,
     certificate_problem,
-    classify_bad_faces,
-    generic_orbit,
+    generic_subject,
 )
 
 
@@ -89,14 +84,12 @@ class _Verifier:
         subject, mode, inputs = self.doc["subject"], self.doc["mode"], self.doc.get("inputs")
         tag, *modes = BUILTIN_SUBJECTS.get(subject, ("generic", *MODES))  # modes it allows
         if subject in BUILTIN_SUBJECTS:
-            P, m, states = builtin_subject(tag)
+            S = builtin_subject(tag)
         elif subject == "generic" and inputs is not None:
             try:
                 P = polytope_from_doc(inputs["polytope"])
-                m = moves_from_doc(inputs["moves"], P)
-                s0 = state_from_doc(inputs["state"], P)
-                f_vector_check(P)  # inputs that break the census are malformed, whatever the state
-                states = generic_orbit(P, m, s0)
+                S = generic_subject(P, moves_from_doc(inputs["moves"], P),
+                                    state_from_doc(inputs["state"], P))
             except InputError as exc:
                 raise InputError(f"embedded inputs: {exc}") from exc
         else:
@@ -106,17 +99,15 @@ class _Verifier:
         if mode not in modes:
             self.fail(f"mode {mode!r}: subject {subject} must be certified in "
                       f"{' or '.join(modes)} mode")
-        self.P, self.m, self.states, self.mode = P, m, states, mode
+        self.S, self.mode = S, mode
         self.digest = _inputs_digest(tag, inputs)
         return True
 
     # -- cheap table recomputation -------------------------------------------
 
     def check_tables(self):
-        P, m = self.P, self.m
-        e = euler_identity(P, m)
-        tables = report_tables(P, m, self.states, f_vector_check(P), classify_bad_faces(P, m),
-                               e, self.digest)
+        e = euler_identity(self.S)
+        tables = report_tables(self.S, e, self.digest)
         for key, want in tables.items():
             if canonical_json(self.doc[key]) != canonical_json(want):
                 self.fail(f"{key} does not match its recomputation")
@@ -169,7 +160,7 @@ class _Verifier:
         and In = `inn`, collapse to a point.  The item names no part, so
         several claims may cite it: its sequences are checked once for each
         (Out, In) pair of parts that cites it."""
-        G, (dual, inn) = self.P.ranked_graph(), p.masks
+        G, (dual, inn) = self.S.P.ranked_graph(), p.masks
         out = dual & ~inn
         self._evidence("evidence", eid, legality_header(), p.face, (out, inn),
                        lambda ev: [(key, certificate_problem(G, ev[key], part, what="part"))
@@ -189,9 +180,8 @@ class _Verifier:
         """One pass over the plan and the rows: each row must be the planned
         row of its position, for the branch the plan and its verdict pick.
         Of the rows out of place, the first is named and none is checked."""
-        mode, dim, departed = self.mode, self.P.dimension, False
-        plan = verdict_plan(self.P, self.m, self.states)
-        for i, (row, p) in enumerate(zip_longest(self.doc["verdicts"]["rows"], plan)):
+        mode, dim, departed = self.mode, self.S.P.dimension, False
+        for i, (row, p) in enumerate(zip_longest(self.doc["verdicts"]["rows"], self.S.plan)):
             if p is not None and p.witness is not None and row == good_row(p):
                 continue
             got = None if row is None else (tuple(row["face"]), tuple(row["states"]))
@@ -235,7 +225,7 @@ class _Verifier:
         """The critical row citing `eid`, the shared item of p's ℓ, once the
         item is bound: by the all-pairs lemma the face alone decides the
         row, as a good face's witness does."""
-        ell = all_pairs_index(self.P, self.m, p.F)
+        ell = all_pairs_index(self.S, p.F)
         if ell is None:
             self.fail(f"face {p.face}: evidence {eid}: not an all-pairs top vertex")
             return None
@@ -263,16 +253,15 @@ class _Verifier:
         a cone: apex ∈ part and part ⊆ N[apex], the rule `cone_apex` scans
         with.  The row must then be `cusp_row`'s of the recomputed condition
         and its `checked`, and its boundary cube all Regular."""
-        P, m, states, rows = self.P, self.m, self.states, self.doc["cusps"]["rows"]
-        if len(rows) != len(P.ideal_vertices) * len(states):
+        S, rows = self.S, self.doc["cusps"]["rows"]
+        P = S.P
+        if len(rows) != len(P.ideal_vertices) * len(S.states):
             self.fail(f"cusps: {len(rows)} rows, want one per (cusp, state): "
-                      f"{len(P.ideal_vertices)} x {len(states)}")
-        G = P.ranked_graph()
-        in_masks, rank, N = [G.mask(s.in_facets) for s in states], G.rank, G.N
+                      f"{len(P.ideal_vertices)} x {len(S.states)}")
+        _, rank, N = P.ranked_graph()
         rows = iter(rows)
-        for iv in P.ideal_vertices:
-            table = cusp_table(P, m, iv.id)
-            for (idx, s_in), row in zip(enumerate(in_masks), rows):
+        for iv, table in zip(P.ideal_vertices, S.cusps):
+            for (idx, s_in), row in zip(enumerate(S.in_masks), rows):
                 ok = check_cusp_condition(table, s_in) is not None
                 checked, bad = row["checked"], table.bad if ok else ()
                 proved = len(checked) == len(bad)
@@ -298,7 +287,7 @@ class _Verifier:
             self.fail(f"{where}: checked does not hold one apex pair per bad face "
                       f"({len(bad)})")
             return
-        _, rank, N = self.P.ranked_graph()
+        _, rank, N = self.S.P.ranked_graph()
         for (ids, dual, free), pair in zip(bad, checked):
             inn = free & s_in
             for side, part, apex in (("out", dual & ~inn, pair[0]), ("in", inn, pair[1])):
@@ -340,19 +329,12 @@ def verify_document(doc: dict) -> Tuple[bool, List[str]]:
     """Re-validate a structured report; returns (ok, failure messages).
 
     A document that breaks the report schema, named by its JSON path, or
-    whose embedded generic inputs break a structural rule, raises
-    InputError.
+    whose embedded generic inputs break a rule, raises InputError.
     """
     try:
         return _Verifier(doc).run()
     except InputError:
         raise
-    except StructuralError as exc:
-        # on a generic report's embedded inputs a structural rule is the
-        # caller's data; on P5 and P6 it is a transcription bug
-        if doc.get("subject") != "generic":
-            raise
-        raise InputError(f"embedded inputs: {exc}") from exc
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise InputError(f"malformed report: {type(exc).__name__}: {exc}") from exc
 

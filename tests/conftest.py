@@ -5,6 +5,7 @@ from morsecert.polytopes import build_p5, build_p6
 from morsecert.states import (
     balanced_states_p5,
     balanced_states_p6,
+    builtin_subject,
     move_system_p5,
     move_system_p6,
 )
@@ -38,6 +39,16 @@ def M5(P5):
 @pytest.fixture(scope="session")
 def BAL5(P5):
     return balanced_states_p5(P5)
+
+
+@pytest.fixture(scope="session")
+def S6():
+    return builtin_subject("p6")
+
+
+@pytest.fixture(scope="session")
+def S5():
+    return builtin_subject("p5")
 
 
 @pytest.fixture(scope="session")

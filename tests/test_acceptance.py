@@ -24,7 +24,7 @@ from morsecert.io import (
     polytope_from_doc,
     state_from_doc,
 )
-from morsecert.links import build_cube_model, coface_membership_oracle, cusp_table
+from morsecert.links import build_cube_model, coface_membership_oracle
 from morsecert.polytopes import FaceHandle, dual_complex, enumerate_faces
 from morsecert.report import certificate_to_document, document_to_json, euler_identity
 from morsecert.states import inherited_state
@@ -136,23 +136,23 @@ def test_criterion_5_oracle_equivalence(P6, M6, BAL6):
           f"memberships) in {dt:.0f}s")
 
 
-def test_criterion_6_cusp_suite(cert_p6, P6, M6):
+def test_criterion_6_cusp_suite(cert_p6, S6):
     rows = cert_p6.cusp_rows
     assert len(rows) == 27 * 32
     assert all(r["ok"] for r in rows)
     assert all(r["all_regular"] for r in rows)
     # one apex pair per bad face of the cusp's section, rows in (cusp, state) order
-    n_bad = [len(cusp_table(P6, M6, iv.id).bad) for iv in P6.ideal_vertices]
+    n_bad = [len(table.bad) for table in S6.cusps]
     assert [len(r["checked"]) for r in rows] == [n for n in n_bad for _ in range(32)]
     print("\nPASS criterion 6: all 27 cusps x 32 states satisfy the "
           "two-facet condition; all boundary 5-cubes certify Regular")
 
 
-def test_criterion_7_euler_identity(P6, M6, P5, M5):
-    rec6 = euler_identity(P6, M6)
+def test_criterion_7_euler_identity(S6, S5):
+    rec6 = euler_identity(S6)
     assert rec6.passed
     assert rec6.chi_per_copy == -rec6.critical_per_copy
-    rec5 = euler_identity(P5, M5)
+    rec5 = euler_identity(S5)
     assert rec5.chi_per_copy == 0
     print(f"\nPASS criterion 7: chi per copy {rec6.chi_per_copy} == "
           f"-{rec6.critical_per_copy} for P6; chi per copy 0 for P5")

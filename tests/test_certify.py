@@ -20,7 +20,6 @@ from morsecert.io import (
     state_from_doc,
     write_json,
 )
-from morsecert.links import cusp_table
 from morsecert.polytopes import FaceHandle, build_cusp_section, build_p5
 from morsecert.report import (
     REPORT_VERSION,
@@ -33,6 +32,9 @@ from morsecert.report import (
 )
 from morsecert.states import (
     balanced_states_p5,
+    cusp_table,
+    face_table,
+    generic_subject,
     inherited_state,
     move_system_p5,
 )
@@ -73,16 +75,16 @@ def cube_inputs(z1="I"):
 # -- euler identity ------------------------------------------------------------
 
 
-def test_euler_identity_p6(P6, M6):
-    rec = euler_identity(P6, M6)
+def test_euler_identity_p6(S6):
+    rec = euler_identity(S6)
     assert rec.chi_per_copy == Fraction(-1, 8)
     assert rec.critical_count == 8
     assert rec.critical_per_copy == Fraction(8, 64)
     assert rec.passed
 
 
-def test_euler_identity_p5(P5, M5):
-    rec = euler_identity(P5, M5)
+def test_euler_identity_p5(S5):
+    rec = euler_identity(S5)
     assert rec.chi_per_copy == 0
     assert rec.critical_count == 0
     assert rec.passed
@@ -92,7 +94,7 @@ def test_euler_identity_sparse_square():
     pol, moves, state = square_inputs()
     P = polytope_from_doc(pol)
     m = moves_from_doc(moves, P)
-    rec = euler_identity(P, m)
+    rec = euler_identity(generic_subject(P, m, state_from_doc(state, P)))
     assert rec.chi_per_copy == 0 and rec.critical_count == 0 and rec.passed
 
 
@@ -160,13 +162,12 @@ def test_verify_rejects_an_incompatible_embedded_state(tmp_path, capsys, monkeyp
     same files.  The forged report is made with the check bypassed on the
     certify side only.  The compatible twin certifies and verifies in both
     modes."""
-    import morsecert.certify as certify
-    from morsecert.states import orbit
+    import morsecert.states
 
     files = _input_files(tmp_path, cube_inputs("O"))
     report = str(tmp_path / "report.json")
     with monkeypatch.context() as mp:
-        mp.setattr(certify, "generic_orbit", lambda P, m, s0: orbit(s0, m))
+        mp.setattr(morsecert.states, "is_compatible", lambda P, m, s: (True, None))
         assert main(["certify", "generic", *files, "--format", "structured",
                      "--output", report]) == 0
     capsys.readouterr()
@@ -214,15 +215,15 @@ def test_text_report_sections(cert_p6):
     assert "result: CERTIFIED" in text
 
 
-# SHA-256 of the text reports of seed 0 up to their timings, and their
-# verdict sections, whose "via" counts are read off each row's witness key
+# SHA-256 of the whole text reports of seed 0, which carry no timings, and
+# their verdict sections, whose "via" counts are read off each row's witness key
 TEXT_REPORTS = {
-    "p5": ("11cc41422117e1a30230e9299627444dd83a0930769b482ecd4e0ac95fba3fac",
+    "p5": ("8d9d76d3e07a33b46949e0c9925ac80acfe71471e64a712a12a7d76bdac63f32",
            "coverage: 393 faces x 16 states = 6288 pairs in 464 classes\n"
            "  Regular: 464 classes\n"
            "  via good-face: 384\n"
            "  via inherited-totally-legal: 80\n"),
-    "p6": ("3dd3c08bdbd03337b28ed9d77168cf3da6d3737c8ff55873aa42381cced5ae61",
+    "p6": ("9bd085e06b2a398206331006d0d6f2650d61ce2fbcdc5b2a50b504dde05a5cfd",
            "coverage: 2764 faces x 32 states = 88448 pairs in 3235 classes\n"
            "  Critical(3): 8 classes\n"
            "  Regular: 3227 classes\n"
@@ -235,10 +236,24 @@ TEXT_REPORTS = {
 @pytest.mark.parametrize("subject", ["p5", "p6"])
 def test_text_report_pinned(request, subject):
     text = emit_report(request.getfixturevalue(f"cert_{subject}"), "text")
-    head = text.split("-- timings")[0]
     digest, verdicts = TEXT_REPORTS[subject]
-    assert head.split("-- verdicts --\n")[1].split("\n-- cusps")[0] == verdicts
-    assert hashlib.sha256(head.encode()).hexdigest() == digest
+    assert text.split("-- verdicts --\n")[1].split("\n-- cusps")[0] == verdicts
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_text_report_has_timings_only_when_asked(cert_p5, capsys):
+    """`--timings` adds the timings section to a text report, one line per
+    stage and the total, before the result; without it there is none."""
+    text = emit_report(cert_p5, "text", include_timings=True)
+    head, timings = text.split("\n-- timings (seconds) --\n")
+    assert head + "\n" + timings.split("\n\n")[1] == emit_report(cert_p5, "text")
+    assert [line.split(":")[0] for line in timings.split("\n\n")[0].splitlines()] == [
+        "  bad_faces", "  coverage", "  cusps", "  euler", "  f_vector", "  orbit", "  total",
+        "  verdicts"]
+    assert main(["certify", "p5", "--timings"]) == 0
+    assert "\n-- timings (seconds) --\n" in capsys.readouterr().out
+    assert main(["certify", "p5"]) == 0
+    assert "-- timings" not in capsys.readouterr().out
 
 
 def test_structured_report_fields(cert_p6):
@@ -347,11 +362,11 @@ def _cusp_entry_parts(doc):
     P = build_p5()
     m = move_system_p5(P)
     states = balanced_states_p5(P)
-    rows = iter(doc["cusps"]["rows"])
+    rows, table = iter(doc["cusps"]["rows"]), face_table(P, m)
     for iv in P.ideal_vertices:
         H = build_cusp_section(P, iv.id)
         mH = m.restrict(H.facet_ids)
-        faces = [ids for ids, _, _ in cusp_table(P, m, iv.id).bad]
+        faces = [ids for ids, _, _ in cusp_table(P, m, table, iv.id).bad]
         for s, row in zip(states, rows):
             for ids, pair in zip(faces, row["checked"]):
                 F = FaceHandle(frozenset(ids))
@@ -722,7 +737,7 @@ MUTATIONS = (
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_verify_rejects_any_tampered_evidence(P5, M5, p5_report, data):
+def test_verify_rejects_any_tampered_evidence(S5, p5_report, data):
     """One mutation of one evidence item, one claim->evidence reference or
     one cusp apex; the verifier must reject it (1) or call it malformed (2)."""
     text, path = p5_report
@@ -738,7 +753,7 @@ def test_verify_rejects_any_tampered_evidence(P5, M5, p5_report, data):
         rows = doc["cusps"]["rows"]
         i = data.draw(st.sampled_from([i for i, row in enumerate(rows) if row["checked"]]),
                       label="row")
-        table = cusp_table(P5, M5, P5.ideal_vertices[i // len(doc["orbit"])].id)
+        table = S5.cusps[i // len(doc["orbit"])]
         j = data.draw(st.integers(0, len(rows[i]["checked"]) - 1), label="face")
         apexes, face = rows[i]["checked"][j], list(table.bad[j][0])
         side = data.draw(st.integers(0, 1), label="side")
@@ -1009,7 +1024,9 @@ def test_verify_requires_the_consistency_identity(tmp_path, capsys):
 def test_verify_embedded_polytope_census_failure_is_an_input_error(tmp_path, capsys):
     """A generic report whose embedded square gains a diagonal has a clique
     of size 3, which no polytope of dimension 2 has: `verify` recomputes the
-    face census and calls the report malformed, with no traceback."""
+    face census and calls the report malformed, with no traceback.  The
+    embedded state is made all In, so that it stays compatible with the
+    same-move pair the diagonal joins and the census is what fails."""
     pol, moves, state = square_inputs()
     P = polytope_from_doc(pol)
     cert = certify_generic(
@@ -1018,6 +1035,7 @@ def test_verify_embedded_polytope_census_failure_is_an_input_error(tmp_path, cap
     )
     doc = certificate_to_document(cert)
     doc["inputs"]["polytope"]["adjacency"].append(["a", "c"])
+    doc["inputs"]["state"] = dict.fromkeys("abcd", "I")
     write_json(tmp_path / "r.json", doc)
     assert main(["verify", str(tmp_path / "r.json")]) == 2
     assert "no cliques of size 3" in capsys.readouterr().err
@@ -1027,7 +1045,8 @@ def test_generic_structural_failures_are_input_errors(tmp_path, capsys):
     """A triangle breaks the face census, and a square's cusp with three
     incident facets the cube structure of its section.  On generic inputs
     both are input errors naming the census line or the cusp, in `certify`
-    and in `verify` of a report that embeds them, never internal errors."""
+    and in `verify` of a report that embeds them, never internal errors:
+    `verify` refuses the subject where it builds it, before any row is read."""
     pol, moves, state = square_inputs()
     cusped = dict(pol, ideal_vertices=[{"label": "x", "incident": ["a", "b", "c"]}])
     triangle = {"name": "triangle", "dimension": 2, "facets": [{"id": f} for f in "abc"],
@@ -1055,8 +1074,10 @@ def test_generic_structural_failures_are_input_errors(tmp_path, capsys):
     doc["cusps"]["rows"] = [{"ok": True, "all_regular": True, "checked": []}
                             for _ in doc["orbit"]]
     write_json(tmp_path / "r.json", doc)
-    assert main(["verify", str(tmp_path / "r.json")]) in (1, 2)
-    assert "cusp cusp:x: 3 incident facets" in capsys.readouterr().err
+    assert main(["verify", str(tmp_path / "r.json")]) == 2
+    out, err = capsys.readouterr()
+    assert "input error: embedded inputs: cusp cusp:x: 3 incident facets" in err
+    assert "FAIL:" not in out
 
 
 # (id, change to the square's polytope document, the message naming it): a

@@ -47,21 +47,16 @@ from morsecert.report import (
     certificate_to_document,
     document_to_json,
     row_branch,
-    verdict_plan,
 )
 from morsecert.states import (
     State,
     all_pairs_index,
-    balanced_states_p5,
-    balanced_states_p6,
     builtin_subject,
     cone_apex,
     dismantle,
-    face_table,
     flag_certificate,
+    generic_subject,
     legality,
-    move_system_p5,
-    move_system_p6,
     split_legality,
 )
 from morsecert.verify import verify_document
@@ -79,12 +74,8 @@ def _items(P, doc):
     """(id, face, side, vertices, order) for both parts of every legality item
     of P's report `doc`, once per item: the face and the parts are those of
     the first verdict row that cites it, as the verdict plan splits them."""
-    if P.name == "P6":
-        m, states = move_system_p6(), balanced_states_p6(P)
-    else:
-        m, states = move_system_p5(P), balanced_states_p5(P)
     labels, seen = P.ranked_graph().labels, set()
-    for p, row in zip(verdict_plan(P, m, states), doc["verdicts"]["rows"]):
+    for p, row in zip(builtin_subject(P.name.lower()).plan, doc["verdicts"]["rows"]):
         eid = row.get("evidence")
         if eid not in doc["evidence"] or eid in seen:
             continue
@@ -455,7 +446,7 @@ def test_each_legality_part_is_dismantled_once_per_run(monkeypatch):
     again."""
     from morsecert import states
 
-    plan = [p for p in verdict_plan(*builtin_subject("p6")) if p.witness is None]
+    plan = [p for p in builtin_subject("p6").plan if p.witness is None]
     parts = [part for p in plan for part in (p.masks[0] & ~p.masks[1], p.masks[1])]
     assert (len(plan), len(parts), len(set(parts))) == (536, 1072, 865)
     calls = _count(monkeypatch, states.dismantle)
@@ -500,7 +491,7 @@ def test_structure_built_once_per_process(monkeypatch):
     cert = certify_p6()
     assert cert.passed, cert.failures
     assert [P.name for P in built] == ["P6"]
-    assert built[0] is builtin_subject("p6")[0]
+    assert built[0] is builtin_subject("p6").P
     del built[:]
     ok, msgs = verify_document(_report(cert))
     assert ok, msgs
@@ -652,18 +643,18 @@ def test_certifier_falls_back_to_elementary_collapses(monkeypatch):
     Unknown, not Critical."""
     import morsecert.states as states
 
-    pol, moves, _ = _squares_inputs()
+    pol, moves, state = _squares_inputs()
     P = polytope_from_doc(pol)
-    m = moves_from_doc(moves, P)
-    F = next(F for F in face_table(P, m).bad if all_pairs_index(P, m, F) == 2)
-    assert classify_link(P, m, F, certifier=CriticalLinkCertifier()).verdict == "Critical"
+    S = generic_subject(P, moves_from_doc(moves, P), state_from_doc(state, P))
+    F = next(F for F in S.table.bad if all_pairs_index(S, F) == 2)
+    assert classify_link(S, F, certifier=CriticalLinkCertifier()).verdict == "Critical"
     orders = states.dismantle
     monkeypatch.setattr(states, "dismantle", lambda N, keep=0, live=None: (
         None if len(N) == 48 else orders(N, keep, live)))
     cert = CriticalLinkCertifier().certificate(2)
     assert not cert.success
     assert cert.asc_sequence is not None and cert.desc_sequence is None
-    lc = classify_link(P, m, F, certifier=CriticalLinkCertifier())
+    lc = classify_link(S, F, certifier=CriticalLinkCertifier())
     assert (lc.verdict, lc.index) == ("Unknown", None)
     assert lc.note == "no dismantling order found on the canonical all-pairs cube"
 
@@ -752,7 +743,7 @@ def test_each_bad_row_gets_one_legality_check(monkeypatch):
     that is not totally legal is classified with the record already made."""
     from morsecert.states import split_legality
 
-    rows = [p for p in verdict_plan(*builtin_subject("p6")) if p.witness is None]
+    rows = [p for p in builtin_subject("p6").plan if p.witness is None]
     calls = _count(monkeypatch, split_legality)
     assert certify_p6().passed
     assert len(calls) == len(rows) == 536

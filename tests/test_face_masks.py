@@ -10,9 +10,9 @@ import pytest
 
 from itertools import groupby
 
-from morsecert.report import cusp_row, verdict_plan
+from morsecert.report import cusp_row
 from morsecert.errors import StructuralError
-from morsecert.links import certify_boundary_cube, cusp_table
+from morsecert.links import certify_boundary_cube
 from morsecert.polytopes import (
     Facet,
     FaceHandle,
@@ -24,6 +24,7 @@ from morsecert.polytopes import (
 from morsecert.states import (
     MoveSystem,
     certificate_problem,
+    cusp_table,
     face_masks,
     face_table,
     inherited_state,
@@ -61,14 +62,15 @@ def _check_splits(P, m, states, faces_and_masks):
     return n
 
 
-def _check_plan(P, m, states):
-    """Walk `verdict_plan`: each face once, in `enumerate_faces` order; a
+def _check_plan(S):
+    """Walk the plan of subject S: each face once, in `enumerate_faces` order; a
     good face as one row over all states carrying its `good_witness` and no
     handle; a bad face, with its handle, as rows that partition its states
     as the serials of their inherited states partition them, each row's
     masks splitting as those states do."""
+    P, m, states = S.P, S.m, S.states
     faces = [F for codim in range(P.dimension + 1) for F in enumerate_faces(P, codim)]
-    plan = list(verdict_plan(P, m, states))
+    plan = list(S.plan)
     runs = [(face, list(rows)) for face, rows in groupby(plan, key=lambda p: p.face)]
     assert [face for face, _ in runs] == [F.sorted_ids() for F in faces]
     for F, (_, rows) in zip(faces, runs):
@@ -96,7 +98,7 @@ def test_mask_splits_match_inherited_states(request, subject):
     bad = tuple(face_table(P, m).bad)
     assert _check_splits(P, m, states, ((F, face_masks(P, m, F)) for F in bad)) == (
         len(bad) * len(states))
-    assert _check_plan(P, m, states) >= len(bad)
+    assert _check_plan(request.getfixturevalue("S" + subject)) >= len(bad)
 
 
 def _cusp_splits(P, m, states, cusp):
@@ -110,13 +112,12 @@ def test_cusp_table_splits_match_inherited_states(P5, M5, BAL5, P6, M6, BAL6):
     assert _cusp_splits(P6, M6, BAL6, "cusp:A") > 0
 
 
-def test_apex_rule_matches_one_round_orders(P5, M5, BAL5):
+def test_apex_rule_matches_one_round_orders(P5, M5, BAL5, S5):
     """On every p5 cusp, state, section bad face and part, the apex that
     certify picks with `cone_apex` is the first facet of the section whose
     one-round order dismantles the part on the section's graph."""
     n = 0
-    for iv in P5.ideal_vertices:
-        table = cusp_table(P5, M5, iv.id)
+    for iv, table in zip(P5.ideal_vertices, S5.cusps):
         H, _, bad = section_cusp_table(P5, M5, iv.id)
         G = H.ranked_graph()
         for s in BAL5:
@@ -136,19 +137,19 @@ def test_apex_rule_matches_one_round_orders(P5, M5, BAL5):
     assert n > 0
 
 
-def test_cusp_tables_match_section_oracle(P5, M5, BAL5, P6, M6, BAL6):
+def test_cusp_tables_match_section_oracle(S5, S6):
     """On every cusp and state of P5 and P6, the section is a cube, with
     its 3^d faces, and the table read off P's face table on rank masks has
     the section's bad faces in order; every row checks what the section
     polytope checks, cone apexes included."""
     n = 0
-    for P, m, states in ((P5, M5, BAL5), (P6, M6, BAL6)):
-        for iv in P.ideal_vertices:
-            table = cusp_table(P, m, iv.id)
+    for S in (S5, S6):
+        P, m = S.P, S.m
+        for iv, table in zip(P.ideal_vertices, S.cusps):
             oracle = section_cusp_table(P, m, iv.id)
             assert oracle[1] == 3 ** (P.dimension - 1), iv.id
             assert [ids for ids, _, _ in table.bad] == list(oracle[2]), iv.id
-            for s in states:
+            for s in S.states:
                 row = cusp_row(*certify_boundary_cube(P, P.ranked_graph().mask(s.in_facets),
                                                       table))
                 assert row["checked"] == (section_checked(oracle, s) if row["ok"] else [])
@@ -171,7 +172,7 @@ def test_non_cube_sections_raise_alike():
     for P, message in cases:
         m = MoveSystem(tuple(frozenset(f) for f in P.facet_ids))
         with pytest.raises(StructuralError) as by_table:
-            cusp_table(P, m, "cusp:x")
+            cusp_table(P, m, face_table(P, m), "cusp:x")
         with pytest.raises(StructuralError) as by_section:
             build_cusp_section(P, "cusp:x")
         assert type(by_table.value) is type(by_section.value)
@@ -184,9 +185,10 @@ def test_plan_mask_legality_matches_state_legality(request, subject):
     """For every bad-face class of the verdict plan, the legality of its
     masks' split equals, field for field, the legality of the state its
     first state inherits on the face."""
-    P, m, states = (request.getfixturevalue(name + subject) for name in ("P", "M", "BAL"))
+    S = request.getfixturevalue("S" + subject)
+    P, m, states = S.P, S.m, S.states
     n = 0
-    for p in verdict_plan(P, m, states):
+    for p in S.plan:
         if p.masks is None:
             continue
         got = split_legality(P, *p.masks)

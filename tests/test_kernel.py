@@ -9,7 +9,6 @@ import random
 
 import pytest
 
-from morsecert.report import verdict_plan
 from morsecert.links import canonical_pairs_graphs
 from morsecert.states import dismantle, flag_certificate
 from oracles import dismantle_by_scan, part_graph
@@ -17,9 +16,9 @@ from oracles import dismantle_by_scan, part_graph
 
 @pytest.mark.parametrize("subject", ["5", "6"])
 def test_kernel_matches_scan_on_every_plan_part(request, subject):
-    P, m, states = (request.getfixturevalue(f"{x}{subject}") for x in ("P", "M", "BAL"))
-    parts = {}
-    for p in verdict_plan(P, m, states):
+    S = request.getfixturevalue(f"S{subject}")
+    P, parts = S.P, {}
+    for p in S.plan:
         if p.masks is not None:
             dual, inn = p.masks
             for part in (dual & ~inn, inn):

@@ -22,7 +22,6 @@ from morsecert.links import (
     canonical_pairs_transform,
     certify_boundary_cube,
     check_sd_crosspolytope_witness,
-    cusp_table,
     check_cusp_condition,
     classify_link,
     coface_membership_oracle,
@@ -39,15 +38,13 @@ from morsecert.polytopes import (
     dual_complex,
     enumerate_faces,
 )
-from morsecert.report import good_row, row_branch, verdict_plan
+from morsecert.report import good_row, row_branch
 from morsecert.states import (
     State,
     all_pairs_index,
     certificate_problem,
-    classify_bad_faces,
-    face_table,
+    generic_subject,
     inherited_state,
-    orbit,
 )
 
 from oracles import (
@@ -158,8 +155,8 @@ def test_face_links_monochromatic_square(P6, M6, BAL6):
     assert betti_mod2(desc, 1) == (2, 0)
 
 
-def test_face_links_monochromatic_3cube(P6, M6, BAL6):
-    bad = classify_bad_faces(P6, M6)
+def test_face_links_monochromatic_3cube(P6, M6, BAL6, S6):
+    bad = S6.bad_faces
     F = bad[(3,)][0]
     model = build_cube_model(P6, M6, BAL6[0], F)
     asc, desc = face_links_oracle(model)
@@ -173,8 +170,8 @@ def test_face_links_monochromatic_3cube(P6, M6, BAL6):
     assert betti_mod2(desc, 2) == (1, 3, 0)
 
 
-def test_face_links_all_pairs_6cube(P6, M6, BAL6):
-    bad = classify_bad_faces(P6, M6)
+def test_face_links_all_pairs_6cube(P6, M6, BAL6, S6):
+    bad = S6.bad_faces
     F = bad[(2, 2, 2)][0]
     model = build_cube_model(P6, M6, BAL6[0], F)
     asc, desc = face_links_oracle(model)
@@ -197,8 +194,8 @@ def test_face_links_cube_covers_match_containment(ell):
     assert face_links_oracle(lift) == _order_complex_oracle(lift)
 
 
-def test_face_links_cube_covers_match_containment_on_bad_faces(P6, M6, BAL6):
-    for sig, faces in classify_bad_faces(P6, M6).items():
+def test_face_links_cube_covers_match_containment_on_bad_faces(P6, M6, BAL6, S6):
+    for sig, faces in S6.bad_faces.items():
         if sig != (2, 2, 2):  # the canonical 6-cube is covered above
             lift = build_cube_model(P6, M6, BAL6[0], faces[0]).lift
             assert face_links_oracle(lift) == _order_complex_oracle(lift), sig
@@ -229,8 +226,8 @@ def test_coface_links_codim4(P6, M6, BAL6):
         assert link.star_vertex_apexes()  # both links are cones
 
 
-def test_coface_links_codim6_empty(P6, M6, BAL6):
-    bad = classify_bad_faces(P6, M6)
+def test_coface_links_codim6_empty(P6, M6, BAL6, S6):
+    bad = S6.bad_faces
     F = bad[(2, 2, 2)][0]
     asc, desc = coface_links_fast(P6, M6, BAL6[0], F)
     assert asc.is_empty and desc.is_empty
@@ -342,11 +339,11 @@ def _lemma_transform(F, m, s):
     return len(pairs), tuple(perm), delta
 
 
-def _check_lemma(P, m, s, F):
-    ell = all_pairs_index(P, m, F)
-    model = build_cube_model(P, m, s, F)
+def _check_lemma(S, s, F):
+    ell = all_pairs_index(S, F)
+    model = build_cube_model(S.P, S.m, s, F)
     assert canonical_pairs_transform(model, synthetic_pairs_lift(ell)) == \
-        _lemma_transform(F, m, s)
+        _lemma_transform(F, S.m, s)
 
 
 def _matchings(ids):
@@ -374,11 +371,12 @@ def test_all_pairs_lemma_on_the_clique_polytope(ell):
     cases = 0
     for matching in _matchings(ids):
         m = moves_from_doc([list(pair) for pair in matching], P)
-        assert all_pairs_index(P, m, F) == ell
+        S = generic_subject(P, m, State(tuple(ids), frozenset()))
+        assert all_pairs_index(S, F) == ell
         for ins in product((False, True), repeat=ell):
             s = State(tuple(ids), frozenset(f for pair, i in zip(matching, ins) if i
                                             for f in pair))
-            _check_lemma(P, m, s, F)
+            _check_lemma(S, s, F)
             cases += 1
         split = State(tuple(ids), frozenset({matching[0][0]}))
         with pytest.raises(InputError, match="not compatible"):
@@ -386,18 +384,18 @@ def test_all_pairs_lemma_on_the_clique_polytope(ell):
     assert cases == {1: 2, 2: 12, 3: 120, 4: 1680}[ell]
 
 
-def test_all_pairs_lemma_on_p6(P6, M6, BAL6):
+def test_all_pairs_lemma_on_p6(P6, M6, BAL6, S6):
     """The lemma on every (all-pairs top vertex, state) pair of p6, 8 x 32,
     the states reached from the first by crossing a vertex's facets among
     them."""
-    faces = [F for F in face_table(P6, M6).bad if all_pairs_index(P6, M6, F) is not None]
+    faces = [F for F in S6.table.bad if all_pairs_index(S6, F) is not None]
     assert len(faces) == 8
     for F in faces:
         model = build_cube_model(P6, M6, BAL6[0], F)
         for w in (0b000001, 0b010101, 0b111111):
             assert vertex_state(model, w) in BAL6
         for s in BAL6:
-            _check_lemma(P6, M6, s, F)
+            _check_lemma(S6, s, F)
 
 
 def test_all_pairs_lemma_on_two_squares():
@@ -405,74 +403,78 @@ def test_all_pairs_lemma_on_two_squares():
     of two squares, whose all-pairs vertices have ℓ = 2."""
     pol, moves, state = _squares_inputs()
     P = polytope_from_doc(pol)
-    m, s0 = moves_from_doc(moves, P), state_from_doc(state, P)
-    faces = [F for F in face_table(P, m).bad if all_pairs_index(P, m, F) == 2]
+    S = generic_subject(P, moves_from_doc(moves, P), state_from_doc(state, P))
+    faces = [F for F in S.table.bad if all_pairs_index(S, F) == 2]
     assert faces
     for F in faces:
-        for s in orbit(s0, m):
-            _check_lemma(P, m, s, F)
+        for s in S.states:
+            _check_lemma(S, s, F)
 
 
-def _planned(P, m, states, face, idx):
+def _planned(S, face, idx):
     """The planned verdict row of `face` that covers state `idx`."""
-    return next(p for p in verdict_plan(P, m, states)
-                if p.face == tuple(sorted(face)) and idx in p.states)
+    return next(p for p in S.plan if p.face == tuple(sorted(face)) and idx in p.states)
 
 
-def test_classify_link_verdicts(P6, M6, BAL6):
+def _cusp(S, cusp_id):
+    """The kept table of the cusp `cusp_id` of subject S."""
+    return S.cusps[[iv.id for iv in S.P.ideal_vertices].index(cusp_id)]
+
+
+def test_classify_link_verdicts(S6):
     """The plan decides a good face, `_classify_group` a totally legal
     class, and `classify_link` only what is left, from the face alone:
     Critical for an all-pairs top vertex, by the all-pairs lemma, or
     Unknown for a bad face that is no all-pairs top vertex."""
     cert, ids = CriticalLinkCertifier(), {}
-    good = _planned(P6, M6, BAL6, {"A", "1+i+j+k"}, 0)
+    good = _planned(S6, {"A", "1+i+j+k"}, 0)
     assert good.witness is not None and good.F is None
     assert good_row(good)["verdict"] == "Regular" and row_branch(good_row(good)) == "good-face"
     ridge = {"1+i+j+k", "-1+i+j+k"}
     for face in (ridge, ()):
         row, ev, failure = _classify_group(
-            P6, M6, _planned(P6, M6, BAL6, face, 0), certifier=cert, shared_ids=ids)
+            S6, _planned(S6, face, 0), certifier=cert, shared_ids=ids)
         assert row["verdict"] == "Regular" and row_branch(row) == "inherited-totally-legal"
         assert list(ev) == [row["evidence"]] and failure is None
-    bad = classify_bad_faces(P6, M6)
-    crit = classify_link(P6, M6, bad[(2, 2, 2)][0], certifier=cert)
+    bad = S6.bad_faces
+    crit = classify_link(S6, bad[(2, 2, 2)][0], certifier=cert)
     assert crit.verdict == "Critical" and crit.index == 3
-    lc = classify_link(P6, M6, bad[(2,)][0], certifier=cert)
+    lc = classify_link(S6, bad[(2,)][0], certifier=cert)
     assert (lc.verdict, lc.index) == ("Unknown", None)
     assert lc.note == "bad face, not totally legal, signature (2,)"
 
 
-def test_classification_independent_of_base_vertex(P6, M6, BAL6):
+def test_classification_independent_of_base_vertex(P6, M6, BAL6, S6):
     # the classes of a bad ridge reached from any translate of the base
     # state classify alike; an all-pairs vertex's translates are in the
     # all-pairs lemma's test, since `classify_link` takes no state
-    bad = classify_bad_faces(P6, M6)
+    bad = S6.bad_faces
     cert = CriticalLinkCertifier()
     ridge = bad[(2,)][0]
     model = build_cube_model(P6, M6, BAL6[0], ridge)
     verdicts = set()
     for w in range(4):
         idx = BAL6.index(vertex_state(model, w))
-        p = _planned(P6, M6, BAL6, ridge.defining, idx)
-        row = _classify_group(P6, M6, p, certifier=cert, shared_ids={})[0]
+        p = _planned(S6, ridge.defining, idx)
+        row = _classify_group(S6, p, certifier=cert, shared_ids={})[0]
         verdicts.add((row["verdict"], row_branch(row)))
     assert verdicts == {("Regular", "inherited-totally-legal")}
 
 
-def test_cusp_condition_witnesses(P6, M6, BAL6):
+def test_cusp_condition_witnesses(P6, BAL6, S6):
     s_in = P6.ranked_graph().mask(BAL6[0].in_facets)
-    got = check_cusp_condition(cusp_table(P6, M6, "cusp:1+i+j+k"), s_in)
+    got = check_cusp_condition(_cusp(S6, "cusp:1+i+j+k"), s_in)
     assert set(got) == {"-1-i+j-k", "-j"}
-    got = check_cusp_condition(cusp_table(P6, M6, "cusp:1"), s_in)
+    got = check_cusp_condition(_cusp(S6, "cusp:1"), s_in)
     assert set(got) == {"-1+i+j+k", "-1-i-j-k"}
-    got = check_cusp_condition(cusp_table(P6, M6, "cusp:A"), s_in)
+    got = check_cusp_condition(_cusp(S6, "cusp:A"), s_in)
     assert got == ("-1", "1")
 
 
-def test_certify_boundary_cube(P6, M6, BAL6):
+def test_certify_boundary_cube(P6, M6, BAL6, S6):
     s = BAL6[0]
     s_in = P6.ranked_graph().mask(s.in_facets)
-    table = cusp_table(P6, M6, "cusp:1+i+j+k")
+    table = _cusp(S6, "cusp:1+i+j+k")
     ok, checked = certify_boundary_cube(P6, s_in, table)
     assert ok and all(None not in pair for pair in checked)
     H = build_cusp_section(P6, "cusp:1+i+j+k")
@@ -492,7 +494,7 @@ def test_certify_boundary_cube(P6, M6, BAL6):
             assert replay_collapse(K, cone_collapse_pairs(K, apex)).vertices == (apex,)
 
 
-def _cusp_apexes_match_legality(P, m, states, cusp_ids):
+def _cusp_apexes_match_legality(S, cusp_ids):
     """Apexes on both parts exist exactly where a collapse search on both
     parts, built as complexes, certifies total legality, for every state and
     bad face of each cusp."""
@@ -503,12 +505,12 @@ def _cusp_apexes_match_legality(P, m, states, cusp_ids):
             searched[K] = not K.is_empty and try_collapse(K).success
         return searched[K]
 
-    n = 0
+    n, P, m = 0, S.P, S.m
     for cusp in cusp_ids:
-        table = cusp_table(P, m, cusp)
+        table = _cusp(S, cusp)
         H = section_cusp_table(P, m, cusp)[0]
         mH = m.restrict(H.facet_ids)
-        for s in states:
+        for s in S.states:
             _, checked = certify_boundary_cube(P, P.ranked_graph().mask(s.in_facets), table)
             for (face, _, _), apexes in zip(table.bad, checked):
                 F = FaceHandle(frozenset(face))
@@ -519,11 +521,11 @@ def _cusp_apexes_match_legality(P, m, states, cusp_ids):
     return n
 
 
-def test_cusp_apexes_match_searched_legality(P5, M5, BAL5, P6, M6, BAL6):
+def test_cusp_apexes_match_searched_legality(S5, S6):
     assert _cusp_apexes_match_legality(
-        P5, M5, BAL5, [iv.id for iv in P5.ideal_vertices]
+        S5, [iv.id for iv in S5.P.ideal_vertices]
     ) == 1088 // 2
-    assert _cusp_apexes_match_legality(P6, M6, BAL6, ["cusp:A"]) > 0
+    assert _cusp_apexes_match_legality(S6, ["cusp:A"]) > 0
 
 
 def test_face_contains():

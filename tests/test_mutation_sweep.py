@@ -29,7 +29,6 @@ import random
 from morsecert.certify import certify_generic
 from morsecert.errors import InputError
 from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
-from morsecert.links import cusp_table
 from morsecert.polytopes import FaceHandle, build_cusp_section
 from morsecert.report import (
     canonical_json,
@@ -37,7 +36,7 @@ from morsecert.report import (
     document_to_json,
     row_branch,
 )
-from morsecert.states import inherited_state, orbit
+from morsecert.states import cusp_table, face_table, inherited_state, orbit
 from morsecert.verify import verify_document
 
 from oracles import state_parts
@@ -160,7 +159,7 @@ def _apexes_are_cone_apexes(P, m, states, doc, i) -> bool:
     iv, s = P.ideal_vertices[i // len(states)], states[i % len(states)]
     H = build_cusp_section(P, iv.id)
     mH = m.restrict(H.facet_ids)
-    faces = [ids for ids, _, _ in cusp_table(P, m, iv.id).bad]
+    faces = [ids for ids, _, _ in cusp_table(P, m, face_table(P, m), iv.id).bad]
     for ids, pair in zip(faces, doc["cusps"]["rows"][i]["checked"]):
         F = FaceHandle(frozenset(ids))
         for K, apex in zip(state_parts(H, F, inherited_state(H, mH, s, F)), pair):

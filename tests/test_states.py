@@ -8,7 +8,7 @@ from morsecert.polytopes import FaceHandle, enumerate_faces
 from morsecert.states import (
     State,
     act,
-    classify_bad_faces,
+    builtin_subject,
     inherited_state,
     is_compatible,
     legality,
@@ -114,7 +114,7 @@ def test_good_and_bad_faces(P6, M6):
 
 
 def test_bad_face_census(P6, M6):
-    bad = classify_bad_faces(P6, M6)
+    bad = builtin_subject("p6").bad_faces
     assert {sig: len(fs) for sig, fs in bad.items()} == {
         (2,): 24, (3,): 8, (2, 2): 24, (2, 2, 2): 8,
     }

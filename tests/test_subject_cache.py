@@ -1,27 +1,29 @@
 """The built-in subjects and the canonical link graphs are kept per process,
-and each polytope keeps its verdict plans and cusp tables.
+and each `Subject` keeps its verdict plan and cusp tables.
 
 They are built from the code's own tables and shared by every run in the
 process, so no run may change them, and no report may reach them: a
 tampered report verified between two good ones fails alone, and a generic
 report is checked against its own embedded inputs only.  What a run finds,
-its dismantling orders and cone apexes, is found again by every run."""
+its dismantling orders and cone apexes, is found again by every run.
+Nothing is kept on a polytope under a move system."""
 
 import json
 
 import pytest
 
-from morsecert.certify import certify_generic, certify_p5, certify_p6
+from morsecert.certify import certify_generic, certify_p5, certify_p6, run_pipeline
 from morsecert.cli import main
 from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
-from morsecert.links import canonical_pairs_graphs, cusp_table
+from morsecert.links import canonical_pairs_graphs
 from morsecert.polytopes import build_p5, build_p6
-from morsecert.report import certificate_to_document, document_to_json, verdict_plan
+from morsecert.report import _inputs_digest, certificate_to_document, document_to_json
 from morsecert.states import (
+    MoveSystem,
     balanced_states_p5,
     balanced_states_p6,
     builtin_subject,
-    face_table,
+    generic_subject,
     move_system_p5,
     move_system_p6,
 )
@@ -29,24 +31,28 @@ from morsecert.verify import verify_document
 
 
 def _fresh(tag):
+    """A fresh subject equal to the built-in one: built from fresh tables,
+    as the orbit of the first balanced state."""
     if tag == "p6":
         P = build_p6()
-        return P, move_system_p6(), balanced_states_p6(P)
+        return generic_subject(P, move_system_p6(), balanced_states_p6(P)[0])
     P = build_p5()
-    return P, move_system_p5(P), balanced_states_p5(P)
+    return generic_subject(P, move_system_p5(P), balanced_states_p5(P)[0])
 
 
-def _fingerprint(P, m, states):
-    table = face_table(P, m)
-    return (P.name, P.facet_ids, P.ranked_graph(), P.ideal_vertices, m.blocks,
-            [s.serial() for s in states], table.masks, table.witnesses, table.bad,
-            verdict_plan(P, m, states), [cusp_table(P, m, iv.id) for iv in P.ideal_vertices])
+def _fingerprint(S):
+    P, table = S.P, S.table
+    return (P.name, P.facet_ids, P.ranked_graph(), P.ideal_vertices, S.m.blocks,
+            [s.serial() for s in S.states], table.masks, table.witnesses, table.bad,
+            S.bad_faces, S.f_vector, S.in_masks, S.plan, S.cusps)
 
 
 @pytest.mark.parametrize("tag", ["p6", "p5"])
 def test_builtin_subject_is_built_once(tag):
     first = builtin_subject(tag)
-    assert all(a is b for a, b in zip(first, builtin_subject(tag), strict=True))
+    assert first is builtin_subject(tag)
+    assert first.plan is builtin_subject(tag).plan
+    assert first.cusps is builtin_subject(tag).cusps
 
 
 def test_builtin_subject_checks_its_states(monkeypatch):
@@ -57,7 +63,8 @@ def test_builtin_subject_checks_its_states(monkeypatch):
     from morsecert.errors import StructuralError
     from morsecert.states import State, is_compatible
 
-    P, m, states = _fresh("p5")
+    S = _fresh("p5")
+    P, m, states = S.P, S.m, S.states
     s = states[3]
     bad = State(s.universe, s.in_facets - {min(s.in_facets)})
     ok, pair = is_compatible(P, m, bad)
@@ -71,6 +78,25 @@ def test_builtin_subject_checks_its_states(monkeypatch):
     finally:
         builtin_subject.cache_clear()
     assert str(info.value) == f"p5 state 3 is incompatible: adjacent same-move pair {pair!r}"
+
+
+def test_builtin_subject_checks_its_orbit(monkeypatch):
+    """Built-in states that are not the orbit of the first, in canonical
+    order, are a transcription bug: `builtin_subject` refuses them, naming
+    the subject."""
+    import morsecert.states
+    from morsecert.errors import StructuralError
+
+    states = _fresh("p5").states
+    for edited in (states[:-1], states[1:] + states[:1]):
+        monkeypatch.setattr(morsecert.states, "balanced_states_p5", lambda P: edited)
+        builtin_subject.cache_clear()
+        try:
+            with pytest.raises(StructuralError) as info:
+                builtin_subject("p5")
+        finally:
+            builtin_subject.cache_clear()
+        assert str(info.value) == "p5 states are not the orbit of the first"
 
 
 @pytest.mark.parametrize("census, named", [
@@ -111,8 +137,8 @@ def test_p5_is_built_from_the_kept_p6(monkeypatch):
     monkeypatch.setattr(morsecert.states, "build_p6", lambda: calls.append(1) or build_p6())
     builtin_subject.cache_clear()
     try:
-        P5, _, _ = builtin_subject("p5")
-        P6, _, _ = builtin_subject("p6")
+        P5 = builtin_subject("p5").P
+        P6 = builtin_subject("p6").P
     finally:
         builtin_subject.cache_clear()
     assert calls == [1]
@@ -122,16 +148,16 @@ def test_p5_is_built_from_the_kept_p6(monkeypatch):
 def test_runs_leave_the_kept_subjects_as_built():
     """Certify and verify of both subjects change nothing in what they
     share: each kept subject still equals a freshly built one, facet ids,
-    facet graph, ideal vertices, moves, states, face table, verdict plan
-    and cusp tables alike, and the canonical link graphs equal a fresh
-    build."""
+    facet graph, ideal vertices, moves, states, face table, bad faces,
+    census, In masks, verdict plan and cusp tables alike, and the canonical
+    link graphs equal a fresh build."""
     for certify in (certify_p6, certify_p5):
         cert = certify()
         assert cert.passed, cert.failures
         ok, msgs = verify_document(json.loads(document_to_json(certificate_to_document(cert))))
         assert ok, msgs
     for tag in ("p6", "p5"):
-        assert _fingerprint(*builtin_subject(tag)) == _fingerprint(*_fresh(tag))
+        assert _fingerprint(builtin_subject(tag)) == _fingerprint(_fresh(tag))
     assert canonical_pairs_graphs(3) == canonical_pairs_graphs.__wrapped__(3)
 
 
@@ -193,12 +219,12 @@ def _counting(monkeypatch, owner, name) -> list:
 def test_plan_and_cusp_tables_are_built_once_per_subject(monkeypatch):
     """From a cleared subject cache, two p6 certifies and a verify of the
     first report build one verdict plan and one table per cusp, 27, all
-    kept on P6; each certify still finds every cone apex itself."""
+    of P6's subject; each certify still finds every cone apex itself."""
     import morsecert.links
-    import morsecert.report
+    import morsecert.states
 
-    plans = _counting(monkeypatch, morsecert.report, "_plan_rows")
-    tables = _counting(monkeypatch, morsecert.links, "cusp_incidence")
+    plans = _counting(monkeypatch, morsecert.states, "_plan_rows")
+    tables = _counting(monkeypatch, morsecert.states, "cusp_incidence")
     apexes = _counting(monkeypatch, morsecert.links, "cone_apex")
     builtin_subject.cache_clear()
     try:
@@ -208,15 +234,57 @@ def test_plan_and_cusp_tables_are_built_once_per_subject(monkeypatch):
             found.append(len(apexes))
             apexes.clear()
         ok, msgs = verify_document(json.loads(docs[0]))
-        P = builtin_subject("p6")[0]
+        S = builtin_subject("p6")
     finally:
         builtin_subject.cache_clear()
     assert ok, msgs
     assert docs[0] == docs[1]
-    assert len(plans) == 1
-    assert [cusp for _, cusp in tables] == [iv.id for iv in P.ideal_vertices]
+    assert plans == [(S,)]
+    assert tables == [(S.P, iv.id) for iv in S.P.ideal_vertices]
     assert len(tables) == 27
     assert found[0] == found[1] == 2 * 2688
+
+
+def test_the_p5_subject_builds_no_p6_table(monkeypatch):
+    """P5 is built from the kept P6's polytope, but building the p5 subject
+    builds neither P6's verdict plan nor a cusp table of P6, and a p5
+    certify and verify build only P5's."""
+    import morsecert.states
+
+    plans = _counting(monkeypatch, morsecert.states, "_plan_rows")
+    tables = _counting(monkeypatch, morsecert.states, "cusp_incidence")
+    builtin_subject.cache_clear()
+    try:
+        S5 = builtin_subject("p5")
+        assert (plans, tables) == ([], [])
+        ok, msgs = verify_document(json.loads(
+            document_to_json(certificate_to_document(certify_p5()))))
+        S6 = builtin_subject("p6")
+    finally:
+        builtin_subject.cache_clear()
+    assert ok, msgs
+    assert plans == [(S5,)]
+    assert tables == [(S5.P, iv.id) for iv in S5.P.ideal_vertices]
+    assert "plan" not in vars(S6) and "cusps" not in vars(S6)
+
+
+def test_no_polytope_keeps_anything_under_a_move_system():
+    """After certify and verify of p6 and p5, no attribute of either
+    polytope holds anything keyed by a move system: what depends on the
+    moves is the subject's."""
+    for certify in (certify_p6, certify_p5):
+        ok, msgs = verify_document(json.loads(
+            document_to_json(certificate_to_document(certify()))))
+        assert ok, msgs
+
+    def has_moves(key) -> bool:
+        return isinstance(key, MoveSystem) or (
+            isinstance(key, tuple) and any(map(has_moves, key)))
+
+    for tag in ("p6", "p5"):
+        P = builtin_subject(tag).P
+        for name, value in vars(P).items():
+            assert not (isinstance(value, dict) and any(map(has_moves, value))), name
 
 
 def test_a_plan_that_misses_a_class_is_an_internal_error(monkeypatch, cert_p5, tmp_path,
@@ -225,20 +293,20 @@ def test_a_plan_that_misses_a_class_is_an_internal_error(monkeypatch, cert_p5, t
     exactly once, for the prover and the checker alike: a `_plan_rows`
     that drops one inherited-In class of a proper face makes `certify p5`
     and `verify` of a good p5 report both exit 3, naming the face."""
-    import morsecert.report
+    import morsecert.states
 
     report = tmp_path / "p5.json"
     report.write_text(document_to_json(certificate_to_document(cert_p5)))
-    rows, dropped = morsecert.report._plan_rows, []
+    rows, dropped = morsecert.states._plan_rows, []
 
-    def dropping(P, m, states):
-        plan = list(rows(P, m, states))
+    def dropping(S):
+        plan = list(rows(S))
         i = next(i for i, p in enumerate(plan)
-                 if p.witness is None and p.F.codim and len(p.states) < len(states))
+                 if p.witness is None and p.F.codim and len(p.states) < len(S.states))
         dropped.append(plan.pop(i).face)
         return iter(plan)
 
-    monkeypatch.setattr(morsecert.report, "_plan_rows", dropping)
+    monkeypatch.setattr(morsecert.states, "_plan_rows", dropping)
     builtin_subject.cache_clear()
     try:
         codes = [main(argv) for argv in (["certify", "p5"], ["verify", str(report)])]
@@ -257,26 +325,33 @@ _CUBE = {"name": "cube", "dimension": 3, "facets": [{"id": f} for f in _CUBE_IDS
 _CUBE_MOVES = [["x0", "x1"], ["y0", "y1"], ["z0", "z1"]]
 
 
-def _cube_report(P, m, state) -> str:
-    cert = certify_generic(P, m, state_from_doc(state, P), mode="fibration",
-                           generic_inputs={"polytope": _CUBE, "moves": _CUBE_MOVES,
-                                           "state": state})
+def _cube_report(S, state) -> str:
+    inputs = {"polytope": _CUBE, "moves": _CUBE_MOVES, "state": state}
+    cert = run_pipeline(S, subject="generic", mode="fibration",
+                        inputs_digest=_inputs_digest("generic", inputs), generic_inputs=inputs)
     assert cert.passed, cert.failures
     return document_to_json(certificate_to_document(cert))
 
 
 def test_one_polytope_keeps_a_plan_per_orbit():
-    """`certify_generic` on one cube and one move system, from two initial
+    """Two subjects on one cube and one move system, from two initial
     states in different orbits (one of each opposite pair In; both x
-    facets In), writes for each the report that a freshly built cube
-    writes, and the cube keeps one plan per orbit."""
+    facets In): each keeps its own plan, and each writes the report that
+    `certify_generic` writes from a freshly built cube."""
     states = [{f: "I" if f[1] == "0" else "O" for f in _CUBE_IDS},
               {f: "I" if f[0] == "x" or f[1] == "0" else "O" for f in _CUBE_IDS}]
     P = polytope_from_doc(_CUBE)
     m = moves_from_doc(_CUBE_MOVES, P)
-    kept = [_cube_report(P, m, state) for state in states]
+    subjects = [generic_subject(P, m, state_from_doc(state, P)) for state in states]
+    kept = [_cube_report(S, state) for S, state in zip(subjects, states)]
     for state, got in zip(states, kept):
         fresh = polytope_from_doc(_CUBE)
-        assert got == _cube_report(fresh, moves_from_doc(_CUBE_MOVES, fresh), state)
+        cert = certify_generic(fresh, moves_from_doc(_CUBE_MOVES, fresh),
+                               state_from_doc(state, fresh), mode="fibration",
+                               generic_inputs={"polytope": _CUBE, "moves": _CUBE_MOVES,
+                                               "state": state})
+        assert got == document_to_json(certificate_to_document(cert))
     assert kept[0] != kept[1]
-    assert len(P._verdict_plans) == 2
+    assert subjects[0].states != subjects[1].states
+    assert subjects[0].plan is not subjects[1].plan
+    assert [S.plan is vars(S)["plan"] for S in subjects] == [True, True]

@@ -5,7 +5,8 @@ trace includes building what the verifier recomputes.  The set is pinned:
 a verifier that calls a function outside it fails here, and one that stops
 calling a function in it fails too, so the list stays exact.  A change that
 adds to it updates the list and says why.  Nested functions, lambdas and
-comprehensions count as part of the function that defines them.
+comprehensions count as part of the function that defines them; a
+property's getter, a cached property's included, counts as a method.
 
 The reject path is pinned too: `verify` of three malformed copies of the p5
 report, each stopped by the schema parse, runs only trusted functions and
@@ -32,7 +33,7 @@ TRUSTED = {
         CubeLift.lift_of_face CubeLift.proper_faces _pair_values
         canonical_pairs_graphs check_cusp_condition
         check_sd_crosspolytope_witness comparability_graph
-        cusp_table face_contains face_int face_link_posets face_parts
+        face_contains face_int face_link_posets face_parts
         pairs_core_elements synthetic_pairs_lift""",
     "polytopes": """
         FaceHandle.codim FaceHandle.sorted_ids Polytope.__init__
@@ -43,15 +44,14 @@ TRUSTED = {
         dual_mask f_vector_check face_of_mask lorentz_product""",
     "states": """
         MoveSystem.__post_init__ MoveSystem.block_of MoveSystem.restrict
-        State.__post_init__ State.serial all_pairs_index
-        balanced_states_p5 balanced_states_p6 builtin_subject certificate_problem
-        classify_bad_faces face_masks face_table facet_mask is_compatible
-        move_system_p5 move_system_p6 r_class_triples state_from_in_set
-        unit_class_table""",
+        State.__post_init__ State.serial Subject.__init__ Subject.cusps Subject.plan
+        _plan_rows all_pairs_index balanced_states_p5 balanced_states_p6
+        builtin_subject certificate_problem cusp_table face_masks face_table
+        facet_mask is_compatible move_system_p5 move_system_p6 orbit
+        r_class_triples state_from_in_set unit_class_table""",
     "report": """
-        _eid _inputs_digest _plan_rows canonical_json cusp_row euler_identity good_row
-        legality_header report_tables shared_header verdict_allowed verdict_plan
-        verdict_row""",
+        _eid _inputs_digest canonical_json cusp_row euler_identity good_row
+        legality_header report_tables shared_header verdict_allowed verdict_row""",
     "schema": """
         Leaf._at_once Leaf.parse ListOf._at_once ListOf.parse Obj._at_once
         Obj._check_keys Obj.parse _Kind.parse_items parse""",
@@ -83,7 +83,7 @@ def _functions() -> dict:
         for obj in vars(mod).values():
             members = vars(obj).values() if inspect.isclass(obj) else (obj,)
             for fn in members:
-                fn = getattr(fn, "fget", fn)  # a property's getter
+                fn = getattr(fn, "fget", getattr(fn, "func", fn))  # a property's getter
                 fn = inspect.unwrap(fn) if callable(fn) else fn  # under `functools.cache`
                 if inspect.isfunction(fn) and fn.__code__.co_filename == mod.__file__:
                     names[fn.__code__] = f"{stem}.{fn.__qualname__}"
@@ -121,7 +121,7 @@ def test_verify_runs_the_trusted_base(cert_p5, cert_p6, tmp_path):
     assert not [name for name in ran if name.startswith("complexes.")]
     want = _names(TRUSTED)
     assert sorted(ran - want) == [] and sorted(want - ran) == []
-    assert len(want) == 104
+    assert len(want) == 106
 
 
 def _wrong_kind(doc):
