@@ -8,10 +8,11 @@ and one per (bad face, inherited In class), each written by
 `report.verdict_row`; a bad face's row cites its legality item or the
 shared item of its ℓ.  A Critical(ℓ) row is decided by its face alone, as a
 good row is, by the all-pairs lemma (README), so no cube is built.  Evidence
-blobs are content-addressed, which also deduplicates them across states.  Cusp
-boundary cubes are certified by the cone apexes of their parts, recorded
-inline in rows that `report.cusp_row`, their one writer, makes and the
-verifier compares whole.  Every certificate is found by a deterministic rule,
+blobs are content-addressed, which also deduplicates them across states.  A
+good row carries no witness: the good faces' witness moves are one list.  Cusp
+boundary cubes are certified by the cone apexes of their parts, each pair
+recorded once per (cusp, bad face, In part), beside rows that
+`report.cusp_row`, their one writer, makes and the verifier compares whole.  Every certificate is found by a deterministic rule,
 so reports are reproducible byte for byte; the root seed is only recorded.
 What depends on the subject alone, the plan and the cusp tables among it,
 is kept on the `Subject`, which was checked where it was built; every
@@ -158,25 +159,32 @@ def _verdict_sweep(
 # Cusp suite
 
 
-def _cusp_suite(S: Subject, failures: List[str]) -> Tuple[dict, ...]:
-    """One row per (cusp, state), cusps in the polytope's order, states in
-    the orbit's; each cusp's apex pairs are found once per (bad face, In
-    part) in this run."""
+def _cusp_suite(S: Subject, failures: List[str]) -> Tuple[tuple, tuple]:
+    """(apexes, rows): for each cusp in the polytope's order, the apex pairs
+    of each bad face of its table, one per distinct In part in order of
+    first occurrence over the states where the cusp condition holds; and
+    one row per (cusp, state), states in the orbit's order.  Each pair is
+    found once per (bad face, In part) in this run."""
+    apexes: List[list] = []
     rows: List[dict] = []
     for iv, table in zip(S.P.ideal_vertices, S.cusps):
         found: dict = {}
         for idx, s_in in enumerate(S.in_masks):
-            row = cusp_row(*certify_boundary_cube(S.P, s_in, table, found=found))
-            rows.append(row)
-            if not row["ok"]:
+            ok, checked = certify_boundary_cube(S.P, s_in, table, found=found)
+            rows.append(cusp_row(ok, ok and all(None not in pair for pair in checked)))
+            if not ok:
                 failures.append(f"cusp condition fails at {iv.id} state {idx}")
-            for (face_ids, _, _), apexes in zip(table.bad, row["checked"]):
-                if None in apexes:
+            for (face_ids, _, _), pair in zip(table.bad, checked):
+                if None in pair:
                     failures.append(
                         f"boundary cube at {iv.id} state {idx}: face {tuple(face_ids)} "
-                        f"not certified, a part is not a cone (apexes {tuple(apexes)})"
+                        f"not certified, a part is not a cone (apexes {tuple(pair)})"
                     )
-    return tuple(rows)
+        per_face: List[list] = [[] for _ in table.bad]
+        for (i, _), pair in found.items():  # in order of first occurrence
+            per_face[i].append(pair)
+        apexes.append(per_face)
+    return tuple(apexes), tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +229,7 @@ def run_pipeline(
     timings["verdicts"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cusp_rows = _cusp_suite(S, failures)
+    cusp_apexes, cusp_rows = _cusp_suite(S, failures)
     timings["cusps"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -246,8 +254,10 @@ def run_pipeline(
         f_vector=S.f_vector,
         bad_faces=S.bad_faces,
         verdict_rows=rows,
+        witness_moves=tuple(p.witness for p in S.plan if p.witness is not None),
         evidence=evidence,
         shared_evidence=shared,
+        cusp_apexes=cusp_apexes,
         cusp_rows=cusp_rows,
         euler=euler,
         failures=tuple(failures),

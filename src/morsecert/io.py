@@ -27,21 +27,33 @@ from .schema import MOVES, POLYTOPE, STATE, parse
 from .states import IN, OUT, MoveSystem, State, balanced_states_p6, move_system_p6
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object, built once; a repeated key, of which `json.loads`
+    would keep the last value unseen, is an input error naming the key."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise InputError(f"repeated key {key!r}")
+    return obj
+
+
 def load_json(path) -> object:
+    """The JSON document at `path`, each object with its keys once."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from exc
     except RecursionError as exc:
         raise InputError(f"{path}: nested too deeply: {exc}") from exc
-    except ValueError as exc:  # e.g. an integer literal past the digit limit
+    except ValueError as exc:  # a repeated key, or an integer literal past the digit limit
         raise InputError(f"{path}: {exc}") from exc
 
 

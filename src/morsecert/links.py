@@ -548,7 +548,8 @@ def certify_boundary_cube(P: Polytope, s_in: int, table: CuspTable,
     that dominates every other one, is the whole certificate.  The parts of
     a bad face depend on s only through its In part, so a run passes one
     dict `found` per table to its calls, and each pair is made once per
-    (bad face, In part) and kept there, shared by the rows of the table.
+    (bad face, In part) and kept there under (face position, In part), in
+    order of first occurrence: the order of the report's apex lists.
     """
     if check_cusp_condition(table, s_in) is None:
         return False, []

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple
 from .polytopes import FaceHandle, FVectorReport, TABLE_G6
 from .states import R_TABLE, PlannedRow, Subject, all_pairs_index
 
-REPORT_VERSION = "8"
+REPORT_VERSION = "9"
 
 MODES = ("perfect", "fibration")  # each with its verdict rule, `verdict_allowed`
 
@@ -33,9 +33,14 @@ MODES = ("perfect", "fibration")  # each with its verdict rule, `verdict_allowed
 BUILTIN_SUBJECTS = {"P6_perfect_morse": ("p6", "perfect"), "P5_fibration": ("p5", "fibration")}
 
 
+# one encoder for every content id: `json.dumps` with these settings would
+# build a new one on each call; only trees reach it, payloads the writers
+# build or parsed JSON, so no cycle check is needed
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def canonical_json(obj) -> str:
-    # only trees reach here: payloads the writers build, or parsed JSON
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
+    return _CANONICAL.encode(obj)
 
 
 def _eid(payload: dict) -> str:
@@ -115,8 +120,10 @@ class Certificate:
     f_vector: FVectorReport
     bad_faces: Dict[Tuple[int, ...], Tuple[FaceHandle, ...]]
     verdict_rows: Tuple[dict, ...]  # report rows, by `verdict_row`
+    witness_moves: Tuple[int, ...]  # the good faces' witnesses, in plan order
     evidence: Dict[str, dict]
     shared_evidence: Dict[str, dict]
+    cusp_apexes: Tuple[list, ...]  # per cusp, per bad face, the apex pairs
     cusp_rows: Tuple[dict, ...]  # report rows, by `cusp_row`
     euler: EulerRecord
     failures: Tuple[str, ...]
@@ -183,10 +190,11 @@ def report_tables(S: Subject, euler: EulerRecord, inputs_digest: str) -> dict:
 
 
 # The one writer of a verdict row, from `Subject.plan`: the pipeline writes its
-# rows with it, and the verifier compares each row with it.  A row carries
-# only the witness of its branch: a good face's `witness_move`; for a bad
-# face, the `evidence` id it cites, a legality item when Regular and the
-# shared item of its ℓ when Critical(ℓ), none when Unknown.  `states` ascend.
+# rows with it, and the verifier compares each row with it.  A bad face's row
+# carries the `evidence` id it cites, a legality item when Regular and the
+# shared item of its ℓ when Critical(ℓ), none when Unknown.  A good face's
+# row carries no witness: the good faces' witness moves are one list of the
+# report, `verdicts.witness_moves`, in plan order.  `states` ascend.
 
 
 def verdict_row(p: PlannedRow, verdict: str, **witness) -> dict:
@@ -194,18 +202,16 @@ def verdict_row(p: PlannedRow, verdict: str, **witness) -> dict:
 
 
 def good_row(p: PlannedRow) -> dict:
-    return verdict_row(p, "Regular", witness_move=p.witness)
+    return verdict_row(p, "Regular")
 
 
-def cusp_row(ok: bool, checked: list) -> dict:
+def cusp_row(ok: bool, all_regular: bool) -> dict:
     """The one writer of a cusp row, for certify and verify alike: `ok`,
-    whether the cusp condition holds; `checked`, the [out apex, in apex]
-    pair of each bad face of the cusp's table, in its order, none where the
-    condition fails; and `all_regular`, derived: the condition holds and
-    every part has an apex.  The row names neither its cusp nor its state:
-    its position does."""
-    return {"ok": ok, "all_regular": ok and all(None not in pair for pair in checked),
-            "checked": checked}
+    whether the cusp condition holds, and `all_regular`, whether it holds
+    and every apex pair that the state's In parts select is proved.  The
+    pairs are the cusp's `cusps.apexes` lists, one per bad face of its
+    table; the row names neither its cusp nor its state: its position does."""
+    return {"ok": ok, "all_regular": all_regular}
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +219,18 @@ def cusp_row(ok: bool, checked: list) -> dict:
 
 
 def row_branch(row: dict) -> str:
-    """The branch of a verdict row, by its witness key and, for a bad
-    face's row citing evidence, its verdict."""
-    if "witness_move" in row:
-        return "good-face"
+    """The branch of a verdict row, by its evidence key and its verdict: a
+    Regular row without evidence is a good face's."""
     if "evidence" not in row:
-        return "unknown"
+        return "good-face" if row["verdict"] == "Regular" else "unknown"
     return "critical-pairs" if row["verdict"].startswith("Critical(") else "inherited-totally-legal"
 
 
 def certificate_to_document(cert: Certificate, *, include_timings: bool = False) -> dict:
     """The structured report: the claim and its provenance, the tables of
-    `report_tables` that the verifier recomputes, and the verdict and cusp
-    rows with the evidence they cite, which it replays."""
+    `report_tables` that the verifier recomputes, the verdict rows with the
+    good faces' witness moves and the evidence the rows cite, which it
+    replays, and the cusps' apex pairs and rows."""
     doc = {
         "version": REPORT_VERSION,
         "subject": cert.subject,
@@ -233,12 +238,13 @@ def certificate_to_document(cert: Certificate, *, include_timings: bool = False)
         "pass": cert.passed,
         "seeds": {"root": cert.seed},
         **cert.tables,
-        "verdicts": {"rows": list(cert.verdict_rows)},
+        "verdicts": {"rows": list(cert.verdict_rows),
+                     "witness_moves": list(cert.witness_moves)},
         "evidence": {k: cert.evidence[k] for k in sorted(cert.evidence)},
         "shared_evidence": {
             k: cert.shared_evidence[k] for k in sorted(cert.shared_evidence)
         },
-        "cusps": {"rows": list(cert.cusp_rows)},
+        "cusps": {"apexes": list(cert.cusp_apexes), "rows": list(cert.cusp_rows)},
         "failures": list(cert.failures),
         "timings": (
             {k: round(v, 6) for k, v in sorted(cert.timings.items())}

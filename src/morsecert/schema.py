@@ -179,18 +179,19 @@ SEQUENCE_KEYS = {kind: tuple(k for k, v in item.fields.items() if v in (FACET_OR
                  for kind, item in EVIDENCE_ITEMS.items()}
 
 # The tables the verifier compares whole by canonical JSON are typed only at
-# their top level; a verdict row carries the witness of its branch, none
-# when Unknown; a cusp apex is null where its part is no cone.
+# their top level; a bad face's verdict row cites its evidence, none when
+# Unknown; a cusp apex is null where its part is no cone.
 OBJ_TABLE, LIST_TABLE = Leaf("object", dict), Leaf("list", list)
 REPORT = Obj({
     "version": STR, "subject": STR, "mode": STR, "pass": BOOL, "seeds": ANY, "inputs_digest": STR,
     "polytope": OBJ_TABLE, "moves": LIST_TABLE, "orbit": LIST_TABLE, "f_vector": OBJ_TABLE,
     "bad_faces": OBJ_TABLE, "euler": OBJ_TABLE,
     "verdicts": Obj({"rows": ListOf(Obj({"face": STRS, "verdict": STR, "states": INTS},
-                                        {"evidence": STR, "witness_move": INT}))}),
+                                        {"evidence": STR})),
+                     "witness_moves": INTS}),
     "evidence": Obj(each=EVIDENCE_ITEMS["legality"]),
     "shared_evidence": Obj(each=EVIDENCE_ITEMS["critical-shared"]),
-    "cusps": Obj({"rows": ListOf(Obj({"ok": BOOL, "all_regular": BOOL, "checked": ListOf(
-        Pair(Leaf("str or null", str, type(None))))}))}),
+    "cusps": Obj({"apexes": ListOf(ListOf(ListOf(Pair(Leaf("str or null", str, type(None)))))),
+                  "rows": ListOf(Obj({"ok": BOOL, "all_regular": BOOL}))}),
     "failures": STRS, "timings": ANY,
 }, {"inputs": Obj({"polytope": POLYTOPE, "moves": MOVES, "state": STATE})})

@@ -334,23 +334,25 @@ class PlannedRow(NamedTuple):
 class CuspTable(NamedTuple):
     """What certifying a cusp's horospherical cube needs of the cusp alone,
     for all states: its section's bad faces in canonical order, each as
-    (sorted ids, `face_masks` over P's ranks cut to the incident facets);
+    (sorted ids, its `face_masks` over P's ranks cut to the incident facets);
     and its pairs, moves in canonical order, each a move's two non-adjacent
     incident facets as (sorted ids, rank mask).  It holds nothing a run
     finds: the apexes are found per run.  A cusp row has one writer,
-    `report.cusp_row`, and the verifier compares each row whole with it."""
+    `report.cusp_row`, and the verifier compares the rows whole with it."""
 
     bad: Tuple[Tuple[Tuple[str, ...], int, int], ...]
     pairs: Tuple[Tuple[Tuple[str, str], int], ...]
 
 
-def cusp_table(P: Polytope, m: MoveSystem, table: FaceTable, cusp_id: str) -> CuspTable:
+def cusp_table(P: Polytope, m: MoveSystem, masks: Dict[FaceHandle, Tuple[int, int]],
+               cusp_id: str) -> CuspTable:
     """The section, a cube by `cusp_incidence`, spans P's faces inside the
-    cusp's incident facets, each good or bad as in P's face `table` under m."""
+    cusp's incident facets, each good or bad as under m; `masks` holds each
+    bad face's `face_masks`, in canonical order (`Subject.bad_masks`)."""
     inc = cusp_incidence(P, cusp_id)
     incident = P.ideal_vertex(cusp_id).incident
-    bad = tuple((F.sorted_ids(), *(x & inc for x in face_masks(P, m, F)))
-                for F in table.bad if F.defining <= incident)
+    bad = tuple((F.sorted_ids(), dual & inc, free & inc)
+                for F, (dual, free) in masks.items() if F.defining <= incident)
     pairs = []
     for block in m.blocks:
         hit = sorted(block & incident)
@@ -364,9 +366,9 @@ class Subject:
     compatible state in canonical order, with all that depends on them
     alone: the face `table`, the proper `bad_faces` by signature in
     canonical order, the face census `f_vector`, each state's In rank mask
-    (`in_masks`), the verdict `plan` and each cusp's table (`cusps`), in
-    P's order.  The plan and the cusp tables are built on first use and
-    kept.  Only `builtin_subject` and `generic_subject` build one, and they
+    (`in_masks`), each bad face's `face_masks` (`bad_masks`), the verdict
+    `plan` and each cusp's table (`cusps`), in P's order.  The masks, the
+    plan and the cusp tables are built on first use and kept.  Only `builtin_subject` and `generic_subject` build one, and they
     check its invariants; the prover and the checker read it and check
     nothing again."""
 
@@ -380,6 +382,12 @@ class Subject:
                 bad.setdefault(sig, []).append(F)
         self.bad_faces = {sig: tuple(faces) for sig, faces in sorted(bad.items())}
         self.in_masks = tuple(P.ranked_graph().mask(s.in_facets) for s in self.states)
+
+    @cached_property
+    def bad_masks(self) -> Dict[FaceHandle, Tuple[int, int]]:
+        """Each bad face's (dual, free) `face_masks`, in the face table's
+        order, which the plan and the cusp tables read."""
+        return {F: face_masks(self.P, self.m, F) for F in self.table.bad}
 
     @cached_property
     def plan(self) -> Tuple[PlannedRow, ...]:
@@ -403,7 +411,7 @@ class Subject:
     @cached_property
     def cusps(self) -> Tuple[CuspTable, ...]:
         """Each cusp's `cusp_table`, in P's order."""
-        return tuple(cusp_table(self.P, self.m, self.table, iv.id)
+        return tuple(cusp_table(self.P, self.m, self.bad_masks, iv.id)
                      for iv in self.P.ideal_vertices)
 
 
@@ -411,7 +419,7 @@ def _plan_rows(S: Subject) -> Iterator[PlannedRow]:
     """The rows of `Subject.plan`, before their coverage is checked."""
     G, table = S.P.ranked_graph(), S.table
     all_states = tuple(range(len(S.states)))
-    bad, names = iter(table.bad), {0: ()}  # each face's sorted ids, under its mask
+    bad, names = iter(S.bad_masks.items()), {0: ()}  # each face's sorted ids, under its mask
     for f, witness in zip(table.masks, table.witnesses):
         # a face without its top facet is a face of one size less, listed earlier
         top = f.bit_length() - 1
@@ -419,8 +427,7 @@ def _plan_rows(S: Subject) -> Iterator[PlannedRow]:
         if witness is not None:
             yield PlannedRow(None, ids, all_states, witness)
             continue
-        F = next(bad)
-        dual, free = face_masks(S.P, S.m, F)
+        F, (dual, free) = next(bad)
         classes: Dict[int, List[int]] = {}
         for idx, s_in in enumerate(S.in_masks):
             classes.setdefault(free & s_in, []).append(idx)

@@ -12,9 +12,10 @@ canonical JSON; the subject's plan (`states.Subject.plan`), checked where it
 is built to cover each face x state once, in one pass beside the rows, and
 `report.verdict_row` for the branch the plan and the row's verdict pick,
 a critical row once its face is an all-pairs top vertex (the all-pairs
-lemma, README); and `report.cusp_row` for each cusp row, bound by position,
-one per (cusp, state) in order, once each apex it gives is checked to
-dominate its part.
+lemma, README), with the good faces' witness moves as one list; and
+`report.cusp_row` for the cusp rows, one per (cusp, state) in order, bound
+by position and compared as one list, once each apex pair, written once
+per (cusp, bad face, In part), is checked once to dominate its parts.
 Every certificate that a row cites is a dismantling order, checked by one
 rule, `states.certificate_problem`, step by step on a graph's adjacency
 masks and a live mask: a legality part on the facet graph, a shared
@@ -22,8 +23,8 @@ critical link on the face poset's comparability graph down to its core,
 which is checked on that graph to be the subdivided cross-polytope
 boundary.  Nothing here searches or builds a complex, and failure text is
 made only on a failure: warm and in-process on a 2-core VM, verifying the
-seed-0 p6 report, `json.loads` included, takes about 27 ms against about
-18 ms for `certify_p6()`, 1.5 times as long (the prover gains more from
+seed-0 p6 report, `json.loads` included, takes about 23 ms against about
+17 ms for `certify_p6()`, 1.36 times as long (the prover gains more from
 the kept plan and cusp tables).  Only `timings` and `seeds`
 back no claim: the schema requires their keys, nothing checks what is in
 them, and the seed steers nothing.
@@ -179,7 +180,12 @@ class _Verifier:
     def check_verdicts(self):
         """One pass over the plan and the rows: each row must be the planned
         row of its position, for the branch the plan and its verdict pick.
-        Of the rows out of place, the first is named and none is checked."""
+        Of the rows out of place, the first is named and none is checked.
+        The good faces' witness moves, one list in plan order, must be the
+        plan's, compared whole."""
+        witnesses = [p.witness for p in self.S.plan if p.witness is not None]
+        if self.doc["verdicts"]["witness_moves"] != witnesses:
+            self._witness_moves(witnesses)
         mode, dim, departed = self.mode, self.S.P.dimension, False
         for i, (row, p) in enumerate(zip_longest(self.doc["verdicts"]["rows"], self.S.plan)):
             if p is not None and p.witness is not None and row == good_row(p):
@@ -200,6 +206,19 @@ class _Verifier:
             if want is not None and row != want:
                 self._same_row(row, want, f"face {p.face}" + (
                     f": evidence {row['evidence']}" if "evidence" in row else ""))
+
+    def _witness_moves(self, want: List[int]):
+        """Name what is wrong with the report's witness moves, which are not
+        `want`: their count, or each entry that differs, by its good face."""
+        got = self.doc["verdicts"]["witness_moves"]
+        if len(got) != len(want):
+            self.fail(f"verdicts.witness_moves: {len(got)} entries, want one per good face "
+                      f"({len(want)})")
+            return
+        good = [p.face for p in self.S.plan if p.witness is not None]
+        for j, face in enumerate(good):
+            if got[j] != want[j]:
+                self.fail(f"face {face}: witness_moves[{j}] does not match its recomputation")
 
     def _claimed_row(self, p: PlannedRow, row: dict) -> Optional[dict]:
         """The row of planned row `p` for the branch that the plan and the
@@ -245,55 +264,79 @@ class _Verifier:
     # -- cusps -------------------------------------------------------------------
 
     def check_cusps(self):
-        """One row per (cusp, state), cusps in the polytope's order and
-        states in the orbit's, bound by position.  Its `checked` must hold
-        one [out apex, in apex] pair per bad face of the cusp's table where
-        the recomputed cusp condition holds, none where it fails, each apex
-        a vertex of its part that dominates the part, which proves the part
-        a cone: apex ∈ part and part ⊆ N[apex], the rule `cone_apex` scans
-        with.  The row must then be `cusp_row`'s of the recomputed condition
-        and its `checked`, and its boundary cube all Regular."""
-        S, rows = self.S, self.doc["cusps"]["rows"]
-        P = S.P
-        if len(rows) != len(P.ideal_vertices) * len(S.states):
-            self.fail(f"cusps: {len(rows)} rows, want one per (cusp, state): "
-                      f"{len(P.ideal_vertices)} x {len(S.states)}")
+        """The apexes: one list per cusp, cusps in the polytope's order, of
+        one list per bad face of the cusp's table, in its order, of one
+        [out apex, in apex] pair per distinct In part of the face over the
+        states where the recomputed cusp condition holds, in order of first
+        occurrence.  Each pair is tested once: each apex a vertex of its
+        part that dominates the part, which proves the part a cone: apex ∈
+        part and part ⊆ N[apex], the rule `cone_apex` scans with.  The rows:
+        one per (cusp, state), states in the orbit's order, bound by
+        position, compared as one list with `cusp_row`'s of the recomputed
+        condition and whether every pair the state's In parts select is
+        proved; and each boundary cube must be all Regular."""
+        S, cusps = self.S, self.doc["cusps"]
+        P, apexes = S.P, cusps["apexes"]
+        if len(apexes) != len(P.ideal_vertices):
+            self.fail(f"cusps: {len(apexes)} apex lists, want one per cusp "
+                      f"({len(P.ideal_vertices)})")
         _, rank, N = P.ranked_graph()
-        rows = iter(rows)
-        for iv, table in zip(P.ideal_vertices, S.cusps):
-            for (idx, s_in), row in zip(enumerate(S.in_masks), rows):
-                ok = check_cusp_condition(table, s_in) is not None
-                checked, bad = row["checked"], table.bad if ok else ()
-                proved = len(checked) == len(bad)
-                for (_, dual, free), (out_apex, in_apex) in zip(bad, checked):
-                    inn = free & s_in
+        want: List[dict] = []
+        for c, (iv, table) in enumerate(zip(P.ideal_vertices, S.cusps)):
+            oks = [check_cusp_condition(table, s_in) is not None for s_in in S.in_masks]
+            held = [s_in for s_in, ok in zip(S.in_masks, oks) if ok]
+            faces = apexes[c] if c < len(apexes) else []
+            if len(faces) != len(table.bad):
+                self.fail(f"cusp {iv.id}: {len(faces)} face lists, want one per bad face "
+                          f"of its table ({len(table.bad)})")
+            unproved = []  # (free, the In parts whose pair is not proved) of a face
+            for i, (_, dual, free) in enumerate(table.bad):
+                parts = dict.fromkeys(free & s_in for s_in in held)
+                pairs = faces[i] if i < len(faces) else []
+                failed = set() if len(pairs) == len(parts) else set(parts)
+                for inn, (out_apex, in_apex) in zip(parts, pairs):
                     r, q = rank.get(out_apex), rank.get(in_apex)
                     if (r is None or q is None or not (dual & ~inn) >> r & 1
                             or dual & ~inn & ~N[r] or not inn >> q & 1 or inn & ~N[q]):
-                        proved = False
-                        break
-                if not proved:
-                    self._apexes(checked, bad, s_in, f"cusp {iv.id} state {idx}")
-                elif row != cusp_row(ok, checked):
-                    self._same_row(row, cusp_row(ok, checked), f"cusp {iv.id} state {idx}")
-                if not (ok and proved):
-                    self.fail(f"cusp {iv.id} state {idx}: boundary cube is not all Regular")
+                        failed.add(inn)
+                if failed:
+                    unproved.append((free, failed))
+                    self._apexes(iv.id, table.bad[i], pairs, parts)
+            want += [cusp_row(ok, ok and not any(free & s_in in f for free, f in unproved))
+                     for ok, s_in in zip(oks, S.in_masks)]
+        rows = cusps["rows"]
+        if len(rows) != len(want):
+            self.fail(f"cusps: {len(rows)} rows, want one per (cusp, state): "
+                      f"{len(P.ideal_vertices)} x {len(S.states)}")
+        elif rows != want:
+            for k, (row, w) in enumerate(zip(rows, want)):
+                if row != w:
+                    self._same_row(row, w, self._cusp_state(k))
+        for k, w in enumerate(want):
+            if not w["all_regular"]:
+                self.fail(f"{self._cusp_state(k)}: boundary cube is not all Regular")
 
-    def _apexes(self, checked, bad, s_in: int, where: str):
-        """Name what is wrong with `checked` as one [out apex, in apex] pair
-        of cone apexes per bad face in `bad`, of the parts of each face's
-        split by the In mask `s_in`: the count, or each apex and its face."""
-        if len(checked) != len(bad):
-            self.fail(f"{where}: checked does not hold one apex pair per bad face "
-                      f"({len(bad)})")
+    def _cusp_state(self, k: int) -> str:
+        """The (cusp, state) of cusp row `k`."""
+        cusp, idx = divmod(k, len(self.S.states))
+        return f"cusp {self.S.P.ideal_vertices[cusp].id} state {idx}"
+
+    def _apexes(self, cusp: str, face, pairs: list, parts: dict):
+        """Name what is wrong with `pairs` as the apex pairs of the bad face
+        `face`, (sorted ids, dual, free) of its cusp's table, one per In part
+        in `parts`: the count, or each apex that is no cone apex of its part."""
+        ids, dual, _ = face
+        where = f"cusp {cusp}: face {ids}"
+        if len(pairs) != len(parts):
+            self.fail(f"{where}: {len(pairs)} apex pairs, want one per In part "
+                      f"({len(parts)})")
             return
         _, rank, N = self.S.P.ranked_graph()
-        for (ids, dual, free), pair in zip(bad, checked):
-            inn = free & s_in
+        for j, (inn, pair) in enumerate(zip(parts, pairs)):
             for side, part, apex in (("out", dual & ~inn, pair[0]), ("in", inn, pair[1])):
                 r = rank.get(apex)
                 if r is None or not part >> r & 1 or part & ~N[r]:
-                    self.fail(f"{where}: face {ids}: {side} apex {apex!r} is no cone apex "
+                    self.fail(f"{where}: pair {j}: {side} apex {apex!r} is no cone apex "
                               f"of its part")
 
     def check_bound(self):

@@ -27,7 +27,7 @@ from morsecert.io import (
 from morsecert.links import build_cube_model, coface_membership_oracle
 from morsecert.polytopes import FaceHandle, dual_complex, enumerate_faces
 from morsecert.report import certificate_to_document, document_to_json, euler_identity
-from morsecert.states import inherited_state
+from morsecert.states import cone_apex, inherited_state
 from morsecert.verify import verify_document
 
 REFERENCE_OUT_12 = frozenset({
@@ -54,13 +54,20 @@ def test_criterion_1_p6_perfect_morse(cert_p6):
     for r in cert_p6.verdict_rows:
         per_face.setdefault(tuple(r["face"]), []).extend(r["states"])
     assert all(sorted(v) == list(range(32)) for v in per_face.values())
-    # every bad-face row cites replayable evidence and carries nothing else:
-    # a critical row the shared item of its ℓ, a Regular row a legality item
+    # a good row carries its face, verdict and states alone, its witness
+    # being in the one list of witness moves; every bad-face row cites
+    # replayable evidence and carries nothing else: a critical row the
+    # shared item of its ℓ, a Regular row a legality item
+    good = 0
     for r in cert_p6.verdict_rows:
-        if "witness_move" not in r:
-            assert r.keys() == {"face", "verdict", "states", "evidence"}
-            shared = r["verdict"].startswith("Critical(")
-            assert r["evidence"] in (cert_p6.shared_evidence if shared else cert_p6.evidence)
+        if r.keys() == {"face", "verdict", "states"}:
+            assert r["verdict"] == "Regular" and r["states"] == list(range(32))
+            good += 1
+            continue
+        assert r.keys() == {"face", "verdict", "states", "evidence"}
+        shared = r["verdict"].startswith("Critical(")
+        assert r["evidence"] in (cert_p6.shared_evidence if shared else cert_p6.evidence)
+    assert good == len(cert_p6.witness_moves) == 2699
     runtime = cert_p6.timings["total"]
     assert runtime < 300, f"pipeline took {runtime:.0f}s, budget 300s"
     print(f"\nPASS criterion 1: P6 perfect Morse certified "
@@ -141,9 +148,17 @@ def test_criterion_6_cusp_suite(cert_p6, S6):
     assert len(rows) == 27 * 32
     assert all(r["ok"] for r in rows)
     assert all(r["all_regular"] for r in rows)
-    # one apex pair per bad face of the cusp's section, rows in (cusp, state) order
-    n_bad = [len(table.bad) for table in S6.cusps]
-    assert [len(r["checked"]) for r in rows] == [n for n in n_bad for _ in range(32)]
+    # one apex list per bad face of the cusp's section, holding one pair per
+    # distinct In part of the face over the 32 states, in order of first
+    # occurrence; rows in (cusp, state) order
+    assert [len(faces) for faces in cert_p6.cusp_apexes] == [len(t.bad) for t in S6.cusps]
+    for faces, table in zip(cert_p6.cusp_apexes, S6.cusps):
+        for pairs, (_, dual, free) in zip(faces, table.bad):
+            parts = list(dict.fromkeys(free & s_in for s_in in S6.in_masks))
+            assert len(pairs) == len(parts)
+            for (out_apex, in_apex), inn in zip(pairs, parts):
+                assert out_apex == cone_apex(S6.P, dual & ~inn)
+                assert in_apex == cone_apex(S6.P, inn)
     print("\nPASS criterion 6: all 27 cusps x 32 states satisfy the "
           "two-facet condition; all boundary 5-cubes certify Regular")
 

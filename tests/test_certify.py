@@ -20,7 +20,7 @@ from morsecert.io import (
     state_from_doc,
     write_json,
 )
-from morsecert.polytopes import FaceHandle, build_cusp_section, build_p5
+from morsecert.polytopes import FaceHandle, build_cusp_section
 from morsecert.report import (
     REPORT_VERSION,
     _inputs_digest,
@@ -30,14 +30,8 @@ from morsecert.report import (
     euler_identity,
     row_branch,
 )
-from morsecert.states import (
-    balanced_states_p5,
-    cusp_table,
-    face_table,
-    generic_subject,
-    inherited_state,
-    move_system_p5,
-)
+from morsecert.links import check_cusp_condition
+from morsecert.states import builtin_subject, generic_subject, inherited_state
 from morsecert.verify import verify_document
 
 from oracles import state_parts
@@ -278,6 +272,12 @@ def test_structured_report_deterministic():
 # SHA-256 and byte count of the seed-0 structured reports of each report
 # version: a change to the report's bytes must come with a new version
 REPORT_BYTES = {
+    "9": {
+        "P6_perfect_morse": (
+            "71c275b5bdfc7831adbc30b41621a471da317f0d4f2883358c0ee6bd8f17b229", 708_523),
+        "P5_fibration": (
+            "aeb1f097c7fa4541b8b5d62761fc3a73920d36ec63faca2db0bdee12ce60f500", 85_220),
+    },
     "8": {
         "P6_perfect_morse": (
             "1559912f5c0cf83cbd9885d18b79f30ccf432a26d7d5411c4c459e9bf4ae6135", 842_129),
@@ -349,28 +349,49 @@ def _row(doc, branch, where=lambda row: True):
     return next(r for r in doc["verdicts"]["rows"] if row_branch(r) == branch and where(r))
 
 
+def _witness_moves(doc):
+    return doc["verdicts"]["witness_moves"]
+
+
 def _shift_witness(doc):
-    row = _row(doc, "good-face")
-    _set(row, "witness_move", (row["witness_move"] + 1) % len(doc["moves"]))
+    moves = _witness_moves(doc)
+    moves[0] = (moves[0] + 1) % len(doc["moves"])
+
+
+def _swap_unequal(values):
+    """Swap the first two unequal neighbours of the list `values`."""
+    i = next(i for i in range(len(values) - 1) if values[i] != values[i + 1])
+    _swap(values, i, i + 1)
+
+
+def apex_entries(S, apexes):
+    """((cusp, face, pair) positions, face ids, apex pair, the face's Out
+    and In parts) of every pair of the apex lists `apexes` of subject S's
+    report: each face list the bad face of its position in its cusp's
+    table, each pair the In part of its position among the face's distinct
+    In parts, in order of first occurrence over the states where the cusp
+    condition holds, and its parts rebuilt from the cusp's section and the
+    state inherited on the face from the first state that selects it."""
+    P, m = S.P, S.m
+    for c, (iv, table, faces) in enumerate(zip(P.ideal_vertices, S.cusps, apexes)):
+        H = build_cusp_section(P, iv.id)
+        mH = m.restrict(H.facet_ids)
+        held = [s for s, s_in in zip(S.states, S.in_masks) if check_cusp_condition(table, s_in)]
+        for i, ((ids, _, _), pairs) in enumerate(zip(table.bad, faces)):
+            F = FaceHandle(frozenset(ids))
+            first = {}
+            for s in held:
+                inherited = inherited_state(H, mH, s, F)
+                first.setdefault(inherited.in_facets, inherited)
+            for j, (pair, inherited) in enumerate(zip(pairs, first.values())):
+                yield (c, i, j), ids, pair, state_parts(H, F, inherited)
 
 
 def _cusp_entry_parts(doc):
-    """(face ids, apex pair, the face's Out and In parts) for every checked
-    face of the p5 report, each row the (cusp, state) of its position and
-    each pair the bad face of its position in the cusp's table, the parts
-    rebuilt from the section and the inherited state."""
-    P = build_p5()
-    m = move_system_p5(P)
-    states = balanced_states_p5(P)
-    rows, table = iter(doc["cusps"]["rows"]), face_table(P, m)
-    for iv in P.ideal_vertices:
-        H = build_cusp_section(P, iv.id)
-        mH = m.restrict(H.facet_ids)
-        faces = [ids for ids, _, _ in cusp_table(P, m, table, iv.id).bad]
-        for s, row in zip(states, rows):
-            for ids, pair in zip(faces, row["checked"]):
-                F = FaceHandle(frozenset(ids))
-                yield ids, pair, state_parts(H, F, inherited_state(H, mH, s, F))
+    """(face ids, apex pair, the face's Out and In parts) of every apex
+    pair of the p5 report."""
+    for _, ids, pair, parts in apex_entries(builtin_subject("p5"), doc["cusps"]["apexes"]):
+        yield ids, pair, parts
 
 
 def _wrong_apex(doc):
@@ -390,8 +411,23 @@ def _apex_not_a_vertex(doc):
     pair[0] = ids[0]
 
 
-def _checked_of_some_row(doc):
-    return next(r for r in doc["cusps"]["rows"] if r["checked"])["checked"]
+def _apex_position(doc, where=lambda pairs: True):
+    """(cusp, face) of the first face list of the p5 report for which
+    `where` holds."""
+    return next((c, i) for c, faces in enumerate(doc["cusps"]["apexes"])
+                for i, pairs in enumerate(faces) if where(pairs))
+
+
+def _pairs_of_some_face(doc, where=lambda pairs: True):
+    c, i = _apex_position(doc, lambda pairs: pairs and where(pairs))
+    return doc["cusps"]["apexes"][c][i]
+
+
+def _move_pair(doc):
+    """Move a pair of a face list to the next face list of its cusp."""
+    c, i = _apex_position(doc, lambda pairs: len(pairs) > 1)
+    faces = doc["cusps"]["apexes"][c]
+    faces[(i + 1) % len(faces)].append(faces[i].pop())
 
 
 def _add_key(doc):
@@ -457,18 +493,42 @@ REPORT_EDITS = [
     ("top-level-list", lambda d: [d], {2}),
     # well formed but false: rejected
     ("wrong-witness", _shift_witness, {1}),
-    ("null-witness", lambda d: _set(_row(d, "good-face"), "witness_move", None), {2}),
+    ("null-witness", lambda d: _set(_witness_moves(d), 0, None), {2}),
     ("version-0", lambda d: _set(d, "version", "0"), {1}),
     # a good row moved onto the polytope itself, which is a bad face
     ("good-row-on-polytope", lambda d: _set(_row(d, "good-face"), "face", []), {1}),
     ("missing-row", lambda d: _set(d["verdicts"]["rows"], -1), {1}),
     ("pass-false", lambda d: _set(d, "pass", False), {1}),
     # cusp apexes that are no cone apex of their part, and apex lists that
-    # do not hold one pair per bad face of the cusp's table
+    # do not hold one pair per In part of each bad face of the cusp's table
     ("cusp-entry-wrong-apex", _wrong_apex, {1}),
     ("cusp-entry-apex-not-a-vertex", _apex_not_a_vertex, {1}),
-    ("cusp-checked-extra-pair", lambda d: _checked_of_some_row(d).insert(0, ["a", None]), {1}),
-    ("cusp-checked-missing-pair", lambda d: _set(_checked_of_some_row(d), -1), {1}),
+    ("cusp-checked-extra-pair", lambda d: _pairs_of_some_face(d).insert(0, ["a", None]), {1}),
+    ("cusp-checked-missing-pair", lambda d: _set(_pairs_of_some_face(d), -1), {1}),
+    ("cusp-pair-repeated",
+     lambda d: (lambda pairs: pairs.append(pairs[-1]))(_pairs_of_some_face(d)), {1}),
+    ("cusp-pairs-swapped",
+     lambda d: _swap_unequal(_pairs_of_some_face(d, lambda p: len(set(map(tuple, p))) > 1)),
+     {1}),
+    ("cusp-pair-moved", _move_pair, {1}),
+    ("cusp-apex-null", lambda d: _set(_pairs_of_some_face(d)[0], 1, None), {1}),
+    ("cusp-apex-from-other-part",
+     lambda d: (lambda pair: _set(pair, 0, pair[1]))(_pairs_of_some_face(d)[0]), {1}),
+    ("cusp-row-ok-false", lambda d: _set(d["cusps"]["rows"][3], "ok", False), {1}),
+    ("cusp-row-all-regular-false",
+     lambda d: _set(d["cusps"]["rows"][-1], "all_regular", False), {1}),
+    ("cusp-face-list-missing", lambda d: _set(d["cusps"]["apexes"][0], -1), {1}),
+    ("cusp-list-missing", lambda d: _set(d["cusps"]["apexes"], -1), {1}),
+    ("cusp-apexes-missing", lambda d: _set(d["cusps"], "apexes"), {2}),
+    # the good faces' witness moves, one list in plan order
+    ("witness-moves-one-short", lambda d: _set(_witness_moves(d), -1), {1}),
+    ("witness-moves-one-extra", lambda d: _witness_moves(d).append(0), {1}),
+    ("witness-moves-swapped", lambda d: _swap_unequal(_witness_moves(d)), {1}),
+    ("witness-move-minus-one",
+     lambda d: _set(_witness_moves(d), -1, _witness_moves(d)[-1] - 1), {1}),
+    ("witness-moves-missing", lambda d: _set(d["verdicts"], "witness_moves"), {2}),
+    ("good-row-carries-witness-move",
+     lambda d: _set(_row(d, "good-face"), "witness_move", _witness_moves(d)[0]), {2}),
     # evidence edited without a new id, or cited by a row that needs none
     ("evidence-extra-key", _add_key, {2}),
     ("orphan-evidence-item",
@@ -499,8 +559,7 @@ REPORT_EDITS = [
     # and in the rows, whose every value the schema types: of another type
     # they are malformed
     ("good-row-witness-true",
-     lambda d: _set(_row(d, "good-face", lambda r: r["witness_move"] == 1), "witness_move", True),
-     {2}),
+     lambda d: _set(_witness_moves(d), _witness_moves(d).index(1), True), {2}),
     ("legal-row-state-true",
      lambda d: _replace_in_states(_row(d, "inherited-totally-legal", lambda r: 1 in r["states"]),
                                   1, True), {2}),
@@ -523,12 +582,12 @@ REPORT_EDITS = [
     ("cusp-rows-one-extra", lambda d: d["cusps"]["rows"].append(d["cusps"]["rows"][-1]), {1}),
     ("legal-class-split", _split_legal_class, {1}),
     ("verdict-rows-swapped", lambda d: _swap(d["verdicts"]["rows"], 0, 1), {1}),
-    ("cusp-rows-reversed", lambda d: d["cusps"]["rows"].reverse(), {1}),
-    # (a list whose reversal differs: the pairs of a row repeat)
+    # p5's cusp rows are all alike, so the cusps' order is bound by their
+    # apex lists
+    ("cusp-rows-reversed", lambda d: d["cusps"]["apexes"].reverse(), {1}),
+    # (a list whose reversal differs: the pairs of a face may repeat)
     ("cusp-checked-reversed",
-     lambda d: next(r for r in d["cusps"]["rows"]
-                    if r["checked"] != r["checked"][::-1])["checked"].reverse(),
-     {1}),
+     lambda d: _pairs_of_some_face(d, lambda p: p != p[::-1]).reverse(), {1}),
 ]
 
 
@@ -544,6 +603,93 @@ def test_verify_rejects_edited_report(request, tmp_path, edit, codes, subject):
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc if replaced is None else replaced))
     assert main(["verify", str(path)]) in codes
+
+
+def _apex_edits(doc, S):
+    """(name, edit, what `verify` must say) of edits of the p5 report's apex
+    lists, at the first face list holding two unequal pairs: each names the
+    cusp and the face, or the cusp whose list of face lists is short, or the
+    count of cusp lists."""
+    c, i = _apex_position(doc, lambda pairs: len(set(map(tuple, pairs))) > 1)
+    faces = doc["cusps"]["apexes"][c]
+    cusp, n = S.P.ideal_vertices[c].id, len(faces[i])
+    at = f"cusp {cusp}: face {S.cusps[c].bad[i][0]}"
+    last = f"cusp {cusp}: face {S.cusps[c].bad[-1][0]}"
+    nxt = f"cusp {cusp}: face {S.cusps[c].bad[(i + 1) % len(faces)][0]}"
+    return [
+        ("dropped", lambda: faces[i].pop(), f"{at}: {n - 1} apex pairs, want one per In part ({n})"),
+        ("added", lambda: faces[i].append(faces[i][0]),
+         f"{at}: {n + 1} apex pairs, want one per In part ({n})"),
+        ("swapped", lambda: _swap_unequal(faces[i]), f"{at}: pair "),
+        ("moved", lambda: faces[(i + 1) % len(faces)].append(faces[i].pop()),
+         f"{nxt}: "),
+        ("nulled", lambda: _set(faces[i][0], 1, None),
+         f"{at}: pair 0: in apex None is no cone apex of its part"),
+        ("other-part", lambda: _set(faces[i][0], 0, faces[i][0][1]),
+         f"{at}: pair 0: out apex {faces[i][0][1]!r} is no cone apex of its part"),
+        ("face-list-missing", lambda: faces.pop(),
+         f"cusp {cusp}: {len(faces) - 1} face lists, want one per bad face of its table "
+         f"({len(faces)})"),
+        ("cusp-list-missing", lambda: doc["cusps"]["apexes"].pop(),
+         f"cusps: {len(doc['cusps']['apexes']) - 1} apex lists, want one per cusp "
+         f"({len(doc['cusps']['apexes'])})"),
+    ], (at, last)
+
+
+def test_verify_names_the_cusp_and_face_of_an_apex_edit(cert_p5, S5, tmp_path, capsys):
+    """Each edit of an apex list exits 1 and names what is wrong by its cusp
+    and face; the rows of the states whose In parts select an unproved pair
+    are then not all Regular, which is named too."""
+    text = document_to_json(certificate_to_document(cert_p5))
+    for k in range(8):
+        doc = json.loads(text)
+        edits, _ = _apex_edits(doc, S5)
+        name, edit, message = edits[k]
+        edit()
+        write_json(tmp_path / "r.json", doc)
+        assert main(["verify", str(tmp_path / "r.json")]) == 1, name
+        out = capsys.readouterr().out
+        assert f"FAIL: {message}" in out, (name, out)
+        assert ": boundary cube is not all Regular" in out, (name, out)
+
+
+def test_verify_names_the_good_face_of_a_witness_edit(cert_p5, S5, tmp_path, capsys):
+    """An edit of the good faces' witness moves exits 1 and names each entry
+    that differs by its good face and position, or the count."""
+    text = document_to_json(certificate_to_document(cert_p5))
+    good = [p.face for p in S5.plan if p.witness is not None]
+    j = next(j for j in range(len(good) - 1)
+             if json.loads(text)["verdicts"]["witness_moves"][j:j + 2] == [0, 1])
+
+    def named(*positions):
+        return "".join(f"FAIL: face {good[k]}: witness_moves[{k}] does not match its "
+                       f"recomputation\n" for k in positions)
+
+    edits = [
+        (lambda w: w.pop(), f"FAIL: verdicts.witness_moves: {len(good) - 1} entries, want one "
+                            f"per good face ({len(good)})\n"),
+        (lambda w: w.append(0), f"FAIL: verdicts.witness_moves: {len(good) + 1} entries, want "
+                                f"one per good face ({len(good)})\n"),
+        (lambda w: _swap(w, j, j + 1), named(j, j + 1)),
+        (lambda w: _set(w, j + 1, 0), named(j + 1)),
+    ]
+    for edit, message in edits:
+        doc = json.loads(text)
+        edit(doc["verdicts"]["witness_moves"])
+        write_json(tmp_path / "r.json", doc)
+        assert main(["verify", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().out == message
+
+
+def test_p6_report_lists_each_apex_pair_once(cert_p6, S6):
+    """The p6 report proves its 27 x 32 boundary cubes all Regular with
+    2,688 apex pairs, one per distinct (cusp, bad face, In part), for the
+    7,008 (cusp, state, bad face) triples its rows cover."""
+    doc = json.loads(document_to_json(certificate_to_document(cert_p6)))
+    apexes = doc["cusps"]["apexes"]
+    assert sum(len(pairs) for faces in apexes for pairs in faces) == 2688
+    assert sum(len(table.bad) for table in S6.cusps) * len(S6.states) == 7008
+    assert len(doc["cusps"]["rows"]) == 27 * 32
 
 
 def test_a_second_cone_apex_verifies(cert_p5):
@@ -646,8 +792,7 @@ ROW_KEY_EDITS = [
      "verdicts.rows[{legal}]: unknown key 'evidenc'"),
     (lambda d: _set(d["verdicts"]["rows"], 3, [0]),
      "verdicts.rows[3]: expected an object, got list"),
-    (lambda d: _rename_key(d["cusps"]["rows"][5], "checked"),
-     "cusps.rows[5]: missing key checked"),
+    (lambda d: _rename_key(d["cusps"], "apexes"), "cusps: missing key apexes"),
     (lambda d: _set(d["cusps"]["rows"], 5, None), "cusps.rows[5]: expected an object, got null"),
     (lambda d: _set(d, "shared_evidence", []), "shared_evidence: expected an object, got list"),
     (lambda d: _set(d, "shared_evidence", ""), "shared_evidence: expected an object, got str"),
@@ -682,6 +827,52 @@ def test_verify_names_a_row_that_lacks_a_key(cert_p5, tmp_path, capsys, edit, me
     write_json(tmp_path / "r.json", doc)
     assert main(["verify", str(tmp_path / "r.json")]) == 2
     assert f"input error: {message}\n" in capsys.readouterr().err
+
+
+# (the repeated key, an edit of the seed-0 p6 report's bytes): copies that
+# a reader keeping the last value of a repeated key takes for the report
+REPEATED_KEYS = [
+    ("verdicts", lambda text: '{"verdicts":{"rows":[]},' + text[1:]),
+    ("pass", lambda text: text[:-2] + ',"pass":true}\n'),
+    ("seeds", lambda text: text[:-2] + ',"seeds":{"root":0}}\n'),
+    ("version", lambda text: '{"version":"7",' + text[1:]),
+]
+
+
+@pytest.mark.parametrize("key, edit", REPEATED_KEYS, ids=[key for key, _ in REPEATED_KEYS])
+def test_verify_refuses_a_repeated_key(cert_p6, tmp_path, capsys, key, edit):
+    """`verify` reads each object with its keys once: a copy of the report
+    that repeats a key is an input error naming the key, though the last
+    value of each key is the report's own."""
+    text = document_to_json(certificate_to_document(cert_p6))
+    copy = edit(text)
+    assert json.loads(copy) == json.loads(text)
+    path = tmp_path / "r.json"
+    path.write_text(copy)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: {path}: repeated key {key!r}\n"
+
+
+def test_certify_refuses_an_input_with_a_repeated_key(tmp_path, capsys):
+    """The generic readers read each object with its keys once: an input
+    document that repeats a key, in a facet or at its top level, is an
+    input error naming the file and the key."""
+    pol, moves, state = square_inputs()
+    texts = {
+        "polytope": json.dumps(pol).replace('{"id": "b"}', '{"id": "b", "id": "x"}'),
+        "state": '{"a": "O", ' + json.dumps(state)[1:],
+    }
+    for name, text in texts.items():
+        docs = {"polytope": json.dumps(pol), "moves": json.dumps(moves),
+                "state": json.dumps(state), name: text}
+        argv = ["certify", "generic"]
+        for key, doc in docs.items():
+            (tmp_path / f"{key}.json").write_text(doc)
+            argv += [f"--{key}", str(tmp_path / f"{key}.json")]
+        assert main(argv) == 2
+        key = "id" if name == "polytope" else "a"
+        assert (capsys.readouterr().err
+                == f"input error: {tmp_path / name}.json: repeated key {key!r}\n")
 
 
 def test_verify_rejects_a_boundary_cube_that_is_not_all_regular(tmp_path, capsys):
@@ -750,12 +941,12 @@ def test_verify_rejects_any_tampered_evidence(S5, p5_report, data):
         others = sorted(set(items) - {row["evidence"]}) + ["e" + "0" * 16]
         row["evidence"] = data.draw(st.sampled_from(others), label="new id")
     elif mutation == "apex":
-        rows = doc["cusps"]["rows"]
-        i = data.draw(st.sampled_from([i for i, row in enumerate(rows) if row["checked"]]),
-                      label="row")
-        table = S5.cusps[i // len(doc["orbit"])]
-        j = data.draw(st.integers(0, len(rows[i]["checked"]) - 1), label="face")
-        apexes, face = rows[i]["checked"][j], list(table.bad[j][0])
+        faces = [(c, i) for c, cusp in enumerate(doc["cusps"]["apexes"])
+                 for i, pairs in enumerate(cusp) if pairs]
+        c, i = data.draw(st.sampled_from(faces), label="face")
+        pairs = doc["cusps"]["apexes"][c][i]
+        j = data.draw(st.integers(0, len(pairs) - 1), label="pair")
+        apexes, face = pairs[j], list(S5.cusps[c].bad[i][0])
         side = data.draw(st.integers(0, 1), label="side")
         # no cone apex of the part: none, a label that is no vertex, the
         # other part's apex (the parts are disjoint) or a defining facet
@@ -1071,8 +1262,8 @@ def test_generic_structural_failures_are_input_errors(tmp_path, capsys):
     )
     doc = certificate_to_document(cert)
     doc["inputs"]["polytope"] = cusped
-    doc["cusps"]["rows"] = [{"ok": True, "all_regular": True, "checked": []}
-                            for _ in doc["orbit"]]
+    doc["cusps"] = {"apexes": [[]], "rows": [{"ok": True, "all_regular": True}
+                                             for _ in doc["orbit"]]}
     write_json(tmp_path / "r.json", doc)
     assert main(["verify", str(tmp_path / "r.json")]) == 2
     out, err = capsys.readouterr()
@@ -1114,7 +1305,8 @@ def test_a_polytope_document_that_describes_no_polytope_is_rejected(tmp_path, ch
         generic_inputs={"polytope": pol, "moves": moves, "state": state}))
     assert doc["pass"]
     doc["inputs"]["polytope"] = dict(pol, **change)
-    doc["cusps"]["rows"] *= len(doc["inputs"]["polytope"]["ideal_vertices"])
+    for key in ("apexes", "rows"):
+        doc["cusps"][key] *= len(doc["inputs"]["polytope"]["ideal_vertices"])
     doc["inputs_digest"] = _inputs_digest("generic", doc["inputs"])
     paths = {key: tmp_path / f"{key}.json" for key in ("polytope", "moves", "state", "r")}
     for key, value in (*doc["inputs"].items(), ("r", doc)):

@@ -221,21 +221,23 @@ def test_rehashed_tampers_are_rejected(P5, cert_p5, tmp_path, capsys, tamper, me
 
 
 def test_unbound_and_repeated_entries_are_named(P5, cert_p5):
-    """An item that no claim cites is named by its id, and a cusp row with
-    an apex pair more than its table has bad faces by its cusp and state,
-    which the row's position gives."""
+    """An item that no claim cites is named by its id, and a face's apex
+    list with a pair more than the face has In parts by its cusp and face,
+    which the list's position gives."""
     doc = _report(cert_p5)
     orphan = "e" + "f" * 16
     doc["evidence"][orphan] = dict(next(iter(doc["evidence"].values())))
-    rows = doc["cusps"]["rows"]
-    i = next(i for i, r in enumerate(rows) if r["checked"])
-    rows[i]["checked"].insert(0, rows[i]["checked"][0])
+    c, i = next((c, i) for c, faces in enumerate(doc["cusps"]["apexes"])
+                for i, pairs in enumerate(faces) if pairs)
+    pairs = doc["cusps"]["apexes"][c][i]
+    pairs.insert(0, pairs[0])
     ok, msgs = verify_document(doc)
     assert not ok
     assert any(orphan in m and "bound to no claim" in m for m in msgs), msgs
-    cusp, idx = P5.ideal_vertices[i // 16].id, i % 16
-    twice = f"cusp {cusp} state {idx}: checked does not hold one apex pair per bad face"
-    assert any(m.startswith(twice) for m in msgs), msgs
+    face = builtin_subject("p5").cusps[c].bad[i][0]
+    twice = (f"cusp {P5.ideal_vertices[c].id}: face {face}: {len(pairs)} apex pairs, "
+             f"want one per In part ({len(pairs) - 1})")
+    assert twice in msgs, msgs
 
 
 def test_legal_row_citing_another_rows_item_is_named(P5, cert_p5):

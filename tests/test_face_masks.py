@@ -10,7 +10,6 @@ import pytest
 
 from itertools import groupby
 
-from morsecert.report import cusp_row
 from morsecert.errors import StructuralError
 from morsecert.links import certify_boundary_cube
 from morsecert.polytopes import (
@@ -150,9 +149,9 @@ def test_cusp_tables_match_section_oracle(S5, S6):
             assert oracle[1] == 3 ** (P.dimension - 1), iv.id
             assert [ids for ids, _, _ in table.bad] == list(oracle[2]), iv.id
             for s in S.states:
-                row = cusp_row(*certify_boundary_cube(P, P.ranked_graph().mask(s.in_facets),
-                                                      table))
-                assert row["checked"] == (section_checked(oracle, s) if row["ok"] else [])
+                ok, checked = certify_boundary_cube(P, P.ranked_graph().mask(s.in_facets),
+                                                    table)
+                assert checked == (section_checked(oracle, s) if ok else [])
                 n += 1
     assert n == 10 * 16 + 27 * 32
 
@@ -172,7 +171,7 @@ def test_non_cube_sections_raise_alike():
     for P, message in cases:
         m = MoveSystem(tuple(frozenset(f) for f in P.facet_ids))
         with pytest.raises(StructuralError) as by_table:
-            cusp_table(P, m, face_table(P, m), "cusp:x")
+            cusp_table(P, m, {F: face_masks(P, m, F) for F in face_table(P, m).bad}, "cusp:x")
         with pytest.raises(StructuralError) as by_section:
             build_cusp_section(P, "cusp:x")
         assert type(by_table.value) is type(by_section.value)

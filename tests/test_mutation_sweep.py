@@ -17,30 +17,36 @@ by canonical JSON, is skipped.  `verify` must reject every mutant (exit 1)
 or call it malformed (exit 2), naming it by its JSON path and not by the
 last-guard "malformed report:" message, and never fail with an internal
 error (exit 3).  Only `seeds` and `timings` back no claim, so
-their mutants may verify.  A swap of two apex pairs of a cusp row can name,
-for a part, another of its cone apexes; such a mutant is a valid proof and
-verifies, and the sweep recognises it by checking every apex of the row on
-the section polytope and counts it apart.
+their mutants may verify.  An edit of the cusps' apex lists can name, for a
+part, another of its cone apexes; such a mutant is a valid proof and
+verifies, and the sweep recognises it by checking every apex below the
+edited path on the section polytope, for the first state whose In part
+selects its pair, and counts it apart.
+
+The sweep also repeats a key in one instance of every object pattern, the
+report itself included, in the bytes `verify` reads: the first key once
+more in front, with a null value that `json.loads` would let the real one
+override, and the last key once more behind, with its own value.  `verify`
+of the file must call it malformed (exit 2), naming the key.
 """
 
 import json
 import random
+from pathlib import Path
 
 from morsecert.certify import certify_generic
 from morsecert.errors import InputError
 from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
-from morsecert.polytopes import FaceHandle, build_cusp_section
 from morsecert.report import (
     canonical_json,
     certificate_to_document,
     document_to_json,
     row_branch,
 )
-from morsecert.states import cusp_table, face_table, inherited_state, orbit
-from morsecert.verify import verify_document
+from morsecert.states import generic_subject
+from morsecert.verify import verify_document, verify_report_file
 
-from oracles import state_parts
-from test_certify import cube_inputs
+from test_certify import apex_entries, cube_inputs
 
 NO_CLAIM = ("seeds", "timings")
 SWEEP_SEED = 20141
@@ -153,25 +159,62 @@ def _exit_code(doc) -> int:
     return 0 if ok else 1
 
 
-def _apexes_are_cone_apexes(P, m, states, doc, i) -> bool:
-    """Whether every apex of cusp row `i` is a cone apex of its part, on
-    the section polytope of the row's cusp and the state of its position."""
-    iv, s = P.ideal_vertices[i // len(states)], states[i % len(states)]
-    H = build_cusp_section(P, iv.id)
-    mH = m.restrict(H.facet_ids)
-    faces = [ids for ids, _, _ in cusp_table(P, m, face_table(P, m), iv.id).bad]
-    for ids, pair in zip(faces, doc["cusps"]["rows"][i]["checked"]):
-        F = FaceHandle(frozenset(ids))
-        for K, apex in zip(state_parts(H, F, inherited_state(H, mH, s, F)), pair):
-            if apex not in K.star_vertex_apexes():
-                return False
-    return True
+def _apexes_are_cone_apexes(S, doc, path) -> bool:
+    """Whether every apex below `path`, a path into `cusps.apexes`, is a
+    cone apex of its part: the apexes of a pair `apexes[c][i][j]` on the
+    section polytope of cusp c, its bad face i and the first state whose In
+    part selects pair j."""
+    scope = tuple(path[2:5])
+    return all(apex in K.star_vertex_apexes()
+               for key, _, pair, parts in apex_entries(S, doc["cusps"]["apexes"])
+               if key[:len(scope)] == scope
+               for K, apex in zip(parts, pair))
 
 
-def _sweep(cert, P, m, states, swept=lambda pattern: True):
-    """Run the sweep on `cert`'s report; returns the number of mutants and
-    the accepted ones outside NO_CLAIM, those naming another cone apex, and
-    those that ended in an internal error, each as (path, edit)."""
+def _repeated_key_mutants(doc, rng, swept):
+    """(path, description, the report's bytes, the repeated key) of the
+    repeated-key mutants of one instance of each object pattern for which
+    `swept` holds, the report itself included."""
+    instances = {(): [()]}
+    for path, value in _nodes(doc):
+        if isinstance(value, dict) and value:
+            instances.setdefault(_pattern(doc, path), []).append(path)
+    for pattern in sorted(filter(swept, instances), key=repr):
+        path = rng.choice(instances[pattern])
+        obj = doc
+        for k in path:
+            obj = obj[k]
+        text = json.dumps(obj, separators=(",", ":"))
+        first, last = next(iter(obj)), list(obj)[-1]
+        for what, key, new in (
+                ("leading", first, "{" + json.dumps(first) + ":null," + text[1:]),
+                ("trailing", last, text[:-1] + "," + json.dumps(last) + ":"
+                 + json.dumps(obj[last], separators=(",", ":")) + "}")):
+            yield path, f"{what} repeated key {key!r}", _with_object(doc, path, new), key
+
+
+def _with_object(doc, path, text) -> str:
+    """The report's bytes with the object at `path` written as `text`."""
+    if not path:
+        return text
+    *parent, key = path
+    holder = doc
+    for k in parent:
+        holder = holder[k]
+    old, marker = holder[key], "\x01repeated-key mutant\x01"
+    holder[key] = marker
+    try:
+        return document_to_json(doc).replace(json.dumps(marker), text)
+    finally:
+        holder[key] = old
+
+
+def _sweep(cert, S, tmp: Path, swept=lambda pattern: True):
+    """Run the sweep on `cert`'s report, of subject S; returns the number of
+    mutants and the accepted ones outside NO_CLAIM, those naming another
+    cone apex, and those that ended in an internal error, each as (path,
+    edit).  A repeated-key mutant that `verify` does not call malformed,
+    naming the key, counts as accepted."""
     doc = json.loads(document_to_json(certificate_to_document(cert)))
     before = document_to_json(doc)
     accepted, other_apex, crashed, n = [], [], [], 0
@@ -179,8 +222,7 @@ def _sweep(cert, P, m, states, swept=lambda pattern: True):
         undo = edit(doc)
         code = _exit_code(doc)
         if code == 0 and path[0] not in NO_CLAIM:
-            if path[:2] == ("cusps", "rows") and _apexes_are_cone_apexes(
-                    P, m, states, doc, path[2]):
+            if path[:2] == ("cusps", "apexes") and _apexes_are_cone_apexes(S, doc, path):
                 other_apex.append((path, what))
             else:
                 accepted.append((path, what))
@@ -188,26 +230,41 @@ def _sweep(cert, P, m, states, swept=lambda pattern: True):
             crashed.append((path, what))
         undo()
         n += 1
+    report = tmp / "repeated-key.json"
+    for path, what, text, key in _repeated_key_mutants(doc, random.Random(SWEEP_SEED), swept):
+        report.write_text(text)
+        try:
+            verify_report_file(report)
+            accepted.append((path, what))
+        except InputError as exc:
+            if str(exc) != f"{report}: repeated key {key!r}":
+                accepted.append((path, f"{what}: {exc}"))
+        n += 1
     assert document_to_json(doc) == before
     return n, accepted, other_apex, crashed
 
 
-def test_every_field_of_the_p5_report_is_bound(cert_p5, P5, M5, BAL5):
-    n, accepted, other_apex, crashed = _sweep(cert_p5, P5, M5, BAL5)
+def test_every_field_of_the_p5_report_is_bound(cert_p5, S5, tmp_path):
+    n, accepted, other_apex, crashed = _sweep(cert_p5, S5, tmp_path)
     assert (accepted, crashed) == ([], []), (accepted[:10], crashed[:10])
     assert n > 200, n
     # the recognizer itself: the certified apexes pass, an apex of the
     # other part, which the parts do not share, fails
     doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
-    i, row = next((i, r) for i, r in enumerate(doc["cusps"]["rows"]) if r["checked"])
-    assert _apexes_are_cone_apexes(P5, M5, BAL5, doc, i)
-    row["checked"][0][0] = row["checked"][0][1]
-    assert not _apexes_are_cone_apexes(P5, M5, BAL5, doc, i)
+    c, i = next((c, i) for c, faces in enumerate(doc["cusps"]["apexes"])
+                for i, pairs in enumerate(faces) if pairs)
+    path = ("cusps", "apexes", c, i, 0)
+    assert _apexes_are_cone_apexes(S5, doc, ("cusps", "apexes"))
+    pair = doc["cusps"]["apexes"][c][i][0]
+    pair[0] = pair[1]
+    assert not _apexes_are_cone_apexes(S5, doc, path)
+    assert not _apexes_are_cone_apexes(S5, doc, path[:3])
+    assert _apexes_are_cone_apexes(S5, doc, ("cusps", "apexes", c + 1))
     print(f"\np5: {n} mutants, none accepted outside {NO_CLAIM}, "
           f"{len(other_apex)} naming another cone apex")
 
 
-def test_every_field_of_a_generic_report_is_bound():
+def test_every_field_of_a_generic_report_is_bound(tmp_path):
     """The generic verify path: every pattern of the compatible 3-cube's
     report, its embedded inputs included, is bound."""
     pol, moves, state = cube_inputs()
@@ -216,19 +273,43 @@ def test_every_field_of_a_generic_report_is_bound():
     cert = certify_generic(P, m, s0, generic_inputs={"polytope": pol, "moves": moves,
                                                      "state": state})
     assert cert.passed, cert.failures
-    n, accepted, other_apex, crashed = _sweep(cert, P, m, orbit(s0, m))
+    n, accepted, other_apex, crashed = _sweep(cert, generic_subject(P, m, s0), tmp_path)
     assert (accepted, other_apex, crashed) == ([], [], []), (accepted[:10], crashed[:10])
     doc = json.loads(document_to_json(certificate_to_document(cert)))
     on_inputs = sum(1 for _ in _mutants(doc, random.Random(SWEEP_SEED),
-                                        lambda pattern: pattern[0] == "inputs"))
+                                        lambda pattern: pattern[:1] == ("inputs",)))
     assert on_inputs > 20 and n > 100, (on_inputs, n)
     print(f"\ngeneric: {n} mutants, none accepted outside {NO_CLAIM}")
 
 
-def test_every_critical_field_of_the_p6_report_is_bound(cert_p6, P6, M6, BAL6):
+def test_every_critical_field_of_the_p6_report_is_bound(cert_p6, S6, tmp_path):
     n, accepted, other_apex, crashed = _sweep(
-        cert_p6, P6, M6, BAL6,
-        lambda pattern: pattern[0] == "shared_evidence" or pattern[2:3] == ("critical-pairs",))
+        cert_p6, S6, tmp_path,
+        lambda pattern: pattern[:1] == ("shared_evidence",) or pattern[2:3] == ("critical-pairs",))
     assert (accepted, other_apex, crashed) == ([], [], []), (accepted, crashed)
     assert n > 40, n
     print(f"\np6: {n} mutants of the critical rows and the shared item, none accepted")
+
+
+def test_the_sweep_repeats_a_key_at_every_object_level(cert_p5, tmp_path):
+    """The repeated-key mutants reach the report itself, a verdict row, a
+    cusp row, an evidence item and its host, and an embedded input
+    document, each exiting 2 and naming the key; the copies a reader that
+    keeps the last value would take for the report verify without them."""
+    pol, moves, state = cube_inputs()
+    P = polytope_from_doc(pol)
+    cert = certify_generic(P, moves_from_doc(moves, P), state_from_doc(state, P),
+                           generic_inputs={"polytope": pol, "moves": moves, "state": state})
+    patterns = set()
+    for c in (cert_p5, cert):
+        doc = json.loads(document_to_json(certificate_to_document(c)))
+        for path, what, text, key in _repeated_key_mutants(
+                doc, random.Random(SWEEP_SEED), lambda pattern: True):
+            patterns.add(_pattern(doc, path))
+            if what.startswith("leading"):
+                # without the repeat, the copy is the report itself
+                head = "{" + json.dumps(key) + ":null,"
+                assert head in text and json.loads(text) == doc
+    assert {(), ("verdicts", "rows", "good-face"), ("cusps", "rows", "*"),
+            ("evidence", "<id>"), ("evidence", "<id>", "host"),
+            ("inputs", "polytope"), ("inputs", "state")} <= patterns, sorted(patterns)

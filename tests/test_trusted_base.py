@@ -8,9 +8,10 @@ adds to it updates the list and says why.  Nested functions, lambdas and
 comprehensions count as part of the function that defines them; a
 property's getter, a cached property's included, counts as a method.
 
-The reject path is pinned too: `verify` of three malformed copies of the p5
-report, each stopped by the schema parse, runs only trusted functions and
-the few of `schema` that name a mismatch (`REJECTED`)."""
+The reject path is pinned too: `verify` of four malformed copies of the p5
+report, three stopped by the schema parse and one by a repeated key, runs
+only trusted functions and the few of `schema` that name a mismatch
+(`REJECTED`)."""
 
 import copy
 import inspect
@@ -25,7 +26,7 @@ from morsecert.states import builtin_subject
 # The pinned set, by module: qualified names, space-separated.
 TRUSTED = {
     "cli": "_cmd_verify main",
-    "io": "load_json",
+    "io": "_object load_json",
     "labels": """
         base_unit euclid4 label_quat label_signs minus_count quat_conj quat_mul
         t24_adjacent""",
@@ -44,7 +45,8 @@ TRUSTED = {
         dual_mask f_vector_check face_of_mask lorentz_product""",
     "states": """
         MoveSystem.__post_init__ MoveSystem.block_of MoveSystem.restrict
-        State.__post_init__ State.serial Subject.__init__ Subject.cusps Subject.plan
+        State.__post_init__ State.serial Subject.__init__ Subject.bad_masks Subject.cusps
+        Subject.plan
         _plan_rows all_pairs_index balanced_states_p5 balanced_states_p6
         builtin_subject certificate_problem cusp_table face_masks face_table
         facet_mask is_compatible move_system_p5 move_system_p6 orbit
@@ -121,7 +123,7 @@ def test_verify_runs_the_trusted_base(cert_p5, cert_p6, tmp_path):
     assert not [name for name in ran if name.startswith("complexes.")]
     want = _names(TRUSTED)
     assert sorted(ran - want) == [] and sorted(want - ran) == []
-    assert len(want) == 106
+    assert len(want) == 108
 
 
 def _wrong_kind(doc):
@@ -133,7 +135,11 @@ def _missing_key(doc):
 
 
 def _three_element_pair(doc):
-    doc["cusps"]["rows"][0]["checked"][0].append(None)
+    doc["cusps"]["apexes"][0][0][0].append(None)
+
+
+def _repeated_key(text: str) -> str:
+    return '{"pass":true,' + text[1:]
 
 
 def test_verify_rejects_with_the_trusted_base(cert_p5, tmp_path, capsys):
@@ -144,10 +150,12 @@ def test_verify_rejects_with_the_trusted_base(cert_p5, tmp_path, capsys):
         edit(bad)
         paths.append(tmp_path / f"{edit.__name__}.json")
         paths[-1].write_text(json.dumps(bad))
+    paths.append(tmp_path / "_repeated_key.json")
+    paths[-1].write_text(_repeated_key(json.dumps(doc)))
     codes, ran = _trace(paths)
-    assert codes == [2, 2, 2]
+    assert codes == [2, 2, 2, 2]
     err = capsys.readouterr().err
     for where in ("verdicts.rows[3].face: expected", "verdicts.rows[0]: missing key states",
-                  "cusps.rows[0].checked[0]: expected"):
+                  "cusps.apexes[0][0][0]: expected", "repeated key 'pass'"):
         assert where in err
     assert sorted(ran - _names(TRUSTED)) == sorted(_names(REJECTED))

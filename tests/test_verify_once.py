@@ -48,27 +48,31 @@ def _good_index(rows) -> int:
                 if row_branch(rows[i]) == row_branch(rows[i + 1]) == "good-face")
 
 
-def _swapped(rows):
+def _swapped(verdicts):
+    rows = verdicts["rows"]
     i = _good_index(rows)
     rows[i], rows[i + 1] = rows[i + 1], rows[i]
     return f"verdict row {i}: {_key(rows[i])} where the plan has {_key(rows[i + 1])}"
 
 
-def _dropped(rows):
+def _dropped(verdicts):
+    rows = verdicts["rows"]
     i = _good_index(rows)
     gone = rows.pop(i)
     return f"verdict row {i}: {_key(rows[i])} where the plan has {_key(gone)}"
 
 
-def _appended(rows):
+def _appended(verdicts):
+    rows = verdicts["rows"]
     rows.append(dict(rows[0]))
     return f"verdict row {len(rows) - 1}: {_key(rows[0])} where the plan has no row"
 
 
-def _wrong_witness(rows):
-    row = rows[_good_index(rows)]
-    row["witness_move"] += 1
-    return f"face {tuple(row['face'])}: row witness_move does not match its recomputation"
+def _wrong_witness(verdicts):
+    """Shift the first entry of `witness_moves`, the first good row's."""
+    row = next(r for r in verdicts["rows"] if row_branch(r) == "good-face")
+    verdicts["witness_moves"][0] += 1
+    return f"face {tuple(row['face'])}: witness_moves[0] does not match its recomputation"
 
 
 def test_the_first_departing_row_is_named(cert_p5, tmp_path, capsys):
@@ -80,7 +84,7 @@ def test_the_first_departing_row_is_named(cert_p5, tmp_path, capsys):
     text = document_to_json(certificate_to_document(cert_p5))
     for edit in (_swapped, _dropped, _appended, _wrong_witness):
         doc = json.loads(text)
-        named = edit(doc["verdicts"]["rows"])
+        named = edit(doc["verdicts"])
         write_json(tmp_path / "r.json", doc)
         assert main(["verify", str(tmp_path / "r.json")]) == 1, edit.__name__
         out = capsys.readouterr().out
