@@ -1,23 +1,17 @@
-"""The prover: end-to-end certification pipelines that fill the report
-format of `report`, which the verifier checks and which imports nothing
-from here.
+"""The prover: the pipelines that fill the report format of `report`,
+which the verifier checks and which imports nothing from here.
 
 A certificate covers every clique face of the polytope crossed with every
-state of the orbit, in the rows of its `states.Subject`'s plan: one per good face
-and one per (bad face, inherited In class), each written by
-`report.verdict_row`; a bad face's row cites its legality item or the
-shared item of its ℓ.  A Critical(ℓ) row is decided by its face alone, as a
-good row is, by the all-pairs lemma (README), so no cube is built.  Evidence
-blobs are content-addressed, which also deduplicates them across states.  A
-good row carries no witness: the good faces' witness moves are one list.  Cusp
+state of the orbit, in the rows of its `states.Subject`'s plan.  The plan
+fixes a good face's row; the sweep finds each bad row's outcome, its verdict
+and the evidence id it cites: a legality item, the shared item of its ℓ
+when the all-pairs lemma (README) makes it Critical(ℓ), or none when
+Unknown; the structured report splices the outcomes into the subject's kept
+text of its rows.  Evidence is content-addressed, so states share it.  Cusp
 boundary cubes are certified by the cone apexes of their parts, each pair
-recorded once per (cusp, bad face, In part), beside rows that
-`report.cusp_row`, their one writer, makes and the verifier compares whole.  Every certificate is found by a deterministic rule,
-so reports are reproducible byte for byte; the root seed is only recorded.
-What depends on the subject alone, the plan and the cusp tables among it,
-is kept on the `Subject`, which was checked where it was built; every
-certificate is found again by every run, each legality part and each
-cusp's (bad face, In part) once per run.
+found once per (cusp, bad face, In part), beside rows that `report.cusp_row`
+writes.  Every certificate is found by a deterministic rule on every run, so
+reports are reproducible byte for byte; the root seed is only recorded.
 """
 
 from __future__ import annotations
@@ -30,7 +24,7 @@ from .links import CriticalLinkCertifier, certify_boundary_cube, classify_link
 from .polytopes import Polytope
 from .report import (
     BUILTIN_SUBJECTS, MODES, Certificate, _eid, _inputs_digest, cusp_row, euler_identity,
-    good_row, legality_header, report_tables, shared_header, verdict_allowed, verdict_row,
+    legality_header, report_tables, shared_header, verdict_allowed,
 )
 from .states import (
     MoveSystem,
@@ -79,18 +73,18 @@ def _classify_group(
     """Classify the planned row of a bad face: totally legal when both
     parts of its masks' split are certified, else Critical or Unknown by
     `classify_link` on its face, a Critical(ℓ) row citing `shared_ids[ℓ]`;
-    returns (row, evidence, failure-or-None).  `parts` keeps the run's
-    part certificates (`split_legality`)."""
+    returns ((verdict, evidence id or None), evidence, failure-or-None).
+    `parts` keeps the run's part certificates (`split_legality`)."""
     rec = split_legality(S.P, *p.masks, parts)
     if rec.totally_legal:
         payload = legality_evidence_payload(rec)
         eid = _eid(payload)
-        return verdict_row(p, "Regular", evidence=eid), {eid: payload}, None
+        return ("Regular", eid), {eid: payload}, None
     lc = classify_link(S, p.F, certifier=certifier)
     if lc.verdict == "Critical":
-        return verdict_row(p, f"Critical({lc.index})", evidence=shared_ids[lc.index]), {}, None
+        return (f"Critical({lc.index})", shared_ids[lc.index]), {}, None
     failure = f"Unknown verdict at face {p.face} states {list(p.states)}: {lc.note}"
-    return verdict_row(p, "Unknown"), {}, failure
+    return ("Unknown", None), {}, failure
 
 
 _WORKER_CTX: dict = {}
@@ -112,9 +106,10 @@ def _verdict_sweep(
     failures: List[str],
     parallel: int = 1,
 ):
-    """Fill the plan of S in order: a good face's row directly, a bad
-    face's rows by classifying them, each part of a split dismantled once."""
-    rows: List[dict] = []
+    """Classify the bad rows of S's plan in order, each part of a split
+    dismantled once: (outcomes, evidence, shared items), an outcome per
+    bad row.  A good row's verdict the plan fixes."""
+    outcomes: List[Tuple[str, Optional[str]]] = []
     evidence: Dict[str, dict] = {}
     tasks = [p for p in S.plan if p.witness is None]
     parts: Dict[int, Optional[list]] = {}  # part mask -> its certificate, for this run
@@ -140,19 +135,14 @@ def _verdict_sweep(
     else:
         results = [_classify_group(S, p, certifier=certifier, shared_ids=shared_ids,
                                    parts=parts) for p in tasks]
-    results = iter(results)
-    for p in S.plan:
-        if p.witness is not None:
-            rows.append(good_row(p))
-            continue
-        row, ev, failure = next(results)
-        rows.append(row)
+    for outcome, ev, failure in results:
+        outcomes.append(outcome)
         evidence.update(ev)
         if failure:
             failures.append(failure)
-    cited = {row.get("evidence") for row in rows}
+    cited = {eid for _, eid in outcomes}
     shared = {sid: item for sid, item in shared_items.items() if sid in cited}
-    return tuple(rows), evidence, shared
+    return tuple(outcomes), evidence, shared
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +214,7 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     certifier = CriticalLinkCertifier()
-    rows, evidence, shared = _verdict_sweep(
+    outcomes, evidence, shared = _verdict_sweep(
         S, certifier=certifier, failures=failures, parallel=parallel)
     timings["verdicts"] = time.perf_counter() - t0
 
@@ -238,11 +228,10 @@ def run_pipeline(
         failures.append(euler.failure())
     timings["euler"] = time.perf_counter() - t0
 
-    for row in rows:
-        # Unknown rows were already recorded as failures
-        verdict = row["verdict"]
+    # a good row is Regular; Unknown rows were already recorded as failures
+    for p, (verdict, _) in zip((p for p in S.plan if p.witness is None), outcomes):
         if verdict != "Unknown" and not verdict_allowed(mode, S.P.dimension, verdict):
-            failures.append(f"verdict {verdict} at {tuple(row['face'])} not allowed in {mode} mode")
+            failures.append(f"verdict {verdict} at {p.face} not allowed in {mode} mode")
 
     timings["total"] = time.perf_counter() - t_total
     passed = not failures
@@ -251,10 +240,8 @@ def run_pipeline(
         mode=mode,
         passed=passed,
         seed=seed,
-        f_vector=S.f_vector,
-        bad_faces=S.bad_faces,
-        verdict_rows=rows,
-        witness_moves=tuple(p.witness for p in S.plan if p.witness is not None),
+        S=S,
+        outcomes=outcomes,
         evidence=evidence,
         shared_evidence=shared,
         cusp_apexes=cusp_apexes,

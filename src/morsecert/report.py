@@ -8,7 +8,9 @@ identity, each mode's verdict rule, the built-in subjects and the
 Rendering: text and a canonical structured document (stable key order,
 exact integers, rationals as [num, den] pairs), both without timings unless
 include_timings=True, so that two runs are byte-identical.  Text reports
-name each verdict row's branch by `row_branch`.
+name each verdict row's branch by `row_branch`.  The structured verdicts
+section is spliced from its subject's kept text and each bad row's
+outcome: the bytes `json.dumps` writes of `verdict_row`'s rows.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .polytopes import FaceHandle, FVectorReport, TABLE_G6
+from .polytopes import TABLE_G6
 from .states import R_TABLE, PlannedRow, Subject, all_pairs_index
 
 REPORT_VERSION = "9"
@@ -33,10 +35,11 @@ MODES = ("perfect", "fibration")  # each with its verdict rule, `verdict_allowed
 BUILTIN_SUBJECTS = {"P6_perfect_morse": ("p6", "perfect"), "P5_fibration": ("p5", "fibration")}
 
 
-# one encoder for every content id: `json.dumps` with these settings would
-# build a new one on each call; only trees reach it, payloads the writers
-# build or parsed JSON, so no cycle check is needed
+# one encoder for every content id and one for every document, `_DOC`:
+# `json.dumps` with these settings would build a new one on each call; only
+# trees reach them, what the writers build or parsed JSON, so no cycle check
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+_DOC = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 def canonical_json(obj) -> str:
@@ -117,10 +120,8 @@ class Certificate:
     mode: str
     passed: bool
     seed: int
-    f_vector: FVectorReport
-    bad_faces: Dict[Tuple[int, ...], Tuple[FaceHandle, ...]]
-    verdict_rows: Tuple[dict, ...]  # report rows, by `verdict_row`
-    witness_moves: Tuple[int, ...]  # the good faces' witnesses, in plan order
+    S: Subject  # its census, bad faces and plan, which fixes all but the `outcomes`
+    outcomes: Tuple[Tuple[str, Optional[str]], ...]  # per bad planned row: verdict, evidence id
     evidence: Dict[str, dict]
     shared_evidence: Dict[str, dict]
     cusp_apexes: Tuple[list, ...]  # per cusp, per bad face, the apex pairs
@@ -134,6 +135,13 @@ class Certificate:
     @property
     def orbit_serials(self) -> Tuple[str, ...]:
         return tuple(self.tables["orbit"])
+
+    @property
+    def verdict_rows(self) -> Tuple[dict, ...]:
+        """The verdict rows, by `verdict_row`, built on each read."""
+        outcomes = iter(self.outcomes)
+        return tuple(verdict_row(p, *next(outcomes)) if p.witness is None else
+                     verdict_row(p, "Regular") for p in self.S.plan)
 
     def summary_line(self) -> str:
         tag = BUILTIN_SUBJECTS.get(self.subject, ("generic",))[0].upper()
@@ -189,20 +197,17 @@ def report_tables(S: Subject, euler: EulerRecord, inputs_digest: str) -> dict:
 # The one writer of each row
 
 
-# The one writer of a verdict row, from `Subject.plan`: the pipeline writes its
-# rows with it, and the verifier compares each row with it.  A bad face's row
-# carries the `evidence` id it cites, a legality item when Regular and the
-# shared item of its ℓ when Critical(ℓ), none when Unknown.  A good face's
-# row carries no witness: the good faces' witness moves are one list of the
-# report, `verdicts.witness_moves`, in plan order.  `states` ascend.
+# The one writer of a verdict row, from `Subject.plan`: the verifier compares
+# each row with it, and `verdict_frame` lays rows out as it does.  A bad
+# face's row carries the `evidence` id it cites, a legality item when Regular
+# and the shared item of its ℓ when Critical(ℓ), none when Unknown.  A good
+# face's row carries no witness: the good faces' witness moves are one list,
+# `verdicts.witness_moves`, in plan order.  `states` ascend.
 
 
-def verdict_row(p: PlannedRow, verdict: str, **witness) -> dict:
-    return {"face": list(p.face), "verdict": verdict, "states": list(p.states), **witness}
-
-
-def good_row(p: PlannedRow) -> dict:
-    return verdict_row(p, "Regular")
+def verdict_row(p: PlannedRow, verdict: str, evidence: Optional[str] = None) -> dict:
+    row = {"face": list(p.face), "verdict": verdict, "states": list(p.states)}
+    return row if evidence is None else {**row, "evidence": evidence}
 
 
 def cusp_row(ok: bool, all_regular: bool) -> dict:
@@ -226,11 +231,47 @@ def row_branch(row: dict) -> str:
     return "critical-pairs" if row["verdict"].startswith("Critical(") else "inherited-totally-legal"
 
 
+class _Written(str):
+    """A document section that is canonical JSON already."""
+
+
+def verdict_frame(S: Subject) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """(fixed, tails): S's verdicts section around what a run finds, bad row
+    k's verdict, then `tails[k]` (its `states`), then its evidence id, then
+    `fixed[k + 1]`; rows laid out as `verdict_row` lays them out, good ones
+    whole.  Each facet label and each distinct `states` is encoded once."""
+    label = {i: _DOC.encode(i) for i in S.P.facet_ids}
+    states, fixed, tails, run = {}, [], [], ['{"rows":[']  # states: its text, by tuple
+    for i, p in enumerate(S.plan):
+        if p.states not in states:
+            states[p.states] = '","states":' + _DOC.encode(p.states)
+        run.append(f'{"," * bool(i)}{{"face":[{",".join([label[x] for x in p.face])}],"verdict":"')
+        if p.witness is not None:
+            run.append(f"Regular{states[p.states]}}}")
+            continue
+        fixed.append("".join(run))
+        tails.append(states[p.states])
+        run = []
+    witnesses = _DOC.encode([p.witness for p in S.plan if p.witness is not None])
+    return (*fixed, "".join(run) + '],"witness_moves":' + witnesses + "}"), tuple(tails)
+
+
+def _verdicts_section(cert: Certificate) -> _Written:
+    """The verdicts section, from its subject's kept frame and the outcomes,
+    whose verdicts and evidence ids ("e", 16 hex digits) need no encoding."""
+    fixed, tails = cert.S.verdict_frame
+    out = [fixed[0]]
+    for (verdict, eid), tail, text in zip(cert.outcomes, tails, fixed[1:]):
+        out += (verdict, tail, "}" if eid is None else f',"evidence":"{eid}"}}', text)
+    return _Written("".join(out))
+
+
 def certificate_to_document(cert: Certificate, *, include_timings: bool = False) -> dict:
     """The structured report: the claim and its provenance, the tables of
     `report_tables` that the verifier recomputes, the verdict rows with the
     good faces' witness moves and the evidence the rows cite, which it
-    replays, and the cusps' apex pairs and rows."""
+    replays, and the cusps' apex pairs and rows.  Its verdicts section is
+    text already: read it back through `document_to_json`."""
     doc = {
         "version": REPORT_VERSION,
         "subject": cert.subject,
@@ -238,19 +279,13 @@ def certificate_to_document(cert: Certificate, *, include_timings: bool = False)
         "pass": cert.passed,
         "seeds": {"root": cert.seed},
         **cert.tables,
-        "verdicts": {"rows": list(cert.verdict_rows),
-                     "witness_moves": list(cert.witness_moves)},
+        "verdicts": _verdicts_section(cert),
         "evidence": {k: cert.evidence[k] for k in sorted(cert.evidence)},
-        "shared_evidence": {
-            k: cert.shared_evidence[k] for k in sorted(cert.shared_evidence)
-        },
+        "shared_evidence": {k: cert.shared_evidence[k] for k in sorted(cert.shared_evidence)},
         "cusps": {"apexes": list(cert.cusp_apexes), "rows": list(cert.cusp_rows)},
         "failures": list(cert.failures),
-        "timings": (
-            {k: round(v, 6) for k, v in sorted(cert.timings.items())}
-            if include_timings
-            else None
-        ),
+        "timings": ({k: round(v, 6) for k, v in sorted(cert.timings.items())}
+                    if include_timings else None),
     }
     if cert.generic_inputs is not None:
         doc["inputs"] = cert.generic_inputs
@@ -258,10 +293,12 @@ def certificate_to_document(cert: Certificate, *, include_timings: bool = False)
 
 
 def document_to_json(doc: dict) -> str:
-    # compact and canonical: fixed key order from document assembly; the
-    # document is a tree the writers build, so no cycle check is needed
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=True,
-                      check_circular=False) + "\n"
+    """Compact and canonical, keys in assembly order, a section at a time,
+    a `_Written` one as it is: bytes as `json.dumps` writes a document."""
+    if type(doc) is dict:
+        return "{" + ",".join(f"{_DOC.encode(k)}:{v if type(v) is _Written else _DOC.encode(v)}"
+                              for k, v in doc.items()) + "}\n"
+    return _DOC.encode(doc) + "\n"
 
 
 def render_text(cert: Certificate, *, include_timings: bool = False) -> str:
@@ -274,8 +311,8 @@ def render_text(cert: Certificate, *, include_timings: bool = False) -> str:
     polytope, moves = cert.tables["polytope"], cert.tables["moves"]
     add(f"polytope: {polytope['name']}, dimension {polytope['dimension']}, "
         f"{len(polytope['facets'])} facets")
-    add(f"clique counts by size: {list(cert.f_vector.clique_counts)}")
-    degs = set(cert.f_vector.degrees)
+    add(f"clique counts by size: {list(cert.S.f_vector.clique_counts)}")
+    degs = set(cert.S.f_vector.degrees)
     add(f"facet degrees: {sorted(degs)}")
     add("")
     add("-- moves and orbit --")
@@ -283,21 +320,22 @@ def render_text(cert: Certificate, *, include_timings: bool = False) -> str:
     add(f"orbit size: {len(cert.orbit_serials)}")
     add("")
     add("-- bad faces --")
-    if cert.bad_faces:
-        for sig, faces in sorted(cert.bad_faces.items()):
+    if cert.S.bad_faces:
+        for sig, faces in sorted(cert.S.bad_faces.items()):
             add(f"  signature ({','.join(map(str, sig))}): {len(faces)} faces")
     else:
         add("  none")
     add("")
     add("-- verdicts --")
-    n_faces = len({tuple(r["face"]) for r in cert.verdict_rows})
+    rows = cert.verdict_rows
+    n_faces = len({tuple(r["face"]) for r in rows})
     n_states = len(cert.orbit_serials)
     add(f"coverage: {n_faces} faces x {n_states} states = {n_faces * n_states} "
-        f"pairs in {len(cert.verdict_rows)} classes")
-    hist = Counter(r["verdict"] for r in cert.verdict_rows)
+        f"pairs in {len(rows)} classes")
+    hist = Counter(r["verdict"] for r in rows)
     for verdict in sorted(hist):
         add(f"  {verdict}: {hist[verdict]} classes")
-    branches = Counter(map(row_branch, cert.verdict_rows))
+    branches = Counter(map(row_branch, rows))
     for branch in sorted(branches):
         add(f"  via {branch}: {branches[branch]}")
     add("")
@@ -338,7 +376,5 @@ def emit_report(
     if format == "text":
         return render_text(cert, include_timings=include_timings)
     if format == "structured":
-        return document_to_json(
-            certificate_to_document(cert, include_timings=include_timings)
-        )
+        return document_to_json(certificate_to_document(cert, include_timings=include_timings))
     raise ValueError(f"unknown format {format!r}")

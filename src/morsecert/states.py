@@ -367,10 +367,10 @@ class Subject:
     alone: the face `table`, the proper `bad_faces` by signature in
     canonical order, the face census `f_vector`, each state's In rank mask
     (`in_masks`), each bad face's `face_masks` (`bad_masks`), the verdict
-    `plan` and each cusp's table (`cusps`), in P's order.  The masks, the
-    plan and the cusp tables are built on first use and kept.  Only `builtin_subject` and `generic_subject` build one, and they
-    check its invariants; the prover and the checker read it and check
-    nothing again."""
+    `plan`, each cusp's table (`cusps`) in P's order and the report's text
+    of the plan (`verdict_frame`), the last four kept once built.  Only
+    `builtin_subject` and `generic_subject` build one, and they check its
+    invariants; the prover and the checker read it and check nothing again."""
 
     def __init__(self, P: Polytope, m: MoveSystem, states: Sequence[State],
                  f_vector: FVectorReport):
@@ -413,6 +413,12 @@ class Subject:
         """Each cusp's `cusp_table`, in P's order."""
         return tuple(cusp_table(self.P, self.m, self.bad_masks, iv.id)
                      for iv in self.P.ideal_vertices)
+
+    @cached_property
+    def verdict_frame(self) -> tuple:
+        """The report's text of the verdict rows (`report.verdict_frame`)."""
+        from .report import verdict_frame  # which imports this module
+        return verdict_frame(self)
 
 
 def _plan_rows(S: Subject) -> Iterator[PlannedRow]:

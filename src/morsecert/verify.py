@@ -22,12 +22,9 @@ masks and a live mask: a legality part on the facet graph, a shared
 critical link on the face poset's comparability graph down to its core,
 which is checked on that graph to be the subdivided cross-polytope
 boundary.  Nothing here searches or builds a complex, and failure text is
-made only on a failure: warm and in-process on a 2-core VM, verifying the
-seed-0 p6 report, `json.loads` included, takes about 23 ms against about
-17 ms for `certify_p6()`, 1.36 times as long (the prover gains more from
-the kept plan and cusp tables).  Only `timings` and `seeds`
-back no claim: the schema requires their keys, nothing checks what is in
-them, and the seed steers nothing.
+made only on a failure.  Only `timings` and `seeds` back no claim: the
+schema requires their keys, nothing checks what is in them, and the seed
+steers nothing.
 A built-in subject (`states.builtin_subject`), with its audited census, its
 plan and its cusp tables, and the canonical link graphs are built once per
 process and shared by every report verified in it: nothing a report carries
@@ -49,7 +46,7 @@ from .io import load_json, moves_from_doc, polytope_from_doc, state_from_doc
 from .links import canonical_pairs_graphs, check_cusp_condition
 from .report import (
     BUILTIN_SUBJECTS, MODES, REPORT_VERSION, _eid, _inputs_digest, canonical_json, cusp_row,
-    euler_identity, good_row, legality_header, report_tables, shared_header, verdict_allowed,
+    euler_identity, legality_header, report_tables, shared_header, verdict_allowed,
     verdict_row,
 )
 from .schema import REPORT, SEQUENCE_KEYS, parse
@@ -187,8 +184,11 @@ class _Verifier:
         if self.doc["verdicts"]["witness_moves"] != witnesses:
             self._witness_moves(witnesses)
         mode, dim, departed = self.mode, self.S.P.dimension, False
+        everyone = list(range(len(self.S.states)))  # a good row's states
         for i, (row, p) in enumerate(zip_longest(self.doc["verdicts"]["rows"], self.S.plan)):
-            if p is not None and p.witness is not None and row == good_row(p):
+            if (p is not None and p.witness is not None and row is not None and len(row) == 3
+                    and row["verdict"] == "Regular" and row["states"] == everyone
+                    and tuple(row["face"]) == p.face):
                 continue
             got = None if row is None else (tuple(row["face"]), tuple(row["states"]))
             planned = None if p is None else (p.face, p.states)
@@ -226,7 +226,7 @@ class _Verifier:
         good face's; for a bad face, a legal row if Regular, a critical row
         if Critical.  None when no such row exists."""
         if p.witness is not None:
-            return good_row(p)
+            return verdict_row(p, "Regular")
         verdict, eid = row["verdict"], row.get("evidence")
         critical = verdict.startswith("Critical(")
         if verdict != "Regular" and not critical:

@@ -26,7 +26,9 @@ from morsecert.io import (
 )
 from morsecert.links import build_cube_model, coface_membership_oracle
 from morsecert.polytopes import FaceHandle, dual_complex, enumerate_faces
-from morsecert.report import certificate_to_document, document_to_json, euler_identity
+from morsecert.report import (
+    certificate_to_document, document_to_json, emit_report, euler_identity,
+)
 from morsecert.states import cone_apex, inherited_state
 from morsecert.verify import verify_document
 
@@ -67,7 +69,8 @@ def test_criterion_1_p6_perfect_morse(cert_p6):
         assert r.keys() == {"face", "verdict", "states", "evidence"}
         shared = r["verdict"].startswith("Critical(")
         assert r["evidence"] in (cert_p6.shared_evidence if shared else cert_p6.evidence)
-    assert good == len(cert_p6.witness_moves) == 2699
+    report = json.loads(emit_report(cert_p6, "structured"))
+    assert good == len(report["verdicts"]["witness_moves"]) == 2699
     runtime = cert_p6.timings["total"]
     assert runtime < 300, f"pipeline took {runtime:.0f}s, budget 300s"
     print(f"\nPASS criterion 1: P6 perfect Morse certified "
@@ -98,7 +101,7 @@ def test_criterion_3_structural_counts(P6, P5):
 
 
 def test_criterion_4_bad_face_classification(cert_p6):
-    sigs = set(cert_p6.bad_faces)
+    sigs = set(cert_p6.S.bad_faces)
     assert sigs == {(2,), (3,), (2, 2), (2, 2, 2)}
     assert all(sum(sig) != 5 for sig in sigs)
     print("\nPASS criterion 4: bad-face signatures exactly "
@@ -243,6 +246,6 @@ def test_roundtrip_generic_matches_builtin(cert_p6, tmp_path):
         assert a[key] == b[key], key
     assert a["f_vector"]["clique_counts"] == b["f_vector"]["clique_counts"]
     assert a["bad_faces"]["signatures"] == b["bad_faces"]["signatures"]
-    ok, msgs = verify_document(certificate_to_document(cert))
+    ok, msgs = verify_document(json.loads(emit_report(cert, "structured")))
     assert ok, msgs[:3]
     print("\nPASS round-trip: generic pipeline reproduces the built-in tables")

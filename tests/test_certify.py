@@ -125,9 +125,9 @@ def test_certify_generic_sparse_square(tmp_path):
         generic_inputs={"polytope": pol, "moves": moves, "state": state},
     )
     assert cert.passed
-    assert cert.bad_faces == {}  # sparse moves: no bad proper faces
+    assert cert.S.bad_faces == {}  # sparse moves: no bad proper faces
     assert len(cert.orbit_serials) == 4
-    ok, msgs = verify_document(certificate_to_document(cert))
+    ok, msgs = verify_document(json.loads(emit_report(cert, "structured")))
     assert ok, msgs
 
 
@@ -307,8 +307,13 @@ def test_report_bytes_pinned_to_version(cert_p5, cert_p6):
 
 
 def test_report_json_roundtrip(cert_p5):
+    """The document reads back as it was assembled, its verdicts section,
+    written already, as the rows `verdict_row` makes and the witness moves."""
     doc = certificate_to_document(cert_p5)
-    assert json.loads(document_to_json(doc)) == doc
+    back = json.loads(document_to_json(doc))
+    assert back == {**doc, "verdicts": json.loads(doc["verdicts"])}
+    witnesses = [p.witness for p in cert_p5.S.plan if p.witness is not None]
+    assert back["verdicts"] == {"rows": list(cert_p5.verdict_rows), "witness_moves": witnesses}
 
 
 # -- verify ----------------------------------------------------------------------
@@ -497,6 +502,9 @@ REPORT_EDITS = [
     ("version-0", lambda d: _set(d, "version", "0"), {1}),
     # a good row moved onto the polytope itself, which is a bad face
     ("good-row-on-polytope", lambda d: _set(_row(d, "good-face"), "face", []), {1}),
+    # a good row that claims a verdict its mode allows but the plan does not
+    ("good-row-claimed-critical",
+     lambda d: _set(_row(d, "good-face"), "verdict", "Critical(3)"), {1}, "p6"),
     ("missing-row", lambda d: _set(d["verdicts"]["rows"], -1), {1}),
     ("pass-false", lambda d: _set(d, "pass", False), {1}),
     # cusp apexes that are no cone apex of their part, and apex lists that
@@ -889,7 +897,7 @@ def test_verify_rejects_a_boundary_cube_that_is_not_all_regular(tmp_path, capsys
         generic_inputs={"polytope": pol, "moves": moves, "state": state},
     )
     assert "cusp condition fails at cusp:x state 0" in cert.failures
-    doc = certificate_to_document(cert)
+    doc = json.loads(emit_report(cert, "structured"))
     doc["pass"], doc["failures"] = True, []
     write_json(tmp_path / "r.json", doc)
     assert main(["verify", str(tmp_path / "r.json")]) == 1
@@ -1203,7 +1211,7 @@ def test_verify_requires_the_consistency_identity(tmp_path, capsys):
         P, moves_from_doc(moves, P), state_from_doc(state, P), mode="perfect",
         generic_inputs={"polytope": pol, "moves": moves, "state": state},
     )
-    doc = certificate_to_document(cert)
+    doc = json.loads(emit_report(cert, "structured"))
     assert doc["euler"]["pass"] is False
     doc["pass"], doc["failures"] = True, []
     write_json(tmp_path / "r.json", doc)
@@ -1224,7 +1232,7 @@ def test_verify_embedded_polytope_census_failure_is_an_input_error(tmp_path, cap
         P, moves_from_doc(moves, P), state_from_doc(state, P), mode="fibration",
         generic_inputs={"polytope": pol, "moves": moves, "state": state},
     )
-    doc = certificate_to_document(cert)
+    doc = json.loads(emit_report(cert, "structured"))
     doc["inputs"]["polytope"]["adjacency"].append(["a", "c"])
     doc["inputs"]["state"] = dict.fromkeys("abcd", "I")
     write_json(tmp_path / "r.json", doc)
@@ -1260,7 +1268,7 @@ def test_generic_structural_failures_are_input_errors(tmp_path, capsys):
         P, moves_from_doc(moves, P), state_from_doc(state, P), mode="fibration",
         generic_inputs={"polytope": pol, "moves": moves, "state": state},
     )
-    doc = certificate_to_document(cert)
+    doc = json.loads(emit_report(cert, "structured"))
     doc["inputs"]["polytope"] = cusped
     doc["cusps"] = {"apexes": [[]], "rows": [{"ok": True, "all_regular": True}
                                              for _ in doc["orbit"]]}
@@ -1300,9 +1308,9 @@ def test_a_polytope_document_that_describes_no_polytope_is_rejected(tmp_path, ch
     pol, moves, state = square_inputs()
     pol["ideal_vertices"] = [{"label": "x", "incident": ["a", "c"]}]
     P = polytope_from_doc(pol)
-    doc = certificate_to_document(certify_generic(
+    doc = json.loads(emit_report(certify_generic(
         P, moves_from_doc(moves, P), state_from_doc(state, P),
-        generic_inputs={"polytope": pol, "moves": moves, "state": state}))
+        generic_inputs={"polytope": pol, "moves": moves, "state": state}), "structured"))
     assert doc["pass"]
     doc["inputs"]["polytope"] = dict(pol, **change)
     for key in ("apexes", "rows"):
@@ -1364,7 +1372,7 @@ def test_certify_generic_honest_failure(tmp_path):
     crit = [r for r in cert.verdict_rows if r["verdict"] == "Critical(1)"]
     assert len(crit) == 2  # the two monochromatic vertices
     # a failing certificate is not verifiable
-    ok, _ = verify_document(certificate_to_document(cert))
+    ok, _ = verify_document(json.loads(emit_report(cert, "structured")))
     assert not ok
     # CLI path: certification failure exits 1
     write_json(tmp_path / "p.json", pol)

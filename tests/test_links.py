@@ -38,7 +38,7 @@ from morsecert.polytopes import (
     dual_complex,
     enumerate_faces,
 )
-from morsecert.report import good_row, row_branch
+from morsecert.report import row_branch, verdict_row
 from morsecert.states import (
     State,
     all_pairs_index,
@@ -429,11 +429,12 @@ def test_classify_link_verdicts(S6):
     cert, ids = CriticalLinkCertifier(), {}
     good = _planned(S6, {"A", "1+i+j+k"}, 0)
     assert good.witness is not None and good.F is None
-    assert good_row(good)["verdict"] == "Regular" and row_branch(good_row(good)) == "good-face"
+    assert row_branch(verdict_row(good, "Regular")) == "good-face"
     ridge = {"1+i+j+k", "-1+i+j+k"}
     for face in (ridge, ()):
-        row, ev, failure = _classify_group(
-            S6, _planned(S6, face, 0), certifier=cert, shared_ids=ids)
+        p = _planned(S6, face, 0)
+        outcome, ev, failure = _classify_group(S6, p, certifier=cert, shared_ids=ids)
+        row = verdict_row(p, *outcome)
         assert row["verdict"] == "Regular" and row_branch(row) == "inherited-totally-legal"
         assert list(ev) == [row["evidence"]] and failure is None
     bad = S6.bad_faces
@@ -456,7 +457,7 @@ def test_classification_independent_of_base_vertex(P6, M6, BAL6, S6):
     for w in range(4):
         idx = BAL6.index(vertex_state(model, w))
         p = _planned(S6, ridge.defining, idx)
-        row = _classify_group(S6, p, certifier=cert, shared_ids={})[0]
+        row = verdict_row(p, *_classify_group(S6, p, certifier=cert, shared_ids={})[0])
         verdicts.add((row["verdict"], row_branch(row)))
     assert verdicts == {("Regular", "inherited-totally-legal")}
 

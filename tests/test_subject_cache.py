@@ -6,7 +6,10 @@ process, so no run may change them, and no report may reach them: a
 tampered report verified between two good ones fails alone, and a generic
 report is checked against its own embedded inputs only.  What a run finds,
 its dismantling orders and cone apexes, is found again by every run.
-Nothing is kept on a polytope under a move system."""
+Nothing is kept on a polytope under a move system.  A subject keeps the
+report's text of its verdict rows around what a run finds, built by its
+first structured write: the report is the bytes `json.dumps` writes of the
+rows `verdict_row` makes, with no row built and no encoder call per row."""
 
 import json
 
@@ -17,7 +20,13 @@ from morsecert.cli import main
 from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
 from morsecert.links import canonical_pairs_graphs
 from morsecert.polytopes import build_p5, build_p6
-from morsecert.report import _inputs_digest, certificate_to_document, document_to_json
+from morsecert import report
+from morsecert.report import (
+    _inputs_digest,
+    certificate_to_document,
+    document_to_json,
+    emit_report,
+)
 from morsecert.states import (
     MoveSystem,
     balanced_states_p5,
@@ -28,6 +37,9 @@ from morsecert.states import (
     move_system_p6,
 )
 from morsecert.verify import verify_document
+
+from test_certify import cube_inputs
+from test_dismantling import _certify_inputs, _stuck_inputs
 
 
 def _fresh(tag):
@@ -44,7 +56,7 @@ def _fingerprint(S):
     P, table = S.P, S.table
     return (P.name, P.facet_ids, P.ranked_graph(), P.ideal_vertices, S.m.blocks,
             [s.serial() for s in S.states], table.masks, table.witnesses, table.bad,
-            S.bad_faces, S.f_vector, S.in_masks, S.plan, S.cusps)
+            S.bad_faces, S.f_vector, S.in_masks, S.plan, S.cusps, S.verdict_frame)
 
 
 @pytest.mark.parametrize("tag", ["p6", "p5"])
@@ -149,14 +161,16 @@ def test_runs_leave_the_kept_subjects_as_built():
     """Certify and verify of both subjects change nothing in what they
     share: each kept subject still equals a freshly built one, facet ids,
     facet graph, ideal vertices, moves, states, face table, bad faces,
-    census, In masks, verdict plan and cusp tables alike, and the canonical
-    link graphs equal a fresh build."""
+    census, In masks, verdict plan, cusp tables and the report's kept text
+    of its verdicts alike, and the canonical link graphs equal a fresh
+    build."""
     for certify in (certify_p6, certify_p5):
         cert = certify()
         assert cert.passed, cert.failures
         ok, msgs = verify_document(json.loads(document_to_json(certificate_to_document(cert))))
         assert ok, msgs
     for tag in ("p6", "p5"):
+        assert "verdict_frame" in vars(builtin_subject(tag))
         assert _fingerprint(builtin_subject(tag)) == _fingerprint(_fresh(tag))
     assert canonical_pairs_graphs(3) == canonical_pairs_graphs.__wrapped__(3)
 
@@ -355,3 +369,110 @@ def test_one_polytope_keeps_a_plan_per_orbit():
     assert subjects[0].states != subjects[1].states
     assert subjects[0].plan is not subjects[1].plan
     assert [S.plan is vars(S)["plan"] for S in subjects] == [True, True]
+
+
+# -- the verdicts section, written from the subject's kept text -----------------
+
+
+def _dict_document(cert, include_timings: bool) -> dict:
+    """The report as a dict document, its verdicts the rows that
+    `verdict_row` makes (`Certificate.verdict_rows`) and the plan's good
+    witnesses."""
+    witnesses = [p.witness for p in cert.S.plan if p.witness is not None]
+    return {**certificate_to_document(cert, include_timings=include_timings),
+            "verdicts": {"rows": list(cert.verdict_rows), "witness_moves": witnesses}}
+
+
+# The cube's facet ids, renamed to ids that JSON must escape: a quote, a
+# backslash, a non-ASCII letter, a slash and a control character.
+_ESCAPED = {"x0": 'x"0', "x1": "x\\1", "y0": "y\u00e90", "y1": "y/1", "z0": "z\x070", "z1": "z1"}
+
+
+def _escaped_cube():
+    pol, moves, state = cube_inputs()
+    pol = {**pol, "facets": [{"id": _ESCAPED[f["id"]]} for f in pol["facets"]],
+           "adjacency": [[_ESCAPED[a], _ESCAPED[b]] for a, b in pol["adjacency"]]}
+    return (pol, [[_ESCAPED[f] for f in block] for block in moves],
+            {_ESCAPED[f]: v for f, v in state.items()})
+
+
+def test_the_structured_report_is_json_dumps_of_the_rows(cert_p5, cert_p6):
+    """For p5 and p6, with and without timings, the generic 3-cube, the
+    failing generic report with an Unknown row and the cube with facet ids
+    that JSON escapes, the structured report is `json.dumps` of the dict
+    document with the writer's settings, and its verdicts section parses to
+    the rows `verdict_row` makes."""
+    stuck, escaped = _certify_inputs(*_stuck_inputs()), _certify_inputs(*_escaped_cube())
+    assert not stuck.passed and "Unknown" in {r["verdict"] for r in stuck.verdict_rows}
+    cases = [(cert_p5, False), (cert_p5, True), (cert_p6, False), (cert_p6, True),
+             (_certify_inputs(*cube_inputs()), False), (stuck, False), (escaped, False)]
+    for cert, timings in cases:
+        text = emit_report(cert, "structured", include_timings=timings)
+        want = _dict_document(cert, timings)
+        assert text == json.dumps(want, separators=(",", ":"), ensure_ascii=True) + "\n"
+        section = certificate_to_document(cert, include_timings=timings)["verdicts"]
+        assert json.loads(section) == want["verdicts"]
+    assert escaped.passed and any(r["verdict"] == "Regular" and "evidence" in r
+                                  for r in escaped.verdict_rows)
+    text = emit_report(escaped, "structured")
+    for written in ('"x\\"0"', '"x\\\\1"', '"y\\u00e90"', '"y/1"', '"z\\u00070"'):
+        assert written in text
+    ok, msgs = verify_document(json.loads(text))
+    assert ok, msgs
+
+
+def test_an_edited_document_is_written_as_json_dumps_writes_it(cert_p5):
+    """A document read back and edited holds no written section: it is
+    written as `json.dumps` with the writer's settings writes it."""
+    doc = json.loads(emit_report(cert_p5, "structured"))
+    doc["verdicts"]["rows"][0]["face"] = ["é"]
+    doc["extra"] = {"b": 1, "a": [True, None, 0.5]}
+    assert document_to_json(doc) == json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def test_a_warm_structured_write_builds_no_row(monkeypatch):
+    """A warm `certify p6` or `p5` and its structured write build no row dict
+    and make the same number of document-encoder calls, two per top-level
+    key less the written verdicts section, whatever the number of rows, and
+    no content-id encoding: the prover does not import the row writer."""
+    import morsecert.certify
+
+    assert not hasattr(morsecert.certify, "verdict_row")
+    for certify in (certify_p6, certify_p5):
+        emit_report(certify(), "structured")  # warm: the subject's text is kept
+    rows = _counting(monkeypatch, report, "verdict_row")
+    encodes = _counting(monkeypatch, report._DOC, "encode")
+    ids = _counting(monkeypatch, report._CANONICAL, "encode")
+    counts = []
+    for certify in (certify_p6, certify_p5):
+        cert = certify()
+        encodes.clear()
+        ids.clear()
+        text = emit_report(cert, "structured")
+        counts.append((len(encodes), len(ids)))
+    assert rows == []
+    top = len(json.loads(text))
+    assert counts == [(2 * top - 1, 0)] * 2
+
+
+def test_the_kept_text_is_built_once_per_subject_by_a_structured_write(monkeypatch, tmp_path):
+    """From a cleared subject cache, a text certify and a verify build no
+    kept text, and two structured certifies of p6 and one of p5 build one
+    per subject."""
+    frames = _counting(monkeypatch, report, "verdict_frame")
+    builtin_subject.cache_clear()
+    try:
+        path = tmp_path / "p6.json"
+        codes = [main(["certify", "p6"])]
+        codes.append(main(["certify", "p6", "--format", "structured", "--output", str(path)]))
+        assert frames == [(builtin_subject("p6"),)]
+        frames.clear()
+        codes.append(main(["verify", str(path)]))
+        assert frames == []
+        codes += [main(["certify", "p6", "--format", "structured"]),
+                  main(["certify", "p5", "--format", "structured"])]
+        S5 = builtin_subject("p5")
+    finally:
+        builtin_subject.cache_clear()
+    assert codes == [0] * 5
+    assert frames == [(S5,)]

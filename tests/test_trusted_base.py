@@ -52,7 +52,7 @@ TRUSTED = {
         facet_mask is_compatible move_system_p5 move_system_p6 orbit
         r_class_triples state_from_in_set unit_class_table""",
     "report": """
-        _eid _inputs_digest canonical_json cusp_row euler_identity good_row
+        _eid _inputs_digest canonical_json cusp_row euler_identity
         legality_header report_tables shared_header verdict_allowed verdict_row""",
     "schema": """
         Leaf._at_once Leaf.parse ListOf._at_once ListOf.parse Obj._at_once
@@ -123,7 +123,7 @@ def test_verify_runs_the_trusted_base(cert_p5, cert_p6, tmp_path):
     assert not [name for name in ran if name.startswith("complexes.")]
     want = _names(TRUSTED)
     assert sorted(ran - want) == [] and sorted(want - ran) == []
-    assert len(want) == 108
+    assert len(want) == 107
 
 
 def _wrong_kind(doc):
