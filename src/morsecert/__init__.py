@@ -37,6 +37,7 @@ from .states import (
     balanced_states_p5,
     balanced_states_p6,
     builtin_subject,
+    check_cusp_condition,
     generic_subject,
     inherited_state,
     is_compatible,
@@ -51,7 +52,6 @@ from .links import (
     LinkClassification,
     build_cube_model,
     certify_boundary_cube,
-    check_cusp_condition,
     classify_link,
     coface_membership_oracle,
     face_links_oracle,

@@ -8,10 +8,11 @@ and the evidence id it cites: a legality item, the shared item of its ℓ
 when the all-pairs lemma (README) makes it Critical(ℓ), or none when
 Unknown; the structured report splices the outcomes into the subject's kept
 text of its rows.  Evidence is content-addressed, so states share it.  Cusp
-boundary cubes are certified by the cone apexes of their parts, each pair
-found once per (cusp, bad face, In part), beside rows that `report.cusp_row`
-writes.  Every certificate is found by a deterministic rule on every run, so
-reports are reproducible byte for byte; the root seed is only recorded.
+boundary cubes are certified by the cone apexes of their parts, one pair
+per In part that the subject's cusp plan lists, beside the rows that
+`report.cusp_rows` writes.  Every certificate is found by a deterministic
+rule on every run, so reports are reproducible byte for byte; the root seed
+is only recorded.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import InputError
 from .links import CriticalLinkCertifier, certify_boundary_cube, classify_link
 from .polytopes import Polytope
 from .report import (
-    BUILTIN_SUBJECTS, MODES, Certificate, _eid, _inputs_digest, cusp_row, euler_identity,
+    BUILTIN_SUBJECTS, MODES, Certificate, _eid, _inputs_digest, cusp_rows, euler_identity,
     legality_header, report_tables, shared_header, verdict_allowed,
 )
 from .states import (
@@ -151,29 +152,26 @@ def _verdict_sweep(
 
 def _cusp_suite(S: Subject, failures: List[str]) -> Tuple[tuple, tuple]:
     """(apexes, rows): for each cusp in the polytope's order, the apex pairs
-    of each bad face of its table, one per distinct In part in order of
-    first occurrence over the states where the cusp condition holds; and
-    one row per (cusp, state), states in the orbit's order.  Each pair is
-    found once per (bad face, In part) in this run."""
+    of each bad face of its table, one per In part its plan lists; and one
+    row per (cusp, state), states in the orbit's order, by `cusp_rows`."""
     apexes: List[list] = []
     rows: List[dict] = []
     for iv, table in zip(S.P.ideal_vertices, S.cusps):
-        found: dict = {}
+        found = certify_boundary_cube(S.P, table)
+        unproved = {i: {inn: pair for inn, pair in zip(parts, pairs) if None in pair}
+                    for i, (parts, pairs) in enumerate(zip(table.parts, found))
+                    if any(None in pair for pair in pairs)}  # face position -> {In part: pair}
+        apexes.append(found)
+        rows += cusp_rows(table, S.in_masks, unproved)
         for idx, s_in in enumerate(S.in_masks):
-            ok, checked = certify_boundary_cube(S.P, s_in, table, found=found)
-            rows.append(cusp_row(ok, ok and all(None not in pair for pair in checked)))
-            if not ok:
+            if not table.held:
                 failures.append(f"cusp condition fails at {iv.id} state {idx}")
-            for (face_ids, _, _), pair in zip(table.bad, checked):
-                if None in pair:
-                    failures.append(
-                        f"boundary cube at {iv.id} state {idx}: face {tuple(face_ids)} "
-                        f"not certified, a part is not a cone (apexes {tuple(pair)})"
-                    )
-        per_face: List[list] = [[] for _ in table.bad]
-        for (i, _), pair in found.items():  # in order of first occurrence
-            per_face[i].append(pair)
-        apexes.append(per_face)
+            for i, pairs in unproved.items():
+                ids, _, free = table.bad[i]
+                if free & s_in in pairs:
+                    failures.append(f"boundary cube at {iv.id} state {idx}: face {tuple(ids)} "
+                                    f"not certified, a part is not a cone "
+                                    f"(apexes {tuple(pairs[free & s_in])})")
     return tuple(apexes), tuple(rows)
 
 

@@ -523,41 +523,20 @@ def classify_link(
 # -- cusp checks --------------------------------------------------------------
 
 
-def check_cusp_condition(table: CuspTable, s_in: int) -> Optional[Tuple[str, str]]:
-    """The first of the table's pairs whose two facets have opposite status
-    in the state of In rank mask `s_in`; None when the cusp condition fails."""
-    for pair, mask in table.pairs:
-        if s_in & mask not in (0, mask):
-            return pair
-    return None
-
-
-def certify_boundary_cube(P: Polytope, s_in: int, table: CuspTable,
-                          *, found: Optional[dict] = None) -> Tuple[bool, list]:
-    """(ok, checked) for the horospherical cube of `table` in the state of
-    In rank mask `s_in`: whether the cusp condition holds and, where it
-    does, the [out apex, in apex] pair of each bad face of the table, in its
-    order, each the first cone apex of its part or None.  A good face is
-    Regular; a bad face is Regular when both parts of its dual split by the
-    inherited state are cones.  A cube whose condition fails is not
-    certified: nothing is checked.
+def certify_boundary_cube(P: Polytope, table: CuspTable) -> List[List[list]]:
+    """The apex pairs of the horospherical cube of `table`: per bad face of
+    the table, one [out apex, in apex] pair per In part that its plan lists,
+    in order, each the first cone apex of its part or None.  A good face is
+    Regular; a bad face is Regular in a state when both parts of its dual
+    split by the inherited state are cones.  A cusp whose condition fails
+    lists no part: its cube is not certified.
 
     The section is a combinatorial cube, so the dual of each of its faces is
     a join of 0-spheres and each part a join of points and 0-spheres: a part
     collapses to a point exactly when it is a cone, and its apex, a vertex
     that dominates every other one, is the whole certificate.  The parts of
-    a bad face depend on s only through its In part, so a run passes one
-    dict `found` per table to its calls, and each pair is made once per
-    (bad face, In part) and kept there under (face position, In part), in
-    order of first occurrence: the order of the report's apex lists.
+    a bad face depend on a state only through its In part, so one pair
+    serves every state with that part.
     """
-    if check_cusp_condition(table, s_in) is None:
-        return False, []
-    memo, checked = {} if found is None else found, []
-    for i, (_, dual, free) in enumerate(table.bad):
-        inn = free & s_in
-        pair = memo.get((i, inn))
-        if pair is None:
-            pair = memo[i, inn] = [cone_apex(P, dual & ~inn), cone_apex(P, inn)]
-        checked.append(pair)
-    return True, checked
+    return [[[cone_apex(P, dual & ~inn), cone_apex(P, inn)] for inn in parts]
+            for (_, dual, _), parts in zip(table.bad, table.parts)]

@@ -8,7 +8,8 @@ identity, each mode's verdict rule, the built-in subjects and the
 Rendering: text and a canonical structured document (stable key order,
 exact integers, rationals as [num, den] pairs), both without timings unless
 include_timings=True, so that two runs are byte-identical.  Text reports
-name each verdict row's branch by `row_branch`.  The structured verdicts
+count the verdict rows from the plan and the outcomes, and name each kind
+of row's branch by `row_branch`.  The structured verdicts
 section is spliced from its subject's kept text and each bad row's
 outcome: the bytes `json.dumps` writes of `verdict_row`'s rows.
 """
@@ -20,10 +21,10 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polytopes import TABLE_G6
-from .states import R_TABLE, PlannedRow, Subject, all_pairs_index
+from .states import R_TABLE, CuspTable, PlannedRow, Subject, all_pairs_index
 
 REPORT_VERSION = "9"
 
@@ -125,7 +126,7 @@ class Certificate:
     evidence: Dict[str, dict]
     shared_evidence: Dict[str, dict]
     cusp_apexes: Tuple[list, ...]  # per cusp, per bad face, the apex pairs
-    cusp_rows: Tuple[dict, ...]  # report rows, by `cusp_row`
+    cusp_rows: Tuple[dict, ...]  # report rows, by `cusp_rows`
     euler: EulerRecord
     failures: Tuple[str, ...]
     timings: Dict[str, float]
@@ -210,13 +211,20 @@ def verdict_row(p: PlannedRow, verdict: str, evidence: Optional[str] = None) -> 
     return row if evidence is None else {**row, "evidence": evidence}
 
 
-def cusp_row(ok: bool, all_regular: bool) -> dict:
-    """The one writer of a cusp row, for certify and verify alike: `ok`,
-    whether the cusp condition holds, and `all_regular`, whether it holds
-    and every apex pair that the state's In parts select is proved.  The
-    pairs are the cusp's `cusps.apexes` lists, one per bad face of its
-    table; the row names neither its cusp nor its state: its position does."""
-    return {"ok": ok, "all_regular": all_regular}
+def cusp_rows(table: CuspTable, in_masks: Sequence[int], unproved: dict) -> List[dict]:
+    """The one writer of a cusp's rows, for certify and verify alike, one per
+    state of In rank mask in `in_masks`: `ok`, the plan's `held`, and
+    `all_regular`, whether it holds and every apex pair that the state's In
+    parts select is proved; `unproved` maps the position of a bad face of
+    the table to the In parts whose pairs are not.  A row names neither its
+    cusp nor its state: its position does."""
+    held = table.held
+    if not unproved:
+        return [{"ok": held, "all_regular": held} for _ in in_masks]
+    failed = [(table.bad[i][2], parts) for i, parts in unproved.items()]
+    return [{"ok": held, "all_regular": held and not any(free & s_in in parts
+                                                         for free, parts in failed)}
+            for s_in in in_masks]
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +335,18 @@ def render_text(cert: Certificate, *, include_timings: bool = False) -> str:
         add("  none")
     add("")
     add("-- verdicts --")
-    rows = cert.verdict_rows
-    n_faces = len({tuple(r["face"]) for r in rows})
-    n_states = len(cert.orbit_serials)
+    # from the plan, which covers every face, and the bad rows' outcomes
+    n_faces, n_states = len(cert.S.table.masks), len(cert.orbit_serials)
     add(f"coverage: {n_faces} faces x {n_states} states = {n_faces * n_states} "
-        f"pairs in {len(rows)} classes")
-    hist = Counter(r["verdict"] for r in rows)
+        f"pairs in {len(cert.S.plan)} classes")
+    kinds = Counter((verdict, eid is not None) for verdict, eid in cert.outcomes)
+    kinds["Regular", False] += len(cert.S.plan) - len(cert.outcomes)  # the good rows
+    hist, branches = Counter(), Counter()
+    for (verdict, cites), n in (+kinds).items():
+        hist[verdict] += n
+        branches[row_branch({"verdict": verdict, **({"evidence": ""} if cites else {})})] += n
     for verdict in sorted(hist):
         add(f"  {verdict}: {hist[verdict]} classes")
-    branches = Counter(map(row_branch, rows))
     for branch in sorted(branches):
         add(f"  via {branch}: {branches[branch]}")
     add("")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import labels as lb
 from .complexes import try_collapse  # not called here: pinned by perfbench
@@ -332,23 +332,36 @@ class PlannedRow(NamedTuple):
 
 
 class CuspTable(NamedTuple):
-    """What certifying a cusp's horospherical cube needs of the cusp alone,
-    for all states: its section's bad faces in canonical order, each as
-    (sorted ids, its `face_masks` over P's ranks cut to the incident facets);
-    and its pairs, moves in canonical order, each a move's two non-adjacent
-    incident facets as (sorted ids, rank mask).  It holds nothing a run
-    finds: the apexes are found per run.  A cusp row has one writer,
-    `report.cusp_row`, and the verifier compares the rows whole with it."""
+    """A cusp's plan, which the subject alone fixes: its section's bad faces
+    in canonical order, each as (sorted ids, its `face_masks` over P's ranks
+    cut to the incident facets); its pairs, moves in canonical order, each a
+    move's two non-adjacent incident facets as (sorted ids, rank mask);
+    `held`, whether the cusp condition holds; and per bad face its distinct
+    In parts, in order of first occurrence over the states, none when the
+    condition fails.  A run finds or checks one apex pair per part."""
 
     bad: Tuple[Tuple[Tuple[str, ...], int, int], ...]
     pairs: Tuple[Tuple[Tuple[str, str], int], ...]
+    held: bool
+    parts: Tuple[Tuple[int, ...], ...]
+
+
+def check_cusp_condition(pairs: Sequence[tuple], s_in: int) -> Optional[Tuple[str, str]]:
+    """The first of a cusp's `pairs` whose two facets have opposite status
+    in the state of In rank mask `s_in`; None when the cusp condition fails."""
+    for pair, mask in pairs:
+        if s_in & mask not in (0, mask):
+            return pair
+    return None
 
 
 def cusp_table(P: Polytope, m: MoveSystem, masks: Dict[FaceHandle, Tuple[int, int]],
-               cusp_id: str) -> CuspTable:
+               in_masks: Sequence[int], cusp_id: str) -> CuspTable:
     """The section, a cube by `cusp_incidence`, spans P's faces inside the
     cusp's incident facets, each good or bad as under m; `masks` holds each
-    bad face's `face_masks`, in canonical order (`Subject.bad_masks`)."""
+    bad face's `face_masks`, in canonical order (`Subject.bad_masks`), and
+    `in_masks` each state's In rank mask.  A move flips both facets of a
+    pair or neither, so the condition is the first state's (README)."""
     inc = cusp_incidence(P, cusp_id)
     incident = P.ideal_vertex(cusp_id).incident
     bad = tuple((F.sorted_ids(), dual & inc, free & inc)
@@ -358,7 +371,10 @@ def cusp_table(P: Polytope, m: MoveSystem, masks: Dict[FaceHandle, Tuple[int, in
         hit = sorted(block & incident)
         if len(hit) == 2 and not P.adjacent(*hit):
             pairs.append((tuple(hit), P.ranked_graph().mask(hit)))
-    return CuspTable(bad, tuple(pairs))
+    held = check_cusp_condition(pairs, in_masks[0]) is not None
+    return CuspTable(bad, tuple(pairs), held, tuple(
+        tuple(dict.fromkeys(free & s_in for s_in in in_masks)) if held else ()
+        for _, _, free in bad))
 
 
 class Subject:
@@ -411,7 +427,7 @@ class Subject:
     @cached_property
     def cusps(self) -> Tuple[CuspTable, ...]:
         """Each cusp's `cusp_table`, in P's order."""
-        return tuple(cusp_table(self.P, self.m, self.bad_masks, iv.id)
+        return tuple(cusp_table(self.P, self.m, self.bad_masks, self.in_masks, iv.id)
                      for iv in self.P.ideal_vertices)
 
     @cached_property

@@ -13,9 +13,10 @@ is built to cover each face x state once, in one pass beside the rows, and
 `report.verdict_row` for the branch the plan and the row's verdict pick,
 a critical row once its face is an all-pairs top vertex (the all-pairs
 lemma, README), with the good faces' witness moves as one list; and
-`report.cusp_row` for the cusp rows, one per (cusp, state) in order, bound
-by position and compared as one list, once each apex pair, written once
-per (cusp, bad face, In part), is checked once to dominate its parts.
+`report.cusp_rows` for the cusp rows, one per (cusp, state) in order, bound
+by position and compared as one list, once each apex pair, one per In part
+of the subject's cusp plan (`states.CuspTable`), is checked to dominate
+its part.
 Every certificate that a row cites is a dismantling order, checked by one
 rule, `states.certificate_problem`, step by step on a graph's adjacency
 masks and a live mask: a legality part on the facet graph, a shared
@@ -43,9 +44,9 @@ from typing import Dict, List, Optional, Tuple
 from .complexes import replay_collapse  # not called here: pinned by perfbench
 from .errors import InputError
 from .io import load_json, moves_from_doc, polytope_from_doc, state_from_doc
-from .links import canonical_pairs_graphs, check_cusp_condition
+from .links import canonical_pairs_graphs
 from .report import (
-    BUILTIN_SUBJECTS, MODES, REPORT_VERSION, _eid, _inputs_digest, canonical_json, cusp_row,
+    BUILTIN_SUBJECTS, MODES, REPORT_VERSION, _eid, _inputs_digest, canonical_json, cusp_rows,
     euler_identity, legality_header, report_tables, shared_header, verdict_allowed,
     verdict_row,
 )
@@ -265,16 +266,14 @@ class _Verifier:
 
     def check_cusps(self):
         """The apexes: one list per cusp, cusps in the polytope's order, of
-        one list per bad face of the cusp's table, in its order, of one
-        [out apex, in apex] pair per distinct In part of the face over the
-        states where the recomputed cusp condition holds, in order of first
-        occurrence.  Each pair is tested once: each apex a vertex of its
-        part that dominates the part, which proves the part a cone: apex ∈
-        part and part ⊆ N[apex], the rule `cone_apex` scans with.  The rows:
-        one per (cusp, state), states in the orbit's order, bound by
-        position, compared as one list with `cusp_row`'s of the recomputed
-        condition and whether every pair the state's In parts select is
-        proved; and each boundary cube must be all Regular."""
+        one list per bad face of its table, of one [out apex, in apex] pair
+        per In part that its plan lists.  Each pair is tested once: each
+        apex a vertex of its part that dominates the part, which proves the
+        part a cone: apex ∈ part and part ⊆ N[apex], the rule `cone_apex`
+        scans with.  The rows: one per (cusp, state), in the orbit's order,
+        bound by position, compared as one list with `cusp_rows`' of the
+        plan and the unproved parts; and each boundary cube must be all
+        Regular."""
         S, cusps = self.S, self.doc["cusps"]
         P, apexes = S.P, cusps["apexes"]
         if len(apexes) != len(P.ideal_vertices):
@@ -283,15 +282,12 @@ class _Verifier:
         _, rank, N = P.ranked_graph()
         want: List[dict] = []
         for c, (iv, table) in enumerate(zip(P.ideal_vertices, S.cusps)):
-            oks = [check_cusp_condition(table, s_in) is not None for s_in in S.in_masks]
-            held = [s_in for s_in, ok in zip(S.in_masks, oks) if ok]
             faces = apexes[c] if c < len(apexes) else []
             if len(faces) != len(table.bad):
                 self.fail(f"cusp {iv.id}: {len(faces)} face lists, want one per bad face "
                           f"of its table ({len(table.bad)})")
-            unproved = []  # (free, the In parts whose pair is not proved) of a face
-            for i, (_, dual, free) in enumerate(table.bad):
-                parts = dict.fromkeys(free & s_in for s_in in held)
+            unproved = {}  # face position -> the In parts whose pair is not proved
+            for i, ((_, dual, _), parts) in enumerate(zip(table.bad, table.parts)):
                 pairs = faces[i] if i < len(faces) else []
                 failed = set() if len(pairs) == len(parts) else set(parts)
                 for inn, (out_apex, in_apex) in zip(parts, pairs):
@@ -300,10 +296,9 @@ class _Verifier:
                             or dual & ~inn & ~N[r] or not inn >> q & 1 or inn & ~N[q]):
                         failed.add(inn)
                 if failed:
-                    unproved.append((free, failed))
+                    unproved[i] = failed
                     self._apexes(iv.id, table.bad[i], pairs, parts)
-            want += [cusp_row(ok, ok and not any(free & s_in in f for free, f in unproved))
-                     for ok, s_in in zip(oks, S.in_masks)]
+            want += cusp_rows(table, S.in_masks, unproved)
         rows = cusps["rows"]
         if len(rows) != len(want):
             self.fail(f"cusps: {len(rows)} rows, want one per (cusp, state): "
@@ -321,7 +316,7 @@ class _Verifier:
         cusp, idx = divmod(k, len(self.S.states))
         return f"cusp {self.S.P.ideal_vertices[cusp].id} state {idx}"
 
-    def _apexes(self, cusp: str, face, pairs: list, parts: dict):
+    def _apexes(self, cusp: str, face, pairs: list, parts: tuple):
         """Name what is wrong with `pairs` as the apex pairs of the bad face
         `face`, (sorted ids, dual, free) of its cusp's table, one per In part
         in `parts`: the count, or each apex that is no cone apex of its part."""

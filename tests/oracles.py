@@ -221,6 +221,35 @@ def section_checked(table, s: State) -> list:
             for dual, free in bad.values()]
 
 
+def section_plan(P: Polytope, m: MoveSystem, cusp_id: str, states) -> tuple:
+    """A cusp's plan through its section polytope H: (whether the cusp
+    condition holds in each state, in order; per bad face of H in
+    canonical order, its distinct In parts as sorted ids, in order of first
+    occurrence over the states where the condition holds).  The condition
+    holds when some move meets H in two opposite, non-adjacent facets of
+    different status."""
+    H, _, bad = section_cusp_table(P, m, cusp_id)
+    G = H.ranked_graph()
+    pairs = [b for b in m.restrict(H.facet_ids).blocks
+             if len(b) == 2 and not H.adjacent(*b)]
+    held = [any(len(b & s.in_facets) == 1 for b in pairs) for s in states]
+    s_ins = [G.mask(f for f in s.in_facets if f in G.rank)
+             for s, ok in zip(states, held) if ok]
+    parts = [list(dict.fromkeys(tuple(sorted(G.labels(free & s_in))) for s_in in s_ins))
+             for _, free in bad.values()]
+    return held, parts
+
+
+def checked_of_state(table, found: list, s_in: int) -> list:
+    """The apex pair of each bad face of a cusp's `table` that the state of
+    In rank mask `s_in` selects, from the pairs `found` per planned part by
+    `certify_boundary_cube`; [] when the cusp condition fails."""
+    if not table.held:
+        return []
+    return [pairs[parts.index(free & s_in)]
+            for (_, _, free), parts, pairs in zip(table.bad, table.parts, found)]
+
+
 def dismantle_by_scan(N, keep: int = 0):
     """`states.dismantle` on all positions 0..n-1, finding each stale
     vertex's first dominator by testing its live neighbours one by one."""

@@ -30,8 +30,9 @@ from morsecert.report import (
     euler_identity,
     row_branch,
 )
-from morsecert.links import check_cusp_condition
-from morsecert.states import builtin_subject, generic_subject, inherited_state
+from morsecert.states import (
+    builtin_subject, check_cusp_condition, generic_subject, inherited_state,
+)
 from morsecert.verify import verify_document
 
 from oracles import state_parts
@@ -381,7 +382,8 @@ def apex_entries(S, apexes):
     for c, (iv, table, faces) in enumerate(zip(P.ideal_vertices, S.cusps, apexes)):
         H = build_cusp_section(P, iv.id)
         mH = m.restrict(H.facet_ids)
-        held = [s for s, s_in in zip(S.states, S.in_masks) if check_cusp_condition(table, s_in)]
+        held = [s for s, s_in in zip(S.states, S.in_masks)
+                if check_cusp_condition(table.pairs, s_in)]
         for i, ((ids, _, _), pairs) in enumerate(zip(table.bad, faces)):
             F = FaceHandle(frozenset(ids))
             first = {}
@@ -898,6 +900,10 @@ def test_verify_rejects_a_boundary_cube_that_is_not_all_regular(tmp_path, capsys
     )
     assert "cusp condition fails at cusp:x state 0" in cert.failures
     doc = json.loads(emit_report(cert, "structured"))
+    # the condition fails, so the plan lists no In part and the cusp no pair
+    table = cert.S.cusps[0]
+    assert not table.held and table.parts == ((),) * len(table.bad)
+    assert doc["cusps"]["apexes"] == [[[]] * len(table.bad)] and table.bad
     doc["pass"], doc["failures"] = True, []
     write_json(tmp_path / "r.json", doc)
     assert main(["verify", str(tmp_path / "r.json")]) == 1

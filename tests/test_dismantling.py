@@ -458,17 +458,21 @@ def test_each_legality_part_is_dismantled_once_per_run(monkeypatch):
         calls.clear()
 
 
-def test_cusp_condition_checked_once_per_cusp_and_state(monkeypatch):
-    """The cusp suite evaluates each cusp condition and certifies each
-    boundary cube once per state: 10 cusps by 16 states on p5.  It builds
-    each state's In mask once, so every cusp gets the same 16 mask objects."""
-    from morsecert.links import check_cusp_condition
+def test_cusp_condition_is_fixed_by_the_plan(monkeypatch, cert_p5):
+    """The subject's cusp tables fix each cusp condition and each bad
+    face's In parts once: a warm p5 certify finds the apex pairs of each of
+    the 10 cusps in one `certify_boundary_cube` call on its kept table, and
+    neither it nor the verify of its report evaluates the condition."""
+    from morsecert import states
 
-    calls = _count(monkeypatch, check_cusp_condition)
+    calls = _count(monkeypatch, states.check_cusp_condition)
     cubes = _count(monkeypatch, certify_boundary_cube)
     assert certify_p5().passed
-    assert len(calls) == len(cubes) == 160
-    assert len({id(s_in) for _, s_in, _ in cubes}) == 16
+    assert (len(calls), len(cubes)) == (0, 10)
+    assert [table for _, table in cubes] == list(builtin_subject("p5").cusps)
+    ok, msgs = verify_document(_report(cert_p5))
+    assert ok, msgs
+    assert (len(calls), len(cubes)) == (0, 10)
 
 
 def test_structure_built_once_per_process(monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 from itertools import groupby
 
 from morsecert.errors import StructuralError
+from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
 from morsecert.links import certify_boundary_cube
 from morsecert.polytopes import (
     Facet,
@@ -23,15 +24,20 @@ from morsecert.polytopes import (
 from morsecert.states import (
     MoveSystem,
     certificate_problem,
+    check_cusp_condition,
     cusp_table,
     face_masks,
     face_table,
+    generic_subject,
     inherited_state,
     legality,
     split_legality,
     split_state,
 )
-from oracles import good_witness, section_checked, section_cusp_table
+from oracles import (
+    checked_of_state, good_witness, section_checked, section_cusp_table, section_plan,
+)
+from test_certify import square_inputs
 
 
 def _reference_split(P, m, s, F):
@@ -119,8 +125,9 @@ def test_apex_rule_matches_one_round_orders(P5, M5, BAL5, S5):
     for iv, table in zip(P5.ideal_vertices, S5.cusps):
         H, _, bad = section_cusp_table(P5, M5, iv.id)
         G = H.ranked_graph()
+        found = certify_boundary_cube(P5, table)
         for s in BAL5:
-            _, checked = certify_boundary_cube(P5, P5.ranked_graph().mask(s.in_facets), table)
+            checked = checked_of_state(table, found, P5.ranked_graph().mask(s.in_facets))
             s_in = G.mask(f for f in s.in_facets if f in G.rank)
             for (face, _, _), apexes in zip(table.bad, checked):
                 dual, free = bad[face]
@@ -139,21 +146,59 @@ def test_apex_rule_matches_one_round_orders(P5, M5, BAL5, S5):
 def test_cusp_tables_match_section_oracle(S5, S6):
     """On every cusp and state of P5 and P6, the section is a cube, with
     its 3^d faces, and the table read off P's face table on rank masks has
-    the section's bad faces in order; every row checks what the section
-    polytope checks, cone apexes included."""
+    the section's bad faces in order; its plan, whether the condition holds
+    and each bad face's In parts in order of first occurrence, is the
+    section's; and the pairs found per planned part give each state what
+    the section polytope checks, cone apexes included."""
     n = 0
     for S in (S5, S6):
         P, m = S.P, S.m
+        G = P.ranked_graph()
         for iv, table in zip(P.ideal_vertices, S.cusps):
             oracle = section_cusp_table(P, m, iv.id)
             assert oracle[1] == 3 ** (P.dimension - 1), iv.id
             assert [ids for ids, _, _ in table.bad] == list(oracle[2]), iv.id
+            held, parts = section_plan(P, m, iv.id, S.states)
+            assert held == [table.held] * len(S.states), iv.id
+            assert [[tuple(sorted(G.labels(inn))) for inn in face] for face in table.parts] \
+                == parts, iv.id
+            found = certify_boundary_cube(P, table)
+            assert [len(pairs) for pairs in found] == [len(face) for face in table.parts]
             for s in S.states:
-                ok, checked = certify_boundary_cube(P, P.ranked_graph().mask(s.in_facets),
-                                                    table)
-                assert checked == (section_checked(oracle, s) if ok else [])
+                checked = checked_of_state(table, found, G.mask(s.in_facets))
+                assert checked == (section_checked(oracle, s) if table.held else [])
                 n += 1
     assert n == 10 * 16 + 27 * 32
+
+
+def _square_with_cusp(state: str):
+    """The generic subject of the square of `square_inputs` with a cusp x
+    on the opposite facets a and c, which share a move, from the state
+    whose statuses of a, b, c, d are the letters of `state`."""
+    pol, moves, _ = square_inputs()
+    pol["ideal_vertices"] = [{"label": "x", "incident": ["a", "c"]}]
+    P = polytope_from_doc(pol)
+    return generic_subject(P, moves_from_doc(moves, P),
+                           state_from_doc(dict(zip("abcd", state)), P))
+
+
+def test_cusp_condition_is_the_same_on_the_whole_orbit(S5, S6):
+    """Each cusp pair is the two facets of one move, which flips both or
+    neither, so the cusp condition holds in every state of an orbit or in
+    none: on every cusp and state of P5, P6 and two generic squares, one
+    whose cusp pair differs in status and one whose pair agrees, it is the
+    plan's `held`."""
+    squares = [_square_with_cusp(state) for state in ("IIOO", "IOIO")]
+    n = 0
+    for S in (S5, S6, *squares):
+        for table in S.cusps:
+            for s_in in S.in_masks:
+                assert (check_cusp_condition(table.pairs, s_in) is not None) is table.held
+                n += 1
+    assert all(table.held for S in (S5, S6) for table in S.cusps)
+    assert [S.cusps[0].held for S in squares] == [True, False]
+    assert squares[1].cusps[0].parts == ((),) * len(squares[1].cusps[0].bad)
+    assert n == 10 * 16 + 27 * 32 + 2 * 4
 
 
 def test_non_cube_sections_raise_alike():
@@ -171,7 +216,8 @@ def test_non_cube_sections_raise_alike():
     for P, message in cases:
         m = MoveSystem(tuple(frozenset(f) for f in P.facet_ids))
         with pytest.raises(StructuralError) as by_table:
-            cusp_table(P, m, {F: face_masks(P, m, F) for F in face_table(P, m).bad}, "cusp:x")
+            cusp_table(P, m, {F: face_masks(P, m, F) for F in face_table(P, m).bad}, (0,),
+                       "cusp:x")
         with pytest.raises(StructuralError) as by_section:
             build_cusp_section(P, "cusp:x")
         assert type(by_table.value) is type(by_section.value)

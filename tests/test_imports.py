@@ -9,9 +9,16 @@ in a string annotation.
 
 The checker and the prover are peers over the report format: following the
 package's imports, wherever in a module they stand, `verify` reaches
-neither `certify` nor `cli`, and `report` does not reach `certify`."""
+neither `certify` nor `cli`, and `report` does not reach `certify`; of
+`links`, the checker takes only the canonical link graphs.
+
+Every annotation in the package resolves: `typing.get_type_hints` finds
+each name it uses bound in its module."""
 
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import morsecert
@@ -104,3 +111,42 @@ def test_the_closure_follows_imports():
 def test_the_checker_reaches_no_prover():
     assert not {"certify", "cli"} & _closure("verify")
     assert "certify" not in _closure("report")
+
+
+def test_the_checker_takes_only_the_link_graphs_from_links():
+    tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
+    names = [a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "links"
+             for a in node.names]
+    assert names == ["canonical_pairs_graphs"]
+
+
+def _annotated(mod):
+    """(qualified name, object) of every function, method and class that
+    module `mod` defines, a property's getter, a cached property's and a
+    cached function's wrapped function included."""
+    for obj in vars(mod).values():
+        if getattr(obj, "__module__", None) != mod.__name__:
+            continue
+        members = [obj]
+        if inspect.isclass(obj):
+            members += [getattr(m, "fget", getattr(m, "func", getattr(m, "__func__", m)))
+                        for m in vars(obj).values()]
+        for member in members:
+            member = inspect.unwrap(member) if callable(member) else member
+            if inspect.isfunction(member) or inspect.isclass(member):
+                yield f"{mod.__name__}.{member.__qualname__}", member
+
+
+def test_every_annotation_resolves():
+    unresolved, n = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in ("__init__", "__main__"):  # __main__ runs the CLI on import
+            continue
+        for name, obj in _annotated(importlib.import_module(f"morsecert.{path.stem}")):
+            n += 1
+            try:
+                typing.get_type_hints(obj)
+            except NameError as exc:
+                unresolved.append(f"{name}: {exc}")
+    assert n > 200 and unresolved == []

@@ -22,7 +22,6 @@ from morsecert.links import (
     canonical_pairs_transform,
     certify_boundary_cube,
     check_sd_crosspolytope_witness,
-    check_cusp_condition,
     classify_link,
     coface_membership_oracle,
     face_contains,
@@ -43,12 +42,14 @@ from morsecert.states import (
     State,
     all_pairs_index,
     certificate_problem,
+    check_cusp_condition,
     generic_subject,
     inherited_state,
 )
 
 from oracles import (
     barycentric_subdivision,
+    checked_of_state,
     coface_links_fast,
     is_good_face,
     section_cusp_table,
@@ -464,11 +465,11 @@ def test_classification_independent_of_base_vertex(P6, M6, BAL6, S6):
 
 def test_cusp_condition_witnesses(P6, BAL6, S6):
     s_in = P6.ranked_graph().mask(BAL6[0].in_facets)
-    got = check_cusp_condition(_cusp(S6, "cusp:1+i+j+k"), s_in)
+    got = check_cusp_condition(_cusp(S6, "cusp:1+i+j+k").pairs, s_in)
     assert set(got) == {"-1-i+j-k", "-j"}
-    got = check_cusp_condition(_cusp(S6, "cusp:1"), s_in)
+    got = check_cusp_condition(_cusp(S6, "cusp:1").pairs, s_in)
     assert set(got) == {"-1+i+j+k", "-1-i-j-k"}
-    got = check_cusp_condition(_cusp(S6, "cusp:A"), s_in)
+    got = check_cusp_condition(_cusp(S6, "cusp:A").pairs, s_in)
     assert got == ("-1", "1")
 
 
@@ -476,8 +477,10 @@ def test_certify_boundary_cube(P6, M6, BAL6, S6):
     s = BAL6[0]
     s_in = P6.ranked_graph().mask(s.in_facets)
     table = _cusp(S6, "cusp:1+i+j+k")
-    ok, checked = certify_boundary_cube(P6, s_in, table)
-    assert ok and all(None not in pair for pair in checked)
+    found = certify_boundary_cube(P6, table)
+    assert table.held and all(None not in pair for pairs in found for pair in pairs)
+    assert [len(pairs) for pairs in found] == [len(parts) for parts in table.parts]
+    checked = checked_of_state(table, found, s_in)
     H = build_cusp_section(P6, "cusp:1+i+j+k")
     mH = M6.restrict(H.facet_ids)
     faces = [F for c in range(6) for F in enumerate_faces(H, c)]
@@ -486,7 +489,7 @@ def test_certify_boundary_cube(P6, M6, BAL6, S6):
     assert [ids for ids, _, _ in table.bad] == bad
     assert len(checked) == len(bad)
     # faces inside a witness facet are good
-    f1, _ = check_cusp_condition(table, s_in)
+    f1, _ = check_cusp_condition(table.pairs, s_in)
     assert not any(f1 in face for face in bad)
     for face, apexes in zip(bad, checked):
         F = FaceHandle(frozenset(face))
@@ -511,8 +514,9 @@ def _cusp_apexes_match_legality(S, cusp_ids):
         table = _cusp(S, cusp)
         H = section_cusp_table(P, m, cusp)[0]
         mH = m.restrict(H.facet_ids)
+        found = certify_boundary_cube(P, table)
         for s in S.states:
-            _, checked = certify_boundary_cube(P, P.ranked_graph().mask(s.in_facets), table)
+            checked = checked_of_state(table, found, P.ranked_graph().mask(s.in_facets))
             for (face, _, _), apexes in zip(table.bad, checked):
                 F = FaceHandle(frozenset(face))
                 parts = state_parts(H, F, inherited_state(H, mH, s, F))

@@ -32,8 +32,7 @@ TRUSTED = {
         t24_adjacent""",
     "links": """
         CubeLift.lift_of_face CubeLift.proper_faces _pair_values
-        canonical_pairs_graphs check_cusp_condition
-        check_sd_crosspolytope_witness comparability_graph
+        canonical_pairs_graphs check_sd_crosspolytope_witness comparability_graph
         face_contains face_int face_link_posets face_parts
         pairs_core_elements synthetic_pairs_lift""",
     "polytopes": """
@@ -48,11 +47,11 @@ TRUSTED = {
         State.__post_init__ State.serial Subject.__init__ Subject.bad_masks Subject.cusps
         Subject.plan
         _plan_rows all_pairs_index balanced_states_p5 balanced_states_p6
-        builtin_subject certificate_problem cusp_table face_masks face_table
-        facet_mask is_compatible move_system_p5 move_system_p6 orbit
+        builtin_subject certificate_problem check_cusp_condition cusp_table face_masks
+        face_table facet_mask is_compatible move_system_p5 move_system_p6 orbit
         r_class_triples state_from_in_set unit_class_table""",
     "report": """
-        _eid _inputs_digest canonical_json cusp_row euler_identity
+        _eid _inputs_digest canonical_json cusp_rows euler_identity
         legality_header report_tables shared_header verdict_allowed verdict_row""",
     "schema": """
         Leaf._at_once Leaf.parse ListOf._at_once ListOf.parse Obj._at_once
