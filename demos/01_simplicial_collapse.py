@@ -5,7 +5,7 @@ claim ships with an explicit elementary-collapse sequence that can be checked
 step by step without rerunning any search.
 """
 
-from morsecert import (
+from morsecert.complexes import (
     betti_mod2,
     cone,
     from_maximal_faces,

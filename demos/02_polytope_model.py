@@ -5,13 +5,13 @@ labelling rules at build time.  Faces are cliques of the adjacency graph;
 dual complexes of faces are the clique complexes on common neighbours.
 """
 
-from morsecert import (
+from morsecert.complexes import is_crosspolytope_boundary
+from morsecert.polytopes import (
     build_cusp_section,
     build_p5,
     build_p6,
     dual_complex,
     f_vector_check,
-    is_crosspolytope_boundary,
     symmetries_p6,
 )
 P6 = build_p6()

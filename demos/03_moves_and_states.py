@@ -1,17 +1,14 @@
 """Moves, balanced states, the orbit action, and legality certificates."""
 
-from morsecert import (
-    act,
+from morsecert.kernel import (
     balanced_states_p6,
-    build_p6,
     builtin_subject,
-    inherited_state,
     is_compatible,
-    legality,
     move_system_p6,
     orbit,
 )
-from morsecert.polytopes import FaceHandle
+from morsecert.polytopes import FaceHandle, build_p6
+from morsecert.states import act, inherited_state, legality
 
 P = build_p6()
 m = move_system_p6()

@@ -7,17 +7,16 @@ dismantling orders: each step deletes a poset element dominated, in the
 comparability graph, by a live one (a beat point), and no search is run.
 """
 
-from morsecert import (
-    balanced_states_p6,
-    betti_mod2,
+from morsecert.complexes import betti_mod2
+from morsecert.kernel import balanced_states_p6, face_masks, generic_subject, move_system_p6
+from morsecert.links import (
+    CriticalLinkCertifier,
     build_cube_model,
-    build_p6,
     classify_link,
     face_links_oracle,
-    move_system_p6,
 )
-from morsecert.links import CriticalLinkCertifier
-from morsecert.states import face_masks, generic_subject, split_legality
+from morsecert.polytopes import build_p6
+from morsecert.states import split_legality
 
 P = build_p6()
 m = move_system_p6()

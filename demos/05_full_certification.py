@@ -8,8 +8,9 @@ evidence from the structured report with zero search.
 import json
 from collections import Counter
 
-from morsecert import certify_p5, certify_p6, emit_report, verify_document
-from morsecert.report import certificate_to_document, document_to_json
+from morsecert.certify import certify_p5, certify_p6
+from morsecert.report import certificate_to_document, document_to_json, emit_report
+from morsecert.verify import verify_document
 
 cert = certify_p6()
 print(cert.summary_line())

@@ -2,7 +2,7 @@
 which the verifier checks and which imports nothing from here.
 
 A certificate covers every clique face of the polytope crossed with every
-state of the orbit, in the rows of its `states.Subject`'s plan.  The plan
+state of the orbit, in the rows of its `kernel.Subject`'s plan.  The plan
 fixes a good face's row; the sweep finds each bad row's outcome, its verdict
 and the evidence id it cites: a legality item, the shared item of its ℓ
 when the all-pairs lemma (README) makes it Critical(ℓ), or none when
@@ -21,22 +21,16 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError
+from .kernel import (
+    MoveSystem, PlannedRow, State, Subject, all_pairs_index, builtin_subject, generic_subject,
+)
 from .links import CriticalLinkCertifier, certify_boundary_cube, classify_link
 from .polytopes import Polytope
 from .report import (
     BUILTIN_SUBJECTS, MODES, Certificate, _eid, _inputs_digest, cusp_rows, euler_identity,
     legality_header, report_tables, shared_header, verdict_allowed,
 )
-from .states import (
-    MoveSystem,
-    PlannedRow,
-    State,
-    Subject,
-    all_pairs_index,
-    builtin_subject,
-    generic_subject,
-    split_legality,
-)
+from .states import split_legality
 
 
 def legality_evidence_payload(rec) -> dict:
@@ -253,7 +247,7 @@ def run_pipeline(
 
 
 def _certify_builtin(key: str, seed: int, parallel: int) -> Certificate:
-    """The pipeline on the built-in subject of `states.builtin_subject` key
+    """The pipeline on the built-in subject of `kernel.builtin_subject` key
     `key`, under its report name and in its mode."""
     subject, mode = next((name, mode) for name, (k, mode) in BUILTIN_SUBJECTS.items()
                          if k == key)

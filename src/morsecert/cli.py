@@ -14,8 +14,8 @@ from functools import cache
 
 from .certify import certify_generic, certify_p5, certify_p6
 from .errors import InputError, InternalError, StructuralError
+from .kernel import builtin_subject
 from .report import MODES, emit_report
-from .states import builtin_subject
 from .verify import verify_report_file
 
 EXIT_OK = 0

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Tuple
 
 from .errors import InputError
+from .kernel import IN, OUT, MoveSystem, State, balanced_states_p6, move_system_p6
 from .polytopes import (
     Facet,
     IdealVertex,
@@ -24,7 +25,6 @@ from .polytopes import (
     build_p6,
 )
 from .schema import MOVES, POLYTOPE, STATE, parse
-from .states import IN, OUT, MoveSystem, State, balanced_states_p6, move_system_p6
 
 
 def _object(pairs: list) -> dict:

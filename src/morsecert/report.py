@@ -1,6 +1,6 @@
 """The report format, whose shape is `schema.REPORT`: all that the prover
 (`certify`) and the checker (`verify`) agree on, each importing it and not
-the other.  The one writer of each row of a `states.Subject`'s verdict
+the other.  The one writer of each row of a `kernel.Subject`'s verdict
 plan, the evidence headers and ids, the tables with the consistency
 identity, each mode's verdict rule, the built-in subjects and the
 `Certificate` certify fills.
@@ -18,19 +18,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .kernel import R_TABLE, CuspTable, PlannedRow, Subject, all_pairs_index
 from .polytopes import TABLE_G6
-from .states import R_TABLE, CuspTable, PlannedRow, Subject, all_pairs_index
 
 REPORT_VERSION = "9"
 
 MODES = ("perfect", "fibration")  # each with its verdict rule, `verdict_allowed`
 
-# The built-in subjects under their report names: the `states.builtin_subject`
+# The built-in subjects under their report names: the `kernel.builtin_subject`
 # key, which also tags the inputs digest and the summary line, and the one
 # mode each is certified in.
 BUILTIN_SUBJECTS = {"P6_perfect_morse": ("p6", "perfect"), "P5_fibration": ("p5", "fibration")}
@@ -243,11 +244,16 @@ class _Written(str):
     """A document section that is canonical JSON already."""
 
 
+# each subject's `verdict_frame`, kept while the subject lives
+_FRAMES: "weakref.WeakKeyDictionary[Subject, tuple]" = weakref.WeakKeyDictionary()
+
+
 def verdict_frame(S: Subject) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     """(fixed, tails): S's verdicts section around what a run finds, bad row
     k's verdict, then `tails[k]` (its `states`), then its evidence id, then
     `fixed[k + 1]`; rows laid out as `verdict_row` lays them out, good ones
-    whole.  Each facet label and each distinct `states` is encoded once."""
+    whole.  Each facet label and each distinct `states` is encoded once.
+    A structured write builds it once per subject, in `_FRAMES`."""
     label = {i: _DOC.encode(i) for i in S.P.facet_ids}
     states, fixed, tails, run = {}, [], [], ['{"rows":[']  # states: its text, by tuple
     for i, p in enumerate(S.plan):
@@ -267,7 +273,7 @@ def verdict_frame(S: Subject) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
 def _verdicts_section(cert: Certificate) -> _Written:
     """The verdicts section, from its subject's kept frame and the outcomes,
     whose verdicts and evidence ids ("e", 16 hex digits) need no encoding."""
-    fixed, tails = cert.S.verdict_frame
+    fixed, tails = _FRAMES.get(cert.S) or _FRAMES.setdefault(cert.S, verdict_frame(cert.S))
     out = [fixed[0]]
     for (verdict, eid), tail, text in zip(cert.outcomes, tails, fixed[1:]):
         out += (verdict, tail, "}" if eid is None else f',"evidence":"{eid}"}}', text)

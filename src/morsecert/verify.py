@@ -1,24 +1,26 @@
 """Standalone re-validation of structured reports, with zero search.
 
-The checker imports nothing from `certify`, the prover: both read the
-format of `report`, which holds every writer and table they agree on.
+The checker imports the rules of `kernel`, the format of `report`, which
+holds every writer and table the prover (`certify`) and the checker agree
+on, and the readers of `schema` and `io`: no finder module, only the
+`complexes` import that perfbench pins.
 
 A report is parsed against `schema.REPORT` once: a document of the wrong
 shape is malformed, named by its JSON path, and every check after the parse
 reads values whose JSON kinds the schema fixes.  Every table and every
 verdict row is recomputed and compared whole with what its one writer
 makes of the recomputation: `report.report_tables` for the tables, by their
-canonical JSON; the subject's plan (`states.Subject.plan`), checked where it
+canonical JSON; the subject's plan (`kernel.Subject.plan`), checked where it
 is built to cover each face x state once, in one pass beside the rows, and
 `report.verdict_row` for the branch the plan and the row's verdict pick,
 a critical row once its face is an all-pairs top vertex (the all-pairs
 lemma, README), with the good faces' witness moves as one list; and
 `report.cusp_rows` for the cusp rows, one per (cusp, state) in order, bound
 by position and compared as one list, once each apex pair, one per In part
-of the subject's cusp plan (`states.CuspTable`), is checked to dominate
+of the subject's cusp plan (`kernel.CuspTable`), is checked to dominate
 its part.
 Every certificate that a row cites is a dismantling order, checked by one
-rule, `states.certificate_problem`, step by step on a graph's adjacency
+rule, `kernel.certificate_problem`, step by step on a graph's adjacency
 masks and a live mask: a legality part on the facet graph, a shared
 critical link on the face poset's comparability graph down to its core,
 which is checked on that graph to be the subdivided cross-polytope
@@ -26,11 +28,11 @@ boundary.  Nothing here searches or builds a complex, and failure text is
 made only on a failure.  Only `timings` and `seeds` back no claim: the
 schema requires their keys, nothing checks what is in them, and the seed
 steers nothing.
-A built-in subject (`states.builtin_subject`), with its audited census, its
+A built-in subject (`kernel.builtin_subject`), with its audited census, its
 plan and its cusp tables, and the canonical link graphs are built once per
 process and shared by every report verified in it: nothing a report carries
 reaches them.  A generic report's subject is built from its embedded inputs
-for each report by `states.generic_subject`, as certify builds it: inputs
+for each report by `kernel.generic_subject`, as certify builds it: inputs
 that break a rule, an initial state that is not compatible or a cusp whose
 section is no cube included, are an input error before any row is read, as
 they are to certify.
@@ -44,20 +46,16 @@ from typing import Dict, List, Optional, Tuple
 from .complexes import replay_collapse  # not called here: pinned by perfbench
 from .errors import InputError
 from .io import load_json, moves_from_doc, polytope_from_doc, state_from_doc
-from .links import canonical_pairs_graphs
+from .kernel import (
+    PlannedRow, all_pairs_index, builtin_subject, canonical_pairs_graphs, certificate_problem,
+    generic_subject,
+)
 from .report import (
     BUILTIN_SUBJECTS, MODES, REPORT_VERSION, _eid, _inputs_digest, canonical_json, cusp_rows,
     euler_identity, legality_header, report_tables, shared_header, verdict_allowed,
     verdict_row,
 )
 from .schema import REPORT, SEQUENCE_KEYS, parse
-from .states import (
-    PlannedRow,
-    all_pairs_index,
-    builtin_subject,
-    certificate_problem,
-    generic_subject,
-)
 
 
 class _Verifier:
@@ -297,6 +295,7 @@ class _Verifier:
                         failed.add(inn)
                 if failed:
                     unproved[i] = failed
+                if failed or len(pairs) != len(parts):
                     self._apexes(iv.id, table.bad[i], pairs, parts)
             want += cusp_rows(table, S.in_masks, unproved)
         rows = cusps["rows"]

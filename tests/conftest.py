@@ -1,14 +1,14 @@
 import pytest
 
 from morsecert.certify import certify_p5, certify_p6
-from morsecert.polytopes import build_p5, build_p6
-from morsecert.states import (
+from morsecert.kernel import (
     balanced_states_p5,
     balanced_states_p6,
     builtin_subject,
     move_system_p5,
     move_system_p6,
 )
+from morsecert.polytopes import build_p5, build_p6
 
 
 @pytest.fixture(scope="session")

@@ -10,18 +10,17 @@ from typing import Dict, Optional, Tuple
 from morsecert import schema
 from morsecert.complexes import SimplicialComplex, full_subcomplex, label_key
 from morsecert.errors import InputError
+from morsecert.kernel import (
+    MoveSystem,
+    State,
+    face_masks,
+    face_table,
+)
 from morsecert.labels import BASE_POINT_LABELS, UNIT_LABELS, label_signs
 from morsecert.polytopes import (
     FaceHandle, Polytope, RankedGraph, build_cusp_section, dual_complex,
 )
-from morsecert.states import (
-    MoveSystem,
-    State,
-    cone_apex,
-    face_masks,
-    face_table,
-    inherited_state,
-)
+from morsecert.states import cone_apex, inherited_state
 
 
 # -- complexes -----------------------------------------------------------------
@@ -136,7 +135,7 @@ def is_good_face(m: MoveSystem, F: FaceHandle) -> bool:
 
 
 def compatibility_by_labels(P: Polytope, m: MoveSystem, s: State):
-    """`states.is_compatible` as a walk over every same-move pair by label."""
+    """`kernel.is_compatible` as a walk over every same-move pair by label."""
     for block in m.blocks:
         bl = sorted(block)
         for i, a in enumerate(bl):

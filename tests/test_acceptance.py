@@ -24,7 +24,7 @@ from morsecert.io import (
     polytope_from_doc,
     state_from_doc,
 )
-from morsecert.links import build_cube_model, coface_membership_oracle
+from morsecert.links import build_cube_model, coface_membership_oracle, monochromatic_factor_mins
 from morsecert.polytopes import FaceHandle, dual_complex, enumerate_faces
 from morsecert.report import (
     certificate_to_document, document_to_json, emit_report, euler_identity,
@@ -129,7 +129,7 @@ def test_criterion_5_oracle_equivalence(P6, M6, BAL6):
                     n_models += 1
                     for fid in lift.proper_faces():
                         oracle_asc = lift.lift_of_face(fid).base > 0
-                        fast_asc = not all(lift.monochromatic_factor_mins(fid))
+                        fast_asc = not all(monochromatic_factor_mins(lift, fid))
                         assert oracle_asc == fast_asc, (F, fid)
                         n_faces_checked += 1
                 out = inherited_state(P6, M6, s, F).out_facets

@@ -4,8 +4,16 @@ and its tamper check, a copy with one sequence step dropped that `verify`
 must reject, naming each tampered item's id.  perfbench reads `face`,
 `states` and `verdict` of the verdict rows, `ok` and `all_regular` of the
 cusp rows, and `kind`, `host.type` and the `*_sequence` keys of the
-evidence items, so a report format that drops one of them fails here."""
+evidence items, so a report format that drops one of them fails here.
 
+perfbench imports morsecert names and wraps the ones `spans.TRACED`
+lists, each in the module where it resolves.  A static check, on the
+sources of `perfbench/*.py` and on `TRACED`, finds each such name where
+perfbench looks for it, so a name moved out of a module fails here, naming
+the perfbench file and line, before any benchmark child process runs."""
+
+import ast
+import importlib
 import importlib.util
 import json
 from pathlib import Path
@@ -15,10 +23,18 @@ import pytest
 from morsecert.cli import main
 from morsecert.report import emit_report
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_checks", Path(__file__).resolve().parent.parent / "perfbench" / "checks.py")
-checks = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(checks)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(stem: str):
+    """perfbench's module `stem`, loaded by file path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", PERFBENCH / f"{stem}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+checks = _load("checks")
 
 
 @pytest.mark.parametrize("subject", ["p5", "p6"])
@@ -42,3 +58,43 @@ def test_benchmark_tamper_is_rejected_and_named(request, tmp_path, capsys, subje
         capsys.readouterr()
         rc = main(["verify", str(path)])
         assert checks.check_rejected(rc, capsys.readouterr().out, named) == []
+
+
+def _resolves(modname: str, attr: str = None) -> bool:
+    """Whether module `modname` imports and binds `attr`, a name or a
+    "Class.method" that the class itself defines."""
+    try:
+        owner = importlib.import_module(modname)
+    except ImportError:
+        return False
+    if attr is None:
+        return True
+    *cls, name = attr.split(".")
+    if cls:
+        owner = getattr(owner, cls[0], None)
+        return owner is not None and name in vars(owner)
+    return hasattr(owner, name) or (hasattr(owner, "__path__") and  # a package's submodule
+                                    importlib.util.find_spec(f"{modname}.{name}") is not None)
+
+
+def test_every_name_perfbench_uses_resolves():
+    missing = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                wanted = [(a.name, None) for a in node.names if a.name.startswith("morsecert")]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("morsecert"):
+                wanted = [(node.module, a.name) for a in node.names]
+            else:
+                continue
+            missing += [f"{path.name}:{node.lineno}: {mod}" + (f".{attr}" if attr else "")
+                        for mod, attr in wanted if not _resolves(mod, attr)]
+    spans = PERFBENCH / "spans.py"
+    lines = next(node.value.elts for node in ast.parse(spans.read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.AnnAssign) and node.target.id == "TRACED")
+    traced = _load("spans").TRACED
+    assert len(lines) == len(traced) > 0
+    missing += [f"{spans.name}:{line.lineno}: {modname}.{attr}"
+                for line, (_, modname, attr, _, _) in zip(lines, traced)
+                if not _resolves(modname, attr)]
+    assert missing == []

@@ -6,6 +6,7 @@ algebra against quaternions over Fraction."""
 import pytest
 
 from morsecert.errors import InputError, StructuralError
+from morsecert.kernel import face_table
 from morsecert.labels import (
     T24_LABELS,
     UNIT_LABELS,
@@ -24,7 +25,6 @@ from morsecert.polytopes import (
     f_vector_check,
     face_of_mask,
 )
-from morsecert.states import face_table
 
 from oracles import (
     bad_face_signature,

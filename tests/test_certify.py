@@ -20,6 +20,7 @@ from morsecert.io import (
     state_from_doc,
     write_json,
 )
+from morsecert.kernel import builtin_subject, check_cusp_condition, generic_subject
 from morsecert.polytopes import FaceHandle, build_cusp_section
 from morsecert.report import (
     REPORT_VERSION,
@@ -30,9 +31,7 @@ from morsecert.report import (
     euler_identity,
     row_branch,
 )
-from morsecert.states import (
-    builtin_subject, check_cusp_condition, generic_subject, inherited_state,
-)
+from morsecert.states import inherited_state
 from morsecert.verify import verify_document
 
 from oracles import state_parts
@@ -157,12 +156,12 @@ def test_verify_rejects_an_incompatible_embedded_state(tmp_path, capsys, monkeyp
     same files.  The forged report is made with the check bypassed on the
     certify side only.  The compatible twin certifies and verifies in both
     modes."""
-    import morsecert.states
+    import morsecert.kernel
 
     files = _input_files(tmp_path, cube_inputs("O"))
     report = str(tmp_path / "report.json")
     with monkeypatch.context() as mp:
-        mp.setattr(morsecert.states, "is_compatible", lambda P, m, s: (True, None))
+        mp.setattr(morsecert.kernel, "is_compatible", lambda P, m, s: (True, None))
         assert main(["certify", "generic", *files, "--format", "structured",
                      "--output", report]) == 0
     capsys.readouterr()
@@ -885,11 +884,11 @@ def test_certify_refuses_an_input_with_a_repeated_key(tmp_path, capsys):
                 == f"input error: {tmp_path / name}.json: repeated key {key!r}\n")
 
 
-def test_verify_rejects_a_boundary_cube_that_is_not_all_regular(tmp_path, capsys):
+def _failing_cusp_report():
     """Ideal vertex x of the square on facets a and c, which share a move:
     they never differ in status, so the cusp condition fails in every state
-    and no boundary cube is all Regular.  A report edited to pass is
-    rejected at the cusp."""
+    and no boundary cube is all Regular.  The certificate and its report,
+    edited to pass."""
     pol, moves, _ = square_inputs()
     pol["ideal_vertices"] = [{"label": "x", "incident": ["a", "c"]}]
     state = {"a": "I", "b": "O", "c": "I", "d": "O"}
@@ -900,14 +899,32 @@ def test_verify_rejects_a_boundary_cube_that_is_not_all_regular(tmp_path, capsys
     )
     assert "cusp condition fails at cusp:x state 0" in cert.failures
     doc = json.loads(emit_report(cert, "structured"))
+    doc["pass"], doc["failures"] = True, []
+    return cert, doc
+
+
+def test_verify_rejects_a_boundary_cube_that_is_not_all_regular(tmp_path, capsys):
+    """A report edited to pass is rejected at the cusp whose condition
+    fails."""
+    cert, doc = _failing_cusp_report()
     # the condition fails, so the plan lists no In part and the cusp no pair
     table = cert.S.cusps[0]
     assert not table.held and table.parts == ((),) * len(table.bad)
     assert doc["cusps"]["apexes"] == [[[]] * len(table.bad)] and table.bad
-    doc["pass"], doc["failures"] = True, []
     write_json(tmp_path / "r.json", doc)
     assert main(["verify", str(tmp_path / "r.json")]) == 1
     assert "cusp cusp:x state 0: boundary cube is not all Regular" in capsys.readouterr().out
+
+
+def test_verify_names_a_stray_apex_pair_on_a_cusp_whose_condition_fails(tmp_path, capsys):
+    """The cusp plan lists no In part where the condition fails, so an apex
+    pair there is one too many, and it is named by its cusp and face."""
+    _, doc = _failing_cusp_report()
+    doc["cusps"]["apexes"][0][0].append(["a", "c"])
+    write_json(tmp_path / "r.json", doc)
+    assert main(["verify", str(tmp_path / "r.json")]) == 1
+    assert ("cusp cusp:x: face (): 1 apex pairs, want one per In part (0)"
+            in capsys.readouterr().out)
 
 
 @pytest.fixture(scope="module")

@@ -29,17 +29,23 @@ from morsecert.complexes import (
 )
 from morsecert.errors import InputError
 from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
+from morsecert.kernel import (
+    State,
+    all_pairs_index,
+    builtin_subject,
+    canonical_pairs_graphs,
+    face_contains,
+    generic_subject,
+    pairs_core_elements,
+    synthetic_pairs_lift,
+)
 from morsecert.links import (
     CriticalLinkCertifier,
     build_cube_model,
-    canonical_pairs_graphs,
     canonical_pairs_transform,
     certify_boundary_cube,
     classify_link,
-    face_contains,
     face_links_oracle,
-    pairs_core_elements,
-    synthetic_pairs_lift,
 )
 from morsecert.polytopes import Facet, FaceHandle, Polytope, clique_complex, dual_complex
 from morsecert.report import (
@@ -49,13 +55,9 @@ from morsecert.report import (
     row_branch,
 )
 from morsecert.states import (
-    State,
-    all_pairs_index,
-    builtin_subject,
     cone_apex,
     dismantle,
     flag_certificate,
-    generic_subject,
     legality,
     split_legality,
 )
@@ -463,9 +465,9 @@ def test_cusp_condition_is_fixed_by_the_plan(monkeypatch, cert_p5):
     face's In parts once: a warm p5 certify finds the apex pairs of each of
     the 10 cusps in one `certify_boundary_cube` call on its kept table, and
     neither it nor the verify of its report evaluates the condition."""
-    from morsecert import states
+    from morsecert import kernel
 
-    calls = _count(monkeypatch, states.check_cusp_condition)
+    calls = _count(monkeypatch, kernel.check_cusp_condition)
     cubes = _count(monkeypatch, certify_boundary_cube)
     assert certify_p5().passed
     assert (len(calls), len(cubes)) == (0, 10)

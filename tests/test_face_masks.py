@@ -12,6 +12,15 @@ from itertools import groupby
 
 from morsecert.errors import StructuralError
 from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
+from morsecert.kernel import (
+    MoveSystem,
+    certificate_problem,
+    check_cusp_condition,
+    cusp_table,
+    face_masks,
+    face_table,
+    generic_subject,
+)
 from morsecert.links import certify_boundary_cube
 from morsecert.polytopes import (
     Facet,
@@ -22,13 +31,6 @@ from morsecert.polytopes import (
     enumerate_faces,
 )
 from morsecert.states import (
-    MoveSystem,
-    certificate_problem,
-    check_cusp_condition,
-    cusp_table,
-    face_masks,
-    face_table,
-    generic_subject,
     inherited_state,
     legality,
     split_legality,

@@ -1,16 +1,20 @@
 """Every name that a module of the package imports is used by that module,
-save three: perfbench's tracer wraps `try_collapse` and `replay_collapse` at
-every module that imports them, and
+save seven.  perfbench's tracer wraps `try_collapse` and `replay_collapse`
+at every module that imports them, and
 `perfbench/test_perfbench.py::test_tracer_patches_every_import_site` pins
 the imports of `try_collapse` in `states` and `links` and of
-`replay_collapse` in `verify`.  Each carries a comment saying so.  A name
-counts as used when the module reads it, lists it in `__all__`, or names it
-in a string annotation.
+`replay_collapse` in `verify`; `perfbench/child.py` imports the four
+built-in tables `balanced_states_p5`, `balanced_states_p6`,
+`move_system_p5` and `move_system_p6` from `states`, which re-binds them
+from the kernel.  Each carries a comment saying so.  A name counts as used
+when the module reads it, lists it in `__all__`, or names it in a string
+annotation.
 
 The checker and the prover are peers over the report format: following the
 package's imports, wherever in a module they stand, `verify` reaches
-neither `certify` nor `cli`, and `report` does not reach `certify`; of
-`links`, the checker takes only the canonical link graphs.
+none of `certify`, `cli`, `states` and `links`, and `report` does not reach
+`certify`.  No module that `verify` reaches defines a declared finder, and
+the kernel reaches only `polytopes`, `labels`, `errors` and `complexes`.
 
 Every annotation in the package resolves: `typing.get_type_hints` finds
 each name it uses bound in its module."""
@@ -27,7 +31,18 @@ PACKAGE = Path(morsecert.__file__).parent
 
 # (module, name): imported and never used, because perfbench pins the import
 PINNED = {("states", "try_collapse"), ("links", "try_collapse"),
-          ("verify", "replay_collapse")}
+          ("verify", "replay_collapse"), ("states", "balanced_states_p5"),
+          ("states", "balanced_states_p6"), ("states", "move_system_p5"),
+          ("states", "move_system_p6")}
+
+# The functions and classes that search for a certificate.  The checker must
+# reach no module that defines one.
+FINDERS = {"dismantle", "flag_certificate", "cone_apex", "split_legality",
+           "CriticalLinkCertifier", "classify_link", "certify_boundary_cube", "try_collapse"}
+
+# Reached by the checker although it defines a finder, with the reason: `verify`
+# keeps its import of `complexes.replay_collapse` while perfbench pins it.
+FINDER_EXCEPTIONS = {"complexes"}
 
 
 def _strings(node):
@@ -103,22 +118,43 @@ def _closure(stem: str) -> set:
     return reached
 
 
+def _defines(stem: str) -> set:
+    """The names that module `stem` defines at its top level: its functions,
+    its classes and the targets of its assignments, not what it imports."""
+    names = set()
+    for node in ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
 def test_the_closure_follows_imports():
-    assert {"report", "states", "polytopes", "schema", "io"} <= _closure("verify")
-    assert {"certify", "verify", "report"} <= _closure("cli")
+    assert {"report", "kernel", "polytopes", "schema", "io"} <= _closure("verify")
+    assert {"certify", "verify", "report", "states", "links"} <= _closure("cli")
+
+
+def test_every_finder_is_defined_once_in_the_package():
+    owners = {name: [p.stem for p in sorted(PACKAGE.glob("*.py")) if name in _defines(p.stem)]
+              for name in FINDERS}
+    assert all(len(stems) == 1 for stems in owners.values()), owners
 
 
 def test_the_checker_reaches_no_prover():
-    assert not {"certify", "cli"} & _closure("verify")
+    assert not {"certify", "cli", "states", "links"} & _closure("verify")
     assert "certify" not in _closure("report")
 
 
-def test_the_checker_takes_only_the_link_graphs_from_links():
-    tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
-    names = [a.name for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "links"
-             for a in node.names]
-    assert names == ["canonical_pairs_graphs"]
+def test_the_checker_reaches_no_finder():
+    found = {stem: sorted(FINDERS & _defines(stem))
+             for stem in sorted((_closure("verify") | {"verify"}) - FINDER_EXCEPTIONS)}
+    assert {stem: names for stem, names in found.items() if names} == {}
+
+
+def test_the_kernel_is_the_bottom_layer():
+    assert _closure("kernel") <= {"polytopes", "labels", "errors", "complexes"}
 
 
 def _annotated(mod):

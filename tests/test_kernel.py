@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from morsecert.links import canonical_pairs_graphs
+from morsecert.kernel import canonical_pairs_graphs
 from morsecert.states import dismantle, flag_certificate
 from oracles import dismantle_by_scan, part_graph
 

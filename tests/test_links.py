@@ -14,21 +14,29 @@ from morsecert.complexes import (
 from morsecert.certify import _classify_group
 from morsecert.errors import InputError, InternalError
 from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
-from morsecert.links import (
-    CriticalLinkCertifier,
+from morsecert.kernel import (
     LiftValue,
-    build_cube_model,
+    State,
+    all_pairs_index,
     canonical_pairs_graphs,
-    canonical_pairs_transform,
-    certify_boundary_cube,
+    certificate_problem,
+    check_cusp_condition,
     check_sd_crosspolytope_witness,
-    classify_link,
-    coface_membership_oracle,
     face_contains,
     face_int,
-    face_links_oracle,
+    generic_subject,
     pairs_core_elements,
     synthetic_pairs_lift,
+)
+from morsecert.links import (
+    CriticalLinkCertifier,
+    build_cube_model,
+    canonical_pairs_transform,
+    certify_boundary_cube,
+    classify_link,
+    coface_membership_oracle,
+    face_links_oracle,
+    top_value,
 )
 from morsecert.polytopes import (
     FaceHandle,
@@ -38,14 +46,7 @@ from morsecert.polytopes import (
     enumerate_faces,
 )
 from morsecert.report import row_branch, verdict_row
-from morsecert.states import (
-    State,
-    all_pairs_index,
-    certificate_problem,
-    check_cusp_condition,
-    generic_subject,
-    inherited_state,
-)
+from morsecert.states import inherited_state
 
 from oracles import (
     barycentric_subdivision,
@@ -84,7 +85,7 @@ def test_monochromatic_square_model(P6, M6, BAL6):
     for mask in (0b01, 0b10):
         for bits in (0, mask):
             assert model.lift.lift_of_face(face_int(2, mask, bits)) == LiftValue(0, 1)
-    assert model.lift.top_value() == LiftValue(0, 2)
+    assert top_value(model.lift) == LiftValue(0, 2)
 
 
 def test_coherent_square_model(P6, M6, BAL6):
@@ -104,7 +105,7 @@ def test_vertex_state_flips_whole_block(P6, M6, BAL6):
 
 
 def test_incompatible_state_rejected(P6, M6, BAL6):
-    from morsecert.states import State
+    from morsecert.kernel import State
 
     s = BAL6[0]
     bad = State(s.universe, s.in_facets ^ frozenset({"-1+i+j+k"}))
@@ -118,7 +119,7 @@ def test_violated_cocycle_raises(monkeypatch, P6, M6, BAL6):
     is checked, and the model is refused."""
     import morsecert.links as links
     from morsecert.errors import InternalError
-    from morsecert.states import State
+    from morsecert.kernel import State
 
     s = BAL6[0]
     bad = State(s.universe, s.in_facets ^ frozenset({"-1+i+j+k"}))

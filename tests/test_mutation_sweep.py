@@ -37,13 +37,13 @@ from pathlib import Path
 from morsecert.certify import certify_generic
 from morsecert.errors import InputError
 from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
+from morsecert.kernel import generic_subject
 from morsecert.report import (
     canonical_json,
     certificate_to_document,
     document_to_json,
     row_branch,
 )
-from morsecert.states import generic_subject
 from morsecert.verify import verify_document, verify_report_file
 
 from test_certify import apex_entries, cube_inputs

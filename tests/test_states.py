@@ -4,15 +4,17 @@ import pytest
 
 from morsecert.errors import InputError
 from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
+from morsecert.kernel import (
+    State,
+    builtin_subject,
+    is_compatible,
+    orbit,
+)
 from morsecert.polytopes import FaceHandle, enumerate_faces
 from morsecert.states import (
-    State,
     act,
-    builtin_subject,
     inherited_state,
-    is_compatible,
     legality,
-    orbit,
 )
 
 from oracles import bad_face_signature, compatibility_by_labels, is_good_face

@@ -18,7 +18,16 @@ import pytest
 from morsecert.certify import certify_generic, certify_p5, certify_p6, run_pipeline
 from morsecert.cli import main
 from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
-from morsecert.links import canonical_pairs_graphs
+from morsecert.kernel import (
+    MoveSystem,
+    balanced_states_p5,
+    balanced_states_p6,
+    builtin_subject,
+    canonical_pairs_graphs,
+    generic_subject,
+    move_system_p5,
+    move_system_p6,
+)
 from morsecert.polytopes import build_p5, build_p6
 from morsecert import report
 from morsecert.report import (
@@ -26,15 +35,6 @@ from morsecert.report import (
     certificate_to_document,
     document_to_json,
     emit_report,
-)
-from morsecert.states import (
-    MoveSystem,
-    balanced_states_p5,
-    balanced_states_p6,
-    builtin_subject,
-    generic_subject,
-    move_system_p5,
-    move_system_p6,
 )
 from morsecert.verify import verify_document
 
@@ -56,7 +56,8 @@ def _fingerprint(S):
     P, table = S.P, S.table
     return (P.name, P.facet_ids, P.ranked_graph(), P.ideal_vertices, S.m.blocks,
             [s.serial() for s in S.states], table.masks, table.witnesses, table.bad,
-            S.bad_faces, S.f_vector, S.in_masks, S.plan, S.cusps, S.verdict_frame)
+            S.bad_faces, S.f_vector, S.in_masks, S.plan, S.cusps,
+            report._FRAMES.get(S) or report.verdict_frame(S))
 
 
 @pytest.mark.parametrize("tag", ["p6", "p5"])
@@ -71,9 +72,9 @@ def test_builtin_subject_checks_its_states(monkeypatch):
     """A built-in balanced state that is not compatible is a transcription
     bug: `builtin_subject` refuses it, naming the subject, the state and the
     adjacent same-move pair."""
-    import morsecert.states
+    import morsecert.kernel
     from morsecert.errors import StructuralError
-    from morsecert.states import State, is_compatible
+    from morsecert.kernel import State, is_compatible
 
     S = _fresh("p5")
     P, m, states = S.P, S.m, S.states
@@ -81,7 +82,7 @@ def test_builtin_subject_checks_its_states(monkeypatch):
     bad = State(s.universe, s.in_facets - {min(s.in_facets)})
     ok, pair = is_compatible(P, m, bad)
     assert not ok
-    monkeypatch.setattr(morsecert.states, "balanced_states_p5",
+    monkeypatch.setattr(morsecert.kernel, "balanced_states_p5",
                         lambda P: states[:3] + (bad,) + states[4:])
     builtin_subject.cache_clear()
     try:
@@ -96,12 +97,12 @@ def test_builtin_subject_checks_its_orbit(monkeypatch):
     """Built-in states that are not the orbit of the first, in canonical
     order, are a transcription bug: `builtin_subject` refuses them, naming
     the subject."""
-    import morsecert.states
+    import morsecert.kernel
     from morsecert.errors import StructuralError
 
     states = _fresh("p5").states
     for edited in (states[:-1], states[1:] + states[:1]):
-        monkeypatch.setattr(morsecert.states, "balanced_states_p5", lambda P: edited)
+        monkeypatch.setattr(morsecert.kernel, "balanced_states_p5", lambda P: edited)
         builtin_subject.cache_clear()
         try:
             with pytest.raises(StructuralError) as info:
@@ -123,12 +124,12 @@ def test_builtin_subject_audits_its_census(monkeypatch, cert_p6, tmp_path, capsy
     """A built-in census that the built subject breaks is a transcription
     bug: `builtin_subject` refuses it, naming the subject and the broken
     line, and certify, verify of a good report and info all exit 3."""
-    import morsecert.states
+    import morsecert.kernel
     from morsecert.errors import StructuralError
 
     report = tmp_path / "p6.json"
     report.write_text(document_to_json(certificate_to_document(cert_p6)))
-    monkeypatch.setitem(morsecert.states.CENSUS, "p6", census)
+    monkeypatch.setitem(morsecert.kernel.CENSUS, "p6", census)
     builtin_subject.cache_clear()
     try:
         with pytest.raises(StructuralError) as info:
@@ -143,10 +144,10 @@ def test_builtin_subject_audits_its_census(monkeypatch, cert_p6, tmp_path, capsy
 
 
 def test_p5_is_built_from_the_kept_p6(monkeypatch):
-    import morsecert.states
+    import morsecert.kernel
 
     calls = []
-    monkeypatch.setattr(morsecert.states, "build_p6", lambda: calls.append(1) or build_p6())
+    monkeypatch.setattr(morsecert.kernel, "build_p6", lambda: calls.append(1) or build_p6())
     builtin_subject.cache_clear()
     try:
         P5 = builtin_subject("p5").P
@@ -170,7 +171,7 @@ def test_runs_leave_the_kept_subjects_as_built():
         ok, msgs = verify_document(json.loads(document_to_json(certificate_to_document(cert))))
         assert ok, msgs
     for tag in ("p6", "p5"):
-        assert "verdict_frame" in vars(builtin_subject(tag))
+        assert builtin_subject(tag) in report._FRAMES
         assert _fingerprint(builtin_subject(tag)) == _fingerprint(_fresh(tag))
     assert canonical_pairs_graphs(3) == canonical_pairs_graphs.__wrapped__(3)
 
@@ -234,11 +235,11 @@ def test_plan_and_cusp_tables_are_built_once_per_subject(monkeypatch):
     """From a cleared subject cache, two p6 certifies and a verify of the
     first report build one verdict plan and one table per cusp, 27, all
     of P6's subject; each certify still finds every cone apex itself."""
+    import morsecert.kernel
     import morsecert.links
-    import morsecert.states
 
-    plans = _counting(monkeypatch, morsecert.states, "_plan_rows")
-    tables = _counting(monkeypatch, morsecert.states, "cusp_incidence")
+    plans = _counting(monkeypatch, morsecert.kernel, "_plan_rows")
+    tables = _counting(monkeypatch, morsecert.kernel, "cusp_incidence")
     apexes = _counting(monkeypatch, morsecert.links, "cone_apex")
     builtin_subject.cache_clear()
     try:
@@ -263,10 +264,10 @@ def test_the_p5_subject_builds_no_p6_table(monkeypatch):
     """P5 is built from the kept P6's polytope, but building the p5 subject
     builds neither P6's verdict plan nor a cusp table of P6, and a p5
     certify and verify build only P5's."""
-    import morsecert.states
+    import morsecert.kernel
 
-    plans = _counting(monkeypatch, morsecert.states, "_plan_rows")
-    tables = _counting(monkeypatch, morsecert.states, "cusp_incidence")
+    plans = _counting(monkeypatch, morsecert.kernel, "_plan_rows")
+    tables = _counting(monkeypatch, morsecert.kernel, "cusp_incidence")
     builtin_subject.cache_clear()
     try:
         S5 = builtin_subject("p5")
@@ -307,11 +308,11 @@ def test_a_plan_that_misses_a_class_is_an_internal_error(monkeypatch, cert_p5, t
     exactly once, for the prover and the checker alike: a `_plan_rows`
     that drops one inherited-In class of a proper face makes `certify p5`
     and `verify` of a good p5 report both exit 3, naming the face."""
-    import morsecert.states
+    import morsecert.kernel
 
     report = tmp_path / "p5.json"
     report.write_text(document_to_json(certificate_to_document(cert_p5)))
-    rows, dropped = morsecert.states._plan_rows, []
+    rows, dropped = morsecert.kernel._plan_rows, []
 
     def dropping(S):
         plan = list(rows(S))
@@ -320,7 +321,7 @@ def test_a_plan_that_misses_a_class_is_an_internal_error(monkeypatch, cert_p5, t
         dropped.append(plan.pop(i).face)
         return iter(plan)
 
-    monkeypatch.setattr(morsecert.states, "_plan_rows", dropping)
+    monkeypatch.setattr(morsecert.kernel, "_plan_rows", dropping)
     builtin_subject.cache_clear()
     try:
         codes = [main(argv) for argv in (["certify", "p5"], ["verify", str(report)])]
@@ -476,3 +477,24 @@ def test_the_kept_text_is_built_once_per_subject_by_a_structured_write(monkeypat
         builtin_subject.cache_clear()
     assert codes == [0] * 5
     assert frames == [(S5,)]
+
+
+def test_the_kept_text_goes_with_its_subject():
+    """The report keeps each subject's text under a weak reference: a
+    generic subject's goes when the subject does, so a process that
+    certifies many inputs keeps no text of the subjects it dropped."""
+    import gc
+    import weakref
+
+    pol = {"name": "square", "dimension": 2, "facets": [{"id": f} for f in "abcd"],
+           "adjacency": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]]}
+    P = polytope_from_doc(pol)
+    cert = certify_generic(P, moves_from_doc([["a", "c"], ["b", "d"]], P),
+                           state_from_doc({"a": "I", "b": "I", "c": "O", "d": "O"}, P),
+                           mode="fibration")
+    document_to_json(certificate_to_document(cert))
+    S, kept = weakref.ref(cert.S), len(report._FRAMES)
+    assert S() in report._FRAMES
+    del cert
+    gc.collect()
+    assert S() is None and len(report._FRAMES) == kept - 1

@@ -4,7 +4,7 @@ once and walks value by value only to name a mismatch."""
 
 import json
 
-from morsecert import schema, states, verify
+from morsecert import kernel, schema, verify
 from morsecert.cli import main
 from morsecert.io import write_json
 from morsecert.report import certificate_to_document, document_to_json, row_branch
@@ -27,14 +27,14 @@ def test_a_passing_report_is_checked_in_one_pass(cert_p6, monkeypatch):
     verify in the process, and read in one pass; the per-value walk of the
     schema, which only names a mismatch, never runs."""
     doc = json.loads(document_to_json(certificate_to_document(cert_p6)))
-    states.builtin_subject.cache_clear()
+    kernel.builtin_subject.cache_clear()
     try:
-        plans = _counted(monkeypatch, states, "_plan_rows")
+        plans = _counted(monkeypatch, kernel, "_plan_rows")
         walks = _counted(monkeypatch, schema._Kind, "_walk")
         assert verify.verify_document(doc) == (True, [])
         assert verify.verify_document(doc) == (True, [])
     finally:
-        states.builtin_subject.cache_clear()
+        kernel.builtin_subject.cache_clear()
     assert (len(plans), len(walks)) == (1, 0)
 
 
