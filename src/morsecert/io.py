@@ -12,8 +12,9 @@ facet id to "I" or "O".
 from __future__ import annotations
 
 import json
+from json.decoder import scanstring
 from pathlib import Path
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .errors import InputError
 from .kernel import IN, OUT, MoveSystem, State, balanced_states_p6, move_system_p6
@@ -38,13 +39,22 @@ def _object(pairs: list) -> dict:
     return obj
 
 
-def load_json(path) -> object:
-    """The JSON document at `path`, each object with its keys once."""
+def read_text(path) -> str:
+    """The text of the file at `path`; one that cannot be read is an input
+    error naming the file."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def load_json(path, text: Optional[str] = None) -> object:
+    """The JSON document at `path`, each object with its keys once; `text`
+    is the file's text where the caller has read it already."""
+    path = Path(path)
+    if text is None:
+        text = read_text(path)
     try:
         return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
@@ -55,6 +65,42 @@ def load_json(path) -> object:
         raise InputError(f"{path}: nested too deeply: {exc}") from exc
     except ValueError as exc:  # a repeated key, or an integer literal past the digit limit
         raise InputError(f"{path}: {exc}") from exc
+
+
+# the json module's scanner, as `load_json` reads with it
+_SCAN = json.JSONDecoder(object_pairs_hook=_object).scan_once
+_SPACE = json.decoder.WHITESPACE.match
+
+
+def read_object(text: str, key: str, read) -> Optional[dict]:
+    """The JSON object that is all of `text`, read as `load_json` reads it,
+    key by key, each value by the json module's scanner with `_object`'s
+    rule, the object's own keys included; but the value of `key` is what
+    `read(pairs, pos)` makes of the text at `pos`, given the pairs before
+    it: (value, end), or None where it stops.  None for any text that
+    departs from this reading: `load_json` then reads it whole and names
+    what is wrong."""
+    pairs, sep, pos = [], "{", _SPACE(text, 0).end()
+    try:
+        while text.startswith(sep, pos):
+            pos = _SPACE(text, pos + 1).end()
+            if not text.startswith('"', pos):
+                return None
+            name, pos = scanstring(text, pos + 1)
+            pos = _SPACE(text, pos).end()
+            if not text.startswith(":", pos):
+                return None
+            pos = _SPACE(text, pos + 1).end()
+            got = read(pairs, pos) if name == key else _SCAN(text, pos)
+            if got is None:
+                return None
+            pairs.append((name, got[0]))
+            sep, pos = ",", _SPACE(text, got[1]).end()
+        if sep == "," and text.startswith("}", pos) and _SPACE(text, pos + 1).end() == len(text):
+            return _object(pairs)
+    except (ValueError, StopIteration, RecursionError):  # `load_json` names it
+        pass
+    return None
 
 
 # The readers take a document that its schema parsed: `load_document`'s,

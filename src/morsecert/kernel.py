@@ -472,15 +472,25 @@ def builtin_subject(tag: str) -> Subject:
     return S
 
 
+# The most moves a generic subject may have.  Its moves are disjoint and
+# nonempty, so its orbit has exactly 2^moves states, each a set of moves
+# applied to the first; P6 has 5 moves and P5 4.
+MAX_MOVES = 10
+
+
 def generic_subject(P: Polytope, m: MoveSystem, s0: State) -> Subject:
     """The subject of user-supplied inputs, the orbit of the initial state
-    s0, for certify and verify alike.  m must partition P's facets, s0
-    must be compatible, P must pass the face census, and each cusp's
-    section must be a cube; a move flips both facets of an adjacent
-    same-move pair, so the whole orbit of a compatible state is compatible.
-    A rule the data breaks is an InputError naming it."""
+    s0, for certify and verify alike.  m must partition P's facets into at
+    most `MAX_MOVES` moves, checked before the orbit is listed, s0 must be
+    compatible, P must pass the face census, and each cusp's section must
+    be a cube; a move flips both facets of an adjacent same-move pair, so
+    the whole orbit of a compatible state is compatible.  A rule the data
+    breaks is an InputError naming it."""
     if not m.covers(P.facet_ids):
         raise InputError("move system does not partition the facet set")
+    if len(m.blocks) > MAX_MOVES:
+        raise InputError(f"{len(m.blocks)} moves, past the limit of {MAX_MOVES}: the orbit "
+                         f"would have 2^{len(m.blocks)} states")
     ok, witness = is_compatible(P, m, s0)
     if not ok:
         raise InputError(f"initial state is incompatible: adjacent same-move pair {witness!r}")

@@ -13,54 +13,11 @@ from typing import Dict, List, Optional, Tuple
 from .complexes import order_complex, try_collapse  # try_collapse: pinned by perfbench
 from .errors import InputError, InternalError
 from .kernel import (
-    CubeLift, CuspTable, LiftValue, MoveSystem, State, Subject, all_pairs_index,
-    canonical_pairs_graphs, face_int, face_link_posets, face_parts, is_compatible,
+    CubeLift, CuspTable, MoveSystem, State, Subject, all_pairs_index, canonical_pairs_graphs,
+    face_link_posets, is_compatible,
 )
 from .polytopes import FaceHandle, Polytope
 from .states import cone_apex, flag_certificate
-
-
-def top_value(lift: CubeLift) -> LiftValue:
-    """The lift value at the barycentre of the whole cube."""
-    return LiftValue(0, lift.k)
-
-
-def monochromatic_factor_mins(lift: CubeLift, fid: int) -> Tuple[bool, ...]:
-    """Per block: does the face attain that factor's minimum lift?
-
-    Factor lift of block B at vertex w depends only on w's bits in B;
-    the face attains the factor minimum iff some allowed assignment of
-    the block bits achieves it.
-    """
-    mask, bits = face_parts(lift.k, fid)
-    out = []
-    for block in lift.blocks:
-        bmask = 0
-        for p in block:
-            bmask |= 1 << p
-        free_in_block = bmask & ~mask
-        # factor values: vary only this block's bits, other blocks pinned
-        # at the base vertex; the pinned offset cancels in the comparison
-        base_val = {}
-        x = 0
-        while True:
-            base_val[x] = lift.vertex_lift[x]
-            if x == bmask:
-                break
-            x = ((x | ~bmask) + 1) & bmask
-        factor_min = min(base_val.values())
-        sub = free_in_block
-        best = None
-        while True:
-            x = (bits & bmask) | sub
-            v = base_val[x]
-            if best is None or v < best:
-                best = v
-            if sub == 0:
-                break
-            sub = (sub - 1) & free_in_block
-        out.append(best == factor_min)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -154,22 +111,6 @@ def face_links_oracle(model: CubeModel | CubeLift):
     lift = model.lift if isinstance(model, CubeModel) else model
     return tuple(order_complex(elems, covers=covers)
                  for elems, covers in face_link_posets(lift))
-
-
-def coface_membership_oracle(
-    P: Polytope, m: MoveSystem, s: State, F: FaceHandle, F_prime: FaceHandle
-) -> bool:
-    """Ascending-membership of a coface barycentre, decided from the larger
-    cube's lift: ascending iff the lift minimum is attained on the smaller
-    cube (the face fixing the extra coordinates at the base copy)."""
-    if not (F.defining < F_prime.defining):
-        raise InputError("F' must have strictly more defining facets than F")
-    model = build_cube_model(P, m, s, F_prime)
-    mask = 0
-    for pos, fid in enumerate(model.defining):
-        if fid not in F.defining:
-            mask |= 1 << pos
-    return model.lift.lift_of_face(face_int(model.k, mask, 0)).base == 0
 
 
 # -- canonical all-pairs cubes and their certificates ------------------------

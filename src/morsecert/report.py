@@ -12,6 +12,7 @@ count the verdict rows from the plan and the outcomes, and name each kind
 of row's branch by `row_branch`.  The structured verdicts
 section is spliced from its subject's kept text and each bad row's
 outcome: the bytes `json.dumps` writes of `verdict_row`'s rows.
+`read_verdicts`, its mirror, reads those bytes back through the same text.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from json.decoder import scanstring
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .kernel import R_TABLE, CuspTable, PlannedRow, Subject, all_pairs_index
@@ -253,7 +255,8 @@ def verdict_frame(S: Subject) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     k's verdict, then `tails[k]` (its `states`), then its evidence id, then
     `fixed[k + 1]`; rows laid out as `verdict_row` lays them out, good ones
     whole.  Each facet label and each distinct `states` is encoded once.
-    A structured write builds it once per subject, in `_FRAMES`."""
+    A structured write, or a verify that reads S's verdicts through it,
+    builds it once per subject, in `_FRAMES` (`_kept_frame`)."""
     label = {i: _DOC.encode(i) for i in S.P.facet_ids}
     states, fixed, tails, run = {}, [], [], ['{"rows":[']  # states: its text, by tuple
     for i, p in enumerate(S.plan):
@@ -270,14 +273,49 @@ def verdict_frame(S: Subject) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     return (*fixed, "".join(run) + '],"witness_moves":' + witnesses + "}"), tuple(tails)
 
 
+def _kept_frame(S: Subject) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    return _FRAMES.get(S) or _FRAMES.setdefault(S, verdict_frame(S))
+
+
+_EVIDENCE = ',"evidence":"'  # a bad row's evidence key, up to its id
+
+
 def _verdicts_section(cert: Certificate) -> _Written:
     """The verdicts section, from its subject's kept frame and the outcomes,
     whose verdicts and evidence ids ("e", 16 hex digits) need no encoding."""
-    fixed, tails = _FRAMES.get(cert.S) or _FRAMES.setdefault(cert.S, verdict_frame(cert.S))
+    fixed, tails = _kept_frame(cert.S)
     out = [fixed[0]]
     for (verdict, eid), tail, text in zip(cert.outcomes, tails, fixed[1:]):
-        out += (verdict, tail, "}" if eid is None else f',"evidence":"{eid}"}}', text)
+        out += (verdict, tail, "}" if eid is None else f'{_EVIDENCE}{eid}"}}', text)
     return _Written("".join(out))
+
+
+def read_verdicts(S: Subject, text: str, pos: int) -> Optional[Tuple[tuple, int]]:
+    """The mirror of `_verdicts_section`: the outcomes of S's bad rows, as
+    `Certificate.outcomes` holds them, read from the verdicts section at
+    `pos` in `text`, and the position after the section; None at the first
+    byte that departs from S's kept frame.  Each verdict and evidence id is
+    read as the json module reads a string, so a section read is JSON whose
+    rows are `verdict_row`'s of its outcomes, and its witness moves S's."""
+    fixed, tails = _kept_frame(S)
+    if not text.startswith(fixed[0], pos):
+        return None
+    pos, outcomes = pos + len(fixed[0]), []
+    try:
+        for tail, after in zip(tails, fixed[1:]):
+            verdict, pos = scanstring(text, pos)  # from after the frame's opening quote
+            if not text.startswith(tail, pos - 1):  # from its closing quote
+                return None
+            eid, pos = None, pos - 1 + len(tail)
+            if text.startswith(_EVIDENCE, pos):
+                eid, pos = scanstring(text, pos + len(_EVIDENCE))
+            if not (text.startswith("}", pos) and text.startswith(after, pos + 1)):
+                return None
+            outcomes.append((verdict, eid))
+            pos += 1 + len(after)
+    except ValueError:  # a verdict or an id that is no JSON string
+        return None
+    return tuple(outcomes), pos
 
 
 def certificate_to_document(cert: Certificate, *, include_timings: bool = False) -> dict:

@@ -1,6 +1,7 @@
 """The JSON documents morsecert reads, as one schema, and their one parse.
 
-`REPORT` is the report; `POLYTOPE`, `MOVES` and `STATE` are the generic
+`REPORT` is the report, and `READ_REPORT` one whose verdicts section was
+read from its bytes; `POLYTOPE`, `MOVES` and `STATE` are the generic
 inputs.  `parse` checks a document once, before anything reads it, a list's
 elements all at once, field by field, and raises InputError naming the
 first value that breaks it by its JSON path, as in `verdicts.rows[3].face:
@@ -182,16 +183,25 @@ SEQUENCE_KEYS = {kind: tuple(k for k, v in item.fields.items() if v in (FACET_OR
 # their top level; a bad face's verdict row cites its evidence, none when
 # Unknown; a cusp apex is null where its part is no cone.
 OBJ_TABLE, LIST_TABLE = Leaf("object", dict), Leaf("list", list)
-REPORT = Obj({
-    "version": STR, "subject": STR, "mode": STR, "pass": BOOL, "seeds": ANY, "inputs_digest": STR,
-    "polytope": OBJ_TABLE, "moves": LIST_TABLE, "orbit": LIST_TABLE, "f_vector": OBJ_TABLE,
-    "bad_faces": OBJ_TABLE, "euler": OBJ_TABLE,
-    "verdicts": Obj({"rows": ListOf(Obj({"face": STRS, "verdict": STR, "states": INTS},
-                                        {"evidence": STR})),
-                     "witness_moves": INTS}),
-    "evidence": Obj(each=EVIDENCE_ITEMS["legality"]),
-    "shared_evidence": Obj(each=EVIDENCE_ITEMS["critical-shared"]),
-    "cusps": Obj({"apexes": ListOf(ListOf(ListOf(Pair(Leaf("str or null", str, type(None)))))),
-                  "rows": ListOf(Obj({"ok": BOOL, "all_regular": BOOL}))}),
-    "failures": STRS, "timings": ANY,
-}, {"inputs": Obj({"polytope": POLYTOPE, "moves": MOVES, "state": STATE})})
+
+
+def _report(verdicts: _Kind) -> Obj:
+    return Obj({
+        "version": STR, "subject": STR, "mode": STR, "pass": BOOL, "seeds": ANY,
+        "inputs_digest": STR, "polytope": OBJ_TABLE, "moves": LIST_TABLE, "orbit": LIST_TABLE,
+        "f_vector": OBJ_TABLE, "bad_faces": OBJ_TABLE, "euler": OBJ_TABLE, "verdicts": verdicts,
+        "evidence": Obj(each=EVIDENCE_ITEMS["legality"]),
+        "shared_evidence": Obj(each=EVIDENCE_ITEMS["critical-shared"]),
+        "cusps": Obj({"apexes": ListOf(ListOf(ListOf(Pair(Leaf("str or null", str, type(None)))))),
+                      "rows": ListOf(Obj({"ok": BOOL, "all_regular": BOOL}))}),
+        "failures": STRS, "timings": ANY,
+    }, {"inputs": Obj({"polytope": POLYTOPE, "moves": MOVES, "state": STATE})})
+
+
+REPORT = _report(Obj({"rows": ListOf(Obj({"face": STRS, "verdict": STR, "states": INTS},
+                                         {"evidence": STR})),
+                      "witness_moves": INTS}))
+# A report whose verdicts section `report.read_verdicts` read from the bytes
+# certify writes: the subject's frame fixed the kinds in it, and all that is
+# left of it is the tuple of the bad rows' outcomes.
+READ_REPORT = _report(Leaf("tuple", tuple))

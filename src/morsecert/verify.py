@@ -5,16 +5,26 @@ holds every writer and table the prover (`certify`) and the checker agree
 on, and the readers of `schema` and `io`: no finder module, only the
 `complexes` import that perfbench pins.
 
-A report is parsed against `schema.REPORT` once: a document of the wrong
+A report file in the bytes certify writes for a built-in subject is read
+once (`verify_report_file`): the top level key by key with the json
+module's scanner, and the verdicts section through the subject's kept
+frame (`report.read_verdicts`), which matches every good row, face,
+`states` list and witness move as bytes and reads only the bad rows'
+outcomes.  Any other file (a generic report, whose inputs follow its
+verdicts, another spelling, or text that departs from the frame) is read
+whole by `io.load_json`, and the rows are walked: both reads give a
+document the same exit and the same messages.
+A report is parsed against its schema once: a document of the wrong
 shape is malformed, named by its JSON path, and every check after the parse
 reads values whose JSON kinds the schema fixes.  Every table and every
 verdict row is recomputed and compared whole with what its one writer
 makes of the recomputation: `report.report_tables` for the tables, by their
 canonical JSON; the subject's plan (`kernel.Subject.plan`), checked where it
-is built to cover each face x state once, in one pass beside the rows, and
-`report.verdict_row` for the branch the plan and the row's verdict pick,
-a critical row once its face is an all-pairs top vertex (the all-pairs
-lemma, README), with the good faces' witness moves as one list; and
+is built to cover each face x state once, in one pass beside the parsed
+rows, or matched by the frame, and `report.verdict_row` for the branch the
+plan and a bad row's verdict pick, a critical row once its face is an
+all-pairs top vertex (the all-pairs lemma, README), with the good faces'
+witness moves as one list; and
 `report.cusp_rows` for the cusp rows, one per (cusp, state) in order, bound
 by position and compared as one list, once each apex pair, one per In part
 of the subject's cusp plan (`kernel.CuspTable`), is checked to dominate
@@ -29,9 +39,9 @@ made only on a failure.  Only `timings` and `seeds` back no claim: the
 schema requires their keys, nothing checks what is in them, and the seed
 steers nothing.
 A built-in subject (`kernel.builtin_subject`), with its audited census, its
-plan and its cusp tables, and the canonical link graphs are built once per
-process and shared by every report verified in it: nothing a report carries
-reaches them.  A generic report's subject is built from its embedded inputs
+plan, its cusp tables and its kept frame, and the canonical link graphs are
+built once per process and shared by every report verified in it: nothing a
+report carries reaches them.  A generic report's subject is built from its embedded inputs
 for each report by `kernel.generic_subject`, as certify builds it: inputs
 that break a rule, an initial state that is not compatible or a cusp whose
 section is no cube included, are an input error before any row is read, as
@@ -45,22 +55,28 @@ from typing import Dict, List, Optional, Tuple
 
 from .complexes import replay_collapse  # not called here: pinned by perfbench
 from .errors import InputError
-from .io import load_json, moves_from_doc, polytope_from_doc, state_from_doc
+from .io import (
+    load_json, moves_from_doc, polytope_from_doc, read_object, read_text, state_from_doc,
+)
 from .kernel import (
     PlannedRow, all_pairs_index, builtin_subject, canonical_pairs_graphs, certificate_problem,
     generic_subject,
 )
 from .report import (
     BUILTIN_SUBJECTS, MODES, REPORT_VERSION, _eid, _inputs_digest, canonical_json, cusp_rows,
-    euler_identity, legality_header, report_tables, shared_header, verdict_allowed,
-    verdict_row,
+    euler_identity, legality_header, read_verdicts, report_tables, shared_header,
+    verdict_allowed, verdict_row,
 )
-from .schema import REPORT, SEQUENCE_KEYS, parse
+from .schema import READ_REPORT, REPORT, SEQUENCE_KEYS, parse
 
 
 class _Verifier:
     def __init__(self, doc: dict):
         self.doc = doc
+        # the bad rows' outcomes, where `report.read_verdicts` read the
+        # verdicts section from the report's bytes
+        verdicts = doc.get("verdicts") if type(doc) is dict else None
+        self.outcomes = verdicts if type(verdicts) is tuple else None
         self.messages: List[str] = []
         # whether each bound item's id is its hash, under (section, id)
         self._bound: Dict[Tuple[str, str], bool] = {}
@@ -174,15 +190,26 @@ class _Verifier:
     # -- verdict table ---------------------------------------------------------
 
     def check_verdicts(self):
-        """One pass over the plan and the rows: each row must be the planned
-        row of its position, for the branch the plan and its verdict pick.
-        Of the rows out of place, the first is named and none is checked.
-        The good faces' witness moves, one list in plan order, must be the
-        plan's, compared whole."""
+        """Each bad row's check, `_check_row`.  A section read from its
+        bytes holds the bad rows' outcomes only: the read matched the rest,
+        every good row, face, `states` and witness move, with the plan's
+        text.  A parsed section is walked, `_walk_rows`."""
+        if self.outcomes is None:
+            return self._walk_rows()
+        bad = (p for p in self.S.plan if p.witness is None)
+        for p, (verdict, eid) in zip(bad, self.outcomes):
+            self._check_row(p, verdict_row(p, verdict, eid))
+
+    def _walk_rows(self):
+        """One pass over the plan and the parsed rows: each row must be the
+        planned row of its position, for the branch the plan and its verdict
+        pick.  Of the rows out of place, the first is named and none is
+        checked.  The good faces' witness moves, one list in plan order,
+        must be the plan's, compared whole."""
         witnesses = [p.witness for p in self.S.plan if p.witness is not None]
         if self.doc["verdicts"]["witness_moves"] != witnesses:
             self._witness_moves(witnesses)
-        mode, dim, departed = self.mode, self.S.P.dimension, False
+        departed = False
         everyone = list(range(len(self.S.states)))  # a good row's states
         for i, (row, p) in enumerate(zip_longest(self.doc["verdicts"]["rows"], self.S.plan)):
             if (p is not None and p.witness is not None and row is not None and len(row) == 3
@@ -198,13 +225,18 @@ class _Verifier:
                     self.fail(f"verdict row {i}: {g} where the plan has {w}")
                 departed = True
                 continue
-            verdict = row["verdict"]
-            if not verdict_allowed(mode, dim, verdict):
-                self.fail(f"face {p.face}: verdict {verdict!r} is not allowed in {mode!r} mode")
-            want = self._claimed_row(p, row)
-            if want is not None and row != want:
-                self._same_row(row, want, f"face {p.face}" + (
-                    f": evidence {row['evidence']}" if "evidence" in row else ""))
+            self._check_row(p, row)
+
+    def _check_row(self, p: PlannedRow, row: dict):
+        """Row `row` in place at planned row `p`: its verdict must be one the
+        mode allows, and the row the one `_claimed_row` rebuilds."""
+        verdict, mode = row["verdict"], self.mode
+        if not verdict_allowed(mode, self.S.P.dimension, verdict):
+            self.fail(f"face {p.face}: verdict {verdict!r} is not allowed in {mode!r} mode")
+        want = self._claimed_row(p, row)
+        if want is not None and row != want:
+            self._same_row(row, want, f"face {p.face}" + (
+                f": evidence {row['evidence']}" if "evidence" in row else ""))
 
     def _witness_moves(self, want: List[int]):
         """Name what is wrong with the report's witness moves, which are not
@@ -348,7 +380,7 @@ class _Verifier:
         if type(self.doc) is dict and self.doc.get("version") != REPORT_VERSION:
             self.fail(f"unsupported report version {self.doc.get('version')!r}")
             return False, self.messages
-        parse(REPORT, self.doc, "report")
+        parse(REPORT if self.outcomes is None else READ_REPORT, self.doc, "report")
         if not self.build_context():
             return False, self.messages
         self.check_tables()
@@ -377,4 +409,19 @@ def verify_document(doc: dict) -> Tuple[bool, List[str]]:
 
 
 def verify_report_file(path) -> Tuple[bool, List[str]]:
-    return verify_document(load_json(path))
+    """Re-validate the structured report at `path`, as `verify_document`.
+
+    A built-in subject's verdicts section, in the bytes certify writes, is
+    read through the subject's kept frame (`report.read_verdicts`), and the
+    rest of the report key by key (`io.read_object`); any other document,
+    or text that departs from that reading, is read whole by `load_json`."""
+    text = read_text(path)
+
+    def verdicts(pairs: list, pos: int):
+        subject = dict(pairs).get("subject")
+        if type(subject) is not str or subject not in BUILTIN_SUBJECTS:
+            return None
+        return read_verdicts(builtin_subject(BUILTIN_SUBJECTS[subject][0]), text, pos)
+
+    doc = read_object(text, "verdicts", verdicts)
+    return verify_document(load_json(path, text) if doc is None else doc)

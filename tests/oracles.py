@@ -11,11 +11,16 @@ from morsecert import schema
 from morsecert.complexes import SimplicialComplex, full_subcomplex, label_key
 from morsecert.errors import InputError
 from morsecert.kernel import (
+    CubeLift,
+    LiftValue,
     MoveSystem,
     State,
+    face_int,
     face_masks,
+    face_parts,
     face_table,
 )
+from morsecert.links import build_cube_model
 from morsecert.labels import BASE_POINT_LABELS, UNIT_LABELS, label_signs
 from morsecert.polytopes import (
     FaceHandle, Polytope, RankedGraph, build_cusp_section, dual_complex,
@@ -375,3 +380,65 @@ def fraction_base_unit(label: str) -> str:
             found.append(units[q])
     assert len(found) == 1, (label, found)
     return found[0]
+
+
+# -- cube lifts ----------------------------------------------------------------
+
+
+def top_value(lift: CubeLift) -> LiftValue:
+    """The lift value at the barycentre of the whole cube."""
+    return LiftValue(0, lift.k)
+
+
+def monochromatic_factor_mins(lift: CubeLift, fid: int) -> Tuple[bool, ...]:
+    """Per block: does the face attain that factor's minimum lift?
+
+    Factor lift of block B at vertex w depends only on w's bits in B;
+    the face attains the factor minimum iff some allowed assignment of
+    the block bits achieves it.
+    """
+    mask, bits = face_parts(lift.k, fid)
+    out = []
+    for block in lift.blocks:
+        bmask = 0
+        for p in block:
+            bmask |= 1 << p
+        free_in_block = bmask & ~mask
+        # factor values: vary only this block's bits, other blocks pinned
+        # at the base vertex; the pinned offset cancels in the comparison
+        base_val = {}
+        x = 0
+        while True:
+            base_val[x] = lift.vertex_lift[x]
+            if x == bmask:
+                break
+            x = ((x | ~bmask) + 1) & bmask
+        factor_min = min(base_val.values())
+        sub = free_in_block
+        best = None
+        while True:
+            x = (bits & bmask) | sub
+            v = base_val[x]
+            if best is None or v < best:
+                best = v
+            if sub == 0:
+                break
+            sub = (sub - 1) & free_in_block
+        out.append(best == factor_min)
+    return tuple(out)
+
+
+def coface_membership_oracle(
+    P: Polytope, m: MoveSystem, s: State, F: FaceHandle, F_prime: FaceHandle
+) -> bool:
+    """Ascending-membership of a coface barycentre, decided from the larger
+    cube's lift: ascending iff the lift minimum is attained on the smaller
+    cube (the face fixing the extra coordinates at the base copy)."""
+    if not (F.defining < F_prime.defining):
+        raise InputError("F' must have strictly more defining facets than F")
+    model = build_cube_model(P, m, s, F_prime)
+    mask = 0
+    for pos, fid in enumerate(model.defining):
+        if fid not in F.defining:
+            mask |= 1 << pos
+    return model.lift.lift_of_face(face_int(model.k, mask, 0)).base == 0

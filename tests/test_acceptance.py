@@ -24,13 +24,15 @@ from morsecert.io import (
     polytope_from_doc,
     state_from_doc,
 )
-from morsecert.links import build_cube_model, coface_membership_oracle, monochromatic_factor_mins
+from morsecert.links import build_cube_model
 from morsecert.polytopes import FaceHandle, dual_complex, enumerate_faces
 from morsecert.report import (
     certificate_to_document, document_to_json, emit_report, euler_identity,
 )
 from morsecert.states import cone_apex, inherited_state
 from morsecert.verify import verify_document
+
+from oracles import coface_membership_oracle, monochromatic_factor_mins
 
 REFERENCE_OUT_12 = frozenset({
     "1", "1-i+j-k", "1+i+j-k",

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,9 @@ from morsecert.io import (
     state_from_doc,
     write_json,
 )
-from morsecert.kernel import builtin_subject, check_cusp_condition, generic_subject
+from morsecert.kernel import (
+    MAX_MOVES, builtin_subject, check_cusp_condition, generic_subject,
+)
 from morsecert.polytopes import FaceHandle, build_cusp_section
 from morsecert.report import (
     REPORT_VERSION,
@@ -1300,6 +1303,37 @@ def test_generic_structural_failures_are_input_errors(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "input error: embedded inputs: cusp cusp:x: 3 incident facets" in err
     assert "FAIL:" not in out
+
+
+def test_a_subject_past_the_move_limit_is_refused_before_its_orbit(tmp_path, capsys,
+                                                                   monkeypatch):
+    """The 8-cube with each of its 16 facets its own move has an orbit of
+    2^16 states.  `certify generic` of it, and `verify` of a report that
+    embeds it, each exit 2 within 1 s, naming the limit and the count,
+    without listing the orbit."""
+    import morsecert.kernel
+
+    ids = [f"{axis}{side}" for axis in "abcdefgh" for side in "01"]
+    pol = {"name": "8-cube", "dimension": 8, "facets": [{"id": f} for f in ids],
+           "adjacency": [[a, b] for i, a in enumerate(ids) for b in ids[i + 1:] if a[0] != b[0]]}
+    inputs = (pol, [[f] for f in ids], {f: "I" if f[1] == "0" else "O" for f in ids})
+    files = _input_files(tmp_path, inputs)
+    cube, moves, state = cube_inputs()
+    P = polytope_from_doc(cube)
+    doc = json.loads(emit_report(certify_generic(
+        P, moves_from_doc(moves, P), state_from_doc(state, P),
+        generic_inputs={"polytope": cube, "moves": moves, "state": state}), "structured"))
+    doc["inputs"] = dict(zip(("polytope", "moves", "state"), inputs))
+    write_json(tmp_path / "r.json", doc)
+    monkeypatch.setattr(morsecert.kernel, "orbit", None)  # a call would be a TypeError
+    message = f"16 moves, past the limit of {MAX_MOVES}: the orbit would have 2^16 states"
+    for argv in (["certify", "generic", *files], ["verify", str(tmp_path / "r.json")]):
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert f"input error: {'embedded inputs: ' * (argv[0] == 'verify')}{message}" in (
+            capsys.readouterr().err)
 
 
 # (id, change to the square's polytope document, the message naming it): a

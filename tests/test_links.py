@@ -34,9 +34,7 @@ from morsecert.links import (
     canonical_pairs_transform,
     certify_boundary_cube,
     classify_link,
-    coface_membership_oracle,
     face_links_oracle,
-    top_value,
 )
 from morsecert.polytopes import (
     FaceHandle,
@@ -52,9 +50,11 @@ from oracles import (
     barycentric_subdivision,
     checked_of_state,
     coface_links_fast,
+    coface_membership_oracle,
     is_good_face,
     section_cusp_table,
     state_parts,
+    top_value,
     vertex_state,
     vertex_states,
 )

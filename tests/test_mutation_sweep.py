@@ -23,6 +23,15 @@ verifies, and the sweep recognises it by checking every apex below the
 edited path on the section polytope, for the first state whose In part
 selects its pair, and counts it apart.
 
+Each mutant is also written as certify writes a report, with
+`document_to_json`, and `verify_report_file` of the file must give the exit
+code and the messages that `verify_document` gives on the parsed mutant.
+A built-in report's file is read through its subject's frame unless the
+mutant edits its verdicts or its subject: then the read departs from the
+frame and the file is read whole, as every generic report is.  The one
+edit of the verdicts that keeps the frame's form, a bad row's evidence id
+dropped, is read through the frame and rejected by the row's check.
+
 The sweep also repeats a key in one instance of every object pattern, the
 report itself included, in the bytes `verify` reads: the first key once
 more in front, with a null value that `json.loads` would let the real one
@@ -34,14 +43,20 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
+from morsecert import verify
 from morsecert.certify import certify_generic
 from morsecert.errors import InputError
 from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
 from morsecert.kernel import generic_subject
 from morsecert.report import (
+    _DOC,
+    _Written,
     canonical_json,
     certificate_to_document,
     document_to_json,
+    read_verdicts,
     row_branch,
 )
 from morsecert.verify import verify_document, verify_report_file
@@ -147,16 +162,16 @@ def _rekeyed(holder, key, new):
     return edit
 
 
-def _exit_code(doc) -> int:
-    """`verify`'s exit code for `doc`, and 3 for a malformed report that
-    only the last-guard catch-all names."""
+def _outcome(check, arg) -> tuple:
+    """`verify`'s exit code for `check(arg)`, 3 for a malformed report that
+    only the last-guard catch-all names, and its messages."""
     try:
-        ok, _ = verify_document(doc)
+        ok, messages = check(arg)
     except InputError as exc:
-        return 3 if str(exc).startswith("malformed report:") else 2
-    except Exception:
-        return 3
-    return 0 if ok else 1
+        return 3 if str(exc).startswith("malformed report:") else 2, [str(exc)]
+    except Exception as exc:
+        return 3, [repr(exc)]
+    return 0 if ok else 1, messages
 
 
 def _apexes_are_cone_apexes(S, doc, path) -> bool:
@@ -209,27 +224,54 @@ def _with_object(doc, path, text) -> str:
         holder[key] = old
 
 
+def _outcome_only(path, what) -> bool:
+    """Whether a mutant of a verdict row at `path` edits no more than a bad
+    row's outcome, in a form that the frame reads: only a dropped evidence
+    id, as an Unknown row has none; every other edit of a row makes a verdict
+    or an id that is no JSON string, or a row of other keys."""
+    return path[-1] == "evidence" and what == "drop key"
+
+
 def _sweep(cert, S, tmp: Path, swept=lambda pattern: True):
     """Run the sweep on `cert`'s report, of subject S; returns the number of
     mutants and the accepted ones outside NO_CLAIM, those naming another
     cone apex, and those that ended in an internal error, each as (path,
     edit).  A repeated-key mutant that `verify` does not call malformed,
-    naming the key, counts as accepted."""
+    naming the key, counts as accepted.  A mutant whose file `verify`
+    answers otherwise than the parsed mutant, or reads by the other path,
+    counts as crashed."""
     doc = json.loads(document_to_json(certificate_to_document(cert)))
     before = document_to_json(doc)
     accepted, other_apex, crashed, n = [], [], [], 0
-    for path, what, edit in _mutants(doc, random.Random(SWEEP_SEED), swept):
-        undo = edit(doc)
-        code = _exit_code(doc)
-        if code == 0 and path[0] not in NO_CLAIM:
-            if path[:2] == ("cusps", "apexes") and _apexes_are_cone_apexes(S, doc, path):
-                other_apex.append((path, what))
-            else:
-                accepted.append((path, what))
-        if code == 3:
-            crashed.append((path, what))
-        undo()
-        n += 1
+    framed, file = [], tmp / "mutant.json"  # each `read_verdicts` result of a file's verify
+    # each section of the report, written once: a mutant's file writes only
+    # the section it edits anew, into the bytes `document_to_json` writes
+    sections = {k: _Written(_DOC.encode(v)) for k, v in doc.items()}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "read_verdicts", lambda *args: framed.append(read_verdicts(*args))
+                   or framed[-1])
+        for path, what, edit in _mutants(doc, random.Random(SWEEP_SEED), swept):
+            undo = edit(doc)
+            code, messages = _outcome(verify_document, doc)
+            file.write_text(document_to_json({k: sections[k] if k in sections and k != path[0]
+                                              else v for k, v in doc.items()}))
+            framed.clear()
+            if _outcome(verify_report_file, file) != (code, messages):
+                crashed.append((path, f"{what}: the file's verify differs"))
+            through = bool(framed) and framed[-1] is not None
+            if through != (cert.subject != "generic" and (
+                    path[0] not in ("verdicts", "subject") or _outcome_only(path, what))):
+                crashed.append((path, f"{what}: read {'through' if through else 'past'} "
+                                      "the frame"))
+            if code == 0 and path[0] not in NO_CLAIM:
+                if path[:2] == ("cusps", "apexes") and _apexes_are_cone_apexes(S, doc, path):
+                    other_apex.append((path, what))
+                else:
+                    accepted.append((path, what))
+            if code == 3:
+                crashed.append((path, what))
+            undo()
+            n += 1
     report = tmp / "repeated-key.json"
     for path, what, text, key in _repeated_key_mutants(doc, random.Random(SWEEP_SEED), swept):
         report.write_text(text)

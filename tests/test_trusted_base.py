@@ -8,9 +8,12 @@ adds to it updates the list and says why.  Nested functions, lambdas and
 comprehensions count as part of the function that defines them; a
 property's getter, a cached property's included, counts as a method.
 
-The reject path is pinned too: `verify` of four malformed copies of the p5
-report, three stopped by the schema parse and one by a repeated key, runs
-only trusted functions and the few of `schema` that name a mismatch
+The reports are written as certify writes them, so `verify` reads each
+verdicts section through its subject's frame.  The reject path is pinned
+too: `verify` of four malformed copies of the p5 report, written by
+`json.dumps`, three stopped by the schema parse and one by a repeated key,
+runs only trusted functions, the whole-document read `load_json` that such
+a copy falls back to, and the few of `schema` that name a mismatch
 (`REJECTED`)."""
 
 import copy
@@ -25,7 +28,7 @@ from morsecert.report import certificate_to_document, document_to_json
 # The pinned set, by module: qualified names, space-separated.
 TRUSTED = {
     "cli": "_cmd_verify main",
-    "io": "_object load_json",
+    "io": "_object read_object read_text",
     "kernel": """
         CubeLift.lift_of_face CubeLift.proper_faces MoveSystem.__post_init__
         MoveSystem.block_of MoveSystem.restrict State.__post_init__ State.serial
@@ -47,13 +50,14 @@ TRUSTED = {
         _validate_p6 adjacency_from_lorentz build_p5 build_p6 cusp_incidence
         dual_mask f_vector_check face_of_mask lorentz_product""",
     "report": """
-        _eid _inputs_digest canonical_json cusp_rows euler_identity
-        legality_header report_tables shared_header verdict_allowed verdict_row""",
+        _eid _inputs_digest _kept_frame canonical_json cusp_rows euler_identity
+        legality_header read_verdicts report_tables shared_header verdict_allowed
+        verdict_frame verdict_row""",
     "schema": """
         Leaf._at_once Leaf.parse ListOf._at_once ListOf.parse Obj._at_once
         Obj._check_keys Obj.parse _Kind.parse_items parse""",
     "verify": """
-        _Verifier.__init__ _Verifier._claimed_row _Verifier._core_problems
+        _Verifier.__init__ _Verifier._check_row _Verifier._claimed_row _Verifier._core_problems
         _Verifier._critical_row _Verifier._evidence _Verifier._legality
         _Verifier.build_context _Verifier.check_bound _Verifier.check_cusps
         _Verifier.check_tables _Verifier.check_verdicts _Verifier.run
@@ -61,8 +65,9 @@ TRUSTED = {
 }
 
 # What the reject path runs beyond the trusted set, qualified names by module:
-# the per-value walk that names a mismatch, and the naming itself.
-REJECTED = {"schema": "_Kind._walk _Mismatch.__init__ _expected"}
+# the whole-document read of a report not in the bytes certify writes, the
+# per-value walk that names a mismatch, and the naming itself.
+REJECTED = {"io": "load_json", "schema": "_Kind._walk _Mismatch.__init__ _expected"}
 
 
 def _names(pinned: dict) -> set:
@@ -117,7 +122,7 @@ def test_verify_runs_the_trusted_base(cert_p5, cert_p6, tmp_path):
     assert not [name for name in ran if name.split(".")[0] in ("complexes", "states", "links")]
     want = _names(TRUSTED)
     assert sorted(ran - want) == [] and sorted(want - ran) == []
-    assert len(want) == 107
+    assert len(want) == 112
 
 
 def _wrong_kind(doc):

@@ -1,10 +1,15 @@
 """The checker does each check once: one pass over the verdict plan, whose
 first departing row it names, and a schema parse that checks whole lists at
-once and walks value by value only to name a mismatch."""
+once and walks value by value only to name a mismatch.  A report in the
+bytes certify writes is read once: its verdicts section through the
+subject's frame, with no row walk, and each other object by the json
+module's scanner."""
 
 import json
+import sys
+from collections import Counter
 
-from morsecert import kernel, schema, verify
+from morsecert import io, kernel, schema, verify
 from morsecert.cli import main
 from morsecert.io import write_json
 from morsecert.report import certificate_to_document, document_to_json, row_branch
@@ -94,3 +99,50 @@ def test_the_first_departing_row_is_named(cert_p5, tmp_path, capsys):
             assert unbound.startswith("FAIL: evidence items bound to no claim: "), out
         else:
             assert out == f"FAIL: {named}\n", out
+
+
+def _calls(fns, run) -> tuple:
+    """`run()`, and how many times it called each function in `fns`, each
+    call seen by `sys.setprofile`, a call from the json module's scanner
+    included."""
+    codes, counts = {fn.__code__: fn.__name__ for fn in fns}, Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        return run(), counts
+    finally:
+        sys.setprofile(None)
+
+
+def _objects(value) -> int:
+    """The JSON objects in `value`, itself included."""
+    if type(value) is dict:
+        return 1 + sum(map(_objects, value.values()))
+    return sum(map(_objects, value)) if type(value) is list else 0
+
+
+def test_a_canonical_report_is_read_through_its_frame(tmp_path, capsys):
+    """`morsecert verify` of the CLI-written seed-0 p5 and p6 reports walks
+    no row: it reads the verdicts section through the subject's frame and
+    calls `io._object` once per object outside it, and never `load_json`.
+    The same reports written by `io.write_json`, and by `json.dumps` with
+    its default separators, verify through the parsed path: read whole by
+    `load_json`, rows walked."""
+    watched = (verify._Verifier._walk_rows, io._object, io.load_json)
+    for subject in ("p5", "p6"):
+        path = tmp_path / f"{subject}.json"
+        assert main(["certify", subject, "--format", "structured", "--output", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        outside = 1 + sum(_objects(v) for k, v in doc.items() if k != "verdicts")
+        code, calls = _calls(watched, lambda: main(["verify", str(path)]))
+        assert (code, calls) == (0, {"_object": outside}), (subject, calls)
+        for write in (lambda p: write_json(p, doc), lambda p: p.write_text(json.dumps(doc))):
+            other = tmp_path / "other.json"
+            write(other)
+            code, calls = _calls(watched, lambda: main(["verify", str(other)]))
+            assert code == 0 and calls["_walk_rows"] == calls["load_json"] == 1, (subject, calls)
+    assert capsys.readouterr().out.count("report verified") == 6
