@@ -1,14 +1,11 @@
 """Moves, balanced states, the orbit action, and legality certificates."""
 
-from morsecert.kernel import (
-    balanced_states_p6,
-    builtin_subject,
-    is_compatible,
-    move_system_p6,
-    orbit,
-)
+from morsecert.io import builtin_subject
+from morsecert.kernel import is_compatible, orbit
 from morsecert.polytopes import FaceHandle, build_p6
-from morsecert.states import act, inherited_state, legality
+from morsecert.states import (
+    act, balanced_states_p6, inherited_state, legality, move_system_p6,
+)
 
 P = build_p6()
 m = move_system_p6()
@@ -34,7 +31,8 @@ print("dismantling orders (dominated vertex, dominator):",
       rec.out_sequence[0])
 
 # bad faces come in exactly four shapes; the built-in subject, a polytope
-# with its moves and states, keeps them by signature
+# with its moves and states read from its shipped inputs, keeps them by
+# signature
 bad = builtin_subject("p6").bad_faces
 print("\nbad faces by signature:", {sig: len(fs) for sig, fs in bad.items()})
 

@@ -8,7 +8,7 @@ comparability graph, by a live one (a beat point), and no search is run.
 """
 
 from morsecert.complexes import betti_mod2
-from morsecert.kernel import balanced_states_p6, face_masks, generic_subject, move_system_p6
+from morsecert.kernel import face_masks, generic_subject
 from morsecert.links import (
     CriticalLinkCertifier,
     build_cube_model,
@@ -16,7 +16,7 @@ from morsecert.links import (
     face_links_oracle,
 )
 from morsecert.polytopes import build_p6
-from morsecert.states import split_legality
+from morsecert.states import balanced_states_p6, move_system_p6, split_legality
 
 P = build_p6()
 m = move_system_p6()

@@ -21,9 +21,8 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError
-from .kernel import (
-    MoveSystem, PlannedRow, State, Subject, all_pairs_index, builtin_subject, generic_subject,
-)
+from .io import builtin_inputs, builtin_subject
+from .kernel import MoveSystem, PlannedRow, State, Subject, all_pairs_index, generic_subject
 from .links import CriticalLinkCertifier, certify_boundary_cube, classify_link
 from .polytopes import Polytope
 from .report import (
@@ -247,12 +246,12 @@ def run_pipeline(
 
 
 def _certify_builtin(key: str, seed: int, parallel: int) -> Certificate:
-    """The pipeline on the built-in subject of `kernel.builtin_subject` key
+    """The pipeline on the built-in subject of `io.builtin_subject` key
     `key`, under its report name and in its mode."""
     subject, mode = next((name, mode) for name, (k, mode) in BUILTIN_SUBJECTS.items()
                          if k == key)
     return run_pipeline(builtin_subject(key), subject=subject, mode=mode, seed=seed,
-                        inputs_digest=_inputs_digest(key), parallel=parallel)
+                        inputs_digest=_inputs_digest(key, builtin_inputs(key)), parallel=parallel)
 
 
 def certify_p6(*, seed: int = 0, parallel: int = 1) -> Certificate:

@@ -14,7 +14,9 @@ from functools import cache
 
 from .certify import certify_generic, certify_p5, certify_p6
 from .errors import InputError, InternalError, StructuralError
-from .kernel import builtin_subject
+from .io import (
+    builtin_subject, load_document, moves_from_doc, polytope_from_doc, state_from_doc,
+)
 from .report import MODES, emit_report
 from .verify import verify_report_file
 
@@ -99,8 +101,6 @@ def _cmd_certify(args) -> int:
     elif args.subject == "p5":
         cert = certify_p5(seed=args.seed, parallel=args.parallel)
     else:
-        from .io import load_document, moves_from_doc, polytope_from_doc, state_from_doc
-
         pol, P = load_document(args.polytope, polytope_from_doc)
         moves, m = load_document(args.moves, moves_from_doc, P)
         state, s = load_document(args.state, state_from_doc, P)

@@ -1,29 +1,35 @@
-"""File formats for user-supplied certification inputs (JSON documents).
+"""File formats for certification inputs (JSON documents), and the one
+path from them to a subject, `subject_from_inputs`, for every subject.
 
 Their shapes are `schema.POLYTOPE`, `schema.MOVES` and `schema.STATE`, which
-`load_document` parses before a reader here builds from the document.  When
+`load_document` parses before a reader here builds from the document.  A
+polytope document lists at most `polytopes.MAX_FACETS` facets.  When
 every facet carries a 7-coordinate vector the adjacency is derived from
 zero Lorentzian products; an explicit adjacency list, if also present, must
 agree.  Without vectors the explicit list is required.  The moves are a
 partition of the facet ids into nonempty blocks, and the state maps every
-facet id to "I" or "O".
+facet id to "I" or "O".  The built-in subjects' inputs are shipped, as
+`data/p6.json` and `data/p5.json`, and read under a pinned SHA-256.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from functools import cache
 from json.decoder import scanstring
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional
 
-from .errors import InputError
-from .kernel import IN, OUT, MoveSystem, State, balanced_states_p6, move_system_p6
+from .errors import InputError, StructuralError
+from .kernel import IN, OUT, MoveSystem, State, Subject, generic_subject
 from .polytopes import (
+    MAX_FACETS,
     Facet,
     IdealVertex,
     Polytope,
     adjacency_from_lorentz,
-    build_p6,
+    f_vector_check,
 )
 from .schema import MOVES, POLYTOPE, STATE, parse
 
@@ -108,6 +114,8 @@ def read_object(text: str, key: str, read) -> Optional[dict]:
 
 
 def polytope_from_doc(doc: dict) -> Polytope:
+    if len(doc["facets"]) > MAX_FACETS:
+        raise InputError(f"{len(doc['facets'])} facets, past the limit of {MAX_FACETS}")
     if not 1 <= doc["dimension"] <= len(doc["facets"]):
         raise InputError(f"dimension {doc['dimension']} must be a positive integer "
                          f"at most the facet count, {len(doc['facets'])}")
@@ -202,13 +210,66 @@ def state_to_doc(s: State) -> dict:
     return {fid: (IN if fid in s.in_facets else OUT) for fid in s.universe}
 
 
-def p6_input_documents() -> Tuple[dict, list, dict]:
-    """The built-in 27-facet inputs serialised to the generic file formats."""
-    P = build_p6()
-    m = move_system_p6()
-    s0 = balanced_states_p6(P)[0]
-    return polytope_to_doc(P), moves_to_doc(m), state_to_doc(s0)
-
-
 def write_json(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=False) + "\n")
+
+
+# -- subjects ----------------------------------------------------------------
+
+
+def subject_from_inputs(inputs: dict) -> Subject:
+    """`generic_subject` of the documents {"polytope", "moves", "state"},
+    each of the shape its schema gives."""
+    P = polytope_from_doc(inputs["polytope"])
+    return generic_subject(P, moves_from_doc(inputs["moves"], P),
+                           state_from_doc(inputs["state"], P))
+
+
+# The shipped inputs of each built-in subject, `DATA`/<tag>.json, as
+# `write_json` writes them, under their SHA-256.
+DATA = Path(__file__).parent / "data"
+SHIPPED = {
+    "p6": "ce9afb42f1056f76681f547a8588ebc69d941050a7eee841e1ea4b09c67e1ac8",
+    "p5": "c42ec4fd9e806377e8e54ea4a9cf6ce405c44de391938be44551033cb7479969",
+}
+
+# The paper's census of each built-in subject: clique counts by size, the
+# uniform facet degree and the bad-face signatures (None: not declared).
+CENSUS = {
+    "p6": ({1: 27, 2: 216, 6: 72}, 16, {(2,), (3,), (2, 2), (2, 2, 2)}),
+    "p5": ({1: 16, 5: 16}, None, None),
+}
+
+
+@cache
+def builtin_inputs(tag: str) -> dict:
+    """The shipped input documents of the built-in subject "p6" or "p5",
+    read once per process and shared, so no caller edits them; a file
+    whose bytes are not those `SHIPPED` pins is refused, naming it."""
+    path = DATA / f"{tag}.json"
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise StructuralError(f"{path}: {exc.strerror}") from exc
+    digest = hashlib.sha256(data).hexdigest()
+    if digest != SHIPPED[tag]:
+        raise StructuralError(f"{path}: SHA-256 {digest} is not the pinned {SHIPPED[tag]}")
+    return load_json(path, data.decode())
+
+
+@cache
+def builtin_subject(tag: str) -> Subject:
+    """The built-in subject "p6" or "p5", built once per process from its
+    shipped inputs, as any subject is, and audited against `CENSUS`; no
+    report or generic input reaches it.  A failure is a transcription bug,
+    a StructuralError naming the subject."""
+    counts, degree, signatures = CENSUS[tag]
+    try:
+        S = subject_from_inputs(builtin_inputs(tag))
+        f_vector_check(S.P, counts, degree)
+    except (InputError, StructuralError) as exc:
+        raise StructuralError(f"{tag} {exc}") from None
+    if signatures is not None and set(S.bad_faces) != signatures:
+        raise StructuralError(f"{tag} bad-face signatures {list(S.bad_faces)} "
+                              f"!= expected {sorted(signatures)}")
+    return S

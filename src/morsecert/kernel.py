@@ -1,12 +1,13 @@
 """Every rule that the prover and the checker share, and all that `verify`
-trusts beside the report format; it imports no finder (`states`, `links`).
+trusts beside the report format; it imports no finder (`states`, `links`)
+and no construction of the paper's polytopes.
 
 A move system partitions the facets, and crossing a facet flips the status,
 In or Out, of its whole block.  A `Subject`, a polytope with its moves and
 the orbit of its states, holds every table that depends on them alone, the
 verdict plan and the cusp tables included, its invariants checked once
-where it is built: by `builtin_subject` against `CENSUS`, once per
-process, or by `generic_subject`, for certify and verify alike.  Every
+where `generic_subject` builds it, for every subject, the built-in ones
+read from their shipped documents (`io.builtin_subject`) included.  Every
 certificate is a dismantling order, checked by `certificate_problem`; a
 critical item's orders run on the face-link graphs of the canonical
 all-pairs cube (`canonical_pairs_graphs`).  A face of a k-cube is an int
@@ -21,11 +22,10 @@ from functools import cache, cached_property, total_ordering
 from itertools import product
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import labels as lb
 from .errors import InputError, InternalError, StructuralError
 from .polytopes import (
-    FaceHandle, FVectorReport, Polytope, RankedGraph, build_p5, build_p6, cusp_incidence,
-    dual_mask, f_vector_check, face_of_mask,
+    FaceHandle, FVectorReport, Polytope, RankedGraph, cusp_incidence, dual_mask,
+    f_vector_check, face_of_mask,
 )
 
 IN, OUT = "I", "O"
@@ -88,10 +88,6 @@ class State:
         return "".join(IN if f in self.in_facets else OUT for f in self.universe)
 
 
-def state_from_in_set(P: Polytope, in_facets: Iterable[str]) -> State:
-    return State(tuple(sorted(P.facet_ids)), frozenset(in_facets))
-
-
 def orbit(s: State, m: MoveSystem) -> Tuple[State, ...]:
     """Closure of s under all moves, in canonical (serialised) order."""
     seen = {s}
@@ -124,104 +120,6 @@ def is_compatible(P: Polytope, m: MoveSystem, s: State):
                 if P.adjacent(a, b) and (a in s.in_facets) != (b in s.in_facets):
                     return False, (a, b)
     return True, None
-
-
-# ---------------------------------------------------------------------------
-# The concrete move system of the 27-facet polytope
-
-R_TABLE: Tuple[Tuple[str, Tuple[str, str, str]], ...] = (
-    ("1", ("1", "1-i+j-k", "1+i+j-k")),
-    ("-1", ("-1", "-1+i-j+k", "-1-i-j+k")),
-    ("i", ("i", "1+i+j+k", "-1+i+j+k")),
-    ("-i", ("-i", "-1-i-j-k", "1-i-j-k")),
-    ("j", ("j", "-1-i+j+k", "-1-i+j-k")),
-    ("-j", ("-j", "1+i-j-k", "1+i-j+k")),
-    ("k", ("k", "1-i-j+k", "1-i+j+k")),
-    ("-k", ("-k", "-1+i+j-k", "-1+i-j-k")),
-)
-
-MOVE_ORDER = ("1", "i", "j", "k")
-
-
-def unit_class_table() -> Dict[str, str]:
-    """Hard-coded unit-class of every T24 label, cross-validated by quaternion
-    factorisation over the base points."""
-    table = {}
-    for r, row in R_TABLE:
-        for t in row:
-            table[t] = r
-    if len(table) != 24:
-        raise StructuralError("unit-class table does not cover T24")
-    for t, r in table.items():
-        if lb.base_unit(t) != r:
-            raise StructuralError(
-                f"unit-class table disagrees with quaternion factorisation at {t}"
-            )
-    return table
-
-
-def move_system_p6() -> MoveSystem:
-    """Five moves: one per unit pair {q, -q} (six facets each) and {A, B, C}."""
-    table = unit_class_table()
-    blocks = []
-    for q in MOVE_ORDER:
-        block = frozenset(t for t, r in table.items() if r.lstrip("-") == q)
-        if len(block) != 6:
-            raise StructuralError(f"move of {q} has {len(block)} facets, expected 6")
-        blocks.append(block)
-    blocks.append(frozenset(("A", "B", "C")))
-    return MoveSystem(tuple(blocks))
-
-
-def r_class_triples(q: str) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """The two adjacent triples of the size-6 move of unit q: classes +q, -q."""
-    plus = minus = None
-    for r, row in R_TABLE:
-        if r == q:
-            plus = row
-        if r == "-" + q:
-            minus = row
-    if plus is None or minus is None:
-        raise InputError(f"not a positive unit: {q!r}")
-    return plus, minus
-
-
-def balanced_states_p6(P: Polytope) -> Tuple[State, ...]:
-    """All 32 balanced states: equal status on A, B, C and one full unit-class
-    triple In per size-6 move, the other Out."""
-    states = []
-    for abc_in in (False, True):
-        for bits in range(16):
-            in_set = set(("A", "B", "C")) if abc_in else set()
-            for pos, q in enumerate(MOVE_ORDER):
-                plus, minus = r_class_triples(q)
-                in_set.update(plus if bits >> pos & 1 else minus)
-            states.append(state_from_in_set(P, in_set))
-    out = tuple(sorted(states, key=State.serial))
-    if len(set(out)) != 32:
-        raise StructuralError("balanced state enumeration produced duplicates")
-    return out
-
-
-def balanced_states_p5(P5: Polytope) -> Tuple[State, ...]:
-    """The 16 balanced states of the 16-facet polytope: per move, one of the
-    two adjacent unit-class pairs is In, the other Out."""
-    states = []
-    for bits in range(16):
-        in_set: set = set()
-        for pos, q in enumerate(MOVE_ORDER):
-            plus, minus = r_class_triples(q)
-            chosen = plus if bits >> pos & 1 else minus
-            in_set.update(t for t in chosen if t in P5.ranked_graph().rank)
-        states.append(state_from_in_set(P5, in_set))
-    out = tuple(sorted(states, key=State.serial))
-    if len(set(out)) != 16:
-        raise StructuralError("balanced state enumeration produced duplicates")
-    return out
-
-
-def move_system_p5(P5: Polytope) -> MoveSystem:
-    return move_system_p6().restrict(P5.facet_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +259,8 @@ class Subject:
     (`in_masks`), each bad face's `face_masks` (`bad_masks`), the verdict
     `plan` and each cusp's table (`cusps`) in P's order, the last three
     kept once built.  Only
-    `builtin_subject` and `generic_subject` build one, and they check its
-    invariants; the prover and the checker read it and check nothing again."""
+    `generic_subject` builds one, and it checks its invariants; the prover
+    and the checker read it and check nothing again."""
 
     def __init__(self, P: Polytope, m: MoveSystem, states: Sequence[State],
                  f_vector: FVectorReport):
@@ -425,51 +323,6 @@ def _plan_rows(S: Subject) -> Iterator[PlannedRow]:
             classes.setdefault(free & s_in, []).append(idx)
         for inn, members in classes.items():
             yield PlannedRow(F, ids, tuple(members), None, (dual, inn))
-
-
-# The paper's census of each built-in subject: clique counts by size, the
-# uniform facet degree and the bad-face signatures (None: not declared).
-CENSUS = {
-    "p6": ({1: 27, 2: 216, 6: 72}, 16, {(2,), (3,), (2, 2), (2, 2, 2)}),
-    "p5": ({1: 16, 5: 16}, None, None),
-}
-
-
-@cache
-def builtin_subject(tag: str) -> Subject:
-    """The built-in subject "p6" or "p5", built once per process from the
-    code's own tables, P5 from the kept P6's polytope, which does not build
-    P6's plan or cusp tables.  No report or generic input reaches them;
-    `build_p6` and the other constructors still return fresh objects.  Each
-    state is checked compatible here, the states to be the orbit of the
-    first, and the face census against `CENSUS`, once per process; on P6
-    and P5 a failure is a transcription bug, a StructuralError naming the
-    subject."""
-    if tag == "p6":
-        P = build_p6()
-        m, states = move_system_p6(), balanced_states_p6(P)
-    elif tag == "p5":
-        P = build_p5(builtin_subject("p6").P)
-        m, states = move_system_p5(P), balanced_states_p5(P)
-    else:
-        raise InputError(f"no built-in subject {tag!r}")
-    for idx, s in enumerate(states):
-        ok, witness = is_compatible(P, m, s)
-        if not ok:
-            raise StructuralError(f"{tag} state {idx} is incompatible: "
-                                  f"adjacent same-move pair {witness!r}")
-    if orbit(states[0], m) != states:
-        raise StructuralError(f"{tag} states are not the orbit of the first")
-    counts, degree, signatures = CENSUS[tag]
-    try:
-        fv = f_vector_check(P, counts, degree)
-    except StructuralError as exc:
-        raise StructuralError(f"{tag} {exc}") from None
-    S = Subject(P, m, states, fv)
-    if signatures is not None and set(S.bad_faces) != signatures:
-        raise StructuralError(f"{tag} bad-face signatures {list(S.bad_faces)} "
-                              f"!= expected {sorted(signatures)}")
-    return S
 
 
 # The most moves a generic subject may have.  Its moves are disjoint and

@@ -20,6 +20,13 @@ from . import labels as lb
 from .complexes import SimplicialComplex
 from .errors import InputError, StructuralError
 
+# The most facets a polytope document may list, checked before its vectors'
+# quadratic adjacency, and the most faces (cliques of every size, the polytope
+# itself included) a clique census may list, checked as it runs: P6 has 27
+# facets and 2,764 faces, P5 16 and 393.
+MAX_FACETS = 256
+MAX_FACES = 50_000
+
 # One row per facet: (label, Lorentzian unit normal in 7 integer coordinates).
 TABLE_G6: Tuple[Tuple[str, Tuple[int, ...]], ...] = (
     ("A", (0, 0, 0, 0, 0, -1, 0)),
@@ -233,12 +240,15 @@ class Polytope:
         as rank masks in canonical order.  Each clique of one size is
         extended by each facet of higher rank that is adjacent to all of
         its facets; extending the cliques of one size in canonical order
-        gives the next size in canonical order."""
+        gives the next size in canonical order.  Once the cliques listed
+        pass `MAX_FACES`, it stops at the clique being extended: an
+        InputError naming the limit and the count reached."""
         ids, _, N = self._ranked
         n = len(ids)
         # per rank: its neighbours of higher rank, as a mask over ranks
         later = [N[r] >> (r + 1) << (r + 1) for r in range(n)]
         level = [(0, (1 << n) - 1)]  # (clique, the ranks that extend it)
+        listed = 1
         while True:
             yield tuple(mask for mask, _ in level)
             nxt = []
@@ -248,6 +258,10 @@ class Polytope:
                     r = low.bit_length() - 1
                     nxt.append((mask | low, cand & later[r]))
                     cand ^= low
+                if listed + len(nxt) > MAX_FACES:
+                    raise InputError(f"face census past the limit of {MAX_FACES} faces: "
+                                     f"at least {listed + len(nxt)}")
+            listed += len(nxt)
             level = nxt
 
     def _build_census(self) -> Tuple[Tuple[int, ...], ...]:

@@ -26,14 +26,13 @@ from fractions import Fraction
 from json.decoder import scanstring
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .kernel import R_TABLE, CuspTable, PlannedRow, Subject, all_pairs_index
-from .polytopes import TABLE_G6
+from .kernel import CuspTable, PlannedRow, Subject, all_pairs_index
 
-REPORT_VERSION = "9"
+REPORT_VERSION = "10"
 
 MODES = ("perfect", "fibration")  # each with its verdict rule, `verdict_allowed`
 
-# The built-in subjects under their report names: the `kernel.builtin_subject`
+# The built-in subjects under their report names: the `io.builtin_subject`
 # key, which also tags the inputs digest and the summary line, and the one
 # mode each is certified in.
 BUILTIN_SUBJECTS = {"P6_perfect_morse": ("p6", "perfect"), "P5_fibration": ("p5", "fibration")}
@@ -54,15 +53,10 @@ def _eid(payload: dict) -> str:
     return "e" + hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
 
 
-def _inputs_digest(tag: str, extra: Optional[dict] = None) -> str:
-    data = {
-        "tag": tag,
-        "table": [[lbl, list(vec)] for lbl, vec in TABLE_G6],
-        "r_table": [[r, list(row)] for r, row in R_TABLE],
-    }
-    if extra is not None:
-        data["inputs"] = extra
-    return hashlib.sha256(canonical_json(data).encode()).hexdigest()
+def _inputs_digest(tag: str, inputs: Optional[dict]) -> str:
+    """The digest of a subject's inputs: a built-in subject's shipped ones
+    under its key, or a generic report's embedded ones under "generic"."""
+    return hashlib.sha256(canonical_json({"tag": tag, "inputs": inputs}).encode()).hexdigest()
 
 
 # Evidence headers: the fields of an evidence item that the claim citing it

@@ -1,20 +1,19 @@
-"""The legality finders and the label-level views of states.  "Totally
-legal" is certified by dismantling orders, which `dismantle` finds,
-`flag_certificate` and `split_legality` write as labels and `cone_apex`
-finds for a cone, never asserted from a failed search; the kernel checks
-them (`kernel.certificate_problem`)."""
+"""The legality finders, the label-level views of states, and the paper's
+move and state tables, which no run reads: the shipped inputs hold them
+(`io.builtin_subject`).  "Totally legal" is certified by dismantling
+orders, which `dismantle` finds, `flag_certificate` and `split_legality`
+write as labels and `cone_apex` finds for a cone, never asserted from a
+failed search; the kernel checks them (`kernel.certificate_problem`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from . import labels as lb
 from .complexes import try_collapse  # not called here: pinned by perfbench
-from .errors import InputError
-from .kernel import (  # the four tables: unused, perfbench/child.py imports them from here
-    MoveSystem, State, balanced_states_p5, balanced_states_p6, face_masks, facet_mask,
-    move_system_p5, move_system_p6,
-)
+from .errors import InputError, StructuralError
+from .kernel import MoveSystem, State, face_masks, facet_mask
 from .polytopes import FaceHandle, Polytope, RankedGraph, dual_mask
 
 
@@ -167,3 +166,98 @@ def legality(P: Polytope, F: FaceHandle, s_on_f: State) -> LegalityRecord:
     if set(s_on_f.universe) != set(G.labels(dual)):
         raise InputError("state universe does not match the dual complex vertices")
     return split_legality(P, dual, G.mask(s_on_f.in_facets))
+
+
+# ---------------------------------------------------------------------------
+# The paper's moves and balanced states of the 27-facet polytope and of P5
+
+R_TABLE: Tuple[Tuple[str, Tuple[str, str, str]], ...] = (
+    ("1", ("1", "1-i+j-k", "1+i+j-k")),
+    ("-1", ("-1", "-1+i-j+k", "-1-i-j+k")),
+    ("i", ("i", "1+i+j+k", "-1+i+j+k")),
+    ("-i", ("-i", "-1-i-j-k", "1-i-j-k")),
+    ("j", ("j", "-1-i+j+k", "-1-i+j-k")),
+    ("-j", ("-j", "1+i-j-k", "1+i-j+k")),
+    ("k", ("k", "1-i-j+k", "1-i+j+k")),
+    ("-k", ("-k", "-1+i+j-k", "-1+i-j-k")),
+)
+
+MOVE_ORDER = ("1", "i", "j", "k")
+
+
+def unit_class_table() -> Dict[str, str]:
+    """Hard-coded unit-class of every T24 label, cross-validated by quaternion
+    factorisation over the base points."""
+    table = {}
+    for r, row in R_TABLE:
+        for t in row:
+            table[t] = r
+    if len(table) != 24:
+        raise StructuralError("unit-class table does not cover T24")
+    for t, r in table.items():
+        if lb.base_unit(t) != r:
+            raise StructuralError(
+                f"unit-class table disagrees with quaternion factorisation at {t}"
+            )
+    return table
+
+
+def move_system_p6() -> MoveSystem:
+    """Five moves: one per unit pair {q, -q} (six facets each) and {A, B, C}."""
+    table = unit_class_table()
+    blocks = []
+    for q in MOVE_ORDER:
+        block = frozenset(t for t, r in table.items() if r.lstrip("-") == q)
+        if len(block) != 6:
+            raise StructuralError(f"move of {q} has {len(block)} facets, expected 6")
+        blocks.append(block)
+    blocks.append(frozenset(("A", "B", "C")))
+    return MoveSystem(tuple(blocks))
+
+
+def r_class_triples(q: str) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """The two adjacent triples of the size-6 move of unit q: classes +q, -q."""
+    rows = dict(R_TABLE)
+    return rows[q], rows["-" + q]
+
+
+def state_from_in_set(P: Polytope, in_facets: Iterable[str]) -> State:
+    return State(tuple(sorted(P.facet_ids)), frozenset(in_facets))
+
+
+def balanced_states_p6(P: Polytope) -> Tuple[State, ...]:
+    """All 32 balanced states: equal status on A, B, C and one full unit-class
+    triple In per size-6 move, the other Out."""
+    states = []
+    for abc_in in (False, True):
+        for bits in range(16):
+            in_set = set(("A", "B", "C")) if abc_in else set()
+            for pos, q in enumerate(MOVE_ORDER):
+                plus, minus = r_class_triples(q)
+                in_set.update(plus if bits >> pos & 1 else minus)
+            states.append(state_from_in_set(P, in_set))
+    out = tuple(sorted(states, key=State.serial))
+    if len(set(out)) != 32:
+        raise StructuralError("balanced state enumeration produced duplicates")
+    return out
+
+
+def balanced_states_p5(P5: Polytope) -> Tuple[State, ...]:
+    """The 16 balanced states of the 16-facet polytope: per move, one of the
+    two adjacent unit-class pairs is In, the other Out."""
+    states = []
+    for bits in range(16):
+        in_set: set = set()
+        for pos, q in enumerate(MOVE_ORDER):
+            plus, minus = r_class_triples(q)
+            chosen = plus if bits >> pos & 1 else minus
+            in_set.update(t for t in chosen if t in P5.ranked_graph().rank)
+        states.append(state_from_in_set(P5, in_set))
+    out = tuple(sorted(states, key=State.serial))
+    if len(set(out)) != 16:
+        raise StructuralError("balanced state enumeration produced duplicates")
+    return out
+
+
+def move_system_p5(P5: Polytope) -> MoveSystem:
+    return move_system_p6().restrict(P5.facet_ids)

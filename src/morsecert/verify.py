@@ -38,14 +38,14 @@ boundary.  Nothing here searches or builds a complex, and failure text is
 made only on a failure.  Only `timings` and `seeds` back no claim: the
 schema requires their keys, nothing checks what is in them, and the seed
 steers nothing.
-A built-in subject (`kernel.builtin_subject`), with its audited census, its
-plan, its cusp tables and its kept frame, and the canonical link graphs are
-built once per process and shared by every report verified in it: nothing a
-report carries reaches them.  A generic report's subject is built from its embedded inputs
-for each report by `kernel.generic_subject`, as certify builds it: inputs
-that break a rule, an initial state that is not compatible or a cusp whose
-section is no cube included, are an input error before any row is read, as
-they are to certify.
+Every subject is built from input documents, as certify builds it, by
+`io.subject_from_inputs`: a generic report's embedded ones, for each
+report, or a built-in subject's shipped ones (`io.builtin_subject`), which
+with its plan, cusp tables and kept frame, and the canonical link graphs,
+is built once per process and shared: nothing a report carries reaches
+them.  Embedded inputs that break a rule, a polytope past a limit or a
+cusp whose section is no cube included, are an input error before any row
+is read, as they are to certify.
 """
 
 from __future__ import annotations
@@ -56,12 +56,9 @@ from typing import Dict, List, Optional, Tuple
 from .complexes import replay_collapse  # not called here: pinned by perfbench
 from .errors import InputError
 from .io import (
-    load_json, moves_from_doc, polytope_from_doc, read_object, read_text, state_from_doc,
+    builtin_inputs, builtin_subject, load_json, read_object, read_text, subject_from_inputs,
 )
-from .kernel import (
-    PlannedRow, all_pairs_index, builtin_subject, canonical_pairs_graphs, certificate_problem,
-    generic_subject,
-)
+from .kernel import PlannedRow, all_pairs_index, canonical_pairs_graphs, certificate_problem
 from .report import (
     BUILTIN_SUBJECTS, MODES, REPORT_VERSION, _eid, _inputs_digest, canonical_json, cusp_rows,
     euler_identity, legality_header, read_verdicts, report_tables, shared_header,
@@ -90,24 +87,23 @@ class _Verifier:
     # -- context ------------------------------------------------------------
 
     def build_context(self) -> bool:
-        """Build the report's subject; False, the report rejected, if it names
-        none.  Embedded inputs that break a rule are an input error."""
-        # a built-in subject's report embeds no inputs: any it carries
-        # change the digest it is compared with
+        """Build the report's subject from its inputs, a generic report's
+        embedded ones or a built-in subject's shipped ones, whose subject is
+        kept per process; False, the report rejected, if it names none.
+        Embedded inputs that break a rule are an input error."""
         subject, mode, inputs = self.doc["subject"], self.doc["mode"], self.doc.get("inputs")
         tag, *modes = BUILTIN_SUBJECTS.get(subject, ("generic", *MODES))  # modes it allows
-        if subject in BUILTIN_SUBJECTS:
-            S = builtin_subject(tag)
-        elif subject == "generic" and inputs is not None:
+        if subject == "generic" and inputs is not None:
             try:
-                P = polytope_from_doc(inputs["polytope"])
-                S = generic_subject(P, moves_from_doc(inputs["moves"], P),
-                                    state_from_doc(inputs["state"], P))
+                S = subject_from_inputs(inputs)
             except InputError as exc:
                 raise InputError(f"embedded inputs: {exc}") from exc
+        elif subject in BUILTIN_SUBJECTS and inputs is None:
+            S, inputs = builtin_subject(tag), builtin_inputs(tag)
         else:
-            self.fail("generic report carries no embedded inputs" if subject == "generic"
-                      else f"unknown subject {subject!r}")
+            self.fail("generic report carries no embedded inputs" if subject == "generic" else
+                      f"{subject} report embeds inputs" if subject in BUILTIN_SUBJECTS else
+                      f"unknown subject {subject!r}")
             return False
         if mode not in modes:
             self.fail(f"mode {mode!r}: subject {subject} must be certified in "

@@ -20,7 +20,6 @@ from morsecert.complexes import (
 )
 from morsecert.io import (
     moves_from_doc,
-    p6_input_documents,
     polytope_from_doc,
     state_from_doc,
 )
@@ -33,6 +32,7 @@ from morsecert.states import cone_apex, inherited_state
 from morsecert.verify import verify_document
 
 from oracles import coface_membership_oracle, monochromatic_factor_mins
+from test_certify import p6_input_documents
 
 REFERENCE_OUT_12 = frozenset({
     "1", "1-i+j-k", "1+i+j-k",

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -14,16 +15,15 @@ from morsecert.certify import certify_generic, certify_p5, certify_p6
 from morsecert.cli import main
 from morsecert.errors import InputError
 from morsecert.io import (
+    builtin_inputs,
+    builtin_subject,
     load_document,
     moves_from_doc,
-    p6_input_documents,
     polytope_from_doc,
     state_from_doc,
     write_json,
 )
-from morsecert.kernel import (
-    MAX_MOVES, builtin_subject, check_cusp_condition, generic_subject,
-)
+from morsecert.kernel import MAX_MOVES, check_cusp_condition, generic_subject
 from morsecert.polytopes import FaceHandle, build_cusp_section
 from morsecert.report import (
     REPORT_VERSION,
@@ -38,6 +38,12 @@ from morsecert.states import inherited_state
 from morsecert.verify import verify_document
 
 from oracles import state_parts
+
+
+def p6_input_documents():
+    """The shipped p6 inputs (polytope, moves, state), a copy to edit."""
+    inputs = copy.deepcopy(builtin_inputs("p6"))
+    return inputs["polytope"], inputs["moves"], inputs["state"]
 
 
 def square_inputs():
@@ -275,6 +281,12 @@ def test_structured_report_deterministic():
 # SHA-256 and byte count of the seed-0 structured reports of each report
 # version: a change to the report's bytes must come with a new version
 REPORT_BYTES = {
+    "10": {
+        "P6_perfect_morse": (
+            "7de15244336c64a69b29064478d9cad568750ad7b8f60bd27456afc1295f15b1", 708_524),
+        "P5_fibration": (
+            "ceb4b3d22fb8a6c6af6e71504b79d275d4077b3c4bddb89729e25b4673f492f1", 85_221),
+    },
     "9": {
         "P6_perfect_morse": (
             "71c275b5bdfc7831adbc30b41621a471da317f0d4f2883358c0ee6bd8f17b229", 708_523),
@@ -734,6 +746,10 @@ NAMED_REJECTIONS = [
      ": evidence e0000000000000000 is missing", 1),
     (_as_critical, "not an all-pairs top vertex", 1),
     (lambda d: _set(d, "subject", "nope"), "unknown subject 'nope'", 1),
+    # a built-in subject's inputs are the shipped ones, which the report
+    # does not carry, even unchanged
+    (lambda d: _set(d, "inputs", copy.deepcopy(builtin_inputs("p5"))),
+     "P5_fibration report embeds inputs", 1),
     (_add_key, "input error: evidence.{item}: unknown key 'note'\n", 2),
     # the schema lets a row omit `evidence`; the plan says a bad face needs it
     (lambda d: _set(_row(d, "inherited-totally-legal"), "evidence"),
@@ -743,7 +759,8 @@ NAMED_REJECTIONS = [
 
 @pytest.mark.parametrize("edit, message, code", NAMED_REJECTIONS,
                          ids=["absent-evidence", "legal-row-as-critical", "unknown-subject",
-                              "evidence-unknown-key", "legal-row-no-evidence"])
+                              "builtin-embeds-inputs", "evidence-unknown-key",
+                              "legal-row-no-evidence"])
 def test_verify_names_what_it_rejects(cert_p5, tmp_path, capsys, edit, message, code):
     doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
     message = message.format(item=next(iter(doc["evidence"])))

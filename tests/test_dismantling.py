@@ -28,11 +28,10 @@ from morsecert.complexes import (
     vertex_link,
 )
 from morsecert.errors import InputError
-from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
+from morsecert.io import builtin_subject, moves_from_doc, polytope_from_doc, state_from_doc
 from morsecert.kernel import (
     State,
     all_pairs_index,
-    builtin_subject,
     canonical_pairs_graphs,
     face_contains,
     generic_subject,

@@ -1,12 +1,9 @@
 """Every name that a module of the package imports is used by that module,
-save seven.  perfbench's tracer wraps `try_collapse` and `replay_collapse`
+save three.  perfbench's tracer wraps `try_collapse` and `replay_collapse`
 at every module that imports them, and
 `perfbench/test_perfbench.py::test_tracer_patches_every_import_site` pins
 the imports of `try_collapse` in `states` and `links` and of
-`replay_collapse` in `verify`; `perfbench/child.py` imports the four
-built-in tables `balanced_states_p5`, `balanced_states_p6`,
-`move_system_p5` and `move_system_p6` from `states`, which re-binds them
-from the kernel.  Each carries a comment saying so.  A name counts as used
+`replay_collapse` in `verify`.  Each carries a comment saying so.  A name counts as used
 when the module reads it, lists it in `__all__`, or names it in a string
 annotation.
 
@@ -31,9 +28,7 @@ PACKAGE = Path(morsecert.__file__).parent
 
 # (module, name): imported and never used, because perfbench pins the import
 PINNED = {("states", "try_collapse"), ("links", "try_collapse"),
-          ("verify", "replay_collapse"), ("states", "balanced_states_p5"),
-          ("states", "balanced_states_p6"), ("states", "move_system_p5"),
-          ("states", "move_system_p6")}
+          ("verify", "replay_collapse")}
 
 # The functions and classes that search for a certificate.  The checker must
 # reach no module that defines one.

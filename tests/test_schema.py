@@ -10,11 +10,11 @@ import random
 from morsecert import schema
 from morsecert.certify import certify_generic
 from morsecert.errors import InputError
-from morsecert.io import moves_from_doc, p6_input_documents, polytope_from_doc, state_from_doc
+from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
 from morsecert.report import certificate_to_document, document_to_json
 
 from oracles import schema_walk
-from test_certify import cube_inputs
+from test_certify import cube_inputs, p6_input_documents
 from test_dismantling import _certify_inputs, _stuck_inputs
 from test_mutation_sweep import SWEEP_SEED, _mutants
 

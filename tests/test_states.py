@@ -3,10 +3,9 @@ import random
 import pytest
 
 from morsecert.errors import InputError
-from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
+from morsecert.io import builtin_subject, moves_from_doc, polytope_from_doc, state_from_doc
 from morsecert.kernel import (
     State,
-    builtin_subject,
     is_compatible,
     orbit,
 )

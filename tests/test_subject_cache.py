@@ -1,8 +1,8 @@
 """The built-in subjects and the canonical link graphs are kept per process,
 and each `Subject` keeps its verdict plan and cusp tables.
 
-They are built from the code's own tables and shared by every run in the
-process, so no run may change them, and no report may reach them: a
+The built-in subjects are built from their shipped inputs and shared by
+every run in the process, so no run may change them, and no report may reach them: a
 tampered report verified between two good ones fails alone, and a generic
 report is checked against its own embedded inputs only.  What a run finds,
 its dismantling orders and cone apexes, is found again by every run.
@@ -18,18 +18,11 @@ import pytest
 
 from morsecert.certify import certify_generic, certify_p5, certify_p6, run_pipeline
 from morsecert.cli import main
-from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
-from morsecert.kernel import (
-    MoveSystem,
-    balanced_states_p5,
-    balanced_states_p6,
-    builtin_subject,
-    canonical_pairs_graphs,
-    generic_subject,
-    move_system_p5,
-    move_system_p6,
+from morsecert.io import (
+    builtin_inputs, builtin_subject, moves_from_doc, polytope_from_doc, state_from_doc,
+    state_to_doc,
 )
-from morsecert.polytopes import build_p5, build_p6
+from morsecert.kernel import MoveSystem, canonical_pairs_graphs, generic_subject, orbit
 from morsecert import report
 from morsecert.report import (
     _inputs_digest,
@@ -41,16 +34,14 @@ from morsecert.verify import verify_document
 
 from test_certify import cube_inputs
 from test_dismantling import _certify_inputs, _stuck_inputs
+from test_shipped_inputs import construction
 
 
 def _fresh(tag):
-    """A fresh subject equal to the built-in one: built from fresh tables,
-    as the orbit of the first balanced state."""
-    if tag == "p6":
-        P = build_p6()
-        return generic_subject(P, move_system_p6(), balanced_states_p6(P)[0])
-    P = build_p5()
-    return generic_subject(P, move_system_p5(P), balanced_states_p5(P)[0])
+    """A fresh subject equal to the built-in one: built from the paper's
+    construction, as the orbit of the first balanced state."""
+    P, m, states = construction(tag)
+    return generic_subject(P, m, states[0])
 
 
 def _fingerprint(S):
@@ -69,11 +60,16 @@ def test_builtin_subject_is_built_once(tag):
     assert first.cusps is builtin_subject(tag).cusps
 
 
+def _with_state(tag, s):
+    """The shipped inputs of `tag`, the initial state replaced by s."""
+    return {**builtin_inputs(tag), "state": state_to_doc(s)}
+
+
 def test_builtin_subject_checks_its_states(monkeypatch):
-    """A built-in balanced state that is not compatible is a transcription
-    bug: `builtin_subject` refuses it, naming the subject, the state and the
-    adjacent same-move pair."""
-    import morsecert.kernel
+    """A shipped initial state that is not compatible is a transcription
+    bug: `builtin_subject` refuses it, naming the subject and the adjacent
+    same-move pair."""
+    import morsecert.io
     from morsecert.errors import StructuralError
     from morsecert.kernel import State, is_compatible
 
@@ -83,34 +79,35 @@ def test_builtin_subject_checks_its_states(monkeypatch):
     bad = State(s.universe, s.in_facets - {min(s.in_facets)})
     ok, pair = is_compatible(P, m, bad)
     assert not ok
-    monkeypatch.setattr(morsecert.kernel, "balanced_states_p5",
-                        lambda P: states[:3] + (bad,) + states[4:])
+    inputs = _with_state("p5", bad)
+    monkeypatch.setattr(morsecert.io, "builtin_inputs", lambda tag: inputs)
     builtin_subject.cache_clear()
     try:
         with pytest.raises(StructuralError) as info:
             builtin_subject("p5")
     finally:
         builtin_subject.cache_clear()
-    assert str(info.value) == f"p5 state 3 is incompatible: adjacent same-move pair {pair!r}"
+    assert str(info.value) == f"p5 initial state is incompatible: adjacent same-move pair {pair!r}"
 
 
 def test_builtin_subject_checks_its_orbit(monkeypatch):
-    """Built-in states that are not the orbit of the first, in canonical
-    order, are a transcription bug: `builtin_subject` refuses them, naming
-    the subject."""
-    import morsecert.kernel
-    from morsecert.errors import StructuralError
+    """The built-in states are the orbit of the shipped initial state, in
+    canonical order: the construction's balanced states, whichever of them
+    is shipped, the first of them the shipped one."""
+    import morsecert.io
 
-    states = _fresh("p5").states
-    for edited in (states[:-1], states[1:] + states[:1]):
-        monkeypatch.setattr(morsecert.kernel, "balanced_states_p5", lambda P: edited)
+    P, m, states = construction("p5")
+    kept = builtin_subject("p5")
+    assert kept.states[0] == state_from_doc(builtin_inputs("p5")["state"], kept.P)
+    assert orbit(kept.states[0], kept.m) == kept.states == states
+    for s in (states[1], states[-1]):
+        inputs = _with_state("p5", s)
+        monkeypatch.setattr(morsecert.io, "builtin_inputs", lambda tag: inputs)
         builtin_subject.cache_clear()
         try:
-            with pytest.raises(StructuralError) as info:
-                builtin_subject("p5")
+            assert builtin_subject("p5").states == states
         finally:
             builtin_subject.cache_clear()
-        assert str(info.value) == "p5 states are not the orbit of the first"
 
 
 @pytest.mark.parametrize("census, named", [
@@ -125,12 +122,12 @@ def test_builtin_subject_audits_its_census(monkeypatch, cert_p6, tmp_path, capsy
     """A built-in census that the built subject breaks is a transcription
     bug: `builtin_subject` refuses it, naming the subject and the broken
     line, and certify, verify of a good report and info all exit 3."""
-    import morsecert.kernel
+    import morsecert.io
     from morsecert.errors import StructuralError
 
     report = tmp_path / "p6.json"
     report.write_text(document_to_json(certificate_to_document(cert_p6)))
-    monkeypatch.setitem(morsecert.kernel.CENSUS, "p6", census)
+    monkeypatch.setitem(morsecert.io.CENSUS, "p6", census)
     builtin_subject.cache_clear()
     try:
         with pytest.raises(StructuralError) as info:
@@ -142,21 +139,6 @@ def test_builtin_subject_audits_its_census(monkeypatch, cert_p6, tmp_path, capsy
     assert str(info.value) == named
     assert codes == [3, 3, 3]
     assert capsys.readouterr().err == f"internal error: {named}\n" * 3
-
-
-def test_p5_is_built_from_the_kept_p6(monkeypatch):
-    import morsecert.kernel
-
-    calls = []
-    monkeypatch.setattr(morsecert.kernel, "build_p6", lambda: calls.append(1) or build_p6())
-    builtin_subject.cache_clear()
-    try:
-        P5 = builtin_subject("p5").P
-        P6 = builtin_subject("p6").P
-    finally:
-        builtin_subject.cache_clear()
-    assert calls == [1]
-    assert P5.name == "P5" and P6.name == "P6"
 
 
 def test_runs_leave_the_kept_subjects_as_built():
@@ -262,9 +244,10 @@ def test_plan_and_cusp_tables_are_built_once_per_subject(monkeypatch):
 
 
 def test_the_p5_subject_builds_no_p6_table(monkeypatch):
-    """P5 is built from the kept P6's polytope, but building the p5 subject
-    builds neither P6's verdict plan nor a cusp table of P6, and a p5
-    certify and verify build only P5's."""
+    """P5 is read from its own shipped inputs: building the p5 subject
+    builds its cusp tables, where `generic_subject` checks each section,
+    and no plan; a p5 certify and verify then build P5's plan and nothing
+    of P6, whose subject is never built."""
     import morsecert.kernel
 
     plans = _counting(monkeypatch, morsecert.kernel, "_plan_rows")
@@ -272,16 +255,16 @@ def test_the_p5_subject_builds_no_p6_table(monkeypatch):
     builtin_subject.cache_clear()
     try:
         S5 = builtin_subject("p5")
-        assert (plans, tables) == ([], [])
+        assert (plans, len(tables)) == ([], 10)
         ok, msgs = verify_document(json.loads(
             document_to_json(certificate_to_document(certify_p5()))))
-        S6 = builtin_subject("p6")
+        kept = builtin_subject.cache_info().currsize
     finally:
         builtin_subject.cache_clear()
     assert ok, msgs
     assert plans == [(S5,)]
     assert tables == [(S5.P, iv.id) for iv in S5.P.ideal_vertices]
-    assert "plan" not in vars(S6) and "cusps" not in vars(S6)
+    assert kept == 1
 
 
 def test_no_polytope_keeps_anything_under_a_move_system():

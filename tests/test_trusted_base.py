@@ -1,7 +1,8 @@
 """The verifier's trusted base: every function and method of the package
 that `morsecert verify` runs on the seed-0 p5 and p6 reports, traced with
 `sys.setprofile` from cleared subject and link-graph caches, so that the
-trace includes building what the verifier recomputes.  The set is pinned:
+trace includes building what the verifier recomputes, the built-in
+subjects from their shipped inputs.  The set is pinned:
 a verifier that calls a function outside it fails here, and one that stops
 calling a function in it fails too, so the list stays exact.  A change that
 adds to it updates the list and says why.  Nested functions, lambdas and
@@ -13,8 +14,8 @@ verdicts section through its subject's frame.  The reject path is pinned
 too: `verify` of four malformed copies of the p5 report, written by
 `json.dumps`, three stopped by the schema parse and one by a repeated key,
 runs only trusted functions, the whole-document read `load_json` that such
-a copy falls back to, and the few of `schema` that name a mismatch
-(`REJECTED`)."""
+a copy falls back to and that reads the shipped inputs included, and the
+few of `schema` that name a mismatch (`REJECTED`)."""
 
 import copy
 import inspect
@@ -22,33 +23,30 @@ import json
 import sys
 
 from morsecert.cli import build_parser, main
-from morsecert.kernel import builtin_subject, canonical_pairs_graphs
+from morsecert.io import builtin_inputs, builtin_subject
+from morsecert.kernel import canonical_pairs_graphs
 from morsecert.report import certificate_to_document, document_to_json
 
 # The pinned set, by module: qualified names, space-separated.
 TRUSTED = {
     "cli": "_cmd_verify main",
-    "io": "_object read_object read_text",
+    "io": """
+        _object builtin_inputs builtin_subject load_json moves_from_doc polytope_from_doc
+        read_object read_text state_from_doc subject_from_inputs""",
     "kernel": """
         CubeLift.lift_of_face CubeLift.proper_faces MoveSystem.__post_init__
-        MoveSystem.block_of MoveSystem.restrict State.__post_init__ State.serial
+        MoveSystem.block_of MoveSystem.covers State.__post_init__ State.serial
         Subject.__init__ Subject.bad_masks Subject.cusps Subject.plan _pair_values
-        _plan_rows all_pairs_index balanced_states_p5 balanced_states_p6
-        builtin_subject canonical_pairs_graphs certificate_problem check_cusp_condition
-        check_sd_crosspolytope_witness comparability_graph cusp_table face_contains
-        face_int face_link_posets face_masks face_parts face_table facet_mask
-        is_compatible move_system_p5 move_system_p6 orbit pairs_core_elements
-        r_class_triples state_from_in_set synthetic_pairs_lift unit_class_table""",
-    "labels": """
-        base_unit euclid4 label_quat label_signs minus_count quat_conj quat_mul
-        t24_adjacent""",
+        _plan_rows all_pairs_index canonical_pairs_graphs certificate_problem
+        check_cusp_condition check_sd_crosspolytope_witness comparability_graph cusp_table
+        face_contains face_int face_link_posets face_masks face_parts face_table facet_mask
+        generic_subject is_compatible orbit pairs_core_elements synthetic_pairs_lift""",
     "polytopes": """
         FaceHandle.codim FaceHandle.sorted_ids Polytope.__init__
         Polytope._build_census Polytope._clique_levels Polytope.adjacent
         Polytope.clique_count Polytope.cliques Polytope.degree Polytope.ideal_vertex
-        Polytope.neighbors Polytope.ranked_graph RankedGraph.labels RankedGraph.mask
-        _validate_p6 adjacency_from_lorentz build_p5 build_p6 cusp_incidence
-        dual_mask f_vector_check face_of_mask lorentz_product""",
+        Polytope.ranked_graph RankedGraph.labels RankedGraph.mask adjacency_from_lorentz
+        cusp_incidence dual_mask f_vector_check face_of_mask lorentz_product""",
     "report": """
         _eid _inputs_digest _kept_frame canonical_json cusp_rows euler_identity
         legality_header read_verdicts report_tables shared_header verdict_allowed
@@ -65,9 +63,8 @@ TRUSTED = {
 }
 
 # What the reject path runs beyond the trusted set, qualified names by module:
-# the whole-document read of a report not in the bytes certify writes, the
-# per-value walk that names a mismatch, and the naming itself.
-REJECTED = {"io": "load_json", "schema": "_Kind._walk _Mismatch.__init__ _expected"}
+# the per-value walk that names a mismatch, and the naming itself.
+REJECTED = {"schema": "_Kind._walk _Mismatch.__init__ _expected"}
 
 
 def _names(pinned: dict) -> set:
@@ -96,6 +93,7 @@ def _trace(paths) -> tuple:
     """The exit codes of `morsecert verify` of each path, and the functions
     of the package that the runs called, from cleared caches."""
     build_parser()  # kept per process: built here so the trace holds no parser
+    builtin_inputs.cache_clear()
     builtin_subject.cache_clear()
     canonical_pairs_graphs.cache_clear()
     names, ran = _functions(), set()
@@ -122,7 +120,7 @@ def test_verify_runs_the_trusted_base(cert_p5, cert_p6, tmp_path):
     assert not [name for name in ran if name.split(".")[0] in ("complexes", "states", "links")]
     want = _names(TRUSTED)
     assert sorted(ran - want) == [] and sorted(want - ran) == []
-    assert len(want) == 112
+    assert len(want) == 100
 
 
 def _wrong_kind(doc):

@@ -32,14 +32,14 @@ def test_a_passing_report_is_checked_in_one_pass(cert_p6, monkeypatch):
     verify in the process, and read in one pass; the per-value walk of the
     schema, which only names a mismatch, never runs."""
     doc = json.loads(document_to_json(certificate_to_document(cert_p6)))
-    kernel.builtin_subject.cache_clear()
+    io.builtin_subject.cache_clear()
     try:
         plans = _counted(monkeypatch, kernel, "_plan_rows")
         walks = _counted(monkeypatch, schema._Kind, "_walk")
         assert verify.verify_document(doc) == (True, [])
         assert verify.verify_document(doc) == (True, [])
     finally:
-        kernel.builtin_subject.cache_clear()
+        io.builtin_subject.cache_clear()
     assert (len(plans), len(walks)) == (1, 0)
 
 
