@@ -21,12 +21,11 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError
-from .io import builtin_inputs, builtin_subject
-from .kernel import MoveSystem, PlannedRow, State, Subject, all_pairs_index, generic_subject
+from .io import builtin_inputs, builtin_subject, subject_from_inputs
+from .kernel import PlannedRow, Subject, all_pairs_index
 from .links import CriticalLinkCertifier, certify_boundary_cube, classify_link
-from .polytopes import Polytope
 from .report import (
-    BUILTIN_SUBJECTS, MODES, Certificate, _eid, _inputs_digest, cusp_rows, euler_identity,
+    BUILTINS, MODES, Certificate, _eid, _inputs_digest, cusp_rows, euler_identity,
     legality_header, report_tables, shared_header, verdict_allowed,
 )
 from .states import split_legality
@@ -171,14 +170,18 @@ def _cusp_suite(S: Subject, failures: List[str]) -> Tuple[tuple, tuple]:
 # ---------------------------------------------------------------------------
 # Shared pipeline
 
+# The most worker processes a run may fork for its verdict sweep, checked
+# before any starts.
+MAX_PARALLEL = 16
+
 
 def run_pipeline(
     S: Subject,
     *,
     subject: str,
     mode: str,
+    inputs_digest: str,
     seed: int = 0,
-    inputs_digest: str = "",
     generic_inputs: Optional[dict] = None,
     parallel: int = 1,
 ) -> Certificate:
@@ -188,12 +191,14 @@ def run_pipeline(
     The f_vector, orbit, bad_faces and coverage stages read S; coverage
     builds its plan on first use.
 
-    With parallel > 1 the independent (face, class) groups fan out to a
-    process pool; results merge in canonical key order, so reports are
-    identical to a sequential run.
+    With parallel > 1, at most `MAX_PARALLEL`, the independent (face, class)
+    groups fan out to a process pool; results merge in canonical key order,
+    so reports are identical to a sequential run.
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
+    if parallel > MAX_PARALLEL:
+        raise InputError(f"{parallel} worker processes, past the limit of {MAX_PARALLEL}")
     failures: List[str] = []
     timings: Dict[str, float] = {}
     t_total = time.perf_counter()
@@ -245,13 +250,12 @@ def run_pipeline(
     )
 
 
-def _certify_builtin(key: str, seed: int, parallel: int) -> Certificate:
-    """The pipeline on the built-in subject of `io.builtin_subject` key
-    `key`, under its report name and in its mode."""
-    subject, mode = next((name, mode) for name, (k, mode) in BUILTIN_SUBJECTS.items()
-                         if k == key)
-    return run_pipeline(builtin_subject(key), subject=subject, mode=mode, seed=seed,
-                        inputs_digest=_inputs_digest(key, builtin_inputs(key)), parallel=parallel)
+def _certify_builtin(tag: str, seed: int, parallel: int) -> Certificate:
+    """The pipeline on the built-in subject `tag`, under its report name
+    and in its mode."""
+    b = BUILTINS[tag]
+    return run_pipeline(builtin_subject(tag), subject=b.name, mode=b.mode, seed=seed,
+                        inputs_digest=builtin_inputs(tag)[1], parallel=parallel)
 
 
 def certify_p6(*, seed: int = 0, parallel: int = 1) -> Certificate:
@@ -264,24 +268,12 @@ def certify_p5(*, seed: int = 0, parallel: int = 1) -> Certificate:
     return _certify_builtin("p5", seed, parallel)
 
 
-def certify_generic(
-    P: Polytope,
-    m: MoveSystem,
-    initial_state: State,
-    *,
-    mode: str = "perfect",
-    seed: int = 0,
-    generic_inputs: Optional[dict] = None,
-    parallel: int = 1,
-) -> Certificate:
+def certify_generic(inputs: dict, *, mode: str = "perfect", seed: int = 0,
+                    parallel: int = 1) -> Certificate:
     """Pipeline over the orbit closure of a user-supplied initial state, on
-    the subject that `generic_subject` builds and checks."""
-    return run_pipeline(
-        generic_subject(P, m, initial_state),
-        subject="generic",
-        mode=mode,
-        seed=seed,
-        inputs_digest=_inputs_digest("generic", generic_inputs),
-        generic_inputs=generic_inputs,
-        parallel=parallel,
-    )
+    the subject built from the documents {"polytope", "moves", "state"},
+    each of the shape its schema gives, as `verify` builds it from the
+    report, which embeds them."""
+    return run_pipeline(subject_from_inputs(inputs), subject="generic", mode=mode, seed=seed,
+                        inputs_digest=_inputs_digest("generic", inputs),
+                        generic_inputs=inputs, parallel=parallel)

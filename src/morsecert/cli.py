@@ -14,10 +14,9 @@ from functools import cache
 
 from .certify import certify_generic, certify_p5, certify_p6
 from .errors import InputError, InternalError, StructuralError
-from .io import (
-    builtin_subject, load_document, moves_from_doc, polytope_from_doc, state_from_doc,
-)
-from .report import MODES, emit_report
+from .io import builtin_subject, load_document
+from .report import BUILTINS, MODES, emit_report
+from .schema import INPUTS
 from .verify import verify_report_file
 
 EXIT_OK = 0
@@ -60,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     certify = sub.add_parser("certify", help="run a certification pipeline")
     csub = certify.add_subparsers(dest="subject", required=True)
-    for subject in ("p6", "p5"):
+    for subject in BUILTINS:
         p = csub.add_parser(subject, help=f"certify the built-in {subject} system")
         _add_common(p)
     g = csub.add_parser("generic", help="certify user-supplied inputs")
@@ -77,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("report", help="structured report file")
 
     info = sub.add_parser("info", help="print structural facts")
-    info.add_argument("subject", choices=("p6", "p5"))
+    info.add_argument("subject", choices=tuple(BUILTINS))
     return parser
 
 
@@ -101,16 +100,9 @@ def _cmd_certify(args) -> int:
     elif args.subject == "p5":
         cert = certify_p5(seed=args.seed, parallel=args.parallel)
     else:
-        pol, P = load_document(args.polytope, polytope_from_doc)
-        moves, m = load_document(args.moves, moves_from_doc, P)
-        state, s = load_document(args.state, state_from_doc, P)
-        cert = certify_generic(
-            P, m, s,
-            mode=args.mode,
-            seed=args.seed,
-            parallel=args.parallel,
-            generic_inputs={"polytope": pol, "moves": moves, "state": state},
-        )
+        inputs = {key: load_document(getattr(args, key), schema)
+                  for key, schema in INPUTS.fields.items()}
+        cert = certify_generic(inputs, mode=args.mode, seed=args.seed, parallel=args.parallel)
     _emit(cert, args)
     return EXIT_OK if cert.passed else EXIT_FAILED
 

@@ -2,7 +2,8 @@
 path from them to a subject, `subject_from_inputs`, for every subject.
 
 Their shapes are `schema.POLYTOPE`, `schema.MOVES` and `schema.STATE`, which
-`load_document` parses before a reader here builds from the document.  A
+`load_document` parses a file against; the readers here build from the
+documents, and only `subject_from_inputs` calls them.  A
 polytope document lists at most `polytopes.MAX_FACETS` facets.  When
 every facet carries a 7-coordinate vector the adjacency is derived from
 zero Lorentzian products; an explicit adjacency list, if also present, must
@@ -19,7 +20,7 @@ import json
 from functools import cache
 from json.decoder import scanstring
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 from .errors import InputError, StructuralError
 from .kernel import IN, OUT, MoveSystem, State, Subject, generic_subject
@@ -31,7 +32,8 @@ from .polytopes import (
     adjacency_from_lorentz,
     f_vector_check,
 )
-from .schema import MOVES, POLYTOPE, STATE, parse
+from .report import BUILTINS, _inputs_digest
+from .schema import parse
 
 
 def _object(pairs: list) -> dict:
@@ -163,21 +165,15 @@ def state_from_doc(doc: dict, P: Polytope) -> State:
     return State(tuple(sorted(P.facet_ids)), in_set)
 
 
-def load_document(path, from_doc, *args):
-    """The JSON document at `path`, read once and parsed against the schema
-    of `from_doc`, and `from_doc` of it: a generic report embeds the very
-    document it certified.  A document of the wrong shape is an input error
-    naming the file and the JSON path, as one that does not parse is."""
+def load_document(path, schema) -> object:
+    """The JSON document at `path`, read once and parsed against `schema`:
+    one of the wrong shape is an input error naming the file and the JSON
+    path, as one that does not parse is."""
     doc = load_json(path)
     try:
-        return doc, from_doc(parse(_SCHEMAS[from_doc], doc), *args)
+        return parse(schema, doc)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    except (TypeError, ValueError, AttributeError, KeyError) as exc:
-        raise InputError(f"{path}: malformed document: {type(exc).__name__}: {exc}") from exc
-
-
-_SCHEMAS = {polytope_from_doc: POLYTOPE, moves_from_doc: MOVES, state_from_doc: STATE}
 
 
 # -- dumps -------------------------------------------------------------------
@@ -225,51 +221,42 @@ def subject_from_inputs(inputs: dict) -> Subject:
                            state_from_doc(inputs["state"], P))
 
 
-# The shipped inputs of each built-in subject, `DATA`/<tag>.json, as
-# `write_json` writes them, under their SHA-256.
+# The shipped inputs of each built-in subject of `report.BUILTINS`,
+# `DATA`/<tag>.json, as `write_json` writes them.
 DATA = Path(__file__).parent / "data"
-SHIPPED = {
-    "p6": "ce9afb42f1056f76681f547a8588ebc69d941050a7eee841e1ea4b09c67e1ac8",
-    "p5": "c42ec4fd9e806377e8e54ea4a9cf6ce405c44de391938be44551033cb7479969",
-}
-
-# The paper's census of each built-in subject: clique counts by size, the
-# uniform facet degree and the bad-face signatures (None: not declared).
-CENSUS = {
-    "p6": ({1: 27, 2: 216, 6: 72}, 16, {(2,), (3,), (2, 2), (2, 2, 2)}),
-    "p5": ({1: 16, 5: 16}, None, None),
-}
 
 
 @cache
-def builtin_inputs(tag: str) -> dict:
-    """The shipped input documents of the built-in subject "p6" or "p5",
-    read once per process and shared, so no caller edits them; a file
-    whose bytes are not those `SHIPPED` pins is refused, naming it."""
-    path = DATA / f"{tag}.json"
+def builtin_inputs(tag: str) -> Tuple[dict, str]:
+    """The shipped input documents of the built-in subject `tag` and their
+    inputs digest, read and computed once per process and shared, so no
+    caller edits them; a file whose bytes are not those its table entry
+    pins is refused, naming it."""
+    path, pinned = DATA / f"{tag}.json", BUILTINS[tag].sha256
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise StructuralError(f"{path}: {exc.strerror}") from exc
     digest = hashlib.sha256(data).hexdigest()
-    if digest != SHIPPED[tag]:
-        raise StructuralError(f"{path}: SHA-256 {digest} is not the pinned {SHIPPED[tag]}")
-    return load_json(path, data.decode())
+    if digest != pinned:
+        raise StructuralError(f"{path}: SHA-256 {digest} is not the pinned {pinned}")
+    inputs = load_json(path, data.decode())
+    return inputs, _inputs_digest(tag, inputs)
 
 
 @cache
 def builtin_subject(tag: str) -> Subject:
-    """The built-in subject "p6" or "p5", built once per process from its
-    shipped inputs, as any subject is, and audited against `CENSUS`; no
-    report or generic input reaches it.  A failure is a transcription bug,
-    a StructuralError naming the subject."""
-    counts, degree, signatures = CENSUS[tag]
+    """The built-in subject `tag`, built once per process from its shipped
+    inputs, as any subject is, and audited against the paper's census in
+    its table entry; no report or generic input reaches it.  A failure is a
+    transcription bug, a StructuralError naming the subject."""
+    b = BUILTINS[tag]
     try:
-        S = subject_from_inputs(builtin_inputs(tag))
-        f_vector_check(S.P, counts, degree)
+        S = subject_from_inputs(builtin_inputs(tag)[0])
+        f_vector_check(S.P, b.counts, b.degree)
     except (InputError, StructuralError) as exc:
         raise StructuralError(f"{tag} {exc}") from None
-    if signatures is not None and set(S.bad_faces) != signatures:
+    if b.signatures is not None and set(S.bad_faces) != b.signatures:
         raise StructuralError(f"{tag} bad-face signatures {list(S.bad_faces)} "
-                              f"!= expected {sorted(signatures)}")
+                              f"!= expected {sorted(b.signatures)}")
     return S

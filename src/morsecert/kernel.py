@@ -89,17 +89,13 @@ class State:
 
 
 def orbit(s: State, m: MoveSystem) -> Tuple[State, ...]:
-    """Closure of s under all moves, in canonical (serialised) order."""
-    seen = {s}
-    frontier = [s]
-    while frontier:
-        cur = frontier.pop()
-        for block in m.blocks:
-            nxt = State(cur.universe, cur.in_facets ^ block)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return tuple(sorted(seen, key=State.serial))
+    """Closure of s under all moves, in canonical (serialised) order: the
+    moves are disjoint involutions, so each state is s's In set with the
+    blocks of some set of moves flipped."""
+    in_sets = {s.in_facets}
+    for block in m.blocks:
+        in_sets |= {inn ^ block for inn in in_sets}
+    return tuple(sorted((State(s.universe, inn) for inn in in_sets), key=State.serial))
 
 
 def is_compatible(P: Polytope, m: MoveSystem, s: State):

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from json.decoder import scanstring
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .kernel import CuspTable, PlannedRow, Subject, all_pairs_index
 
@@ -32,10 +32,32 @@ REPORT_VERSION = "10"
 
 MODES = ("perfect", "fibration")  # each with its verdict rule, `verdict_allowed`
 
-# The built-in subjects under their report names: the `io.builtin_subject`
-# key, which also tags the inputs digest and the summary line, and the one
-# mode each is certified in.
-BUILTIN_SUBJECTS = {"P6_perfect_morse": ("p6", "perfect"), "P5_fibration": ("p5", "fibration")}
+
+class Builtin(NamedTuple):
+    """A built-in subject: its report name, the one mode it is certified in,
+    the SHA-256 of its shipped inputs, `io.DATA`/<tag>.json, and the paper's
+    census of it, the clique counts by size, the uniform facet degree and
+    the bad-face signatures (None: not declared)."""
+
+    name: str
+    mode: str
+    sha256: str
+    counts: Dict[int, int]
+    degree: Optional[int]
+    signatures: Optional[set]
+
+
+# The built-in subjects under their tags, which name their shipped inputs,
+# the CLI's subjects, the inputs digest and the summary line.
+BUILTINS = {
+    "p6": Builtin("P6_perfect_morse", "perfect",
+                  "ce9afb42f1056f76681f547a8588ebc69d941050a7eee841e1ea4b09c67e1ac8",
+                  {1: 27, 2: 216, 6: 72}, 16, {(2,), (3,), (2, 2), (2, 2, 2)}),
+    "p5": Builtin("P5_fibration", "fibration",
+                  "c42ec4fd9e806377e8e54ea4a9cf6ce405c44de391938be44551033cb7479969",
+                  {1: 16, 5: 16}, None, None),
+}
+TAGS = {b.name: tag for tag, b in BUILTINS.items()}  # each tag under its report name
 
 
 # one encoder for every content id and one for every document, `_DOC`:
@@ -53,7 +75,7 @@ def _eid(payload: dict) -> str:
     return "e" + hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
 
 
-def _inputs_digest(tag: str, inputs: Optional[dict]) -> str:
+def _inputs_digest(tag: str, inputs: dict) -> str:
     """The digest of a subject's inputs: a built-in subject's shipped ones
     under its key, or a generic report's embedded ones under "generic"."""
     return hashlib.sha256(canonical_json({"tag": tag, "inputs": inputs}).encode()).hexdigest()
@@ -142,15 +164,14 @@ class Certificate:
                      verdict_row(p, "Regular") for p in self.S.plan)
 
     def summary_line(self) -> str:
-        tag = BUILTIN_SUBJECTS.get(self.subject, ("generic",))[0].upper()
+        """The claim, naming the verdicts that `verdict_allowed` admits."""
+        tag = TAGS.get(self.subject, "generic").upper()
         if self.passed:
-            if self.mode == "perfect":
-                idx = self.tables["polytope"]["dimension"] // 2
-                return (
-                    f"{tag}: PERFECT MORSE CERTIFIED "
-                    f"(all links Regular or Critical({idx}))"
-                )
-            return f"{tag}: FIBRATION CERTIFIED (all links Regular)"
+            dim = self.tables["polytope"]["dimension"]
+            links = " or ".join(v for v in ("Regular", f"Critical({dim // 2})")
+                                if verdict_allowed(self.mode, dim, v))
+            claim = "PERFECT MORSE" if self.mode == "perfect" else "FIBRATION"
+            return f"{tag}: {claim} CERTIFIED (all links {links})"
         first = self.failures[0] if self.failures else "unspecified failure"
         return f"{tag}: CERTIFICATION FAILED ({first})"
 

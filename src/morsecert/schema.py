@@ -165,6 +165,7 @@ POLYTOPE = Obj(
      "ideal_vertices": ListOf(Obj({"label": STR, "incident": STRS}))},
 )
 MOVES, STATE = ListOf(STRS), Obj(each=STR)
+INPUTS = Obj({"polytope": POLYTOPE, "moves": MOVES, "state": STATE})  # a subject's documents
 
 # Dismantling orders, lists of [v, w] steps, name facet ids in a legality
 # item and the int vertices of a canonical link graph in a shared item.
@@ -195,7 +196,7 @@ def _report(verdicts: _Kind) -> Obj:
         "cusps": Obj({"apexes": ListOf(ListOf(ListOf(Pair(Leaf("str or null", str, type(None)))))),
                       "rows": ListOf(Obj({"ok": BOOL, "all_regular": BOOL}))}),
         "failures": STRS, "timings": ANY,
-    }, {"inputs": Obj({"polytope": POLYTOPE, "moves": MOVES, "state": STATE})})
+    }, {"inputs": INPUTS})
 
 
 REPORT = _report(Obj({"rows": ListOf(Obj({"face": STRS, "verdict": STR, "states": INTS},

@@ -58,13 +58,34 @@ from .errors import InputError
 from .io import (
     builtin_inputs, builtin_subject, load_json, read_object, read_text, subject_from_inputs,
 )
-from .kernel import PlannedRow, all_pairs_index, canonical_pairs_graphs, certificate_problem
+from .kernel import (
+    PlannedRow, Subject, all_pairs_index, canonical_pairs_graphs, certificate_problem,
+)
 from .report import (
-    BUILTIN_SUBJECTS, MODES, REPORT_VERSION, _eid, _inputs_digest, canonical_json, cusp_rows,
+    BUILTINS, MODES, REPORT_VERSION, TAGS, _eid, _inputs_digest, canonical_json, cusp_rows,
     euler_identity, legality_header, read_verdicts, report_tables, shared_header,
     verdict_allowed, verdict_row,
 )
 from .schema import READ_REPORT, REPORT, SEQUENCE_KEYS, parse
+
+
+def _subject(name, inputs: Optional[dict]) -> Optional[Tuple[Subject, str, Tuple[str, ...]]]:
+    """The subject of a report that names `name` and embeds `inputs` (None:
+    none), its inputs digest and the modes it may be certified in: a
+    built-in subject's, kept per process with its digest, or a generic
+    report's, built from the inputs as certify builds it; None when the
+    report names no subject.  Embedded inputs that break a rule are an
+    input error."""
+    tag = TAGS.get(name) if type(name) is str else None
+    if tag is not None and inputs is None:
+        return builtin_subject(tag), builtin_inputs(tag)[1], (BUILTINS[tag].mode,)
+    if name != "generic" or inputs is None:
+        return None
+    try:
+        S = subject_from_inputs(inputs)
+    except InputError as exc:
+        raise InputError(f"embedded inputs: {exc}") from exc
+    return S, _inputs_digest("generic", inputs), MODES
 
 
 class _Verifier:
@@ -83,34 +104,6 @@ class _Verifier:
 
     def fail(self, msg: str):
         self.messages.append(msg)
-
-    # -- context ------------------------------------------------------------
-
-    def build_context(self) -> bool:
-        """Build the report's subject from its inputs, a generic report's
-        embedded ones or a built-in subject's shipped ones, whose subject is
-        kept per process; False, the report rejected, if it names none.
-        Embedded inputs that break a rule are an input error."""
-        subject, mode, inputs = self.doc["subject"], self.doc["mode"], self.doc.get("inputs")
-        tag, *modes = BUILTIN_SUBJECTS.get(subject, ("generic", *MODES))  # modes it allows
-        if subject == "generic" and inputs is not None:
-            try:
-                S = subject_from_inputs(inputs)
-            except InputError as exc:
-                raise InputError(f"embedded inputs: {exc}") from exc
-        elif subject in BUILTIN_SUBJECTS and inputs is None:
-            S, inputs = builtin_subject(tag), builtin_inputs(tag)
-        else:
-            self.fail("generic report carries no embedded inputs" if subject == "generic" else
-                      f"{subject} report embeds inputs" if subject in BUILTIN_SUBJECTS else
-                      f"unknown subject {subject!r}")
-            return False
-        if mode not in modes:
-            self.fail(f"mode {mode!r}: subject {subject} must be certified in "
-                      f"{' or '.join(modes)} mode")
-        self.S, self.mode = S, mode
-        self.digest = _inputs_digest(tag, inputs)
-        return True
 
     # -- cheap table recomputation -------------------------------------------
 
@@ -377,8 +370,18 @@ class _Verifier:
             self.fail(f"unsupported report version {self.doc.get('version')!r}")
             return False, self.messages
         parse(REPORT if self.outcomes is None else READ_REPORT, self.doc, "report")
-        if not self.build_context():
+        subject, mode = self.doc["subject"], self.doc["mode"]
+        resolved = _subject(subject, self.doc.get("inputs"))
+        if resolved is None:
+            self.fail("generic report carries no embedded inputs" if subject == "generic" else
+                      f"{subject} report embeds inputs" if subject in TAGS else
+                      f"unknown subject {subject!r}")
             return False, self.messages
+        self.S, self.digest, modes = resolved
+        self.mode = mode
+        if mode not in modes:
+            self.fail(f"mode {mode!r}: subject {subject} must be certified in "
+                      f"{' or '.join(modes)} mode")
         self.check_tables()
         self.check_verdicts()
         self.check_cusps()
@@ -414,10 +417,8 @@ def verify_report_file(path) -> Tuple[bool, List[str]]:
     text = read_text(path)
 
     def verdicts(pairs: list, pos: int):
-        subject = dict(pairs).get("subject")
-        if type(subject) is not str or subject not in BUILTIN_SUBJECTS:
-            return None
-        return read_verdicts(builtin_subject(BUILTIN_SUBJECTS[subject][0]), text, pos)
+        resolved = _subject(dict(pairs).get("subject"), None)
+        return None if resolved is None else read_verdicts(resolved[0], text, pos)
 
     doc = read_object(text, "verdicts", verdicts)
     return verify_document(load_json(path, text) if doc is None else doc)

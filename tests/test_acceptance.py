@@ -18,11 +18,6 @@ from morsecert.complexes import (
     star_collapse_pairs,
     vertex_link,
 )
-from morsecert.io import (
-    moves_from_doc,
-    polytope_from_doc,
-    state_from_doc,
-)
 from morsecert.links import build_cube_model
 from morsecert.polytopes import FaceHandle, dual_complex, enumerate_faces
 from morsecert.report import (
@@ -233,13 +228,7 @@ def test_roundtrip_generic_matches_builtin(cert_p6, tmp_path):
     """Serialising the built-in inputs through the generic path reproduces
     the same verdict, cusp, orbit and evidence tables."""
     pol, moves, state = p6_input_documents()
-    P = polytope_from_doc(pol)
-    m = moves_from_doc(moves, P)
-    s = state_from_doc(state, P)
-    cert = certify_generic(
-        P, m, s, mode="perfect",
-        generic_inputs={"polytope": pol, "moves": moves, "state": state},
-    )
+    cert = certify_generic({"polytope": pol, "moves": moves, "state": state}, mode="perfect")
     assert cert.passed
     a = certificate_to_document(cert_p6)
     b = certificate_to_document(cert)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morsecert.certify import certify_generic, certify_p5, certify_p6
+from morsecert.certify import MAX_PARALLEL, certify_generic, certify_p5, certify_p6
 from morsecert.cli import main
 from morsecert.errors import InputError
 from morsecert.io import (
@@ -21,6 +21,7 @@ from morsecert.io import (
     moves_from_doc,
     polytope_from_doc,
     state_from_doc,
+    subject_from_inputs,
     write_json,
 )
 from morsecert.kernel import MAX_MOVES, check_cusp_condition, generic_subject
@@ -33,7 +34,9 @@ from morsecert.report import (
     emit_report,
     euler_identity,
     row_branch,
+    verdict_allowed,
 )
+from morsecert.schema import MOVES, POLYTOPE, STATE
 from morsecert.states import inherited_state
 from morsecert.verify import verify_document
 
@@ -42,7 +45,7 @@ from oracles import state_parts
 
 def p6_input_documents():
     """The shipped p6 inputs (polytope, moves, state), a copy to edit."""
-    inputs = copy.deepcopy(builtin_inputs("p6"))
+    inputs = copy.deepcopy(builtin_inputs("p6")[0])
     return inputs["polytope"], inputs["moves"], inputs["state"]
 
 
@@ -126,13 +129,7 @@ def test_certify_p6_properties(cert_p6):
 
 def test_certify_generic_sparse_square(tmp_path):
     pol, moves, state = square_inputs()
-    P = polytope_from_doc(pol)
-    m = moves_from_doc(moves, P)
-    s = state_from_doc(state, P)
-    cert = certify_generic(
-        P, m, s, mode="fibration",
-        generic_inputs={"polytope": pol, "moves": moves, "state": state},
-    )
+    cert = certify_generic({"polytope": pol, "moves": moves, "state": state}, mode="fibration")
     assert cert.passed
     assert cert.S.bad_faces == {}  # sparse moves: no bad proper faces
     assert len(cert.orbit_serials) == 4
@@ -143,11 +140,9 @@ def test_certify_generic_sparse_square(tmp_path):
 def test_certify_generic_incompatible_state():
     pol, moves, _ = square_inputs()
     pol["adjacency"].append(["a", "c"])  # make the same-move pair adjacent
-    P = polytope_from_doc(pol)
-    m = moves_from_doc(moves, P)
-    s = state_from_doc({"a": "I", "b": "I", "c": "O", "d": "O"}, P)
+    state = {"a": "I", "b": "I", "c": "O", "d": "O"}
     with pytest.raises(InputError, match="incompatible"):
-        certify_generic(P, m, s)
+        certify_generic({"polytope": pol, "moves": moves, "state": state})
 
 
 def _input_files(tmp_path, inputs) -> list:
@@ -208,6 +203,20 @@ def test_summary_lines(cert_p6, cert_p5):
         "P6: PERFECT MORSE CERTIFIED (all links Regular or Critical(3))"
     )
     assert cert_p5.summary_line() == "P5: FIBRATION CERTIFIED (all links Regular)"
+
+
+def test_the_summary_line_names_only_allowed_verdicts():
+    """In perfect mode an odd dimension admits no Critical verdict, so the
+    3-cube's line names Regular links alone; the square's names Critical(1)."""
+    pol, moves, state = cube_inputs()
+    cube = certify_generic({"polytope": pol, "moves": moves, "state": state}, mode="perfect")
+    assert cube.passed, cube.failures
+    assert not verdict_allowed("perfect", 3, "Critical(1)")
+    assert cube.summary_line() == "GENERIC: PERFECT MORSE CERTIFIED (all links Regular)"
+    pol, moves, state = square_inputs()
+    square = certify_generic({"polytope": pol, "moves": moves, "state": state}, mode="perfect")
+    assert square.summary_line() == (
+        "GENERIC: PERFECT MORSE CERTIFIED (all links Regular or Critical(1))")
 
 
 def test_text_report_sections(cert_p6):
@@ -748,7 +757,7 @@ NAMED_REJECTIONS = [
     (lambda d: _set(d, "subject", "nope"), "unknown subject 'nope'", 1),
     # a built-in subject's inputs are the shipped ones, which the report
     # does not carry, even unchanged
-    (lambda d: _set(d, "inputs", copy.deepcopy(builtin_inputs("p5"))),
+    (lambda d: _set(d, "inputs", copy.deepcopy(builtin_inputs("p5")[0])),
      "P5_fibration report embeds inputs", 1),
     (_add_key, "input error: evidence.{item}: unknown key 'note'\n", 2),
     # the schema lets a row omit `evidence`; the plan says a bad face needs it
@@ -912,11 +921,7 @@ def _failing_cusp_report():
     pol, moves, _ = square_inputs()
     pol["ideal_vertices"] = [{"label": "x", "incident": ["a", "c"]}]
     state = {"a": "I", "b": "O", "c": "I", "d": "O"}
-    P = polytope_from_doc(pol)
-    cert = certify_generic(
-        P, moves_from_doc(moves, P), state_from_doc(state, P), mode="fibration",
-        generic_inputs={"polytope": pol, "moves": moves, "state": state},
-    )
+    cert = certify_generic({"polytope": pol, "moves": moves, "state": state}, mode="fibration")
     assert "cusp condition fails at cusp:x state 0" in cert.failures
     doc = json.loads(emit_report(cert, "structured"))
     doc["pass"], doc["failures"] = True, []
@@ -1071,15 +1076,15 @@ def test_polytope_file_roundtrip(tmp_path, P6):
     write_json(tmp_path / "p.json", pol)
     write_json(tmp_path / "m.json", moves)
     write_json(tmp_path / "s.json", state)
-    doc, P = load_document(tmp_path / "p.json", polytope_from_doc)
-    assert doc == pol
-    assert P.facet_ids == P6.facet_ids
-    assert P.adjacency_pairs == P6.adjacency_pairs
-    assert len(P.ideal_vertices) == 27
-    m = load_document(tmp_path / "m.json", moves_from_doc, P)[1]
-    assert tuple(len(b) for b in m.blocks) == (6, 6, 6, 6, 3)
-    s = load_document(tmp_path / "s.json", state_from_doc, P)[1]
-    assert len(s.universe) == 27
+    docs = [load_document(tmp_path / f"{key}.json", schema)
+            for key, schema in (("p", POLYTOPE), ("m", MOVES), ("s", STATE))]
+    assert docs == [pol, moves, state]
+    S = subject_from_inputs(dict(zip(("polytope", "moves", "state"), docs)))
+    assert S.P.facet_ids == P6.facet_ids
+    assert S.P.adjacency_pairs == P6.adjacency_pairs
+    assert len(S.P.ideal_vertices) == 27
+    assert tuple(len(b) for b in S.m.blocks) == (6, 6, 6, 6, 3)
+    assert len(S.states[0].universe) == 27
 
 
 def test_polytope_doc_vector_adjacency_conflict():
@@ -1179,7 +1184,7 @@ def test_parse_error_is_position_annotated(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dimension": 2,,}')
     with pytest.raises(InputError, match=r":1:\d+:"):
-        load_document(bad, polytope_from_doc)
+        load_document(bad, POLYTOPE)
 
 
 # -- cli -------------------------------------------------------------------------
@@ -1249,11 +1254,7 @@ def test_verify_requires_the_consistency_identity(tmp_path, capsys):
     must still be rejected for the identity."""
     pol, _, state = square_inputs()
     moves = [["a", "b"], ["c", "d"]]
-    P = polytope_from_doc(pol)
-    cert = certify_generic(
-        P, moves_from_doc(moves, P), state_from_doc(state, P), mode="perfect",
-        generic_inputs={"polytope": pol, "moves": moves, "state": state},
-    )
+    cert = certify_generic({"polytope": pol, "moves": moves, "state": state}, mode="perfect")
     doc = json.loads(emit_report(cert, "structured"))
     assert doc["euler"]["pass"] is False
     doc["pass"], doc["failures"] = True, []
@@ -1270,11 +1271,7 @@ def test_verify_embedded_polytope_census_failure_is_an_input_error(tmp_path, cap
     embedded state is made all In, so that it stays compatible with the
     same-move pair the diagonal joins and the census is what fails."""
     pol, moves, state = square_inputs()
-    P = polytope_from_doc(pol)
-    cert = certify_generic(
-        P, moves_from_doc(moves, P), state_from_doc(state, P), mode="fibration",
-        generic_inputs={"polytope": pol, "moves": moves, "state": state},
-    )
+    cert = certify_generic({"polytope": pol, "moves": moves, "state": state}, mode="fibration")
     doc = json.loads(emit_report(cert, "structured"))
     doc["inputs"]["polytope"]["adjacency"].append(["a", "c"])
     doc["inputs"]["state"] = dict.fromkeys("abcd", "I")
@@ -1306,11 +1303,7 @@ def test_generic_structural_failures_are_input_errors(tmp_path, capsys):
         assert main(["certify", "generic", "--polytope", str(paths[0]),
                      "--moves", str(paths[1]), "--state", str(paths[2])]) == 2
         assert named in capsys.readouterr().err
-    P = polytope_from_doc(pol)
-    cert = certify_generic(
-        P, moves_from_doc(moves, P), state_from_doc(state, P), mode="fibration",
-        generic_inputs={"polytope": pol, "moves": moves, "state": state},
-    )
+    cert = certify_generic({"polytope": pol, "moves": moves, "state": state}, mode="fibration")
     doc = json.loads(emit_report(cert, "structured"))
     doc["inputs"]["polytope"] = cusped
     doc["cusps"] = {"apexes": [[]], "rows": [{"ok": True, "all_regular": True}
@@ -1336,10 +1329,8 @@ def test_a_subject_past_the_move_limit_is_refused_before_its_orbit(tmp_path, cap
     inputs = (pol, [[f] for f in ids], {f: "I" if f[1] == "0" else "O" for f in ids})
     files = _input_files(tmp_path, inputs)
     cube, moves, state = cube_inputs()
-    P = polytope_from_doc(cube)
     doc = json.loads(emit_report(certify_generic(
-        P, moves_from_doc(moves, P), state_from_doc(state, P),
-        generic_inputs={"polytope": cube, "moves": moves, "state": state}), "structured"))
+        {"polytope": cube, "moves": moves, "state": state}), "structured"))
     doc["inputs"] = dict(zip(("polytope", "moves", "state"), inputs))
     write_json(tmp_path / "r.json", doc)
     monkeypatch.setattr(morsecert.kernel, "orbit", None)  # a call would be a TypeError
@@ -1381,10 +1372,8 @@ def test_a_polytope_document_that_describes_no_polytope_is_rejected(tmp_path, ch
     its inputs: a verifier that looked each cusp up by id would pass it."""
     pol, moves, state = square_inputs()
     pol["ideal_vertices"] = [{"label": "x", "incident": ["a", "c"]}]
-    P = polytope_from_doc(pol)
     doc = json.loads(emit_report(certify_generic(
-        P, moves_from_doc(moves, P), state_from_doc(state, P),
-        generic_inputs={"polytope": pol, "moves": moves, "state": state}), "structured"))
+        {"polytope": pol, "moves": moves, "state": state}), "structured"))
     assert doc["pass"]
     doc["inputs"]["polytope"] = dict(pol, **change)
     for key in ("apexes", "rows"):
@@ -1405,6 +1394,69 @@ def test_a_polytope_document_that_describes_no_polytope_is_rejected(tmp_path, ch
         assert proc.returncode == 2, (argv[0], proc.stdout, proc.stderr)
         assert named in proc.stderr, (argv[0], proc.stdout, proc.stderr)
         assert "Traceback" not in proc.stderr
+
+
+def test_a_parallel_past_the_limit_starts_no_process(tmp_path, monkeypatch, capsys):
+    """`--parallel` past `MAX_PARALLEL` is an input error naming the limit,
+    refused before any worker starts: a call to `get_context` would fail."""
+    import multiprocessing
+
+    def no_pool(*args):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    for argv in (["certify", "p5"], ["certify", "generic", *_input_files(tmp_path, cube_inputs())]):
+        assert main([*argv, "--parallel", str(MAX_PARALLEL + 1)]) == 2, argv
+        assert capsys.readouterr().err == (f"input error: {MAX_PARALLEL + 1} worker processes, "
+                                           f"past the limit of {MAX_PARALLEL}\n")
+    assert MAX_PARALLEL >= 2  # the benchmark runs `--parallel 2`
+
+
+# (id, document, its replacement, message): a moves or state document of the
+# square that its schema admits and its reader refuses
+REFUSED_BY_A_READER = [
+    ("moves-not-a-partition", "moves", [["a", "c"]], "moves do not partition the facet set"),
+    ("moves-empty-block", "moves", [["a", "c"], ["b", "d"], []], "move block 2 is empty"),
+    ("moves-overlap", "moves", [["a", "c"], ["b", "c", "d"]], "move blocks are not disjoint"),
+    ("state-missing-facet", "state", {"a": "I", "b": "I", "c": "O"},
+     "state missing facets: ['d']"),
+    ("state-unknown-facet", "state", {"a": "I", "b": "I", "c": "O", "d": "O", "e": "I"},
+     "state names unknown facets: ['e']"),
+    ("state-not-in-or-out", "state", {"a": "I", "b": "X", "c": "O", "d": "O"},
+     "state of 'b' must be 'I' or 'O', got 'X'"),
+]
+
+
+@pytest.mark.parametrize("key, doc, message", [e[1:] for e in REFUSED_BY_A_READER],
+                         ids=[e[0] for e in REFUSED_BY_A_READER])
+def test_an_input_a_reader_refuses_is_the_same_input_error_on_both_sides(
+        tmp_path, capsys, key, doc, message):
+    """`certify generic` of such a document, and `verify` of the square's
+    report embedding it with the digest of its inputs, both exit 2 with the
+    reader's message, `verify`'s as one of the embedded inputs."""
+    inputs = dict(zip(("polytope", "moves", "state"), square_inputs()))
+    report = json.loads(emit_report(certify_generic(inputs, mode="fibration"), "structured"))
+    inputs[key] = report["inputs"][key] = doc
+    report["inputs_digest"] = _inputs_digest("generic", inputs)
+    write_json(tmp_path / "r.json", report)
+    files = _input_files(tmp_path, inputs.values())
+    for argv, named in ((["certify", "generic", *files], message),
+                        (["verify", str(tmp_path / "r.json")], f"embedded inputs: {message}")):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"input error: {named}\n")
+
+
+def test_a_generic_report_embeds_its_files_as_parsed(tmp_path):
+    """The report of `certify generic` embeds the three documents as read
+    from their files, and nothing else under `inputs`."""
+    files = _input_files(tmp_path, cube_inputs())
+    out = tmp_path / "r.json"
+    assert main(["certify", "generic", *files, "--format", "structured",
+                 "--output", str(out)]) == 0
+    want = {key: json.loads((tmp_path / f"{key}.json").read_text())
+            for key in ("polytope", "moves", "state")}
+    assert json.loads(out.read_text())["inputs"] == want
 
 
 def test_cli_parallel_flag(tmp_path):
@@ -1436,10 +1488,7 @@ def test_certify_generic_honest_failure(tmp_path):
     }
     moves = [["a", "b"], ["c", "d"]]  # adjacent same-move pairs
     state = {"a": "I", "b": "I", "c": "O", "d": "O"}  # compatible
-    P = polytope_from_doc(pol)
-    m = moves_from_doc(moves, P)
-    s = state_from_doc(state, P)
-    cert = certify_generic(P, m, s, mode="perfect")
+    cert = certify_generic({"polytope": pol, "moves": moves, "state": state}, mode="perfect")
     assert not cert.passed
     assert cert.euler.chi_per_copy == 0 and cert.euler.critical_count == 2
     assert any("identity" in f for f in cert.failures)

@@ -324,10 +324,7 @@ def test_fallback_for_a_part_that_does_not_dismantle():
 
 def _certify_inputs(polytope, moves, state):
     """`certify_generic` of input documents, embedded in the certificate."""
-    P = polytope_from_doc(polytope)
-    return certify_generic(P, moves_from_doc(moves, P), state_from_doc(state, P),
-                           generic_inputs={"polytope": polytope, "moves": moves,
-                                           "state": state})
+    return certify_generic({"polytope": polytope, "moves": moves, "state": state})
 
 
 def test_elementary_fallback_item_verifies(P5, cert_p5, tmp_path, capsys):

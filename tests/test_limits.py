@@ -19,9 +19,7 @@ import pytest
 
 from morsecert.certify import certify_generic
 from morsecert.errors import InputError
-from morsecert.io import (
-    builtin_subject, moves_from_doc, polytope_from_doc, state_from_doc, write_json,
-)
+from morsecert.io import builtin_subject, polytope_from_doc, write_json
 from morsecert.polytopes import MAX_FACES, MAX_FACETS
 from morsecert.report import _inputs_digest, emit_report
 
@@ -97,10 +95,8 @@ def test_an_input_past_a_limit_is_refused_at_once(tmp_path, inputs, message):
         write_json(tmp_path / f"{key}.json", doc)
         files += [f"--{key}", str(tmp_path / f"{key}.json")]
     pol, moves, state = cube_inputs()
-    P = polytope_from_doc(pol)
     report = json.loads(emit_report(certify_generic(
-        P, moves_from_doc(moves, P), state_from_doc(state, P),
-        generic_inputs={"polytope": pol, "moves": moves, "state": state}), "structured"))
+        {"polytope": pol, "moves": moves, "state": state}), "structured"))
     report["inputs"], report["inputs_digest"] = inputs, _inputs_digest("generic", inputs)
     write_json(tmp_path / "r.json", report)
     for argv, named in ((["certify", "generic", *files], message),

@@ -48,8 +48,6 @@ import pytest
 from morsecert import verify
 from morsecert.certify import certify_generic
 from morsecert.errors import InputError
-from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
-from morsecert.kernel import generic_subject
 from morsecert.report import (
     _DOC,
     _Written,
@@ -310,12 +308,9 @@ def test_every_field_of_a_generic_report_is_bound(tmp_path):
     """The generic verify path: every pattern of the compatible 3-cube's
     report, its embedded inputs included, is bound."""
     pol, moves, state = cube_inputs()
-    P = polytope_from_doc(pol)
-    m, s0 = moves_from_doc(moves, P), state_from_doc(state, P)
-    cert = certify_generic(P, m, s0, generic_inputs={"polytope": pol, "moves": moves,
-                                                     "state": state})
+    cert = certify_generic({"polytope": pol, "moves": moves, "state": state})
     assert cert.passed, cert.failures
-    n, accepted, other_apex, crashed = _sweep(cert, generic_subject(P, m, s0), tmp_path)
+    n, accepted, other_apex, crashed = _sweep(cert, cert.S, tmp_path)
     assert (accepted, other_apex, crashed) == ([], [], []), (accepted[:10], crashed[:10])
     doc = json.loads(document_to_json(certificate_to_document(cert)))
     on_inputs = sum(1 for _ in _mutants(doc, random.Random(SWEEP_SEED),
@@ -339,9 +334,7 @@ def test_the_sweep_repeats_a_key_at_every_object_level(cert_p5, tmp_path):
     document, each exiting 2 and naming the key; the copies a reader that
     keeps the last value would take for the report verify without them."""
     pol, moves, state = cube_inputs()
-    P = polytope_from_doc(pol)
-    cert = certify_generic(P, moves_from_doc(moves, P), state_from_doc(state, P),
-                           generic_inputs={"polytope": pol, "moves": moves, "state": state})
+    cert = certify_generic({"polytope": pol, "moves": moves, "state": state})
     patterns = set()
     for c in (cert_p5, cert):
         doc = json.loads(document_to_json(certificate_to_document(c)))

@@ -10,7 +10,6 @@ import random
 from morsecert import schema
 from morsecert.certify import certify_generic
 from morsecert.errors import InputError
-from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
 from morsecert.report import certificate_to_document, document_to_json
 
 from oracles import schema_walk
@@ -42,9 +41,7 @@ def _reports(cert_p5, cert_p6):
     and the failing generic report of a polytope whose whole face is
     Unknown, each as `verify` reads it."""
     pol, moves, state = cube_inputs()
-    P = polytope_from_doc(pol)
-    cube = certify_generic(P, moves_from_doc(moves, P), state_from_doc(state, P),
-                           generic_inputs={"polytope": pol, "moves": moves, "state": state})
+    cube = certify_generic({"polytope": pol, "moves": moves, "state": state})
     stuck = _certify_inputs(*_stuck_inputs())
     assert not stuck.passed and {"face": [], "verdict": "Unknown", "states": [0]} in \
         stuck.verdict_rows

@@ -8,7 +8,7 @@ construction's balanced states must be compatible and, in canonical order,
 the orbit of the first.  An installed package must carry both files.
 
 Run as a script, it writes both files from the construction and prints the
-SHA-256 of each, which `io.SHIPPED` pins:
+SHA-256 of each, which `report.BUILTINS` pins:
 
     PYTHONPATH=src python tests/test_shipped_inputs.py
 """
@@ -27,7 +27,7 @@ from morsecert.errors import StructuralError
 from morsecert.io import builtin_subject, moves_to_doc, polytope_to_doc, state_to_doc, write_json
 from morsecert.kernel import is_compatible, orbit
 from morsecert.polytopes import build_p5, build_p6
-from morsecert.report import certificate_to_document, document_to_json
+from morsecert.report import BUILTINS, certificate_to_document, document_to_json
 from morsecert.states import (
     balanced_states_p5, balanced_states_p6, move_system_p5, move_system_p6,
 )
@@ -58,7 +58,7 @@ def test_each_shipped_file_is_the_construction(tag, tmp_path):
     write_json(tmp_path / f"{tag}.json", rebuild(tag))
     want = (tmp_path / f"{tag}.json").read_bytes()
     assert (io.DATA / f"{tag}.json").read_bytes() == want
-    assert hashlib.sha256(want).hexdigest() == io.SHIPPED[tag]
+    assert hashlib.sha256(want).hexdigest() == BUILTINS[tag].sha256
 
 
 @pytest.mark.parametrize("tag", TAGS)
@@ -100,7 +100,7 @@ def test_an_edited_shipped_file_is_refused_naming_it(monkeypatch, cert_p5, tmp_p
         io.builtin_inputs.cache_clear()
         builtin_subject.cache_clear()
     got = hashlib.sha256(data).hexdigest()
-    assert str(info.value) == f"p5 {path}: SHA-256 {got} is not the pinned {io.SHIPPED['p5']}"
+    assert str(info.value) == f"p5 {path}: SHA-256 {got} is not the pinned {BUILTINS['p5'].sha256}"
     assert codes == [3, 3, 3]
     assert capsys.readouterr().err == f"internal error: {info.value}\n" * 3
 

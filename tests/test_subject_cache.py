@@ -25,6 +25,7 @@ from morsecert.io import (
 from morsecert.kernel import MoveSystem, canonical_pairs_graphs, generic_subject, orbit
 from morsecert import report
 from morsecert.report import (
+    BUILTINS,
     _inputs_digest,
     certificate_to_document,
     document_to_json,
@@ -62,7 +63,7 @@ def test_builtin_subject_is_built_once(tag):
 
 def _with_state(tag, s):
     """The shipped inputs of `tag`, the initial state replaced by s."""
-    return {**builtin_inputs(tag), "state": state_to_doc(s)}
+    return {**builtin_inputs(tag)[0], "state": state_to_doc(s)}
 
 
 def test_builtin_subject_checks_its_states(monkeypatch):
@@ -80,7 +81,7 @@ def test_builtin_subject_checks_its_states(monkeypatch):
     ok, pair = is_compatible(P, m, bad)
     assert not ok
     inputs = _with_state("p5", bad)
-    monkeypatch.setattr(morsecert.io, "builtin_inputs", lambda tag: inputs)
+    monkeypatch.setattr(morsecert.io, "builtin_inputs", lambda tag: (inputs, None))
     builtin_subject.cache_clear()
     try:
         with pytest.raises(StructuralError) as info:
@@ -98,11 +99,11 @@ def test_builtin_subject_checks_its_orbit(monkeypatch):
 
     P, m, states = construction("p5")
     kept = builtin_subject("p5")
-    assert kept.states[0] == state_from_doc(builtin_inputs("p5")["state"], kept.P)
+    assert kept.states[0] == state_from_doc(builtin_inputs("p5")[0]["state"], kept.P)
     assert orbit(kept.states[0], kept.m) == kept.states == states
     for s in (states[1], states[-1]):
         inputs = _with_state("p5", s)
-        monkeypatch.setattr(morsecert.io, "builtin_inputs", lambda tag: inputs)
+        monkeypatch.setattr(morsecert.io, "builtin_inputs", lambda tag: (inputs, None))
         builtin_subject.cache_clear()
         try:
             assert builtin_subject("p5").states == states
@@ -122,12 +123,13 @@ def test_builtin_subject_audits_its_census(monkeypatch, cert_p6, tmp_path, capsy
     """A built-in census that the built subject breaks is a transcription
     bug: `builtin_subject` refuses it, naming the subject and the broken
     line, and certify, verify of a good report and info all exit 3."""
-    import morsecert.io
     from morsecert.errors import StructuralError
 
     report = tmp_path / "p6.json"
     report.write_text(document_to_json(certificate_to_document(cert_p6)))
-    monkeypatch.setitem(morsecert.io.CENSUS, "p6", census)
+    counts, degree, signatures = census
+    monkeypatch.setitem(BUILTINS, "p6", BUILTINS["p6"]._replace(
+        counts=counts, degree=degree, signatures=signatures))
     builtin_subject.cache_clear()
     try:
         with pytest.raises(StructuralError) as info:
@@ -159,6 +161,28 @@ def test_runs_leave_the_kept_subjects_as_built():
     assert canonical_pairs_graphs(3) == canonical_pairs_graphs.__wrapped__(3)
 
 
+def test_a_builtin_inputs_digest_is_computed_once_per_process(tmp_path, capsys):
+    """Two `certify p5` and two `verify` of its report in one process, from
+    a cleared cache of the shipped inputs, compute the p5 inputs digest once."""
+    import sys
+
+    path, code, calls = tmp_path / "p5.json", report._inputs_digest.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame.f_locals["tag"])
+
+    builtin_inputs.cache_clear()
+    sys.setprofile(profile)
+    try:
+        codes = [main(["certify", "p5", "--format", "structured", "--output", str(path)])
+                 for _ in range(2)] + [main(["verify", str(path)]) for _ in range(2)]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0, 0, 0, 0]
+    assert calls == ["p5"]
+
+
 def test_a_tampered_report_between_good_ones_fails_alone(cert_p5, tmp_path, capsys):
     doc = json.loads(document_to_json(certificate_to_document(cert_p5)))
     good = tmp_path / "good.json"
@@ -175,10 +199,7 @@ def test_a_tampered_report_between_good_ones_fails_alone(cert_p5, tmp_path, caps
 
 
 def _generic_report(pol, moves, state):
-    P = polytope_from_doc(pol)
-    cert = certify_generic(P, moves_from_doc(moves, P), state_from_doc(state, P),
-                           mode="fibration",
-                           generic_inputs={"polytope": pol, "moves": moves, "state": state})
+    cert = certify_generic({"polytope": pol, "moves": moves, "state": state}, mode="fibration")
     assert cert.passed, cert.failures
     return json.loads(document_to_json(certificate_to_document(cert)))
 
@@ -344,11 +365,8 @@ def test_one_polytope_keeps_a_plan_per_orbit():
     subjects = [generic_subject(P, m, state_from_doc(state, P)) for state in states]
     kept = [_cube_report(S, state) for S, state in zip(subjects, states)]
     for state, got in zip(states, kept):
-        fresh = polytope_from_doc(_CUBE)
-        cert = certify_generic(fresh, moves_from_doc(_CUBE_MOVES, fresh),
-                               state_from_doc(state, fresh), mode="fibration",
-                               generic_inputs={"polytope": _CUBE, "moves": _CUBE_MOVES,
-                                               "state": state})
+        cert = certify_generic({"polytope": _CUBE, "moves": _CUBE_MOVES, "state": state},
+                               mode="fibration")
         assert got == document_to_json(certificate_to_document(cert))
     assert kept[0] != kept[1]
     assert subjects[0].states != subjects[1].states
@@ -474,10 +492,8 @@ def test_the_kept_text_goes_with_its_subject():
 
     pol = {"name": "square", "dimension": 2, "facets": [{"id": f} for f in "abcd"],
            "adjacency": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]]}
-    P = polytope_from_doc(pol)
-    cert = certify_generic(P, moves_from_doc([["a", "c"], ["b", "d"]], P),
-                           state_from_doc({"a": "I", "b": "I", "c": "O", "d": "O"}, P),
-                           mode="fibration")
+    cert = certify_generic({"polytope": pol, "moves": [["a", "c"], ["b", "d"]],
+                            "state": {"a": "I", "b": "I", "c": "O", "d": "O"}}, mode="fibration")
     document_to_json(certificate_to_document(cert))
     S, kept = weakref.ref(cert.S), len(report._FRAMES)
     assert S() in report._FRAMES

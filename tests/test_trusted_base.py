@@ -57,9 +57,9 @@ TRUSTED = {
     "verify": """
         _Verifier.__init__ _Verifier._check_row _Verifier._claimed_row _Verifier._core_problems
         _Verifier._critical_row _Verifier._evidence _Verifier._legality
-        _Verifier.build_context _Verifier.check_bound _Verifier.check_cusps
-        _Verifier.check_tables _Verifier.check_verdicts _Verifier.run
-        verify_document verify_report_file""",
+        _Verifier.check_bound _Verifier.check_cusps _Verifier.check_tables
+        _Verifier.check_verdicts _Verifier.run _subject verify_document
+        verify_report_file""",
 }
 
 # What the reject path runs beyond the trusted set, qualified names by module:
