@@ -191,12 +191,14 @@ def run_pipeline(
     The f_vector, orbit, bad_faces and coverage stages read S; coverage
     builds its plan on first use.
 
-    With parallel > 1, at most `MAX_PARALLEL`, the independent (face, class)
-    groups fan out to a process pool; results merge in canonical key order,
-    so reports are identical to a sequential run.
+    `parallel` is from 1 to `MAX_PARALLEL`; above 1, the independent
+    (face, class) groups fan out to a process pool; results merge in
+    canonical key order, so reports are identical to a sequential run.
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
+    if parallel < 1:
+        raise InputError(f"{parallel} worker processes, want from 1 to {MAX_PARALLEL}")
     if parallel > MAX_PARALLEL:
         raise InputError(f"{parallel} worker processes, past the limit of {MAX_PARALLEL}")
     failures: List[str] = []

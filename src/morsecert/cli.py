@@ -12,7 +12,7 @@ import sys
 import traceback
 from functools import cache
 
-from .certify import certify_generic, certify_p5, certify_p6
+from .certify import MAX_PARALLEL, certify_generic, certify_p5, certify_p6
 from .errors import InputError, InternalError, StructuralError
 from .io import builtin_subject, load_document
 from .report import BUILTINS, MODES, emit_report
@@ -38,7 +38,8 @@ def _add_common(parser: argparse.ArgumentParser):
         "--output", type=str, default=None, help="write the report to a file"
     )
     parser.add_argument(
-        "--parallel", type=int, default=1, help="worker processes (default 1)"
+        "--parallel", type=int, default=1,
+        help=f"worker processes, from 1 to {MAX_PARALLEL} (default 1)"
     )
     parser.add_argument(
         "--timings", action="store_true",

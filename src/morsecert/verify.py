@@ -16,19 +16,20 @@ whole by `io.load_json`, and the rows are walked: both reads give a
 document the same exit and the same messages.
 A report is parsed against its schema once: a document of the wrong
 shape is malformed, named by its JSON path, and every check after the parse
-reads values whose JSON kinds the schema fixes.  Every table and every
-verdict row is recomputed and compared whole with what its one writer
-makes of the recomputation: `report.report_tables` for the tables, by their
-canonical JSON; the subject's plan (`kernel.Subject.plan`), checked where it
-is built to cover each face x state once, in one pass beside the parsed
-rows, or matched by the frame, and `report.verdict_row` for the branch the
-plan and a bad row's verdict pick, a critical row once its face is an
-all-pairs top vertex (the all-pairs lemma, README), with the good faces'
-witness moves as one list; and
-`report.cusp_rows` for the cusp rows, one per (cusp, state) in order, bound
-by position and compared as one list, once each apex pair, one per In part
-of the subject's cusp plan (`kernel.CuspTable`), is checked to dominate
-its part.
+reads values whose JSON kinds the schema fixes.  Every table is compared,
+by canonical JSON, with what its one writer, `report.report_tables`, makes
+of the recomputation.  The verdict rows must be the subject's plan
+(`kernel.Subject.plan`), checked where it is built to cover each face x
+state once: matched by the frame or walked once beside the parsed rows, a
+good row compared whole with `report.verdict_row`'s and the good faces'
+witness moves as one list.  A bad row's claim is its outcome, its verdict
+and the evidence id it cites, which one check decides for both reads
+(`_Verifier._check_outcome`): Regular binds its legality item, Critical(ℓ)
+the shared item of ℓ once its face is an all-pairs top vertex (the
+all-pairs lemma, README).  The cusp rows, one per (cusp, state) in order,
+bound by position, are compared as one list with `report.cusp_rows`', once
+each apex pair, one per In part of the subject's cusp plan
+(`kernel.CuspTable`), is checked to dominate its part.
 Every certificate that a row cites is a dismantling order, checked by one
 rule, `kernel.certificate_problem`, step by step on a graph's adjacency
 masks and a live mask: a legality part on the facet graph, a shared
@@ -179,7 +180,7 @@ class _Verifier:
     # -- verdict table ---------------------------------------------------------
 
     def check_verdicts(self):
-        """Each bad row's check, `_check_row`.  A section read from its
+        """Each bad row's outcome, `_check_outcome`.  A section read from its
         bytes holds the bad rows' outcomes only: the read matched the rest,
         every good row, face, `states` and witness move, with the plan's
         text.  A parsed section is walked, `_walk_rows`."""
@@ -187,14 +188,15 @@ class _Verifier:
             return self._walk_rows()
         bad = (p for p in self.S.plan if p.witness is None)
         for p, (verdict, eid) in zip(bad, self.outcomes):
-            self._check_row(p, verdict_row(p, verdict, eid))
+            self._check_outcome(p, verdict, eid)
 
     def _walk_rows(self):
-        """One pass over the plan and the parsed rows: each row must be the
-        planned row of its position, for the branch the plan and its verdict
-        pick.  Of the rows out of place, the first is named and none is
-        checked.  The good faces' witness moves, one list in plan order,
-        must be the plan's, compared whole."""
+        """One pass over the plan and the parsed rows: each row must have the
+        face and states of the planned row of its position.  Of the rows out
+        of place, the first is named and none is checked.  A bad row in place
+        is checked by its outcome, `_check_outcome`, a good one compared
+        whole with its planned row, and the good faces' witness moves, one
+        list in plan order, with the plan's."""
         witnesses = [p.witness for p in self.S.plan if p.witness is not None]
         if self.doc["verdicts"]["witness_moves"] != witnesses:
             self._witness_moves(witnesses)
@@ -213,19 +215,14 @@ class _Verifier:
                             for k in (got, planned))
                     self.fail(f"verdict row {i}: {g} where the plan has {w}")
                 departed = True
-                continue
-            self._check_row(p, row)
-
-    def _check_row(self, p: PlannedRow, row: dict):
-        """Row `row` in place at planned row `p`: its verdict must be one the
-        mode allows, and the row the one `_claimed_row` rebuilds."""
-        verdict, mode = row["verdict"], self.mode
-        if not verdict_allowed(mode, self.S.P.dimension, verdict):
-            self.fail(f"face {p.face}: verdict {verdict!r} is not allowed in {mode!r} mode")
-        want = self._claimed_row(p, row)
-        if want is not None and row != want:
-            self._same_row(row, want, f"face {p.face}" + (
-                f": evidence {row['evidence']}" if "evidence" in row else ""))
+            elif p.witness is None:
+                self._check_outcome(p, row["verdict"], row.get("evidence"))
+            else:  # a good row in place that is not the plan's
+                if not verdict_allowed(self.mode, self.S.P.dimension, row["verdict"]):
+                    self.fail(f"face {p.face}: verdict {row['verdict']!r} is not allowed in "
+                              f"{self.mode!r} mode")
+                self._same_row(row, verdict_row(p, "Regular"), f"face {p.face}" + (
+                    f": evidence {row['evidence']}" if "evidence" in row else ""))
 
     def _witness_moves(self, want: List[int]):
         """Name what is wrong with the report's witness moves, which are not
@@ -240,37 +237,30 @@ class _Verifier:
             if got[j] != want[j]:
                 self.fail(f"face {face}: witness_moves[{j}] does not match its recomputation")
 
-    def _claimed_row(self, p: PlannedRow, row: dict) -> Optional[dict]:
-        """The row of planned row `p` for the branch that the plan and the
-        verdict of `row` pick, with the evidence `row` cites bound, if any: a
-        good face's; for a bad face, a legal row if Regular, a critical row
-        if Critical.  None when no such row exists."""
-        if p.witness is not None:
-            return verdict_row(p, "Regular")
-        verdict, eid = row["verdict"], row.get("evidence")
+    def _check_outcome(self, p: PlannedRow, verdict: str, eid: Optional[str]):
+        """The outcome of bad planned row `p`, `verdict` citing evidence
+        `eid` (None: none): the verdict must be one the mode allows, and
+        Regular, binding its legality item, or Critical, binding the shared
+        item of p's ℓ once the face is an all-pairs top vertex.  By the
+        all-pairs lemma the face alone decides a critical row, as a good
+        face's witness does, so its verdict must be Critical(ℓ)."""
+        if not verdict_allowed(self.mode, self.S.P.dimension, verdict):
+            self.fail(f"face {p.face}: verdict {verdict!r} is not allowed in {self.mode!r} mode")
         critical = verdict.startswith("Critical(")
         if verdict != "Regular" and not critical:
             self.fail(f"face {p.face}: bad face, unverifiable verdict {verdict!r}")
-            return None
-        if eid is None:
+        elif eid is None:
             self.fail(f"face {p.face}: bad face, {verdict} row cites no evidence")
-            return None
-        if critical:
-            return self._critical_row(p, eid)
-        self._legality(eid, p)
-        return verdict_row(p, verdict, evidence=eid)
-
-    def _critical_row(self, p: PlannedRow, eid) -> Optional[dict]:
-        """The critical row citing `eid`, the shared item of p's ℓ, once the
-        item is bound: by the all-pairs lemma the face alone decides the
-        row, as a good face's witness does."""
-        ell = all_pairs_index(self.S, p.F)
-        if ell is None:
+        elif not critical:
+            self._legality(eid, p)
+        elif (ell := all_pairs_index(self.S, p.F)) is None:
             self.fail(f"face {p.face}: evidence {eid}: not an all-pairs top vertex")
-            return None
-        self._evidence("shared_evidence", eid, shared_header(ell), p.face, ell,
-                       lambda ev: self._core_problems(ell, ev))
-        return verdict_row(p, f"Critical({ell})", evidence=eid)
+        else:
+            self._evidence("shared_evidence", eid, shared_header(ell), p.face, ell,
+                           lambda ev: self._core_problems(ell, ev))
+            if verdict != f"Critical({ell})":
+                self.fail(f"face {p.face}: evidence {eid}: row verdict does not match its "
+                          f"recomputation")
 
     def _core_problems(self, ell: int, ev: dict):
         """Check the shared item's sequences on the comparability graphs of

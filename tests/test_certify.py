@@ -638,6 +638,53 @@ def test_verify_rejects_edited_report(request, tmp_path, edit, codes, subject):
     assert main(["verify", str(path)]) in codes
 
 
+# (name, edit of a bad row's outcome, subject, what a message must say):
+# edits that keep the verdicts section in the frame's form, so a copy
+# written as certify writes is read through the frame, and one written by
+# `json.dumps` is walked
+OUTCOME_EDITS = [
+    ("legal-as-critical-2",
+     lambda d: _set(_row(d, "inherited-totally-legal"), "verdict", "Critical(2)"), "p5",
+     ": not an all-pairs top vertex"),
+    ("legal-as-maybe", lambda d: _set(_row(d, "inherited-totally-legal"), "verdict", "Maybe"),
+     "p5", ": bad face, unverifiable verdict 'Maybe'"),
+    ("legal-no-evidence", lambda d: _set(_row(d, "inherited-totally-legal"), "evidence"), "p5",
+     ": bad face, Regular row cites no evidence"),
+    ("legal-as-critical-3",
+     lambda d: _set(_row(d, "inherited-totally-legal"), "verdict", "Critical(3)"), "p6",
+     ": not an all-pairs top vertex"),
+    ("critical-as-critical-2",
+     lambda d: _set(_row(d, "critical-pairs"), "verdict", "Critical(2)"), "p6",
+     ": row verdict does not match its recomputation"),
+]
+
+
+@pytest.mark.parametrize("edit, subject, named", [e[1:] for e in OUTCOME_EDITS],
+                         ids=[e[0] for e in OUTCOME_EDITS])
+def test_both_readers_reject_an_outcome_edit_alike(request, tmp_path, monkeypatch, edit,
+                                                   subject, named):
+    """A bad row's edited outcome is rejected with the same messages whether
+    its file is read through the frame or parsed whole and walked: one
+    check decides the outcome for both reads."""
+    from morsecert import verify
+
+    cert = request.getfixturevalue(f"cert_{subject}")
+    doc = json.loads(document_to_json(certificate_to_document(cert)))
+    edit(doc)
+    walks, walk = [], verify._Verifier._walk_rows
+    monkeypatch.setattr(verify._Verifier, "_walk_rows",
+                        lambda self: walks.append(1) or walk(self))
+    results = []
+    for write in (document_to_json, json.dumps):
+        path = tmp_path / f"{write.__name__}.json"
+        path.write_text(write(doc))
+        results.append((verify.verify_report_file(path), len(walks)))
+    (framed, frame_walks), (walked, walks_after) = results
+    assert (frame_walks, walks_after) == (0, 1)  # read through the frame, then walked
+    assert framed == walked and not framed[0], results
+    assert any(named in message for message in framed[1]), framed
+
+
 def _apex_edits(doc, S):
     """(name, edit, what `verify` must say) of edits of the p5 report's apex
     lists, at the first face list holding two unequal pairs: each names the
@@ -1396,9 +1443,16 @@ def test_a_polytope_document_that_describes_no_polytope_is_rejected(tmp_path, ch
         assert "Traceback" not in proc.stderr
 
 
-def test_a_parallel_past_the_limit_starts_no_process(tmp_path, monkeypatch, capsys):
-    """`--parallel` past `MAX_PARALLEL` is an input error naming the limit,
-    refused before any worker starts: a call to `get_context` would fail."""
+@pytest.mark.parametrize("parallel, message", [
+    (0, f"0 worker processes, want from 1 to {MAX_PARALLEL}"),
+    (-1, f"-1 worker processes, want from 1 to {MAX_PARALLEL}"),
+    (MAX_PARALLEL + 1, f"{MAX_PARALLEL + 1} worker processes, past the limit of {MAX_PARALLEL}"),
+], ids=["zero", "negative", "past-the-limit"])
+def test_a_parallel_out_of_range_starts_no_process(tmp_path, monkeypatch, capsys, parallel,
+                                                   message):
+    """`--parallel` below 1 or past `MAX_PARALLEL` is an input error naming
+    the value, refused before any worker starts: a call to `get_context`
+    would fail."""
     import multiprocessing
 
     def no_pool(*args):
@@ -1406,9 +1460,8 @@ def test_a_parallel_past_the_limit_starts_no_process(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     for argv in (["certify", "p5"], ["certify", "generic", *_input_files(tmp_path, cube_inputs())]):
-        assert main([*argv, "--parallel", str(MAX_PARALLEL + 1)]) == 2, argv
-        assert capsys.readouterr().err == (f"input error: {MAX_PARALLEL + 1} worker processes, "
-                                           f"past the limit of {MAX_PARALLEL}\n")
+        assert main([*argv, "--parallel", str(parallel)]) == 2, argv
+        assert capsys.readouterr().err == f"input error: {message}\n"
     assert MAX_PARALLEL >= 2  # the benchmark runs `--parallel 2`
 
 

@@ -15,7 +15,12 @@ too: `verify` of four malformed copies of the p5 report, written by
 `json.dumps`, three stopped by the schema parse and one by a repeated key,
 runs only trusted functions, the whole-document read `load_json` that such
 a copy falls back to and that reads the shipped inputs included, and the
-few of `schema` that name a mismatch (`REJECTED`)."""
+few of `schema` that name a mismatch (`REJECTED`).
+
+Run as a script, `PYTHONPATH=src python tests/test_trusted_base.py` traces
+the same two reports and prints, per module and in total, the number of
+pinned functions and their source lines by `inspect.getsourcelines`, and
+any function the trace and the pin disagree on."""
 
 import copy
 import inspect
@@ -50,16 +55,15 @@ TRUSTED = {
     "report": """
         _eid _inputs_digest _kept_frame canonical_json cusp_rows euler_identity
         legality_header read_verdicts report_tables shared_header verdict_allowed
-        verdict_frame verdict_row""",
+        verdict_frame""",
     "schema": """
         Leaf._at_once Leaf.parse ListOf._at_once ListOf.parse Obj._at_once
         Obj._check_keys Obj.parse _Kind.parse_items parse""",
     "verify": """
-        _Verifier.__init__ _Verifier._check_row _Verifier._claimed_row _Verifier._core_problems
-        _Verifier._critical_row _Verifier._evidence _Verifier._legality
-        _Verifier.check_bound _Verifier.check_cusps _Verifier.check_tables
-        _Verifier.check_verdicts _Verifier.run _subject verify_document
-        verify_report_file""",
+        _Verifier.__init__ _Verifier._check_outcome _Verifier._core_problems
+        _Verifier._evidence _Verifier._legality _Verifier.check_bound
+        _Verifier.check_cusps _Verifier.check_tables _Verifier.check_verdicts
+        _Verifier.run _subject verify_document verify_report_file""",
 }
 
 # What the reject path runs beyond the trusted set, qualified names by module:
@@ -110,17 +114,23 @@ def _trace(paths) -> tuple:
     return codes, ran
 
 
-def test_verify_runs_the_trusted_base(cert_p5, cert_p6, tmp_path):
+def _reports(directory, certs: dict) -> list:
+    """Write each certificate of `certs`, by name, as certify writes its
+    structured report; the paths."""
     paths = []
-    for name, cert in (("p5", cert_p5), ("p6", cert_p6)):
-        paths.append(tmp_path / f"{name}.json")
+    for name, cert in certs.items():
+        paths.append(directory / f"{name}.json")
         paths[-1].write_text(document_to_json(certificate_to_document(cert)))
-    codes, ran = _trace(paths)
+    return paths
+
+
+def test_verify_runs_the_trusted_base(cert_p5, cert_p6, tmp_path):
+    codes, ran = _trace(_reports(tmp_path, {"p5": cert_p5, "p6": cert_p6}))
     assert codes == [0, 0]
     assert not [name for name in ran if name.split(".")[0] in ("complexes", "states", "links")]
     want = _names(TRUSTED)
     assert sorted(ran - want) == [] and sorted(want - ran) == []
-    assert len(want) == 100
+    assert len(want) == 97
 
 
 def _wrong_kind(doc):
@@ -156,3 +166,30 @@ def test_verify_rejects_with_the_trusted_base(cert_p5, tmp_path, capsys):
                   "cusps.apexes[0][0][0]: expected", "repeated key 'pass'"):
         assert where in err
     assert sorted(ran - _names(TRUSTED)) == sorted(_names(REJECTED))
+
+
+if __name__ == "__main__":
+    import contextlib
+    import tempfile
+    from io import StringIO
+    from pathlib import Path
+
+    from morsecert.certify import certify_p5, certify_p6
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(StringIO()):
+        codes, ran = _trace(_reports(Path(tmp), {"p5": certify_p5(), "p6": certify_p6()}))
+    if codes != [0, 0]:
+        raise SystemExit(f"verify exited {codes}")
+    pinned, code_of = _names(TRUSTED), {name: code for code, name in _functions().items()}
+    figures = {}  # module -> [functions, source lines]
+    for name in pinned:
+        counts = figures.setdefault(name.split(".")[0], [0, 0])
+        counts[0] += 1
+        counts[1] += len(inspect.getsourcelines(code_of[name])[0])
+    for mod, (n, lines) in sorted(figures.items(), key=lambda item: -item[1][1]):
+        print(f"{mod:10} {n:4} functions {lines:6,} lines")
+    print(f"{'total':10} {len(pinned):4} functions "
+          f"{sum(lines for _, lines in figures.values()):6,} lines")
+    for what, names in (("run, not pinned", ran - pinned), ("pinned, not run", pinned - ran)):
+        if names:
+            print(f"{what}: {' '.join(sorted(names))}")

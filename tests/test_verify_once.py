@@ -9,7 +9,7 @@ import json
 import sys
 from collections import Counter
 
-from morsecert import io, kernel, schema, verify
+from morsecert import io, kernel, report, schema, verify
 from morsecert.cli import main
 from morsecert.io import write_json
 from morsecert.report import certificate_to_document, document_to_json, row_branch
@@ -129,20 +129,29 @@ def test_a_canonical_report_is_read_through_its_frame(tmp_path, capsys):
     """`morsecert verify` of the CLI-written seed-0 p5 and p6 reports walks
     no row: it reads the verdicts section through the subject's frame and
     calls `io._object` once per object outside it, and never `load_json`.
-    The same reports written by `io.write_json`, and by `json.dumps` with
-    its default separators, verify through the parsed path: read whole by
-    `load_json`, rows walked."""
-    watched = (verify._Verifier._walk_rows, io._object, io.load_json)
-    for subject in ("p5", "p6"):
+    It builds no verdict row (`report.verdict_row`), checks each bad
+    planned row's outcome once (`_check_outcome`: 80 on p5, 536 on p6), and
+    checks at most two dismantling orders per bad row, and the shared
+    item's two (`kernel.certificate_problem`).  The same reports written by
+    `io.write_json`, and by `json.dumps` with its default separators, verify
+    through the parsed path: read whole by `load_json`, rows walked, and
+    each bad row's outcome checked once, still with no row built."""
+    watched = (verify._Verifier._walk_rows, io._object, io.load_json, report.verdict_row,
+               verify._Verifier._check_outcome, kernel.certificate_problem)
+    for subject, bad in (("p5", 80), ("p6", 536)):
+        assert sum(p.witness is None for p in io.builtin_subject(subject).plan) == bad
         path = tmp_path / f"{subject}.json"
         assert main(["certify", subject, "--format", "structured", "--output", str(path)]) == 0
         doc = json.loads(path.read_text())
         outside = 1 + sum(_objects(v) for k, v in doc.items() if k != "verdicts")
         code, calls = _calls(watched, lambda: main(["verify", str(path)]))
-        assert (code, calls) == (0, {"_object": outside}), (subject, calls)
+        orders = calls.pop("certificate_problem")
+        assert (code, calls) == (0, {"_object": outside, "_check_outcome": bad}), (subject, calls)
+        assert 0 < orders <= 2 * bad + 2, (subject, orders)
         for write in (lambda p: write_json(p, doc), lambda p: p.write_text(json.dumps(doc))):
             other = tmp_path / "other.json"
             write(other)
             code, calls = _calls(watched, lambda: main(["verify", str(other)]))
             assert code == 0 and calls["_walk_rows"] == calls["load_json"] == 1, (subject, calls)
+            assert (calls["_check_outcome"], calls["verdict_row"]) == (bad, 0), (subject, calls)
     assert capsys.readouterr().out.count("report verified") == 6
