@@ -202,7 +202,7 @@ def _report(verdicts: _Kind) -> Obj:
 REPORT = _report(Obj({"rows": ListOf(Obj({"face": STRS, "verdict": STR, "states": INTS},
                                          {"evidence": STR})),
                       "witness_moves": INTS}))
-# A report whose verdicts section `report.read_verdicts` read from the bytes
-# certify writes: the subject's frame fixed the kinds in it, and all that is
-# left of it is the tuple of the bad rows' outcomes.
+# A report whose verdicts section `report.read_verdicts` read from its bytes,
+# where the subject's frame fixed every kind, leaving the tuple of the bad
+# rows' outcomes; a section that `REPORT` parsed is read so once re-encoded.
 READ_REPORT = _report(Leaf("tuple", tuple))

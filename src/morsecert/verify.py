@@ -12,18 +12,18 @@ frame (`report.read_verdicts`), which matches every good row, face,
 `states` list and witness move as bytes and reads only the bad rows'
 outcomes.  Any other file (a generic report, whose inputs follow its
 verdicts, another spelling, or text that departs from the frame) is read
-whole by `io.load_json`, and the rows are walked: both reads give a
-document the same exit and the same messages.
+whole by `io.load_json`, and its verdicts section through the same frame
+in the bytes certify writes of it: one reader accepts every section, and
+both reads give a document the same exit and the same messages.
 A report is parsed against its schema once: a document of the wrong
 shape is malformed, named by its JSON path, and every check after the parse
 reads values whose JSON kinds the schema fixes.  Every table is compared,
 by canonical JSON, with what its one writer, `report.report_tables`, makes
 of the recomputation.  The verdict rows must be the subject's plan
 (`kernel.Subject.plan`), checked where it is built to cover each face x
-state once: matched by the frame or walked once beside the parsed rows, a
-good row compared whole with `report.verdict_row`'s and the good faces'
-witness moves as one list.  A bad row's claim is its outcome, its verdict
-and the evidence id it cites, which one check decides for both reads
+state once, in the bytes the frame lays out: a section that departs checks
+no claim, and `_Verifier._departed` names where.  A bad row's claim is its
+outcome, its verdict and the evidence id it cites, which one check decides
 (`_Verifier._check_outcome`): Regular binds its legality item, Critical(ℓ)
 the shared item of ℓ once its face is an all-pairs top vertex (the
 all-pairs lemma, README).  The cusp rows, one per (cusp, state) in order,
@@ -64,8 +64,8 @@ from .kernel import (
 )
 from .report import (
     BUILTINS, MODES, REPORT_VERSION, TAGS, _eid, _inputs_digest, canonical_json, cusp_rows,
-    euler_identity, legality_header, read_verdicts, report_tables, shared_header,
-    verdict_allowed, verdict_row,
+    document_to_json, euler_identity, legality_header, read_verdicts, report_tables,
+    shared_header, verdict_allowed, verdict_row,
 )
 from .schema import READ_REPORT, REPORT, SEQUENCE_KEYS, parse
 
@@ -92,8 +92,8 @@ def _subject(name, inputs: Optional[dict]) -> Optional[Tuple[Subject, str, Tuple
 class _Verifier:
     def __init__(self, doc: dict):
         self.doc = doc
-        # the bad rows' outcomes, where `report.read_verdicts` read the
-        # verdicts section from the report's bytes
+        # the bad rows' outcomes, as `report.read_verdicts` read the verdicts
+        # section: from the report's bytes here, or in `check_verdicts`
         verdicts = doc.get("verdicts") if type(doc) is dict else None
         self.outcomes = verdicts if type(verdicts) is tuple else None
         self.messages: List[str] = []
@@ -173,69 +173,65 @@ class _Verifier:
 
     def _same_row(self, row: dict, want: dict, where: str):
         """Fail, naming the keys in which `row` and `want`, unequal, differ,
-        a key that one of them lacks included (no row value is null)."""
+        a key that one of them lacks included (no row value is null), or
+        else their order."""
         wrong = sorted(k for k in row.keys() | want.keys() if row.get(k) != want.get(k))
-        self.fail(f"{where}: row {', '.join(wrong)} does not match its recomputation")
+        self.fail(f"{where}: row {', '.join(wrong) or 'key order'} does not match its "
+                  f"recomputation")
 
     # -- verdict table ---------------------------------------------------------
 
     def check_verdicts(self):
-        """Each bad row's outcome, `_check_outcome`.  A section read from its
-        bytes holds the bad rows' outcomes only: the read matched the rest,
-        every good row, face, `states` and witness move, with the plan's
-        text.  A parsed section is walked, `_walk_rows`."""
+        """Each bad row's outcome, `_check_outcome`, as the subject's kept
+        frame reads the section (`report.read_verdicts`) from the report's
+        bytes or, parsed, from the bytes certify writes of it.  The read
+        matches the rest, every good row, face, `states` and witness move,
+        with the plan's text; one that departs checks no outcome."""
         if self.outcomes is None:
-            return self._walk_rows()
+            text = document_to_json(self.doc["verdicts"])
+            read = read_verdicts(self.S, text, 0)
+            if read is None or read[1] != len(text) - 1:  # before the writer's newline
+                return self._departed()
+            self.outcomes = read[0]
         bad = (p for p in self.S.plan if p.witness is None)
         for p, (verdict, eid) in zip(bad, self.outcomes):
             self._check_outcome(p, verdict, eid)
 
-    def _walk_rows(self):
-        """One pass over the plan and the parsed rows: each row must have the
-        face and states of the planned row of its position.  Of the rows out
-        of place, the first is named and none is checked.  A bad row in place
-        is checked by its outcome, `_check_outcome`, a good one compared
-        whole with its planned row, and the good faces' witness moves, one
-        list in plan order, with the plan's."""
-        witnesses = [p.witness for p in self.S.plan if p.witness is not None]
-        if self.doc["verdicts"]["witness_moves"] != witnesses:
-            self._witness_moves(witnesses)
-        departed = False
-        everyone = list(range(len(self.S.states)))  # a good row's states
+    def _departed(self):
+        """Name where a parsed section departs from the frame: each row that
+        is not its planned row, a bad one with its own outcome, key order
+        counting, up to the first row out of place, which is named by its
+        position; with every row in place, the witness moves, and else the
+        section's key order."""
+        named = len(self.messages)
         for i, (row, p) in enumerate(zip_longest(self.doc["verdicts"]["rows"], self.S.plan)):
-            if (p is not None and p.witness is not None and row is not None and len(row) == 3
-                    and row["verdict"] == "Regular" and row["states"] == everyone
-                    and tuple(row["face"]) == p.face):
-                continue
             got = None if row is None else (tuple(row["face"]), tuple(row["states"]))
             planned = None if p is None else (p.face, p.states)
             if got != planned:
-                if not departed:
-                    g, w = ("no row" if k is None else f"face {k[0]} states {list(k[1])}"
-                            for k in (got, planned))
-                    self.fail(f"verdict row {i}: {g} where the plan has {w}")
-                departed = True
-            elif p.witness is None:
-                self._check_outcome(p, row["verdict"], row.get("evidence"))
-            else:  # a good row in place that is not the plan's
-                if not verdict_allowed(self.mode, self.S.P.dimension, row["verdict"]):
-                    self.fail(f"face {p.face}: verdict {row['verdict']!r} is not allowed in "
-                              f"{self.mode!r} mode")
-                self._same_row(row, verdict_row(p, "Regular"), f"face {p.face}" + (
+                g, w = ("no row" if k is None else f"face {k[0]} states {list(k[1])}"
+                        for k in (got, planned))
+                return self.fail(f"verdict row {i}: {g} where the plan has {w}")
+            want = (verdict_row(p, "Regular") if p.witness is not None else
+                    verdict_row(p, row["verdict"], row.get("evidence")))
+            if list(row.items()) != list(want.items()):
+                self._same_row(row, want, f"face {p.face}" + (
                     f": evidence {row['evidence']}" if "evidence" in row else ""))
+        self._witness_moves()
+        if len(self.messages) == named:
+            self.fail("verdicts: key order does not match its recomputation")
 
-    def _witness_moves(self, want: List[int]):
-        """Name what is wrong with the report's witness moves, which are not
-        `want`: their count, or each entry that differs, by its good face."""
+    def _witness_moves(self):
+        """Name what is wrong with the report's witness moves: their count,
+        or each entry that is not the plan's, by its good face."""
         got = self.doc["verdicts"]["witness_moves"]
-        if len(got) != len(want):
+        good = [p for p in self.S.plan if p.witness is not None]
+        if len(got) != len(good):
             self.fail(f"verdicts.witness_moves: {len(got)} entries, want one per good face "
-                      f"({len(want)})")
+                      f"({len(good)})")
             return
-        good = [p.face for p in self.S.plan if p.witness is not None]
-        for j, face in enumerate(good):
-            if got[j] != want[j]:
-                self.fail(f"face {face}: witness_moves[{j}] does not match its recomputation")
+        for j, p in enumerate(good):
+            if got[j] != p.witness:
+                self.fail(f"face {p.face}: witness_moves[{j}] does not match its recomputation")
 
     def _check_outcome(self, p: PlannedRow, verdict: str, eid: Optional[str]):
         """The outcome of bad planned row `p`, `verdict` citing evidence
@@ -375,7 +371,8 @@ class _Verifier:
         self.check_tables()
         self.check_verdicts()
         self.check_cusps()
-        self.check_bound()
+        if self.outcomes is not None:  # a section that departs read no claim
+            self.check_bound()
         if not self.doc["pass"]:
             self.fail("report does not claim a passing certification")
         if self.doc["failures"]:
@@ -403,7 +400,8 @@ def verify_report_file(path) -> Tuple[bool, List[str]]:
     A built-in subject's verdicts section, in the bytes certify writes, is
     read through the subject's kept frame (`report.read_verdicts`), and the
     rest of the report key by key (`io.read_object`); any other document,
-    or text that departs from that reading, is read whole by `load_json`."""
+    or text that departs from that reading, is read whole by `load_json`,
+    and its verdicts section through the same frame, `check_verdicts`."""
     text = read_text(path)
 
     def verdicts(pairs: list, pos: int):

@@ -640,8 +640,8 @@ def test_verify_rejects_edited_report(request, tmp_path, edit, codes, subject):
 
 # (name, edit of a bad row's outcome, subject, what a message must say):
 # edits that keep the verdicts section in the frame's form, so a copy
-# written as certify writes is read through the frame, and one written by
-# `json.dumps` is walked
+# written as certify writes is read through the frame from its bytes, and
+# one written by `json.dumps` through the frame once it is parsed
 OUTCOME_EDITS = [
     ("legal-as-critical-2",
      lambda d: _set(_row(d, "inherited-totally-legal"), "verdict", "Critical(2)"), "p5",
@@ -664,24 +664,27 @@ OUTCOME_EDITS = [
 def test_both_readers_reject_an_outcome_edit_alike(request, tmp_path, monkeypatch, edit,
                                                    subject, named):
     """A bad row's edited outcome is rejected with the same messages whether
-    its file is read through the frame or parsed whole and walked: one
-    check decides the outcome for both reads."""
+    its file is read through the frame from its bytes or parsed whole: the
+    parsed section is read through the same frame, and one check decides
+    the outcome for both reads."""
     from morsecert import verify
 
     cert = request.getfixturevalue(f"cert_{subject}")
     doc = json.loads(document_to_json(certificate_to_document(cert)))
     edit(doc)
-    walks, walk = [], verify._Verifier._walk_rows
-    monkeypatch.setattr(verify._Verifier, "_walk_rows",
-                        lambda self: walks.append(1) or walk(self))
+    reads, read = [], verify.read_verdicts
+    monkeypatch.setattr(verify, "read_verdicts",
+                        lambda *args: reads.append(read(*args)) or reads[-1])
     results = []
     for write in (document_to_json, json.dumps):
         path = tmp_path / f"{write.__name__}.json"
         path.write_text(write(doc))
-        results.append((verify.verify_report_file(path), len(walks)))
-    (framed, frame_walks), (walked, walks_after) = results
-    assert (frame_walks, walks_after) == (0, 1)  # read through the frame, then walked
-    assert framed == walked and not framed[0], results
+        reads.clear()
+        results.append((verify.verify_report_file(path), [r is not None for r in reads]))
+    (framed, framed_reads), (parsed, parsed_reads) = results
+    # the `json.dumps` bytes depart from the frame; the parsed section does not
+    assert (framed_reads, parsed_reads) == ([True], [False, True])
+    assert framed == parsed and not framed[0], results
     assert any(named in message for message in framed[1]), framed
 
 

@@ -26,11 +26,13 @@ selects its pair, and counts it apart.
 Each mutant is also written as certify writes a report, with
 `document_to_json`, and `verify_report_file` of the file must give the exit
 code and the messages that `verify_document` gives on the parsed mutant.
-A built-in report's file is read through its subject's frame unless the
+A built-in report's bytes are read through its subject's frame unless the
 mutant edits its verdicts or its subject: then the read departs from the
-frame and the file is read whole, as every generic report is.  The one
-edit of the verdicts that keeps the frame's form, a bad row's evidence id
-dropped, is read through the frame and rejected by the row's check.
+frame and the file is read whole, as every generic report is, whose inputs
+follow its verdicts.  The one edit of the verdicts that keeps the frame's
+form, a bad row's evidence id dropped, is read through the frame and
+rejected by the row's check.  A parsed section is read through the same
+frame, so every mutant that verifies was read through it.
 
 The sweep also repeats a key in one instance of every object pattern, the
 report itself included, in the bytes `verify` reads: the first key once
@@ -236,8 +238,8 @@ def _sweep(cert, S, tmp: Path, swept=lambda pattern: True):
     cone apex, and those that ended in an internal error, each as (path,
     edit).  A repeated-key mutant that `verify` does not call malformed,
     naming the key, counts as accepted.  A mutant whose file `verify`
-    answers otherwise than the parsed mutant, or reads by the other path,
-    counts as crashed."""
+    answers otherwise than the parsed mutant, or whose bytes it reads by
+    the other path, or that it accepts past the frame, counts as crashed."""
     doc = json.loads(document_to_json(certificate_to_document(cert)))
     before = document_to_json(doc)
     accepted, other_apex, crashed, n = [], [], [], 0
@@ -256,11 +258,13 @@ def _sweep(cert, S, tmp: Path, swept=lambda pattern: True):
             framed.clear()
             if _outcome(verify_report_file, file) != (code, messages):
                 crashed.append((path, f"{what}: the file's verify differs"))
-            through = bool(framed) and framed[-1] is not None
-            if through != (cert.subject != "generic" and (
-                    path[0] not in ("verdicts", "subject") or _outcome_only(path, what))):
-                crashed.append((path, f"{what}: read {'through' if through else 'past'} "
+            through = [r is not None for r in framed] or [False]  # the bytes' read first
+            if cert.subject != "generic" and through[0] != (
+                    path[0] not in ("verdicts", "subject") or _outcome_only(path, what)):
+                crashed.append((path, f"{what}: read {'through' if through[0] else 'past'} "
                                       "the frame"))
+            if code == 0 and not through[-1]:
+                crashed.append((path, f"{what}: accepted past the frame"))
             if code == 0 and path[0] not in NO_CLAIM:
                 if path[:2] == ("cusps", "apexes") and _apexes_are_cone_apexes(S, doc, path):
                     other_apex.append((path, what))

@@ -1,5 +1,5 @@
 """The verifier's trusted base: every function and method of the package
-that `morsecert verify` runs on the seed-0 p5 and p6 reports, traced with
+that `morsecert verify` runs on the reports it must accept, traced with
 `sys.setprofile` from cleared subject and link-graph caches, so that the
 trace includes building what the verifier recomputes, the built-in
 subjects from their shipped inputs.  The set is pinned:
@@ -9,28 +9,38 @@ adds to it updates the list and says why.  Nested functions, lambdas and
 comprehensions count as part of the function that defines them; a
 property's getter, a cached property's included, counts as a method.
 
-The reports are written as certify writes them, so `verify` reads each
-verdicts section through its subject's frame.  The reject path is pinned
-too: `verify` of four malformed copies of the p5 report, written by
-`json.dumps`, three stopped by the schema parse and one by a repeated key,
-runs only trusted functions, the whole-document read `load_json` that such
-a copy falls back to and that reads the shipped inputs included, and the
-few of `schema` that name a mismatch (`REJECTED`).
+Four reports are traced, one for each way a verdicts section is accepted:
+the seed-0 p5 and p6 reports as certify writes them, whose verdicts
+sections `verify` reads through the subject's frame from their bytes; the
+compatible 3-cube's generic report as `morsecert certify generic` writes
+it, whose embedded inputs follow its verdicts; and the p5 report
+re-written by `json.dumps`, another spelling.  The last two are parsed
+whole, and each verdicts section is read through the same frame in the
+bytes certify writes of it (`report.document_to_json`).  The reject path
+is pinned too: `verify` of four malformed copies of the p5 report, written
+by `json.dumps`, three stopped by the schema parse and one by a repeated
+key, runs only trusted functions, and the few of `schema` that name a
+mismatch (`REJECTED`).
 
 Run as a script, `PYTHONPATH=src python tests/test_trusted_base.py` traces
-the same two reports and prints, per module and in total, the number of
+the same four reports and prints, per module and in total, the number of
 pinned functions and their source lines by `inspect.getsourcelines`, and
-any function the trace and the pin disagree on."""
+any function the trace and the pin disagree on.  README quotes these
+figures, and `test_readme_quotes_the_figures` holds it to them."""
 
 import copy
 import inspect
 import json
+import re
 import sys
+from pathlib import Path
 
 from morsecert.cli import build_parser, main
 from morsecert.io import builtin_inputs, builtin_subject
 from morsecert.kernel import canonical_pairs_graphs
 from morsecert.report import certificate_to_document, document_to_json
+
+from test_certify import cube_inputs
 
 # The pinned set, by module: qualified names, space-separated.
 TRUSTED = {
@@ -53,9 +63,9 @@ TRUSTED = {
         Polytope.ranked_graph RankedGraph.labels RankedGraph.mask adjacency_from_lorentz
         cusp_incidence dual_mask f_vector_check face_of_mask lorentz_product""",
     "report": """
-        _eid _inputs_digest _kept_frame canonical_json cusp_rows euler_identity
-        legality_header read_verdicts report_tables shared_header verdict_allowed
-        verdict_frame""",
+        _eid _inputs_digest _kept_frame canonical_json cusp_rows document_to_json
+        euler_identity legality_header read_verdicts report_tables shared_header
+        verdict_allowed verdict_frame""",
     "schema": """
         Leaf._at_once Leaf.parse ListOf._at_once ListOf.parse Obj._at_once
         Obj._check_keys Obj.parse _Kind.parse_items parse""",
@@ -114,23 +124,60 @@ def _trace(paths) -> tuple:
     return codes, ran
 
 
-def _reports(directory, certs: dict) -> list:
-    """Write each certificate of `certs`, by name, as certify writes its
-    structured report; the paths."""
+def _reports(directory, cert_p5, cert_p6) -> list:
+    """Write the four reports that `verify` must accept; their paths.  The
+    generic one is written by `morsecert certify generic`, in perfect mode."""
     paths = []
-    for name, cert in certs.items():
+    for name, cert in (("p5", cert_p5), ("p6", cert_p6)):
         paths.append(directory / f"{name}.json")
         paths[-1].write_text(document_to_json(certificate_to_document(cert)))
+    argv = ["certify", "generic", "--format", "structured", "--output",
+            str(directory / "cube.json")]
+    for name, doc in zip(("polytope", "moves", "state"), cube_inputs()):
+        (directory / f"{name}.json").write_text(json.dumps(doc))
+        argv += [f"--{name}", str(directory / f"{name}.json")]
+    if main(argv) != 0:
+        raise AssertionError("certify generic of the 3-cube failed")
+    paths += [directory / "cube.json", directory / "p5-dumps.json"]
+    paths[-1].write_text(json.dumps(json.loads(paths[0].read_text())))
     return paths
 
 
+def _figures() -> dict:
+    """The pinned functions and their source lines, (functions, lines), by
+    module and under "total"."""
+    code_of = {name: code for code, name in _functions().items()}
+    out = {"total": [0, 0]}
+    for name in _names(TRUSTED):
+        for key in (name.split(".")[0], "total"):
+            counts = out.setdefault(key, [0, 0])
+            counts[0] += 1
+            counts[1] += len(inspect.getsourcelines(code_of[name])[0])
+    return {key: tuple(counts) for key, counts in out.items()}
+
+
 def test_verify_runs_the_trusted_base(cert_p5, cert_p6, tmp_path):
-    codes, ran = _trace(_reports(tmp_path, {"p5": cert_p5, "p6": cert_p6}))
-    assert codes == [0, 0]
+    codes, ran = _trace(_reports(tmp_path, cert_p5, cert_p6))
+    assert codes == [0, 0, 0, 0]
     assert not [name for name in ran if name.split(".")[0] in ("complexes", "states", "links")]
     want = _names(TRUSTED)
     assert sorted(ran - want) == [] and sorted(want - ran) == []
-    assert len(want) == 97
+    assert len(want) == 98
+
+
+def test_readme_quotes_the_figures():
+    """README's sentence "It pins the set, N functions and methods (L lines
+    ...), in M modules: ..." gives the figures `_figures` computes."""
+    text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    found = re.search(r"It pins the set, (\d+) functions and methods \(([\d,]+) lines by "
+                      r"`inspect\.getsourcelines`\), in (\d+) modules: (.*?)\. ", text)
+    assert found, "README has no sentence quoting the trusted base's figures"
+    n, lines, modules, listed = found.groups()
+    quoted = {mod: (int(k), int(m.replace(",", "")))
+              for mod, k, m in re.findall(r"`(\w+)` (\d+) \(([\d,]+)(?: lines)?\)", listed)}
+    want = _figures()
+    assert (int(n), int(lines.replace(",", ""))) == want.pop("total")
+    assert (int(modules), quoted) == (len(want), want)
 
 
 def _wrong_kind(doc):
@@ -172,24 +219,19 @@ if __name__ == "__main__":
     import contextlib
     import tempfile
     from io import StringIO
-    from pathlib import Path
 
     from morsecert.certify import certify_p5, certify_p6
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(StringIO()):
-        codes, ran = _trace(_reports(Path(tmp), {"p5": certify_p5(), "p6": certify_p6()}))
-    if codes != [0, 0]:
+        codes, ran = _trace(_reports(Path(tmp), certify_p5(), certify_p6()))
+    if codes != [0, 0, 0, 0]:
         raise SystemExit(f"verify exited {codes}")
-    pinned, code_of = _names(TRUSTED), {name: code for code, name in _functions().items()}
-    figures = {}  # module -> [functions, source lines]
-    for name in pinned:
-        counts = figures.setdefault(name.split(".")[0], [0, 0])
-        counts[0] += 1
-        counts[1] += len(inspect.getsourcelines(code_of[name])[0])
-    for mod, (n, lines) in sorted(figures.items(), key=lambda item: -item[1][1]):
+    counts = _figures()
+    total = counts.pop("total")
+    for mod, (n, lines) in [*sorted(counts.items(), key=lambda item: -item[1][1]),
+                            ("total", total)]:
         print(f"{mod:10} {n:4} functions {lines:6,} lines")
-    print(f"{'total':10} {len(pinned):4} functions "
-          f"{sum(lines for _, lines in figures.values()):6,} lines")
+    pinned = _names(TRUSTED)
     for what, names in (("run, not pinned", ran - pinned), ("pinned, not run", pinned - ran)):
         if names:
             print(f"{what}: {' '.join(sorted(names))}")
