@@ -2,18 +2,14 @@
 
 Builds a few small complexes, runs the collapse search, and shows that every
 claim ships with an explicit elementary-collapse sequence that can be checked
-step by step without rerunning any search.
+step by step without rerunning any search.  No command builds a complex:
+the constructions used here are the tests' reference code, so run it with
+`tests/` on the path: `PYTHONPATH=src:tests python demos/01_simplicial_collapse.py`.
 """
 
-from morsecert.complexes import (
-    betti_mod2,
-    cone,
-    from_maximal_faces,
-    is_crosspolytope_boundary,
-    join,
-    replay_collapse,
-    try_collapse,
-)
+from morsecert.complexes import betti_mod2, replay_collapse, try_collapse
+
+from oracles import cone, from_maximal_faces, is_crosspolytope_boundary, join
 
 # A solid triangle collapses to a point.
 solid = from_maximal_faces([{"a", "b", "c"}])

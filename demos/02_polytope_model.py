@@ -2,35 +2,38 @@
 
 Adjacency is zero Lorentzian product, cross-validated against the quaternion
 labelling rules at build time.  Faces are cliques of the adjacency graph;
-dual complexes of faces are the clique complexes on common neighbours.
+dual complexes of faces are the clique complexes on common neighbours.  The
+face helper, the complex queries and the symmetry group are the tests'
+reference code: run it with `PYTHONPATH=src:tests`.
 """
 
-from morsecert.complexes import is_crosspolytope_boundary
 from morsecert.polytopes import (
     build_cusp_section,
     build_p5,
     build_p6,
     dual_complex,
     f_vector_check,
-    symmetries_p6,
 )
+
+from oracles import face, faces_of_dim, is_crosspolytope_boundary, symmetries_p6
+
 P6 = build_p6()
-print(P6)
+print(f"{P6.name}: dimension {P6.dimension}, {len(P6.facets)} facets")
 report = f_vector_check(P6, {1: 27, 2: 216, 6: 72, 7: 0}, expected_degree=16)
 print("clique counts by size 1..7:", report.clique_counts)
 print("27 ideal vertices, each incident to",
       len(P6.ideal_vertices[0].incident), "facets")
 
 # the dual of a codimension-3 face: a triangular prism
-F = P6.face({"i", "1+i+j+k", "-1+i+j+k"})
+F = face(P6, {"i", "1+i+j+k", "-1+i+j+k"})
 D = dual_complex(P6, F)
 print("\ncodim-3 dual:", sorted(D.vertices))
-print("  edges:", len(D.faces_of_dim(1)), " triangles:", len(D.faces_of_dim(2)))
+print("  edges:", len(faces_of_dim(D, 1)), " triangles:", len(faces_of_dim(D, 2)))
 
 # every horospherical section is a combinatorial 5-cube
 H = build_cusp_section(P6, "cusp:A")
 print("\nsection at the cusp opposite A:", sorted(H.facet_ids))
-octa = dual_complex(H, H.face({"1", "i"}))
+octa = dual_complex(H, face(H, {"1", "i"}))
 print("dual of a codim-2 face of the section is an octahedron:",
       is_crosspolytope_boundary(octa, 3)[0])
 
@@ -43,5 +46,5 @@ print("involution sends i ->", iota["i"], ", j ->", iota["j"],
 
 # the 16-facet 5-polytope sits inside as the neighbours of A
 P5 = build_p5(P6)
-print("\n", P5, "- facet graph equals the induced graph on the",
-      "neighbours of A")
+print(f"\n{P5.name}: dimension {P5.dimension}, {len(P5.facets)} facets - facet graph",
+      "equals the induced graph on the neighbours of A")

@@ -1,11 +1,14 @@
-"""Moves, balanced states, the orbit action, and legality certificates."""
+"""Moves, balanced states, the orbit action, and legality certificates.
+
+The orbit action `act` is the tests' reference code: run it with
+`PYTHONPATH=src:tests`."""
 
 from morsecert.io import builtin_subject
 from morsecert.kernel import is_compatible, orbit
 from morsecert.polytopes import FaceHandle, build_p6
-from morsecert.states import (
-    act, balanced_states_p6, inherited_state, legality, move_system_p6,
-)
+from morsecert.states import balanced_states_p6, inherited_state, legality, move_system_p6
+
+from oracles import act
 
 P = build_p6()
 m = move_system_p6()

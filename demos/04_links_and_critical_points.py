@@ -5,18 +5,17 @@ monochromatic squares.  Its face links are 2-spheres; the engine certifies
 the index by shrinking both links onto subdivided cross-polytope cores with
 dismantling orders: each step deletes a poset element dominated, in the
 comparability graph, by a live one (a beat point), and no search is run.
+The cube model is the tests' reference code: run it with
+`PYTHONPATH=src:tests`.
 """
 
 from morsecert.complexes import betti_mod2
 from morsecert.kernel import face_masks, generic_subject
-from morsecert.links import (
-    CriticalLinkCertifier,
-    build_cube_model,
-    classify_link,
-    face_links_oracle,
-)
+from morsecert.links import CriticalLinkCertifier, classify_link, face_links_oracle
 from morsecert.polytopes import build_p6
 from morsecert.states import balanced_states_p6, move_system_p6, split_legality
+
+from oracles import build_cube_model, face
 
 P = build_p6()
 m = move_system_p6()
@@ -24,10 +23,10 @@ s = balanced_states_p6(P)[0]
 S = generic_subject(P, m, s)  # the orbit of s: all 32 balanced states, checked
 
 # a monochromatic square: checkerboard lift, barycentre value (0, 2)
-F = P.face({"1+i+j+k", "-1+i+j+k"})
+F = face(P, {"1+i+j+k", "-1+i+j+k"})
 model = build_cube_model(P, m, s, F)
 print("monochromatic square vertex lifts:", model.lift.vertex_lift)
-asc, desc = face_links_oracle(model)
+asc, desc = face_links_oracle(model.lift)
 print("ascending face link:", len(asc.vertices), "isolated points;",
       "descending collapses to S^0")
 
@@ -37,7 +36,7 @@ V = bad[(2, 2, 2)][0]
 print("\nbad vertex:", sorted(V.defining))
 model = build_cube_model(P, m, s, V)
 print("blocks pair up the coordinates:", model.lift.blocks)
-asc, desc = face_links_oracle(model)
+asc, desc = face_links_oracle(model.lift)
 print("face links are 2-spheres:", betti_mod2(asc, 2), betti_mod2(desc, 2))
 
 # the vertex's one verdict row covers every state: by the all-pairs lemma

@@ -1,5 +1,10 @@
 """Finite abstract simplicial complexes with exact decision procedures.
 
+No command builds a complex: this module is kept for the benchmark's
+tracer, which wraps the collapse search and replay, the homology and the
+subcomplex constructions by name, and for the tests, whose reference
+constructions on complexes live in `tests/oracles.py`.
+
 Vertex labels are opaque hashable tokens with a canonical ordering, so every
 construction and search here is deterministic and certificates are diffable
 across runs.  Collapse searches return replayable sequences of elementary
@@ -16,8 +21,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
-
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import InputError
 
@@ -72,19 +76,6 @@ class SimplicialComplex:
     def __hash__(self):
         return hash(self.maximal_faces)
 
-    def __repr__(self):
-        return (
-            f"SimplicialComplex({len(self.vertices)} vertices, "
-            f"{len(self.maximal_faces)} maximal faces, dim {self.dim})"
-        )
-
-    @property
-    def dim(self) -> int:
-        """Dimension; -1 for the empty complex."""
-        if not self.maximal_faces:
-            return -1
-        return max(len(f) for f in self.maximal_faces) - 1
-
     @property
     def is_empty(self) -> bool:
         return not self.maximal_faces
@@ -102,9 +93,6 @@ class SimplicialComplex:
             self._cache["simplices"] = cached
         return cached
 
-    def faces_of_dim(self, d: int) -> list:
-        return sorted((s for s in self.simplices() if len(s) == d + 1), key=simplex_key)
-
     def has_face(self, simplex: Iterable) -> bool:
         s = frozenset(simplex)
         if not s:
@@ -116,17 +104,6 @@ class SimplicialComplex:
         if got is None:
             got = self._cache["n_simplices"] = len(self.simplices())
         return got
-
-    def star_vertex_apexes(self) -> list:
-        """Vertices contained in every maximal face (cone apexes)."""
-        if self.is_empty:
-            return []
-        common = set(self.maximal_faces[0])
-        for f in self.maximal_faces[1:]:
-            common &= f
-            if not common:
-                break
-        return sorted(common, key=label_key)
 
 
 def _absorb(faces: list) -> list:
@@ -153,11 +130,6 @@ def _absorb(faces: list) -> list:
     return kept
 
 
-def from_maximal_faces(candidate_faces: Iterable[Iterable]) -> SimplicialComplex:
-    """Downward closure of the given faces; redundant faces are absorbed."""
-    return SimplicialComplex([frozenset(f) for f in candidate_faces])
-
-
 EMPTY_COMPLEX = SimplicialComplex([])
 
 
@@ -169,34 +141,6 @@ def full_subcomplex(K: SimplicialComplex, S: Iterable) -> SimplicialComplex:
         bad = sorted(unknown, key=label_key)
         raise InputError(f"vertices not in complex: {bad!r}")
     return SimplicialComplex([f & S for f in K.maximal_faces if f & S])
-
-
-def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
-    """Join of two complexes; labels are wrapped on collision."""
-    if K.is_empty:
-        return L
-    if L.is_empty:
-        return K
-    if set(K.vertices) & set(L.vertices):
-        K = relabel(K, {v: (0, v) for v in K.vertices})
-        L = relabel(L, {v: (1, v) for v in L.vertices})
-    return SimplicialComplex(
-        [f | g for f in K.maximal_faces for g in L.maximal_faces], _trusted=True
-    )
-
-
-def cone(K: SimplicialComplex, apex="apex") -> SimplicialComplex:
-    if apex in K.vertices:
-        raise InputError(f"apex {apex!r} already a vertex")
-    return join(K, SimplicialComplex([frozenset([apex])]))
-
-
-def relabel(K: SimplicialComplex, mapping: Mapping) -> SimplicialComplex:
-    if len(set(mapping.values())) != len(K.vertices):
-        raise InputError("relabelling is not injective")
-    return SimplicialComplex(
-        [frozenset(mapping[v] for v in f) for f in K.maximal_faces], _trusted=True
-    )
 
 
 def order_complex(elements: Iterable, less_equal=None, *, covers=None) -> SimplicialComplex:
@@ -311,25 +255,6 @@ class CollapseOutcome:
     sequence: tuple
     core: SimplicialComplex
     strategy: str = "none"
-
-    def replays(self, K: SimplicialComplex, target: Optional[SimplicialComplex] = None) -> bool:
-        try:
-            core = replay_collapse(K, self.sequence)
-        except InputError:
-            return False
-        if core != self.core:
-            return False
-        if self.success:
-            if target is None:
-                return len(core.vertices) == 1 and core.dim == 0
-            return core == target
-        return True
-
-
-def sequence_json(sequence: Iterable) -> list:
-    """Elementary collapse steps in report form: [face, coface] label lists,
-    each sorted (the labels of one complex share a type)."""
-    return [[sorted(f), sorted(c)] for f, c in sequence]
 
 
 class _Table:
@@ -555,92 +480,3 @@ def try_collapse(
 
     _, seq, core = best_fail
     return CollapseOutcome(False, table.labelled(seq), core, "failed")
-
-
-def cone_collapse_pairs(K: SimplicialComplex, apex) -> list:
-    """Explicit collapse of a cone with the given apex down to that apex.
-
-    Pairs (s, s + apex) ordered by decreasing |s|; each face is free at its
-    step, so the sequence replays without search.
-    """
-    if apex not in K.vertices:
-        raise InputError(f"{apex!r} is not a vertex")
-    others = [s for s in K.simplices() if apex not in s]
-    for s in others:
-        if not K.has_face(s | {apex}):
-            raise InputError(f"{apex!r} is not a cone apex")
-    others.sort(key=lambda s: (-len(s),) + simplex_key(s))
-    return [(s, s | {apex}) for s in others]
-
-
-def star_collapse_pairs(K: SimplicialComplex, v, link_sequence: Iterable,
-                        link_terminal) -> list:
-    """Collapse K onto K minus the open star of v, given a collapse of link(v).
-
-    `link_sequence` must collapse the link of v in K to the single vertex
-    `link_terminal`; the returned pairs remove every face containing v.
-    """
-    pairs = [(frozenset(f) | {v}, frozenset(c) | {v}) for f, c in link_sequence]
-    pairs.append((frozenset([v]), frozenset([v, link_terminal])))
-    return pairs
-
-
-def vertex_link(K: SimplicialComplex, v) -> SimplicialComplex:
-    if v not in K.vertices:
-        raise InputError(f"{v!r} is not a vertex")
-    return SimplicialComplex(
-        [f - {v} for f in K.maximal_faces if v in f and len(f) > 1]
-    )
-
-
-def remove_open_star(K: SimplicialComplex, v) -> SimplicialComplex:
-    return SimplicialComplex(
-        [f for f in K.maximal_faces if v not in f]
-        + [f - {v} for f in K.maximal_faces if v in f and len(f) > 1]
-    )
-
-
-# ---------------------------------------------------------------------------
-# Cross-polytope recognition
-
-
-def is_crosspolytope_boundary(K: SimplicialComplex, k: int):
-    """Test whether K is the join of k copies of S^0; return (bool, pairing).
-
-    The boundary of the k-dimensional cross-polytope has 2k vertices split
-    into k antipodal pairs, and its faces are exactly the subsets of size <= k
-    using at most one vertex per pair.
-    """
-    if k < 1:
-        raise InputError("k must be >= 1")
-    if len(K.vertices) != 2 * k:
-        return False, None
-    verts = set(K.vertices)
-    edges = {frozenset(e) for e in K.simplices() if len(e) == 2}
-    pairing = []
-    paired = {}
-    for v in K.vertices:
-        non_nbrs = [w for w in verts if w != v and frozenset((v, w)) not in edges]
-        if len(non_nbrs) != 1:
-            return False, None
-        paired[v] = non_nbrs[0]
-    for v in K.vertices:
-        if paired[paired[v]] != v:
-            return False, None
-        if label_key(v) < label_key(paired[v]):
-            pairing.append((v, paired[v]))
-    if len(pairing) != k:
-        return False, None
-    transversals = set()
-
-    def build(i: int, acc: list):
-        if i == k:
-            transversals.add(frozenset(acc))
-            return
-        for choice in pairing[i]:
-            build(i + 1, acc + [choice])
-
-    build(0, [])
-    if set(K.maximal_faces) != transversals:
-        return False, None
-    return True, tuple(pairing)

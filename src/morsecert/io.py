@@ -144,11 +144,11 @@ def polytope_from_doc(doc: dict) -> Polytope:
     )
 
 
-def moves_from_doc(doc: list, P: Polytope) -> MoveSystem:
-    m = MoveSystem(tuple(map(frozenset, doc)))  # which rejects an empty block
-    if not m.covers(P.facet_ids):
-        raise InputError("moves do not partition the facet set")
-    return m
+def moves_from_doc(doc: list) -> MoveSystem:
+    """`MoveSystem` rejects an empty block and overlapping blocks;
+    `generic_subject`, which every subject goes through, moves that do not
+    partition the facets."""
+    return MoveSystem(tuple(map(frozenset, doc)))
 
 
 def state_from_doc(doc: dict, P: Polytope) -> State:
@@ -217,7 +217,7 @@ def subject_from_inputs(inputs: dict) -> Subject:
     """`generic_subject` of the documents {"polytope", "moves", "state"},
     each of the shape its schema gives."""
     P = polytope_from_doc(inputs["polytope"])
-    return generic_subject(P, moves_from_doc(inputs["moves"], P),
+    return generic_subject(P, moves_from_doc(inputs["moves"]),
                            state_from_doc(inputs["state"], P))
 
 

@@ -18,7 +18,7 @@ the increment at a barycentre kept symbolic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, total_ordering
+from functools import cache, cached_property
 from itertools import product
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -58,9 +58,6 @@ class MoveSystem:
         except KeyError:
             raise InputError(f"facet {facet_id!r} not covered by any move") from None
 
-    def block(self, facet_id: str) -> FrozenSet[str]:
-        return self.blocks[self.block_of(facet_id)]
-
     def restrict(self, facet_ids: Iterable[str]) -> "MoveSystem":
         """Induced move system on a subset of facets (empty blocks dropped)."""
         keep = frozenset(facet_ids)
@@ -79,10 +76,6 @@ class State:
         extra = self.in_facets.difference(self.universe)
         if extra:
             raise InputError(f"status given for unknown facets: {sorted(extra)!r}")
-
-    @property
-    def out_facets(self) -> FrozenSet[str]:
-        return frozenset(self.universe) - self.in_facets
 
     def serial(self) -> str:
         return "".join(IN if f in self.in_facets else OUT for f in self.universe)
@@ -394,16 +387,12 @@ def certificate_problem(G: RankedGraph, steps, live: int, keep: int = 0, *,
 # Cube lifts and the canonical all-pairs cube's face links
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class LiftValue:
     """Symbolic lift value base + depth*eps, ordered lexicographically."""
 
     base: int
     depth: int
-
-    def __lt__(self, other: "LiftValue") -> bool:
-        return (self.base, self.depth) < (other.base, other.depth)
 
 
 # -- face encoding ----------------------------------------------------------

@@ -79,13 +79,6 @@ def label_quat(label: str) -> Quat:
         raise InputError(f"not a T24 label: {label!r}") from None
 
 
-def quat_label(q: Quat) -> str:
-    try:
-        return _LABELS[tuple(q)]
-    except KeyError:
-        raise InputError(f"quaternion {q!r} is not a T24 element") from None
-
-
 def quat_mul(p: Quat, q: Quat) -> Quat:
     """The doubled product of two doubled quaternions: their Hamilton
     product, which must have even coordinates, halved."""
@@ -114,18 +107,6 @@ def euclid4(p: Quat, q: Quat) -> int:
 def minus_count(label: str) -> int:
     """Number of minus signs in a 16-type label."""
     return sum(1 for s in label_signs(label) if s < 0)
-
-
-def iota_label(label: str) -> str:
-    """The involution (x1,x2,x3,x4) -> (x1,-x2,-x4,-x3) on labels; swaps B and C."""
-    if label == "A":
-        return "A"
-    if label == "B":
-        return "C"
-    if label == "C":
-        return "B"
-    x1, x2, x3, x4 = label_quat(label)
-    return quat_label((x1, -x2, -x4, -x3))
 
 
 BASE_POINT_LABELS = ("1", "1-i+j-k", "1+i+j-k")

@@ -1,114 +1,32 @@
-"""The link finders and the oracles.  `classify_link` answers only what the
-verdict sweep asks it once the plan has decided good faces and the sweep
-totally legal classes: is a bad face Critical(l), an all-pairs top vertex
-whose cube lift is the canonical one at every compatible state by the
-all-pairs lemma (README), or Unknown.  The cube model and the face-link
-oracles are what the tests check that lemma against."""
+"""The link finders.  `classify_link` answers only what the verdict sweep
+asks it once the plan has decided good faces and the sweep totally legal
+classes: is a bad face Critical(l), an all-pairs top vertex whose cube lift
+is the canonical one at every compatible state by the all-pairs lemma
+(README), or Unknown.  `face_links_oracle` and `canonical_pairs_transform`,
+which no command calls, stay here because the benchmark wraps them by name;
+the cube model that the tests check the lemma on is in `tests/oracles.py`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import order_complex, try_collapse  # try_collapse: pinned by perfbench
 from .errors import InputError, InternalError
 from .kernel import (
-    CubeLift, CuspTable, MoveSystem, State, Subject, all_pairs_index, canonical_pairs_graphs,
-    face_link_posets, is_compatible,
+    CubeLift, CuspTable, Subject, all_pairs_index, canonical_pairs_graphs, face_link_posets,
 )
 from .polytopes import FaceHandle, Polytope
 from .states import cone_apex, flag_certificate
 
 
-@dataclass(frozen=True)
-class CubeModel:
-    """Dual cube of a polytope face with its lifted-function data.
-
-    `defining` lists the defining facets in canonical order (one cube
-    coordinate each); vertex w of the cube is the copy reached by crossing
-    the facets indexed by the bits of w.
-    """
-
-    defining: Tuple[str, ...]
-    lift: CubeLift
-    base_status_out: Tuple[bool, ...]
-    polytope: Polytope = field(compare=False, repr=False)
-    moves: MoveSystem = field(compare=False, repr=False)
-    base_state: State = field(compare=False, repr=False)
-
-    @property
-    def k(self) -> int:
-        return self.lift.k
-
-
-def build_cube_model(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> CubeModel:
-    """Vertex states by move-flipping, edge orientations from statuses, lift
-    values by integrating orientations and normalising the minimum to zero.
-
-    The lift is integrated in one increasing scan, each vertex w from w
-    minus its lowest bit, and then every edge is checked against its
-    orientation.  Requires a compatible state; an inconsistent edge
-    orientation cocycle is impossible for compatible states and raises
-    InternalError.
-    """
-    ok, witness = is_compatible(P, m, s)
-    if not ok:
-        raise InputError(f"state is not compatible: witness pair {witness!r}")
-    defining = tuple(sorted(F.defining))
-    k = len(defining)
-    blocks_by_move: Dict[int, list] = {}
-    for pos, fid in enumerate(defining):
-        blocks_by_move.setdefault(m.block_of(fid), []).append(pos)
-    blocks = tuple(
-        tuple(sorted(ps))
-        for _, ps in sorted(blocks_by_move.items(), key=lambda kv: min(kv[1]))
-    )
-    base_out = tuple(fid not in s.in_facets for fid in defining)
-    # the positions of each position's move: crossing any of them flips it
-    block_mask = [0] * k
-    for block in blocks:
-        for pos in block:
-            block_mask[pos] = sum(1 << p for p in block)
-
-    # The edge from w to w | 1 << pos (bit pos clear in w) points up iff the
-    # facet's status at w is Out, and the lift rises by 1 along it.  That
-    # status is base_out[pos] flipped once per crossing in w of pos's move;
-    # rise[status] is the lift's change along the edge.
-    rise = (-1, 1)
-    n = 1 << k
-    lift = [0] * n
-    for w in range(1, n):
-        low = w & -w
-        pos, v = low.bit_length() - 1, w ^ low
-        lift[w] = lift[v] + rise[base_out[pos] ^ (v & block_mask[pos]).bit_count() & 1]
-    for pos in range(k):
-        bit, flip, out = 1 << pos, block_mask[pos], base_out[pos]
-        for w in range(n):
-            if not w & bit and (lift[w | bit] - lift[w]
-                                != rise[out ^ (w & flip).bit_count() & 1]):
-                raise InternalError(
-                    "edge orientation cocycle violated for a compatible state"
-                )
-    lo = min(lift)
-    vertex_lift = tuple(x - lo for x in lift)
-    return CubeModel(
-        defining=defining,
-        lift=CubeLift(k, blocks, vertex_lift),
-        base_status_out=base_out,
-        polytope=P,
-        moves=m,
-        base_state=s,
-    )
-
-
 # -- face links (the literal oracle) ----------------------------------------
 
 
-def face_links_oracle(model: CubeModel | CubeLift):
+def face_links_oracle(lift: CubeLift):
     """Ascending and descending face links as full subcomplexes of the
     barycentric subdivision of the cube's boundary: the order complexes of
     the two `face_link_posets`."""
-    lift = model.lift if isinstance(model, CubeModel) else model
     return tuple(order_complex(elems, covers=covers)
                  for elems, covers in face_link_posets(lift))
 
@@ -154,15 +72,17 @@ class CriticalLinkCertifier:
 
 
 # the reference that the all-pairs lemma is tested against; perfbench wraps it by name
-def canonical_pairs_transform(model: CubeModel, synth: CubeLift):
-    """Position permutation and translation mapping an all-pairs cube model
-    onto the canonical one, `synth`, the `synthetic_pairs_lift` of its pair
-    count; validated over every vertex.
+def canonical_pairs_transform(lift: CubeLift, base_status_out: Tuple[bool, ...],
+                              synth: CubeLift):
+    """Position permutation and translation mapping an all-pairs cube lift,
+    whose defining facets are Out at the base vertex where `base_status_out`
+    says so, onto the canonical one, `synth`, the `synthetic_pairs_lift` of
+    its pair count; validated over every vertex.
 
     Returns (ell, perm, delta) with perm[p] = canonical position of original
     position p and delta a vertex translation in canonical coordinates.
     """
-    blocks = model.lift.blocks
+    blocks = lift.blocks
     if any(len(b) != 2 for b in blocks):
         raise InputError("not an all-pairs cube")
     ell = len(blocks)
@@ -172,7 +92,7 @@ def canonical_pairs_transform(model: CubeModel, synth: CubeLift):
     for i, (p, q) in enumerate(sorted(blocks, key=lambda b: b[0])):
         perm[p] = 2 * i
         perm[q] = 2 * i + 1
-        if not model.base_status_out[p]:
+        if not base_status_out[p]:
             delta |= 1 << (2 * i)
 
     def apply_vertex(w: int) -> int:
@@ -183,7 +103,7 @@ def canonical_pairs_transform(model: CubeModel, synth: CubeLift):
         return out ^ delta
 
     for w in range(1 << k):
-        if model.lift.vertex_lift[w] != synth.vertex_lift[apply_vertex(w)]:
+        if lift.vertex_lift[w] != synth.vertex_lift[apply_vertex(w)]:
             raise InternalError("all-pairs cube does not match the canonical lift")
     return ell, tuple(perm), delta
 

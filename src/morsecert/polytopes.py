@@ -189,12 +189,6 @@ class Polytope:
         self._census: Optional[Tuple[Tuple[int, ...], ...]] = None  # filled by `cliques`
         self._face_cache: dict = {}
 
-    def __repr__(self):
-        return (
-            f"Polytope({self.name or 'unnamed'}, dim {self.dimension}, "
-            f"{len(self.facets)} facets)"
-        )
-
     def adjacent(self, a: str, b: str) -> bool:
         """Whether facets a and b are adjacent; False when either is no
         facet of this polytope."""
@@ -209,19 +203,6 @@ class Polytope:
 
     def degree(self, a: str) -> int:
         return self._ranked.N[self._ranked.rank[a]].bit_count() - 1
-
-    def face(self, defining: Iterable[str]) -> FaceHandle:
-        ids = frozenset(defining)
-        unknown = ids - set(self.facet_ids)
-        if unknown:
-            raise InputError(f"unknown facets: {sorted(unknown)!r}")
-        for a in ids:
-            for b in ids:
-                if a < b and not self.adjacent(a, b):
-                    raise InputError(
-                        f"defining facets must be pairwise adjacent: {a!r}, {b!r}"
-                    )
-        return FaceHandle(ids)
 
     def ideal_vertex(self, iv_id: str) -> IdealVertex:
         for iv in self.ideal_vertices:
@@ -520,77 +501,3 @@ def build_cusp_section(P: Polytope, cusp_id: str) -> Polytope:
     }
     facets = [Facet(a, a, None) for a in ids]
     return Polytope(P.dimension - 1, facets, pairs, name=f"{P.name}/{cusp_id}")
-
-
-# ---------------------------------------------------------------------------
-# Symmetries
-
-
-@dataclass(frozen=True)
-class FacetSymmetry:
-    name: str
-    mapping: Tuple[Tuple[str, str], ...]
-
-    def as_dict(self) -> Dict[str, str]:
-        return dict(self.mapping)
-
-
-def symmetries_p6(P: Optional[Polytope] = None) -> Tuple[FacetSymmetry, ...]:
-    """The 16 facet permutations: unit left multiplications and the involution.
-
-    Each is validated to preserve adjacency, to preserve the move partition
-    (unit-class preimages and {A, B, C}), and to commute with the unit-class
-    map.  Any failure aborts.
-    """
-    if P is None:
-        P = build_p6()
-
-    def phi(q: str, use_iota: bool):
-        out = {}
-        for t in lb.T24_LABELS:
-            u = lb.iota_label(t) if use_iota else t
-            out[t] = lb.quat_label(lb.quat_mul(lb.label_quat(q), lb.label_quat(u)))
-        out["A"] = "A"
-        out["B"], out["C"] = ("C", "B") if use_iota else ("B", "C")
-        return out
-
-    syms = []
-    for use_iota in (False, True):
-        for q in lb.UNIT_LABELS:
-            name = f"mult:{q}" + ("*iota" if use_iota else "")
-            mapping = phi(q, use_iota)
-            syms.append(
-                FacetSymmetry(name, tuple(sorted(mapping.items(), key=lambda kv: kv[0])))
-            )
-    if len({s.mapping for s in syms}) != 16:
-        raise StructuralError("symmetry group does not have 16 distinct elements")
-    for s in syms:
-        m = s.as_dict()
-        if sorted(m.values()) != sorted(P.facet_ids):
-            raise StructuralError(f"{s.name} is not a permutation")
-        for pair in P.adjacency_pairs:
-            a, b = sorted(pair)
-            if not P.adjacent(m[a], m[b]):
-                raise StructuralError(f"{s.name} does not preserve adjacency")
-        # move partition: unit-class pairs {q, -q} and the ABC block
-        def block_tag(fid: str) -> str:
-            if fid in ("A", "B", "C"):
-                return "ABC"
-            return lb.base_unit(fid).lstrip("-")
-
-        blocks = {}
-        for t in lb.T24_LABELS + lb.SPECIAL_LABELS:
-            blocks.setdefault(block_tag(t), set()).add(t)
-        image_blocks = {frozenset(m[t] for t in blk) for blk in blocks.values()}
-        if image_blocks != {frozenset(b) for b in blocks.values()}:
-            raise StructuralError(f"{s.name} does not preserve the move partition")
-        # equivariance of the unit-class map
-        use_iota = s.name.endswith("*iota")
-        q = s.name.split(":")[1].split("*")[0]
-        for t in lb.T24_LABELS:
-            r = lb.base_unit(t)
-            r_img = lb.iota_label(r) if use_iota else r
-            want = lb.quat_label(lb.quat_mul(lb.label_quat(q), lb.label_quat(r_img)))
-            if lb.base_unit(m[t]) != want:
-                raise StructuralError(f"{s.name} breaks unit-class equivariance at {t}")
-    return tuple(syms)

@@ -156,13 +156,6 @@ class Certificate:
     def orbit_serials(self) -> Tuple[str, ...]:
         return tuple(self.tables["orbit"])
 
-    @property
-    def verdict_rows(self) -> Tuple[dict, ...]:
-        """The verdict rows, by `verdict_row`, built on each read."""
-        outcomes = iter(self.outcomes)
-        return tuple(verdict_row(p, *next(outcomes)) if p.witness is None else
-                     verdict_row(p, "Regular") for p in self.S.plan)
-
     def summary_line(self) -> str:
         """The claim, naming the verdicts that `verdict_allowed` admits."""
         tag = TAGS.get(self.subject, "generic").upper()

@@ -17,12 +17,6 @@ from .kernel import MoveSystem, State, face_masks, facet_mask
 from .polytopes import FaceHandle, Polytope, RankedGraph, dual_mask
 
 
-def act(s: State, m: MoveSystem, facet_id: str) -> State:
-    """Flip the status of every facet in the block containing `facet_id`."""
-    block = m.block(facet_id)
-    return State(s.universe, s.in_facets ^ block)
-
-
 def split_state(P: Polytope, dual: int, inn: int) -> State:
     """The state on the facets of rank mask `dual` whose In facets are `inn`."""
     G = P.ranked_graph()

@@ -1,15 +1,23 @@
-"""Reference implementations that only tests use: literal constructions that
-the engine's fast paths are checked against, kept out of the package."""
+"""Reference implementations that only tests and demos use: literal
+constructions that the engine's fast paths are checked against, and every
+function that no command runs, kept out of the package.  A moved method is
+a function of its former instance here (`face(P, ids)` for `P.face(ids)`).
+The package cannot import this module, so no command can come to rely on
+one of them."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
+from morsecert import labels as lb
 from morsecert import schema
-from morsecert.complexes import SimplicialComplex, full_subcomplex, label_key
-from morsecert.errors import InputError
+from morsecert.complexes import (
+    CollapseOutcome, SimplicialComplex, full_subcomplex, label_key, replay_collapse, simplex_key,
+)
+from morsecert.errors import InputError, InternalError, StructuralError
 from morsecert.kernel import (
     CubeLift,
     LiftValue,
@@ -19,16 +27,186 @@ from morsecert.kernel import (
     face_masks,
     face_parts,
     face_table,
+    is_compatible,
 )
-from morsecert.links import build_cube_model
-from morsecert.labels import BASE_POINT_LABELS, UNIT_LABELS, label_signs
+from morsecert.labels import (
+    _LABELS, BASE_POINT_LABELS, UNIT_LABELS, Quat, label_quat, label_signs,
+)
 from morsecert.polytopes import (
-    FaceHandle, Polytope, RankedGraph, build_cusp_section, dual_complex,
+    FaceHandle, Polytope, RankedGraph, build_cusp_section, build_p6, dual_complex,
 )
+from morsecert.report import Certificate, verdict_row
 from morsecert.states import cone_apex, inherited_state
 
 
 # -- complexes -----------------------------------------------------------------
+
+
+def dim(K: SimplicialComplex) -> int:
+    """Dimension; -1 for the empty complex."""
+    if not K.maximal_faces:
+        return -1
+    return max(len(f) for f in K.maximal_faces) - 1
+
+
+def faces_of_dim(K: SimplicialComplex, d: int) -> list:
+    return sorted((s for s in K.simplices() if len(s) == d + 1), key=simplex_key)
+
+
+def star_vertex_apexes(K: SimplicialComplex) -> list:
+    """Vertices contained in every maximal face (cone apexes)."""
+    if K.is_empty:
+        return []
+    common = set(K.maximal_faces[0])
+    for f in K.maximal_faces[1:]:
+        common &= f
+        if not common:
+            break
+    return sorted(common, key=label_key)
+
+
+def from_maximal_faces(candidate_faces: Iterable[Iterable]) -> SimplicialComplex:
+    """Downward closure of the given faces; redundant faces are absorbed."""
+    return SimplicialComplex([frozenset(f) for f in candidate_faces])
+
+
+def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
+    """Join of two complexes; labels are wrapped on collision."""
+    if K.is_empty:
+        return L
+    if L.is_empty:
+        return K
+    if set(K.vertices) & set(L.vertices):
+        K = relabel(K, {v: (0, v) for v in K.vertices})
+        L = relabel(L, {v: (1, v) for v in L.vertices})
+    return SimplicialComplex(
+        [f | g for f in K.maximal_faces for g in L.maximal_faces], _trusted=True
+    )
+
+
+def cone(K: SimplicialComplex, apex="apex") -> SimplicialComplex:
+    if apex in K.vertices:
+        raise InputError(f"apex {apex!r} already a vertex")
+    return join(K, SimplicialComplex([frozenset([apex])]))
+
+
+def relabel(K: SimplicialComplex, mapping: Mapping) -> SimplicialComplex:
+    if len(set(mapping.values())) != len(K.vertices):
+        raise InputError("relabelling is not injective")
+    return SimplicialComplex(
+        [frozenset(mapping[v] for v in f) for f in K.maximal_faces], _trusted=True
+    )
+
+
+def replays(out: CollapseOutcome, K: SimplicialComplex,
+            target: Optional[SimplicialComplex] = None) -> bool:
+    """Whether the collapse search's outcome `out` replays from K."""
+    try:
+        core = replay_collapse(K, out.sequence)
+    except InputError:
+        return False
+    if core != out.core:
+        return False
+    if out.success:
+        if target is None:
+            return len(core.vertices) == 1 and dim(core) == 0
+        return core == target
+    return True
+
+
+def sequence_json(sequence: Iterable) -> list:
+    """Elementary collapse steps in report form: [face, coface] label lists,
+    each sorted (the labels of one complex share a type)."""
+    return [[sorted(f), sorted(c)] for f, c in sequence]
+
+
+def cone_collapse_pairs(K: SimplicialComplex, apex) -> list:
+    """Explicit collapse of a cone with the given apex down to that apex.
+
+    Pairs (s, s + apex) ordered by decreasing |s|; each face is free at its
+    step, so the sequence replays without search.
+    """
+    if apex not in K.vertices:
+        raise InputError(f"{apex!r} is not a vertex")
+    others = [s for s in K.simplices() if apex not in s]
+    for s in others:
+        if not K.has_face(s | {apex}):
+            raise InputError(f"{apex!r} is not a cone apex")
+    others.sort(key=lambda s: (-len(s),) + simplex_key(s))
+    return [(s, s | {apex}) for s in others]
+
+
+def star_collapse_pairs(K: SimplicialComplex, v, link_sequence: Iterable,
+                        link_terminal) -> list:
+    """Collapse K onto K minus the open star of v, given a collapse of link(v).
+
+    `link_sequence` must collapse the link of v in K to the single vertex
+    `link_terminal`; the returned pairs remove every face containing v.
+    """
+    pairs = [(frozenset(f) | {v}, frozenset(c) | {v}) for f, c in link_sequence]
+    pairs.append((frozenset([v]), frozenset([v, link_terminal])))
+    return pairs
+
+
+def vertex_link(K: SimplicialComplex, v) -> SimplicialComplex:
+    if v not in K.vertices:
+        raise InputError(f"{v!r} is not a vertex")
+    return SimplicialComplex(
+        [f - {v} for f in K.maximal_faces if v in f and len(f) > 1]
+    )
+
+
+def remove_open_star(K: SimplicialComplex, v) -> SimplicialComplex:
+    return SimplicialComplex(
+        [f for f in K.maximal_faces if v not in f]
+        + [f - {v} for f in K.maximal_faces if v in f and len(f) > 1]
+    )
+
+
+# ---------------------------------------------------------------------------
+# Cross-polytope recognition
+
+
+def is_crosspolytope_boundary(K: SimplicialComplex, k: int):
+    """Test whether K is the join of k copies of S^0; return (bool, pairing).
+
+    The boundary of the k-dimensional cross-polytope has 2k vertices split
+    into k antipodal pairs, and its faces are exactly the subsets of size <= k
+    using at most one vertex per pair.
+    """
+    if k < 1:
+        raise InputError("k must be >= 1")
+    if len(K.vertices) != 2 * k:
+        return False, None
+    verts = set(K.vertices)
+    edges = {frozenset(e) for e in K.simplices() if len(e) == 2}
+    pairing = []
+    paired = {}
+    for v in K.vertices:
+        non_nbrs = [w for w in verts if w != v and frozenset((v, w)) not in edges]
+        if len(non_nbrs) != 1:
+            return False, None
+        paired[v] = non_nbrs[0]
+    for v in K.vertices:
+        if paired[paired[v]] != v:
+            return False, None
+        if label_key(v) < label_key(paired[v]):
+            pairing.append((v, paired[v]))
+    if len(pairing) != k:
+        return False, None
+    transversals = set()
+
+    def build(i: int, acc: list):
+        if i == k:
+            transversals.add(frozenset(acc))
+            return
+        for choice in pairing[i]:
+            build(i + 1, acc + [choice])
+
+    build(0, [])
+    if set(K.maximal_faces) != transversals:
+        return False, None
+    return True, tuple(pairing)
 
 
 def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
@@ -71,6 +249,118 @@ def is_connected(K: SimplicialComplex) -> bool:
 
 
 # -- faces, states and links -----------------------------------------------------
+
+
+def face(P: Polytope, defining: Iterable[str]) -> FaceHandle:
+    ids = frozenset(defining)
+    unknown = ids - set(P.facet_ids)
+    if unknown:
+        raise InputError(f"unknown facets: {sorted(unknown)!r}")
+    for a in ids:
+        for b in ids:
+            if a < b and not P.adjacent(a, b):
+                raise InputError(
+                    f"defining facets must be pairwise adjacent: {a!r}, {b!r}"
+                )
+    return FaceHandle(ids)
+
+
+def out_facets(s: State) -> frozenset:
+    return frozenset(s.universe) - s.in_facets
+
+
+def act(s: State, m: MoveSystem, facet_id: str) -> State:
+    """Flip the status of every facet in the block containing `facet_id`."""
+    block = m.blocks[m.block_of(facet_id)]
+    return State(s.universe, s.in_facets ^ block)
+
+
+def verdict_rows(cert: Certificate) -> Tuple[dict, ...]:
+    """The verdict rows, by `verdict_row`, built on each call."""
+    outcomes = iter(cert.outcomes)
+    return tuple(verdict_row(p, *next(outcomes)) if p.witness is None else
+                 verdict_row(p, "Regular") for p in cert.S.plan)
+
+
+@dataclass(frozen=True)
+class CubeModel:
+    """Dual cube of a polytope face with its lifted-function data.
+
+    `defining` lists the defining facets in canonical order (one cube
+    coordinate each); vertex w of the cube is the copy reached by crossing
+    the facets indexed by the bits of w.
+    """
+
+    defining: Tuple[str, ...]
+    lift: CubeLift
+    base_status_out: Tuple[bool, ...]
+    polytope: Polytope = field(compare=False, repr=False)
+    moves: MoveSystem = field(compare=False, repr=False)
+    base_state: State = field(compare=False, repr=False)
+
+    @property
+    def k(self) -> int:
+        return self.lift.k
+
+
+def build_cube_model(P: Polytope, m: MoveSystem, s: State, F: FaceHandle) -> CubeModel:
+    """Vertex states by move-flipping, edge orientations from statuses, lift
+    values by integrating orientations and normalising the minimum to zero.
+
+    The lift is integrated in one increasing scan, each vertex w from w
+    minus its lowest bit, and then every edge is checked against its
+    orientation.  Requires a compatible state; an inconsistent edge
+    orientation cocycle is impossible for compatible states and raises
+    InternalError.
+    """
+    ok, witness = is_compatible(P, m, s)
+    if not ok:
+        raise InputError(f"state is not compatible: witness pair {witness!r}")
+    defining = tuple(sorted(F.defining))
+    k = len(defining)
+    blocks_by_move: Dict[int, list] = {}
+    for pos, fid in enumerate(defining):
+        blocks_by_move.setdefault(m.block_of(fid), []).append(pos)
+    blocks = tuple(
+        tuple(sorted(ps))
+        for _, ps in sorted(blocks_by_move.items(), key=lambda kv: min(kv[1]))
+    )
+    base_out = tuple(fid not in s.in_facets for fid in defining)
+    # the positions of each position's move: crossing any of them flips it
+    block_mask = [0] * k
+    for block in blocks:
+        for pos in block:
+            block_mask[pos] = sum(1 << p for p in block)
+
+    # The edge from w to w | 1 << pos (bit pos clear in w) points up iff the
+    # facet's status at w is Out, and the lift rises by 1 along it.  That
+    # status is base_out[pos] flipped once per crossing in w of pos's move;
+    # rise[status] is the lift's change along the edge.
+    rise = (-1, 1)
+    n = 1 << k
+    lift = [0] * n
+    for w in range(1, n):
+        low = w & -w
+        pos, v = low.bit_length() - 1, w ^ low
+        lift[w] = lift[v] + rise[base_out[pos] ^ (v & block_mask[pos]).bit_count() & 1]
+    for pos in range(k):
+        bit, flip, out = 1 << pos, block_mask[pos], base_out[pos]
+        for w in range(n):
+            if not w & bit and (lift[w | bit] - lift[w]
+                                != rise[out ^ (w & flip).bit_count() & 1]):
+                raise InternalError(
+                    "edge orientation cocycle violated for a compatible state"
+                )
+    lo = min(lift)
+    vertex_lift = tuple(x - lo for x in lift)
+    return CubeModel(
+        defining=defining,
+        lift=CubeLift(k, blocks, vertex_lift),
+        base_status_out=base_out,
+        polytope=P,
+        moves=m,
+        base_state=s,
+    )
 
 
 def cliques_recursive(P: Polytope, k: int):
@@ -156,7 +446,7 @@ def state_parts(P: Polytope, F: FaceHandle, s_on_f: State):
     D = dual_complex(P, F)
     if set(s_on_f.universe) != set(D.vertices):
         raise InputError("state universe does not match the dual complex vertices")
-    return full_subcomplex(D, s_on_f.out_facets), full_subcomplex(D, s_on_f.in_facets)
+    return full_subcomplex(D, out_facets(s_on_f)), full_subcomplex(D, s_on_f.in_facets)
 
 
 def vertex_state(model, w: int) -> State:
@@ -166,7 +456,7 @@ def vertex_state(model, w: int) -> State:
     in_set = set(s.in_facets)
     for j in range(model.k):
         if w >> j & 1:
-            in_set ^= model.moves.block(model.defining[j])
+            in_set ^= model.moves.blocks[model.moves.block_of(model.defining[j])]
     return State(s.universe, frozenset(in_set))
 
 
@@ -380,6 +670,98 @@ def fraction_base_unit(label: str) -> str:
             found.append(units[q])
     assert len(found) == 1, (label, found)
     return found[0]
+
+
+# -- the paper's labels and its symmetry group -------------------------------------
+
+
+def quat_label(q: Quat) -> str:
+    try:
+        return _LABELS[tuple(q)]
+    except KeyError:
+        raise InputError(f"quaternion {q!r} is not a T24 element") from None
+
+
+def iota_label(label: str) -> str:
+    """The involution (x1,x2,x3,x4) -> (x1,-x2,-x4,-x3) on labels; swaps B and C."""
+    if label == "A":
+        return "A"
+    if label == "B":
+        return "C"
+    if label == "C":
+        return "B"
+    x1, x2, x3, x4 = label_quat(label)
+    return quat_label((x1, -x2, -x4, -x3))
+
+
+@dataclass(frozen=True)
+class FacetSymmetry:
+    name: str
+    mapping: Tuple[Tuple[str, str], ...]
+
+    def as_dict(self) -> Dict[str, str]:
+        return dict(self.mapping)
+
+
+def symmetries_p6(P: Optional[Polytope] = None) -> Tuple[FacetSymmetry, ...]:
+    """The 16 facet permutations: unit left multiplications and the involution.
+
+    Each is validated to preserve adjacency, to preserve the move partition
+    (unit-class preimages and {A, B, C}), and to commute with the unit-class
+    map.  Any failure aborts.
+    """
+    if P is None:
+        P = build_p6()
+
+    def phi(q: str, use_iota: bool):
+        out = {}
+        for t in lb.T24_LABELS:
+            u = iota_label(t) if use_iota else t
+            out[t] = quat_label(lb.quat_mul(lb.label_quat(q), lb.label_quat(u)))
+        out["A"] = "A"
+        out["B"], out["C"] = ("C", "B") if use_iota else ("B", "C")
+        return out
+
+    syms = []
+    for use_iota in (False, True):
+        for q in lb.UNIT_LABELS:
+            name = f"mult:{q}" + ("*iota" if use_iota else "")
+            mapping = phi(q, use_iota)
+            syms.append(
+                FacetSymmetry(name, tuple(sorted(mapping.items(), key=lambda kv: kv[0])))
+            )
+    if len({s.mapping for s in syms}) != 16:
+        raise StructuralError("symmetry group does not have 16 distinct elements")
+    for s in syms:
+        m = s.as_dict()
+        if sorted(m.values()) != sorted(P.facet_ids):
+            raise StructuralError(f"{s.name} is not a permutation")
+        for pair in P.adjacency_pairs:
+            a, b = sorted(pair)
+            if not P.adjacent(m[a], m[b]):
+                raise StructuralError(f"{s.name} does not preserve adjacency")
+        # move partition: unit-class pairs {q, -q} and the ABC block
+        def block_tag(fid: str) -> str:
+            if fid in ("A", "B", "C"):
+                return "ABC"
+            return lb.base_unit(fid).lstrip("-")
+
+        blocks = {}
+        for t in lb.T24_LABELS + lb.SPECIAL_LABELS:
+            blocks.setdefault(block_tag(t), set()).add(t)
+        image_blocks = {frozenset(m[t] for t in blk) for blk in blocks.values()}
+        if image_blocks != {frozenset(b) for b in blocks.values()}:
+            raise StructuralError(f"{s.name} does not preserve the move partition")
+        # equivariance of the unit-class map
+        use_iota = s.name.endswith("*iota")
+        q = s.name.split(":")[1].split("*")[0]
+        for t in lb.T24_LABELS:
+            r = lb.base_unit(t)
+            r_img = iota_label(r) if use_iota else r
+            want = quat_label(lb.quat_mul(lb.label_quat(q), lb.label_quat(r_img)))
+            if lb.base_unit(m[t]) != want:
+                raise StructuralError(f"{s.name} breaks unit-class equivariance at {t}")
+    return tuple(syms)
 
 
 # -- cube lifts ----------------------------------------------------------------

@@ -10,15 +10,7 @@ import json
 import time
 
 from morsecert.certify import certify_generic
-from morsecert.complexes import (
-    cone_collapse_pairs,
-    full_subcomplex,
-    remove_open_star,
-    replay_collapse,
-    star_collapse_pairs,
-    vertex_link,
-)
-from morsecert.links import build_cube_model
+from morsecert.complexes import full_subcomplex, replay_collapse
 from morsecert.polytopes import FaceHandle, dual_complex, enumerate_faces
 from morsecert.report import (
     certificate_to_document, document_to_json, emit_report, euler_identity,
@@ -26,7 +18,18 @@ from morsecert.report import (
 from morsecert.states import cone_apex, inherited_state
 from morsecert.verify import verify_document
 
-from oracles import coface_membership_oracle, monochromatic_factor_mins
+from oracles import (
+    build_cube_model,
+    coface_membership_oracle,
+    cone_collapse_pairs,
+    monochromatic_factor_mins,
+    out_facets,
+    remove_open_star,
+    star_collapse_pairs,
+    star_vertex_apexes,
+    verdict_rows,
+    vertex_link,
+)
 from test_certify import p6_input_documents
 
 REFERENCE_OUT_12 = frozenset({
@@ -42,15 +45,15 @@ def test_criterion_1_p6_perfect_morse(cert_p6):
     t0 = time.perf_counter()
     assert cert_p6.passed, cert_p6.failures
     assert len(cert_p6.orbit_serials) == 32
-    verdicts = {r["verdict"] for r in cert_p6.verdict_rows}
+    verdicts = {r["verdict"] for r in verdict_rows(cert_p6)}
     assert verdicts == {"Regular", "Critical(3)"}
-    assert not any(r["verdict"] == "Unknown" for r in cert_p6.verdict_rows)
+    assert not any(r["verdict"] == "Unknown" for r in verdict_rows(cert_p6))
     # full coverage: 2764 faces (including the 72 vertices) x 32 states
-    faces = {tuple(r["face"]) for r in cert_p6.verdict_rows}
+    faces = {tuple(r["face"]) for r in verdict_rows(cert_p6)}
     assert len(faces) == 2764
     assert len([f for f in faces if len(f) == 6]) == 72
     per_face = {}
-    for r in cert_p6.verdict_rows:
+    for r in verdict_rows(cert_p6):
         per_face.setdefault(tuple(r["face"]), []).extend(r["states"])
     assert all(sorted(v) == list(range(32)) for v in per_face.values())
     # a good row carries its face, verdict and states alone, its witness
@@ -58,7 +61,7 @@ def test_criterion_1_p6_perfect_morse(cert_p6):
     # replayable evidence and carries nothing else: a critical row the
     # shared item of its ℓ, a Regular row a legality item
     good = 0
-    for r in cert_p6.verdict_rows:
+    for r in verdict_rows(cert_p6):
         if r.keys() == {"face", "verdict", "states"}:
             assert r["verdict"] == "Regular" and r["states"] == list(range(32))
             good += 1
@@ -78,7 +81,7 @@ def test_criterion_2_p5_fibration(cert_p5):
     """Zero Critical verdicts across the full 16-state orbit."""
     assert cert_p5.passed, cert_p5.failures
     assert len(cert_p5.orbit_serials) == 16
-    assert all(r["verdict"] == "Regular" for r in cert_p5.verdict_rows)
+    assert all(r["verdict"] == "Regular" for r in verdict_rows(cert_p5))
     runtime = cert_p5.timings["total"]
     assert runtime < 60, f"pipeline took {runtime:.0f}s, budget 60s"
     print(f"\nPASS criterion 2: P5 fibration certified ({runtime:.1f}s)")
@@ -129,7 +132,7 @@ def test_criterion_5_oracle_equivalence(P6, M6, BAL6):
                         fast_asc = not all(monochromatic_factor_mins(lift, fid))
                         assert oracle_asc == fast_asc, (F, fid)
                         n_faces_checked += 1
-                out = inherited_state(P6, M6, s, F).out_facets
+                out = out_facets(inherited_state(P6, M6, s, F))
                 for g in D.vertices:
                     F2 = FaceHandle(F.defining | {g})
                     want_asc = g in out
@@ -201,7 +204,7 @@ def test_criterion_9_explicit_collapse_order(P6, BAL6):
     K = sigma_15
     for v, apex in (("A", "1-i+j+k"), ("B", "1+i+j+k"), ("C", "j")):
         link = vertex_link(K, v)
-        assert apex in link.star_vertex_apexes(), (v, apex)
+        assert apex in star_vertex_apexes(link), (v, apex)
         sequence += star_collapse_pairs(K, v, cone_collapse_pairs(link, apex), apex)
         K = remove_open_star(K, v)
     assert replay_collapse(sigma_15, sequence) == sigma_12
@@ -211,12 +214,12 @@ def test_criterion_9_explicit_collapse_order(P6, BAL6):
     assert set(link.vertices) == {
         "j", "1-i+j-k", "-1-i+j+k", "1+i+j-k", "-1+i+j+k", "1-i+j+k"
     }
-    assert "j" in link.star_vertex_apexes()
+    assert "j" in star_vertex_apexes(link)
     sequence2 += star_collapse_pairs(
         sigma_12, "-1-i+j-k", cone_collapse_pairs(link, "j"), "j"
     )
     K = remove_open_star(sigma_12, "-1-i+j-k")
-    assert "1+i+j+k" in K.star_vertex_apexes()
+    assert "1+i+j+k" in star_vertex_apexes(K)
     sequence2 += cone_collapse_pairs(K, "1+i+j+k")
     core = replay_collapse(sigma_12, sequence2)
     assert core.vertices == ("1+i+j+k",)

@@ -12,9 +12,7 @@ from morsecert.labels import (
     UNIT_LABELS,
     base_unit,
     euclid4,
-    iota_label,
     label_quat,
-    quat_label,
     quat_mul,
     t24_adjacent,
 )
@@ -34,7 +32,9 @@ from oracles import (
     fraction_mul,
     fraction_quat,
     good_witness,
+    iota_label,
     mask_ids,
+    quat_label,
 )
 
 

@@ -40,7 +40,7 @@ from morsecert.schema import MOVES, POLYTOPE, STATE
 from morsecert.states import inherited_state
 from morsecert.verify import verify_document
 
-from oracles import state_parts
+from oracles import state_parts, verdict_rows
 
 
 def p6_input_documents():
@@ -99,7 +99,7 @@ def test_euler_identity_p5(S5):
 def test_euler_identity_sparse_square():
     pol, moves, state = square_inputs()
     P = polytope_from_doc(pol)
-    m = moves_from_doc(moves, P)
+    m = moves_from_doc(moves)
     rec = euler_identity(generic_subject(P, m, state_from_doc(state, P)))
     assert rec.chi_per_copy == 0 and rec.critical_count == 0 and rec.passed
 
@@ -111,7 +111,7 @@ def test_certify_p5_properties(cert_p5):
     assert cert_p5.passed
     assert cert_p5.subject == "P5_fibration"
     assert len(cert_p5.orbit_serials) == 16
-    assert all(r["verdict"] == "Regular" for r in cert_p5.verdict_rows)
+    assert all(r["verdict"] == "Regular" for r in verdict_rows(cert_p5))
     assert len(cert_p5.cusp_rows) == 160
     assert all(r["ok"] and r["all_regular"] for r in cert_p5.cusp_rows)
 
@@ -120,9 +120,9 @@ def test_certify_p6_properties(cert_p6):
     assert cert_p6.passed
     assert cert_p6.subject == "P6_perfect_morse"
     assert len(cert_p6.orbit_serials) == 32
-    verdicts = {r["verdict"] for r in cert_p6.verdict_rows}
+    verdicts = {r["verdict"] for r in verdict_rows(cert_p6)}
     assert verdicts == {"Regular", "Critical(3)"}
-    crit = [r for r in cert_p6.verdict_rows if r["verdict"] == "Critical(3)"]
+    crit = [r for r in verdict_rows(cert_p6) if r["verdict"] == "Critical(3)"]
     assert len(crit) == 8
     assert all(len(r["states"]) == 32 for r in crit)
 
@@ -337,7 +337,7 @@ def test_report_json_roundtrip(cert_p5):
     back = json.loads(document_to_json(doc))
     assert back == {**doc, "verdicts": json.loads(doc["verdicts"])}
     witnesses = [p.witness for p in cert_p5.S.plan if p.witness is not None]
-    assert back["verdicts"] == {"rows": list(cert_p5.verdict_rows), "witness_moves": witnesses}
+    assert back["verdicts"] == {"rows": list(verdict_rows(cert_p5)), "witness_moves": witnesses}
 
 
 # -- verify ----------------------------------------------------------------------
@@ -1161,10 +1161,9 @@ def test_state_doc_validation():
 
 
 def test_moves_doc_partition_check():
-    pol, _, _ = square_inputs()
-    P = polytope_from_doc(pol)
-    with pytest.raises(InputError, match="partition"):
-        moves_from_doc([["a", "b"]], P)
+    pol, _, state = square_inputs()
+    with pytest.raises(InputError, match="move system does not partition the facet set"):
+        subject_from_inputs({"polytope": pol, "moves": [["a", "b"]], "state": state})
 
 
 def _p6_shape(which, path, value):
@@ -1471,7 +1470,8 @@ def test_a_parallel_out_of_range_starts_no_process(tmp_path, monkeypatch, capsys
 # (id, document, its replacement, message): a moves or state document of the
 # square that its schema admits and its reader refuses
 REFUSED_BY_A_READER = [
-    ("moves-not-a-partition", "moves", [["a", "c"]], "moves do not partition the facet set"),
+    ("moves-not-a-partition", "moves", [["a", "c"]],
+     "move system does not partition the facet set"),
     ("moves-empty-block", "moves", [["a", "c"], ["b", "d"], []], "move block 2 is empty"),
     ("moves-overlap", "moves", [["a", "c"], ["b", "c", "d"]], "move blocks are not disjoint"),
     ("state-missing-facet", "state", {"a": "I", "b": "I", "c": "O"},
@@ -1548,7 +1548,7 @@ def test_certify_generic_honest_failure(tmp_path):
     assert not cert.passed
     assert cert.euler.chi_per_copy == 0 and cert.euler.critical_count == 2
     assert any("identity" in f for f in cert.failures)
-    crit = [r for r in cert.verdict_rows if r["verdict"] == "Critical(1)"]
+    crit = [r for r in verdict_rows(cert) if r["verdict"] == "Critical(1)"]
     assert len(crit) == 2  # the two monochromatic vertices
     # a failing certificate is not verifiable
     ok, _ = verify_document(json.loads(emit_report(cert, "structured")))

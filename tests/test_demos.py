@@ -1,4 +1,6 @@
-"""Smoke test: the narrative demos run to completion."""
+"""Smoke test: the narrative demos run to completion, with `src/` and
+`tests/` on the path, as README says to run them: demos 01 to 04 use
+reference code from `tests/oracles.py`."""
 
 import os
 import subprocess
@@ -21,7 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
         env=env, capture_output=True, text=True, timeout=120,

@@ -17,15 +17,10 @@ from morsecert import complexes
 from morsecert.certify import certify_generic, certify_p5, certify_p6
 from morsecert.cli import main
 from morsecert.complexes import (
-    cone_collapse_pairs,
-    from_maximal_faces,
     full_subcomplex,
     order_complex,
     replay_collapse,
-    sequence_json,
-    star_collapse_pairs,
     try_collapse,
-    vertex_link,
 )
 from morsecert.errors import InputError
 from morsecert.io import builtin_subject, moves_from_doc, polytope_from_doc, state_from_doc
@@ -40,7 +35,6 @@ from morsecert.kernel import (
 )
 from morsecert.links import (
     CriticalLinkCertifier,
-    build_cube_model,
     canonical_pairs_transform,
     certify_boundary_cube,
     classify_link,
@@ -61,6 +55,16 @@ from morsecert.states import (
     split_legality,
 )
 from morsecert.verify import verify_document
+
+from oracles import (
+    build_cube_model,
+    cone_collapse_pairs,
+    from_maximal_faces,
+    sequence_json,
+    star_collapse_pairs,
+    verdict_rows,
+    vertex_link,
+)
 
 from test_certify import square_inputs
 
@@ -314,7 +318,7 @@ def test_fallback_for_a_part_that_does_not_dismantle():
     assert rec.in_sequence is None
     cert = _certify_inputs(*_stuck_inputs())
     assert not cert.passed
-    assert cert.verdict_rows[0] == {"face": [], "verdict": "Unknown", "states": [0]}
+    assert verdict_rows(cert)[0] == {"face": [], "verdict": "Unknown", "states": [0]}
     assert cert.failures[0].startswith("Unknown verdict at face () states [0]: bad face, "
                                        "not totally legal")
     ok, msgs = verify_document(_report(cert))
@@ -412,7 +416,9 @@ def test_verify_runs_no_finder(monkeypatch, cert_p6, cert_p5):
     """The verifier checks the certificates a report gives and finds none
     again: no dismantling order, cone apex, legality record, boundary cube,
     critical certificate, link classification, cube model, canonical
-    transform or collapse search."""
+    transform or collapse search.  `build_cube_model` is in
+    `tests/oracles.py`, which the package cannot import: for it the
+    guarantee is structural, and its rebinding here finds no name."""
     docs = [_report(cert) for cert in (cert_p6, cert_p5)]
     _forbid(monkeypatch, (dismantle, cone_apex, flag_certificate, split_legality,
                           certify_boundary_cube, classify_link, build_cube_model,
@@ -427,7 +433,9 @@ def test_verify_runs_no_finder(monkeypatch, cert_p6, cert_p5):
 def test_critical_rows_build_no_cube_model(monkeypatch):
     """By the all-pairs lemma a critical row is decided by its face alone:
     one p6 certify and two verifies of its report call neither
-    `build_cube_model` nor `canonical_pairs_transform`."""
+    `build_cube_model` nor `canonical_pairs_transform`.  The first is in
+    `tests/oracles.py`, which the package cannot import, so for it the
+    count holds by structure."""
     calls = [_count(monkeypatch, f) for f in (build_cube_model, canonical_pairs_transform)]
     cert = certify_p6()
     assert cert.passed, cert.failures
@@ -649,7 +657,7 @@ def test_certifier_falls_back_to_elementary_collapses(monkeypatch):
 
     pol, moves, state = _squares_inputs()
     P = polytope_from_doc(pol)
-    S = generic_subject(P, moves_from_doc(moves, P), state_from_doc(state, P))
+    S = generic_subject(P, moves_from_doc(moves), state_from_doc(state, P))
     F = next(F for F in S.table.bad if all_pairs_index(S, F) == 2)
     assert classify_link(S, F, certifier=CriticalLinkCertifier()).verdict == "Critical"
     orders = states.dismantle

@@ -37,7 +37,12 @@ from morsecert.states import (
     split_state,
 )
 from oracles import (
-    checked_of_state, good_witness, section_checked, section_cusp_table, section_plan,
+    checked_of_state,
+    good_witness,
+    out_facets,
+    section_checked,
+    section_cusp_table,
+    section_plan,
 )
 from test_certify import square_inputs
 
@@ -62,7 +67,7 @@ def _check_splits(P, m, states, faces_and_masks):
             inn = free & G.mask(f for f in s.in_facets if f in G.rank)
             out_ref, in_ref = _reference_split(P, m, s, F)
             inh = inherited_state(P, m, s, F)
-            assert set(G.labels(dual & ~inn)) == out_ref == inh.out_facets, F
+            assert set(G.labels(dual & ~inn)) == out_ref == out_facets(inh), F
             assert set(G.labels(inn)) == in_ref == inh.in_facets, F
             assert split_state(P, dual, inn).serial() == inh.serial(), F
             n += 1
@@ -180,7 +185,7 @@ def _square_with_cusp(state: str):
     pol, moves, _ = square_inputs()
     pol["ideal_vertices"] = [{"label": "x", "incident": ["a", "c"]}]
     P = polytope_from_doc(pol)
-    return generic_subject(P, moves_from_doc(moves, P),
+    return generic_subject(P, moves_from_doc(moves),
                            state_from_doc(dict(zip("abcd", state)), P))
 
 

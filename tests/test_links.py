@@ -5,7 +5,6 @@ import pytest
 
 from morsecert.complexes import (
     betti_mod2,
-    cone_collapse_pairs,
     full_subcomplex,
     order_complex,
     replay_collapse,
@@ -30,7 +29,6 @@ from morsecert.kernel import (
 )
 from morsecert.links import (
     CriticalLinkCertifier,
-    build_cube_model,
     canonical_pairs_transform,
     certify_boundary_cube,
     classify_link,
@@ -48,11 +46,17 @@ from morsecert.states import inherited_state
 
 from oracles import (
     barycentric_subdivision,
+    build_cube_model,
     checked_of_state,
     coface_links_fast,
     coface_membership_oracle,
+    cone_collapse_pairs,
+    dim,
+    face,
     is_good_face,
+    out_facets,
     section_cusp_table,
+    star_vertex_apexes,
     state_parts,
     top_value,
     vertex_state,
@@ -76,7 +80,7 @@ def test_lift_value_ordering():
 
 
 def test_monochromatic_square_model(P6, M6, BAL6):
-    F = P6.face({"1+i+j+k", "-1+i+j+k"})
+    F = face(P6, {"1+i+j+k", "-1+i+j+k"})
     out_state = find_state(BAL6, facet_out=("1+i+j+k",))
     model = build_cube_model(P6, M6, out_state, F)
     assert sorted(model.lift.vertex_lift) == [0, 0, 1, 1]
@@ -89,17 +93,17 @@ def test_monochromatic_square_model(P6, M6, BAL6):
 
 
 def test_coherent_square_model(P6, M6, BAL6):
-    F = P6.face({"1+i+j+k", "j"})  # two different moves
+    F = face(P6, {"1+i+j+k", "j"})  # two different moves
     model = build_cube_model(P6, M6, BAL6[0], F)
     assert sorted(model.lift.vertex_lift) == [0, 1, 1, 2]
 
 
 def test_vertex_state_flips_whole_block(P6, M6, BAL6):
-    F = P6.face({"1+i+j+k", "j"})
+    F = face(P6, {"1+i+j+k", "j"})
     model = build_cube_model(P6, M6, BAL6[0], F)
     s0, s1 = vertex_state(model, 0b00), vertex_state(model, 0b01)
     pos0_facet = model.defining[0]
-    assert s0.in_facets ^ s1.in_facets == M6.block(pos0_facet)
+    assert s0.in_facets ^ s1.in_facets == M6.blocks[M6.block_of(pos0_facet)]
     states = vertex_states(model)
     assert len(states) == 4 and states[0] == model.base_state
 
@@ -110,22 +114,22 @@ def test_incompatible_state_rejected(P6, M6, BAL6):
     s = BAL6[0]
     bad = State(s.universe, s.in_facets ^ frozenset({"-1+i+j+k"}))
     with pytest.raises(InputError):
-        build_cube_model(P6, M6, bad, P6.face({"1+i+j+k", "-1+i+j+k"}))
+        build_cube_model(P6, M6, bad, face(P6, {"1+i+j+k", "-1+i+j+k"}))
 
 
 def test_violated_cocycle_raises(monkeypatch, P6, M6, BAL6):
     """Past the compatibility check, a state whose two same-move defining
     facets differ makes the square's orientations inconsistent: every edge
     is checked, and the model is refused."""
-    import morsecert.links as links
+    import oracles
     from morsecert.errors import InternalError
     from morsecert.kernel import State
 
     s = BAL6[0]
     bad = State(s.universe, s.in_facets ^ frozenset({"-1+i+j+k"}))
-    monkeypatch.setattr(links, "is_compatible", lambda P, m, s: (True, None))
+    monkeypatch.setattr(oracles, "is_compatible", lambda P, m, s: (True, None))
     with pytest.raises(InternalError, match="cocycle"):
-        build_cube_model(P6, M6, bad, P6.face({"1+i+j+k", "-1+i+j+k"}))
+        build_cube_model(P6, M6, bad, face(P6, {"1+i+j+k", "-1+i+j+k"}))
 
 
 def test_sum_decomposition_exhaustive(P6, M6, BAL6):
@@ -148,12 +152,12 @@ def test_sum_decomposition_exhaustive(P6, M6, BAL6):
 
 
 def test_face_links_monochromatic_square(P6, M6, BAL6):
-    F = P6.face({"1+i+j+k", "-1+i+j+k"})
+    F = face(P6, {"1+i+j+k", "-1+i+j+k"})
     model = build_cube_model(P6, M6, BAL6[0], F)
-    asc, desc = face_links_oracle(model)
+    asc, desc = face_links_oracle(model.lift)
     # ascending: 2^{k-1} = 2 isolated points; descending: two arcs
-    assert len(asc.vertices) == 2 and asc.dim == 0
-    assert len(desc.vertices) == 6 and desc.dim == 1
+    assert len(asc.vertices) == 2 and dim(asc) == 0
+    assert len(desc.vertices) == 6 and dim(desc) == 1
     assert betti_mod2(desc, 1) == (2, 0)
 
 
@@ -161,8 +165,8 @@ def test_face_links_monochromatic_3cube(P6, M6, BAL6, S6):
     bad = S6.bad_faces
     F = bad[(3,)][0]
     model = build_cube_model(P6, M6, BAL6[0], F)
-    asc, desc = face_links_oracle(model)
-    assert len(asc.vertices) == 4 and asc.dim == 0  # 2^{k-1} points
+    asc, desc = face_links_oracle(model.lift)
+    assert len(asc.vertices) == 4 and dim(asc) == 0  # 2^{k-1} points
     # descending = sd of the boundary minus the open stars of those vertices,
     # a 2-sphere with 4 punctures
     assert len(desc.vertices) == 26 - 4
@@ -176,7 +180,7 @@ def test_face_links_all_pairs_6cube(P6, M6, BAL6, S6):
     bad = S6.bad_faces
     F = bad[(2, 2, 2)][0]
     model = build_cube_model(P6, M6, BAL6[0], F)
-    asc, desc = face_links_oracle(model)
+    asc, desc = face_links_oracle(model.lift)
     assert betti_mod2(asc, 2) == (1, 0, 1)
     assert betti_mod2(desc, 2) == (1, 0, 1)
 
@@ -215,7 +219,7 @@ def test_coface_links_fast_full_polytope(P6, M6, BAL6):
 
 
 def test_coface_links_codim4(P6, M6, BAL6):
-    F = P6.face({"1+i+j+k", "-1+i+j+k", "j", "-1-i+j+k"})
+    F = face(P6, {"1+i+j+k", "-1+i+j+k", "j", "-1-i+j+k"})
     s = BAL6[0]
     inh = inherited_state(P6, M6, s, F)
     segment = {"k", "1-i+j+k"}
@@ -225,7 +229,7 @@ def test_coface_links_codim4(P6, M6, BAL6):
     asc, desc = coface_links_fast(P6, M6, s, F)
     for link in (asc, desc):
         assert not link.is_empty
-        assert link.star_vertex_apexes()  # both links are cones
+        assert star_vertex_apexes(link)  # both links are cones
 
 
 def test_coface_links_codim6_empty(P6, M6, BAL6, S6):
@@ -245,7 +249,7 @@ def test_coface_membership_oracle_rules(P6, M6, BAL6):
         inh = inherited_state(P6, M6, s, F)
         g = rng.choice(list(D.vertices))
         F2 = FaceHandle(F.defining | {g})
-        want = g in inh.out_facets  # Out status means the cofacet ascends
+        want = g in out_facets(inh)  # Out status means the cofacet ascends
         assert coface_membership_oracle(P6, M6, s, F, F2) == want
 
 
@@ -330,7 +334,7 @@ def _lemma_transform(F, m, s):
     pair i, the pairs ordered by first sorted position, goes to coordinates
     2i and 2i + 1, and bit 2i of delta is set exactly when pair i is In."""
     defining = sorted(F.defining)
-    pairs = sorted({tuple(sorted(m.block(f) & F.defining)) for f in defining},
+    pairs = sorted({tuple(sorted(m.blocks[m.block_of(f)] & F.defining)) for f in defining},
                    key=lambda pair: defining.index(pair[0]))
     perm = [0] * len(defining)
     delta = 0
@@ -344,7 +348,8 @@ def _lemma_transform(F, m, s):
 def _check_lemma(S, s, F):
     ell = all_pairs_index(S, F)
     model = build_cube_model(S.P, S.m, s, F)
-    assert canonical_pairs_transform(model, synthetic_pairs_lift(ell)) == \
+    assert canonical_pairs_transform(model.lift, model.base_status_out,
+                                     synthetic_pairs_lift(ell)) == \
         _lemma_transform(F, S.m, s)
 
 
@@ -372,7 +377,7 @@ def test_all_pairs_lemma_on_the_clique_polytope(ell):
     F = FaceHandle(frozenset(ids))
     cases = 0
     for matching in _matchings(ids):
-        m = moves_from_doc([list(pair) for pair in matching], P)
+        m = moves_from_doc([list(pair) for pair in matching])
         S = generic_subject(P, m, State(tuple(ids), frozenset()))
         assert all_pairs_index(S, F) == ell
         for ins in product((False, True), repeat=ell):
@@ -405,7 +410,7 @@ def test_all_pairs_lemma_on_two_squares():
     of two squares, whose all-pairs vertices have ℓ = 2."""
     pol, moves, state = _squares_inputs()
     P = polytope_from_doc(pol)
-    S = generic_subject(P, moves_from_doc(moves, P), state_from_doc(state, P))
+    S = generic_subject(P, moves_from_doc(moves), state_from_doc(state, P))
     faces = [F for F in S.table.bad if all_pairs_index(S, F) == 2]
     assert faces
     for F in faces:
@@ -495,7 +500,7 @@ def test_certify_boundary_cube(P6, M6, BAL6, S6):
     for face, apexes in zip(bad, checked):
         F = FaceHandle(frozenset(face))
         for K, apex in zip(state_parts(H, F, inherited_state(H, mH, s, F)), apexes):
-            assert apex == K.star_vertex_apexes()[0]
+            assert apex == star_vertex_apexes(K)[0]
             assert replay_collapse(K, cone_collapse_pairs(K, apex)).vertices == (apex,)
 
 

@@ -61,6 +61,8 @@ from morsecert.report import (
 )
 from morsecert.verify import verify_document, verify_report_file
 
+from oracles import star_vertex_apexes
+
 from test_certify import apex_entries, cube_inputs
 
 NO_CLAIM = ("seeds", "timings")
@@ -180,7 +182,7 @@ def _apexes_are_cone_apexes(S, doc, path) -> bool:
     section polytope of cusp c, its bad face i and the first state whose In
     part selects pair j."""
     scope = tuple(path[2:5])
-    return all(apex in K.star_vertex_apexes()
+    return all(apex in star_vertex_apexes(K)
                for key, _, pair, parts in apex_entries(S, doc["cusps"]["apexes"])
                if key[:len(scope)] == scope
                for K, apex in zip(parts, pair))

@@ -12,7 +12,7 @@ from morsecert.certify import certify_generic
 from morsecert.errors import InputError
 from morsecert.report import certificate_to_document, document_to_json
 
-from oracles import schema_walk
+from oracles import schema_walk, verdict_rows
 from test_certify import cube_inputs, p6_input_documents
 from test_dismantling import _certify_inputs, _stuck_inputs
 from test_mutation_sweep import SWEEP_SEED, _mutants
@@ -44,7 +44,7 @@ def _reports(cert_p5, cert_p6):
     cube = certify_generic({"polytope": pol, "moves": moves, "state": state})
     stuck = _certify_inputs(*_stuck_inputs())
     assert not stuck.passed and {"face": [], "verdict": "Unknown", "states": [0]} in \
-        stuck.verdict_rows
+        verdict_rows(stuck)
     docs = [certificate_to_document(cert_p5, include_timings=True)]
     docs += [certificate_to_document(cert) for cert in (cert_p6, cube, stuck)]
     return [json.loads(document_to_json(doc)) for doc in docs]

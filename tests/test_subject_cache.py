@@ -33,6 +33,8 @@ from morsecert.report import (
 )
 from morsecert.verify import verify_document
 
+from oracles import verdict_rows
+
 from test_certify import cube_inputs
 from test_dismantling import _certify_inputs, _stuck_inputs
 from test_shipped_inputs import construction
@@ -361,7 +363,7 @@ def test_one_polytope_keeps_a_plan_per_orbit():
     states = [{f: "I" if f[1] == "0" else "O" for f in _CUBE_IDS},
               {f: "I" if f[0] == "x" or f[1] == "0" else "O" for f in _CUBE_IDS}]
     P = polytope_from_doc(_CUBE)
-    m = moves_from_doc(_CUBE_MOVES, P)
+    m = moves_from_doc(_CUBE_MOVES)
     subjects = [generic_subject(P, m, state_from_doc(state, P)) for state in states]
     kept = [_cube_report(S, state) for S, state in zip(subjects, states)]
     for state, got in zip(states, kept):
@@ -379,11 +381,11 @@ def test_one_polytope_keeps_a_plan_per_orbit():
 
 def _dict_document(cert, include_timings: bool) -> dict:
     """The report as a dict document, its verdicts the rows that
-    `verdict_row` makes (`Certificate.verdict_rows`) and the plan's good
+    `verdict_row` makes (`oracles.verdict_rows`) and the plan's good
     witnesses."""
     witnesses = [p.witness for p in cert.S.plan if p.witness is not None]
     return {**certificate_to_document(cert, include_timings=include_timings),
-            "verdicts": {"rows": list(cert.verdict_rows), "witness_moves": witnesses}}
+            "verdicts": {"rows": list(verdict_rows(cert)), "witness_moves": witnesses}}
 
 
 # The cube's facet ids, renamed to ids that JSON must escape: a quote, a
@@ -406,7 +408,7 @@ def test_the_structured_report_is_json_dumps_of_the_rows(cert_p5, cert_p6):
     document with the writer's settings, and its verdicts section parses to
     the rows `verdict_row` makes."""
     stuck, escaped = _certify_inputs(*_stuck_inputs()), _certify_inputs(*_escaped_cube())
-    assert not stuck.passed and "Unknown" in {r["verdict"] for r in stuck.verdict_rows}
+    assert not stuck.passed and "Unknown" in {r["verdict"] for r in verdict_rows(stuck)}
     cases = [(cert_p5, False), (cert_p5, True), (cert_p6, False), (cert_p6, True),
              (_certify_inputs(*cube_inputs()), False), (stuck, False), (escaped, False)]
     for cert, timings in cases:
@@ -416,7 +418,7 @@ def test_the_structured_report_is_json_dumps_of_the_rows(cert_p5, cert_p6):
         section = certificate_to_document(cert, include_timings=timings)["verdicts"]
         assert json.loads(section) == want["verdicts"]
     assert escaped.passed and any(r["verdict"] == "Regular" and "evidence" in r
-                                  for r in escaped.verdict_rows)
+                                  for r in verdict_rows(escaped))
     text = emit_report(escaped, "structured")
     for written in ('"x\\"0"', '"x\\\\1"', '"y\\u00e90"', '"y/1"', '"z\\u00070"'):
         assert written in text

@@ -103,9 +103,9 @@ def _functions() -> dict:
     return names
 
 
-def _trace(paths) -> tuple:
-    """The exit codes of `morsecert verify` of each path, and the functions
-    of the package that the runs called, from cleared caches."""
+def _trace(runs) -> tuple:
+    """The exit codes of `morsecert` run on each argument list of `runs`, and
+    the functions of the package that the runs called, from cleared caches."""
     build_parser()  # kept per process: built here so the trace holds no parser
     builtin_inputs.cache_clear()
     builtin_subject.cache_clear()
@@ -118,15 +118,16 @@ def _trace(paths) -> tuple:
 
     sys.setprofile(profile)
     try:
-        codes = [main(["verify", str(path)]) for path in paths]
+        codes = [main(argv) for argv in runs]
     finally:
         sys.setprofile(None)
     return codes, ran
 
 
 def _reports(directory, cert_p5, cert_p6) -> list:
-    """Write the four reports that `verify` must accept; their paths.  The
-    generic one is written by `morsecert certify generic`, in perfect mode."""
+    """Write the four reports that `verify` must accept; the argument lists
+    of `morsecert verify` of each.  The generic one is written by `morsecert
+    certify generic`, in perfect mode."""
     paths = []
     for name, cert in (("p5", cert_p5), ("p6", cert_p6)):
         paths.append(directory / f"{name}.json")
@@ -140,7 +141,7 @@ def _reports(directory, cert_p5, cert_p6) -> list:
         raise AssertionError("certify generic of the 3-cube failed")
     paths += [directory / "cube.json", directory / "p5-dumps.json"]
     paths[-1].write_text(json.dumps(json.loads(paths[0].read_text())))
-    return paths
+    return [["verify", str(path)] for path in paths]
 
 
 def _figures() -> dict:
@@ -206,7 +207,7 @@ def test_verify_rejects_with_the_trusted_base(cert_p5, tmp_path, capsys):
         paths[-1].write_text(json.dumps(bad))
     paths.append(tmp_path / "_repeated_key.json")
     paths[-1].write_text(_repeated_key(json.dumps(doc)))
-    codes, ran = _trace(paths)
+    codes, ran = _trace([["verify", str(path)] for path in paths])
     assert codes == [2, 2, 2, 2]
     err = capsys.readouterr().err
     for where in ("verdicts.rows[3].face: expected", "verdicts.rows[0]: missing key states",
