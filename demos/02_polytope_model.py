@@ -1,20 +1,18 @@
 """The 27-facet right-angled 6-polytope from its integer normal vectors.
 
-Adjacency is zero Lorentzian product, cross-validated against the quaternion
-labelling rules at build time.  Faces are cliques of the adjacency graph;
-dual complexes of faces are the clique complexes on common neighbours.  The
-face helper, the complex queries and the symmetry group are the tests'
-reference code: run it with `PYTHONPATH=src:tests`.
+The paper's construction, which the tests keep (`tests/construction.py`),
+builds it: adjacency is zero Lorentzian product, cross-validated against
+the quaternion labelling rules as it builds.  The package ships what it
+builds as `data/p6.json` and `data/p5.json`, which every command reads.
+Faces are cliques of the adjacency graph; dual complexes of faces are the
+clique complexes on common neighbours.  The construction, the face helper,
+the complex queries and the symmetry group are the tests' reference code:
+run it with `PYTHONPATH=src:tests`.
 """
 
-from morsecert.polytopes import (
-    build_cusp_section,
-    build_p5,
-    build_p6,
-    dual_complex,
-    f_vector_check,
-)
+from morsecert.polytopes import build_cusp_section, dual_complex, f_vector_check
 
+from construction import build_p5, build_p6
 from oracles import face, faces_of_dim, is_crosspolytope_boundary, symmetries_p6
 
 P6 = build_p6()

@@ -1,13 +1,15 @@
 """Moves, balanced states, the orbit action, and legality certificates.
 
-The orbit action `act` is the tests' reference code: run it with
+The paper's construction of P6, its moves and its balanced states, and the
+orbit action `act` are the tests' reference code: run it with
 `PYTHONPATH=src:tests`."""
 
 from morsecert.io import builtin_subject
 from morsecert.kernel import is_compatible, orbit
-from morsecert.polytopes import FaceHandle, build_p6
-from morsecert.states import balanced_states_p6, inherited_state, legality, move_system_p6
+from morsecert.polytopes import FaceHandle
+from morsecert.states import inherited_state, legality
 
+from construction import balanced_states_p6, build_p6, move_system_p6
 from oracles import act
 
 P = build_p6()

@@ -5,16 +5,16 @@ monochromatic squares.  Its face links are 2-spheres; the engine certifies
 the index by shrinking both links onto subdivided cross-polytope cores with
 dismantling orders: each step deletes a poset element dominated, in the
 comparability graph, by a live one (a beat point), and no search is run.
-The cube model is the tests' reference code: run it with
-`PYTHONPATH=src:tests`.
+The paper's construction of P6 and the cube model are the tests' reference
+code: run it with `PYTHONPATH=src:tests`.
 """
 
 from morsecert.complexes import betti_mod2
 from morsecert.kernel import face_masks, generic_subject
 from morsecert.links import CriticalLinkCertifier, classify_link, face_links_oracle
-from morsecert.polytopes import build_p6
-from morsecert.states import balanced_states_p6, move_system_p6, split_legality
+from morsecert.states import split_legality
 
+from construction import balanced_states_p6, build_p6, move_system_p6
 from oracles import build_cube_model, face
 
 P = build_p6()

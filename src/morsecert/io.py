@@ -2,15 +2,17 @@
 path from them to a subject, `subject_from_inputs`, for every subject.
 
 Their shapes are `schema.POLYTOPE`, `schema.MOVES` and `schema.STATE`, which
-`load_document` parses a file against; the readers here build from the
-documents, and only `subject_from_inputs` calls them.  A
-polytope document lists at most `polytopes.MAX_FACETS` facets.  When
-every facet carries a 7-coordinate vector the adjacency is derived from
-zero Lorentzian products; an explicit adjacency list, if also present, must
-agree.  Without vectors the explicit list is required.  The moves are a
-partition of the facet ids into nonempty blocks, and the state maps every
-facet id to "I" or "O".  The built-in subjects' inputs are shipped, as
-`data/p6.json` and `data/p5.json`, and read under a pinned SHA-256.
+`load_document` parses a file against; the readers build from the
+documents, and only `subject_from_inputs` calls them.  The polytope's
+reader is `polytopes.polytope_from_doc`: a document lists at most
+`polytopes.MAX_FACETS` facets, and when every facet carries a 7-coordinate
+vector the adjacency is derived from zero Lorentzian products; an explicit
+adjacency list, if also present, must agree.  Without vectors the explicit
+list is required, and vectors on some facets but not all are refused.  The
+moves are a partition of the facet ids into nonempty blocks, and the state
+maps every facet id to "I" or "O".  The built-in subjects' inputs are
+shipped, as `data/p6.json` and `data/p5.json` (`polytopes.DATA`), and read
+under a pinned SHA-256.
 """
 
 from __future__ import annotations
@@ -24,14 +26,7 @@ from typing import Optional, Tuple
 
 from .errors import InputError, StructuralError
 from .kernel import IN, OUT, MoveSystem, State, Subject, generic_subject
-from .polytopes import (
-    MAX_FACETS,
-    Facet,
-    IdealVertex,
-    Polytope,
-    adjacency_from_lorentz,
-    f_vector_check,
-)
+from .polytopes import DATA, Polytope, f_vector_check, polytope_from_doc
 from .report import BUILTINS, _inputs_digest
 from .schema import parse
 
@@ -112,36 +107,8 @@ def read_object(text: str, key: str, read) -> Optional[dict]:
 
 
 # The readers take a document that its schema parsed: `load_document`'s,
-# or the report's for the inputs a generic report embeds.
-
-
-def polytope_from_doc(doc: dict) -> Polytope:
-    if len(doc["facets"]) > MAX_FACETS:
-        raise InputError(f"{len(doc['facets'])} facets, past the limit of {MAX_FACETS}")
-    if not 1 <= doc["dimension"] <= len(doc["facets"]):
-        raise InputError(f"dimension {doc['dimension']} must be a positive integer "
-                         f"at most the facet count, {len(doc['facets'])}")
-    facets = [Facet(e["id"], e.get("label", e["id"]),
-                    tuple(e["vector"]) if "vector" in e else None) for e in doc["facets"]]
-    adjacency = set(map(frozenset, doc["adjacency"])) if "adjacency" in doc else None
-    if all(f.vector is not None for f in facets):
-        derived = {frozenset((facets[i].id, facets[j].id))
-                   for i, j in adjacency_from_lorentz([f.vector for f in facets])}
-        if adjacency is not None and derived != adjacency:
-            only_d = sorted(map(sorted, derived - adjacency))
-            only_e = sorted(map(sorted, adjacency - derived))
-            raise InputError(
-                "explicit adjacency disagrees with Lorentzian vectors "
-                f"(vector-only: {only_d[:3]}, list-only: {only_e[:3]})"
-            )
-        adjacency = derived
-    elif adjacency is None:
-        raise InputError("polytope document needs vectors or an adjacency list")
-    ideal = [IdealVertex(f"cusp:{entry['label']}", entry["label"], frozenset(entry["incident"]))
-             for entry in doc.get("ideal_vertices", [])]
-    return Polytope(
-        doc["dimension"], facets, adjacency, ideal, name=doc.get("name", "generic")
-    )
+# or the report's for the inputs a generic report embeds; the polytope's
+# is `polytopes.polytope_from_doc`.
 
 
 def moves_from_doc(doc: list) -> MoveSystem:
@@ -219,11 +186,6 @@ def subject_from_inputs(inputs: dict) -> Subject:
     P = polytope_from_doc(inputs["polytope"])
     return generic_subject(P, moves_from_doc(inputs["moves"]),
                            state_from_doc(inputs["state"], P))
-
-
-# The shipped inputs of each built-in subject of `report.BUILTINS`,
-# `DATA`/<tag>.json, as `write_json` writes them.
-DATA = Path(__file__).parent / "data"
 
 
 @cache

@@ -58,12 +58,6 @@ class MoveSystem:
         except KeyError:
             raise InputError(f"facet {facet_id!r} not covered by any move") from None
 
-    def restrict(self, facet_ids: Iterable[str]) -> "MoveSystem":
-        """Induced move system on a subset of facets (empty blocks dropped)."""
-        keep = frozenset(facet_ids)
-        blocks = tuple(b & keep for b in self.blocks if b & keep)
-        return MoveSystem(blocks)
-
 
 @dataclass(frozen=True)
 class State:

@@ -1,22 +1,25 @@
-"""Right-angled polytope combinatorics: facets, adjacency, cliques, duals.
+"""Right-angled polytope combinatorics: facets, adjacency, cliques, duals,
+and the reader of a polytope document, `polytope_from_doc`.
 
-The 6-polytope with 27 facets is built from a hard-coded table of integer
-Lorentzian normal vectors and cross-validated against an independent labelling
-rule; any disagreement aborts, since transcription errors are the dominant
-risk.  Faces are realised as cliques of the facet adjacency graph, listed
-once per polytope by its clique census (the flag property is asserted by
-`f_vector_check`, not assumed silently).
+Faces are realised as cliques of the facet adjacency graph, listed once per
+polytope by its clique census (the flag property is asserted by
+`f_vector_check`, not assumed silently).  The paper's P6 and P5 are shipped
+documents under `DATA`, which every command reads through
+`io.builtin_subject`; their construction from integer Lorentzian normals,
+cross-validated against the quaternion labelling rules, is the tests'
+(`tests/construction.py`), which check the shipped files against it.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import islice
+from pathlib import Path
 from typing import (
     Dict, FrozenSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
 
-from . import labels as lb
 from .complexes import SimplicialComplex
 from .errors import InputError, StructuralError
 
@@ -27,59 +30,25 @@ from .errors import InputError, StructuralError
 MAX_FACETS = 256
 MAX_FACES = 50_000
 
-# One row per facet: (label, Lorentzian unit normal in 7 integer coordinates).
-TABLE_G6: Tuple[Tuple[str, Tuple[int, ...]], ...] = (
-    ("A", (0, 0, 0, 0, 0, -1, 0)),
-    ("1+i+j+k", (0, 0, 0, 0, -1, 0, 0)),
-    ("-1-i-j-k", (1, 1, 1, 1, 1, 0, 2)),
-    ("1+i-j-k", (1, 1, 0, 0, 0, 0, 1)),
-    ("1-i+j-k", (1, 0, 1, 0, 0, 0, 1)),
-    ("1-i-j+k", (1, 0, 0, 1, 0, 0, 1)),
-    ("1-i-j-k", (1, 0, 0, 0, 1, 0, 1)),
-    ("-1+i+j-k", (0, 1, 1, 0, 0, 0, 1)),
-    ("-1+i-j+k", (0, 1, 0, 1, 0, 0, 1)),
-    ("-1+i-j-k", (0, 1, 0, 0, 1, 0, 1)),
-    ("-1-i+j+k", (0, 0, 1, 1, 0, 0, 1)),
-    ("-1-i+j-k", (0, 0, 1, 0, 1, 0, 1)),
-    ("-1-i-j+k", (0, 0, 0, 1, 1, 0, 1)),
-    ("-1+i+j+k", (-1, 0, 0, 0, 0, 0, 0)),
-    ("1-i+j+k", (0, -1, 0, 0, 0, 0, 0)),
-    ("1+i-j+k", (0, 0, -1, 0, 0, 0, 0)),
-    ("1+i+j-k", (0, 0, 0, -1, 0, 0, 0)),
-    ("1", (1, 0, 0, 0, 0, 1, 1)),
-    ("-1", (0, 1, 1, 1, 1, 1, 2)),
-    ("i", (0, 1, 0, 0, 0, 1, 1)),
-    ("-i", (1, 0, 1, 1, 1, 1, 2)),
-    ("j", (0, 0, 1, 0, 0, 1, 1)),
-    ("-j", (1, 1, 0, 1, 1, 1, 2)),
-    ("k", (0, 0, 0, 1, 0, 1, 1)),
-    ("-k", (1, 1, 1, 0, 1, 1, 2)),
-    ("C", (0, 0, 0, 0, 1, 1, 1)),
-    ("B", (1, 1, 1, 1, 0, 1, 2)),
-)
-
 
 def lorentz_product(u: Sequence[int], v: Sequence[int]) -> int:
     """Signature (+,+,+,+,+,+,-) product, exact integer arithmetic."""
     return sum(a * b for a, b in zip(u[:-1], v[:-1])) - u[-1] * v[-1]
 
 
-def adjacency_from_lorentz(vectors: Sequence[Sequence[int]]):
-    """Pairs (i, j) with zero Lorentzian product; vectors must be unit."""
-    for row, v in enumerate(vectors):
+def adjacency_from_lorentz(facets: Sequence[Facet]) -> set:
+    """The pairs of facet ids whose vectors have zero Lorentzian product,
+    each vector first checked to be a unit vector of 7 coordinates: one
+    that is not is an InputError naming its facet."""
+    for f in facets:
+        v = f.vector
         if len(v) != 7:
-            raise InputError(f"row {row}: expected 7 coordinates, got {len(v)}")
+            raise InputError(f"facet {f.id!r}: expected 7 coordinates, got {len(v)}")
         if lorentz_product(v, v) != 1:
-            raise InputError(
-                f"row {row}: vector {tuple(v)!r} has self-product "
-                f"{lorentz_product(v, v)}, expected 1"
-            )
-    pairs = set()
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            if lorentz_product(vectors[i], vectors[j]) == 0:
-                pairs.add(frozenset((i, j)))
-    return pairs
+            raise InputError(f"facet {f.id!r}: vector {v!r} has self-product "
+                             f"{lorentz_product(v, v)}, expected 1")
+    return {frozenset((a.id, b.id)) for i, a in enumerate(facets) for b in facets[i + 1:]
+            if lorentz_product(a.vector, b.vector) == 0}
 
 
 @dataclass(frozen=True)
@@ -195,11 +164,6 @@ class Polytope:
         G = self._ranked
         i, j = G.rank.get(a), G.rank.get(b)
         return i is not None and j is not None and i != j and bool(G.N[i] >> j & 1)
-
-    def neighbors(self, a: str) -> Tuple[str, ...]:
-        """The facets adjacent to a, in sorted order."""
-        r = self._ranked.rank[a]
-        return self._ranked.labels(self._ranked.N[r] ^ 1 << r)
 
     def degree(self, a: str) -> int:
         return self._ranked.N[self._ranked.rank[a]].bit_count() - 1
@@ -359,110 +323,61 @@ def f_vector_check(
     return FVectorReport(counts, degrees)
 
 
-# ---------------------------------------------------------------------------
-# The 6-polytope with 27 facets
+# -- reading a polytope document -------------------------------------------------
 
 
-def _validate_p6(P: Polytope):
-    def rule(cond: bool, text: str):
-        if not cond:
-            raise StructuralError(f"labelling rule violated: {text}")
-
-    for a in ("A", "B", "C"):
-        for b in ("A", "B", "C"):
-            if a < b:
-                rule(not P.adjacent(a, b), f"{a} and {b} must be disjoint")
-    for a in lb.T24_LABELS:
-        for b in lb.T24_LABELS:
-            if a < b:
-                want = lb.t24_adjacent(a, b)
-                rule(
-                    P.adjacent(a, b) == want,
-                    f"{a}, {b}: vector adjacency {P.adjacent(a, b)} vs "
-                    f"4-product rule {want}",
-                )
-    rule(
-        set(P.neighbors("A")) == set(lb.SIGN_LABELS),
-        "A adjacent to exactly the sixteen sign-labelled facets",
-    )
-    for special, parity in (("B", 0), ("C", 1)):
-        want = set(lb.UNIT_LABELS) | {
-            t for t in lb.SIGN_LABELS if lb.minus_count(t) % 2 == parity
-        }
-        rule(
-            set(P.neighbors(special)) == want,
-            f"{special} adjacent to units and sign labels of parity {parity}",
-        )
-    for iv in P.ideal_vertices:
-        rule(len(iv.incident) == 10, f"ideal vertex {iv.id} has 10 incident facets")
-        opposed = iv.label
-        closed = {opposed} | set(P.neighbors(opposed))
-        rule(
-            iv.incident == frozenset(P.facet_ids) - closed,
-            f"ideal vertex {iv.id} incident exactly to non-neighbours of {opposed}",
-        )
-
-
-def build_p6() -> Polytope:
-    """The right-angled hyperbolic 6-polytope with 27 facets.
-
-    Facet normals are the hard-coded integer vectors; adjacency is zero
-    Lorentzian product, cross-validated against the quaternion labelling
-    rules.  One ideal vertex opposes each facet, incident to the 10 facets
-    neither equal nor adjacent to it.
-    """
-    labels_ = [row[0] for row in TABLE_G6]
-    vectors = [row[1] for row in TABLE_G6]
-    pairs_idx = adjacency_from_lorentz(vectors)
-    pairs = {
-        frozenset((labels_[i], labels_[j])) for i, j in map(sorted, pairs_idx)
-    }
-    facets = [Facet(lbl, lbl, vec) for lbl, vec in TABLE_G6]
-    ideal = [IdealVertex(f"cusp:{lbl}", lbl, frozenset(
-        x for x in labels_ if x != lbl and frozenset((lbl, x)) not in pairs)) for lbl in labels_]
-    P = Polytope(6, facets, pairs, ideal, name="P6")
-    _validate_p6(P)
-    return P
-
-
-def build_p5(p6: Optional[Polytope] = None) -> Polytope:
-    """The 5-polytope with 16 facets, realised as the neighbours of facet A.
-
-    Induced adjacency is cross-validated against the sign-vector model (even
-    sign patterns; adjacency iff the 4-dot product of labels is non-negative).
-    Ideal vertices carry unit and B/C labels; a facet is incident to an ideal
-    vertex iff the two labels are adjacent in the ambient 6-polytope.
-    """
-    if p6 is None:
-        p6 = build_p6()
-    ids = sorted(lb.SIGN_LABELS)
-    facets = [Facet(t, t, None) for t in ids]
-    pairs = set()
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            if p6.adjacent(a, b):
-                pairs.add(frozenset((a, b)))
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            induced = frozenset((a, b)) in pairs
-            model = lb.t24_adjacent(a, b)
-            if induced != model:
-                raise StructuralError(
-                    f"sign-vector cross-validation failed on ({a}, {b})"
-                )
-    ideal = []
-    for q in lb.UNIT_LABELS:
-        inc = frozenset(t for t in ids if lb.t24_adjacent(t, q))
-        ideal.append(IdealVertex(f"cusp:{q}", q, inc))
-    for special, parity in (("B", 0), ("C", 1)):
-        inc = frozenset(t for t in ids if lb.minus_count(t) % 2 == parity)
-        ideal.append(IdealVertex(f"cusp:{special}", special, inc))
-    for iv in ideal:
-        if len(iv.incident) != 8:
-            raise StructuralError(
-                f"ideal vertex {iv.id} of P5 has {len(iv.incident)} incident facets"
+def polytope_from_doc(doc: dict) -> Polytope:
+    """The polytope of a document that `schema.POLYTOPE` parsed.  Its
+    vectors, given for every facet or for none, make the adjacency, which
+    an explicit list, if also given, must equal; without them the list is
+    required."""
+    if len(doc["facets"]) > MAX_FACETS:
+        raise InputError(f"{len(doc['facets'])} facets, past the limit of {MAX_FACETS}")
+    if not 1 <= doc["dimension"] <= len(doc["facets"]):
+        raise InputError(f"dimension {doc['dimension']} must be a positive integer "
+                         f"at most the facet count, {len(doc['facets'])}")
+    facets = [Facet(e["id"], e.get("label", e["id"]),
+                    tuple(e["vector"]) if "vector" in e else None) for e in doc["facets"]]
+    adjacency = set(map(frozenset, doc["adjacency"])) if "adjacency" in doc else None
+    bare = next((f.id for f in facets if f.vector is None), None)
+    if bare is None:
+        derived = adjacency_from_lorentz(facets)
+        if adjacency is not None and derived != adjacency:
+            only_d = sorted(map(sorted, derived - adjacency))
+            only_e = sorted(map(sorted, adjacency - derived))
+            raise InputError(
+                "explicit adjacency disagrees with Lorentzian vectors "
+                f"(vector-only: {only_d[:3]}, list-only: {only_e[:3]})"
             )
-    return Polytope(5, facets, pairs, ideal, name="P5")
+        adjacency = derived
+    elif any(f.vector is not None for f in facets):
+        raise InputError(f"facet {bare!r} has no vector: vectors must be given "
+                         "for every facet or for none")
+    elif adjacency is None:
+        raise InputError("polytope document needs vectors or an adjacency list")
+    ideal = [IdealVertex(f"cusp:{entry['label']}", entry["label"], frozenset(entry["incident"]))
+             for entry in doc.get("ideal_vertices", [])]
+    return Polytope(
+        doc["dimension"], facets, adjacency, ideal, name=doc.get("name", "generic")
+    )
+
+
+# The shipped inputs of each built-in subject of `report.BUILTINS`,
+# `DATA`/<tag>.json, as `io.write_json` writes them; every command reads
+# them through `io.builtin_inputs`, which checks their pinned SHA-256.
+DATA = Path(__file__).parent / "data"
+
+
+# kept for perfbench, which times them by name; they read the shipped file
+# afresh, unpinned, as no command does
+def build_p6() -> Polytope:
+    """P6, the right-angled hyperbolic 6-polytope with 27 facets."""
+    return polytope_from_doc(json.loads((DATA / "p6.json").read_bytes())["polytope"])
+
+
+def build_p5() -> Polytope:
+    """P5, the facet of P6 with 16 facets."""
+    return polytope_from_doc(json.loads((DATA / "p5.json").read_bytes())["polytope"])
 
 
 def cusp_incidence(P: Polytope, cusp_id: str) -> int:

@@ -2,10 +2,12 @@ import pytest
 
 from morsecert.certify import certify_p5, certify_p6
 from morsecert.io import builtin_subject
-from morsecert.polytopes import build_p5, build_p6
-from morsecert.states import (
+
+from construction import (
     balanced_states_p5,
     balanced_states_p6,
+    build_p5,
+    build_p6,
     move_system_p5,
     move_system_p6,
 )

@@ -3,7 +3,8 @@ constructions that the engine's fast paths are checked against, and every
 function that no command runs, kept out of the package.  A moved method is
 a function of its former instance here (`face(P, ids)` for `P.face(ids)`).
 The package cannot import this module, so no command can come to rely on
-one of them."""
+one of them.  The paper's construction of P6 and P5, on which the symmetry
+group is checked, is `construction.py`."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from morsecert import labels as lb
 from morsecert import schema
 from morsecert.complexes import (
     CollapseOutcome, SimplicialComplex, full_subcomplex, label_key, replay_collapse, simplex_key,
@@ -29,14 +29,16 @@ from morsecert.kernel import (
     face_table,
     is_compatible,
 )
-from morsecert.labels import (
-    _LABELS, BASE_POINT_LABELS, UNIT_LABELS, Quat, label_quat, label_signs,
-)
 from morsecert.polytopes import (
-    FaceHandle, Polytope, RankedGraph, build_cusp_section, build_p6, dual_complex,
+    FaceHandle, Polytope, RankedGraph, build_cusp_section, dual_complex,
 )
 from morsecert.report import Certificate, verdict_row
 from morsecert.states import cone_apex, inherited_state
+
+from construction import (
+    _LABELS, BASE_POINT_LABELS, SPECIAL_LABELS, T24_LABELS, UNIT_LABELS, Quat, base_unit,
+    build_p6, label_quat, label_signs, quat_mul, restrict,
+)
 
 
 # -- complexes -----------------------------------------------------------------
@@ -500,7 +502,7 @@ def section_cusp_table(P: Polytope, m: MoveSystem, cusp_id: str):
     faces, each bad face's sorted ids mapped to its `face_masks` on H), the
     bad faces in H's canonical order under the moves restricted to H."""
     H = build_cusp_section(P, cusp_id)
-    mH = m.restrict(H.facet_ids)
+    mH = restrict(m, H.facet_ids)
     table = face_table(H, mH)
     return H, len(table.masks), {F.sorted_ids(): face_masks(H, mH, F) for F in table.bad}
 
@@ -524,7 +526,7 @@ def section_plan(P: Polytope, m: MoveSystem, cusp_id: str, states) -> tuple:
     different status."""
     H, _, bad = section_cusp_table(P, m, cusp_id)
     G = H.ranked_graph()
-    pairs = [b for b in m.restrict(H.facet_ids).blocks
+    pairs = [b for b in restrict(m, H.facet_ids).blocks
              if len(b) == 2 and not H.adjacent(*b)]
     held = [any(len(b & s.in_facets) == 1 for b in pairs) for s in states]
     s_ins = [G.mask(f for f in s.in_facets if f in G.rank)
@@ -715,16 +717,16 @@ def symmetries_p6(P: Optional[Polytope] = None) -> Tuple[FacetSymmetry, ...]:
 
     def phi(q: str, use_iota: bool):
         out = {}
-        for t in lb.T24_LABELS:
+        for t in T24_LABELS:
             u = iota_label(t) if use_iota else t
-            out[t] = quat_label(lb.quat_mul(lb.label_quat(q), lb.label_quat(u)))
+            out[t] = quat_label(quat_mul(label_quat(q), label_quat(u)))
         out["A"] = "A"
         out["B"], out["C"] = ("C", "B") if use_iota else ("B", "C")
         return out
 
     syms = []
     for use_iota in (False, True):
-        for q in lb.UNIT_LABELS:
+        for q in UNIT_LABELS:
             name = f"mult:{q}" + ("*iota" if use_iota else "")
             mapping = phi(q, use_iota)
             syms.append(
@@ -744,10 +746,10 @@ def symmetries_p6(P: Optional[Polytope] = None) -> Tuple[FacetSymmetry, ...]:
         def block_tag(fid: str) -> str:
             if fid in ("A", "B", "C"):
                 return "ABC"
-            return lb.base_unit(fid).lstrip("-")
+            return base_unit(fid).lstrip("-")
 
         blocks = {}
-        for t in lb.T24_LABELS + lb.SPECIAL_LABELS:
+        for t in T24_LABELS + SPECIAL_LABELS:
             blocks.setdefault(block_tag(t), set()).add(t)
         image_blocks = {frozenset(m[t] for t in blk) for blk in blocks.values()}
         if image_blocks != {frozenset(b) for b in blocks.values()}:
@@ -755,11 +757,11 @@ def symmetries_p6(P: Optional[Polytope] = None) -> Tuple[FacetSymmetry, ...]:
         # equivariance of the unit-class map
         use_iota = s.name.endswith("*iota")
         q = s.name.split(":")[1].split("*")[0]
-        for t in lb.T24_LABELS:
-            r = lb.base_unit(t)
+        for t in T24_LABELS:
+            r = base_unit(t)
             r_img = iota_label(r) if use_iota else r
-            want = quat_label(lb.quat_mul(lb.label_quat(q), lb.label_quat(r_img)))
-            if lb.base_unit(m[t]) != want:
+            want = quat_label(quat_mul(label_quat(q), label_quat(r_img)))
+            if base_unit(m[t]) != want:
                 raise StructuralError(f"{s.name} breaks unit-class equivariance at {t}")
     return tuple(syms)
 

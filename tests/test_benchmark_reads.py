@@ -10,18 +10,28 @@ perfbench imports morsecert names and wraps the ones `spans.TRACED`
 lists, each in the module where it resolves.  A static check, on the
 sources of `perfbench/*.py` and on `TRACED`, finds each such name where
 perfbench looks for it, so a name moved out of a module fails here, naming
-the perfbench file and line, before any benchmark child process runs."""
+the perfbench file and line, before any benchmark child process runs.  The
+six names that its `child.py ready` builds P6 and P5 with read the shipped
+documents; they must give the subject every command builds, and `ready`
+must run."""
 
 import ast
 import importlib
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from morsecert.cli import main
+from morsecert.io import builtin_subject
+from morsecert.polytopes import build_p5, build_p6
 from morsecert.report import emit_report
+from morsecert.states import (
+    balanced_states_p5, balanced_states_p6, move_system_p5, move_system_p6,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -98,3 +108,25 @@ def test_every_name_perfbench_uses_resolves():
                 for line, (_, modname, attr, _, _) in zip(lines, traced)
                 if not _resolves(modname, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("tag", ["p6", "p5"])
+def test_the_names_ready_calls_give_the_shipped_subject(tag):
+    """`build_*`, `move_system_*` and `balanced_states_*` of `tag` give the
+    polytope, moves and states of `io.builtin_subject(tag)`, and perfbench's
+    `child.py ready` of it exits 0 in a fresh interpreter."""
+    S = builtin_subject(tag)
+    if tag == "p6":
+        P = build_p6()
+        m, states = move_system_p6(), balanced_states_p6(P)
+    else:
+        P = build_p5()
+        m, states = move_system_p5(P), balanced_states_p5(P)
+    assert (P.name, P.dimension, P.facets) == (S.P.name, S.P.dimension, S.P.facets)
+    assert P.adjacency_pairs == S.P.adjacency_pairs
+    assert P.ideal_vertices == S.P.ideal_vertices
+    assert m == S.m
+    assert states == S.states
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "child.py"), "ready", tag],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

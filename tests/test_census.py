@@ -7,15 +7,6 @@ import pytest
 
 from morsecert.errors import InputError, StructuralError
 from morsecert.kernel import face_table
-from morsecert.labels import (
-    T24_LABELS,
-    UNIT_LABELS,
-    base_unit,
-    euclid4,
-    label_quat,
-    quat_mul,
-    t24_adjacent,
-)
 from morsecert.polytopes import (
     Facet,
     Polytope,
@@ -24,6 +15,16 @@ from morsecert.polytopes import (
     face_of_mask,
 )
 
+from construction import (
+    T24_LABELS,
+    UNIT_LABELS,
+    base_unit,
+    euclid4,
+    label_quat,
+    quat_mul,
+    restrict,
+    t24_adjacent,
+)
 from oracles import (
     bad_face_signature,
     cliques_brute_force,
@@ -84,7 +85,7 @@ def test_face_table_matches_definitions(request, subject):
     `bad_face_signature`."""
     P, m = (request.getfixturevalue(name + subject) for name in ("P", "M"))
     for Q in [P] + _sections(P):
-        mQ = m.restrict(Q.facet_ids)
+        mQ = restrict(m, Q.facet_ids)
         table = face_table(Q, mQ)
         faces = [face_of_mask(Q, f) for f in table.masks]
         assert [F.codim for F in faces] == sorted(F.codim for F in faces)

@@ -19,13 +19,12 @@ from morsecert.io import (
     builtin_subject,
     load_document,
     moves_from_doc,
-    polytope_from_doc,
     state_from_doc,
     subject_from_inputs,
     write_json,
 )
 from morsecert.kernel import MAX_MOVES, check_cusp_condition, generic_subject
-from morsecert.polytopes import FaceHandle, build_cusp_section
+from morsecert.polytopes import FaceHandle, build_cusp_section, polytope_from_doc
 from morsecert.report import (
     REPORT_VERSION,
     _inputs_digest,
@@ -40,6 +39,7 @@ from morsecert.schema import MOVES, POLYTOPE, STATE
 from morsecert.states import inherited_state
 from morsecert.verify import verify_document
 
+from construction import restrict
 from oracles import state_parts, verdict_rows
 
 
@@ -404,7 +404,7 @@ def apex_entries(S, apexes):
     P, m = S.P, S.m
     for c, (iv, table, faces) in enumerate(zip(P.ideal_vertices, S.cusps, apexes)):
         H = build_cusp_section(P, iv.id)
-        mH = m.restrict(H.facet_ids)
+        mH = restrict(m, H.facet_ids)
         held = [s for s, s_in in zip(S.states, S.in_masks)
                 if check_cusp_condition(table.pairs, s_in)]
         for i, ((ids, _, _), pairs) in enumerate(zip(table.bad, faces)):
@@ -1467,9 +1467,27 @@ def test_a_parallel_out_of_range_starts_no_process(tmp_path, monkeypatch, capsys
     assert MAX_PARALLEL >= 2  # the benchmark runs `--parallel 2`
 
 
-# (id, document, its replacement, message): a moves or state document of the
-# square that its schema admits and its reader refuses
+# (id, document, its replacement, message): a document of the square that
+# its schema admits and its reader refuses
 REFUSED_BY_A_READER = [
+    # vectors on one facet: never checked nor used, were they accepted
+    ("polytope-vector-on-one-facet", "polytope",
+     dict(square_inputs()[0], facets=[{"id": "a", "vector": [9] * 7}, {"id": "b"},
+                                      {"id": "c"}, {"id": "d"}]),
+     "facet 'b' has no vector: vectors must be given for every facet or for none"),
+    ("polytope-short-vector-on-one-facet", "polytope",
+     dict(square_inputs()[0], facets=[{"id": "a", "vector": [1, 2, 3]}, {"id": "b"},
+                                      {"id": "c"}, {"id": "d"}]),
+     "facet 'b' has no vector: vectors must be given for every facet or for none"),
+    # a vector error names its facet, not its row
+    ("polytope-short-vector", "polytope",
+     dict(square_inputs()[0], facets=[{"id": f, "vector": [1, 2, 3] if f == "c" else [1] + [0] * 6}
+                                      for f in "abcd"]),
+     "facet 'c': expected 7 coordinates, got 3"),
+    ("polytope-vector-not-unit", "polytope",
+     dict(square_inputs()[0], facets=[{"id": f, "vector": [9] * 7 if f == "c" else [1] + [0] * 6}
+                                      for f in "abcd"]),
+     "facet 'c': vector (9, 9, 9, 9, 9, 9, 9) has self-product 405, expected 1"),
     ("moves-not-a-partition", "moves", [["a", "c"]],
      "move system does not partition the facet set"),
     ("moves-empty-block", "moves", [["a", "c"], ["b", "d"], []], "move block 2 is empty"),

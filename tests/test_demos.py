@@ -1,6 +1,7 @@
 """Smoke test: the narrative demos run to completion, with `src/` and
 `tests/` on the path, as README says to run them: demos 01 to 04 use
-reference code from `tests/oracles.py`."""
+reference code from `tests/oracles.py`, and 02 to 04 the paper's
+construction from `tests/construction.py`."""
 
 import os
 import subprocess

@@ -23,7 +23,7 @@ from morsecert.complexes import (
     try_collapse,
 )
 from morsecert.errors import InputError
-from morsecert.io import builtin_subject, moves_from_doc, polytope_from_doc, state_from_doc
+from morsecert.io import builtin_subject, moves_from_doc, state_from_doc
 from morsecert.kernel import (
     State,
     all_pairs_index,
@@ -40,7 +40,9 @@ from morsecert.links import (
     classify_link,
     face_links_oracle,
 )
-from morsecert.polytopes import Facet, FaceHandle, Polytope, clique_complex, dual_complex
+from morsecert.polytopes import (
+    Facet, FaceHandle, Polytope, clique_complex, dual_complex, polytope_from_doc,
+)
 from morsecert.report import (
     _eid,
     certificate_to_document,
@@ -56,6 +58,7 @@ from morsecert.states import (
 )
 from morsecert.verify import verify_document
 
+from construction import neighbors
 from oracles import (
     build_cube_model,
     cone_collapse_pairs,
@@ -154,7 +157,7 @@ def _rehash(doc, eid, edit):
 def _non_dominator(P, doc):
     """(id, step index, vertex) where the vertex is live at that step of an
     out_sequence but does not dominate the step's deleted vertex."""
-    closed = lambda v: {v} | set(P.neighbors(v))
+    closed = lambda v: {v} | set(neighbors(P, v))
     for eid, _, side, vertices, order in _items(P, doc):
         live = set(vertices)
         for i, (v, w) in enumerate(order if side == "out" else ()):

@@ -11,7 +11,7 @@ import pytest
 from itertools import groupby
 
 from morsecert.errors import StructuralError
-from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
+from morsecert.io import moves_from_doc, state_from_doc
 from morsecert.kernel import (
     MoveSystem,
     certificate_problem,
@@ -29,6 +29,7 @@ from morsecert.polytopes import (
     Polytope,
     build_cusp_section,
     enumerate_faces,
+    polytope_from_doc,
 )
 from morsecert.states import (
     inherited_state,
@@ -36,6 +37,7 @@ from morsecert.states import (
     split_legality,
     split_state,
 )
+from construction import restrict
 from oracles import (
     checked_of_state,
     good_witness,
@@ -116,7 +118,7 @@ def test_mask_splits_match_inherited_states(request, subject):
 def _cusp_splits(P, m, states, cusp):
     H, _, bad = section_cusp_table(P, m, cusp)
     faces = [(FaceHandle(frozenset(ids)), masks) for ids, masks in bad.items()]
-    return _check_splits(H, m.restrict(H.facet_ids), states, faces)
+    return _check_splits(H, restrict(m, H.facet_ids), states, faces)
 
 
 def test_cusp_table_splits_match_inherited_states(P5, M5, BAL5, P6, M6, BAL6):

@@ -11,7 +11,10 @@ The checker and the prover are peers over the report format: following the
 package's imports, wherever in a module they stand, `verify` reaches
 none of `certify`, `cli`, `states` and `links`, and `report` does not reach
 `certify`.  No module that `verify` reaches defines a declared finder, and
-the kernel reaches only `polytopes`, `labels`, `errors` and `complexes`.
+the kernel reaches only `polytopes`, `errors` and `complexes`.  A fresh
+interpreter that imports `morsecert.verify` or `morsecert.cli` loads
+exactly the modules `COLD` pins for it, so no command comes to load the
+paper's construction, which the tests keep (`tests/construction.py`).
 
 Every annotation in the package resolves: `typing.get_type_hints` finds
 each name it uses bound in its module."""
@@ -19,6 +22,9 @@ each name it uses bound in its module."""
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -149,7 +155,30 @@ def test_the_checker_reaches_no_finder():
 
 
 def test_the_kernel_is_the_bottom_layer():
-    assert _closure("kernel") <= {"polytopes", "labels", "errors", "complexes"}
+    assert _closure("kernel") <= {"polytopes", "errors", "complexes"}
+
+
+# The modules of the package that a fresh interpreter loads to import each
+# entry point.  `complexes` is among them though no command needs it: perfbench
+# wraps `try_collapse` and `replay_collapse` where `states`, `links` and
+# `verify` import them, and names `dual_complex`, whose `clique_complex`
+# builds a `SimplicialComplex` (ROADMAP items 1a and 8b).
+COLD = {
+    "verify": {"complexes", "errors", "io", "kernel", "polytopes", "report", "schema", "verify"},
+    "cli": {"certify", "cli", "complexes", "errors", "io", "kernel", "links", "polytopes",
+            "report", "schema", "states", "verify"},
+}
+
+
+def test_a_cold_import_loads_the_pinned_modules():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    for entry, want in COLD.items():
+        code = (f"import sys, morsecert.{entry}\n"
+                "print(*(n[10:] for n in sys.modules if n.startswith('morsecert.')))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert set(proc.stdout.split()) == want, entry
 
 
 def _annotated(mod):

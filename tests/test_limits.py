@@ -19,8 +19,8 @@ import pytest
 
 from morsecert.certify import certify_generic
 from morsecert.errors import InputError
-from morsecert.io import builtin_subject, polytope_from_doc, write_json
-from morsecert.polytopes import MAX_FACES, MAX_FACETS
+from morsecert.io import builtin_subject, write_json
+from morsecert.polytopes import MAX_FACES, MAX_FACETS, polytope_from_doc
 from morsecert.report import _inputs_digest, emit_report
 
 from test_certify import cube_inputs

@@ -12,7 +12,7 @@ from morsecert.complexes import (
 )
 from morsecert.certify import _classify_group
 from morsecert.errors import InputError, InternalError
-from morsecert.io import moves_from_doc, polytope_from_doc, state_from_doc
+from morsecert.io import moves_from_doc, state_from_doc
 from morsecert.kernel import (
     LiftValue,
     State,
@@ -40,10 +40,12 @@ from morsecert.polytopes import (
     build_cusp_section,
     dual_complex,
     enumerate_faces,
+    polytope_from_doc,
 )
 from morsecert.report import row_branch, verdict_row
 from morsecert.states import inherited_state
 
+from construction import restrict
 from oracles import (
     barycentric_subdivision,
     build_cube_model,
@@ -488,7 +490,7 @@ def test_certify_boundary_cube(P6, M6, BAL6, S6):
     assert [len(pairs) for pairs in found] == [len(parts) for parts in table.parts]
     checked = checked_of_state(table, found, s_in)
     H = build_cusp_section(P6, "cusp:1+i+j+k")
-    mH = M6.restrict(H.facet_ids)
+    mH = restrict(M6, H.facet_ids)
     faces = [F for c in range(6) for F in enumerate_faces(H, c)]
     assert len(faces) == 3 ** 5  # all faces of the 5-cube, itself included
     bad = [F.sorted_ids() for F in faces if not is_good_face(mH, F)]
@@ -519,7 +521,7 @@ def _cusp_apexes_match_legality(S, cusp_ids):
     for cusp in cusp_ids:
         table = _cusp(S, cusp)
         H = section_cusp_table(P, m, cusp)[0]
-        mH = m.restrict(H.facet_ids)
+        mH = restrict(m, H.facet_ids)
         found = certify_boundary_cube(P, table)
         for s in S.states:
             checked = checked_of_state(table, found, P.ranked_graph().mask(s.in_facets))

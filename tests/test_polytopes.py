@@ -2,10 +2,9 @@ import pytest
 
 from morsecert.complexes import betti_mod2
 from morsecert.errors import InputError
-from morsecert.labels import SIGN_LABELS, UNIT_LABELS
 from morsecert.polytopes import (
-    TABLE_G6,
     FaceHandle,
+    Facet,
     adjacency_from_lorentz,
     build_cusp_section,
     dual_complex,
@@ -14,6 +13,7 @@ from morsecert.polytopes import (
     lorentz_product,
 )
 
+from construction import SIGN_LABELS, TABLE_G6, UNIT_LABELS, neighbors
 from oracles import dim, face, faces_of_dim, is_crosspolytope_boundary, symmetries_p6
 
 VEC = dict(TABLE_G6)
@@ -31,8 +31,8 @@ def test_adjacency_examples_from_vectors():
 
 
 def test_adjacency_from_lorentz_rejects_non_unit():
-    with pytest.raises(InputError, match="row 1"):
-        adjacency_from_lorentz([VEC["A"], (0, 0, 0, 0, 0, 0, 1)])
+    with pytest.raises(InputError, match="facet 'x': vector"):
+        adjacency_from_lorentz([Facet("A", "A", VEC["A"]), Facet("x", "x", (0, 0, 0, 0, 0, 0, 1))])
 
 
 def test_p6_structural_counts(P6):
@@ -45,7 +45,7 @@ def test_p6_structural_counts(P6):
 
 def test_p6_label_rules(P6):
     assert not P6.adjacent("1", "-1")  # 4-product -1
-    assert set(P6.neighbors("A")) == set(SIGN_LABELS)
+    assert set(neighbors(P6, "A")) == set(SIGN_LABELS)
     assert P6.adjacent("B", "1+i+j+k") and not P6.adjacent("C", "1+i+j+k")
     for a in ("A", "B", "C"):
         for b in ("A", "B", "C"):
@@ -56,7 +56,7 @@ def test_p6_label_rules(P6):
 def test_p6_ideal_vertices(P6):
     for iv in P6.ideal_vertices:
         assert len(iv.incident) == 10
-        closed = {iv.label} | set(P6.neighbors(iv.label))
+        closed = {iv.label} | set(neighbors(P6, iv.label))
         assert iv.incident == frozenset(P6.facet_ids) - closed
 
 
@@ -122,7 +122,7 @@ def test_p5_structure(P5):
 def test_p5_each_facet_opposes_one_real_vertex(P5):
     vertices = [F.defining for F in enumerate_faces(P5, 5)]
     for fid in P5.facet_ids:
-        closed = {fid} | set(P5.neighbors(fid))
+        closed = {fid} | set(neighbors(P5, fid))
         avoiding = [v for v in vertices if not (v & closed)]
         assert len(avoiding) == 1, fid
 

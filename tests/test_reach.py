@@ -73,14 +73,10 @@ KEPT = {
             _Table.remaining_complex _Table.remove_pair _Table.reset _Table.restore_pair
             _Table.simplex _absorb _backtrack _derive_seed _gf2_rank _greedy_pass label_key
             simplex_key""",
-        "kernel": "MoveSystem.restrict",
-        "labels": """
-            _all_sign_labels _doubled_unit base_unit euclid4 label_quat label_signs minus_count
-            quat_conj quat_mul sign_label t24_adjacent""",
-        "polytopes": "Polytope.neighbors _validate_p6 clique_complex",
+        "polytopes": "clique_complex",
         "report": "verdict_row",
         "schema": "Leaf.__init__ ListOf.__init__ Obj.__init__ _plural _report",
-        "states": "r_class_triples split_state state_from_in_set unit_class_table",
+        "states": "split_state",
     },
     "readme": {"io": "moves_to_doc polytope_to_doc state_to_doc write_json"},
     "failure": {

@@ -1,11 +1,13 @@
 """The built-in subjects are data: `src/morsecert/data/p6.json` and
 `p5.json` hold each one's polytope, moves and initial state, and every run
 builds its subject from them (`io.builtin_subject`).  Here, and only here,
-they are checked against the paper's construction: each file must be, byte
-for byte, what `io.write_json` writes of the documents that `io`'s writers
-make of `build_p6`, `build_p5` and the tables of `states`, and the
-construction's balanced states must be compatible and, in canonical order,
-the orbit of the first.  An installed package must carry both files.
+they are checked against the paper's construction, `construction.py`
+beside this file, which the package does not hold: each file must be,
+byte for byte, what `io.write_json` writes of the documents that `io`'s
+writers make of its `build_p6`, `build_p5` and move and state tables, and
+the construction's balanced states must be compatible and, in canonical
+order, the orbit of the first.  An installed package must carry both
+files.
 
 Run as a script, it writes both files from the construction and prints the
 SHA-256 of each, which `report.BUILTINS` pins:
@@ -26,10 +28,10 @@ from morsecert.cli import main
 from morsecert.errors import StructuralError
 from morsecert.io import builtin_subject, moves_to_doc, polytope_to_doc, state_to_doc, write_json
 from morsecert.kernel import is_compatible, orbit
-from morsecert.polytopes import build_p5, build_p6
 from morsecert.report import BUILTINS, certificate_to_document, document_to_json
-from morsecert.states import (
-    balanced_states_p5, balanced_states_p6, move_system_p5, move_system_p6,
+
+from construction import (
+    balanced_states_p5, balanced_states_p6, build_p5, build_p6, move_system_p5, move_system_p6,
 )
 
 ROOT = Path(__file__).resolve().parent.parent

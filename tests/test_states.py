@@ -3,13 +3,13 @@ import random
 import pytest
 
 from morsecert.errors import InputError
-from morsecert.io import builtin_subject, moves_from_doc, polytope_from_doc, state_from_doc
+from morsecert.io import builtin_subject, moves_from_doc, state_from_doc
 from morsecert.kernel import (
     State,
     is_compatible,
     orbit,
 )
-from morsecert.polytopes import FaceHandle, enumerate_faces
+from morsecert.polytopes import FaceHandle, enumerate_faces, polytope_from_doc
 from morsecert.states import inherited_state, legality
 
 from oracles import (

@@ -18,11 +18,9 @@ import pytest
 
 from morsecert.certify import certify_generic, certify_p5, certify_p6, run_pipeline
 from morsecert.cli import main
-from morsecert.io import (
-    builtin_inputs, builtin_subject, moves_from_doc, polytope_from_doc, state_from_doc,
-    state_to_doc,
-)
+from morsecert.io import builtin_inputs, builtin_subject, moves_from_doc, state_from_doc, state_to_doc
 from morsecert.kernel import MoveSystem, canonical_pairs_graphs, generic_subject, orbit
+from morsecert.polytopes import polytope_from_doc
 from morsecert import report
 from morsecert.report import (
     BUILTINS,

@@ -46,8 +46,8 @@ from test_certify import cube_inputs
 TRUSTED = {
     "cli": "_cmd_verify main",
     "io": """
-        _object builtin_inputs builtin_subject load_json moves_from_doc polytope_from_doc
-        read_object read_text state_from_doc subject_from_inputs""",
+        _object builtin_inputs builtin_subject load_json moves_from_doc read_object read_text
+        state_from_doc subject_from_inputs""",
     "kernel": """
         CubeLift.lift_of_face CubeLift.proper_faces MoveSystem.__post_init__
         MoveSystem.block_of MoveSystem.covers State.__post_init__ State.serial
@@ -61,7 +61,7 @@ TRUSTED = {
         Polytope._build_census Polytope._clique_levels Polytope.adjacent
         Polytope.clique_count Polytope.cliques Polytope.degree Polytope.ideal_vertex
         Polytope.ranked_graph RankedGraph.labels RankedGraph.mask adjacency_from_lorentz
-        cusp_incidence dual_mask f_vector_check face_of_mask lorentz_product""",
+        cusp_incidence dual_mask f_vector_check face_of_mask lorentz_product polytope_from_doc""",
     "report": """
         _eid _inputs_digest _kept_frame canonical_json cusp_rows document_to_json
         euler_identity legality_header read_verdicts report_tables shared_header
