@@ -11,8 +11,7 @@ read from their shipped documents (`io.builtin_subject`) included.  Every
 certificate is a dismantling order, checked by `certificate_problem`; a
 critical item's orders run on the face-link graphs of the canonical
 all-pairs cube (`canonical_pairs_graphs`).  A face of a k-cube is an int
-(fixed_mask << k) | fixed_bits, and a lift value the pair (base, depth),
-the increment at a barycentre kept symbolic.
+(fixed_mask << k) | fixed_bits.
 """
 
 from __future__ import annotations
@@ -87,21 +86,20 @@ def orbit(s: State, m: MoveSystem) -> Tuple[State, ...]:
 
 def is_compatible(P: Polytope, m: MoveSystem, s: State):
     """Adjacent same-move facets must share status; returns (ok, witness),
-    the first pair (a, b) that does not, blocks in order, each sorted.  A
-    block is tested on masks, and walked only to name its pair."""
-    N, s_in = P.ranked_graph().N, facet_mask(P, s.in_facets)
+    the first pair (a, b) that does not, blocks in order, each sorted.
+    Ranks follow sorted ids, so a's rank is the block's lowest with an
+    adjacent higher rank of the other status, and b's the lowest of those."""
+    ids, _, N = P.ranked_graph()
+    s_in = facet_mask(P, s.in_facets)
     for block in m.blocks:
-        bm = facet_mask(P, block)
-        inn, out = bm & s_in, bm & ~s_in
-        while inn and not N[(inn & -inn).bit_length() - 1] & out:
-            inn &= inn - 1
-        if not inn:
-            continue
-        bl = sorted(block)
-        for i, a in enumerate(bl):
-            for b in bl[i + 1:]:
-                if P.adjacent(a, b) and (a in s.in_facets) != (b in s.in_facets):
-                    return False, (a, b)
+        bm = walk = facet_mask(P, block)
+        while walk:
+            low = walk & -walk
+            a = low.bit_length() - 1
+            other = bm & (~s_in if s_in & low else s_in) & N[a] & -(low << 1)
+            if other:
+                return False, (ids[a], ids[(other & -other).bit_length() - 1])
+            walk ^= low
     return True, None
 
 
@@ -378,18 +376,7 @@ def certificate_problem(G: RankedGraph, steps, live: int, keep: int = 0, *,
 
 
 # ---------------------------------------------------------------------------
-# Cube lifts and the canonical all-pairs cube's face links
-
-
-@dataclass(frozen=True, order=True)
-class LiftValue:
-    """Symbolic lift value base + depth*eps, ordered lexicographically."""
-
-    base: int
-    depth: int
-
-
-# -- face encoding ----------------------------------------------------------
+# The canonical all-pairs cube's face links
 
 
 def face_int(k: int, mask: int, bits: int) -> int:
@@ -407,116 +394,6 @@ def face_contains(k: int, f1: int, f2: int) -> bool:
     m1, b1 = face_parts(k, f1)
     m2, b2 = face_parts(k, f2)
     return (m1 & m2) == m2 and (b1 & m2) == b2
-
-
-@dataclass(frozen=True)
-class CubeLift:
-    """Pure lift data for a combinatorial k-cube.
-
-    `blocks` partitions the coordinate positions by move; `vertex_lift` holds
-    the normalised integer lift at each of the 2^k vertices (minimum 0).
-    """
-
-    k: int
-    blocks: Tuple[Tuple[int, ...], ...]
-    vertex_lift: Tuple[int, ...]
-
-    def lift_of_face(self, fid: int) -> LiftValue:
-        mask, bits = face_parts(self.k, fid)
-        free = ((1 << self.k) - 1) & ~mask
-        best = None
-        sub = free
-        while True:
-            v = self.vertex_lift[bits | sub]
-            if best is None or v < best:
-                best = v
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
-        return LiftValue(best, self.k - bin(mask).count("1"))
-
-    def proper_faces(self) -> List[int]:
-        out = []
-        for mask in range(1, 1 << self.k):
-            sub = mask
-            while True:
-                out.append(face_int(self.k, mask, sub))
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-        return out
-
-
-# -- face links -------------------------------------------------------------
-
-
-def face_link_posets(lift: CubeLift):
-    """The ascending and descending proper faces of the cube, each with its
-    cover function: ((asc, covers), (desc, covers)).
-
-    A proper face's barycentre is ascending iff its lift value exceeds the
-    top barycentre's, i.e. iff the face misses every minimum vertex.  The
-    ascending faces form a down-set of the face lattice and the descending
-    faces an up-set, so inside either set a face is covered exactly by the
-    faces that free one of its fixed coordinates.
-    """
-    if lift.k < 1:
-        raise InputError("cube dimension must be >= 1")
-    k = lift.k
-    asc, desc = set(), set()
-    for fid in lift.proper_faces():
-        (asc if lift.lift_of_face(fid).base > 0 else desc).add(fid)
-
-    def covers_in(elems: set):
-        def covers(fid: int) -> List[int]:
-            mask, bits = face_parts(k, fid)
-            freed = [((mask ^ (1 << j)) << k) | (bits & ~(1 << j))
-                     for j in range(k) if mask >> j & 1]
-            return [f for f in freed if f in elems]
-        return covers
-
-    return (asc, covers_in(asc)), (desc, covers_in(desc))
-
-
-def comparability_graph(elements, covers) -> RankedGraph:
-    """The comparability graph, ranked by sorted element, of a finite poset
-    given by its cover function; its clique complex is the order complex."""
-    labels = tuple(sorted(elements))
-    pos = {x: i for i, x in enumerate(labels)}
-    up: Dict[int, int] = {}  # the elements above x, as a mask
-
-    def above(x) -> int:
-        got = up.get(x)
-        if got is None:
-            got = 0
-            for y in covers(x):
-                got |= 1 << pos[y] | above(y)
-            up[x] = got
-        return got
-
-    N = [1 << i | above(x) for i, x in enumerate(labels)]
-    for i, x in enumerate(labels):
-        m = up[x]
-        while m:
-            low = m & -m
-            N[low.bit_length() - 1] |= 1 << i
-            m ^= low
-    return RankedGraph(labels, pos, tuple(N))
-
-
-# -- canonical all-pairs cubes and their certificates ------------------------
-
-
-def synthetic_pairs_lift(ell: int) -> CubeLift:
-    """Canonical lift of a 2l-cube that is a product of l monochromatic
-    squares on coordinate pairs (0,1), (2,3), ...; minima at pair-equal bits."""
-    k = 2 * ell
-    blocks = tuple((2 * i, 2 * i + 1) for i in range(ell))
-    vertex_lift = tuple(
-        sum(1 for i in range(ell) if (w >> (2 * i) & 1) != (w >> (2 * i + 1) & 1))
-        for w in range(1 << k)
-    )
-    return CubeLift(k, blocks, vertex_lift)
 
 
 def _pair_values(i: int, kind: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
@@ -548,12 +425,36 @@ def canonical_pairs_graphs(ell: int):
     """The comparability graphs of the ascending and descending face-link
     posets of the canonical all-pairs 2l-cube, each paired with its core's
     elements in sorted order, checked by `check_sd_crosspolytope_witness`:
-    ((asc_graph, asc_core), (desc_graph, desc_core)).  They depend on l
-    alone, so each l's are built and checked once per process."""
-    posets = face_link_posets(synthetic_pairs_lift(ell))
+    ((asc_graph, asc_core), (desc_graph, desc_core)), built and checked once
+    per process for each l.  The canonical lift counts the pairs whose bits
+    differ (the all-pairs lemma), so a proper face is ascending exactly when
+    it fixes some pair to one of its two maxima; above it in its poset are
+    the faces of its kind that contain it, each fixing a nonempty proper
+    part of its fixed mask to its bits there."""
+    k = 2 * ell
+    maxima = [_pair_values(i, "asc") for i in range(ell)]
+    links: Tuple[List[int], List[int]] = ([], [])
+    for fid in range(1 << k, 1 << 2 * k):  # the proper faces, in sorted order
+        mask, bits = face_parts(k, fid)
+        if not bits & ~mask:
+            ascending = any((mask & 3 << 2 * i, bits & 3 << 2 * i) in values
+                            for i, values in enumerate(maxima))
+            links[not ascending].append(fid)
     out = []
-    for poset, kind in zip(posets, LINK_KINDS):
-        G, core = comparability_graph(*poset), tuple(sorted(pairs_core_elements(ell, kind)))
+    for labels, kind in zip(links, LINK_KINDS):
+        rank = {x: r for r, x in enumerate(labels)}
+        N = [1 << r for r in range(len(labels))]
+        for x, r in rank.items():
+            mask, bits = face_parts(k, x)
+            sub = (mask - 1) & mask
+            while sub:
+                q = rank.get(sub << k | bits & sub)
+                if q is not None:
+                    N[r] |= 1 << q
+                    N[q] |= 1 << r
+                sub = (sub - 1) & mask
+        G = RankedGraph(tuple(labels), rank, tuple(N))
+        core = tuple(sorted(pairs_core_elements(ell, kind)))
         check_sd_crosspolytope_witness(G, core, ell, kind)
         out.append((G, core))
     return tuple(out)

@@ -3,8 +3,10 @@ asks it once the plan has decided good faces and the sweep totally legal
 classes: is a bad face Critical(l), an all-pairs top vertex whose cube lift
 is the canonical one at every compatible state by the all-pairs lemma
 (README), or Unknown.  `face_links_oracle` and `canonical_pairs_transform`,
-which no command calls, stay here because the benchmark wraps them by name;
-the cube model that the tests check the lemma on is in `tests/oracles.py`."""
+which no command calls, stay here because the benchmark wraps them by name,
+and so does the cube-lift model they run on, in which a lift value is the
+pair (base, depth), the increment at a barycentre kept symbolic.  The cube
+model that the tests check the lemma on is in `tests/oracles.py`."""
 
 from __future__ import annotations
 
@@ -14,10 +16,87 @@ from typing import Dict, List, Optional, Tuple
 from .complexes import order_complex, try_collapse  # try_collapse: pinned by perfbench
 from .errors import InputError, InternalError
 from .kernel import (
-    CubeLift, CuspTable, Subject, all_pairs_index, canonical_pairs_graphs, face_link_posets,
+    CuspTable, Subject, all_pairs_index, canonical_pairs_graphs, face_int, face_parts,
 )
 from .polytopes import FaceHandle, Polytope
 from .states import cone_apex, flag_certificate
+
+
+# -- cube lifts and their face-link posets -----------------------------------
+
+
+@dataclass(frozen=True, order=True)
+class LiftValue:
+    """Symbolic lift value base + depth*eps, ordered lexicographically."""
+
+    base: int
+    depth: int
+
+
+@dataclass(frozen=True)
+class CubeLift:
+    """Pure lift data for a combinatorial k-cube.
+
+    `blocks` partitions the coordinate positions by move; `vertex_lift` holds
+    the normalised integer lift at each of the 2^k vertices (minimum 0).
+    """
+
+    k: int
+    blocks: Tuple[Tuple[int, ...], ...]
+    vertex_lift: Tuple[int, ...]
+
+    def lift_of_face(self, fid: int) -> LiftValue:
+        mask, bits = face_parts(self.k, fid)
+        free = ((1 << self.k) - 1) & ~mask
+        best = None
+        sub = free
+        while True:
+            v = self.vertex_lift[bits | sub]
+            if best is None or v < best:
+                best = v
+            if sub == 0:
+                break
+            sub = (sub - 1) & free
+        return LiftValue(best, self.k - bin(mask).count("1"))
+
+    def proper_faces(self) -> List[int]:
+        out = []
+        for mask in range(1, 1 << self.k):
+            sub = mask
+            while True:
+                out.append(face_int(self.k, mask, sub))
+                if sub == 0:
+                    break
+                sub = (sub - 1) & mask
+        return out
+
+
+def face_link_posets(lift: CubeLift):
+    """The ascending and descending proper faces of the cube, each with its
+    cover function: ((asc, covers), (desc, covers)).
+
+    A proper face's barycentre is ascending iff its lift value exceeds the
+    top barycentre's, i.e. iff the face misses every minimum vertex.  The
+    ascending faces form a down-set of the face lattice and the descending
+    faces an up-set, so inside either set a face is covered exactly by the
+    faces that free one of its fixed coordinates.
+    """
+    if lift.k < 1:
+        raise InputError("cube dimension must be >= 1")
+    k = lift.k
+    asc, desc = set(), set()
+    for fid in lift.proper_faces():
+        (asc if lift.lift_of_face(fid).base > 0 else desc).add(fid)
+
+    def covers_in(elems: set):
+        def covers(fid: int) -> List[int]:
+            mask, bits = face_parts(k, fid)
+            freed = [((mask ^ (1 << j)) << k) | (bits & ~(1 << j))
+                     for j in range(k) if mask >> j & 1]
+            return [f for f in freed if f in elems]
+        return covers
+
+    return (asc, covers_in(asc)), (desc, covers_in(desc))
 
 
 # -- face links (the literal oracle) ----------------------------------------
@@ -76,8 +155,8 @@ def canonical_pairs_transform(lift: CubeLift, base_status_out: Tuple[bool, ...],
                               synth: CubeLift):
     """Position permutation and translation mapping an all-pairs cube lift,
     whose defining facets are Out at the base vertex where `base_status_out`
-    says so, onto the canonical one, `synth`, the `synthetic_pairs_lift` of
-    its pair count; validated over every vertex.
+    says so, onto the canonical one, `synth`, the lift of its pair count
+    that counts the pairs whose bits differ; validated over every vertex.
 
     Returns (ell, perm, delta) with perm[p] = canonical position of original
     position p and delta a vertex translation in canonical coordinates.

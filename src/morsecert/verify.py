@@ -235,17 +235,17 @@ class _Verifier:
 
     def _check_outcome(self, p: PlannedRow, verdict: str, eid: Optional[str]):
         """The outcome of bad planned row `p`, `verdict` citing evidence
-        `eid` (None: none): the verdict must be one the mode allows, and
-        Regular, binding its legality item, or Critical, binding the shared
-        item of p's ℓ once the face is an all-pairs top vertex.  By the
+        `eid` (None: none): Regular, binding its legality item, or Critical,
+        binding the shared item of p's ℓ once the face is an all-pairs top
+        vertex, and allowed by the mode; any other is named once.  By the
         all-pairs lemma the face alone decides a critical row, as a good
         face's witness does, so its verdict must be Critical(ℓ)."""
-        if not verdict_allowed(self.mode, self.S.P.dimension, verdict):
-            self.fail(f"face {p.face}: verdict {verdict!r} is not allowed in {self.mode!r} mode")
         critical = verdict.startswith("Critical(")
         if verdict != "Regular" and not critical:
-            self.fail(f"face {p.face}: bad face, unverifiable verdict {verdict!r}")
-        elif eid is None:
+            return self.fail(f"face {p.face}: bad face, unverifiable verdict {verdict!r}")
+        if not verdict_allowed(self.mode, self.S.P.dimension, verdict):
+            self.fail(f"face {p.face}: verdict {verdict!r} is not allowed in {self.mode!r} mode")
+        if eid is None:
             self.fail(f"face {p.face}: bad face, {verdict} row cites no evidence")
         elif not critical:
             self._legality(eid, p)

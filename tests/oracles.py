@@ -19,8 +19,6 @@ from morsecert.complexes import (
 )
 from morsecert.errors import InputError, InternalError, StructuralError
 from morsecert.kernel import (
-    CubeLift,
-    LiftValue,
     MoveSystem,
     State,
     face_int,
@@ -29,6 +27,7 @@ from morsecert.kernel import (
     face_table,
     is_compatible,
 )
+from morsecert.links import CubeLift, LiftValue
 from morsecert.polytopes import (
     FaceHandle, Polytope, RankedGraph, build_cusp_section, dual_complex,
 )
@@ -767,6 +766,44 @@ def symmetries_p6(P: Optional[Polytope] = None) -> Tuple[FacetSymmetry, ...]:
 
 
 # -- cube lifts ----------------------------------------------------------------
+
+
+def synthetic_pairs_lift(ell: int) -> CubeLift:
+    """Canonical lift of a 2l-cube that is a product of l monochromatic
+    squares on coordinate pairs (0,1), (2,3), ...; minima at pair-equal bits."""
+    k = 2 * ell
+    blocks = tuple((2 * i, 2 * i + 1) for i in range(ell))
+    vertex_lift = tuple(
+        sum(1 for i in range(ell) if (w >> (2 * i) & 1) != (w >> (2 * i + 1) & 1))
+        for w in range(1 << k)
+    )
+    return CubeLift(k, blocks, vertex_lift)
+
+
+def comparability_graph(elements, covers) -> RankedGraph:
+    """The comparability graph, ranked by sorted element, of a finite poset
+    given by its cover function; its clique complex is the order complex."""
+    labels = tuple(sorted(elements))
+    pos = {x: i for i, x in enumerate(labels)}
+    up: Dict[int, int] = {}  # the elements above x, as a mask
+
+    def above(x) -> int:
+        got = up.get(x)
+        if got is None:
+            got = 0
+            for y in covers(x):
+                got |= 1 << pos[y] | above(y)
+            up[x] = got
+        return got
+
+    N = [1 << i | above(x) for i, x in enumerate(labels)]
+    for i, x in enumerate(labels):
+        m = up[x]
+        while m:
+            low = m & -m
+            N[low.bit_length() - 1] |= 1 << i
+            m ^= low
+    return RankedGraph(labels, pos, tuple(N))
 
 
 def top_value(lift: CubeLift) -> LiftValue:

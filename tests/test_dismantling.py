@@ -31,7 +31,6 @@ from morsecert.kernel import (
     face_contains,
     generic_subject,
     pairs_core_elements,
-    synthetic_pairs_lift,
 )
 from morsecert.links import (
     CriticalLinkCertifier,
@@ -65,6 +64,7 @@ from oracles import (
     from_maximal_faces,
     sequence_json,
     star_collapse_pairs,
+    synthetic_pairs_lift,
     verdict_rows,
     vertex_link,
 )
@@ -305,7 +305,8 @@ def _stuck_inputs():
 def test_fallback_for_a_part_that_does_not_dismantle():
     """A part with no dismantling order is not certified, though a searched
     collapse exists: its face's row is Unknown, and the report neither
-    passes nor verifies."""
+    passes nor verifies.  The verifier names each Unknown row once, as
+    unverifiable, and not also as a verdict the mode does not allow."""
     K, P = _stuck_polytope()
     whole, G = FaceHandle(frozenset()), P.ranked_graph()
     part = G.mask(K.vertices)
@@ -327,6 +328,12 @@ def test_fallback_for_a_part_that_does_not_dismantle():
     ok, msgs = verify_document(_report(cert))
     assert not ok
     assert "face (): bad face, unverifiable verdict 'Unknown'" in msgs
+    # face () has an Unknown row per state, and each is named once
+    rows = [row for row in verdict_rows(cert) if row["face"] == []]
+    assert [row["verdict"] for row in rows] == ["Unknown", "Unknown"]
+    assert [msg for msg in msgs if msg.startswith("face ():")] == [
+        "face (): bad face, unverifiable verdict 'Unknown'"] * len(rows)
+    assert not [msg for msg in msgs if "is not allowed in" in msg]
 
 
 def _certify_inputs(polytope, moves, state):

@@ -14,7 +14,6 @@ from morsecert.certify import _classify_group
 from morsecert.errors import InputError, InternalError
 from morsecert.io import moves_from_doc, state_from_doc
 from morsecert.kernel import (
-    LiftValue,
     State,
     all_pairs_index,
     canonical_pairs_graphs,
@@ -25,13 +24,14 @@ from morsecert.kernel import (
     face_int,
     generic_subject,
     pairs_core_elements,
-    synthetic_pairs_lift,
 )
 from morsecert.links import (
     CriticalLinkCertifier,
+    LiftValue,
     canonical_pairs_transform,
     certify_boundary_cube,
     classify_link,
+    face_link_posets,
     face_links_oracle,
 )
 from morsecert.polytopes import (
@@ -52,6 +52,7 @@ from oracles import (
     checked_of_state,
     coface_links_fast,
     coface_membership_oracle,
+    comparability_graph,
     cone_collapse_pairs,
     dim,
     face,
@@ -60,6 +61,7 @@ from oracles import (
     section_cusp_table,
     star_vertex_apexes,
     state_parts,
+    synthetic_pairs_lift,
     top_value,
     vertex_state,
     vertex_states,
@@ -263,6 +265,21 @@ def test_synthetic_pairs_lift():
     elems = pairs_core_elements(2, "desc")
     assert len(elems) == 8  # subdivided 4-cycle
     assert len(pairs_core_elements(3, "asc")) == 26
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_canonical_graphs_match_the_general_cube_lift_model(ell):
+    """The closed form of the canonical link graphs is the comparability
+    graph of the general model's face-link posets of the canonical lift:
+    the same labels, ranks and neighbourhood masks, and the same sorted
+    cores."""
+    posets = face_link_posets(synthetic_pairs_lift(ell))
+    for (G, core), poset, kind in zip(canonical_pairs_graphs(ell), posets, ("asc", "desc")):
+        want = comparability_graph(*poset)
+        assert G.ids == want.ids
+        assert G.rank == want.rank
+        assert G.N == want.N
+        assert core == tuple(sorted(pairs_core_elements(ell, kind)))
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 4])

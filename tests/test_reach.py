@@ -73,6 +73,7 @@ KEPT = {
             _Table.remaining_complex _Table.remove_pair _Table.reset _Table.restore_pair
             _Table.simplex _absorb _backtrack _derive_seed _gf2_rank _greedy_pass label_key
             simplex_key""",
+        "links": "CubeLift.lift_of_face CubeLift.proper_faces face_link_posets",
         "polytopes": "clique_complex",
         "report": "verdict_row",
         "schema": "Leaf.__init__ ListOf.__init__ Obj.__init__ _plural _report",

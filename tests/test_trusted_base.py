@@ -49,13 +49,12 @@ TRUSTED = {
         _object builtin_inputs builtin_subject load_json moves_from_doc read_object read_text
         state_from_doc subject_from_inputs""",
     "kernel": """
-        CubeLift.lift_of_face CubeLift.proper_faces MoveSystem.__post_init__
-        MoveSystem.block_of MoveSystem.covers State.__post_init__ State.serial
-        Subject.__init__ Subject.bad_masks Subject.cusps Subject.plan _pair_values
-        _plan_rows all_pairs_index canonical_pairs_graphs certificate_problem
-        check_cusp_condition check_sd_crosspolytope_witness comparability_graph cusp_table
-        face_contains face_int face_link_posets face_masks face_parts face_table facet_mask
-        generic_subject is_compatible orbit pairs_core_elements synthetic_pairs_lift""",
+        MoveSystem.__post_init__ MoveSystem.block_of MoveSystem.covers State.__post_init__
+        State.serial Subject.__init__ Subject.bad_masks Subject.cusps Subject.plan
+        _pair_values _plan_rows all_pairs_index canonical_pairs_graphs certificate_problem
+        check_cusp_condition check_sd_crosspolytope_witness cusp_table face_contains face_int
+        face_masks face_parts face_table facet_mask generic_subject is_compatible orbit
+        pairs_core_elements""",
     "polytopes": """
         FaceHandle.codim FaceHandle.sorted_ids Polytope.__init__
         Polytope._build_census Polytope._clique_levels Polytope.adjacent
@@ -163,7 +162,7 @@ def test_verify_runs_the_trusted_base(cert_p5, cert_p6, tmp_path):
     assert not [name for name in ran if name.split(".")[0] in ("complexes", "states", "links")]
     want = _names(TRUSTED)
     assert sorted(ran - want) == [] and sorted(want - ran) == []
-    assert len(want) == 98
+    assert len(want) == 93
 
 
 def test_readme_quotes_the_figures():
