@@ -145,25 +145,28 @@ def _verdict_sweep(
 def _cusp_suite(S: Subject, failures: List[str]) -> Tuple[tuple, tuple]:
     """(apexes, rows): for each cusp in the polytope's order, the apex pairs
     of each bad face of its table, one per In part its plan lists; and one
-    row per (cusp, state), states in the orbit's order, by `cusp_rows`."""
+    row per (cusp, state), states in the orbit's order, by `cusp_rows`.  A
+    failure names each cause of a row that is not all Regular once, in the
+    words `verify` gives it: a cusp whose condition fails, and each part
+    that `cone_apex` found no apex of."""
     apexes: List[list] = []
     rows: List[dict] = []
     for iv, table in zip(S.P.ideal_vertices, S.cusps):
+        if not table.held:
+            failures.append(f"cusp {iv.id}: cusp condition fails")
         found = certify_boundary_cube(S.P, table)
-        unproved = {i: {inn: pair for inn, pair in zip(parts, pairs) if None in pair}
-                    for i, (parts, pairs) in enumerate(zip(table.parts, found))
-                    if any(None in pair for pair in pairs)}  # face position -> {In part: pair}
+        unproved: Dict[int, set] = {}  # face position -> the In parts whose pair is not proved
+        for i, pairs in enumerate(found):
+            if not any(None in pair for pair in pairs):
+                continue
+            for j, (inn, pair) in enumerate(zip(table.parts[i], pairs)):
+                for side, apex in zip(("out", "in"), pair):
+                    if apex is None:
+                        failures.append(f"cusp {iv.id}: face {table.bad[i][0]}: pair {j}: "
+                                        f"{side} apex None is no cone apex of its part")
+                        unproved.setdefault(i, set()).add(inn)
         apexes.append(found)
         rows += cusp_rows(table, S.in_masks, unproved)
-        for idx, s_in in enumerate(S.in_masks):
-            if not table.held:
-                failures.append(f"cusp condition fails at {iv.id} state {idx}")
-            for i, pairs in unproved.items():
-                ids, _, free = table.bad[i]
-                if free & s_in in pairs:
-                    failures.append(f"boundary cube at {iv.id} state {idx}: face {tuple(ids)} "
-                                    f"not certified, a part is not a cone "
-                                    f"(apexes {tuple(pairs[free & s_in])})")
     return tuple(apexes), tuple(rows)
 
 

@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Option
 
 from .errors import InputError, InternalError, StructuralError
 from .polytopes import (
-    FaceHandle, FVectorReport, Polytope, RankedGraph, cusp_incidence, dual_mask,
+    FaceHandle, FVectorReport, IdealVertex, Polytope, RankedGraph, cusp_incidence, dual_mask,
     f_vector_check, face_of_mask,
 )
 
@@ -211,14 +211,14 @@ def check_cusp_condition(pairs: Sequence[tuple], s_in: int) -> Optional[Tuple[st
 
 
 def cusp_table(P: Polytope, m: MoveSystem, masks: Dict[FaceHandle, Tuple[int, int]],
-               in_masks: Sequence[int], cusp_id: str) -> CuspTable:
-    """The section, a cube by `cusp_incidence`, spans P's faces inside the
-    cusp's incident facets, each good or bad as under m; `masks` holds each
-    bad face's `face_masks`, in canonical order (`Subject.bad_masks`), and
-    `in_masks` each state's In rank mask.  A move flips both facets of a
-    pair or neither, so the condition is the first state's (README)."""
-    inc = cusp_incidence(P, cusp_id)
-    incident = P.ideal_vertex(cusp_id).incident
+               in_masks: Sequence[int], iv: IdealVertex) -> CuspTable:
+    """The section of P's ideal vertex `iv`, a cube by `cusp_incidence`,
+    spans P's faces inside the cusp's incident facets, each good or bad as
+    under m; `masks` holds each bad face's `face_masks`, in canonical order
+    (`Subject.bad_masks`), and `in_masks` each state's In rank mask.  A move
+    flips both facets of a pair or neither, so the condition is the first
+    state's (README)."""
+    inc, incident = cusp_incidence(P, iv), iv.incident
     bad = tuple((F.sorted_ids(), dual & inc, free & inc)
                 for F, (dual, free) in masks.items() if F.defining <= incident)
     pairs = []
@@ -282,7 +282,7 @@ class Subject:
     @cached_property
     def cusps(self) -> Tuple[CuspTable, ...]:
         """Each cusp's `cusp_table`, in P's order."""
-        return tuple(cusp_table(self.P, self.m, self.bad_masks, self.in_masks, iv.id)
+        return tuple(cusp_table(self.P, self.m, self.bad_masks, self.in_masks, iv)
                      for iv in self.P.ideal_vertices)
 
 

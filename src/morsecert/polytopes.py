@@ -380,24 +380,22 @@ def build_p5() -> Polytope:
     return polytope_from_doc(json.loads((DATA / "p5.json").read_bytes())["polytope"])
 
 
-def cusp_incidence(P: Polytope, cusp_id: str) -> int:
-    """The rank mask of a cusp's incident facets, checked to be a cube's:
-    2(dim P - 1) facets, each adjacent to all others but one, its opposite;
-    non-adjacency is symmetric, so opposition is an involution."""
-    if not P.ideal_vertices:
-        raise InputError("polytope carries no ideal vertex data")
+def cusp_incidence(P: Polytope, iv: IdealVertex) -> int:
+    """The rank mask of ideal vertex iv's incident facets, checked to be a
+    cube's: 2(dim P - 1) facets, each adjacent to all others but one, its
+    opposite; non-adjacency is symmetric, so opposition is an involution."""
     ids, _, N = G = P.ranked_graph()
-    inc = G.mask(P.ideal_vertex(cusp_id).incident)
+    inc = G.mask(iv.incident)
     dim = P.dimension - 1
     if inc.bit_count() != 2 * dim:
         raise StructuralError(
-            f"cusp {cusp_id}: {inc.bit_count()} incident facets, expected {2 * dim}"
+            f"cusp {iv.id}: {inc.bit_count()} incident facets, expected {2 * dim}"
         )
     for r, a in enumerate(ids):
         non = (inc & ~N[r]).bit_count()
         if inc >> r & 1 and non != 1:
             raise StructuralError(
-                f"cusp {cusp_id}: facet {a} has {non} non-neighbours in the "
+                f"cusp {iv.id}: facet {a} has {non} non-neighbours in the "
                 "section, expected exactly 1 (cube structure)"
             )
     return inc
@@ -407,7 +405,7 @@ def build_cusp_section(P: Polytope, cusp_id: str) -> Polytope:
     """Horospherical section at an ideal vertex: a combinatorial cube, its
     facets the incident facets of the cusp, with their ids, checked by
     `cusp_incidence`."""
-    ids = P.ranked_graph().labels(cusp_incidence(P, cusp_id))
+    ids = P.ranked_graph().labels(cusp_incidence(P, P.ideal_vertex(cusp_id)))
     pairs = {
         frozenset((a, b))
         for i, a in enumerate(ids)

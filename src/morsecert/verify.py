@@ -270,15 +270,14 @@ class _Verifier:
     # -- cusps -------------------------------------------------------------------
 
     def check_cusps(self):
-        """The apexes: one list per cusp, cusps in the polytope's order, of
-        one list per bad face of its table, of one [out apex, in apex] pair
-        per In part that its plan lists.  Each pair is tested once: each
-        apex a vertex of its part that dominates the part, which proves the
-        part a cone: apex ∈ part and part ⊆ N[apex], the rule `cone_apex`
-        scans with.  The rows: one per (cusp, state), in the orbit's order,
-        bound by position, compared as one list with `cusp_rows`' of the
-        plan and the unproved parts; and each boundary cube must be all
-        Regular."""
+        """The apexes: one list per cusp, in the polytope's order, of one list
+        per bad face of its table, of one [out apex, in apex] pair per In
+        part its plan lists.  Each apex is tested once, and named if it fails:
+        one that dominates its part proves the part a cone (apex ∈ part and
+        part ⊆ N[apex], `cone_apex`'s rule).  A cusp whose condition fails is
+        named once.  The rows, one per (cusp, state) in the orbit's order, are
+        compared as one list with `cusp_rows`' of the plan and the unproved
+        parts; each cause of a row that is not all Regular is named above."""
         S, cusps = self.S, self.doc["cusps"]
         P, apexes = S.P, cusps["apexes"]
         if len(apexes) != len(P.ideal_vertices):
@@ -287,58 +286,42 @@ class _Verifier:
         _, rank, N = P.ranked_graph()
         want: List[dict] = []
         for c, (iv, table) in enumerate(zip(P.ideal_vertices, S.cusps)):
+            if not table.held:
+                self.fail(f"cusp {iv.id}: cusp condition fails")
             faces = apexes[c] if c < len(apexes) else []
             if len(faces) != len(table.bad):
                 self.fail(f"cusp {iv.id}: {len(faces)} face lists, want one per bad face "
                           f"of its table ({len(table.bad)})")
             unproved = {}  # face position -> the In parts whose pair is not proved
-            for i, ((_, dual, _), parts) in enumerate(zip(table.bad, table.parts)):
+            for i, ((ids, dual, _), parts) in enumerate(zip(table.bad, table.parts)):
                 pairs = faces[i] if i < len(faces) else []
-                failed = set() if len(pairs) == len(parts) else set(parts)
-                for inn, (out_apex, in_apex) in zip(parts, pairs):
-                    r, q = rank.get(out_apex), rank.get(in_apex)
-                    if (r is None or q is None or not (dual & ~inn) >> r & 1
-                            or dual & ~inn & ~N[r] or not inn >> q & 1 or inn & ~N[q]):
-                        failed.add(inn)
-                if failed:
-                    unproved[i] = failed
-                if failed or len(pairs) != len(parts):
-                    self._apexes(iv.id, table.bad[i], pairs, parts)
+                if len(pairs) != len(parts):
+                    self.fail(f"cusp {iv.id}: face {ids}: {len(pairs)} apex pairs, want one "
+                              f"per In part ({len(parts)})")
+                    unproved[i] = set(parts)
+                    continue
+                for j, (inn, (out_apex, in_apex)) in enumerate(zip(parts, pairs)):
+                    out, r, q = dual & ~inn, rank.get(out_apex), rank.get(in_apex)
+                    if r is None or not out >> r & 1 or out & ~N[r]:
+                        self.fail(f"cusp {iv.id}: face {ids}: pair {j}: out apex "
+                                  f"{out_apex!r} is no cone apex of its part")
+                        unproved.setdefault(i, set()).add(inn)
+                    if q is None or not inn >> q & 1 or inn & ~N[q]:
+                        self.fail(f"cusp {iv.id}: face {ids}: pair {j}: in apex "
+                                  f"{in_apex!r} is no cone apex of its part")
+                        unproved.setdefault(i, set()).add(inn)
             want += cusp_rows(table, S.in_masks, unproved)
         rows = cusps["rows"]
         if len(rows) != len(want):
             self.fail(f"cusps: {len(rows)} rows, want one per (cusp, state): "
                       f"{len(P.ideal_vertices)} x {len(S.states)}")
         elif rows != want:
+            n = len(S.states)
             for k, (row, w) in enumerate(zip(rows, want)):
-                if row != w:
-                    self._same_row(row, w, self._cusp_state(k))
-        for k, w in enumerate(want):
-            if not w["all_regular"]:
-                self.fail(f"{self._cusp_state(k)}: boundary cube is not all Regular")
-
-    def _cusp_state(self, k: int) -> str:
-        """The (cusp, state) of cusp row `k`."""
-        cusp, idx = divmod(k, len(self.S.states))
-        return f"cusp {self.S.P.ideal_vertices[cusp].id} state {idx}"
-
-    def _apexes(self, cusp: str, face, pairs: list, parts: tuple):
-        """Name what is wrong with `pairs` as the apex pairs of the bad face
-        `face`, (sorted ids, dual, free) of its cusp's table, one per In part
-        in `parts`: the count, or each apex that is no cone apex of its part."""
-        ids, dual, _ = face
-        where = f"cusp {cusp}: face {ids}"
-        if len(pairs) != len(parts):
-            self.fail(f"{where}: {len(pairs)} apex pairs, want one per In part "
-                      f"({len(parts)})")
-            return
-        _, rank, N = self.S.P.ranked_graph()
-        for j, (inn, pair) in enumerate(zip(parts, pairs)):
-            for side, part, apex in (("out", dual & ~inn, pair[0]), ("in", inn, pair[1])):
-                r = rank.get(apex)
-                if r is None or not part >> r & 1 or part & ~N[r]:
-                    self.fail(f"{where}: pair {j}: {side} apex {apex!r} is no cone apex "
-                              f"of its part")
+                held = S.cusps[k // n].held
+                # a row that claims its pairs proved differs by a pair named above
+                if row != w and row != {"ok": held, "all_regular": held}:
+                    self._same_row(row, w, f"cusp {P.ideal_vertices[k // n].id} state {k % n}")
 
     def check_bound(self):
         """Every evidence item must be bound to some claim that cites it."""

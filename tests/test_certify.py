@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import morsecert.certify
 from morsecert.certify import MAX_PARALLEL, certify_generic, certify_p5, certify_p6
 from morsecert.cli import main
 from morsecert.errors import InputError
@@ -24,6 +25,7 @@ from morsecert.io import (
     write_json,
 )
 from morsecert.kernel import MAX_MOVES, check_cusp_condition, generic_subject
+from morsecert.links import certify_boundary_cube
 from morsecert.polytopes import FaceHandle, build_cusp_section, polytope_from_doc
 from morsecert.report import (
     REPORT_VERSION,
@@ -721,8 +723,9 @@ def _apex_edits(doc, S):
 
 def test_verify_names_the_cusp_and_face_of_an_apex_edit(cert_p5, S5, tmp_path, capsys):
     """Each edit of an apex list exits 1 and names what is wrong by its cusp
-    and face; the rows of the states whose In parts select an unproved pair
-    are then not all Regular, which is named too."""
+    and face.  The rows of the states whose In parts select an unproved pair
+    are then not all Regular, a consequence of the cause named, so no row
+    is named by its cusp and state."""
     text = document_to_json(certificate_to_document(cert_p5))
     for k in range(8):
         doc = json.loads(text)
@@ -733,7 +736,8 @@ def test_verify_names_the_cusp_and_face_of_an_apex_edit(cert_p5, S5, tmp_path, c
         assert main(["verify", str(tmp_path / "r.json")]) == 1, name
         out = capsys.readouterr().out
         assert f"FAIL: {message}" in out, (name, out)
-        assert ": boundary cube is not all Regular" in out, (name, out)
+        assert not [line for line in out.splitlines()
+                    if line.startswith("FAIL: cusp ") and " state " in line], (name, out)
 
 
 def test_verify_names_the_good_face_of_a_witness_edit(cert_p5, S5, tmp_path, capsys):
@@ -972,7 +976,8 @@ def _failing_cusp_report():
     pol["ideal_vertices"] = [{"label": "x", "incident": ["a", "c"]}]
     state = {"a": "I", "b": "O", "c": "I", "d": "O"}
     cert = certify_generic({"polytope": pol, "moves": moves, "state": state}, mode="fibration")
-    assert "cusp condition fails at cusp:x state 0" in cert.failures
+    assert [f for f in cert.failures if f.startswith("cusp ")] == [
+        "cusp cusp:x: cusp condition fails"]
     doc = json.loads(emit_report(cert, "structured"))
     doc["pass"], doc["failures"] = True, []
     return cert, doc
@@ -980,7 +985,7 @@ def _failing_cusp_report():
 
 def test_verify_rejects_a_boundary_cube_that_is_not_all_regular(tmp_path, capsys):
     """A report edited to pass is rejected at the cusp whose condition
-    fails."""
+    fails, named once, not once per state."""
     cert, doc = _failing_cusp_report()
     # the condition fails, so the plan lists no In part and the cusp no pair
     table = cert.S.cusps[0]
@@ -988,7 +993,9 @@ def test_verify_rejects_a_boundary_cube_that_is_not_all_regular(tmp_path, capsys
     assert doc["cusps"]["apexes"] == [[[]] * len(table.bad)] and table.bad
     write_json(tmp_path / "r.json", doc)
     assert main(["verify", str(tmp_path / "r.json")]) == 1
-    assert "cusp cusp:x state 0: boundary cube is not all Regular" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("FAIL: cusp ")] == [
+        "FAIL: cusp cusp:x: cusp condition fails"]
 
 
 def test_verify_names_a_stray_apex_pair_on_a_cusp_whose_condition_fails(tmp_path, capsys):
@@ -1000,6 +1007,33 @@ def test_verify_names_a_stray_apex_pair_on_a_cusp_whose_condition_fails(tmp_path
     assert main(["verify", str(tmp_path / "r.json")]) == 1
     assert ("cusp cusp:x: face (): 1 apex pairs, want one per In part (0)"
             in capsys.readouterr().out)
+
+
+def test_a_part_without_a_cone_apex_is_named_once_by_certify_and_verify(
+        tmp_path, capsys, monkeypatch):
+    """On a cusp whose condition holds, a part that the finder leaves with
+    no apex fails the p5 certification with one failure, which `verify` of
+    the report it writes gives in the same words, once; no row is named by
+    its state."""
+    S5, found = builtin_subject("p5"), certify_boundary_cube
+
+    def no_first_in_apex(P, table):
+        faces = found(P, table)
+        if table is S5.cusps[0]:
+            faces[0][0][1] = None
+        return faces
+
+    monkeypatch.setattr(morsecert.certify, "certify_boundary_cube", no_first_in_apex)
+    message = (f"cusp {S5.P.ideal_vertices[0].id}: face {S5.cusps[0].bad[0][0]}: pair 0: "
+               f"in apex None is no cone apex of its part")
+    report = tmp_path / "r.json"
+    assert main(["certify", "p5", "--format", "structured", "--output", str(report)]) == 1
+    assert json.loads(report.read_text())["failures"] == [message]
+    assert capsys.readouterr().out.endswith(f"CERTIFICATION FAILED ({message})\n")
+    assert main(["verify", str(report)]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("FAIL: cusp ")] == [
+        f"FAIL: {message}"]
 
 
 @pytest.fixture(scope="module")

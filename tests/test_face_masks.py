@@ -226,7 +226,7 @@ def test_non_cube_sections_raise_alike():
         m = MoveSystem(tuple(frozenset(f) for f in P.facet_ids))
         with pytest.raises(StructuralError) as by_table:
             cusp_table(P, m, {F: face_masks(P, m, F) for F in face_table(P, m).bad}, (0,),
-                       "cusp:x")
+                       P.ideal_vertices[0])
         with pytest.raises(StructuralError) as by_section:
             build_cusp_section(P, "cusp:x")
         assert type(by_table.value) is type(by_section.value)

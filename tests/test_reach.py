@@ -36,7 +36,8 @@ to-do list of ROADMAP items 1a and 8b.
 
 Run as a script, `PYTHONPATH=src python tests/test_reach.py` runs the same
 trace and prints the pinned functions by reason, with their source lines by
-`inspect.getsourcelines` per module and in total."""
+`inspect.getsourcelines` per module and in total.  README quotes the total,
+and `test_readme_quotes_the_reach_figures` holds it to `_figures`."""
 
 import ast
 import copy
@@ -74,7 +75,7 @@ KEPT = {
             _Table.simplex _absorb _backtrack _derive_seed _gf2_rank _greedy_pass label_key
             simplex_key""",
         "links": "CubeLift.lift_of_face CubeLift.proper_faces face_link_posets",
-        "polytopes": "clique_complex",
+        "polytopes": "Polytope.ideal_vertex clique_complex",
         "report": "verdict_row",
         "schema": "Leaf.__init__ ListOf.__init__ Obj.__init__ _plural _report",
         "states": "split_state",
@@ -82,8 +83,7 @@ KEPT = {
     "readme": {"io": "moves_to_doc polytope_to_doc state_to_doc write_json"},
     "failure": {
         "verify": """
-            _Verifier._apexes _Verifier._cusp_state _Verifier._departed _Verifier._same_row
-            _Verifier._witness_moves""",
+            _Verifier._departed _Verifier._same_row _Verifier._witness_moves""",
     },
     "python": {
         "complexes": "SimplicialComplex.__eq__ SimplicialComplex.__hash__ SimplicialComplex.__setattr__",
@@ -184,6 +184,29 @@ def _unfounded() -> list:
     return wrong
 
 
+def _lines() -> dict:
+    """Each function of the package, by "module.qualname", with its number
+    of source lines by `inspect.getsourcelines`."""
+    return {name: len(inspect.getsourcelines(code)[0]) for code, name in _functions().items()}
+
+
+def _figures() -> tuple:
+    """(functions, lines) of `KEPT`, then of the whole package."""
+    lines = _lines()
+    pinned = {name for names in KEPT.values() for name in _names(names)}
+    return len(pinned), sum(lines[n] for n in pinned), len(lines), sum(lines.values())
+
+
+def test_readme_quotes_the_reach_figures():
+    """README's sentence "... by reason and module: N functions (L lines) of
+    the package's M (T)." gives the figures `_figures` computes."""
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    found = re.search(r"by reason and module: (\d+) functions \(([\d,]+) lines\) of the "
+                      r"package's (\d+) \(([\d,]+)\)", text)
+    assert found, "README has no sentence quoting the reach figures"
+    assert tuple(int(g.replace(",", "")) for g in found.groups()) == _figures()
+
+
 def test_what_no_command_reaches_is_kept_for_one_reason(cert_p5, tmp_path, capsys):
     unreached = _unreached(tmp_path, cert_p5)
     capsys.readouterr()
@@ -204,18 +227,14 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(StringIO()), \
             contextlib.redirect_stderr(StringIO()):
         unreached = _unreached(Path(tmp), certify_p5())
-    code_of = {name: code for code, name in _functions().items()}
-    lines = {name: len(inspect.getsourcelines(code)[0]) for name, code in code_of.items()}
-    total = [0, 0]
+    lines = _lines()
     for reason, pinned in KEPT.items():
         names = sorted(_names(pinned))
         print(f"{reason}: {len(names)} functions, {sum(lines[n] for n in names):,} lines")
         for mod in pinned:
             mine = [n for n in names if n.split(".")[0] == mod]
             print(f"  {mod:10} {len(mine):3} functions {sum(lines[n] for n in mine):5,} lines")
-        total = [total[0] + len(names), total[1] + sum(lines[n] for n in names)]
-    print(f"total: {total[0]} functions, {total[1]:,} lines, of {len(code_of)} functions, "
-          f"{sum(lines.values()):,} lines")
+    print("total: {} functions, {:,} lines, of {} functions, {:,} lines".format(*_figures()))
     pinned = {name for names in KEPT.values() for name in _names(names)}
     for what, names in (("unreached, not pinned", unreached - pinned),
                         ("pinned, not unreached", pinned - unreached)):

@@ -259,7 +259,7 @@ def test_plan_and_cusp_tables_are_built_once_per_subject(monkeypatch):
     assert ok, msgs
     assert docs[0] == docs[1]
     assert plans == [(S,)]
-    assert tables == [(S.P, iv.id) for iv in S.P.ideal_vertices]
+    assert tables == [(S.P, iv) for iv in S.P.ideal_vertices]
     assert len(tables) == 27
     assert found[0] == found[1] == 2 * 2688
 
@@ -284,7 +284,7 @@ def test_the_p5_subject_builds_no_p6_table(monkeypatch):
         builtin_subject.cache_clear()
     assert ok, msgs
     assert plans == [(S5,)]
-    assert tables == [(S5.P, iv.id) for iv in S5.P.ideal_vertices]
+    assert tables == [(S5.P, iv) for iv in S5.P.ideal_vertices]
     assert kept == 1
 
 

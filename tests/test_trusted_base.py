@@ -58,8 +58,8 @@ TRUSTED = {
     "polytopes": """
         FaceHandle.codim FaceHandle.sorted_ids Polytope.__init__
         Polytope._build_census Polytope._clique_levels Polytope.adjacent
-        Polytope.clique_count Polytope.cliques Polytope.degree Polytope.ideal_vertex
-        Polytope.ranked_graph RankedGraph.labels RankedGraph.mask adjacency_from_lorentz
+        Polytope.clique_count Polytope.cliques Polytope.degree Polytope.ranked_graph
+        RankedGraph.labels RankedGraph.mask adjacency_from_lorentz
         cusp_incidence dual_mask f_vector_check face_of_mask lorentz_product polytope_from_doc""",
     "report": """
         _eid _inputs_digest _kept_frame canonical_json cusp_rows document_to_json
@@ -162,7 +162,7 @@ def test_verify_runs_the_trusted_base(cert_p5, cert_p6, tmp_path):
     assert not [name for name in ran if name.split(".")[0] in ("complexes", "states", "links")]
     want = _names(TRUSTED)
     assert sorted(ran - want) == [] and sorted(want - ran) == []
-    assert len(want) == 93
+    assert len(want) == 92
 
 
 def test_readme_quotes_the_figures():
